@@ -25,6 +25,7 @@ REQUIRED_SECTIONS: dict[str, tuple[str, ...]] = {
         "## Process-parallel serving",
         "## SQL pushdown",
         "## Telemetry",
+        "## Benchmark",
     ),
     "README.md": (
         "--explain",
@@ -36,6 +37,7 @@ REQUIRED_SECTIONS: dict[str, tuple[str, ...]] = {
         "/metrics",
         "--trace-out",
         "SQL pushdown",
+        "### Benchmark",
     ),
 }
 

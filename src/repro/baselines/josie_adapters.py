@@ -20,7 +20,7 @@ import time
 
 from ..config import MateConfig
 from ..core.column_selection import ColumnSelector, get_column_selector
-from ..core.joinability import joinability_from_matches, row_contains_key
+from ..core.joinability import verify_table
 from ..core.results import DiscoveryResult
 from ..core.topk import TopKHeap
 from ..datamodel import QueryTable, TableCorpus
@@ -82,22 +82,15 @@ class _JosieBase:
                 for value in set(row):
                     rows_by_value.setdefault(value, []).append(row_index)
 
-            verified: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-            matched_rows: set[int] = set()
-            candidate_rows: set[int] = set()
-            for key_tuple in key_tuples:
-                for row_index in rows_by_value.get(key_tuple[0], ()):
-                    row = table.rows[row_index]
-                    candidate_rows.add(row_index)
-                    counters.value_comparisons += len(row) * len(key_tuple)
-                    if row_contains_key(row, key_tuple):
-                        verified.append((tuple(row), key_tuple))
-                        matched_rows.add(row_index)
-
-            joinability, mapping = joinability_from_matches(verified)
-            counters.rows_passed_filter += len(candidate_rows)
-            counters.true_positive_rows += len(matched_rows)
-            counters.false_positive_rows += len(candidate_rows - matched_rows)
+            joinability, mapping, _ = verify_table(
+                table.rows,
+                (
+                    (row_index, key_tuple)
+                    for key_tuple in key_tuples
+                    for row_index in rows_by_value.get(key_tuple[0], ())
+                ),
+                counters,
+            )
             if topk.update(table_id, joinability):
                 mappings[table_id] = mapping
         return topk, mappings

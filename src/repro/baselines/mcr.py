@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
+from itertools import product
 
 from ..config import MateConfig
-from ..core.joinability import joinability_from_matches, row_contains_key
+from ..core.joinability import verify_table
 from ..core.results import DiscoveryResult
 from ..core.topk import TopKHeap
 from ..datamodel import MISSING, QueryTable, TableCorpus
@@ -69,10 +70,7 @@ class McrDiscovery:
         counters.rows_checked = len(common_rows)
 
         # ---------------- Exact verification per table ----------------
-        key_tuples = sorted(query.key_tuples())
-        key_tuples = [
-            key for key in key_tuples if all(value != MISSING for value in key)
-        ]
+        key_tuples = [key for key in sorted(query.key_tuples()) if MISSING not in key]
         rows_per_table: dict[int, list[int]] = defaultdict(list)
         for table_id, row_index in sorted(common_rows):
             rows_per_table[table_id].append(row_index)
@@ -80,26 +78,16 @@ class McrDiscovery:
         topk = TopKHeap(k)
         mappings: dict[int, tuple[int, ...] | None] = {}
         for table_id, row_indexes in rows_per_table.items():
-            verified: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-            table_tp = 0
-            table_fp = 0
-            for row_index in row_indexes:
-                row = self.corpus.get_row(table_id, row_index)
-                matched_any = False
-                for key_tuple in key_tuples:
-                    counters.value_comparisons += len(row) * len(key_tuple)
-                    if row_contains_key(row, key_tuple):
-                        verified.append((row, key_tuple))
-                        matched_any = True
-                if matched_any:
-                    table_tp += 1
-                else:
-                    table_fp += 1
-            counters.rows_passed_filter += len(row_indexes)
-            counters.true_positive_rows += table_tp
-            counters.false_positive_rows += table_fp
+            joinability, mapping, _ = verify_table(
+                self.corpus.get_table(table_id).rows,
+                product(row_indexes, key_tuples),
+                counters,
+            )
+            if not key_tuples:
+                # Nothing to verify against: the intersection's rows all failed.
+                counters.rows_passed_filter += len(row_indexes)
+                counters.false_positive_rows += len(row_indexes)
             counters.tables_evaluated += 1
-            joinability, mapping = joinability_from_matches(verified)
             if topk.update(table_id, joinability):
                 mappings[table_id] = mapping
 

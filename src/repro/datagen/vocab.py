@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import random
 import string
+from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 FIRST_NAMES: tuple[str, ...] = (
@@ -182,6 +184,12 @@ def _build_shared_tokens(count: int = 2000, seed: int = 42) -> tuple[str, ...]:
 SHARED_TOKENS: tuple[str, ...] = _build_shared_tokens()
 
 
+@lru_cache(maxsize=64)
+def _zipf_cum_weights(count: int, skew: float) -> list[float]:
+    """Cumulative rank weights ``1 / rank ** skew``, shared by every draw."""
+    return list(accumulate(1.0 / (rank ** skew) for rank in range(1, count + 1)))
+
+
 def zipf_choice(rng: random.Random, values: Sequence[str], skew: float = 1.2) -> str:
     """Draw a value with a power-law (Zipf-like) distribution over ranks.
 
@@ -191,5 +199,6 @@ def zipf_choice(rng: random.Random, values: Sequence[str], skew: float = 1.2) ->
     """
     if not values:
         raise ValueError("cannot sample from an empty sequence")
-    weights = [1.0 / (rank ** skew) for rank in range(1, len(values) + 1)]
-    return rng.choices(list(values), weights=weights, k=1)[0]
+    # ``choices`` accumulates plain weights the same way, so handing it the
+    # cached cumulative weights leaves every seeded draw unchanged.
+    return rng.choices(values, cum_weights=_zipf_cum_weights(len(values), skew))[0]

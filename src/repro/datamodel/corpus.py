@@ -129,14 +129,14 @@ class TableCorpus:
         return list(self._tables)
 
     def get_row(self, table_id: int, row_index: int) -> tuple[str, ...]:
-        """Return a row of a table as a tuple of values."""
+        """Return the stored (immutable) row of a table."""
         table = self.get_table(table_id)
         if not 0 <= row_index < table.num_rows:
             raise DataModelError(
                 f"row {row_index} out of range for table {table_id} "
                 f"({table.num_rows} rows)"
             )
-        return tuple(table.rows[row_index])
+        return table.rows[row_index]
 
     def get_cell(self, table_id: int, row_index: int, column_index: int) -> str:
         """Return a single cell of a table."""

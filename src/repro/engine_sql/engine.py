@@ -45,7 +45,7 @@ from ..config import MateConfig
 from ..core.column_selection import ColumnSelector, get_column_selector
 from ..core.discovery import MateDiscovery
 from ..core.filters import should_prune_table
-from ..core.joinability import joinability_from_matches, row_contains_key
+from ..core.joinability import verify_table
 from ..core.results import DiscoveryResult
 from ..core.topk import TopKHeap
 from ..datamodel import QueryTable, TableCorpus
@@ -528,30 +528,13 @@ class SQLPushdownEngine:
         stats.calls += 1
         started = perf_counter()
         try:
-            verified: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-            row_outcome: dict[tuple[int, int], bool] = {}
-            get_row = self.corpus.get_row
-            for row_index, key_tuple in surviving:
-                row = get_row(table_id, row_index)
-                counters.value_comparisons += len(row) * len(key_tuple)
-                location = (table_id, row_index)
-                if row_contains_key(row, key_tuple):
-                    verified.append((row, key_tuple))
-                    row_outcome[location] = True
-                else:
-                    row_outcome.setdefault(location, False)
-            counters.rows_passed_filter += len(row_outcome)
-            counters.true_positive_rows += sum(
-                1 for hit in row_outcome.values() if hit
+            joinability, mapping, verified = verify_table(
+                self.corpus.get_table(table_id).rows, surviving, counters
             )
-            counters.false_positive_rows += sum(
-                1 for hit in row_outcome.values() if not hit
-            )
-            joinability, mapping = joinability_from_matches(verified)
         finally:
             stats.seconds += perf_counter() - started
         stats.items_in += len(surviving)
-        stats.items_out += len(verified)
+        stats.items_out += verified
         return joinability, mapping
 
     def _maintain_topk(

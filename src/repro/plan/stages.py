@@ -27,7 +27,7 @@ from __future__ import annotations
 from time import perf_counter
 
 from ..core.filters import should_abandon_table
-from ..core.joinability import joinability_from_matches, row_contains_key
+from ..core.joinability import verify_table
 from ..index import kernels
 from ..index.columnar import (
     TableBlock,
@@ -468,31 +468,12 @@ class RowVerification(PlanStage):
     name = STAGE_ROW_VERIFICATION
 
     def _execute(self, context: PlanContext) -> StageResult:
-        engine = context.engine
-        counters = context.counters
-        table_id = context.current_table_id
-        verified: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-        row_outcome: dict[tuple[int, int], bool] = {}
-        for row_index, key_tuple in context.surviving:
-            row = engine.corpus.get_row(table_id, row_index)
-            counters.value_comparisons += len(row) * len(key_tuple)
-            location = (table_id, row_index)
-            if row_contains_key(row, key_tuple):
-                verified.append((row, key_tuple))
-                row_outcome[location] = True
-            else:
-                row_outcome.setdefault(location, False)
-
-        counters.rows_passed_filter += len(row_outcome)
-        counters.true_positive_rows += sum(1 for hit in row_outcome.values() if hit)
-        counters.false_positive_rows += sum(
-            1 for hit in row_outcome.values() if not hit
+        table = context.engine.corpus.get_table(context.current_table_id)
+        context.joinability, context.mapping, verified = verify_table(
+            table.rows, context.surviving, context.counters
         )
-        context.joinability, context.mapping = joinability_from_matches(verified)
         return StageResult(
-            self.name,
-            items_in=len(context.surviving),
-            items_out=len(verified),
+            self.name, items_in=len(context.surviving), items_out=verified
         )
 
 

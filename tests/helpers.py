@@ -36,6 +36,81 @@ def available_sketch_kernel_modes() -> list[str]:
     return modes
 
 
+def legacy_row_mappings(row, key_values):
+    """``row_mappings`` as it shipped before the table-at-a-time kernel."""
+    from repro.datamodel import MISSING
+
+    positions = [
+        [index for index, cell in enumerate(row) if cell == value and value != MISSING]
+        for value in key_values
+    ]
+    if any(not options for options in positions):
+        return []
+
+    assignments = []
+
+    def backtrack(index, used, current):
+        if index == len(positions):
+            assignments.append(tuple(current))
+            return
+        for column in positions[index]:
+            if column in used:
+                continue
+            used.add(column)
+            current.append(column)
+            backtrack(index + 1, used, current)
+            current.pop()
+            used.remove(column)
+
+    backtrack(0, set(), [])
+    return assignments
+
+
+def legacy_joinability_from_matches(matches):
+    """``joinability_from_matches`` on :func:`legacy_row_mappings`."""
+    support = {}
+    for row, key_tuple in matches:
+        for mapping in legacy_row_mappings(row, key_tuple):
+            support.setdefault(mapping, set()).add(key_tuple)
+    if not support:
+        return 0, None
+    best_mapping, best_tuples = max(
+        support.items(), key=lambda item: (len(item[1]), item[0])
+    )
+    return len(best_tuples), best_mapping
+
+
+def legacy_verify_table(rows, surviving):
+    """The per-pair verify-then-rescore loop, kept verbatim.
+
+    This is the oracle of :func:`repro.core.joinability.verify_table`: the
+    loop every engine carried its own copy of.  Returns ``(joinability,
+    mapping, verified, hit_rows, miss_rows, value_comparisons)`` — what the
+    kernel returns followed by what it charges to the counters.
+    """
+    verified = []
+    row_outcome = {}
+    value_comparisons = 0
+    for row_index, key_tuple in surviving:
+        row = tuple(rows[row_index])
+        value_comparisons += len(row) * len(key_tuple)
+        if legacy_row_mappings(row, key_tuple):
+            verified.append((row, key_tuple))
+            row_outcome[row_index] = True
+        else:
+            row_outcome.setdefault(row_index, False)
+    joinability, mapping = legacy_joinability_from_matches(verified)
+    hit_rows = sum(1 for hit in row_outcome.values() if hit)
+    return (
+        joinability,
+        mapping,
+        len(verified),
+        hit_rows,
+        len(row_outcome) - hit_rows,
+        value_comparisons,
+    )
+
+
 def legacy_discover(engine, query, k=None, *, budget=None, on_snapshot=None):
     """The pre-planner ``MateDiscovery.discover`` loop, kept verbatim.
 
@@ -46,7 +121,6 @@ def legacy_discover(engine, query, k=None, *, budget=None, on_snapshot=None):
     re-planning disabled must reproduce its output byte for byte.
     """
     from repro.core.filters import should_abandon_table, should_prune_table
-    from repro.core.joinability import joinability_from_matches, row_contains_key
     from repro.core.results import DiscoveryResult
     from repro.core.topk import TopKHeap
     from repro.exceptions import DiscoveryError
@@ -81,23 +155,15 @@ def legacy_discover(engine, query, k=None, *, budget=None, on_snapshot=None):
             if row_survived:
                 rows_matched += 1
 
-        verified = []
-        row_outcome = {}
-        for row_index, key_tuple in surviving:
-            row = engine.corpus.get_row(table_id, row_index)
-            counters.value_comparisons += len(row) * len(key_tuple)
-            location = (table_id, row_index)
-            if row_contains_key(row, key_tuple):
-                verified.append((row, key_tuple))
-                row_outcome[location] = True
-            else:
-                row_outcome.setdefault(location, False)
-        counters.rows_passed_filter += len(row_outcome)
-        counters.true_positive_rows += sum(1 for hit in row_outcome.values() if hit)
-        counters.false_positive_rows += sum(
-            1 for hit in row_outcome.values() if not hit
+        rows = engine.corpus.get_table(table_id).rows
+        joinability, mapping, _, hit_rows, miss_rows, value_comparisons = (
+            legacy_verify_table(rows, surviving)
         )
-        return joinability_from_matches(verified)
+        counters.value_comparisons += value_comparisons
+        counters.rows_passed_filter += hit_rows + miss_rows
+        counters.true_positive_rows += hit_rows
+        counters.false_positive_rows += miss_rows
+        return joinability, mapping
 
     if k is None:
         k = engine.config.k

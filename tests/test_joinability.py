@@ -1,6 +1,8 @@
 """Tests for repro.core.joinability: Eq. 1 / Eq. 2 and the verification helpers."""
 
+import pytest
 
+from repro import MateConfig, MateDiscovery, build_index
 from repro.core import (
     exact_joinability,
     exact_joinability_score,
@@ -9,7 +11,8 @@ from repro.core import (
     row_mappings,
     top_k_by_exact_joinability,
 )
-from repro.datamodel import QueryTable, Table
+from repro.datamodel import QueryTable, Table, TableCorpus
+from repro.engine_sql import SQLPushdownEngine
 
 
 class TestRowMappings:
@@ -104,3 +107,39 @@ class TestTopKByExactJoinability:
     def test_k_limits_results(self, running_example_corpus):
         query, corpus = running_example_corpus
         assert len(top_k_by_exact_joinability(query, corpus, k=1)) == 1
+
+    @pytest.mark.parametrize("engine_class", [MateDiscovery, SQLPushdownEngine])
+    def test_engines_keep_the_first_evaluated_table_at_the_cutoff(
+        self, engine_class
+    ):
+        """The oracle breaks a k-th-score tie by id, the engines by
+        evaluation order: table 1 has more postings, is scored first, and
+        rule 1 then drops table 0, which could only equal its score."""
+        matching = [["ada", "us"], ["alan", "uk"]]
+        corpus = TableCorpus(name="cutoff-tie")
+        for table_id, rows in enumerate([matching, matching + [["ada", "us"]]]):
+            corpus.add_table(
+                Table(
+                    table_id=table_id,
+                    name=f"t{table_id}",
+                    columns=["name", "country"],
+                    rows=rows,
+                )
+            )
+        query = QueryTable(
+            table=Table(table_id=9, name="q", columns=["n", "c"], rows=matching),
+            key_columns=["n", "c"],
+        )
+        assert top_k_by_exact_joinability(query, corpus, k=2) == [(0, 2), (1, 2)]
+        assert top_k_by_exact_joinability(query, corpus, k=1) == [(0, 2)]
+
+        config = MateConfig(hash_size=128, expected_unique_values=1000)
+        engine = engine_class(corpus, build_index(corpus, config=config), config=config)
+        try:
+            assert engine.discover(query, k=2).result_tuples() == [(0, 2), (1, 2)]
+            result = engine.discover(query, k=1)
+        finally:
+            if isinstance(engine, SQLPushdownEngine):
+                engine.close()
+        assert result.result_tuples() == [(1, 2)]
+        assert result.counters.tables_pruned_by_rule1 == 1
