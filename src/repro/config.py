@@ -273,6 +273,7 @@ class ServiceConfig:
 
 #: A configuration suitable for the laptop-scale synthetic corpora used in the
 #: test-suite and benchmarks: the Eq. 5 budget is computed against a much
-#: smaller number of unique values, which yields alpha = 4 exactly as in the
-#: worked example of Section 5.3.1 (3 character bits + 1 length bit).
+#: smaller number of unique values, which yields alpha = 3 (2 character bits +
+#: 1 length bit: ``comb(128, 3) = 341,376 > 300,000``), one below the worked
+#: example of Section 5.3.1.  Every test hash depends on it; do not change it.
 DEFAULT_CONFIG = MateConfig(expected_unique_values=300_000)

@@ -15,10 +15,31 @@ hash functions by name (Tables 2 and 3).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TypeVar
 
 from ..config import MateConfig
 from ..exceptions import HashingError
+
+V = TypeVar("V")
+
+#: Entries a :class:`Memo` holds before it starts over (ingest and serving keep
+#: theirs for the life of the process); several times the distinct values of
+#: the largest benchmark corpus, so a bulk build never evicts.
+MAX_MEMO_ENTRIES = 1 << 18
+
+
+class Memo(dict[str, V]):
+    """``key -> compute(key)``, filled on a miss, dropped wholesale when full."""
+
+    def __init__(self, compute: Callable[[str], V]):
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, key: str) -> V:
+        if len(self) >= MAX_MEMO_ENTRIES:
+            self.clear()
+        value = self[key] = self._compute(key)
+        return value
 
 
 class HashFunction(ABC):

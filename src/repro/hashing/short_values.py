@@ -24,9 +24,7 @@ what the extra evidence buys on a workload keyed by short codes.
 
 from __future__ import annotations
 
-from ..config import MateConfig
 from .base import register_hash_function
-from .bitvector import rotate_left
 from .xash import XashHashFunction
 
 
@@ -52,37 +50,16 @@ class ShortValueXashHashFunction(XashHashFunction):
 
     name = "xash_short"
 
-    def __init__(self, config: MateConfig):
-        super().__init__(config)
-
-    def hash_value(self, value: str) -> int:
-        """Hash a value; short values receive extra bigram bits."""
-        if value == "":
-            return 0
-        characters = self.normalized_characters(value)
-        length = len(characters)
-        budget = self.characters_per_value
-
-        selected = self.select_characters(characters)
-        character_region = 0
-        for character in selected:
-            segment = self._segment_of[character]
-            offset = self.character_location_bit(character, characters)
-            character_region |= 1 << (segment * self.beta + offset)
-
-        remaining_budget = budget - len(selected)
-        if remaining_budget > 0 and length >= 2:
-            character_region |= self._bigram_bits(characters, remaining_budget)
-
-        if self.config.rotation and character_region:
-            character_region = rotate_left(
-                character_region, length, self.char_region_bits
+    def _encode_characters(self, value: str) -> int:
+        """XASH's character bits; a short value spends the unused budget on bigrams."""
+        character_region = super()._encode_characters(value)
+        # Every encoded character owns a segment, hence exactly one bit so far.
+        remaining_budget = self.characters_per_value - character_region.bit_count()
+        if remaining_budget > 0 and len(value) >= 2:
+            character_region |= self._bigram_bits(
+                self.normalized_characters(value), remaining_budget
             )
-
-        result = character_region
-        if self.config.encode_length and self.length_segment_bits > 0:
-            result |= 1 << (self.char_region_bits + length % self.length_segment_bits)
-        return result
+        return character_region
 
     # ------------------------------------------------------------------
     # Bigram evidence for short values
@@ -97,21 +74,14 @@ class ShortValueXashHashFunction(XashHashFunction):
                 break
             bigram = characters[position] + characters[position + 1]
             bucket = bigram_bucket(bigram, self.alphabet)
-            segment = self._segment_of[bucket]
-            if self.beta == 1 or not self.config.encode_location:
-                offset = 0
-            else:
+            bit = self._segment_of[bucket] * self.beta
+            if self._encode_location:
                 # Position of the bigram's first character, same rule as for
                 # single characters (Section 5.3.3).
-                import math
-
-                offset = min(
-                    max(math.ceil((position + 1) * self.beta / length), 1), self.beta
-                ) - 1
-            bit = 1 << (segment * self.beta + offset)
-            if bits & bit:
+                bit += self._location_bit(position + 1, 1, length)
+            if bits >> bit & 1:
                 continue  # this bigram bucket/offset is already used
-            bits |= bit
+            bits |= 1 << bit
             used += 1
         return bits
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from ..config import MateConfig
-from .base import HashFunction, create_hash_function
+from .base import HashFunction, Memo, create_hash_function
 from .bitvector import subsumes
 from .xash import XashHashFunction
 
@@ -37,8 +37,10 @@ class SuperKeyGenerator:
         # Cell values repeat heavily across rows and tables, so per-value hash
         # results are memoised (the reference implementation materialises them
         # in the database for the same reason).
-        self._cache: dict[str, int] = {}
-        self._is_xash = isinstance(hash_function, XashHashFunction)
+        self._cache = Memo(hash_function.hash_value)
+        self._xash = (
+            hash_function if isinstance(hash_function, XashHashFunction) else None
+        )
 
     @classmethod
     def from_name(cls, name: str, config: MateConfig) -> "SuperKeyGenerator":
@@ -50,17 +52,14 @@ class SuperKeyGenerator:
     # ------------------------------------------------------------------
     def value_hash(self, value: str) -> int:
         """Hash a single cell value (memoised)."""
-        cached = self._cache.get(value)
-        if cached is None:
-            cached = self.hash_function.hash_value(value)
-            self._cache[value] = cached
-        return cached
+        return self._cache[value]
 
     def row_super_key(self, row: Iterable[str]) -> int:
         """Return the super key of a full table row."""
+        cache = self._cache
         super_key = 0
         for value in row:
-            super_key |= self.value_hash(value)
+            super_key |= cache[value]
         return super_key
 
     def key_super_key(self, key_values: Sequence[str]) -> int:
@@ -80,9 +79,7 @@ class SuperKeyGenerator:
         segment, so the kernels skip the pre-check exactly like the scalar
         path does.
         """
-        if not self._is_xash:
-            return None
-        return self.hash_function.char_region_bits
+        return None if self._xash is None else self._xash.char_region_bits
 
     def covers(self, row_super_key: int, key_super_key: int) -> bool:
         """Return ``True`` iff the row super key masks the key super key.
@@ -104,10 +101,9 @@ class SuperKeyGenerator:
         instrumentation counters use to explain the runtime advantage of XASH
         over BF at similar FP rates (Section 7.4).
         """
-        if self._is_xash:
-            hash_function = self.hash_function
-            key_length_bits = hash_function.length_segment(key_super_key)
-            row_length_bits = hash_function.length_segment(row_super_key)
+        if (xash := self._xash) is not None:
+            key_length_bits = xash.length_segment(key_super_key)
+            row_length_bits = xash.length_segment(row_super_key)
             if not subsumes(row_length_bits, key_length_bits):
                 return False, True
         return subsumes(row_super_key, key_super_key), False

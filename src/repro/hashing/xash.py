@@ -31,12 +31,13 @@ exploits that for its short-circuit length pre-check.
 
 from __future__ import annotations
 
-import math
-from statistics import mean
+from functools import partial
+from math import ceil
+from typing import Iterable
 
 from ..config import MateConfig
 from ..exceptions import HashingError
-from .base import HashFunction, register_hash_function
+from .base import HashFunction, Memo, register_hash_function
 from .bitvector import rotate_left
 
 
@@ -51,6 +52,8 @@ def normalize_character(character: str, alphabet: str) -> str:
     if len(character) != 1:
         raise HashingError(f"expected a single character, got {character!r}")
     lowered = character.lower()
+    if len(lowered) != 1:  # U+0130 lower-cases to two code points
+        lowered = character
     if lowered in alphabet:
         return lowered
     return alphabet[ord(lowered) % len(alphabet)]
@@ -64,6 +67,9 @@ class XashHashFunction(HashFunction):
     (``use_rare_characters``, ``encode_location``, ``encode_length``,
     ``rotation``) turn individual features off; they exist to reproduce the
     component study of Figure 5 and default to the full XASH behaviour.
+
+    Super keys are persisted and compared against freshly hashed query keys,
+    so a hash may never change a bit (``tests/data/xash_golden.json``).
     """
 
     name = "xash"
@@ -76,20 +82,23 @@ class XashHashFunction(HashFunction):
         self.length_segment_bits = config.length_segment_bits
         self.characters_per_value = config.characters_per_value
         self._segment_of = {c: i for i, c in enumerate(self.alphabet)}
+        self._symbol_of = Memo(partial(normalize_character, alphabet=self.alphabet))
         frequencies = config.character_frequencies
         default_frequency = max(frequencies.values(), default=1.0) + 1.0
-        self._frequency_of = {
-            c: frequencies.get(c, default_frequency) for c in self.alphabet
-        }
+        rarest_first = sorted(
+            self.alphabet, key=lambda c: (frequencies.get(c, default_frequency), c)
+        )
+        self._rank_of = {c: rank for rank, c in enumerate(rarest_first)}
+        self._encode_location = config.encode_location and self.beta > 1
 
     # ------------------------------------------------------------------
     # Feature extraction
     # ------------------------------------------------------------------
     def normalized_characters(self, value: str) -> list[str]:
         """Return the value's characters mapped onto the alphabet."""
-        return [normalize_character(c, self.alphabet) for c in value]
+        return list(map(self._symbol_of.__getitem__, value))
 
-    def select_characters(self, characters: list[str]) -> list[str]:
+    def select_characters(self, characters: Iterable[str]) -> list[str]:
         """Select the ``alpha - 1`` characters to encode (Section 5.3.2).
 
         With ``use_rare_characters`` enabled (the default) the distinct
@@ -97,69 +106,73 @@ class XashHashFunction(HashFunction):
         lexicographically; otherwise the first distinct characters in order of
         appearance are used (ablation baseline).
         """
-        distinct = sorted(set(characters))
-        if not distinct:
-            return []
-        budget = self.characters_per_value
-        if self.config.use_rare_characters:
-            ranked = sorted(distinct, key=lambda c: (self._frequency_of[c], c))
-        else:
-            seen: list[str] = []
-            for character in characters:
-                if character not in seen:
-                    seen.append(character)
-            ranked = seen
-        return ranked[:budget]
+        return self._select(dict.fromkeys(characters))
 
-    def character_location_bit(
-        self, character: str, characters: list[str]
-    ) -> int:
+    def _select(self, distinct: Iterable[str]) -> list[str]:
+        """:meth:`select_characters` of distinct symbols in first-seen order."""
+        if self.config.use_rare_characters:
+            ranked = sorted(distinct, key=self._rank_of.__getitem__)
+        else:
+            ranked = list(distinct)
+        return ranked[: self.characters_per_value]
+
+    def character_location_bit(self, character: str, characters: list[str]) -> int:
         """Return the 0-based bit offset inside the character's segment.
 
         Implements ``x = ceil(lambda * beta / l_v)`` from Section 5.3.3 where
         ``lambda`` is the average (1-based) position of the character.  When
         location encoding is disabled the first bit of the segment is used.
         """
-        if not self.config.encode_location or self.beta == 1:
+        if not self._encode_location:
             return 0
-        positions = [
-            index + 1 for index, c in enumerate(characters) if c == character
-        ]
+        positions = [i for i, c in enumerate(characters, 1) if c == character]
         if not positions:
             raise HashingError(
                 f"character {character!r} not present in value {characters!r}"
             )
-        average_location = mean(positions)
-        length = len(characters)
-        x = math.ceil(average_location * self.beta / length)
-        x = min(max(x, 1), self.beta)
-        return x - 1
+        return self._location_bit(sum(positions), len(positions), len(characters))
+
+    def _location_bit(self, total: int, count: int, length: int) -> int:
+        """Segment offset of ``count`` positions in ``1..length`` summing to ``total``.
+        These float operations, in this order, are part of the stored format; no
+        clamp is needed (rounding is monotonic: the quotient stays in ``(0, beta]``)."""
+        return ceil(total / count * self.beta / length) - 1
 
     # ------------------------------------------------------------------
     # Hashing
     # ------------------------------------------------------------------
+    def _encode_characters(self, value: str) -> int:
+        """The unrotated character region: one bit per selected symbol, from one
+        pass over ``value`` keeping a position sum and a count per symbol."""
+        totals: dict[str, int] = {}
+        counts: dict[str, int] = {}
+        for position, symbol in enumerate(map(self._symbol_of.__getitem__, value), 1):
+            if symbol in totals:
+                totals[symbol] += position
+                counts[symbol] += 1
+            else:
+                totals[symbol] = position
+                counts[symbol] = 1
+        length = len(value)
+        character_region = 0
+        # ``totals`` iterates in first-seen order, which the ablation selects by.
+        for symbol in self._select(totals):
+            bit = self._segment_of[symbol] * self.beta
+            if self._encode_location:
+                bit += self._location_bit(totals[symbol], counts[symbol], length)
+            character_region |= 1 << bit
+        return character_region
+
     def hash_value(self, value: str) -> int:
         """Hash a single cell value into a ``hash_size``-bit integer."""
         if value == "":
             return 0
-        characters = self.normalized_characters(value)
-        length = len(characters)
-
-        character_region = 0
-        for character in self.select_characters(characters):
-            segment = self._segment_of[character]
-            offset = self.character_location_bit(character, characters)
-            character_region |= 1 << (segment * self.beta + offset)
-
-        if self.config.rotation and character_region:
-            character_region = rotate_left(
-                character_region, length, self.char_region_bits
-            )
-
-        result = character_region
+        length = len(value)
+        result = self._encode_characters(value)
+        if self.config.rotation and result:
+            result = rotate_left(result, length, self.char_region_bits)
         if self.config.encode_length and self.length_segment_bits > 0:
-            length_bit = length % self.length_segment_bits
-            result |= 1 << (self.char_region_bits + length_bit)
+            result |= 1 << (self.char_region_bits + length % self.length_segment_bits)
         return result
 
     # ------------------------------------------------------------------

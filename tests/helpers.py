@@ -268,3 +268,169 @@ def assert_topk_equivalent(result, truth) -> None:
         return
     cutoff = truth[-1][1]
     assert {t for t, j in result if j > cutoff} == {t for t, j in truth if j > cutoff}
+
+
+class LegacyXash:
+    """XASH as it shipped before the one-pass rewrite, kept verbatim.
+
+    This is the bit-identity oracle of ``tests/test_hash_stability.py``: every
+    persisted index was hashed by this code, so the one-pass implementation
+    must reproduce it bit for bit.  It re-scans the value once per selected
+    character and averages positions through ``statistics.mean``.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self.hash_size = config.hash_size
+        self.alphabet = config.alphabet
+        self.beta = config.beta
+        self.char_region_bits = config.character_region_bits
+        self.length_segment_bits = config.length_segment_bits
+        self.characters_per_value = config.characters_per_value
+        self._segment_of = {c: i for i, c in enumerate(self.alphabet)}
+        frequencies = config.character_frequencies
+        default_frequency = max(frequencies.values(), default=1.0) + 1.0
+        self._frequency_of = {
+            c: frequencies.get(c, default_frequency) for c in self.alphabet
+        }
+
+    @staticmethod
+    def normalize_character(character, alphabet):
+        from repro.exceptions import HashingError
+
+        if len(character) != 1:
+            raise HashingError(f"expected a single character, got {character!r}")
+        lowered = character.lower()
+        if lowered in alphabet:
+            return lowered
+        return alphabet[ord(lowered) % len(alphabet)]
+
+    def normalized_characters(self, value):
+        return [self.normalize_character(c, self.alphabet) for c in value]
+
+    def select_characters(self, characters):
+        distinct = sorted(set(characters))
+        if not distinct:
+            return []
+        budget = self.characters_per_value
+        if self.config.use_rare_characters:
+            ranked = sorted(distinct, key=lambda c: (self._frequency_of[c], c))
+        else:
+            seen = []
+            for character in characters:
+                if character not in seen:
+                    seen.append(character)
+            ranked = seen
+        return ranked[:budget]
+
+    def character_location_bit(self, character, characters):
+        import math
+        from statistics import mean
+
+        from repro.exceptions import HashingError
+
+        if not self.config.encode_location or self.beta == 1:
+            return 0
+        positions = [
+            index + 1 for index, c in enumerate(characters) if c == character
+        ]
+        if not positions:
+            raise HashingError(
+                f"character {character!r} not present in value {characters!r}"
+            )
+        average_location = mean(positions)
+        length = len(characters)
+        x = math.ceil(average_location * self.beta / length)
+        x = min(max(x, 1), self.beta)
+        return x - 1
+
+    def hash_value(self, value):
+        from repro.hashing import rotate_left
+
+        if value == "":
+            return 0
+        characters = self.normalized_characters(value)
+        length = len(characters)
+
+        character_region = 0
+        for character in self.select_characters(characters):
+            segment = self._segment_of[character]
+            offset = self.character_location_bit(character, characters)
+            character_region |= 1 << (segment * self.beta + offset)
+
+        if self.config.rotation and character_region:
+            character_region = rotate_left(
+                character_region, length, self.char_region_bits
+            )
+
+        result = character_region
+        if self.config.encode_length and self.length_segment_bits > 0:
+            length_bit = length % self.length_segment_bits
+            result |= 1 << (self.char_region_bits + length_bit)
+        return result
+
+
+class LegacyShortXash(LegacyXash):
+    """``xash_short`` before it shared the one-pass core, kept verbatim."""
+
+    def hash_value(self, value):
+        from repro.hashing import rotate_left
+
+        if value == "":
+            return 0
+        characters = self.normalized_characters(value)
+        length = len(characters)
+        budget = self.characters_per_value
+
+        selected = self.select_characters(characters)
+        character_region = 0
+        for character in selected:
+            segment = self._segment_of[character]
+            offset = self.character_location_bit(character, characters)
+            character_region |= 1 << (segment * self.beta + offset)
+
+        remaining_budget = budget - len(selected)
+        if remaining_budget > 0 and length >= 2:
+            character_region |= self._bigram_bits(characters, remaining_budget)
+
+        if self.config.rotation and character_region:
+            character_region = rotate_left(
+                character_region, length, self.char_region_bits
+            )
+
+        result = character_region
+        if self.config.encode_length and self.length_segment_bits > 0:
+            result |= 1 << (self.char_region_bits + length % self.length_segment_bits)
+        return result
+
+    def _bigram_bits(self, characters, budget):
+        import math
+
+        from repro.hashing import bigram_bucket
+
+        bits = 0
+        used = 0
+        length = len(characters)
+        for position in range(length - 1):
+            if used >= budget:
+                break
+            bigram = characters[position] + characters[position + 1]
+            bucket = bigram_bucket(bigram, self.alphabet)
+            segment = self._segment_of[bucket]
+            if self.beta == 1 or not self.config.encode_location:
+                offset = 0
+            else:
+                offset = min(
+                    max(math.ceil((position + 1) * self.beta / length), 1), self.beta
+                ) - 1
+            bit = 1 << (segment * self.beta + offset)
+            if bits & bit:
+                continue  # this bigram bucket/offset is already used
+            bits |= bit
+            used += 1
+        return bits
+
+
+def legacy_xash_hash(value, config):
+    """``XashHashFunction(config).hash_value(value)`` before the rewrite."""
+    return LegacyXash(config).hash_value(value)

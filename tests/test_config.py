@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import (
     DEFAULT_ALPHABET,
+    DEFAULT_CONFIG,
     MateConfig,
     character_segment_width,
     required_number_of_ones,
@@ -73,6 +74,12 @@ class TestMateConfig:
         config = MateConfig(number_of_ones=4)
         assert config.alpha == 4
         assert config.characters_per_value == 3
+
+    def test_default_config_budget_is_pinned(self):
+        # comb(128, 3) = 341,376 > 300,000: two character bits and a length
+        # bit.  Stored test hashes and the golden vectors depend on it.
+        assert DEFAULT_CONFIG.alpha == 3
+        assert DEFAULT_CONFIG.characters_per_value == 2
 
     def test_with_hash_size_preserves_other_fields(self):
         config = MateConfig(hash_size=128, k=7, rotation=False)

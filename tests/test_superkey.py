@@ -32,6 +32,17 @@ class TestConstruction:
         assert generator._cache["dresden"] == first
         assert generator.value_hash("dresden") == first
 
+    def test_memo_is_bounded_and_eviction_keeps_hashes(self, config, monkeypatch):
+        monkeypatch.setattr("repro.hashing.base.MAX_MEMO_ENTRIES", 8)
+        generator = SuperKeyGenerator.from_name("xash", config)
+        values = [f"value {number}" for number in range(50)]
+        first = [generator.value_hash(value) for value in values]
+        assert len(generator._cache) <= 8
+        # Every value but the last few was evicted on the way; all re-hash equal.
+        assert generator.row_super_key(values[:3]) == first[0] | first[1] | first[2]
+        assert [generator.value_hash(value) for value in values] == first
+        assert len(generator._cache) <= 8
+
 
 class TestCovers:
     def test_key_in_row_is_always_covered(self, generator):

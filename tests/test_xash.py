@@ -26,6 +26,12 @@ class TestNormalizeCharacter:
         assert first == second
         assert first in config.alphabet
 
+    def test_lowercase_of_two_code_points_buckets_the_original(self, config, xash):
+        # "İ" (U+0130) lower-cases to "i" + a combining dot; ord() of that raised.
+        bucket = config.alphabet[0x130 % len(config.alphabet)]
+        assert normalize_character("İ", config.alphabet) == bucket
+        assert xash.hash_value("İstanbul") == xash.hash_value(bucket + "stanbul")
+
     def test_rejects_multi_character_input(self, config):
         with pytest.raises(HashingError):
             normalize_character("ab", config.alphabet)
