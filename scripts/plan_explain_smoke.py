@@ -33,6 +33,7 @@ from repro.cli import main as cli_main  # noqa: E402
 from repro.config import INDEX_LAYOUTS  # noqa: E402
 from repro.experiments.planner import _build_skew_scenario  # noqa: E402
 from repro.experiments.runner import ExperimentSettings  # noqa: E402
+from repro.index import active_kernel  # noqa: E402
 from repro.storage import save_corpus_json  # noqa: E402
 
 
@@ -76,6 +77,14 @@ def main() -> int:
             )
             assert "plan: mode=" + mode in output, output
             assert "stages:" in output, output
+            # Which path served the request is part of the explanation: the
+            # request-level arrays need numpy and packed (columnar) blocks.
+            path = re.search(r"execution path: (\w+)(?: \((.+)\))?", output)
+            assert path is not None, output
+            if args.layout == "columnar" and active_kernel() == "numpy":
+                assert path.groups() == ("batch", None), output
+            else:
+                assert path.group(1) == "table" and path.group(2), output
             for stage in (
                 "candidate_generation",
                 "superkey_prefilter",

@@ -501,6 +501,9 @@ def _print_plan_explain(result) -> None:
               f"(estimated {event['estimated_postings']:.0f})")
     print(f"  fetched {explanation['observed_postings']} PL items "
           f"({explanation['discarded_postings']} discarded by re-plans)")
+    reason = explanation["table_path_reason"]
+    print(f"  execution path: {explanation['execution_path']}"
+          + (f" ({reason})" if reason else ""))
     print("stages:")
     for name in explanation["stages"]:
         stats = result.counters.stages.get(name)

@@ -18,6 +18,11 @@ Two implementations are provided:
   enumerating value positions per hit row instead of global permutations.
   :func:`row_mappings`, :func:`row_contains_key` and
   :func:`joinability_from_matches` expose its steps for single rows.
+* :func:`verify_encoded` — the same step as a numpy kernel over a table's
+  dictionary-encoded id matrix (:mod:`repro.datamodel.encoding`), for the
+  tables of a batch-path request that keep
+  :data:`VECTOR_VERIFY_MIN_PAIRS` pairs or more.  Same answer, same counter
+  charges; ``tests/helpers.legacy_verify_table`` is the oracle of both.
 """
 
 from __future__ import annotations
@@ -26,8 +31,24 @@ from collections import defaultdict
 from itertools import permutations, product
 from typing import Iterable, Sequence
 
+try:  # numpy is an optional accelerator (the ``accel`` extra), never required
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI entry
+    _np = None  # type: ignore[assignment]
+
 from ..datamodel import MISSING, QueryTable, Table
+from ..datamodel.encoding import EncodedKeys
 from ..metrics import DiscoveryCounters
+
+#: Surviving pairs from which a table is verified by :func:`verify_encoded`
+#: instead of the :func:`verify_table` loop.  The kernel costs ~50 us in numpy
+#: calls before it touches data and ~0.2 us per pair after, the loop ~1.6 us
+#: per pair; measured inside requests of both benchmark corpora the two cross
+#: at about 40 pairs (docs/ARCHITECTURE.md, "Batch execution").
+VECTOR_VERIFY_MIN_PAIRS = 40
+
+#: Mapping codes are ``column**width * keys`` at most and must fit ``int64``.
+_CODE_LIMIT = 1 << 62
 
 
 def _positions(row: Sequence[str], value: str) -> list[int]:
@@ -119,6 +140,116 @@ def verify_table(
         default=(0, None),
     )
     return joinability, mapping, verified
+
+
+def _count_distinct(indexes, bound: int) -> int:
+    """How many distinct values ``indexes`` (all below ``bound``) holds."""
+    present = _np.zeros(bound, dtype=bool)
+    present[indexes] = True
+    return int(_np.count_nonzero(present))
+
+
+def _run_starts(ordered):
+    """Mask of the positions where a sorted, non-empty array changes value."""
+    starts = _np.empty(len(ordered), dtype=bool)
+    starts[0] = True
+    _np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return starts
+
+
+def verify_encoded(
+    matrix,
+    pair_rows,
+    pair_keys,
+    keys: EncodedKeys,
+    counters: DiscoveryCounters,
+) -> tuple[int, tuple[int, ...] | None, int] | None:
+    """:func:`verify_table` over dense value ids, all pairs at once.
+
+    ``matrix`` is the table's ``(rows, columns)`` id matrix, ``keys.ids`` the
+    request's ``(keys, width)`` one over the same dictionary;
+    ``pair_rows[i]`` / ``pair_keys[i]`` index them for surviving pair ``i``.
+    One comparison finds every column holding a pair's key values, a pair's
+    injective column mappings are the (ragged) product of its per-position
+    hit columns, and Eq. 2 is a count of distinct ``(mapping, key)`` codes.
+    Returns ``None`` (nothing charged) when those codes could overflow —
+    the caller runs the loop instead.
+    """
+    np = _np
+    key_ids = keys.ids
+    num_rows, num_columns = matrix.shape
+    num_keys, width = key_ids.shape
+    if num_columns**width * num_keys >= _CODE_LIMIT:
+        return None
+    pairs = len(pair_rows)
+    cells = matrix.take(pair_rows, axis=0)
+    wanted = key_ids.take(pair_keys, axis=0)
+    # A hit is a (pair, key position, column) whose cell holds the key
+    # value; flat, in that order, so slot = pair * width + position.
+    slot, column = np.divmod(
+        np.flatnonzero(cells[:, None, :] == wanted[:, :, None]), num_columns
+    )
+    hits_per_slot = np.bincount(slot, minlength=pairs * width)
+    # Column choices per pair: 0 unless every key value is in the row.
+    fan_out = hits_per_slot[0::width]
+    for position in range(1, width):
+        fan_out = fan_out * hits_per_slot[position::width]
+    ends = np.cumsum(fan_out)
+
+    seen = _count_distinct(pair_rows, num_rows)
+    counters.value_comparisons += num_columns * width * pairs
+    counters.rows_passed_filter += seen
+
+    # One entry per (pair, choice): ``rank`` numbers a pair's choices and is
+    # decomposed, last position first, into one hit per key position.
+    owner = np.repeat(np.arange(pairs), fan_out)
+    rank = np.arange(len(owner)) - np.repeat(ends - fan_out, fan_out)
+    first_hit = np.cumsum(hits_per_slot) - hits_per_slot
+    hits_of = hits_per_slot.reshape(pairs, width).take(owner, axis=0)
+    first_of = first_hit.reshape(pairs, width).take(owner, axis=0)
+    chosen = []
+    for position in range(width - 1, -1, -1):
+        rank, nth = np.divmod(rank, hits_of[:, position])
+        chosen.append(column.take(first_of[:, position] + nth))
+    chosen.reverse()
+    if keys.repeated:
+        # Two key positions only land in one column when they hold the same
+        # value: drop the choices that are not injective.
+        injective = np.ones(len(owner), dtype=bool)
+        for position in range(1, width):
+            for earlier in range(position):
+                injective &= chosen[position] != chosen[earlier]
+        owner = owner[injective]
+        chosen = [columns[injective] for columns in chosen]
+
+    hit = _count_distinct(pair_rows.take(owner), num_rows)
+    counters.true_positive_rows += hit
+    counters.false_positive_rows += seen - hit
+    if not len(owner):
+        return 0, None, 0
+
+    # Eq. 2: the mapping most distinct key tuples agree on, largest on ties.
+    # Codes order like the mapping tuples (first column most significant).
+    code = chosen[0]
+    for columns in chosen[1:]:
+        code = code * num_columns + columns
+    supported = np.sort(code * num_keys + pair_keys.take(owner))
+    # One entry per distinct (mapping, key), still sorted by mapping ...
+    mappings = supported[_run_starts(supported)] // num_keys
+    # ... numbered by mapping from 1, so bincount is the support per mapping.
+    run = np.cumsum(_run_starts(mappings))
+    support = np.bincount(run)
+    best = len(support) - 1 - int(np.argmax(support[::-1]))
+    code = int(mappings[np.searchsorted(run, best)])
+    mapping = []
+    for _ in range(width):
+        code, position_column = divmod(code, num_columns)
+        mapping.append(position_column)
+    return (
+        int(support[best]),
+        tuple(reversed(mapping)),
+        _count_distinct(owner, pairs),
+    )
 
 
 def joinability_from_matches(

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from ..exceptions import DataModelError
+from .encoding import ENCODER
 
 #: Placeholder used internally for missing cells.
 MISSING: str = ""
@@ -168,6 +169,7 @@ class Table:
                 f"row has {len(row)} cells, expected {self.num_columns}"
             )
         self.rows.append(row)
+        ENCODER.forget(self)
         return row
 
     def projection(self, columns: Sequence[str | int]) -> set[tuple[str, ...]]:

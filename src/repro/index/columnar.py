@@ -21,8 +21,17 @@ equivalent used by the index's (default) ``columnar`` layout:
   block per probed value, referencing the packed columns directly (zero-copy)
   with the super-key column attached;
 * :class:`TableBlock` — the per-candidate-table view Algorithm 1's filtering
-  loop iterates (lines 4-9): parallel plain lists assembled run-by-run with
-  C-level slice copies instead of per-item tuple construction.
+  loop iterates (lines 4-9) on the table-at-a-time path: row indexes and run
+  provenance assembled run-by-run, every other column on demand.
+
+Which consumer reads which structure: with the numpy kernel, row-filter mode
+``superkey`` and a packed buffer on every fetched block, a request keeps its
+:class:`FetchBlock` s and :mod:`repro.index.batch` turns their columns and
+memoised coverage bitmaps into request-level arrays — no :class:`TableBlock`
+is built.  Everything else (no numpy, ``MATE_KERNEL=fallback|off``, modes
+``none`` / ``oracle``, an unpacked block) regroups the fetch blocks with
+:func:`group_into_table_blocks`, and an index with only the classic
+``fetch`` surface goes through :func:`group_items_into_table_blocks`.
 
 Every structure can still round-trip to the classic per-item records
 (:meth:`FetchBlock.items`, :meth:`ColumnarPostingList.items`), which is what
@@ -32,7 +41,6 @@ keeps ``InvertedIndex.fetch`` byte-compatible across layouts.
 from __future__ import annotations
 
 from array import array
-from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ..config import INDEX_LAYOUTS
@@ -49,6 +57,12 @@ TableRun = tuple[int, int, int]
 #: A run of consecutive postings that share a probe value:
 #: ``(value, start, end)`` half-open positions into a table block's columns.
 ValueRun = tuple[str, int, int]
+
+#: Entries a fetch block's coverage memo holds before it starts over.  Every
+#: entry is two bitmaps of the block's length and cached blocks outlive the
+#: request, so without a bound each distinct key tuple ever probed against a
+#: hot value would stay behind; a dropped entry costs one vector pass.
+COVERAGE_MEMO_ENTRIES = 64
 
 
 def pack_super_keys(super_keys: Iterable[int], width_bytes: int) -> bytes | None:
@@ -526,9 +540,7 @@ class FetchBlock:
         makes the kernel path beat the row loop even on few-row candidate
         tables.  Requires the packed buffer (``super_key_bytes``).
         """
-        cache = self._cov_cache
-        if cache is None:
-            cache = self._cov_cache = {}
+        cache = self._coverage_memo(1)
         token = (key_super_key, length_shift, kernel)
         hit = cache.get(token)
         if hit is None:
@@ -543,6 +555,15 @@ class FetchBlock:
             )
         return hit
 
+    def _coverage_memo(self, room: int) -> dict:
+        """The coverage memo, started over when ``room`` more entries would
+        take it past :data:`COVERAGE_MEMO_ENTRIES` — wholesale, so what the
+        current request adds afterwards stays together."""
+        cache = self._cov_cache
+        if cache is None or len(cache) + room > COVERAGE_MEMO_ENTRIES:
+            cache = self._cov_cache = {}
+        return cache
+
     def query_coverage(
         self, entries, length_shift: int | None, kernel: str
     ) -> list[tuple[bytes, bytes | None]]:
@@ -554,17 +575,17 @@ class FetchBlock:
         query drops to a single dict hit even for multi-entry values.
         """
         cache = self._cov_cache
-        if cache is None:
-            cache = self._cov_cache = {}
         token = ("query", length_shift, kernel)
-        hit = cache.get(token)
+        hit = cache.get(token) if cache is not None else None
         if hit is not None and hit[0] is entries:
             return hit[1]
+        # Room for all of this query's entries first, so they stay together.
+        self._coverage_memo(len(entries) + 1)
         per_level = [
             self.entry_coverage(key_super_key, length_shift, kernel)
             for _key_tuple, key_super_key in entries
         ]
-        cache[token] = (entries, per_level)
+        self._coverage_memo(1)[token] = (entries, per_level)
         return per_level
 
     @property
@@ -638,59 +659,66 @@ def blocks_from_fetch(items: Iterable[FetchedItem]) -> list[FetchBlock]:
 
 
 class TableBlock:
-    """All fetched postings of one candidate table, as parallel plain lists.
+    """All fetched postings of one candidate table (table-at-a-time path).
 
-    This is what the discovery engine's filtering loop (Algorithm 1 lines
-    4-9) iterates: ``zip(values, row_indexes, super_keys)`` touches no
-    per-item objects.  Blocks are assembled run-by-run with slice copies from
-    the packed fetch blocks.
-
-    For the vectorized prefilter kernels the block additionally tracks
-    ``value_runs`` (maximal runs of equal consecutive probe values, known
-    for free at assembly time) and — when every contributing fetch block
-    carries one — the packed fixed-width super-key buffer
-    (``super_key_bytes`` / ``key_width``), spliced together with slice
-    copies.  The integer ``super_keys`` column is materialised lazily, so
-    the kernel path never converts keys it does not read.
+    What the coverage-splicing prefilter reads is kept eagerly:
+    ``row_indexes``, ``value_runs`` (maximal runs of equal consecutive probe
+    values, known for free at assembly time) and ``cov_sources``, the
+    provenance of every run.  The other columns have one reader each — the
+    per-row loop (``values``, ``super_keys``) and :meth:`items`
+    (``column_indexes``) — and are only assembled, with slice copies from
+    the fetch blocks, when asked for, so the kernel path never converts or
+    copies what it does not read.  No packed super-key column is spliced:
+    the kernel path reads the fetch blocks' buffers through ``cov_sources``.
     """
 
-    __slots__ = ("table_id", "values", "column_indexes", "row_indexes",
-                 "value_runs", "key_width", "super_key_bytes",
-                 "_super_keys", "_sk_sources", "cov_sources")
+    __slots__ = ("table_id", "row_indexes", "value_runs", "cov_sources",
+                 "_column_indexes", "_super_keys", "_pending")
 
     def __init__(self, table_id: int):
         self.table_id = table_id
-        self.values: list[str] = []
-        self.column_indexes: list[int] = []
         self.row_indexes: list[int] = []
         #: Maximal runs of equal consecutive probe values.
         self.value_runs: list[ValueRun] = []
-        self.key_width: int | None = None
-        #: Packed super-key buffer; degrades to ``None`` once any
-        #: contributing block lacks one (or widths disagree).
-        self.super_key_bytes: bytearray | None = bytearray()
-        self._super_keys: list[int] | None = None
-        self._sk_sources: list[tuple[FetchBlock, int, int]] = []
         #: Provenance of every appended run — ``(fetch block, fetch start,
         #: table start, count)`` — for the coverage-splicing prefilter path;
         #: degrades to ``None`` when a run arrives without a packed source
-        #: (spilled keys, per-item bridge).
+        #: (spilled keys, legacy layout, per-item bridge).
         self.cov_sources: list[tuple[FetchBlock, int, int, int]] | None = []
+        self._column_indexes: list[int] = []
+        self._super_keys: list[int] = []
+        #: Runs not yet copied into the two columns above.
+        self._pending: list[tuple[FetchBlock, int, int]] = []
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.row_indexes)
+
+    def _copy_pending(self) -> None:
+        for block, start, end in self._pending:
+            self._column_indexes.extend(block.column_indexes[start:end])
+            self._super_keys.extend(block.super_keys[start:end])
+        self._pending.clear()
+
+    @property
+    def values(self) -> list[str]:
+        """The probe value of every posting (``value_runs``, expanded)."""
+        return [
+            value
+            for value, start, end in self.value_runs
+            for _ in range(start, end)
+        ]
+
+    @property
+    def column_indexes(self) -> list[int]:
+        """The column index of every posting."""
+        self._copy_pending()
+        return self._column_indexes
 
     @property
     def super_keys(self) -> list[int]:
-        """The integer super-key column (materialised lazily on first use)."""
-        column = self._super_keys
-        if column is None:
-            column = []
-            for block, start, end in self._sk_sources:
-                column.extend(block.super_keys[start:end])
-            self._super_keys = column
-            self._sk_sources = []
-        return column
+        """The integer super-key column."""
+        self._copy_pending()
+        return self._super_keys
 
     def _note_run(self, value: str, position: int, count: int) -> None:
         runs = self.value_runs
@@ -700,11 +728,9 @@ class TableBlock:
             runs.append((value, position, position + count))
 
     def extend_run(self, block: FetchBlock, start: int, end: int) -> None:
-        """Append one table run of ``block`` (C-level slice copies)."""
+        """Append one table run of ``block``."""
         count = end - start
         position = len(self.row_indexes)
-        self.values.extend(repeat(block.value, count))
-        self.column_indexes.extend(block.column_indexes[start:end])
         self.row_indexes.extend(block.row_indexes[start:end])
         self._note_run(block.value, position, count)
         if self.cov_sources is not None:
@@ -712,36 +738,18 @@ class TableBlock:
                 self.cov_sources.append((block, start, position, count))
             else:
                 self.cov_sources = None
-        packed = self.super_key_bytes
-        if packed is not None:
-            source = block.super_key_bytes
-            width = block.key_width
-            if source is not None and (
-                self.key_width is None or self.key_width == width
-            ):
-                self.key_width = width
-                packed += source[start * width : end * width]
-            else:
-                self.super_key_bytes = None
-                self.key_width = None
-        if self._super_keys is not None:
-            self._super_keys.extend(block.super_keys[start:end])
-        else:
-            self._sk_sources.append((block, start, end))
+        self._pending.append((block, start, end))
 
     def append_item(
         self, value: str, column_index: int, row_index: int, super_key: int
     ) -> None:
         """Append one classic per-item posting (the legacy-``fetch`` bridge)."""
-        position = len(self.row_indexes)
-        self.values.append(value)
-        self.column_indexes.append(column_index)
+        self._copy_pending()
+        self._note_run(value, len(self.row_indexes), 1)
         self.row_indexes.append(row_index)
-        self._note_run(value, position, 1)
-        self.super_key_bytes = None
-        self.key_width = None
+        self._column_indexes.append(column_index)
+        self._super_keys.append(super_key)
         self.cov_sources = None
-        self.super_keys.append(super_key)
 
     def items(self) -> list[FetchedItem]:
         """Materialise the block as classic per-item fetch records."""

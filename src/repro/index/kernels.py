@@ -9,22 +9,33 @@ once, directly on the fixed-width packed super-key buffers of
 XASH length-segment short-circuit and table-filtering rule 2
 (``L_t - r_checked + r_match <= j_k``).
 
-Two kernel implementations share one contract, both batching the whole
-block per *entry level* (the i-th key-map entry of every probe value — in
-practice one level, since most values map to a single key combination):
+Which function serves which input:
 
-* **numpy** — the packed buffer is viewed as an ``(n, width)`` ``uint8``
-  matrix via ``numpy.frombuffer`` (no copy) and the reject test for the
-  whole block is one broadcasted ``key & ~rows`` pass over a gathered key
-  matrix (``np.repeat`` over the block's value runs);
-* **fallback** — pure stdlib: the block's key column and super-key buffer
-  are joined into two big integers and the reject test becomes a single
-  arbitrary-precision ``keys & ~rows`` operation, with per-row zero-slice
-  checks only on the miss mask.
+* :func:`entry_coverage` — the reject test of *one* key entry over one whole
+  posting column, memoised per :class:`~repro.index.columnar.FetchBlock`.
+  It has a **numpy** lane (the packed buffer viewed via ``numpy.frombuffer``
+  in the widest integer lane that tiles a slot, one ``rows & key != key``
+  pass per non-zero key lane) and a **fallback** lane (pure stdlib: key
+  column and buffer joined into two big integers, one arbitrary-precision
+  ``keys & ~rows``, per-row zero-slice checks only on the miss mask).  Both
+  execution paths start from these bitmaps.
+* With numpy, every request whose fetched blocks all carry a packed buffer
+  goes on to :mod:`repro.index.batch`: the bitmaps of the whole request are
+  scattered into arrays once and a candidate table costs arithmetic.
+* :func:`prefilter_table_block` — the table-at-a-time splice of the same
+  bitmaps with C-speed ``bytes`` operations: the stdlib kernel's path
+  (``MATE_KERNEL=fallback``, or no numpy installed).
+* :func:`prefilter_block` — one per-table block from scratch, for blocks
+  without run provenance: row-filter mode ``none`` (the SCR baseline) and
+  blocks whose super keys had to be packed on the spot (legacy layout,
+  spilled oversize key).  It is the stdlib big-integer kernel whichever
+  kernel is selected — with numpy present these inputs are the only ones
+  left over, too few to keep a second implementation for.
 
-Both produce the *identical* survivor list, counter increments, and rule-2
-abandon point as the legacy per-row loop — the differential kernel test
-suite (``tests/test_kernels.py``) pins that equivalence down, and the
+All of them produce the *identical* survivor list, counter increments, and
+rule-2 abandon point as the legacy per-row loop — the differential kernel
+test suite (``tests/test_kernels.py``) and the batch-execution suite
+(``tests/test_batch_execution.py``) pin that equivalence down, and the
 plan-equivalence suite proves end-to-end top-k byte-identity with kernels
 forced on and off.
 
@@ -188,6 +199,21 @@ def _coverage_dtype(width: int):
     return _np.uint8, width
 
 
+def _rows_lacking(rows2d, wanted):
+    """Rows that lack a bit of ``wanted`` (one lane value per column).
+
+    ``None`` when ``wanted`` is all zero: no row lacks anything.  One
+    scalar-operand pass per non-zero lane — a broadcast of the whole key
+    over ``(n, lanes)`` would run ``n`` inner loops of ``lanes`` elements.
+    """
+    lacking = None
+    for lane, bits in enumerate(wanted):
+        if bits:
+            miss = (rows2d[:, lane] & bits) != bits
+            lacking = miss if lacking is None else lacking | miss
+    return lacking
+
+
 def _entry_coverage_numpy(packed, width, key_super_key, length_shift, n):
     # The reject test only asks whether ``key & ~row`` has any set bit, so
     # the byte buffer can be reinterpreted in the widest lane that tiles the
@@ -196,14 +222,18 @@ def _entry_coverage_numpy(packed, width, key_super_key, length_shift, n):
     dtype, lanes = _coverage_dtype(width)
     rows2d = _np.frombuffer(packed, dtype=dtype).reshape(n, lanes)
     key_np = _np.frombuffer(key_super_key.to_bytes(width, "big"), dtype=dtype)
-    miss = key_np & ~rows2d
-    cov = ~miss.any(axis=1)
+    uncovered = _rows_lacking(rows2d, key_np)
+    cov = b"\x01" * n if uncovered is None else (~uncovered).tobytes()
     sc = None
     if length_shift is not None and length_shift < 8 * width:
+        # Short-circuited: a key bit of the length segment the row lacks.
         mask = ((1 << (8 * width - length_shift)) - 1) << length_shift
-        mask_np = _np.frombuffer(mask.to_bytes(width, "big"), dtype=dtype)
-        sc = (miss & mask_np).any(axis=1).tobytes()
-    return cov.tobytes(), sc
+        segment = _np.frombuffer(
+            (key_super_key & mask).to_bytes(width, "big"), dtype=dtype
+        )
+        hit = _rows_lacking(rows2d, segment)
+        sc = bytes(n) if hit is None else hit.tobytes()
+    return cov, sc
 
 
 def _entry_coverage_fallback(packed, width, key_super_key, length_shift, n):
@@ -290,15 +320,10 @@ def entry_coverage(
 def _nth_zero(matched, nth: int, n: int) -> int:
     """Position of the ``nth`` (1-based) zero byte in ``matched``.
 
-    The caller guarantees at least ``nth`` zeros exist.  With numpy this is
-    one vectorized pass; the stdlib variant narrows down with chunked
-    ``count`` calls so the per-zero Python loop never exceeds one chunk.
+    The caller guarantees at least ``nth`` zeros exist.  Narrows down with
+    chunked ``count`` calls so the per-zero Python loop never exceeds one
+    chunk.
     """
-    if _np is not None:
-        zeros = _np.nonzero(
-            _np.frombuffer(bytes(matched), dtype=_np.uint8) == 0
-        )[0]
-        return int(zeros[nth - 1])
     position = 0
     remaining = nth
     chunk = 256
@@ -430,98 +455,6 @@ def _level_runs(run_entries, level: int):
     ]
 
 
-def _prefilter_numpy(packed, width, run_entries, length_shift, n):
-    """Whole-block coverage via one broadcasted bit pass per entry level.
-
-    Returns ``(matched, sc_count, levels)`` where ``levels`` holds one
-    ``(level, row_pos, cov, run_of)`` ndarray triple set per entry level
-    (plus per-run scalar patches for oversize keys).
-    """
-    rows2d = _np.frombuffer(packed, dtype=_np.uint8).reshape(n, width)
-    matched = _np.zeros(n, dtype=bool)
-    sc_count = None
-    mask_np = None
-    if length_shift is not None and length_shift < 8 * width:
-        mask = ((1 << (8 * width - length_shift)) - 1) << length_shift
-        mask_np = _np.frombuffer(mask.to_bytes(width, "big"), dtype=_np.uint8)
-        sc_count = _np.zeros(n, dtype=_np.int64)
-    max_levels = max(len(entries) for _, _, entries in run_entries)
-    levels = []
-    ordered = max_levels == 1
-    for level in range(max_levels):
-        runs = _level_runs(run_entries, level)
-        key_blob = bytearray()
-        starts: list[int] = []
-        lengths: list[int] = []
-        run_ids: list[int] = []
-        for run_id, (start, end, entries) in runs:
-            key_super_key = entries[level][1]
-            try:
-                key_bytes = key_super_key.to_bytes(width, "big")
-            except OverflowError:
-                ordered = False
-                cov_list, sc_list = _entry_scalar(
-                    packed, width, start, end, key_super_key,
-                    None if sc_count is None else length_shift,
-                )
-                cov = _np.asarray(cov_list, dtype=bool)
-                matched[start:end] |= cov
-                if sc_count is not None:
-                    sc_count[start:end] += _np.asarray(sc_list, dtype=bool)
-                levels.append(
-                    (
-                        level,
-                        _np.arange(start, end, dtype=_np.int64),
-                        cov,
-                        _np.full(end - start, run_id, dtype=_np.int64),
-                    )
-                )
-                continue
-            key_blob += key_bytes
-            starts.append(start)
-            lengths.append(end - start)
-            run_ids.append(run_id)
-        if not starts:
-            continue
-        starts_np = _np.asarray(starts, dtype=_np.int64)
-        lengths_np = _np.asarray(lengths, dtype=_np.int64)
-        total = int(lengths_np.sum())
-        out_starts = _np.concatenate(
-            (_np.zeros(1, dtype=_np.int64), _np.cumsum(lengths_np)[:-1])
-        )
-        row_pos = _np.arange(total, dtype=_np.int64) + _np.repeat(
-            starts_np - out_starts, lengths_np
-        )
-        run_of = _np.repeat(_np.asarray(run_ids, dtype=_np.int64), lengths_np)
-        key_rows = _np.repeat(
-            _np.frombuffer(bytes(key_blob), dtype=_np.uint8).reshape(-1, width),
-            lengths_np,
-            axis=0,
-        )
-        miss = key_rows & ~rows2d[row_pos]
-        cov = ~miss.any(axis=1)
-        matched[row_pos] |= cov
-        if sc_count is not None:
-            sc_count[row_pos] += (miss & mask_np).any(axis=1)
-        levels.append((level, row_pos, cov, run_of))
-    return matched, sc_count, levels, ordered
-
-
-def _extract_numpy(levels, run_entries, row_indexes, cutoff, ordered):
-    hits = []
-    for level, row_pos, cov, run_of in levels:
-        keep = cov & (row_pos < cutoff)
-        for position, run_id in zip(
-            row_pos[keep].tolist(), run_of[keep].tolist()
-        ):
-            hits.append(
-                (position, level, run_entries[run_id][2][level][0])
-            )
-    if not ordered:
-        hits.sort(key=lambda hit: (hit[0], hit[1]))
-    return [(row_indexes[position], key_tuple) for position, _, key_tuple in hits]
-
-
 def _prefilter_fallback(packed, width, run_entries, length_shift, n):
     """Whole-block coverage via one big-integer bit pass per entry level.
 
@@ -629,16 +562,6 @@ def _extract_fallback(levels, run_entries, row_indexes, cutoff, ordered):
     return [(row_indexes[position], key_tuple) for position, _, key_tuple in hits]
 
 
-def _cutoff_numpy(matched, posting_count, min_joinability, n):
-    flags = matched.astype(_np.int64)
-    prefix = _np.concatenate((_np.zeros(1, dtype=_np.int64), _np.cumsum(flags)))
-    optimistic = posting_count - _np.arange(n, dtype=_np.int64) + prefix[:n]
-    bad = _np.nonzero(optimistic <= min_joinability)[0]
-    if bad.size:
-        return int(bad[0]), True
-    return n, False
-
-
 def _cutoff_scalar(matched, posting_count, min_joinability, n):
     rows_matched = 0
     for position in range(n):
@@ -705,6 +628,8 @@ def prefilter_block(
 
     The result is bit-for-bit what the per-row loop produces: same survivor
     pairs in the same order, same counter deltas, same abandon point.
+    ``kernel`` is accepted for compatibility and ignored: every selection
+    runs the stdlib kernel here (see the module docstring).
     """
     if mode not in ("superkey", "none"):
         raise ValueError(f"prefilter kernels cannot run row-filter mode {mode!r}")
@@ -743,45 +668,18 @@ def prefilter_block(
             run_entries, row_indexes, posting_count, min_joinability, n
         )
 
-    if kernel is None:
-        kernel = active_kernel() or "fallback"
-    if kernel == "numpy" and _np is None:
-        kernel = "fallback"
-
-    if kernel == "numpy":
-        matched, sc_count, levels, ordered = _prefilter_numpy(
-            packed, width, run_entries, length_shift, n
-        )
-        if min_joinability is None:
-            cutoff, abandoned = n, False
-        else:
-            cutoff, abandoned = _cutoff_numpy(
-                matched, posting_count, min_joinability, n
-            )
-        rows_matched = int(matched[:cutoff].sum())
-        short_circuit_hits = (
-            int(sc_count[:cutoff].sum()) if sc_count is not None else 0
-        )
-        surviving = _extract_numpy(
-            levels, run_entries, row_indexes, cutoff, ordered
-        )
+    matched, sc_count, levels, ordered = _prefilter_fallback(
+        packed, width, run_entries, length_shift, n
+    )
+    if min_joinability is None:
+        cutoff, abandoned = n, False
     else:
-        matched, sc_count, levels, ordered = _prefilter_fallback(
-            packed, width, run_entries, length_shift, n
+        cutoff, abandoned = _cutoff_scalar(
+            matched, posting_count, min_joinability, n
         )
-        if min_joinability is None:
-            cutoff, abandoned = n, False
-        else:
-            cutoff, abandoned = _cutoff_scalar(
-                matched, posting_count, min_joinability, n
-            )
-        rows_matched = sum(matched[:cutoff])
-        short_circuit_hits = (
-            sum(sc_count[:cutoff]) if sc_count is not None else 0
-        )
-        surviving = _extract_fallback(
-            levels, run_entries, row_indexes, cutoff, ordered
-        )
+    rows_matched = sum(matched[:cutoff])
+    short_circuit_hits = sum(sc_count[:cutoff]) if sc_count is not None else 0
+    surviving = _extract_fallback(levels, run_entries, row_indexes, cutoff, ordered)
 
     superkey_checks = 0
     for start, end, entries in run_entries:

@@ -19,6 +19,7 @@ index, the corpus, and the per-row super keys stay consistent:
 from __future__ import annotations
 
 from ..datamodel import MISSING, Row, Table, TableCorpus
+from ..datamodel.encoding import ENCODER
 from ..exceptions import DataModelError
 from ..hashing import SuperKeyGenerator
 from .inverted import InvertedIndex
@@ -83,6 +84,7 @@ class IndexMaintainer:
                     table_id, row_index, self.super_key_generator.value_hash(value)
                 )
         table.rows = new_rows
+        ENCODER.forget(table)
 
     # ------------------------------------------------------------------
     # Updates
@@ -105,6 +107,7 @@ class IndexMaintainer:
         new_values[column_index] = value
         new_row = Row(new_values)
         table.rows[row_index] = new_row
+        ENCODER.forget(table)
 
         # Postings: drop the old row's postings and re-add them from scratch.
         self.index.remove_row(table_id, row_index)
@@ -131,6 +134,7 @@ class IndexMaintainer:
         # Drop every posting of this table and rebuild — row indexes shift, so
         # a local fix-up would have to rewrite most postings anyway.
         del table.rows[row_index]
+        ENCODER.forget(table)
         self.index.remove_table(table_id)
         for new_index, row in enumerate(table.rows):
             self._index_row(table_id, new_index, row)
@@ -146,6 +150,7 @@ class IndexMaintainer:
             del values[column_index]
             new_rows.append(Row(values))
         table.rows = new_rows
+        ENCODER.forget(table)
         # Rebuild the table's postings and super keys: column indexes above
         # the removed column shift and super keys must forget the old values.
         self.index.remove_table(table_id)

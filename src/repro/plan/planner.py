@@ -138,6 +138,13 @@ class PlanReport:
     #: PL items fetched for abandoned seed columns and thrown away.
     discarded_postings: int = 0
     replans: list[ReplanEvent] = field(default_factory=list)
+    #: Which execution path served the request: ``"batch"`` (request-level
+    #: arrays, :mod:`repro.index.batch`) or ``"table"`` (one table at a
+    #: time); empty until candidate generation has decided.
+    execution_path: str = ""
+    #: Why the table-at-a-time path ran (``"kernel off"``, ``"row filter
+    #: none"``, ``"unpacked block for value ..."``); empty on the batch path.
+    table_path_reason: str = ""
 
     def as_dict(self) -> dict[str, object]:
         """The JSON-facing plan explanation."""
@@ -148,6 +155,8 @@ class PlanReport:
                 "observed_postings": self.observed_postings,
                 "discarded_postings": self.discarded_postings,
                 "replans": [event.as_dict() for event in self.replans],
+                "execution_path": self.execution_path,
+                "table_path_reason": self.table_path_reason,
             }
         )
         return document

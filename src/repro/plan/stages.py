@@ -8,30 +8,48 @@ contract and accumulates its own wall-clock / volume accounting under
   builds ``superkey_map_Q``, charges the request budget, fetches the seed
   column's posting lists (in one shot, or chunked with adaptive re-planning),
   and groups + sorts the candidate tables;
-* :class:`SuperKeyPrefilter` — the XASH reject (Section 6.3): scans one
-  candidate table's packed block, applying table-filtering rule 2 and the
-  super-key subsumption check per row;
+* :class:`SuperKeyPrefilter` — the XASH reject (Section 6.3) of one candidate
+  table, with table-filtering rule 2;
 * :class:`RowVerification` — exact verification of the surviving rows and
   the Eq. 2 best-mapping score;
 * :class:`TopKMaintenance` — offers the scored table to the top-k heap and
   fires the streaming snapshot hook on accepted updates.
 
-The composition of these stages under the
-:class:`~repro.plan.executor.Executor` is line-for-line equivalent to the
-pre-refactor monolithic loop when re-planning is disabled — the equivalence
-the plan-equivalence test suite pins down byte-for-byte.
+Two execution paths run under the same stages and the same executor loop;
+candidate generation picks one per request and records it on the plan report
+(``execution_path`` / ``table_path_reason``):
+
+* **batch** — the numpy kernel, row-filter mode ``superkey``, an index with
+  ``fetch_batch`` and a packed super-key buffer on every fetched block.  The
+  fetched blocks become request-level arrays once
+  (:class:`repro.index.batch.RequestArrays`); a candidate is a span of them,
+  the prefilter cuts it by arithmetic, and tables that keep many pairs are
+  verified by the vector kernel over dictionary-encoded rows
+  (:func:`repro.core.joinability.verify_encoded`).
+* **table** — everything else (no numpy or ``MATE_KERNEL=fallback|off``,
+  modes ``none`` / ``oracle``, an index without ``fetch_batch``, an unpacked
+  block): one :class:`~repro.index.columnar.TableBlock` per candidate,
+  prefiltered by the stdlib kernel (:mod:`repro.index.kernels`) or the
+  verbatim per-row loop, verified by
+  :func:`~repro.core.joinability.verify_table`.
+
+Either composition under the :class:`~repro.plan.executor.Executor` is
+line-for-line equivalent to the pre-refactor monolithic loop when re-planning
+is disabled — the equivalence the plan-equivalence and batch-execution test
+suites pin down byte-for-byte, counters included.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
 
+from ..core import joinability
 from ..core.filters import should_abandon_table
-from ..core.joinability import verify_table
+from ..datamodel.encoding import ENCODER
 from ..index import kernels
 from ..index.columnar import (
+    FetchBlock,
     TableBlock,
-    fetch_table_blocks,
     group_into_table_blocks,
     group_items_into_table_blocks,
     pack_super_keys,
@@ -168,12 +186,13 @@ class CandidateGeneration(PlanStage):
                 granted = budget.take_pl_fetches(len(probe_values))
                 probe_values = probe_values[:granted]
 
-        grouped = fetch_table_blocks(engine.index, probe_values)
-        fetched = sum(len(block) for block in grouped.values())
+        blocks: list[FetchBlock] = []
+        grouped: dict[int, TableBlock] = {}
+        fetched = self._fetch_into(engine.index, probe_values, blocks, grouped)
         context.counters.pl_items_fetched = fetched
         context.report.seed_column = column
         context.report.observed_postings += fetched
-        self._sort_candidates(context, grouped)
+        self._set_candidates(context, blocks, grouped)
         return len(probe_values)
 
     # ------------------------------------------------------------------
@@ -196,6 +215,7 @@ class CandidateGeneration(PlanStage):
                 context.query, column
             )
             probe_values = list(context.key_map)
+            blocks: list[FetchBlock] = []
             grouped: dict[int, TableBlock] = {}
             observed = 0
             values_fetched = 0
@@ -212,7 +232,7 @@ class CandidateGeneration(PlanStage):
                     if granted < len(chunk):
                         curtailed = True
                     chunk = chunk[:granted]
-                observed += self._fetch_into(engine.index, chunk, grouped)
+                observed += self._fetch_into(engine.index, chunk, blocks, grouped)
                 values_fetched += len(chunk)
                 total_charged += len(chunk)
                 if curtailed:
@@ -254,7 +274,7 @@ class CandidateGeneration(PlanStage):
                 context.counters.extra["discarded_pl_items"] = float(
                     report.discarded_postings
                 )
-            self._sort_candidates(context, grouped)
+            self._set_candidates(context, blocks, grouped)
             return (
                 total_charged,
                 values_fetched,
@@ -263,36 +283,78 @@ class CandidateGeneration(PlanStage):
 
     @staticmethod
     def _fetch_into(
-        index, values: list[str], grouped: dict[int, TableBlock]
+        index,
+        values: list[str],
+        blocks: list[FetchBlock],
+        grouped: dict[int, TableBlock],
     ) -> int:
-        """Fetch one chunk and merge it into the per-table grouping.
+        """Fetch one chunk; returns the number of PL items fetched.
 
-        Chunks arrive in probe order, so the accumulated grouping is
-        identical to a single-shot :func:`fetch_table_blocks` over the same
-        final value list.  Returns the number of PL items fetched.
+        The per-value blocks of a ``fetch_batch`` are kept as they are
+        (``blocks``) — which path regroups them is decided once the fetch is
+        over.  An index with only the classic ``fetch`` surface has its items
+        merged into the per-table grouping right away; chunks arrive in
+        probe order, so the accumulated grouping equals a single-shot fetch
+        of the same final value list.
         """
         if not values:
             return 0
         fetch_batch = getattr(index, "fetch_batch", None)
         if fetch_batch is not None:
-            blocks = fetch_batch(values)
-            group_into_table_blocks(blocks, into=grouped)
-            return sum(len(block) for block in blocks)
+            fetched = fetch_batch(values)
+            blocks.extend(fetched)
+            return sum(len(block) for block in fetched)
         items = index.fetch(values)
         group_items_into_table_blocks(items, into=grouped)
         return len(items)
 
     @staticmethod
-    def _sort_candidates(
-        context: PlanContext, grouped: dict[int, TableBlock]
+    def _table_path_reason(context: PlanContext, blocks: list[FetchBlock]) -> str:
+        """Why the request-level arrays cannot serve this run ("" if they can)."""
+        kernel = kernels.active_kernel()
+        if kernel != "numpy":
+            return f"kernel {kernel or 'off'}"
+        mode = context.engine.row_filter.mode
+        if mode != "superkey":
+            return f"row filter {mode}"
+        if getattr(context.engine.index, "fetch_batch", None) is None:
+            return "index without fetch_batch"
+        for block in blocks:
+            if block.super_key_bytes is None:
+                return f"unpacked block for value {block.value!r}"
+        return ""
+
+    def _set_candidates(
+        self,
+        context: PlanContext,
+        blocks: list[FetchBlock],
+        grouped: dict[int, TableBlock],
     ) -> None:
-        # The sketch tier's verdict: only tables it let through enter the
-        # exact pipeline (``None`` = no pruning happened).
+        """Group the fetched postings by table and sort the candidates.
+
+        Candidate tables are processed by decreasing PL-item count, then
+        table id (line 5); the sketch tier's verdict (``allowed_tables``,
+        ``None`` = no pruning happened) restricts them first.
+        """
+        report = context.report
+        report.table_path_reason = self._table_path_reason(context, blocks)
+        if not report.table_path_reason:
+            from ..index.batch import RequestArrays  # needs numpy
+
+            report.execution_path = "batch"
+            context.batch = RequestArrays(
+                blocks,
+                context.key_map,
+                context.engine.row_filter.super_key_generator.length_segment_shift,
+            )
+            context.candidates = context.batch.candidates(context.allowed_tables)
+            return
+        report.execution_path = "table"
+        group_into_table_blocks(blocks, into=grouped)
         allowed = context.allowed_tables
         items = grouped.items()
         if allowed is not None:
             items = [entry for entry in items if entry[0] in allowed]
-        # Sort candidate tables by decreasing PL-item count (line 5).
         context.candidates = sorted(
             items, key=lambda entry: (-len(entry[1]), entry[0])
         )
@@ -301,20 +363,23 @@ class CandidateGeneration(PlanStage):
 class SuperKeyPrefilter(PlanStage):
     """Row filtering of one candidate table (lines 14-19 of Algorithm 1).
 
-    The hot path runs as a vectorized kernel
-    (:mod:`repro.index.kernels`) directly over the block's packed
-    super-key buffer — one batched reject test per distinct probe value
-    instead of a Python iteration per PL item — and falls back to the
-    verbatim per-row loop (:meth:`_execute_rows`) when kernels are off,
+    On the batch path the table's span is cut out of the request's arrays
+    (:meth:`_execute_batch`; the first call of a request runs the reject
+    over all of its postings).  On the table path the block goes through
+    the stdlib kernel (:meth:`_execute_kernel`: coverage splicing, or one
+    whole-block pass for blocks without run provenance) and falls back to
+    the verbatim per-row loop (:meth:`_execute_rows`) when kernels are off,
     the row-filter mode needs corpus rows (``oracle``), or the block's
-    super keys cannot be packed.  Both paths produce bit-identical
+    super keys cannot be packed.  All of them produce bit-identical
     survivors, counters, and stage statistics (pinned by the differential
-    kernel suite).
+    suites).
     """
 
     name = STAGE_SUPERKEY_PREFILTER
 
     def _execute(self, context: PlanContext) -> StageResult:
+        if context.batch is not None:
+            return self._execute_batch(context)
         mode = context.engine.row_filter.mode
         if mode != "oracle" and kernels.active_kernel() is not None:
             result = self._execute_kernel(context, mode)
@@ -322,20 +387,37 @@ class SuperKeyPrefilter(PlanStage):
                 return result
         return self._execute_rows(context)
 
+    def _execute_batch(self, context: PlanContext) -> StageResult:
+        """Batch path: cut this table's span out of the request's arrays."""
+        engine = context.engine
+        topk = context.topk
+        span = context.current_block
+        rows_checked, checks, hits, abandoned, surviving = context.batch.cut(
+            span,
+            topk.min_joinability()
+            if engine.use_table_filters and topk.is_full
+            else None,
+        )
+        counters = context.counters
+        counters.rows_checked += rows_checked
+        counters.superkey_checks += checks
+        counters.short_circuit_hits += hits
+        if abandoned:
+            counters.tables_pruned_by_rule2 += 1
+        context.surviving = surviving
+        return StageResult(
+            self.name,
+            items_in=len(span),
+            items_out=len(surviving),
+            detail="abandoned" if abandoned else "",
+        )
+
     def _execute_kernel(
         self, context: PlanContext, mode: str
     ) -> StageResult | None:
         """Kernel path; ``None`` when the block cannot be packed."""
         engine = context.engine
         block = context.current_block
-        packed = None
-        width = 0
-        length_shift = None
-        if mode == "superkey":
-            generator = engine.row_filter.super_key_generator
-            packed = block.super_key_bytes
-            width = block.key_width or 0
-            length_shift = generator.length_segment_shift
         topk = context.topk
         min_joinability = (
             topk.min_joinability()
@@ -343,22 +425,32 @@ class SuperKeyPrefilter(PlanStage):
             else None
         )
         result = None
+        packed = None
+        width = 0
+        length_shift = None
         if mode == "superkey":
+            generator = engine.row_filter.super_key_generator
+            length_shift = generator.length_segment_shift
             result = self._prefilter_mapped(
                 context, block, length_shift, min_joinability
             )
-        if result is None:
-            if mode == "superkey" and packed is None:
+            if result is None:
+                # A run came without a packed buffer (legacy layout, spilled
+                # oversize key): pack the integer column, or leave the block
+                # to the row loop.
                 width = max(1, (generator.hash_size + 7) // 8)
                 packed = pack_super_keys(block.super_keys, width)
                 if packed is None:
                     return None
+        if result is None:
+            value_runs = getattr(block, "value_runs", None)
             result = kernels.prefilter_block(
-                values=block.values,
+                # Only read without runs; a TableBlock expands them on demand.
+                values=block.values if value_runs is None else (),
                 row_indexes=block.row_indexes,
                 key_map=context.key_map,
                 posting_count=len(block),
-                value_runs=getattr(block, "value_runs", None),
+                value_runs=value_runs,
                 packed=packed,
                 width=width,
                 mode=mode,
@@ -469,12 +561,23 @@ class RowVerification(PlanStage):
 
     def _execute(self, context: PlanContext) -> StageResult:
         table = context.engine.corpus.get_table(context.current_table_id)
-        context.joinability, context.mapping, verified = verify_table(
-            table.rows, context.surviving, context.counters
-        )
-        return StageResult(
-            self.name, items_in=len(context.surviving), items_out=verified
-        )
+        surviving = context.surviving
+        result = None
+        if (
+            context.batch is not None
+            and len(surviving) >= joinability.VECTOR_VERIFY_MIN_PAIRS
+        ):
+            keys = context.batch.keys
+            matrix = ENCODER.matrix(table, keys)
+            result = joinability.verify_encoded(
+                matrix, surviving.rows, surviving.keys, keys, context.counters
+            )
+        if result is None:
+            result = joinability.verify_table(
+                table.rows, surviving, context.counters
+            )
+        context.joinability, context.mapping, verified = result
+        return StageResult(self.name, items_in=len(surviving), items_out=verified)
 
 
 class TopKMaintenance(PlanStage):

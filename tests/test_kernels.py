@@ -6,9 +6,9 @@ implementation that replicates the legacy ``SuperKeyPrefilter`` scan —
 short-circuit, and table-filtering rule 2 — over hypothesis-generated
 blocks:
 
-* :func:`repro.index.kernels.prefilter_block` under both the stdlib
-  fallback and (when installed) the numpy kernel, in ``superkey`` and
-  ``none`` row-filter modes;
+* :func:`repro.index.kernels.prefilter_block` (the stdlib kernel under every
+  selection, so not parametrised), in ``superkey`` and ``none`` row-filter
+  modes;
 * the coverage-splicing fast path (``entry_coverage`` /
   ``FetchBlock.query_coverage`` / ``prefilter_table_block``), exercised
   through a real columnar :class:`~repro.index.inverted.InvertedIndex` and
@@ -35,7 +35,8 @@ from repro.index.kernels import (
     prefilter_table_block,
 )
 
-#: Kernels the differential properties run against the reference.
+#: ``entry_coverage`` lanes the differential properties run against the
+#: reference (the one kernel left with two implementations).
 KERNELS = ["fallback"] + (["numpy"] if numpy_available() else [])
 
 WIDTHS = [1, 2, 4, 8, 16]
@@ -179,11 +180,13 @@ def block_cases(draw):
     }
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 class TestPrefilterBlockDifferential:
+    """One implementation: ``prefilter_block`` runs the stdlib kernel under
+    every selection, so these are not parametrised over ``KERNELS``."""
+
     @given(case=block_cases())
     @settings(max_examples=120, deadline=None)
-    def test_superkey_mode_matches_reference(self, kernel, case):
+    def test_superkey_mode_matches_reference(self, case):
         result = prefilter_block(
             values=case["values"],
             row_indexes=case["row_indexes"],
@@ -194,13 +197,12 @@ class TestPrefilterBlockDifferential:
             mode="superkey",
             length_shift=case["length_shift"],
             min_joinability=case["min_joinability"],
-            kernel=kernel,
         )
         assert as_dict(result) == reference_prefilter(mode="superkey", **case)
 
     @given(case=block_cases())
     @settings(max_examples=60, deadline=None)
-    def test_none_mode_matches_reference(self, kernel, case):
+    def test_none_mode_matches_reference(self, case):
         result = prefilter_block(
             values=case["values"],
             row_indexes=case["row_indexes"],
@@ -208,14 +210,13 @@ class TestPrefilterBlockDifferential:
             posting_count=case["posting_count"],
             mode="none",
             min_joinability=case["min_joinability"],
-            kernel=kernel,
         )
         expected = reference_prefilter(mode="none", **case)
         assert as_dict(result) == expected
 
-    def test_oversize_key_takes_scalar_patch(self, kernel):
+    def test_oversize_key_takes_scalar_patch(self):
         # A key wider than the packed slots exercises the per-row
-        # arbitrary-precision escape hatch inside both kernels.
+        # arbitrary-precision escape hatch inside the kernel.
         width = 2
         values = ["v0", "v0", "v1"]
         row_indexes = [0, 1, 2]
@@ -234,11 +235,12 @@ class TestPrefilterBlockDifferential:
             length_shift=8,
             min_joinability=None,
         )
-        result = prefilter_block(mode="superkey", kernel=kernel, **case)
+        result = prefilter_block(mode="superkey", **case)
         assert as_dict(result) == reference_prefilter(mode="superkey", **case)
 
-    def test_empty_block(self, kernel):
+    def test_empty_block(self):
         result = prefilter_block(
+            kernel="numpy",  # still in the public signature: accepted, ignored
             values=[],
             row_indexes=[],
             key_map={"v0": ((("k",), 1),)},
@@ -246,7 +248,6 @@ class TestPrefilterBlockDifferential:
             packed=b"",
             width=4,
             mode="superkey",
-            kernel=kernel,
         )
         assert as_dict(result) == {
             "surviving": [],
@@ -326,6 +327,17 @@ def index_cases(draw):
     return hash_size, postings, key_map, length_shift, bound
 
 
+def spliced_keys(table_block) -> tuple[bytes, int]:
+    """The table block's packed super-key column and its key width, spliced
+    from the fetch blocks its runs came from."""
+    (width,) = {source.key_width for source, *_ in table_block.cov_sources}
+    packed = b"".join(
+        bytes(source.super_key_bytes[start * width : (start + count) * width])
+        for source, start, _, count in table_block.cov_sources
+    )
+    return packed, width
+
+
 @pytest.mark.parametrize("kernel", KERNELS)
 class TestMappedSpliceDifferential:
     @given(case=index_cases())
@@ -357,11 +369,12 @@ class TestMappedSpliceDifferential:
                 posting_count=len(table_block),
                 min_joinability=bound,
             )
+            packed, width = spliced_keys(table_block)
             expected = reference_prefilter(
                 values=table_block.values,
                 row_indexes=table_block.row_indexes,
-                packed=bytes(table_block.super_key_bytes),
-                width=table_block.key_width,
+                packed=packed,
+                width=width,
                 key_map=key_map,
                 posting_count=len(table_block),
                 mode="superkey",
@@ -395,42 +408,36 @@ class TestMappedSpliceDifferential:
                 posting_count=len(table_block),
                 min_joinability=bound,
             )
+            packed, width = spliced_keys(table_block)
             whole = prefilter_block(
                 values=table_block.values,
                 row_indexes=table_block.row_indexes,
                 key_map=key_map,
                 posting_count=len(table_block),
                 value_runs=table_block.value_runs,
-                packed=bytes(table_block.super_key_bytes),
-                width=table_block.key_width,
+                packed=packed,
+                width=width,
                 mode="superkey",
                 length_shift=length_shift,
                 min_joinability=bound,
-                kernel=kernel,
             )
             assert as_dict(spliced) == as_dict(whole)
 
 
 @pytest.mark.skipif(len(KERNELS) < 2, reason="numpy not installed")
 class TestKernelCrossAgreement:
+    """The two lanes of ``entry_coverage`` — the one kernel with two
+    implementations left: ``prefilter_block`` runs the stdlib kernel under
+    either selection."""
+
     @given(case=block_cases())
     @settings(max_examples=60, deadline=None)
     def test_numpy_and_fallback_agree(self, case):
-        results = [
-            as_dict(
-                prefilter_block(
-                    values=case["values"],
-                    row_indexes=case["row_indexes"],
-                    key_map=case["key_map"],
-                    posting_count=case["posting_count"],
-                    packed=case["packed"],
-                    width=case["width"],
-                    mode="superkey",
-                    length_shift=case["length_shift"],
-                    min_joinability=case["min_joinability"],
-                    kernel=kernel,
+        for entries in case["key_map"].values():
+            for _key_tuple, key in entries:
+                assert entry_coverage(
+                    case["packed"], case["width"], key, case["length_shift"], "numpy"
+                ) == entry_coverage(
+                    case["packed"], case["width"], key, case["length_shift"],
+                    "fallback",
                 )
-            )
-            for kernel in ("fallback", "numpy")
-        ]
-        assert results[0] == results[1]
