@@ -13,8 +13,8 @@ Buffers are cheap to churn: a removed table that still lives in the buffer is
 physically dropped (the buffer is small, so the rewrite is bounded), which
 keeps the delta free of masked data — only immutable segments need
 tombstones.  Sealing (:meth:`IngestBuffer.seal`) freezes the buffer: its
-index becomes the payload of a new immutable segment, and every further
-mutation raises :class:`~repro.exceptions.IndexClosedError`.
+index is flattened, once, into the CSR block of a new immutable segment, and
+every further mutation raises :class:`~repro.exceptions.IndexClosedError`.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from ..config import MateConfig
 from ..datamodel import Table
 from ..exceptions import IndexClosedError
 from ..index import IndexBuilder, InvertedIndex
+from ..storage.paged import MappedSegmentIndex
+from ..storage.segment_block import flatten_index
 
 
 class IngestBuffer:
@@ -113,12 +115,14 @@ class IngestBuffer:
         del self.table_seqs[table_id]
         return self.index.remove_table(table_id)
 
-    def seal(self) -> InvertedIndex:
-        """Freeze the buffer and return its index as segment payload.
+    def seal(self) -> MappedSegmentIndex:
+        """Freeze the buffer and return its postings as segment payload.
 
         After sealing, every mutation raises
-        :class:`~repro.exceptions.IndexClosedError`; the returned index stays
-        readable (it becomes the immutable segment the read path stacks).
+        :class:`~repro.exceptions.IndexClosedError`.  The payload is the
+        buffer's index flattened into one block (the immutable segment the
+        read path stacks, and what a segment file is written from);
+        :attr:`index` itself stays readable for the snapshots that pinned it.
         """
         self._sealed = True
-        return self.index
+        return MappedSegmentIndex(flatten_index(self.index))

@@ -405,7 +405,7 @@ class LiveIndex:
         self._recovered: list[Table] = []
         # The MinHash-LSH sketch store of the approximate candidate tier,
         # kept incrementally fresh by every add/remove (and persisted at
-        # each seal/merge in directory mode).  ``_sketch_stale`` marks a
+        # each seal in directory mode).  ``_sketch_stale`` marks a
         # recovered directory whose sealed tables predate sketch
         # persistence: their column sketches cannot be rebuilt from
         # postings alone, so consumers must fall back to a corpus build.
@@ -507,7 +507,7 @@ class LiveIndex:
         """The live MinHash-LSH sketch store, or ``None`` when unusable.
 
         The store mirrors the visible table set exactly: writes update it
-        inline, WAL replay re-adds recovered tables, and seals/merges
+        inline, WAL replay re-applies later adds and removes, and seals
         persist it next to the segments (``sketches.json`` /
         ``sketches.bin``).  ``None`` means the directory predates sketch
         persistence (or its sketch file was corrupt), so sealed tables are
@@ -625,6 +625,8 @@ class LiveIndex:
             if len(self._buffer) == 0:
                 return None
             old = self._buffer
+            # Flattened once: the block is what reads are served from and
+            # what write_segment copies out column by column.
             index = old.seal()
             self._generation += 1
             segment = Segment(
@@ -689,9 +691,12 @@ class LiveIndex:
             if self.directory is not None:
                 # Merged segment durable first, then the manifest that
                 # references it; only then may the superseded files go.
+                # The sketch store is not rewritten: a merge neither
+                # advances the checkpoint nor truncates the WAL, so replay
+                # re-applies every later add and remove over the file the
+                # last seal wrote.
                 path = self.directory / _segment_file(merged.generation)
                 write_segment(merged.index, path, fsync=self._fsync)
-                self._persist_sketches_locked()
                 self._write_manifest_locked()
                 for segment in slice_:
                     # The superseded file may predate the binary format;
@@ -858,9 +863,27 @@ class LiveIndex:
         if not self._sketch_stale:
             self._sketch.save(self.directory)
 
+    def _remove_orphans(self, named: set[str]) -> None:
+        """Delete what a crash left beside the files the manifest names.
+
+        A crash between a segment's rename and the manifest write leaves a
+        full segment nothing references, one between the manifest write and
+        a merge's unlinks leaves the superseded files, and one mid-write
+        leaves ``*.tmp`` siblings.  The directory has a single writer and
+        the manifest is the truth, so none of them can be live.
+        """
+        assert self.directory is not None
+        for path in self.directory.iterdir():
+            name = path.name
+            if name.endswith(".tmp") or (
+                name.startswith("segment-") and name not in named
+            ):
+                path.unlink(missing_ok=True)
+
     def _recover(self) -> None:
         assert self.directory is not None
         manifest_path = self.directory / MANIFEST_FILE
+        named: set[str] = set()
         if manifest_path.exists():
             try:
                 payload = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -888,6 +911,7 @@ class LiveIndex:
                 }
                 segments = []
                 for entry in payload.get("segments", []):
+                    named.add(entry["file"])
                     index = _load_segment_index(self.directory / entry["file"])
                     segments.append(
                         Segment(
@@ -914,6 +938,9 @@ class LiveIndex:
                 except StorageError:
                     self._sketch = SketchIndex()
                     self._sketch_stale = True
+        # No manifest names nothing: whatever a crash before the first
+        # manifest write left is an orphan too.
+        self._remove_orphans(named)
         # Replay the WAL over the manifest state: every record newer than
         # the last checkpointed sequence is re-applied to a fresh buffer.
         checkpoint_seq = self._seq

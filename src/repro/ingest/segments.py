@@ -20,7 +20,9 @@ generation order) segments collapse into one, masked tables are dropped, and
 per-value posting order is preserved — oldest segment first, insertion order
 within a segment — which is what keeps a compacted
 :class:`~repro.ingest.live.LiveIndex` byte-identical to a bulk-built index
-over the same surviving tables.
+over the same surviving tables.  Sealed and merged segments are CSR blocks
+(:mod:`repro.storage.segment_block`), so the merge is a handful of
+whole-column operations, not a walk over the vocabulary.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from ..exceptions import IndexError_
-from ..index import ColumnarPostingList, InvertedIndex
+from ..index import InvertedIndex
+from ..storage.paged import MappedSegmentIndex, block_of
+from ..storage.segment_block import merge_blocks
 
 
 class Segment:
@@ -83,43 +87,16 @@ def merge_segments(
     """
     if not segments:
         raise IndexError_("cannot merge an empty segment list")
-    first = segments[0].index
-    merged_index = InvertedIndex(
-        hash_function_name=first.hash_function_name,
-        hash_size=first.hash_size,
-        layout="columnar",
-    )
+    masks = [segment.masked_tables(tombstones) for segment in segments]
     table_seqs: dict[int, int] = {}
-    combined: dict[str, ColumnarPostingList] = {}
-    for segment in segments:
-        masked = segment.masked_tables(tombstones)
+    for segment, masked in zip(segments, masks):
         for table_id, add_seq in segment.table_seqs.items():
             if table_id not in masked:
                 table_seqs[table_id] = add_seq
-        for value in segment.index.values():
-            columns = segment.index.posting_columns(value)
-            if columns is None or not len(columns):
-                continue
-            if masked:
-                columns, _ = columns.filtered(
-                    lambda table_id, _column, _row: table_id not in masked
-                )
-                if not len(columns):
-                    continue
-            target = combined.get(value)
-            if target is None:
-                # Copy so the (still-readable, possibly pinned) source
-                # segment never shares mutable arrays with the merge result.
-                combined[value] = columns.copy()
-            else:
-                target.table_ids.extend(columns.table_ids)
-                target.column_indexes.extend(columns.column_indexes)
-                target.row_indexes.extend(columns.row_indexes)
-        for table_id, row_index, super_key in segment.index.iter_super_keys():
-            if table_id not in masked:
-                merged_index.set_super_key(table_id, row_index, super_key)
-    for value, columns in combined.items():
-        merged_index.set_posting_columns(value, columns)
+    # A legacy JSON segment of an old directory is flattened on the way.
+    merged = merge_blocks([block_of(segment.index) for segment in segments], masks)
     return Segment(
-        index=merged_index, table_seqs=table_seqs, generation=generation
+        index=MappedSegmentIndex(merged),
+        table_seqs=table_seqs,
+        generation=generation,
     )

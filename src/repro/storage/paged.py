@@ -7,15 +7,16 @@ authors' deployment keeps the index in Vertica; this module provides the two
 storage layers the reproduction uses in its place:
 
 * **Binary mmap segments** — :func:`write_segment` persists a columnar
-  :class:`~repro.index.InvertedIndex` into a single ``.seg`` file whose
-  packed posting columns and super-key buffers are laid out 8-byte-aligned,
-  and :func:`load_segment` maps that file back with :mod:`mmap`:
-  :class:`MappedSegmentIndex` serves the full read surface of
-  :class:`~repro.index.InvertedIndex` through zero-copy
-  :class:`memoryview` casts into the mapping, so opening a multi-GB index
-  costs only the directory parse (pages fault in on demand and are shared
-  between processes mapping the same file).  :class:`MappedSuperKeys` backs
-  per-row super-key lookups by binary search over the mapped row table.
+  :class:`~repro.index.InvertedIndex` into a single ``.seg`` file: one CSR
+  block (:class:`~repro.storage.segment_block.SegmentBlock`) laid out as a
+  fixed set of 8-byte-aligned regions, and :func:`load_segment` maps that
+  file back with :mod:`mmap`.  :class:`MappedSegmentIndex` serves the full
+  read surface of :class:`~repro.index.InvertedIndex` over such a block —
+  mapped or on the heap — through zero-copy :class:`memoryview` slices, so
+  opening a multi-GB index costs the vocabulary and a constant-size
+  directory (pages fault in on demand and are shared between processes
+  mapping the same file).  :class:`MappedSuperKeys` backs per-row super-key
+  lookups by binary search over the block's row table.
 * **The simulated paged store** — :class:`PagedPostingStore` lays posting
   lists out on fixed-size pages served through an LRU buffer pool, and
   :class:`FetchCostModel` converts page misses into an estimated fetch
@@ -28,30 +29,40 @@ from __future__ import annotations
 
 import json
 import mmap
+import operator
 import os
 import struct
 import sys
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 from zlib import crc32
 
 from ..exceptions import IndexError_, SegmentFormatError, StorageError
-from ..index import ColumnarPostingList, FetchBlock, FetchedItem, InvertedIndex
+from ..index import (
+    ColumnarPostingList,
+    FetchBlock,
+    FetchedItem,
+    InvertedIndex,
+    PostingListItem,
+)
+from .segment_block import SegmentBlock, flatten_index
 
 #: File suffix of binary mmap segment files.
 SEGMENT_SUFFIX = ".seg"
 
 #: Leading magic of a segment file (8 bytes, also its alignment unit).
-SEGMENT_MAGIC = b"MATESEG1"
+SEGMENT_MAGIC = b"MATESEG2"
 
 #: Trailing magic inside the fixed-size footer; a torn write loses it.
-SEGMENT_FOOTER_MAGIC = b"MSG1"
+SEGMENT_FOOTER_MAGIC = b"MSG2"
 
 #: Version of the on-disk segment format this module reads and writes.
-SEGMENT_FORMAT_VERSION: int = 1
+SEGMENT_FORMAT_VERSION: int = 2
 
 #: Footer layout: directory offset, directory length, CRC32 of the
 #: directory bytes, trailing magic.  Fixed-size so the loader can find the
@@ -304,24 +315,38 @@ class PagedPostingStore:
 # ----------------------------------------------------------------------
 # Binary mmap segments
 # ----------------------------------------------------------------------
-def _write_region(handle, data) -> int:
-    """Write one 8-byte-aligned region; return its file offset."""
-    position = handle.tell()
-    padding = (-position) % 8
-    if padding:
-        handle.write(b"\x00" * padding)
-        position += padding
-    handle.write(data)
-    return position
+def _region_sizes(counts: dict, width: int) -> dict[str, int]:
+    """Byte length of every region of a segment file, in file order.
+
+    A file holds exactly these regions, each 8-byte-aligned: the vocabulary
+    (``value_offsets`` are *character* positions into the decoded
+    ``value_text``), then the columns of the
+    :class:`~repro.storage.segment_block.SegmentBlock` of the same names.
+    """
+    values = int(counts["values"])
+    postings = int(counts["postings"])
+    rows = int(counts["rows"])
+    return {
+        "value_offsets": 8 * (values + 1),
+        "value_text": int(counts["value_bytes"]),
+        "posting_offsets": 8 * (values + 1),
+        "table_ids": 8 * postings,
+        "row_indexes": 8 * postings,
+        "column_indexes": 4 * postings,
+        "posting_keys": width * postings,
+        "row_table_ids": 8 * rows,
+        "row_row_indexes": 8 * rows,
+        "row_keys": width * rows,
+    }
 
 
-def _column_bytes(column, typecode: str) -> bytes:
-    """Native-order raw bytes of a posting column (any backing container)."""
-    if isinstance(column, array) and column.typecode == typecode:
-        return column.tobytes()
-    if isinstance(column, memoryview) and column.format == typecode:
-        return bytes(column)
-    return array(typecode, column).tobytes()
+def block_of(index: InvertedIndex) -> SegmentBlock:
+    """The CSR block of ``index``: its own when it is already flat (a sealed
+    or merged segment, a mapped file), a fresh flatten otherwise."""
+    if isinstance(index, MappedSegmentIndex):
+        index._ensure_open("reading the block")
+        return index.block
+    return flatten_index(index)
 
 
 def write_segment(
@@ -329,89 +354,99 @@ def write_segment(
 ) -> Path:
     """Persist a columnar index as one binary mmap-able ``.seg`` file.
 
-    Layout: leading :data:`SEGMENT_MAGIC`, then 8-byte-aligned raw regions —
-    per value the three posting columns (native byte order) plus, when every
-    row's key fits the configured width, the packed big-endian super-key
-    column (exactly the vectorized prefilter kernels' input); then one
-    global row table ((table_id, row_index) pairs sorted ascending, with a
-    parallel packed key buffer) for point lookups; then a JSON directory
-    naming every region, and the CRC-protected fixed footer.  Oversize
-    (spilled) super keys travel in the directory as hex strings.
+    Layout: leading :data:`SEGMENT_MAGIC`, then the fixed set of
+    8-byte-aligned raw regions of :func:`_region_sizes` (native byte order;
+    the packed super keys are big-endian, exactly the vectorized prefilter
+    kernels' input), then a JSON directory of constant size — counts, the
+    region table, the hash configuration, plus the few oversize (spilled)
+    super keys as hex strings and the ids of the values they leave without a
+    packed column — and the CRC-protected fixed footer.  An index that is
+    already flat (a sealed or merged segment, a mapped file) is written
+    column by column as it is; any other is flattened first
+    (:func:`~repro.storage.segment_block.flatten_index`).
 
     The file is written to a temporary sibling and atomically renamed, so a
-    crash mid-write never leaves a half-segment under the target name.
+    crash mid-write never leaves a half-segment under the target name; a
+    write that raises removes the temporary file.
     """
-    if index.layout != "columnar":
-        raise SegmentFormatError(
-            f"segment files require the columnar layout (got {index.layout!r})"
-        )
-    # The packed store behind the index (intra-package by design: the
-    # segment format *is* the store's wire format).
-    store = index._super_keys
-    width = getattr(store, "width_bytes", 0) or max(1, (index.hash_size + 7) // 8)
-    limit = 1 << (8 * width)
-
-    pairs = array("q")
-    packed_rows = bytearray()
-    spill: list[list[object]] = []
-    for table_id, row_index, super_key in sorted(index.iter_super_keys()):
-        if 0 <= super_key < limit:
-            pairs.append(table_id)
-            pairs.append(row_index)
-            packed_rows += super_key.to_bytes(width, "big")
-        else:
-            spill.append([table_id, row_index, format(super_key, "x")])
+    block = block_of(index)
+    encoded = "".join(block.values).encode("utf-8", "surrogatepass")
+    regions = {
+        "value_offsets": array(
+            "q", chain((0,), accumulate(map(len, block.values)))
+        ),
+        "value_text": encoded,
+        "posting_offsets": block.posting_offsets,
+        "table_ids": block.table_ids,
+        "row_indexes": block.row_indexes,
+        "column_indexes": block.column_indexes,
+        "posting_keys": block.posting_keys,
+        "row_table_ids": block.row_table_ids,
+        "row_row_indexes": block.row_row_indexes,
+        "row_keys": block.row_keys,
+    }
+    counts = {
+        "values": len(block.values),
+        "value_bytes": len(encoded),
+        "postings": len(block.table_ids),
+        "rows": len(block.row_table_ids),
+    }
+    sizes = _region_sizes(counts, block.key_width)
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb") as handle:
-        handle.write(SEGMENT_MAGIC)
-        values: list[list[object]] = []
-        for value in index.values():
-            columns = index.posting_columns(value)
-            if columns is None or not len(columns):
-                continue
-            packed = columns.super_key_packed(store)
-            entry: list[object] = [
-                value,
-                len(columns),
-                _write_region(handle, _column_bytes(columns.table_ids, "q")),
-                _write_region(
-                    handle, _column_bytes(columns.column_indexes, "i")
-                ),
-                _write_region(handle, _column_bytes(columns.row_indexes, "q")),
-                None if packed is None else _write_region(handle, bytes(packed)),
-            ]
-            values.append(entry)
-        pairs_offset = _write_region(handle, pairs.tobytes())
-        keys_offset = _write_region(handle, bytes(packed_rows))
-        directory = json.dumps(
-            {
-                "format_version": SEGMENT_FORMAT_VERSION,
-                "byteorder": sys.byteorder,
-                "hash_function": index.hash_function_name,
-                "hash_size": index.hash_size,
-                "key_width": width,
-                "values": values,
-                "rows": [len(pairs) // 2, pairs_offset, keys_offset],
-                "spill": spill,
-            },
-            separators=(",", ":"),
-        ).encode("utf-8")
-        directory_offset = _write_region(handle, directory)
-        handle.write(
-            _SEGMENT_FOOTER.pack(
-                directory_offset,
-                len(directory),
-                crc32(directory) & 0xFFFFFFFF,
-                SEGMENT_FOOTER_MAGIC,
+    try:
+        with tmp.open("wb") as handle:
+            handle.write(SEGMENT_MAGIC)
+            position = len(SEGMENT_MAGIC)
+            table: dict[str, list[int]] = {}
+            for name, size in sizes.items():
+                table[name] = [position, size]
+                if handle.write(regions[name]) != size:
+                    raise SegmentFormatError(
+                        f"segment {path}: column {name!r} is not the {size} "
+                        f"bytes its counts {counts} imply"
+                    )
+                # Every region starts 8-byte-aligned.
+                padding = -size % 8
+                handle.write(bytes(padding))
+                position += size + padding
+            directory = json.dumps(
+                {
+                    "format_version": SEGMENT_FORMAT_VERSION,
+                    "byteorder": sys.byteorder,
+                    "hash_function": block.hash_function_name,
+                    "hash_size": block.hash_size,
+                    "key_width": block.key_width,
+                    "counts": counts,
+                    "regions": table,
+                    "spill": [
+                        [table_id, row_index, format(super_key, "x")]
+                        for (table_id, row_index), super_key in sorted(
+                            block.spill.items()
+                        )
+                    ],
+                    "unpacked": sorted(block.unpacked),
+                },
+                separators=(",", ":"),
+            ).encode("utf-8")
+            handle.write(directory)
+            handle.write(
+                _SEGMENT_FOOTER.pack(
+                    position,
+                    len(directory),
+                    crc32(directory) & 0xFFFFFFFF,
+                    SEGMENT_FOOTER_MAGIC,
+                )
             )
-        )
-        handle.flush()
-        if fsync:
-            os.fsync(handle.fileno())
-    tmp.replace(path)
+            handle.flush()
+            if fsync:
+                os.fsync(handle.fileno())
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     if fsync:
         fd = os.open(path.parent, os.O_RDONLY)
         try:
@@ -424,12 +459,15 @@ def write_segment(
 def load_segment(path: str | Path) -> "MappedSegmentIndex":
     """Map a ``.seg`` file written by :func:`write_segment` (read-only).
 
-    Startup cost is the JSON directory parse only: posting columns and
-    super-key buffers stay in the mapping and are served through zero-copy
-    :class:`memoryview` casts, so a multi-GB segment opens in milliseconds
-    and its pages are shared between processes mapping the same file.
-    Structural damage — wrong magic, torn footer, checksum mismatch, region
-    offsets outside the file — raises
+    Startup cost is the directory parse, the vocabulary (one decode, one
+    ``value -> id`` dictionary) and the structural checks: the columns stay
+    in the mapping and a value's posting views are sliced out of them at its
+    first fetch, so a multi-GB segment opens quickly and its pages are
+    shared between processes mapping the same file.  Structural damage —
+    wrong magic, torn footer, checksum mismatch, a region outside the
+    payload or of another length than the counts imply, offsets that do not
+    partition their column, text that is not UTF-8 — and files of another
+    format version or byte order raise
     :class:`~repro.exceptions.SegmentFormatError`.
     """
     path = Path(path)
@@ -445,7 +483,14 @@ def load_segment(path: str | Path) -> "MappedSegmentIndex":
     with path.open("rb") as handle:
         mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
     try:
-        if mapping[: len(SEGMENT_MAGIC)] != SEGMENT_MAGIC:
+        magic = mapping[: len(SEGMENT_MAGIC)]
+        if magic != SEGMENT_MAGIC:
+            if magic[:-1] == SEGMENT_MAGIC[:-1]:
+                raise SegmentFormatError(
+                    f"segment file {path} has the leading magic {magic!r} of "
+                    f"another format version (this build reads only "
+                    f"{SEGMENT_MAGIC!r}); rebuild the segment"
+                )
             raise SegmentFormatError(
                 f"segment file {path} has a wrong leading magic "
                 f"(not a segment file?)"
@@ -479,10 +524,108 @@ def load_segment(path: str | Path) -> "MappedSegmentIndex":
             raise SegmentFormatError(
                 f"segment file {path} has an unparsable directory: {exc}"
             ) from exc
-        return MappedSegmentIndex(path, mapping, payload, directory_offset)
+        try:
+            block = _mapped_block(path, memoryview(mapping), payload, directory_offset)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise SegmentFormatError(
+                f"segment file {path} has a malformed directory: {exc!r}"
+            ) from exc
+        return MappedSegmentIndex(block, path=path, mapping=mapping)
     except BaseException:
-        mapping.close()
+        try:
+            mapping.close()
+        except BufferError:
+            # The failed frames still hold views; the mapping goes away
+            # with them.
+            pass
         raise
+
+
+def _is_partition(bounds: list[int], total: int) -> bool:
+    """Whether ``bounds`` rises strictly from 0 to ``total``."""
+    return (
+        bounds[0] == 0
+        and bounds[-1] == total
+        and all(map(operator.lt, bounds, bounds[1:]))
+    )
+
+
+def _mapped_block(
+    path: Path, data: memoryview, payload: dict, data_end: int
+) -> SegmentBlock:
+    """The block of a mapped file, every structural claim checked."""
+    version = int(payload["format_version"])
+    if version != SEGMENT_FORMAT_VERSION:
+        raise SegmentFormatError(
+            f"segment file {path} has unsupported format version "
+            f"{version} (supported: {SEGMENT_FORMAT_VERSION})"
+        )
+    byteorder = payload["byteorder"]
+    if byteorder != sys.byteorder:
+        raise SegmentFormatError(
+            f"segment file {path} was written in {byteorder!r} byte order; "
+            f"this host reads only {sys.byteorder!r} (rebuild the segment "
+            f"here)"
+        )
+    width = int(payload["key_width"])
+    if width <= 0:
+        raise SegmentFormatError(
+            f"segment file {path} declares invalid key width {width}"
+        )
+    counts = payload["counts"]
+    if any(int(count) < 0 for count in counts.values()):
+        raise SegmentFormatError(
+            f"segment file {path} declares negative counts {counts}"
+        )
+    regions: dict[str, memoryview] = {}
+    for name, expected in _region_sizes(counts, width).items():
+        offset, length = map(int, payload["regions"][name])
+        if length != expected:
+            raise SegmentFormatError(
+                f"segment file {path}: region {name!r} is {length} bytes "
+                f"long, the counts {counts} imply {expected}"
+            )
+        if (
+            offset < len(SEGMENT_MAGIC)
+            or offset % 8
+            or offset + length > data_end
+        ):
+            raise SegmentFormatError(
+                f"segment file {path}: region {name!r} "
+                f"[{offset}, {offset + length}) is misaligned or lies "
+                f"outside the payload"
+            )
+        regions[name] = data[offset : offset + length]
+    try:
+        text = str(regions.pop("value_text"), "utf-8", "surrogatepass")
+    except UnicodeDecodeError as exc:
+        raise SegmentFormatError(
+            f"segment file {path} has vocabulary text that is not UTF-8: {exc}"
+        ) from exc
+    bounds = regions.pop("value_offsets").cast("q").tolist()
+    if not _is_partition(bounds, len(text)):
+        raise SegmentFormatError(
+            f"segment file {path}: the value offsets do not partition the "
+            f"{len(text)} characters of vocabulary text into non-empty values"
+        )
+    postings = int(counts["postings"])
+    if not _is_partition(regions["posting_offsets"].cast("q").tolist(), postings):
+        raise SegmentFormatError(
+            f"segment file {path}: the posting offsets do not partition the "
+            f"{postings} postings into non-empty posting lists"
+        )
+    return SegmentBlock(
+        hash_function_name=payload["hash_function"],
+        hash_size=int(payload["hash_size"]),
+        key_width=width,
+        values=list(map(text.__getitem__, map(slice, bounds, bounds[1:]))),
+        spill={
+            (int(table_id), int(row_index)): int(key_hex, 16)
+            for table_id, row_index, key_hex in payload["spill"]
+        },
+        unpacked=map(int, payload["unpacked"]),
+        **regions,
+    )
 
 
 def reopen_segment(
@@ -530,45 +673,35 @@ def reopen_segment(
 
 
 class MappedSuperKeys:
-    """Read-only per-row super keys over one segment's mapped row table.
+    """Read-only per-row super keys over one segment block's row table.
 
-    Point lookups binary-search the sorted ``(table_id, row_index)`` pair
-    column; packed columns are assembled with slice copies from the mapped
-    key buffer.  The store is immutable, so its ``epoch`` is forever 0 and
+    Point lookups binary-search the sorted ``(table_id, row_index)``
+    columns; packed columns are assembled with slice copies from the key
+    buffer.  The store is immutable, so its ``epoch`` is forever 0 and
     every memoised column computed from it stays valid for the life of the
-    mapping.  Oversize (spilled) keys live in a small plain dictionary.
+    block.  Oversize (spilled) keys live in a small plain dictionary.
     """
 
-    __slots__ = ("width_bytes", "epoch", "_pairs", "_keys", "_count", "_spill")
+    __slots__ = ("width_bytes", "epoch", "_tables", "_rows", "_keys", "_spill")
 
-    def __init__(self, pairs, keys, count: int, width_bytes: int, spill: dict):
+    def __init__(self, table_ids, row_indexes, keys, width_bytes: int, spill: dict):
         self.width_bytes = width_bytes
         self.epoch = 0
-        self._pairs = pairs
+        self._tables = table_ids
+        self._rows = row_indexes
         self._keys = keys
-        self._count = count
         self._spill = spill
 
     def __len__(self) -> int:
-        return self._count + len(self._spill)
+        return len(self._tables) + len(self._spill)
 
     def _slot(self, table_id: int, row_index: int) -> int:
-        pairs = self._pairs
-        low, high = 0, self._count
-        while low < high:
-            mid = (low + high) // 2
-            position = 2 * mid
-            if (pairs[position], pairs[position + 1]) < (table_id, row_index):
-                low = mid + 1
-            else:
-                high = mid
-        position = 2 * low
-        if (
-            low < self._count
-            and pairs[position] == table_id
-            and pairs[position + 1] == row_index
-        ):
-            return low
+        tables = self._tables
+        low = bisect_left(tables, table_id)
+        high = bisect_right(tables, table_id, low)
+        slot = bisect_left(self._rows, row_index, low, high)
+        if slot < high and self._rows[slot] == row_index:
+            return slot
         return -1
 
     def __contains__(self, key: tuple[int, int]) -> bool:
@@ -585,35 +718,27 @@ class MappedSuperKeys:
 
     def set(self, key: tuple[int, int], value: int) -> None:
         raise IndexError_(
-            "mapped segments are read-only; rewrite the segment file to "
-            "change super keys"
+            "segments are read-only; rewrite the segment to change super keys"
         )
 
     def or_into(self, key: tuple[int, int], value_hash: int) -> int:
         raise IndexError_(
-            "mapped segments are read-only; rewrite the segment file to "
-            "change super keys"
+            "segments are read-only; rewrite the segment to change super keys"
         )
 
     def pop(self, key: tuple[int, int]) -> None:
         raise IndexError_(
-            "mapped segments are read-only; rewrite the segment file to "
-            "change super keys"
+            "segments are read-only; rewrite the segment to change super keys"
         )
 
     def items(self) -> Iterator[tuple[tuple[int, int], int]]:
         """Iterate over ``((table_id, row_index), super_key)`` pairs."""
-        pairs = self._pairs
         keys = self._keys
         width = self.width_bytes
         from_bytes = int.from_bytes
-        for slot in range(self._count):
-            position = 2 * slot
+        for slot, key in enumerate(zip(self._tables, self._rows)):
             offset = slot * width
-            yield (
-                (pairs[position], pairs[position + 1]),
-                from_bytes(keys[offset : offset + width], "big"),
-            )
+            yield key, from_bytes(keys[offset : offset + width], "big")
         yield from self._spill.items()
 
     def get_many(
@@ -629,8 +754,8 @@ class MappedSuperKeys:
         """Packed key column of the given rows (``None`` on any spilled key).
 
         The hot path never reaches this method: every value's packed column
-        is stored in the segment and pre-memoised at load time; this slow
-        per-row assembly only serves ad-hoc row sets.
+        is a slice of the block; this slow per-row assembly only serves
+        ad-hoc row sets.
         """
         width = self.width_bytes
         keys = self._keys
@@ -649,138 +774,96 @@ class MappedSuperKeys:
         return bytes(out)
 
     def table_ids_present(self) -> set[int]:
-        """Distinct table ids owning at least one row (pairs are sorted)."""
-        tables: set[int] = set()
-        pairs = self._pairs
-        for position in range(0, 2 * self._count, 2):
-            tables.add(pairs[position])
+        """Distinct table ids owning at least one row."""
+        tables = set(self._tables)
         tables.update(table_id for table_id, _row in self._spill)
         return tables
 
     def detach(self) -> None:
-        """Drop the mapped views (the owning index is closing)."""
-        pairs = self._pairs
-        keys = self._keys
-        self._pairs = array("q")
+        """Drop the block's views (the owning index is closing)."""
+        self._tables = self._rows = array("q")
         self._keys = b""
-        self._count = 0
         self._spill = {}
-        for view in (pairs, keys):
-            if isinstance(view, memoryview):
-                view.release()
 
 
 class MappedSegmentIndex(InvertedIndex):
-    """A read-only :class:`~repro.index.InvertedIndex` over one mapped file.
+    """A read-only :class:`~repro.index.InvertedIndex` over one segment block.
 
-    Serves the full read surface — ``fetch`` / ``fetch_batch`` /
-    ``posting_columns`` / ``super_key`` / iteration — with posting columns
-    that are :class:`memoryview` casts straight into the mapping (zero
-    copy); per-value packed super-key columns come pre-memoised from the
-    file, so the first ``fetch_batch`` is as warm as a repeated one.
-    Mutations raise :class:`~repro.exceptions.IndexError_`; :meth:`close`
-    unmaps the file, after which any fetch raises
+    The block's columns are on the heap (a freshly sealed or merged segment)
+    or views into a mapped ``.seg`` file (``mapping``); either way the full
+    read surface — ``fetch`` / ``fetch_batch`` / ``posting_columns`` /
+    ``super_key`` / iteration — is served zero-copy: a value's
+    :class:`~repro.index.ColumnarPostingList` views, packed super-key column
+    included, are sliced out of the block at its first fetch and memoised,
+    so a warm ``fetch_batch`` does no per-item work, and counts come from
+    the offsets.  Two threads may slice the same value at once; they build
+    equal views and the memo keeps either.  Mutations raise
+    :class:`~repro.exceptions.IndexError_`; :meth:`close` drops the block
+    (unmapping the file), after which any fetch raises
     :class:`~repro.exceptions.IndexClosedError`.
     """
 
-    def __init__(self, path: Path, mapping: mmap.mmap, payload: dict, data_end: int):
-        try:
-            version = int(payload["format_version"])
-            if version != SEGMENT_FORMAT_VERSION:
-                raise SegmentFormatError(
-                    f"segment file {path} has unsupported format version "
-                    f"{version} (supported: {SEGMENT_FORMAT_VERSION})"
-                )
-            byteorder = payload["byteorder"]
-            if byteorder not in ("little", "big"):
-                raise SegmentFormatError(
-                    f"segment file {path} declares unknown byte order "
-                    f"{byteorder!r}"
-                )
-            super().__init__(
-                hash_function_name=payload["hash_function"],
-                hash_size=int(payload["hash_size"]),
-                layout="columnar",
-            )
-            self.path = path
-            self._mm: mmap.mmap | None = mapping
-            self._data: memoryview | None = memoryview(mapping)
-            self._data_end = data_end
-            # Cross-endian segments load through a byteswapped copy; the
-            # zero-copy fast path requires matching native order.
-            swap = byteorder != sys.byteorder
-            width = int(payload["key_width"])
-            if width <= 0:
-                raise SegmentFormatError(
-                    f"segment file {path} declares invalid key width {width}"
-                )
-            count, pairs_offset, keys_offset = payload["rows"]
-            count = int(count)
-            store = MappedSuperKeys(
-                self._int_column(pairs_offset, 2 * count, "q", swap),
-                self._region(keys_offset, count * width, "row key buffer"),
-                count,
-                width,
-                {
-                    (int(table_id), int(row_index)): int(key_hex, 16)
-                    for table_id, row_index, key_hex in payload["spill"]
-                },
-            )
-            self._super_keys = store
-            for value, n, tids, cols, rows, keys in payload["values"]:
-                n = int(n)
-                columns = ColumnarPostingList()
-                columns.table_ids = self._int_column(tids, n, "q", swap)
-                columns.column_indexes = self._int_column(cols, n, "i", swap)
-                columns.row_indexes = self._int_column(rows, n, "q", swap)
-                columns._packed_cache = (
-                    store,
-                    0,
-                    n,
-                    None
-                    if keys is None
-                    else self._region(keys, n * width, "super-key column"),
-                )
-                self._postings[value] = columns
-        except SegmentFormatError:
-            raise
-        except (KeyError, TypeError, ValueError, struct.error) as exc:
+    def __init__(
+        self,
+        block: SegmentBlock,
+        path: Path | None = None,
+        mapping: mmap.mmap | None = None,
+    ):
+        super().__init__(
+            hash_function_name=block.hash_function_name,
+            hash_size=block.hash_size,
+            layout="columnar",
+        )
+        self.path = path
+        self.block = block
+        self._mm = mapping
+        self._value_ids = dict(zip(block.values, range(len(block.values))))
+        if len(self._value_ids) != len(block.values):
             raise SegmentFormatError(
-                f"segment file {path} has a malformed directory: {exc}"
-            ) from exc
-
-    # ------------------------------------------------------------------
-    # Region access
-    # ------------------------------------------------------------------
-    def _region(self, offset, length: int, what: str) -> memoryview:
-        offset = int(offset)
-        if (
-            offset < len(SEGMENT_MAGIC)
-            or length < 0
-            or offset + length > self._data_end
-        ):
-            raise SegmentFormatError(
-                f"segment file {self.path}: {what} region "
-                f"[{offset}, {offset + length}) lies outside the payload"
+                f"segment {self._name()} lists a value twice in its vocabulary"
             )
-        assert self._data is not None
-        return self._data[offset : offset + length]
+        # ``_postings`` memoises the views sliced so far, never the whole
+        # vocabulary: everything that enumerates values reads the block.
+        self._super_keys = MappedSuperKeys(
+            block.row_table_ids,
+            block.row_row_indexes,
+            block.row_keys,
+            block.key_width,
+            block.spill,
+        )
 
-    def _int_column(self, offset, n: int, typecode: str, swap: bool):
-        itemsize = array(typecode).itemsize
-        view = self._region(offset, n * itemsize, f"'{typecode}' column")
-        if not swap:
-            return view.cast(typecode)
-        column = array(typecode)
-        column.frombytes(bytes(view))
-        column.byteswap()
-        return column
+    def _name(self) -> str:
+        return "(in memory)" if self.path is None else str(self.path)
+
+    def _slice(self, value: str) -> ColumnarPostingList | None:
+        """Slice (and memoise) the posting views of ``value``."""
+        value_id = self._value_ids.get(value)
+        if value_id is None:
+            return None
+        block = self.block
+        start = block.posting_offsets[value_id]
+        end = block.posting_offsets[value_id + 1]
+        width = block.key_width
+        columns = ColumnarPostingList()
+        columns.table_ids = block.table_ids[start:end]
+        columns.column_indexes = block.column_indexes[start:end]
+        columns.row_indexes = block.row_indexes[start:end]
+        columns._packed_cache = (
+            self._super_keys,
+            0,
+            end - start,
+            None
+            if value_id in block.unpacked
+            else block.posting_keys[start * width : end * width],
+        )
+        self._postings[value] = columns
+        return columns
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Unmap the segment file (idempotent).
+        """Drop the block and unmap the segment file (idempotent).
 
         Any later ``fetch`` / ``fetch_batch`` raises
         :class:`~repro.exceptions.IndexClosedError`.  Fetch blocks handed
@@ -791,14 +874,11 @@ class MappedSegmentIndex(InvertedIndex):
             return
         self._closed = True
         self._postings = {}
-        self._table_rows = {}
-        store = self._super_keys
-        if isinstance(store, MappedSuperKeys):
-            store.detach()
-        data = self._data
-        self._data = None
-        if data is not None:
-            data.release()
+        self._value_ids = {}
+        self._super_keys.detach()
+        self.block = SegmentBlock.empty(
+            self.hash_function_name, self.hash_size, self.block.key_width
+        )
         mapping = self._mm
         self._mm = None
         if mapping is not None:
@@ -810,20 +890,64 @@ class MappedSegmentIndex(InvertedIndex):
                 pass
 
     # ------------------------------------------------------------------
-    # Read-only surface adjustments
+    # The read surface, from the block
     # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self.block.values)
+
+    def __contains__(self, value: str) -> bool:
+        return value in self._value_ids
+
+    def values(self) -> Iterator[str]:
+        """Iterate over the distinct indexed values (first-seen order)."""
+        return iter(self.block.values)
+
+    def num_posting_items(self) -> int:
+        """Total number of PL items across all values."""
+        return len(self.block.table_ids)
+
     def indexed_tables(self) -> set[int]:
         """Return the ids of all tables with at least one indexed row."""
-        store = self._super_keys
-        if isinstance(store, MappedSuperKeys):
-            return store.table_ids_present()
-        return super().indexed_tables()
+        return self._super_keys.table_ids_present()
 
+    def posting_columns(self, value: str) -> ColumnarPostingList | None:
+        """Return the posting views of ``value`` (``None`` when not indexed)."""
+        columns = self._postings.get(value)
+        return self._slice(value) if columns is None else columns
+
+    def posting_list(self, value: str) -> list[PostingListItem]:
+        """Return the posting list of ``value`` (empty when not indexed)."""
+        columns = self.posting_columns(value)
+        return [] if columns is None else columns.items()
+
+    def posting_list_length(self, value: str) -> int:
+        """Return the number of PL items for ``value`` without slicing."""
+        value_id = self._value_ids.get(value)
+        if value_id is None:
+            return 0
+        offsets = self.block.posting_offsets
+        return offsets[value_id + 1] - offsets[value_id]
+
+    def fetch_batch(self, values: Iterable[str]) -> list[FetchBlock]:
+        """Fetch struct-of-arrays blocks (see the base class), slicing the
+        views of the values probed for the first time."""
+        self._ensure_open("fetch_batch")
+        values = list(dict.fromkeys(values))
+        sliced = self._postings
+        known = self._value_ids
+        for value in values:
+            if value not in sliced and value in known:
+                self._slice(value)
+        return super().fetch_batch(values)
+
+    # ------------------------------------------------------------------
+    # Read-only surface adjustments
+    # ------------------------------------------------------------------
     def _read_only(self, operation: str) -> None:
         self._ensure_open(operation)
         raise IndexError_(
-            f"{operation} on the read-only mapped segment {self.path}; "
-            "rebuild and rewrite the file to change it"
+            f"{operation} on the read-only segment {self._name()}; "
+            "rebuild and rewrite it to change it"
         )
 
     def add_posting(self, *args, **kwargs) -> None:

@@ -434,3 +434,64 @@ class LegacyShortXash(LegacyXash):
 def legacy_xash_hash(value, config):
     """``XashHashFunction(config).hash_value(value)`` before the rewrite."""
     return LegacyXash(config).hash_value(value)
+
+
+def assert_blocks_equal(mine, theirs) -> None:
+    """Fetch blocks equal — postings, super keys, the packed key buffers
+    (or their absence) and the table runs."""
+    assert mine == theirs
+    assert [block.value for block in mine] == [block.value for block in theirs]
+    for left, right in zip(mine, theirs):
+        assert (left.super_key_bytes is None) == (right.super_key_bytes is None)
+        if left.super_key_bytes is not None:
+            assert bytes(left.super_key_bytes) == bytes(right.super_key_bytes)
+            assert left.key_width == right.key_width
+        assert list(left.runs) == list(right.runs)
+
+
+def legacy_merge_segments(segments, tombstones, generation):
+    """``merge_segments`` as it shipped before segments became CSR blocks.
+
+    The per-value reference: one posting list copied and extended per value,
+    super keys re-set row by row.  The oracle of the merge differential
+    suite — kept verbatim apart from the import location.
+    """
+    from repro.index import InvertedIndex
+    from repro.ingest import Segment
+
+    first = segments[0].index
+    merged_index = InvertedIndex(
+        hash_function_name=first.hash_function_name,
+        hash_size=first.hash_size,
+        layout="columnar",
+    )
+    table_seqs: dict[int, int] = {}
+    combined: dict = {}
+    for segment in segments:
+        masked = segment.masked_tables(tombstones)
+        for table_id, add_seq in segment.table_seqs.items():
+            if table_id not in masked:
+                table_seqs[table_id] = add_seq
+        for value in segment.index.values():
+            columns = segment.index.posting_columns(value)
+            if columns is None or not len(columns):
+                continue
+            if masked:
+                columns, _ = columns.filtered(
+                    lambda table_id, _column, _row: table_id not in masked
+                )
+                if not len(columns):
+                    continue
+            target = combined.get(value)
+            if target is None:
+                combined[value] = columns.copy()
+            else:
+                target.table_ids.extend(columns.table_ids)
+                target.column_indexes.extend(columns.column_indexes)
+                target.row_indexes.extend(columns.row_indexes)
+        for table_id, row_index, super_key in segment.index.iter_super_keys():
+            if table_id not in masked:
+                merged_index.set_super_key(table_id, row_index, super_key)
+    for value, columns in combined.items():
+        merged_index.set_posting_columns(value, columns)
+    return Segment(index=merged_index, table_seqs=table_seqs, generation=generation)

@@ -35,6 +35,8 @@ from repro.datamodel import QueryTable
 from repro.exceptions import DiscoveryError, IndexError_, StorageError
 from repro.ingest import IngestBuffer, WriteAheadLog, replay_wal
 
+from tests.helpers import assert_blocks_equal
+
 CONFIG = MateConfig(hash_size=128, k=5, expected_unique_values=100_000)
 
 COLUMNS = ["name", "city", "team"]
@@ -591,6 +593,17 @@ class TestPropertyEquivalence:
         assert live.fetch(ALL_PROBES) == bulk.fetch(ALL_PROBES)
         assert live.indexed_tables() == bulk.indexed_tables()
         assert live.num_posting_items() == bulk.num_posting_items()
+        # Block for block too: the stable merge order is the rebuild order,
+        # and the packed key columns survive seals, merges and masking.
+        assert_blocks_equal(
+            live.fetch_batch(ALL_PROBES), bulk.fetch_batch(ALL_PROBES)
+        )
+        # Segment sizes are read off the offsets, not summed over values.
+        for segment, size in zip(live._segments, live.segment_sizes()):
+            assert size == sum(
+                len(segment.index.posting_list(value))
+                for value in segment.index.values()
+            )
 
     @settings(max_examples=10, deadline=None)
     @given(ops=OPS, seed=st.integers(min_value=0, max_value=2**20))

@@ -374,6 +374,66 @@ class TestLiveIndexFreshness:
         assert store.table_ids() == {0, 1}
         recovered.close()
 
+    def test_crash_after_a_merge_that_purged_a_tombstone(self, tmp_path):
+        # A merge rewrites no sketches: the store on disk is the last
+        # seal's and still lists the removed table.  The remove sits in the
+        # WAL behind the checkpoint, so replay drops it again.
+        directory = tmp_path / "live"
+        live = LiveIndex.open(directory, config=CONFIG)
+        tables = {table_id: self._table(table_id) for table_id in range(5)}
+        for table_id in (0, 1):
+            live.add_table(tables[table_id])
+        live.seal()
+        for table_id in (2, 3):
+            live.add_table(tables[table_id])
+        live.seal()
+        persisted = (directory / "sketches.bin").read_bytes()
+        live.remove_table(1)
+        assert live.tombstones
+        assert live.merge(0, None) is not None
+        assert live.tombstones == {}  # purged with the table's postings
+        assert (directory / "sketches.bin").read_bytes() == persisted
+        live.add_table(tables[4])  # WAL only
+        # Crash: the process state is abandoned — no seal, no close().
+
+        recovered = LiveIndex.open(directory, config=CONFIG)
+        corpus = TableCorpus(
+            name="survivors", tables=[tables[i] for i in (0, 2, 3, 4)]
+        )
+        index, fresh = IndexBuilder(config=CONFIG).build_with_sketches(corpus)
+        store = recovered.sketch_index()
+        assert store is not None
+        assert store.table_ids() == fresh.table_ids() == {0, 2, 3, 4}
+        query = QueryTable(
+            table=Table(
+                99, "q", ["a", "b"],
+                [[f"k{t}_{i}", f"v{t}_{i}"] for t in (0, 1, 2, 4) for i in (0, 1)],
+            ),
+            key_columns=["a", "b"],
+        )
+        modes = [
+            {},
+            {
+                "planner": PlannerOptions(mode="sketch"),
+                "sketch": SketchOptions(threshold=0.1),
+            },
+        ]
+        with DiscoverySession(corpus, recovered, config=CONFIG) as restarted:
+            with DiscoverySession(corpus, index, config=CONFIG) as rebuilt:
+                for mode in modes:
+                    mine = restarted.discover(
+                        DiscoveryRequest(query=query, k=5, engine="live", **mode)
+                    )
+                    theirs = rebuilt.discover(
+                        DiscoveryRequest(query=query, k=5, engine="mate", **mode)
+                    )
+                    assert mine.result_tuples() == theirs.result_tuples()
+                    assert {t for t, _ in mine.result_tuples()} == {0, 2, 4}
+                    assert mine.counters.extra.get("sketch_candidates") == (
+                        theirs.counters.extra.get("sketch_candidates")
+                    )
+        recovered.close()
+
     def test_pre_sketch_directory_degrades_to_stale(self, tmp_path):
         directory = tmp_path / "live"
         live = LiveIndex.open(directory, config=CONFIG)
