@@ -59,6 +59,21 @@ MISSING_ID = -1
 NO_MATCH_ID = -2
 
 
+def intern_cells(cells: Sequence[str], ids: dict[str, int], dtype: Any) -> Any:
+    """The dense id of every cell, as one flat array of ``dtype``.
+
+    ``ids`` is a value dictionary that already maps the missing value to
+    :data:`MISSING_ID`; a value not in it yet gets the next id, in
+    first-seen order.  The one interning routine of the repository: the
+    process-wide :class:`ValueEncoder` and the bulk index build
+    (:mod:`repro.index.bulk`) both assign ids through it.
+    """
+    for value in dict.fromkeys(cells):
+        if value not in ids:
+            ids[value] = len(ids) - 1
+    return _np.fromiter(map(ids.__getitem__, cells), dtype, len(cells))
+
+
 class EncodedKeys:
     """One request's key tuples and, once encoded, their id matrix."""
 
@@ -138,28 +153,21 @@ class ValueEncoder:
         if entry is not None and entry[0] is ref:
             self._tables.pop(key, None)
 
-    def _assign(self, values) -> None:
-        """Give every unseen value the next id (lock held)."""
-        ids = self._ids
-        for value in values:
-            if value not in ids:
-                ids[value] = len(ids) - 1
-
     def _encode_rows(self, rows, num_columns: int):
+        """``rows`` as a ``(rows, columns)`` id matrix (lock held)."""
         cells = list(chain.from_iterable(rows))
-        self._assign(dict.fromkeys(cells))
-        return _np.array(
-            list(map(self._ids.__getitem__, cells)), dtype=_np.int32
-        ).reshape(len(rows), num_columns)
+        return intern_cells(cells, self._ids, _np.int32).reshape(
+            len(rows), num_columns
+        )
 
     def _encode_keys(self, tuples: Sequence[tuple[str, ...]]):
+        """The key tuples as an id matrix (lock held)."""
         values = list(chain.from_iterable(tuples))
         # An unseen key value gets a real id, not a sentinel: a table
         # encoded later in this generation may hold it.
-        self._assign(dict.fromkeys(values))
-        ids = _np.array(
-            list(map(self._ids.__getitem__, values)), dtype=_np.int32
-        ).reshape(len(tuples), len(tuples[0]) if tuples else 0)
+        ids = intern_cells(values, self._ids, _np.int32).reshape(
+            len(tuples), len(tuples[0]) if tuples else 0
+        )
         ids[ids == MISSING_ID] = NO_MATCH_ID
         return ids
 

@@ -15,10 +15,15 @@ hash functions by name (Tables 2 and 3).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Iterable, TypeVar
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from ..config import MateConfig
 from ..exceptions import HashingError
+
+try:  # numpy is an optional accelerator; only the array build hashes in batches
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI entry
+    _np = None  # type: ignore[assignment]
 
 V = TypeVar("V")
 
@@ -40,6 +45,27 @@ class Memo(dict[str, V]):
             self.clear()
         value = self[key] = self._compute(key)
         return value
+
+
+def key_width(hash_size: int) -> int:
+    """Bytes of one packed ``hash_size``-bit hash or super key."""
+    return max(1, (int(hash_size) + 7) // 8)
+
+
+def hash_each(
+    hash_value: Callable[[str], int], values: Sequence[str], hash_size: int
+) -> Any:
+    """``hash_value`` of every value as a ``(len(values), key_width)``
+    big-endian ``uint8`` matrix (requires numpy) — the packed form super
+    keys are stored and prefiltered in."""
+    width = key_width(hash_size)
+    try:
+        packed = b"".join(hash_value(value).to_bytes(width, "big") for value in values)
+    except OverflowError as exc:
+        raise HashingError(
+            f"a hash does not fit the configured {hash_size} bits: {exc}"
+        ) from exc
+    return _np.frombuffer(packed, _np.uint8).reshape(len(values), width)
 
 
 class HashFunction(ABC):
@@ -66,6 +92,17 @@ class HashFunction(ABC):
         for value in values:
             aggregated |= self.hash_value(value)
         return aggregated
+
+    def hash_batch(self, values: Sequence[str]) -> Any:
+        """The hash of every value as one ``(len(values), key_width)``
+        big-endian ``uint8`` matrix (requires numpy).
+
+        Row ``i`` is ``hash_value(values[i])`` packed; the bulk index build
+        hashes a corpus' distinct values through this entry point.  This
+        generic form calls :meth:`hash_value` per value; a function whose
+        features are array-friendly overrides it.
+        """
+        return hash_each(self.hash_value, values, self.hash_size)
 
     def __call__(self, value: str) -> int:
         return self.hash_value(value)

@@ -19,10 +19,10 @@ and provides the three operations the rest of the system needs:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from ..config import MateConfig
-from .base import HashFunction, Memo, create_hash_function
+from .base import HashFunction, Memo, create_hash_function, hash_each
 from .bitvector import subsumes
 from .xash import XashHashFunction
 
@@ -53,6 +53,16 @@ class SuperKeyGenerator:
     def value_hash(self, value: str) -> int:
         """Hash a single cell value (memoised)."""
         return self._cache[value]
+
+    def hash_matrix(self, values: Sequence[str]) -> Any:
+        """The hash of every value as a ``(len(values), key_width)``
+        big-endian ``uint8`` matrix (requires numpy): the hash function's
+        :meth:`~repro.hashing.base.HashFunction.hash_batch`, or its
+        ``hash_value`` per value when it is a plain object without one."""
+        batch = getattr(self.hash_function, "hash_batch", None)
+        if batch is not None:
+            return batch(values)
+        return hash_each(self.hash_function.hash_value, values, self.hash_size)
 
     def row_super_key(self, row: Iterable[str]) -> int:
         """Return the super key of a full table row."""

@@ -33,12 +33,17 @@ from __future__ import annotations
 
 from functools import partial
 from math import ceil
-from typing import Iterable
+from typing import Any, Iterable, Sequence
 
 from ..config import MateConfig
 from ..exceptions import HashingError
-from .base import HashFunction, Memo, register_hash_function
+from .base import HashFunction, Memo, _np, key_width, register_hash_function
 from .bitvector import rotate_left
+
+#: Values :meth:`XashHashFunction.hash_batch` hashes per array pass.  The
+#: per-pass work arrays are ``values x alphabet`` wide (37 columns by
+#: default): 4,096 values keep them at a few MB whatever the corpus size.
+BATCH_VALUES = 4096
 
 
 def normalize_character(character: str, alphabet: str) -> str:
@@ -174,6 +179,83 @@ class XashHashFunction(HashFunction):
         if self.config.encode_length and self.length_segment_bits > 0:
             result |= 1 << (self.char_region_bits + length % self.length_segment_bits)
         return result
+
+    def hash_batch(self, values: Sequence[str]) -> Any:
+        """:meth:`hash_value` of every value, as array passes over the
+        concatenated code points (see :meth:`HashFunction.hash_batch`).
+
+        Bit-identical to the scalar path by construction: a code point
+        reaches its segment through the scalar :func:`normalize_character`,
+        and the location bit is computed by the same float64 operations in
+        the same order as :meth:`_location_bit`.  A subclass that redefines
+        the scalar hash keeps the generic per-value batch.
+        """
+        scalar = (type(self).hash_value, type(self)._encode_characters)
+        if scalar != (XashHashFunction.hash_value, XashHashFunction._encode_characters):
+            return super().hash_batch(values)
+        out = _np.zeros((len(values), key_width(self.hash_size)), dtype=_np.uint8)
+        for start in range(0, len(values), BATCH_VALUES):
+            stop = start + BATCH_VALUES
+            self._hash_into(values[start:stop], out[start:stop])
+        return out
+
+    def _hash_into(self, values: Sequence[str], out: Any) -> None:
+        """OR the hash bits of ``values`` into the zeroed rows of ``out``."""
+        count = len(values)
+        lengths = _np.fromiter(map(len, values), _np.int64, count)
+        codes = _np.frombuffer(
+            "".join(values).encode("utf-32-le", "surrogatepass"), _np.uint32
+        )
+        if not len(codes):
+            return
+        # Code point -> symbol, through the scalar normaliser once per
+        # distinct code point.  A symbol is numbered by its rank (rarest
+        # first), so ascending symbol order is selection order.
+        seen = _np.flatnonzero(_np.bincount(codes))
+        symbol_of = _np.zeros(int(seen[-1]) + 1, dtype=_np.int64)
+        symbol_of[seen] = [
+            self._rank_of[self._symbol_of[chr(code)]] for code in seen.tolist()
+        ]
+        owners = _np.repeat(_np.arange(count), lengths)
+        positions = _np.arange(1, len(codes) + 1) - (_np.cumsum(lengths) - lengths)[owners]
+        # One cell per (value, symbol): how often and where the symbol occurs.
+        size = len(self.alphabet)
+        cells = owners * size + symbol_of[codes]
+        counts = _np.bincount(cells, minlength=count * size)
+        pairs = _np.flatnonzero(counts)
+        rows = pairs // size
+        if not self.config.use_rare_characters:
+            # Selection order is order of appearance instead (``unique``
+            # lists the same sorted cells as ``pairs``; ``rows`` is the
+            # primary sort key, so it stays aligned).
+            _cells, first = _np.unique(cells, return_index=True)
+            pairs = pairs[_np.lexsort((first, rows))]
+        # Keep each value's first ``characters_per_value`` pairs.
+        ordinal = _np.arange(len(pairs)) - _np.searchsorted(rows, _np.arange(count))[rows]
+        chosen = ordinal < self.characters_per_value
+        pairs, rows = pairs[chosen], rows[chosen]
+        segment_by_rank = _np.array(
+            [self._segment_of[symbol] for symbol in self._rank_of], dtype=_np.int64
+        )
+        bits = segment_by_rank[pairs % size] * self.beta
+        if self._encode_location:
+            totals = _np.bincount(cells, weights=positions, minlength=count * size)
+            # _location_bit's operations, in its order, on float64.
+            located = totals[pairs] / counts[pairs] * self.beta / lengths[rows]
+            bits += _np.ceil(located).astype(_np.int64) - 1
+        if self.config.rotation:
+            bits = (bits + lengths[rows]) % self.char_region_bits
+        if self.config.encode_length and self.length_segment_bits > 0:
+            hashed = _np.flatnonzero(lengths)
+            rows = _np.concatenate((rows, hashed))
+            bits = _np.concatenate(
+                (bits, self.char_region_bits + lengths[hashed] % self.length_segment_bits)
+            )
+        _np.bitwise_or.at(
+            out,
+            (rows, out.shape[1] - 1 - (bits >> 3)),
+            (1 << (bits & 7)).astype(_np.uint8),
+        )
 
     # ------------------------------------------------------------------
     # Introspection helpers (used by tests and the row filter)

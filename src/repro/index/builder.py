@@ -1,8 +1,13 @@
 """Offline index construction (the "Indexing step" of Figure 2).
 
-:class:`IndexBuilder` walks a corpus once, emits one PL item per non-missing
-cell value and one super key per row, and records the timing/size statistics
-reported in Section 7.1 ("Index generation").
+:class:`IndexBuilder` emits one PL item per non-missing cell value and one
+super key per row, and records the timing/size statistics reported in
+Section 7.1 ("Index generation").  A bulk build has two lanes that produce
+the same index content: the array passes of :mod:`repro.index.bulk` (columnar
+layout with the numpy kernel active — the rule
+:func:`~repro.storage.segment_block.flatten_index` selects its lanes by) and
+the per-cell :meth:`IndexBuilder.add_table` loop (everything else), which is
+also the write path of the ingest buffer and of index maintenance.
 """
 
 from __future__ import annotations
@@ -15,7 +20,9 @@ from typing import TYPE_CHECKING
 from ..config import MateConfig
 from ..datamodel import MISSING, Table, TableCorpus
 from ..hashing import SuperKeyGenerator
+from .bulk import build_block
 from .inverted import InvertedIndex
+from .kernels import active_kernel
 
 if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
     from ..sketch import SketchIndex, SketchIndexConfig
@@ -33,7 +40,7 @@ class IndexBuildReport:
     num_distinct_values: int
     build_seconds: float
 
-    def as_dict(self) -> dict[str, float]:
+    def as_dict(self) -> dict[str, str | float]:
         """Return the report as a plain dictionary (for reporting)."""
         return {
             "hash_function": self.hash_function,
@@ -78,26 +85,7 @@ class IndexBuilder:
     # ------------------------------------------------------------------
     def build(self, corpus: TableCorpus) -> InvertedIndex:
         """Build the index for every table in ``corpus``."""
-        started = time.perf_counter()
-        index = InvertedIndex(
-            hash_function_name=self.hash_function_name,
-            hash_size=self.config.hash_size,
-            layout=self.layout,
-        )
-        num_rows = 0
-        for table in corpus:
-            num_rows += self.add_table(index, table)
-        elapsed = time.perf_counter() - started
-        self.last_report = IndexBuildReport(
-            hash_function=self.hash_function_name,
-            hash_size=self.config.hash_size,
-            num_tables=len(corpus),
-            num_rows=num_rows,
-            num_posting_items=index.num_posting_items(),
-            num_distinct_values=len(index),
-            build_seconds=elapsed,
-        )
-        return index
+        return self._build(corpus, None)
 
     def build_with_sketches(
         self, corpus: TableCorpus
@@ -105,37 +93,58 @@ class IndexBuilder:
         """Build the inverted index *and* its MinHash-LSH sketch store.
 
         The offline analogue of the live index's incrementally-fresh
-        sketches: one bulk pass per table emits both the exact postings and
-        the per-column :class:`~repro.sketch.minhash.ColumnSketch` entries,
+        sketches: one build emits both the exact postings and the
+        per-column :class:`~repro.sketch.minhash.ColumnSketch` entries,
         so an offline build can persist the pair
         (:meth:`~repro.sketch.index.SketchIndex.save`) next to its
         segments and serve sketch-mode requests without any rebuild.
         """
         from ..sketch import SketchIndex
 
-        index = InvertedIndex(
-            hash_function_name=self.hash_function_name,
-            hash_size=self.config.hash_size,
-            layout=self.layout,
-        )
         sketch_index = SketchIndex(self.sketch_config)
+        index = self._build(corpus, sketch_index)
+        self.last_sketch_index = sketch_index
+        return index, sketch_index
+
+    def _build(
+        self, corpus: TableCorpus, sketch_index: "SketchIndex | None"
+    ) -> InvertedIndex:
+        """One bulk build (see the module docstring for the two lanes); the
+        built index accepts every mutation either way."""
         started = time.perf_counter()
-        num_rows = 0
-        for table in corpus:
-            num_rows += self.add_table(index, table)
-            sketch_index.add_table(table)
-        elapsed = time.perf_counter() - started
+        arrays = self.layout == "columnar" and active_kernel() == "numpy"
+        if arrays:
+            # Imported here: ``repro.storage`` itself imports ``repro.index``.
+            from ..storage.paged import MappedSegmentIndex
+
+            index: InvertedIndex = MappedSegmentIndex(
+                build_block(
+                    corpus, self.super_key_generator, self.hash_function_name
+                ),
+                thaws=True,
+            )
+        else:
+            index = InvertedIndex(
+                hash_function_name=self.hash_function_name,
+                hash_size=self.config.hash_size,
+                layout=self.layout,
+            )
+        if not arrays or sketch_index is not None:
+            for table in corpus:
+                if not arrays:
+                    self.add_table(index, table)
+                if sketch_index is not None:
+                    sketch_index.add_table(table)
         self.last_report = IndexBuildReport(
             hash_function=self.hash_function_name,
             hash_size=self.config.hash_size,
             num_tables=len(corpus),
-            num_rows=num_rows,
+            num_rows=index.num_rows(),
             num_posting_items=index.num_posting_items(),
             num_distinct_values=len(index),
-            build_seconds=elapsed,
+            build_seconds=time.perf_counter() - started,
         )
-        self.last_sketch_index = sketch_index
-        return index, sketch_index
+        return index
 
     def add_table(self, index: InvertedIndex, table: Table) -> int:
         """Index a single table; returns the number of indexed rows.

@@ -154,6 +154,17 @@ class InvertedIndex:
             )
         return self._postings.get(value)
 
+    def iter_posting_copies(self) -> Iterator[tuple[str, ColumnarPostingList]]:
+        """Every value with an independent copy of its packed posting
+        columns, in :meth:`values` order (columnar layout)."""
+        if not self._columnar:
+            raise IndexError_(
+                "iter_posting_copies requires the columnar layout "
+                f"(this index uses {self.layout!r})"
+            )
+        for value, columns in self._postings.items():
+            yield value, columns.copy()
+
     def posting_list_length(self, value: str) -> int:
         """Return the number of PL items for ``value`` without copying."""
         stored = self._postings.get(value)

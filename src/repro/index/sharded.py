@@ -413,11 +413,10 @@ class ShardedInvertedIndex:
         if index.layout == "columnar":
             # Wholesale per-value moves: every posting of a value lands on one
             # shard, so the packed columns transfer without materialising
-            # per-item records (copied — the source index stays independent).
-            for value in index.values():
-                columns = index.posting_columns(value)
-                if columns is not None:
-                    sharded.set_posting_columns(value, columns.copy())
+            # per-item records (copied — the source index stays independent,
+            # and a block-backed one memoises no view per value).
+            for value, columns in index.iter_posting_copies():
+                sharded.set_posting_columns(value, columns)
         else:
             for value in index.values():
                 for item in index.posting_list(value):

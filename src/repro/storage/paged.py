@@ -787,20 +787,27 @@ class MappedSuperKeys:
 
 
 class MappedSegmentIndex(InvertedIndex):
-    """A read-only :class:`~repro.index.InvertedIndex` over one segment block.
+    """An :class:`~repro.index.InvertedIndex` served from one segment block.
 
-    The block's columns are on the heap (a freshly sealed or merged segment)
-    or views into a mapped ``.seg`` file (``mapping``); either way the full
-    read surface — ``fetch`` / ``fetch_batch`` / ``posting_columns`` /
-    ``super_key`` / iteration — is served zero-copy: a value's
-    :class:`~repro.index.ColumnarPostingList` views, packed super-key column
-    included, are sliced out of the block at its first fetch and memoised,
-    so a warm ``fetch_batch`` does no per-item work, and counts come from
-    the offsets.  Two threads may slice the same value at once; they build
-    equal views and the memo keeps either.  Mutations raise
-    :class:`~repro.exceptions.IndexError_`; :meth:`close` drops the block
-    (unmapping the file), after which any fetch raises
-    :class:`~repro.exceptions.IndexClosedError`.
+    The block's columns are on the heap (a bulk-built index, a freshly
+    sealed or merged segment) or views into a mapped ``.seg`` file
+    (``mapping``); either way the full read surface — ``fetch`` /
+    ``fetch_batch`` / ``posting_columns`` / ``super_key`` / iteration — is
+    served zero-copy: a value's :class:`~repro.index.ColumnarPostingList`
+    views, packed super-key column included, are sliced out of the block at
+    its first fetch and memoised, so a warm ``fetch_batch`` does no per-item
+    work, and counts come from the offsets.  Two threads may slice the same
+    value at once; they build equal views and the memo keeps either.
+    :meth:`close` drops the block (unmapping the file), after which any
+    fetch raises :class:`~repro.exceptions.IndexClosedError`.
+
+    A segment is immutable: its mutators raise
+    :class:`~repro.exceptions.IndexError_`.  The bulk build's index
+    (``thaws=True``) is a block nobody else shares, so its first mutation
+    *thaws* it instead — the block is materialised as per-value posting
+    lists and a packed super-key store, and the object carries on as a
+    plain mutable :class:`~repro.index.InvertedIndex` (Section 5.4's
+    maintenance operations run on a built index).
     """
 
     def __init__(
@@ -808,6 +815,7 @@ class MappedSegmentIndex(InvertedIndex):
         block: SegmentBlock,
         path: Path | None = None,
         mapping: mmap.mmap | None = None,
+        thaws: bool = False,
     ):
         super().__init__(
             hash_function_name=block.hash_function_name,
@@ -817,6 +825,7 @@ class MappedSegmentIndex(InvertedIndex):
         self.path = path
         self.block = block
         self._mm = mapping
+        self._thaws = thaws
         self._value_ids = dict(zip(block.values, range(len(block.values))))
         if len(self._value_ids) != len(block.values):
             raise SegmentFormatError(
@@ -834,6 +843,11 @@ class MappedSegmentIndex(InvertedIndex):
 
     def _name(self) -> str:
         return "(in memory)" if self.path is None else str(self.path)
+
+    def __reduce__(self):
+        """Pickle / deep-copy as an index over a heap copy of the block."""
+        self._ensure_open("copying")
+        return type(self), (self.block, None, None, self._thaws)
 
     def _slice(self, value: str) -> ColumnarPostingList | None:
         """Slice (and memoise) the posting views of ``value``."""
@@ -940,37 +954,64 @@ class MappedSegmentIndex(InvertedIndex):
                 self._slice(value)
         return super().fetch_batch(values)
 
+    def iter_posting_copies(self) -> Iterator[tuple[str, ColumnarPostingList]]:
+        """Every value with a copy of its columns, sliced straight from the
+        offsets — nothing is memoised on this index."""
+        block = self.block
+        bounds = block.posting_offsets
+        for value, start, end in zip(block.values, bounds, bounds[1:]):
+            columns = ColumnarPostingList()
+            columns.table_ids.frombytes(block.table_ids[start:end].cast("B"))
+            columns.column_indexes.frombytes(block.column_indexes[start:end].cast("B"))
+            columns.row_indexes.frombytes(block.row_indexes[start:end].cast("B"))
+            yield value, columns
+
     # ------------------------------------------------------------------
-    # Read-only surface adjustments
+    # Mutation: a segment refuses, a built index thaws
     # ------------------------------------------------------------------
-    def _read_only(self, operation: str) -> None:
+    def _mutate(self, operation: str, *args):
         self._ensure_open(operation)
-        raise IndexError_(
-            f"{operation} on the read-only segment {self._name()}; "
-            "rebuild and rewrite it to change it"
-        )
+        if not self._thaws:
+            raise IndexError_(
+                f"{operation} on the read-only segment {self._name()}; "
+                "rebuild and rewrite it to change it"
+            )
+        self._thaw()
+        return getattr(self, operation)(*args)
 
-    def add_posting(self, *args, **kwargs) -> None:
-        self._read_only("add_posting")
+    def _thaw(self) -> None:
+        """Become a plain :class:`~repro.index.InvertedIndex` holding what
+        the block holds.  Fetch results handed out earlier stay valid: they
+        keep the block's buffers alive."""
+        plain = InvertedIndex(self.hash_function_name, self.hash_size, "columnar")
+        for value, columns in self.iter_posting_copies():
+            plain.set_posting_columns(value, columns)
+        for table_id, row_index, super_key in self.iter_super_keys():
+            plain.set_super_key(table_id, row_index, super_key)
+        for name in ("path", "block", "_mm", "_thaws", "_value_ids"):
+            del self.__dict__[name]
+        self.__dict__.update(plain.__dict__)
+        self.__class__ = InvertedIndex  # type: ignore[assignment]
 
-    def set_posting_columns(self, *args, **kwargs) -> None:
-        self._read_only("set_posting_columns")
+    def add_posting(
+        self, value: str, table_id: int, column_index: int, row_index: int
+    ) -> None:
+        self._mutate("add_posting", value, table_id, column_index, row_index)
 
-    def set_super_key(self, *args, **kwargs) -> None:
-        self._read_only("set_super_key")
+    def set_posting_columns(self, value: str, columns: ColumnarPostingList) -> None:
+        self._mutate("set_posting_columns", value, columns)
 
-    def or_into_super_key(self, *args, **kwargs) -> int:
-        self._read_only("or_into_super_key")
-        raise AssertionError("unreachable")
+    def set_super_key(self, table_id: int, row_index: int, super_key: int) -> None:
+        self._mutate("set_super_key", table_id, row_index, super_key)
 
-    def remove_table(self, *args, **kwargs) -> int:
-        self._read_only("remove_table")
-        raise AssertionError("unreachable")
+    def or_into_super_key(self, table_id: int, row_index: int, value_hash: int) -> int:
+        return self._mutate("or_into_super_key", table_id, row_index, value_hash)
 
-    def remove_row(self, *args, **kwargs) -> int:
-        self._read_only("remove_row")
-        raise AssertionError("unreachable")
+    def remove_table(self, table_id: int) -> int:
+        return self._mutate("remove_table", table_id)
 
-    def remove_column(self, *args, **kwargs) -> int:
-        self._read_only("remove_column")
-        raise AssertionError("unreachable")
+    def remove_row(self, table_id: int, row_index: int) -> int:
+        return self._mutate("remove_row", table_id, row_index)
+
+    def remove_column(self, table_id: int, column_index: int) -> int:
+        return self._mutate("remove_column", table_id, column_index)

@@ -129,6 +129,17 @@ class SegmentBlock:
         #: recorded in the file, so opening one never scans the postings.
         self.unpacked = frozenset(unpacked)
 
+    def __reduce__(self):
+        """Pickle / deep-copy by the columns' bytes (a :class:`memoryview`
+        supports neither): the copy lives on the heap whatever backs this
+        block."""
+        state = {
+            name: bytes(held) if isinstance(held, memoryview) else held
+            for name in self.__slots__
+            for held in (getattr(self, name),)
+        }
+        return _block_from_state, (state,)
+
     @classmethod
     def empty(
         cls, hash_function_name: str, hash_size: int, key_width: int
@@ -150,6 +161,10 @@ class SegmentBlock:
             spill={},
             unpacked=(),
         )
+
+
+def _block_from_state(state: dict[str, Any]) -> SegmentBlock:
+    return SegmentBlock(**state)
 
 
 # ----------------------------------------------------------------------

@@ -36,6 +36,28 @@ def available_sketch_kernel_modes() -> list[str]:
     return modes
 
 
+def _build_lanes() -> list[str]:
+    from repro.index import numpy_available
+
+    return ["loop"] + (["block"] if numpy_available() else [])
+
+
+#: The lanes of a bulk index build exercisable here: the per-cell
+#: ``add_table`` loop always, the array passes (whose index is served from
+#: a CSR block until its first mutation) when numpy is importable.
+BUILD_LANES = _build_lanes()
+
+
+def build_in_lane(lane: str, corpus, config=None, **kwargs):
+    """``build_index`` with the bulk build held to one lane of
+    :data:`BUILD_LANES` — the kernel is forced for the build only, so what
+    the caller does with the index runs under the process' own selection."""
+    from repro.index import build_index, use_kernel
+
+    with use_kernel({"loop": "fallback", "block": "numpy"}[lane]):
+        return build_index(corpus, config=config, **kwargs)
+
+
 def legacy_row_mappings(row, key_values):
     """``row_mappings`` as it shipped before the table-at-a-time kernel."""
     from repro.datamodel import MISSING
@@ -447,6 +469,15 @@ def assert_blocks_equal(mine, theirs) -> None:
             assert bytes(left.super_key_bytes) == bytes(right.super_key_bytes)
             assert left.key_width == right.key_width
         assert list(left.runs) == list(right.runs)
+
+
+def block_columns(block) -> dict:
+    """Everything a ``SegmentBlock`` holds, as plain comparable Python objects."""
+    columns = {name: getattr(block, name) for name in type(block).__slots__}
+    return {
+        name: value.tolist() if isinstance(value, memoryview) else value
+        for name, value in columns.items()
+    }
 
 
 def legacy_merge_segments(segments, tombstones, generation):

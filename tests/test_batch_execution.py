@@ -53,10 +53,12 @@ from repro.metrics import DiscoveryCounters  # noqa: E402
 from repro.plan import PlanContext, PlanReport, Planner  # noqa: E402
 from repro.plan.executor import Executor  # noqa: E402
 from repro.sketch import SketchOptions  # noqa: E402
-from repro.storage import load_segment, write_segment  # noqa: E402
+from repro.storage import MappedSegmentIndex, load_segment, write_segment  # noqa: E402
 
 from tests.helpers import (  # noqa: E402
+    BUILD_LANES,
     assert_results_byte_identical,
+    build_in_lane,
     legacy_discover,
     legacy_verify_table,
 )
@@ -113,6 +115,22 @@ def assert_batch_equals_table_path(engine, query, *, make_kwargs=dict, **kwargs)
     assert_results_byte_identical(batch, table)
     assert stage_volumes(batch) == stage_volumes(table)
     return batch
+
+
+def test_a_freshly_built_index_takes_the_batch_path(workload):
+    """The bulk build's block-backed index serves packed key buffers, so a
+    discover over it is batch-executed and answers what a discover over the
+    per-cell loop's index answers."""
+    by_lane = {}
+    for lane in BUILD_LANES:
+        index = build_in_lane(lane, workload.corpus, config=CONFIG)
+        engine = MateDiscovery(workload.corpus, index, config=CONFIG)
+        by_lane[lane] = engine.discover(workload.queries[0])
+        plan = by_lane[lane].plan
+        assert plan.execution_path == "batch", plan.table_path_reason
+    assert type(index) is MappedSegmentIndex
+    assert_results_byte_identical(by_lane["block"], by_lane["loop"])
+    assert stage_volumes(by_lane["block"]) == stage_volumes(by_lane["loop"])
 
 
 # ----------------------------------------------------------------------
@@ -657,10 +675,12 @@ def answer(result):
 
 @pytest.mark.usefixtures("every_table_vectorised")
 class TestEncodedTableInvalidation:
-    @pytest.fixture()
-    def edited(self):
+    @pytest.fixture(params=BUILD_LANES)
+    def edited(self, request):
+        """An engine over an index from either lane of the bulk build (the
+        block-backed one thaws at the maintainer's first edit)."""
         corpus = small_corpus()
-        index = build_index(corpus, config=CONFIG)
+        index = build_in_lane(request.param, corpus, config=CONFIG)
         engine = MateDiscovery(corpus, index, config=CONFIG)
         maintainer = IndexMaintainer(corpus, index, engine.super_key_generator)
         query = small_query()

@@ -29,6 +29,7 @@ from repro.storage import (
     save_index_json,
     save_sharded_index,
 )
+from tests.helpers import BUILD_LANES, build_in_lane
 
 
 @pytest.fixture(scope="module")
@@ -253,9 +254,10 @@ class TestLayoutParity:
             ).discover(query)
             assert over_shards.result_tuples() == legacy.result_tuples()
 
-    def test_maintenance_removals_identical(self, workload, config):
+    @pytest.mark.parametrize("lane", BUILD_LANES)
+    def test_maintenance_removals_identical(self, workload, config, lane):
         legacy = build_index(workload.corpus, config=config, layout="legacy")
-        columnar = build_index(workload.corpus, config=config, layout="columnar")
+        columnar = build_in_lane(lane, workload.corpus, config=config)
         table_id = sorted(legacy.indexed_tables())[0]
         assert columnar.remove_column(table_id, 0) == legacy.remove_column(
             table_id, 0

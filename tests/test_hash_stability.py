@@ -1,5 +1,7 @@
 """XASH never changes a bit: golden vectors, a differential against the
-pre-rewrite implementation, and byte identity of a written segment.
+pre-rewrite implementation, and byte identity of a written segment — through
+both entry points, ``hash_value`` (queries, ingest) and ``hash_batch`` (the
+bulk build).
 
 Stored super keys (``.seg`` files, SQLite, shard directories) are compared
 against freshly hashed query keys, so a drifted bit is a silent false negative
@@ -23,9 +25,23 @@ from hypothesis import strategies as st
 from repro.config import DEFAULT_CONFIG, MateConfig
 from repro.datagen import build_workload
 from repro.hashing import SuperKeyGenerator, create_hash_function
-from repro.index import IndexBuilder, build_index
+from repro.hashing import xash as xash_module
+from repro.index import IndexBuilder, build_index, numpy_available
 from repro.storage import write_segment
 from tests.helpers import LegacyShortXash, LegacyXash, legacy_xash_hash
+
+#: The hash entry points exercisable here (the batch one needs numpy).
+ENTRY_POINTS = ["scalar"] + (["batch"] if numpy_available() else [])
+
+
+def hashes_through(entry_point: str, function, values: list[str]) -> list[int]:
+    """The hash of every value through one of :data:`ENTRY_POINTS`."""
+    if entry_point == "scalar":
+        return [function.hash_value(value) for value in values]
+    return [
+        int.from_bytes(row.tobytes(), "big") for row in function.hash_batch(values)
+    ]
+
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "xash_golden.json").read_text(encoding="utf-8")
@@ -65,15 +81,20 @@ class TestGoldenVectors:
         assert {len(value) for value in values} >= set(range(201))
         assert len(GOLDEN["hashes"]) == 2 * 2 * 5
 
+    @pytest.mark.parametrize("entry_point", ENTRY_POINTS)
     @pytest.mark.parametrize("key", sorted(GOLDEN["hashes"]))
-    def test_hashes_equal_the_committed_bits(self, key):
+    def test_hashes_equal_the_committed_bits(self, key, entry_point):
         name, label, hash_size = key.split("/")
         config = GOLDEN_CONFIGS[label].with_hash_size(int(hash_size))
-        hash_value = create_hash_function(name, config).hash_value
+        hashes = hashes_through(
+            entry_point, create_hash_function(name, config), GOLDEN["values"]
+        )
         drifted = [
             value
-            for value, bits in zip(GOLDEN["values"], GOLDEN["hashes"][key])
-            if hash_value(value) != sum(1 << bit for bit in bits)
+            for value, hashed, bits in zip(
+                GOLDEN["values"], hashes, GOLDEN["hashes"][key]
+            )
+            if hashed != sum(1 << bit for bit in bits)
         ]
         assert drifted == []
 
@@ -113,6 +134,67 @@ class TestDifferentialAgainstLegacy:
                 value = "".join(characters)
                 assert function.hash_value(value) == legacy_xash_hash(value, config)
         assert on_border > 50
+
+
+@pytest.mark.skipif(not numpy_available(), reason="hash_batch needs numpy")
+class TestBatchAgainstScalar:
+    """``hash_batch`` row ``i`` is ``hash_value(values[i])``, whatever the
+    text, the switches, the batch size and what else shares the batch."""
+
+    FUNCTIONS = [
+        create_hash_function(name, config)
+        for config in DIFFERENTIAL_CONFIGS[::7] + DIFFERENTIAL_CONFIGS[-8:]
+        for name in ("xash", "xash_short", "xash_length")
+    ]
+
+    @given(
+        values=st.lists(
+            st.one_of(st.text(), st.sampled_from(["", "İstanbul", "ß", "漢字", "𝔘x", "\ud800 lone"])),
+            min_size=1,
+            max_size=9,
+        )
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_arbitrary_text_every_switch_and_batch_size(self, values):
+        # Batches of 1, 2 and more values than one array pass takes, with
+        # duplicates and the empty value inside.
+        values = values + values[:2] + [""]
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(xash_module, "BATCH_VALUES", 3)
+            for function in self.FUNCTIONS:
+                expected = hashes_through("scalar", function, values)
+                for size in (1, 2, len(values)):
+                    assert hashes_through("batch", function, values[:size]) == (
+                        expected[:size]
+                    ), (function.name, function.config)
+
+    def test_a_batch_beyond_the_real_bound(self):
+        values = [
+            value + suffix for suffix in ("", "-b", " c") for value in GOLDEN["values"]
+        ]
+        assert len(values) > xash_module.BATCH_VALUES
+        function = create_hash_function("xash", MateConfig())
+        assert hashes_through("batch", function, values) == (
+            hashes_through("scalar", function, values)
+        )
+        assert function.hash_batch([]).shape == (0, 16)
+
+    def test_float_rounding_on_segment_borders(self):
+        # The values of TestDifferentialAgainstLegacy's border test, batched.
+        config = MateConfig(hash_size=1024)
+        function, beta = create_hash_function("xash", config), config.beta
+        values = []
+        for length in range(3, 130):
+            for third in range(3, length + 1):
+                if (3 + third) * beta % (3 * length) == 0:
+                    characters = ["e"] * length
+                    for position in (1, 2, third):
+                        characters[position - 1] = "q"
+                    values.append("".join(characters))
+        assert len(values) > 50
+        assert hashes_through("batch", function, values) == [
+            legacy_xash_hash(value, config) for value in values
+        ]
 
 
 class TestPublicViewsAgreeWithLegacy:

@@ -1,16 +1,21 @@
-"""Tests for repro.index.maintenance: Section 5.4 edit operations."""
+"""Tests for repro.index.maintenance: Section 5.4 edit operations.
+
+Every test runs on an index from each lane of the bulk build: the per-cell
+loop's plain index and the array passes' block-backed one, which thaws at
+its first edit (``tests/helpers.py::BUILD_LANES``).
+"""
 
 import pytest
 
-from repro import build_index
 from repro.datamodel import Table, TableCorpus
 from repro.exceptions import DataModelError
 from repro.hashing import SuperKeyGenerator
 from repro.index import IndexMaintainer
+from tests.helpers import BUILD_LANES, build_in_lane
 
 
-@pytest.fixture()
-def setup(config):
+@pytest.fixture(params=BUILD_LANES)
+def setup(request, config):
     corpus = TableCorpus(name="maintenance")
     corpus.add_table(
         Table(
@@ -20,7 +25,7 @@ def setup(config):
             rows=[["ada", "lovelace"], ["alan", "turing"]],
         )
     )
-    index = build_index(corpus, config=config)
+    index = build_in_lane(request.param, corpus, config=config)
     generator = SuperKeyGenerator.from_name("xash", config)
     maintainer = IndexMaintainer(corpus, index, generator)
     return corpus, index, generator, maintainer

@@ -1,5 +1,6 @@
 """Property-based tests for index construction and maintenance."""
 
+import copy
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,8 @@ from repro import MateConfig, build_index
 from repro.datamodel import Table, TableCorpus
 from repro.hashing import SuperKeyGenerator
 from repro.index import IndexMaintainer
+from repro.storage.segment_block import flatten_index
+from tests.helpers import BUILD_LANES, block_columns, build_in_lane
 
 VOCABULARY = ["ada", "alan", "grace", "berlin", "paris", "rome", "42", "x y"]
 values = st.sampled_from(VOCABULARY)
@@ -72,15 +75,13 @@ class TestIndexInvariants:
 
 
 class TestMaintenanceRoundTrips:
-    @given(seed=st.integers(0, 100_000))
-    @settings(max_examples=30, deadline=None)
-    def test_random_edit_sequence_keeps_index_consistent(self, seed):
-        rng = random.Random(seed)
-        corpus = build_random_corpus(rng)
-        index = build_index(corpus, config=CONFIG)
-        generator = SuperKeyGenerator.from_name("xash", CONFIG)
-        maintainer = IndexMaintainer(corpus, index, generator)
+    """On an index from each lane of the bulk build (the array passes'
+    block-backed index thaws at its first edit): the lanes must end in
+    identical states."""
 
+    @staticmethod
+    def random_edits(maintainer: IndexMaintainer, corpus: TableCorpus, seed: int):
+        rng = random.Random(seed)
         for _ in range(6):
             operation = rng.choice(["insert_row", "update_cell", "delete_row", "insert_table"])
             table_ids = corpus.table_ids()
@@ -112,20 +113,33 @@ class TestMaintenanceRoundTrips:
                 elif operation == "delete_row" and table.num_rows:
                     maintainer.delete_row(table_id, rng.randrange(table.num_rows))
 
-        assert maintainer.verify_consistency() == []
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=30, deadline=None)
+    def test_random_edit_sequence_keeps_index_consistent(self, seed):
+        original = build_random_corpus(random.Random(seed))
+        generator = SuperKeyGenerator.from_name("xash", CONFIG)
+        end_states = []
+        for lane in BUILD_LANES:
+            corpus = copy.deepcopy(original)
+            index = build_in_lane(lane, corpus, config=CONFIG)
+            maintainer = IndexMaintainer(corpus, index, generator)
+            self.random_edits(maintainer, corpus, seed)
+            assert maintainer.verify_consistency() == []
+            end_states.append(block_columns(flatten_index(index)))
+        assert all(state == end_states[0] for state in end_states)
 
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=20, deadline=None)
     def test_delete_table_then_rebuild_matches_fresh_build(self, seed):
         rng = random.Random(seed)
-        corpus = build_random_corpus(rng, num_tables=4)
-        index = build_index(corpus, config=CONFIG)
+        original = build_random_corpus(rng, num_tables=4)
         generator = SuperKeyGenerator.from_name("xash", CONFIG)
-        maintainer = IndexMaintainer(corpus, index, generator)
+        victim = rng.choice(original.table_ids())
+        for lane in BUILD_LANES:
+            corpus = copy.deepcopy(original)
+            index = build_in_lane(lane, corpus, config=CONFIG)
+            IndexMaintainer(corpus, index, generator).delete_table(victim)
 
-        victim = rng.choice(corpus.table_ids())
-        maintainer.delete_table(victim)
-
-        fresh = build_index(corpus, config=CONFIG)
-        assert index.num_posting_items() == fresh.num_posting_items()
-        assert set(index.iter_super_keys()) == set(fresh.iter_super_keys())
+            fresh = build_index(corpus, config=CONFIG)
+            assert index.num_posting_items() == fresh.num_posting_items()
+            assert set(index.iter_super_keys()) == set(fresh.iter_super_keys())

@@ -23,7 +23,7 @@ from repro.index import numpy_available, use_kernel
 from repro.ingest import IngestBuffer, Segment, merge_segments
 from repro.storage.segment_block import SegmentBlock, flatten_index, merge_blocks
 
-from tests.helpers import assert_blocks_equal, legacy_merge_segments
+from tests.helpers import assert_blocks_equal, block_columns, legacy_merge_segments
 
 CONFIG = MateConfig(hash_size=128, k=5, expected_unique_values=10_000)
 
@@ -31,15 +31,6 @@ LANES = ["fallback"] + (["numpy"] if numpy_available() else [])
 
 #: Far beyond the 128-bit packed slots: the key spills.
 OVERSIZE_KEY = (1 << 300) | 0b1011
-
-
-def block_columns(block: SegmentBlock) -> dict:
-    """Everything a block holds, as plain comparable Python objects."""
-    columns = {name: getattr(block, name) for name in SegmentBlock.__slots__}
-    return {
-        name: value.tolist() if isinstance(value, memoryview) else value
-        for name, value in columns.items()
-    }
 
 
 def make_table(table_id: int, cells: list[list[int]]) -> Table:
