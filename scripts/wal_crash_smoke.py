@@ -14,6 +14,12 @@ verifies the recovery contract:
 A torn in-flight record (the table being logged when the kill landed) is
 allowed to be absent; anything acknowledged is not.
 
+A second child dies *inside a seal*, after the segment's ``.seg`` reached its
+final name and before its sketch file (``.sk``) was written: the manifest
+never named the segment and the WAL was not truncated, so the reopen must
+sweep the orphan, replay every table — postings and sketches — and seal
+again under the same name.
+
 Usage::
 
     PYTHONPATH=src python scripts/wal_crash_smoke.py [--tables 200]
@@ -55,6 +61,61 @@ while True:
     print(f"ACK {{table_id}}", flush=True)
     table_id += 1
 """
+
+
+#: The sealing child: acknowledges ``tables`` tables, then kills itself where
+#: ``seal`` would write the sketch file — the ``.seg`` is already in place.
+SEAL_CHILD_SCRIPT = """
+import os, signal, sys
+sys.path.insert(0, {src!r})
+from repro import LiveIndex, MateConfig
+from repro.datamodel import Table
+from repro.sketch import SketchIndex
+
+live = LiveIndex.open({directory!r}, config=MateConfig(hash_size=128))
+for table_id in range({tables}):
+    live.add_table(Table(table_id, f"t{{table_id}}", ["a", "b"],
+                         [[f"v{{table_id % 17}}", f"w{{table_id}}"]] * 2))
+    if table_id == {tables} // 2:
+        live.seal()  # one segment that did get its sketch file
+SketchIndex.save = lambda *args, **kwargs: os.kill(os.getpid(), signal.SIGKILL)
+live.seal()
+"""
+
+
+def seal_crash_round(tmp: str, tables: int) -> str | None:
+    """Kill a child between a seal's ``.seg`` and ``.sk``; returns what is
+    wrong with the reopened directory (``None``: nothing)."""
+    from repro import LiveIndex, MateConfig
+
+    directory = Path(tmp) / "sealing"
+    child = subprocess.run(
+        [sys.executable, "-c", SEAL_CHILD_SCRIPT.format(
+            src=str(_SRC), directory=str(directory), tables=tables)],
+    )
+    if child.returncode != -signal.SIGKILL:
+        return f"the sealing child exited with {child.returncode}, not by SIGKILL"
+    if not (directory / "segment-000002.seg").exists():
+        return "the kill landed before the segment file was in place"
+    recovered = LiveIndex.open(directory, config=MateConfig(hash_size=128))
+    try:
+        left = sorted(
+            path.name for path in directory.iterdir()
+            if path.name.startswith("segment-") or path.name.endswith(".tmp")
+        )
+        if left != ["segment-000001.seg", "segment-000001.sk"]:
+            return f"the reopen left {left} beside the manifest"
+        if recovered.indexed_tables() != set(range(tables)):
+            return "tables are missing after the replay"
+        store = recovered.sketch_index()
+        if store is None or store.table_ids() != set(range(tables)):
+            return "the sketch store is stale or incomplete after the replay"
+        recovered.seal()
+        if not (directory / "segment-000002.sk").exists():
+            return "the repeated seal wrote no sketch file"
+    finally:
+        recovered.close()
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -131,11 +192,17 @@ def main(argv: list[str] | None = None) -> int:
         )
         recovered.close()
 
+        wrong = seal_crash_round(tmp, min(args.tables, 40))
+        if wrong is not None:
+            print(f"error: kill between .seg and .sk: {wrong}", file=sys.stderr)
+            return 1
+
         print(
             f"wal crash smoke OK: killed child (pid {child.pid}) after "
             f"{len(acknowledged)} acked tables; {len(visible)} replayed "
             f"({len(extra)} in-flight), fetch identical to bulk rebuild, "
-            "post-crash ingest accepted"
+            "post-crash ingest accepted; a seal killed between .seg and .sk "
+            "was swept, replayed and repeated"
         )
     return 0
 

@@ -381,7 +381,9 @@ class DiscoverySession:
         self.corpus.add_table(table)
         try:
             rows = add_table(table)
-        except MateError:
+        except Exception:
+            # Not only the index's own refusals: whatever a registered hash
+            # function raises must not leave the table behind either.
             self.corpus.remove_table(table.table_id)
             if stale is not None:
                 self.corpus.add_table(stale)

@@ -22,9 +22,21 @@ from __future__ import annotations
 from typing import Any, Iterable, Sequence
 
 from ..config import MateConfig
-from .base import HashFunction, Memo, create_hash_function, hash_each
+from .base import (
+    MAX_MEMO_ENTRIES,
+    HashFunction,
+    Memo,
+    create_hash_function,
+    hash_each,
+    key_width,
+)
 from .bitvector import subsumes
 from .xash import XashHashFunction
+
+try:  # numpy is an optional accelerator; only the array lanes hash in batches
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI entry
+    _np = None  # type: ignore[assignment]
 
 
 class SuperKeyGenerator:
@@ -38,6 +50,8 @@ class SuperKeyGenerator:
         # results are memoised (the reference implementation materialises them
         # in the database for the same reason).
         self._cache = Memo(hash_function.hash_value)
+        #: value -> packed hash row, the memo of :meth:`hash_rows`.
+        self._packed: dict[str, bytes] = {}
         self._xash = (
             hash_function if isinstance(hash_function, XashHashFunction) else None
         )
@@ -63,6 +77,30 @@ class SuperKeyGenerator:
         if batch is not None:
             return batch(values)
         return hash_each(self.hash_function.hash_value, values, self.hash_size)
+
+    def hash_rows(self, values: Sequence[str]) -> Any:
+        """:meth:`hash_matrix` through a memo of packed rows: only the values
+        new to it are hashed, in one batch call.
+
+        The ingest buffer's entry point — one generator outlives every
+        buffer generation, so a value recurring across tables and seals is
+        hashed once.  The memo is bounded like :class:`Memo`: when it would
+        pass :data:`~repro.hashing.base.MAX_MEMO_ENTRIES` it starts over.
+        """
+        packed = self._packed
+        width = key_width(self.hash_size)
+        fresh = [value for value in values if value not in packed]
+        if fresh:
+            if len(packed) + len(fresh) > MAX_MEMO_ENTRIES:
+                packed.clear()
+                fresh = list(values)
+            data = self.hash_matrix(fresh).tobytes()
+            packed.update(
+                zip(fresh, (data[at : at + width] for at in range(0, len(data), width)))
+            )
+        return _np.frombuffer(
+            b"".join(map(packed.__getitem__, values)), _np.uint8
+        ).reshape(len(values), width)
 
     def row_super_key(self, row: Iterable[str]) -> int:
         """Return the super key of a full table row."""

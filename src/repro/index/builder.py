@@ -7,7 +7,8 @@ the same index content: the array passes of :mod:`repro.index.bulk` (columnar
 layout with the numpy kernel active — the rule
 :func:`~repro.storage.segment_block.flatten_index` selects its lanes by) and
 the per-cell :meth:`IndexBuilder.add_table` loop (everything else), which is
-also the write path of the ingest buffer and of index maintenance.
+also the write path of index maintenance and of the ingest buffer's loop
+lane.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from ..config import MateConfig
 from ..datamodel import MISSING, Table, TableCorpus
@@ -146,18 +147,26 @@ class IndexBuilder:
         )
         return index
 
-    def add_table(self, index: InvertedIndex, table: Table) -> int:
+    def add_table(
+        self,
+        index: InvertedIndex,
+        table: Table,
+        super_keys: Iterable[int] | None = None,
+    ) -> int:
         """Index a single table; returns the number of indexed rows.
 
         On the columnar layout each ``add_posting`` appends straight into the
         value's packed arrays — the build materialises no per-item records.
+        ``super_keys`` are the rows' super keys when the caller hashed them
+        already (the ingest buffer hashes a table before it logs it).
         """
-        generator = self.super_key_generator
         table_id = table.table_id
         set_super_key = index.set_super_key
         add_posting = index.add_posting
-        for row_index, row in enumerate(table.rows):
-            set_super_key(table_id, row_index, generator.row_super_key(row))
+        if super_keys is None:
+            super_keys = map(self.super_key_generator.row_super_key, table.rows)
+        for row_index, (row, super_key) in enumerate(zip(table.rows, super_keys)):
+            set_super_key(table_id, row_index, super_key)
             for column_index, value in enumerate(row):
                 if value == MISSING:
                     continue

@@ -488,9 +488,12 @@ class FetchBlock:
 
     The posting columns reference the index's packed arrays directly (no
     copy); ``super_keys`` is the per-posting super-key column and ``runs`` the
-    table runs used to regroup the block by candidate table.  Blocks are
-    snapshots: index mutations invalidate them (callers such as the
-    posting-list cache drop blocks on mutation).
+    table runs used to regroup the block by candidate table — given as a
+    list, or as the callable that yields it (a posting list's memoised
+    :meth:`ColumnarPostingList.runs`), called when a consumer first asks:
+    the request-level array path never does.  Blocks are snapshots: index
+    mutations invalidate them (callers such as the posting-list cache drop
+    blocks on mutation).
 
     When the index's super-key store can pack, the block instead carries the
     fixed-width buffer (``super_key_bytes`` / ``key_width``) that the
@@ -500,7 +503,7 @@ class FetchBlock:
     """
 
     __slots__ = ("value", "table_ids", "column_indexes", "row_indexes",
-                 "_super_keys", "super_key_bytes", "key_width", "runs",
+                 "_super_keys", "super_key_bytes", "key_width", "_runs",
                  "_cov_cache")
 
     def __init__(
@@ -510,7 +513,7 @@ class FetchBlock:
         column_indexes: Sequence[int],
         row_indexes: Sequence[int],
         super_keys: Sequence[int] | None,
-        runs: Sequence[TableRun],
+        runs: Sequence[TableRun] | Callable[[], Sequence[TableRun]],
         *,
         super_key_bytes=None,
         key_width: int | None = None,
@@ -526,8 +529,17 @@ class FetchBlock:
         self._super_keys = super_keys
         self.super_key_bytes = super_key_bytes
         self.key_width = key_width
-        self.runs = runs
+        self._runs = runs
         self._cov_cache: dict | None = None
+
+    @property
+    def runs(self) -> Sequence[TableRun]:
+        """The table runs of the block (computed on first access when the
+        block was handed their source instead)."""
+        runs = self._runs
+        if callable(runs):
+            runs = self._runs = runs()
+        return runs
 
     def entry_coverage(
         self, key_super_key: int, length_shift: int | None, kernel: str

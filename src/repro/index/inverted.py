@@ -349,7 +349,7 @@ class InvertedIndex:
                             columns.column_indexes,
                             columns.row_indexes,
                             None,
-                            columns.runs(),
+                            columns.runs,
                             super_key_bytes=packed,
                             key_width=store.width_bytes,
                         )
@@ -362,7 +362,7 @@ class InvertedIndex:
                             columns.column_indexes,
                             columns.row_indexes,
                             columns.super_key_column(store),
-                            columns.runs(),
+                            columns.runs,
                         )
                     )
             return blocks

@@ -1,9 +1,10 @@
 """The live (online-mutable) index: delta buffer + immutable segment stack.
 
 :class:`LiveIndex` is the log-structured front of the ingestion subsystem.
-Writes (``add_table`` / ``remove_table``) are logged to the
-:class:`~repro.ingest.wal.WriteAheadLog`, applied to the mutable
-:class:`~repro.ingest.buffer.IngestBuffer`, and periodically *sealed* into
+Writes (``add_table`` / ``remove_table``) are encoded first (whatever can
+raise — interning, hashing, sketching — does it before anything is durable),
+then logged to the :class:`~repro.ingest.wal.WriteAheadLog`, then installed in
+the mutable :class:`~repro.ingest.buffer.IngestBuffer`, and periodically *sealed* into
 immutable columnar :class:`~repro.ingest.segments.Segment` objects that the
 compactor merges in the background.  Reads see the union of the segment
 stack (oldest to newest) and the buffer, with tombstones masking removed
@@ -12,8 +13,9 @@ tables — behind exactly the ``fetch`` / ``fetch_batch`` query surface of
 posting-list cache, and the session facade all run unchanged on top.
 
 **Snapshot isolation.**  :meth:`LiveIndex.snapshot` returns a
-:class:`LiveSnapshot` pinning one *generation*: the segment stack and the
-tombstone set as of that instant.  Every read entry point of the live index
+:class:`LiveSnapshot` pinning one *generation*: the segment stack, the
+tombstone set and (on the buffer's column-store lane) the buffered tables as
+of that instant.  Every read entry point of the live index
 takes an implicit snapshot, so a single ``fetch_batch`` — the one index
 round-trip of Algorithm 1's initialization step — is always internally
 consistent, and a discovery run started before a compaction finishes against
@@ -35,6 +37,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -42,10 +45,16 @@ from ..config import MateConfig
 from ..datamodel import MISSING, Table
 from ..exceptions import IndexClosedError, IndexError_, StorageError
 from ..index import FetchBlock, FetchedItem, InvertedIndex, compute_table_runs
-from ..sketch import SKETCH_FILE_STEM, SketchIndex
-from ..storage.paged import SEGMENT_SUFFIX, load_segment, write_segment
+from ..sketch import SKETCH_FILE_STEM, SKETCH_SUFFIX, SketchIndex
+from ..storage.paged import (
+    SEGMENT_SUFFIX,
+    MappedSegmentIndex,
+    block_of,
+    load_segment,
+    write_segment,
+)
 from ..storage.serialization import load_index_json
-from .buffer import IngestBuffer
+from .buffer import BufferView, IngestBuffer
 from .segments import Segment, merge_segments
 from .wal import WriteAheadLog, repair_torn_tail, replay_wal
 
@@ -57,22 +66,30 @@ MANIFEST_FILE = "manifest.json"
 WAL_FILE = "wal.jsonl"
 
 
+def _segment_stem(generation: int) -> str:
+    """What the files of one segment are called, up to the suffix: the
+    postings are ``<stem>.seg``, the sketches of its tables ``<stem>.sk``."""
+    return f"segment-{generation:06d}"
+
+
 def _segment_file(generation: int) -> str:
     """File name of a newly persisted segment (binary mmap format)."""
-    return f"segment-{generation:06d}{SEGMENT_SUFFIX}"
+    return _segment_stem(generation) + SEGMENT_SUFFIX
 
 
-def _load_segment_index(path: Path) -> InvertedIndex:
+def _load_segment_index(path: Path) -> MappedSegmentIndex:
     """Open one persisted segment: mmap ``.seg``, legacy JSON otherwise.
 
     Directories written before the binary format keep loading — the
     manifest records each segment's file name, so mixed stacks (old
     ``.json`` next to new ``.seg``) recover fine and convert to ``.seg``
-    at the next seal or merge touching them.
+    at the next seal or merge touching them.  A JSON segment is flattened
+    into a heap block here, so every segment of the stack is served the
+    same way.
     """
     if path.suffix == SEGMENT_SUFFIX:
         return load_segment(path)
-    return load_index_json(path)
+    return MappedSegmentIndex(block_of(load_index_json(path)))
 
 
 def _fsync_path(path: Path) -> None:
@@ -165,9 +182,13 @@ class LiveSnapshot:
     Holds the component stack (segments oldest to newest, then the write
     buffer) with per-component masked-table sets frozen at snapshot time.
     Segments are immutable, so a snapshot survives any number of later seals
-    and merges unchanged; only writes landing in the *buffer* after the
-    snapshot remain visible through it (the buffer is shared, not copied —
-    the isolation contract covers compaction, not concurrent appends).
+    and merges unchanged.  The buffer component is a
+    :class:`~repro.ingest.buffer.BufferView` pinning the buffered tables of
+    that instant — appends grow the buffer's columns past what the view
+    pinned, drops build new columns — so writes landing after the snapshot
+    do *not* show through it: the contract covers concurrent appends, not
+    only compaction.  (Without numpy the buffer is a shared mutable index
+    and later buffer writes still leak into an older snapshot.)
     """
 
     __slots__ = ("generation", "hash_function_name", "hash_size", "_components")
@@ -175,7 +196,14 @@ class LiveSnapshot:
     def __init__(
         self,
         generation: int,
-        components: tuple[tuple[InvertedIndex, dict[int, int], frozenset[int]], ...],
+        components: tuple[
+            tuple[
+                MappedSegmentIndex | BufferView | InvertedIndex,
+                dict[int, int],
+                frozenset[int],
+            ],
+            ...,
+        ],
         hash_function_name: str,
         hash_size: int,
     ):
@@ -301,15 +329,21 @@ class LiveSnapshot:
 
     def values(self) -> Iterator[str]:
         """Iterate over the distinct visible values (component order)."""
-        seen: dict[str, None] = {}
+        vocabularies = []
+        visible: set[str] = set()
         for index, _table_seqs, masked in self._components:
-            for value in index.values():
-                if value in seen:
-                    continue
-                if masked and not self.posting_list_length(value):
-                    continue
-                seen[value] = None
-        return iter(seen)
+            values = list(index.values())
+            vocabularies.append(values)
+            if masked:
+                # Hidden here, a value may still be visible elsewhere.
+                visible.update(compress(values, index.visible_counts(masked)[0]))
+            else:
+                visible.update(values)
+        return iter(
+            dict.fromkeys(
+                value for value in chain.from_iterable(vocabularies) if value in visible
+            )
+        )
 
     def __contains__(self, value: str) -> bool:
         return self.posting_list_length(value) > 0
@@ -325,15 +359,7 @@ class LiveSnapshot:
             if not masked:
                 total += index.num_posting_items()
             else:
-                for value in index.values():
-                    columns = index.posting_columns(value)
-                    if columns is None:
-                        continue
-                    total += sum(
-                        end - start
-                        for table_id, start, end in columns.runs()
-                        if table_id not in masked
-                    )
+                total += sum(index.visible_counts(masked)[0])
         return total
 
     def num_rows(self) -> int:
@@ -343,11 +369,7 @@ class LiveSnapshot:
             if not masked:
                 total += index.num_rows()
             else:
-                total += sum(
-                    1
-                    for table_id, _row, _sk in index.iter_super_keys()
-                    if table_id not in masked
-                )
+                total += index.visible_counts(masked)[1]
         return total
 
 
@@ -507,12 +529,12 @@ class LiveIndex:
         """The live MinHash-LSH sketch store, or ``None`` when unusable.
 
         The store mirrors the visible table set exactly: writes update it
-        inline, WAL replay re-applies later adds and removes, and seals
-        persist it next to the segments (``sketches.json`` /
-        ``sketches.bin``).  ``None`` means the directory predates sketch
-        persistence (or its sketch file was corrupt), so sealed tables are
-        missing from the store — callers must build from the corpus
-        instead of silently losing recall.
+        inline, WAL replay re-applies later adds and removes, and every
+        seal and merge persists the sketches of the segment's tables next
+        to its ``.seg`` (``segment-NNNNNN.sk``).  ``None`` means a segment's
+        sketch file is missing or corrupt (a directory predating sketch
+        persistence), so sealed tables are missing from the store — callers
+        must build from the corpus instead of silently losing recall.
         """
         if self._sketch_stale:
             return None
@@ -561,7 +583,13 @@ class LiveIndex:
     # Writes
     # ------------------------------------------------------------------
     def add_table(self, table: Table) -> int:
-        """Ingest one table (WAL first, then the delta buffer); returns rows.
+        """Ingest one table; returns rows.
+
+        The order is encode, sketch, log, install: the buffer stages the
+        table (interning, hashing) and the sketch store signs it before
+        the WAL append, and what follows the append cannot fail — a table
+        that cannot be indexed raises here and leaves no record that would
+        raise again at every replay.
 
         Raises :class:`~repro.exceptions.IndexError_` when the table id is
         already visible — remove it first; re-adding after removal is fine.
@@ -573,13 +601,17 @@ class LiveIndex:
                     f"table {table.table_id} is already live; remove it "
                     "before re-adding"
                 )
+            staged = self._buffer.stage(table)
+            self._sketch.add_table(table)
             seq = self._seq + 1
             if self._wal is not None:
-                self._wal.append_add_table(seq, table)
+                try:
+                    self._wal.append_add_table(seq, table)
+                except BaseException:
+                    self._sketch.remove_table(table.table_id)
+                    raise
             self._seq = seq
-            rows = self._buffer.add_table(table, seq)
-            self._sketch.add_table(table)
-            return rows
+            return self._buffer.install(staged, seq)
 
     def remove_table(self, table_id: int) -> int:
         """Remove a table from the live view (tombstone + buffer purge).
@@ -625,7 +657,7 @@ class LiveIndex:
             if len(self._buffer) == 0:
                 return None
             old = self._buffer
-            # Flattened once: the block is what reads are served from and
+            # Laid out once: the block is what reads are served from and
             # what write_segment copies out column by column.
             index = old.seal()
             self._generation += 1
@@ -652,7 +684,7 @@ class LiveIndex:
                 # represented on disk elsewhere.
                 path = self.directory / _segment_file(segment.generation)
                 write_segment(segment.index, path, fsync=self._fsync)
-                self._persist_sketches_locked()
+                self._persist_sketches_locked(segment)
                 self._write_manifest_locked()
                 assert self._wal is not None
                 self._wal.truncate()
@@ -689,21 +721,21 @@ class LiveIndex:
             )
             self._purge_tombstones_locked()
             if self.directory is not None:
-                # Merged segment durable first, then the manifest that
-                # references it; only then may the superseded files go.
-                # The sketch store is not rewritten: a merge neither
-                # advances the checkpoint nor truncates the WAL, so replay
-                # re-applies every later add and remove over the file the
-                # last seal wrote.
+                # Merged segment and its sketch file durable first, then
+                # the manifest that references them; only then may the
+                # superseded files go.  The merged sketch file holds the
+                # stored (packed) sketches of the surviving tables — a
+                # copy, nothing is sketched again.
                 path = self.directory / _segment_file(merged.generation)
                 write_segment(merged.index, path, fsync=self._fsync)
+                self._persist_sketches_locked(merged)
                 self._write_manifest_locked()
                 for segment in slice_:
                     # The superseded file may predate the binary format;
                     # unlinking a still-mapped .seg is safe (POSIX keeps
                     # the pages alive for snapshots that pin the segment).
-                    base = f"segment-{segment.generation:06d}"
-                    for suffix in (SEGMENT_SUFFIX, ".json"):
+                    base = _segment_stem(segment.generation)
+                    for suffix in (SEGMENT_SUFFIX, ".json", SKETCH_SUFFIX):
                         (self.directory / f"{base}{suffix}").unlink(
                             missing_ok=True
                         )
@@ -736,7 +768,7 @@ class LiveIndex:
     # Snapshots and the read surface
     # ------------------------------------------------------------------
     def snapshot(self) -> LiveSnapshot:
-        """Pin the current generation (segment stack + tombstones)."""
+        """Pin the current generation (segment stack, tombstones, buffer)."""
         with self._lock:
             components = tuple(
                 (
@@ -745,7 +777,7 @@ class LiveIndex:
                     frozenset(segment.masked_tables(self._tombstones)),
                 )
                 for segment in self._segments
-            ) + ((self._buffer.index, self._buffer.table_seqs, frozenset()),)
+            ) + ((self._buffer.index, dict(self._buffer.table_seqs), frozenset()),)
             return LiveSnapshot(
                 generation=self._generation,
                 components=components,
@@ -852,31 +884,84 @@ class LiveIndex:
         if self._fsync:
             _fsync_path(self.directory)
 
-    def _persist_sketches_locked(self) -> None:
-        """Persist the sketch store next to the segments (skipped if stale).
+    def _visible_tables(self, segment: Segment) -> set[int]:
+        """Ids of the tables of ``segment`` no tombstone masks."""
+        return set(segment.table_seqs) - segment.masked_tables(self._tombstones)
+
+    def _persist_sketches_locked(self, segment: Segment) -> None:
+        """Write the sketches of ``segment``'s tables as its ``.sk`` file
+        (skipped if stale).
 
         A stale store (sealed tables missing after recovering a pre-sketch
         directory) must never be written out: a later reopen would load it
-        as complete and silently lose recall.
+        as complete and silently lose recall.  Only the tables visible
+        *from this segment* are written — a masked copy has no sketches in
+        the store, and a reopen skips masked tables anyway.
         """
         assert self.directory is not None
         if not self._sketch_stale:
-            self._sketch.save(self.directory)
+            self._sketch.save(
+                self.directory,
+                stem=_segment_stem(segment.generation),
+                table_ids=self._visible_tables(segment),
+                fsync=self._fsync,
+            )
+
+    def _load_sketches_locked(self) -> None:
+        """Fill the store from the segments' sketch files, each read for
+        the tables visible from its segment (the rule of postings: a
+        tombstoned copy stays dead, a re-added id reads its newest copy).
+
+        A directory still holding the whole-store ``sketches.json`` /
+        ``sketches.bin`` pair of an older build is migrated first: the pair's
+        sketches are dealt to their segments' files by table id, and the
+        pair goes once those are durable.  A missing or corrupt file leaves
+        the store stale — flagged, never guessed, because column sketches
+        cannot be rebuilt from postings.
+        """
+        assert self.directory is not None
+        legacy = self.directory / f"{SKETCH_FILE_STEM}.json"
+        try:
+            if legacy.exists():
+                whole = SketchIndex.load_legacy(self.directory)
+                for segment in self._segments:
+                    whole.save(
+                        self.directory,
+                        stem=_segment_stem(segment.generation),
+                        table_ids=self._visible_tables(segment),
+                        fsync=self._fsync,
+                    )
+                legacy.unlink()
+            for segment in self._segments:
+                self._sketch.load_file(
+                    self.directory / (_segment_stem(segment.generation) + SKETCH_SUFFIX),
+                    self._visible_tables(segment),
+                )
+        except StorageError:
+            self._sketch = SketchIndex()
+            self._sketch_stale = True
 
     def _remove_orphans(self, named: set[str]) -> None:
         """Delete what a crash left beside the files the manifest names.
 
         A crash between a segment's rename and the manifest write leaves a
-        full segment nothing references, one between the manifest write and
-        a merge's unlinks leaves the superseded files, and one mid-write
-        leaves ``*.tmp`` siblings.  The directory has a single writer and
-        the manifest is the truth, so none of them can be live.
+        full segment (with or without its sketch file) nothing references,
+        one between the manifest write and a merge's unlinks leaves the
+        superseded files, one mid-write leaves ``*.tmp`` siblings, and one
+        at the end of a sketch migration leaves ``sketches.bin`` without
+        its manifest.  The directory has a single writer and the manifest
+        is the truth, so none of them can be live.
         """
         assert self.directory is not None
+        stray = set()
+        if not (self.directory / f"{SKETCH_FILE_STEM}.json").exists():
+            stray.add(f"{SKETCH_FILE_STEM}.bin")
         for path in self.directory.iterdir():
             name = path.name
-            if name.endswith(".tmp") or (
-                name.startswith("segment-") and name not in named
+            if (
+                name.endswith(".tmp")
+                or name in stray
+                or (name.startswith("segment-") and name not in named)
             ):
                 path.unlink(missing_ok=True)
 
@@ -912,6 +997,7 @@ class LiveIndex:
                 segments = []
                 for entry in payload.get("segments", []):
                     named.add(entry["file"])
+                    named.add(_segment_stem(int(entry["generation"])) + SKETCH_SUFFIX)
                     index = _load_segment_index(self.directory / entry["file"])
                     segments.append(
                         Segment(
@@ -928,16 +1014,7 @@ class LiveIndex:
                 raise StorageError(
                     f"malformed live-index manifest {manifest_path}: {exc}"
                 ) from exc
-            # Sealed-table sketches come from the persisted sketch file; a
-            # directory written before sketch persistence (or with a corrupt
-            # sketch file) leaves the store stale — flagged, never guessed,
-            # because column sketches cannot be rebuilt from postings.
-            if self._segments:
-                try:
-                    self._sketch = SketchIndex.load(self.directory)
-                except StorageError:
-                    self._sketch = SketchIndex()
-                    self._sketch_stale = True
+            self._load_sketches_locked()
         # No manifest names nothing: whatever a crash before the first
         # manifest write left is an orphan too.
         self._remove_orphans(named)

@@ -1,9 +1,9 @@
 """Immutable read-optimized segments of the ingestion subsystem.
 
 A :class:`Segment` is a sealed :class:`~repro.ingest.buffer.IngestBuffer`:
-one immutable columnar :class:`~repro.index.inverted.InvertedIndex` (packed
-struct-of-arrays postings, see :mod:`repro.index.columnar`) plus the add
-sequence number of every table it holds.  Segments are never mutated after
+one immutable CSR block behind a
+:class:`~repro.storage.paged.MappedSegmentIndex` plus the add sequence number
+of every table it holds.  Segments are never mutated after
 sealing — removals are expressed as *tombstones* (table id → remove sequence
 number) kept by the owning :class:`~repro.ingest.live.LiveIndex`, and a
 segment-resident copy of a table is visible exactly when no tombstone with a
@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from ..exceptions import IndexError_
-from ..index import InvertedIndex
 from ..storage.paged import MappedSegmentIndex, block_of
 from ..storage.segment_block import merge_blocks
 
@@ -42,11 +41,11 @@ class Segment:
 
     def __init__(
         self,
-        index: InvertedIndex,
+        index: MappedSegmentIndex,
         table_seqs: Mapping[int, int],
         generation: int,
     ):
-        #: The sealed columnar inverted index (never mutated again).
+        #: The sealed block's index (never mutated again).
         self.index = index
         #: table id -> add sequence number, for tombstone visibility checks.
         self.table_seqs = dict(table_seqs)
@@ -93,7 +92,6 @@ def merge_segments(
         for table_id, add_seq in segment.table_seqs.items():
             if table_id not in masked:
                 table_seqs[table_id] = add_seq
-    # A legacy JSON segment of an old directory is flattened on the way.
     merged = merge_blocks([block_of(segment.index) for segment in segments], masks)
     return Segment(
         index=MappedSegmentIndex(merged),

@@ -188,7 +188,7 @@ def _worker_main(
         hash_size=config.hash_size,
     )
     # The parent persisted this shard's sketch store next to its segment
-    # (same stem, ``.json``/``.bin``); loading is deferred until the first
+    # (same stem, ``.sk``); loading is deferred until the first
     # sketch-mode query so exact-only workloads never pay for it.
     segment = Path(segment_path)
     engine = MateDiscovery(

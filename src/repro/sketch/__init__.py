@@ -13,8 +13,9 @@ the similarity-join and union-search extensions.
 
 Signatures are deterministic (seeded permutations over a
 process-independent base hash), optionally numpy-accelerated behind the
-``MATE_SKETCH`` selector, and persisted next to the index segments as a
-manifest + binary sketch file with atomic tmp-rename semantics.
+``MATE_SKETCH`` selector, and persisted next to the index segments as one
+self-describing ``.sk`` file per store (a live index: per segment) with
+atomic tmp-rename semantics.
 """
 
 from .build import build_sketch_index
@@ -22,6 +23,7 @@ from .index import (
     DEFAULT_SKETCH_CONFIG,
     SKETCH_FILE_STEM,
     SKETCH_FORMAT_VERSION,
+    SKETCH_SUFFIX,
     SketchIndex,
     SketchIndexConfig,
 )
@@ -49,6 +51,7 @@ __all__ = [
     "SKETCH_ENV_VAR",
     "SKETCH_FILE_STEM",
     "SKETCH_FORMAT_VERSION",
+    "SKETCH_SUFFIX",
     "SketchIndex",
     "SketchIndexConfig",
     "SketchOptions",

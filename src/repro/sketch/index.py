@@ -9,11 +9,19 @@ shape (``num_perm=128``, ``bands=64``, ``rows=2``) all but guarantees that
 genuinely joinable tables survive the prune while unrelated tables fall
 out before the exact pipeline ever fetches their postings.
 
-Persistence mirrors the ``.seg`` segment discipline
-(:mod:`repro.ingest.live`): a JSON manifest plus a binary sketch file,
-both written to a temporary name, fsynced, and atomically renamed into
-place, with the directory fsynced afterwards — a crash mid-save leaves
-the previous generation intact.
+**Buckets.**  A band's bucket is keyed by the band's slice of the *packed*
+signature (``8 * rows`` bytes; ``bytes`` are not tracked by the garbage
+collector, a tuple of integers is) and holds a bare table id until a second
+table shares it, then a set — most buckets of a lake have one member, and
+the store holds ``bands`` of them per column.
+
+**Persistence.**  One self-describing file per store (``<stem>.sk``): a
+header with the shape and seed, the ``(table, column, cardinality)`` entries,
+the packed signatures, a CRC.  It is written to a temporary name, fsynced and
+atomically renamed into place, with the directory fsynced afterwards — the
+``.seg`` discipline of :mod:`repro.ingest.live`, whose directories hold one
+such file per segment.  :meth:`SketchIndex.load_legacy` still reads the
+``<stem>.json`` + ``<stem>.bin`` pair older builds wrote.
 """
 
 from __future__ import annotations
@@ -25,28 +33,41 @@ import threading
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
+from zlib import crc32
 
-from ..datamodel import Table
+from ..datamodel import MISSING, Table
 from ..exceptions import ConfigurationError, StorageError
+from ..hashing.base import Memo
 from .minhash import (
     ColumnSketch,
+    column_signatures,
+    hash_value,
     minhash_signature,
+    pack_signature,
     permutation_params,
 )
 
-#: On-disk format version of the sketch file + manifest pair.
-SKETCH_FORMAT_VERSION = 1
+#: On-disk format version of a sketch file.
+SKETCH_FORMAT_VERSION = 2
 
-#: Magic prefix of the binary sketch file.
-SKETCH_MAGIC = b"MSKB"
+#: Magic prefix and suffix of a sketch file.
+SKETCH_MAGIC = b"MSK2"
+SKETCH_SUFFIX = ".sk"
 
-#: Default file stem: ``<stem>.bin`` holds the sketches, ``<stem>.json``
-#: the manifest describing them.
+#: Default file stem: ``<stem>.sk`` holds a whole store.
 SKETCH_FILE_STEM = "sketches"
 
-_HEADER = struct.Struct("<4sIIQ")
-_ENTRY = struct.Struct("<QIQ")
+#: Native order, like the entries and signatures behind it: a file of a
+#: foreign byte order fails the version check.
+_HEADER = struct.Struct("=4sIIIIQQ")
+_CHECKSUM = struct.Struct("=I")
+
+#: The pair format older builds wrote (read by :meth:`SketchIndex.load_legacy`).
+_LEGACY_FORMAT_VERSION = 1
+_LEGACY_MAGIC = b"MSKB"
+_LEGACY_HEADER = struct.Struct("<4sIIQ")
+_LEGACY_ENTRY = struct.Struct("<QIQ")
 
 
 @dataclass(frozen=True)
@@ -93,9 +114,17 @@ class SketchIndex:
         self._params = permutation_params(self.config.num_perm, self.config.seed)
         #: table_id -> column_index -> ColumnSketch
         self._sketches: dict[int, dict[int, ColumnSketch]] = {}
-        #: One bucket dict per band: band key -> table ids.
-        self._buckets: list[dict[tuple[int, ...], set[int]]] = [
+        #: One bucket dict per band: band key -> a table id, or a set of them.
+        self._buckets: list[dict[bytes, int | set[int]]] = [
             {} for _ in range(self.config.bands)
+        ]
+        #: ``value -> base hash``: a value recurring across the columns and
+        #: tables this store sketches is hashed once.
+        self._value_hashes: Memo[int] = Memo(hash_value)
+        #: Where each band's key sits in a packed signature.
+        step = 8 * self.config.rows
+        self._bands = [
+            slice(at, at + step) for at in range(0, step * self.config.bands, step)
         ]
         self._lock = threading.RLock()
 
@@ -106,43 +135,50 @@ class SketchIndex:
         """The MinHash signature of a value set under this index's seed."""
         return minhash_signature(values, *self._params)
 
-    def _band_keys(self, signature: Sequence[int]) -> list[tuple[int, ...]]:
-        rows = self.config.rows
-        return [
-            tuple(signature[band * rows : (band + 1) * rows])
-            for band in range(self.config.bands)
-        ]
+    def _band_keys(self, packed: bytes) -> Iterator[bytes]:
+        return map(packed.__getitem__, self._bands)
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def add_table(self, table: Table) -> int:
-        """Sketch every non-empty column of ``table``; returns columns added."""
-        added = 0
-        for column_index in range(table.num_columns):
-            values = table.distinct_column_values(column_index)
-            if not values:
-                continue
-            sketch = ColumnSketch(
-                table_id=table.table_id,
-                column_index=column_index,
-                cardinality=len(values),
-                signature=self.signature(values),
-            )
-            self.add_column_sketch(sketch)
-            added += 1
-        return added
+        """Sketch every non-empty column of ``table``; returns columns added.
+
+        All columns are signed in one pass
+        (:func:`~repro.sketch.minhash.column_signatures`) before the first
+        is stored: a table that cannot be sketched leaves no trace.
+        """
+        columns = []
+        for column_index, cells in enumerate(zip(*table.rows)):
+            values = set(cells)
+            values.discard(MISSING)
+            if values:
+                columns.append((column_index, values))
+        signatures = column_signatures(
+            [values for _column_index, values in columns],
+            *self._params,
+            hash_of=self._value_hashes,
+        )
+        with self._lock:
+            for (column_index, values), packed in zip(columns, signatures):
+                self.add_column_sketch(
+                    ColumnSketch(table.table_id, column_index, len(values), packed)
+                )
+        return len(columns)
 
     def add_column_sketch(self, sketch: ColumnSketch) -> None:
         """Insert one prebuilt column sketch (the load / builder path)."""
+        table_id = sketch.table_id
         with self._lock:
-            self._sketches.setdefault(sketch.table_id, {})[
-                sketch.column_index
-            ] = sketch
-            for bucket, key in zip(
-                self._buckets, self._band_keys(sketch.signature)
-            ):
-                bucket.setdefault(key, set()).add(sketch.table_id)
+            self._sketches.setdefault(table_id, {})[sketch.column_index] = sketch
+            for bucket, key in zip(self._buckets, self._band_keys(sketch.packed)):
+                members = bucket.get(key)
+                if members is None:
+                    bucket[key] = table_id
+                elif isinstance(members, set):
+                    members.add(table_id)
+                elif members != table_id:
+                    bucket[key] = {members, table_id}
 
     def remove_table(self, table_id: int) -> bool:
         """Drop every sketch of ``table_id``; returns whether any existed."""
@@ -152,13 +188,14 @@ class SketchIndex:
                 return False
             for sketch in columns.values():
                 for bucket, key in zip(
-                    self._buckets, self._band_keys(sketch.signature)
+                    self._buckets, self._band_keys(sketch.packed)
                 ):
                     members = bucket.get(key)
-                    if members is None:
-                        continue
-                    members.discard(table_id)
-                    if not members:
+                    if isinstance(members, set):
+                        members.discard(table_id)
+                        if len(members) == 1:
+                            (bucket[key],) = members
+                    elif members == table_id:
                         del bucket[key]
             return True
 
@@ -185,14 +222,33 @@ class SketchIndex:
         with self._lock:
             return self._sketches.get(table_id, {}).get(column_index)
 
+    def column_sketches(
+        self, table_ids: Collection[int] | None = None
+    ) -> list[ColumnSketch]:
+        """Every stored sketch — of ``table_ids`` when given — ordered by
+        table id, then column (the order :meth:`save` writes)."""
+        with self._lock:
+            wanted = set(self._sketches)
+            if table_ids is not None:
+                wanted.intersection_update(table_ids)
+            return [
+                self._sketches[table_id][column_index]
+                for table_id in sorted(wanted)
+                for column_index in sorted(self._sketches[table_id])
+            ]
+
     def candidate_tables(self, signature: Sequence[int]) -> set[int]:
         """Tables sharing at least one LSH bucket with ``signature``."""
         candidates: set[int] = set()
         with self._lock:
-            for bucket, key in zip(self._buckets, self._band_keys(signature)):
+            for bucket, key in zip(
+                self._buckets, self._band_keys(pack_signature(signature))
+            ):
                 members = bucket.get(key)
-                if members:
+                if isinstance(members, set):
                     candidates.update(members)
+                elif members is not None:
+                    candidates.add(members)
         return candidates
 
     def query(
@@ -234,59 +290,90 @@ class SketchIndex:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def save(self, directory: str | Path, stem: str = SKETCH_FILE_STEM) -> Path:
-        """Persist the sketches into ``directory`` atomically.
+    def save(
+        self,
+        directory: str | Path,
+        stem: str = SKETCH_FILE_STEM,
+        table_ids: Collection[int] | None = None,
+        fsync: bool = True,
+    ) -> Path:
+        """Persist the sketches into ``directory / <stem>.sk`` atomically
+        (tmp-write + fsync + rename); returns the path.
 
-        Writes ``<stem>.bin`` (binary sketch file) and ``<stem>.json``
-        (manifest), each via tmp-write + fsync + rename; returns the
-        manifest path.
+        ``table_ids`` restricts the file to those tables — a live index
+        keeps one file per segment, holding the segment's tables.  Entries
+        are ordered by table id, then column.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        with self._lock:
-            sketches = [
-                columns[column_index]
-                for table_id, columns in sorted(self._sketches.items())
-                for column_index in sorted(columns)
-            ]
-        data_path = directory / f"{stem}.bin"
-        payload = bytearray(
+        sketches = self.column_sketches(table_ids)
+        config = self.config
+        parts = [
             _HEADER.pack(
                 SKETCH_MAGIC,
                 SKETCH_FORMAT_VERSION,
-                self.config.num_perm,
+                config.num_perm,
+                config.bands,
+                config.rows,
+                config.seed,
                 len(sketches),
-            )
-        )
-        for sketch in sketches:
-            payload += _ENTRY.pack(
-                sketch.table_id, sketch.column_index, sketch.cardinality
-            )
-            payload += array("Q", sketch.signature).tobytes()
-        _atomic_write(data_path, bytes(payload))
-        manifest = {
-            "format_version": SKETCH_FORMAT_VERSION,
-            "kind": "sketch-index",
-            "num_perm": self.config.num_perm,
-            "bands": self.config.bands,
-            "rows": self.config.rows,
-            "seed": self.config.seed,
-            "count": len(sketches),
-            "data_file": data_path.name,
-            "data_bytes": len(payload),
-        }
-        manifest_path = directory / f"{stem}.json"
-        _atomic_write(
-            manifest_path,
-            json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"),
-        )
-        return manifest_path
+            ),
+            array(
+                "Q",
+                [
+                    field
+                    for sketch in sketches
+                    for field in (
+                        sketch.table_id,
+                        sketch.column_index,
+                        sketch.cardinality,
+                    )
+                ],
+            ).tobytes(),
+            *(sketch.packed for sketch in sketches),
+        ]
+        checksum = 0
+        for part in parts:  # running: the payload is never joined twice
+            checksum = crc32(part, checksum)
+        parts.append(_CHECKSUM.pack(checksum))
+        path = directory / f"{stem}{SKETCH_SUFFIX}"
+        _atomic_write(path, b"".join(parts), fsync)
+        return path
 
     @classmethod
     def load(
         cls, directory: str | Path, stem: str = SKETCH_FILE_STEM
     ) -> "SketchIndex":
         """Load a persisted sketch index (see :meth:`save`)."""
+        path = Path(directory) / f"{stem}{SKETCH_SUFFIX}"
+        config, sketches = _read_sketch_file(path)
+        index = cls(config)
+        for sketch in sketches:
+            index.add_column_sketch(sketch)
+        return index
+
+    def load_file(
+        self, path: str | Path, table_ids: Collection[int] | None = None
+    ) -> None:
+        """Add the sketches of one more file written by :meth:`save` —
+        those of ``table_ids`` when given.  The file must have been written
+        with this index's shape and seed."""
+        config, sketches = _read_sketch_file(Path(path))
+        if config != self.config:
+            raise StorageError(
+                f"sketch file {path} was written as {config}, this store is "
+                f"{self.config}"
+            )
+        with self._lock:
+            for sketch in sketches:
+                if table_ids is None or sketch.table_id in table_ids:
+                    self.add_column_sketch(sketch)
+
+    @classmethod
+    def load_legacy(
+        cls, directory: str | Path, stem: str = SKETCH_FILE_STEM
+    ) -> "SketchIndex":
+        """Load the ``<stem>.json`` + ``<stem>.bin`` pair of format 1."""
         directory = Path(directory)
         manifest_path = directory / f"{stem}.json"
         try:
@@ -297,11 +384,11 @@ class SketchIndex:
             raise StorageError(
                 f"corrupt sketch manifest at {manifest_path}: {exc}"
             ) from exc
-        if manifest.get("format_version") != SKETCH_FORMAT_VERSION:
+        if manifest.get("format_version") != _LEGACY_FORMAT_VERSION:
             raise StorageError(
                 f"sketch manifest {manifest_path} has format_version "
                 f"{manifest.get('format_version')}, expected "
-                f"{SKETCH_FORMAT_VERSION}"
+                f"{_LEGACY_FORMAT_VERSION}"
             )
         config = SketchIndexConfig(
             num_perm=int(manifest["num_perm"]),
@@ -319,10 +406,10 @@ class SketchIndex:
                 f"sketch file {data_path} is {len(payload)} bytes, manifest "
                 f"says {manifest['data_bytes']}"
             )
-        if len(payload) < _HEADER.size:
+        if len(payload) < _LEGACY_HEADER.size:
             raise StorageError(f"sketch file {data_path} is truncated")
-        magic, version, num_perm, count = _HEADER.unpack_from(payload, 0)
-        if magic != SKETCH_MAGIC or version != SKETCH_FORMAT_VERSION:
+        magic, version, num_perm, count = _LEGACY_HEADER.unpack_from(payload, 0)
+        if magic != _LEGACY_MAGIC or version != _LEGACY_FORMAT_VERSION:
             raise StorageError(
                 f"sketch file {data_path} has bad magic/version "
                 f"({magic!r}/{version})"
@@ -332,35 +419,69 @@ class SketchIndex:
                 f"sketch file {data_path} disagrees with its manifest"
             )
         index = cls(config)
-        offset = _HEADER.size
+        offset = _LEGACY_HEADER.size
         signature_bytes = 8 * num_perm
         for _ in range(count):
-            table_id, column_index, cardinality = _ENTRY.unpack_from(
+            table_id, column_index, cardinality = _LEGACY_ENTRY.unpack_from(
                 payload, offset
             )
-            offset += _ENTRY.size
-            signature = array("Q")
-            signature.frombytes(payload[offset : offset + signature_bytes])
+            offset += _LEGACY_ENTRY.size
+            packed = payload[offset : offset + signature_bytes]
             offset += signature_bytes
             index.add_column_sketch(
-                ColumnSketch(
-                    table_id=table_id,
-                    column_index=column_index,
-                    cardinality=cardinality,
-                    signature=tuple(signature),
-                )
+                ColumnSketch(table_id, column_index, cardinality, packed)
             )
         return index
 
 
-def _atomic_write(path: Path, payload: bytes) -> None:
+def _read_sketch_file(path: Path) -> tuple[SketchIndexConfig, list[ColumnSketch]]:
+    """The shape and the sketches of one ``.sk`` file, every claim checked."""
+    try:
+        payload = path.read_bytes()
+    except FileNotFoundError as exc:
+        raise StorageError(f"no sketch file at {path}") from exc
+    body = len(payload) - _CHECKSUM.size
+    if body < _HEADER.size:
+        raise StorageError(f"sketch file {path} is truncated")
+    if _CHECKSUM.unpack_from(payload, body) != (crc32(memoryview(payload)[:body]),):
+        raise StorageError(f"sketch file {path} fails its checksum (torn or corrupt)")
+    magic, version, num_perm, bands, rows, seed, count = _HEADER.unpack_from(payload)
+    if magic != SKETCH_MAGIC or version != SKETCH_FORMAT_VERSION:
+        raise StorageError(
+            f"sketch file {path} has bad magic/version ({magic!r}/{version})"
+        )
+    try:
+        config = SketchIndexConfig(num_perm=num_perm, bands=bands, rows=rows, seed=seed)
+    except ConfigurationError as exc:
+        raise StorageError(f"sketch file {path} declares no valid shape: {exc}") from exc
+    signatures = _HEADER.size + 24 * count
+    width = 8 * num_perm
+    if signatures + width * count != body:
+        raise StorageError(
+            f"sketch file {path} is {len(payload)} bytes, its header implies "
+            f"{signatures + width * count + _CHECKSUM.size}"
+        )
+    fields = array("Q")
+    fields.frombytes(payload[_HEADER.size : signatures])
+    return config, [
+        ColumnSketch(table_id, column_index, cardinality, payload[at : at + width])
+        for table_id, column_index, cardinality, at in zip(
+            fields[0::3], fields[1::3], fields[2::3], range(signatures, body, width)
+        )
+    ]
+
+
+def _atomic_write(path: Path, payload: bytes, fsync: bool = True) -> None:
     """Write ``payload`` to ``path`` via tmp + fsync + rename (crash safe)."""
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "wb") as handle:
         handle.write(payload)
         handle.flush()
-        os.fsync(handle.fileno())
+        if fsync:
+            os.fsync(handle.fileno())
     tmp.replace(path)
+    if not fsync:
+        return
     try:
         directory_fd = os.open(path.parent, os.O_RDONLY)
     except OSError:  # pragma: no cover - platform without dir fds

@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import hashlib
 import os
+from array import array
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 try:  # numpy is an optional accelerator (the ``accel`` extra), never required
     import numpy as _np
@@ -125,19 +127,32 @@ def _signature_fallback(
     return tuple(signature)
 
 
-def _signature_numpy(
-    hashes: Sequence[int], a: Sequence[int], b: Sequence[int]
-) -> tuple[int, ...]:
-    hash_vector = _np.asarray(hashes, dtype=_np.uint64)
-    a_vector = _np.asarray(a, dtype=_np.uint64)[:, None]
-    b_vector = _np.asarray(b, dtype=_np.uint64)[:, None]
+@lru_cache(maxsize=8)
+def _coefficient_columns(a: tuple[int, ...], b: tuple[int, ...]):
+    """The permutation coefficients as ``(num_perm, 1)`` ``uint64`` columns."""
+    columns = (
+        _np.asarray(a, dtype=_np.uint64)[:, None],
+        _np.asarray(b, dtype=_np.uint64)[:, None],
+    )
+    for column in columns:  # shared by every caller
+        column.flags.writeable = False
+    return columns
+
+
+def _permuted(hashes, a: Sequence[int], b: Sequence[int]):
+    """Every permutation of every value hash: ``(num_perm, len(hashes))``."""
+    a_column, b_column = _coefficient_columns(tuple(a), tuple(b))
     # uint64 arithmetic wraps mod 2^64 by construction — the same value the
     # fallback computes with its explicit mask.
     with _np.errstate(over="ignore"):
-        permuted = (a_vector * hash_vector[None, :] + b_vector) % _np.uint64(
-            MERSENNE_PRIME
-        )
-    return tuple(int(slot) for slot in permuted.min(axis=1))
+        return (a_column * hashes[None, :] + b_column) % _np.uint64(MERSENNE_PRIME)
+
+
+def _signature_numpy(
+    hashes: Sequence[int], a: Sequence[int], b: Sequence[int]
+) -> tuple[int, ...]:
+    permuted = _permuted(_np.asarray(hashes, dtype=_np.uint64), a, b)
+    return tuple(permuted.min(axis=1).tolist())
 
 
 def minhash_signature(
@@ -154,6 +169,71 @@ def minhash_signature(
     if active_sketch_kernel() == "numpy":
         return _signature_numpy(hashes, a, b)
     return _signature_fallback(hashes, a, b)
+
+
+def pack_signature(signature: Sequence[int]) -> bytes:
+    """A signature as ``8 * num_perm`` bytes (native-order ``uint64``): the
+    form sketches are stored, persisted and bucketed in."""
+    return array("Q", signature).tobytes()
+
+
+def unpack_signature(packed: bytes) -> tuple[int, ...]:
+    """The signature :func:`pack_signature` packed."""
+    signature = array("Q")
+    signature.frombytes(packed)
+    return tuple(signature)
+
+
+#: Value hashes one broadcast of :func:`column_signatures` permutes at most
+#: (``num_perm`` times eight bytes each: 32 MiB at 128 permutations).
+_BROADCAST_VALUES = 1 << 15
+
+
+def column_signatures(
+    columns: Sequence[Collection[str]],
+    a: Sequence[int],
+    b: Sequence[int],
+    hash_of: Mapping[str, int] | None = None,
+) -> list[bytes]:
+    """The packed signature of each of several non-empty value sets — the
+    columns of one table — equal to ``pack_signature(minhash_signature(...))``
+    column by column.
+
+    With numpy every distinct value is hashed once — through ``hash_of``, a
+    ``value -> hash_value(value)`` memo the caller keeps across tables, when
+    given — the hash sets of all columns are permuted in one ``(num_perm,
+    values)`` broadcast (in slices of :data:`_BROADCAST_VALUES`) and reduced
+    per column by ``minimum.reduceat``; the fallback signs column by column.
+    """
+    if active_sketch_kernel() != "numpy":
+        return [pack_signature(minhash_signature(values, a, b)) for values in columns]
+    if hash_of is None:
+        hash_of = {value: hash_value(value) for value in set().union(*columns)}
+    signatures: list[bytes] = []
+    first = 0
+    while first < len(columns):
+        # Whole columns up to the bound; one oversize column goes alone.
+        last, total = first, 0
+        while last < len(columns) and (
+            last == first or total + len(columns[last]) <= _BROADCAST_VALUES
+        ):
+            total += len(columns[last])
+            last += 1
+        sizes = [len(values) for values in columns[first:last]]
+        hashes = _np.fromiter(
+            (hash_of[value] for values in columns[first:last] for value in values),
+            _np.uint64,
+            total,
+        )
+        starts = _np.cumsum([0] + sizes[:-1])
+        minimums = _np.minimum.reduceat(_permuted(hashes, a, b), starts, axis=1)
+        packed = _np.ascontiguousarray(minimums.T).tobytes()
+        width = 8 * len(a)
+        signatures.extend(
+            packed[at : at + width] for at in range(0, len(packed), width)
+        )
+        first = last
+    return signatures
 
 
 def jaccard_estimate(first: Sequence[int], second: Sequence[int]) -> float:
@@ -190,16 +270,21 @@ def containment_estimate(
 
 
 class ColumnSketch:
-    """The MinHash summary of one corpus column."""
+    """The MinHash summary of one corpus column.
 
-    __slots__ = ("table_id", "column_index", "cardinality", "signature")
+    Held packed (:func:`pack_signature`): ingest, persistence and the LSH
+    buckets only ever move the bytes; :attr:`signature` unpacks them the
+    first time a query scores the column.
+    """
+
+    __slots__ = ("table_id", "column_index", "cardinality", "packed", "_signature")
 
     def __init__(
         self,
         table_id: int,
         column_index: int,
         cardinality: int,
-        signature: tuple[int, ...],
+        signature: Sequence[int] | bytes,
     ):
         #: Table the column belongs to.
         self.table_id = table_id
@@ -207,8 +292,18 @@ class ColumnSketch:
         self.column_index = column_index
         #: Number of distinct (non-missing) values the column held.
         self.cardinality = cardinality
-        #: The MinHash signature (``num_perm`` permuted minimums).
-        self.signature = signature
+        #: The packed MinHash signature.
+        self.packed = (
+            signature if isinstance(signature, bytes) else pack_signature(signature)
+        )
+        self._signature: tuple[int, ...] | None = None
+
+    @property
+    def signature(self) -> tuple[int, ...]:
+        """The MinHash signature (``num_perm`` permuted minimums)."""
+        if self._signature is None:
+            self._signature = unpack_signature(self.packed)
+        return self._signature
 
     def jaccard(self, signature: Sequence[int]) -> float:
         """Jaccard estimate against a query signature."""

@@ -39,7 +39,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 from zlib import crc32
 
 from ..exceptions import IndexError_, SegmentFormatError, StorageError
@@ -50,7 +50,7 @@ from ..index import (
     InvertedIndex,
     PostingListItem,
 )
-from .segment_block import SegmentBlock, flatten_index
+from .segment_block import SegmentBlock, flatten_index, visible_counts
 
 #: File suffix of binary mmap segment files.
 SEGMENT_SUFFIX = ".seg"
@@ -923,6 +923,13 @@ class MappedSegmentIndex(InvertedIndex):
     def indexed_tables(self) -> set[int]:
         """Return the ids of all tables with at least one indexed row."""
         return self._super_keys.table_ids_present()
+
+    def visible_counts(self, masked: Collection[int]) -> tuple[list[int], int]:
+        """``(PL items per value, in :meth:`values` order; rows)`` outside
+        the ``masked`` tables — see
+        :func:`~repro.storage.segment_block.visible_counts`; nothing is
+        sliced or memoised for a count."""
+        return visible_counts(self.block, masked)
 
     def posting_columns(self, value: str) -> ColumnarPostingList | None:
         """Return the posting views of ``value`` (``None`` when not indexed)."""

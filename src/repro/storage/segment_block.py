@@ -356,6 +356,31 @@ def _unpacked_numpy(spill: Spill, offsets, table_ids, row_indexes) -> list[int]:
     return _np.unique(owners).tolist()
 
 
+def visible_counts(
+    block: SegmentBlock, masked: Collection[int]
+) -> tuple[list[int], int]:
+    """``(postings per value id, rows)`` of ``block`` outside the ``masked``
+    tables, counted on the table-id columns and the offsets — what a live
+    index reports for a segment some of whose tables a tombstone hides,
+    without walking (or slicing) a single posting list."""
+    spilled = sum(table_id not in masked for table_id, _row in block.spill)
+    if active_kernel() == "numpy":
+        dead = _np.fromiter(masked, _np.int64, len(masked))
+        alive = ~_np.isin(_np.frombuffer(block.table_ids, _np.int64), dead)
+        starts = _np.frombuffer(block.posting_offsets, _np.int64)[:-1]
+        lengths = (
+            _np.add.reduceat(alive.astype(_np.int64), starts) if len(starts) else starts
+        )
+        rows = _np.frombuffer(block.row_table_ids, _np.int64)
+        return lengths.tolist(), spilled + int(len(rows) - _np.isin(rows, dead).sum())
+    hidden = [table_id in masked for table_id in block.table_ids]
+    offsets = block.posting_offsets
+    return (
+        [end - start - sum(hidden[start:end]) for start, end in zip(offsets, offsets[1:])],
+        spilled + sum(table_id not in masked for table_id in block.row_table_ids),
+    )
+
+
 # ----------------------------------------------------------------------
 # Merge: adjacent blocks -> one block, masked tables purged
 # ----------------------------------------------------------------------

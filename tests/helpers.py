@@ -133,6 +133,192 @@ def legacy_verify_table(rows, surviving):
     )
 
 
+class LegacyIngestBuffer:
+    """``IngestBuffer`` as it shipped before tables entered it as columns.
+
+    The per-cell reference: a mutable columnar ``InvertedIndex`` filled one
+    ``add_posting`` at a time with scalar-hashed row super keys, a buffered
+    drop filtering every posting list, ``seal`` flattening the index.  The
+    oracle of the ingest differential suite — kept verbatim apart from the
+    inlined ``IndexBuilder.add_table`` loop.
+    """
+
+    def __init__(self, config=None, hash_function_name="xash"):
+        from repro import MateConfig
+        from repro.hashing import SuperKeyGenerator
+        from repro.index import InvertedIndex
+
+        self.config = config or MateConfig()
+        self.generator = SuperKeyGenerator.from_name(hash_function_name, self.config)
+        self.index = InvertedIndex(
+            hash_function_name=hash_function_name,
+            hash_size=self.config.hash_size,
+            layout="columnar",
+        )
+        self.table_seqs: dict[int, int] = {}
+
+    def __len__(self) -> int:
+        return len(self.table_seqs)
+
+    def num_rows(self) -> int:
+        return self.index.num_rows()
+
+    def num_posting_items(self) -> int:
+        return self.index.num_posting_items()
+
+    def add_table(self, table, seq: int) -> int:
+        from repro.datamodel import MISSING
+
+        for row_index, row in enumerate(table.rows):
+            self.index.set_super_key(
+                table.table_id, row_index, self.generator.row_super_key(row)
+            )
+            for column_index, value in enumerate(row):
+                if value != MISSING:
+                    self.index.add_posting(
+                        value, table.table_id, column_index, row_index
+                    )
+        self.table_seqs[table.table_id] = seq
+        return table.num_rows
+
+    def drop_table(self, table_id: int) -> int:
+        if table_id not in self.table_seqs:
+            return 0
+        del self.table_seqs[table_id]
+        return self.index.remove_table(table_id)
+
+    def seal(self):
+        from repro.storage.paged import MappedSegmentIndex
+        from repro.storage.segment_block import flatten_index
+
+        return MappedSegmentIndex(flatten_index(self.index))
+
+
+def legacy_ingest_buffer(config=None, hash_function_name="xash") -> LegacyIngestBuffer:
+    """A fresh :class:`LegacyIngestBuffer` (``IngestBuffer``'s signature)."""
+    return LegacyIngestBuffer(config, hash_function_name)
+
+
+class LegacySketchIndex:
+    """``SketchIndex`` as it shipped before buckets were keyed by signature
+    bytes: one ``minhash_signature`` call and one 128-integer tuple per
+    column, ``bands`` tuple keys per signature, every bucket a set.  The
+    oracle of the sketch differential — kept verbatim apart from the
+    dropped persistence."""
+
+    def __init__(self, config=None):
+        from repro.sketch import DEFAULT_SKETCH_CONFIG, permutation_params
+
+        self.config = config or DEFAULT_SKETCH_CONFIG
+        self._params = permutation_params(self.config.num_perm, self.config.seed)
+        self._sketches: dict = {}
+        self._buckets: list[dict] = [{} for _ in range(self.config.bands)]
+
+    def signature(self, values):
+        from repro.sketch import minhash_signature
+
+        return minhash_signature(values, *self._params)
+
+    def _band_keys(self, signature):
+        rows = self.config.rows
+        return [
+            tuple(signature[band * rows : (band + 1) * rows])
+            for band in range(self.config.bands)
+        ]
+
+    def add_table(self, table) -> int:
+        added = 0
+        for column_index in range(table.num_columns):
+            values = table.distinct_column_values(column_index)
+            if not values:
+                continue
+            signature = self.signature(values)
+            self._sketches.setdefault(table.table_id, {})[column_index] = (
+                len(values),
+                signature,
+            )
+            for bucket, key in zip(self._buckets, self._band_keys(signature)):
+                bucket.setdefault(key, set()).add(table.table_id)
+            added += 1
+        return added
+
+    def remove_table(self, table_id: int) -> bool:
+        columns = self._sketches.pop(table_id, None)
+        if columns is None:
+            return False
+        for _cardinality, signature in columns.values():
+            for bucket, key in zip(self._buckets, self._band_keys(signature)):
+                members = bucket.get(key)
+                if members is None:
+                    continue
+                members.discard(table_id)
+                if not members:
+                    del bucket[key]
+        return True
+
+    def table_ids(self) -> set[int]:
+        return set(self._sketches)
+
+    def candidate_tables(self, signature) -> set[int]:
+        candidates: set[int] = set()
+        for bucket, key in zip(self._buckets, self._band_keys(signature)):
+            candidates.update(bucket.get(key, ()))
+        return candidates
+
+    def query(self, values, threshold=0.0, max_candidates=None):
+        from repro.sketch import containment_estimate, jaccard_estimate
+
+        distinct = set(values)
+        signature = self.signature(distinct)
+        scored = []
+        for table_id in self.candidate_tables(signature):
+            best = max(
+                containment_estimate(
+                    jaccard_estimate(stored, signature), len(distinct), cardinality
+                )
+                for cardinality, stored in self._sketches[table_id].values()
+            )
+            if best >= threshold:
+                scored.append((table_id, best))
+        scored.sort(key=lambda entry: (-entry[1], entry[0]))
+        return scored if max_candidates is None else scored[:max_candidates]
+
+
+def write_legacy_sketch_pair(index, directory, stem="sketches") -> None:
+    """``SketchIndex.save`` as it shipped before the one-file format: the
+    ``<stem>.bin`` + ``<stem>.json`` pair a live directory of an older
+    build holds (what ``SketchIndex.load_legacy`` and the migration read)."""
+    import json
+    import struct
+    from pathlib import Path
+
+    sketches = index.column_sketches()
+    payload = bytearray(
+        struct.pack("<4sIIQ", b"MSKB", 1, index.config.num_perm, len(sketches))
+    )
+    for sketch in sketches:
+        payload += struct.pack(
+            "<QIQ", sketch.table_id, sketch.column_index, sketch.cardinality
+        )
+        payload += struct.pack(f"={len(sketch.signature)}Q", *sketch.signature)
+    directory = Path(directory)
+    (directory / f"{stem}.bin").write_bytes(bytes(payload))
+    manifest = {
+        "format_version": 1,
+        "kind": "sketch-index",
+        "num_perm": index.config.num_perm,
+        "bands": index.config.bands,
+        "rows": index.config.rows,
+        "seed": index.config.seed,
+        "count": len(sketches),
+        "data_file": f"{stem}.bin",
+        "data_bytes": len(payload),
+    }
+    (directory / f"{stem}.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
+    )
+
+
 def legacy_discover(engine, query, k=None, *, budget=None, on_snapshot=None):
     """The pre-planner ``MateDiscovery.discover`` loop, kept verbatim.
 

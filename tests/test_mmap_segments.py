@@ -52,7 +52,7 @@ from repro.storage import (
 )
 from repro.storage.serialization import save_index_json
 
-from tests.helpers import assert_blocks_equal
+from tests.helpers import assert_blocks_equal, legacy_ingest_buffer
 
 CONFIG = MateConfig(
     hash_size=128, k=3, expected_unique_values=1000, index_layout="columnar"
@@ -188,25 +188,26 @@ class TestRoundTrip:
 
     def test_sealed_buffer_serves_the_buffer_blocks_from_the_heap(self, tmp_path):
         buffer = IngestBuffer(config=CONFIG)
+        loop = legacy_ingest_buffer(config=CONFIG)
         for seq, table in enumerate(make_corpus(seed=5), start=1):
             buffer.add_table(table, seq)
+            loop.add_table(table, seq)
+        before = buffer.index.fetch_batch(PROBES)
+        assert_blocks_equal(before, loop.index.fetch_batch(PROBES))
         sealed = buffer.seal()
         assert isinstance(sealed, MappedSegmentIndex) and sealed.path is None
-        assert_blocks_equal(
-            sealed.fetch_batch(PROBES), buffer.index.fetch_batch(PROBES)
-        )
+        assert_blocks_equal(sealed.fetch_batch(PROBES), before)
         assert isinstance(sealed.fetch_batch(PROBES)[0].table_ids, memoryview)
         # An already-flat segment is written as it is and reads back equal.
         path = write_segment(sealed, tmp_path / "sealed.seg", fsync=False)
         mapped = load_segment(path)
         try:
-            assert_blocks_equal(
-                mapped.fetch_batch(PROBES), buffer.index.fetch_batch(PROBES)
-            )
+            assert_blocks_equal(mapped.fetch_batch(PROBES), before)
         finally:
             mapped.close()
+        # No table was dropped: the bytes are the per-cell loop buffer's.
         assert path.read_bytes() == write_segment(
-            buffer.index, tmp_path / "buffer.seg", fsync=False
+            loop.index, tmp_path / "buffer.seg", fsync=False
         ).read_bytes()
 
     def test_writing_twice_gives_identical_bytes(self, segment, tmp_path):
@@ -668,6 +669,8 @@ class TestLiveIndexSegments:
     def directory_matches_manifest(self, directory: Path) -> None:
         manifest = json.loads((directory / "manifest.json").read_text("utf-8"))
         named = {entry["file"] for entry in manifest["segments"]}
+        # Every segment has its sketch file beside it, and nothing else does.
+        named |= {name.replace(SEGMENT_SUFFIX, ".sk") for name in named}
         assert {
             path.name for path in directory.iterdir()
             if path.name.startswith("segment-") or path.name.endswith(".tmp")

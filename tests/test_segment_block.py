@@ -20,10 +20,15 @@ from hypothesis import strategies as st
 
 from repro import MateConfig, Table
 from repro.index import numpy_available, use_kernel
-from repro.ingest import IngestBuffer, Segment, merge_segments
+from repro.ingest import Segment, merge_segments
 from repro.storage.segment_block import SegmentBlock, flatten_index, merge_blocks
 
-from tests.helpers import assert_blocks_equal, block_columns, legacy_merge_segments
+from tests.helpers import (
+    assert_blocks_equal,
+    block_columns,
+    legacy_ingest_buffer,
+    legacy_merge_segments,
+)
 
 CONFIG = MateConfig(hash_size=128, k=5, expected_unique_values=10_000)
 
@@ -73,15 +78,21 @@ def histories(draw):
 
 def build_segments(plan, base, anchored=True):
     """Replay ``plan`` the way a live index would: sequence numbers, buffer
-    drops, tombstones for sealed copies, one sealed buffer per step."""
+    drops, tombstones for sealed copies, one sealed buffer per step.
+
+    The buffers are the per-cell loop buffer (``flatten_index`` at seal, in
+    the lane under test): only a mutable index can be handed a spilled key,
+    and its vocabulary order after a buffered drop is the same in both
+    lanes.  The column-store buffer has its own differential
+    (``tests/test_ingest_arrays.py``)."""
     seq = 0
-    buffered: dict[int, IngestBuffer] = {}  # visible table id -> its buffer
+    buffered: dict = {}  # visible table id -> its buffer
     sealed: set[int] = set()  # visible table ids living in a sealed segment
     tombstones: dict[int, int] = {}
     segments: list[Segment] = []
     fresh = 100
     for generation, moves in enumerate(plan, start=1):
-        buffer = IngestBuffer(config=CONFIG)
+        buffer = legacy_ingest_buffer(config=CONFIG)
         for op, slot, cells in moves:
             table_id = base + slot
             if op == "add":

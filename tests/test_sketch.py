@@ -24,6 +24,8 @@ Covers the :mod:`repro.sketch` subsystem end to end:
 from __future__ import annotations
 
 import json
+import struct
+from zlib import crc32
 
 import pytest
 
@@ -54,7 +56,7 @@ from repro.sketch import (
     use_sketch_kernel,
 )
 
-from tests.helpers import available_sketch_kernel_modes
+from tests.helpers import available_sketch_kernel_modes, write_legacy_sketch_pair
 
 CONFIG = MateConfig(hash_size=128, k=5, expected_unique_values=10_000)
 
@@ -180,32 +182,77 @@ class TestSketchIndex:
 
 
 class TestPersistence:
+    """The one-file ``.sk`` format, and the reader of the pair it replaced."""
+
     def test_save_load_round_trip(self, tmp_path):
         index = SketchIndex()
         for table in make_corpus():
             index.add_table(table)
-        manifest_path = index.save(tmp_path)
-        assert manifest_path.exists()
-        assert (tmp_path / "sketches.bin").exists()
-        loaded = SketchIndex.load(tmp_path)
-        assert loaded.config == index.config
-        assert loaded.table_ids() == index.table_ids()
+        path = index.save(tmp_path)
+        assert path == tmp_path / "sketches.sk" and path.exists()
+        assert not list(tmp_path.glob("*.tmp"))
         probe = ["berlin", "paris", "ada"]
-        assert loaded.query(probe) == index.query(probe)
+        write_legacy_sketch_pair(index, tmp_path)
+        for loaded in (SketchIndex.load(tmp_path), SketchIndex.load_legacy(tmp_path)):
+            assert loaded.config == index.config
+            assert loaded.table_ids() == index.table_ids()
+            assert loaded.query(probe) == index.query(probe)
+            assert [
+                (sketch.table_id, sketch.column_index, sketch.cardinality, sketch.packed)
+                for sketch in loaded.column_sketches()
+            ] == [
+                (sketch.table_id, sketch.column_index, sketch.cardinality, sketch.packed)
+                for sketch in index.column_sketches()
+            ]
+        # Saving is deterministic, whatever order the tables arrived in.
+        again = SketchIndex()
+        for table in reversed(list(make_corpus())):
+            again.add_table(table)
+        assert again.save(tmp_path, stem="again").read_bytes() == path.read_bytes()
+
+    def test_a_subset_of_the_tables_is_saved_and_loaded(self, tmp_path):
+        index = SketchIndex()
+        tables = list(make_corpus())
+        for table in tables:
+            index.add_table(table)
+        ids = [table.table_id for table in tables]
+        index.save(tmp_path, stem="part", table_ids=ids[:2], fsync=False)
+        assert SketchIndex.load(tmp_path, "part").table_ids() == set(ids[:2])
+        # Files add up: each is read for the tables asked of it.
+        index.save(tmp_path, stem="rest", table_ids=ids[1:], fsync=False)
+        store = SketchIndex()
+        store.load_file(tmp_path / "part.sk", {ids[0]})
+        store.load_file(tmp_path / "rest.sk")
+        assert store.table_ids() == set(ids)
+        probe = ["berlin", "paris", "ada"]
+        assert store.query(probe) == index.query(probe)
+        with pytest.raises(StorageError, match="was written as"):
+            SketchIndex(SketchIndexConfig(num_perm=64, bands=32, rows=2)).load_file(
+                tmp_path / "part.sk"
+            )
 
     def test_missing_manifest_raises(self, tmp_path):
-        with pytest.raises(StorageError, match="no sketch manifest"):
+        with pytest.raises(StorageError, match="no sketch file"):
             SketchIndex.load(tmp_path)
+        with pytest.raises(StorageError, match="no sketch manifest"):
+            SketchIndex.load_legacy(tmp_path)
 
     def test_corrupt_manifest_raises(self, tmp_path):
         (tmp_path / "sketches.json").write_text("{not json", encoding="utf-8")
         with pytest.raises(StorageError, match="corrupt sketch manifest"):
+            SketchIndex.load_legacy(tmp_path)
+        index = SketchIndex()
+        index.add_table(Table(1, "t", ["a"], [["x"]]))
+        data = bytearray(index.save(tmp_path).read_bytes())
+        data[len(data) // 2] ^= 0x40  # one flipped bit inside a signature
+        (tmp_path / "sketches.sk").write_bytes(bytes(data))
+        with pytest.raises(StorageError, match="checksum"):
             SketchIndex.load(tmp_path)
 
     def test_version_drift_raises(self, tmp_path):
         index = SketchIndex()
         index.add_table(Table(1, "t", ["a"], [["x"]]))
-        index.save(tmp_path)
+        write_legacy_sketch_pair(index, tmp_path)
         manifest = json.loads(
             (tmp_path / "sketches.json").read_text(encoding="utf-8")
         )
@@ -214,16 +261,29 @@ class TestPersistence:
             json.dumps(manifest), encoding="utf-8"
         )
         with pytest.raises(StorageError, match="format_version"):
+            SketchIndex.load_legacy(tmp_path)
+        # The one-file format: another version under a valid checksum.
+        body = bytearray(index.save(tmp_path).read_bytes()[:-4])
+        body[4:8] = struct.pack("=I", 999)
+        (tmp_path / "sketches.sk").write_bytes(
+            bytes(body) + struct.pack("=I", crc32(bytes(body)))
+        )
+        with pytest.raises(StorageError, match="magic/version"):
             SketchIndex.load(tmp_path)
 
     def test_truncated_data_file_raises(self, tmp_path):
         index = SketchIndex()
         index.add_table(Table(1, "t", ["a"], [["x"]]))
-        index.save(tmp_path)
+        write_legacy_sketch_pair(index, tmp_path)
         data = (tmp_path / "sketches.bin").read_bytes()
         (tmp_path / "sketches.bin").write_bytes(data[: len(data) // 2])
         with pytest.raises(StorageError):
-            SketchIndex.load(tmp_path)
+            SketchIndex.load_legacy(tmp_path)
+        data = index.save(tmp_path).read_bytes()
+        for keep in (0, 10, len(data) // 2, len(data) - 1):
+            (tmp_path / "sketches.sk").write_bytes(data[:keep])
+            with pytest.raises(StorageError):
+                SketchIndex.load(tmp_path)
 
 
 def _strip_runtime(result) -> tuple:
@@ -335,6 +395,11 @@ class TestDiscoveryIntegration:
         assert recall >= 0.95
 
 
+def sketch_files(directory) -> list[str]:
+    """Names of the sketch files in a live directory, sorted."""
+    return sorted(path.name for path in directory.glob("*.sk"))
+
+
 class TestLiveIndexFreshness:
     def _table(self, table_id: int) -> Table:
         return Table(
@@ -349,7 +414,9 @@ class TestLiveIndexFreshness:
             live.add_table(self._table(table_id))
         live.seal()
         live.close()
-        assert (directory / "sketches.json").exists()
+        # One sketch file per segment, beside its postings.
+        assert sketch_files(directory) == ["segment-000001.sk"]
+        assert (directory / "segment-000001.seg").exists()
 
         reopened = LiveIndex.open(directory, config=CONFIG)
         store = reopened.sketch_index()
@@ -375,9 +442,10 @@ class TestLiveIndexFreshness:
         recovered.close()
 
     def test_crash_after_a_merge_that_purged_a_tombstone(self, tmp_path):
-        # A merge rewrites no sketches: the store on disk is the last
-        # seal's and still lists the removed table.  The remove sits in the
-        # WAL behind the checkpoint, so replay drops it again.
+        # A merge copies the surviving tables' sketches into the merged
+        # segment's file and drops the inputs' with their postings; the
+        # purged table is in neither.  The remove also sits in the WAL
+        # behind the checkpoint, so replay applies it again (a no-op).
         directory = tmp_path / "live"
         live = LiveIndex.open(directory, config=CONFIG)
         tables = {table_id: self._table(table_id) for table_id in range(5)}
@@ -387,12 +455,13 @@ class TestLiveIndexFreshness:
         for table_id in (2, 3):
             live.add_table(tables[table_id])
         live.seal()
-        persisted = (directory / "sketches.bin").read_bytes()
+        assert sketch_files(directory) == ["segment-000001.sk", "segment-000002.sk"]
         live.remove_table(1)
         assert live.tombstones
         assert live.merge(0, None) is not None
         assert live.tombstones == {}  # purged with the table's postings
-        assert (directory / "sketches.bin").read_bytes() == persisted
+        assert sketch_files(directory) == ["segment-000003.sk"]
+        assert SketchIndex.load(directory, "segment-000003").table_ids() == {0, 2, 3}
         live.add_table(tables[4])  # WAL only
         # Crash: the process state is abandoned — no seal, no close().
 
@@ -440,16 +509,21 @@ class TestLiveIndexFreshness:
         live.add_table(self._table(0))
         live.seal()
         live.close()
-        (directory / "sketches.json").unlink()
-        (directory / "sketches.bin").unlink()
+        (directory / "segment-000001.sk").unlink()
 
         reopened = LiveIndex.open(directory, config=CONFIG)
         # Sealed postings cannot be re-sketched: the store is stale and
         # never served (the session falls back to a corpus-built store).
         assert reopened.sketch_index() is None
-        reopened.seal()
-        assert not (directory / "sketches.json").exists()
+        reopened.add_table(self._table(1))
+        assert reopened.seal() is not None
+        assert reopened.merge(0, None) is not None
+        # ... nor written: a later reopen would take it for complete.
+        assert sketch_files(directory) == []
         reopened.close()
+        again = LiveIndex.open(directory, config=CONFIG)
+        assert again.sketch_index() is None
+        again.close()
 
     def test_session_falls_back_when_live_store_is_stale(self, tmp_path):
         directory = tmp_path / "live"
@@ -461,8 +535,7 @@ class TestLiveIndexFreshness:
             live.add_table(table)
         live.seal()
         live.close()
-        (directory / "sketches.json").unlink()
-        (directory / "sketches.bin").unlink()
+        (directory / "segment-000001.sk").unlink()
 
         reopened = LiveIndex.open(directory, config=CONFIG)
         with DiscoverySession(corpus, reopened, config=CONFIG) as session:
