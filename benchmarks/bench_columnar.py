@@ -1,9 +1,8 @@
-"""Benchmark: the packed posting-list layout and its prefilter kernels.
+"""Benchmark: the packed posting-list layout and its prefilter.
 
 Times the fetch and filter of the packed struct-of-arrays layout
-(`repro.index.columnar`), with the vectorized prefilter against the per-row
-loop on identical top-k discovery results — the smoke benchmark the CI bench
-job tracks via ``scripts/export_bench_json.py``.
+(`repro.index.columnar`) and the prefilter stage's share of discovery — the
+smoke benchmark the CI bench job tracks via ``scripts/export_bench_json.py``.
 """
 
 from repro.experiments import run_columnar
@@ -18,15 +17,4 @@ def test_columnar_layout(run_once):
 
     by_layout = {row["layout"]: row for row in result.row_dicts()}
     columnar = by_layout["columnar"]
-    loop = by_layout["columnar/loop"]
-
-    # Correctness first: the kernels-off re-run produces identical top-k
-    # results on every query.
-    matched, total = str(loop["top-k identical"]).split("/")
-    assert matched == total
-
-    # The vectorized prefilter kernels must not lose to the per-row loop on
-    # the prefilter stage (in practice they win by ~4-6x at benchmark scale;
-    # scripts/check_bench_stage_stats.py enforces a stronger bound on the
-    # exported JSON).
-    assert float(columnar["prefilter s"]) <= float(loop["prefilter s"])
+    assert 0.0 <= float(columnar["prefilter s"]) <= float(columnar["discover s"])

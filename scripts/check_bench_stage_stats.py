@@ -3,10 +3,8 @@
 
 Run by the CI ``bench-smoke`` job after ``scripts/export_bench_json.py``:
 asserts that the benchmark JSON actually carries the prefilter stage
-columns the performance trajectory is tracked by, enforces the
-kernel-vs-loop regression guard — the vectorized prefilter
-(``repro.index.kernels``) must beat the per-row loop on the prefilter
-stage of ``BENCH_columnar.json`` — enforces the sketch-tier
+columns the performance trajectory is tracked by (``BENCH_columnar.json``
+and ``BENCH_planner.json``), enforces the sketch-tier
 recall-vs-speedup guard on ``BENCH_sketch.json`` (>= 5x candidate
 reduction at recall >= 0.95, threshold=0 byte-identical to exact),
 enforces the SQL-pushdown guard on ``BENCH_sql.json`` (top-k identical to
@@ -14,10 +12,6 @@ mate, zero Python-side posting fetches, runtime within 1.2x of the exact
 engine), and enforces the idle-telemetry overhead guard on
 ``BENCH_telemetry.json`` (a default session, telemetry off, stays within
 2% of the bare engine).
-
-The speedup bound is deliberately lenient (CI runners are noisy and the
-smoke corpus is tiny); locally the kernels win by ~4-6x at benchmark
-scale.
 
 Usage::
 
@@ -30,9 +24,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-
-#: The prefilter kernels must be at least this much faster than the loop.
-MIN_KERNEL_SPEEDUP = 1.5
 
 #: The sketch prune must shrink the candidate universe at least this much.
 MIN_SKETCH_CANDIDATE_REDUCTION = 5.0
@@ -51,36 +42,19 @@ def _load(directory: Path, name: str) -> dict:
 def check_columnar(directory: Path) -> list[str]:
     payload = _load(directory, "columnar")
     rows = {row["layout"]: row for row in payload["row_dicts"]}
+    if "columnar" not in rows:
+        return [f"BENCH_columnar.json rows {sorted(rows)} are missing 'columnar'"]
     problems = []
-    expected = {"columnar", "columnar/loop"}
-    if not expected <= set(rows):
-        return [
-            f"BENCH_columnar.json rows {sorted(rows)} are missing "
-            f"{sorted(expected - set(rows))}"
-        ]
-    for layout in expected:
-        for column in ("prefilter s", "discover s"):
-            try:
-                value = float(rows[layout][column])
-            except (KeyError, ValueError) as exc:
-                problems.append(
-                    f"BENCH_columnar.json {layout!r} lacks a numeric "
-                    f"{column!r} column: {exc}"
-                )
-                continue
-            if value < 0:
-                problems.append(
-                    f"BENCH_columnar.json {layout!r} {column!r} is negative"
-                )
-    if problems:
-        return problems
-    kernel = float(rows["columnar"]["prefilter s"])
-    loop = float(rows["columnar/loop"]["prefilter s"])
-    if loop < MIN_KERNEL_SPEEDUP * kernel:
-        problems.append(
-            f"prefilter kernel regression: kernel {kernel:.4f}s vs loop "
-            f"{loop:.4f}s is below the {MIN_KERNEL_SPEEDUP}x guard"
-        )
+    for column in ("prefilter s", "discover s"):
+        try:
+            value = float(rows["columnar"][column])
+        except (KeyError, ValueError) as exc:
+            problems.append(
+                f"BENCH_columnar.json lacks a numeric {column!r} column: {exc}"
+            )
+            continue
+        if value < 0:
+            problems.append(f"BENCH_columnar.json {column!r} is negative")
     return problems
 
 
@@ -331,8 +305,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {problem}", file=sys.stderr)
         return 1
     print(
-        "bench stage stats OK: prefilter columns present, kernel beats "
-        "loop, serving top-k identical, sketch prune within the "
+        "bench stage stats OK: prefilter columns present, "
+        "serving top-k identical, sketch prune within the "
         "recall/speedup guard, sql pushdown identical with zero Python "
         "fetches and within the runtime guard, idle telemetry within the "
         "overhead guard"

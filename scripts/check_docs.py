@@ -29,8 +29,7 @@ REQUIRED_SECTIONS: dict[str, tuple[str, ...]] = {
     ),
     "README.md": (
         "--explain",
-        "MATE_KERNEL",
-        "MATE_SKETCH",
+        "Vectorized prefilter",
         "Mmap-backed segments",
         "Approximate tier",
         "## Serving",

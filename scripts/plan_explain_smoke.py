@@ -29,7 +29,6 @@ if str(_SRC) not in sys.path:
 from repro.cli import main as cli_main  # noqa: E402
 from repro.experiments.planner import _build_skew_scenario  # noqa: E402
 from repro.experiments.runner import ExperimentSettings  # noqa: E402
-from repro.index import active_kernel  # noqa: E402
 from repro.storage import save_corpus_json  # noqa: E402
 
 
@@ -68,14 +67,10 @@ def main() -> int:
             )
             assert "plan: mode=" + mode in output, output
             assert "stages:" in output, output
-            # Which path served the request is part of the explanation: the
-            # request-level arrays need numpy.
+            # Which path served the request is part of the explanation.
             path = re.search(r"execution path: (\w+)(?: \((.+)\))?", output)
             assert path is not None, output
-            if active_kernel() == "numpy":
-                assert path.groups() == ("batch", None), output
-            else:
-                assert path.group(1) == "table" and path.group(2), output
+            assert path.groups() == ("batch", None), output
             for stage in (
                 "candidate_generation",
                 "superkey_prefilter",

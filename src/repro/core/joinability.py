@@ -31,10 +31,7 @@ from collections import defaultdict
 from itertools import permutations, product
 from typing import Iterable, Sequence
 
-try:  # numpy is an optional accelerator (the ``accel`` extra), never required
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI entry
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 from ..datamodel import MISSING, QueryTable, Table
 from ..datamodel.encoding import EncodedKeys

@@ -40,10 +40,7 @@ import weakref
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Sequence
 
-try:  # numpy is an optional accelerator; only the numpy kernel encodes
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI entry
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
     from .table import Table

@@ -3,16 +3,12 @@
 Times the packed struct-of-arrays layout of :mod:`repro.index.columnar` on
 the discovery hot path: the corpus is indexed, the initialization-step fetch
 (Algorithm 1 lines 4-5, via :func:`repro.index.fetch_table_blocks`) is timed
-over repeated passes, and the full engine runs every query.
-
-The study also isolates the vectorized prefilter kernels
-(:mod:`repro.index.kernels`): a second row re-runs discovery on the *same*
-index with kernels switched off, so the ``prefilter s`` column directly
-compares the batched reject test against the per-row loop on identical
-blocks, and the run asserts identical top-k output.  To exercise the regime the
-kernels are built for — long per-table posting runs, as produced by popular
-values in web-scale corpora — the corpus is augmented with a handful of
-*deep-posting* tables whose rows draw from the queries' probe values.
+over repeated passes, and the full engine runs every query, with the
+prefilter stage's share of it reported.  To exercise the regime the
+vectorized prefilter (:mod:`repro.index.kernels`) is built for — long
+per-table posting runs, as produced by popular values in web-scale corpora —
+the corpus is augmented with a handful of *deep-posting* tables whose rows
+draw from the queries' probe values.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ import time
 
 from ..core import MateDiscovery
 from ..datamodel import Table
-from ..index import active_kernel, build_index, fetch_table_blocks, use_kernel
+from ..index import build_index, fetch_table_blocks
 from .runner import ExperimentResult, ExperimentSettings, build_context
 
 #: Workload the study runs on by default.
@@ -67,7 +63,7 @@ def _add_deep_posting_tables(corpus, queries, seed: int) -> None:
 
 
 def _timed_discovery(engine, queries):
-    """Run every query; total wall clock, prefilter stage seconds, top-k."""
+    """Run every query; total wall clock and prefilter stage seconds."""
     prefilter_seconds = 0.0
     started = time.perf_counter()
     results = [engine.discover(query) for query in queries]
@@ -76,8 +72,7 @@ def _timed_discovery(engine, queries):
         stage = result.counters.stages.get("superkey_prefilter")
         if stage is not None:
             prefilter_seconds += stage.seconds
-    topk = [result.result_tuples() for result in results]
-    return discover_seconds, prefilter_seconds, topk
+    return discover_seconds, prefilter_seconds
 
 
 def run_columnar(
@@ -85,16 +80,12 @@ def run_columnar(
     workload_name: str = DEFAULT_COLUMNAR_WORKLOAD,
     fetch_repeats: int = 10,
 ) -> ExperimentResult:
-    """Time the packed posting layout and its prefilter kernels on one workload.
+    """Time the packed posting layout and its prefilter on one workload.
 
     The ``columnar`` row: index build time, total time of ``fetch_repeats``
     repeated initialization-step fetches over every query's probe values
     (the serving pattern — hot values recur, so warm fetches dominate), total
     discovery time across all queries and the prefilter stage's share of it.
-    The ``columnar/loop`` row re-runs the same index with the vectorized
-    kernels disabled — the prefilter-stage ratio between the two rows is the
-    kernel speedup, and its top-k must match the kernel run's query for
-    query.
     """
     context = build_context(workload_name, settings)
     corpus = context.workload.corpus
@@ -117,16 +108,7 @@ def run_columnar(
             items_fetched += sum(len(block) for block in blocks.values())
     fetch_seconds = time.perf_counter() - started
 
-    discover_seconds, prefilter_seconds, topk = _timed_discovery(
-        engine, context.queries
-    )
-    # Same index, same queries, kernels off: the per-row loop baseline for
-    # the prefilter stage.
-    with use_kernel("off"):
-        discover_loop, prefilter_loop, topk_loop = _timed_discovery(
-            engine, context.queries
-        )
-    matched_loop = sum(1 for a, b in zip(topk, topk_loop) if a == b)
+    discover_seconds, prefilter_seconds = _timed_discovery(engine, context.queries)
     rows: list[list[object]] = [
         [
             "columnar",
@@ -135,31 +117,14 @@ def run_columnar(
             items_fetched,
             round(discover_seconds, 4),
             round(prefilter_seconds, 4),
-            "reference",
-        ],
-        [
-            "columnar/loop",
-            round(build_seconds, 4),
-            round(fetch_seconds, 4),
-            items_fetched,
-            round(discover_loop, 4),
-            round(prefilter_loop, 4),
-            f"{matched_loop}/{len(topk_loop)}",
         ],
     ]
-    notes: list[str] = []
-    if prefilter_seconds > 0:
-        notes.append(
-            f"prefilter kernel ({active_kernel() or 'off'}) speedup "
-            f"over per-row loop: "
-            f"{prefilter_loop / prefilter_seconds:.2f}x"
-        )
-    notes.append(
+    notes = [
         f"fetch column: {fetch_repeats} repeated initialization-step fetches "
         f"over {len(context.queries)} queries of {workload_name} "
         f"(+{DEEP_POSTING_TABLES} deep-posting tables of "
         f"{DEEP_POSTING_ROWS} rows)"
-    )
+    ]
     return ExperimentResult(
         name=f"Columnar posting layout — {workload_name}",
         headers=[
@@ -169,7 +134,6 @@ def run_columnar(
             "PL items / pass",
             "discover s",
             "prefilter s",
-            "top-k identical",
         ],
         rows=rows,
         notes=notes,

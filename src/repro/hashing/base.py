@@ -17,13 +17,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
+import numpy as _np
+
 from ..config import MateConfig
 from ..exceptions import HashingError
-
-try:  # numpy is an optional accelerator; only the array build hashes in batches
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI entry
-    _np = None  # type: ignore[assignment]
 
 V = TypeVar("V")
 
@@ -56,7 +53,7 @@ def hash_each(
     hash_value: Callable[[str], int], values: Sequence[str], hash_size: int
 ) -> Any:
     """``hash_value`` of every value as a ``(len(values), key_width)``
-    big-endian ``uint8`` matrix (requires numpy) — the packed form super
+    big-endian ``uint8`` matrix — the packed form super
     keys are stored and prefiltered in."""
     width = key_width(hash_size)
     try:
@@ -95,7 +92,7 @@ class HashFunction(ABC):
 
     def hash_batch(self, values: Sequence[str]) -> Any:
         """The hash of every value as one ``(len(values), key_width)``
-        big-endian ``uint8`` matrix (requires numpy).
+        big-endian ``uint8`` matrix.
 
         Row ``i`` is ``hash_value(values[i])`` packed; the bulk index build
         hashes a corpus' distinct values through this entry point.  This

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Sequence
 
+import numpy as _np
+
 from ..config import MateConfig
 from .base import (
     MAX_MEMO_ENTRIES,
@@ -32,11 +34,6 @@ from .base import (
 )
 from .bitvector import subsumes
 from .xash import XashHashFunction
-
-try:  # numpy is an optional accelerator; only the array lanes hash in batches
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI entry
-    _np = None  # type: ignore[assignment]
 
 
 class SuperKeyGenerator:
@@ -70,7 +67,7 @@ class SuperKeyGenerator:
 
     def hash_matrix(self, values: Sequence[str]) -> Any:
         """The hash of every value as a ``(len(values), key_width)``
-        big-endian ``uint8`` matrix (requires numpy): the hash function's
+        big-endian ``uint8`` matrix: the hash function's
         :meth:`~repro.hashing.base.HashFunction.hash_batch`, or its
         ``hash_value`` per value when it is a plain object without one."""
         batch = getattr(self.hash_function, "hash_batch", None)

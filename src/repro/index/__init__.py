@@ -9,20 +9,10 @@ from .columnar import (
     compute_table_runs,
     fetch_table_blocks,
     group_into_table_blocks,
-    pack_super_keys,
     unpack_super_keys,
 )
 from .inverted import InvertedIndex
-from .kernels import (
-    PrefilterResult,
-    active_kernel,
-    entry_coverage,
-    numpy_available,
-    prefilter_block,
-    prefilter_table_block,
-    set_kernel,
-    use_kernel,
-)
+from .kernels import entry_coverage
 from .maintenance import IndexMaintainer
 from .posting import FetchedItem, PostingListItem
 from .sharded import (
@@ -50,20 +40,12 @@ __all__ = [
     "FetchedItem",
     "IndexBuildReport",
     "PackedSuperKeys",
-    "PrefilterResult",
     "TableBlock",
-    "active_kernel",
     "compute_table_runs",
     "entry_coverage",
     "fetch_table_blocks",
     "group_into_table_blocks",
-    "numpy_available",
-    "pack_super_keys",
-    "prefilter_block",
-    "prefilter_table_block",
-    "set_kernel",
     "unpack_super_keys",
-    "use_kernel",
     "IndexBuilder",
     "IndexMaintainer",
     "IndexStorageReport",

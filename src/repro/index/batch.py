@@ -3,7 +3,7 @@ in one array pass.
 
 The table-at-a-time path regroups the fetched postings into one
 :class:`~repro.index.columnar.TableBlock` per candidate table and runs the
-prefilter once per block.  With numpy, a request instead keeps its
+prefilter once per block.  A request on the batch path instead keeps its
 :class:`~repro.index.columnar.FetchBlock` s and builds :class:`RequestArrays`
 once; a candidate table is then a *span* ``range(start, stop)`` of positions
 and prefiltering it is arithmetic on prefix sums.
@@ -26,9 +26,10 @@ each position as a prefix sum, the table's ``deficit``-th unmatched row is a
 single index lookup; rows checked, super-key checks, short-circuit hits and
 the surviving pairs of the scanned prefix are prefix-sum differences.
 
-The arrays need the numpy kernel, row-filter mode ``superkey``, an index with
-``fetch_batch`` and a packed super-key buffer on every fetched block; the
-plan report names what was missing when the table-at-a-time path ran instead
+The arrays serve row-filter modes ``superkey`` and ``none`` (the SCR
+baseline: every key entry survives, no super-key check is charged) and need
+a packed super-key buffer on every fetched block; the plan report names what
+was missing when the table-at-a-time path ran instead
 (:attr:`~repro.plan.planner.PlanReport.table_path_reason`).
 """
 
@@ -80,13 +81,16 @@ class RequestArrays:
         blocks: Sequence[FetchBlock],
         key_map: Mapping[str, Sequence[KeyEntry]],
         length_shift: int | None,
+        check_keys: bool = True,
     ):
         """``blocks`` in probe order; ``key_map`` / ``length_shift`` (the
         XASH length-segment bit position, ``None`` without one) are what the
-        prefilter runs with, on the first :meth:`cut`."""
+        prefilter runs with, on the first :meth:`cut` — the super-key test
+        only with ``check_keys`` (row-filter mode ``superkey``)."""
         self.blocks = blocks
         self.key_map = key_map
         self.length_shift = length_shift
+        self.check_keys = check_keys
         #: Postings per block: as many as its packed key buffer holds.  The
         #: posting columns themselves may have grown since the fetch — a
         #: write buffer shares them with the snapshots in flight.
@@ -166,7 +170,10 @@ class RequestArrays:
             entries = key_map.get(block.value, ())
             counts.append(len(entries))
             if entries:
-                bitmaps = block.query_coverage(entries, length_shift, "numpy")
+                if self.check_keys:
+                    bitmaps = block.query_coverage(entries, length_shift)
+                else:  # mode "none": every entry survives, unchecked
+                    bitmaps = [(b"\x01" * count, None)] * len(entries)
                 covered.append(bitmaps[0][0])
                 short_circuited.append(bitmaps[0][1] or bytes(count))
                 for level in range(1, len(entries)):
@@ -214,7 +221,8 @@ class RequestArrays:
         #: hits and surviving pairs among the positions before ``p``.
         self.prefix = prefix = np.zeros((total + 1, 4), dtype=_INDEX)
         np.cumsum(unmatched, out=prefix[1:, 0])
-        np.cumsum(np.repeat(entry_counts, lengths)[order], out=prefix[1:, 1])
+        if self.check_keys:
+            np.cumsum(np.repeat(entry_counts, lengths)[order], out=prefix[1:, 1])
         np.cumsum(hits[order], out=prefix[1:, 2])
         np.cumsum(pairs_per_posting, out=prefix[1:, 3])
         return EncodedKeys(tuples)

@@ -2,13 +2,9 @@
 
 :class:`IndexBuilder` emits one PL item per non-missing cell value and one
 super key per row, and records the timing/size statistics reported in
-Section 7.1 ("Index generation").  A bulk build has two lanes that produce
-the same index content: the array passes of :mod:`repro.index.bulk` (with
-the numpy kernel active — the rule
-:func:`~repro.storage.segment_block.flatten_index` selects its lanes by) and
-the per-cell :meth:`IndexBuilder.add_table` loop (everything else), which is
-also the write path of index maintenance and of the ingest buffer's loop
-lane.
+Section 7.1 ("Index generation").  A bulk build is the array passes of
+:mod:`repro.index.bulk`; the per-cell :meth:`IndexBuilder.add_table` loop
+is the write path of the sharded build.
 """
 
 from __future__ import annotations
@@ -16,14 +12,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from ..config import MateConfig
 from ..datamodel import MISSING, Table, TableCorpus
 from ..hashing import SuperKeyGenerator
 from .bulk import build_block
 from .inverted import InvertedIndex
-from .kernels import active_kernel
 
 if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
     from ..sketch import SketchIndex, SketchIndexConfig
@@ -105,31 +100,19 @@ class IndexBuilder:
     def _build(
         self, corpus: TableCorpus, sketch_index: "SketchIndex | None"
     ) -> InvertedIndex:
-        """One bulk build (see the module docstring for the two lanes); the
-        built index accepts every mutation either way."""
-        started = time.perf_counter()
-        arrays = active_kernel() == "numpy"
-        if arrays:
-            # Imported here: ``repro.storage`` itself imports ``repro.index``.
-            from ..storage.paged import MappedSegmentIndex
+        """One bulk build: the index is served from one CSR block and thaws
+        into a plain :class:`InvertedIndex` at its first mutation."""
+        # Imported here: ``repro.storage`` itself imports ``repro.index``.
+        from ..storage.paged import MappedSegmentIndex
 
-            index: InvertedIndex = MappedSegmentIndex(
-                build_block(
-                    corpus, self.super_key_generator, self.hash_function_name
-                ),
-                thaws=True,
-            )
-        else:
-            index = InvertedIndex(
-                hash_function_name=self.hash_function_name,
-                hash_size=self.config.hash_size,
-            )
-        if not arrays or sketch_index is not None:
+        started = time.perf_counter()
+        index: InvertedIndex = MappedSegmentIndex(
+            build_block(corpus, self.super_key_generator, self.hash_function_name),
+            thaws=True,
+        )
+        if sketch_index is not None:
             for table in corpus:
-                if not arrays:
-                    self.add_table(index, table)
-                if sketch_index is not None:
-                    sketch_index.add_table(table)
+                sketch_index.add_table(table)
         self.last_report = IndexBuildReport(
             hash_function=self.hash_function_name,
             hash_size=self.config.hash_size,
@@ -141,26 +124,18 @@ class IndexBuilder:
         )
         return index
 
-    def add_table(
-        self,
-        index: InvertedIndex,
-        table: Table,
-        super_keys: Iterable[int] | None = None,
-    ) -> int:
+    def add_table(self, index: InvertedIndex, table: Table) -> int:
         """Index a single table; returns the number of indexed rows.
 
         Each ``add_posting`` appends straight into the value's packed
         arrays — the build materialises no per-item records.
-        ``super_keys`` are the rows' super keys when the caller hashed them
-        already (the ingest buffer hashes a table before it logs it).
         """
         table_id = table.table_id
         set_super_key = index.set_super_key
         add_posting = index.add_posting
-        if super_keys is None:
-            super_keys = map(self.super_key_generator.row_super_key, table.rows)
-        for row_index, (row, super_key) in enumerate(zip(table.rows, super_keys)):
-            set_super_key(table_id, row_index, super_key)
+        row_super_key = self.super_key_generator.row_super_key
+        for row_index, row in enumerate(table.rows):
+            set_super_key(table_id, row_index, row_super_key(row))
             for column_index, value in enumerate(row):
                 if value == MISSING:
                     continue

@@ -22,8 +22,7 @@ as routines the bulk build (:func:`build_block`) and the ingest buffer
    ``flatten_index`` of the per-cell loop's index, column for column.
 
 A block has no spilled keys by construction: a hash wider than ``key_width``
-cannot come out of the matrix.  Requires numpy; both callers select this
-lane by :func:`repro.index.kernels.active_kernel`.
+cannot come out of the matrix.
 """
 
 from __future__ import annotations
@@ -31,14 +30,11 @@ from __future__ import annotations
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, Sequence
 
+import numpy as _np
+
 from ..datamodel import MISSING, Table
 from ..datamodel.encoding import MISSING_ID, intern_cells
 from ..hashing import SuperKeyGenerator
-
-try:  # numpy is an optional accelerator (the ``accel`` extra), never required
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI entry
-    _np = None  # type: ignore[assignment]
 
 if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
     from ..storage.segment_block import SegmentBlock

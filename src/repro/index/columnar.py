@@ -17,16 +17,15 @@ columnar, array-packed layouts.  This module holds the packed structures
   block per probed value, referencing the packed columns directly (zero-copy)
   with the super-key column attached;
 * :class:`TableBlock` — the per-candidate-table view Algorithm 1's filtering
-  loop iterates (lines 4-9) on the table-at-a-time path: row indexes and run
-  provenance assembled run-by-run, every other column on demand.
+  loop iterates (lines 4-9) on the table-at-a-time path: row indexes and
+  value runs assembled run-by-run, every other column on demand.
 
-Which consumer reads which structure: with the numpy kernel, row-filter mode
-``superkey`` and a packed buffer on every fetched block, a request keeps its
-:class:`FetchBlock` s and :mod:`repro.index.batch` turns their columns and
-memoised coverage bitmaps into request-level arrays — no :class:`TableBlock`
-is built.  Everything else (no numpy, ``MATE_KERNEL=fallback|off``, modes
-``none`` / ``oracle``, a block unpacked by a spilled key) regroups the fetch
-blocks with :func:`group_into_table_blocks`.
+Which consumer reads which structure: with a packed buffer on every fetched
+block, a request keeps its :class:`FetchBlock` s and :mod:`repro.index.batch`
+turns their columns and memoised coverage bitmaps into request-level arrays —
+no :class:`TableBlock` is built.  Row-filter mode ``oracle`` and a block
+unpacked by a spilled key regroup the fetch blocks with
+:func:`group_into_table_blocks`.
 
 Every structure can still be read as per-item records
 (:meth:`FetchBlock.items`, :meth:`ColumnarPostingList.items`), which is what
@@ -53,22 +52,6 @@ ValueRun = tuple[str, int, int]
 #: request, so without a bound each distinct key tuple ever probed against a
 #: hot value would stay behind; a dropped entry costs one vector pass.
 COVERAGE_MEMO_ENTRIES = 64
-
-
-def pack_super_keys(super_keys: Iterable[int], width_bytes: int) -> bytes | None:
-    """Pack integer super keys into one fixed-width big-endian buffer.
-
-    Returns ``None`` when any key does not fit ``width_bytes`` (oversize or
-    negative) — callers then stay on the per-integer path; correctness never
-    depends on the declared width.
-    """
-    out = bytearray()
-    try:
-        for super_key in super_keys:
-            out += super_key.to_bytes(width_bytes, "big")
-    except (AttributeError, OverflowError):
-        return None
-    return bytes(out)
 
 
 def unpack_super_keys(packed, width_bytes: int) -> list[int]:
@@ -467,18 +450,18 @@ class FetchBlock:
         return runs
 
     def entry_coverage(
-        self, key_super_key: int, length_shift: int | None, kernel: str
+        self, key_super_key: int, length_shift: int | None
     ) -> tuple[bytes, bytes | None]:
         """Memoised :func:`~repro.index.kernels.entry_coverage` of this block.
 
-        The vector pass over the whole posting column runs once per
-        ``(key entry, kernel)`` and every per-table block spliced out of
-        this fetch block reuses the bitmaps — that amortisation is what
-        makes the kernel path beat the row loop even on few-row candidate
-        tables.  Requires the packed buffer (``super_key_bytes``).
+        The vector pass over the whole posting column runs once per key
+        entry and every candidate table holding a slice of this fetch block
+        reuses the bitmaps — that amortisation is what makes the array path
+        beat the row loop even on few-row candidate tables.  Requires the
+        packed buffer (``super_key_bytes``).
         """
         cache = self._coverage_memo(1)
-        token = (key_super_key, length_shift, kernel)
+        token = (key_super_key, length_shift)
         hit = cache.get(token)
         if hit is None:
             from .kernels import entry_coverage
@@ -488,7 +471,6 @@ class FetchBlock:
                 self.key_width,
                 key_super_key,
                 length_shift,
-                kernel,
             )
         return hit
 
@@ -502,7 +484,7 @@ class FetchBlock:
         return cache
 
     def query_coverage(
-        self, entries, length_shift: int | None, kernel: str
+        self, entries, length_shift: int | None
     ) -> list[tuple[bytes, bytes | None]]:
         """All of a query value's entry bitmaps, memoised as one list.
 
@@ -512,14 +494,14 @@ class FetchBlock:
         query drops to a single dict hit even for multi-entry values.
         """
         cache = self._cov_cache
-        token = ("query", length_shift, kernel)
+        token = ("query", length_shift)
         hit = cache.get(token) if cache is not None else None
         if hit is not None and hit[0] is entries:
             return hit[1]
         # Room for all of this query's entries first, so they stay together.
         self._coverage_memo(len(entries) + 1)
         per_level = [
-            self.entry_coverage(key_super_key, length_shift, kernel)
+            self.entry_coverage(key_super_key, length_shift)
             for _key_tuple, key_super_key in entries
         ]
         self._coverage_memo(1)[token] = (entries, per_level)
@@ -566,18 +548,14 @@ class FetchBlock:
 class TableBlock:
     """All fetched postings of one candidate table (table-at-a-time path).
 
-    What the coverage-splicing prefilter reads is kept eagerly:
-    ``row_indexes``, ``value_runs`` (maximal runs of equal consecutive probe
-    values, known for free at assembly time) and ``cov_sources``, the
-    provenance of every run.  The other columns have one reader each — the
-    per-row loop (``values``, ``super_keys``) and :meth:`items`
-    (``column_indexes``) — and are only assembled, with slice copies from
-    the fetch blocks, when asked for, so the kernel path never converts or
-    copies what it does not read.  No packed super-key column is spliced:
-    the kernel path reads the fetch blocks' buffers through ``cov_sources``.
+    ``row_indexes`` and ``value_runs`` (maximal runs of equal consecutive
+    probe values, known for free at assembly time) are kept eagerly.  The
+    other columns — ``super_keys`` for the per-row loop, ``column_indexes``
+    for :meth:`items` — are only assembled, with slice copies from the fetch
+    blocks, when asked for.
     """
 
-    __slots__ = ("table_id", "row_indexes", "value_runs", "cov_sources",
+    __slots__ = ("table_id", "row_indexes", "value_runs",
                  "_column_indexes", "_super_keys", "_pending")
 
     def __init__(self, table_id: int):
@@ -585,11 +563,6 @@ class TableBlock:
         self.row_indexes: list[int] = []
         #: Maximal runs of equal consecutive probe values.
         self.value_runs: list[ValueRun] = []
-        #: Provenance of every appended run — ``(fetch block, fetch start,
-        #: table start, count)`` — for the coverage-splicing prefilter path;
-        #: degrades to ``None`` when a run arrives without a packed source
-        #: (a spilled oversize key).
-        self.cov_sources: list[tuple[FetchBlock, int, int, int]] | None = []
         self._column_indexes: list[int] = []
         self._super_keys: list[int] = []
         #: Runs not yet copied into the two columns above.
@@ -638,11 +611,6 @@ class TableBlock:
         position = len(self.row_indexes)
         self.row_indexes.extend(block.row_indexes[start:end])
         self._note_run(block.value, position, count)
-        if self.cov_sources is not None:
-            if block.super_key_bytes is not None:
-                self.cov_sources.append((block, start, position, count))
-            else:
-                self.cov_sources = None
         self._pending.append((block, start, end))
 
     def items(self) -> list[FetchedItem]:

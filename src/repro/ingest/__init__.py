@@ -7,8 +7,7 @@ packed columnar layout of :mod:`repro.index.columnar`:
 * :class:`~repro.ingest.buffer.IngestBuffer` — the mutable in-memory delta:
   a column store a table enters through the bulk build's own encode, batch
   XASH and layout routines (:mod:`repro.index.bulk`), read through a pinned
-  :class:`~repro.ingest.buffer.BufferView`; the per-cell loop over the shared
-  :class:`~repro.index.builder.IndexBuilder` where numpy is absent;
+  :class:`~repro.ingest.buffer.BufferView`;
 * :class:`~repro.ingest.wal.WriteAheadLog` — append-before-apply durability
   (and encode-before-append: nothing is logged that cannot be indexed);
   a crashed process replays the log to recover its exact buffer state;

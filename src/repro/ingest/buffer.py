@@ -8,23 +8,15 @@ does everything that can raise (interning, hashing) without touching the
 buffer, :meth:`IngestBuffer.install` cannot fail — so the live index logs a
 table only after it is known to be indexable.
 
-The buffer has two lanes holding the same content, selected once per buffer
-by the rule of the bulk build (:func:`repro.index.kernels.active_kernel`):
-
-* **column store** (numpy) — a table enters as columns: its cells are
-  interned and hashed by the routines of :mod:`repro.index.bulk` (values new
-  to the process in one batch XASH call) and appended to flat, amortised-
-  doubling arrays — per non-missing cell ``(value id, row number, column
-  index)``, per row ``(table id, row index, packed key)``, per value id a
-  posting count.  Sealing is :func:`~repro.index.bulk.layout_block` over
-  those arrays: a sealed buffer equals ``build_block`` of its surviving
-  tables in add order, column for column.  Reads go through a
-  :class:`BufferView`, which never lays the whole buffer out to answer a
-  fetch.
-* **loop** (no numpy, ``MATE_KERNEL=fallback|off``) — a small mutable
-  :class:`~repro.index.inverted.InvertedIndex` filled by
-  :meth:`IndexBuilder.add_table <repro.index.builder.IndexBuilder.add_table>`,
-  flattened into a block at seal.
+The buffer is a column store: a table enters as columns — its cells are
+interned and hashed by the routines of :mod:`repro.index.bulk` (values new
+to the process in one batch XASH call) and appended to flat, amortised-
+doubling arrays: per non-missing cell ``(value id, row number, column
+index)``, per row ``(table id, row index, packed key)``, per value id a
+posting count.  Sealing is :func:`~repro.index.bulk.layout_block` over those
+arrays: a sealed buffer equals ``build_block`` of its surviving tables in add
+order, column for column.  Reads go through a :class:`BufferView`, which
+never lays the whole buffer out to answer a fetch.
 
 Buffers are cheap to churn: a removed table that still lives in the buffer is
 physically dropped (the buffer is small, so the rewrite is bounded), which
@@ -38,32 +30,27 @@ from __future__ import annotations
 from itertools import compress, count, repeat
 from typing import Any, Iterable, Iterator
 
+import numpy as _np
+
 from ..config import MateConfig
 from ..datamodel import MISSING, Table
 from ..datamodel.encoding import MISSING_ID
 from ..exceptions import IndexClosedError, IndexError_
-from ..hashing import generate_row_super_keys
 from ..hashing.base import key_width
-from ..index import (
-    ColumnarPostingList,
-    FetchBlock,
-    IndexBuilder,
-    InvertedIndex,
-    PostingListItem,
-)
+from ..index import ColumnarPostingList, FetchBlock, IndexBuilder, PostingListItem
 from ..index.bulk import encode_tables, layout_block, row_keys
-from ..index.kernels import active_kernel
 from ..storage.paged import MappedSegmentIndex
-from ..storage.segment_block import flatten_index
-
-try:  # numpy is an optional accelerator (the ``accel`` extra), never required
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI entry
-    _np = None  # type: ignore[assignment]
 
 
 class IngestBuffer:
-    """Mutable delta inverted index accepting online ``add`` / ``remove``."""
+    """Mutable delta inverted index accepting online ``add`` / ``remove``.
+
+    Writers append past what readers pinned (a column that runs out of room
+    is reallocated) and :meth:`drop_table` builds new columns, so a
+    :class:`BufferView` keeps reading the prefix it pinned.  The one column
+    updated in place, the posting counts, is copied before a write when a
+    view shares it.
+    """
 
     def __init__(
         self,
@@ -79,8 +66,30 @@ class IngestBuffer:
         self._builder = builder or IndexBuilder(
             config=self.config, hash_function_name=hash_function_name
         )
-        lane = _ColumnStore if active_kernel() == "numpy" else _LoopStore
-        self._store = lane(self._builder)
+        self._generator = self._builder.super_key_generator
+        width = key_width(self._generator.hash_size)
+        #: value -> id, first-seen order (the missing value: ``MISSING_ID``).
+        self._ids: dict[str, int] = {MISSING: MISSING_ID}
+        #: Postings per value id.
+        self._counts = _np.zeros(0, dtype=_np.int64)
+        #: Per non-missing cell: value id, row number (into ``_rows``), column.
+        self._cells = [
+            _np.empty(0, dtype=_np.int64),
+            _np.empty(0, dtype=_np.int64),
+            _np.empty(0, dtype=_np.int32),
+        ]
+        self._cell_count = 0
+        #: Per row: table id, row index, packed super key.
+        self._rows = [
+            _np.empty(0, dtype=_np.int64),
+            _np.empty(0, dtype=_np.int64),
+            _np.empty((0, width), dtype=_np.uint8),
+        ]
+        self._row_count = 0
+        #: table id -> (first row, rows, first cell, cells); a table's rows
+        #: and cells are contiguous, in add order.
+        self._tables: dict[int, tuple[int, int, int, int]] = {}
+        self._view: BufferView | None = None
         #: table id -> sequence number of the add operation.
         self.table_seqs: dict[int, int] = {}
         self._sealed = False
@@ -99,11 +108,12 @@ class IngestBuffer:
         return self._builder
 
     @property
-    def index(self) -> "BufferView | InvertedIndex":
+    def index(self) -> "BufferView":
         """The read surface of what is buffered *now*: a pinned
-        :class:`BufferView` (column store; one object until the next write)
-        or the loop lane's mutable index itself."""
-        return self._store.view()
+        :class:`BufferView` (one object until the next write)."""
+        if self._view is None:
+            self._view = BufferView(self)
+        return self._view
 
     def __len__(self) -> int:
         """Number of tables currently buffered."""
@@ -114,11 +124,11 @@ class IngestBuffer:
 
     def num_rows(self) -> int:
         """Number of buffered rows (rows owning a super key)."""
-        return self._store.num_rows()
+        return self._row_count
 
     def num_posting_items(self) -> int:
         """Number of buffered PL items."""
-        return self._store.num_posting_items()
+        return self._cell_count
 
     # ------------------------------------------------------------------
     # Mutation
@@ -135,13 +145,57 @@ class IngestBuffer:
         whatever can raise does it here — leaving the buffer untouched.  A
         staged table must be installed (or dropped) before the next write."""
         self._ensure_writable("add_table")
-        return table, self._store.stage(table)
+        encoded = encode_tables((table,))
+        values = encoded.values
+        keys = row_keys(self._generator.hash_rows(values), encoded)
+        local_ids, cell_rows, cell_columns = encoded.cells()
+        # Table-local ids -> buffer ids; a value new to the buffer gets the
+        # next id, assigned here and entered into the dictionary at install.
+        known = len(self._ids) - 1
+        buffer_ids = _np.fromiter(
+            map(self._ids.get, values, repeat(-1)), _np.int64, len(values)
+        )
+        fresh = buffer_ids < 0
+        fresh_values = list(compress(values, fresh.tolist()))
+        buffer_ids[fresh] = _np.arange(known, known + len(fresh_values))
+        return (
+            table,
+            fresh_values,
+            buffer_ids,
+            _np.bincount(local_ids, minlength=len(values)),
+            (buffer_ids[local_ids], cell_rows, cell_columns),
+            (encoded.row_tables, encoded.row_rows, keys),
+        )
 
     def install(self, staged: tuple, seq: int) -> int:
         """Make a staged table readable under sequence number ``seq``;
         returns the number of indexed rows."""
-        table, encoded = staged
-        self._store.install(table, encoded)
+        table, fresh_values, buffer_ids, value_counts, cells, rows = staged
+        known = len(self._ids) - 1
+        if self._view is not None:
+            self._counts = self._counts.copy()
+            self._view = None
+        self._ids.update(zip(fresh_values, count(known)))
+        self._counts = _grown(self._counts, known, len(fresh_values), zeroed=True)
+        self._counts[buffer_ids] += value_counts
+        first_row, first_cell = self._row_count, self._cell_count
+        cells = (cells[0], cells[1] + first_row, cells[2])
+        for columns, parts, used in (
+            (self._cells, cells, first_cell),
+            (self._rows, rows, first_row),
+        ):
+            for position, part in enumerate(parts):
+                column = _grown(columns[position], used, len(part))
+                column[used : used + len(part)] = part
+                columns[position] = column
+        self._cell_count += len(cells[0])
+        self._row_count += len(rows[0])
+        self._tables[table.table_id] = (
+            first_row,
+            len(rows[0]),
+            first_cell,
+            len(cells[0]),
+        )
         self.table_seqs[table.table_id] = seq
         return table.num_rows
 
@@ -164,7 +218,40 @@ class IngestBuffer:
         if table_id not in self.table_seqs:
             return 0
         del self.table_seqs[table_id]
-        return self._store.drop(table_id)
+        first_row, num_rows, first_cell, num_cells = self._tables[table_id]
+        self._view = None
+        cell_cut = slice(first_cell, first_cell + num_cells)
+        value_ids, cell_rows, cell_columns = (
+            _np.delete(column[: self._cell_count], cell_cut) for column in self._cells
+        )
+        cell_rows[first_cell:] -= num_rows
+        row_cut = slice(first_row, first_row + num_rows)
+        self._rows = [
+            _np.delete(column[: self._row_count], row_cut, axis=0)
+            for column in self._rows
+        ]
+        # The vocabulary of the surviving cells, in their first-seen order:
+        # what a buffer that never saw the table would hold.
+        survivors, first_seen = _np.unique(value_ids, return_index=True)
+        survivors = survivors[_np.argsort(first_seen)]
+        renumbered = _np.empty(len(self._ids) - 1, dtype=_np.int64)
+        renumbered[survivors] = _np.arange(len(survivors))
+        value_ids = renumbered[value_ids]
+        values = list(self._ids)[1:]
+        self._ids = {MISSING: MISSING_ID}
+        self._ids.update(zip(map(values.__getitem__, survivors.tolist()), count()))
+        self._counts = _np.bincount(value_ids, minlength=len(survivors))
+        self._cells = [value_ids, cell_rows, cell_columns]
+        self._cell_count -= num_cells
+        self._row_count -= num_rows
+        self._tables = {
+            other: entry
+            if entry[0] < first_row
+            else (entry[0] - num_rows, entry[1], entry[2] - num_cells, entry[3])
+            for other, entry in self._tables.items()
+            if other != table_id
+        }
+        return num_cells
 
     def seal(self) -> MappedSegmentIndex:
         """Freeze the buffer and return its postings as segment payload.
@@ -176,39 +263,7 @@ class IngestBuffer:
         stays readable for the snapshots that pinned it.
         """
         self._sealed = True
-        return self._store.seal()
-
-
-class _LoopStore:
-    """The loop lane: a mutable columnar index filled cell by cell."""
-
-    def __init__(self, builder: IndexBuilder):
-        self._builder = builder
-        self._index = InvertedIndex(
-            hash_function_name=builder.hash_function_name,
-            hash_size=builder.config.hash_size,
-        )
-
-    def view(self) -> InvertedIndex:
-        return self._index
-
-    def num_rows(self) -> int:
-        return self._index.num_rows()
-
-    def num_posting_items(self) -> int:
-        return self._index.num_posting_items()
-
-    def stage(self, table: Table) -> list[int]:
-        return generate_row_super_keys(table.rows, self._builder.super_key_generator)
-
-    def install(self, table: Table, super_keys: list[int]) -> None:
-        self._builder.add_table(self._index, table, super_keys)
-
-    def drop(self, table_id: int) -> int:
-        return self._index.remove_table(table_id)
-
-    def seal(self) -> MappedSegmentIndex:
-        return MappedSegmentIndex(flatten_index(self._index))
+        return self.index.laid_out()
 
 
 def _grown(column: Any, used: int, extra: int, zeroed: bool = False) -> Any:
@@ -222,152 +277,11 @@ def _grown(column: Any, used: int, extra: int, zeroed: bool = False) -> Any:
     return grown
 
 
-class _ColumnStore:
-    """The array lane: the buffered tables as flat columns (module docstring).
-
-    Writers append past what readers pinned (a column that runs out of room
-    is reallocated) and :meth:`drop` builds new columns, so a
-    :class:`BufferView` keeps reading the prefix it pinned.  The one column
-    updated in place, the posting counts, is copied before a write when a
-    view shares it.
-    """
-
-    def __init__(self, builder: IndexBuilder):
-        self.hash_function_name = builder.hash_function_name
-        self.generator = builder.super_key_generator
-        width = key_width(self.generator.hash_size)
-        #: value -> id, first-seen order (the missing value: ``MISSING_ID``).
-        self.ids: dict[str, int] = {MISSING: MISSING_ID}
-        #: Postings per value id.
-        self.counts = _np.zeros(0, dtype=_np.int64)
-        #: Per non-missing cell: value id, row number (into ``rows``), column.
-        self.cells = [
-            _np.empty(0, dtype=_np.int64),
-            _np.empty(0, dtype=_np.int64),
-            _np.empty(0, dtype=_np.int32),
-        ]
-        self.cell_count = 0
-        #: Per row: table id, row index, packed super key.
-        self.rows = [
-            _np.empty(0, dtype=_np.int64),
-            _np.empty(0, dtype=_np.int64),
-            _np.empty((0, width), dtype=_np.uint8),
-        ]
-        self.row_count = 0
-        #: table id -> (first row, rows, first cell, cells); a table's rows
-        #: and cells are contiguous, in add order.
-        self.tables: dict[int, tuple[int, int, int, int]] = {}
-        self._view: BufferView | None = None
-
-    def view(self) -> "BufferView":
-        if self._view is None:
-            self._view = BufferView(self)
-        return self._view
-
-    def num_rows(self) -> int:
-        return self.row_count
-
-    def num_posting_items(self) -> int:
-        return self.cell_count
-
-    def _before_write(self) -> None:
-        if self._view is not None:
-            self.counts = self.counts.copy()
-            self._view = None
-
-    def stage(self, table: Table) -> tuple:
-        encoded = encode_tables((table,))
-        values = encoded.values
-        keys = row_keys(self.generator.hash_rows(values), encoded)
-        local_ids, cell_rows, cell_columns = encoded.cells()
-        # Table-local ids -> buffer ids; a value new to the buffer gets the
-        # next id, assigned here and entered into the dictionary at install.
-        known = len(self.ids) - 1
-        buffer_ids = _np.fromiter(
-            map(self.ids.get, values, repeat(-1)), _np.int64, len(values)
-        )
-        fresh = buffer_ids < 0
-        fresh_values = list(compress(values, fresh.tolist()))
-        buffer_ids[fresh] = _np.arange(known, known + len(fresh_values))
-        return (
-            fresh_values,
-            buffer_ids,
-            _np.bincount(local_ids, minlength=len(values)),
-            (buffer_ids[local_ids], cell_rows, cell_columns),
-            (encoded.row_tables, encoded.row_rows, keys),
-        )
-
-    def install(self, table: Table, encoded: tuple) -> None:
-        fresh_values, buffer_ids, value_counts, cells, rows = encoded
-        known = len(self.ids) - 1
-        self._before_write()
-        self.ids.update(zip(fresh_values, count(known)))
-        self.counts = _grown(self.counts, known, len(fresh_values), zeroed=True)
-        self.counts[buffer_ids] += value_counts
-        first_row, first_cell = self.row_count, self.cell_count
-        cells = (cells[0], cells[1] + first_row, cells[2])
-        for columns, parts, used in (
-            (self.cells, cells, first_cell),
-            (self.rows, rows, first_row),
-        ):
-            for position, part in enumerate(parts):
-                column = _grown(columns[position], used, len(part))
-                column[used : used + len(part)] = part
-                columns[position] = column
-        self.cell_count += len(cells[0])
-        self.row_count += len(rows[0])
-        self.tables[table.table_id] = (
-            first_row,
-            len(rows[0]),
-            first_cell,
-            len(cells[0]),
-        )
-
-    def drop(self, table_id: int) -> int:
-        first_row, num_rows, first_cell, num_cells = self.tables[table_id]
-        self._view = None
-        cell_cut = slice(first_cell, first_cell + num_cells)
-        value_ids, cell_rows, cell_columns = (
-            _np.delete(column[: self.cell_count], cell_cut) for column in self.cells
-        )
-        cell_rows[first_cell:] -= num_rows
-        row_cut = slice(first_row, first_row + num_rows)
-        self.rows = [
-            _np.delete(column[: self.row_count], row_cut, axis=0)
-            for column in self.rows
-        ]
-        # The vocabulary of the surviving cells, in their first-seen order:
-        # what a buffer that never saw the table would hold.
-        survivors, first_seen = _np.unique(value_ids, return_index=True)
-        survivors = survivors[_np.argsort(first_seen)]
-        renumbered = _np.empty(len(self.ids) - 1, dtype=_np.int64)
-        renumbered[survivors] = _np.arange(len(survivors))
-        value_ids = renumbered[value_ids]
-        values = list(self.ids)[1:]
-        self.ids = {MISSING: MISSING_ID}
-        self.ids.update(zip(map(values.__getitem__, survivors.tolist()), count()))
-        self.counts = _np.bincount(value_ids, minlength=len(survivors))
-        self.cells = [value_ids, cell_rows, cell_columns]
-        self.cell_count -= num_cells
-        self.row_count -= num_rows
-        self.tables = {
-            other: entry
-            if entry[0] < first_row
-            else (entry[0] - num_rows, entry[1], entry[2] - num_cells, entry[3])
-            for other, entry in self.tables.items()
-            if other != table_id
-        }
-        return num_cells
-
-    def seal(self) -> MappedSegmentIndex:
-        return self.view().laid_out()
-
-
 class BufferView:
     """What was buffered at one instant, behind the read surface of an
     :class:`~repro.index.inverted.InvertedIndex`.
 
-    The view pins ``(columns, lengths)`` of the column store; later appends
+    The view pins ``(columns, lengths)`` of the buffer; later appends
     and drops do not show through it.  A fetch maps the probed values to
     ids, takes one pass over the cell-id column and lays out *the hit cells
     only* — a tiny block served by
@@ -380,15 +294,15 @@ class BufferView:
     (:meth:`laid_out`, which is also what a seal returns).
     """
 
-    def __init__(self, store: _ColumnStore):
-        self.hash_function_name = store.hash_function_name
-        self.hash_size = store.generator.hash_size
-        self._ids = store.ids
-        self._num_values = len(store.ids) - 1
-        self._counts = store.counts
-        self._cells = [column[: store.cell_count] for column in store.cells]
-        self._rows = [column[: store.row_count] for column in store.rows]
-        self._tables = store.tables
+    def __init__(self, buffer: IngestBuffer):
+        self.hash_function_name = buffer.hash_function_name
+        self.hash_size = buffer._generator.hash_size
+        self._ids = buffer._ids
+        self._num_values = len(buffer._ids) - 1
+        self._counts = buffer._counts
+        self._cells = [column[: buffer._cell_count] for column in buffer._cells]
+        self._rows = [column[: buffer._row_count] for column in buffer._rows]
+        self._tables = buffer._tables
         self._laid_out: MappedSegmentIndex | None = None
 
     def _block(

@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, Sequence
 from ..config import MateConfig
 from ..datamodel import MISSING, Table
 from ..exceptions import IndexClosedError, IndexError_, StorageError
-from ..index import FetchBlock, FetchedItem, InvertedIndex, compute_table_runs
+from ..index import FetchBlock, FetchedItem, compute_table_runs
 from ..sketch import SKETCH_FILE_STEM, SKETCH_SUFFIX, SketchIndex
 from ..storage.paged import (
     SEGMENT_SUFFIX,
@@ -186,8 +186,7 @@ class LiveSnapshot:
     that instant — appends grow the buffer's columns past what the view
     pinned, drops build new columns — so writes landing after the snapshot
     do *not* show through it: the contract covers concurrent appends, not
-    only compaction.  (Without numpy the buffer is a shared mutable index
-    and later buffer writes still leak into an older snapshot.)
+    only compaction.
     """
 
     __slots__ = ("generation", "hash_function_name", "hash_size", "_components")
@@ -197,7 +196,7 @@ class LiveSnapshot:
         generation: int,
         components: tuple[
             tuple[
-                MappedSegmentIndex | BufferView | InvertedIndex,
+                MappedSegmentIndex | BufferView,
                 dict[int, int],
                 frozenset[int],
             ],

@@ -142,8 +142,8 @@ class PlanReport:
     #: arrays, :mod:`repro.index.batch`) or ``"table"`` (one table at a
     #: time); empty until candidate generation has decided.
     execution_path: str = ""
-    #: Why the table-at-a-time path ran (``"kernel off"``, ``"row filter
-    #: none"``, ``"unpacked block for value ..."``); empty on the batch path.
+    #: Why the table-at-a-time path ran (``"row filter oracle"`` or
+    #: ``"unpacked block for value ..."``); empty on the batch path.
     table_path_reason: str = ""
 
     def as_dict(self) -> dict[str, object]:

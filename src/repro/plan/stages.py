@@ -19,17 +19,17 @@ Two execution paths run under the same stages and the same executor loop;
 candidate generation picks one per request and records it on the plan report
 (``execution_path`` / ``table_path_reason``):
 
-* **batch** — the numpy kernel, row-filter mode ``superkey`` and a packed
-  super-key buffer on every fetched block.  The fetched blocks become
-  request-level arrays once (:class:`repro.index.batch.RequestArrays`); a
-  candidate is a span of them, the prefilter cuts it by arithmetic, and
-  tables that keep many pairs are verified by the vector kernel over
-  dictionary-encoded rows (:func:`repro.core.joinability.verify_encoded`).
-* **table** — everything else (no numpy or ``MATE_KERNEL=fallback|off``,
-  modes ``none`` / ``oracle``, a block unpacked by a spilled oversize key):
-  one :class:`~repro.index.columnar.TableBlock` per candidate, prefiltered
-  by the stdlib kernel (:mod:`repro.index.kernels`) or the verbatim per-row
-  loop, verified by :func:`~repro.core.joinability.verify_table`.
+* **batch** — row-filter modes ``superkey`` and ``none`` (the SCR
+  baseline) with a packed super-key buffer on every fetched block.  The
+  fetched blocks become request-level arrays once
+  (:class:`repro.index.batch.RequestArrays`); a candidate is a span of them,
+  the prefilter cuts it by arithmetic, and tables that keep many pairs are
+  verified by the vector kernel over dictionary-encoded rows
+  (:func:`repro.core.joinability.verify_encoded`).
+* **table** — row-filter mode ``oracle``, or a block unpacked by a spilled
+  oversize key: one :class:`~repro.index.columnar.TableBlock` per
+  candidate, prefiltered by the verbatim per-row loop, verified by
+  :func:`~repro.core.joinability.verify_table`.
 
 Either composition under the :class:`~repro.plan.executor.Executor` is
 line-for-line equivalent to the pre-refactor monolithic loop when re-planning
@@ -44,8 +44,8 @@ from time import perf_counter
 from ..core import joinability
 from ..core.filters import should_abandon_table
 from ..datamodel.encoding import ENCODER
-from ..index import kernels
-from ..index.columnar import FetchBlock, group_into_table_blocks, pack_super_keys
+from ..index.batch import RequestArrays
+from ..index.columnar import FetchBlock, group_into_table_blocks
 from .context import PlanContext, StageResult
 from .planner import (
     ReplanEvent,
@@ -289,11 +289,8 @@ class CandidateGeneration(PlanStage):
     @staticmethod
     def _table_path_reason(context: PlanContext, blocks: list[FetchBlock]) -> str:
         """Why the request-level arrays cannot serve this run ("" if they can)."""
-        kernel = kernels.active_kernel()
-        if kernel != "numpy":
-            return f"kernel {kernel or 'off'}"
         mode = context.engine.row_filter.mode
-        if mode != "superkey":
+        if mode == "oracle":
             return f"row filter {mode}"
         for block in blocks:
             if block.super_key_bytes is None:
@@ -310,13 +307,13 @@ class CandidateGeneration(PlanStage):
         report = context.report
         report.table_path_reason = self._table_path_reason(context, blocks)
         if not report.table_path_reason:
-            from ..index.batch import RequestArrays  # needs numpy
-
+            row_filter = context.engine.row_filter
             report.execution_path = "batch"
             context.batch = RequestArrays(
                 blocks,
                 context.key_map,
-                context.engine.row_filter.super_key_generator.length_segment_shift,
+                row_filter.super_key_generator.length_segment_shift,
+                check_keys=row_filter.mode == "superkey",
             )
             context.candidates = context.batch.candidates(context.allowed_tables)
             return
@@ -336,14 +333,11 @@ class SuperKeyPrefilter(PlanStage):
 
     On the batch path the table's span is cut out of the request's arrays
     (:meth:`_execute_batch`; the first call of a request runs the reject
-    over all of its postings).  On the table path the block goes through
-    the stdlib kernel (:meth:`_execute_kernel`: coverage splicing, or one
-    whole-block pass for blocks without run provenance) and falls back to
-    the verbatim per-row loop (:meth:`_execute_rows`) when kernels are off,
-    the row-filter mode needs corpus rows (``oracle``), or the block's
-    super keys cannot be packed.  All of them produce bit-identical
-    survivors, counters, and stage statistics (pinned by the differential
-    suites).
+    over all of its postings).  On the table path — the row-filter mode
+    needs corpus rows (``oracle``), or a block's super keys cannot be
+    packed — the block goes through the verbatim per-row loop
+    (:meth:`_execute_rows`).  Both produce bit-identical survivors,
+    counters, and stage statistics (pinned by the differential suites).
     """
 
     name = STAGE_SUPERKEY_PREFILTER
@@ -351,11 +345,6 @@ class SuperKeyPrefilter(PlanStage):
     def _execute(self, context: PlanContext) -> StageResult:
         if context.batch is not None:
             return self._execute_batch(context)
-        mode = context.engine.row_filter.mode
-        if mode != "oracle" and kernels.active_kernel() is not None:
-            result = self._execute_kernel(context, mode)
-            if result is not None:
-                return result
         return self._execute_rows(context)
 
     def _execute_batch(self, context: PlanContext) -> StageResult:
@@ -383,104 +372,8 @@ class SuperKeyPrefilter(PlanStage):
             detail="abandoned" if abandoned else "",
         )
 
-    def _execute_kernel(
-        self, context: PlanContext, mode: str
-    ) -> StageResult | None:
-        """Kernel path; ``None`` when the block cannot be packed."""
-        engine = context.engine
-        block = context.current_block
-        topk = context.topk
-        min_joinability = (
-            topk.min_joinability()
-            if engine.use_table_filters and topk.is_full
-            else None
-        )
-        result = None
-        packed = None
-        width = 0
-        length_shift = None
-        if mode == "superkey":
-            generator = engine.row_filter.super_key_generator
-            length_shift = generator.length_segment_shift
-            result = self._prefilter_mapped(
-                context, block, length_shift, min_joinability
-            )
-            if result is None:
-                # A run came without a packed buffer (a spilled oversize
-                # key): pack the integer column, or leave the block to the
-                # row loop.
-                width = max(1, (generator.hash_size + 7) // 8)
-                packed = pack_super_keys(block.super_keys, width)
-                if packed is None:
-                    return None
-        if result is None:
-            value_runs = getattr(block, "value_runs", None)
-            result = kernels.prefilter_block(
-                # Only read without runs; a TableBlock expands them on demand.
-                values=block.values if value_runs is None else (),
-                row_indexes=block.row_indexes,
-                key_map=context.key_map,
-                posting_count=len(block),
-                value_runs=value_runs,
-                packed=packed,
-                width=width,
-                mode=mode,
-                length_shift=length_shift,
-                min_joinability=min_joinability,
-            )
-        counters = context.counters
-        counters.rows_checked += result.rows_checked
-        counters.superkey_checks += result.superkey_checks
-        counters.short_circuit_hits += result.short_circuit_hits
-        detail = ""
-        if result.abandoned:
-            counters.tables_pruned_by_rule2 += 1
-            detail = "abandoned"
-        context.surviving = result.surviving
-        return StageResult(
-            self.name,
-            items_in=len(block),
-            items_out=len(result.surviving),
-            detail=detail,
-        )
-
-    @staticmethod
-    def _prefilter_mapped(
-        context: PlanContext,
-        block,
-        length_shift: int | None,
-        min_joinability: int | None,
-    ) -> "kernels.PrefilterResult | None":
-        """Coverage-splicing fast path; ``None`` without run provenance.
-
-        The reject test runs once per ``(probe value, key entry)`` over the
-        *whole* per-value fetch block (memoised there) and this table's
-        slice of the resulting bitmaps is evaluated with plain byte
-        operations — so the vector pass is amortised across every candidate
-        table sharing the value, which is what beats the row loop on the
-        few-row blocks per-table grouping produces.
-        """
-        sources = getattr(block, "cov_sources", None)
-        if sources is None:
-            return None
-        kernel = kernels.active_kernel() or "fallback"
-        key_map_get = context.key_map.get
-        run_cov = []
-        for source, fetch_start, table_start, count in sources:
-            entries = key_map_get(source.value, ())
-            if not entries:
-                continue
-            per_level = source.query_coverage(entries, length_shift, kernel)
-            run_cov.append((table_start, fetch_start, count, entries, per_level))
-        return kernels.prefilter_table_block(
-            row_indexes=block.row_indexes,
-            run_cov=run_cov,
-            posting_count=len(block),
-            min_joinability=min_joinability,
-        )
-
     def _execute_rows(self, context: PlanContext) -> StageResult:
-        """The scalar per-row loop, kept verbatim (the kernels' oracle)."""
+        """The scalar per-row loop, kept verbatim (the batch path's oracle)."""
         engine = context.engine
         counters = context.counters
         topk = context.topk

@@ -11,90 +11,26 @@ the process-pool workers rely on.
 The permutation parameters are drawn from ``random.Random(seed)`` over the
 full ``[1, p)`` range and the product is deliberately evaluated *modulo
 2^64 first*: ``((a * h + b) mod 2^64) mod p``.  That is exactly what a
-broadcasted numpy ``uint64`` pass computes natively (overflow wraps), so
-the fast path is one vectorised multiply-add-mod over every permutation ×
-value hash, and the pure-stdlib fallback reproduces it bit for bit with a
-``& (2^64 - 1)`` mask.  The wrap-around also supplies the high-order
-mixing that keeps the MinHash estimator unbiased with 32-bit value
-hashes.
-
-Path selection mirrors the prefilter kernels (:mod:`repro.index.kernels`):
-the ``MATE_SKETCH`` environment variable (``auto``, ``numpy``,
-``fallback``) sets the process default, and :func:`set_sketch_kernel` /
-:func:`use_sketch_kernel` override it for tests.  ``auto`` and ``numpy``
-degrade to the fallback when numpy is not installed.
+broadcasted numpy ``uint64`` pass computes natively (overflow wraps), so a
+signature is one vectorised multiply-add-mod over every permutation ×
+value hash.  The wrap-around also supplies the high-order mixing that keeps
+the MinHash estimator unbiased with 32-bit value hashes.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from array import array
-from contextlib import contextmanager
 from functools import lru_cache
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
-try:  # numpy is an optional accelerator (the ``accel`` extra), never required
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI entry
-    _np = None
-
-#: Recognised sketch-kernel selections.
-SKETCH_CHOICES: tuple[str, ...] = ("auto", "numpy", "fallback")
-
-#: Environment variable holding the process-wide default selection.
-SKETCH_ENV_VAR = "MATE_SKETCH"
+import numpy as _np
 
 #: Mersenne prime modulus of the universal permutations.
 MERSENNE_PRIME = (1 << 61) - 1
 
-#: Mask emulating numpy's native ``uint64`` wrap-around in the fallback.
-_MASK_64 = (1 << 64) - 1
-
 #: Sentinel "empty" signature entry (larger than any permuted hash).
 EMPTY_SLOT = MERSENNE_PRIME
-
-_choice = os.environ.get(SKETCH_ENV_VAR, "auto")
-if _choice not in SKETCH_CHOICES:
-    _choice = "auto"
-
-
-def sketch_numpy_available() -> bool:
-    """Whether the numpy signature path can run in this process."""
-    return _np is not None
-
-
-def sketch_kernel_choice() -> str:
-    """The current (unresolved) sketch-kernel selection."""
-    return _choice
-
-
-def active_sketch_kernel() -> str:
-    """The path that would execute now: ``"numpy"`` or ``"fallback"``."""
-    if _choice == "fallback":
-        return "fallback"
-    return "numpy" if _np is not None else "fallback"
-
-
-def set_sketch_kernel(choice: str) -> None:
-    """Set the process-wide sketch-kernel selection."""
-    global _choice
-    if choice not in SKETCH_CHOICES:
-        raise ValueError(
-            f"unknown sketch kernel {choice!r}; expected one of {SKETCH_CHOICES}"
-        )
-    _choice = choice
-
-
-@contextmanager
-def use_sketch_kernel(choice: str) -> Iterator[None]:
-    """Temporarily force a sketch-kernel selection (test helper)."""
-    previous = _choice
-    set_sketch_kernel(choice)
-    try:
-        yield
-    finally:
-        set_sketch_kernel(previous)
 
 
 def hash_value(value: str) -> int:
@@ -115,18 +51,6 @@ def permutation_params(num_perm: int, seed: int) -> tuple[tuple[int, ...], tuple
     return a, b
 
 
-def _signature_fallback(
-    hashes: Sequence[int], a: Sequence[int], b: Sequence[int]
-) -> tuple[int, ...]:
-    signature = [EMPTY_SLOT] * len(a)
-    for value_hash in hashes:
-        for position, (a_i, b_i) in enumerate(zip(a, b)):
-            permuted = ((a_i * value_hash + b_i) & _MASK_64) % MERSENNE_PRIME
-            if permuted < signature[position]:
-                signature[position] = permuted
-    return tuple(signature)
-
-
 @lru_cache(maxsize=8)
 def _coefficient_columns(a: tuple[int, ...], b: tuple[int, ...]):
     """The permutation coefficients as ``(num_perm, 1)`` ``uint64`` columns."""
@@ -142,17 +66,9 @@ def _coefficient_columns(a: tuple[int, ...], b: tuple[int, ...]):
 def _permuted(hashes, a: Sequence[int], b: Sequence[int]):
     """Every permutation of every value hash: ``(num_perm, len(hashes))``."""
     a_column, b_column = _coefficient_columns(tuple(a), tuple(b))
-    # uint64 arithmetic wraps mod 2^64 by construction — the same value the
-    # fallback computes with its explicit mask.
+    # uint64 arithmetic wraps mod 2^64 by construction.
     with _np.errstate(over="ignore"):
         return (a_column * hashes[None, :] + b_column) % _np.uint64(MERSENNE_PRIME)
-
-
-def _signature_numpy(
-    hashes: Sequence[int], a: Sequence[int], b: Sequence[int]
-) -> tuple[int, ...]:
-    permuted = _permuted(_np.asarray(hashes, dtype=_np.uint64), a, b)
-    return tuple(permuted.min(axis=1).tolist())
 
 
 def minhash_signature(
@@ -166,9 +82,8 @@ def minhash_signature(
     hashes = sorted({hash_value(value) for value in values})
     if not hashes:
         return tuple([EMPTY_SLOT] * len(a))
-    if active_sketch_kernel() == "numpy":
-        return _signature_numpy(hashes, a, b)
-    return _signature_fallback(hashes, a, b)
+    permuted = _permuted(_np.asarray(hashes, dtype=_np.uint64), a, b)
+    return tuple(permuted.min(axis=1).tolist())
 
 
 def pack_signature(signature: Sequence[int]) -> bytes:
@@ -195,20 +110,20 @@ def column_signatures(
     b: Sequence[int],
     hash_of: Mapping[str, int] | None = None,
 ) -> list[bytes]:
-    """The packed signature of each of several non-empty value sets — the
-    columns of one table — equal to ``pack_signature(minhash_signature(...))``
-    column by column.
+    """The packed signature of each of several value sets — the columns of
+    one table — equal to ``pack_signature(minhash_signature(...))`` column by
+    column (an empty set gets the all-:data:`EMPTY_SLOT` signature).
 
-    With numpy every distinct value is hashed once — through ``hash_of``, a
-    ``value -> hash_value(value)`` memo the caller keeps across tables, when
-    given — the hash sets of all columns are permuted in one ``(num_perm,
-    values)`` broadcast (in slices of :data:`_BROADCAST_VALUES`) and reduced
-    per column by ``minimum.reduceat``; the fallback signs column by column.
+    Every distinct value is hashed once — through ``hash_of``, a ``value ->
+    hash_value(value)`` memo the caller keeps across tables, when given —
+    the hash sets of all columns are permuted in one ``(num_perm, values)``
+    broadcast (in slices of :data:`_BROADCAST_VALUES`) and reduced per
+    column by ``minimum.reduceat``.
     """
-    if active_sketch_kernel() != "numpy":
-        return [pack_signature(minhash_signature(values, a, b)) for values in columns]
     if hash_of is None:
         hash_of = {value: hash_value(value) for value in set().union(*columns)}
+    width = 8 * len(a)
+    empty = pack_signature([EMPTY_SLOT] * len(a))
     signatures: list[bytes] = []
     first = 0
     while first < len(columns):
@@ -220,18 +135,20 @@ def column_signatures(
             total += len(columns[last])
             last += 1
         sizes = [len(values) for values in columns[first:last]]
-        hashes = _np.fromiter(
-            (hash_of[value] for values in columns[first:last] for value in values),
-            _np.uint64,
-            total,
-        )
-        starts = _np.cumsum([0] + sizes[:-1])
-        minimums = _np.minimum.reduceat(_permuted(hashes, a, b), starts, axis=1)
-        packed = _np.ascontiguousarray(minimums.T).tobytes()
-        width = 8 * len(a)
-        signatures.extend(
-            packed[at : at + width] for at in range(0, len(packed), width)
-        )
+        # ``reduceat`` cannot express an empty segment: it runs over the
+        # non-empty columns, and an empty one is signed EMPTY_SLOT.
+        packed = b""
+        if total:
+            hashes = _np.fromiter(
+                (hash_of[value] for values in columns[first:last] for value in values),
+                _np.uint64,
+                total,
+            )
+            starts = (_np.cumsum(sizes) - sizes)[_np.flatnonzero(sizes)]
+            minimums = _np.minimum.reduceat(_permuted(hashes, a, b), starts, axis=1)
+            packed = _np.ascontiguousarray(minimums.T).tobytes()
+        signed = (packed[at : at + width] for at in range(0, len(packed), width))
+        signatures.extend(next(signed) if size else empty for size in sizes)
         first = last
     return signatures
 

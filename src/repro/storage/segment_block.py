@@ -14,37 +14,27 @@ iterate Python integers and the numpy kernels wrap them without a copy.
 Sealing, merging and writing a segment are operations on these columns:
 
 * :func:`flatten_index` turns any :class:`~repro.index.InvertedIndex` into
-  a block in one pass;
+  a block in one pass of whole-column numpy operations;
 * :func:`merge_blocks` collapses adjacent blocks into one, purging masked
-  tables.  With numpy it reorders all columns by **one stable argsort** of
-  the merged value ids: equal ids keep block order, then posting order —
-  the concatenation order a bulk rebuild over the surviving tables
-  produces.
+  tables.  It reorders all columns by **one stable argsort** of the merged
+  value ids: equal ids keep block order, then posting order — the
+  concatenation order a bulk rebuild over the surviving tables produces.
 
-Both have a numpy lane and a stdlib lane over the same columns, selected by
-:func:`repro.index.kernels.active_kernel` (numpy is the optional ``accel``
-extra); the lanes build identical blocks.  The file format around a block is
-:mod:`repro.storage.paged`'s.
+The file format around a block is :mod:`repro.storage.paged`'s.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Collection, Iterable, Sequence
 
+import numpy as _np
+
 from ..exceptions import IndexError_
-from ..index.columnar import PackedSuperKeys
-from ..index.kernels import active_kernel
 
 if TYPE_CHECKING:
     from ..index import InvertedIndex
-
-try:  # numpy is an optional accelerator (the ``accel`` extra), never required
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI entry
-    _np = None  # type: ignore[assignment]
 
 #: A spilled (oversize) super key: ``(table_id, row_index) -> key``.
 Spill = dict[tuple[int, int], int]
@@ -59,7 +49,7 @@ def _view(data: Any, typecode: str) -> memoryview:
     ``(0, width)`` key matrix ("zeros in shape"), which is what a block
     without postings or rows holds.
     """
-    if _np is not None and isinstance(data, _np.ndarray):
+    if isinstance(data, _np.ndarray):
         data = data.reshape(-1)
     return memoryview(data).cast("B").cast(typecode)
 
@@ -182,86 +172,12 @@ def flatten_index(index: "InvertedIndex") -> SegmentBlock:
     store = index._super_keys
     width = store.width_bytes
     values: list[str] = []
-    postings = []
+    columns = []
     for value in index.values():
         value_columns = index.posting_columns(value)
         if value_columns is not None and len(value_columns):
             values.append(value)
-            postings.append(value_columns)
-    if active_kernel() == "numpy" and isinstance(store, PackedSuperKeys):
-        columns, spill = _flatten_numpy(postings, store, width)
-    else:
-        columns, spill = _flatten_stdlib(postings, store, width)
-    return SegmentBlock(
-        hash_function_name=index.hash_function_name,
-        hash_size=index.hash_size,
-        key_width=width,
-        values=values,
-        spill=spill,
-        **columns,
-    )
-
-
-def _joined(columns: Iterable[Any], typecode: str) -> bytes:
-    """The native-order bytes of posting columns, concatenated."""
-    return b"".join(
-        column.tobytes()
-        if getattr(column, "typecode", None) == typecode
-        or getattr(column, "format", None) == typecode
-        else array(typecode, column).tobytes()
-        for column in columns
-    )
-
-
-def _flatten_stdlib(columns, store, width: int) -> tuple[dict[str, Any], Spill]:
-    """``(the block's columns by name, the spill)``, over stdlib arrays."""
-    offsets = array("q", [0])
-    total = 0
-    keys = bytearray()
-    limit = 1 << (8 * width)
-    zero = bytes(width)
-    for value_columns in columns:
-        total += len(value_columns)
-        offsets.append(total)
-        packed = value_columns.super_key_packed(store)
-        if packed is None:
-            # A posting on a spilled row: the keys that fit are still stored
-            # (a merge may purge the spilled row and serve the value packed
-            # again).
-            packed = b"".join(
-                super_key.to_bytes(width, "big") if 0 <= super_key < limit else zero
-                for super_key in value_columns.super_key_column(store)
-            )
-        keys += packed
-    row_tables, row_rows = array("q"), array("q")
-    row_keys = bytearray()
-    spill: Spill = {}
-    for (table_id, row_index), super_key in sorted(store.items()):
-        if 0 <= super_key < limit:
-            row_tables.append(table_id)
-            row_rows.append(row_index)
-            row_keys += super_key.to_bytes(width, "big")
-        else:
-            spill[(table_id, row_index)] = super_key
-    table_ids = _joined((c.table_ids for c in columns), "q")
-    row_indexes = _joined((c.row_indexes for c in columns), "q")
-    return {
-        "posting_offsets": offsets,
-        "table_ids": table_ids,
-        "row_indexes": row_indexes,
-        "column_indexes": _joined((c.column_indexes for c in columns), "i"),
-        "posting_keys": keys,
-        "row_table_ids": row_tables,
-        "row_row_indexes": row_rows,
-        "row_keys": row_keys,
-        "unpacked": _unpacked_stdlib(spill, offsets, table_ids, row_indexes),
-    }, spill
-
-
-def _flatten_numpy(
-    columns, store: PackedSuperKeys, width: int
-) -> tuple[dict[str, Any], Spill]:
-    """:func:`_flatten_stdlib` as whole-column numpy operations."""
+            columns.append(value_columns)
     count = len(columns)
     offsets = _np.zeros(count + 1, dtype=_np.int64)
     _np.cumsum(_np.fromiter(map(len, columns), _np.int64, count), out=offsets[1:])
@@ -279,22 +195,39 @@ def _flatten_numpy(
     slot_of = _np.fromiter(slots.values(), _np.intp, len(slots))[order]
     row_keys = _np.frombuffer(store._buffer, _np.uint8).reshape(-1, width)[slot_of]
     # Per-posting keys: one sorted search into the row table, one gather.
+    # A posting on a spilled row keeps zeros there.
     keys = _np.zeros((len(table_ids), width), dtype=_np.uint8)
     if len(row_tables) and len(table_ids):
         at, found = _row_positions(row_tables, row_rows, table_ids, row_indexes)
         keys[found] = row_keys[at[found]]
     spill = dict(store._spill)
-    return {
-        "posting_offsets": offsets,
-        "table_ids": table_ids,
-        "row_indexes": row_indexes,
-        "column_indexes": _joined((c.column_indexes for c in columns), "i"),
-        "posting_keys": keys,
-        "row_table_ids": row_tables,
-        "row_row_indexes": row_rows,
-        "row_keys": row_keys,
-        "unpacked": _unpacked_numpy(spill, offsets, table_ids, row_indexes),
-    }, spill
+    return SegmentBlock(
+        hash_function_name=index.hash_function_name,
+        hash_size=index.hash_size,
+        key_width=width,
+        values=values,
+        posting_offsets=offsets,
+        table_ids=table_ids,
+        row_indexes=row_indexes,
+        column_indexes=_joined((c.column_indexes for c in columns), "i"),
+        posting_keys=keys,
+        row_table_ids=row_tables,
+        row_row_indexes=row_rows,
+        row_keys=row_keys,
+        spill=spill,
+        unpacked=_unpacked(spill, offsets, table_ids, row_indexes),
+    )
+
+
+def _joined(columns: Iterable[Any], typecode: str) -> bytes:
+    """The native-order bytes of posting columns, concatenated."""
+    return b"".join(
+        column.tobytes()
+        if getattr(column, "typecode", None) == typecode
+        or getattr(column, "format", None) == typecode
+        else array(typecode, column).tobytes()
+        for column in columns
+    )
 
 
 def _row_positions(row_tables, row_rows, table_ids, row_indexes):
@@ -329,21 +262,9 @@ def _row_positions(row_tables, row_rows, table_ids, row_indexes):
     return at, (row_tables[at] == table_ids) & (row_rows[at] == row_indexes)
 
 
-def _unpacked_stdlib(spill: Spill, offsets, table_ids, row_indexes) -> set[int]:
+def _unpacked(spill: Spill, offsets, table_ids, row_indexes) -> list[int]:
     """Ids of the values with a posting on a spilled row (see
-    :attr:`SegmentBlock.unpacked`), over laid-out posting columns."""
-    if not spill:
-        return set()
-    rows = zip(_view(table_ids, "q"), _view(row_indexes, "q"))
-    return {
-        bisect_right(offsets, position) - 1
-        for position, row in enumerate(rows)
-        if row in spill
-    }
-
-
-def _unpacked_numpy(spill: Spill, offsets, table_ids, row_indexes) -> list[int]:
-    """:func:`_unpacked_stdlib` as one sorted search of the spilled rows."""
+    :attr:`SegmentBlock.unpacked`): one sorted search of the spilled rows."""
     if not spill or not len(table_ids):
         return []
     rows = _np.array(sorted(spill), dtype=_np.int64)
@@ -360,21 +281,14 @@ def visible_counts(
     index reports for a segment some of whose tables a tombstone hides,
     without walking (or slicing) a single posting list."""
     spilled = sum(table_id not in masked for table_id, _row in block.spill)
-    if active_kernel() == "numpy":
-        dead = _np.fromiter(masked, _np.int64, len(masked))
-        alive = ~_np.isin(_np.frombuffer(block.table_ids, _np.int64), dead)
-        starts = _np.frombuffer(block.posting_offsets, _np.int64)[:-1]
-        lengths = (
-            _np.add.reduceat(alive.astype(_np.int64), starts) if len(starts) else starts
-        )
-        rows = _np.frombuffer(block.row_table_ids, _np.int64)
-        return lengths.tolist(), spilled + int(len(rows) - _np.isin(rows, dead).sum())
-    hidden = [table_id in masked for table_id in block.table_ids]
-    offsets = block.posting_offsets
-    return (
-        [end - start - sum(hidden[start:end]) for start, end in zip(offsets, offsets[1:])],
-        spilled + sum(table_id not in masked for table_id in block.row_table_ids),
+    dead = _np.fromiter(masked, _np.int64, len(masked))
+    alive = ~_np.isin(_np.frombuffer(block.table_ids, _np.int64), dead)
+    starts = _np.frombuffer(block.posting_offsets, _np.int64)[:-1]
+    lengths = (
+        _np.add.reduceat(alive.astype(_np.int64), starts) if len(starts) else starts
     )
+    rows = _np.frombuffer(block.row_table_ids, _np.int64)
+    return lengths.tolist(), spilled + int(len(rows) - _np.isin(rows, dead).sum())
 
 
 # ----------------------------------------------------------------------
@@ -412,8 +326,7 @@ def merge_blocks(
         for row, super_key in block.spill.items()
         if row[0] not in masked
     }
-    lane = _merge_numpy if active_kernel() == "numpy" else _merge_stdlib
-    values, columns = lane(blocks, masks, first.key_width, spill)
+    values, columns = _merge(blocks, masks, first.key_width, spill)
     return SegmentBlock(
         hash_function_name=first.hash_function_name,
         hash_size=first.hash_size,
@@ -424,71 +337,11 @@ def merge_blocks(
     )
 
 
-def _merge_stdlib(
+def _merge(
     blocks, masks, width: int, spill: Spill
 ) -> tuple[list[str], dict[str, Any]]:
-    """``(the merged vocabulary, the merged columns by name)``, value by
-    value over stdlib arrays."""
-    # Per merged value, the byte chunks of its four columns in block order.
-    chunks: dict[str, tuple[list, list, list, list]] = {}
-    rows: list[tuple[int, int, bytes]] = []
-    for block, masked in zip(blocks, masks):
-        offsets = block.posting_offsets
-        table_ids = block.table_ids
-        sources = (table_ids, block.row_indexes, block.column_indexes)
-        keys = block.posting_keys
-        for value_id, value in enumerate(block.values):
-            start, end = offsets[value_id], offsets[value_id + 1]
-            kept = [(start, end)]
-            if masked:
-                kept = [
-                    (position, position + 1)
-                    for position in range(start, end)
-                    if table_ids[position] not in masked
-                ]
-                if not kept:
-                    continue
-            target = chunks.get(value)
-            if target is None:
-                target = chunks[value] = ([], [], [], [])
-            for low, high in kept:
-                for column, source in zip(target, sources):
-                    column.append(source[low:high])
-                target[3].append(keys[low * width : high * width])
-        row_keys = block.row_keys
-        for position, (table_id, row_index) in enumerate(
-            zip(block.row_table_ids, block.row_row_indexes)
-        ):
-            if table_id not in masked:
-                key = row_keys[position * width : (position + 1) * width]
-                rows.append((table_id, row_index, bytes(key)))
-    rows.sort()
-    offsets = array("q", [0])
-    total = 0
-    for target in chunks.values():
-        total += sum(map(len, target[0]))
-        offsets.append(total)
-    joined = [
-        b"".join(chain.from_iterable(target[column] for target in chunks.values()))
-        for column in range(4)
-    ]
-    return list(chunks), {
-        "posting_offsets": offsets,
-        "table_ids": joined[0],
-        "row_indexes": joined[1],
-        "column_indexes": joined[2],
-        "posting_keys": joined[3],
-        "row_table_ids": array("q", [row[0] for row in rows]),
-        "row_row_indexes": array("q", [row[1] for row in rows]),
-        "row_keys": b"".join(row[2] for row in rows),
-        "unpacked": _unpacked_stdlib(spill, offsets, joined[0], joined[1]),
-    }
-
-
-def _merge_numpy(
-    blocks, masks, width: int, spill: Spill
-) -> tuple[list[str], dict[str, Any]]:
-    """:func:`_merge_stdlib` as whole-column numpy operations."""
+    """``(the merged vocabulary, the merged columns by name)``, as
+    whole-column numpy operations."""
     merged_of: dict[str, int] = {}
     parts: list[tuple] = []
     row_parts: list[tuple] = []
@@ -549,5 +402,5 @@ def _merge_numpy(
         "row_table_ids": row_tables[row_order],
         "row_row_indexes": row_rows[row_order],
         "row_keys": row_keys[row_order],
-        "unpacked": _unpacked_numpy(spill, offsets, table_ids, row_indexes),
+        "unpacked": _unpacked(spill, offsets, table_ids, row_indexes),
     }

@@ -5,57 +5,44 @@ from __future__ import annotations
 import time
 
 
-def available_kernel_modes() -> list[str]:
-    """Prefilter kernel modes exercisable in this environment.
-
-    Always contains ``"off"`` (the per-row loop) and ``"fallback"`` (the
-    pure-stdlib kernel); ``"numpy"`` is appended when numpy is importable.
-    Parametrizing over this list keeps the equivalence suites meaningful on
-    the no-numpy CI entry instead of erroring out.
-    """
-    from repro.index import numpy_available
-
-    modes = ["off", "fallback"]
-    if numpy_available():
-        modes.append("numpy")
-    return modes
-
-
-def available_sketch_kernel_modes() -> list[str]:
-    """MinHash sketch kernel modes exercisable in this environment.
-
-    Always contains ``"fallback"`` (the pure-stdlib signature path);
-    ``"numpy"`` is appended when numpy is importable.  Mirrors
-    :func:`available_kernel_modes` for the ``MATE_SKETCH`` selector.
-    """
-    from repro.sketch import sketch_numpy_available
-
-    modes = ["fallback"]
-    if sketch_numpy_available():
-        modes.append("numpy")
-    return modes
-
-
-def _build_lanes() -> list[str]:
-    from repro.index import numpy_available
-
-    return ["loop"] + (["block"] if numpy_available() else [])
-
-
-#: The lanes of a bulk index build exercisable here: the per-cell
-#: ``add_table`` loop always, the array passes (whose index is served from
-#: a CSR block until its first mutation) when numpy is importable.
-BUILD_LANES = _build_lanes()
+#: The lanes of a bulk index build: the per-cell ``add_table`` loop into a
+#: mutable index, and the array passes (whose index is served from a CSR
+#: block until its first mutation).
+BUILD_LANES = ["loop", "block"]
 
 
 def build_in_lane(lane: str, corpus, config=None, **kwargs):
-    """``build_index`` with the bulk build held to one lane of
-    :data:`BUILD_LANES` — the kernel is forced for the build only, so what
-    the caller does with the index runs under the process' own selection."""
-    from repro.index import build_index, use_kernel
+    """``build_index`` in one of :data:`BUILD_LANES`: ``"block"`` is the
+    bulk build itself, ``"loop"`` feeds every table through
+    ``IndexBuilder.add_table``."""
+    from repro.index import IndexBuilder, InvertedIndex, build_index
 
-    with use_kernel({"loop": "fallback", "block": "numpy"}[lane]):
+    if lane == "block":
         return build_index(corpus, config=config, **kwargs)
+    builder = IndexBuilder(config=config, **kwargs)
+    index = InvertedIndex(
+        hash_function_name=builder.hash_function_name,
+        hash_size=builder.config.hash_size,
+    )
+    for table in corpus:
+        builder.add_table(index, table)
+    return index
+
+
+def legacy_minhash_signature(hashes, a, b):
+    """The stdlib MinHash signature of sorted value hashes, kept verbatim:
+    the per-slot loop with an explicit ``uint64`` wrap-around mask, the
+    oracle of the numpy signature passes."""
+    from repro.sketch.minhash import EMPTY_SLOT, MERSENNE_PRIME
+
+    mask_64 = (1 << 64) - 1
+    signature = [EMPTY_SLOT] * len(a)
+    for value_hash in hashes:
+        for position, (a_i, b_i) in enumerate(zip(a, b)):
+            permuted = ((a_i * value_hash + b_i) & mask_64) % MERSENNE_PRIME
+            if permuted < signature[position]:
+                signature[position] = permuted
+    return tuple(signature)
 
 
 #: The two indexes the plan and sketch equivalence suites run on: every

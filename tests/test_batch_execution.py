@@ -1,77 +1,71 @@
 """Batch execution: request-level arrays + the vector verification kernel.
 
-With numpy a request is served from :mod:`repro.index.batch` (one array pass
-groups, prefilters and cuts every candidate table) and tables that keep many
-pairs are verified by :func:`repro.core.joinability.verify_encoded` over
+A request is served from :mod:`repro.index.batch` (one array pass groups,
+prefilters and cuts every candidate table) and tables that keep many pairs
+are verified by :func:`repro.core.joinability.verify_encoded` over
 dictionary-encoded rows.  Everything here is differential: against
 ``tests.helpers.legacy_verify_table`` / ``legacy_discover`` (the verbatim
-loops), against the table-at-a-time path of the same executor, and against a
-freshly built engine after mutations.  Every end-to-end comparison asserts
-that the plan report says the batch path ran — an equivalence suite must not
-silently exercise the fallback only.
+loops), against the table-at-a-time path of the same executor (forced by
+patching its path choice), and against a freshly built engine after
+mutations.  Every end-to-end comparison asserts that the plan report says
+the batch path ran — an equivalence suite must not silently exercise the
+per-row loop only.
 """
 
 from __future__ import annotations
 
 import copy
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-np = pytest.importorskip("numpy")
-
-from repro import MateConfig, MateDiscovery, build_index  # noqa: E402
-from repro.api import PlannerOptions  # noqa: E402
-from repro.api.request import RequestBudget  # noqa: E402
-from repro.core import joinability  # noqa: E402
-from repro.core.joinability import verify_encoded  # noqa: E402
-from repro.core.filters import should_prune_table  # noqa: E402
-from repro.datagen import build_workload  # noqa: E402
-from repro.datamodel import MISSING, QueryTable, Row, Table, TableCorpus  # noqa: E402
-from repro.datamodel import encoding  # noqa: E402
-from repro.datamodel.encoding import ENCODER, EncodedKeys  # noqa: E402
-from repro.experiments.planner import (  # noqa: E402
+import repro
+from repro import MateConfig, MateDiscovery, build_index
+from repro.api import PlannerOptions
+from repro.api.request import RequestBudget
+from repro.baselines import ScrDiscovery
+from repro.core import joinability
+from repro.core.joinability import verify_encoded
+from repro.core.filters import should_prune_table
+from repro.datagen import build_workload
+from repro.datamodel import MISSING, QueryTable, Row, Table, TableCorpus
+from repro.datamodel import encoding
+from repro.datamodel.encoding import ENCODER, EncodedKeys
+from repro.experiments.planner import (
     _build_drift_scenario,
     PLANNER_CHECK_EVERY,
     PLANNER_REPLAN_FACTOR,
     PLANNER_SAMPLE_SIZE,
 )
-from repro.experiments.runner import ExperimentSettings  # noqa: E402
-from repro.index import (  # noqa: E402
-    IndexMaintainer,
-    InvertedIndex,
-    group_into_table_blocks,
-    prefilter_table_block,
-    use_kernel,
-)
-from repro.index import columnar  # noqa: E402
-from repro.index.batch import RequestArrays  # noqa: E402
-from repro.ingest import LiveIndex  # noqa: E402
-from repro.metrics import DiscoveryCounters  # noqa: E402
-from repro.plan import PlanContext, PlanReport, Planner  # noqa: E402
-from repro.plan.executor import Executor  # noqa: E402
-from repro.sketch import SketchOptions  # noqa: E402
-from repro.storage import MappedSegmentIndex, load_segment, write_segment  # noqa: E402
+from repro.experiments.runner import ExperimentSettings
+from repro.hashing.base import key_width
+from repro.index import IndexMaintainer, InvertedIndex, group_into_table_blocks
+from repro.index import columnar
+from repro.index.batch import RequestArrays
+from repro.ingest import LiveIndex
+from repro.metrics import DiscoveryCounters
+from repro.plan import PlanContext, PlanReport, Planner
+from repro.plan.executor import Executor
+from repro.plan.stages import CandidateGeneration
+from repro.sketch import SketchOptions
+from repro.storage import MappedSegmentIndex, load_segment, write_segment
 
-from tests.helpers import (  # noqa: E402
+from tests.helpers import (
     BUILD_LANES,
     assert_results_byte_identical,
     build_in_lane,
     legacy_discover,
     legacy_verify_table,
 )
-from tests.test_kernels import VALUES, as_dict, index_cases  # noqa: E402
+from tests.test_kernels import VALUES, index_cases, reference_prefilter
 
 CONFIG = MateConfig(hash_size=128, k=5, expected_unique_values=50_000)
-
-
-@pytest.fixture(autouse=True)
-def numpy_kernel():
-    """The batch path needs the numpy kernel whatever ``MATE_KERNEL`` says."""
-    with use_kernel("numpy"):
-        yield
 
 
 @pytest.fixture()
@@ -108,10 +102,15 @@ def assert_batch_equals_table_path(engine, query, *, make_kwargs=dict, **kwargs)
     batch = engine.discover(query, **kwargs, **make_kwargs())
     assert batch.plan.execution_path == "batch", batch.plan.table_path_reason
     assert batch.plan.table_path_reason == ""
-    with use_kernel("off"):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            CandidateGeneration,
+            "_table_path_reason",
+            staticmethod(lambda context, blocks: "forced"),
+        )
         table = engine.discover(query, **kwargs, **make_kwargs())
     assert table.plan.execution_path == "table"
-    assert table.plan.table_path_reason == "kernel off"
+    assert table.plan.table_path_reason == "forced"
     assert_results_byte_identical(batch, table)
     assert stage_volumes(batch) == stage_volumes(table)
     return batch
@@ -244,18 +243,22 @@ def one_value_index(super_keys: list[int]) -> InvertedIndex:
 
 
 class TestRequestArrays:
+    @pytest.mark.parametrize("mode", ["superkey", "none"])
     @given(case=index_cases())
     @settings(max_examples=120, deadline=None)
-    def test_cut_matches_the_table_at_a_time_splice(self, case):
-        """Same postings, same bitmaps: arrays vs ``prefilter_table_block``."""
+    def test_cut_matches_the_per_row_reference(self, mode, case):
+        """Same postings: arrays vs the per-row scan of each table block."""
         hash_size, postings, key_map, length_shift, bound = case
         index = InvertedIndex(hash_size=hash_size)
         for value, table_id, row_index, key in postings:
             index.add_posting(value, table_id, 0, row_index)
             index.set_super_key(table_id, row_index, key)
         blocks = index.fetch_batch(VALUES)
-        arrays = RequestArrays(blocks, key_map, length_shift)
+        arrays = RequestArrays(
+            blocks, key_map, length_shift, check_keys=mode == "superkey"
+        )
         grouped = group_into_table_blocks(blocks)
+        width = key_width(hash_size)
         candidates = arrays.candidates(None)
         assert [
             (table_id, len(span)) for table_id, span in candidates
@@ -265,21 +268,18 @@ class TestRequestArrays:
         )
         for table_id, span in candidates:
             table_block = grouped[table_id]
-            run_cov = []
-            for source, fetch_start, table_start, count in table_block.cov_sources:
-                entries = key_map.get(source.value, ())
-                if entries:
-                    per_level = source.query_coverage(entries, length_shift, "numpy")
-                    run_cov.append(
-                        (table_start, fetch_start, count, entries, per_level)
-                    )
-            expected = as_dict(
-                prefilter_table_block(
-                    row_indexes=table_block.row_indexes,
-                    run_cov=run_cov,
-                    posting_count=len(table_block),
-                    min_joinability=bound,
-                )
+            expected = reference_prefilter(
+                values=table_block.values,
+                row_indexes=table_block.row_indexes,
+                packed=b"".join(
+                    key.to_bytes(width, "big") for key in table_block.super_keys
+                ),
+                width=width,
+                key_map=key_map,
+                posting_count=len(table_block),
+                mode=mode,
+                length_shift=length_shift,
+                min_joinability=bound,
             )
             rows_checked, checks, hits, abandoned, surviving = arrays.cut(
                 span, bound
@@ -525,14 +525,10 @@ class TestExecutionPathReport:
 
         engine = MateDiscovery(workload.corpus, index, config=CONFIG)
         assert report(engine).as_dict()["execution_path"] == "batch"
-        with use_kernel("off"):
-            assert report(engine).table_path_reason == "kernel off"
-        with use_kernel("fallback"):
-            assert report(engine).table_path_reason == "kernel fallback"
         scr = MateDiscovery(
             workload.corpus, index, config=CONFIG, row_filter_mode="none"
         )
-        assert report(scr).table_path_reason == "row filter none"
+        assert report(scr).execution_path == "batch"
         oracle = MateDiscovery(
             workload.corpus, index, config=CONFIG, row_filter_mode="oracle"
         )
@@ -540,12 +536,17 @@ class TestExecutionPathReport:
 
     def test_a_spilled_key_takes_the_table_path(self, workload):
         """A key wider than the hash size spills, and its block arrives
-        unpacked: the request runs table at a time — the prefilter packs the
-        other tables' keys on the spot and leaves the spilled row's table to
-        the row loop — with the answers and counters of the verbatim loop."""
+        unpacked: the request runs table at a time through the per-row loop,
+        with the answers and counters of the verbatim loop — for MATE and
+        for SCR alike."""
         query = workload.queries[0]
         index = build_index(workload.corpus, config=CONFIG)
         engine = MateDiscovery(workload.corpus, index, config=CONFIG)
+        scr = ScrDiscovery(workload.corpus, index, config=CONFIG)
+        assert scr.discover(query).plan.execution_path == "batch"
+        assert_results_byte_identical(
+            scr.discover(query), legacy_discover(scr, query)
+        )
         value = engine.probe_values(query)[0]
         spilled = index.fetch([value])[0]
         index.set_super_key(
@@ -553,13 +554,49 @@ class TestExecutionPathReport:
             spilled.row_index,
             spilled.super_key | 1 << 300,
         )
-        result = engine.discover(query)
-        assert result.plan.execution_path == "table"
-        assert result.plan.table_path_reason == f"unpacked block for value {value!r}"
-        assert result.plan.as_dict()["table_path_reason"] == (
-            result.plan.table_path_reason
+        for system in (engine, scr):
+            result = system.discover(query)
+            assert result.plan.execution_path == "table"
+            assert result.plan.table_path_reason == (
+                f"unpacked block for value {value!r}"
+            )
+            assert result.plan.as_dict()["table_path_reason"] == (
+                result.plan.table_path_reason
+            )
+            assert_results_byte_identical(result, legacy_discover(system, query))
+
+    def test_the_old_lane_switches_are_ignored(self):
+        """``MATE_KERNEL`` / ``MATE_SKETCH`` select nothing any more: a
+        process started with both set still plans the batch path."""
+        script = (
+            "from repro import MateDiscovery, PlannerOptions, SketchOptions\n"
+            "from repro import QueryTable, Table, TableCorpus, build_index\n"
+            "corpus = TableCorpus(name='c')\n"
+            "corpus.add_table(Table(0, 't', ['a', 'b'], [['x', 'y'], ['x', 'z']]))\n"
+            "query = QueryTable(Table(9, 'q', ['a', 'b'], [['x', 'y']]), ['a', 'b'])\n"
+            "engine = MateDiscovery(corpus, build_index(corpus))\n"
+            "exact = engine.discover(query)\n"
+            "sketched = engine.discover(\n"
+            "    query, planner=PlannerOptions(mode='sketch'), sketch=SketchOptions()\n"
+            ")\n"
+            "assert sketched.result_tuples() == exact.result_tuples()\n"
+            "print(exact.plan.execution_path, sketched.plan.execution_path)\n"
         )
-        assert_results_byte_identical(result, legacy_discover(engine, query))
+        env = dict(
+            os.environ,
+            MATE_KERNEL="off",
+            MATE_SKETCH="fallback",
+            PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split() == ["batch", "batch"]
 
     def test_path_is_not_a_counter(self, engine, workload):
         result = engine.discover(workload.queries[0])
@@ -587,7 +624,7 @@ class TestCoverageMemoBound:
                 if key_super_key & ~(row % 7) == 0
             ]
         # The entries of the request in flight are kept together.
-        assert {(key_super_key, 4, "numpy") for _, key_super_key in entries} <= set(
+        assert {(key_super_key, 4) for _, key_super_key in entries} <= set(
             block._cov_cache
         )
 
@@ -597,7 +634,7 @@ class TestCoverageMemoBound:
         entries = [
             ((f"k{key}",), key) for key in range(2 * columnar.COVERAGE_MEMO_ENTRIES)
         ]
-        per_level = block.query_coverage(entries, None, "numpy")
+        per_level = block.query_coverage(entries, None)
         assert len(per_level) == len(entries)
         assert len(block._cov_cache) <= columnar.COVERAGE_MEMO_ENTRIES
         assert [cov for cov, _ in per_level[:4]] == [

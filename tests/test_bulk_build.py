@@ -1,18 +1,12 @@
 """Differential suite of the bulk index build (repro.index.bulk).
 
 ``IndexBuilder.build`` is compared with the per-cell ``add_table`` loop over
-a plain ``InvertedIndex`` — the reference, spelled out here so it does not
-depend on what the builder selects — on random corpora: vocabulary order,
-every block column, the row table and the bytes of the written ``.seg``.
-The corpora hold what the array passes could get wrong: no tables, tables
-without rows or without columns, all-missing rows, a value twice in one row
-and in many tables, tables iterated out of id order, table ids that are
-negative or too large for a ``table * span + row`` code.
-
-The module runs under whichever kernel the process selected.  With numpy
-the build is the array lane; under ``MATE_KERNEL=fallback`` (and without
-numpy) both sides are the loop, and ``test_the_lane_is_selected_by_the_
-kernel_alone`` pins that this selection is the only switch.
+a plain ``InvertedIndex`` (``build_in_lane("loop")``) on random corpora:
+vocabulary order, every block column, the row table and the bytes of the
+written ``.seg``.  The corpora hold what the array passes could get wrong: no
+tables, tables without rows or without columns, all-missing rows, a value
+twice in one row and in many tables, tables iterated out of id order, table
+ids that are negative or too large for a ``table * span + row`` code.
 """
 
 from __future__ import annotations
@@ -27,13 +21,7 @@ from repro import MateConfig, Table
 from repro.datamodel import Row
 from repro.exceptions import IndexError_
 from repro.hashing import SuperKeyGenerator
-from repro.index import (
-    IndexBuilder,
-    InvertedIndex,
-    ShardedInvertedIndex,
-    active_kernel,
-    build_index,
-)
+from repro.index import IndexBuilder, InvertedIndex, ShardedInvertedIndex, build_index
 from repro.storage import MappedSegmentIndex, load_segment, write_segment
 from repro.storage.paged import block_of
 from repro.storage.segment_block import flatten_index
@@ -74,11 +62,9 @@ def corpora(draw) -> list[Table]:
 
 def loop_built(tables, config: MateConfig, hash_function_name: str) -> InvertedIndex:
     """The reference: one ``add_table`` per table over a plain index."""
-    builder = IndexBuilder(config=config, hash_function_name=hash_function_name)
-    index = InvertedIndex(hash_function_name, config.hash_size)
-    for table in tables:
-        builder.add_table(index, table)
-    return index
+    return build_in_lane(
+        "loop", tables, config=config, hash_function_name=hash_function_name
+    )
 
 
 @pytest.mark.parametrize(
@@ -120,11 +106,10 @@ def test_build_equals_the_add_table_loop(
     assert report.num_distinct_values == len(reference)
 
 
-def test_the_lane_is_selected_by_the_kernel_alone():
+def test_a_bulk_build_is_served_from_its_block():
     table = Table(table_id=3, name="t", columns=["a", "b"], rows=[["x", ""], ["y", "x"]])
-    arrays = active_kernel() == "numpy"
     columnar = build_index([table])
-    assert type(columnar) is (MappedSegmentIndex if arrays else InvertedIndex)
+    assert type(columnar) is MappedSegmentIndex
     built, sketches = IndexBuilder().build_with_sketches([table])
     assert type(built) is type(columnar) and sketches.table_ids() == {3}
     for lane in BUILD_LANES:
@@ -260,7 +245,6 @@ def test_hash_batch_of_an_oversize_hash_is_refused():
         def hash_value(self, value: str) -> int:
             return 1 << (self.hash_size + 9)
 
-    pytest.importorskip("numpy")
     with pytest.raises(HashingError, match="does not fit"):
         TooWide(MateConfig()).hash_batch(["a"])
 

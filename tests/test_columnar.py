@@ -438,9 +438,6 @@ class TestPackedPersistence:
         assert restored.fetch(values) == index.fetch(values)
         assert sorted(restored.iter_super_keys()) == sorted(index.iter_super_keys())
 
-    @pytest.mark.skipif(
-        "block" not in BUILD_LANES, reason="the block-backed build needs numpy"
-    )
     def test_saving_a_bulk_built_index_slices_no_views(
         self, workload, config, tmp_path
     ):

@@ -26,12 +26,12 @@ from repro.config import DEFAULT_CONFIG, MateConfig
 from repro.datagen import build_workload
 from repro.hashing import SuperKeyGenerator, create_hash_function
 from repro.hashing import xash as xash_module
-from repro.index import IndexBuilder, build_index, numpy_available
+from repro.index import IndexBuilder, build_index
 from repro.storage import write_segment
 from tests.helpers import LegacyShortXash, LegacyXash, legacy_xash_hash
 
-#: The hash entry points exercisable here (the batch one needs numpy).
-ENTRY_POINTS = ["scalar"] + (["batch"] if numpy_available() else [])
+#: The two hash entry points: per value and per batch.
+ENTRY_POINTS = ["scalar", "batch"]
 
 
 def hashes_through(entry_point: str, function, values: list[str]) -> list[int]:
@@ -136,7 +136,6 @@ class TestDifferentialAgainstLegacy:
         assert on_border > 50
 
 
-@pytest.mark.skipif(not numpy_available(), reason="hash_batch needs numpy")
 class TestBatchAgainstScalar:
     """``hash_batch`` row ``i`` is ``hash_value(values[i])``, whatever the
     text, the switches, the batch size and what else shares the batch."""

@@ -10,13 +10,10 @@ Before the seal both buffers must answer every read alike; the sealed block
 must equal ``build_block`` of the surviving tables in add order, column for
 column, and its ``.seg`` file the bulk build's byte for byte.
 
-The module runs under whichever kernel the process selected.  With numpy the
-buffer is the column store and its reads a pinned ``BufferView``; under
-``MATE_KERNEL=fallback`` (and without numpy) buffer and oracle are both the
-loop, and ``test_the_lane_is_selected_by_the_kernel_alone`` pins that this
-selection is the only switch.  The live-index tests further down cover the
-ack order (nothing is logged that cannot be indexed), the masked statistics
-and the "no per-cell call on the array lane" rule.
+The buffer is a column store read through a pinned ``BufferView``.  The
+live-index tests further down cover the ack order (nothing is logged that
+cannot be indexed), the masked statistics and the "no per-cell call on the
+ack path" rule.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from repro import DiscoverySession, MateConfig, Table, TableCorpus
 from repro.datamodel import Row
 from repro.exceptions import HashingError, IndexError_
 from repro.hashing import SuperKeyGenerator
-from repro.index import InvertedIndex, active_kernel, build_index
+from repro.index import InvertedIndex, build_index
 from repro.index.columnar import ColumnarPostingList
 from repro.ingest import IngestBuffer, LiveIndex
 from repro.ingest.buffer import BufferView
@@ -37,8 +34,6 @@ from repro.storage import MappedSegmentIndex, write_segment
 from repro.storage.paged import block_of
 
 from tests.helpers import assert_blocks_equal, block_columns, legacy_ingest_buffer
-
-ARRAYS = active_kernel() == "numpy"
 
 VOCABULARY = ["", "ada", "alan", "grace", "İstanbul", "straße", "漢字", "42", "x y", "q" * 40]
 PROBES = VOCABULARY + ["never indexed"]
@@ -143,8 +138,7 @@ def test_buffer_equals_the_loop_buffer_and_seals_into_the_bulk_block(
         assert_blocks_equal(
             buffer.index.fetch_batch(PROBES), oracle.index.fetch_batch(PROBES)
         )
-        if ARRAYS:
-            pinned.append((buffer.index, dict(buffer.table_seqs), mine))
+        pinned.append((buffer.index, dict(buffer.table_seqs), mine))
     # Enumeration (the full layout) agrees as sets: the vocabulary order is
     # first-seen over the *surviving* tables, the loop buffer's is not.
     assert sorted(buffer.index.values()) == sorted(oracle.index.values())
@@ -166,40 +160,35 @@ def test_buffer_equals_the_loop_buffer_and_seals_into_the_bulk_block(
     sealed = buffer.seal()
     assert isinstance(sealed, MappedSegmentIndex)
     assert_blocks_equal(sealed.fetch_batch(PROBES), oracle.index.fetch_batch(PROBES))
+    rebuilt = build_index(surviving, config=config)
+    assert list(sealed.values()) == list(rebuilt.values())
+    assert block_columns(sealed.block) == block_columns(block_of(rebuilt))
+    assert write_segment(
+        sealed, tmp_path / "sealed.seg", fsync=False
+    ).read_bytes() == (
+        write_segment(rebuilt, tmp_path / "bulk.seg", fsync=False).read_bytes()
+    )
     # After a buffered drop the loop buffer keeps a still-shared value at
     # its older position: same postings, another vocabulary order.
-    dropped = any(kind == "drop" for kind, _payload in history)
-    if ARRAYS or not dropped:
-        rebuilt = build_index(surviving, config=config)
-        assert list(sealed.values()) == list(rebuilt.values())
-        assert block_columns(sealed.block) == block_columns(block_of(rebuilt))
-        assert write_segment(
-            sealed, tmp_path / "sealed.seg", fsync=False
-        ).read_bytes() == (
-            write_segment(rebuilt, tmp_path / "bulk.seg", fsync=False).read_bytes()
-        )
-    if not ARRAYS or not dropped:
+    if not any(kind == "drop" for kind, _payload in history):
         assert block_columns(sealed.block) == block_columns(oracle.seal().block)
 
 
-def test_the_lane_is_selected_by_the_kernel_alone():
+def test_the_buffer_reads_through_a_pinned_view():
     buffer = IngestBuffer(config=MateConfig())
     buffer.add_table(Table(3, "t", ["a", "b"], [["x", ""], ["y", "x"]]), seq=1)
-    assert type(buffer.index) is (BufferView if ARRAYS else InvertedIndex)
+    assert type(buffer.index) is BufferView
     # One object until the next write, a new one after it.
     first = buffer.index
     assert buffer.index is first
     buffer.add_table(Table(4, "u", ["a"], [["x"]]), seq=2)
-    if ARRAYS:
-        assert buffer.index is not first
-        assert first.posting_list_length("x") == 2
+    assert buffer.index is not first
+    assert first.posting_list_length("x") == 2
     assert buffer.index.posting_list_length("x") == 3
     assert type(buffer.seal()) is MappedSegmentIndex
 
 
 def test_a_view_survives_column_reallocation_and_a_rebuilding_drop():
-    if not ARRAYS:
-        pytest.skip("the loop buffer is a shared mutable index")
     buffer = IngestBuffer(config=MateConfig())
     buffer.add_table(Table(1, "t", ["a", "b"], [["x", "y"], ["x", ""]]), seq=1)
     view = buffer.index
@@ -337,15 +326,11 @@ def test_masked_statistics_are_counted_on_the_columns(tmp_path):
 
 
 def test_no_per_cell_call_is_reachable_from_the_array_ack_path(tmp_path, monkeypatch):
-    if not ARRAYS:
-        pytest.skip("the loop lane is the per-cell path")
-
     def forbidden(*args, **kwargs):
         raise AssertionError("a per-cell routine ran on the array ack path")
 
     monkeypatch.setattr(InvertedIndex, "add_posting", forbidden)
     monkeypatch.setattr(ColumnarPostingList, "__init__", forbidden)
-    monkeypatch.setattr("repro.ingest.buffer.flatten_index", forbidden)
     monkeypatch.setattr("repro.storage.paged.flatten_index", forbidden)
     live = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
     for table_id in (1, 2, 3):

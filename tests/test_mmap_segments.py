@@ -36,7 +36,6 @@ import pytest
 import repro
 from repro import LiveIndex, MateConfig, MateDiscovery, Table, TableCorpus, build_index
 from repro.datamodel import QueryTable
-from repro.index import numpy_available, use_kernel
 from repro.ingest import IngestBuffer
 from repro.exceptions import (
     IndexClosedError,
@@ -258,17 +257,15 @@ class TestRoundTrip:
         finally:
             mapped.close()
 
-    @pytest.mark.skipif(not numpy_available(), reason="the batch path needs numpy")
     def test_discovery_runs_the_batch_path(self, segment):
         # The packed key buffers survived the format: request-level arrays
         # are built straight from the mapped columns.
         corpus, _index, path = segment
         mapped = load_segment(path)
         try:
-            with use_kernel("numpy"):
-                result = MateDiscovery(corpus, mapped, config=CONFIG).discover(
-                    make_query()
-                )
+            result = MateDiscovery(corpus, mapped, config=CONFIG).discover(
+                make_query()
+            )
             assert result.plan.execution_path == "batch", (
                 result.plan.table_path_reason
             )
@@ -333,29 +330,24 @@ class TestRoundTrip:
     @pytest.mark.parametrize("rows", [False, True], ids=["empty", "rows-only"])
     def test_index_without_postings_round_trips(self, tmp_path, rows):
         # A shard is written with the central row store attached, so a block
-        # may hold rows and not one posting; the numpy lane's key matrices
-        # are then (0, width), which memoryview refuses to cast unflattened.
+        # may hold rows and not one posting; the key matrices are then
+        # (0, width), which memoryview refuses to cast unflattened.
         index = repro.index.InvertedIndex(hash_size=128)
         if rows:
             index.set_super_key(4, 0, 0b101)
             index.set_super_key(4, 1, 1 << 300)  # spilled
-        written = []
-        for lane in ["fallback"] + (["numpy"] if numpy_available() else []):
-            with use_kernel(lane):
-                path = write_segment(index, tmp_path / f"{lane}.seg", fsync=False)
-            written.append(path.read_bytes())
-            mapped = load_segment(path)
-            try:
-                assert len(mapped) == 0 and mapped.num_posting_items() == 0
-                assert list(mapped.values()) == []
-                assert mapped.fetch_batch(PROBES) == []
-                assert sorted(mapped.iter_super_keys()) == sorted(
-                    index.iter_super_keys()
-                )
-                assert mapped.indexed_tables() == index.indexed_tables()
-            finally:
-                mapped.close()
-        assert written == written[:1] * len(written)
+        path = write_segment(index, tmp_path / "t.seg", fsync=False)
+        mapped = load_segment(path)
+        try:
+            assert len(mapped) == 0 and mapped.num_posting_items() == 0
+            assert list(mapped.values()) == []
+            assert mapped.fetch_batch(PROBES) == []
+            assert sorted(mapped.iter_super_keys()) == sorted(
+                index.iter_super_keys()
+            )
+            assert mapped.indexed_tables() == index.indexed_tables()
+        finally:
+            mapped.close()
 
 
 class TestCloseSemantics:

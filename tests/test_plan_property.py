@@ -6,7 +6,8 @@ requests run table at a time):
 
 * with re-planning disabled, the executor's top-k is *byte-identical* to
   the verbatim pre-refactor loop (:func:`tests.helpers.legacy_discover`) —
-  tables, mappings, names, completeness, and every counter;
+  tables, mappings, names, completeness, and every counter — for MATE and
+  for the SCR baseline (row filter ``none``) alike;
 * with re-planning enabled (deliberately trigger-happy knobs), the result
   is still a valid top-k: the same scores as the brute-force oracle, with
   tie order free — MATE's exact verification makes the reported scores
@@ -22,14 +23,13 @@ from repro import MateConfig, MateDiscovery
 from repro.api import PlannerOptions
 from repro.api.request import RequestBudget
 from repro.core import top_k_by_exact_joinability
+from repro.baselines import ScrDiscovery
 from repro.datamodel import QueryTable, Table, TableCorpus
-from repro.index import use_kernel
 
 from tests.helpers import (
     INDEX_VARIANTS,
     assert_results_byte_identical,
     assert_topk_equivalent,
-    available_kernel_modes,
     build_index_variant,
     legacy_discover,
 )
@@ -73,10 +73,12 @@ def corpus_and_query(draw) -> tuple[TableCorpus, QueryTable]:
     return corpus, query
 
 
-def build_engine(corpus: TableCorpus, variant: str = "packed") -> MateDiscovery:
+def build_engine(
+    corpus: TableCorpus, variant: str = "packed", engine_class=MateDiscovery
+) -> MateDiscovery:
     config = MateConfig(hash_size=128, k=3, expected_unique_values=1000)
     index = build_index_variant(variant, corpus, config=config)
-    return MateDiscovery(corpus, index, config=config)
+    return engine_class(corpus, index, config=config)
 
 
 @pytest.mark.parametrize("variant", INDEX_VARIANTS)
@@ -100,6 +102,29 @@ class TestPlanEquivalenceProperties:
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
+    def test_scr_is_byte_identical_to_legacy_loop(self, variant, data):
+        """SCR runs on the batch path unless a fetched block holds a
+        spilled key, and answers and charges what the per-row loop does."""
+        corpus, query = corpus_and_query(data.draw)
+        engine = build_engine(corpus, variant, ScrDiscovery)
+        result = engine.discover(query)
+        assert_results_byte_identical(result, legacy_discover(engine, query))
+        plan = result.plan
+        probes = list(engine._build_key_super_key_map(query, plan.seed_column))
+        unpacked = [
+            block.value
+            for block in engine.index.fetch_batch(probes)
+            if block.super_key_bytes is None
+        ]
+        assert not unpacked or variant == "spilled"
+        assert (plan.execution_path, plan.table_path_reason) == (
+            ("table", f"unpacked block for value {unpacked[0]!r}")
+            if unpacked
+            else ("batch", "")
+        )
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
     def test_adaptive_replanning_yields_a_valid_topk(self, variant, data):
         corpus, query = corpus_and_query(data.draw)
         engine = build_engine(corpus, variant)
@@ -117,42 +142,3 @@ class TestPlanEquivalenceProperties:
         )
         truth = top_k_by_exact_joinability(query, corpus, k=engine.config.k)
         assert_topk_equivalent(result.result_tuples(), truth)
-
-
-@pytest.mark.parametrize("kernel", available_kernel_modes())
-class TestKernelPlanEquivalence:
-    """End-to-end byte-identity with the prefilter kernels forced on/off.
-
-    The same random corpora and queries as the plan-equivalence properties,
-    but run under every exercisable kernel mode — ``off`` re-proves the
-    per-row loop, ``fallback`` and ``numpy`` prove that the vectorized
-    prefilter changes *nothing* observable: tables,
-    scores, mappings, names, completeness, and every counter (including
-    ``superkey_checks`` / ``short_circuit_hits`` / rule-2 prunes) match the
-    verbatim pre-refactor loop byte for byte.
-    """
-
-    @given(data=st.data())
-    @settings(max_examples=30, deadline=None)
-    def test_forced_kernel_is_byte_identical_to_legacy_loop(self, kernel, data):
-        corpus, query = corpus_and_query(data.draw)
-        engine = build_engine(corpus)
-        with use_kernel(kernel):
-            result = engine.discover(query)
-        oracle = legacy_discover(engine, query)
-        assert_results_byte_identical(result, oracle)
-
-    @given(data=st.data())
-    @settings(max_examples=15, deadline=None)
-    def test_forced_kernel_respects_budgets(self, kernel, data):
-        corpus, query = corpus_and_query(data.draw)
-        engine = build_engine(corpus)
-        limit = data.draw(st.integers(min_value=0, max_value=6))
-        with use_kernel(kernel):
-            result = engine.discover(
-                query, budget=RequestBudget(max_pl_fetches=limit)
-            )
-        oracle = legacy_discover(
-            engine, query, budget=RequestBudget(max_pl_fetches=limit)
-        )
-        assert_results_byte_identical(result, oracle)

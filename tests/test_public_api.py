@@ -9,6 +9,10 @@ same change, which is exactly the review point the contract needs.
 
 from __future__ import annotations
 
+import importlib
+
+import pytest
+
 import repro
 
 #: The public surface of ``repro`` as of schema version 2.  Update this list
@@ -114,3 +118,42 @@ def test_session_and_request_are_the_documented_front_door():
     docstring = repro.__doc__ or ""
     assert "DiscoverySession" in docstring
     assert "DiscoveryRequest" in docstring
+
+
+#: What selected the second and third copies of each array operation, gone
+#: with them: numpy is required and every lane is its array pass.
+REMOVED_LANE_NAMES = [
+    ("repro.index", name)
+    for name in (
+        "PrefilterResult",
+        "active_kernel",
+        "numpy_available",
+        "pack_super_keys",
+        "prefilter_block",
+        "prefilter_table_block",
+        "set_kernel",
+        "use_kernel",
+    )
+] + [
+    ("repro.index.kernels", name)
+    for name in ("KERNEL_CHOICES", "KERNEL_ENV_VAR", "kernel_choice")
+] + [
+    ("repro.sketch", name)
+    for name in (
+        "SKETCH_CHOICES",
+        "SKETCH_ENV_VAR",
+        "active_sketch_kernel",
+        "set_sketch_kernel",
+        "sketch_kernel_choice",
+        "sketch_numpy_available",
+        "use_sketch_kernel",
+    )
+]
+
+
+@pytest.mark.parametrize("module_name, name", REMOVED_LANE_NAMES)
+def test_the_lane_switches_are_gone(module_name, name):
+    with pytest.raises(AttributeError):
+        getattr(importlib.import_module(module_name), name)
+    with pytest.raises(ImportError):
+        exec(f"from {module_name} import {name}", {})

@@ -7,9 +7,8 @@ their segment sealed (a value whose every posting is tombstoned must vanish
 from the vocabulary), ids re-added after removal, 2-5 segments, a spilled
 oversize key, table ids too large for a ``table * span + row`` search code,
 and — half the histories — segments and merge results left without a single
-posting.  Every history runs once per lane — numpy and the stdlib lane
-``MATE_KERNEL=fallback`` selects — and the lanes must build identical
-blocks, flatten included.
+posting.  The merged block must also equal the flattened oracle, column for
+column.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import MateConfig, Table
-from repro.index import numpy_available, use_kernel
 from repro.ingest import Segment, merge_segments
 from repro.storage.segment_block import SegmentBlock, flatten_index, merge_blocks
 
@@ -31,8 +29,6 @@ from tests.helpers import (
 )
 
 CONFIG = MateConfig(hash_size=128, k=5, expected_unique_values=10_000)
-
-LANES = ["fallback"] + (["numpy"] if numpy_available() else [])
 
 #: Far beyond the 128-bit packed slots: the key spills.
 OVERSIZE_KEY = (1 << 300) | 0b1011
@@ -159,68 +155,57 @@ def assert_same_segment(merged: Segment, oracle: Segment) -> None:
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(history=histories())
-def test_merge_matches_the_per_value_merge_in_every_lane(history):
+def test_merge_matches_the_per_value_merge(history):
     plan, base, anchored = history
-    blocks = {}
-    for lane in LANES:
-        with use_kernel(lane):
-            segments, tombstones = build_segments(plan, base, anchored)
-            merged = merge_segments(segments, tombstones, generation=9)
-            oracle = legacy_merge_segments(segments, tombstones, generation=9)
-            assert_same_segment(merged, oracle)
-            # Merging the merge result changes nothing: tombstones are spent.
-            again = merge_blocks([merged.index.block], [set()])
-            assert block_columns(again) == block_columns(merged.index.block)
-            blocks[lane] = (
-                [block_columns(segment.index.block) for segment in segments],
-                block_columns(merged.index.block),
-                block_columns(flatten_index(oracle.index)),
-            )
-    if len(LANES) > 1:
-        assert blocks["numpy"] == blocks["fallback"]
+    segments, tombstones = build_segments(plan, base, anchored)
+    merged = merge_segments(segments, tombstones, generation=9)
+    oracle = legacy_merge_segments(segments, tombstones, generation=9)
+    assert_same_segment(merged, oracle)
+    assert block_columns(merged.index.block) == block_columns(
+        flatten_index(oracle.index)
+    )
+    # Merging the merge result changes nothing: tombstones are spent.
+    again = merge_blocks([merged.index.block], [set()])
+    assert block_columns(again) == block_columns(merged.index.block)
 
 
 def test_a_value_with_every_posting_tombstoned_vanishes():
-    # The deterministic core of the property above, in both lanes.
-    for lane in LANES:
-        with use_kernel(lane):
-            plan = [
-                [("add", 0, [[0, 0]]), ("add", 1, [[0, 1]])],
-                [("remove", 0, []), ("add", 2, [[1, 1]])],
-                [("add", 0, [[2, 2]])],
-            ]
-            segments, tombstones = build_segments(plan, 0)
-            assert tombstones  # table 0's first copy is masked in segment 1
-            merged = merge_segments(segments, tombstones, generation=4)
-            values = list(merged.index.values())
-            # Table 0's first copy alone held n0/c0 pairs with "only-0" …
-            assert "only-0" in values  # … but the re-added copy brings it back,
-            # after everything segment 1 and 2 contributed.
-            assert values.index("only-0") > values.index("only-2")
-            assert merged.index.posting_list_length("only-0") == 1
-            assert 0 in merged.table_seqs
+    # The deterministic core of the property above.
+    plan = [
+        [("add", 0, [[0, 0]]), ("add", 1, [[0, 1]])],
+        [("remove", 0, []), ("add", 2, [[1, 1]])],
+        [("add", 0, [[2, 2]])],
+    ]
+    segments, tombstones = build_segments(plan, 0)
+    assert tombstones  # table 0's first copy is masked in segment 1
+    merged = merge_segments(segments, tombstones, generation=4)
+    values = list(merged.index.values())
+    # Table 0's first copy alone held n0/c0 pairs with "only-0" …
+    assert "only-0" in values  # … but the re-added copy brings it back,
+    # after everything segment 1 and 2 contributed.
+    assert values.index("only-0") > values.index("only-2")
+    assert merged.index.posting_list_length("only-0") == 1
+    assert 0 in merged.table_seqs
 
 
 def test_a_merge_that_purges_every_table_leaves_an_empty_block():
-    # No posting, no row: the numpy lane's key matrices are (0, width).
-    for lane in LANES:
-        with use_kernel(lane):
-            plan = [
-                [("add", 0, [[0, 0], [1, 1]])],
-                [("add", 1, [[0, 1]]), ("spill", 1, [])],
-                [("remove", 0, []), ("remove", 1, [])],
-            ]
-            segments, tombstones = build_segments(plan, 0, anchored=False)
-            assert set(tombstones) == {0, 1}
-            assert len(segments[2]) == 0  # sealing nothing is a block too
-            merged = merge_segments(segments, tombstones, generation=4)
-            oracle = legacy_merge_segments(segments, tombstones, generation=4)
-            assert_same_segment(merged, oracle)
-            assert block_columns(merged.index.block) == block_columns(
-                SegmentBlock.empty("xash", CONFIG.hash_size, 16)
-            )
-            assert merged.table_seqs == {}
-            assert merged.index.fetch_batch(["n0", "only-0"]) == []
+    # No posting, no row: the key matrices are (0, width).
+    plan = [
+        [("add", 0, [[0, 0], [1, 1]])],
+        [("add", 1, [[0, 1]]), ("spill", 1, [])],
+        [("remove", 0, []), ("remove", 1, [])],
+    ]
+    segments, tombstones = build_segments(plan, 0, anchored=False)
+    assert set(tombstones) == {0, 1}
+    assert len(segments[2]) == 0  # sealing nothing is a block too
+    merged = merge_segments(segments, tombstones, generation=4)
+    oracle = legacy_merge_segments(segments, tombstones, generation=4)
+    assert_same_segment(merged, oracle)
+    assert block_columns(merged.index.block) == block_columns(
+        SegmentBlock.empty("xash", CONFIG.hash_size, 16)
+    )
+    assert merged.table_seqs == {}
+    assert merged.index.fetch_batch(["n0", "only-0"]) == []
 
 
 def test_merging_differently_hashed_blocks_is_refused():

@@ -2,8 +2,8 @@
 
 Covers the :mod:`repro.sketch` subsystem end to end:
 
-* signature determinism and the numpy/fallback kernel equivalence
-  (``MATE_SKETCH``), Jaccard/containment estimator sanity;
+* signature determinism and equivalence with the stdlib loop,
+  Jaccard/containment estimator sanity;
 * :class:`SketchIndex` mutation, banded-LSH lookup, threshold and
   ``max_candidates`` pruning, and the S-curve recall estimate;
 * versioned persistence: atomic save/load round trips and corruption
@@ -48,15 +48,14 @@ from repro.ingest import LiveIndex
 from repro.plan import PlannerOptions
 from repro.sketch import (
     DEFAULT_SKETCH_OPTIONS,
-    active_sketch_kernel,
     containment_estimate,
     jaccard_estimate,
     minhash_signature,
     permutation_params,
-    use_sketch_kernel,
 )
+from repro.sketch.minhash import hash_value
 
-from tests.helpers import available_sketch_kernel_modes, write_legacy_sketch_pair
+from tests.helpers import legacy_minhash_signature, write_legacy_sketch_pair
 
 CONFIG = MateConfig(hash_size=128, k=5, expected_unique_values=10_000)
 
@@ -87,15 +86,13 @@ class TestMinHash:
         other_seed = permutation_params(128, seed=42)
         assert minhash_signature(["a", "b", "c"], *other_seed) != first
 
-    @pytest.mark.parametrize("kernel", available_sketch_kernel_modes())
-    def test_kernels_are_bit_identical(self, kernel):
+    def test_signature_equals_the_stdlib_loop(self):
         params = permutation_params(64, seed=7)
         values = [f"value_{i}" for i in range(50)]
-        with use_sketch_kernel("fallback"):
-            reference = minhash_signature(values, *params)
-        with use_sketch_kernel(kernel):
-            assert active_sketch_kernel() == kernel
-            assert minhash_signature(values, *params) == reference
+        hashes = sorted({hash_value(value) for value in values})
+        assert minhash_signature(values, *params) == legacy_minhash_signature(
+            hashes, *params
+        )
 
     def test_jaccard_estimate_tracks_true_overlap(self):
         params = permutation_params(256, seed=11)

@@ -2,9 +2,10 @@
 buckets, one sketch file per segment.
 
 * ``SketchIndex.add_table`` signs all columns of a table in one pass; the
-  signatures must equal the per-column ``minhash_signature`` bit for bit, on
-  the numpy kernel and the fallback alike, for whatever a table can hold
-  (columns without values, one value, duplicates, one column, no rows).
+  signatures must equal the per-column ``minhash_signature`` and the stdlib
+  loop (``tests/helpers.py::legacy_minhash_signature``) bit for bit, for
+  whatever a table can hold (columns without values, one value, duplicates,
+  one column, no rows).
 * Buckets are keyed by signature bytes and hold a bare table id until a
   second table shares them; ``candidate_tables`` / ``query`` must answer
   like the tuple-keyed set buckets they replaced
@@ -27,12 +28,12 @@ from hypothesis import strategies as st
 from repro import MateConfig, SketchIndex, Table
 from repro.index import IndexBuilder
 from repro.ingest import CompactionPolicy, Compactor, LiveIndex
-from repro.sketch import minhash_signature, permutation_params, use_sketch_kernel
-from repro.sketch.minhash import column_signatures, pack_signature
+from repro.sketch import minhash_signature, permutation_params
+from repro.sketch.minhash import column_signatures, hash_value, pack_signature
 
 from tests.helpers import (
     LegacySketchIndex,
-    available_sketch_kernel_modes,
+    legacy_minhash_signature,
     write_legacy_sketch_pair,
 )
 
@@ -58,32 +59,44 @@ def tables(draw, table_id: int = 1) -> Table:
 # ----------------------------------------------------------------------
 # One MinHash pass per table
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kernel", available_sketch_kernel_modes())
+def stdlib_signature(values, a, b) -> tuple[int, ...]:
+    return legacy_minhash_signature(sorted({hash_value(v) for v in values}), a, b)
+
+
 @given(table=tables())
 @settings(max_examples=80, deadline=None)
-def test_one_pass_signatures_equal_the_per_column_ones(kernel, table):
+def test_one_pass_signatures_equal_the_per_column_ones(table):
     a, b = permutation_params(128, 1_000_003)
-    with use_sketch_kernel(kernel):
-        store = SketchIndex()
-        added = store.add_table(table)
-        expected = {}
-        for column_index in range(table.num_columns):
-            values = table.distinct_column_values(column_index)
-            if values:
-                expected[column_index] = (len(values), minhash_signature(values, a, b))
+    store = SketchIndex()
+    added = store.add_table(table)
+    expected = {}
+    for column_index in range(table.num_columns):
+        values = table.distinct_column_values(column_index)
+        if values:
+            signature = minhash_signature(values, a, b)
+            assert signature == stdlib_signature(values, a, b)
+            expected[column_index] = (len(values), signature)
     assert added == len(expected) == len(store)
     for column_index, (cardinality, signature) in expected.items():
         sketch = store.column_sketch(table.table_id, column_index)
         assert (sketch.cardinality, sketch.signature) == (cardinality, signature)
         assert sketch.packed == pack_signature(signature)
-    # Whichever kernel stored them, the other computes the same bytes.
-    for other in available_sketch_kernel_modes():
-        with use_sketch_kernel(other):
-            again = SketchIndex()
-            again.add_table(table)
-        assert [s.packed for s in again.column_sketches()] == [
-            s.packed for s in store.column_sketches()
-        ]
+
+
+@given(
+    columns=st.lists(st.sets(st.sampled_from(VOCABULARY)), max_size=6),
+    bound=st.integers(1, 8),
+)
+@settings(max_examples=80, deadline=None)
+def test_column_signatures_sign_empty_columns_empty(columns, bound):
+    """An empty column is the all-``EMPTY_SLOT`` signature wherever it sits,
+    a broadcast cut included — not its neighbour's, and no ``IndexError``."""
+    a, b = permutation_params(16, 7)
+    expected = [pack_signature(stdlib_signature(values, a, b)) for values in columns]
+    assert column_signatures(columns, a, b) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.sketch.minhash._BROADCAST_VALUES", bound)
+        assert column_signatures(columns, a, b) == expected
 
 
 def test_a_broadcast_is_cut_at_whole_columns(monkeypatch):

@@ -1,16 +1,16 @@
 """Property-based sketch-tier equivalence (the plan-equivalence CI job).
 
-Three properties over arbitrary corpora and queries, under every
-exercisable sketch kernel (``MATE_SKETCH``), the first and last on an index
-with every super key packed and on one with a spilled key per table (whose
-requests run table at a time):
+Three properties over arbitrary corpora and queries, the first and last on
+an index with every super key packed and on one with a spilled key per table
+(whose requests run table at a time):
 
 * planner mode ``"sketch"`` with the exhaustive defaults (``threshold=0``,
   no candidate cap) is *byte-identical* to the exact engine — tables,
   mappings, names, completeness, and every counter except the per-stage
   breakdown (the sketch pipeline adds its ``sketch_prune`` stage);
-* the numpy and fallback signature kernels are bit-identical on arbitrary
-  value sets (the persisted sketch files depend on it);
+* the numpy signature pass is bit-identical to the stdlib loop
+  (``tests/helpers.py::legacy_minhash_signature``) on arbitrary value sets
+  (the persisted sketch files depend on it);
 * with a real threshold the prune never *invents* results: every reported
   table carries its exact joinability score (the sketch tier only shrinks
   the candidate universe; verification stays exact).
@@ -25,18 +25,10 @@ from repro import MateConfig, MateDiscovery
 from repro.api import PlannerOptions
 from repro.core import top_k_by_exact_joinability
 from repro.datamodel import QueryTable, Table, TableCorpus
-from repro.sketch import (
-    SketchOptions,
-    minhash_signature,
-    permutation_params,
-    use_sketch_kernel,
-)
+from repro.sketch import SketchOptions, minhash_signature, permutation_params
+from repro.sketch.minhash import hash_value
 
-from tests.helpers import (
-    INDEX_VARIANTS,
-    available_sketch_kernel_modes,
-    build_index_variant,
-)
+from tests.helpers import INDEX_VARIANTS, build_index_variant, legacy_minhash_signature
 
 #: Small vocabulary so that overlaps actually happen.
 VOCABULARY = ["ada", "alan", "grace", "berlin", "paris", "rome", "us", "uk", "de"]
@@ -132,33 +124,15 @@ class TestSketchEquivalenceProperties:
             assert truth.get(table_id, 0) == joinability
 
 
-@pytest.mark.parametrize("kernel", available_sketch_kernel_modes())
-class TestSketchKernelProperties:
-    @given(
-        value_set=st.sets(
-            st.text(min_size=0, max_size=12), min_size=0, max_size=40
-        ),
-        num_perm=st.sampled_from([16, 64, 128]),
-        seed=st.integers(min_value=1, max_value=2**31),
+@given(
+    value_set=st.sets(st.text(min_size=0, max_size=12), min_size=0, max_size=40),
+    num_perm=st.sampled_from([16, 64, 128]),
+    seed=st.integers(min_value=1, max_value=2**31),
+)
+@settings(max_examples=40, deadline=None)
+def test_signatures_equal_the_stdlib_loop(value_set, num_perm, seed):
+    params = permutation_params(num_perm, seed)
+    hashes = sorted({hash_value(value) for value in value_set})
+    assert minhash_signature(value_set, *params) == legacy_minhash_signature(
+        hashes, *params
     )
-    @settings(max_examples=40, deadline=None)
-    def test_kernel_signatures_are_bit_identical(
-        self, kernel, value_set, num_perm, seed
-    ):
-        params = permutation_params(num_perm, seed)
-        with use_sketch_kernel("fallback"):
-            reference = minhash_signature(value_set, *params)
-        with use_sketch_kernel(kernel):
-            assert minhash_signature(value_set, *params) == reference
-
-    @given(data=st.data())
-    @settings(max_examples=20, deadline=None)
-    def test_exhaustive_sketch_is_kernel_independent(self, kernel, data):
-        corpus, query = corpus_and_query(data.draw)
-        engine = build_engine(corpus)
-        exact = engine.discover(query)
-        with use_sketch_kernel(kernel):
-            exhaustive = engine.discover(
-                query, planner=EXHAUSTIVE_SKETCH, sketch=SketchOptions()
-            )
-        assert_identical_modulo_stages(exhaustive, exact)
