@@ -3,8 +3,9 @@
 
 Generates a tiny corpus plus a query CSV, runs ``mate-repro discover`` with
 ``--explain`` for every planner mode, and asserts the plan output shows up
-with the expected shape (seed column, per-column estimates, stage timings)
-while the top-k stays identical across modes.
+with the expected shape (seed column, per-column estimates, the execution
+path, the verification pass's pairs, stage timings) while the top-k stays
+identical across modes.
 
 Usage::
 
@@ -71,6 +72,15 @@ def main() -> int:
             path = re.search(r"execution path: (\w+)(?: \((.+)\))?", output)
             assert path is not None, output
             assert path.groups() == ("batch", None), output
+            # So is the size and the waste of the one verification pass.
+            pairs = re.search(
+                r"verified (\d+) pairs in one pass \((\d+) discarded by table "
+                r"filters or the deadline\)",
+                output,
+            )
+            assert pairs is not None, output
+            verified, discarded = map(int, pairs.groups())
+            assert 0 <= discarded <= verified, output
             for stage in (
                 "candidate_generation",
                 "superkey_prefilter",
@@ -89,8 +99,8 @@ def main() -> int:
             f"plan modes disagreed on the top-k: {rankings}"
         )
 
-    print("plan --explain smoke OK (selector/cost/adaptive agree, stages and "
-          "estimates printed)")
+    print("plan --explain smoke OK (selector/cost/adaptive agree, stages, "
+          "estimates and verified pairs printed)")
     return 0
 
 

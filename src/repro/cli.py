@@ -496,6 +496,9 @@ def _print_plan_explain(result) -> None:
               f"(estimated {event['estimated_postings']:.0f})")
     print(f"  fetched {explanation['observed_postings']} PL items "
           f"({explanation['discarded_postings']} discarded by re-plans)")
+    print(f"  verified {explanation['verified_pairs']} pairs in one pass "
+          f"({explanation['discarded_pairs']} discarded by table filters "
+          f"or the deadline)")
     reason = explanation["table_path_reason"]
     print(f"  execution path: {explanation['execution_path']}"
           + (f" ({reason})" if reason else ""))

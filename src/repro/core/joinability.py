@@ -18,11 +18,12 @@ Two implementations are provided:
   enumerating value positions per hit row instead of global permutations.
   :func:`row_mappings`, :func:`row_contains_key` and
   :func:`joinability_from_matches` expose its steps for single rows.
-* :func:`verify_encoded` — the same step as a numpy kernel over a table's
-  dictionary-encoded id matrix (:mod:`repro.datamodel.encoding`), for the
-  tables of a batch-path request that keep
-  :data:`VECTOR_VERIFY_MIN_PAIRS` pairs or more.  Same answer, same counter
-  charges; ``tests/helpers.legacy_verify_table`` is the oracle of both.
+* :func:`verify_request` — the same step as one numpy pass over the
+  surviving pairs of *every* candidate table of a batch-path request, on
+  their dictionary-encoded rows (:mod:`repro.datamodel.encoding`).  It
+  returns per-pair charges (so any prefix of a table's pairs is charged by
+  sums) and the Eq. 2 answer of every whole table;
+  ``tests/helpers.legacy_verify_table`` is the oracle of both verifiers.
 """
 
 from __future__ import annotations
@@ -37,14 +38,7 @@ from ..datamodel import MISSING, QueryTable, Table
 from ..datamodel.encoding import EncodedKeys
 from ..metrics import DiscoveryCounters
 
-#: Surviving pairs from which a table is verified by :func:`verify_encoded`
-#: instead of the :func:`verify_table` loop.  The kernel costs ~50 us in numpy
-#: calls before it touches data and ~0.2 us per pair after, the loop ~1.6 us
-#: per pair; measured inside requests of both benchmark corpora the two cross
-#: at about 40 pairs (docs/ARCHITECTURE.md, "Batch execution").
-VECTOR_VERIFY_MIN_PAIRS = 40
-
-#: Mapping codes are ``column**width * keys`` at most and must fit ``int64``.
+#: :func:`verify_request`'s ``(table, mapping, key)`` codes must stay below.
 _CODE_LIMIT = 1 << 62
 
 
@@ -139,76 +133,92 @@ def verify_table(
     return joinability, mapping, verified
 
 
-def _count_distinct(indexes, bound: int) -> int:
-    """How many distinct values ``indexes`` (all below ``bound``) holds."""
-    present = _np.zeros(bound, dtype=bool)
-    present[indexes] = True
-    return int(_np.count_nonzero(present))
-
-
 def _run_starts(ordered):
-    """Mask of the positions where a sorted, non-empty array changes value."""
+    """Mask of the positions where a sorted array changes value."""
     starts = _np.empty(len(ordered), dtype=bool)
-    starts[0] = True
+    starts[:1] = True
     _np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
     return starts
 
 
-def verify_encoded(
-    matrix,
-    pair_rows,
-    pair_keys,
-    keys: EncodedKeys,
-    counters: DiscoveryCounters,
-) -> tuple[int, tuple[int, ...] | None, int] | None:
-    """:func:`verify_table` over dense value ids, all pairs at once.
+def _run_ends(ordered):
+    """Mask of the last position of every run of a sorted, non-empty array."""
+    ends = _np.empty(len(ordered), dtype=bool)
+    ends[-1] = True
+    _np.not_equal(ordered[1:], ordered[:-1], out=ends[:-1])
+    return ends
 
-    ``matrix`` is the table's ``(rows, columns)`` id matrix, ``keys.ids`` the
-    request's ``(keys, width)`` one over the same dictionary;
-    ``pair_rows[i]`` / ``pair_keys[i]`` index them for surviving pair ``i``.
-    One comparison finds every column holding a pair's key values, a pair's
-    injective column mappings are the (ragged) product of its per-position
-    hit columns, and Eq. 2 is a count of distinct ``(mapping, key)`` codes.
-    Returns ``None`` (nothing charged) when those codes could overflow —
-    the caller runs the loop instead.
+
+def request_codes_fit(table_columns: Sequence[int], width: int, num_keys: int) -> bool:
+    """Whether :func:`verify_request`'s Eq. 2 codes fit ``int64``.
+
+    A table of ``c`` columns owns ``c ** width`` mapping codes (one per
+    choice of a column for every key position, injective or not), and
+    every one of them is paired with every key tuple.
+    """
+    return sum(columns**width for columns in table_columns) * num_keys < _CODE_LIMIT
+
+
+def verify_request(cells, table_columns, pair_tables, pair_rows, pair_keys, keys):
+    """:func:`verify_table` for many tables' surviving pairs, in one pass.
+
+    Pair ``i`` (of at least one) names its table — ``pair_tables[i]``, an
+    index into ``table_columns`` — its row in that table and its key tuple,
+    row ``pair_keys[i]`` of ``keys.ids``; ``cells`` holds the pairs' rows as
+    ``int32`` ids over the dictionary of ``keys.ids``, laid end to end in
+    pair order (ragged: a row is as long as its table is wide).  The Eq. 2
+    codes must fit (:func:`request_codes_fit`).
+
+    One comparison per key position finds every cell holding that
+    position's key value; a pair's injective column mappings are the
+    (ragged) product of its per-position hit columns, and Eq. 2 is one sort
+    of ``(table, mapping, key)`` codes for all tables at once.  Returns
+    ``(charges, tables, scores, mappings)``:
+
+    * ``charges`` — ``(pairs, 4)`` ``int64``: per pair, its value
+      comparisons, whether it is the first pair of its ``(table, row)``,
+      whether it verifies, and whether it is the first pair of its
+      ``(table, row)`` that verifies.  Summed over a prefix of one table's
+      pairs these are the ``value_comparisons``, ``rows_passed_filter``,
+      verified pairs and ``true_positive_rows`` :func:`verify_table`
+      returns and charges for that prefix;
+    * ``tables`` / ``scores`` / ``mappings`` — every table (index) with a
+      verified pair, and its joinability and column mapping over *all* of
+      its pairs.
     """
     np = _np
     key_ids = keys.ids
-    num_rows, num_columns = matrix.shape
     num_keys, width = key_ids.shape
-    if num_columns**width * num_keys >= _CODE_LIMIT:
-        return None
-    pairs = len(pair_rows)
-    cells = matrix.take(pair_rows, axis=0)
-    wanted = key_ids.take(pair_keys, axis=0)
-    # A hit is a (pair, key position, column) whose cell holds the key
-    # value; flat, in that order, so slot = pair * width + position.
-    slot, column = np.divmod(
-        np.flatnonzero(cells[:, None, :] == wanted[:, :, None]), num_columns
-    )
-    hits_per_slot = np.bincount(slot, minlength=pairs * width)
+    pairs = len(pair_tables)
+    pair_columns = table_columns.take(pair_tables)
+    cell_starts = np.cumsum(pair_columns) - pair_columns
+    # Beside ``cells``, the cell-length arrays are this map from a cell to
+    # its pair and, per key position, the repeated key ids: all ``int32``;
+    # and the comparison: ``bool``.
+    cell_pairs = np.repeat(np.arange(pairs, dtype=np.int32), pair_columns)
+    counts, columns = [], []
+    for position in range(width):
+        hit_cells = np.flatnonzero(
+            cells == np.repeat(key_ids[:, position].take(pair_keys), pair_columns)
+        )
+        hit_pairs = cell_pairs.take(hit_cells)
+        columns.append(hit_cells - cell_starts.take(hit_pairs))
+        counts.append(np.bincount(hit_pairs, minlength=pairs))
     # Column choices per pair: 0 unless every key value is in the row.
-    fan_out = hits_per_slot[0::width]
-    for position in range(1, width):
-        fan_out = fan_out * hits_per_slot[position::width]
-    ends = np.cumsum(fan_out)
-
-    seen = _count_distinct(pair_rows, num_rows)
-    counters.value_comparisons += num_columns * width * pairs
-    counters.rows_passed_filter += seen
+    fan_out = counts[0]
+    for count in counts[1:]:
+        fan_out = fan_out * count
 
     # One entry per (pair, choice): ``rank`` numbers a pair's choices and is
     # decomposed, last position first, into one hit per key position.
     owner = np.repeat(np.arange(pairs), fan_out)
-    rank = np.arange(len(owner)) - np.repeat(ends - fan_out, fan_out)
-    first_hit = np.cumsum(hits_per_slot) - hits_per_slot
-    hits_of = hits_per_slot.reshape(pairs, width).take(owner, axis=0)
-    first_of = first_hit.reshape(pairs, width).take(owner, axis=0)
-    chosen = []
+    rank = np.arange(len(owner)) - np.repeat(np.cumsum(fan_out) - fan_out, fan_out)
+    chosen = [None] * width
     for position in range(width - 1, -1, -1):
-        rank, nth = np.divmod(rank, hits_of[:, position])
-        chosen.append(column.take(first_of[:, position] + nth))
-    chosen.reverse()
+        count = counts[position]
+        first = np.cumsum(count) - count
+        rank, nth = np.divmod(rank, count.take(owner))
+        chosen[position] = columns[position].take(first.take(owner) + nth)
     if keys.repeated:
         # Two key positions only land in one column when they hold the same
         # value: drop the choices that are not injective.
@@ -217,36 +227,54 @@ def verify_encoded(
             for earlier in range(position):
                 injective &= chosen[position] != chosen[earlier]
         owner = owner[injective]
-        chosen = [columns[injective] for columns in chosen]
+        chosen = [column[injective] for column in chosen]
 
-    hit = _count_distinct(pair_rows.take(owner), num_rows)
-    counters.true_positive_rows += hit
-    counters.false_positive_rows += seen - hit
+    verified = np.zeros(pairs, dtype=bool)
+    verified[owner] = True
+    charges = np.zeros((pairs, 4), dtype=np.int64)
+    charges[:, 0] = pair_columns * width
+    charges[:, 2] = verified
+    # A stable sort by (table, row) lines up every row's pairs in pair
+    # order: the first of a run is the row's first pair, and the first
+    # verified one its first hit.
+    row_codes = pair_tables * (int(pair_rows.max()) + 1) + pair_rows
+    by_row = np.argsort(row_codes, kind="stable")
+    charges[by_row[_run_starts(row_codes.take(by_row))], 1] = 1
+    by_row = by_row[verified.take(by_row)]
+    charges[by_row[_run_starts(row_codes.take(by_row))], 3] = 1
     if not len(owner):
-        return 0, None, 0
+        return charges, np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), []
 
-    # Eq. 2: the mapping most distinct key tuples agree on, largest on ties.
-    # Codes order like the mapping tuples (first column most significant).
+    # Eq. 2: per table, the mapping most distinct key tuples agree on,
+    # largest on ties.  Table t's codes start at bases[t]; within a table
+    # they order like the mapping tuples (first column most significant).
+    owner_columns = pair_columns.take(owner)
     code = chosen[0]
-    for columns in chosen[1:]:
-        code = code * num_columns + columns
-    supported = np.sort(code * num_keys + pair_keys.take(owner))
-    # One entry per distinct (mapping, key), still sorted by mapping ...
-    mappings = supported[_run_starts(supported)] // num_keys
-    # ... numbered by mapping from 1, so bincount is the support per mapping.
-    run = np.cumsum(_run_starts(mappings))
-    support = np.bincount(run)
-    best = len(support) - 1 - int(np.argmax(support[::-1]))
-    code = int(mappings[np.searchsorted(run, best)])
-    mapping = []
-    for _ in range(width):
-        code, position_column = divmod(code, num_columns)
-        mapping.append(position_column)
-    return (
-        int(support[best]),
-        tuple(reversed(mapping)),
-        _count_distinct(owner, pairs),
+    for column in chosen[1:]:
+        code = code * owner_columns + column
+    spaces = table_columns**width
+    bases = np.cumsum(spaces) - spaces
+    supported = np.sort(
+        (bases.take(pair_tables.take(owner)) + code) * num_keys
+        + pair_keys.take(owner)
     )
+    # One entry per distinct (table, mapping, key), sorted by mapping ...
+    mapped = supported[_run_starts(supported)] // num_keys
+    starts = _run_starts(mapped)
+    # ... so the runs of equal mappings count their distinct keys.
+    support = np.bincount(np.cumsum(starts) - 1)
+    mapped = mapped[starts]
+    tables = np.searchsorted(bases, mapped, side="right") - 1
+    ranked = np.lexsort((mapped, support, tables))
+    best = ranked[_run_ends(tables.take(ranked))]
+    tables = tables.take(best)
+    code = mapped.take(best) - bases.take(tables)
+    radix = table_columns.take(tables)
+    decoded = []
+    for _ in range(width):
+        code, column = np.divmod(code, radix)
+        decoded.append(column.tolist())
+    return charges, tables, support.take(best), list(zip(*reversed(decoded)))
 
 
 def joinability_from_matches(

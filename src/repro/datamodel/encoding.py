@@ -1,7 +1,7 @@
 """Dictionary encoding of table cells to dense integer ids.
 
-The vector verification kernel
-(:func:`repro.core.joinability.verify_encoded`) compares cells as integers:
+The request verification kernel
+(:func:`repro.core.joinability.verify_request`) compares cells as integers:
 a table becomes a ``(rows, columns)`` ``int32`` matrix and a request's key
 tuples a ``(keys, width)`` matrix over the *same* value dictionary, so
 ``matrix[row, column] == key_ids[key, position]`` holds exactly when the two
@@ -12,16 +12,20 @@ One process-wide :class:`ValueEncoder` (:data:`ENCODER`) serves every engine,
 because the tables it encodes are shared too (shard engines hold the same
 :class:`~repro.datamodel.table.Table` objects as the session's corpus):
 
-* **lifetime** — a table is encoded the first time it reaches the vector
-  kernel and stays encoded while the table object is alive (the entry is
+* **lifetime** — a table is encoded the first time a batch-path request
+  that keeps a surviving pair in it gathers it
+  (:meth:`ValueEncoder.matrices`, once per request for all of its candidate
+  tables) and stays encoded while the table object is alive (the entry is
   keyed by ``id(table)`` and dropped by a weak-reference callback), a
   request's keys once per request;
 * **bound** — when the dictionary holds :data:`MAX_VALUE_IDS` values it is
   dropped together with every encoded table (in the manner of
-  :class:`repro.hashing.base.Memo`) and the *generation* is bumped; matrices
-  and key matrices carry the generation they were encoded in, so a request
-  still holding ids of the old generation re-encodes its keys instead of
-  comparing ids of two dictionaries;
+  :class:`repro.hashing.base.Memo`) and the *generation* is bumped.  The
+  bound is checked once per gather, so a request drops the dictionary at
+  most once and may leave it larger than the bound by the values of its
+  own tables.  Matrices and key matrices carry the generation they were
+  encoded in, so a request still holding ids of the old generation
+  re-encodes its keys instead of comparing ids of two dictionaries;
 * **invalidation** — whatever changes a table's rows in place calls
   :meth:`ValueEncoder.forget` (``Table.append_row``,
   ``TableCorpus.remove_table``, the row mutations of
@@ -102,35 +106,28 @@ class ValueEncoder:
         """Values in the dictionary (the quantity :data:`MAX_VALUE_IDS` bounds)."""
         return len(self._ids) - 1
 
-    def matrix(self, table: "Table", keys: EncodedKeys):
-        """``table``'s id matrix, with ``keys.ids`` in the same generation.
+    def matrices(self, tables: Sequence["Table"], keys: EncodedKeys) -> list:
+        """Every table's id matrix, all with ``keys.ids`` in one generation.
 
-        The common case — table already encoded, keys of its generation —
-        takes no lock.  Everything else happens under it: the bound is
-        checked once, then table and keys are encoded against one
-        dictionary, so the two can never disagree.
+        The common case — every table already encoded, keys of their
+        generation — takes no lock.  Everything else happens under it: the
+        bound is checked once, then whatever is missing (tables, keys) is
+        encoded against one dictionary, so a request never compares ids of
+        two generations, however many tables it gathers.
         """
-        entry = self._tables.get(id(table))
-        if entry is not None and entry[1] == keys.generation:
-            return entry[2]
+        generation = keys.generation
+        entries = list(map(self._tables.get, map(id, tables)))
+        if all(entry is not None and entry[1] == generation for entry in entries):
+            return [entry[2] for entry in entries]
         with self._lock:
             if len(self) >= MAX_VALUE_IDS:
                 self._drop()
             generation = self._generation
-            entry = self._tables.get(id(table))
-            if entry is None:
-                key = id(table)
-                encoded = self._encode_rows(table.rows, table.num_columns)
-                entry = (
-                    weakref.ref(table, lambda ref: self._expire(key, ref)),
-                    generation,
-                    encoded,
-                )
-                self._tables[key] = entry
+            matrices = [self._matrix(table, generation) for table in tables]
             if keys.generation != generation:
                 keys.ids = self._encode_keys(keys.tuples)
                 keys.generation = generation
-            return entry[2]
+            return matrices
 
     def forget(self, table: "Table") -> None:
         """Drop ``table``'s matrix: its rows are about to change."""
@@ -142,6 +139,19 @@ class ValueEncoder:
         self._ids = {"": MISSING_ID}
         self._tables.clear()
         self._generation += 1
+
+    def _matrix(self, table: "Table", generation: int):
+        """``table``'s matrix, encoded now if it is not yet (lock held)."""
+        key = id(table)
+        entry = self._tables.get(key)
+        if entry is None:
+            entry = (
+                weakref.ref(table, lambda ref: self._expire(key, ref)),
+                generation,
+                self._encode_rows(table.rows, table.num_columns),
+            )
+            self._tables[key] = entry
+        return entry[2]
 
     def _expire(self, key: int, ref: weakref.ref) -> None:
         # Runs when a table is collected, possibly inside a locked section

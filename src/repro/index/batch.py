@@ -26,6 +26,18 @@ each position as a prefix sum, the table's ``deficit``-th unmatched row is a
 single index lookup; rows checked, super-key checks, short-circuit hits and
 the surviving pairs of the scanned prefix are prefix-sum differences.
 
+**Verification as a replay.**  The only thing a table's verification needs
+from the tables before it is ``j_k``, and ``j_k`` only decides where rule 2
+cuts.  So the first verification of a request verifies the surviving pairs
+of *every* candidate table in one array pass (:meth:`RequestArrays.verify`:
+one gather of the tables' encoded rows, one
+:func:`~repro.core.joinability.verify_request` call) and keeps, per pair,
+what verifying it charges; the executor loop then replays the tables in
+candidate order (:meth:`RequestVerdicts.replay`), charging prefix-sum
+differences over exactly the pairs the cut kept.  The pairs of a table rule
+1 prunes, of a rule-2 suffix, or behind a deadline break are verified and
+never charged (:attr:`~repro.plan.planner.PlanReport.discarded_pairs`).
+
 The arrays serve row-filter modes ``superkey`` and ``none`` (the SCR
 baseline: every key entry survives, no super-key check is charged) and need
 a packed super-key buffer on every fetched block; the plan report names what
@@ -35,13 +47,17 @@ was missing when the table-at-a-time path ran instead
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..datamodel.encoding import EncodedKeys
+from ..datamodel.encoding import ENCODER, EncodedKeys
 from .columnar import FetchBlock
 from .kernels import KeyEntry
+
+if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
+    from ..datamodel.table import Table
+    from ..metrics import DiscoveryCounters
 
 _INDEX = np.intp
 
@@ -51,26 +67,81 @@ class SurvivingPairs:
 
     Iterates as the ``(row_index, key_tuple)`` pairs the per-row prefilter
     produces, in the same order, so it can be handed to
-    :func:`repro.core.joinability.verify_table` unchanged; the vector kernel
-    reads the arrays instead.
+    :func:`repro.core.joinability.verify_table` unchanged; the replay of the
+    request's verification pass (:class:`RequestVerdicts`) reads the slice
+    bounds instead.
     """
 
-    __slots__ = ("rows", "keys", "tuples")
+    __slots__ = ("arrays", "first", "last")
 
-    def __init__(self, rows, keys, tuples: Sequence[tuple[str, ...]]):
-        #: Row index of each pair.
-        self.rows = rows
-        #: Index into ``tuples`` of each pair's key tuple.
-        self.keys = keys
-        self.tuples = tuples
+    def __init__(self, arrays: "RequestArrays", first: int, last: int):
+        self.arrays = arrays
+        #: The slice of the request's pair arrays.
+        self.first = first
+        self.last = last
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.last - self.first
 
     def __iter__(self) -> Iterator[tuple[int, tuple[str, ...]]]:
+        arrays = self.arrays
         return zip(
-            self.rows.tolist(), map(self.tuples.__getitem__, self.keys.tolist())
+            arrays.pair_rows[self.first : self.last].tolist(),
+            map(
+                arrays.keys.tuples.__getitem__,
+                arrays.pair_keys[self.first : self.last].tolist(),
+            ),
         )
+
+
+class RequestVerdicts:
+    """Every candidate table of a request verified in one pass, replayed
+    table by table in candidate order (:meth:`replay`)."""
+
+    __slots__ = ("prefix", "scores", "pairs", "charged")
+
+    def __init__(self, prefix, scores: dict, pairs: int):
+        #: Row ``p``: value comparisons, ``(table, row)`` s seen, verified
+        #: pairs and ``(table, row)`` s verified among the pairs before
+        #: ``p`` — each table's pairs counted from the table's first pair.
+        self.prefix = prefix
+        #: ``table id -> (end of its pairs, joinability, mapping)`` for every
+        #: table with a verified pair.
+        self.scores = scores
+        #: Pairs the pass verified: every candidate table's.
+        self.pairs = pairs
+        #: Pairs :meth:`replay` has charged so far.
+        self.charged = 0
+
+    def replay(
+        self, table_id: int, surviving: SurvivingPairs, counters: "DiscoveryCounters"
+    ) -> tuple[int, tuple[int, ...] | None, int]:
+        """What :func:`~repro.core.joinability.verify_table` returns and
+        charges for ``surviving``, the pairs of ``table_id`` up to its cut.
+
+        A table cut short by rule 2 is scored 0: the cut came in front of a
+        row ``i < L`` with ``matched(i) <= j_k - (L - i) < j_k``, and a
+        prefix cannot score more than its matched postings (a mapping
+        projects each row onto one key tuple), so the full heap rejects the
+        prefix's own score just as it rejects 0.
+        """
+        first, last = surviving.first, surviving.last
+        comparisons, rows, verified, hit_rows = (
+            self.prefix[last] - self.prefix[first]
+        ).tolist()
+        counters.value_comparisons += comparisons
+        counters.rows_passed_filter += rows
+        counters.true_positive_rows += hit_rows
+        counters.false_positive_rows += rows - hit_rows
+        self.charged += last - first
+        stop, joinability, mapping = self.scores.get(table_id, _UNSCORED)
+        if stop != last:
+            return 0, None, verified
+        return joinability, mapping, verified
+
+
+#: The score of a table without a verified pair.
+_UNSCORED = (-1, 0, None)
 
 
 class RequestArrays:
@@ -125,19 +196,26 @@ class RequestArrays:
         #: The request's key tuples (a pair names its key tuple by position
         #: here); ``None`` until the prefilter has run.
         self.keys: EncodedKeys | None = None
+        #: Table ids, span starts and span stops of the candidates (every
+        #: table until :meth:`candidates` says otherwise), in table order.
+        self._candidate_spans = (self.table_ids, self.bounds[:-1], self.bounds[1:])
+        self._verdicts: RequestVerdicts | None = None
+        self._verified = False
 
     def candidates(self, allowed: set[int] | None) -> list[tuple[int, range]]:
         """``(table id, span)`` per candidate, most postings first.
 
         ``allowed`` is the sketch tier's verdict (``None``: every table).
         The order — decreasing posting count, then table id — is line 5 of
-        Algorithm 1 as ``sorted(key=(-len, id))`` computes it.
+        Algorithm 1 as ``sorted(key=(-len, id))`` computes it.  The
+        candidates are the tables :meth:`verify` verifies.
         """
         table_ids = self.table_ids
         starts, stops = self.bounds[:-1], self.bounds[1:]
         if allowed is not None:
             keep = np.isin(table_ids, np.fromiter(allowed, np.int64, len(allowed)))
             table_ids, starts, stops = table_ids[keep], starts[keep], stops[keep]
+        self._candidate_spans = (table_ids, starts, stops)
         ranked = np.lexsort((table_ids, starts - stops))
         return list(
             zip(
@@ -260,12 +338,114 @@ class RequestArrays:
             checks_end - checks,
             hits_end - hits,
             abandoned,
-            SurvivingPairs(
-                self.pair_rows[first:last],
-                self.pair_keys[first:last],
-                keys.tuples,
-            ),
+            SurvivingPairs(self, first, last),
         )
+
+    # ------------------------------------------------------------------
+    # Verification
+    # ------------------------------------------------------------------
+    def verify(self, get_table: Callable[[int], "Table"]) -> RequestVerdicts | None:
+        """Verify the surviving pairs of every candidate table, once.
+
+        The first call of a request (after the prefilter) runs the pass;
+        every call returns its :class:`RequestVerdicts`, or ``None`` when
+        the request's Eq. 2 codes could overflow ``int64`` — its tables are
+        then verified one at a time by
+        :func:`~repro.core.joinability.verify_table`.  ``get_table`` maps a
+        table id to the :class:`~repro.datamodel.table.Table` the postings
+        point into.
+        """
+        if not self._verified:
+            self._verified = True
+            table_ids, starts, stops = self._candidate_spans
+            pair_ends = self.prefix[:, 3]
+            firsts, lasts = pair_ends[starts], pair_ends[stops]
+            kept = lasts > firsts
+            table_ids = table_ids[kept].tolist()
+            self._verdicts = verify_tables(
+                table_ids,
+                list(map(get_table, table_ids)),
+                firsts[kept],
+                lasts[kept],
+                self.pair_rows,
+                self.pair_keys,
+                self.keys,
+            )
+        return self._verdicts
+
+
+def verify_tables(
+    table_ids: Sequence[int],
+    tables: Sequence["Table"],
+    firsts,
+    lasts,
+    pair_rows,
+    pair_keys,
+    keys: EncodedKeys,
+) -> RequestVerdicts | None:
+    """Verify the pairs ``[firsts[t], lasts[t])`` of every table ``t``.
+
+    ``pair_rows`` / ``pair_keys`` are a request's pair arrays (row index,
+    row of ``keys.ids``); the ranges are non-empty, ascending and disjoint,
+    and may leave pairs out (the tables the sketch tier pruned), which are
+    then never encoded, compared or charged.  The tables' encoded rows are
+    gathered into one ragged cell array, in one dictionary generation, for
+    one :func:`~repro.core.joinability.verify_request` call.  Returns
+    ``None`` when the Eq. 2 codes could overflow ``int64``.
+    """
+    # Imported here: repro.core imports the planner, which imports this.
+    from ..core.joinability import request_codes_fit, verify_request
+
+    total = len(pair_rows)
+    prefix = np.zeros((total + 1, 4), dtype=np.int64)
+    if not len(tables):
+        return RequestVerdicts(prefix, {}, 0)
+    counts = lasts - firsts
+    pairs = int(counts.sum())
+    columns = np.fromiter(
+        (table.num_columns for table in tables), np.int64, len(tables)
+    )
+    width = len(keys.tuples[0])
+    if not request_codes_fit(columns.tolist(), width, len(keys.tuples)):
+        return None
+    offsets = np.cumsum(counts) - counts
+    select = (
+        slice(None)
+        if pairs == total
+        else np.arange(pairs) + np.repeat(firsts - offsets, counts)
+    )
+    pair_rows = pair_rows[select]
+    cells = np.concatenate(
+        [
+            matrix.take(pair_rows[offset : offset + count], axis=0).ravel()
+            for matrix, offset, count in zip(
+                ENCODER.matrices(tables, keys), offsets.tolist(), counts.tolist()
+            )
+        ]
+    )
+    charges, best, scores, mappings = verify_request(
+        cells,
+        columns,
+        np.repeat(np.arange(len(tables)), counts),
+        pair_rows,
+        pair_keys[select],
+        keys,
+    )
+    if pairs < total:
+        spread = np.zeros((total, 4), dtype=np.int64)
+        spread[select] = charges
+        charges = spread
+    np.cumsum(charges, axis=0, out=prefix[1:])
+    return RequestVerdicts(
+        prefix,
+        dict(
+            zip(
+                np.take(table_ids, best).tolist(),
+                zip(lasts.take(best).tolist(), scores.tolist(), mappings),
+            )
+        ),
+        pairs,
+    )
 
 
 def _bits(bitmap: bytes):

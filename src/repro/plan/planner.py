@@ -145,6 +145,13 @@ class PlanReport:
     #: Why the table-at-a-time path ran (``"row filter oracle"`` or
     #: ``"unpacked block for value ..."``); empty on the batch path.
     table_path_reason: str = ""
+    #: Surviving pairs the batch path's one verification pass checked:
+    #: every candidate table's (0 on the table path, or when the pass never
+    #: ran).
+    verified_pairs: int = 0
+    #: Of those, the pairs no replayed table charged: the tables rule 1
+    #: pruned, the suffixes rule 2 cut off, the tables behind a deadline.
+    discarded_pairs: int = 0
 
     def as_dict(self) -> dict[str, object]:
         """The JSON-facing plan explanation."""
@@ -157,6 +164,8 @@ class PlanReport:
                 "replans": [event.as_dict() for event in self.replans],
                 "execution_path": self.execution_path,
                 "table_path_reason": self.table_path_reason,
+                "verified_pairs": self.verified_pairs,
+                "discarded_pairs": self.discarded_pairs,
             }
         )
         return document

@@ -22,10 +22,16 @@ candidate generation picks one per request and records it on the plan report
 * **batch** — row-filter modes ``superkey`` and ``none`` (the SCR
   baseline) with a packed super-key buffer on every fetched block.  The
   fetched blocks become request-level arrays once
-  (:class:`repro.index.batch.RequestArrays`); a candidate is a span of them,
-  the prefilter cuts it by arithmetic, and tables that keep many pairs are
-  verified by the vector kernel over dictionary-encoded rows
-  (:func:`repro.core.joinability.verify_encoded`).
+  (:class:`repro.index.batch.RequestArrays`); a candidate is a span of them
+  and the prefilter cuts it by arithmetic.  The first verification verifies
+  the surviving pairs of every candidate table in one pass over
+  dictionary-encoded rows (:func:`repro.core.joinability.verify_request`);
+  each table's verification then replays that pass over the pairs its cut
+  kept (:meth:`repro.index.batch.RequestVerdicts.replay`), in candidate
+  order, so ``j_k``, rules 1 and 2 and the heap evolve exactly as in a
+  table-at-a-time run.  Only a request whose Eq. 2 codes could overflow
+  ``int64`` is verified table by table
+  (:func:`~repro.core.joinability.verify_table`).
 * **table** — row-filter mode ``oracle``, or a block unpacked by a spilled
   oversize key: one :class:`~repro.index.columnar.TableBlock` per
   candidate, prefiltered by the verbatim per-row loop, verified by
@@ -43,7 +49,6 @@ from time import perf_counter
 
 from ..core import joinability
 from ..core.filters import should_abandon_table
-from ..datamodel.encoding import ENCODER
 from ..index.batch import RequestArrays
 from ..index.columnar import FetchBlock, group_into_table_blocks
 from .context import PlanContext, StageResult
@@ -419,27 +424,32 @@ class SuperKeyPrefilter(PlanStage):
 
 
 class RowVerification(PlanStage):
-    """Exact verification of surviving rows and Eq. 2 scoring (line 21)."""
+    """Exact verification of surviving rows and Eq. 2 scoring (line 21).
+
+    On the batch path the first call runs the request's verification pass
+    — lazily, so behind a deadline check that passed, like the prefilter —
+    and every call replays it for the current table; the plan report keeps
+    the pass's size and the pairs no replay has charged.
+    """
 
     name = STAGE_ROW_VERIFICATION
 
     def _execute(self, context: PlanContext) -> StageResult:
-        table = context.engine.corpus.get_table(context.current_table_id)
         surviving = context.surviving
-        result = None
-        if (
-            context.batch is not None
-            and len(surviving) >= joinability.VECTOR_VERIFY_MIN_PAIRS
-        ):
-            keys = context.batch.keys
-            matrix = ENCODER.matrix(table, keys)
-            result = joinability.verify_encoded(
-                matrix, surviving.rows, surviving.keys, keys, context.counters
-            )
-        if result is None:
+        get_table = context.engine.corpus.get_table
+        batch = context.batch
+        verdicts = batch.verify(get_table) if batch is not None else None
+        if verdicts is None:
             result = joinability.verify_table(
-                table.rows, surviving, context.counters
+                get_table(context.current_table_id).rows, surviving, context.counters
             )
+        else:
+            result = verdicts.replay(
+                context.current_table_id, surviving, context.counters
+            )
+            report = context.report
+            report.verified_pairs = verdicts.pairs
+            report.discarded_pairs = verdicts.pairs - verdicts.charged
         context.joinability, context.mapping, verified = result
         return StageResult(self.name, items_in=len(surviving), items_out=verified)
 

@@ -1,9 +1,11 @@
-"""Batch execution: request-level arrays + the vector verification kernel.
+"""Batch execution: request-level arrays + the request verification pass.
 
 A request is served from :mod:`repro.index.batch` (one array pass groups,
-prefilters and cuts every candidate table) and tables that keep many pairs
-are verified by :func:`repro.core.joinability.verify_encoded` over
-dictionary-encoded rows.  Everything here is differential: against
+prefilters and cuts every candidate table; one more verifies the surviving
+pairs of every candidate table with
+:func:`repro.core.joinability.verify_request` over dictionary-encoded rows,
+and the executor replays it table by table).  Everything here is
+differential: against
 ``tests.helpers.legacy_verify_table`` / ``legacy_discover`` (the verbatim
 loops), against the table-at-a-time path of the same executor (forced by
 patching its path choice), and against a freshly built engine after
@@ -31,12 +33,11 @@ from repro.api import PlannerOptions
 from repro.api.request import RequestBudget
 from repro.baselines import ScrDiscovery
 from repro.core import joinability
-from repro.core.joinability import verify_encoded
 from repro.core.filters import should_prune_table
 from repro.datagen import build_workload
 from repro.datamodel import MISSING, QueryTable, Row, Table, TableCorpus
 from repro.datamodel import encoding
-from repro.datamodel.encoding import ENCODER, EncodedKeys
+from repro.datamodel.encoding import ENCODER, EncodedKeys, ValueEncoder
 from repro.experiments.planner import (
     _build_drift_scenario,
     PLANNER_CHECK_EVERY,
@@ -47,12 +48,12 @@ from repro.experiments.runner import ExperimentSettings
 from repro.hashing.base import key_width
 from repro.index import IndexMaintainer, InvertedIndex, group_into_table_blocks
 from repro.index import columnar
-from repro.index.batch import RequestArrays
+from repro.index.batch import RequestArrays, SurvivingPairs, verify_tables
 from repro.ingest import LiveIndex
 from repro.metrics import DiscoveryCounters
 from repro.plan import PlanContext, PlanReport, Planner
 from repro.plan.executor import Executor
-from repro.plan.stages import CandidateGeneration
+from repro.plan.stages import CandidateGeneration, RowVerification
 from repro.sketch import SketchOptions
 from repro.storage import MappedSegmentIndex, load_segment, write_segment
 
@@ -66,12 +67,6 @@ from tests.helpers import (
 from tests.test_kernels import VALUES, index_cases, reference_prefilter
 
 CONFIG = MateConfig(hash_size=128, k=5, expected_unique_values=50_000)
-
-
-@pytest.fixture()
-def every_table_vectorised(monkeypatch):
-    """Force the pair constant to 1: every table with a pair takes the kernel."""
-    monkeypatch.setattr(joinability, "VECTOR_VERIFY_MIN_PAIRS", 1)
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +128,7 @@ def test_a_freshly_built_index_takes_the_batch_path(workload):
 
 
 # ----------------------------------------------------------------------
-# (a) The vector kernel against the verbatim per-pair loop
+# (a) The request kernel against the verbatim per-pair loop
 # ----------------------------------------------------------------------
 #: Few values so rows hold a key value in several columns, key tuples repeat
 #: a value, and ``MISSING`` turns up in rows and keys; "zz" is in no row.
@@ -142,92 +137,154 @@ KEY_VALUES = st.sampled_from(["a", "b", "c", "zz", MISSING])
 
 
 @st.composite
-def verification_cases(draw):
+def request_cases(draw):
+    """Key tuples plus 1-5 tables of 1-6 columns, each with its surviving
+    pairs; a table that is not ``listed`` stands for one the sketch tier
+    pruned: its pairs sit in the request's arrays but are not verified."""
     width = draw(st.integers(min_value=1, max_value=4))
-    num_columns = draw(st.integers(min_value=1, max_value=5))
-    rows = draw(
-        st.lists(
-            st.lists(CELLS, min_size=num_columns, max_size=num_columns),
-            min_size=1,
-            max_size=6,
-        )
-    )
     key_tuples = draw(
         st.lists(
             st.tuples(*[KEY_VALUES] * width), min_size=1, max_size=5, unique=True
         )
     )
-    pairs = draw(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=len(rows) - 1),
-                st.integers(min_value=0, max_value=len(key_tuples) - 1),
-            ),
-            min_size=1,
-            max_size=12,
+    tables = []
+    for table_id in range(draw(st.integers(min_value=1, max_value=5))):
+        num_columns = draw(st.integers(min_value=1, max_value=6))
+        rows = draw(
+            st.lists(
+                st.lists(CELLS, min_size=num_columns, max_size=num_columns),
+                min_size=1,
+                max_size=6,
+            )
         )
+        pairs = draw(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=len(rows) - 1),
+                    st.integers(min_value=0, max_value=len(key_tuples) - 1),
+                ),
+                min_size=1,
+                max_size=12,
+            )
+        )
+        table = Table(
+            table_id=10 + table_id,
+            name=f"t{table_id}",
+            columns=[f"c{i}" for i in range(num_columns)],
+            rows=rows,
+        )
+        tables.append((table, pairs, draw(st.booleans())))
+    return key_tuples, tables
+
+
+def verify_case(key_tuples, tables):
+    """Lay the tables' pairs end to end and verify the listed ones in one
+    pass; returns the verdicts and each listed table's first pair."""
+    pair_rows, pair_keys, listed, firsts = [], [], [], []
+    for table, pairs, verified in tables:
+        if verified:
+            listed.append(table)
+            firsts.append(len(pair_rows))
+        pair_rows += [row for row, _ in pairs]
+        pair_keys += [key for _, key in pairs]
+    firsts_array = np.array(firsts, dtype=np.int64)
+    lengths = [len(pairs) for _, pairs, verified in tables if verified]
+    verdicts = verify_tables(
+        [table.table_id for table in listed],
+        listed,
+        firsts_array,
+        firsts_array + np.array(lengths, dtype=np.int64),
+        np.array(pair_rows, dtype=np.int64),
+        np.array(pair_keys, dtype=np.intp),
+        EncodedKeys(key_tuples),
     )
-    return rows, key_tuples, pairs
+    return verdicts, dict(zip((table.table_id for table in listed), firsts))
 
 
-def run_kernel(table: Table, key_tuples, pairs):
-    keys = EncodedKeys(key_tuples)
-    matrix = ENCODER.matrix(table, keys)
+def replay(verdicts, table, first, count):
+    """Replay ``count`` pairs of ``table`` from ``first``: the outcome and
+    the counters it charged."""
     counters = DiscoveryCounters()
-    outcome = verify_encoded(
-        matrix,
-        np.array([row for row, _ in pairs], dtype=np.intp),
-        np.array([key for _, key in pairs], dtype=np.intp),
-        keys,
-        counters,
+    outcome = verdicts.replay(
+        table.table_id, SurvivingPairs(None, first, first + count), counters
     )
     return outcome, counters
 
 
-class TestVectorKernelDifferential:
-    @given(case=verification_cases())
+class TestRequestKernelDifferential:
+    @given(case=request_cases())
     @settings(max_examples=300, deadline=None)
-    def test_matches_the_per_pair_loop(self, case):
-        rows, key_tuples, pairs = case
-        table = Table(
-            table_id=0,
-            name="t",
-            columns=[f"c{i}" for i in range(len(rows[0]))],
-            rows=rows,
+    def test_matches_the_per_pair_loop_at_every_cut(self, case):
+        """Every listed table, every prefix of its pairs: what the replay
+        returns and charges is what the loop returns and charges for that
+        prefix, except that a cut-short table scores 0 (rule 2's prefixes
+        score below ``j_k`` — ``TestRule2Replay``)."""
+        key_tuples, tables = case
+        verdicts, firsts = verify_case(key_tuples, tables)
+        assert verdicts.pairs == sum(
+            len(pairs) for _, pairs, verified in tables if verified
         )
-        (score, mapping, verified), counters = run_kernel(table, key_tuples, pairs)
-        expected = legacy_verify_table(
-            table.rows, [(row, key_tuples[key]) for row, key in pairs]
-        )
-        assert (
-            score,
-            mapping,
-            verified,
-            counters.true_positive_rows,
-            counters.false_positive_rows,
-            counters.value_comparisons,
-        ) == expected
-        assert counters.rows_passed_filter == expected[3] + expected[4]
+        for table, pairs, verified in tables:
+            if not verified:
+                assert id(table) not in ENCODER._tables  # never encoded
+                continue
+            for cut in range(len(pairs) + 1):
+                (score, mapping, checked), counters = replay(
+                    verdicts, table, firsts[table.table_id], cut
+                )
+                expected = legacy_verify_table(
+                    table.rows, [(row, key_tuples[key]) for row, key in pairs[:cut]]
+                )
+                whole = cut == len(pairs)
+                assert (score, mapping) == (expected[:2] if whole else (0, None))
+                assert (
+                    checked,
+                    counters.true_positive_rows,
+                    counters.false_positive_rows,
+                    counters.value_comparisons,
+                ) == expected[2:]
+                assert counters.rows_passed_filter == expected[3] + expected[4]
+
+    def one_table(self, table, key_tuples, pairs):
+        verdicts, _ = verify_case(key_tuples, [(table, pairs, True)])
+        return replay(verdicts, table, 0, len(pairs))
 
     def test_ties_go_to_the_largest_mapping(self):
         table = Table(0, "t", ["x", "y", "z"], rows=[["a", "a", "b"]])
-        outcome, _ = run_kernel(table, [("a", "b")], [(0, 0)])
+        outcome, _ = self.one_table(table, [("a", "b")], [(0, 0)])
         assert outcome == (1, (1, 2), 1)
 
     def test_repeated_key_value_needs_two_columns(self):
         table = Table(0, "t", ["x", "y"], rows=[["a", "b"], ["a", "a"]])
-        outcome, counters = run_kernel(table, [("a", "a")], [(0, 0), (1, 0)])
+        outcome, counters = self.one_table(table, [("a", "a")], [(0, 0), (1, 0)])
         assert outcome == (1, (1, 0), 1)
         assert (counters.true_positive_rows, counters.false_positive_rows) == (1, 1)
 
-    def test_codes_that_could_overflow_are_left_to_the_loop(self):
-        table = Table(0, "t", [f"c{i}" for i in range(40)], rows=[["a"] * 40])
-        keys = EncodedKeys([("a",) * 12])
-        matrix = ENCODER.matrix(table, keys)
-        counters = DiscoveryCounters()
-        zero = np.zeros(1, dtype=np.intp)
-        assert verify_encoded(matrix, zero, zero, keys, counters) is None
-        assert counters.value_comparisons == 0
+    def test_codes_that_could_overflow_fall_back_to_verify_table(self, monkeypatch):
+        """40 columns ** 12 key positions cannot be coded in ``int64``: the
+        request is verified table by table, with the loop's answer."""
+        columns = [f"c{i}" for i in range(40)]
+        values = [f"v{i}" for i in range(40)]
+        table = Table(0, "t", columns, rows=[values])
+        assert verify_case([tuple(values[:12])], [(table, [(0, 0)], True)])[0] is None
+        corpus = TableCorpus(name="wide")
+        corpus.add_table(table)
+        engine = MateDiscovery(
+            corpus, build_index(corpus, config=CONFIG), config=CONFIG
+        )
+        query = QueryTable(Table(9, "q", columns[:12], [values[:12]]), columns[:12])
+        loop = joinability.verify_table
+        calls = []
+        monkeypatch.setattr(
+            joinability,
+            "verify_table",
+            lambda *args: calls.append(args) or loop(*args),
+        )
+        result = engine.discover(query)
+        assert result.plan.execution_path == "batch"
+        assert result.plan.verified_pairs == 0 and len(calls) == 1
+        assert answer(result) == [(0, 1, tuple(range(12)))]
+        assert_results_byte_identical(result, legacy_discover(engine, query))
 
 
 # ----------------------------------------------------------------------
@@ -359,16 +416,25 @@ class TestDiscoverDifferential:
             assert_results_byte_identical(result, legacy_discover(engine, query))
             assert_batch_equals_table_path(engine, query)
 
-    def test_every_table_through_the_vector_kernel(
-        self, engine, workload, every_table_vectorised
-    ):
+    @pytest.mark.parametrize("row_filter_mode", ["superkey", "none"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_small_k_where_rule_2_fires_most(self, workload, row_filter_mode, k):
+        system = MateDiscovery(
+            workload.corpus,
+            build_index(workload.corpus, config=CONFIG),
+            config=CONFIG,
+            row_filter_mode=row_filter_mode,
+        )
+        pruned = 0
         for query in workload.queries:
-            result = assert_batch_equals_table_path(engine, query)
-            assert_results_byte_identical(result, legacy_discover(engine, query))
+            result = assert_batch_equals_table_path(system, query, k=k)
+            assert_results_byte_identical(
+                result, legacy_discover(system, query, k=k)
+            )
+            pruned += result.counters.tables_pruned_by_rule2
+        assert pruned or row_filter_mode == "none"
 
-    def test_values_mapping_to_several_key_entries(
-        self, engine, workload, every_table_vectorised
-    ):
+    def test_values_mapping_to_several_key_entries(self, engine, workload):
         query = shared_seed_query(workload)
         result = assert_batch_equals_table_path(engine, query)
         assert_results_byte_identical(result, legacy_discover(engine, query))
@@ -417,9 +483,11 @@ class TestDiscoverDifferential:
     def test_deadline_expired_by_the_fetch_skips_the_prefilter(
         self, engine, workload, monkeypatch
     ):
-        """The whole-request prefilter runs inside the first ``cut``, behind
-        a deadline check that passed: a deadline overshoots by one such pass
-        at most, and a request already late after its fetch never pays it."""
+        """The whole-request prefilter runs inside the first ``cut`` and the
+        whole-request verification inside the first ``RowVerification``,
+        both behind a deadline check that passed: a deadline overshoots by
+        one of each at most, and a request already late after its fetch
+        pays for neither — nor encodes a table."""
         query = workload.queries[0]
 
         def make_kwargs():
@@ -436,12 +504,23 @@ class TestDiscoverDifferential:
             "_prefilter",
             lambda self: pytest.fail("prefiltered past the deadline"),
         )
+        monkeypatch.setattr(
+            RequestArrays,
+            "verify",
+            lambda self, get_table: pytest.fail("verified past the deadline"),
+        )
+        monkeypatch.setattr(
+            ValueEncoder,
+            "matrices",
+            lambda self, tables, keys: pytest.fail("encoded past the deadline"),
+        )
         result = assert_batch_equals_table_path(
             engine, query, make_kwargs=make_kwargs
         )
         assert result.counters.deadline_expired
         assert result.counters.candidate_tables > 0
         assert result.counters.tables_evaluated == 0
+        assert (result.plan.verified_pairs, result.plan.discarded_pairs) == (0, 0)
 
     def test_streaming_snapshots(self, engine, workload):
         query = workload.queries[0]
@@ -467,9 +546,18 @@ class TestDiscoverDifferential:
         assert result.plan.discarded_postings > 0
         assert result.result_tuples() == engine.discover(query).result_tuples()
 
-    def test_sketch_tier_restricts_the_candidates(self, engine, workload):
+    def test_sketch_tier_restricts_the_candidates(self, engine, workload, monkeypatch):
+        """A table the sketch tier pruned is never encoded nor verified."""
         query = workload.queries[0]
         exhaustive = engine.discover(query)
+        gathered: list[list[int]] = []
+        gather = ValueEncoder.matrices
+
+        def recorded(self, tables, keys):
+            gathered.append([table.table_id for table in tables])
+            return gather(self, tables, keys)
+
+        monkeypatch.setattr(ValueEncoder, "matrices", recorded)
         result = assert_batch_equals_table_path(
             engine,
             query,
@@ -478,6 +566,9 @@ class TestDiscoverDifferential:
         )
         assert result.counters.candidate_tables <= 2
         assert result.counters.candidate_tables < exhaustive.counters.candidate_tables
+        [tables] = gathered  # the batch run's one gather
+        assert 0 < len(tables) <= result.counters.candidate_tables
+        assert 0 < result.plan.verified_pairs < exhaustive.plan.verified_pairs
 
     def test_live_index_with_tombstones_and_merged_blocks(self, workload):
         tables = list(workload.corpus)
@@ -513,6 +604,87 @@ class TestDiscoverDifferential:
                 assert_results_byte_identical(result, legacy_discover(engine, query))
         finally:
             mapped.close()
+
+
+class TestRule2Replay:
+    @pytest.mark.parametrize("row_filter_mode", ["superkey", "none"])
+    def test_every_abandoned_prefix_scores_below_j_k(
+        self, workload, row_filter_mode, monkeypatch
+    ):
+        """The replay offers a table rule 2 cut short with joinability 0.
+        That is exact because the prefix the loop would have verified scores
+        below ``j_k``, which the full heap rejects just like 0: checked here
+        for every abandon of MATE and SCR (whose every posting matches, so
+        rule 2 never fires for it)."""
+        system = MateDiscovery(
+            workload.corpus,
+            build_index(workload.corpus, config=CONFIG),
+            config=CONFIG,
+            row_filter_mode=row_filter_mode,
+        )
+        replayed = RowVerification._execute
+        abandons = []
+
+        def checked(stage, context):
+            topk = context.topk
+            if topk.is_full:
+                j_k = topk.min_joinability()
+                *_, abandoned, prefix = context.batch.cut(context.current_block, j_k)
+                if abandoned:
+                    rows = system.corpus.get_table(context.current_table_id).rows
+                    score = legacy_verify_table(rows, list(prefix))[0]
+                    assert score < j_k
+                    abandons.append(score)
+            return replayed(stage, context)
+
+        monkeypatch.setattr(RowVerification, "_execute", checked)
+        for k in (1, 2, 3, 10):
+            for query in [*workload.queries, shared_seed_query(workload)]:
+                assert system.discover(query, k=k).plan.execution_path == "batch"
+        assert bool(abandons) == (row_filter_mode == "superkey")
+
+    def test_pairs_discarded_by_rule_1_and_rule_2(self):
+        """k = 1.  Table 0 (5 postings, 3 pairs) fills the heap with j_k = 3;
+        table 1 (5 postings, 3 pairs) opens with two rows the super key
+        rejects, so rule 2 cuts it in front of its first pair; table 2
+        (3 postings, 3 pairs) cannot beat j_k and rule 1 prunes it.  The one
+        pass verified all 9 pairs, the replay charged table 0's 3."""
+        columns = ["name", "team"]
+        corpus = TableCorpus(name="filters")
+        for table_id, rows in enumerate(
+            [
+                [["ada", "red"], ["alan", "red"], ["grace", "red"],
+                 ["x1", "blue"], ["x2", "blue"]],
+                [["zed", "red"], ["yan", "red"], ["ada", "red"],
+                 ["alan", "red"], ["grace", "red"]],
+                [["ada", "red"], ["alan", "red"], ["kurt", "blue"]],
+            ]
+        ):
+            corpus.add_table(Table(table_id, f"t{table_id}", columns, rows))
+        query = QueryTable(
+            Table(
+                99,
+                "q",
+                ["n", "t"],
+                [["ada", "red"], ["alan", "red"], ["grace", "red"], ["kurt", "blue"]],
+            ),
+            ["n", "t"],
+        )
+        engine = MateDiscovery(
+            corpus, build_index(corpus, config=CONFIG), config=CONFIG
+        )
+        result = assert_batch_equals_table_path(engine, query, k=1)
+        assert result.plan.seed_column == "t"
+        assert result.result_tuples() == [(0, 3)]
+        counters = result.counters
+        assert (counters.tables_pruned_by_rule1, counters.tables_pruned_by_rule2) == (
+            1,
+            1,
+        )
+        assert (result.plan.verified_pairs, result.plan.discarded_pairs) == (9, 6)
+        document = result.plan.as_dict()
+        assert (document["verified_pairs"], document["discarded_pairs"]) == (9, 6)
+        assert stage_volumes(result)["row_verification"] == (2, 3, 3)
 
 
 class TestExecutionPathReport:
@@ -703,7 +875,6 @@ def answer(result):
     ]
 
 
-@pytest.mark.usefixtures("every_table_vectorised")
 class TestEncodedTableInvalidation:
     @pytest.fixture(params=BUILD_LANES)
     def edited(self, request):
@@ -736,10 +907,10 @@ class TestEncodedTableInvalidation:
 
     def test_append_row(self, edited):
         table = edited[0].get_table(0)
-        assert ENCODER.matrix(table, EncodedKeys([("ada",)])).shape == (4, 3)
+        assert ENCODER.matrices([table], EncodedKeys([("ada",)]))[0].shape == (4, 3)
         table.append_row(["linus", "helsinki", "red"])
         keys = EncodedKeys([("linus",)])
-        matrix = ENCODER.matrix(table, keys)
+        [matrix] = ENCODER.matrices([table], keys)
         assert matrix.shape == (5, 3) and matrix[4, 0] == keys.ids[0, 0]
 
     def test_delete_row(self, edited):
@@ -778,14 +949,13 @@ class TestEncodedTableInvalidation:
 
     def test_collected_tables_leave_the_cache(self):
         table = Table(7, "t", ["x"], rows=[["a"]])
-        ENCODER.matrix(table, EncodedKeys([("a",)]))
+        ENCODER.matrices([table], EncodedKeys([("a",)]))
         key = id(table)
         assert key in ENCODER._tables
         del table
         assert key not in ENCODER._tables
 
 
-@pytest.mark.usefixtures("every_table_vectorised")
 class TestValueDictionaryBound:
     def test_eviction_between_two_requests(self, engine, workload, monkeypatch):
         query = workload.queries[0]
@@ -799,30 +969,33 @@ class TestValueDictionaryBound:
         assert ENCODER._generation > generation
 
     def test_eviction_inside_a_request(self, engine, workload, monkeypatch):
-        """A bound this small drops the dictionary at every table: a request
-        keeps re-encoding its keys instead of mixing two generations."""
-        query = workload.queries[0]
-        expected = engine.discover(query)
+        """A bound this small finds the dictionary full at every request's
+        gather: the request drops it once — the bound is checked once per
+        gather, not once per table — and encodes its keys and every
+        candidate table against the fresh dictionary."""
+        expected = [engine.discover(query) for query in workload.queries]
         monkeypatch.setattr(encoding, "MAX_VALUE_IDS", 1)
-        generation = ENCODER._generation
-        assert_results_byte_identical(engine.discover(query), expected)
-        assert ENCODER._generation > generation + 1
+        engine.discover(workload.queries[0])  # the dictionary holds a value
+        for query, reference in zip(workload.queries, expected):
+            generation = ENCODER._generation
+            assert_results_byte_identical(engine.discover(query), reference)
+            assert ENCODER._generation == generation + 1
 
     def test_keys_follow_the_generation(self, monkeypatch):
         table = Table(3, "t", ["x", "y"], rows=[["a", "b"]])
         keys = EncodedKeys([("b", "never seen"), (MISSING, "a")])
-        matrix = ENCODER.matrix(table, keys)
+        [matrix] = ENCODER.matrices([table], keys)
         assert matrix[0, 1] == keys.ids[0, 0]
         assert keys.ids[0, 1] not in matrix and keys.ids[0, 1] >= 0
         assert keys.ids[1, 0] == encoding.NO_MATCH_ID
         # Another table meets a full dictionary: everything is dropped.
         monkeypatch.setattr(encoding, "MAX_VALUE_IDS", 1)
         other = Table(4, "u", ["x"], rows=[["c"]])
-        ENCODER.matrix(other, EncodedKeys([("c",)]))
+        ENCODER.matrices([other], EncodedKeys([("c",)]))
         assert id(table) not in ENCODER._tables
         assert keys.generation != ENCODER._generation
         stale = keys.ids.copy()
-        matrix = ENCODER.matrix(table, keys)
+        [matrix] = ENCODER.matrices([table], keys)
         assert keys.generation == ENCODER._generation
         assert matrix[0, 1] == keys.ids[0, 0]
         assert stale.shape == keys.ids.shape
