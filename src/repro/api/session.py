@@ -144,7 +144,8 @@ class DiscoverySession:
         self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
         if index is None:
             index = build_index(corpus, config=self.config)
-        # Only a monolithic InvertedIndex can be partitioned here; sharded,
+        # Only a monolithic InvertedIndex can be partitioned here (a
+        # value-hash partition of its block, the row table shared); sharded,
         # live, and pre-wrapped indexes keep their own topology.
         if self.service_config.num_shards > 1 and isinstance(
             index, InvertedIndex

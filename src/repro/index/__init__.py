@@ -1,10 +1,10 @@
-"""The extended single-attribute inverted index with per-row super keys."""
+"""The extended single-attribute inverted index with per-row super keys:
+one CSR block, served, edited by rewrites and partitioned into shards."""
 
 from .builder import IndexBuildReport, IndexBuilder, build_index
 from .columnar import (
     ColumnarPostingList,
     FetchBlock,
-    PackedSuperKeys,
     TableBlock,
     compute_table_runs,
     fetch_table_blocks,
@@ -16,7 +16,6 @@ from .kernels import entry_coverage
 from .maintenance import IndexMaintainer
 from .posting import FetchedItem, PostingListItem
 from .sharded import (
-    MappedShardedIndex,
     ShardedInvertedIndex,
     build_sharded_index,
     open_shard_segments,
@@ -39,7 +38,6 @@ __all__ = [
     "FetchBlock",
     "FetchedItem",
     "IndexBuildReport",
-    "PackedSuperKeys",
     "TableBlock",
     "compute_table_runs",
     "entry_coverage",
@@ -51,7 +49,6 @@ __all__ = [
     "IndexStorageReport",
     "InvertedIndex",
     "JOSIE_BYTES_PER_ENTRY",
-    "MappedShardedIndex",
     "PostingListItem",
     "PostingVolumeEstimate",
     "SCR_BYTES_PER_ENTRY",

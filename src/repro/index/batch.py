@@ -162,17 +162,13 @@ class RequestArrays:
         self.key_map = key_map
         self.length_shift = length_shift
         self.check_keys = check_keys
-        #: Postings per block: as many as its packed key buffer holds.  The
-        #: posting columns themselves may have grown since the fetch — a
-        #: write buffer shares them with the snapshots in flight.
+        #: Postings per block: as many as its packed key buffer holds.
         self.lengths = lengths = [
             len(block.super_key_bytes) // block.key_width for block in blocks
         ]
         if blocks:
-            # One C call per column: numpy copies out of the packed posting
-            # columns and lets go of them before any other bytecode runs.  A
-            # view held longer (``np.frombuffer``) would pin the ``array``
-            # and make a concurrent ``add_posting`` raise ``BufferError``.
+            # One C call per column: numpy copies out of the posting columns
+            # and holds no view of them past this statement.
             table_ids = np.concatenate(
                 [block.table_ids[:count] for block, count in zip(blocks, lengths)]
             )

@@ -2,9 +2,9 @@
 
 :class:`IndexBuilder` emits one PL item per non-missing cell value and one
 super key per row, and records the timing/size statistics reported in
-Section 7.1 ("Index generation").  A bulk build is the array passes of
-:mod:`repro.index.bulk`; the per-cell :meth:`IndexBuilder.add_table` loop
-is the write path of the sharded build.
+Section 7.1 ("Index generation").  A build is the array passes of
+:mod:`repro.index.bulk` into one CSR block, served by an
+:class:`~repro.index.inverted.InvertedIndex`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..config import MateConfig
-from ..datamodel import MISSING, Table, TableCorpus
+from ..datamodel import TableCorpus
 from ..hashing import SuperKeyGenerator
 from .bulk import build_block
 from .inverted import InvertedIndex
@@ -100,15 +100,10 @@ class IndexBuilder:
     def _build(
         self, corpus: TableCorpus, sketch_index: "SketchIndex | None"
     ) -> InvertedIndex:
-        """One bulk build: the index is served from one CSR block and thaws
-        into a plain :class:`InvertedIndex` at its first mutation."""
-        # Imported here: ``repro.storage`` itself imports ``repro.index``.
-        from ..storage.paged import MappedSegmentIndex
-
+        """One bulk build: the index serves one CSR block."""
         started = time.perf_counter()
-        index: InvertedIndex = MappedSegmentIndex(
-            build_block(corpus, self.super_key_generator, self.hash_function_name),
-            thaws=True,
+        index = InvertedIndex(
+            build_block(corpus, self.super_key_generator, self.hash_function_name)
         )
         if sketch_index is not None:
             for table in corpus:
@@ -123,24 +118,6 @@ class IndexBuilder:
             build_seconds=time.perf_counter() - started,
         )
         return index
-
-    def add_table(self, index: InvertedIndex, table: Table) -> int:
-        """Index a single table; returns the number of indexed rows.
-
-        Each ``add_posting`` appends straight into the value's packed
-        arrays — the build materialises no per-item records.
-        """
-        table_id = table.table_id
-        set_super_key = index.set_super_key
-        add_posting = index.add_posting
-        row_super_key = self.super_key_generator.row_super_key
-        for row_index, row in enumerate(table.rows):
-            set_super_key(table_id, row_index, row_super_key(row))
-            for column_index, value in enumerate(row):
-                if value == MISSING:
-                    continue
-                add_posting(value, table_id, column_index, row_index)
-        return table.num_rows
 
 
 def build_index(

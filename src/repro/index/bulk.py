@@ -18,8 +18,7 @@ as routines the bulk build (:func:`build_block`) and the ingest buffer
 3. **Layout** (:func:`layout_block`) — the posting columns are **one stable
    argsort** of the non-missing cells by value id.  Cells are kept in table,
    row, column order, and a stable sort keeps equal ids in that order —
-   exactly the order ``add_posting`` appends in, so the block equals
-   ``flatten_index`` of the per-cell loop's index, column for column.
+   exactly the order a per-cell scan of the tables appends postings in.
 
 A block has no spilled keys by construction: a hash wider than ``key_width``
 cannot come out of the matrix.

@@ -2,17 +2,15 @@
 
 One Python record per PL item, materialised again on every fetch, is the
 per-row object overhead that in-memory analytics engines eliminate with
-columnar, array-packed layouts.  This module holds the packed structures
-:class:`~repro.index.inverted.InvertedIndex` is made of:
+columnar, array-packed layouts.  An
+:class:`~repro.index.inverted.InvertedIndex` is one CSR block
+(:class:`~repro.storage.segment_block.SegmentBlock`); this module holds the
+views it serves that block through:
 
 * :class:`ColumnarPostingList` — the postings of one value as three parallel
-  flat integer arrays (``array('q')`` table ids, ``array('i')`` column
-  indexes, ``array('q')`` row indexes) plus memoised *table runs* and
-  *super-key columns* so repeated fetches do no per-item work;
-* :class:`PackedSuperKeys` — the per-row super keys packed into one
-  fixed-width byte buffer (``hash_size / 8`` bytes per row) instead of a
-  dictionary of arbitrary-precision integers (with a spill map for keys that
-  exceed the configured width);
+  integer views into the block (table ids, column indexes, row indexes) plus
+  its super keys and memoised *table runs*, so repeated fetches do no
+  per-item work;
 * :class:`FetchBlock` — the struct-of-arrays result of ``fetch_batch``: one
   block per probed value, referencing the packed columns directly (zero-copy)
   with the super-key column attached;
@@ -34,9 +32,10 @@ Every structure can still be read as per-item records
 
 from __future__ import annotations
 
-from array import array
-from typing import Callable, Iterable, Iterator, Sequence
+from collections import defaultdict
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
+from ..datamodel import MISSING
 from .posting import FetchedItem, PostingListItem
 
 #: A run of consecutive postings of one value that share a table id:
@@ -85,199 +84,39 @@ def compute_table_runs(table_ids: Sequence[int]) -> list[TableRun]:
     return runs
 
 
-class PackedSuperKeys:
-    """Row super keys packed into one fixed-width byte buffer.
-
-    Each row owns one ``width_bytes`` slot in a shared :class:`bytearray`
-    (big-endian), addressed through a ``(table_id, row_index) -> slot``
-    dictionary; freed slots are recycled.  Keys too wide for the configured
-    hash size spill into a plain dictionary so that correctness never depends
-    on the declared width.
-    """
-
-    __slots__ = ("width_bytes", "epoch", "_slots", "_buffer", "_free", "_spill")
-
-    def __init__(self, hash_size_bits: int = 128):
-        #: Bytes per packed super key (the configured hash width).
-        self.width_bytes = max(1, (int(hash_size_bits) + 7) // 8)
-        #: Bumped on every mutation; consumers key memoised data on it.
-        self.epoch = 0
-        self._slots: dict[tuple[int, int], int] = {}
-        self._buffer = bytearray()
-        self._free: list[int] = []
-        self._spill: dict[tuple[int, int], int] = {}
-
-    def __len__(self) -> int:
-        return len(self._slots) + len(self._spill)
-
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self._slots or key in self._spill
-
-    def _fits(self, value: int) -> bool:
-        return 0 <= value < (1 << (8 * self.width_bytes))
-
-    def get(self, key: tuple[int, int], default: int | None = 0) -> int | None:
-        """Return the super key stored under ``key`` (or ``default``)."""
-        slot = self._slots.get(key)
-        if slot is None:
-            return self._spill.get(key, default)
-        offset = slot * self.width_bytes
-        return int.from_bytes(
-            self._buffer[offset : offset + self.width_bytes], "big"
-        )
-
-    def set(self, key: tuple[int, int], value: int) -> None:
-        """Store (or replace) one super key in its packed slot."""
-        self.epoch += 1
-        if not self._fits(value):
-            slot = self._slots.pop(key, None)
-            if slot is not None:
-                self._free.append(slot)
-            self._spill[key] = value
-            return
-        slot = self._slots.get(key)
-        if slot is None:
-            self._spill.pop(key, None)
-            if self._free:
-                slot = self._free.pop()
-            else:
-                slot = len(self._buffer) // self.width_bytes
-                self._buffer.extend(bytes(self.width_bytes))
-            self._slots[key] = slot
-        offset = slot * self.width_bytes
-        self._buffer[offset : offset + self.width_bytes] = value.to_bytes(
-            self.width_bytes, "big"
-        )
-
-    def or_into(self, key: tuple[int, int], value_hash: int) -> int:
-        """OR ``value_hash`` into the stored key (0 when absent); return it."""
-        updated = (self.get(key, 0) or 0) | value_hash
-        self.set(key, updated)
-        return updated
-
-    def pop(self, key: tuple[int, int]) -> None:
-        """Drop one super key, recycling its packed slot (no-op when absent)."""
-        self.epoch += 1
-        slot = self._slots.pop(key, None)
-        if slot is not None:
-            self._free.append(slot)
-        else:
-            self._spill.pop(key, None)
-
-    def items(self) -> Iterator[tuple[tuple[int, int], int]]:
-        """Iterate over ``((table_id, row_index), super_key)`` pairs."""
-        width = self.width_bytes
-        buffer = self._buffer
-        for key, slot in self._slots.items():
-            offset = slot * width
-            yield key, int.from_bytes(buffer[offset : offset + width], "big")
-        yield from self._spill.items()
-
-    def get_many(
-        self, table_ids: Sequence[int], row_indexes: Sequence[int]
-    ) -> list[int]:
-        """Return the super keys of the given rows (0 when absent), in order."""
-        slots = self._slots
-        spill = self._spill
-        buffer = self._buffer
-        width = self.width_bytes
-        from_bytes = int.from_bytes
-        out: list[int] = []
-        append = out.append
-        for key in zip(table_ids, row_indexes):
-            slot = slots.get(key)
-            if slot is None:
-                append(spill.get(key, 0))
-            else:
-                offset = slot * width
-                append(from_bytes(buffer[offset : offset + width], "big"))
-        return out
-
-    def get_many_packed(
-        self, table_ids: Sequence[int], row_indexes: Sequence[int]
-    ) -> bytes | None:
-        """Return the packed super-key column of the given rows, in order.
-
-        One ``width_bytes`` big-endian slot per row (zeros when absent),
-        assembled with C-level slice copies from the shared buffer — the
-        input of the vectorized prefilter kernels.  ``None`` when any
-        requested row spilled (a key wider than the configured hash size):
-        the packed representation would be lossy, so consumers fall back to
-        the integer column.
-        """
-        width = self.width_bytes
-        slots = self._slots
-        spill = self._spill
-        buffer = self._buffer
-        out = bytearray(len(table_ids) * width)
-        position = 0
-        for key in zip(table_ids, row_indexes):
-            slot = slots.get(key)
-            if slot is None:
-                if spill and key in spill:
-                    return None
-            else:
-                offset = slot * width
-                out[position : position + width] = buffer[offset : offset + width]
-            position += width
-        return bytes(out)
-
-
 class ColumnarPostingList:
-    """The postings of one value as three parallel packed integer arrays.
-
-    ``table_ids`` and ``row_indexes`` are 64-bit (``'q'``), ``column_indexes``
-    32-bit (``'i'``).  Two memoisations make repeated fetches cheap: the table
-    *runs* (keyed by the item count, which only changes when postings change)
-    and the *super-key column* (keyed additionally by the identity and epoch
-    of the super-key store it was computed from, so shard-local and central
-    stores never cross-contaminate).
-    """
+    """The postings of one value: views of the three posting columns of its
+    block, its super keys — the packed slice of the block's posting keys
+    (``super_key_bytes``), or the integer column (``super_keys``) when a
+    posting's row spilled — and its memoised table runs."""
 
     __slots__ = (
         "table_ids",
         "column_indexes",
         "row_indexes",
-        "_runs_cache",
-        "_super_keys_cache",
-        "_packed_cache",
+        "super_key_bytes",
+        "super_keys",
+        "_runs",
     )
 
-    def __init__(self) -> None:
-        self.table_ids = array("q")
-        self.column_indexes = array("i")
-        self.row_indexes = array("q")
-        self._runs_cache: tuple[int, list[TableRun]] | None = None
-        self._super_keys_cache: tuple[object, int, int, list[int]] | None = None
-        self._packed_cache: tuple[object, int, int, bytes | None] | None = None
+    def __init__(
+        self,
+        table_ids: Sequence[int],
+        column_indexes: Sequence[int],
+        row_indexes: Sequence[int],
+        *,
+        super_key_bytes=None,
+        super_keys: list[int] | None = None,
+    ):
+        self.table_ids = table_ids
+        self.column_indexes = column_indexes
+        self.row_indexes = row_indexes
+        self.super_key_bytes = super_key_bytes
+        self.super_keys = super_keys
+        self._runs: list[TableRun] | None = None
 
     def __len__(self) -> int:
         return len(self.table_ids)
-
-    def __getstate__(self):
-        # The memo caches are derived data; a pickled/deep-copied posting
-        # list must not drag (dead) super-key stores along with it.
-        return (self.table_ids, self.column_indexes, self.row_indexes)
-
-    def __setstate__(self, state) -> None:
-        self.table_ids, self.column_indexes, self.row_indexes = state
-        self._runs_cache = None
-        self._super_keys_cache = None
-        self._packed_cache = None
-
-    def append(self, table_id: int, column_index: int, row_index: int) -> None:
-        """Append one posting to the packed columns."""
-        self.table_ids.append(table_id)
-        self.column_indexes.append(column_index)
-        self.row_indexes.append(row_index)
-
-    def item(self, position: int) -> PostingListItem:
-        """Materialise the posting at ``position`` as a classic record."""
-        return PostingListItem(
-            table_id=self.table_ids[position],
-            column_index=self.column_indexes[position],
-            row_index=self.row_indexes[position],
-        )
 
     def items(self) -> list[PostingListItem]:
         """Materialise every posting as a classic per-item record."""
@@ -290,105 +129,9 @@ class ColumnarPostingList:
 
     def runs(self) -> list[TableRun]:
         """The memoised table runs of this posting list."""
-        count = len(self.table_ids)
-        cached = self._runs_cache
-        if cached is not None and cached[0] == count:
-            return cached[1]
-        runs = compute_table_runs(self.table_ids)
-        self._runs_cache = (count, runs)
-        return runs
-
-    def super_key_column(
-        self, store: PackedSuperKeys
-    ) -> list[int]:
-        """The memoised super-key column of this posting list under ``store``.
-
-        Valid while the store object, its epoch, and the item count are
-        unchanged; any posting append or super-key mutation recomputes.
-        """
-        count = len(self.table_ids)
-        cached = self._super_keys_cache
-        if (
-            cached is not None
-            and cached[0] is store
-            and cached[1] == store.epoch
-            and cached[2] == count
-        ):
-            return cached[3]
-        column = store.get_many(self.table_ids, self.row_indexes)
-        self._super_keys_cache = (store, store.epoch, count, column)
-        return column
-
-    def super_key_packed(self, store: PackedSuperKeys):
-        """The memoised *packed* super-key column of this list under ``store``.
-
-        ``None`` when a posting's row holds a spilled oversize key — the
-        negative answer is memoised too, so
-        cache-wrapped indexes re-serving the same block never re-materialise
-        the column, and the kernel path always sees one stable buffer per
-        (posting list, store, epoch) triple.
-        """
-        count = len(self.table_ids)
-        cached = self._packed_cache
-        if (
-            cached is not None
-            and cached[0] is store
-            and cached[1] == store.epoch
-            and cached[2] == count
-        ):
-            return cached[3]
-        packed = store.get_many_packed(self.table_ids, self.row_indexes)
-        self._packed_cache = (store, store.epoch, count, packed)
-        return packed
-
-    def filtered(
-        self, keep: Callable[[int, int, int], bool]
-    ) -> tuple["ColumnarPostingList", int]:
-        """Return ``(kept postings, removed count)`` under the predicate.
-
-        Returns ``self`` unchanged (and 0) when nothing is removed, so the
-        memoised runs and super-key columns survive no-op maintenance.
-        """
-        kept = ColumnarPostingList()
-        removed = 0
-        for table_id, column_index, row_index in zip(
-            self.table_ids, self.column_indexes, self.row_indexes
-        ):
-            if keep(table_id, column_index, row_index):
-                kept.append(table_id, column_index, row_index)
-            else:
-                removed += 1
-        if removed == 0:
-            return self, 0
-        return kept, removed
-
-    def copy(self) -> "ColumnarPostingList":
-        """Return an independent copy of the packed columns (C-level memcpy)."""
-        copied = ColumnarPostingList()
-        copied.table_ids = array("q", self.table_ids)
-        copied.column_indexes = array("i", self.column_indexes)
-        copied.row_indexes = array("q", self.row_indexes)
-        return copied
-
-    @classmethod
-    def from_columns(
-        cls,
-        table_ids: Iterable[int],
-        column_indexes: Iterable[int],
-        row_indexes: Iterable[int],
-    ) -> "ColumnarPostingList":
-        """Build a posting list directly from packed (or packable) columns."""
-        columns = cls()
-        columns.table_ids.extend(table_ids)
-        columns.column_indexes.extend(column_indexes)
-        columns.row_indexes.extend(row_indexes)
-        if not (
-            len(columns.table_ids)
-            == len(columns.column_indexes)
-            == len(columns.row_indexes)
-        ):
-            raise ValueError("posting columns must have equal lengths")
-        return columns
+        if self._runs is None:
+            self._runs = compute_table_runs(self.table_ids)
+        return self._runs
 
 
 class FetchBlock:
@@ -399,11 +142,11 @@ class FetchBlock:
     table runs used to regroup the block by candidate table — given as a
     list, or as the callable that yields it (a posting list's memoised
     :meth:`ColumnarPostingList.runs`), called when a consumer first asks:
-    the request-level array path never does.  Blocks are snapshots: index
-    mutations invalidate them (callers such as the posting-list cache drop
-    blocks on mutation).
+    the request-level array path never does.  Blocks are snapshots of the
+    index block they were sliced from: a replaced block leaves them as they
+    were (the posting-list cache drops them when the block is replaced).
 
-    When the index's super-key store can pack, the block instead carries the
+    Unless a posting's row spilled, the block instead carries the
     fixed-width buffer (``super_key_bytes`` / ``key_width``) that the
     vectorized prefilter kernels consume directly; the integer
     ``super_keys`` column is then materialised lazily on first access, so
@@ -543,6 +286,47 @@ class FetchBlock:
     def empty(cls, value: str) -> "FetchBlock":
         """An empty block (used to cache negative fetch results)."""
         return cls(value, (), (), (), (), ())
+
+
+class FetchSurface:
+    """The per-item fetch records Algorithm 1 is written in, for any index
+    with ``fetch_batch`` and ``posting_list_length``: the blocks, flattened."""
+
+    if TYPE_CHECKING:  # pragma: no cover - what a subclass provides
+
+        def fetch_batch(self, values: Iterable[str]) -> list[FetchBlock]:
+            raise NotImplementedError
+
+        def posting_list_length(self, value: str) -> int:
+            raise NotImplementedError
+
+    def fetch(self, values: Iterable[str]) -> list[FetchedItem]:
+        """Fetch the PL items (with super keys) for every value in ``values``.
+
+        This is ``fetch_PLs`` of Algorithm 1 (line 4): ``fetch_batch``,
+        flattened.  Duplicate probe values are fetched only once.
+        """
+        fetched: list[FetchedItem] = []
+        for block in self.fetch_batch(values):
+            fetched.extend(block)
+        return fetched
+
+    def fetch_grouped_by_table(
+        self, values: Iterable[str]
+    ) -> dict[int, list[FetchedItem]]:
+        """Fetch PL items and group them by table id (line 5 of Algorithm 1)."""
+        grouped: dict[int, list[FetchedItem]] = defaultdict(list)
+        for item in self.fetch(values):
+            grouped[item.table_id].append(item)
+        return dict(grouped)
+
+    def posting_count_for_values(self, values: Sequence[str]) -> int:
+        """Total number of PL items the given probe values would fetch."""
+        return sum(
+            self.posting_list_length(value)
+            for value in dict.fromkeys(values)
+            if value != MISSING
+        )
 
 
 class TableBlock:

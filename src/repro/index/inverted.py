@@ -1,53 +1,219 @@
 """The extended single-attribute inverted index (Sections 3 and 5).
 
-:class:`InvertedIndex` stores two structures:
-
-* ``postings``: value -> posting list (the classic single-attribute inverted
-  index of Eq. 4), and
-* ``super_keys``: (table_id, row_index) -> int, the per-row super key that
-  turns the index into MATE's extended index.
-
-Storage is packed (see :mod:`repro.index.columnar`): each value's postings
-live in three parallel packed integer arrays and the super keys in a
-fixed-width packed byte buffer; ``fetch_batch`` returns struct-of-arrays
-:class:`~repro.index.columnar.FetchBlock` objects that reference the packed
-columns directly (zero copy), with memoised super-key columns and table runs
-so repeated fetches do no per-item work.  ``fetch`` flattens those blocks
-into :class:`~repro.index.posting.FetchedItem` records.
-
-The index is deliberately storage-backend agnostic: it is an in-memory object
-that can be persisted/restored through :mod:`repro.storage`.  Its query
-surface is exactly what Algorithm 1 needs:
+An :class:`InvertedIndex` serves one CSR block
+(:class:`~repro.storage.segment_block.SegmentBlock`): the classic value ->
+posting list index of Eq. 4 plus the per-row super key that turns it into
+MATE's extended index.  The block's columns live on the heap (a bulk build, a
+sealed or merged segment, a loaded index) or in a mapped ``.seg`` file
+(:func:`~repro.storage.paged.load_segment`); either way the read surface is
+served zero-copy: a value's :class:`~repro.index.columnar.ColumnarPostingList`
+view, packed super-key column included, is sliced out of the block at its
+first fetch and memoised, so a warm ``fetch_batch`` does no per-item work,
+and counts come from the offsets.  Its query surface is exactly what
+Algorithm 1 needs:
 
 * ``fetch`` / ``fetch_batch`` — retrieve all PL items (with super keys) for a
-  set of probe values (line 4),
-* ``posting_list`` / ``posting_columns`` / ``super_key`` accessors,
-* mutation operations used by the maintenance layer (Section 5.4).
+  set of probe values (line 4);
+* ``posting_list`` / ``posting_columns`` / ``super_key`` accessors.
+
+The index is immutable but replaceable: :meth:`InvertedIndex.replace_block`
+installs a rewritten block, and it is the one mutator — Section 5.4's edits
+(:class:`~repro.index.maintenance.IndexMaintainer`) run through it.  What a
+read needs — the block, its value-id map, its row-key reader and the
+per-value view memo — is one :class:`_State`, published by one attribute
+store, and every read takes it once: a reader racing a replacement answers
+wholly from the old block or wholly from the new one.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Iterable, Iterator, Sequence
+import mmap
+from bisect import bisect_left, bisect_right
+from pathlib import Path
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Sequence
 
-from ..datamodel import MISSING
-from ..exceptions import IndexClosedError, IndexError_
-from .columnar import ColumnarPostingList, FetchBlock, PackedSuperKeys
-from .posting import FetchedItem, PostingListItem
+from ..exceptions import IndexClosedError, IndexError_, SegmentFormatError
+from .columnar import ColumnarPostingList, FetchBlock, FetchSurface
+from .posting import PostingListItem
+
+if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
+    from ..storage.segment_block import SegmentBlock
 
 
-class InvertedIndex:
-    """Value -> posting-list mapping plus per-row super keys."""
+class RowKeys:
+    """Per-row super keys over one block's row table (read-only).
 
-    def __init__(self, hash_function_name: str = "xash", hash_size: int = 128):
+    Point lookups binary-search the sorted ``(table_id, row_index)``
+    columns; oversize (spilled) keys live in the block's small dictionary.
+    """
+
+    __slots__ = ("width_bytes", "_tables", "_rows", "_keys", "_spill")
+
+    def __init__(self, block: "SegmentBlock"):
+        self.width_bytes = block.key_width
+        self._tables = block.row_table_ids
+        self._rows = block.row_row_indexes
+        self._keys = block.row_keys
+        self._spill = block.spill
+
+    def __len__(self) -> int:
+        return len(self._tables) + len(self._spill)
+
+    def _slot(self, table_id: int, row_index: int) -> int:
+        tables = self._tables
+        low = bisect_left(tables, table_id)
+        high = bisect_right(tables, table_id, low)
+        slot = bisect_left(self._rows, row_index, low, high)
+        if slot < high and self._rows[slot] == row_index:
+            return slot
+        return -1
+
+    def __contains__(self, key: tuple[int, int]) -> bool:
+        return key in self._spill or self._slot(*key) >= 0
+
+    def get(self, key: tuple[int, int]) -> int | None:
+        """Return the super key stored under ``key`` (``None`` when none is)."""
+        slot = self._slot(*key)
+        if slot < 0:
+            return self._spill.get(key)
+        width = self.width_bytes
+        offset = slot * width
+        return int.from_bytes(self._keys[offset : offset + width], "big")
+
+    def items(self) -> Iterator[tuple[tuple[int, int], int]]:
+        """Iterate over ``((table_id, row_index), super_key)`` pairs: the
+        row table in order, then the spilled keys."""
+        keys = self._keys
+        width = self.width_bytes
+        from_bytes = int.from_bytes
+        for slot, key in enumerate(zip(self._tables, self._rows)):
+            offset = slot * width
+            yield key, from_bytes(keys[offset : offset + width], "big")
+        yield from self._spill.items()
+
+    def get_many(
+        self, table_ids: Sequence[int], row_indexes: Sequence[int]
+    ) -> list[int]:
+        """Return the super keys of the given rows (0 when absent), in order."""
+        get = self.get
+        return [get(key) or 0 for key in zip(table_ids, row_indexes)]
+
+    def table_ids_present(self) -> set[int]:
+        """Distinct table ids owning at least one row."""
+        tables = set(self._tables)
+        tables.update(table_id for table_id, _row in self._spill)
+        return tables
+
+
+class _State:
+    """Everything one read of an :class:`InvertedIndex` needs."""
+
+    __slots__ = ("block", "value_ids", "rows", "views")
+
+    def __init__(self, block: "SegmentBlock", name: str):
+        self.block = block
+        self.value_ids = dict(zip(block.values, range(len(block.values))))
+        if len(self.value_ids) != len(block.values):
+            raise SegmentFormatError(
+                f"segment {name} lists a value twice in its vocabulary"
+            )
+        self.rows = RowKeys(block)
+        #: The views sliced so far, never the whole vocabulary: everything
+        #: that enumerates values reads the block.
+        self.views: dict[str, ColumnarPostingList] = {}
+
+    def view(self, value: str) -> ColumnarPostingList | None:
+        """The (memoised) posting view of ``value``; ``None`` when the
+        value is not indexed.  Two threads may slice the same value at
+        once: they build equal views and the memo keeps either."""
+        view = self.views.get(value)
+        if view is not None:
+            return view
+        value_id = self.value_ids.get(value)
+        if value_id is None:
+            return None
+        block = self.block
+        start = block.posting_offsets[value_id]
+        end = block.posting_offsets[value_id + 1]
+        table_ids = block.table_ids[start:end]
+        row_indexes = block.row_indexes[start:end]
+        packed: memoryview | None = None
+        keys: list[int] | None = None
+        if value_id in block.unpacked:
+            # A posting's row spilled: the packed slice would be lossy.
+            keys = self.rows.get_many(table_ids, row_indexes)
+        else:
+            width = block.key_width
+            packed = block.posting_keys[start * width : end * width]
+        view = self.views[value] = ColumnarPostingList(
+            table_ids,
+            block.column_indexes[start:end],
+            row_indexes,
+            super_key_bytes=packed,
+            super_keys=keys,
+        )
+        return view
+
+
+class InvertedIndex(FetchSurface):
+    """Value -> posting-list mapping plus per-row super keys, served from
+    one block (see the module docstring).
+
+    ``path`` names the ``.seg`` file a mapped index serves (``mapping`` is
+    its :mod:`mmap`), ``None`` for a heap block.  :meth:`close` drops the
+    block (unmapping the file), after which any fetch raises
+    :class:`~repro.exceptions.IndexClosedError`.
+    """
+
+    def __init__(
+        self,
+        block: "SegmentBlock",
+        path: Path | None = None,
+        mapping: mmap.mmap | None = None,
+    ):
         #: Name of the hash function the super keys were generated with.
-        self.hash_function_name = hash_function_name
+        self.hash_function_name = block.hash_function_name
         #: Width of the stored super keys in bits.
-        self.hash_size = hash_size
-        self._postings: dict[str, ColumnarPostingList] = {}
-        self._super_keys = PackedSuperKeys(hash_size)
-        self._table_rows: dict[int, set[int]] = defaultdict(set)
+        self.hash_size = block.hash_size
+        self.path = path
+        self._mm = mapping
         self._closed = False
+        self._state = _State(block, self._name())
+
+    def _name(self) -> str:
+        return "(in memory)" if self.path is None else str(self.path)
+
+    def __reduce__(self):
+        """Pickle / deep-copy as an index over a heap copy of the block."""
+        return type(self), (self.block,)
+
+    # ------------------------------------------------------------------
+    # The block
+    # ------------------------------------------------------------------
+    @property
+    def block(self) -> "SegmentBlock":
+        """The CSR block this index serves (what a segment file holds)."""
+        self._ensure_open("reading the block")
+        return self._state.block
+
+    def replace_block(self, block: "SegmentBlock") -> None:
+        """Serve ``block`` from now on — the one mutator of an index.
+
+        Reads already under way finish on the old block, and fetch blocks
+        handed out earlier keep its buffers alive.  ``block`` must be hashed
+        like the one it replaces.
+        """
+        self._ensure_open("replace_block")
+        if (block.hash_function_name, block.hash_size) != (
+            self.hash_function_name,
+            self.hash_size,
+        ):
+            raise IndexError_(
+                f"cannot replace a {self.hash_size}-bit "
+                f"{self.hash_function_name} block with a {block.hash_size}-bit "
+                f"{block.hash_function_name} one"
+            )
+        self._state = _State(block, self._name())
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -58,14 +224,31 @@ class InvertedIndex:
         return self._closed
 
     def close(self) -> None:
-        """Refuse all further fetches and mutations (idempotent).
+        """Drop the block and unmap a segment file (idempotent).
 
-        The ingestion layer seals write buffers this way; any later
-        ``fetch`` / ``fetch_batch`` / mutation raises the typed
-        :class:`~repro.exceptions.IndexClosedError` instead of whatever
-        incidental error a torn-down index would produce.
+        Any later ``fetch`` / ``fetch_batch`` raises the typed
+        :class:`~repro.exceptions.IndexClosedError`.  Fetch blocks handed
+        out earlier keep their buffers alive: the OS unmaps the pages when
+        the last exported view is released.
         """
+        if self._closed:
+            return
+        from ..storage.segment_block import SegmentBlock
+
         self._closed = True
+        width = self._state.block.key_width
+        self._state = _State(
+            SegmentBlock.empty(self.hash_function_name, self.hash_size, width),
+            self._name(),
+        )
+        mapping, self._mm = self._mm, None
+        if mapping is not None:
+            try:
+                mapping.close()
+            except BufferError:
+                # Still-exported buffers (live fetch blocks) pin the
+                # mapping; it goes away with their last reference.
+                pass
 
     def _ensure_open(self, operation: str) -> None:
         if self._closed:
@@ -79,51 +262,57 @@ class InvertedIndex:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         """Number of distinct indexed values."""
-        return len(self._postings)
+        return len(self._state.block.values)
 
     def __contains__(self, value: str) -> bool:
-        return value in self._postings
+        return value in self._state.value_ids
 
     def values(self) -> Iterator[str]:
-        """Iterate over the distinct indexed values."""
-        return iter(self._postings)
+        """Iterate over the distinct indexed values (first-seen order)."""
+        return iter(self._state.block.values)
 
     def num_posting_items(self) -> int:
         """Total number of PL items across all values."""
-        return sum(len(items) for items in self._postings.values())
+        return len(self._state.block.table_ids)
 
     def num_rows(self) -> int:
         """Number of rows that own a super key."""
-        return len(self._super_keys)
+        return len(self._state.rows)
 
     def indexed_tables(self) -> set[int]:
         """Return the ids of all tables with at least one indexed row."""
-        return set(self._table_rows)
+        return self._state.rows.table_ids_present()
+
+    def visible_counts(self, masked: Collection[int]) -> tuple[list[int], int]:
+        """``(PL items per value, in :meth:`values` order; rows)`` outside
+        the ``masked`` tables — see
+        :func:`~repro.storage.segment_block.visible_counts`; nothing is
+        sliced or memoised for a count."""
+        from ..storage.segment_block import visible_counts
+
+        return visible_counts(self._state.block, masked)
+
+    def posting_columns(self, value: str) -> ColumnarPostingList | None:
+        """Return the posting view of ``value`` (``None`` when not indexed)."""
+        return self._state.view(value)
 
     def posting_list(self, value: str) -> list[PostingListItem]:
         """Return the posting list of ``value`` (empty when not indexed)."""
-        stored = self._postings.get(value)
-        return [] if stored is None else stored.items()
-
-    def posting_columns(self, value: str) -> ColumnarPostingList | None:
-        """Return the packed posting columns of ``value`` (``None`` when the
-        value is not indexed)."""
-        return self._postings.get(value)
-
-    def iter_posting_copies(self) -> Iterator[tuple[str, ColumnarPostingList]]:
-        """Every value with an independent copy of its packed posting
-        columns, in :meth:`values` order."""
-        for value, columns in self._postings.items():
-            yield value, columns.copy()
+        view = self._state.view(value)
+        return [] if view is None else view.items()
 
     def posting_list_length(self, value: str) -> int:
-        """Return the number of PL items for ``value`` without copying."""
-        stored = self._postings.get(value)
-        return 0 if stored is None else len(stored)
+        """Return the number of PL items for ``value`` without slicing."""
+        state = self._state
+        value_id = state.value_ids.get(value)
+        if value_id is None:
+            return 0
+        offsets = state.block.posting_offsets
+        return offsets[value_id + 1] - offsets[value_id]
 
     def super_key(self, table_id: int, row_index: int) -> int:
         """Return the super key of a row."""
-        stored = self._super_keys.get((table_id, row_index), None)
+        stored = self._state.rows.get((table_id, row_index))
         if stored is None:
             raise IndexError_(
                 f"no super key stored for table {table_id} row {row_index}"
@@ -132,109 +321,12 @@ class InvertedIndex:
 
     def has_row(self, table_id: int, row_index: int) -> bool:
         """Return whether a super key is stored for the row."""
-        return (table_id, row_index) in self._super_keys
+        return (table_id, row_index) in self._state.rows
 
     def iter_super_keys(self) -> Iterator[tuple[int, int, int]]:
         """Iterate over ``(table_id, row_index, super_key)`` triples."""
-        for (table_id, row_index), super_key in self._super_keys.items():
+        for (table_id, row_index), super_key in self._state.rows.items():
             yield table_id, row_index, super_key
-
-    # ------------------------------------------------------------------
-    # Mutation (used by IndexBuilder and the maintenance layer)
-    # ------------------------------------------------------------------
-    def add_posting(
-        self, value: str, table_id: int, column_index: int, row_index: int
-    ) -> None:
-        """Add a single PL item for ``value``.  Missing values are skipped."""
-        self._ensure_open("add_posting")
-        if value == MISSING:
-            return
-        columns = self._postings.get(value)
-        if columns is None:
-            columns = self._postings[value] = ColumnarPostingList()
-        columns.append(table_id, column_index, row_index)
-        self._table_rows[table_id].add(row_index)
-
-    def set_posting_columns(
-        self, value: str, columns: ColumnarPostingList
-    ) -> None:
-        """Install pre-packed posting columns for ``value`` (bulk loading).
-
-        Used by storage backends restoring a packed index.
-        """
-        self._ensure_open("set_posting_columns")
-        if value == MISSING or not len(columns):
-            return
-        self._postings[value] = columns
-        table_rows = self._table_rows
-        for table_id, row_index in zip(columns.table_ids, columns.row_indexes):
-            table_rows[table_id].add(row_index)
-
-    def set_super_key(self, table_id: int, row_index: int, super_key: int) -> None:
-        """Store (or replace) the super key of a row."""
-        self._ensure_open("set_super_key")
-        self._super_keys.set((table_id, row_index), super_key)
-        self._table_rows[table_id].add(row_index)
-
-    def or_into_super_key(self, table_id: int, row_index: int, value_hash: int) -> int:
-        """OR a new value hash into an existing row super key (column insert)."""
-        self._ensure_open("or_into_super_key")
-        updated = self._super_keys.or_into((table_id, row_index), value_hash)
-        self._table_rows[table_id].add(row_index)
-        return updated
-
-    def _remove_postings_where(self, keep) -> int:
-        """Filter every posting list by ``keep(table_id, column_index, row_index)``."""
-        removed = 0
-        empty_values = []
-        for value, columns in self._postings.items():
-            kept, dropped = columns.filtered(keep)
-            removed += dropped
-            if len(kept):
-                self._postings[value] = kept
-            else:
-                empty_values.append(value)
-        for value in empty_values:
-            del self._postings[value]
-        return removed
-
-    def remove_table(self, table_id: int) -> int:
-        """Remove every posting and super key of ``table_id``.
-
-        Returns the number of removed PL items.
-        """
-        self._ensure_open("remove_table")
-        removed = self._remove_postings_where(
-            lambda item_table, _column, _row: item_table != table_id
-        )
-        for row_index in self._table_rows.pop(table_id, set()):
-            self._super_keys.pop((table_id, row_index))
-        return removed
-
-    def remove_row(self, table_id: int, row_index: int) -> int:
-        """Remove the postings and super key of a single row."""
-        self._ensure_open("remove_row")
-        removed = self._remove_postings_where(
-            lambda item_table, _column, item_row: not (
-                item_table == table_id and item_row == row_index
-            )
-        )
-        self._super_keys.pop((table_id, row_index))
-        rows = self._table_rows.get(table_id)
-        if rows is not None:
-            rows.discard(row_index)
-            if not rows:
-                del self._table_rows[table_id]
-        return removed
-
-    def remove_column(self, table_id: int, column_index: int) -> int:
-        """Remove the postings of one column (super keys must be rebuilt by the caller)."""
-        self._ensure_open("remove_column")
-        return self._remove_postings_where(
-            lambda item_table, item_column, _row: not (
-                item_table == table_id and item_column == column_index
-            )
-        )
 
     # ------------------------------------------------------------------
     # Discovery-phase retrieval
@@ -244,77 +336,30 @@ class InvertedIndex:
 
         One block per probed value with at least one PL item, in first-seen
         value order; duplicate and missing probe values are skipped.  The
-        blocks reference the packed columns directly and reuse the memoised
-        super-key columns, so a warm ``fetch_batch`` does no per-item work
-        at all.
+        blocks reference the block's columns directly and carry its packed
+        super-key slice (the integer column only when a posting's row
+        spilled), so a warm ``fetch_batch`` does no per-item work at all.
         """
         self._ensure_open("fetch_batch")
+        state = self._state
+        width = state.block.key_width
         blocks: list[FetchBlock] = []
         append = blocks.append
-        postings = self._postings
-        store = self._super_keys
         for value in dict.fromkeys(values):
-            if value == MISSING:
+            view = state.view(value)
+            if view is None:
                 continue
-            columns = postings.get(value)
-            if columns is None or not len(columns):
-                continue
-            # Prefer the memoised packed super-key buffer (the kernel input);
-            # the integer column is only built when a posting's row spilled
-            # (a key wider than the configured hash size).
-            packed = columns.super_key_packed(store)
-            if packed is not None:
-                append(
-                    FetchBlock(
-                        value,
-                        columns.table_ids,
-                        columns.column_indexes,
-                        columns.row_indexes,
-                        None,
-                        columns.runs,
-                        super_key_bytes=packed,
-                        key_width=store.width_bytes,
-                    )
+            packed = view.super_key_bytes
+            append(
+                FetchBlock(
+                    value,
+                    view.table_ids,
+                    view.column_indexes,
+                    view.row_indexes,
+                    view.super_keys,
+                    view.runs,
+                    super_key_bytes=packed,
+                    key_width=None if packed is None else width,
                 )
-            else:
-                append(
-                    FetchBlock(
-                        value,
-                        columns.table_ids,
-                        columns.column_indexes,
-                        columns.row_indexes,
-                        columns.super_key_column(store),
-                        columns.runs,
-                    )
-                )
+            )
         return blocks
-
-    def fetch(self, values: Iterable[str]) -> list[FetchedItem]:
-        """Fetch the PL items (with super keys) for every value in ``values``.
-
-        This is ``fetch_PLs`` of Algorithm 1 (line 4): :meth:`fetch_batch`,
-        flattened.  Duplicate probe values are fetched only once.
-        """
-        self._ensure_open("fetch")
-        fetched: list[FetchedItem] = []
-        extend = fetched.extend
-        for block in self.fetch_batch(values):
-            extend(block)
-        return fetched
-
-    def fetch_grouped_by_table(
-        self, values: Iterable[str]
-    ) -> dict[int, list[FetchedItem]]:
-        """Fetch PL items and group them by table id (line 5 of Algorithm 1)."""
-        grouped: dict[int, list[FetchedItem]] = defaultdict(list)
-        for item in self.fetch(values):
-            grouped[item.table_id].append(item)
-        return dict(grouped)
-
-    def posting_count_for_values(self, values: Sequence[str]) -> int:
-        """Total number of PL items the given probe values would fetch."""
-        return sum(
-            self.posting_list_length(value)
-            for value in dict.fromkeys(values)
-            if value != MISSING
-        )

@@ -2,31 +2,75 @@
 
 The paper enumerates how the extended index reacts to the three edit types on
 a table corpus — insert, update, delete — at table, row, column, and cell
-granularity.  :class:`IndexMaintainer` implements each of them so that the
-index, the corpus, and the per-row super keys stay consistent:
+granularity:
 
-* **insert table / insert row** — generate PL items for the new cells and a
-  fresh super key per new row;
-* **insert column** — hash each new value and OR it into the existing row
-  super keys (no full rehash required);
-* **update cell** — replace the PL item and fully rehash the affected row's
-  super key (an OR-aggregate cannot "subtract" the old value);
-* **delete table / delete row** — drop PL items and super keys;
-* **delete column** — drop the column's PL items and rehash the super keys of
-  every remaining row of that table.
+* **insert table / insert row** — PL items for the new cells and a fresh
+  super key per new row;
+* **insert column** — each new value is hashed and OR-ed into its row's
+  super key (no full rehash required);
+* **update cell** — the PL item is replaced and the row's super key fully
+  rehashed (an OR-aggregate cannot "subtract" the old value);
+* **delete table / delete row** — PL items and super keys are dropped;
+* **delete column** — the column's PL items are dropped and the super keys
+  of every remaining row of that table rehashed.
+
+An index is one immutable CSR block, so :class:`IndexMaintainer` performs
+every edit as the same rewrite: drop the edited table from the block and
+append it again, rebuilt from the corpus —
+:func:`~repro.storage.segment_block.merge_blocks` of the block without the
+table and :func:`~repro.index.bulk.build_block` of the table — installed with
+:meth:`InvertedIndex.replace_block
+<repro.index.inverted.InvertedIndex.replace_block>`.  Insert table and delete
+table are the two halves of that operation.  A rebuilt row's key is the one
+the paper's in-place updates produce (an inserted column's key is the OR of
+the old key and the new value's hash), and edited tables end the block in
+the order they were last touched: the block is the bulk build of the corpus
+in that order.
 """
 
 from __future__ import annotations
 
 from ..datamodel import MISSING, Row, Table, TableCorpus
 from ..datamodel.encoding import ENCODER
-from ..exceptions import DataModelError
+from ..exceptions import DataModelError, IndexError_
 from ..hashing import SuperKeyGenerator
+from .bulk import build_block
 from .inverted import InvertedIndex
 
 
+def _refusal(index) -> str | None:
+    """Why ``index`` cannot be maintained by block rewrites (``None`` when
+    it can); a caching wrapper is judged by the index it wraps."""
+    from ..ingest.live import LiveIndex
+    from .sharded import ShardedInvertedIndex
+
+    target = getattr(index, "wrapped", index)
+    if isinstance(target, ShardedInvertedIndex):
+        return (
+            "a sharded index is read-only; maintain the monolithic index and "
+            "partition it again (ShardedInvertedIndex.from_index)"
+        )
+    if isinstance(target, LiveIndex):
+        return "a LiveIndex is edited through its add_table / remove_table"
+    if not isinstance(target, InvertedIndex):
+        return f"{type(target).__name__} is not an InvertedIndex"
+    if target.path is not None:
+        return (
+            f"the index maps the read-only segment file {target.path}; "
+            "rebuild and rewrite it to change it"
+        )
+    return None
+
+
 class IndexMaintainer:
-    """Keeps an :class:`InvertedIndex` consistent with corpus edits."""
+    """Keeps an :class:`InvertedIndex` consistent with corpus edits.
+
+    Refuses, with an :class:`~repro.exceptions.IndexError_` naming the
+    kind, an index it cannot rewrite: a sharded index, a
+    :class:`~repro.ingest.LiveIndex`, and one mapping a segment file.  An
+    edit reads the block, rewrites it and installs the result, so one
+    thread edits an index at a time; readers may run beside it.
+    """
 
     def __init__(
         self,
@@ -34,6 +78,9 @@ class IndexMaintainer:
         index: InvertedIndex,
         super_key_generator: SuperKeyGenerator,
     ):
+        refusal = _refusal(index)
+        if refusal is not None:
+            raise IndexError_(f"cannot maintain this index: {refusal}")
         self.corpus = corpus
         self.index = index
         self.super_key_generator = super_key_generator
@@ -44,22 +91,20 @@ class IndexMaintainer:
     def insert_table(self, table: Table) -> None:
         """Add a new table to the corpus and index it."""
         self.corpus.add_table(table)
-        for row_index, row in enumerate(table.rows):
-            self._index_row(table.table_id, row_index, row)
+        self._rewrite(table)
 
     def insert_row(self, table_id: int, values: list[object]) -> int:
         """Append a row to an existing table; returns the new row index."""
         table = self.corpus.get_table(table_id)
-        row = table.append_row(values)
-        row_index = table.num_rows - 1
-        self._index_row(table_id, row_index, row)
-        return row_index
+        table.append_row(values)
+        self._rewrite(table)
+        return table.num_rows - 1
 
     def insert_column(self, table_id: int, column_name: str, values: list[object]) -> None:
         """Add a column to an existing table.
 
-        Per Section 5.4 this only requires hashing the new values and OR-ing
-        each into the corresponding row super key.
+        Per Section 5.4 each row's key becomes its old key OR-ed with the
+        new value's hash — which is the rebuilt row's key.
         """
         table = self.corpus.get_table(table_id)
         if column_name in table.columns:
@@ -71,20 +116,12 @@ class IndexMaintainer:
                 f"column has {len(values)} values but table {table_id} has "
                 f"{table.num_rows} rows"
             )
-        column_index = table.num_columns
         table.columns.append(column_name)
-        new_rows = []
-        for row_index, (row, raw_value) in enumerate(zip(table.rows, values)):
-            new_row = Row(list(row) + [raw_value])
-            new_rows.append(new_row)
-            value = new_row[column_index]
-            if value != MISSING:
-                self.index.add_posting(value, table_id, column_index, row_index)
-                self.index.or_into_super_key(
-                    table_id, row_index, self.super_key_generator.value_hash(value)
-                )
-        table.rows = new_rows
+        table.rows = [
+            Row(list(row) + [value]) for row, value in zip(table.rows, values)
+        ]
         ENCODER.forget(table)
+        self._rewrite(table)
 
     # ------------------------------------------------------------------
     # Updates
@@ -102,16 +139,11 @@ class IndexMaintainer:
             raise DataModelError(
                 f"column {column_index} out of range for table {table_id}"
             )
-        old_row = table.rows[row_index]
-        new_values = list(old_row)
+        new_values = list(table.rows[row_index])
         new_values[column_index] = value
-        new_row = Row(new_values)
-        table.rows[row_index] = new_row
+        table.rows[row_index] = Row(new_values)
         ENCODER.forget(table)
-
-        # Postings: drop the old row's postings and re-add them from scratch.
-        self.index.remove_row(table_id, row_index)
-        self._index_row(table_id, row_index, new_row)
+        self._rewrite(table)
 
     # ------------------------------------------------------------------
     # Deletes
@@ -119,25 +151,19 @@ class IndexMaintainer:
     def delete_table(self, table_id: int) -> None:
         """Remove a table from the corpus and the index."""
         self.corpus.remove_table(table_id)
-        self.index.remove_table(table_id)
+        self._replace(table_id, None)
 
     def delete_row(self, table_id: int, row_index: int) -> None:
-        """Remove a single row from a table and the index.
-
-        Rows after ``row_index`` are re-indexed because their positions shift.
-        """
+        """Remove a single row from a table and the index (the rows after
+        it shift up, and so do their row indexes)."""
         table = self.corpus.get_table(table_id)
         if not 0 <= row_index < table.num_rows:
             raise DataModelError(
                 f"row {row_index} out of range for table {table_id}"
             )
-        # Drop every posting of this table and rebuild — row indexes shift, so
-        # a local fix-up would have to rewrite most postings anyway.
         del table.rows[row_index]
         ENCODER.forget(table)
-        self.index.remove_table(table_id)
-        for new_index, row in enumerate(table.rows):
-            self._index_row(table_id, new_index, row)
+        self._rewrite(table)
 
     def delete_column(self, table_id: int, column_name: str) -> None:
         """Remove a column; triggers a rehash of all row super keys (Section 5.4)."""
@@ -151,22 +177,29 @@ class IndexMaintainer:
             new_rows.append(Row(values))
         table.rows = new_rows
         ENCODER.forget(table)
-        # Rebuild the table's postings and super keys: column indexes above
-        # the removed column shift and super keys must forget the old values.
-        self.index.remove_table(table_id)
-        for row_index, row in enumerate(table.rows):
-            self._index_row(table_id, row_index, row)
+        self._rewrite(table)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _index_row(self, table_id: int, row_index: int, row: Row) -> None:
-        super_key = self.super_key_generator.row_super_key(row)
-        self.index.set_super_key(table_id, row_index, super_key)
-        for column_index, value in enumerate(row):
-            if value == MISSING:
-                continue
-            self.index.add_posting(value, table_id, column_index, row_index)
+    def _rewrite(self, table: Table) -> None:
+        """Re-index ``table`` as it now stands in the corpus."""
+        self._replace(table.table_id, table)
+
+    def _replace(self, table_id: int, table: Table | None) -> None:
+        """Drop ``table_id`` from the index block and append ``table``
+        rebuilt (nothing for a delete)."""
+        # Imported here: ``repro.storage`` itself imports ``repro.index``.
+        from ..storage.segment_block import merge_blocks
+
+        block = self.index.block
+        blocks, masks = [block], [{table_id}]
+        if table is not None:
+            blocks.append(
+                build_block([table], self.super_key_generator, block.hash_function_name)
+            )
+            masks.append(set())
+        self.index.replace_block(merge_blocks(blocks, masks))
 
     def verify_consistency(self) -> list[str]:
         """Cross-check index and corpus; returns a list of human-readable issues."""

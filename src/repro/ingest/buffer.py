@@ -37,9 +37,14 @@ from ..datamodel import MISSING, Table
 from ..datamodel.encoding import MISSING_ID
 from ..exceptions import IndexClosedError, IndexError_
 from ..hashing.base import key_width
-from ..index import ColumnarPostingList, FetchBlock, IndexBuilder, PostingListItem
+from ..index import (
+    ColumnarPostingList,
+    FetchBlock,
+    IndexBuilder,
+    InvertedIndex,
+    PostingListItem,
+)
 from ..index.bulk import encode_tables, layout_block, row_keys
-from ..storage.paged import MappedSegmentIndex
 
 
 class IngestBuffer:
@@ -253,7 +258,7 @@ class IngestBuffer:
         }
         return num_cells
 
-    def seal(self) -> MappedSegmentIndex:
+    def seal(self) -> InvertedIndex:
         """Freeze the buffer and return its postings as segment payload.
 
         After sealing, every mutation raises
@@ -285,7 +290,7 @@ class BufferView:
     and drops do not show through it.  A fetch maps the probed values to
     ids, takes one pass over the cell-id column and lays out *the hit cells
     only* — a tiny block served by
-    :class:`~repro.storage.paged.MappedSegmentIndex`, so blocks, runs and
+    :class:`~repro.index.InvertedIndex`, so blocks, runs and
     packed keys are the ones every sealed segment returns.  Nothing a fetch
     does grows with the row count, and only a lookup table with the
     vocabulary; counts come from the count column, row lookups from the
@@ -303,12 +308,12 @@ class BufferView:
         self._cells = [column[: buffer._cell_count] for column in buffer._cells]
         self._rows = [column[: buffer._row_count] for column in buffer._rows]
         self._tables = buffer._tables
-        self._laid_out: MappedSegmentIndex | None = None
+        self._laid_out: InvertedIndex | None = None
 
     def _block(
         self, values: list[str], cells: tuple, row_table: bool
-    ) -> MappedSegmentIndex:
-        return MappedSegmentIndex(
+    ) -> InvertedIndex:
+        return InvertedIndex(
             layout_block(
                 values,
                 cells,
@@ -319,7 +324,7 @@ class BufferView:
             )
         )
 
-    def laid_out(self) -> MappedSegmentIndex:
+    def laid_out(self) -> InvertedIndex:
         """The whole view as one block (memoised)."""
         if self._laid_out is None:
             values = list(self._ids)[1 : self._num_values + 1]

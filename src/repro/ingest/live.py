@@ -44,14 +44,9 @@ from typing import Iterable, Iterator, Sequence
 from ..config import MateConfig
 from ..datamodel import MISSING, Table
 from ..exceptions import IndexClosedError, IndexError_, StorageError
-from ..index import FetchBlock, FetchedItem, compute_table_runs
+from ..index import FetchBlock, FetchedItem, InvertedIndex, compute_table_runs
 from ..sketch import SKETCH_FILE_STEM, SKETCH_SUFFIX, SketchIndex
-from ..storage.paged import (
-    SEGMENT_SUFFIX,
-    MappedSegmentIndex,
-    load_segment,
-    write_segment,
-)
+from ..storage.paged import SEGMENT_SUFFIX, load_segment, write_segment
 from .buffer import BufferView, IngestBuffer
 from .segments import Segment, merge_segments
 from .wal import WriteAheadLog, repair_torn_tail, replay_wal
@@ -75,7 +70,7 @@ def _segment_file(generation: int) -> str:
     return _segment_stem(generation) + SEGMENT_SUFFIX
 
 
-def _load_segment_index(path: Path) -> MappedSegmentIndex:
+def _load_segment_index(path: Path) -> InvertedIndex:
     """Map one persisted ``.seg`` segment.
 
     A manifest naming anything else — the JSON segments of directories
@@ -196,7 +191,7 @@ class LiveSnapshot:
         generation: int,
         components: tuple[
             tuple[
-                MappedSegmentIndex | BufferView,
+                InvertedIndex | BufferView,
                 dict[int, int],
                 frozenset[int],
             ],

@@ -2,7 +2,7 @@
 
 A :class:`Segment` is a sealed :class:`~repro.ingest.buffer.IngestBuffer`:
 one immutable CSR block behind a
-:class:`~repro.storage.paged.MappedSegmentIndex` plus the add sequence number
+:class:`~repro.index.InvertedIndex` plus the add sequence number
 of every table it holds.  Segments are never mutated after
 sealing — removals are expressed as *tombstones* (table id → remove sequence
 number) kept by the owning :class:`~repro.ingest.live.LiveIndex`, and a
@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from ..exceptions import IndexError_
-from ..storage.paged import MappedSegmentIndex, block_of
+from ..index import InvertedIndex
 from ..storage.segment_block import merge_blocks
 
 
@@ -41,7 +41,7 @@ class Segment:
 
     def __init__(
         self,
-        index: MappedSegmentIndex,
+        index: InvertedIndex,
         table_seqs: Mapping[int, int],
         generation: int,
     ):
@@ -92,9 +92,9 @@ def merge_segments(
         for table_id, add_seq in segment.table_seqs.items():
             if table_id not in masked:
                 table_seqs[table_id] = add_seq
-    merged = merge_blocks([block_of(segment.index) for segment in segments], masks)
+    merged = merge_blocks([segment.index.block for segment in segments], masks)
     return Segment(
-        index=MappedSegmentIndex(merged),
+        index=InvertedIndex(merged),
         table_seqs=table_seqs,
         generation=generation,
     )

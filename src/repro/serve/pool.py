@@ -10,8 +10,8 @@ worker *process*:
 
 * the pool builds one columnar index per shard, persists it as a binary
   ``.seg`` file (:func:`~repro.storage.paged.write_segment`), and each worker
-  reopens its file via :func:`~repro.storage.paged.reopen_segment` /
-  :class:`~repro.storage.paged.MappedSegmentIndex` — the mmap'd pages are
+  reopens its file via :func:`~repro.storage.paged.reopen_segment` as an
+  :class:`~repro.index.InvertedIndex` over the mapping — the mmap'd pages are
   shared between processes, so per-worker opens cost only the directory
   parse and hedge mirrors add no index memory;
 * scatter/gather runs over pipe connections with the typed messages of

@@ -21,21 +21,21 @@ Caching is transparent by construction: ``CachingIndex.fetch_batch`` returns
 exactly what the wrapped index would return (same blocks, same order) and
 ``fetch`` flattens those blocks into the classic per-item records, so a
 :class:`~repro.core.discovery.MateDiscovery` engine produces identical
-results with or without the cache.  Mutations invalidate conservatively —
-``add_posting`` drops the touched value, super-key updates and removals
-clear the whole cache (cached blocks embed super-key columns, so any
-super-key change can stale any entry).
+results with or without the cache.  The one mutation of an index,
+:meth:`~repro.index.inverted.InvertedIndex.replace_block`, clears the whole
+cache (a rewritten block can change any value's postings or keys).
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict
 from typing import Iterable
 
 from ..datamodel import MISSING
 from ..exceptions import ConfigurationError
-from ..index import FetchBlock, FetchedItem
+from ..index import FetchBlock
+from ..index.columnar import FetchSurface
 from ..metrics import CacheCounters
 
 
@@ -44,7 +44,7 @@ class PostingListCache:
 
     Entries map one probe value to its fetched postings — possibly empty,
     since negative results are cached too (a value absent from the index
-    stays absent until a mutation).
+    stays absent until the index's block is replaced).
     """
 
     def __init__(self, capacity: int = 4096, counters: CacheCounters | None = None):
@@ -101,7 +101,7 @@ class PostingListCache:
             self._entries.clear()
 
 
-class CachingIndex:
+class CachingIndex(FetchSurface):
     """Read-through posting-list cache in front of any index.
 
     Wraps an :class:`~repro.index.inverted.InvertedIndex` or
@@ -109,7 +109,7 @@ class CachingIndex:
     ``fetch_batch`` per value from the LRU cache, falling back to one batched
     fetch of all missing values (so a sharded index still fans out once per
     request, not once per value).  Everything else — posting-list accessors,
-    super keys, mutation, shard topology — is delegated to the wrapped index.
+    super keys, shard topology — is delegated to the wrapped index.
     """
 
     def __init__(
@@ -168,65 +168,13 @@ class CachingIndex:
             resolved[value] for value in ordered if len(resolved[value])
         ]
 
-    def fetch(self, values: Iterable[str]) -> list[FetchedItem]:
-        """Fetch PL items for ``values``, serving cached values from the LRU.
-
-        Identical output to the wrapped index's ``fetch``: duplicate probe
-        values collapse, missing values are skipped, and per-value item
-        order is preserved.
-        """
-        fetched: list[FetchedItem] = []
-        for block in self.fetch_batch(values):
-            fetched.extend(block)
-        return fetched
-
-    def fetch_grouped_by_table(
-        self, values: Iterable[str]
-    ) -> dict[int, list[FetchedItem]]:
-        """Fetch PL items and group them by table id (line 5 of Algorithm 1)."""
-        grouped: dict[int, list[FetchedItem]] = defaultdict(list)
-        for item in self.fetch(values):
-            grouped[item.table_id].append(item)
-        return dict(grouped)
-
     # ------------------------------------------------------------------
-    # Mutation (delegates, with conservative invalidation)
+    # Mutation (delegates, invalidating every entry)
     # ------------------------------------------------------------------
-    def add_posting(
-        self, value: str, table_id: int, column_index: int, row_index: int
-    ) -> None:
-        """Add a PL item to the wrapped index and invalidate its value."""
-        self._index.add_posting(value, table_id, column_index, row_index)
-        self.cache.invalidate(value)
-
-    def set_super_key(self, table_id: int, row_index: int, super_key: int) -> None:
-        """Store a super key; clears the cache (cached blocks embed super keys)."""
-        self._index.set_super_key(table_id, row_index, super_key)
+    def replace_block(self, block) -> None:
+        """Install a rewritten block in the wrapped index; clears the cache."""
+        self._index.replace_block(block)
         self.cache.clear()
-
-    def or_into_super_key(self, table_id: int, row_index: int, value_hash: int) -> int:
-        """Update a super key; clears the cache (cached blocks embed super keys)."""
-        updated = self._index.or_into_super_key(table_id, row_index, value_hash)
-        self.cache.clear()
-        return updated
-
-    def remove_table(self, table_id: int) -> int:
-        """Remove a table from the wrapped index; clears the cache."""
-        removed = self._index.remove_table(table_id)
-        self.cache.clear()
-        return removed
-
-    def remove_row(self, table_id: int, row_index: int) -> int:
-        """Remove a row from the wrapped index; clears the cache."""
-        removed = self._index.remove_row(table_id, row_index)
-        self.cache.clear()
-        return removed
-
-    def remove_column(self, table_id: int, column_index: int) -> int:
-        """Remove a column from the wrapped index; clears the cache."""
-        removed = self._index.remove_column(table_id, column_index)
-        self.cache.clear()
-        return removed
 
     # ------------------------------------------------------------------
     # Delegated query surface

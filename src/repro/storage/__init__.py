@@ -8,8 +8,6 @@ from .paged import (
     SEGMENT_SUFFIX,
     FetchAccounting,
     FetchCostModel,
-    MappedSegmentIndex,
-    MappedSuperKeys,
     PagedPostingStore,
     load_segment,
     reopen_segment,
@@ -42,8 +40,6 @@ __all__ = [
     "FetchCostModel",
     "INDEX_FORMAT_VERSION",
     "InMemoryBackend",
-    "MappedSegmentIndex",
-    "MappedSuperKeys",
     "PagedPostingStore",
     "SEGMENT_FORMAT_VERSION",
     "SEGMENT_MAGIC",

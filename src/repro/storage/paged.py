@@ -6,17 +6,14 @@ be retrieved from disk" (Section 7.2) — DWTC does not fit in memory.  The
 authors' deployment keeps the index in Vertica; this module provides the two
 storage layers the reproduction uses in its place:
 
-* **Binary mmap segments** — :func:`write_segment` persists a columnar
-  :class:`~repro.index.InvertedIndex` into a single ``.seg`` file: one CSR
-  block (:class:`~repro.storage.segment_block.SegmentBlock`) laid out as a
-  fixed set of 8-byte-aligned regions, and :func:`load_segment` maps that
-  file back with :mod:`mmap`.  :class:`MappedSegmentIndex` serves the full
-  read surface of :class:`~repro.index.InvertedIndex` over such a block —
-  mapped or on the heap — through zero-copy :class:`memoryview` slices, so
-  opening a multi-GB index costs the vocabulary and a constant-size
-  directory (pages fault in on demand and are shared between processes
-  mapping the same file).  :class:`MappedSuperKeys` backs per-row super-key
-  lookups by binary search over the block's row table.
+* **Binary mmap segments** — :func:`write_segment` persists the CSR block
+  (:class:`~repro.storage.segment_block.SegmentBlock`) of an
+  :class:`~repro.index.InvertedIndex` into a single ``.seg`` file, laid out
+  as a fixed set of 8-byte-aligned regions, and :func:`load_segment` maps
+  that file back with :mod:`mmap` as an :class:`~repro.index.InvertedIndex`
+  over :class:`memoryview` s of the mapping, so opening a multi-GB index
+  costs the vocabulary and a constant-size directory (pages fault in on
+  demand and are shared between processes mapping the same file).
 * **The simulated paged store** — :class:`PagedPostingStore` lays posting
   lists out on fixed-size pages served through an LRU buffer pool, and
   :class:`FetchCostModel` converts page misses into an estimated fetch
@@ -34,23 +31,16 @@ import os
 import struct
 import sys
 from array import array
-from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 from zlib import crc32
 
-from ..exceptions import IndexError_, SegmentFormatError, StorageError
-from ..index import (
-    ColumnarPostingList,
-    FetchBlock,
-    FetchedItem,
-    InvertedIndex,
-    PostingListItem,
-)
-from .segment_block import SegmentBlock, flatten_index, visible_counts
+from ..exceptions import SegmentFormatError, StorageError
+from ..index import FetchBlock, FetchedItem, InvertedIndex
+from .segment_block import SegmentBlock
 
 #: File suffix of binary mmap segment files.
 SEGMENT_SUFFIX = ".seg"
@@ -340,19 +330,10 @@ def _region_sizes(counts: dict, width: int) -> dict[str, int]:
     }
 
 
-def block_of(index: InvertedIndex) -> SegmentBlock:
-    """The CSR block of ``index``: its own when it is already flat (a sealed
-    or merged segment, a mapped file), a fresh flatten otherwise."""
-    if isinstance(index, MappedSegmentIndex):
-        index._ensure_open("reading the block")
-        return index.block
-    return flatten_index(index)
-
-
 def write_segment(
     index: InvertedIndex, path: str | Path, fsync: bool = True
 ) -> Path:
-    """Persist a columnar index as one binary mmap-able ``.seg`` file.
+    """Persist the block of an index as one binary mmap-able ``.seg`` file.
 
     Layout: leading :data:`SEGMENT_MAGIC`, then the fixed set of
     8-byte-aligned raw regions of :func:`_region_sizes` (native byte order;
@@ -360,16 +341,14 @@ def write_segment(
     kernels' input), then a JSON directory of constant size — counts, the
     region table, the hash configuration, plus the few oversize (spilled)
     super keys as hex strings and the ids of the values they leave without a
-    packed column — and the CRC-protected fixed footer.  An index that is
-    already flat (a sealed or merged segment, a mapped file) is written
-    column by column as it is; any other is flattened first
-    (:func:`~repro.storage.segment_block.flatten_index`).
+    packed column — and the CRC-protected fixed footer.  The block is
+    written column by column as it is.
 
     The file is written to a temporary sibling and atomically renamed, so a
     crash mid-write never leaves a half-segment under the target name; a
     write that raises removes the temporary file.
     """
-    block = block_of(index)
+    block = index.block
     encoded = "".join(block.values).encode("utf-8", "surrogatepass")
     regions = {
         "value_offsets": array(
@@ -456,7 +435,7 @@ def write_segment(
     return path
 
 
-def load_segment(path: str | Path) -> "MappedSegmentIndex":
+def load_segment(path: str | Path) -> InvertedIndex:
     """Map a ``.seg`` file written by :func:`write_segment` (read-only).
 
     Startup cost is the directory parse, the vocabulary (one decode, one
@@ -530,7 +509,7 @@ def load_segment(path: str | Path) -> "MappedSegmentIndex":
             raise SegmentFormatError(
                 f"segment file {path} has a malformed directory: {exc!r}"
             ) from exc
-        return MappedSegmentIndex(block, path=path, mapping=mapping)
+        return InvertedIndex(block, path=path, mapping=mapping)
     except BaseException:
         try:
             mapping.close()
@@ -633,7 +612,7 @@ def reopen_segment(
     *,
     hash_function_name: str | None = None,
     hash_size: int | None = None,
-) -> "MappedSegmentIndex":
+) -> InvertedIndex:
     """Map a segment in another process, validating its hash configuration.
 
     The worker side of the process-pool serving mode: a shard-owning worker
@@ -670,354 +649,3 @@ def reopen_segment(
         index.close()
         raise
     return index
-
-
-class MappedSuperKeys:
-    """Read-only per-row super keys over one segment block's row table.
-
-    Point lookups binary-search the sorted ``(table_id, row_index)``
-    columns; packed columns are assembled with slice copies from the key
-    buffer.  The store is immutable, so its ``epoch`` is forever 0 and
-    every memoised column computed from it stays valid for the life of the
-    block.  Oversize (spilled) keys live in a small plain dictionary.
-    """
-
-    __slots__ = ("width_bytes", "epoch", "_tables", "_rows", "_keys", "_spill")
-
-    def __init__(self, table_ids, row_indexes, keys, width_bytes: int, spill: dict):
-        self.width_bytes = width_bytes
-        self.epoch = 0
-        self._tables = table_ids
-        self._rows = row_indexes
-        self._keys = keys
-        self._spill = spill
-
-    def __len__(self) -> int:
-        return len(self._tables) + len(self._spill)
-
-    def _slot(self, table_id: int, row_index: int) -> int:
-        tables = self._tables
-        low = bisect_left(tables, table_id)
-        high = bisect_right(tables, table_id, low)
-        slot = bisect_left(self._rows, row_index, low, high)
-        if slot < high and self._rows[slot] == row_index:
-            return slot
-        return -1
-
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self._spill or self._slot(*key) >= 0
-
-    def get(self, key: tuple[int, int], default: int | None = 0) -> int | None:
-        """Return the super key stored under ``key`` (or ``default``)."""
-        slot = self._slot(*key)
-        if slot < 0:
-            return self._spill.get(key, default)
-        width = self.width_bytes
-        offset = slot * width
-        return int.from_bytes(self._keys[offset : offset + width], "big")
-
-    def set(self, key: tuple[int, int], value: int) -> None:
-        raise IndexError_(
-            "segments are read-only; rewrite the segment to change super keys"
-        )
-
-    def or_into(self, key: tuple[int, int], value_hash: int) -> int:
-        raise IndexError_(
-            "segments are read-only; rewrite the segment to change super keys"
-        )
-
-    def pop(self, key: tuple[int, int]) -> None:
-        raise IndexError_(
-            "segments are read-only; rewrite the segment to change super keys"
-        )
-
-    def items(self) -> Iterator[tuple[tuple[int, int], int]]:
-        """Iterate over ``((table_id, row_index), super_key)`` pairs."""
-        keys = self._keys
-        width = self.width_bytes
-        from_bytes = int.from_bytes
-        for slot, key in enumerate(zip(self._tables, self._rows)):
-            offset = slot * width
-            yield key, from_bytes(keys[offset : offset + width], "big")
-        yield from self._spill.items()
-
-    def get_many(
-        self, table_ids: Sequence[int], row_indexes: Sequence[int]
-    ) -> list[int]:
-        """Return the super keys of the given rows (0 when absent), in order."""
-        get = self.get
-        return [get(key, 0) for key in zip(table_ids, row_indexes)]
-
-    def get_many_packed(
-        self, table_ids: Sequence[int], row_indexes: Sequence[int]
-    ) -> bytes | None:
-        """Packed key column of the given rows (``None`` on any spilled key).
-
-        The hot path never reaches this method: every value's packed column
-        is a slice of the block; this slow per-row assembly only serves
-        ad-hoc row sets.
-        """
-        width = self.width_bytes
-        keys = self._keys
-        spill = self._spill
-        out = bytearray(len(table_ids) * width)
-        position = 0
-        for key in zip(table_ids, row_indexes):
-            slot = self._slot(*key)
-            if slot < 0:
-                if spill and key in spill:
-                    return None
-            else:
-                offset = slot * width
-                out[position : position + width] = keys[offset : offset + width]
-            position += width
-        return bytes(out)
-
-    def table_ids_present(self) -> set[int]:
-        """Distinct table ids owning at least one row."""
-        tables = set(self._tables)
-        tables.update(table_id for table_id, _row in self._spill)
-        return tables
-
-    def detach(self) -> None:
-        """Drop the block's views (the owning index is closing)."""
-        self._tables = self._rows = array("q")
-        self._keys = b""
-        self._spill = {}
-
-
-class MappedSegmentIndex(InvertedIndex):
-    """An :class:`~repro.index.InvertedIndex` served from one segment block.
-
-    The block's columns are on the heap (a bulk-built index, a freshly
-    sealed or merged segment) or views into a mapped ``.seg`` file
-    (``mapping``); either way the full read surface — ``fetch`` /
-    ``fetch_batch`` / ``posting_columns`` / ``super_key`` / iteration — is
-    served zero-copy: a value's :class:`~repro.index.ColumnarPostingList`
-    views, packed super-key column included, are sliced out of the block at
-    its first fetch and memoised, so a warm ``fetch_batch`` does no per-item
-    work, and counts come from the offsets.  Two threads may slice the same
-    value at once; they build equal views and the memo keeps either.
-    :meth:`close` drops the block (unmapping the file), after which any
-    fetch raises :class:`~repro.exceptions.IndexClosedError`.
-
-    A segment is immutable: its mutators raise
-    :class:`~repro.exceptions.IndexError_`.  The bulk build's index
-    (``thaws=True``) is a block nobody else shares, so its first mutation
-    *thaws* it instead — the block is materialised as per-value posting
-    lists and a packed super-key store, and the object carries on as a
-    plain mutable :class:`~repro.index.InvertedIndex` (Section 5.4's
-    maintenance operations run on a built index).
-    """
-
-    def __init__(
-        self,
-        block: SegmentBlock,
-        path: Path | None = None,
-        mapping: mmap.mmap | None = None,
-        thaws: bool = False,
-    ):
-        super().__init__(
-            hash_function_name=block.hash_function_name,
-            hash_size=block.hash_size,
-        )
-        self.path = path
-        self.block = block
-        self._mm = mapping
-        self._thaws = thaws
-        self._value_ids = dict(zip(block.values, range(len(block.values))))
-        if len(self._value_ids) != len(block.values):
-            raise SegmentFormatError(
-                f"segment {self._name()} lists a value twice in its vocabulary"
-            )
-        # ``_postings`` memoises the views sliced so far, never the whole
-        # vocabulary: everything that enumerates values reads the block.
-        self._super_keys = MappedSuperKeys(
-            block.row_table_ids,
-            block.row_row_indexes,
-            block.row_keys,
-            block.key_width,
-            block.spill,
-        )
-
-    def _name(self) -> str:
-        return "(in memory)" if self.path is None else str(self.path)
-
-    def __reduce__(self):
-        """Pickle / deep-copy as an index over a heap copy of the block."""
-        self._ensure_open("copying")
-        return type(self), (self.block, None, None, self._thaws)
-
-    def _slice(self, value: str) -> ColumnarPostingList | None:
-        """Slice (and memoise) the posting views of ``value``."""
-        value_id = self._value_ids.get(value)
-        if value_id is None:
-            return None
-        block = self.block
-        start = block.posting_offsets[value_id]
-        end = block.posting_offsets[value_id + 1]
-        width = block.key_width
-        columns = ColumnarPostingList()
-        columns.table_ids = block.table_ids[start:end]
-        columns.column_indexes = block.column_indexes[start:end]
-        columns.row_indexes = block.row_indexes[start:end]
-        columns._packed_cache = (
-            self._super_keys,
-            0,
-            end - start,
-            None
-            if value_id in block.unpacked
-            else block.posting_keys[start * width : end * width],
-        )
-        self._postings[value] = columns
-        return columns
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Drop the block and unmap the segment file (idempotent).
-
-        Any later ``fetch`` / ``fetch_batch`` raises
-        :class:`~repro.exceptions.IndexClosedError`.  Fetch blocks handed
-        out earlier keep their buffers alive: the OS unmaps the pages when
-        the last exported view is released.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        self._postings = {}
-        self._value_ids = {}
-        self._super_keys.detach()
-        self.block = SegmentBlock.empty(
-            self.hash_function_name, self.hash_size, self.block.key_width
-        )
-        mapping = self._mm
-        self._mm = None
-        if mapping is not None:
-            try:
-                mapping.close()
-            except BufferError:
-                # Still-exported buffers (live fetch blocks) pin the
-                # mapping; it goes away with their last reference.
-                pass
-
-    # ------------------------------------------------------------------
-    # The read surface, from the block
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.block.values)
-
-    def __contains__(self, value: str) -> bool:
-        return value in self._value_ids
-
-    def values(self) -> Iterator[str]:
-        """Iterate over the distinct indexed values (first-seen order)."""
-        return iter(self.block.values)
-
-    def num_posting_items(self) -> int:
-        """Total number of PL items across all values."""
-        return len(self.block.table_ids)
-
-    def indexed_tables(self) -> set[int]:
-        """Return the ids of all tables with at least one indexed row."""
-        return self._super_keys.table_ids_present()
-
-    def visible_counts(self, masked: Collection[int]) -> tuple[list[int], int]:
-        """``(PL items per value, in :meth:`values` order; rows)`` outside
-        the ``masked`` tables — see
-        :func:`~repro.storage.segment_block.visible_counts`; nothing is
-        sliced or memoised for a count."""
-        return visible_counts(self.block, masked)
-
-    def posting_columns(self, value: str) -> ColumnarPostingList | None:
-        """Return the posting views of ``value`` (``None`` when not indexed)."""
-        columns = self._postings.get(value)
-        return self._slice(value) if columns is None else columns
-
-    def posting_list(self, value: str) -> list[PostingListItem]:
-        """Return the posting list of ``value`` (empty when not indexed)."""
-        columns = self.posting_columns(value)
-        return [] if columns is None else columns.items()
-
-    def posting_list_length(self, value: str) -> int:
-        """Return the number of PL items for ``value`` without slicing."""
-        value_id = self._value_ids.get(value)
-        if value_id is None:
-            return 0
-        offsets = self.block.posting_offsets
-        return offsets[value_id + 1] - offsets[value_id]
-
-    def fetch_batch(self, values: Iterable[str]) -> list[FetchBlock]:
-        """Fetch struct-of-arrays blocks (see the base class), slicing the
-        views of the values probed for the first time."""
-        self._ensure_open("fetch_batch")
-        values = list(dict.fromkeys(values))
-        sliced = self._postings
-        known = self._value_ids
-        for value in values:
-            if value not in sliced and value in known:
-                self._slice(value)
-        return super().fetch_batch(values)
-
-    def iter_posting_copies(self) -> Iterator[tuple[str, ColumnarPostingList]]:
-        """Every value with a copy of its columns, sliced straight from the
-        offsets — nothing is memoised on this index."""
-        block = self.block
-        bounds = block.posting_offsets
-        for value, start, end in zip(block.values, bounds, bounds[1:]):
-            columns = ColumnarPostingList()
-            columns.table_ids.frombytes(block.table_ids[start:end].cast("B"))
-            columns.column_indexes.frombytes(block.column_indexes[start:end].cast("B"))
-            columns.row_indexes.frombytes(block.row_indexes[start:end].cast("B"))
-            yield value, columns
-
-    # ------------------------------------------------------------------
-    # Mutation: a segment refuses, a built index thaws
-    # ------------------------------------------------------------------
-    def _mutate(self, operation: str, *args):
-        self._ensure_open(operation)
-        if not self._thaws:
-            raise IndexError_(
-                f"{operation} on the read-only segment {self._name()}; "
-                "rebuild and rewrite it to change it"
-            )
-        self._thaw()
-        return getattr(self, operation)(*args)
-
-    def _thaw(self) -> None:
-        """Become a plain :class:`~repro.index.InvertedIndex` holding what
-        the block holds.  Fetch results handed out earlier stay valid: they
-        keep the block's buffers alive."""
-        plain = InvertedIndex(self.hash_function_name, self.hash_size)
-        for value, columns in self.iter_posting_copies():
-            plain.set_posting_columns(value, columns)
-        for table_id, row_index, super_key in self.iter_super_keys():
-            plain.set_super_key(table_id, row_index, super_key)
-        for name in ("path", "block", "_mm", "_thaws", "_value_ids"):
-            del self.__dict__[name]
-        self.__dict__.update(plain.__dict__)
-        self.__class__ = InvertedIndex  # type: ignore[assignment]
-
-    def add_posting(
-        self, value: str, table_id: int, column_index: int, row_index: int
-    ) -> None:
-        self._mutate("add_posting", value, table_id, column_index, row_index)
-
-    def set_posting_columns(self, value: str, columns: ColumnarPostingList) -> None:
-        self._mutate("set_posting_columns", value, columns)
-
-    def set_super_key(self, table_id: int, row_index: int, super_key: int) -> None:
-        self._mutate("set_super_key", table_id, row_index, super_key)
-
-    def or_into_super_key(self, table_id: int, row_index: int, value_hash: int) -> int:
-        return self._mutate("or_into_super_key", table_id, row_index, value_hash)
-
-    def remove_table(self, table_id: int) -> int:
-        return self._mutate("remove_table", table_id)
-
-    def remove_row(self, table_id: int, row_index: int) -> int:
-        return self._mutate("remove_row", table_id, row_index)
-
-    def remove_column(self, table_id: int, column_index: int) -> int:
-        return self._mutate("remove_column", table_id, column_index)

@@ -1,24 +1,32 @@
-"""One sealed segment as one CSR block — in memory and on disk.
+"""The extended index as one CSR block — in memory and on disk.
 
-A :class:`SegmentBlock` holds every posting of a segment in whole columns:
-the vocabulary in first-seen order, one ``posting_offsets`` array cutting the
-columns into per-value posting lists (value ``i`` owns positions
-``offsets[i]:offsets[i + 1]``), the three posting columns, the packed super
-key of every posting (the vectorized kernels' input, sliced zero-copy), and
-the row table — ``(table_id, row_index)`` sorted ascending with a parallel
-packed key buffer — for point lookups.  The columns are
-:class:`memoryview` s (formats ``'q'`` / ``'i'`` / ``'B'``) whatever backs
-them — a numpy array, an :class:`array.array`, or a file mapping — so readers
-iterate Python integers and the numpy kernels wrap them without a copy.
+A :class:`SegmentBlock` is the one representation of an index (Sections 3
+and 5: postings per value plus one super key per row).  It holds every
+posting in whole columns: the vocabulary in first-seen order, one
+``posting_offsets`` array cutting the columns into per-value posting lists
+(value ``i`` owns positions ``offsets[i]:offsets[i + 1]``), the three posting
+columns, the packed super key of every posting (the vectorized kernels'
+input, sliced zero-copy), and the row table — ``(table_id, row_index)``
+sorted ascending with a parallel packed key buffer — for point lookups.  The
+columns are :class:`memoryview` s (formats ``'q'`` / ``'i'`` / ``'B'``)
+whatever backs them — a numpy array, an :class:`array.array`, or a file
+mapping — so readers iterate Python integers and the numpy kernels wrap them
+without a copy.
 
-Sealing, merging and writing a segment are operations on these columns:
+Building, editing, sharding and writing an index are operations on these
+columns:
 
-* :func:`flatten_index` turns any :class:`~repro.index.InvertedIndex` into
-  a block in one pass of whole-column numpy operations;
-* :func:`merge_blocks` collapses adjacent blocks into one, purging masked
-  tables.  It reorders all columns by **one stable argsort** of the merged
-  value ids: equal ids keep block order, then posting order — the
-  concatenation order a bulk rebuild over the surviving tables produces.
+* the bulk build and the ingest buffer lay tables out with
+  :func:`repro.index.bulk.layout_block`; the storage loaders, which read
+  per-value columns and per-row keys, use :meth:`SegmentBlock.from_postings`;
+* :func:`merge_blocks` collapses blocks into one, purging masked tables.  It
+  reorders all columns by **one stable argsort** of the merged value ids:
+  equal ids keep block order, then posting order — the concatenation order a
+  bulk rebuild over the surviving tables produces.  Compaction merges
+  segments with it, and Section 5.4's edits are "merge without the table,
+  plus the table rebuilt";
+* :func:`partition_block` cuts a block into value-hash shards that share its
+  row table.
 
 The file format around a block is :mod:`repro.storage.paged`'s.
 """
@@ -26,15 +34,12 @@ The file format around a block is :mod:`repro.storage.paged`'s.
 from __future__ import annotations
 
 from array import array
-from itertools import chain
-from typing import TYPE_CHECKING, Any, Collection, Iterable, Sequence
+from typing import Any, Collection, Iterable, Iterator, Sequence
 
 import numpy as _np
 
 from ..exceptions import IndexError_
-
-if TYPE_CHECKING:
-    from ..index import InvertedIndex
+from ..hashing.base import key_width
 
 #: A spilled (oversize) super key: ``(table_id, row_index) -> key``.
 Spill = dict[tuple[int, int], int]
@@ -55,7 +60,7 @@ def _view(data: Any, typecode: str) -> memoryview:
 
 
 class SegmentBlock:
-    """The CSR block of one segment (see the module docstring)."""
+    """The CSR block of one index or segment (see the module docstring)."""
 
     __slots__ = (
         "hash_function_name",
@@ -152,81 +157,104 @@ class SegmentBlock:
             unpacked=(),
         )
 
+    @classmethod
+    def from_postings(
+        cls,
+        hash_function_name: str,
+        hash_size: int,
+        postings: Iterable[tuple[str, Any, Any, Any]],
+        rows: Iterable[tuple[int, int, int]],
+    ) -> "SegmentBlock":
+        """The block of per-value posting columns and per-row keys.
+
+        ``postings`` yields ``(value, table_ids, column_indexes,
+        row_indexes)`` in vocabulary order (a value without postings, or the
+        missing value, is skipped); ``rows`` yields ``(table_id, row_index,
+        key)``, a later key of a row replacing an earlier one.  The row table
+        is sorted, every posting gets its row's packed key by one sorted
+        search, and a key wider than the packed width spills.  Raises
+        :class:`ValueError` when a value's three columns differ in length.
+        """
+        width = key_width(hash_size)
+        values: list[str] = []
+        columns = []
+        for value, *lists in postings:
+            if len(set(map(len, lists))) != 1:
+                raise ValueError(
+                    f"the posting columns of {value!r} have unequal lengths"
+                )
+            if value and len(lists[0]):
+                values.append(value)
+                columns.append(lists)
+        offsets = _np.zeros(len(columns) + 1, dtype=_np.int64)
+        _np.cumsum([len(lists[0]) for lists in columns], out=offsets[1:])
+        table_ids, column_indexes, row_indexes = (
+            _joined((lists[position] for lists in columns), typecode)
+            for position, typecode in enumerate("qiq")
+        )
+        keys = {(int(table), int(row)): key for table, row, key in rows}
+        limit = 1 << 8 * width
+        spill = {row: key for row, key in keys.items() if not 0 <= key < limit}
+        packed = [row for row in keys if row not in spill]
+        pairs = _np.array(packed, dtype=_np.int64).reshape(-1, 2)
+        row_keys = _np.frombuffer(
+            b"".join(keys[row].to_bytes(width, "big") for row in packed), _np.uint8
+        ).reshape(-1, width)
+        order = _np.lexsort((pairs[:, 1], pairs[:, 0]))
+        row_tables, row_rows = pairs[order, 0], pairs[order, 1]
+        row_keys = row_keys[order]
+        # Per-posting keys: one sorted search into the row table, one gather.
+        # A posting on a spilled row keeps zeros there.
+        posting_keys = _np.zeros((len(table_ids), width), dtype=_np.uint8)
+        if len(row_tables) and len(table_ids):
+            at, found = _row_positions(row_tables, row_rows, table_ids, row_indexes)
+            posting_keys[found] = row_keys[at[found]]
+        return cls(
+            hash_function_name=hash_function_name,
+            hash_size=hash_size,
+            key_width=width,
+            values=values,
+            posting_offsets=offsets,
+            table_ids=table_ids,
+            row_indexes=row_indexes,
+            column_indexes=column_indexes,
+            posting_keys=posting_keys,
+            row_table_ids=row_tables,
+            row_row_indexes=row_rows,
+            row_keys=row_keys,
+            spill=spill,
+            unpacked=_unpacked(spill, offsets, table_ids, row_indexes),
+        )
+
+    def postings(self) -> Iterator[tuple[str, memoryview, memoryview, memoryview]]:
+        """``(value, table_ids, column_indexes, row_indexes)`` of every value
+        in vocabulary order, the columns zero-copy slices of the block's."""
+        bounds = self.posting_offsets
+        for value, start, end in zip(self.values, bounds, bounds[1:]):
+            yield (
+                value,
+                self.table_ids[start:end],
+                self.column_indexes[start:end],
+                self.row_indexes[start:end],
+            )
+
 
 def _block_from_state(state: dict[str, Any]) -> SegmentBlock:
     return SegmentBlock(**state)
 
 
-# ----------------------------------------------------------------------
-# Flatten: any columnar InvertedIndex -> one block
-# ----------------------------------------------------------------------
-def flatten_index(index: "InvertedIndex") -> SegmentBlock:
-    """Lay an index out as one :class:`SegmentBlock`.
-
-    The row table is read from whichever super-key store is attached to
-    ``index`` — a shard of a sharded index is flattened with the *central*
-    store attached, so its block carries rows its postings never mention.
-    """
-    # The packed store behind the index (intra-package by design: the block
-    # *is* the store's flat form).
-    store = index._super_keys
-    width = store.width_bytes
-    values: list[str] = []
-    columns = []
-    for value in index.values():
-        value_columns = index.posting_columns(value)
-        if value_columns is not None and len(value_columns):
-            values.append(value)
-            columns.append(value_columns)
-    count = len(columns)
-    offsets = _np.zeros(count + 1, dtype=_np.int64)
-    _np.cumsum(_np.fromiter(map(len, columns), _np.int64, count), out=offsets[1:])
-    table_ids = _np.frombuffer(_joined((c.table_ids for c in columns), "q"), _np.int64)
-    row_indexes = _np.frombuffer(
-        _joined((c.row_indexes for c in columns), "q"), _np.int64
-    )
-    # The row table: the store's slot map under one lexsort.
-    slots = store._slots
-    pairs = _np.fromiter(
-        chain.from_iterable(slots), _np.int64, 2 * len(slots)
-    ).reshape(len(slots), 2)
-    order = _np.lexsort((pairs[:, 1], pairs[:, 0]))
-    row_tables, row_rows = pairs[order, 0], pairs[order, 1]
-    slot_of = _np.fromiter(slots.values(), _np.intp, len(slots))[order]
-    row_keys = _np.frombuffer(store._buffer, _np.uint8).reshape(-1, width)[slot_of]
-    # Per-posting keys: one sorted search into the row table, one gather.
-    # A posting on a spilled row keeps zeros there.
-    keys = _np.zeros((len(table_ids), width), dtype=_np.uint8)
-    if len(row_tables) and len(table_ids):
-        at, found = _row_positions(row_tables, row_rows, table_ids, row_indexes)
-        keys[found] = row_keys[at[found]]
-    spill = dict(store._spill)
-    return SegmentBlock(
-        hash_function_name=index.hash_function_name,
-        hash_size=index.hash_size,
-        key_width=width,
-        values=values,
-        posting_offsets=offsets,
-        table_ids=table_ids,
-        row_indexes=row_indexes,
-        column_indexes=_joined((c.column_indexes for c in columns), "i"),
-        posting_keys=keys,
-        row_table_ids=row_tables,
-        row_row_indexes=row_rows,
-        row_keys=row_keys,
-        spill=spill,
-        unpacked=_unpacked(spill, offsets, table_ids, row_indexes),
-    )
-
-
-def _joined(columns: Iterable[Any], typecode: str) -> bytes:
-    """The native-order bytes of posting columns, concatenated."""
-    return b"".join(
-        column.tobytes()
-        if getattr(column, "typecode", None) == typecode
-        or getattr(column, "format", None) == typecode
-        else array(typecode, column).tobytes()
-        for column in columns
+def _joined(columns: Iterable[Any], typecode: str) -> Any:
+    """Posting columns of any integer sequence type, concatenated into one
+    numpy array of ``typecode`` items."""
+    return _np.frombuffer(
+        b"".join(
+            column.tobytes()
+            if getattr(column, "typecode", None) == typecode
+            or getattr(column, "format", None) == typecode
+            else array(typecode, column).tobytes()
+            for column in columns
+        ),
+        _np.int32 if typecode == "i" else _np.int64,
     )
 
 
@@ -289,6 +317,55 @@ def visible_counts(
     )
     rows = _np.frombuffer(block.row_table_ids, _np.int64)
     return lengths.tolist(), spilled + int(len(rows) - _np.isin(rows, dead).sum())
+
+
+def partition_block(
+    block: SegmentBlock, owners: Sequence[int], count: int
+) -> list[SegmentBlock]:
+    """Cut ``block`` into ``count`` blocks by value: value ``i`` and all its
+    postings go to part ``owners[i]``, each part keeping first-seen order.
+
+    Every part shares the row table and spill of ``block`` (uncopied), so
+    any part resolves any row's key; its ``unpacked`` ids are renumbered.
+    """
+    owner_of = _np.asarray(owners, dtype=_np.int64)
+    offsets = _np.frombuffer(block.posting_offsets, _np.int64)
+    lengths = _np.diff(offsets)
+    table_ids = _np.frombuffer(block.table_ids, _np.int64)
+    row_indexes = _np.frombuffer(block.row_indexes, _np.int64)
+    column_indexes = _np.frombuffer(block.column_indexes, _np.int32)
+    keys = _np.frombuffer(block.posting_keys, _np.uint8).reshape(-1, block.key_width)
+    unpacked = _np.zeros(len(block.values), dtype=bool)
+    unpacked[list(block.unpacked)] = True
+    parts = []
+    for part in range(count):
+        ids = _np.flatnonzero(owner_of == part)
+        part_offsets = _np.zeros(len(ids) + 1, dtype=_np.int64)
+        _np.cumsum(lengths[ids], out=part_offsets[1:])
+        # Position p of the part reads its value's source run at the same
+        # distance from the run's start: one repeat, one gather per column.
+        positions = _np.repeat(
+            offsets[ids] - part_offsets[:-1], lengths[ids]
+        ) + _np.arange(part_offsets[-1])
+        parts.append(
+            SegmentBlock(
+                hash_function_name=block.hash_function_name,
+                hash_size=block.hash_size,
+                key_width=block.key_width,
+                values=list(map(block.values.__getitem__, ids.tolist())),
+                posting_offsets=part_offsets,
+                table_ids=table_ids[positions],
+                row_indexes=row_indexes[positions],
+                column_indexes=column_indexes[positions],
+                posting_keys=keys[positions],
+                row_table_ids=block.row_table_ids,
+                row_row_indexes=block.row_row_indexes,
+                row_keys=block.row_keys,
+                spill=block.spill,
+                unpacked=_np.flatnonzero(unpacked[ids]).tolist(),
+            )
+        )
+    return parts
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,8 @@ way to bring their own tables into the system (one CSV per table, or one JSON
 file per corpus) and to inspect generated corpora.
 
 Inverted indexes serialise through a **versioned payload**, format version
-2: one struct-of-arrays record per value (three parallel integer columns),
-mirroring :class:`~repro.index.columnar.ColumnarPostingList`.  A version 1
+2: one struct-of-arrays record per value (three parallel integer columns,
+the value's slice of the index block) and the per-row super keys.  A version 1
 payload — one ``[table_id, column_index, row_index]`` triple per PL item, the
 per-item format of the original reproduction — is refused by name with a
 :class:`~repro.exceptions.StorageError`: rebuild the index and save it again.
@@ -21,7 +21,8 @@ from pathlib import Path
 
 from ..datamodel import Row, Table, TableCorpus
 from ..exceptions import StorageError
-from ..index import ColumnarPostingList, InvertedIndex
+from ..index import InvertedIndex
+from .segment_block import SegmentBlock
 
 #: The payload version written and read.
 INDEX_FORMAT_VERSION: int = 2
@@ -84,9 +85,8 @@ def index_to_payload(index: InvertedIndex) -> dict:
     """Return a JSON-serialisable, versioned representation of ``index``.
 
     Format version 2: struct-of-arrays posting columns per value, read
-    through :meth:`~repro.index.InvertedIndex.iter_posting_copies` so a
-    block-backed index memoises no view per value.  Super keys are stored as
-    hex strings because they can exceed 64 bits.
+    straight from the index block (no view is memoised per value).  Super
+    keys are stored as hex strings because they can exceed 64 bits.
     """
     return {
         "format_version": INDEX_FORMAT_VERSION,
@@ -95,11 +95,13 @@ def index_to_payload(index: InvertedIndex) -> dict:
         "hash_size": index.hash_size,
         "postings": {
             value: {
-                "table_ids": list(columns.table_ids),
-                "column_indexes": list(columns.column_indexes),
-                "row_indexes": list(columns.row_indexes),
+                "table_ids": table_ids.tolist(),
+                "column_indexes": column_indexes.tolist(),
+                "row_indexes": row_indexes.tolist(),
             }
-            for value, columns in index.iter_posting_copies()
+            for value, table_ids, column_indexes, row_indexes in (
+                index.block.postings()
+            )
         },
         "super_keys": [
             [table_id, row_index, format(super_key, "x")]
@@ -113,7 +115,8 @@ def index_from_payload(payload: dict) -> InvertedIndex:
 
     Only format version 2 is read.  A version 1 payload (or one from before
     the version key existed) and any other layout raise
-    :class:`~repro.exceptions.StorageError` naming what was found.
+    :class:`~repro.exceptions.StorageError` naming what was found, as do
+    missing fields, posting columns of unequal lengths and bad hex keys.
     """
     try:
         version = int(payload.get("format_version", 1))
@@ -134,24 +137,26 @@ def index_from_payload(payload: dict) -> InvertedIndex:
                 f"index payload layout {layout!r} is not read (only "
                 "'columnar'); rebuild the index and save it again"
             )
-        index = InvertedIndex(
-            hash_function_name=payload["hash_function"],
-            hash_size=int(payload["hash_size"]),
-        )
-        for value, columns in payload["postings"].items():
-            index.set_posting_columns(
-                value,
-                ColumnarPostingList.from_columns(
+        block = SegmentBlock.from_postings(
+            payload["hash_function"],
+            int(payload["hash_size"]),
+            (
+                (
+                    value,
                     columns["table_ids"],
                     columns["column_indexes"],
                     columns["row_indexes"],
-                ),
-            )
-        for table_id, row_index, super_key_hex in payload["super_keys"]:
-            index.set_super_key(table_id, row_index, int(super_key_hex, 16))
+                )
+                for value, columns in payload["postings"].items()
+            ),
+            (
+                (table_id, row_index, int(super_key_hex, 16))
+                for table_id, row_index, super_key_hex in payload["super_keys"]
+            ),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise StorageError(f"malformed index payload: {exc}") from exc
-    return index
+    return InvertedIndex(block)
 
 
 def save_index_json(index: InvertedIndex, path: str | Path) -> Path:

@@ -8,19 +8,26 @@ layout with nothing but :meth:`StorageBackend.list_indexes
 carries the (row-keyed, shard-independent) super keys; the other shards
 store only their posting-list partition.
 
-Because shard routing uses the process-stable :func:`shard_of_value
-<repro.index.sharded.shard_of_value>` hash, reloading re-routes every value
-onto exactly the shard it was saved from, so a round trip reproduces the
-index bit for bit (asserted by ``tests/test_service.py``).
+Loading lays every shard's postings and shard 0's super keys out as one
+block (:meth:`SegmentBlock.from_postings
+<repro.storage.segment_block.SegmentBlock.from_postings>`) and partitions it
+again (:meth:`ShardedInvertedIndex.from_index
+<repro.index.sharded.ShardedInvertedIndex.from_index>`).  Routing uses the
+process-stable :func:`shard_of_value <repro.index.sharded.shard_of_value>`
+hash, so every value returns to exactly the shard it was saved from and a
+round trip reproduces the index bit for bit (asserted by
+``tests/test_service.py``).
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain
 
 from ..exceptions import StorageError
 from ..index import InvertedIndex, ShardedInvertedIndex
 from .backend import StorageBackend
+from .segment_block import SegmentBlock
 
 _SHARD_NAME = "{name}.shard{index}of{count}"
 _SHARD_PATTERN = re.compile(r"^(?P<name>.+)\.shard(?P<index>\d+)of(?P<count>\d+)$")
@@ -47,29 +54,19 @@ def save_sharded_index(
             backend.delete_index(stored)
     for shard_index in range(index.num_shards):
         shard = index.shard(shard_index)
-        if shard_index == 0:
-            # Shard 0 doubles as the super-key carrier: rebuild it with the
-            # central super-key map attached so one backend record holds both.
-            carrier = InvertedIndex(
-                hash_function_name=index.hash_function_name,
-                hash_size=index.hash_size,
+        if shard_index:
+            # Only shard 0 stores the super keys every shard shares.
+            shard = InvertedIndex(
+                SegmentBlock.from_postings(
+                    index.hash_function_name,
+                    index.hash_size,
+                    shard.block.postings(),
+                    (),
+                )
             )
-            _copy_postings(shard, carrier)
-            for table_id, row_index, super_key in index.iter_super_keys():
-                carrier.set_super_key(table_id, row_index, super_key)
-            shard = carrier
         backend.save_index(
             shard_index_name(name, shard_index, index.num_shards), shard
         )
-
-
-def _copy_postings(source: InvertedIndex, target) -> None:
-    """Copy every posting of ``source`` into ``target``, each value's packed
-    columns wholesale (``target`` may be an :class:`InvertedIndex` or a
-    :class:`~repro.index.sharded.ShardedInvertedIndex`, which routes the
-    value to its shard)."""
-    for value, columns in source.iter_posting_copies():
-        target.set_posting_columns(value, columns)
 
 
 def list_sharded_indexes(backend: StorageBackend) -> dict[str, int]:
@@ -104,22 +101,16 @@ def load_sharded_index(
     num_shards = list_sharded_indexes(backend).get(name)
     if num_shards is None:
         raise StorageError(f"no sharded index stored under name {name!r}")
-    shard_zero = backend.load_index(shard_index_name(name, 0, num_shards))
-    sharded = ShardedInvertedIndex(
-        num_shards=num_shards,
-        hash_function_name=shard_zero.hash_function_name,
-        hash_size=shard_zero.hash_size,
-        max_workers=max_workers,
+    shards = [
+        backend.load_index(shard_index_name(name, shard_index, num_shards))
+        for shard_index in range(num_shards)
+    ]
+    block = SegmentBlock.from_postings(
+        shards[0].hash_function_name,
+        shards[0].hash_size,
+        chain.from_iterable(shard.block.postings() for shard in shards),
+        shards[0].iter_super_keys(),
     )
-    for shard_index in range(num_shards):
-        shard = (
-            shard_zero
-            if shard_index == 0
-            else backend.load_index(shard_index_name(name, shard_index, num_shards))
-        )
-        # Stable CRC-32 routing sends each value back to the shard it was
-        # saved from; shards move their packed columns wholesale.
-        _copy_postings(shard, sharded)
-    for table_id, row_index, super_key in shard_zero.iter_super_keys():
-        sharded.set_super_key(table_id, row_index, super_key)
-    return sharded
+    return ShardedInvertedIndex.from_index(
+        InvertedIndex(block), num_shards, max_workers=max_workers
+    )

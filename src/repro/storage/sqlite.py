@@ -48,19 +48,21 @@ from pathlib import Path
 
 from ..datamodel import Row, Table, TableCorpus
 from ..exceptions import StorageError
-from ..index import ColumnarPostingList, InvertedIndex
+from ..index import InvertedIndex
 from .backend import StorageBackend
+from .segment_block import SegmentBlock
 
 
-def _array_to_blob(values: array) -> bytes:
+def _array_to_blob(values: memoryview) -> bytes:
     """Serialise a packed integer column as little-endian bytes.
 
-    ``array.tobytes`` is native-order; normalising to little-endian keeps the
+    ``tobytes`` is native-order; normalising to little-endian keeps the
     format-version-2 BLOBs portable across hosts of different endianness.
     """
     if sys.byteorder == "big":  # pragma: no cover - big-endian hosts only
-        values = array(values.typecode, values)
-        values.byteswap()
+        swapped = array(values.format, values)
+        swapped.byteswap()
+        return swapped.tobytes()
     return values.tobytes()
 
 
@@ -277,9 +279,8 @@ class SQLiteBackend(StorageBackend):
     # Indexes
     # ------------------------------------------------------------------
     def save_index(self, name: str, index: InvertedIndex) -> None:
-        """Store ``index`` under ``name``, reading its postings through
-        :meth:`~repro.index.InvertedIndex.iter_posting_copies` (a
-        block-backed index memoises no view per value)."""
+        """Store ``index`` under ``name``, reading its postings straight from
+        its block (no view is memoised per value)."""
         connection = self._connection
         with connection:
             connection.execute("DELETE FROM indexes WHERE name = ?", (name,))
@@ -309,12 +310,14 @@ class SQLiteBackend(StorageBackend):
                     (
                         name,
                         value,
-                        len(columns),
-                        _array_to_blob(columns.table_ids),
-                        _array_to_blob(columns.column_indexes),
-                        _array_to_blob(columns.row_indexes),
+                        len(table_ids),
+                        _array_to_blob(table_ids),
+                        _array_to_blob(column_indexes),
+                        _array_to_blob(row_indexes),
                     )
-                    for value, columns in index.iter_posting_copies()
+                    for value, table_ids, column_indexes, row_indexes in (
+                        index.block.postings()
+                    )
                 ),
             )
             connection.executemany(
@@ -327,6 +330,9 @@ class SQLiteBackend(StorageBackend):
             )
 
     def load_index(self, name: str) -> InvertedIndex:
+        """The index stored under ``name``; a malformed record (posting
+        BLOBs of unequal lengths, a bad hex key) raises
+        :class:`~repro.exceptions.StorageError`."""
         connection = self._connection
         meta = connection.execute(
             "SELECT hash_function, hash_size, layout, format_version "
@@ -342,26 +348,39 @@ class SQLiteBackend(StorageBackend):
                 f"{format_version}, layout {layout!r}, which is no longer "
                 "read; rebuild the index and save it again"
             )
-        index = InvertedIndex(hash_function_name=hash_function, hash_size=hash_size)
         packed_rows = connection.execute(
             "SELECT value, table_ids, column_indexes, row_indexes "
             "FROM posting_columns WHERE index_name = ?",
             (name,),
         ).fetchall()
-        for value, table_ids, column_indexes, row_indexes in packed_rows:
-            posting_columns = ColumnarPostingList()
-            posting_columns.table_ids = _blob_to_array("q", table_ids)
-            posting_columns.column_indexes = _blob_to_array("i", column_indexes)
-            posting_columns.row_indexes = _blob_to_array("q", row_indexes)
-            index.set_posting_columns(value, posting_columns)
         super_keys = connection.execute(
             "SELECT table_id, row_index, super_key FROM super_keys "
             "WHERE index_name = ?",
             (name,),
         ).fetchall()
-        for table_id, row_index, super_key_hex in super_keys:
-            index.set_super_key(table_id, row_index, int(super_key_hex, 16))
-        return index
+        try:
+            block = SegmentBlock.from_postings(
+                hash_function,
+                hash_size,
+                (
+                    (
+                        value,
+                        _blob_to_array("q", table_ids),
+                        _blob_to_array("i", column_indexes),
+                        _blob_to_array("q", row_indexes),
+                    )
+                    for value, table_ids, column_indexes, row_indexes in packed_rows
+                ),
+                (
+                    (table_id, row_index, int(super_key_hex, 16))
+                    for table_id, row_index, super_key_hex in super_keys
+                ),
+            )
+        except ValueError as exc:
+            raise StorageError(
+                f"index {name!r} in {self.path} is malformed: {exc}"
+            ) from exc
+        return InvertedIndex(block)
 
     def list_indexes(self) -> list[str]:
         rows = self._connection.execute(

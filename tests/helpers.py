@@ -5,28 +5,114 @@ from __future__ import annotations
 import time
 
 
-#: The lanes of a bulk index build: the per-cell ``add_table`` loop into a
-#: mutable index, and the array passes (whose index is served from a CSR
-#: block until its first mutation).
+class CellIndex:
+    """The per-cell reference index: ``value -> three lists`` and
+    ``(table, row) -> int key``, filled one cell at a time.
+
+    The oracle of every path that lays a block out — the bulk build, the
+    ingest buffer, merges, edits and shards.  :meth:`to_block` goes through
+    the one shared constructor, ``SegmentBlock.from_postings``; ``keys`` may
+    be set directly (a key wider than the hash size spills).
+    """
+
+    def __init__(self, hash_size=128, hash_function_name="xash", generator=None):
+        self.hash_size = hash_size
+        self.hash_function_name = hash_function_name
+        self.generator = generator
+        self.postings: dict[str, tuple[list, list, list]] = {}
+        self.keys: dict[tuple[int, int], int] = {}
+
+    @classmethod
+    def built(cls, tables, config=None, hash_function_name="xash"):
+        """The reference of ``build_index(tables, config, hash_function_name)``:
+        every table through :meth:`add_table`."""
+        from repro import MateConfig
+        from repro.hashing import SuperKeyGenerator
+
+        generator = SuperKeyGenerator.from_name(
+            hash_function_name, config or MateConfig()
+        )
+        reference = cls(generator.hash_size, hash_function_name, generator)
+        for table in tables:
+            reference.add_table(table)
+        return reference
+
+    @classmethod
+    def of(cls, index):
+        """What an ``InvertedIndex`` holds, cell by cell."""
+        reference = cls(index.hash_size, index.hash_function_name)
+        for value, *columns in index.block.postings():
+            reference.postings[value] = tuple(column.tolist() for column in columns)
+        reference.keys = {
+            (table, row): key for table, row, key in index.iter_super_keys()
+        }
+        return reference
+
+    def add_posting(self, value, table_id, column_index, row_index) -> None:
+        columns = self.postings.setdefault(value, ([], [], []))
+        for column, item in zip(columns, (table_id, column_index, row_index)):
+            column.append(item)
+
+    def add_table(self, table) -> int:
+        """One key per row, one posting per non-missing cell, in table, row,
+        column order; returns the number of rows."""
+        from repro.datamodel import MISSING
+
+        for row_index, row in enumerate(table.rows):
+            self.keys[(table.table_id, row_index)] = self.generator.row_super_key(row)
+            for column_index, value in enumerate(row):
+                if value != MISSING:
+                    self.add_posting(value, table.table_id, column_index, row_index)
+        return table.num_rows
+
+    def remove_table(self, table_id) -> int:
+        """Filter every posting list (an emptied value vanishes, the others
+        keep their place); returns the number of removed postings."""
+        removed = 0
+        for value, columns in list(self.postings.items()):
+            keep = [at for at, owner in enumerate(columns[0]) if owner != table_id]
+            removed += len(columns[0]) - len(keep)
+            if keep:
+                self.postings[value] = tuple(
+                    [column[at] for at in keep] for column in columns
+                )
+            else:
+                del self.postings[value]
+        self.keys = {row: key for row, key in self.keys.items() if row[0] != table_id}
+        return removed
+
+    def num_posting_items(self) -> int:
+        return sum(len(columns[0]) for columns in self.postings.values())
+
+    def to_block(self):
+        from repro.storage.segment_block import SegmentBlock
+
+        return SegmentBlock.from_postings(
+            self.hash_function_name,
+            self.hash_size,
+            ((value, *columns) for value, columns in self.postings.items()),
+            ((table, row, key) for (table, row), key in self.keys.items()),
+        )
+
+    def to_index(self):
+        from repro.index import InvertedIndex
+
+        return InvertedIndex(self.to_block())
+
+
+#: The lanes of a bulk index build: the per-cell reference (laid out by
+#: ``SegmentBlock.from_postings``) and the array passes (``layout_block``).
 BUILD_LANES = ["loop", "block"]
 
 
 def build_in_lane(lane: str, corpus, config=None, **kwargs):
     """``build_index`` in one of :data:`BUILD_LANES`: ``"block"`` is the
-    bulk build itself, ``"loop"`` feeds every table through
-    ``IndexBuilder.add_table``."""
-    from repro.index import IndexBuilder, InvertedIndex, build_index
+    bulk build itself, ``"loop"`` the per-cell reference's index."""
+    from repro.index import build_index
 
     if lane == "block":
         return build_index(corpus, config=config, **kwargs)
-    builder = IndexBuilder(config=config, **kwargs)
-    index = InvertedIndex(
-        hash_function_name=builder.hash_function_name,
-        hash_size=builder.config.hash_size,
-    )
-    for table in corpus:
-        builder.add_table(index, table)
-    return index
+    return CellIndex.built(corpus, config=config, **kwargs).to_index()
 
 
 def legacy_minhash_signature(hashes, a, b):
@@ -53,18 +139,20 @@ INDEX_VARIANTS = ["packed", "spilled"]
 
 
 def spill_one_key_per_table(index):
-    """OR a bit past any hash width into the first row key of every table.
+    """``index`` with a bit past any hash width OR-ed into the first row key
+    of every table.
 
     The key no longer fits its packed slot and spills; since the query keys
     never carry that bit, every super-key check — and so every answer and
-    counter — is what it was before.  Returns ``index``.
+    counter — is what it was before.
     """
+    reference = CellIndex.of(index)
     first: dict[int, tuple[int, int]] = {}
-    for table_id, row_index, super_key in sorted(index.iter_super_keys()):
+    for (table_id, row_index), super_key in sorted(reference.keys.items()):
         first.setdefault(table_id, (row_index, super_key))
     for table_id, (row_index, super_key) in first.items():
-        index.set_super_key(table_id, row_index, super_key | 1 << 300)
-    return index
+        reference.keys[(table_id, row_index)] = super_key | 1 << 300
+    return reference.to_index()
 
 
 def build_index_variant(variant: str, corpus, config=None):
@@ -153,61 +241,40 @@ def legacy_verify_table(rows, surviving):
 class LegacyIngestBuffer:
     """``IngestBuffer`` as it shipped before tables entered it as columns.
 
-    The per-cell reference: a mutable columnar ``InvertedIndex`` filled one
-    ``add_posting`` at a time with scalar-hashed row super keys, a buffered
-    drop filtering every posting list, ``seal`` flattening the index.  The
-    oracle of the ingest differential suite — kept verbatim apart from the
-    inlined ``IndexBuilder.add_table`` loop.
+    The per-cell reference (``cells``) filled one table at a time, a
+    buffered drop filtering every posting list, ``seal`` laying it out: the
+    oracle of the ingest differential suite.
     """
 
     def __init__(self, config=None, hash_function_name="xash"):
-        from repro import MateConfig
-        from repro.hashing import SuperKeyGenerator
-        from repro.index import InvertedIndex
-
-        self.config = config or MateConfig()
-        self.generator = SuperKeyGenerator.from_name(hash_function_name, self.config)
-        self.index = InvertedIndex(
-            hash_function_name=hash_function_name,
-            hash_size=self.config.hash_size,
-        )
+        self.cells = CellIndex.built((), config, hash_function_name)
         self.table_seqs: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self.table_seqs)
 
     def num_rows(self) -> int:
-        return self.index.num_rows()
+        return len(self.cells.keys)
 
     def num_posting_items(self) -> int:
-        return self.index.num_posting_items()
+        return self.cells.num_posting_items()
 
     def add_table(self, table, seq: int) -> int:
-        from repro.datamodel import MISSING
-
-        for row_index, row in enumerate(table.rows):
-            self.index.set_super_key(
-                table.table_id, row_index, self.generator.row_super_key(row)
-            )
-            for column_index, value in enumerate(row):
-                if value != MISSING:
-                    self.index.add_posting(
-                        value, table.table_id, column_index, row_index
-                    )
         self.table_seqs[table.table_id] = seq
-        return table.num_rows
+        return self.cells.add_table(table)
 
     def drop_table(self, table_id: int) -> int:
-        if table_id not in self.table_seqs:
+        if self.table_seqs.pop(table_id, None) is None:
             return 0
-        del self.table_seqs[table_id]
-        return self.index.remove_table(table_id)
+        return self.cells.remove_table(table_id)
+
+    @property
+    def index(self):
+        """What is buffered now, as an index."""
+        return self.cells.to_index()
 
     def seal(self):
-        from repro.storage.paged import MappedSegmentIndex
-        from repro.storage.segment_block import flatten_index
-
-        return MappedSegmentIndex(flatten_index(self.index))
+        return self.cells.to_index()
 
 
 def legacy_ingest_buffer(config=None, hash_function_name="xash") -> LegacyIngestBuffer:
@@ -685,45 +752,25 @@ def block_columns(block) -> dict:
 def legacy_merge_segments(segments, tombstones, generation):
     """``merge_segments`` as it shipped before segments became CSR blocks.
 
-    The per-value reference: one posting list copied and extended per value,
-    super keys re-set row by row.  The oracle of the merge differential
-    suite — kept verbatim apart from the import location.
+    The per-value reference: each value's surviving postings appended
+    segment by segment, super keys re-set row by row — the oracle of the
+    merge differential suite.
     """
-    from repro.index import InvertedIndex
     from repro.ingest import Segment
 
     first = segments[0].index
-    merged_index = InvertedIndex(
-        hash_function_name=first.hash_function_name,
-        hash_size=first.hash_size,
-    )
+    merged = CellIndex(first.hash_size, first.hash_function_name)
     table_seqs: dict[int, int] = {}
-    combined: dict = {}
     for segment in segments:
         masked = segment.masked_tables(tombstones)
         for table_id, add_seq in segment.table_seqs.items():
             if table_id not in masked:
                 table_seqs[table_id] = add_seq
-        for value in segment.index.values():
-            columns = segment.index.posting_columns(value)
-            if columns is None or not len(columns):
-                continue
-            if masked:
-                columns, _ = columns.filtered(
-                    lambda table_id, _column, _row: table_id not in masked
-                )
-                if not len(columns):
-                    continue
-            target = combined.get(value)
-            if target is None:
-                combined[value] = columns.copy()
-            else:
-                target.table_ids.extend(columns.table_ids)
-                target.column_indexes.extend(columns.column_indexes)
-                target.row_indexes.extend(columns.row_indexes)
+        for value, *columns in segment.index.block.postings():
+            for item in zip(*columns):
+                if item[0] not in masked:
+                    merged.add_posting(value, *item)
         for table_id, row_index, super_key in segment.index.iter_super_keys():
             if table_id not in masked:
-                merged_index.set_super_key(table_id, row_index, super_key)
-    for value, columns in combined.items():
-        merged_index.set_posting_columns(value, columns)
-    return Segment(index=merged_index, table_seqs=table_seqs, generation=generation)
+                merged.keys[(table_id, row_index)] = super_key
+    return Segment(index=merged.to_index(), table_seqs=table_seqs, generation=generation)

@@ -55,10 +55,11 @@ from repro.plan import PlanContext, PlanReport, Planner
 from repro.plan.executor import Executor
 from repro.plan.stages import CandidateGeneration, RowVerification
 from repro.sketch import SketchOptions
-from repro.storage import MappedSegmentIndex, load_segment, write_segment
+from repro.storage import load_segment, write_segment
 
 from tests.helpers import (
     BUILD_LANES,
+    CellIndex,
     assert_results_byte_identical,
     build_in_lane,
     legacy_discover,
@@ -112,9 +113,9 @@ def assert_batch_equals_table_path(engine, query, *, make_kwargs=dict, **kwargs)
 
 
 def test_a_freshly_built_index_takes_the_batch_path(workload):
-    """The bulk build's block-backed index serves packed key buffers, so a
-    discover over it is batch-executed and answers what a discover over the
-    per-cell loop's index answers."""
+    """The bulk build's index serves packed key buffers, so a discover over
+    it is batch-executed and answers what a discover over the per-cell
+    reference's index answers."""
     by_lane = {}
     for lane in BUILD_LANES:
         index = build_in_lane(lane, workload.corpus, config=CONFIG)
@@ -122,7 +123,7 @@ def test_a_freshly_built_index_takes_the_batch_path(workload):
         by_lane[lane] = engine.discover(workload.queries[0])
         plan = by_lane[lane].plan
         assert plan.execution_path == "batch", plan.table_path_reason
-    assert type(index) is MappedSegmentIndex
+    assert type(index) is InvertedIndex
     assert_results_byte_identical(by_lane["block"], by_lane["loop"])
     assert stage_volumes(by_lane["block"]) == stage_volumes(by_lane["loop"])
 
@@ -292,11 +293,11 @@ class TestRequestKernelDifferential:
 # ----------------------------------------------------------------------
 def one_value_index(super_keys: list[int]) -> InvertedIndex:
     """Table 0 holding value "v" once per row, with the given row super keys."""
-    index = InvertedIndex(hash_size=16)
+    cells = CellIndex(hash_size=16)
     for row_index, super_key in enumerate(super_keys):
-        index.add_posting("v", 0, 0, row_index)
-        index.set_super_key(0, row_index, super_key)
-    return index
+        cells.add_posting("v", 0, 0, row_index)
+        cells.keys[(0, row_index)] = super_key
+    return cells.to_index()
 
 
 class TestRequestArrays:
@@ -306,11 +307,11 @@ class TestRequestArrays:
     def test_cut_matches_the_per_row_reference(self, mode, case):
         """Same postings: arrays vs the per-row scan of each table block."""
         hash_size, postings, key_map, length_shift, bound = case
-        index = InvertedIndex(hash_size=hash_size)
+        cells = CellIndex(hash_size=hash_size)
         for value, table_id, row_index, key in postings:
-            index.add_posting(value, table_id, 0, row_index)
-            index.set_super_key(table_id, row_index, key)
-        blocks = index.fetch_batch(VALUES)
+            cells.add_posting(value, table_id, 0, row_index)
+            cells.keys[(table_id, row_index)] = key
+        blocks = cells.to_index().fetch_batch(VALUES)
         arrays = RequestArrays(
             blocks, key_map, length_shift, check_keys=mode == "superkey"
         )
@@ -370,13 +371,13 @@ class TestRequestArrays:
 
     def test_sort_is_stable_across_probe_values(self):
         """Table order is probe order, then posting order (TableBlock order)."""
-        index = InvertedIndex(hash_size=16)
+        cells = CellIndex(hash_size=16)
         for value, table_id, row_index in [
             ("w", 1, 5), ("v", 1, 9), ("w", 0, 2), ("v", 1, 3), ("v", 0, 7),
         ]:
-            index.add_posting(value, table_id, 0, row_index)
-            index.set_super_key(table_id, row_index, 0)
-        blocks = index.fetch_batch(["v", "w"])
+            cells.add_posting(value, table_id, 0, row_index)
+            cells.keys[(table_id, row_index)] = 0
+        blocks = cells.to_index().fetch_batch(["v", "w"])
         arrays = RequestArrays(blocks, {}, None)
         grouped = group_into_table_blocks(blocks)
         for table_id, span in arrays.candidates(None):
@@ -721,11 +722,11 @@ class TestExecutionPathReport:
         )
         value = engine.probe_values(query)[0]
         spilled = index.fetch([value])[0]
-        index.set_super_key(
-            spilled.table_id,
-            spilled.row_index,
-            spilled.super_key | 1 << 300,
+        cells = CellIndex.of(index)
+        cells.keys[(spilled.table_id, spilled.row_index)] = (
+            spilled.super_key | 1 << 300
         )
+        index.replace_block(cells.to_block())
         for system in (engine, scr):
             result = system.discover(query)
             assert result.plan.execution_path == "table"
@@ -878,8 +879,8 @@ def answer(result):
 class TestEncodedTableInvalidation:
     @pytest.fixture(params=BUILD_LANES)
     def edited(self, request):
-        """An engine over an index from either lane of the bulk build (the
-        block-backed one thaws at the maintainer's first edit)."""
+        """An engine over an index from either lane of the bulk build,
+        edited by the maintainer's block rewrites."""
         corpus = small_corpus()
         index = build_in_lane(request.param, corpus, config=CONFIG)
         engine = MateDiscovery(corpus, index, config=CONFIG)
@@ -1032,22 +1033,30 @@ class TestValueDictionaryBound:
 
 
 # ----------------------------------------------------------------------
-# (d) A suspended request does not pin the index's posting columns
+# (d) Edits replace the block under readers; readers keep what they took
 # ----------------------------------------------------------------------
 class TestNoBufferPinned:
-    def test_add_posting_between_stages(self, workload):
-        corpus = workload.corpus
+    def test_edits_between_stages(self, workload):
+        """A request under way answers from the block it fetched: maintainer
+        edits landing between its stages — each one a block replacement —
+        change nothing it reads, and the pre-edit answer comes back."""
+        corpus = copy.deepcopy(workload.corpus)
         index = build_index(corpus, config=CONFIG)
         engine = MateDiscovery(corpus, index, config=CONFIG)
+        maintainer = IndexMaintainer(corpus, index, engine.super_key_generator)
         query = workload.queries[0]
         expected = engine.discover(query)
         probe = engine.probe_values(query)[0]
-        table = next(iter(corpus))
+        inserted: list[int] = []
 
         def write():
-            # ``array`` refuses to grow while a buffer export is alive.
-            index.add_posting(probe, table.table_id, 0, 0)
+            # A new table holding the probe value: no candidate of the
+            # request changes, the block it was fetched from is replaced.
+            table_id = max(corpus.table_ids()) + 1
+            maintainer.insert_table(Table(table_id, "late", ["a"], [[probe]]))
+            inserted.append(table_id)
 
+        before = index.posting_list_length(probe)
         executor = Executor(engine)
         plan = Planner(engine).plan(query)
         context = PlanContext(
@@ -1072,3 +1081,68 @@ class TestNoBufferPinned:
             executor.topk_maintenance.run(context)
         # The run answers from the postings it fetched, whatever came later.
         assert context.topk.result_tuples() == expected.result_tuples()
+        assert index.posting_list_length(probe) == before + len(inserted)
+
+    def test_a_fetch_racing_edits_sees_one_block(self):
+        """One thread edits (drop table 1, add it back: three block states in
+        turn) while another fetches in a loop.  Every fetched block is that
+        value's block in one of the states, never a value id of one block
+        read against the offsets of another."""
+        tables = [
+            Table(
+                table_id,
+                f"t{table_id}",
+                ["a", "b"],
+                [[f"v{(table_id + row) % 5}", f"w{row}"] for row in range(4)],
+            )
+            for table_id in range(4)
+        ]
+        corpus = TableCorpus(name="race")
+        corpus.add_tables(copy.deepcopy(tables))
+        index = build_index(corpus, config=CONFIG)
+        generator = MateDiscovery(corpus, index, config=CONFIG).super_key_generator
+        maintainer = IndexMaintainer(corpus, index, generator)
+        values = [f"v{i}" for i in range(5)] + [f"w{i}" for i in range(4)]
+        # Built, table 1 dropped, table 1 appended again.
+        rest = tables[:1] + tables[2:]
+        states = [
+            build_index(order, config=CONFIG)
+            for order in (tables, rest, rest + tables[1:2])
+        ]
+        allowed = {
+            value: [
+                [block.items() for block in state.fetch_batch([value])]
+                for state in states
+            ]
+            for value in values
+        }
+        stop = threading.Event()
+        failures: list[BaseException] = []
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    for value in values:
+                        got = [block.items() for block in index.fetch_batch([value])]
+                        assert got in allowed[value], (value, got)
+            except BaseException as error:  # noqa: BLE001 - reported below
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        thread = threading.Thread(target=reader)
+        thread.start()
+        try:
+            for _ in range(60):
+                table = corpus.get_table(1)
+                maintainer.delete_table(1)
+                maintainer.insert_table(table)
+        finally:
+            stop.set()
+            thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert not failures, failures[0]
+        assert [block.items() for block in index.fetch_batch(values)] == [
+            block.items() for block in states[2].fetch_batch(values)
+        ]

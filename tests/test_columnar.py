@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro import MateConfig, MateDiscovery, build_index, build_sharded_index
@@ -14,8 +16,8 @@ from repro.index import (
     FetchBlock,
     FetchedItem,
     IndexBuilder,
+    IndexMaintainer,
     InvertedIndex,
-    PackedSuperKeys,
     PostingListItem,
     ShardedInvertedIndex,
     compute_table_runs,
@@ -25,7 +27,6 @@ from repro.index import (
 from repro.service import CachingIndex, DiscoveryService
 from repro.storage import (
     InMemoryBackend,
-    MappedSegmentIndex,
     PagedPostingStore,
     SQLiteBackend,
     index_from_payload,
@@ -38,6 +39,7 @@ from repro.storage import (
 from tests.helpers import (
     BUILD_LANES,
     INDEX_VARIANTS,
+    CellIndex,
     assert_results_byte_identical,
     build_in_lane,
     build_index_variant,
@@ -98,123 +100,39 @@ def probe_values(scanned) -> list[str]:
     return sorted(scanned)[:300] + ["missing", ""]
 
 
-class TestPackedSuperKeys:
-    def test_set_get_roundtrip(self):
-        store = PackedSuperKeys(128)
-        store.set((1, 2), 0xDEADBEEF)
-        store.set((1, 3), (1 << 127) | 5)
-        assert store.get((1, 2)) == 0xDEADBEEF
-        assert store.get((1, 3)) == (1 << 127) | 5
-        assert store.get((9, 9)) == 0
-        assert store.get((9, 9), None) is None
-        assert (1, 2) in store and (9, 9) not in store
-        assert len(store) == 2
-
-    def test_oversized_keys_spill(self):
-        store = PackedSuperKeys(64)
-        wide = 1 << 80  # wider than the configured 64 bits
-        store.set((0, 0), wide)
-        assert store.get((0, 0)) == wide
-        # Replacing a spilled key with a fitting one moves it back to a slot.
-        store.set((0, 0), 7)
-        assert store.get((0, 0)) == 7
-        assert len(store) == 1
-
-    def test_or_into_and_pop(self):
-        store = PackedSuperKeys(128)
-        assert store.or_into((0, 0), 0b0101) == 0b0101
-        assert store.or_into((0, 0), 0b1010) == 0b1111
-        store.pop((0, 0))
-        assert (0, 0) not in store
-        store.pop((0, 0))  # no-op
-
-    def test_slot_recycling(self):
-        store = PackedSuperKeys(128)
-        for row in range(4):
-            store.set((0, row), row + 1)
-        buffer_size = len(store._buffer)
-        store.pop((0, 1))
-        store.set((0, 9), 42)  # reuses the freed slot
-        assert len(store._buffer) == buffer_size
-        assert store.get((0, 9)) == 42
-
-    def test_epoch_bumps_on_mutation(self):
-        store = PackedSuperKeys(128)
-        before = store.epoch
-        store.set((0, 0), 1)
-        store.or_into((0, 0), 2)
-        store.pop((0, 0))
-        assert store.epoch == before + 3
-
-    def test_get_many_and_items_agree_with_the_stored_keys(self):
-        store = PackedSuperKeys(128)
-        expected = {}
-        for table_id in range(3):
-            for row in range(5):
-                # Row 4 shifts past 128 bits: those keys spill.
-                value = (table_id * 31 + row) << (row * 32)
-                store.set((table_id, row), value)
-                expected[(table_id, row)] = value
-        assert dict(store.items()) == expected
-        keys = sorted(expected)
-        column = store.get_many(
-            [k[0] for k in keys], [k[1] for k in keys]
-        )
-        assert column == [expected[k] for k in keys]
-        assert store.get_many([99], [99]) == [0]
-        assert store.get_many_packed([0], [4]) is None
-        assert store.get_many_packed([1, 99], [0, 0]) == (
-            (31).to_bytes(16, "big") + bytes(16)
-        )
-
-
 class TestColumnarPostingList:
     def test_runs_and_items(self):
-        columns = ColumnarPostingList()
-        for table_id, column_index, row_index in [
-            (1, 0, 0), (1, 1, 0), (2, 0, 3), (2, 0, 4), (1, 0, 9),
-        ]:
-            columns.append(table_id, column_index, row_index)
+        columns = ColumnarPostingList(
+            [1, 1, 2, 2, 1], [0, 1, 0, 0, 0], [0, 0, 3, 4, 9], super_key_bytes=b""
+        )
         assert len(columns) == 5
         assert columns.runs() == [(1, 0, 2), (2, 2, 4), (1, 4, 5)]
+        assert columns.runs() is columns.runs()  # memoised
         assert [item.table_id for item in columns.items()] == [1, 1, 2, 2, 1]
-        assert columns.item(2).row_index == 3
+        assert columns.items()[2] == PostingListItem(2, 0, 3)
 
-    def test_runs_memoised_until_append(self):
-        columns = ColumnarPostingList()
-        columns.append(1, 0, 0)
-        first = columns.runs()
-        assert columns.runs() is first
-        columns.append(2, 0, 0)
-        assert columns.runs() == [(1, 0, 1), (2, 1, 2)]
+    def test_views_carry_the_packed_slice_or_the_spilled_keys(self, config):
+        cells = CellIndex(hash_size=128)
+        cells_and_keys = [("x", 11), ("x", 22), ("y", 1 << 300)]
+        for row_index, (value, key) in enumerate(cells_and_keys):
+            cells.add_posting(value, 0, 0, row_index)
+            cells.keys[(0, row_index)] = key
+        index = cells.to_index()
+        packed = index.posting_columns("x")
+        assert bytes(packed.super_key_bytes) == (11).to_bytes(16, "big") + (
+            22
+        ).to_bytes(16, "big")
+        assert packed.super_keys is None
+        assert index.posting_columns("x") is packed  # memoised
+        spilled = index.posting_columns("y")
+        assert spilled.super_key_bytes is None and spilled.super_keys == [1 << 300]
+        assert index.posting_columns("absent") is None
 
-    def test_super_key_column_memoised_per_store_epoch(self):
-        columns = ColumnarPostingList()
-        columns.append(0, 0, 0)
-        columns.append(0, 0, 1)
-        store = PackedSuperKeys(128)
-        store.set((0, 0), 11)
-        store.set((0, 1), 22)
-        first = columns.super_key_column(store)
-        assert first == [11, 22]
-        assert columns.super_key_column(store) is first  # memoised
-        store.set((0, 1), 33)  # epoch bump invalidates
-        assert columns.super_key_column(store) == [11, 33]
-        other = PackedSuperKeys(128)
-        other.set((0, 0), 1)
-        assert columns.super_key_column(other) == [1, 0]  # different store
+    def test_posting_columns_of_unequal_lengths_are_refused(self):
+        from repro.storage.segment_block import SegmentBlock
 
-    def test_filtered_keeps_object_when_nothing_removed(self):
-        columns = ColumnarPostingList()
-        columns.append(1, 0, 0)
-        kept, removed = columns.filtered(lambda t, c, r: True)
-        assert kept is columns and removed == 0
-        kept, removed = columns.filtered(lambda t, c, r: t != 1)
-        assert removed == 1 and len(kept) == 0
-
-    def test_from_columns_validates_lengths(self):
-        with pytest.raises(ValueError):
-            ColumnarPostingList.from_columns([1, 2], [0], [0, 1])
+        with pytest.raises(ValueError, match="unequal lengths"):
+            SegmentBlock.from_postings("xash", 128, [("v", [1, 2], [0], [0, 1])], ())
 
     def test_compute_table_runs_empty(self):
         assert compute_table_runs([]) == []
@@ -302,26 +220,33 @@ class TestFetchAgainstACorpusScan:
             assert over_shards.result_tuples() == monolithic.result_tuples()
 
     @pytest.mark.parametrize("lane", BUILD_LANES)
-    def test_maintenance_removals_match_the_scan(self, workload, config, lane):
-        index = build_in_lane(lane, workload.corpus, config=config)
-        table, *rest = list(workload.corpus)
-        filled = [
-            (row_index, column_index)
-            for row_index, row in enumerate(table.rows)
-            for column_index, value in enumerate(row)
-            if value != MISSING
-        ]
-        in_column = sum(1 for _row, column in filled if column == 0)
-        in_row = sum(1 for row, column in filled if row == 0 and column != 0)
-        assert index.remove_column(table.table_id, 0) == in_column
-        assert index.remove_row(table.table_id, 0) == in_row
-        assert index.remove_table(table.table_id) == (
-            len(filled) - in_column - in_row
-        )
-        assert sorted(index.values()) == sorted(scanned_cells(rest, config))
-        assert sorted(index.iter_super_keys()) == scanned_super_keys(rest, config)
+    def test_maintenance_edits_match_the_scan(self, workload, config, lane):
+        """An edited table moves to the end of every posting list: the index
+        answers what a scan of the corpus in last-touched order does."""
+        corpus = copy.deepcopy(workload.corpus)
+        index = build_in_lane(lane, corpus, config=config)
+        generator = SuperKeyGenerator.from_name("xash", config)
+        maintainer = IndexMaintainer(corpus, index, generator)
+        table, *rest = list(corpus)
+        maintainer.delete_column(table.table_id, table.columns[0])
+        maintainer.delete_row(table.table_id, 0)
 
-    def test_mutations_invalidate_memoised_columns(self, config):
+        def assert_scans(tables):
+            scanned = scanned_cells(tables, config)
+            values = probe_values(scanned)
+            assert index.fetch(values) == [
+                item for value in values for item in scanned.get(value, ())
+            ]
+            assert sorted(index.values()) == sorted(scanned)
+            assert sorted(index.iter_super_keys()) == scanned_super_keys(
+                tables, config
+            )
+
+        assert_scans(rest + [table])
+        maintainer.delete_table(table.table_id)
+        assert_scans(rest)
+
+    def test_a_replaced_block_drops_the_memoised_views(self, config):
         from repro.datamodel import Table, TableCorpus
 
         corpus = TableCorpus(name="tiny")
@@ -330,12 +255,15 @@ class TestFetchAgainstACorpusScan:
         )
         index = build_index(corpus, config=config)
         before = index.fetch(["x"])
-        index.set_super_key(0, 1, 12345)
+        view = index.posting_columns("x")
+        cells = CellIndex.of(index)
+        cells.keys[(0, 1)] = 12345
+        cells.add_posting("x", 0, 0, 1)
+        index.replace_block(cells.to_block())
         after = index.fetch(["x"])
-        assert before != after
+        assert index.posting_columns("x") is not view
         assert after[1].super_key == 12345
-        index.add_posting("x", 0, 0, 1)
-        assert len(index.fetch(["x"])) == len(after) + 1
+        assert len(after) == len(before) + 1
 
 
 class TestOneLayout:
@@ -447,12 +375,11 @@ class TestPackedPersistence:
         from contextlib import closing
 
         def sliced_nothing(index) -> bool:
-            return not isinstance(index, MappedSegmentIndex) or not index._postings
+            return not index._state.views
 
         written = {}
         for lane in ("block", "loop"):
             index = build_in_lane(lane, workload.corpus, config=config)
-            assert isinstance(index, MappedSegmentIndex) == (lane == "block")
             payload_path = save_index_json(index, tmp_path / f"{lane}.json")
             assert sliced_nothing(index)
             db = tmp_path / f"{lane}.db"
@@ -522,9 +449,10 @@ class TestPackedPersistence:
             ):
                 backend.load_index("old")
             # A new index saves and loads beside the refused one.
-            fresh = InvertedIndex()
-            fresh.add_posting("lovelace", 1, 0, 0)
-            fresh.set_super_key(1, 0, 0xAB)
+            cells = CellIndex()
+            cells.add_posting("lovelace", 1, 0, 0)
+            cells.keys[(1, 0)] = 0xAB
+            fresh = cells.to_index()
             backend.save_index("new", fresh)
             reloaded = backend.load_index("new")
             assert reloaded.fetch(["lovelace"]) == fresh.fetch(["lovelace"])

@@ -1,16 +1,19 @@
 """Tests for repro.index.maintenance: Section 5.4 edit operations.
 
 Every test runs on an index from each lane of the bulk build: the per-cell
-loop's plain index and the array passes' block-backed one, which thaws at
-its first edit (``tests/helpers.py::BUILD_LANES``).
+reference's and the array passes' (``tests/helpers.py::BUILD_LANES``).  An
+edit rewrites the block: the edited table is dropped and appended again.
 """
 
 import pytest
 
-from repro.datamodel import Table, TableCorpus
-from repro.exceptions import DataModelError
+from repro import LiveIndex, MateConfig, build_index, build_sharded_index
+from repro.datamodel import Row, Table, TableCorpus
+from repro.exceptions import DataModelError, IndexError_
 from repro.hashing import SuperKeyGenerator
 from repro.index import IndexMaintainer
+from repro.service import CachingIndex
+from repro.storage import load_segment, write_segment
 from tests.helpers import BUILD_LANES, build_in_lane
 
 
@@ -122,13 +125,60 @@ class TestDeletes:
 
 class TestConsistencyChecker:
     def test_detects_stale_super_key(self, setup):
-        _, index, _, maintainer = setup
-        index.set_super_key(0, 0, 12345)
+        corpus, _, _, maintainer = setup
+        # Edit a row behind the maintainer's back: its key is now stale.
+        corpus.get_table(0).rows[0] = Row(["grace", "hopper"])
         issues = maintainer.verify_consistency()
-        assert any("stale super key" in issue for issue in issues)
+        assert issues == ["stale super key for table 0 row 0"]
 
     def test_detects_orphan_table(self, setup):
         corpus, index, _, maintainer = setup
         corpus.remove_table(0)  # bypass the maintainer on purpose
         issues = maintainer.verify_consistency()
         assert any("missing table" in issue for issue in issues)
+
+
+class TestRefusals:
+    """The maintainer rewrites one in-memory block; it refuses, by name, the
+    indexes it cannot rewrite — read from the object itself."""
+
+    @staticmethod
+    def corpus() -> TableCorpus:
+        corpus = TableCorpus(name="refused")
+        corpus.add_table(Table(0, "t", ["a"], [["x"], ["y"]]))
+        return corpus
+
+    def test_a_mapped_segment(self, config, tmp_path):
+        corpus = self.corpus()
+        generator = SuperKeyGenerator.from_name("xash", config)
+        path = write_segment(build_index(corpus, config=config), tmp_path / "t.seg")
+        mapped = load_segment(path)
+        try:
+            with pytest.raises(IndexError_, match="read-only segment file"):
+                IndexMaintainer(corpus, mapped, generator)
+        finally:
+            mapped.close()
+
+    def test_a_sharded_index(self, config):
+        corpus = self.corpus()
+        generator = SuperKeyGenerator.from_name("xash", config)
+        sharded = build_sharded_index(corpus, num_shards=2, config=config)
+        for index in (sharded, CachingIndex(sharded)):
+            with pytest.raises(IndexError_, match="sharded index is read-only"):
+                IndexMaintainer(corpus, index, generator)
+
+    def test_a_live_index(self, config):
+        corpus = self.corpus()
+        generator = SuperKeyGenerator.from_name("xash", config)
+        with LiveIndex(config=MateConfig()) as live:
+            with pytest.raises(IndexError_, match="LiveIndex.*add_table"):
+                IndexMaintainer(corpus, live, generator)
+
+    def test_a_caching_wrapper_is_edited_through(self, config):
+        corpus = self.corpus()
+        generator = SuperKeyGenerator.from_name("xash", config)
+        cached = CachingIndex(build_index(corpus, config=config))
+        assert [item.row_index for item in cached.fetch(["x"])] == [0]
+        IndexMaintainer(corpus, cached, generator).update_cell(0, 1, 0, "x")
+        # The replaced block cleared the cache: the edit shows at once.
+        assert [item.row_index for item in cached.fetch(["x"])] == [0, 1]

@@ -30,8 +30,8 @@ from repro.index import InvertedIndex, build_index
 from repro.index.columnar import ColumnarPostingList
 from repro.ingest import IngestBuffer, LiveIndex
 from repro.ingest.buffer import BufferView
-from repro.storage import MappedSegmentIndex, write_segment
-from repro.storage.paged import block_of
+from repro.storage import write_segment
+from repro.storage.segment_block import SegmentBlock
 
 from tests.helpers import assert_blocks_equal, block_columns, legacy_ingest_buffer
 
@@ -158,11 +158,11 @@ def test_buffer_equals_the_loop_buffer_and_seals_into_the_bulk_block(
     surviving = list({table.table_id: table for table in surviving}.values())
     surviving.sort(key=lambda table: buffer.table_seqs[table.table_id])
     sealed = buffer.seal()
-    assert isinstance(sealed, MappedSegmentIndex)
+    assert isinstance(sealed, InvertedIndex)
     assert_blocks_equal(sealed.fetch_batch(PROBES), oracle.index.fetch_batch(PROBES))
     rebuilt = build_index(surviving, config=config)
     assert list(sealed.values()) == list(rebuilt.values())
-    assert block_columns(sealed.block) == block_columns(block_of(rebuilt))
+    assert block_columns(sealed.block) == block_columns(rebuilt.block)
     assert write_segment(
         sealed, tmp_path / "sealed.seg", fsync=False
     ).read_bytes() == (
@@ -185,7 +185,7 @@ def test_the_buffer_reads_through_a_pinned_view():
     assert buffer.index is not first
     assert first.posting_list_length("x") == 2
     assert buffer.index.posting_list_length("x") == 3
-    assert type(buffer.seal()) is MappedSegmentIndex
+    assert type(buffer.seal()) is InvertedIndex
 
 
 def test_a_view_survives_column_reallocation_and_a_rebuilding_drop():
@@ -306,7 +306,7 @@ def test_masked_statistics_are_counted_on_the_columns(tmp_path):
     assert sorted(snapshot.values()) == sorted(rebuilt.values())
     assert len(snapshot) == len(rebuilt)
     # Counted, not walked: no posting view was sliced for it.
-    assert segment._postings == {}
+    assert segment._state.views == {}
     # The walk's answer, spelled out.
     walked = sum(
         1
@@ -329,9 +329,8 @@ def test_no_per_cell_call_is_reachable_from_the_array_ack_path(tmp_path, monkeyp
     def forbidden(*args, **kwargs):
         raise AssertionError("a per-cell routine ran on the array ack path")
 
-    monkeypatch.setattr(InvertedIndex, "add_posting", forbidden)
+    monkeypatch.setattr(SegmentBlock, "from_postings", forbidden)
     monkeypatch.setattr(ColumnarPostingList, "__init__", forbidden)
-    monkeypatch.setattr("repro.storage.paged.flatten_index", forbidden)
     live = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
     for table_id in (1, 2, 3):
         live.add_table(simple_table(table_id))

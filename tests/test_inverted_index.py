@@ -13,7 +13,7 @@ from repro.index import (
     storage_report,
 )
 
-from tests.helpers import BUILD_LANES, build_in_lane
+from tests.helpers import BUILD_LANES, CellIndex, build_in_lane
 
 
 def small_corpus() -> TableCorpus:
@@ -43,13 +43,22 @@ class TestPostingStructures:
         assert item.location() == (3, 7)
 
 
+def hand_built(postings=(), keys=()) -> InvertedIndex:
+    """An index over the given ``(value, table, column, row)`` postings and
+    ``(table, row, key)`` keys, through the per-cell reference."""
+    cells = CellIndex()
+    for posting in postings:
+        cells.add_posting(*posting)
+    for table_id, row_index, key in keys:
+        cells.keys[(table_id, row_index)] = key
+    return cells.to_index()
+
+
 class TestInvertedIndex:
     def test_add_and_lookup(self):
-        index = InvertedIndex()
-        index.add_posting("ada", 0, 0, 0)
-        index.add_posting("ada", 0, 0, 2)
-        index.set_super_key(0, 0, 0b1)
-        index.set_super_key(0, 2, 0b10)
+        index = hand_built(
+            [("ada", 0, 0, 0), ("ada", 0, 0, 2)], [(0, 0, 0b1), (0, 2, 0b10)]
+        )
         assert len(index) == 1
         assert index.num_posting_items() == 2
         assert index.posting_list_length("ada") == 2
@@ -59,66 +68,38 @@ class TestInvertedIndex:
         assert not index.has_row(0, 5)
 
     def test_missing_values_not_indexed(self):
-        index = InvertedIndex()
-        index.add_posting("", 0, 0, 0)
+        index = hand_built([("", 0, 0, 0)])
         assert len(index) == 0
 
     def test_super_key_missing_raises(self):
         with pytest.raises(IndexError_):
-            InvertedIndex().super_key(0, 0)
-
-    def test_or_into_super_key(self):
-        index = InvertedIndex()
-        index.set_super_key(0, 0, 0b0011)
-        assert index.or_into_super_key(0, 0, 0b0100) == 0b0111
-        assert index.or_into_super_key(1, 5, 0b1) == 0b1  # creates if absent
+            hand_built().super_key(0, 0)
 
     def test_fetch_returns_super_keys(self):
-        index = InvertedIndex()
-        index.add_posting("ada", 0, 0, 0)
-        index.set_super_key(0, 0, 0b11)
+        index = hand_built([("ada", 0, 0, 0)], [(0, 0, 0b11)])
         fetched = index.fetch(["ada", "ada", "missing", ""])
         assert len(fetched) == 1
         assert fetched[0].super_key == 0b11
 
     def test_fetch_grouped_by_table(self):
-        index = InvertedIndex()
-        index.add_posting("x", 0, 0, 0)
-        index.add_posting("x", 1, 0, 0)
-        index.add_posting("y", 1, 1, 3)
+        index = hand_built([("x", 0, 0, 0), ("x", 1, 0, 0), ("y", 1, 1, 3)])
         grouped = index.fetch_grouped_by_table(["x", "y"])
         assert set(grouped) == {0, 1}
         assert len(grouped[1]) == 2
 
     def test_posting_count_for_values_deduplicates(self):
-        index = InvertedIndex()
-        index.add_posting("x", 0, 0, 0)
-        index.add_posting("x", 0, 0, 1)
+        index = hand_built([("x", 0, 0, 0), ("x", 0, 0, 1)])
         assert index.posting_count_for_values(["x", "x", "z"]) == 2
 
-    def test_remove_table_and_row_and_column(self):
-        index = InvertedIndex()
-        index.add_posting("x", 0, 0, 0)
-        index.add_posting("x", 1, 0, 0)
-        index.add_posting("y", 0, 1, 0)
-        index.set_super_key(0, 0, 1)
-        index.set_super_key(1, 0, 1)
-
-        assert index.remove_column(0, 1) == 1
-        assert "y" not in index
-
-        assert index.remove_row(1, 0) == 1
-        assert index.indexed_tables() == {0}
-
-        assert index.remove_table(0) == 1
-        assert index.num_posting_items() == 0
-        assert index.num_rows() == 0
-
     def test_iter_super_keys(self):
-        index = InvertedIndex()
-        index.set_super_key(0, 0, 5)
-        index.set_super_key(2, 3, 9)
-        assert set(index.iter_super_keys()) == {(0, 0, 5), (2, 3, 9)}
+        index = hand_built(keys=[(2, 3, 9), (0, 0, 5), (1, 1, 1 << 300)])
+        # The row table in order, then the spilled keys.
+        assert list(index.iter_super_keys()) == [
+            (0, 0, 5),
+            (2, 3, 9),
+            (1, 1, 1 << 300),
+        ]
+        assert index.indexed_tables() == {0, 1, 2} and index.num_rows() == 3
 
 
 class TestIndexBuilder:
@@ -165,7 +146,7 @@ class TestStorageReport:
 
 class TestIndexClose:
     """A closed index raises the typed IndexClosedError, from either lane of
-    the build (a plain index or one served from a block)."""
+    the build."""
 
     @pytest.mark.parametrize("lane", BUILD_LANES)
     def test_fetch_after_close_raises_typed_error(self, config, lane):
@@ -184,11 +165,12 @@ class TestIndexClose:
     @pytest.mark.parametrize("lane", BUILD_LANES)
     def test_mutation_after_close_raises_typed_error(self, config, lane):
         index = build_in_lane(lane, small_corpus(), config=config)
+        block = index.block
         index.close()
         with pytest.raises(IndexClosedError):
-            index.add_posting("new", 5, 0, 0)
+            index.replace_block(block)
         with pytest.raises(IndexClosedError):
-            index.set_super_key(5, 0, 1)
+            index.block
 
     def test_closed_error_is_an_index_error(self):
         # Callers catching the broad IndexError_ keep working.

@@ -9,7 +9,8 @@ Covers the whole contract of the persisted columnar segment format:
   shared-page claim, proven with a real subprocess);
 * explicit close semantics — reads after :meth:`close` raise
   :class:`~repro.exceptions.IndexClosedError`, close is idempotent;
-* read-only semantics — every mutation raises ``IndexError_``;
+* read-only semantics — a mapped index has no mutator but ``replace_block``,
+  and the maintainer refuses it;
 * structural damage — truncation, wrong magic, torn footer, checksum
   mismatch, a region outside the payload or of the wrong length, offsets
   that do not partition their column, text that is not UTF-8, a file of the
@@ -36,6 +37,8 @@ import pytest
 import repro
 from repro import LiveIndex, MateConfig, MateDiscovery, Table, TableCorpus, build_index
 from repro.datamodel import QueryTable
+from repro.hashing import SuperKeyGenerator
+from repro.index import IndexMaintainer, InvertedIndex
 from repro.ingest import IngestBuffer
 from repro.exceptions import (
     IndexClosedError,
@@ -46,13 +49,12 @@ from repro.exceptions import (
 from repro.storage import (
     SEGMENT_MAGIC,
     SEGMENT_SUFFIX,
-    MappedSegmentIndex,
     load_segment,
     write_segment,
 )
 from repro.storage.serialization import save_index_json
 
-from tests.helpers import assert_blocks_equal, legacy_ingest_buffer
+from tests.helpers import CellIndex, assert_blocks_equal, legacy_ingest_buffer
 
 CONFIG = MateConfig(hash_size=128, k=3, expected_unique_values=1000)
 
@@ -137,7 +139,7 @@ class TestRoundTrip:
         _corpus, index, path = segment
         mapped = load_segment(path)
         try:
-            assert isinstance(mapped, MappedSegmentIndex)
+            assert isinstance(mapped, InvertedIndex) and mapped.path == path
             assert mapped.hash_function_name == index.hash_function_name
             assert mapped.hash_size == index.hash_size
             assert fetch_signature(mapped) == fetch_signature(index)
@@ -193,7 +195,7 @@ class TestRoundTrip:
         before = buffer.index.fetch_batch(PROBES)
         assert_blocks_equal(before, loop.index.fetch_batch(PROBES))
         sealed = buffer.seal()
-        assert isinstance(sealed, MappedSegmentIndex) and sealed.path is None
+        assert isinstance(sealed, InvertedIndex) and sealed.path is None
         assert_blocks_equal(sealed.fetch_batch(PROBES), before)
         assert isinstance(sealed.fetch_batch(PROBES)[0].table_ids, memoryview)
         # An already-flat segment is written as it is and reads back equal.
@@ -205,7 +207,7 @@ class TestRoundTrip:
             mapped.close()
         # No table was dropped: the bytes are the per-cell loop buffer's.
         assert path.read_bytes() == write_segment(
-            loop.index, tmp_path / "buffer.seg", fsync=False
+            loop.seal(), tmp_path / "buffer.seg", fsync=False
         ).read_bytes()
 
     def test_writing_twice_gives_identical_bytes(self, segment, tmp_path):
@@ -245,10 +247,11 @@ class TestRoundTrip:
 
     def test_non_ascii_and_surrogate_values_round_trip(self, tmp_path):
         values = ["żółw", "日本語", "a\x00b", "\udc80lone", "🙂", "plain"]
-        index = repro.index.InvertedIndex(hash_size=128)
+        cells = CellIndex(hash_size=128)
         for position, value in enumerate(values):
-            index.add_posting(value, 1, 0, position)
-            index.set_super_key(1, position, position + 1)
+            cells.add_posting(value, 1, 0, position)
+            cells.keys[(1, position)] = position + 1
+        index = cells.to_index()
         path = write_segment(index, tmp_path / "text.seg", fsync=False)
         mapped = load_segment(path)
         try:
@@ -314,9 +317,9 @@ class TestRoundTrip:
 
     def test_oversize_spilled_key_round_trip(self, tmp_path):
         corpus = make_corpus(seed=1, num_tables=2)
-        index = build_index(corpus, config=CONFIG)
-        wide = 1 << 300  # far beyond the 128-bit packed slots
-        index.set_super_key(0, 0, wide)
+        cells = CellIndex.of(build_index(corpus, config=CONFIG))
+        cells.keys[(0, 0)] = 1 << 300  # far beyond the 128-bit packed slots
+        index = cells.to_index()
         path = write_segment(index, tmp_path / f"wide{SEGMENT_SUFFIX}", fsync=False)
         mapped = load_segment(path)
         try:
@@ -329,13 +332,14 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("rows", [False, True], ids=["empty", "rows-only"])
     def test_index_without_postings_round_trips(self, tmp_path, rows):
-        # A shard is written with the central row store attached, so a block
-        # may hold rows and not one posting; the key matrices are then
-        # (0, width), which memoryview refuses to cast unflattened.
-        index = repro.index.InvertedIndex(hash_size=128)
+        # A shard carries the whole row table, so a block may hold rows and
+        # not one posting; the key matrices are then (0, width), which
+        # memoryview refuses to cast unflattened.
+        cells = CellIndex(hash_size=128)
         if rows:
-            index.set_super_key(4, 0, 0b101)
-            index.set_super_key(4, 1, 1 << 300)  # spilled
+            cells.keys[(4, 0)] = 0b101
+            cells.keys[(4, 1)] = 1 << 300  # spilled
+        index = cells.to_index()
         path = write_segment(index, tmp_path / "t.seg", fsync=False)
         mapped = load_segment(path)
         try:
@@ -354,13 +358,14 @@ class TestCloseSemantics:
     def test_reads_after_close_raise_typed_error(self, segment):
         _corpus, _index, path = segment
         mapped = load_segment(path)
+        block = mapped.block
         mapped.close()
         with pytest.raises(IndexClosedError):
             mapped.fetch(["n1"])
         with pytest.raises(IndexClosedError):
             mapped.fetch_batch(["n1"])
         with pytest.raises(IndexClosedError):
-            mapped.add_posting("n1", 0, 0, 0)
+            mapped.replace_block(block)
 
     def test_close_is_idempotent(self, segment):
         _corpus, _index, path = segment
@@ -391,22 +396,14 @@ class TestCloseSemantics:
 
 
 class TestReadOnly:
-    def test_every_mutation_raises(self, segment):
-        _corpus, _index, path = segment
+    def test_the_maintainer_refuses_a_mapped_segment(self, segment):
+        corpus, _index, path = segment
         mapped = load_segment(path)
+        generator = SuperKeyGenerator.from_name("xash", CONFIG)
         try:
-            with pytest.raises(IndexError_):
-                mapped.add_posting("n1", 0, 0, 0)
-            with pytest.raises(IndexError_):
-                mapped.set_super_key(0, 0, 1)
-            with pytest.raises(IndexError_):
-                mapped.or_into_super_key(0, 0, 1)
-            with pytest.raises(IndexError_):
-                mapped.remove_table(0)
-            with pytest.raises(IndexError_):
-                mapped.remove_row(0, 0)
-            with pytest.raises(IndexError_):
-                mapped.remove_column(0, 0)
+            with pytest.raises(IndexError_, match="read-only segment file"):
+                IndexMaintainer(corpus, mapped, generator)
+            assert not hasattr(mapped, "add_posting")
         finally:
             mapped.close()
 

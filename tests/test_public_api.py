@@ -157,3 +157,41 @@ def test_the_lane_switches_are_gone(module_name, name):
         getattr(importlib.import_module(module_name), name)
     with pytest.raises(ImportError):
         exec(f"from {module_name} import {name}", {})
+
+
+#: The mutable per-value store and everything that served or fed it, gone
+#: with it: an index is one CSR block (``InvertedIndex``), replaced whole by
+#: ``replace_block``; a sharded index is a partition of one.
+REMOVED_INDEX_NAMES = [
+    ("repro.index", "PackedSuperKeys"),
+    ("repro.index", "MappedShardedIndex"),
+    ("repro.index.columnar", "PackedSuperKeys"),
+    ("repro.storage", "MappedSegmentIndex"),
+    ("repro.storage", "MappedSuperKeys"),
+    ("repro.storage.paged", "block_of"),
+    ("repro.storage.segment_block", "flatten_index"),
+]
+
+
+@pytest.mark.parametrize("module_name, name", REMOVED_INDEX_NAMES)
+def test_the_second_index_representation_is_gone(module_name, name):
+    with pytest.raises(AttributeError):
+        getattr(importlib.import_module(module_name), name)
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [("InvertedIndex", mutator) for mutator in (
+        "add_posting",
+        "set_posting_columns",
+        "set_super_key",
+        "or_into_super_key",
+        "remove_row",
+        "remove_column",
+        "remove_table",
+    )]
+    + [("IndexBuilder", "add_table")],
+)
+def test_replace_block_is_the_only_mutator(owner, name):
+    assert not hasattr(getattr(repro, owner), name)
+    assert hasattr(repro.InvertedIndex, "replace_block")

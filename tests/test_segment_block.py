@@ -7,7 +7,7 @@ their segment sealed (a value whose every posting is tombstoned must vanish
 from the vocabulary), ids re-added after removal, 2-5 segments, a spilled
 oversize key, table ids too large for a ``table * span + row`` search code,
 and — half the histories — segments and merge results left without a single
-posting.  The merged block must also equal the flattened oracle, column for
+posting.  The merged block must also equal the oracle's block, column for
 column.
 """
 
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro import MateConfig, Table
 from repro.ingest import Segment, merge_segments
-from repro.storage.segment_block import SegmentBlock, flatten_index, merge_blocks
+from repro.storage.segment_block import SegmentBlock, merge_blocks
 
 from tests.helpers import (
     assert_blocks_equal,
@@ -76,11 +76,9 @@ def build_segments(plan, base, anchored=True):
     """Replay ``plan`` the way a live index would: sequence numbers, buffer
     drops, tombstones for sealed copies, one sealed buffer per step.
 
-    The buffers are the per-cell loop buffer (``flatten_index`` at seal, in
-    the lane under test): only a mutable index can be handed a spilled key,
-    and its vocabulary order after a buffered drop is the same in both
-    lanes.  The column-store buffer has its own differential
-    (``tests/test_ingest_arrays.py``)."""
+    The buffers are the per-cell loop buffer (laid out at seal): only its
+    cell map can be handed a spilled key.  The column-store buffer has its
+    own differential (``tests/test_ingest_arrays.py``)."""
     seq = 0
     buffered: dict = {}  # visible table id -> its buffer
     sealed: set[int] = set()  # visible table ids living in a sealed segment
@@ -106,7 +104,7 @@ def build_segments(plan, base, anchored=True):
                     sealed.discard(table_id)
                     tombstones[table_id] = seq
             elif table_id in buffered:  # spill one buffered row's key
-                buffer.index.set_super_key(table_id, 0, OVERSIZE_KEY)
+                buffer.cells.keys[(table_id, 0)] = OVERSIZE_KEY
         if anchored:  # a table of the segment's own that is never removed
             seq += 1
             buffer.add_table(make_table(base + fresh, [[generation % 5, 0]]), seq)
@@ -161,9 +159,7 @@ def test_merge_matches_the_per_value_merge(history):
     merged = merge_segments(segments, tombstones, generation=9)
     oracle = legacy_merge_segments(segments, tombstones, generation=9)
     assert_same_segment(merged, oracle)
-    assert block_columns(merged.index.block) == block_columns(
-        flatten_index(oracle.index)
-    )
+    assert block_columns(merged.index.block) == block_columns(oracle.index.block)
     # Merging the merge result changes nothing: tombstones are spent.
     again = merge_blocks([merged.index.block], [set()])
     assert block_columns(again) == block_columns(merged.index.block)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -12,7 +13,13 @@ from repro import (
     build_index,
     build_sharded_index,
 )
-from repro.index import FetchBlock, ShardedInvertedIndex, shard_of_value
+from repro.index import (
+    FetchBlock,
+    ShardedInvertedIndex,
+    open_shard_segments,
+    save_shard_segments,
+    shard_of_value,
+)
 from repro.metrics import CacheCounters
 from repro.service import CachingIndex, DiscoveryService, PostingListCache
 from repro.storage import (
@@ -22,7 +29,15 @@ from repro.storage import (
     load_sharded_index,
     save_sharded_index,
 )
-from repro.exceptions import StorageError
+from repro.exceptions import IndexError_, StorageError
+from repro.storage import write_segment
+from tests.helpers import (
+    INDEX_VARIANTS,
+    CellIndex,
+    assert_blocks_equal,
+    block_columns,
+    build_index_variant,
+)
 
 
 @pytest.fixture(scope="module")
@@ -121,20 +136,109 @@ class TestShardRouting:
             ).discover(query)
             assert over_shards.result_tuples() == mono.result_tuples()
 
-    def test_removal_operations_match_monolith(
-        self, running_example_corpus, service_config
+
+class TestShardPartition:
+    """``from_index`` is a value-hash partition of one block: every shard
+    equals the per-cell reference's shard — its values' postings in
+    first-seen order, over the whole row table."""
+
+    @pytest.mark.parametrize("variant", INDEX_VARIANTS)
+    @pytest.mark.parametrize("num_shards", [1, 2, 3, 7])
+    def test_each_shard_equals_the_reference_shard(
+        self, workload, service_config, variant, num_shards, tmp_path
     ):
-        _, corpus = running_example_corpus
-        sharded = build_sharded_index(corpus, num_shards=3, config=service_config)
-        reference = build_index(corpus, config=service_config)
-        assert sharded.remove_column(1, 3) == reference.remove_column(1, 3)
-        assert sharded.remove_row(1, 0) == reference.remove_row(1, 0)
-        assert sharded.remove_table(2) == reference.remove_table(2)
-        assert sorted(sharded.values()) == sorted(reference.values())
-        assert sorted(sharded.iter_super_keys()) == sorted(
-            reference.iter_super_keys()
+        index = build_index_variant(variant, workload.corpus, config=service_config)
+        sharded = ShardedInvertedIndex.from_index(index, num_shards)
+        assert not index._state.views  # partitioning memoised nothing
+        reference = CellIndex.of(index)
+        shards = [
+            CellIndex(index.hash_size, index.hash_function_name)
+            for _ in range(num_shards)
+        ]
+        for value, columns in reference.postings.items():
+            shards[shard_of_value(value, num_shards)].postings[value] = columns
+        for position, cells in enumerate(shards):
+            cells.keys = reference.keys
+            mine = sharded.shard(position)
+            theirs = cells.to_index()
+            # Vocabulary, posting columns, row table, spill and unpacked ids.
+            assert block_columns(mine.block) == block_columns(theirs.block)
+            assert write_segment(
+                mine, tmp_path / f"mine{position}.seg", fsync=False
+            ).read_bytes() == write_segment(
+                theirs, tmp_path / f"theirs{position}.seg", fsync=False
+            ).read_bytes()
+            # The row table is the source's, shared uncopied.
+            assert np.shares_memory(
+                np.frombuffer(mine.block.row_keys, np.uint8),
+                np.frombuffer(index.block.row_keys, np.uint8),
+            )
+        assert any(sharded.shard(p).block.unpacked for p in range(num_shards)) == (
+            variant == "spilled"
         )
-        assert sharded.indexed_tables() == reference.indexed_tables()
+        values = list(index.values())[::5] + ["", "never indexed"]
+        assert_blocks_equal(sharded.fetch_batch(values), index.fetch_batch(values))
+
+    @pytest.mark.parametrize("variant", INDEX_VARIANTS)
+    def test_sqlite_round_trip(self, workload, service_config, variant, tmp_path):
+        index = build_index_variant(variant, workload.corpus, config=service_config)
+        sharded = ShardedInvertedIndex.from_index(index, 3)
+        with SQLiteBackend(tmp_path / "sharded.db") as backend:
+            save_sharded_index(backend, "main", sharded)
+        with SQLiteBackend(tmp_path / "sharded.db") as backend:
+            loaded = load_sharded_index(backend, "main")
+        values = list(index.values())[::3] + ["never indexed"]
+        assert_blocks_equal(loaded.fetch_batch(values), sharded.fetch_batch(values))
+        assert list(loaded.iter_super_keys()) == list(sharded.iter_super_keys())
+        for position in range(3):
+            # SQLite hands the values back sorted: compare them as a map.
+            mine = CellIndex.of(loaded.shard(position))
+            theirs = CellIndex.of(sharded.shard(position))
+            assert (mine.postings, mine.keys) == (theirs.postings, theirs.keys)
+
+
+class TestShardSegments:
+    """A sharded index saved as one ``.seg`` per shard maps back as the same
+    class; its manifest is checked before anything is opened."""
+
+    def test_round_trip(self, workload, service_config, monolithic_index, tmp_path):
+        sharded = build_sharded_index(
+            workload.corpus, num_shards=3, config=service_config
+        )
+        save_shard_segments(sharded, tmp_path)
+        values = sorted(monolithic_index.values())[:150] + ["never indexed"]
+        with open_shard_segments(tmp_path, max_workers=2) as mapped:
+            assert type(mapped) is ShardedInvertedIndex
+            assert [mapped.shard(p).path for p in range(3)] == [
+                tmp_path / f"shard_{p:02d}.seg" for p in range(3)
+            ]
+            assert_blocks_equal(
+                mapped.fetch_batch(values), monolithic_index.fetch_batch(values)
+            )
+            assert mapped.num_rows() == monolithic_index.num_rows()
+            assert mapped.shard_sizes() == sharded.shard_sizes()
+        assert mapped.shard(0).closed
+
+    #: Manifests a damaged or foreign directory may hold.
+    MANIFESTS = {
+        "no shards": '{"num_shards": 0, "hash_function": "xash", '
+        '"hash_size": 128, "segments": []}',
+        "no shard count": '{"hash_function": "xash", "hash_size": 128, '
+        '"segments": ["shard_00.seg"]}',
+        "not JSON": "{num_shards: 1",
+        "too few segments": '{"num_shards": 2, "hash_function": "xash", '
+        '"hash_size": 128, "segments": ["shard_00.seg"]}',
+        "no hash size": '{"num_shards": 1, "hash_function": "xash", '
+        '"segments": ["shard_00.seg"]}',
+    }
+
+    @pytest.mark.parametrize("case", sorted(MANIFESTS))
+    def test_a_bad_manifest_is_refused_naming_it(self, tmp_path, case):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(self.MANIFESTS[case], encoding="utf-8")
+        with pytest.raises(IndexError_) as raised:
+            open_shard_segments(tmp_path)
+        assert str(manifest) in str(raised.value)
 
 
 class TestPostingListCache:
@@ -188,13 +292,16 @@ class TestPostingListCache:
         )
         caching = CachingIndex(build_index(corpus, config=service_config))
         before = caching.fetch(["x"])
-        caching.add_posting("x", 0, 0, 1)
+        cells = CellIndex.of(caching.wrapped)
+        cells.add_posting("x", 0, 0, 1)
+        cells.keys[(0, 0)] = 12345
+        # Replacing the block clears the whole cache: a rewritten block can
+        # change any value's postings and any row's key.
+        caching.replace_block(cells.to_block())
         after = caching.fetch(["x"])
         assert len(after) == len(before) + 1
-        # Super-key updates clear the whole cache (items embed super keys).
-        caching.set_super_key(0, 0, 12345)
-        refreshed = caching.fetch(["x"])
-        assert any(item.super_key == 12345 for item in refreshed)
+        assert after[0].super_key == 12345
+        assert caching.wrapped.fetch(["x"]) == after
 
     def test_counter_snapshots_and_merge(self):
         counters = CacheCounters(hits=3, misses=1, evictions=2)
