@@ -1,12 +1,12 @@
-"""Batch discovery serving: sharded index, posting-list cache, query batches.
+"""Batch discovery serving: one index, posting-list cache, query batches.
 
 The other examples run one query at a time against a cold index.  This one
-shows the serving layer (a :class:`repro.DiscoverySession` — the unified API
-over ``repro.service``'s cache and sharding) that the production-scale
-deployment would expose: the extended inverted index is partitioned across
-shards by value hash, an LRU cache keeps hot posting lists in memory, and a
-whole *batch* of :class:`repro.DiscoveryRequest` objects is answered in one
-call — with probe values shared between the queries fetched only once.
+shows the serving facade (a :class:`repro.DiscoverySession`) that the
+production-scale deployment would expose: the session serves one extended
+inverted index, an LRU cache (``repro.index.cache``) keeps hot posting lists
+in memory, and a whole *batch* of :class:`repro.DiscoveryRequest` objects is
+answered in one call — with probe values shared between the queries fetched
+only once.
 
 Run with::
 
@@ -25,7 +25,6 @@ from repro import (
     Table,
     TableCorpus,
     build_index,
-    build_sharded_index,
 )
 
 
@@ -109,11 +108,11 @@ def main() -> None:
     queries = build_queries()
     config = MateConfig(hash_size=128, k=2, expected_unique_values=100_000)
 
-    # Offline: partition the extended inverted index across 2 shards.
-    index = build_sharded_index(corpus, num_shards=2, config=config)
+    # Offline: build the extended inverted index once.
+    index = build_index(corpus, config=config)
     print(
-        f"sharded index: {index.num_posting_items()} posting items over "
-        f"{index.num_shards} shards {index.shard_sizes()}"
+        f"index: {index.num_posting_items()} posting items over "
+        f"{len(index)} distinct values"
     )
 
     # Online: one session call answers the whole batch.

@@ -35,7 +35,6 @@ from repro.api.schema import (  # noqa: E402  (sys.path setup must run first)
 from repro.experiments import (  # noqa: E402
     ExperimentResult,
     ExperimentSettings,
-    run_batch_service,
     run_columnar,
     run_ingest,
     run_planner,
@@ -48,10 +47,6 @@ from repro.experiments import (  # noqa: E402
 
 def _bench_columnar(settings: ExperimentSettings) -> ExperimentResult:
     return run_columnar(settings)
-
-
-def _bench_service(settings: ExperimentSettings) -> ExperimentResult:
-    return run_batch_service(settings, shard_counts=(1, 2))
 
 
 def _bench_ingest(settings: ExperimentSettings) -> ExperimentResult:
@@ -84,7 +79,6 @@ BENCHMARKS = {
     "ingest": _bench_ingest,
     "planner": _bench_planner,
     "serve": _bench_serve,
-    "service": _bench_service,
     "sketch": _bench_sketch,
     "sql": _bench_sql,
     "telemetry": _bench_telemetry,

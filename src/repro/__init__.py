@@ -9,8 +9,8 @@ self-contained Python library:
   deadlines, streaming results, and the versioned JSON response schema;
 * :mod:`repro.hashing` — XASH and every baseline hash function, plus the
   super-key machinery;
-* :mod:`repro.index` — the extended single-attribute inverted index, plus
-  its value-sharded variant for scale-out deployments;
+* :mod:`repro.index` — the extended single-attribute inverted index and the
+  LRU posting-list cache a session serves it through;
 * :mod:`repro.ingest` — online ingestion: a WAL-durable delta buffer sealed
   and compacted into immutable columnar segments behind a
   :class:`LiveIndex` (``session.ingest()`` / ``engine="live"``);
@@ -22,8 +22,6 @@ self-contained Python library:
 * :mod:`repro.sketch` — the approximate candidate tier: per-column MinHash
   signatures and a banded LSH index that prune the candidate universe ahead
   of exact MATE (planner mode ``"sketch"`` + ``DiscoveryRequest.sketch``);
-* :mod:`repro.service` — the serving layer: batch discovery with probe-value
-  deduplication, an LRU posting-list cache, and worker-pool scheduling;
 * :mod:`repro.serve` — process-parallel serving: one worker process per
   shard over mmap'd segments (``DiscoverySession(execution="process")``),
   hedged shard requests, and the HTTP front end with admission control and
@@ -60,12 +58,15 @@ Every registered engine (``mate``, ``sharded``, ``scr``, ``mcr``, ``josie``,
 (:meth:`DiscoverySession.discover_stream
 <repro.api.session.DiscoverySession.discover_stream>`), and async submission
 (:meth:`DiscoverySession.asubmit <repro.api.session.DiscoverySession.asubmit>`)
-ride on the request object.  The pre-API constructors
-(:class:`MateDiscovery` built by hand, :class:`DiscoveryService`) keep
-working; the service is a deprecated shim over a session.
+ride on the request object, and :meth:`DiscoverySession.discover_batch
+<repro.api.session.DiscoverySession.discover_batch>` answers a batch with
+probe-value deduplication and worker-pool scheduling.  A session serves one
+index; the ``sharded`` engine splits the corpus into table shards.  A
+:class:`MateDiscovery` built by hand keeps working.
 """
 
 from .api import (
+    BatchStats,
     DiscoveryRequest,
     DiscoverySession,
     EngineRegistry,
@@ -114,9 +115,7 @@ from .index import (
     IndexBuilder,
     IndexMaintainer,
     InvertedIndex,
-    ShardedInvertedIndex,
     build_index,
-    build_sharded_index,
 )
 from .ingest import CompactionPolicy, Compactor, IngestBuffer, LiveIndex
 from .plan import Executor, Planner, PlannerOptions, QueryPlan
@@ -134,7 +133,6 @@ from .serve import (
     ServeConfig,
     TenantQuota,
 )
-from .service import BatchDiscoveryResult, BatchStats, DiscoveryService
 from .telemetry import (
     MetricsRegistry,
     SlowQueryLog,
@@ -148,7 +146,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AdmissionController",
-    "BatchDiscoveryResult",
     "BatchStats",
     "ColumnSketch",
     "CompactionPolicy",
@@ -157,7 +154,6 @@ __all__ = [
     "CorpusError",
     "DEFAULT_CONFIG",
     "DiscoveryRequest",
-    "DiscoveryService",
     "DiscoverySession",
     "DataLake",
     "DataModelError",
@@ -190,7 +186,6 @@ __all__ = [
     "ServiceConfig",
     "SessionBatch",
     "SessionResult",
-    "ShardedInvertedIndex",
     "ShardedMateDiscovery",
     "SketchIndex",
     "SketchIndexConfig",
@@ -208,7 +203,6 @@ __all__ = [
     "available_engines",
     "available_hash_functions",
     "build_index",
-    "build_sharded_index",
     "build_sketch_index",
     "create_hash_function",
     "exact_joinability",

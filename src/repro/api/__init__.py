@@ -13,12 +13,12 @@ ROADMAP's serving story builds on):
   ``scr``, ``mcr``, ``josie``, ``prefix_tree``, plus anything registered via
   :func:`register_engine`);
 * :class:`~repro.api.results.SessionResult` / :class:`~repro.api.results.SessionBatch`
-  — attributable, JSON-serialisable responses sharing the versioned envelope
-  of :mod:`~repro.api.schema`.
+  (with its :class:`~repro.api.results.BatchStats`) — attributable,
+  JSON-serialisable responses sharing the versioned envelope of
+  :mod:`~repro.api.schema`.
 
-The legacy constructors (:class:`~repro.core.discovery.MateDiscovery` built
-by hand, :class:`~repro.service.service.DiscoveryService`) remain available;
-the service is a thin deprecated shim over a session.
+A :class:`~repro.core.discovery.MateDiscovery` built by hand keeps working;
+the session is the one serving facade over it.
 """
 
 from .registry import (
@@ -31,11 +31,12 @@ from .registry import (
 from .request import DEFAULT_ENGINE, DiscoveryRequest, RequestBudget
 from ..plan import PlannerOptions
 from ..sketch import SketchOptions
-from .results import SessionBatch, SessionResult
+from .results import BatchStats, SessionBatch, SessionResult
 from .schema import SCHEMA_VERSION, json_envelope
 from .session import DiscoverySession
 
 __all__ = [
+    "BatchStats",
     "DEFAULT_ENGINE",
     "DEFAULT_REGISTRY",
     "DiscoveryRequest",

@@ -148,7 +148,7 @@ def _build_sharded(session: "DiscoverySession", request: "DiscoveryRequest"):
     # Builds its own per-shard indexes from the corpus (the engine's design:
     # one index per worker); the session's central index is not consulted.
     # The session's execution mode picks the worker topology: "thread" runs
-    # the shards on a thread pool in-process, "process" hands each shard to
+    # the shards one after another in-process, "process" hands each shard to
     # a worker process over mmap'd segments (same partitioning, same merge,
     # byte-identical top-k).
     if getattr(session, "execution", "thread") == "process":
@@ -176,7 +176,6 @@ def _build_sharded(session: "DiscoverySession", request: "DiscoveryRequest"):
         num_shards=session.service_config.num_shards,
         config=session.config,
         hash_function_name=request.hash_function or "xash",
-        max_workers=session.service_config.fetch_workers,
         column_selector=request.column_selector,
         row_filter_mode=request.row_filter_mode,
         use_table_filters=request.use_table_filters,

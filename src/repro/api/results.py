@@ -5,7 +5,7 @@
 :class:`~repro.api.request.DiscoveryRequest`, so a response is always
 attributable and serialisable on its own.  :class:`SessionBatch` is the
 batch counterpart: per-request results in submission order plus the
-aggregate :class:`~repro.service.service.BatchStats`.
+aggregate :class:`BatchStats`.
 
 Both serialise through the shared envelope of :mod:`repro.api.schema`.
 """
@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 from ..core.results import DiscoveryResult
+from ..metrics import CacheCounters
 from .schema import KIND_BATCH_RESULT, KIND_DISCOVERY_RESULT, json_envelope
 
 if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
-    from ..service.service import BatchStats
     from .request import DiscoveryRequest
 
 
@@ -115,6 +115,54 @@ class SessionResult:
 
 
 @dataclass
+class BatchStats:
+    """Aggregate accounting of one :class:`SessionBatch`.
+
+    Failures inside a batch are attributable (errors carry the engine name
+    and request label): ``failed_queries`` counts the requests that raised,
+    ``failures`` keeps one attribution line each.
+    """
+
+    #: Number of queries submitted in the batch (including failed ones).
+    num_queries: int = 0
+    #: ``k`` used for every query of the batch (0 when requests disagree).
+    k: int = 0
+    #: Wall-clock duration of the whole batch in seconds.
+    batch_seconds: float = 0.0
+    #: Distinct probe values across the batch (what the index actually saw).
+    distinct_probe_values: int = 0
+    #: Probe values shared between queries and therefore fetched only once.
+    duplicate_probe_values: int = 0
+    #: Cache activity attributable to this batch (delta over the batch).
+    cache: CacheCounters = field(default_factory=CacheCounters)
+    #: Requests that raised instead of producing a result.
+    failed_queries: int = 0
+    #: One attribution line per failure (engine name + request label + error).
+    failures: list[str] = field(default_factory=list)
+
+    @property
+    def queries_per_second(self) -> float:
+        """Batch throughput (0.0 before any timed work)."""
+        if self.batch_seconds <= 0.0:
+            return 0.0
+        return self.num_queries / self.batch_seconds
+
+    def as_dict(self) -> dict[str, float]:
+        """Return the statistics (plus derived metrics) as a dictionary."""
+        result = {
+            "num_queries": self.num_queries,
+            "k": self.k,
+            "batch_seconds": self.batch_seconds,
+            "queries_per_second": self.queries_per_second,
+            "distinct_probe_values": self.distinct_probe_values,
+            "duplicate_probe_values": self.duplicate_probe_values,
+            "failed_queries": self.failed_queries,
+        }
+        result.update(self.cache.as_dict())
+        return result
+
+
+@dataclass
 class SessionBatch:
     """Per-request results plus aggregate statistics of one batch.
 
@@ -126,7 +174,7 @@ class SessionBatch:
     """
 
     results: list["SessionResult | None"]
-    stats: "BatchStats"
+    stats: BatchStats
     failures: list[Exception] = field(default_factory=list)
 
     def __len__(self) -> int:

@@ -1,17 +1,15 @@
 """The :class:`DiscoverySession` facade: one front door for Algorithm 1.
 
-A session owns the serving state — corpus, (optionally sharded) index, LRU
-posting-list cache, engine instances, and a thread-pool scheduler — and
+A session owns the serving state — corpus, one index, LRU posting-list
+cache, engine instances, and a thread-pool scheduler — and
 answers :class:`~repro.api.request.DiscoveryRequest` objects through four
 entry points:
 
 * :meth:`DiscoverySession.discover` — one request, one
   :class:`~repro.api.results.SessionResult`;
-* :meth:`DiscoverySession.discover_batch` — a batch with probe-value
-  deduplication, cache warm-up, worker-pool scheduling, and attributable
-  failures (the machinery the legacy
-  :class:`~repro.service.service.DiscoveryService` exposed, generalised to
-  mixed-engine batches);
+* :meth:`DiscoverySession.discover_batch` — a (possibly mixed-engine) batch
+  with probe-value deduplication, cache warm-up, worker-pool scheduling, and
+  attributable failures;
 * :meth:`DiscoverySession.discover_stream` — an iterator of incremental
   top-k snapshots while the run progresses, ending with the final result;
 * :meth:`DiscoverySession.submit` / :meth:`DiscoverySession.asubmit` —
@@ -19,8 +17,7 @@ entry points:
 
 Engines are resolved by name through an
 :class:`~repro.api.registry.EngineRegistry` and cached per configuration
-signature, so repeated requests share memoised hash state exactly like the
-legacy single-engine service did.
+signature, so repeated requests share memoised hash state.
 
 Usage::
 
@@ -41,22 +38,19 @@ import queue
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from ..config import MateConfig, ServiceConfig
 from ..core.results import DiscoveryResult, TableResult
 from ..datamodel import Table, TableCorpus
 from ..exceptions import ConfigurationError, DiscoveryError, MateError
-from ..index import InvertedIndex, ShardedInvertedIndex, build_index
+from ..index import build_index
+from ..index.cache import CachingIndex
 from ..metrics import CacheCounters, DiscoveryCounters
-from ..service.cache import CachingIndex
 from ..telemetry import SlowQueryEntry, Telemetry
 from .registry import DEFAULT_REGISTRY, EngineRegistry, EngineSpec
 from .request import DiscoveryRequest, RequestBudget
-from .results import SessionBatch, SessionResult
-
-if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
-    from ..service.service import BatchStats
+from .results import BatchStats, SessionBatch, SessionResult
 
 #: Structured logger of the session layer (JSON-formatted when the caller
 #: installs :func:`repro.telemetry.configure_json_logging`).
@@ -79,24 +73,25 @@ class DiscoverySession:
     corpus:
         The table corpus the index was (or will be) built from.
     index:
-        A monolithic :class:`~repro.index.inverted.InvertedIndex` or a
-        :class:`~repro.index.sharded.ShardedInvertedIndex`.  ``None`` builds
-        a fresh index from ``corpus`` (the zero-setup path of the examples).
-        A monolithic index is partitioned per ``service_config.num_shards``
-        (> 1); unless caching is disabled the result is wrapped in a
-        :class:`~repro.service.cache.CachingIndex`.
+        The index the session serves: an
+        :class:`~repro.index.inverted.InvertedIndex` or a
+        :class:`~repro.ingest.live.LiveIndex`.  ``None`` builds a fresh index
+        from ``corpus`` (the zero-setup path of the examples).  Unless
+        caching is disabled it is wrapped in a
+        :class:`~repro.index.cache.CachingIndex`.
     config:
         The :class:`~repro.config.MateConfig` shared by index and engines.
     service_config:
-        The serving knobs (shard count, cache capacity, batch and fetch
-        workers); see :class:`~repro.config.ServiceConfig`.
+        The serving knobs (cache capacity, batch workers, and the
+        ``"sharded"`` engine's shard count); see
+        :class:`~repro.config.ServiceConfig`.
     registry:
         The engine registry to resolve request engine names against;
         defaults to the process-wide registry of :mod:`repro.api.registry`.
     execution:
         How the ``"sharded"`` engine runs its shards: ``"thread"`` (default,
-        in-process thread pool) or ``"process"`` — one worker process per
-        shard over mmap'd ``.seg`` segments
+        in-process, one shard after another) or ``"process"`` — one worker
+        process per shard over mmap'd ``.seg`` segments
         (:class:`~repro.serve.pool.ProcessShardPool`), byte-identical top-k,
         true parallelism, and per-request budget support.
     serve_config:
@@ -144,25 +139,10 @@ class DiscoverySession:
         self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
         if index is None:
             index = build_index(corpus, config=self.config)
-        # Only a monolithic InvertedIndex can be partitioned here (a
-        # value-hash partition of its block, the row table shared); sharded,
-        # live, and pre-wrapped indexes keep their own topology.
-        if self.service_config.num_shards > 1 and isinstance(
-            index, InvertedIndex
-        ):
-            index = ShardedInvertedIndex.from_index(
-                index, self.service_config.num_shards
-            )
-        if (
-            isinstance(index, ShardedInvertedIndex)
-            and self.service_config.fetch_workers > 1
-        ):
-            index.max_workers = self.service_config.fetch_workers
         if isinstance(index, CachingIndex):
-            # An already-cached index (e.g. handed over from another session
-            # or the deprecated service shim) is used as-is: stacking a
-            # second LRU on top would double the memory and hide the inner
-            # counters.
+            # An already-cached index (e.g. handed over from another session)
+            # is used as-is: stacking a second LRU on top would double the
+            # memory and hide the inner counters.
             self.base_index = index.wrapped
             self.index = index
         else:
@@ -402,9 +382,8 @@ class DiscoverySession:
         verify its rows.  Returns the number of physically dropped PL items
         (0 when the table lives only in sealed segments).
         """
-        # Gate on the same ingestion capability as ingest(): every index has
-        # a (destructive, maintenance-layer) remove_table, but only an
-        # online-mutable one may be edited through the serving session.
+        # Gate on the same ingestion capability as ingest(): only an
+        # online-mutable index (a LiveIndex) has add_table / remove_table.
         if not hasattr(self.base_index, "add_table"):
             raise DiscoveryError(
                 "this session's index does not support online removal; "
@@ -597,15 +576,17 @@ class DiscoverySession:
         ``on_error`` controls failure handling: ``"raise"`` (default)
         propagates the first attributable error, ``"collect"`` keeps going —
         failed slots hold ``None``, the exceptions are returned on the batch,
-        and the :class:`~repro.service.service.BatchStats` carry one
-        attribution line per failure.
+        and the :class:`~repro.api.results.BatchStats` carry one attribution
+        line per failure.
+
+        Every request runs under a copy of the caller's :mod:`contextvars`
+        context, as in :meth:`submit`, so a span opened around the batch
+        parents each request's ``session.discover`` on the pool too.
         """
         if on_error not in ("raise", "collect"):
             raise DiscoveryError(
                 f'on_error must be "raise" or "collect", got {on_error!r}'
             )
-        from ..service.service import BatchStats
-
         request_list = list(requests)
         before = self.cache_counters.snapshot()
         started = time.perf_counter()
@@ -622,8 +603,16 @@ class DiscoverySession:
 
         workers = self.service_config.max_workers
         if workers > 1 and len(request_list) > 1:
-            # Reuse the session's pool — no per-batch thread churn.
-            outcomes = list(self._executor().map(run_one, request_list))
+            # Reuse the session's pool — no per-batch thread churn.  Pool
+            # threads do not inherit the caller's context: copy it per request.
+            contexts = [contextvars.copy_context() for _ in request_list]
+            outcomes = list(
+                self._executor().map(
+                    lambda context, request: context.run(run_one, request),
+                    contexts,
+                    request_list,
+                )
+            )
         else:
             outcomes = [run_one(request) for request in request_list]
 

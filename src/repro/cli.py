@@ -18,7 +18,7 @@ Four sub-commands cover the typical workflow:
     Run one of the paper's experiments (table1, table2, table3, figure4,
     figure5, figure6, topk, init_column, index_generation) or one of the
     extension studies (scaling, fetch_cost, frequency_source, sharding,
-    related_work, short_values, batch_service, ingest, sketch); print the
+    related_work, short_values, ingest, sketch); print the
     resulting table and optionally save it as text/CSV/JSON via ``--out``.
 ``similarity``
     Top-k *similarity-join* discovery (edit-distance tolerant matching on
@@ -36,9 +36,9 @@ Four sub-commands cover the typical workflow:
     pool (scatter/gather over mmap'd segments, optional ``--hedge-after``).
 ``serve-batch``
     Answer a batch of query tables through a
-    :class:`~repro.api.session.DiscoverySession`: a value-sharded index, an
-    LRU posting-list cache, and a worker pool.  Prints the per-query top-k
-    plus batch throughput and cache statistics (or ``--json``).
+    :class:`~repro.api.session.DiscoverySession`: one index, an LRU
+    posting-list cache, and a worker pool.  Prints the per-query top-k plus
+    batch throughput and cache statistics (or ``--json``).
 ``ingest``
     Stream tables from a directory (CSV / JSON-lines, via the lake loaders)
     or a corpus JSON file into a *persisted live index* directory: every
@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -82,7 +83,6 @@ from .datagen import TABLE1_SPECS, build_workload
 from .datamodel import QueryTable
 from .experiments import (
     ExperimentSettings,
-    run_batch_service,
     run_fetch_cost,
     run_figure4,
     run_figure5,
@@ -106,22 +106,19 @@ from .experiments import (
     run_topk,
 )
 from .extensions import SimilarityJoinDiscovery, UnionSearch, discover_key_candidates
-from .index import build_index, build_sharded_index
+from .exceptions import StorageError
+from .index import build_index
 from .sketch import SketchOptions, build_sketch_index
 from .lake import DataLake, profile_corpus
 from .storage import (
     SQLiteBackend,
-    list_sharded_indexes,
     load_corpus_json,
-    load_sharded_index,
     save_corpus_json,
-    save_sharded_index,
     table_from_csv,
 )
 
 #: Experiment name -> runner, for the ``experiment`` sub-command.
 EXPERIMENT_RUNNERS = {
-    "batch_service": run_batch_service,
     "table1": run_table1,
     "table2": run_table2,
     "table3": run_table3,
@@ -279,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     serve = subparsers.add_parser(
-        "serve-batch", help="answer a batch of queries through the service layer"
+        "serve-batch", help="answer a batch of queries through a discovery session"
     )
     serve.add_argument("corpus", type=Path, help="corpus JSON file")
     serve.add_argument(
@@ -292,20 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--key-size", type=int, default=2,
                        help="key arity when --key is omitted (generated query "
                        "tables store their key columns first)")
-    serve.add_argument("--shards", type=int, default=4,
-                       help="number of index shards (default 4)")
     serve.add_argument("--cache-capacity", type=int, default=4096,
                        help="LRU posting-list cache capacity (0 disables)")
     serve.add_argument("--workers", type=int, default=1,
                        help="batch scheduling worker threads")
-    serve.add_argument("--fetch-workers", type=int, default=1,
-                       help="per-fetch shard fan-out worker threads")
     serve.add_argument("--k", type=int, default=10)
     serve.add_argument("--hash-size", type=int, default=128)
     serve.add_argument(
         "--database", type=Path, default=None,
-        help="SQLite database to load the sharded index from (built and "
-        "saved there on first use)",
+        help="SQLite database to load the index from (built and saved there "
+        "as 'main' on first use)",
     )
     serve.add_argument("--json", action="store_true",
                        help="print the batch as the versioned JSON response "
@@ -322,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_http.add_argument("--execution", choices=("thread", "process"),
                             default="thread",
                             help="how engine=sharded runs its shards: "
-                            "in-process threads or one worker process per "
-                            "shard over mmap'd segments")
+                            "in-process one after another, or one worker "
+                            "process per shard over mmap'd segments")
     serve_http.add_argument("--shards", type=int, default=4,
                             help="number of shards (and worker processes "
                             "with --execution process)")
@@ -602,43 +595,30 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
     corpus = load_corpus_json(args.corpus)
     config = MateConfig(hash_size=args.hash_size, k=args.k)
     service_config = ServiceConfig(
-        num_shards=args.shards,
         cache_capacity=args.cache_capacity,
         max_workers=args.workers,
-        fetch_workers=args.fetch_workers,
     )
 
     if args.database is not None:
         with SQLiteBackend(args.database) as backend:
-            if "main" in list_sharded_indexes(backend):
-                index = load_sharded_index(
-                    backend, "main", max_workers=args.fetch_workers
-                )
-                # The stored layout is authoritative: the engine's hash size
-                # must match the persisted super keys, and the shard count is
-                # whatever the index was saved with.
-                if (
-                    index.hash_size != args.hash_size
-                    or index.num_shards != args.shards
-                ):
+            stored = backend.list_indexes()
+            if "main" in stored:
+                index = backend.load_index("main")
+                # The stored index is authoritative: the engine's hash size
+                # must match the persisted super keys.
+                if index.hash_size != args.hash_size:
                     print(
                         f"using stored index layout from {args.database}: "
-                        f"{index.num_shards} shards, "
                         f"{index.hash_size}-bit {index.hash_function_name} "
-                        "(ignoring --shards/--hash-size)"
+                        "(ignoring --hash-size)"
                     )
                     config = MateConfig(hash_size=index.hash_size, k=args.k)
             else:
-                index = build_sharded_index(
-                    corpus, num_shards=args.shards, config=config,
-                    max_workers=args.fetch_workers,
-                )
-                save_sharded_index(backend, "main", index)
+                _refuse_sharded_records(args.database, stored)
+                index = build_index(corpus, config=config)
+                backend.save_index("main", index)
     else:
-        index = build_sharded_index(
-            corpus, num_shards=args.shards, config=config,
-            max_workers=args.fetch_workers,
-        )
+        index = build_index(corpus, config=config)
 
     shared_key = [c.lower() for c in args.key] if args.key else None
     query_corpus = load_corpus_json(args.queries)
@@ -661,7 +641,7 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(batch.to_dict(), indent=2))
         return 0
-    print(f"served {len(batch)} queries over {index.num_shards} shards:")
+    print(f"served {len(batch)} queries:")
     for request, result in zip(requests, batch):
         ranked = ", ".join(
             f"{entry.table_id}:{entry.joinability}" for entry in result.tables
@@ -677,9 +657,22 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
     )
     print(
         f"cache: {stats.cache.hits} hits / {stats.cache.misses} misses "
-        f"(hit rate {stats.cache.hit_rate:.2f}), shard sizes {index.shard_sizes()}"
+        f"(hit rate {stats.cache.hit_rate:.2f})"
     )
     return 0
+
+
+def _refuse_sharded_records(database: Path, stored: list[str]) -> None:
+    """Refuse a database holding only the value-sharded ``main`` layout
+    (``main.shard{i}of{n}`` records) older releases saved: no index is built
+    beside the stale records."""
+    for name in stored:
+        if re.fullmatch(r"main\.shard\d+of\d+", name):
+            raise StorageError(
+                f"{database} holds the record {name!r} of a value-sharded "
+                "index, a layout this release no longer reads; rebuild: "
+                "delete the database and run serve-batch again"
+            )
 
 
 def _command_ingest(args: argparse.Namespace) -> int:

@@ -204,40 +204,33 @@ class MateConfig:
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Configuration of the batch-discovery service layer (:mod:`repro.service`).
+    """Serving knobs of a :class:`~repro.api.session.DiscoverySession`.
 
     These knobs do not exist in the paper — they parameterise the serving
-    architecture this reproduction adds on top of Algorithm 1: how the
-    extended inverted index is partitioned, how large the posting-list cache
-    in front of it is, and how much concurrency the batch scheduler uses.
+    architecture this reproduction adds on top of Algorithm 1: how large the
+    posting-list cache in front of the session's one index is, how much
+    concurrency the batch scheduler uses, and how many table shards the
+    ``"sharded"`` engine splits the corpus into.
 
     Parameters
     ----------
     num_shards:
-        Number of value partitions of the
-        :class:`~repro.index.sharded.ShardedInvertedIndex` (postings are
-        routed by a stable ``hash(value) % num_shards``).  When a monolithic
-        index is handed to :class:`~repro.service.service.DiscoveryService`
-        with ``num_shards`` > 1 it is partitioned on construction (an
-        already-sharded index is used as-is); the default ``1`` leaves the
-        index untouched.
+        Number of table shards of the ``"sharded"`` engine
+        (:func:`~repro.core.parallel.shard_corpus`; one worker process each
+        with ``execution="process"``).  The session's own index is never
+        partitioned.
     cache_capacity:
         Maximum number of distinct probe values whose posting lists the LRU
-        :class:`~repro.service.cache.PostingListCache` retains.  ``0``
+        :class:`~repro.index.cache.PostingListCache` retains.  ``0``
         disables caching entirely (every fetch goes to the index).
     max_workers:
-        Worker threads the :class:`~repro.service.service.DiscoveryService`
-        schedules batched queries on.  ``1`` runs the batch serially.
-    fetch_workers:
-        Worker threads the service's sharded index fans one ``fetch`` out
-        across its shards with (applied to the index on service
-        construction).  ``1`` probes the shards serially.
+        Worker threads the session schedules batched and submitted queries
+        on.  ``1`` runs a batch serially.
     """
 
     num_shards: int = 1
     cache_capacity: int = 4096
     max_workers: int = 1
-    fetch_workers: int = 1
 
     def __post_init__(self) -> None:
         if self.num_shards <= 0:
@@ -251,10 +244,6 @@ class ServiceConfig:
         if self.max_workers <= 0:
             raise ConfigurationError(
                 f"max_workers must be positive, got {self.max_workers}"
-            )
-        if self.fetch_workers <= 0:
-            raise ConfigurationError(
-                f"fetch_workers must be positive, got {self.fetch_workers}"
             )
 
 

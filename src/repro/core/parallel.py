@@ -10,7 +10,7 @@ architecture at library scale:
 * :class:`ShardedMateDiscovery` builds one extended inverted index per shard
   (the offline step a distributed deployment performs per worker), runs the
   standard :class:`~repro.core.discovery.MateDiscovery` engine on every shard
-  — serially or on a thread pool — and merges the per-shard top-k lists.
+  in turn, and merges the per-shard top-k lists.
 
 Merging per-shard top-k results is lossless: the global k-th best joinability
 is at least every shard's local k-th best, so any table pruned inside a shard
@@ -18,16 +18,17 @@ is at least every shard's local k-th best, so any table pruned inside a shard
 global top-k.  The same argument the paper makes for table-filter rule 1
 therefore carries over shard boundaries unchanged.
 
-Pure-Python threads do not speed up the CPU-bound parts (the GIL), so the
-``max_workers`` option mainly demonstrates the orchestration; the measured
-quantity of interest — and what the scale-out experiment reports — is the
-per-shard work balance (rows checked / PL items fetched per shard).
+The shards run serially: pure-Python threads would not speed up the
+CPU-bound parts (the GIL).  True parallelism is one worker process per shard,
+:class:`~repro.serve.pool.ProcessShardPool`, with the same partitioning and
+merge.  The measured quantity of interest here — and what the scale-out
+experiment reports — is the per-shard work balance (rows checked / PL items
+fetched per shard).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..config import MateConfig
@@ -133,7 +134,6 @@ class ShardedMateDiscovery:
         num_shards: int = 4,
         config: MateConfig | None = None,
         hash_function_name: str = "xash",
-        max_workers: int | None = None,
         column_selector="cardinality",
         row_filter_mode: str = "superkey",
         use_table_filters: bool = True,
@@ -143,7 +143,6 @@ class ShardedMateDiscovery:
         self.corpus = corpus
         self.config = config or MateConfig()
         self.hash_function_name = hash_function_name
-        self.max_workers = max_workers
         # Algorithm 1 knobs, forwarded to every per-shard engine.
         self.column_selector = column_selector
         self.row_filter_mode = row_filter_mode
@@ -190,20 +189,10 @@ class ShardedMateDiscovery:
         if k <= 0:
             raise DiscoveryError(f"k must be positive, got {k}")
 
-        shard_results: list[tuple[int, DiscoveryResult]] = []
-        if self.max_workers and self.max_workers > 1:
-            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                shard_results = list(
-                    pool.map(
-                        lambda index: self._discover_shard(index, query, k),
-                        range(self.num_shards),
-                    )
-                )
-        else:
-            shard_results = [
-                self._discover_shard(index, query, k)
-                for index in range(self.num_shards)
-            ]
+        shard_results = [
+            self._discover_shard(index, query, k)
+            for index in range(self.num_shards)
+        ]
 
         self.last_shard_statistics = [
             ShardStatistics(

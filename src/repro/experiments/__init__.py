@@ -17,14 +17,13 @@ Every function takes an :class:`ExperimentSettings` controlling the scale
 :class:`ExperimentResult` whose ``to_text()`` renders the same rows/series the
 paper reports.
 
-Beyond the paper's own artefacts, nine extension studies use the same
+Beyond the paper's own artefacts, extension studies use the same
 harness: corpus-size scaling (:func:`run_scaling`), the simulated disk
 fetch cost (:func:`run_fetch_cost`), the rare-character frequency source
 (:func:`run_frequency_source`), sharded scale-out discovery
 (:func:`run_sharding`), the prefix-tree related-work comparison
 (:func:`run_related_work`), the short-key-value study
-(:func:`run_short_values`), the batch-discovery serving layer
-(:func:`run_batch_service`), the process-pool serving comparison
+(:func:`run_short_values`), the process-pool serving comparison
 (:func:`run_serving`), the packed posting-layout study
 (:func:`run_columnar`), and the online-ingestion study
 (:func:`run_ingest`), the query-planner study
@@ -34,7 +33,6 @@ fetch cost (:func:`run_fetch_cost`), the rare-character frequency source
 (:func:`run_pushdown`).
 """
 
-from .batch_service import DEFAULT_SERVICE_SHARD_COUNTS, run_batch_service
 from .columnar import DEFAULT_COLUMNAR_WORKLOAD, run_columnar
 from .fetch_cost import DEFAULT_FETCH_WORKLOADS, run_fetch_cost
 from .figure4 import FIGURE4_SYSTEMS, run_figure4
@@ -91,7 +89,6 @@ __all__ = [
     "DEFAULT_INGEST_WORKLOAD",
     "DEFAULT_RELATED_WORK_WORKLOADS",
     "DEFAULT_SCALE_FACTORS",
-    "DEFAULT_SERVICE_SHARD_COUNTS",
     "DEFAULT_SHARD_COUNTS",
     "DEFAULT_SKETCH_THRESHOLD",
     "DEFAULT_TABLE2_WORKLOADS",
@@ -120,7 +117,6 @@ __all__ = [
     "build_sketch_scenario",
     "format_ratio",
     "format_table",
-    "run_batch_service",
     "run_columnar",
     "run_fetch_cost",
     "run_figure4",

@@ -1,5 +1,6 @@
 """The extended single-attribute inverted index with per-row super keys:
-one CSR block, served, edited by rewrites and partitioned into shards."""
+one CSR block, served (optionally behind the LRU cache of
+:mod:`repro.index.cache`) and edited by rewrites."""
 
 from .builder import IndexBuildReport, IndexBuilder, build_index
 from .columnar import (
@@ -15,13 +16,6 @@ from .inverted import InvertedIndex
 from .kernels import entry_coverage
 from .maintenance import IndexMaintainer
 from .posting import FetchedItem, PostingListItem
-from .sharded import (
-    ShardedInvertedIndex,
-    build_sharded_index,
-    open_shard_segments,
-    save_shard_segments,
-    shard_of_value,
-)
 from .statistics import (
     IndexStorageReport,
     JOSIE_BYTES_PER_ENTRY,
@@ -52,14 +46,9 @@ __all__ = [
     "PostingListItem",
     "PostingVolumeEstimate",
     "SCR_BYTES_PER_ENTRY",
-    "ShardedInvertedIndex",
     "bits_to_bytes",
     "build_index",
-    "build_sharded_index",
     "estimate_posting_volume",
-    "open_shard_segments",
     "sample_positions",
-    "save_shard_segments",
-    "shard_of_value",
     "storage_report",
 ]

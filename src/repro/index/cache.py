@@ -12,10 +12,10 @@ classes implement the hot path:
   :class:`~repro.metrics.counters.CacheCounters` hit/miss/eviction counters
   from :mod:`repro.metrics`;
 * :class:`CachingIndex` — a read-through wrapper that sits between the
-  discovery engine and *any* index (monolithic
-  :class:`~repro.index.inverted.InvertedIndex` or
-  :class:`~repro.index.sharded.ShardedInvertedIndex`), caching per-value
-  fetch blocks while delegating the rest of the query surface unchanged.
+  discovery engine and an index, caching per-value fetch blocks while
+  delegating the rest of the query surface unchanged.  A
+  :class:`~repro.api.session.DiscoverySession` wraps its index in one unless
+  ``ServiceConfig.cache_capacity`` is 0.
 
 Caching is transparent by construction: ``CachingIndex.fetch_batch`` returns
 exactly what the wrapped index would return (same blocks, same order) and
@@ -34,9 +34,8 @@ from typing import Iterable
 
 from ..datamodel import MISSING
 from ..exceptions import ConfigurationError
-from ..index import FetchBlock
-from ..index.columnar import FetchSurface
 from ..metrics import CacheCounters
+from .columnar import FetchBlock, FetchSurface
 
 
 class PostingListCache:
@@ -54,7 +53,7 @@ class PostingListCache:
             )
         #: Maximum number of cached values.
         self.capacity = capacity
-        #: Hit/miss/eviction accounting (shared with the service layer).
+        #: Hit/miss/eviction accounting (read by the session's batch stats).
         self.counters = counters or CacheCounters()
         self._entries: OrderedDict[str, FetchBlock] = OrderedDict()
         self._lock = threading.Lock()
@@ -104,12 +103,11 @@ class PostingListCache:
 class CachingIndex(FetchSurface):
     """Read-through posting-list cache in front of any index.
 
-    Wraps an :class:`~repro.index.inverted.InvertedIndex` or
-    :class:`~repro.index.sharded.ShardedInvertedIndex` and serves
-    ``fetch_batch`` per value from the LRU cache, falling back to one batched
-    fetch of all missing values (so a sharded index still fans out once per
-    request, not once per value).  Everything else — posting-list accessors,
-    super keys, shard topology — is delegated to the wrapped index.
+    Wraps an index (an :class:`~repro.index.inverted.InvertedIndex` or a
+    :class:`~repro.ingest.live.LiveIndex`) and serves ``fetch_batch`` per
+    value from the LRU cache, falling back to one batched fetch of all
+    missing values.  Everything else — posting-list accessors, super keys —
+    is delegated to the wrapped index.
     """
 
     def __init__(
@@ -186,5 +184,5 @@ class CachingIndex(FetchSurface):
         return value in self._index
 
     def __getattr__(self, name: str):
-        """Delegate everything else (accessors, shard topology) to the index."""
+        """Delegate everything else (accessors, super keys) to the index."""
         return getattr(self._index, name)

@@ -42,14 +42,8 @@ def _refusal(index) -> str | None:
     """Why ``index`` cannot be maintained by block rewrites (``None`` when
     it can); a caching wrapper is judged by the index it wraps."""
     from ..ingest.live import LiveIndex
-    from .sharded import ShardedInvertedIndex
 
     target = getattr(index, "wrapped", index)
-    if isinstance(target, ShardedInvertedIndex):
-        return (
-            "a sharded index is read-only; maintain the monolithic index and "
-            "partition it again (ShardedInvertedIndex.from_index)"
-        )
     if isinstance(target, LiveIndex):
         return "a LiveIndex is edited through its add_table / remove_table"
     if not isinstance(target, InvertedIndex):
@@ -66,8 +60,8 @@ class IndexMaintainer:
     """Keeps an :class:`InvertedIndex` consistent with corpus edits.
 
     Refuses, with an :class:`~repro.exceptions.IndexError_` naming the
-    kind, an index it cannot rewrite: a sharded index, a
-    :class:`~repro.ingest.LiveIndex`, and one mapping a segment file.  An
+    kind, an index it cannot rewrite: a :class:`~repro.ingest.LiveIndex`
+    and one mapping a segment file.  An
     edit reads the block, rewrites it and installs the result, so one
     thread edits an index at a time; readers may run beside it.
     """

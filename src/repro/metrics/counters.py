@@ -18,10 +18,11 @@ from .timing import StageStats
 
 @dataclass
 class CacheCounters:
-    """Hit/miss accounting for the service layer's posting-list cache.
+    """Hit/miss accounting for a session's posting-list cache.
 
-    The batch-discovery service (:mod:`repro.service`) puts an LRU cache in
-    front of the index; its effectiveness is an accuracy-free, pure-runtime
+    A :class:`~repro.api.session.DiscoverySession` puts an LRU cache
+    (:mod:`repro.index.cache`) in front of its index; its effectiveness is an
+    accuracy-free, pure-runtime
     metric, so it gets its own counter object rather than extending
     :class:`DiscoveryCounters` (cache behaviour is a property of the serving
     deployment, not of one discovery run).

@@ -13,12 +13,6 @@ from .paged import (
     reopen_segment,
     write_segment,
 )
-from .sharded import (
-    list_sharded_indexes,
-    load_sharded_index,
-    save_sharded_index,
-    shard_index_name,
-)
 from .serialization import (
     INDEX_FORMAT_VERSION,
     corpus_from_json,
@@ -53,15 +47,11 @@ __all__ = [
     "corpus_to_json",
     "index_from_payload",
     "index_to_payload",
-    "list_sharded_indexes",
     "load_corpus_from_csv_directory",
     "load_corpus_json",
     "load_index_json",
-    "load_sharded_index",
     "save_corpus_json",
     "save_index_json",
-    "save_sharded_index",
-    "shard_index_name",
     "table_from_csv",
     "table_to_csv",
 ]

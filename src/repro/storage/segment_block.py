@@ -13,8 +13,7 @@ whatever backs them — a numpy array, an :class:`array.array`, or a file
 mapping — so readers iterate Python integers and the numpy kernels wrap them
 without a copy.
 
-Building, editing, sharding and writing an index are operations on these
-columns:
+Building, editing and writing an index are operations on these columns:
 
 * the bulk build and the ingest buffer lay tables out with
   :func:`repro.index.bulk.layout_block`; the storage loaders, which read
@@ -24,9 +23,7 @@ columns:
   equal ids keep block order, then posting order — the concatenation order a
   bulk rebuild over the surviving tables produces.  Compaction merges
   segments with it, and Section 5.4's edits are "merge without the table,
-  plus the table rebuilt";
-* :func:`partition_block` cuts a block into value-hash shards that share its
-  row table.
+  plus the table rebuilt".
 
 The file format around a block is :mod:`repro.storage.paged`'s.
 """
@@ -317,55 +314,6 @@ def visible_counts(
     )
     rows = _np.frombuffer(block.row_table_ids, _np.int64)
     return lengths.tolist(), spilled + int(len(rows) - _np.isin(rows, dead).sum())
-
-
-def partition_block(
-    block: SegmentBlock, owners: Sequence[int], count: int
-) -> list[SegmentBlock]:
-    """Cut ``block`` into ``count`` blocks by value: value ``i`` and all its
-    postings go to part ``owners[i]``, each part keeping first-seen order.
-
-    Every part shares the row table and spill of ``block`` (uncopied), so
-    any part resolves any row's key; its ``unpacked`` ids are renumbered.
-    """
-    owner_of = _np.asarray(owners, dtype=_np.int64)
-    offsets = _np.frombuffer(block.posting_offsets, _np.int64)
-    lengths = _np.diff(offsets)
-    table_ids = _np.frombuffer(block.table_ids, _np.int64)
-    row_indexes = _np.frombuffer(block.row_indexes, _np.int64)
-    column_indexes = _np.frombuffer(block.column_indexes, _np.int32)
-    keys = _np.frombuffer(block.posting_keys, _np.uint8).reshape(-1, block.key_width)
-    unpacked = _np.zeros(len(block.values), dtype=bool)
-    unpacked[list(block.unpacked)] = True
-    parts = []
-    for part in range(count):
-        ids = _np.flatnonzero(owner_of == part)
-        part_offsets = _np.zeros(len(ids) + 1, dtype=_np.int64)
-        _np.cumsum(lengths[ids], out=part_offsets[1:])
-        # Position p of the part reads its value's source run at the same
-        # distance from the run's start: one repeat, one gather per column.
-        positions = _np.repeat(
-            offsets[ids] - part_offsets[:-1], lengths[ids]
-        ) + _np.arange(part_offsets[-1])
-        parts.append(
-            SegmentBlock(
-                hash_function_name=block.hash_function_name,
-                hash_size=block.hash_size,
-                key_width=block.key_width,
-                values=list(map(block.values.__getitem__, ids.tolist())),
-                posting_offsets=part_offsets,
-                table_ids=table_ids[positions],
-                row_indexes=row_indexes[positions],
-                column_indexes=column_indexes[positions],
-                posting_keys=keys[positions],
-                row_table_ids=block.row_table_ids,
-                row_row_indexes=block.row_row_indexes,
-                row_keys=block.row_keys,
-                spill=block.spill,
-                unpacked=_np.flatnonzero(unpacked[ids]).tolist(),
-            )
-        )
-    return parts
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Covers the request contract, the per-request budget/deadline semantics, the
 engine registry, the session facade (single / batch / streaming / async),
-the JSON response schema, and the deprecated service shim.
+and the JSON response schema.
 """
 
 from __future__ import annotations
@@ -466,20 +466,3 @@ class TestResponseSchema:
         assert document["kind"] == "batch_result"
         assert document["stats"]["num_queries"] == 1
         json.dumps(document)
-
-
-class TestDeprecatedServiceShim:
-    def test_service_warns_and_matches_session(self, workload, index, api_config):
-        from repro.service import DiscoveryService
-
-        with pytest.warns(DeprecationWarning):
-            service = DiscoveryService(workload.corpus, index, config=api_config)
-        expected = MateDiscovery(
-            workload.corpus, index, config=api_config
-        ).discover(workload.queries[0])
-        assert service.discover(workload.queries[0]).result_tuples() == (
-            expected.result_tuples()
-        )
-        batch = service.discover_batch(list(workload.queries))
-        assert len(batch) == len(workload.queries)
-        assert batch.stats.failed_queries == 0

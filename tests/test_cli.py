@@ -37,6 +37,27 @@ class TestParser:
             capsys.readouterr().err
         )
 
+    # A session serves one index: the value-shard count and its fetch
+    # fan-out went with the value-sharded index.
+    @pytest.mark.parametrize(
+        "retired",
+        [["--shards", "2"], ["--fetch-workers", "2"]],
+        ids=["shards", "fetch-workers"],
+    )
+    def test_retired_serve_batch_options_rejected(self, retired, capsys):
+        arguments = ["serve-batch", "corpus.json", "queries.json"]
+        build_parser().parse_args(arguments)
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*arguments, *retired])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(retired)}" in (
+            capsys.readouterr().err
+        )
+
+    def test_the_batch_service_experiment_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["experiment", "batch_service"])
+
 
 class TestGenerateAndIndex:
     def test_generate_writes_corpus_and_queries(self, tmp_path, capsys):
@@ -147,17 +168,15 @@ class TestServeBatchCommand:
         exit_code = main([
             "serve-batch", str(corpus_path), str(queries_path),
             "--key", "f_name", "l_name", "country",
-            "--shards", "2", "--workers", "2", "--k", "2",
+            "--workers", "2", "--k", "2",
         ])
         assert exit_code == 0
         output = capsys.readouterr().out
-        assert "served 1 queries over 2 shards" in output
+        assert "served 1 queries" in output
         assert "1:5" in output  # table T1 with joinability 5 (Figure 1)
         assert "cache:" in output
 
-    def test_serve_batch_persists_and_reloads_sharded_index(
-        self, tmp_path, capsys
-    ):
+    def test_serve_batch_persists_and_reloads_the_index(self, tmp_path, capsys):
         corpus_path = tmp_path / "corpus.json"
         queries_path = tmp_path / "queries.json"
         database_path = tmp_path / "service.db"
@@ -167,25 +186,25 @@ class TestServeBatchCommand:
         ])
         first = main([
             "serve-batch", str(corpus_path), str(queries_path),
-            "--shards", "3", "--database", str(database_path), "--k", "3",
+            "--database", str(database_path), "--k", "3",
         ])
         assert first == 0
         first_output = capsys.readouterr().out
-        # Second invocation loads the sharded index back from SQLite and must
-        # serve the same results.
+        # Second invocation loads the index back from SQLite and must serve
+        # the same results.
         second = main([
             "serve-batch", str(corpus_path), str(queries_path),
-            "--shards", "3", "--database", str(database_path), "--k", "3",
+            "--database", str(database_path), "--k", "3",
         ])
         assert second == 0
         second_output = capsys.readouterr().out
         first_ranked = [l for l in first_output.splitlines() if "top-3" in l]
         second_ranked = [l for l in second_output.splitlines() if "top-3" in l]
         assert first_ranked == second_ranked
-        from repro.storage import SQLiteBackend, list_sharded_indexes
+        from repro.storage import SQLiteBackend
 
         with SQLiteBackend(database_path) as backend:
-            assert list_sharded_indexes(backend) == {"main": 3}
+            assert backend.list_indexes() == ["main"]
 
     def test_serve_batch_stored_layout_overrides_flags(self, tmp_path, capsys):
         corpus_path = tmp_path / "corpus.json"
@@ -197,23 +216,53 @@ class TestServeBatchCommand:
         ])
         main([
             "serve-batch", str(corpus_path), str(queries_path),
-            "--shards", "2", "--hash-size", "64",
+            "--hash-size", "64",
             "--database", str(database_path), "--k", "2",
         ])
         capsys.readouterr()
-        # Conflicting flags on reload: the stored 2-shard/64-bit layout wins
-        # (a 128-bit engine over 64-bit stored super keys would silently
-        # filter out real matches).
+        # A conflicting flag on reload: the stored 64-bit index wins (a
+        # 128-bit engine over 64-bit stored super keys would silently filter
+        # out real matches).
         exit_code = main([
             "serve-batch", str(corpus_path), str(queries_path),
-            "--shards", "4", "--hash-size", "128",
+            "--hash-size", "128",
             "--database", str(database_path), "--k", "2",
         ])
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "using stored index layout" in output
-        assert "2 shards, 64-bit xash" in output
-        assert "served 1 queries over 2 shards" in output
+        assert "64-bit xash (ignoring --hash-size)" in output
+        assert "served 1 queries" in output
+
+    def test_serve_batch_refuses_the_value_sharded_layout(self, tmp_path):
+        """Older releases saved ``main`` as ``main.shard{i}of{n}`` records;
+        such a file is refused by name and nothing is built beside them."""
+        from repro import build_index
+        from repro.exceptions import StorageError
+        from repro.storage import SQLiteBackend
+
+        corpus_path = tmp_path / "corpus.json"
+        queries_path = tmp_path / "queries.json"
+        database_path = tmp_path / "service.db"
+        main([
+            "generate", "WT_10", "--queries", "1", "--scale", "0.05",
+            "--corpus-out", str(corpus_path), "--queries-out", str(queries_path),
+        ])
+        index = build_index(load_corpus_json(corpus_path))
+        records = ["main.shard0of2", "main.shard1of2"]
+        with SQLiteBackend(database_path) as backend:
+            for name in records:
+                backend.save_index(name, index)
+        with pytest.raises(StorageError) as raised:
+            main([
+                "serve-batch", str(corpus_path), str(queries_path),
+                "--database", str(database_path),
+            ])
+        message = str(raised.value)
+        assert "'main.shard0of2'" in message
+        assert "rebuild" in message
+        with SQLiteBackend(database_path) as backend:
+            assert backend.list_indexes() == records
 
 
 class TestProfileCommand:

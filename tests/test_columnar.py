@@ -6,7 +6,7 @@ import copy
 
 import pytest
 
-from repro import MateConfig, MateDiscovery, build_index, build_sharded_index
+from repro import MateConfig, MateDiscovery, build_index
 from repro.datagen import build_workload
 from repro.datamodel import MISSING
 from repro.exceptions import StorageError
@@ -19,12 +19,11 @@ from repro.index import (
     IndexMaintainer,
     InvertedIndex,
     PostingListItem,
-    ShardedInvertedIndex,
     compute_table_runs,
     fetch_table_blocks,
     group_into_table_blocks,
 )
-from repro.service import CachingIndex, DiscoveryService
+from repro.index.cache import CachingIndex
 from repro.storage import (
     InMemoryBackend,
     PagedPostingStore,
@@ -32,9 +31,7 @@ from repro.storage import (
     index_from_payload,
     index_to_payload,
     load_index_json,
-    load_sharded_index,
     save_index_json,
-    save_sharded_index,
 )
 from tests.helpers import (
     BUILD_LANES,
@@ -206,19 +203,6 @@ class TestFetchAgainstACorpusScan:
                 engine.discover(query), legacy_discover(engine, query)
             )
 
-    def test_sharded_discovery_matches(self, workload, config, columnar_index):
-        sharded = build_sharded_index(workload.corpus, num_shards=3, config=config)
-        values = sorted(columnar_index.values())[:200]
-        assert sharded.fetch(values) == columnar_index.fetch(values)
-        for query in workload.queries[:1]:
-            monolithic = MateDiscovery(
-                workload.corpus, columnar_index, config=config
-            ).discover(query)
-            over_shards = MateDiscovery(
-                workload.corpus, sharded, config=config
-            ).discover(query)
-            assert over_shards.result_tuples() == monolithic.result_tuples()
-
     @pytest.mark.parametrize("lane", BUILD_LANES)
     def test_maintenance_edits_match_the_scan(self, workload, config, lane):
         """An edited table moves to the end of every posting list: the index
@@ -274,14 +258,8 @@ class TestOneLayout:
     LAYOUT_ARGUMENTS = {
         "MateConfig": lambda corpus: MateConfig(index_layout="columnar"),
         "InvertedIndex": lambda corpus: InvertedIndex(layout="columnar"),
-        "ShardedInvertedIndex": lambda corpus: ShardedInvertedIndex(
-            layout="columnar"
-        ),
         "IndexBuilder": lambda corpus: IndexBuilder(layout="columnar"),
         "build_index": lambda corpus: build_index(corpus, layout="columnar"),
-        "build_sharded_index": lambda corpus: build_sharded_index(
-            corpus, layout="columnar"
-        ),
     }
 
     @pytest.mark.parametrize("entry_point", sorted(LAYOUT_ARGUMENTS))
@@ -457,22 +435,6 @@ class TestPackedPersistence:
             reloaded = backend.load_index("new")
             assert reloaded.fetch(["lovelace"]) == fresh.fetch(["lovelace"])
 
-    @pytest.mark.parametrize("backend_factory", [InMemoryBackend, SQLiteBackend])
-    def test_sharded_columnar_roundtrip(
-        self, workload, config, backend_factory, tmp_path
-    ):
-        sharded = build_sharded_index(workload.corpus, num_shards=3, config=config)
-        if backend_factory is SQLiteBackend:
-            backend = backend_factory(tmp_path / "sharded.db")
-        else:
-            backend = backend_factory()
-        with backend:
-            save_sharded_index(backend, "main", sharded)
-            loaded = load_sharded_index(backend, "main")
-        assert loaded.shard_sizes() == sharded.shard_sizes()
-        values = sorted(sharded.values())[:150]
-        assert loaded.fetch(values) == sharded.fetch(values)
-
     def test_paged_store_fetch_batch_accounts_pages(self, columnar_index):
         store = PagedPostingStore(columnar_index, buffer_pool_pages=16)
         values = sorted(columnar_index.values())[:40]
@@ -504,14 +466,3 @@ class TestCachingBlocks:
         assert caching.fetch_batch(["not-in-the-index"]) == []
         assert caching.fetch_batch(["not-in-the-index"]) == []
         assert caching.counters.hits == 1
-
-    def test_service_on_columnar_sharded_index(self, workload, config):
-        index = build_sharded_index(workload.corpus, num_shards=2, config=config)
-        service = DiscoveryService(workload.corpus, index, config=config)
-        batch = service.discover_batch(list(workload.queries))
-        for query, served in zip(workload.queries, batch):
-            cold = MateDiscovery(
-                workload.corpus, build_index(workload.corpus, config=config),
-                config=config,
-            ).discover(query)
-            assert served.result_tuples() == cold.result_tuples()

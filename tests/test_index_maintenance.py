@@ -7,12 +7,12 @@ edit rewrites the block: the edited table is dropped and appended again.
 
 import pytest
 
-from repro import LiveIndex, MateConfig, build_index, build_sharded_index
+from repro import LiveIndex, MateConfig, build_index
 from repro.datamodel import Row, Table, TableCorpus
 from repro.exceptions import DataModelError, IndexError_
 from repro.hashing import SuperKeyGenerator
 from repro.index import IndexMaintainer
-from repro.service import CachingIndex
+from repro.index.cache import CachingIndex
 from repro.storage import load_segment, write_segment
 from tests.helpers import BUILD_LANES, build_in_lane
 
@@ -158,14 +158,6 @@ class TestRefusals:
                 IndexMaintainer(corpus, mapped, generator)
         finally:
             mapped.close()
-
-    def test_a_sharded_index(self, config):
-        corpus = self.corpus()
-        generator = SuperKeyGenerator.from_name("xash", config)
-        sharded = build_sharded_index(corpus, num_shards=2, config=config)
-        for index in (sharded, CachingIndex(sharded)):
-            with pytest.raises(IndexError_, match="sharded index is read-only"):
-                IndexMaintainer(corpus, index, generator)
 
     def test_a_live_index(self, config):
         corpus = self.corpus()

@@ -20,7 +20,6 @@ import repro
 #: field names changed) in the same commit as any export change.
 EXPECTED_EXPORTS = [
     "AdmissionController",
-    "BatchDiscoveryResult",
     "BatchStats",
     "ColumnSketch",
     "CompactionPolicy",
@@ -34,7 +33,6 @@ EXPECTED_EXPORTS = [
     "DiscoveryHTTPServer",
     "DiscoveryRequest",
     "DiscoveryResult",
-    "DiscoveryService",
     "DiscoverySession",
     "EngineNotFoundError",
     "EngineRegistry",
@@ -62,7 +60,6 @@ EXPECTED_EXPORTS = [
     "ServiceConfig",
     "SessionBatch",
     "SessionResult",
-    "ShardedInvertedIndex",
     "ShardedMateDiscovery",
     "SketchIndex",
     "SketchIndexConfig",
@@ -81,7 +78,6 @@ EXPECTED_EXPORTS = [
     "available_engines",
     "available_hash_functions",
     "build_index",
-    "build_sharded_index",
     "build_sketch_index",
     "create_hash_function",
     "exact_joinability",
@@ -195,3 +191,66 @@ def test_the_second_index_representation_is_gone(module_name, name):
 def test_replace_block_is_the_only_mutator(owner, name):
     assert not hasattr(getattr(repro, owner), name)
     assert hasattr(repro.InvertedIndex, "replace_block")
+
+
+#: The old service layer, gone with the value-hash index partition it
+#: served: a session serves one index (``DiscoverySession``), behind the
+#: cache of ``repro.index.cache``; "sharding" is the ``"sharded"`` engine's
+#: table shards.
+REMOVED_SERVICE_NAMES = [
+    ("repro", name)
+    for name in (
+        "BatchDiscoveryResult",
+        "DiscoveryService",
+        "ShardedInvertedIndex",
+        "build_sharded_index",
+    )
+] + [
+    ("repro.index", name)
+    for name in (
+        "ShardedInvertedIndex",
+        "build_sharded_index",
+        "open_shard_segments",
+        "save_shard_segments",
+        "shard_of_value",
+    )
+] + [
+    ("repro.storage", name)
+    for name in (
+        "list_sharded_indexes",
+        "load_sharded_index",
+        "save_sharded_index",
+        "shard_index_name",
+    )
+] + [
+    ("repro.storage.segment_block", "partition_block"),
+    ("repro.experiments", "run_batch_service"),
+    ("repro.experiments", "DEFAULT_SERVICE_SHARD_COUNTS"),
+]
+
+
+@pytest.mark.parametrize("module_name, name", REMOVED_SERVICE_NAMES)
+def test_the_service_layer_names_are_gone(module_name, name):
+    with pytest.raises(AttributeError):
+        getattr(importlib.import_module(module_name), name)
+
+
+@pytest.mark.parametrize(
+    "module_name",
+    ["repro.service", "repro.service.cache", "repro.service.service",
+     "repro.index.sharded", "repro.storage.sharded",
+     "repro.experiments.batch_service"],
+)
+def test_the_service_layer_modules_are_gone(module_name):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module_name)
+
+
+def test_the_cache_and_batch_stats_moved():
+    from repro.api.results import BatchStats
+    from repro.index.cache import CachingIndex, PostingListCache
+
+    assert repro.BatchStats is BatchStats
+    assert CachingIndex.__module__ == PostingListCache.__module__ == (
+        "repro.index.cache"
+    )

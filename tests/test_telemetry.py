@@ -24,7 +24,7 @@ import os
 import pytest
 
 from repro import DiscoveryRequest, DiscoverySession, Telemetry
-from repro.config import MateConfig
+from repro.config import MateConfig, ServiceConfig
 from repro.datagen import build_workload
 from repro.exceptions import EngineNotFoundError
 from repro.serve import ProcessShardPool, ServeConfig
@@ -381,6 +381,36 @@ class TestSessionTelemetry:
         assert isinstance(record.trace_id, str)
         assert len(record.trace_id) == 16
         int(record.trace_id, 16)
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_batch_requests_join_the_caller_trace(self, workload, max_workers):
+        """Regression: on the session's pool every batch request started a
+        new trace — ``ThreadPoolExecutor.map`` does not carry the caller's
+        contextvars, so ``session.discover`` lost its parent span."""
+        exporter = InMemoryExporter()
+        telemetry = Telemetry(tracer=Tracer(exporter))
+        session = DiscoverySession(
+            workload.corpus,
+            config=CONFIG,
+            service_config=ServiceConfig(max_workers=max_workers),
+            telemetry=telemetry,
+        )
+        requests = [
+            DiscoveryRequest(query=query, request_id=f"q{position}")
+            for position, query in enumerate(workload.queries * 2)
+        ]
+        try:
+            with telemetry.tracer.span("caller") as caller:
+                session.discover_batch(requests)
+        finally:
+            session.close()
+            telemetry.close()
+        discovers = [
+            span for span in exporter.spans if span["name"] == "session.discover"
+        ]
+        assert len(discovers) == 4
+        assert [span["parent_id"] for span in discovers] == [caller.span_id] * 4
+        assert {span["trace_id"] for span in discovers} == {caller.trace_id}
 
 
 # ----------------------------------------------------------------------
