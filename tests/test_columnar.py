@@ -6,7 +6,15 @@ import copy
 
 import pytest
 
-from repro import MateConfig, MateDiscovery, build_index
+from repro import (
+    DiscoveryRequest,
+    DiscoverySession,
+    MateConfig,
+    MateDiscovery,
+    ServiceConfig,
+    ShardedMateDiscovery,
+    build_index,
+)
 from repro.datagen import build_workload
 from repro.datamodel import MISSING
 from repro.exceptions import StorageError
@@ -202,6 +210,24 @@ class TestFetchAgainstACorpusScan:
             assert_results_byte_identical(
                 engine.discover(query), legacy_discover(engine, query)
             )
+
+    def test_sharded_discovery_matches(self, workload, config, columnar_index):
+        """Each table shard's index is the monolith's postings of its own
+        tables, and the shards merge to the monolith's answers."""
+        sharded = ShardedMateDiscovery(workload.corpus, num_shards=3, config=config)
+        values = sorted(columnar_index.values())[:200]
+        whole = columnar_index.fetch(values)
+        for shard, index in zip(sharded.shards, sharded.shard_indexes):
+            tables = set(shard.table_ids())
+            assert index.fetch(values) == [
+                item for item in whole if item.table_id in tables
+            ]
+        for query in workload.queries[:1]:
+            monolithic = MateDiscovery(
+                workload.corpus, columnar_index, config=config
+            ).discover(query)
+            over_shards = sharded.discover(query)
+            assert over_shards.result_tuples() == monolithic.result_tuples()
 
     @pytest.mark.parametrize("lane", BUILD_LANES)
     def test_maintenance_edits_match_the_scan(self, workload, config, lane):
@@ -435,6 +461,32 @@ class TestPackedPersistence:
             reloaded = backend.load_index("new")
             assert reloaded.fetch(["lovelace"]) == fresh.fetch(["lovelace"])
 
+    @pytest.mark.parametrize("backend_factory", [InMemoryBackend, SQLiteBackend])
+    def test_sharded_columnar_roundtrip(
+        self, workload, config, backend_factory, tmp_path
+    ):
+        """A table shard's index, whose table ids have gaps, saves and loads
+        whole on both backends."""
+        sharded = ShardedMateDiscovery(workload.corpus, num_shards=3, config=config)
+        if backend_factory is SQLiteBackend:
+            backend = backend_factory(tmp_path / "sharded.db")
+        else:
+            backend = backend_factory()
+        with backend:
+            for position, index in enumerate(sharded.shard_indexes):
+                backend.save_index(f"shard{position}", index)
+            loaded = [
+                backend.load_index(f"shard{position}")
+                for position in range(sharded.num_shards)
+            ]
+        for index, restored in zip(sharded.shard_indexes, loaded):
+            values = sorted(index.values())[:150] + ["never indexed"]
+            assert restored.fetch(values) == index.fetch(values)
+            assert restored.indexed_tables() == index.indexed_tables()
+            assert sorted(restored.iter_super_keys()) == sorted(
+                index.iter_super_keys()
+            )
+
     def test_paged_store_fetch_batch_accounts_pages(self, columnar_index):
         store = PagedPostingStore(columnar_index, buffer_pool_pages=16)
         values = sorted(columnar_index.values())[:40]
@@ -466,3 +518,24 @@ class TestCachingBlocks:
         assert caching.fetch_batch(["not-in-the-index"]) == []
         assert caching.fetch_batch(["not-in-the-index"]) == []
         assert caching.counters.hits == 1
+
+    def test_service_on_columnar_sharded_index(
+        self, workload, config, columnar_index
+    ):
+        # A cached session's "sharded" batch answers what a cold engine does.
+        with DiscoverySession(
+            workload.corpus,
+            columnar_index,
+            config=config,
+            service_config=ServiceConfig(num_shards=2, cache_capacity=256),
+        ) as session:
+            assert isinstance(session.index, CachingIndex)
+            batch = session.discover_batch(
+                [
+                    DiscoveryRequest(query=query, engine="sharded")
+                    for query in workload.queries
+                ]
+            )
+        cold = MateDiscovery(workload.corpus, columnar_index, config=config)
+        for query, served in zip(workload.queries, batch):
+            assert served.result_tuples() == cold.discover(query).result_tuples()

@@ -41,6 +41,21 @@ class TestShardCorpus:
         sizes = [len(shard) for shard in shards]
         assert max(sizes) - min(sizes) <= 1
 
+    @pytest.mark.parametrize("num_shards", [1, 2, 3, 7])
+    def test_tables_go_round_robin_over_sorted_ids(self, workload, num_shards):
+        # The in-process engine and the process pool both rely on this rule
+        # to split a corpus into the same shards.
+        table_ids = sorted(workload.corpus.table_ids())
+        shards = shard_corpus(workload.corpus, num_shards)
+        assert len(shards) == num_shards
+        for position, shard in enumerate(shards):
+            assert shard.name == f"{workload.corpus.name}_shard_{position}"
+            assert sorted(shard.table_ids()) == table_ids[position::num_shards]
+            for table_id in shard.table_ids():
+                assert shard.get_table(table_id) is workload.corpus.get_table(
+                    table_id
+                )
+
     def test_more_shards_than_tables(self):
         corpus = TableCorpus(name="tiny")
         corpus.create_table(name="only", columns=["a"], rows=[["x"]])
@@ -160,6 +175,20 @@ class TestShardedMateDiscovery:
         assert len(stats) == 4
         assert all(s.runtime_seconds >= 0 for s in stats)
         assert sharded.work_imbalance() >= 1.0 or sharded.work_imbalance() == 1.0
+
+    def test_shard_statistics_sum_to_the_merged_counters(self, workload):
+        sharded = ShardedMateDiscovery(workload.corpus, num_shards=3, config=CONFIG)
+        result = sharded.discover(workload.queries[0], k=5)
+        stats = sharded.last_shard_statistics
+        assert [s.shard_index for s in stats] == [0, 1, 2]
+        assert sum(s.num_tables for s in stats) == len(workload.corpus)
+        assert sum(s.pl_items_fetched for s in stats) == (
+            result.counters.pl_items_fetched
+        )
+        assert sum(s.rows_checked for s in stats) == result.counters.rows_checked
+        assert result.counters.runtime_seconds == max(
+            s.runtime_seconds for s in stats
+        )
 
     def test_single_shard_equals_plain_mate(self, workload):
         # One shard over the whole corpus is literally the single engine, so

@@ -35,6 +35,9 @@ from repro.serve.protocol import (
     Shutdown,
     WorkerReady,
 )
+from repro.sketch.index import SKETCH_SUFFIX, SketchIndex
+from repro.storage import load_segment, write_segment
+from tests.helpers import assert_blocks_equal
 
 CONFIG = MateConfig(expected_unique_values=100_000, k=5)
 SHARD_COUNTS = (1, 2, 3)
@@ -307,6 +310,69 @@ class TestHedging:
             assert pool.metrics.hedges_sent >= 1
         finally:
             pool.close()
+
+
+class TestShardSegments:
+    """The pool persists one ``.seg`` and one ``.sk`` per table shard; a
+    given ``segments_dir`` keeps them, and each maps back as the index the
+    in-process engine builds for that shard."""
+
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    def test_segments_map_back_as_the_in_process_shards(
+        self, workload, reference, num_shards, tmp_path
+    ):
+        segments = tmp_path / "segments"
+        with ProcessShardPool(
+            workload.corpus,
+            config=CONFIG,
+            hash_function_name="xash",
+            serve_config=ServeConfig(num_shards=num_shards, segments_dir=segments),
+        ) as pool:
+            result = pool.discover(workload.queries[0], k=CONFIG.k)
+            assert topk_tuples(result) == reference[0]
+        assert sorted(path.name for path in segments.iterdir()) == sorted(
+            f"shard_{position:02d}{suffix}"
+            for position in range(num_shards)
+            for suffix in (".seg", SKETCH_SUFFIX)
+        )
+        in_process = ShardedMateDiscovery(
+            workload.corpus, num_shards=num_shards, config=CONFIG
+        )
+        for position, index in enumerate(in_process.shard_indexes):
+            path = segments / f"shard_{position:02d}.seg"
+            assert path.read_bytes() == write_segment(
+                index, tmp_path / f"in_process_{position:02d}.seg", fsync=False
+            ).read_bytes()
+            mapped = load_segment(path)
+            try:
+                values = sorted(index.values())[::7] + ["never indexed"]
+                assert_blocks_equal(
+                    mapped.fetch_batch(values), index.fetch_batch(values)
+                )
+                assert mapped.indexed_tables() == index.indexed_tables()
+            finally:
+                mapped.close()
+            sketches = SketchIndex.load(segments, stem=path.stem)
+            assert sketches.table_ids() == set(
+                in_process.shards[position].table_ids()
+            )
+
+    def test_a_private_segments_dir_is_removed_on_close(
+        self, tiny_query_corpus, tmp_path, monkeypatch
+    ):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        query, corpus = tiny_query_corpus
+        pool = TestLifecycle().make_pool(corpus)
+        try:
+            (private,) = tmp_path.iterdir()
+            assert private.name.startswith("mate-serve-")
+            assert (private / "shard_00.seg").is_file()
+            pool.discover(query, k=3)
+        finally:
+            pool.close()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLifecycle:

@@ -13,6 +13,7 @@ from repro import (
     MateConfig,
     MateDiscovery,
     ServiceConfig,
+    ShardedMateDiscovery,
     build_index,
 )
 from repro.index import FetchBlock
@@ -267,6 +268,62 @@ class TestOneIndexPerSession:
         # The value-sharded index's fetch fan-out went with it.
         with pytest.raises(TypeError, match="fetch_workers"):
             ServiceConfig(fetch_workers=2)
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 4, 7])
+    def test_sharded_engine_answers_equal_mate(
+        self, workload, service_config, monolithic_index, num_shards
+    ):
+        with DiscoverySession(
+            workload.corpus,
+            monolithic_index,
+            config=service_config,
+            service_config=ServiceConfig(num_shards=num_shards),
+        ) as session:
+            mate = session.discover_batch(requests_for(workload)).results
+            over_shards = session.discover_batch(
+                requests_for(workload, engine="sharded")
+            ).results
+        for one, table_shards in zip(mate, over_shards):
+            assert [
+                (table.table_id, table.joinability, tuple(table.column_mapping))
+                for table in table_shards.tables
+            ] == [
+                (table.table_id, table.joinability, tuple(table.column_mapping))
+                for table in one.tables
+            ]
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 3, 7])
+    def test_each_table_shard_indexes_its_own_tables(
+        self, workload, service_config, monolithic_index, num_shards
+    ):
+        """A table shard's index holds the monolith's postings and row keys
+        of exactly its own tables, in the monolith's order."""
+        sharded = ShardedMateDiscovery(
+            workload.corpus, num_shards=num_shards, config=service_config
+        )
+        values = sorted(monolithic_index.values())[:200] + ["never indexed"]
+        whole = monolithic_index.fetch(values)
+        keys = list(monolithic_index.iter_super_keys())
+        vocabulary: set[str] = set()
+        for shard, index in zip(sharded.shards, sharded.shard_indexes):
+            tables = set(shard.table_ids())
+            assert index.indexed_tables() == (
+                monolithic_index.indexed_tables() & tables
+            )
+            assert index.fetch(values) == [
+                item for item in whole if item.table_id in tables
+            ]
+            assert sorted(index.iter_super_keys()) == sorted(
+                key for key in keys if key[0] in tables
+            )
+            vocabulary.update(index.values())
+        assert vocabulary == set(monolithic_index.values())
+        assert sum(
+            index.num_posting_items() for index in sharded.shard_indexes
+        ) == monolithic_index.num_posting_items()
+        assert sum(index.num_rows() for index in sharded.shard_indexes) == (
+            monolithic_index.num_rows()
+        )
 
     def test_list_indexes_on_both_backends(self, monolithic_index, tmp_path):
         with InMemoryBackend() as backend:
