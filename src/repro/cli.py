@@ -492,9 +492,6 @@ def _print_plan_explain(result) -> None:
     print(f"  verified {explanation['verified_pairs']} pairs in one pass "
           f"({explanation['discarded_pairs']} discarded by table filters "
           f"or the deadline)")
-    reason = explanation["table_path_reason"]
-    print(f"  execution path: {explanation['execution_path']}"
-          + (f" ({reason})" if reason else ""))
     print("stages:")
     for name in explanation["stages"]:
         stats = result.counters.stages.get(name)
@@ -502,6 +499,23 @@ def _print_plan_explain(result) -> None:
             continue
         print(f"  {name}: {stats.calls} calls, {stats.seconds * 1000:.2f} ms, "
               f"{stats.items_in} in / {stats.items_out} out")
+
+
+def _stored_layout_config(index, args: argparse.Namespace) -> MateConfig:
+    """The engine configuration for an index loaded from ``--database``.
+
+    The stored index is authoritative: the engine's hash size must match
+    the persisted super keys, so a differing ``--hash-size`` is overridden
+    with a notice (on stderr under ``--json``, which keeps stdout JSON).
+    """
+    if index.hash_size != args.hash_size:
+        print(
+            f"using stored index layout from {args.database}: "
+            f"{index.hash_size}-bit {index.hash_function_name} "
+            "(ignoring --hash-size)",
+            file=sys.stderr if args.json else sys.stdout,
+        )
+    return MateConfig(hash_size=index.hash_size, k=args.k)
 
 
 def _command_discover(args: argparse.Namespace) -> int:
@@ -521,6 +535,7 @@ def _command_discover(args: argparse.Namespace) -> int:
     if args.database is not None and Path(args.database).exists():
         backend = SQLiteBackend(args.database)
         index = backend.load_index("main")
+        config = _stored_layout_config(index, args)
     else:
         index = build_index(corpus, config=config)
 
@@ -604,15 +619,7 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
             stored = backend.list_indexes()
             if "main" in stored:
                 index = backend.load_index("main")
-                # The stored index is authoritative: the engine's hash size
-                # must match the persisted super keys.
-                if index.hash_size != args.hash_size:
-                    print(
-                        f"using stored index layout from {args.database}: "
-                        f"{index.hash_size}-bit {index.hash_function_name} "
-                        "(ignoring --hash-size)"
-                    )
-                    config = MateConfig(hash_size=index.hash_size, k=args.k)
+                config = _stored_layout_config(index, args)
             else:
                 _refuse_sharded_records(args.database, stored)
                 index = build_index(corpus, config=config)

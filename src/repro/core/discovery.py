@@ -67,14 +67,20 @@ class MateDiscovery:
         self.index = index
         self.config = config or MateConfig()
         self.hash_function_name = hash_function_name or index.hash_function_name
-        if (
-            row_filter_mode == "superkey"
-            and self.hash_function_name != index.hash_function_name
-        ):
-            raise DiscoveryError(
-                "the discovery hash function must match the index "
-                f"({self.hash_function_name!r} != {index.hash_function_name!r})"
-            )
+        if row_filter_mode == "superkey":
+            # The super-key test compares query keys with the stored row
+            # keys: both must come out of the same hash, at the same width.
+            if self.hash_function_name != index.hash_function_name:
+                raise DiscoveryError(
+                    "the discovery hash function must match the index "
+                    f"({self.hash_function_name!r} != {index.hash_function_name!r})"
+                )
+            if self.config.hash_size != index.hash_size:
+                raise DiscoveryError(
+                    "the discovery hash size must match the index "
+                    f"({self.config.hash_size}-bit config, {index.hash_size}-bit "
+                    "index)"
+                )
         self.super_key_generator = SuperKeyGenerator.from_name(
             self.hash_function_name, self.config
         )

@@ -19,6 +19,16 @@ the same engine:
 * ``none``     — pass everything (the SCR baseline: exact verification only),
 * ``oracle``   — an ideal filter with zero false positives (the "Ideal
   system" bar of Figure 5), implemented via exact containment.
+
+The engine runs every mode on request-level arrays
+(:mod:`repro.index.batch`: the packed-key kernels of
+:mod:`repro.index.kernels` for ``superkey``, the comparison half of the
+verification pass for ``oracle``).  :meth:`RowFilter.passes`,
+:func:`should_abandon_table` and :meth:`covers_with_short_circuit
+<repro.hashing.SuperKeyGenerator.covers_with_short_circuit>` are the
+per-row statement of the same rules, kept for the verbatim reference loop
+every differential suite compares the engine with
+(``tests/helpers.legacy_discover``).
 """
 
 from __future__ import annotations

@@ -19,11 +19,13 @@ Two implementations are provided:
   :func:`row_mappings`, :func:`row_contains_key` and
   :func:`joinability_from_matches` expose its steps for single rows.
 * :func:`verify_request` — the same step as one numpy pass over the
-  surviving pairs of *every* candidate table of a batch-path request, on
-  their dictionary-encoded rows (:mod:`repro.datamodel.encoding`).  It
-  returns per-pair charges (so any prefix of a table's pairs is charged by
-  sums) and the Eq. 2 answer of every whole table;
+  surviving pairs of *every* candidate table of a request, on their
+  dictionary-encoded rows (:mod:`repro.datamodel.encoding`).  It returns
+  per-pair charges (so any prefix of a table's pairs is charged by sums)
+  and the Eq. 2 answer of every whole table;
   ``tests/helpers.legacy_verify_table`` is the oracle of both verifiers.
+  Its comparison half, :func:`key_matches`, is also row filter
+  ``oracle``'s containment test.
 """
 
 from __future__ import annotations
@@ -159,38 +161,24 @@ def request_codes_fit(table_columns: Sequence[int], width: int, num_keys: int) -
     return sum(columns**width for columns in table_columns) * num_keys < _CODE_LIMIT
 
 
-def verify_request(cells, table_columns, pair_tables, pair_rows, pair_keys, keys):
-    """:func:`verify_table` for many tables' surviving pairs, in one pass.
+def key_matches(cells, pair_columns, pair_keys, keys):
+    """Every injective column mapping of every pair's key tuple into its row.
 
-    Pair ``i`` (of at least one) names its table — ``pair_tables[i]``, an
-    index into ``table_columns`` — its row in that table and its key tuple,
-    row ``pair_keys[i]`` of ``keys.ids``; ``cells`` holds the pairs' rows as
-    ``int32`` ids over the dictionary of ``keys.ids``, laid end to end in
-    pair order (ragged: a row is as long as its table is wide).  The Eq. 2
-    codes must fit (:func:`request_codes_fit`).
-
-    One comparison per key position finds every cell holding that
-    position's key value; a pair's injective column mappings are the
-    (ragged) product of its per-position hit columns, and Eq. 2 is one sort
-    of ``(table, mapping, key)`` codes for all tables at once.  Returns
-    ``(charges, tables, scores, mappings)``:
-
-    * ``charges`` — ``(pairs, 4)`` ``int64``: per pair, its value
-      comparisons, whether it is the first pair of its ``(table, row)``,
-      whether it verifies, and whether it is the first pair of its
-      ``(table, row)`` that verifies.  Summed over a prefix of one table's
-      pairs these are the ``value_comparisons``, ``rows_passed_filter``,
-      verified pairs and ``true_positive_rows`` :func:`verify_table`
-      returns and charges for that prefix;
-    * ``tables`` / ``scores`` / ``mappings`` — every table (index) with a
-      verified pair, and its joinability and column mapping over *all* of
-      its pairs.
+    Pair ``i`` names its key tuple, row ``pair_keys[i]`` of ``keys.ids``,
+    and its row: ``pair_columns[i]`` cells of ``cells`` (``int32`` ids over
+    the dictionary of ``keys.ids``, the pairs' rows laid end to end).  One
+    comparison per key position finds every cell holding that position's
+    key value; a pair's mappings are the (ragged) product of its
+    per-position hit columns, the non-injective ones dropped.  Returns
+    ``(owner, chosen)``: one entry per mapping, in pair order — the pair it
+    maps and, per key position, its column.  A pair owns a mapping exactly
+    when its row contains its key tuple (:func:`row_contains_key`).
+    Nothing is coded, so there is no ``int64`` limit here.
     """
     np = _np
     key_ids = keys.ids
-    num_keys, width = key_ids.shape
-    pairs = len(pair_tables)
-    pair_columns = table_columns.take(pair_tables)
+    width = key_ids.shape[1]
+    pairs = len(pair_columns)
     cell_starts = np.cumsum(pair_columns) - pair_columns
     # Beside ``cells``, the cell-length arrays are this map from a cell to
     # its pair and, per key position, the repeated key ids: all ``int32``;
@@ -228,6 +216,39 @@ def verify_request(cells, table_columns, pair_tables, pair_rows, pair_keys, keys
                 injective &= chosen[position] != chosen[earlier]
         owner = owner[injective]
         chosen = [column[injective] for column in chosen]
+    return owner, chosen
+
+
+def verify_request(cells, table_columns, pair_tables, pair_rows, pair_keys, keys):
+    """:func:`verify_table` for many tables' surviving pairs, in one pass.
+
+    Pair ``i`` (of at least one) names its table — ``pair_tables[i]``, an
+    index into ``table_columns`` — its row in that table and its key tuple,
+    row ``pair_keys[i]`` of ``keys.ids``; ``cells`` holds the pairs' rows as
+    ``int32`` ids over the dictionary of ``keys.ids``, laid end to end in
+    pair order (ragged: a row is as long as its table is wide).  The Eq. 2
+    codes must fit (:func:`request_codes_fit`).
+
+    The pairs' mappings are :func:`key_matches`'; Eq. 2 is one sort of
+    ``(table, mapping, key)`` codes for all tables at once.  Returns
+    ``(charges, tables, scores, mappings)``:
+
+    * ``charges`` — ``(pairs, 4)`` ``int64``: per pair, its value
+      comparisons, whether it is the first pair of its ``(table, row)``,
+      whether it verifies, and whether it is the first pair of its
+      ``(table, row)`` that verifies.  Summed over a prefix of one table's
+      pairs these are the ``value_comparisons``, ``rows_passed_filter``,
+      verified pairs and ``true_positive_rows`` :func:`verify_table`
+      returns and charges for that prefix;
+    * ``tables`` / ``scores`` / ``mappings`` — every table (index) with a
+      verified pair, and its joinability and column mapping over *all* of
+      its pairs.
+    """
+    np = _np
+    num_keys, width = keys.ids.shape
+    pairs = len(pair_tables)
+    pair_columns = table_columns.take(pair_tables)
+    owner, chosen = key_matches(cells, pair_columns, pair_keys, keys)
 
     verified = np.zeros(pairs, dtype=bool)
     verified[owner] = True

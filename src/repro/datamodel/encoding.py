@@ -12,16 +12,16 @@ One process-wide :class:`ValueEncoder` (:data:`ENCODER`) serves every engine,
 because the tables it encodes are shared too (shard engines hold the same
 :class:`~repro.datamodel.table.Table` objects as the session's corpus):
 
-* **lifetime** — a table is encoded the first time a batch-path request
-  that keeps a surviving pair in it gathers it
-  (:meth:`ValueEncoder.matrices`, once per request for all of its candidate
-  tables) and stays encoded while the table object is alive (the entry is
+* **lifetime** — a table is encoded the first time a request that keeps a
+  surviving pair in it gathers it (:meth:`ValueEncoder.matrices`, once per
+  request for all of its candidate tables; row filter ``oracle`` gathers
+  every candidate's postings once more, before the prefilter) and stays encoded while the table object is alive (the entry is
   keyed by ``id(table)`` and dropped by a weak-reference callback), a
   request's keys once per request;
 * **bound** — when the dictionary holds :data:`MAX_VALUE_IDS` values it is
   dropped together with every encoded table (in the manner of
   :class:`repro.hashing.base.Memo`) and the *generation* is bumped.  The
-  bound is checked once per gather, so a request drops the dictionary at
+  bound is checked once per gather, so a gather drops the dictionary at
   most once and may leave it larger than the bound by the values of its
   own tables.  Matrices and key matrices carry the generation they were
   encoded in, so a request still holding ids of the old generation

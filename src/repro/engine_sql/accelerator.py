@@ -124,9 +124,9 @@ def build_accelerator(
     """(Re)build the accelerator for ``index`` under ``name``; returns items.
 
     ``pos`` enumerates each value's posting list in storage order, which is
-    exactly the order :func:`repro.index.columnar.fetch_table_blocks`
-    assembles per-table blocks in — the pushdown engine reconstructs the
-    mate engine's scan order from ``(probe order, pos)``.
+    exactly the order :class:`repro.index.batch.RequestArrays` keeps a
+    table's postings in — the pushdown engine reconstructs the mate engine's
+    scan order from ``(probe order, pos)``.
     """
     for attribute in ("values", "posting_list", "super_key"):
         if not hasattr(index, attribute):

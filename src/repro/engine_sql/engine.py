@@ -103,7 +103,8 @@ GROUP BY a.table_id
 #: Phase B: one candidate table's passing (row, key) pairs in the exact
 #: order the mate engine's scalar loop would visit them.  ``block_pos``
 #: numbers the table's items by (probe order, posting position) — the
-#: per-table block order of ``fetch_table_blocks`` — *before* the key join,
+#: order the mate engine's request arrays give a table's postings (a stable
+#: sort of ``fetch_batch``'s blocks by table id) — *before* the key join,
 #: so positions are stable regardless of how many keys match.  The
 #: ``pushdown_by_table`` index is forced so each candidate scan touches
 #: only that table's postings (O(block) per table, O(scanned) overall)

@@ -2,7 +2,7 @@
 
 Times the packed struct-of-arrays layout of :mod:`repro.index.columnar` on
 the discovery hot path: the corpus is indexed, the initialization-step fetch
-(Algorithm 1 lines 4-5, via :func:`repro.index.fetch_table_blocks`) is timed
+(Algorithm 1 line 4, via :meth:`repro.index.InvertedIndex.fetch_batch`) is timed
 over repeated passes, and the full engine runs every query, with the
 prefilter stage's share of it reported.  To exercise the regime the
 vectorized prefilter (:mod:`repro.index.kernels`) is built for — long
@@ -18,7 +18,7 @@ import time
 
 from ..core import MateDiscovery
 from ..datamodel import Table
-from ..index import build_index, fetch_table_blocks
+from ..index import build_index
 from .runner import ExperimentResult, ExperimentSettings, build_context
 
 #: Workload the study runs on by default.
@@ -104,8 +104,8 @@ def run_columnar(
     for _ in range(fetch_repeats):
         items_fetched = 0
         for values in probe_sets:
-            blocks = fetch_table_blocks(index, values)
-            items_fetched += sum(len(block) for block in blocks.values())
+            blocks = index.fetch_batch(values)
+            items_fetched += sum(len(block) for block in blocks)
     fetch_seconds = time.perf_counter() - started
 
     discover_seconds, prefilter_seconds = _timed_discovery(engine, context.queries)

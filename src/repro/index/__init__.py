@@ -6,10 +6,6 @@ from .builder import IndexBuildReport, IndexBuilder, build_index
 from .columnar import (
     ColumnarPostingList,
     FetchBlock,
-    TableBlock,
-    compute_table_runs,
-    fetch_table_blocks,
-    group_into_table_blocks,
     unpack_super_keys,
 )
 from .inverted import InvertedIndex
@@ -32,11 +28,7 @@ __all__ = [
     "FetchBlock",
     "FetchedItem",
     "IndexBuildReport",
-    "TableBlock",
-    "compute_table_runs",
     "entry_coverage",
-    "fetch_table_blocks",
-    "group_into_table_blocks",
     "unpack_super_keys",
     "IndexBuilder",
     "IndexMaintainer",

@@ -1,18 +1,24 @@
 """Request-level arrays: every candidate table grouped, prefiltered and cut
 in one array pass.
 
-The table-at-a-time path regroups the fetched postings into one
-:class:`~repro.index.columnar.TableBlock` per candidate table and runs the
-prefilter once per block.  A request on the batch path instead keeps its
-:class:`~repro.index.columnar.FetchBlock` s and builds :class:`RequestArrays`
-once; a candidate table is then a *span* ``range(start, stop)`` of positions
-and prefiltering it is arithmetic on prefix sums.
+Every request keeps its :class:`~repro.index.columnar.FetchBlock` s and
+builds :class:`RequestArrays` once; a candidate table is then a *span*
+``range(start, stop)`` of positions and prefiltering it is arithmetic on
+prefix sums.
 
 **Table order.**  The blocks' ``table_ids`` columns are concatenated in fetch
 order (probe order, then posting order) and argsorted *stably* by table id.
 A stable sort keeps equal keys in input order, so the positions of one table
-come out in probe order, then posting order — exactly the order
-``group_into_table_blocks`` appends runs in, i.e. ``TableBlock`` order.
+come out in probe order, then posting order — the order Algorithm 1 groups a
+table's postings in (line 5).
+
+**Row filters.**  A posting's pairs are its probe value's key entries that
+survive the row filter: in mode ``superkey`` the ones its super key covers
+(the memoised bitmaps of :meth:`FetchBlock.query_coverage`), in mode
+``none`` (the SCR baseline) all of them, unchecked, and in mode ``oracle``
+(the ideal filter of Figure 5) the ones its row contains — the comparison
+half of the verification pass (:func:`~repro.core.joinability.key_matches`)
+over every candidate table's postings, once per request.
 
 **Rule 2 as arithmetic.**  The per-row loop asks, *before* scanning row ``i``
 of a table with ``L`` postings, whether ``L - i + matched(i) <= j_k``, where
@@ -37,12 +43,6 @@ candidate order (:meth:`RequestVerdicts.replay`), charging prefix-sum
 differences over exactly the pairs the cut kept.  The pairs of a table rule
 1 prunes, of a rule-2 suffix, or behind a deadline break are verified and
 never charged (:attr:`~repro.plan.planner.PlanReport.discarded_pairs`).
-
-The arrays serve row-filter modes ``superkey`` and ``none`` (the SCR
-baseline: every key entry survives, no super-key check is charged) and need
-a packed super-key buffer on every fetched block; the plan report names what
-was missing when the table-at-a-time path ran instead
-(:attr:`~repro.plan.planner.PlanReport.table_path_reason`).
 """
 
 from __future__ import annotations
@@ -152,16 +152,20 @@ class RequestArrays:
         blocks: Sequence[FetchBlock],
         key_map: Mapping[str, Sequence[KeyEntry]],
         length_shift: int | None,
-        check_keys: bool = True,
+        mode: str = "superkey",
+        get_table: "Callable[[int], Table] | None" = None,
     ):
-        """``blocks`` in probe order; ``key_map`` / ``length_shift`` (the
-        XASH length-segment bit position, ``None`` without one) are what the
-        prefilter runs with, on the first :meth:`cut` — the super-key test
-        only with ``check_keys`` (row-filter mode ``superkey``)."""
+        """``blocks`` in probe order; ``key_map``, ``length_shift`` (the
+        XASH length-segment bit position, ``None`` without one) and ``mode``
+        (the row filter) are what the prefilter runs with, on the first
+        :meth:`cut`.  ``get_table`` maps a table id to the
+        :class:`~repro.datamodel.table.Table` the postings point into (row
+        filter ``oracle`` and :meth:`verify` read the tables' rows)."""
         self.blocks = blocks
         self.key_map = key_map
         self.length_shift = length_shift
-        self.check_keys = check_keys
+        self.mode = mode
+        self.get_table = get_table
         #: Postings per block: as many as its packed key buffer holds.
         self.lengths = lengths = [
             len(block.super_key_bytes) // block.key_width for block in blocks
@@ -224,12 +228,14 @@ class RequestArrays:
     # Prefilter
     # ------------------------------------------------------------------
     def _prefilter(self) -> EncodedKeys:
-        """Run the super-key reject over every fetched posting, once.
+        """Run the row filter over every fetched posting, once.
 
         The per-``(value, key entry)`` bitmaps are the memoised
-        :meth:`FetchBlock.query_coverage` ones; this scatters them into the
-        pair arrays (table order, key-map entry order within a posting — the
-        per-row loop's order) and the prefix sums :meth:`cut` reads.
+        :meth:`FetchBlock.query_coverage` ones (all ones without a key
+        test); this scatters them into the pair arrays (table order, key-map
+        entry order within a posting — the per-row loop's order), keeps the
+        contained pairs under row filter ``oracle``, and lays out the prefix
+        sums :meth:`cut` reads.
         """
         key_map, length_shift = self.key_map, self.length_shift
         total = len(self.order)
@@ -244,9 +250,9 @@ class RequestArrays:
             entries = key_map.get(block.value, ())
             counts.append(len(entries))
             if entries:
-                if self.check_keys:
+                if self.mode == "superkey":
                     bitmaps = block.query_coverage(entries, length_shift)
-                else:  # mode "none": every entry survives, unchecked
+                else:  # every entry survives the key test, unchecked
                     bitmaps = [(b"\x01" * count, None)] * len(entries)
                 covered.append(bitmaps[0][0])
                 short_circuited.append(bitmaps[0][1] or bytes(count))
@@ -283,6 +289,10 @@ class RequestArrays:
             # of one posting in that order.
             ranked = np.argsort(pair_at, kind="stable")
             pair_at, pair_keys = pair_at[ranked], pair_keys[ranked]
+        keys = EncodedKeys(tuples)
+        if self.mode == "oracle":
+            contained = self._contained(pair_at, pair_keys, keys)
+            pair_at, pair_keys = pair_at[contained], pair_keys[contained]
         #: Row index and key id of every surviving pair, scan order.
         self.pair_rows = self.row_indexes[pair_at]
         self.pair_keys = pair_keys
@@ -295,11 +305,37 @@ class RequestArrays:
         #: hits and surviving pairs among the positions before ``p``.
         self.prefix = prefix = np.zeros((total + 1, 4), dtype=_INDEX)
         np.cumsum(unmatched, out=prefix[1:, 0])
-        if self.check_keys:
+        if self.mode == "superkey":
             np.cumsum(np.repeat(entry_counts, lengths)[order], out=prefix[1:, 1])
         np.cumsum(hits[order], out=prefix[1:, 2])
         np.cumsum(pairs_per_posting, out=prefix[1:, 3])
-        return EncodedKeys(tuples)
+        return keys
+
+    def _contained(self, pair_at, pair_keys, keys: EncodedKeys):
+        """Which of the pairs ``(pair_at, pair_keys)`` (every key entry of
+        every posting, scan order) the posting's row contains: row filter
+        ``oracle``, on the candidate tables' pairs (the others stay out)."""
+        from ..core.joinability import key_matches
+
+        contained = np.zeros(len(pair_at), dtype=bool)
+        table_ids, starts, stops = self._candidate_spans
+        firsts = np.searchsorted(pair_at, starts)
+        lasts = np.searchsorted(pair_at, stops)
+        kept = lasts > firsts
+        if kept.any():
+            firsts, lasts = firsts[kept], lasts[kept]
+            tables = list(map(self.get_table, table_ids[kept].tolist()))
+            select, _, cells = _gather(
+                tables, firsts, lasts, self.row_indexes[pair_at], keys
+            )
+            columns = np.fromiter(
+                (table.num_columns for table in tables), np.int64, len(tables)
+            )
+            owner, _ = key_matches(
+                cells, np.repeat(columns, lasts - firsts), pair_keys[select], keys
+            )
+            contained[np.arange(len(pair_at))[select][owner]] = True
+        return contained
 
     def cut(
         self, span: range, min_joinability: int | None
@@ -340,16 +376,14 @@ class RequestArrays:
     # ------------------------------------------------------------------
     # Verification
     # ------------------------------------------------------------------
-    def verify(self, get_table: Callable[[int], "Table"]) -> RequestVerdicts | None:
+    def verify(self) -> RequestVerdicts | None:
         """Verify the surviving pairs of every candidate table, once.
 
         The first call of a request (after the prefilter) runs the pass;
         every call returns its :class:`RequestVerdicts`, or ``None`` when
         the request's Eq. 2 codes could overflow ``int64`` — its tables are
         then verified one at a time by
-        :func:`~repro.core.joinability.verify_table`.  ``get_table`` maps a
-        table id to the :class:`~repro.datamodel.table.Table` the postings
-        point into.
+        :func:`~repro.core.joinability.verify_table`.
         """
         if not self._verified:
             self._verified = True
@@ -360,7 +394,7 @@ class RequestArrays:
             table_ids = table_ids[kept].tolist()
             self._verdicts = verify_tables(
                 table_ids,
-                list(map(get_table, table_ids)),
+                list(map(self.get_table, table_ids)),
                 firsts[kept],
                 lasts[kept],
                 self.pair_rows,
@@ -404,26 +438,12 @@ def verify_tables(
     width = len(keys.tuples[0])
     if not request_codes_fit(columns.tolist(), width, len(keys.tuples)):
         return None
-    offsets = np.cumsum(counts) - counts
-    select = (
-        slice(None)
-        if pairs == total
-        else np.arange(pairs) + np.repeat(firsts - offsets, counts)
-    )
-    pair_rows = pair_rows[select]
-    cells = np.concatenate(
-        [
-            matrix.take(pair_rows[offset : offset + count], axis=0).ravel()
-            for matrix, offset, count in zip(
-                ENCODER.matrices(tables, keys), offsets.tolist(), counts.tolist()
-            )
-        ]
-    )
+    select, rows, cells = _gather(tables, firsts, lasts, pair_rows, keys)
     charges, best, scores, mappings = verify_request(
         cells,
         columns,
         np.repeat(np.arange(len(tables)), counts),
-        pair_rows,
+        rows,
         pair_keys[select],
         keys,
     )
@@ -442,6 +462,32 @@ def verify_tables(
         ),
         pairs,
     )
+
+
+def _gather(tables, firsts, lasts, pair_rows, keys: EncodedKeys):
+    """The pairs ``[firsts[t], lasts[t])`` of every table ``t`` (non-empty,
+    ascending, disjoint ranges into ``pair_rows``): ``(select, rows,
+    cells)`` — which pairs (a slice when it is all of them), their row
+    indexes, and their rows' cells end to end, encoded with ``keys`` in one
+    dictionary generation."""
+    counts = lasts - firsts
+    pairs = int(counts.sum())
+    offsets = np.cumsum(counts) - counts
+    select = (
+        slice(None)
+        if pairs == len(pair_rows)
+        else np.arange(pairs) + np.repeat(firsts - offsets, counts)
+    )
+    rows = pair_rows[select]
+    cells = np.concatenate(
+        [
+            matrix.take(rows[offset : offset + count], axis=0).ravel()
+            for matrix, offset, count in zip(
+                ENCODER.matrices(tables, keys), offsets.tolist(), counts.tolist()
+            )
+        ]
+    )
+    return select, rows, cells
 
 
 def _bits(bitmap: bytes):

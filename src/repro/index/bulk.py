@@ -20,8 +20,8 @@ as routines the bulk build (:func:`build_block`) and the ingest buffer
    row, column order, and a stable sort keeps equal ids in that order —
    exactly the order a per-cell scan of the tables appends postings in.
 
-A block has no spilled keys by construction: a hash wider than ``key_width``
-cannot come out of the matrix.
+Every key fits ``key_width`` by construction: a hash wider than it cannot
+come out of the matrix.
 """
 
 from __future__ import annotations
@@ -154,8 +154,6 @@ def layout_block(
         row_table_ids=row_tables[by_row],
         row_row_indexes=row_rows[by_row],
         row_keys=keys[by_row],
-        spill={},
-        unpacked=(),
     )
 
 

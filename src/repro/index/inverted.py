@@ -30,7 +30,7 @@ from __future__ import annotations
 import mmap
 from bisect import bisect_left, bisect_right
 from pathlib import Path
-from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator
 
 from ..exceptions import IndexClosedError, IndexError_, SegmentFormatError
 from .columnar import ColumnarPostingList, FetchBlock, FetchSurface
@@ -44,20 +44,19 @@ class RowKeys:
     """Per-row super keys over one block's row table (read-only).
 
     Point lookups binary-search the sorted ``(table_id, row_index)``
-    columns; oversize (spilled) keys live in the block's small dictionary.
+    columns.
     """
 
-    __slots__ = ("width_bytes", "_tables", "_rows", "_keys", "_spill")
+    __slots__ = ("width_bytes", "_tables", "_rows", "_keys")
 
     def __init__(self, block: "SegmentBlock"):
         self.width_bytes = block.key_width
         self._tables = block.row_table_ids
         self._rows = block.row_row_indexes
         self._keys = block.row_keys
-        self._spill = block.spill
 
     def __len__(self) -> int:
-        return len(self._tables) + len(self._spill)
+        return len(self._tables)
 
     def _slot(self, table_id: int, row_index: int) -> int:
         tables = self._tables
@@ -69,40 +68,30 @@ class RowKeys:
         return -1
 
     def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self._spill or self._slot(*key) >= 0
+        return self._slot(*key) >= 0
 
     def get(self, key: tuple[int, int]) -> int | None:
         """Return the super key stored under ``key`` (``None`` when none is)."""
         slot = self._slot(*key)
         if slot < 0:
-            return self._spill.get(key)
+            return None
         width = self.width_bytes
         offset = slot * width
         return int.from_bytes(self._keys[offset : offset + width], "big")
 
     def items(self) -> Iterator[tuple[tuple[int, int], int]]:
-        """Iterate over ``((table_id, row_index), super_key)`` pairs: the
-        row table in order, then the spilled keys."""
+        """Iterate over ``((table_id, row_index), super_key)`` pairs, the
+        row table in order."""
         keys = self._keys
         width = self.width_bytes
         from_bytes = int.from_bytes
         for slot, key in enumerate(zip(self._tables, self._rows)):
             offset = slot * width
             yield key, from_bytes(keys[offset : offset + width], "big")
-        yield from self._spill.items()
-
-    def get_many(
-        self, table_ids: Sequence[int], row_indexes: Sequence[int]
-    ) -> list[int]:
-        """Return the super keys of the given rows (0 when absent), in order."""
-        get = self.get
-        return [get(key) or 0 for key in zip(table_ids, row_indexes)]
 
     def table_ids_present(self) -> set[int]:
         """Distinct table ids owning at least one row."""
-        tables = set(self._tables)
-        tables.update(table_id for table_id, _row in self._spill)
-        return tables
+        return set(self._tables)
 
 
 class _State:
@@ -135,22 +124,12 @@ class _State:
         block = self.block
         start = block.posting_offsets[value_id]
         end = block.posting_offsets[value_id + 1]
-        table_ids = block.table_ids[start:end]
-        row_indexes = block.row_indexes[start:end]
-        packed: memoryview | None = None
-        keys: list[int] | None = None
-        if value_id in block.unpacked:
-            # A posting's row spilled: the packed slice would be lossy.
-            keys = self.rows.get_many(table_ids, row_indexes)
-        else:
-            width = block.key_width
-            packed = block.posting_keys[start * width : end * width]
+        width = block.key_width
         view = self.views[value] = ColumnarPostingList(
-            table_ids,
+            block.table_ids[start:end],
             block.column_indexes[start:end],
-            row_indexes,
-            super_key_bytes=packed,
-            super_keys=keys,
+            block.row_indexes[start:end],
+            block.posting_keys[start * width : end * width],
         )
         return view
 
@@ -337,8 +316,8 @@ class InvertedIndex(FetchSurface):
         One block per probed value with at least one PL item, in first-seen
         value order; duplicate and missing probe values are skipped.  The
         blocks reference the block's columns directly and carry its packed
-        super-key slice (the integer column only when a posting's row
-        spilled), so a warm ``fetch_batch`` does no per-item work at all.
+        super-key slice, so a warm ``fetch_batch`` does no per-item work at
+        all.
         """
         self._ensure_open("fetch_batch")
         state = self._state
@@ -349,17 +328,14 @@ class InvertedIndex(FetchSurface):
             view = state.view(value)
             if view is None:
                 continue
-            packed = view.super_key_bytes
             append(
                 FetchBlock(
                     value,
                     view.table_ids,
                     view.column_indexes,
                     view.row_indexes,
-                    view.super_keys,
-                    view.runs,
-                    super_key_bytes=packed,
-                    key_width=None if packed is None else width,
+                    view.super_key_bytes,
+                    width,
                 )
             )
         return blocks

@@ -12,10 +12,12 @@ slot, and one ``rows & key != key`` pass runs per non-zero key lane.
 The bitmaps are memoised per fetch block
 (:meth:`~repro.index.columnar.FetchBlock.query_coverage`) and scattered into
 request-level arrays by :mod:`repro.index.batch`, where a candidate table
-costs arithmetic.  They reproduce the per-row loop
-(:meth:`repro.plan.stages.SuperKeyPrefilter._execute_rows`) exactly — the
-kernel test suite (``tests/test_kernels.py``) and the batch-execution suite
-(``tests/test_batch_execution.py``) pin that equivalence down.
+costs arithmetic.  They reproduce the per-row test
+(:meth:`repro.core.filters.RowFilter.passes`) exactly — the kernel test
+suite (``tests/test_kernels.py``) and the batch-execution suite
+(``tests/test_batch_execution.py``, against ``tests/helpers.legacy_discover``)
+pin that equivalence down.  A key must fit the packed width: an engine
+whose hash size differs from its index's is refused at construction.
 """
 
 from __future__ import annotations
@@ -24,24 +26,6 @@ import numpy as _np
 
 #: One key-map entry: the query key tuple and its aggregated super key.
 KeyEntry = tuple[tuple[str, ...], int]
-
-
-def _entry_scalar(
-    packed, width: int, start: int, end: int, key_super_key: int,
-    length_shift: int | None,
-) -> tuple[list[bool], list[bool]]:
-    """Per-row reject test for a key too wide for the packed width (rare)."""
-    covered: list[bool] = []
-    short_circuited: list[bool] = []
-    from_bytes = int.from_bytes
-    for position in range(start, end):
-        row = from_bytes(packed[position * width : (position + 1) * width], "big")
-        covered.append(key_super_key & ~row == 0)
-        if length_shift is not None:
-            short_circuited.append(
-                (key_super_key >> length_shift) & ~(row >> length_shift) != 0
-            )
-    return covered, short_circuited
 
 
 def _coverage_dtype(width: int):
@@ -116,16 +100,7 @@ def entry_coverage(
             f"width {width}"
         )
     n = len(packed) // width
-    track_sc = length_shift is not None and length_shift < 8 * width
     if n == 0:
+        track_sc = length_shift is not None and length_shift < 8 * width
         return b"", (b"" if track_sc else None)
-    try:
-        return _coverage_bitmaps(packed, width, key_super_key, length_shift, n)
-    except OverflowError:
-        # Key wider than the packed slots (oversize escape hatch): per-row
-        # arbitrary-precision path.
-        cov_list, sc_list = _entry_scalar(
-            packed, width, 0, n, key_super_key, length_shift if track_sc else None
-        )
-        sc = bytes(bytearray(sc_list)) if track_sc else None
-        return bytes(bytearray(cov_list)), sc
+    return _coverage_bitmaps(packed, width, key_super_key, length_shift, n)

@@ -41,10 +41,12 @@ from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from ..config import MateConfig
 from ..datamodel import MISSING, Table
 from ..exceptions import IndexClosedError, IndexError_, StorageError
-from ..index import FetchBlock, FetchedItem, InvertedIndex, compute_table_runs
+from ..index import FetchBlock, FetchedItem, InvertedIndex
 from ..sketch import SKETCH_FILE_STEM, SKETCH_SUFFIX, SketchIndex
 from ..storage.paged import SEGMENT_SUFFIX, load_segment, write_segment
 from .buffer import BufferView, IngestBuffer
@@ -95,78 +97,43 @@ def _fsync_path(path: Path) -> None:
         os.close(fd)
 
 
-def _filter_block(block: FetchBlock, masked: frozenset[int]) -> FetchBlock | None:
-    """Drop the runs of masked tables from a fetch block (``None`` if empty).
-
-    When the source block carries a packed super-key buffer, the filtered
-    block keeps a packed buffer too (slice copies), so the vectorized
-    prefilter kernels stay engaged across the live index's masking path.
-    """
-    table_ids: list[int] = []
-    column_indexes: list[int] = []
-    row_indexes: list[int] = []
-    width = block.key_width
-    source = block.super_key_bytes
-    packed: bytearray | None = bytearray() if source is not None else None
-    super_keys: list[int] = []
-    for table_id, start, end in block.runs:
-        if table_id in masked:
-            continue
-        table_ids.extend(block.table_ids[start:end])
-        column_indexes.extend(block.column_indexes[start:end])
-        row_indexes.extend(block.row_indexes[start:end])
-        if packed is not None:
-            packed += source[start * width : end * width]
-        else:
-            super_keys.extend(block.super_keys[start:end])
-    if not table_ids:
+def _visible(table_ids: Sequence[int], masked: frozenset[int]):
+    """Mask of the postings outside the ``masked`` tables; ``None`` when no
+    posting is masked (the common case, decided without numpy)."""
+    if masked.isdisjoint(table_ids):
         return None
+    return ~np.isin(table_ids, np.fromiter(masked, np.int64, len(masked)))
+
+
+def _filter_block(block: FetchBlock, masked: frozenset[int]) -> FetchBlock | None:
+    """``block`` without the postings of the ``masked`` tables (``None`` if
+    none is left); the packed super-key buffer is filtered alongside."""
+    visible = _visible(block.table_ids, masked)
+    if visible is None:
+        return block
+    at = np.flatnonzero(visible)
+    if not len(at):
+        return None
+    width = block.key_width
     return FetchBlock(
         block.value,
-        table_ids,
-        column_indexes,
-        row_indexes,
-        None if packed is not None else super_keys,
-        compute_table_runs(table_ids),
-        super_key_bytes=bytes(packed) if packed is not None else None,
-        key_width=width if packed is not None else None,
+        np.take(block.table_ids, at).tolist(),
+        np.take(block.column_indexes, at).tolist(),
+        np.take(block.row_indexes, at).tolist(),
+        np.frombuffer(block.super_key_bytes, np.uint8).reshape(-1, width)[at].tobytes(),
+        width,
     )
 
 
 def _concat_blocks(value: str, blocks: Sequence[FetchBlock]) -> FetchBlock:
-    """Concatenate the per-component blocks of one value (component order).
-
-    The packed super-key buffer survives concatenation when every component
-    block carries one of the same width; otherwise the merged block degrades
-    to the integer column.
-    """
-    table_ids: list[int] = []
-    column_indexes: list[int] = []
-    row_indexes: list[int] = []
-    widths = {block.key_width for block in blocks}
-    packable = len(widths) == 1 and all(
-        block.super_key_bytes is not None for block in blocks
-    )
-    width = widths.pop() if packable else None
-    packed: bytearray | None = bytearray() if packable else None
-    super_keys: list[int] = []
-    for block in blocks:
-        table_ids.extend(block.table_ids)
-        column_indexes.extend(block.column_indexes)
-        row_indexes.extend(block.row_indexes)
-        if packed is not None:
-            packed += block.super_key_bytes
-        else:
-            super_keys.extend(block.super_keys)
+    """Concatenate the per-component blocks of one value (component order)."""
     return FetchBlock(
         value,
-        table_ids,
-        column_indexes,
-        row_indexes,
-        None if packed is not None else super_keys,
-        compute_table_runs(table_ids),
-        super_key_bytes=bytes(packed) if packed is not None else None,
-        key_width=width,
+        list(chain.from_iterable(block.table_ids for block in blocks)),
+        list(chain.from_iterable(block.column_indexes for block in blocks)),
+        list(chain.from_iterable(block.row_indexes for block in blocks)),
+        b"".join(block.super_key_bytes for block in blocks),
+        blocks[0].key_width,
     )
 
 
@@ -225,11 +192,10 @@ class LiveSnapshot:
         per_value: dict[str, list[FetchBlock]] = {v: [] for v in ordered}
         for index, _table_seqs, masked in self._components:
             for block in index.fetch_batch(ordered):
-                if masked and any(run[0] in masked for run in block.runs):
-                    filtered = _filter_block(block, masked)
-                    if filtered is None:
+                if masked:
+                    block = _filter_block(block, masked)
+                    if block is None:
                         continue
-                    block = filtered
                 per_value[block.value].append(block)
         merged: list[FetchBlock] = []
         for value in ordered:
@@ -270,11 +236,8 @@ class LiveSnapshot:
             columns = index.posting_columns(value)
             if columns is None:
                 continue
-            total += sum(
-                end - start
-                for table_id, start, end in columns.runs()
-                if table_id not in masked
-            )
+            visible = _visible(columns.table_ids, masked)
+            total += len(columns) if visible is None else int(visible.sum())
         return total
 
     def posting_count_for_values(self, values: Sequence[str]) -> int:

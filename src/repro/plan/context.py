@@ -20,7 +20,6 @@ if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
     from ..api.request import RequestBudget
     from ..datamodel import QueryTable
     from ..index.batch import RequestArrays, SurvivingPairs
-    from ..index.columnar import TableBlock
     from ..sketch import SketchOptions
     from .options import PlannerOptions
     from .planner import PlanReport, QueryPlan
@@ -72,13 +71,10 @@ class PlanContext:
     key_map: dict[str, list[tuple[tuple[str, ...], int]]] = field(
         default_factory=dict
     )
-    #: Candidate tables sorted by decreasing PL-item count (line 5): the
-    #: table's :class:`~repro.index.columnar.TableBlock`, or on the batch
-    #: path its span (a ``range`` of positions) of :attr:`batch`.
-    candidates: list[tuple[int, "TableBlock | range"]] = field(
-        default_factory=list
-    )
-    #: The request-level arrays (``None``: the table-at-a-time path runs).
+    #: Candidate tables sorted by decreasing PL-item count (line 5), each
+    #: with its span (a ``range`` of positions) of :attr:`batch`.
+    candidates: list[tuple[int, range]] = field(default_factory=list)
+    #: The request-level arrays (``None`` until candidate generation).
     batch: "RequestArrays | None" = None
     #: Fetch universe left by the ``SketchPrune`` stage: ``None`` means
     #: exhaustive (no pruning); a set restricts candidate generation to it.
@@ -86,7 +82,7 @@ class PlanContext:
 
     # ---------------- Per-table scratch (stage hand-off) ----------------
     current_table_id: int = -1
-    current_block: "TableBlock | range | None" = None
+    current_block: range | None = None
     surviving: "list[tuple[int, tuple[str, ...]]] | SurvivingPairs" = field(
         default_factory=list
     )
@@ -97,7 +93,7 @@ class PlanContext:
         if self.topk is None:
             self.topk = TopKHeap(self.k)
 
-    def set_current(self, table_id: int, block: "TableBlock | range") -> None:
+    def set_current(self, table_id: int, block: range) -> None:
         """Point the per-table stages at the next candidate table."""
         self.current_table_id = table_id
         self.current_block = block

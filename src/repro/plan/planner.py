@@ -138,16 +138,9 @@ class PlanReport:
     #: PL items fetched for abandoned seed columns and thrown away.
     discarded_postings: int = 0
     replans: list[ReplanEvent] = field(default_factory=list)
-    #: Which execution path served the request: ``"batch"`` (request-level
-    #: arrays, :mod:`repro.index.batch`) or ``"table"`` (one table at a
-    #: time); empty until candidate generation has decided.
-    execution_path: str = ""
-    #: Why the table-at-a-time path ran (``"row filter oracle"`` or
-    #: ``"unpacked block for value ..."``); empty on the batch path.
-    table_path_reason: str = ""
-    #: Surviving pairs the batch path's one verification pass checked:
-    #: every candidate table's (0 on the table path, or when the pass never
-    #: ran).
+    #: Surviving pairs the request's one verification pass checked: every
+    #: candidate table's (0 when the pass never ran, or the request was
+    #: verified table by table).
     verified_pairs: int = 0
     #: Of those, the pairs no replayed table charged: the tables rule 1
     #: pruned, the suffixes rule 2 cut off, the tables behind a deadline.
@@ -162,8 +155,6 @@ class PlanReport:
                 "observed_postings": self.observed_postings,
                 "discarded_postings": self.discarded_postings,
                 "replans": [event.as_dict() for event in self.replans],
-                "execution_path": self.execution_path,
-                "table_path_reason": self.table_path_reason,
                 "verified_pairs": self.verified_pairs,
                 "discarded_pairs": self.discarded_pairs,
             }

@@ -8,39 +8,30 @@ contract and accumulates its own wall-clock / volume accounting under
   builds ``superkey_map_Q``, charges the request budget, fetches the seed
   column's posting lists (in one shot, or chunked with adaptive re-planning),
   and groups + sorts the candidate tables;
-* :class:`SuperKeyPrefilter` — the XASH reject (Section 6.3) of one candidate
-  table, with table-filtering rule 2;
+* :class:`SuperKeyPrefilter` — the row filter (Section 6.3: the XASH reject,
+  or a baseline's) of one candidate table, with table-filtering rule 2;
 * :class:`RowVerification` — exact verification of the surviving rows and
   the Eq. 2 best-mapping score;
 * :class:`TopKMaintenance` — offers the scored table to the top-k heap and
   fires the streaming snapshot hook on accepted updates.
 
-Two execution paths run under the same stages and the same executor loop;
-candidate generation picks one per request and records it on the plan report
-(``execution_path`` / ``table_path_reason``):
+Every request runs on request-level arrays
+(:class:`repro.index.batch.RequestArrays`), whatever its row filter: the
+fetched blocks become arrays once, a candidate is a span of them and the
+prefilter cuts it by arithmetic.  The first verification verifies the
+surviving pairs of every candidate table in one pass over dictionary-encoded
+rows (:func:`repro.core.joinability.verify_request`); each table's
+verification then replays that pass over the pairs its cut kept
+(:meth:`repro.index.batch.RequestVerdicts.replay`), in candidate order, so
+``j_k``, rules 1 and 2 and the heap evolve exactly as in a table-at-a-time
+run.  Only a request whose Eq. 2 codes could overflow ``int64`` is verified
+table by table (:func:`~repro.core.joinability.verify_table`).
 
-* **batch** — row-filter modes ``superkey`` and ``none`` (the SCR
-  baseline) with a packed super-key buffer on every fetched block.  The
-  fetched blocks become request-level arrays once
-  (:class:`repro.index.batch.RequestArrays`); a candidate is a span of them
-  and the prefilter cuts it by arithmetic.  The first verification verifies
-  the surviving pairs of every candidate table in one pass over
-  dictionary-encoded rows (:func:`repro.core.joinability.verify_request`);
-  each table's verification then replays that pass over the pairs its cut
-  kept (:meth:`repro.index.batch.RequestVerdicts.replay`), in candidate
-  order, so ``j_k``, rules 1 and 2 and the heap evolve exactly as in a
-  table-at-a-time run.  Only a request whose Eq. 2 codes could overflow
-  ``int64`` is verified table by table
-  (:func:`~repro.core.joinability.verify_table`).
-* **table** — row-filter mode ``oracle``, or a block unpacked by a spilled
-  oversize key: one :class:`~repro.index.columnar.TableBlock` per
-  candidate, prefiltered by the verbatim per-row loop, verified by
-  :func:`~repro.core.joinability.verify_table`.
-
-Either composition under the :class:`~repro.plan.executor.Executor` is
-line-for-line equivalent to the pre-refactor monolithic loop when re-planning
-is disabled — the equivalence the plan-equivalence and batch-execution test
-suites pin down byte-for-byte, counters included.
+The composition under the :class:`~repro.plan.executor.Executor` is
+line-for-line equivalent to the pre-refactor monolithic loop
+(``tests/helpers.legacy_discover``) when re-planning is disabled — the
+equivalence the plan-equivalence and batch-execution test suites pin down
+byte-for-byte, counters included.
 """
 
 from __future__ import annotations
@@ -48,9 +39,8 @@ from __future__ import annotations
 from time import perf_counter
 
 from ..core import joinability
-from ..core.filters import should_abandon_table
 from ..index.batch import RequestArrays
-from ..index.columnar import FetchBlock, group_into_table_blocks
+from ..index.columnar import FetchBlock
 from .context import PlanContext, StageResult
 from .planner import (
     ReplanEvent,
@@ -280,10 +270,9 @@ class CandidateGeneration(PlanStage):
     def _fetch_into(index, values: list[str], blocks: list[FetchBlock]) -> int:
         """Fetch one chunk; returns the number of PL items fetched.
 
-        The per-value blocks are kept as they are (``blocks``) — which path
-        regroups them is decided once the fetch is over.  Chunks arrive in
-        probe order, so the accumulated blocks equal a single-shot fetch of
-        the same final value list.
+        The per-value blocks are kept as they are (``blocks``) until the
+        fetch is over.  Chunks arrive in probe order, so the accumulated
+        blocks equal a single-shot fetch of the same final value list.
         """
         if not values:
             return 0
@@ -291,69 +280,36 @@ class CandidateGeneration(PlanStage):
         blocks.extend(fetched)
         return sum(len(block) for block in fetched)
 
-    @staticmethod
-    def _table_path_reason(context: PlanContext, blocks: list[FetchBlock]) -> str:
-        """Why the request-level arrays cannot serve this run ("" if they can)."""
-        mode = context.engine.row_filter.mode
-        if mode == "oracle":
-            return f"row filter {mode}"
-        for block in blocks:
-            if block.super_key_bytes is None:
-                return f"unpacked block for value {block.value!r}"
-        return ""
-
     def _set_candidates(self, context: PlanContext, blocks: list[FetchBlock]) -> None:
-        """Group the fetched postings by table and sort the candidates.
+        """Turn the fetched blocks into request-level arrays and sort the
+        candidates.
 
         Candidate tables are processed by decreasing PL-item count, then
         table id (line 5); the sketch tier's verdict (``allowed_tables``,
         ``None`` = no pruning happened) restricts them first.
         """
-        report = context.report
-        report.table_path_reason = self._table_path_reason(context, blocks)
-        if not report.table_path_reason:
-            row_filter = context.engine.row_filter
-            report.execution_path = "batch"
-            context.batch = RequestArrays(
-                blocks,
-                context.key_map,
-                row_filter.super_key_generator.length_segment_shift,
-                check_keys=row_filter.mode == "superkey",
-            )
-            context.candidates = context.batch.candidates(context.allowed_tables)
-            return
-        report.execution_path = "table"
-        grouped = group_into_table_blocks(blocks)
-        allowed = context.allowed_tables
-        items = grouped.items()
-        if allowed is not None:
-            items = [entry for entry in items if entry[0] in allowed]
-        context.candidates = sorted(
-            items, key=lambda entry: (-len(entry[1]), entry[0])
+        engine = context.engine
+        row_filter = engine.row_filter
+        context.batch = RequestArrays(
+            blocks,
+            context.key_map,
+            row_filter.super_key_generator.length_segment_shift,
+            row_filter.mode,
+            engine.corpus.get_table,
         )
+        context.candidates = context.batch.candidates(context.allowed_tables)
 
 
 class SuperKeyPrefilter(PlanStage):
     """Row filtering of one candidate table (lines 14-19 of Algorithm 1).
 
-    On the batch path the table's span is cut out of the request's arrays
-    (:meth:`_execute_batch`; the first call of a request runs the reject
-    over all of its postings).  On the table path — the row-filter mode
-    needs corpus rows (``oracle``), or a block's super keys cannot be
-    packed — the block goes through the verbatim per-row loop
-    (:meth:`_execute_rows`).  Both produce bit-identical survivors,
-    counters, and stage statistics (pinned by the differential suites).
+    The table's span is cut out of the request's arrays (the first call of
+    a request runs the row filter over all of its postings).
     """
 
     name = STAGE_SUPERKEY_PREFILTER
 
     def _execute(self, context: PlanContext) -> StageResult:
-        if context.batch is not None:
-            return self._execute_batch(context)
-        return self._execute_rows(context)
-
-    def _execute_batch(self, context: PlanContext) -> StageResult:
-        """Batch path: cut this table's span out of the request's arrays."""
         engine = context.engine
         topk = context.topk
         span = context.current_block
@@ -377,71 +333,26 @@ class SuperKeyPrefilter(PlanStage):
             detail="abandoned" if abandoned else "",
         )
 
-    def _execute_rows(self, context: PlanContext) -> StageResult:
-        """The scalar per-row loop, kept verbatim (the batch path's oracle)."""
-        engine = context.engine
-        counters = context.counters
-        topk = context.topk
-        table_id = context.current_table_id
-        block = context.current_block
-        posting_count = len(block)
-        rows_checked = 0
-        rows_matched = 0
-        surviving: list[tuple[int, tuple[str, ...]]] = []
-        detail = ""
-
-        use_table_filters = engine.use_table_filters
-        key_map_get = context.key_map.get
-        get_row = engine.corpus.get_row
-        passes = engine.row_filter.passes
-        for value, row_index, super_key in zip(
-            block.values, block.row_indexes, block.super_keys
-        ):
-            if use_table_filters and should_abandon_table(
-                posting_count, rows_checked, rows_matched, topk
-            ):
-                counters.tables_pruned_by_rule2 += 1
-                detail = "abandoned"
-                break
-            rows_checked += 1
-            counters.rows_checked += 1
-            row = get_row(table_id, row_index)
-            row_survived = False
-            for key_tuple, key_super_key in key_map_get(value, ()):
-                if passes(super_key, key_super_key, row, key_tuple, counters):
-                    surviving.append((row_index, key_tuple))
-                    row_survived = True
-            if row_survived:
-                rows_matched += 1
-
-        context.surviving = surviving
-        return StageResult(
-            self.name,
-            items_in=posting_count,
-            items_out=len(surviving),
-            detail=detail,
-        )
-
 
 class RowVerification(PlanStage):
     """Exact verification of surviving rows and Eq. 2 scoring (line 21).
 
-    On the batch path the first call runs the request's verification pass
-    — lazily, so behind a deadline check that passed, like the prefilter —
-    and every call replays it for the current table; the plan report keeps
-    the pass's size and the pairs no replay has charged.
+    The first call runs the request's verification pass — lazily, so behind
+    a deadline check that passed, like the prefilter — and every call
+    replays it for the current table; the plan report keeps the pass's size
+    and the pairs no replay has charged.
     """
 
     name = STAGE_ROW_VERIFICATION
 
     def _execute(self, context: PlanContext) -> StageResult:
         surviving = context.surviving
-        get_table = context.engine.corpus.get_table
-        batch = context.batch
-        verdicts = batch.verify(get_table) if batch is not None else None
+        verdicts = context.batch.verify()
         if verdicts is None:
             result = joinability.verify_table(
-                get_table(context.current_table_id).rows, surviving, context.counters
+                context.engine.corpus.get_table(context.current_table_id).rows,
+                surviving,
+                context.counters,
             )
         else:
             result = verdicts.replay(

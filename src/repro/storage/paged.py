@@ -339,10 +339,11 @@ def write_segment(
     8-byte-aligned raw regions of :func:`_region_sizes` (native byte order;
     the packed super keys are big-endian, exactly the vectorized prefilter
     kernels' input), then a JSON directory of constant size — counts, the
-    region table, the hash configuration, plus the few oversize (spilled)
-    super keys as hex strings and the ids of the values they leave without a
-    packed column — and the CRC-protected fixed footer.  The block is
-    written column by column as it is.
+    region table, the hash configuration, and the empty ``spill`` /
+    ``unpacked`` lists every MATESEG2 reader expects (the format's room for
+    keys too wide for their slots, which no block holds) — and the
+    CRC-protected fixed footer.  The block is written column by column as it
+    is.
 
     The file is written to a temporary sibling and atomically renamed, so a
     crash mid-write never leaves a half-segment under the target name; a
@@ -400,13 +401,8 @@ def write_segment(
                     "key_width": block.key_width,
                     "counts": counts,
                     "regions": table,
-                    "spill": [
-                        [table_id, row_index, format(super_key, "x")]
-                        for (table_id, row_index), super_key in sorted(
-                            block.spill.items()
-                        )
-                    ],
-                    "unpacked": sorted(block.unpacked),
+                    "spill": [],
+                    "unpacked": [],
                 },
                 separators=(",", ":"),
             ).encode("utf-8")
@@ -445,8 +441,9 @@ def load_segment(path: str | Path) -> InvertedIndex:
     shared between processes mapping the same file.  Structural damage —
     wrong magic, torn footer, checksum mismatch, a region outside the
     payload or of another length than the counts imply, offsets that do not
-    partition their column, text that is not UTF-8 — and files of another
-    format version or byte order raise
+    partition their column, text that is not UTF-8 — files of another
+    format version or byte order, and a file listing a key too wide for its
+    slot (a non-empty ``spill``), raise
     :class:`~repro.exceptions.SegmentFormatError`.
     """
     path = Path(path)
@@ -587,6 +584,13 @@ def _mapped_block(
             f"segment file {path}: the value offsets do not partition the "
             f"{len(text)} characters of vocabulary text into non-empty values"
         )
+    if payload["spill"]:
+        table_id, row_index, _key = payload["spill"][0]
+        raise SegmentFormatError(
+            f"segment file {path} lists a super key too wide for its "
+            f"{width}-byte slot (table {table_id} row {row_index}); oversize "
+            f"keys are no longer read, rebuild the segment"
+        )
     postings = int(counts["postings"])
     if not _is_partition(regions["posting_offsets"].cast("q").tolist(), postings):
         raise SegmentFormatError(
@@ -598,11 +602,6 @@ def _mapped_block(
         hash_size=int(payload["hash_size"]),
         key_width=width,
         values=list(map(text.__getitem__, map(slice, bounds, bounds[1:]))),
-        spill={
-            (int(table_id), int(row_index)): int(key_hex, 16)
-            for table_id, row_index, key_hex in payload["spill"]
-        },
-        unpacked=map(int, payload["unpacked"]),
         **regions,
     )
 

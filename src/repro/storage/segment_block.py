@@ -38,9 +38,6 @@ import numpy as _np
 from ..exceptions import IndexError_
 from ..hashing.base import key_width
 
-#: A spilled (oversize) super key: ``(table_id, row_index) -> key``.
-Spill = dict[tuple[int, int], int]
-
 
 def _view(data: Any, typecode: str) -> memoryview:
     """``data``'s bytes as a flat read-only-or-not view of ``typecode`` items.
@@ -72,8 +69,6 @@ class SegmentBlock:
         "row_table_ids",
         "row_row_indexes",
         "row_keys",
-        "spill",
-        "unpacked",
     )
 
     def __init__(
@@ -91,8 +86,6 @@ class SegmentBlock:
         row_table_ids: Any,
         row_row_indexes: Any,
         row_keys: Any,
-        spill: Spill,
-        unpacked: Iterable[int],
     ):
         self.hash_function_name = hash_function_name
         self.hash_size = hash_size
@@ -107,19 +100,12 @@ class SegmentBlock:
         self.row_indexes = _view(row_indexes, "q")
         self.column_indexes = _view(column_indexes, "i")
         #: Packed big-endian super key of every posting's row (zeros where
-        #: the row has none or its key spilled).
+        #: the row has none).
         self.posting_keys = _view(posting_keys, "B")
         #: The row table: ``(table_id, row_index)`` ascending, keys parallel.
         self.row_table_ids = _view(row_table_ids, "q")
         self.row_row_indexes = _view(row_row_indexes, "q")
         self.row_keys = _view(row_keys, "B")
-        #: Keys too wide for ``key_width``.
-        self.spill = spill
-        #: Ids of the values with a posting on a spilled row: their
-        #: ``posting_keys`` slice would be lossy, so they are served through
-        #: the integer column.  Computed by whoever lays the columns out and
-        #: recorded in the file, so opening one never scans the postings.
-        self.unpacked = frozenset(unpacked)
 
     def __reduce__(self):
         """Pickle / deep-copy by the columns' bytes (a :class:`memoryview`
@@ -150,8 +136,6 @@ class SegmentBlock:
             row_table_ids=b"",
             row_row_indexes=b"",
             row_keys=b"",
-            spill={},
-            unpacked=(),
         )
 
     @classmethod
@@ -168,9 +152,9 @@ class SegmentBlock:
         row_indexes)`` in vocabulary order (a value without postings, or the
         missing value, is skipped); ``rows`` yields ``(table_id, row_index,
         key)``, a later key of a row replacing an earlier one.  The row table
-        is sorted, every posting gets its row's packed key by one sorted
-        search, and a key wider than the packed width spills.  Raises
-        :class:`ValueError` when a value's three columns differ in length.
+        is sorted and every posting gets its row's packed key by one sorted
+        search.  Raises :class:`ValueError` when a value's three columns
+        differ in length, or when a key does not fit the packed width.
         """
         width = key_width(hash_size)
         values: list[str] = []
@@ -191,17 +175,21 @@ class SegmentBlock:
         )
         keys = {(int(table), int(row)): key for table, row, key in rows}
         limit = 1 << 8 * width
-        spill = {row: key for row, key in keys.items() if not 0 <= key < limit}
-        packed = [row for row in keys if row not in spill]
-        pairs = _np.array(packed, dtype=_np.int64).reshape(-1, 2)
+        for (table, row), key in keys.items():
+            if not 0 <= key < limit:
+                raise ValueError(
+                    f"the super key of table {table} row {row} is "
+                    f"{key.bit_length()} bits wide; a {hash_size}-bit block "
+                    f"packs keys of at most {8 * width} bits"
+                )
+        pairs = _np.array(list(keys), dtype=_np.int64).reshape(-1, 2)
         row_keys = _np.frombuffer(
-            b"".join(keys[row].to_bytes(width, "big") for row in packed), _np.uint8
+            b"".join(key.to_bytes(width, "big") for key in keys.values()), _np.uint8
         ).reshape(-1, width)
         order = _np.lexsort((pairs[:, 1], pairs[:, 0]))
         row_tables, row_rows = pairs[order, 0], pairs[order, 1]
         row_keys = row_keys[order]
         # Per-posting keys: one sorted search into the row table, one gather.
-        # A posting on a spilled row keeps zeros there.
         posting_keys = _np.zeros((len(table_ids), width), dtype=_np.uint8)
         if len(row_tables) and len(table_ids):
             at, found = _row_positions(row_tables, row_rows, table_ids, row_indexes)
@@ -219,8 +207,6 @@ class SegmentBlock:
             row_table_ids=row_tables,
             row_row_indexes=row_rows,
             row_keys=row_keys,
-            spill=spill,
-            unpacked=_unpacked(spill, offsets, table_ids, row_indexes),
         )
 
     def postings(self) -> Iterator[tuple[str, memoryview, memoryview, memoryview]]:
@@ -287,17 +273,6 @@ def _row_positions(row_tables, row_rows, table_ids, row_indexes):
     return at, (row_tables[at] == table_ids) & (row_rows[at] == row_indexes)
 
 
-def _unpacked(spill: Spill, offsets, table_ids, row_indexes) -> list[int]:
-    """Ids of the values with a posting on a spilled row (see
-    :attr:`SegmentBlock.unpacked`): one sorted search of the spilled rows."""
-    if not spill or not len(table_ids):
-        return []
-    rows = _np.array(sorted(spill), dtype=_np.int64)
-    _at, hit = _row_positions(rows[:, 0], rows[:, 1], table_ids, row_indexes)
-    owners = _np.searchsorted(offsets, _np.flatnonzero(hit), side="right") - 1
-    return _np.unique(owners).tolist()
-
-
 def visible_counts(
     block: SegmentBlock, masked: Collection[int]
 ) -> tuple[list[int], int]:
@@ -305,7 +280,6 @@ def visible_counts(
     tables, counted on the table-id columns and the offsets — what a live
     index reports for a segment some of whose tables a tombstone hides,
     without walking (or slicing) a single posting list."""
-    spilled = sum(table_id not in masked for table_id, _row in block.spill)
     dead = _np.fromiter(masked, _np.int64, len(masked))
     alive = ~_np.isin(_np.frombuffer(block.table_ids, _np.int64), dead)
     starts = _np.frombuffer(block.posting_offsets, _np.int64)[:-1]
@@ -313,7 +287,7 @@ def visible_counts(
         _np.add.reduceat(alive.astype(_np.int64), starts) if len(starts) else starts
     )
     rows = _np.frombuffer(block.row_table_ids, _np.int64)
-    return lengths.tolist(), spilled + int(len(rows) - _np.isin(rows, dead).sum())
+    return lengths.tolist(), int(len(rows) - _np.isin(rows, dead).sum())
 
 
 # ----------------------------------------------------------------------
@@ -345,26 +319,17 @@ def merge_blocks(
                 f"{first.key_width}) and {block.hash_size}-bit "
                 f"{block.hash_function_name} (key width {block.key_width})"
             )
-    spill = {
-        row: super_key
-        for block, masked in zip(blocks, masks)
-        for row, super_key in block.spill.items()
-        if row[0] not in masked
-    }
-    values, columns = _merge(blocks, masks, first.key_width, spill)
+    values, columns = _merge(blocks, masks, first.key_width)
     return SegmentBlock(
         hash_function_name=first.hash_function_name,
         hash_size=first.hash_size,
         key_width=first.key_width,
         values=values,
-        spill=spill,
         **columns,
     )
 
 
-def _merge(
-    blocks, masks, width: int, spill: Spill
-) -> tuple[list[str], dict[str, Any]]:
+def _merge(blocks, masks, width: int) -> tuple[list[str], dict[str, Any]]:
     """``(the merged vocabulary, the merged columns by name)``, as
     whole-column numpy operations."""
     merged_of: dict[str, int] = {}
@@ -417,15 +382,13 @@ def _merge(
     _np.cumsum(_np.bincount(merged_ids, minlength=len(merged_of)), out=offsets[1:])
     row_tables, row_rows, row_keys = map(_np.concatenate, zip(*row_parts))
     row_order = _np.lexsort((row_rows, row_tables))
-    table_ids, row_indexes = table_ids[order], row_indexes[order]
     return list(merged_of), {
         "posting_offsets": offsets,
-        "table_ids": table_ids,
-        "row_indexes": row_indexes,
+        "table_ids": table_ids[order],
+        "row_indexes": row_indexes[order],
         "column_indexes": column_indexes[order],
         "posting_keys": keys[order],
         "row_table_ids": row_tables[row_order],
         "row_row_indexes": row_rows[row_order],
         "row_keys": row_keys[row_order],
-        "unpacked": _unpacked(spill, offsets, table_ids, row_indexes),
     }

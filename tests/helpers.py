@@ -12,7 +12,7 @@ class CellIndex:
     The oracle of every path that lays a block out — the bulk build, the
     ingest buffer, merges, edits and shards.  :meth:`to_block` goes through
     the one shared constructor, ``SegmentBlock.from_postings``; ``keys`` may
-    be set directly (a key wider than the hash size spills).
+    be set directly (a key wider than the packed width is refused there).
     """
 
     def __init__(self, hash_size=128, hash_function_name="xash", generator=None):
@@ -129,38 +129,6 @@ def legacy_minhash_signature(hashes, a, b):
             if permuted < signature[position]:
                 signature[position] = permuted
     return tuple(signature)
-
-
-#: The two indexes the plan and sketch equivalence suites run on: every
-#: super key packed, as built, and the same index with one key per table
-#: spilled (:func:`spill_one_key_per_table`) — blocks touching such a table
-#: arrive unpacked, which sends the request down the table-at-a-time path.
-INDEX_VARIANTS = ["packed", "spilled"]
-
-
-def spill_one_key_per_table(index):
-    """``index`` with a bit past any hash width OR-ed into the first row key
-    of every table.
-
-    The key no longer fits its packed slot and spills; since the query keys
-    never carry that bit, every super-key check — and so every answer and
-    counter — is what it was before.
-    """
-    reference = CellIndex.of(index)
-    first: dict[int, tuple[int, int]] = {}
-    for (table_id, row_index), super_key in sorted(reference.keys.items()):
-        first.setdefault(table_id, (row_index, super_key))
-    for table_id, (row_index, super_key) in first.items():
-        reference.keys[(table_id, row_index)] = super_key | 1 << 300
-    return reference.to_index()
-
-
-def build_index_variant(variant: str, corpus, config=None):
-    """``build_index`` for one of :data:`INDEX_VARIANTS`."""
-    from repro.index import build_index
-
-    index = build_index(corpus, config=config)
-    return spill_one_key_per_table(index) if variant == "spilled" else index
 
 
 def legacy_row_mappings(row, key_values):
@@ -402,7 +370,16 @@ def write_legacy_sketch_pair(index, directory, stem="sketches") -> None:
     )
 
 
-def legacy_discover(engine, query, k=None, *, budget=None, on_snapshot=None):
+def legacy_discover(
+    engine,
+    query,
+    k=None,
+    *,
+    budget=None,
+    on_snapshot=None,
+    seed_column=None,
+    allowed_tables=None,
+):
     """The pre-planner ``MateDiscovery.discover`` loop, kept verbatim.
 
     This is the byte-identity oracle of the plan-equivalence suite: the
@@ -410,12 +387,16 @@ def legacy_discover(engine, query, k=None, *, budget=None, on_snapshot=None):
     planner/executor refactor, driven through the *current* engine's
     components (corpus, index, selector, row filter).  The executor with
     re-planning disabled must reproduce its output byte for byte.
+
+    ``seed_column`` (instead of the engine's selector) and
+    ``allowed_tables`` (the candidates kept, ``None``: all) are what a
+    planner run decided — a re-plan's final seed, the sketch tier's verdict
+    — so such a run can be replayed by the loop too.
     """
     from repro.core.filters import should_abandon_table, should_prune_table
     from repro.core.results import DiscoveryResult
     from repro.core.topk import TopKHeap
     from repro.exceptions import DiscoveryError
-    from repro.index import fetch_table_blocks
     from repro.metrics import DiscoveryCounters
 
     def evaluate_table(table_id, block, key_map, topk, counters):
@@ -427,9 +408,7 @@ def legacy_discover(engine, query, k=None, *, budget=None, on_snapshot=None):
         key_map_get = key_map.get
         get_row = engine.corpus.get_row
         passes = engine.row_filter.passes
-        for value, row_index, super_key in zip(
-            block.values, block.row_indexes, block.super_keys
-        ):
+        for value, row_index, super_key in block:
             if use_table_filters and should_abandon_table(
                 posting_count, rows_checked, rows_matched, topk
             ):
@@ -463,7 +442,7 @@ def legacy_discover(engine, query, k=None, *, budget=None, on_snapshot=None):
     counters = DiscoveryCounters()
     started = time.perf_counter()
 
-    initial_column = engine.column_selector(query, engine.index)
+    initial_column = seed_column or engine.column_selector(query, engine.index)
     if initial_column not in query.key_columns:
         raise DiscoveryError(
             f"initial column {initial_column!r} is not a key column of the query"
@@ -478,8 +457,10 @@ def legacy_discover(engine, query, k=None, *, budget=None, on_snapshot=None):
             granted = budget.take_pl_fetches(len(probe_values))
             probe_values = probe_values[:granted]
 
-    grouped = fetch_table_blocks(engine.index, probe_values)
+    grouped = fetch_grouped_by_table(engine.index, probe_values)
     counters.pl_items_fetched = sum(len(block) for block in grouped.values())
+    if allowed_tables is not None:
+        grouped = {t: block for t, block in grouped.items() if t in allowed_tables}
     counters.candidate_tables = len(grouped)
     counters.extra["initial_column_cardinality"] = float(len(probe_values))
 
@@ -521,6 +502,19 @@ def legacy_discover(engine, query, k=None, *, budget=None, on_snapshot=None):
         names=names,
         complete=complete,
     )
+
+
+def fetch_grouped_by_table(index, values):
+    """Line 5 of Algorithm 1 for any index with ``fetch_batch``: ``table id
+    -> [(value, row_index, super_key)]``, per table in probe order, then
+    posting order."""
+    grouped = {}
+    for block in index.fetch_batch(values):
+        for item in block:
+            grouped.setdefault(item.table_id, []).append(
+                (item.value, item.row_index, item.super_key)
+            )
+    return grouped
 
 
 def assert_results_byte_identical(result, oracle) -> None:
@@ -728,16 +722,13 @@ def legacy_xash_hash(value, config):
 
 
 def assert_blocks_equal(mine, theirs) -> None:
-    """Fetch blocks equal — postings, super keys, the packed key buffers
-    (or their absence) and the table runs."""
+    """Fetch blocks equal — postings, super keys and the packed key
+    buffers."""
     assert mine == theirs
     assert [block.value for block in mine] == [block.value for block in theirs]
     for left, right in zip(mine, theirs):
-        assert (left.super_key_bytes is None) == (right.super_key_bytes is None)
-        if left.super_key_bytes is not None:
-            assert bytes(left.super_key_bytes) == bytes(right.super_key_bytes)
-            assert left.key_width == right.key_width
-        assert list(left.runs) == list(right.runs)
+        assert bytes(left.super_key_bytes) == bytes(right.super_key_bytes)
+        assert left.key_width == right.key_width
 
 
 def block_columns(block) -> dict:

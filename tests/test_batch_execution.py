@@ -7,11 +7,9 @@ pairs of every candidate table with
 and the executor replays it table by table).  Everything here is
 differential: against
 ``tests.helpers.legacy_verify_table`` / ``legacy_discover`` (the verbatim
-loops), against the table-at-a-time path of the same executor (forced by
-patching its path choice), and against a freshly built engine after
-mutations.  Every end-to-end comparison asserts that the plan report says
-the batch path ran — an equivalence suite must not silently exercise the
-per-row loop only.
+loops), and against a freshly built engine after mutations.  There is one
+execution path, so every end-to-end comparison runs the engine against the
+verbatim loop, for every row filter.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ import repro
 from repro import MateConfig, MateDiscovery, build_index
 from repro.api import PlannerOptions
 from repro.api.request import RequestBudget
-from repro.baselines import ScrDiscovery
 from repro.core import joinability
 from repro.core.filters import should_prune_table
 from repro.datagen import build_workload
@@ -46,14 +43,14 @@ from repro.experiments.planner import (
 )
 from repro.experiments.runner import ExperimentSettings
 from repro.hashing.base import key_width
-from repro.index import IndexMaintainer, InvertedIndex, group_into_table_blocks
+from repro.index import IndexMaintainer, InvertedIndex
 from repro.index import columnar
 from repro.index.batch import RequestArrays, SurvivingPairs, verify_tables
 from repro.ingest import LiveIndex
 from repro.metrics import DiscoveryCounters
 from repro.plan import PlanContext, PlanReport, Planner
 from repro.plan.executor import Executor
-from repro.plan.stages import CandidateGeneration, RowVerification
+from repro.plan.stages import RowVerification
 from repro.sketch import SketchOptions
 from repro.storage import load_segment, write_segment
 
@@ -62,6 +59,7 @@ from tests.helpers import (
     CellIndex,
     assert_results_byte_identical,
     build_in_lane,
+    fetch_grouped_by_table,
     legacy_discover,
     legacy_verify_table,
 )
@@ -89,40 +87,56 @@ def stage_volumes(result) -> dict[str, tuple[int, int, int]]:
     }
 
 
-def assert_batch_equals_table_path(engine, query, *, make_kwargs=dict, **kwargs):
-    """Run both executor paths; answers, counters and stage volumes agree.
+#: Counters only the planner's stages write: the verbatim loop has no
+#: sketch tier and never re-plans.
+PLANNER_EXTRAS = (
+    "replans",
+    "discarded_pl_items",
+    "sketch_candidates",
+    "sketch_estimated_recall",
+)
+
+
+def assert_matches_legacy(
+    engine, query, *, make_kwargs=dict, allowed_tables=None, **kwargs
+):
+    """The executor against the verbatim loop: answers, mappings, names,
+    completeness and every counter.
 
     ``make_kwargs`` builds the per-run keyword arguments that cannot be
-    shared between two runs (a budget is a ledger).  Returns the batch run.
+    shared between two runs (a budget is a ledger).  The loop replays the
+    planner's decisions: the seed column the run ended on, and
+    ``allowed_tables``, the candidates the sketch tier kept.  Fetches a
+    re-plan discarded are the only postings the loop does not fetch.
+    Returns the executor's run.
     """
-    batch = engine.discover(query, **kwargs, **make_kwargs())
-    assert batch.plan.execution_path == "batch", batch.plan.table_path_reason
-    assert batch.plan.table_path_reason == ""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            CandidateGeneration,
-            "_table_path_reason",
-            staticmethod(lambda context, blocks: "forced"),
-        )
-        table = engine.discover(query, **kwargs, **make_kwargs())
-    assert table.plan.execution_path == "table"
-    assert table.plan.table_path_reason == "forced"
-    assert_results_byte_identical(batch, table)
-    assert stage_volumes(batch) == stage_volumes(table)
-    return batch
+    result = engine.discover(query, **kwargs, **make_kwargs())
+    legacy = legacy_discover(
+        engine,
+        query,
+        kwargs.get("k"),
+        seed_column=result.plan.seed_column,
+        allowed_tables=allowed_tables,
+        **make_kwargs(),
+    )
+    mine = copy.deepcopy(result)
+    for name in PLANNER_EXTRAS:
+        mine.counters.extra.pop(name, None)
+    mine.counters.pl_items_fetched -= result.plan.discarded_postings
+    assert_results_byte_identical(mine, legacy)
+    return result
 
 
 def test_a_freshly_built_index_takes_the_batch_path(workload):
-    """The bulk build's index serves packed key buffers, so a discover over
-    it is batch-executed and answers what a discover over the per-cell
-    reference's index answers."""
+    """The bulk build's index serves packed key buffers, and a discover over
+    it answers what a discover over the per-cell reference's index
+    answers."""
     by_lane = {}
     for lane in BUILD_LANES:
         index = build_in_lane(lane, workload.corpus, config=CONFIG)
         engine = MateDiscovery(workload.corpus, index, config=CONFIG)
         by_lane[lane] = engine.discover(workload.queries[0])
-        plan = by_lane[lane].plan
-        assert plan.execution_path == "batch", plan.table_path_reason
+        assert by_lane[lane].plan.verified_pairs > 0
     assert type(index) is InvertedIndex
     assert_results_byte_identical(by_lane["block"], by_lane["loop"])
     assert stage_volumes(by_lane["block"]) == stage_volumes(by_lane["loop"])
@@ -282,7 +296,6 @@ class TestRequestKernelDifferential:
             lambda *args: calls.append(args) or loop(*args),
         )
         result = engine.discover(query)
-        assert result.plan.execution_path == "batch"
         assert result.plan.verified_pairs == 0 and len(calls) == 1
         assert answer(result) == [(0, 1, tuple(range(12)))]
         assert_results_byte_identical(result, legacy_discover(engine, query))
@@ -311,11 +324,9 @@ class TestRequestArrays:
         for value, table_id, row_index, key in postings:
             cells.add_posting(value, table_id, 0, row_index)
             cells.keys[(table_id, row_index)] = key
-        blocks = cells.to_index().fetch_batch(VALUES)
-        arrays = RequestArrays(
-            blocks, key_map, length_shift, check_keys=mode == "superkey"
-        )
-        grouped = group_into_table_blocks(blocks)
+        index = cells.to_index()
+        arrays = RequestArrays(index.fetch_batch(VALUES), key_map, length_shift, mode)
+        grouped = fetch_grouped_by_table(index, VALUES)
         width = key_width(hash_size)
         candidates = arrays.candidates(None)
         assert [
@@ -325,16 +336,14 @@ class TestRequestArrays:
             key=lambda entry: (-entry[1], entry[0]),
         )
         for table_id, span in candidates:
-            table_block = grouped[table_id]
+            values, row_indexes, super_keys = zip(*grouped[table_id])
             expected = reference_prefilter(
-                values=table_block.values,
-                row_indexes=table_block.row_indexes,
-                packed=b"".join(
-                    key.to_bytes(width, "big") for key in table_block.super_keys
-                ),
+                values=values,
+                row_indexes=row_indexes,
+                packed=b"".join(key.to_bytes(width, "big") for key in super_keys),
                 width=width,
                 key_map=key_map,
-                posting_count=len(table_block),
+                posting_count=len(values),
                 mode=mode,
                 length_shift=length_shift,
                 min_joinability=bound,
@@ -370,21 +379,21 @@ class TestRequestArrays:
         assert arrays.cut(span, None)[:4] == (4, 4, 0, False)
 
     def test_sort_is_stable_across_probe_values(self):
-        """Table order is probe order, then posting order (TableBlock order)."""
+        """Table order is probe order, then posting order (the loop's)."""
         cells = CellIndex(hash_size=16)
         for value, table_id, row_index in [
             ("w", 1, 5), ("v", 1, 9), ("w", 0, 2), ("v", 1, 3), ("v", 0, 7),
         ]:
             cells.add_posting(value, table_id, 0, row_index)
             cells.keys[(table_id, row_index)] = 0
-        blocks = cells.to_index().fetch_batch(["v", "w"])
-        arrays = RequestArrays(blocks, {}, None)
-        grouped = group_into_table_blocks(blocks)
+        index = cells.to_index()
+        arrays = RequestArrays(index.fetch_batch(["v", "w"]), {}, None)
+        grouped = fetch_grouped_by_table(index, ["v", "w"])
+        assert arrays.row_indexes.tolist() == [7, 2, 9, 3, 5]
         for table_id, span in arrays.candidates(None):
-            assert (
-                arrays.row_indexes[span.start : span.stop].tolist()
-                == grouped[table_id].row_indexes
-            )
+            assert arrays.row_indexes[span.start : span.stop].tolist() == [
+                row_index for _, row_index, _ in grouped[table_id]
+            ]
         assert [table_id for table_id, _ in arrays.candidates({0})] == [0]
 
     def test_no_postings_no_candidates(self):
@@ -413,9 +422,8 @@ class TestDiscoverDifferential:
     def test_matches_the_legacy_loop(self, engine, workload):
         for query in workload.queries:
             result = engine.discover(query)
-            assert result.plan.execution_path == "batch"
             assert_results_byte_identical(result, legacy_discover(engine, query))
-            assert_batch_equals_table_path(engine, query)
+            assert_matches_legacy(engine, query)
 
     @pytest.mark.parametrize("row_filter_mode", ["superkey", "none"])
     @pytest.mark.parametrize("k", [1, 3])
@@ -428,35 +436,25 @@ class TestDiscoverDifferential:
         )
         pruned = 0
         for query in workload.queries:
-            result = assert_batch_equals_table_path(system, query, k=k)
-            assert_results_byte_identical(
-                result, legacy_discover(system, query, k=k)
-            )
+            result = assert_matches_legacy(system, query, k=k)
             pruned += result.counters.tables_pruned_by_rule2
         assert pruned or row_filter_mode == "none"
 
     def test_values_mapping_to_several_key_entries(self, engine, workload):
         query = shared_seed_query(workload)
-        result = assert_batch_equals_table_path(engine, query)
-        assert_results_byte_identical(result, legacy_discover(engine, query))
+        result = assert_matches_legacy(engine, query)
         key_map = engine._build_key_super_key_map(query, result.plan.seed_column)
         assert max(len(entries) for entries in key_map.values()) > 1
 
     @pytest.mark.parametrize("limit", [0, 1, 3])
     def test_fetch_budget(self, engine, workload, limit):
         query = workload.queries[0]
-        result = assert_batch_equals_table_path(
+        result = assert_matches_legacy(
             engine,
             query,
             make_kwargs=lambda: {"budget": RequestBudget(max_pl_fetches=limit)},
         )
         assert not result.complete
-        assert_results_byte_identical(
-            result,
-            legacy_discover(
-                engine, query, budget=RequestBudget(max_pl_fetches=limit)
-            ),
-        )
 
     def test_deadline_that_expires_mid_loop(self, engine, workload):
         query = workload.queries[0]
@@ -472,14 +470,9 @@ class TestDiscoverDifferential:
                 "on_snapshot": on_snapshot,
             }
 
-        result = assert_batch_equals_table_path(
-            engine, query, make_kwargs=make_kwargs
-        )
+        result = assert_matches_legacy(engine, query, make_kwargs=make_kwargs)
         assert not result.complete and result.counters.deadline_expired
         assert result.counters.tables_evaluated == 1
-        assert_results_byte_identical(
-            result, legacy_discover(engine, query, **make_kwargs())
-        )
 
     def test_deadline_expired_by_the_fetch_skips_the_prefilter(
         self, engine, workload, monkeypatch
@@ -508,16 +501,14 @@ class TestDiscoverDifferential:
         monkeypatch.setattr(
             RequestArrays,
             "verify",
-            lambda self, get_table: pytest.fail("verified past the deadline"),
+            lambda self: pytest.fail("verified past the deadline"),
         )
         monkeypatch.setattr(
             ValueEncoder,
             "matrices",
             lambda self, tables, keys: pytest.fail("encoded past the deadline"),
         )
-        result = assert_batch_equals_table_path(
-            engine, query, make_kwargs=make_kwargs
-        )
+        result = assert_matches_legacy(engine, query, make_kwargs=make_kwargs)
         assert result.counters.deadline_expired
         assert result.counters.candidate_tables > 0
         assert result.counters.tables_evaluated == 0
@@ -529,7 +520,6 @@ class TestDiscoverDifferential:
         oracle: list[list] = []
         result = engine.discover(query, on_snapshot=seen.append)
         legacy_discover(engine, query, on_snapshot=oracle.append)
-        assert result.plan.execution_path == "batch"
         assert seen == oracle and seen[-1] == result.result_tuples()
 
     def test_adaptive_replanning_that_discards_a_seed(self):
@@ -542,7 +532,7 @@ class TestDiscoverDifferential:
             replan_check_every=PLANNER_CHECK_EVERY,
             replan_factor=PLANNER_REPLAN_FACTOR,
         )
-        result = assert_batch_equals_table_path(engine, query, planner=options)
+        result = assert_matches_legacy(engine, query, planner=options)
         assert len(result.plan.replans) == 1
         assert result.plan.discarded_postings > 0
         assert result.result_tuples() == engine.discover(query).result_tuples()
@@ -559,9 +549,23 @@ class TestDiscoverDifferential:
             return gather(self, tables, keys)
 
         monkeypatch.setattr(ValueEncoder, "matrices", recorded)
-        result = assert_batch_equals_table_path(
+        result = engine.discover(
+            query,
+            planner=PlannerOptions(mode="sketch"),
+            sketch=SketchOptions(max_candidates=2),
+        )
+        monkeypatch.undo()
+        # The sketch tier's verdict, as its stage asks for it.
+        position = query.key_columns.index(result.plan.seed_column)
+        values = {key[position] for key in engine._complete_key_tuples(query)}
+        allowed = {
+            table_id
+            for table_id, _ in engine.sketch_index().query(values, max_candidates=2)
+        }
+        assert_matches_legacy(
             engine,
             query,
+            allowed_tables=allowed,
             planner=PlannerOptions(mode="sketch"),
             sketch=SketchOptions(max_candidates=2),
         )
@@ -590,9 +594,8 @@ class TestDiscoverDifferential:
         assert any(
             isinstance(block.table_ids, list) for block in live.fetch_batch(values)
         ), "no probe value spans components: the merged-block case is not covered"
-        result = assert_batch_equals_table_path(engine, query)
+        result = assert_matches_legacy(engine, query)
         assert victim not in result.table_ids()
-        assert_results_byte_identical(result, legacy_discover(engine, query))
 
     def test_mmap_segment(self, workload, tmp_path):
         index = build_index(workload.corpus, config=CONFIG)
@@ -601,14 +604,13 @@ class TestDiscoverDifferential:
         try:
             engine = MateDiscovery(workload.corpus, mapped, config=CONFIG)
             for query in workload.queries:
-                result = assert_batch_equals_table_path(engine, query)
-                assert_results_byte_identical(result, legacy_discover(engine, query))
+                assert_matches_legacy(engine, query)
         finally:
             mapped.close()
 
 
 class TestRule2Replay:
-    @pytest.mark.parametrize("row_filter_mode", ["superkey", "none"])
+    @pytest.mark.parametrize("row_filter_mode", ["superkey", "none", "oracle"])
     def test_every_abandoned_prefix_scores_below_j_k(
         self, workload, row_filter_mode, monkeypatch
     ):
@@ -616,7 +618,7 @@ class TestRule2Replay:
         That is exact because the prefix the loop would have verified scores
         below ``j_k``, which the full heap rejects just like 0: checked here
         for every abandon of MATE and SCR (whose every posting matches, so
-        rule 2 never fires for it)."""
+        rule 2 never fires for it) and of the ideal filter."""
         system = MateDiscovery(
             workload.corpus,
             build_index(workload.corpus, config=CONFIG),
@@ -641,8 +643,8 @@ class TestRule2Replay:
         monkeypatch.setattr(RowVerification, "_execute", checked)
         for k in (1, 2, 3, 10):
             for query in [*workload.queries, shared_seed_query(workload)]:
-                assert system.discover(query, k=k).plan.execution_path == "batch"
-        assert bool(abandons) == (row_filter_mode == "superkey")
+                system.discover(query, k=k)
+        assert bool(abandons) == (row_filter_mode != "none")
 
     def test_pairs_discarded_by_rule_1_and_rule_2(self):
         """k = 1.  Table 0 (5 postings, 3 pairs) fills the heap with j_k = 3;
@@ -674,7 +676,7 @@ class TestRule2Replay:
         engine = MateDiscovery(
             corpus, build_index(corpus, config=CONFIG), config=CONFIG
         )
-        result = assert_batch_equals_table_path(engine, query, k=1)
+        result = assert_matches_legacy(engine, query, k=1)
         assert result.plan.seed_column == "t"
         assert result.result_tuples() == [(0, 3)]
         counters = result.counters
@@ -688,59 +690,67 @@ class TestRule2Replay:
         assert stage_volumes(result)["row_verification"] == (2, 3, 3)
 
 
-class TestExecutionPathReport:
-    def test_reasons_for_the_table_path(self, workload):
-        query = workload.queries[0]
-        index = build_index(workload.corpus, config=CONFIG)
+@pytest.fixture(scope="module", params=["WT_100", "OD_100"])
+def corpus_workload(request):
+    """A web-table and an open-data workload (wide rows, many columns)."""
+    return build_workload(request.param, seed=11, num_queries=3, corpus_scale=0.2)
 
-        def report(engine):
-            return engine.discover(query).plan
 
-        engine = MateDiscovery(workload.corpus, index, config=CONFIG)
-        assert report(engine).as_dict()["execution_path"] == "batch"
-        scr = MateDiscovery(
-            workload.corpus, index, config=CONFIG, row_filter_mode="none"
-        )
-        assert report(scr).execution_path == "batch"
+class TestOracleRowFilter:
+    def test_matches_the_legacy_loop(self, corpus_workload):
+        """The ideal filter (Figure 5) on the request arrays: its
+        containment test is the verification pass's comparison half.
+        Answers, mappings and every counter equal the verbatim loop's, at
+        every k — rule 2 abandons included."""
         oracle = MateDiscovery(
-            workload.corpus, index, config=CONFIG, row_filter_mode="oracle"
+            corpus_workload.corpus,
+            build_index(corpus_workload.corpus, config=CONFIG),
+            config=CONFIG,
+            row_filter_mode="oracle",
         )
-        assert report(oracle).table_path_reason == "row filter oracle"
+        abandoned = 0
+        for query in corpus_workload.queries:
+            for k in (1, 3, 10):
+                result = assert_matches_legacy(oracle, query, k=k)
+                counters = result.counters
+                assert counters.false_positive_rows == 0
+                assert counters.superkey_checks == counters.short_circuit_hits == 0
+                abandoned += counters.tables_pruned_by_rule2
+        assert abandoned
 
-    def test_a_spilled_key_takes_the_table_path(self, workload):
-        """A key wider than the hash size spills, and its block arrives
-        unpacked: the request runs table at a time through the per-row loop,
-        with the answers and counters of the verbatim loop — for MATE and
-        for SCR alike."""
+
+class TestExecutionPathReport:
+    def test_every_row_filter_runs_on_the_arrays(self, workload):
+        """MATE, SCR and the ideal filter all answer what the verbatim loop
+        answers, and the plan report names no execution path."""
         query = workload.queries[0]
         index = build_index(workload.corpus, config=CONFIG)
-        engine = MateDiscovery(workload.corpus, index, config=CONFIG)
-        scr = ScrDiscovery(workload.corpus, index, config=CONFIG)
-        assert scr.discover(query).plan.execution_path == "batch"
-        assert_results_byte_identical(
-            scr.discover(query), legacy_discover(scr, query)
-        )
-        value = engine.probe_values(query)[0]
-        spilled = index.fetch([value])[0]
+        for mode in ("superkey", "none", "oracle"):
+            engine = MateDiscovery(
+                workload.corpus, index, config=CONFIG, row_filter_mode=mode
+            )
+            result = assert_matches_legacy(engine, query)
+            assert result.plan.verified_pairs > 0
+            document = result.plan.as_dict()
+            assert "execution_path" not in document
+            assert "table_path_reason" not in document
+
+    def test_an_oversize_key_is_refused_by_the_block(self, workload):
+        """A key wider than its packed slot cannot be laid out: the block
+        constructor names the row and the key's width."""
+        index = build_index(workload.corpus, config=CONFIG)
         cells = CellIndex.of(index)
-        cells.keys[(spilled.table_id, spilled.row_index)] = (
-            spilled.super_key | 1 << 300
+        (table_id, row_index), super_key = next(iter(cells.keys.items()))
+        cells.keys[(table_id, row_index)] = super_key | 1 << 300
+        with pytest.raises(ValueError) as raised:
+            cells.to_block()
+        assert f"table {table_id} row {row_index} is 301 bits wide" in str(
+            raised.value
         )
-        index.replace_block(cells.to_block())
-        for system in (engine, scr):
-            result = system.discover(query)
-            assert result.plan.execution_path == "table"
-            assert result.plan.table_path_reason == (
-                f"unpacked block for value {value!r}"
-            )
-            assert result.plan.as_dict()["table_path_reason"] == (
-                result.plan.table_path_reason
-            )
-            assert_results_byte_identical(result, legacy_discover(system, query))
 
     def test_the_old_lane_switches_are_ignored(self):
         """``MATE_KERNEL`` / ``MATE_SKETCH`` select nothing any more: a
-        process started with both set still plans the batch path."""
+        process started with both set runs the one verification pass."""
         script = (
             "from repro import MateDiscovery, PlannerOptions, SketchOptions\n"
             "from repro import QueryTable, Table, TableCorpus, build_index\n"
@@ -753,7 +763,7 @@ class TestExecutionPathReport:
             "    query, planner=PlannerOptions(mode='sketch'), sketch=SketchOptions()\n"
             ")\n"
             "assert sketched.result_tuples() == exact.result_tuples()\n"
-            "print(exact.plan.execution_path, sketched.plan.execution_path)\n"
+            "print(exact.plan.verified_pairs, sketched.plan.verified_pairs)\n"
         )
         env = dict(
             os.environ,
@@ -769,12 +779,14 @@ class TestExecutionPathReport:
             timeout=120,
         )
         assert completed.returncode == 0, completed.stderr
-        assert completed.stdout.split() == ["batch", "batch"]
+        assert completed.stdout.split() == ["1", "1"]
 
     def test_path_is_not_a_counter(self, engine, workload):
         result = engine.discover(workload.queries[0])
         assert "execution_path" not in result.counters.as_dict()
         assert "execution_path" not in result.counters.extra
+        assert not hasattr(result.plan, "execution_path")
+        assert not hasattr(result.plan, "table_path_reason")
 
 
 # ----------------------------------------------------------------------
@@ -892,7 +904,6 @@ class TestEncodedTableInvalidation:
 
     def check(self, corpus, engine, query, expected_top):
         result = engine.discover(query)
-        assert result.plan.execution_path == "batch"
         assert answer(result) == answer(fresh_answer(corpus, query))
         assert answer(result)[0] == expected_top
 
@@ -1068,7 +1079,7 @@ class TestNoBufferPinned:
             report=PlanReport(plan=plan, seed_column=plan.seed.column),
         )
         executor.candidate_generation.run(context)
-        assert context.report.execution_path == "batch"
+        assert context.batch is not None
         write()
         for table_id, span in context.candidates:
             if should_prune_table(len(span), context.topk):

@@ -27,9 +27,6 @@ from repro.index import (
     IndexMaintainer,
     InvertedIndex,
     PostingListItem,
-    compute_table_runs,
-    fetch_table_blocks,
-    group_into_table_blocks,
 )
 from repro.index.cache import CachingIndex
 from repro.storage import (
@@ -43,11 +40,9 @@ from repro.storage import (
 )
 from tests.helpers import (
     BUILD_LANES,
-    INDEX_VARIANTS,
     CellIndex,
     assert_results_byte_identical,
     build_in_lane,
-    build_index_variant,
     legacy_discover,
 )
 
@@ -106,31 +101,25 @@ def probe_values(scanned) -> list[str]:
 
 
 class TestColumnarPostingList:
-    def test_runs_and_items(self):
+    def test_items(self):
         columns = ColumnarPostingList(
             [1, 1, 2, 2, 1], [0, 1, 0, 0, 0], [0, 0, 3, 4, 9], super_key_bytes=b""
         )
         assert len(columns) == 5
-        assert columns.runs() == [(1, 0, 2), (2, 2, 4), (1, 4, 5)]
-        assert columns.runs() is columns.runs()  # memoised
         assert [item.table_id for item in columns.items()] == [1, 1, 2, 2, 1]
         assert columns.items()[2] == PostingListItem(2, 0, 3)
 
-    def test_views_carry_the_packed_slice_or_the_spilled_keys(self, config):
+    def test_views_carry_the_packed_slice(self, config):
         cells = CellIndex(hash_size=128)
-        cells_and_keys = [("x", 11), ("x", 22), ("y", 1 << 300)]
-        for row_index, (value, key) in enumerate(cells_and_keys):
-            cells.add_posting(value, 0, 0, row_index)
+        for row_index, key in enumerate([11, 22]):
+            cells.add_posting("x", 0, 0, row_index)
             cells.keys[(0, row_index)] = key
         index = cells.to_index()
         packed = index.posting_columns("x")
         assert bytes(packed.super_key_bytes) == (11).to_bytes(16, "big") + (
             22
         ).to_bytes(16, "big")
-        assert packed.super_keys is None
         assert index.posting_columns("x") is packed  # memoised
-        spilled = index.posting_columns("y")
-        assert spilled.super_key_bytes is None and spilled.super_keys == [1 << 300]
         assert index.posting_columns("absent") is None
 
     def test_posting_columns_of_unequal_lengths_are_refused(self):
@@ -138,9 +127,6 @@ class TestColumnarPostingList:
 
         with pytest.raises(ValueError, match="unequal lengths"):
             SegmentBlock.from_postings("xash", 128, [("v", [1, 2], [0], [0, 1])], ())
-
-    def test_compute_table_runs_empty(self):
-        assert compute_table_runs([]) == []
 
 
 class TestFetchAgainstACorpusScan:
@@ -172,7 +158,6 @@ class TestFetchAgainstACorpusScan:
         ]
         for block in blocks:
             assert block.items() == scanned[block.value]
-            assert list(block.runs) == compute_table_runs(list(block.table_ids))
 
     def test_posting_accessors_match_the_scan(
         self, workload, config, columnar_index, scanned
@@ -190,17 +175,6 @@ class TestFetchAgainstACorpusScan:
                 for item in scanned[value]
             ]
             assert columnar_index.posting_list_length(value) == len(scanned[value])
-
-    def test_table_blocks_match_grouped_fetch(self, columnar_index, scanned):
-        values = probe_values(scanned)
-        grouped = columnar_index.fetch_grouped_by_table(values)
-        blocks = group_into_table_blocks(columnar_index.fetch_batch(values))
-        assert set(blocks) == set(grouped)
-        for table_id, block in blocks.items():
-            assert block.items() == grouped[table_id]
-        # The helper used by the oracle loop produces the same grouping.
-        for table_id, block in fetch_table_blocks(columnar_index, values).items():
-            assert block.items() == grouped[table_id]
 
     def test_discovery_matches_the_verbatim_loop(
         self, workload, config, columnar_index
@@ -346,10 +320,8 @@ class TestPackedPersistence:
         with pytest.raises(StorageError):
             load_index_json(tmp_path / "missing.json")
 
-    # A spilled key (wider than the hash size) is saved and restored whole.
-    @pytest.mark.parametrize("variant", INDEX_VARIANTS)
-    def test_memory_backend_roundtrip(self, workload, config, variant):
-        index = build_index_variant(variant, workload.corpus, config=config)
+    def test_memory_backend_roundtrip(self, workload, config):
+        index = build_index(workload.corpus, config=config)
         with InMemoryBackend() as backend:
             backend.save_index("main", index)
             restored = backend.load_index("main")
@@ -357,9 +329,8 @@ class TestPackedPersistence:
         assert restored.fetch(values) == index.fetch(values)
         assert sorted(restored.iter_super_keys()) == sorted(index.iter_super_keys())
 
-    @pytest.mark.parametrize("variant", INDEX_VARIANTS)
-    def test_sqlite_backend_roundtrip(self, workload, config, variant, tmp_path):
-        index = build_index_variant(variant, workload.corpus, config=config)
+    def test_sqlite_backend_roundtrip(self, workload, config, tmp_path):
+        index = build_index(workload.corpus, config=config)
         db = tmp_path / "columnar.db"
         with SQLiteBackend(db) as backend:
             backend.save_index("main", index)
@@ -369,6 +340,34 @@ class TestPackedPersistence:
         values = sorted(index.values())[:150]
         assert restored.fetch(values) == index.fetch(values)
         assert sorted(restored.iter_super_keys()) == sorted(index.iter_super_keys())
+
+    def test_payload_refuses_an_oversize_key(self, columnar_index):
+        """A key wider than the packed width (an older build could store
+        one) is refused by name, not loaded."""
+        payload = index_to_payload(columnar_index)
+        table_id, row_index, _ = payload["super_keys"][0]
+        payload["super_keys"][0][2] = format(1 << 300, "x")
+        with pytest.raises(
+            StorageError, match=f"table {table_id} row {row_index} is 301 bits wide"
+        ):
+            index_from_payload(payload)
+
+    def test_sqlite_refuses_an_oversize_key(self, columnar_index, tmp_path):
+        db = tmp_path / "oversize.db"
+        with SQLiteBackend(db) as backend:
+            backend.save_index("main", columnar_index)
+            table_id, row_index, _ = next(columnar_index.iter_super_keys())
+            with backend._connection as connection:
+                connection.execute(
+                    "UPDATE super_keys SET super_key = ? WHERE index_name = 'main' "
+                    "AND table_id = ? AND row_index = ?",
+                    (format(1 << 300, "x"), table_id, row_index),
+                )
+            with pytest.raises(
+                StorageError,
+                match=f"table {table_id} row {row_index} is 301 bits wide",
+            ):
+                backend.load_index("main")
 
     def test_saving_a_bulk_built_index_slices_no_views(
         self, workload, config, tmp_path

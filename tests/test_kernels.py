@@ -36,7 +36,8 @@ def reference_prefilter(
     length_shift=None,
     min_joinability=None,
 ):
-    """The legacy ``SuperKeyPrefilter._execute_rows`` scan, spelled out.
+    """The per-row prefilter scan of ``tests.helpers.legacy_discover``,
+    spelled out.
 
     Per row: the rule-2 abandon check (``L_t - r_checked + r_match <= j_k``)
     *before* the row is counted, then one ``RowFilter.passes`` call per
@@ -177,11 +178,13 @@ class TestEntryCoverageDifferential:
         with pytest.raises(ValueError):
             entry_coverage(b"\x00\x00\x00", 2, 1, None)
 
-    def test_oversize_key_takes_scalar_patch(self):
-        # A key wider than the packed slots exercises the per-row
-        # arbitrary-precision escape hatch.
+    def test_oversize_key_is_refused(self):
+        # A key wider than the packed slots has no lane to be tested in: an
+        # engine whose hash size differs from its index's is refused before
+        # it could ask (tests/test_engine_hash_size.py).
         packed = (0xFFFF).to_bytes(2, "big") * 2 + (0x0F00).to_bytes(2, "big")
-        assert entry_coverage(packed, 2, 1 << 40, 8) == (bytes(3), b"\x01" * 3)
+        with pytest.raises(OverflowError):
+            entry_coverage(packed, 2, 1 << 40, 8)
         assert entry_coverage(packed, 2, 0x0F00, 8) == (b"\x01" * 3, bytes(3))
 
 

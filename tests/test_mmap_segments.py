@@ -16,7 +16,9 @@ Covers the whole contract of the persisted columnar segment format:
   that do not partition their column, text that is not UTF-8, a file of the
   previous format version or of a foreign byte order — raises the typed
   :class:`~repro.exceptions.SegmentFormatError`, never garbage output;
-* oversize (spilled) super keys survive the round trip;
+* the directory's ``spill`` / ``unpacked`` lists are written empty, and a
+  file whose ``spill`` lists an oversize super key (older builds wrote
+  them) is refused by name;
 * the live-index directory: seal persists ``.seg`` files, reopening
   recovers identical fetches, a manifest naming a JSON segment file (the
   format before ``.seg``) is refused by name, and what a crash leaves beside
@@ -262,16 +264,14 @@ class TestRoundTrip:
 
     def test_discovery_runs_the_batch_path(self, segment):
         # The packed key buffers survived the format: request-level arrays
-        # are built straight from the mapped columns.
+        # are built straight from the mapped columns and verified.
         corpus, _index, path = segment
         mapped = load_segment(path)
         try:
             result = MateDiscovery(corpus, mapped, config=CONFIG).discover(
                 make_query()
             )
-            assert result.plan.execution_path == "batch", (
-                result.plan.table_path_reason
-            )
+            assert result.plan.verified_pairs > 0
         finally:
             mapped.close()
 
@@ -315,20 +315,24 @@ class TestRoundTrip:
         assert completed.returncode == 0, completed.stderr
         assert json.loads(completed.stdout) == fetch_signature(index)
 
-    def test_oversize_spilled_key_round_trip(self, tmp_path):
-        corpus = make_corpus(seed=1, num_tables=2)
-        cells = CellIndex.of(build_index(corpus, config=CONFIG))
-        cells.keys[(0, 0)] = 1 << 300  # far beyond the 128-bit packed slots
-        index = cells.to_index()
-        path = write_segment(index, tmp_path / f"wide{SEGMENT_SUFFIX}", fsync=False)
-        mapped = load_segment(path)
-        try:
-            assert sorted(mapped.iter_super_keys()) == sorted(
-                index.iter_super_keys()
-            )
-            assert fetch_signature(mapped) == fetch_signature(index)
-        finally:
-            mapped.close()
+    def test_oversize_spilled_key_is_refused(self, segment, tmp_path):
+        """Older builds moved a key wider than its slot into the directory's
+        ``spill`` list; such a file is refused, naming it and the row."""
+        _corpus, _index, path = segment
+        data = Path(path).read_bytes()
+        offset, length, _crc, _magic = FOOTER.unpack(data[-FOOTER.size :])
+        directory = json.loads(data[offset : offset + length])
+        assert (directory["spill"], directory["unpacked"]) == ([], [])
+
+        def spill(directory):
+            directory["spill"] = [[0, 0, format(1 << 300, "x")]]
+            directory["unpacked"] = [0]
+
+        bad = rewrite(Path(path), tmp_path / f"wide{SEGMENT_SUFFIX}", directory=spill)
+        with pytest.raises(SegmentFormatError) as raised:
+            load_segment(bad)
+        assert str(bad) in str(raised.value)
+        assert "table 0 row 0" in str(raised.value)
 
     @pytest.mark.parametrize("rows", [False, True], ids=["empty", "rows-only"])
     def test_index_without_postings_round_trips(self, tmp_path, rows):
@@ -338,7 +342,7 @@ class TestRoundTrip:
         cells = CellIndex(hash_size=128)
         if rows:
             cells.keys[(4, 0)] = 0b101
-            cells.keys[(4, 1)] = 1 << 300  # spilled
+            cells.keys[(4, 1)] = 0b11
         index = cells.to_index()
         path = write_segment(index, tmp_path / "t.seg", fsync=False)
         mapped = load_segment(path)

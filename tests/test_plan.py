@@ -36,12 +36,7 @@ from repro.plan import (
     QueryPlan,
 )
 
-from tests.helpers import (
-    INDEX_VARIANTS,
-    assert_results_byte_identical,
-    build_index_variant,
-    legacy_discover,
-)
+from tests.helpers import assert_results_byte_identical, legacy_discover
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -56,9 +51,9 @@ def workload():
     return build_workload("WT_100", seed=11, num_queries=2, corpus_scale=0.2)
 
 
-@pytest.fixture(scope="module", params=INDEX_VARIANTS)
-def index(request, workload, plan_config):
-    return build_index_variant(request.param, workload.corpus, config=plan_config)
+@pytest.fixture(scope="module")
+def index(workload, plan_config):
+    return build_index(workload.corpus, config=plan_config)
 
 
 def adaptive_options() -> PlannerOptions:

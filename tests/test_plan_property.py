@@ -1,8 +1,6 @@
 """Property-based plan equivalence (the plan-equivalence CI job's core).
 
-Two properties over arbitrary corpora, queries, and budgets, on an index
-with every super key packed and on one with a spilled key per table (whose
-requests run table at a time):
+Two properties over arbitrary corpora, queries, and budgets:
 
 * with re-planning disabled, the executor's top-k is *byte-identical* to
   the verbatim pre-refactor loop (:func:`tests.helpers.legacy_discover`) —
@@ -16,10 +14,9 @@ requests run table at a time):
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import MateConfig, MateDiscovery
+from repro import MateConfig, MateDiscovery, build_index
 from repro.api import PlannerOptions
 from repro.api.request import RequestBudget
 from repro.core import top_k_by_exact_joinability
@@ -27,10 +24,8 @@ from repro.baselines import ScrDiscovery
 from repro.datamodel import QueryTable, Table, TableCorpus
 
 from tests.helpers import (
-    INDEX_VARIANTS,
     assert_results_byte_identical,
     assert_topk_equivalent,
-    build_index_variant,
     legacy_discover,
 )
 
@@ -73,21 +68,17 @@ def corpus_and_query(draw) -> tuple[TableCorpus, QueryTable]:
     return corpus, query
 
 
-def build_engine(
-    corpus: TableCorpus, variant: str = "packed", engine_class=MateDiscovery
-) -> MateDiscovery:
+def build_engine(corpus: TableCorpus, engine_class=MateDiscovery) -> MateDiscovery:
     config = MateConfig(hash_size=128, k=3, expected_unique_values=1000)
-    index = build_index_variant(variant, corpus, config=config)
-    return engine_class(corpus, index, config=config)
+    return engine_class(corpus, build_index(corpus, config=config), config=config)
 
 
-@pytest.mark.parametrize("variant", INDEX_VARIANTS)
 class TestPlanEquivalenceProperties:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_executor_is_byte_identical_to_legacy_loop(self, variant, data):
+    def test_executor_is_byte_identical_to_legacy_loop(self, data):
         corpus, query = corpus_and_query(data.draw)
-        engine = build_engine(corpus, variant)
+        engine = build_engine(corpus)
         limit = data.draw(
             st.one_of(st.none(), st.integers(min_value=0, max_value=6))
         )
@@ -102,41 +93,28 @@ class TestPlanEquivalenceProperties:
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_scr_is_byte_identical_to_legacy_loop(self, variant, data):
-        """SCR runs on the batch path unless a fetched block holds a
-        spilled key, and answers and charges what the per-row loop does."""
+    def test_scr_is_byte_identical_to_legacy_loop(self, data):
+        """SCR answers and charges what the per-row loop does."""
         corpus, query = corpus_and_query(data.draw)
-        engine = build_engine(corpus, variant, ScrDiscovery)
-        result = engine.discover(query)
-        assert_results_byte_identical(result, legacy_discover(engine, query))
-        plan = result.plan
-        probes = list(engine._build_key_super_key_map(query, plan.seed_column))
-        unpacked = [
-            block.value
-            for block in engine.index.fetch_batch(probes)
-            if block.super_key_bytes is None
-        ]
-        assert not unpacked or variant == "spilled"
-        assert (plan.execution_path, plan.table_path_reason) == (
-            ("table", f"unpacked block for value {unpacked[0]!r}")
-            if unpacked
-            else ("batch", "")
+        engine = build_engine(corpus, ScrDiscovery)
+        assert_results_byte_identical(
+            engine.discover(query), legacy_discover(engine, query)
         )
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_adaptive_replanning_yields_a_valid_topk(self, variant, data):
+    def test_adaptive_replanning_yields_a_valid_topk(self, data):
         corpus, query = corpus_and_query(data.draw)
-        engine = build_engine(corpus, variant)
+        engine = build_engine(corpus)
         result = engine.discover(query, planner=AGGRESSIVE_ADAPTIVE)
         truth = top_k_by_exact_joinability(query, corpus, k=engine.config.k)
         assert_topk_equivalent(result.result_tuples(), truth)
 
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
-    def test_cost_mode_yields_a_valid_topk(self, variant, data):
+    def test_cost_mode_yields_a_valid_topk(self, data):
         corpus, query = corpus_and_query(data.draw)
-        engine = build_engine(corpus, variant)
+        engine = build_engine(corpus)
         result = engine.discover(
             query, planner=PlannerOptions(mode="cost", sample_size=2)
         )

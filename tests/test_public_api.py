@@ -254,3 +254,60 @@ def test_the_cache_and_batch_stats_moved():
     assert CachingIndex.__module__ == PostingListCache.__module__ == (
         "repro.index.cache"
     )
+
+
+#: The table-at-a-time execution path and everything only it kept alive:
+#: every request runs on request-level arrays (``repro.index.batch``) over
+#: blocks that always carry their packed key buffer.
+REMOVED_TABLE_PATH_NAMES = [
+    ("repro.index", name)
+    for name in (
+        "TableBlock",
+        "compute_table_runs",
+        "fetch_table_blocks",
+        "group_into_table_blocks",
+    )
+] + [
+    ("repro.index.columnar", name)
+    for name in (
+        "TableBlock",
+        "TableRun",
+        "ValueRun",
+        "compute_table_runs",
+        "fetch_table_blocks",
+        "group_into_table_blocks",
+    )
+] + [
+    ("repro.index.kernels", "_entry_scalar"),
+    ("repro.storage.segment_block", "Spill"),
+    ("repro.storage.segment_block", "_unpacked"),
+]
+
+
+@pytest.mark.parametrize("module_name, name", REMOVED_TABLE_PATH_NAMES)
+def test_the_table_at_a_time_path_is_gone(module_name, name):
+    with pytest.raises(AttributeError):
+        getattr(importlib.import_module(module_name), name)
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        ("repro.plan.stages.SuperKeyPrefilter", "_execute_rows"),
+        ("repro.plan.stages.CandidateGeneration", "_table_path_reason"),
+        ("repro.plan.planner.PlanReport", "execution_path"),
+        ("repro.plan.planner.PlanReport", "table_path_reason"),
+        ("repro.index.columnar.FetchBlock", "runs"),
+        ("repro.index.columnar.ColumnarPostingList", "runs"),
+        ("repro.index.columnar.ColumnarPostingList", "super_keys"),
+        ("repro.storage.segment_block.SegmentBlock", "spill"),
+        ("repro.storage.segment_block.SegmentBlock", "unpacked"),
+        ("repro.index.inverted.RowKeys", "_spill"),
+    ],
+)
+def test_the_table_path_members_are_gone(owner, name):
+    module_name, class_name = owner.rsplit(".", 1)
+    cls = getattr(importlib.import_module(module_name), class_name)
+    assert name not in getattr(cls, "__slots__", ())
+    assert not hasattr(cls, name)
+    assert name not in getattr(cls, "__dataclass_fields__", {})

@@ -4,8 +4,8 @@
 implementation it replaced (``tests/helpers.py::legacy_merge_segments``) on
 random histories: duplicate values across segments, tables removed after
 their segment sealed (a value whose every posting is tombstoned must vanish
-from the vocabulary), ids re-added after removal, 2-5 segments, a spilled
-oversize key, table ids too large for a ``table * span + row`` search code,
+from the vocabulary), ids re-added after removal, 2-5 segments, table ids
+too large for a ``table * span + row`` search code,
 and — half the histories — segments and merge results left without a single
 posting.  The merged block must also equal the oracle's block, column for
 column.
@@ -29,9 +29,6 @@ from tests.helpers import (
 )
 
 CONFIG = MateConfig(hash_size=128, k=5, expected_unique_values=10_000)
-
-#: Far beyond the 128-bit packed slots: the key spills.
-OVERSIZE_KEY = (1 << 300) | 0b1011
 
 
 def make_table(table_id: int, cells: list[list[int]]) -> Table:
@@ -58,7 +55,7 @@ def histories(draw):
         draw(
             st.lists(
                 st.tuples(
-                    st.sampled_from(["add", "add", "remove", "spill"]),
+                    st.sampled_from(["add", "add", "remove"]),
                     st.integers(0, 4),
                     CELLS,
                 ),
@@ -76,9 +73,9 @@ def build_segments(plan, base, anchored=True):
     """Replay ``plan`` the way a live index would: sequence numbers, buffer
     drops, tombstones for sealed copies, one sealed buffer per step.
 
-    The buffers are the per-cell loop buffer (laid out at seal): only its
-    cell map can be handed a spilled key.  The column-store buffer has its
-    own differential (``tests/test_ingest_arrays.py``)."""
+    The buffers are the per-cell loop buffer (laid out at seal).  The
+    column-store buffer has its own differential
+    (``tests/test_ingest_arrays.py``)."""
     seq = 0
     buffered: dict = {}  # visible table id -> its buffer
     sealed: set[int] = set()  # visible table ids living in a sealed segment
@@ -95,16 +92,13 @@ def build_segments(plan, base, anchored=True):
                 seq += 1
                 buffer.add_table(make_table(table_id, cells), seq)
                 buffered[table_id] = buffer
-            elif op == "remove":
-                if table_id in buffered:
-                    seq += 1
-                    buffered.pop(table_id).drop_table(table_id)
-                elif table_id in sealed:
-                    seq += 1
-                    sealed.discard(table_id)
-                    tombstones[table_id] = seq
-            elif table_id in buffered:  # spill one buffered row's key
-                buffer.cells.keys[(table_id, 0)] = OVERSIZE_KEY
+            elif table_id in buffered:  # remove
+                seq += 1
+                buffered.pop(table_id).drop_table(table_id)
+            elif table_id in sealed:
+                seq += 1
+                sealed.discard(table_id)
+                tombstones[table_id] = seq
         if anchored:  # a table of the segment's own that is never removed
             seq += 1
             buffer.add_table(make_table(base + fresh, [[generation % 5, 0]]), seq)
@@ -138,9 +132,7 @@ def assert_same_segment(merged: Segment, oracle: Segment) -> None:
     assert sorted(new.iter_super_keys()) == rows
     block = new.block
     assert list(zip(block.row_table_ids, block.row_row_indexes)) == [
-        (table_id, row_index)
-        for table_id, row_index, super_key in rows
-        if super_key != OVERSIZE_KEY
+        (table_id, row_index) for table_id, row_index, _super_key in rows
     ]
     assert merged.table_seqs == oracle.table_seqs
     probes = values + ["absent"]
@@ -188,7 +180,7 @@ def test_a_merge_that_purges_every_table_leaves_an_empty_block():
     # No posting, no row: the key matrices are (0, width).
     plan = [
         [("add", 0, [[0, 0], [1, 1]])],
-        [("add", 1, [[0, 1]]), ("spill", 1, [])],
+        [("add", 1, [[0, 1]])],
         [("remove", 0, []), ("remove", 1, [])],
     ]
     segments, tombstones = build_segments(plan, 0, anchored=False)

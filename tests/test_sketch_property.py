@@ -1,8 +1,6 @@
 """Property-based sketch-tier equivalence (the plan-equivalence CI job).
 
-Three properties over arbitrary corpora and queries, the first and last on
-an index with every super key packed and on one with a spilled key per table
-(whose requests run table at a time):
+Three properties over arbitrary corpora and queries:
 
 * planner mode ``"sketch"`` with the exhaustive defaults (``threshold=0``,
   no candidate cap) is *byte-identical* to the exact engine — tables,
@@ -18,17 +16,16 @@ an index with every super key packed and on one with a spilled key per table
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import MateConfig, MateDiscovery
+from repro import MateConfig, MateDiscovery, build_index
 from repro.api import PlannerOptions
 from repro.core import top_k_by_exact_joinability
 from repro.datamodel import QueryTable, Table, TableCorpus
 from repro.sketch import SketchOptions, minhash_signature, permutation_params
 from repro.sketch.minhash import hash_value
 
-from tests.helpers import INDEX_VARIANTS, build_index_variant, legacy_minhash_signature
+from tests.helpers import legacy_minhash_signature
 
 #: Small vocabulary so that overlaps actually happen.
 VOCABULARY = ["ada", "alan", "grace", "berlin", "paris", "rome", "us", "uk", "de"]
@@ -67,10 +64,9 @@ def corpus_and_query(draw) -> tuple[TableCorpus, QueryTable]:
     return corpus, query
 
 
-def build_engine(corpus: TableCorpus, variant: str = "packed") -> MateDiscovery:
+def build_engine(corpus: TableCorpus) -> MateDiscovery:
     config = MateConfig(hash_size=128, k=3, expected_unique_values=1000)
-    index = build_index_variant(variant, corpus, config=config)
-    return MateDiscovery(corpus, index, config=config)
+    return MateDiscovery(corpus, build_index(corpus, config=config), config=config)
 
 
 def assert_identical_modulo_stages(result, oracle) -> None:
@@ -91,13 +87,12 @@ def assert_identical_modulo_stages(result, oracle) -> None:
     assert mine == theirs
 
 
-@pytest.mark.parametrize("variant", INDEX_VARIANTS)
 class TestSketchEquivalenceProperties:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_exhaustive_sketch_is_byte_identical_to_exact(self, variant, data):
+    def test_exhaustive_sketch_is_byte_identical_to_exact(self, data):
         corpus, query = corpus_and_query(data.draw)
-        engine = build_engine(corpus, variant)
+        engine = build_engine(corpus)
         exact = engine.discover(query)
         exhaustive = engine.discover(
             query, planner=EXHAUSTIVE_SKETCH, sketch=SketchOptions()
@@ -106,9 +101,9 @@ class TestSketchEquivalenceProperties:
 
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
-    def test_pruned_sketch_never_invents_results(self, variant, data):
+    def test_pruned_sketch_never_invents_results(self, data):
         corpus, query = corpus_and_query(data.draw)
-        engine = build_engine(corpus, variant)
+        engine = build_engine(corpus)
         threshold = data.draw(
             st.sampled_from([0.1, 0.3, 0.5, 0.8])
         )
