@@ -3,9 +3,9 @@
 
 Generates a tiny corpus plus a query CSV, runs ``mate-repro discover`` with
 ``--explain`` for every planner mode, and asserts the plan output shows up
-with the expected shape (seed column, per-column estimates, the execution
-path, the verification pass's pairs, stage timings) while the top-k stays
-identical across modes.
+with the expected shape (seed column, per-column estimates, the
+verification pass's pairs, the table filters' counts, stage timings) while
+the top-k stays identical across modes.
 
 Usage::
 
@@ -78,6 +78,17 @@ def main() -> int:
             assert pairs is not None, output
             verified, discarded = map(int, pairs.groups())
             assert 0 <= discarded <= verified, output
+            # Stage calls count requests, not tables: the table filters
+            # have their own line.
+            tables = re.search(
+                r"(\d+) candidate tables: (\d+) evaluated, (\d+) pruned by "
+                r"rule 1, (\d+) abandoned by rule 2",
+                output,
+            )
+            assert tables is not None, output
+            candidates, evaluated, pruned, abandoned = map(int, tables.groups())
+            assert evaluated + pruned <= candidates, output
+            assert abandoned <= evaluated, output
             for stage in (
                 "candidate_generation",
                 "superkey_prefilter",
@@ -97,7 +108,7 @@ def main() -> int:
         )
 
     print("plan --explain smoke OK (selector/cost/adaptive agree, stages, "
-          "estimates and verified pairs printed)")
+          "estimates, verified pairs and table filters printed)")
     return 0
 
 

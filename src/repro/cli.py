@@ -492,6 +492,11 @@ def _print_plan_explain(result) -> None:
     print(f"  verified {explanation['verified_pairs']} pairs in one pass "
           f"({explanation['discarded_pairs']} discarded by table filters "
           f"or the deadline)")
+    counters = result.counters
+    print(f"  {counters.candidate_tables} candidate tables: "
+          f"{counters.tables_evaluated} evaluated, "
+          f"{counters.tables_pruned_by_rule1} pruned by rule 1, "
+          f"{counters.tables_pruned_by_rule2} abandoned by rule 2")
     print("stages:")
     for name in explanation["stages"]:
         stats = result.counters.stages.get(name)

@@ -151,14 +151,46 @@ def _run_ends(ordered):
     return ends
 
 
-def request_codes_fit(table_columns: Sequence[int], width: int, num_keys: int) -> bool:
-    """Whether :func:`verify_request`'s Eq. 2 codes fit ``int64``.
+def _ordered_codes(digits, radices):
+    """Code the tuples ``zip(*digits)`` as ``int64`` s that order like them.
 
-    A table of ``c`` columns owns ``c ** width`` mapping codes (one per
-    choice of a column for every key position, injective or not), and
-    every one of them is paired with every key tuple.
+    Digit ``i`` lies in ``[0, radices[i])``, the first most significant.  A
+    code is the mixed-radix number of its digits; before a digit that could
+    take it past ``_CODE_LIMIT`` the code so far is renumbered densely (the
+    rank of its value among the distinct ones), which keeps the order and
+    bounds it by the number of entries, so no input overflows.  Returns the
+    codes and ``decode``, which turns codes of all digits but the last back
+    into those digits.
     """
-    return sum(columns**width for columns in table_columns) * num_keys < _CODE_LIMIT
+    np = _np
+    code = digits[0]
+    top = radices[0]
+    #: Position -> the sorted distinct codes renumbered before that digit.
+    renumbered = {}
+    for position in range(1, len(digits)):
+        radix = radices[position]
+        if top * radix > _CODE_LIMIT:
+            distinct = np.sort(code)
+            distinct = distinct[_run_starts(distinct)]
+            code = np.searchsorted(distinct, code)
+            top = len(distinct)
+            renumbered[position] = distinct
+        code = code * radix + digits[position]
+        top *= radix
+
+    def decode(code):
+        last = len(digits) - 1
+        if last in renumbered:
+            code = renumbered[last].take(code)
+        decoded = []
+        for position in range(last - 1, 0, -1):
+            code, digit = np.divmod(code, radices[position])
+            decoded.append(digit)
+            if position in renumbered:
+                code = renumbered[position].take(code)
+        return [code, *reversed(decoded)]
+
+    return code, decode
 
 
 def key_matches(cells, pair_columns, pair_keys, keys):
@@ -173,7 +205,6 @@ def key_matches(cells, pair_columns, pair_keys, keys):
     ``(owner, chosen)``: one entry per mapping, in pair order — the pair it
     maps and, per key position, its column.  A pair owns a mapping exactly
     when its row contains its key tuple (:func:`row_contains_key`).
-    Nothing is coded, so there is no ``int64`` limit here.
     """
     np = _np
     key_ids = keys.ids
@@ -226,8 +257,7 @@ def verify_request(cells, table_columns, pair_tables, pair_rows, pair_keys, keys
     index into ``table_columns`` — its row in that table and its key tuple,
     row ``pair_keys[i]`` of ``keys.ids``; ``cells`` holds the pairs' rows as
     ``int32`` ids over the dictionary of ``keys.ids``, laid end to end in
-    pair order (ragged: a row is as long as its table is wide).  The Eq. 2
-    codes must fit (:func:`request_codes_fit`).
+    pair order (ragged: a row is as long as its table is wide).
 
     The pairs' mappings are :func:`key_matches`'; Eq. 2 is one sort of
     ``(table, mapping, key)`` codes for all tables at once.  Returns
@@ -267,35 +297,28 @@ def verify_request(cells, table_columns, pair_tables, pair_rows, pair_keys, keys
         return charges, np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), []
 
     # Eq. 2: per table, the mapping most distinct key tuples agree on,
-    # largest on ties.  Table t's codes start at bases[t]; within a table
-    # they order like the mapping tuples (first column most significant).
-    owner_columns = pair_columns.take(owner)
-    code = chosen[0]
-    for column in chosen[1:]:
-        code = code * owner_columns + column
-    spaces = table_columns**width
-    bases = np.cumsum(spaces) - spaces
-    supported = np.sort(
-        (bases.take(pair_tables.take(owner)) + code) * num_keys
-        + pair_keys.take(owner)
+    # largest on ties.  One code per (table, mapping, key) orders like those
+    # tuples, so one sort lines up every table's mappings.
+    supported, decode = _ordered_codes(
+        [pair_tables.take(owner), *chosen, pair_keys.take(owner)],
+        [len(table_columns), *[int(table_columns.max())] * width, num_keys],
     )
+    supported.sort()
     # One entry per distinct (table, mapping, key), sorted by mapping ...
     mapped = supported[_run_starts(supported)] // num_keys
     starts = _run_starts(mapped)
     # ... so the runs of equal mappings count their distinct keys.
     support = np.bincount(np.cumsum(starts) - 1)
     mapped = mapped[starts]
-    tables = np.searchsorted(bases, mapped, side="right") - 1
+    tables, *columns = decode(mapped)
     ranked = np.lexsort((mapped, support, tables))
     best = ranked[_run_ends(tables.take(ranked))]
-    tables = tables.take(best)
-    code = mapped.take(best) - bases.take(tables)
-    radix = table_columns.take(tables)
-    decoded = []
-    for _ in range(width):
-        code, column = np.divmod(code, radix)
-        decoded.append(column.tolist())
-    return charges, tables, support.take(best), list(zip(*reversed(decoded)))
+    return (
+        charges,
+        tables.take(best),
+        support.take(best),
+        list(zip(*(column.take(best).tolist() for column in columns))),
+    )
 
 
 def joinability_from_matches(

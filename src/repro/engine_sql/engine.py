@@ -54,6 +54,7 @@ from ..hashing import SuperKeyGenerator
 from ..index import InvertedIndex
 from ..index.statistics import PostingVolumeEstimate
 from ..metrics import DiscoveryCounters
+from ..plan.executor import emit_plan_spans
 from ..plan.planner import (
     PlanReport,
     QueryPlan,
@@ -348,7 +349,7 @@ class SQLPushdownEngine:
             complete = budget.complete
         counters.runtime_seconds = perf_counter() - started
         if _trace._ACTIVE:
-            self._emit_spans(plan, counters, k)
+            emit_plan_spans(plan.seed.column, counters, k)
         names = {
             table_id: self.corpus.get_table(table_id).name
             for table_id, _ in topk.result_tuples()
@@ -561,38 +562,3 @@ class SQLPushdownEngine:
             stats.seconds += perf_counter() - started
         stats.items_in += 1
         stats.items_out += int(kept)
-
-    # ------------------------------------------------------------------
-    # Telemetry
-    # ------------------------------------------------------------------
-    def _emit_spans(
-        self, plan: QueryPlan, counters: DiscoveryCounters, k: int
-    ) -> None:
-        """Mirror the executor's span shape so traces look uniform."""
-        entry = _trace.current_entry()
-        if entry is None:
-            return
-        tracer, parent = entry
-        exec_span = tracer.emit(
-            "plan.execute",
-            parent,
-            duration=counters.runtime_seconds,
-            attributes={
-                "seed_column": plan.seed.column,
-                "k": k,
-                "pl_items_fetched": counters.pl_items_fetched,
-                "tables_evaluated": counters.tables_evaluated,
-            },
-        )
-        for name, stats in counters.stages.items():
-            tracer.emit(
-                f"stage.{name}",
-                exec_span,
-                duration=stats.seconds,
-                attributes={
-                    "calls": stats.calls,
-                    "items_in": stats.items_in,
-                    "items_out": stats.items_out,
-                },
-                start=exec_span.start,
-            )

@@ -1,10 +1,10 @@
-"""Request-level arrays: every candidate table grouped, prefiltered and cut
-in one array pass.
+"""Request-level arrays: every candidate table grouped, prefiltered, cut and
+verified in array passes, once per request.
 
 Every request keeps its :class:`~repro.index.columnar.FetchBlock` s and
 builds :class:`RequestArrays` once; a candidate table is then a *span*
-``range(start, stop)`` of positions and prefiltering it is arithmetic on
-prefix sums.
+``[start, stop)`` of positions, and whatever scanning a prefix of it charges
+is a difference of prefix sums.
 
 **Table order.**  The blocks' ``table_ids`` columns are concatenated in fetch
 order (probe order, then posting order) and argsorted *stably* by table id.
@@ -20,34 +20,36 @@ survive the row filter: in mode ``superkey`` the ones its super key covers
 half of the verification pass (:func:`~repro.core.joinability.key_matches`)
 over every candidate table's postings, once per request.
 
-**Rule 2 as arithmetic.**  The per-row loop asks, *before* scanning row ``i``
-of a table with ``L`` postings, whether ``L - i + matched(i) <= j_k``, where
-``matched(i)`` counts the matching rows among the first ``i``.  That is
-``unmatched(i) >= L - j_k``: the scan stops in front of the first row that
-has ``deficit = L - j_k`` unmatched rows before it, which is the row after
-the table's ``deficit``-th unmatched row — and only if that row exists,
-because no question is asked after the last row.  With the positions of all
-unmatched rows in one sorted array and the count of unmatched rows before
-each position as a prefix sum, the table's ``deficit``-th unmatched row is a
-single index lookup; rows checked, super-key checks, short-circuit hits and
-the surviving pairs of the scanned prefix are prefix-sum differences.
+**Rule 2 as a threshold.**  The per-row loop asks, *before* scanning row
+``i`` of a table with ``L`` postings, whether ``L - i + matched(i) <= j_k``,
+where ``matched(i)`` counts the matching rows among the first ``i``.  That
+is ``unmatched(i) >= L - j_k``: the scan stops in front of the first row
+that has ``deficit = L - j_k`` unmatched rows before it, which is the row
+after the table's ``deficit``-th unmatched row — and only if that row
+exists, because no question is asked after the last row.  So rule 2 fires
+exactly when the first ``L - 1`` rows hold ``L - j_k`` unmatched ones, that
+is when ``j_k >= T``, the table's threshold ``L - (unmatched rows among the
+first L - 1)`` (:attr:`RequestArrays.thresholds`).  Where it cuts is one
+index lookup into the sorted positions of all unmatched rows
+(:meth:`RequestArrays.cut_ends`).
 
-**Verification as a replay.**  The only thing a table's verification needs
-from the tables before it is ``j_k``, and ``j_k`` only decides where rule 2
-cuts.  So the first verification of a request verifies the surviving pairs
-of *every* candidate table in one array pass (:meth:`RequestArrays.verify`:
-one gather of the tables' encoded rows, one
-:func:`~repro.core.joinability.verify_request` call) and keeps, per pair,
-what verifying it charges; the executor loop then replays the tables in
-candidate order (:meth:`RequestVerdicts.replay`), charging prefix-sum
-differences over exactly the pairs the cut kept.  The pairs of a table rule
-1 prunes, of a rule-2 suffix, or behind a deadline break are verified and
-never charged (:attr:`~repro.plan.planner.PlanReport.discarded_pairs`).
+**Verification, then one replay.**  The only thing a table's verification
+needs from the tables before it is ``j_k``, and ``j_k`` only decides where
+rule 2 cuts.  So the surviving pairs of *every* candidate table are verified
+in one array pass (:meth:`RequestArrays.verify`: one gather of the tables'
+encoded rows, one :func:`~repro.core.joinability.verify_request` call),
+which keeps, per pair, what verifying it charges and, per table, its Eq. 2
+answer over all of its pairs.  The planner's top-k stage then replays the
+candidates in candidate order on ``L``, ``T`` and that score alone, and
+:meth:`RequestArrays.charge` charges every counter at once, as prefix-sum
+differences at the cut ends.  The pairs of a table rule 1 prunes, of a
+rule-2 suffix, or behind a deadline break are verified and never charged
+(:attr:`~repro.plan.planner.PlanReport.discarded_pairs`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -62,88 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
 _INDEX = np.intp
 
 
-class SurvivingPairs:
-    """One table's surviving ``(row, key)`` pairs: a slice of the request's.
-
-    Iterates as the ``(row_index, key_tuple)`` pairs the per-row prefilter
-    produces, in the same order, so it can be handed to
-    :func:`repro.core.joinability.verify_table` unchanged; the replay of the
-    request's verification pass (:class:`RequestVerdicts`) reads the slice
-    bounds instead.
-    """
-
-    __slots__ = ("arrays", "first", "last")
-
-    def __init__(self, arrays: "RequestArrays", first: int, last: int):
-        self.arrays = arrays
-        #: The slice of the request's pair arrays.
-        self.first = first
-        self.last = last
-
-    def __len__(self) -> int:
-        return self.last - self.first
-
-    def __iter__(self) -> Iterator[tuple[int, tuple[str, ...]]]:
-        arrays = self.arrays
-        return zip(
-            arrays.pair_rows[self.first : self.last].tolist(),
-            map(
-                arrays.keys.tuples.__getitem__,
-                arrays.pair_keys[self.first : self.last].tolist(),
-            ),
-        )
-
-
-class RequestVerdicts:
-    """Every candidate table of a request verified in one pass, replayed
-    table by table in candidate order (:meth:`replay`)."""
-
-    __slots__ = ("prefix", "scores", "pairs", "charged")
-
-    def __init__(self, prefix, scores: dict, pairs: int):
-        #: Row ``p``: value comparisons, ``(table, row)`` s seen, verified
-        #: pairs and ``(table, row)`` s verified among the pairs before
-        #: ``p`` — each table's pairs counted from the table's first pair.
-        self.prefix = prefix
-        #: ``table id -> (end of its pairs, joinability, mapping)`` for every
-        #: table with a verified pair.
-        self.scores = scores
-        #: Pairs the pass verified: every candidate table's.
-        self.pairs = pairs
-        #: Pairs :meth:`replay` has charged so far.
-        self.charged = 0
-
-    def replay(
-        self, table_id: int, surviving: SurvivingPairs, counters: "DiscoveryCounters"
-    ) -> tuple[int, tuple[int, ...] | None, int]:
-        """What :func:`~repro.core.joinability.verify_table` returns and
-        charges for ``surviving``, the pairs of ``table_id`` up to its cut.
-
-        A table cut short by rule 2 is scored 0: the cut came in front of a
-        row ``i < L`` with ``matched(i) <= j_k - (L - i) < j_k``, and a
-        prefix cannot score more than its matched postings (a mapping
-        projects each row onto one key tuple), so the full heap rejects the
-        prefix's own score just as it rejects 0.
-        """
-        first, last = surviving.first, surviving.last
-        comparisons, rows, verified, hit_rows = (
-            self.prefix[last] - self.prefix[first]
-        ).tolist()
-        counters.value_comparisons += comparisons
-        counters.rows_passed_filter += rows
-        counters.true_positive_rows += hit_rows
-        counters.false_positive_rows += rows - hit_rows
-        self.charged += last - first
-        stop, joinability, mapping = self.scores.get(table_id, _UNSCORED)
-        if stop != last:
-            return 0, None, verified
-        return joinability, mapping, verified
-
-
-#: The score of a table without a verified pair.
-_UNSCORED = (-1, 0, None)
-
-
 class RequestArrays:
     """The fetched postings of one request, in candidate-table order."""
 
@@ -154,13 +74,16 @@ class RequestArrays:
         length_shift: int | None,
         mode: str = "superkey",
         get_table: "Callable[[int], Table] | None" = None,
+        allowed: set[int] | None = None,
     ):
         """``blocks`` in probe order; ``key_map``, ``length_shift`` (the
         XASH length-segment bit position, ``None`` without one) and ``mode``
-        (the row filter) are what the prefilter runs with, on the first
-        :meth:`cut`.  ``get_table`` maps a table id to the
+        (the row filter) are what :meth:`prefilter` runs with.
+        ``get_table`` maps a table id to the
         :class:`~repro.datamodel.table.Table` the postings point into (row
-        filter ``oracle`` and :meth:`verify` read the tables' rows)."""
+        filter ``oracle`` and :meth:`verify` read the tables' rows);
+        ``allowed`` is the sketch tier's verdict on the candidates
+        (``None``: every fetched table)."""
         self.blocks = blocks
         self.key_map = key_map
         self.length_shift = length_shift
@@ -187,55 +110,42 @@ class RequestArrays:
         self.row_indexes = row_indexes[order]
         sorted_ids = table_ids[order]
         edges = np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1
-        #: First position of each table (ascending table id) and one past
-        #: the last table's end.
-        self.bounds = np.concatenate(
+        bounds = np.concatenate(
             ([0] if len(order) else [], edges, [len(order)])
         ).astype(_INDEX)
-        self.table_ids = sorted_ids[self.bounds[:-1]]
-        #: The request's key tuples (a pair names its key tuple by position
-        #: here); ``None`` until the prefilter has run.
-        self.keys: EncodedKeys | None = None
-        #: Table ids, span starts and span stops of the candidates (every
-        #: table until :meth:`candidates` says otherwise), in table order.
-        self._candidate_spans = (self.table_ids, self.bounds[:-1], self.bounds[1:])
-        self._verdicts: RequestVerdicts | None = None
-        self._verified = False
-
-    def candidates(self, allowed: set[int] | None) -> list[tuple[int, range]]:
-        """``(table id, span)`` per candidate, most postings first.
-
-        ``allowed`` is the sketch tier's verdict (``None``: every table).
-        The order — decreasing posting count, then table id — is line 5 of
-        Algorithm 1 as ``sorted(key=(-len, id))`` computes it.  The
-        candidates are the tables :meth:`verify` verifies.
-        """
-        table_ids = self.table_ids
-        starts, stops = self.bounds[:-1], self.bounds[1:]
+        table_ids, starts, stops = sorted_ids[bounds[:-1]], bounds[:-1], bounds[1:]
         if allowed is not None:
             keep = np.isin(table_ids, np.fromiter(allowed, np.int64, len(allowed)))
             table_ids, starts, stops = table_ids[keep], starts[keep], stops[keep]
-        self._candidate_spans = (table_ids, starts, stops)
-        ranked = np.lexsort((table_ids, starts - stops))
-        return list(
-            zip(
-                table_ids[ranked].tolist(),
-                map(range, starts[ranked].tolist(), stops[ranked].tolist()),
-            )
-        )
+        #: Table ids, span starts and span stops of the candidates, in table
+        #: order (ascending id, so ascending spans).
+        self._table_order = (table_ids, starts, stops)
+        #: Table-order index of each candidate, in candidate order:
+        #: decreasing posting count, then table id — line 5 of Algorithm 1
+        #: as ``sorted(key=(-len, id))`` computes it.
+        self._ranked = ranked = np.lexsort((table_ids, starts - stops))
+        #: Table id, span start and span stop of each candidate, in
+        #: candidate order.
+        self.candidate_ids = table_ids[ranked]
+        self.candidate_starts = starts[ranked]
+        self.candidate_stops = stops[ranked]
+        #: The request's key tuples (a pair names its key tuple by position
+        #: here); ``None`` until the prefilter has run.
+        self.keys: EncodedKeys | None = None
 
     # ------------------------------------------------------------------
     # Prefilter
     # ------------------------------------------------------------------
-    def _prefilter(self) -> EncodedKeys:
-        """Run the row filter over every fetched posting, once.
+    def prefilter(self) -> None:
+        """Run the row filter over every fetched posting, once, and derive
+        every candidate's rule-2 threshold.
 
         The per-``(value, key entry)`` bitmaps are the memoised
         :meth:`FetchBlock.query_coverage` ones (all ones without a key
         test); this scatters them into the pair arrays (table order, key-map
         entry order within a posting — the per-row loop's order), keeps the
         contained pairs under row filter ``oracle``, and lays out the prefix
-        sums :meth:`cut` reads.
+        sums the cuts are charged from.
         """
         key_map, length_shift = self.key_map, self.length_shift
         total = len(self.order)
@@ -309,7 +219,11 @@ class RequestArrays:
             np.cumsum(np.repeat(entry_counts, lengths)[order], out=prefix[1:, 1])
         np.cumsum(hits[order], out=prefix[1:, 2])
         np.cumsum(pairs_per_posting, out=prefix[1:, 3])
-        return keys
+        self.keys = keys
+        starts, stops = self.candidate_starts, self.candidate_stops
+        #: Per candidate, candidate order: ``T``, the least ``j_k`` at which
+        #: rule 2 cuts the table (see the module docstring).
+        self.thresholds = stops - starts - (prefix[stops - 1, 0] - prefix[starts, 0])
 
     def _contained(self, pair_at, pair_keys, keys: EncodedKeys):
         """Which of the pairs ``(pair_at, pair_keys)`` (every key entry of
@@ -318,7 +232,7 @@ class RequestArrays:
         from ..core.joinability import key_matches
 
         contained = np.zeros(len(pair_at), dtype=bool)
-        table_ids, starts, stops = self._candidate_spans
+        table_ids, starts, stops = self._table_order
         firsts = np.searchsorted(pair_at, starts)
         lasts = np.searchsorted(pair_at, stops)
         kept = lasts > firsts
@@ -337,82 +251,87 @@ class RequestArrays:
             contained[np.arange(len(pair_at))[select][owner]] = True
         return contained
 
-    def cut(
-        self, span: range, min_joinability: int | None
-    ) -> tuple[int, int, int, bool, SurvivingPairs]:
-        """Prefilter one table: apply rule 2, return what the scan charges.
-
-        ``(rows_checked, superkey_checks, short_circuit_hits, abandoned,
-        surviving)`` — what the per-row loop produces for the same block
-        (``min_joinability`` is ``None`` while rule 2 is not armed).  The
-        first call of a request runs the prefilter for all of its tables.
-        """
-        keys = self.keys
-        if keys is None:
-            keys = self.keys = self._prefilter()
-        start, stop = span.start, span.stop
-        abandoned = False
-        unmatched, checks, hits, first = self.prefix[start].tolist()
-        if min_joinability is not None:
-            deficit = stop - start - min_joinability
-            if deficit <= 0:
-                abandoned = stop > start
-                stop = start
-            else:
-                nth = unmatched + deficit - 1
-                if nth < len(self.unmatched_at):
-                    after = int(self.unmatched_at[nth]) + 1
-                    if after < stop:
-                        stop, abandoned = after, True
-        _, checks_end, hits_end, last = self.prefix[stop].tolist()
-        return (
-            stop - start,
-            checks_end - checks,
-            hits_end - hits,
-            abandoned,
-            SurvivingPairs(self, first, last),
-        )
+    def cut_ends(self, positions, floors):
+        """Where rule 2 cuts the candidates at ``positions`` (candidate
+        order) under the floors ``floors``, each in ``[T, L)`` of its table:
+        one past the last row the per-row loop scans, per candidate."""
+        starts = self.candidate_starts[positions]
+        deficits = self.candidate_stops[positions] - starts - floors
+        return self.unmatched_at[self.prefix[starts, 0] + deficits - 1] + 1
 
     # ------------------------------------------------------------------
     # Verification
     # ------------------------------------------------------------------
-    def verify(self) -> RequestVerdicts | None:
-        """Verify the surviving pairs of every candidate table, once.
+    def verify(self) -> None:
+        """Verify the surviving pairs of every candidate table, in one pass.
 
-        The first call of a request (after the prefilter) runs the pass;
-        every call returns its :class:`RequestVerdicts`, or ``None`` when
-        the request's Eq. 2 codes could overflow ``int64`` — its tables are
-        then verified one at a time by
-        :func:`~repro.core.joinability.verify_table`.
+        Sets :attr:`verdicts` (what verifying each pair charges, as prefix
+        sums), :attr:`scores` (every candidate's Eq. 2 joinability over all
+        of its pairs, candidate order, 0 without a verified pair),
+        :attr:`mappings` (the scored tables' column mappings, by table id)
+        and :attr:`verified_pairs`.
         """
-        if not self._verified:
-            self._verified = True
-            table_ids, starts, stops = self._candidate_spans
-            pair_ends = self.prefix[:, 3]
-            firsts, lasts = pair_ends[starts], pair_ends[stops]
-            kept = lasts > firsts
-            table_ids = table_ids[kept].tolist()
-            self._verdicts = verify_tables(
-                table_ids,
-                list(map(self.get_table, table_ids)),
-                firsts[kept],
-                lasts[kept],
-                self.pair_rows,
-                self.pair_keys,
-                self.keys,
-            )
-        return self._verdicts
+        table_ids, starts, stops = self._table_order
+        pair_ends = self.prefix[:, 3]
+        firsts, lasts = pair_ends[starts], pair_ends[stops]
+        kept = np.flatnonzero(lasts > firsts)
+        ids = table_ids[kept]
+        self.verdicts, best, scores, mappings = verify_spans(
+            list(map(self.get_table, ids.tolist())),
+            firsts[kept],
+            lasts[kept],
+            self.pair_rows,
+            self.pair_keys,
+            self.keys,
+        )
+        by_table = np.zeros(len(table_ids), dtype=np.int64)
+        by_table[kept[best]] = scores
+        self.scores = by_table[self._ranked]
+        self.mappings = dict(zip(ids[best].tolist(), mappings))
+        self.verified_pairs = int((lasts - firsts).sum())
+
+    def charge(
+        self, evaluated: int, cut, floors, counters: "DiscoveryCounters"
+    ) -> tuple[int, int, int]:
+        """Charge ``counters`` for scanning and verifying the first
+        ``evaluated`` candidates, rule 2 cutting the ones at positions
+        ``cut`` under the floors ``floors`` (:meth:`cut_ends`).
+
+        Every counter is a sum of prefix-sum differences at the scans'
+        ends.  Returns the postings the scans received, the pairs they let
+        through (the verified pairs charged) and how many of those verify.
+        """
+        starts = self.candidate_starts[:evaluated]
+        stops = self.candidate_stops[:evaluated]
+        ends = stops.copy()
+        if cut:
+            ends[cut] = self.cut_ends(np.array(cut), np.array(floors))
+        prefix, verdicts = self.prefix, self.verdicts
+        _, checks, hits, pairs = (
+            prefix[ends].sum(axis=0) - prefix[starts].sum(axis=0)
+        ).tolist()
+        firsts, lasts = prefix[starts, 3], prefix[ends, 3]
+        comparisons, rows, verified, hit_rows = (
+            verdicts[lasts].sum(axis=0) - verdicts[firsts].sum(axis=0)
+        ).tolist()
+        counters.rows_checked += int(ends.sum() - starts.sum())
+        counters.superkey_checks += checks
+        counters.short_circuit_hits += hits
+        counters.value_comparisons += comparisons
+        counters.rows_passed_filter += rows
+        counters.true_positive_rows += hit_rows
+        counters.false_positive_rows += rows - hit_rows
+        return int(stops.sum() - starts.sum()), pairs, verified
 
 
-def verify_tables(
-    table_ids: Sequence[int],
+def verify_spans(
     tables: Sequence["Table"],
     firsts,
     lasts,
     pair_rows,
     pair_keys,
     keys: EncodedKeys,
-) -> RequestVerdicts | None:
+):
     """Verify the pairs ``[firsts[t], lasts[t])`` of every table ``t``.
 
     ``pair_rows`` / ``pair_keys`` are a request's pair arrays (row index,
@@ -421,23 +340,23 @@ def verify_tables(
     then never encoded, compared or charged.  The tables' encoded rows are
     gathered into one ragged cell array, in one dictionary generation, for
     one :func:`~repro.core.joinability.verify_request` call.  Returns
-    ``None`` when the Eq. 2 codes could overflow ``int64``.
+    ``(prefix, tables, scores, mappings)``: row ``p`` of ``prefix`` holds
+    the value comparisons, ``(table, row)`` s seen, verified pairs and
+    ``(table, row)`` s verified among the pairs before ``p``, each table's
+    pairs counted from the table's first pair; the rest is
+    :func:`~repro.core.joinability.verify_request`'s answer per table.
     """
     # Imported here: repro.core imports the planner, which imports this.
-    from ..core.joinability import request_codes_fit, verify_request
+    from ..core.joinability import verify_request
 
     total = len(pair_rows)
     prefix = np.zeros((total + 1, 4), dtype=np.int64)
     if not len(tables):
-        return RequestVerdicts(prefix, {}, 0)
+        return prefix, np.empty(0, dtype=_INDEX), np.empty(0, dtype=np.int64), []
     counts = lasts - firsts
-    pairs = int(counts.sum())
     columns = np.fromiter(
         (table.num_columns for table in tables), np.int64, len(tables)
     )
-    width = len(keys.tuples[0])
-    if not request_codes_fit(columns.tolist(), width, len(keys.tuples)):
-        return None
     select, rows, cells = _gather(tables, firsts, lasts, pair_rows, keys)
     charges, best, scores, mappings = verify_request(
         cells,
@@ -447,21 +366,12 @@ def verify_tables(
         pair_keys[select],
         keys,
     )
-    if pairs < total:
+    if len(rows) < total:
         spread = np.zeros((total, 4), dtype=np.int64)
         spread[select] = charges
         charges = spread
     np.cumsum(charges, axis=0, out=prefix[1:])
-    return RequestVerdicts(
-        prefix,
-        dict(
-            zip(
-                np.take(table_ids, best).tolist(),
-                zip(lasts.take(best).tolist(), scores.tolist(), mappings),
-            )
-        ),
-        pairs,
-    )
+    return prefix, best, scores, mappings
 
 
 def _gather(tables, firsts, lasts, pair_rows, keys: EncodedKeys):

@@ -23,15 +23,15 @@ class StageStats:
 
     The planner/executor pipeline (:mod:`repro.plan`) runs discovery as a
     sequence of named operators; each operator accumulates one
-    :class:`StageStats` across its (possibly many, e.g. per candidate table)
-    invocations.  The stats travel on
+    :class:`StageStats` across its invocations (one per request, summed
+    when counters merge).  The stats travel on
     :attr:`DiscoveryCounters.stages <repro.metrics.counters.DiscoveryCounters.stages>`
     so every front door (CLI ``--json``, the session results, the experiment
     harness) sees the same per-stage breakdown.
     """
 
-    #: Number of times the stage ran (1 for run-once stages, one per
-    #: candidate table for the per-table stages).
+    #: Number of times the stage ran (1 per request for the planner's
+    #: stages).
     calls: int = 0
     #: Total wall-clock seconds spent inside the stage.
     seconds: float = 0.0

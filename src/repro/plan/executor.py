@@ -1,9 +1,12 @@
 """The plan executor: runs the stage pipeline with budget enforcement.
 
-The :class:`Executor` owns the control flow the stages deliberately do not:
-the candidate-table loop with its deadline checks and table-filtering rule 1
-(the sorted-order early exit), the completeness flags, and the final result
-assembly.  Running the pipeline with re-planning disabled is byte-identical
+The :class:`Executor` runs each stage once: the sketch prune (sketch mode
+only), candidate generation, then — unless there is no candidate or the
+deadline has already passed, the check Algorithm 1 makes in front of its
+first candidate table — the prefilter, the verification and the top-k
+replay, which walks the candidate tables (lines 7-22) on the arrays the
+first two left.  It then sets the completeness flags and assembles the
+result.  Running the pipeline with re-planning disabled is byte-identical
 to the pre-refactor monolithic ``MateDiscovery.discover`` loop; enabling
 adaptive re-planning only changes *which* posting lists get fetched — the
 exact verification stages keep every reported score correct regardless of
@@ -15,7 +18,6 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Callable
 
-from ..core.filters import should_prune_table
 from ..core.results import DiscoveryResult
 from ..metrics import DiscoveryCounters
 from ..telemetry import trace as _trace
@@ -85,20 +87,13 @@ class Executor:
         self.candidate_generation.run(context)
 
         # ---------------- Candidate-table loop (lines 7-22) ----------------
-        for position, (table_id, block) in enumerate(context.candidates):
-            if budget is not None and budget.deadline_expired():
-                break
-            if engine.use_table_filters and should_prune_table(
-                len(block), context.topk
-            ):
-                counters.tables_pruned_by_rule1 += (
-                    len(context.candidates) - position
-                )
-                break
-            context.set_current(table_id, block)
+        # The deadline check in front of the first candidate table gates
+        # both array passes; the replay checks in front of every later one.
+        if len(context.batch.candidate_ids) and (
+            budget is None or not budget.deadline_expired()
+        ):
             self.superkey_prefilter.run(context)
             self.row_verification.run(context)
-            counters.tables_evaluated += 1
             self.topk_maintenance.run(context)
 
         complete = True
@@ -108,11 +103,11 @@ class Executor:
             complete = budget.complete
         counters.runtime_seconds = time.perf_counter() - started
         # One aggregate span per executed stage, synthesized from the
-        # StageStats the (hot) stage loop already collects — the tracer adds
-        # no per-candidate work, and when no tracer is enabled anywhere this
-        # whole block is a single global-int check.
+        # StageStats the stages already collect — the tracer adds no work to
+        # them, and when no tracer is enabled anywhere this whole block is a
+        # single global-int check.
         if _trace._ACTIVE:
-            self._emit_spans(context, counters, k)
+            emit_plan_spans(context.plan.seed.column, counters, k)
         names = {
             table_id: engine.corpus.get_table(table_id).name
             for table_id, _ in context.topk.result_tuples()
@@ -128,39 +123,40 @@ class Executor:
             plan=context.report,
         )
 
-    @staticmethod
-    def _emit_spans(context: PlanContext, counters: DiscoveryCounters, k: int) -> None:
-        """Export a ``plan.execute`` span plus one child span per stage.
 
-        The stage spans absorb each stage's :class:`StageStats` — calls,
-        accumulated seconds, items in/out — as span attributes, so the
-        per-stage timing that used to live only in the counters is part of
-        the trace tree.
-        """
-        entry = _trace.current_entry()
-        if entry is None:
-            return
-        tracer, parent = entry
-        exec_span = tracer.emit(
-            "plan.execute",
-            parent,
-            duration=counters.runtime_seconds,
+def emit_plan_spans(seed_column: str, counters: DiscoveryCounters, k: int) -> None:
+    """Export a ``plan.execute`` span plus one child span per stage.
+
+    The stage spans absorb each stage's :class:`StageStats` — calls,
+    accumulated seconds, items in/out — as span attributes, so the
+    per-stage timing that used to live only in the counters is part of
+    the trace tree.  Every engine that reports stages emits through here,
+    so traces have one shape.
+    """
+    entry = _trace.current_entry()
+    if entry is None:
+        return
+    tracer, parent = entry
+    exec_span = tracer.emit(
+        "plan.execute",
+        parent,
+        duration=counters.runtime_seconds,
+        attributes={
+            "seed_column": seed_column,
+            "k": k,
+            "pl_items_fetched": counters.pl_items_fetched,
+            "tables_evaluated": counters.tables_evaluated,
+        },
+    )
+    for name, stats in counters.stages.items():
+        tracer.emit(
+            f"stage.{name}",
+            exec_span,
+            duration=stats.seconds,
             attributes={
-                "seed_column": context.plan.seed.column,
-                "k": k,
-                "pl_items_fetched": counters.pl_items_fetched,
-                "tables_evaluated": counters.tables_evaluated,
+                "calls": stats.calls,
+                "items_in": stats.items_in,
+                "items_out": stats.items_out,
             },
+            start=exec_span.start,
         )
-        for name, stats in counters.stages.items():
-            tracer.emit(
-                f"stage.{name}",
-                exec_span,
-                duration=stats.seconds,
-                attributes={
-                    "calls": stats.calls,
-                    "items_in": stats.items_in,
-                    "items_out": stats.items_out,
-                },
-                start=exec_span.start,
-            )

@@ -2,33 +2,34 @@
 
 Each stage implements the uniform ``run(PlanContext) -> StageResult``
 contract and accumulates its own wall-clock / volume accounting under
-``counters.stages[<name>]``:
+``counters.stages[<name>]``; every stage runs once per request:
 
 * :class:`CandidateGeneration` — seed-column posting fetch (Section 6.1):
   builds ``superkey_map_Q``, charges the request budget, fetches the seed
   column's posting lists (in one shot, or chunked with adaptive re-planning),
   and groups + sorts the candidate tables;
 * :class:`SuperKeyPrefilter` — the row filter (Section 6.3: the XASH reject,
-  or a baseline's) of one candidate table, with table-filtering rule 2;
-* :class:`RowVerification` — exact verification of the surviving rows and
-  the Eq. 2 best-mapping score;
-* :class:`TopKMaintenance` — offers the scored table to the top-k heap and
-  fires the streaming snapshot hook on accepted updates.
+  or a baseline's) over every candidate table's postings, and each table's
+  rule-2 threshold;
+* :class:`RowVerification` — exact verification of every candidate table's
+  surviving rows and its Eq. 2 best-mapping score;
+* :class:`TopKMaintenance` — the candidate-table loop of Algorithm 1 (lines
+  7-22) as one replay in candidate order: the deadline check, rules 1 and 2
+  as compares against ``j_k``, the heap and the streaming snapshot hook;
+  then every counter, charged where the rules cut.
 
 Every request runs on request-level arrays
 (:class:`repro.index.batch.RequestArrays`), whatever its row filter: the
-fetched blocks become arrays once, a candidate is a span of them and the
-prefilter cuts it by arithmetic.  The first verification verifies the
-surviving pairs of every candidate table in one pass over dictionary-encoded
-rows (:func:`repro.core.joinability.verify_request`); each table's
-verification then replays that pass over the pairs its cut kept
-(:meth:`repro.index.batch.RequestVerdicts.replay`), in candidate order, so
-``j_k``, rules 1 and 2 and the heap evolve exactly as in a table-at-a-time
-run.  Only a request whose Eq. 2 codes could overflow ``int64`` is verified
-table by table (:func:`~repro.core.joinability.verify_table`).
+fetched blocks become arrays once, a candidate is a span of them, the
+prefilter and the verification are one array pass each
+(:func:`repro.core.joinability.verify_request` verifies the surviving pairs
+of every candidate table over dictionary-encoded rows), and the only state
+one table hands the next — ``j_k`` — is carried by the replay alone.  The
+volumes of the prefilter and the verification depend on where rules 1 and 2
+cut, so the replay charges them to those stages' statistics.
 
 The composition under the :class:`~repro.plan.executor.Executor` is
-line-for-line equivalent to the pre-refactor monolithic loop
+equivalent to the pre-refactor monolithic loop
 (``tests/helpers.legacy_discover``) when re-planning is disabled — the
 equivalence the plan-equivalence and batch-execution test suites pin down
 byte-for-byte, counters included.
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from ..core import joinability
 from ..index.batch import RequestArrays
 from ..index.columnar import FetchBlock
 from .context import PlanContext, StageResult
@@ -58,11 +58,7 @@ class PlanStage:
     name = "stage"
 
     def run(self, context: PlanContext) -> StageResult:
-        """Run the stage once, recording wall clock and item counts.
-
-        Timing is inlined (no context manager): the per-table stages run
-        once per candidate table, so wrapper cost is hot-path cost.
-        """
+        """Run the stage once, recording wall clock and item counts."""
         stats = context.counters.stage_stats(self.name)
         stats.calls += 1
         started = perf_counter()
@@ -141,8 +137,9 @@ class CandidateGeneration(PlanStage):
                 context, context.plan.seed.column
             )
             detail = ""
+        batch = context.batch
         counters = context.counters
-        counters.candidate_tables = len(context.candidates)
+        counters.candidate_tables = len(batch.candidate_ids)
         # Legacy semantics: the (truncated) probe-list cardinality of the
         # *executed* seed column.  The stage's items_in additionally covers
         # the probe values charged for abandoned seed attempts.
@@ -150,7 +147,7 @@ class CandidateGeneration(PlanStage):
         return StageResult(
             self.name,
             items_in=values_charged,
-            items_out=sum(len(block) for _, block in context.candidates),
+            items_out=int(batch.candidate_stops.sum() - batch.candidate_starts.sum()),
             detail=detail,
         )
 
@@ -281,8 +278,8 @@ class CandidateGeneration(PlanStage):
         return sum(len(block) for block in fetched)
 
     def _set_candidates(self, context: PlanContext, blocks: list[FetchBlock]) -> None:
-        """Turn the fetched blocks into request-level arrays and sort the
-        candidates.
+        """Turn the fetched blocks into request-level arrays, candidates
+        sorted.
 
         Candidate tables are processed by decreasing PL-item count, then
         table id (line 5); the sketch tier's verdict (``allowed_tables``,
@@ -296,84 +293,101 @@ class CandidateGeneration(PlanStage):
             row_filter.super_key_generator.length_segment_shift,
             row_filter.mode,
             engine.corpus.get_table,
+            context.allowed_tables,
         )
-        context.candidates = context.batch.candidates(context.allowed_tables)
 
 
 class SuperKeyPrefilter(PlanStage):
-    """Row filtering of one candidate table (lines 14-19 of Algorithm 1).
+    """Row filtering of every candidate table (lines 14-19 of Algorithm 1).
 
-    The table's span is cut out of the request's arrays (the first call of
-    a request runs the row filter over all of its postings).
+    One pass over all of the request's postings; it also derives, per
+    candidate, the threshold ``T`` of rule 2 (fires once ``j_k >= T``).  What
+    a table's scan charges depends on where the rules cut it, so
+    :class:`TopKMaintenance` charges this stage's volumes.
     """
 
     name = STAGE_SUPERKEY_PREFILTER
 
     def _execute(self, context: PlanContext) -> StageResult:
-        engine = context.engine
-        topk = context.topk
-        span = context.current_block
-        rows_checked, checks, hits, abandoned, surviving = context.batch.cut(
-            span,
-            topk.min_joinability()
-            if engine.use_table_filters and topk.is_full
-            else None,
-        )
-        counters = context.counters
-        counters.rows_checked += rows_checked
-        counters.superkey_checks += checks
-        counters.short_circuit_hits += hits
-        if abandoned:
-            counters.tables_pruned_by_rule2 += 1
-        context.surviving = surviving
-        return StageResult(
-            self.name,
-            items_in=len(span),
-            items_out=len(surviving),
-            detail="abandoned" if abandoned else "",
-        )
+        context.batch.prefilter()
+        return StageResult(self.name)
 
 
 class RowVerification(PlanStage):
     """Exact verification of surviving rows and Eq. 2 scoring (line 21).
 
-    The first call runs the request's verification pass — lazily, so behind
-    a deadline check that passed, like the prefilter — and every call
-    replays it for the current table; the plan report keeps the pass's size
-    and the pairs no replay has charged.
+    One pass verifies every candidate table's surviving pairs; the plan
+    report keeps its size.  Like the prefilter's, this stage's volumes are
+    charged by :class:`TopKMaintenance`.
     """
 
     name = STAGE_ROW_VERIFICATION
 
     def _execute(self, context: PlanContext) -> StageResult:
-        surviving = context.surviving
-        verdicts = context.batch.verify()
-        if verdicts is None:
-            result = joinability.verify_table(
-                context.engine.corpus.get_table(context.current_table_id).rows,
-                surviving,
-                context.counters,
-            )
-        else:
-            result = verdicts.replay(
-                context.current_table_id, surviving, context.counters
-            )
-            report = context.report
-            report.verified_pairs = verdicts.pairs
-            report.discarded_pairs = verdicts.pairs - verdicts.charged
-        context.joinability, context.mapping, verified = result
-        return StageResult(self.name, items_in=len(surviving), items_out=verified)
+        batch = context.batch
+        batch.verify()
+        context.report.verified_pairs = batch.verified_pairs
+        return StageResult(self.name)
 
 
 class TopKMaintenance(PlanStage):
-    """Offer the scored table to the heap; fire the streaming hook."""
+    """The candidate-table loop (lines 7-22), replayed in candidate order.
+
+    Per table: the deadline check (a clock read; the executor made the
+    first table's, ahead of the prefilter), rule 1 (``L <= j_k``) and rule 2
+    (``j_k >= T``) once ``k`` tables are kept, and a heap offer of the
+    table's full score.  A table rule 2 cuts short is not offered: the cut
+    came in front of a row ``i < L`` with ``matched(i) <= j_k - (L - i) <
+    j_k``, and a prefix cannot score more than its matched postings (a
+    mapping projects each row onto one key tuple), so the full heap rejects
+    whatever the prefix scores.  Then every counter — and the prefilter's
+    and verification's volumes — is charged at once, where the rules cut.
+    """
 
     name = STAGE_TOPK_MAINTENANCE
 
     def _execute(self, context: PlanContext) -> StageResult:
-        kept = context.topk.update(context.current_table_id, context.joinability)
-        if kept:
-            context.mappings[context.current_table_id] = context.mapping
-            if context.on_snapshot is not None:
-                context.on_snapshot(context.topk.result_tuples())
-        return StageResult(self.name, items_in=1, items_out=int(kept))
+        batch, topk, mappings = context.batch, context.topk, context.mappings
+        budget, counters = context.budget, context.counters
+        on_snapshot = context.on_snapshot
+        expired = budget.deadline_expired if budget is not None else None
+        filters = context.engine.use_table_filters
+        table_ids = batch.candidate_ids.tolist()
+        lengths = (batch.candidate_stops - batch.candidate_starts).tolist()
+        floor = None  # j_k while rules 1 and 2 are armed
+        cut, floors = [], []  # the tables rule 2 cuts, and j_k at each
+        kept = 0
+        evaluated = len(table_ids)
+        for position, (table_id, length, threshold, score) in enumerate(
+            zip(table_ids, lengths, batch.thresholds.tolist(), batch.scores.tolist())
+        ):
+            if position and expired is not None and expired():
+                evaluated = position
+                break
+            if floor is not None:
+                if length <= floor:
+                    counters.tables_pruned_by_rule1 += len(table_ids) - position
+                    evaluated = position
+                    break
+                if floor >= threshold:
+                    cut.append(position)
+                    floors.append(floor)
+                    continue
+            if score and topk.update(table_id, score):
+                kept += 1
+                mappings[table_id] = batch.mappings[table_id]
+                if filters and topk.is_full:
+                    floor = topk.min_joinability()
+                if on_snapshot is not None:
+                    on_snapshot(topk.result_tuples())
+        counters.tables_evaluated += evaluated
+        counters.tables_pruned_by_rule2 += len(cut)
+        postings, pairs, verified = batch.charge(evaluated, cut, floors, counters)
+        prefilter = counters.stage_stats(STAGE_SUPERKEY_PREFILTER)
+        prefilter.items_in += postings
+        prefilter.items_out += pairs
+        verification = counters.stage_stats(STAGE_ROW_VERIFICATION)
+        verification.items_in += pairs
+        verification.items_out += verified
+        context.report.discarded_pairs = batch.verified_pairs - pairs
+        return StageResult(self.name, items_in=evaluated, items_out=kept)

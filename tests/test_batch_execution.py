@@ -1,11 +1,11 @@
 """Batch execution: request-level arrays + the request verification pass.
 
-A request is served from :mod:`repro.index.batch` (one array pass groups,
-prefilters and cuts every candidate table; one more verifies the surviving
-pairs of every candidate table with
-:func:`repro.core.joinability.verify_request` over dictionary-encoded rows,
-and the executor replays it table by table).  Everything here is
-differential: against
+A request is served from :mod:`repro.index.batch` (one array pass groups and
+prefilters every candidate table; one more verifies the surviving pairs of
+every candidate table with :func:`repro.core.joinability.verify_request`
+over dictionary-encoded rows; the top-k stage replays the candidates on
+their rule-2 thresholds and scores, and the counters are charged where the
+rules cut).  Everything here is differential: against
 ``tests.helpers.legacy_verify_table`` / ``legacy_discover`` (the verbatim
 loops), and against a freshly built engine after mutations.  There is one
 execution path, so every end-to-end comparison runs the engine against the
@@ -30,7 +30,6 @@ from repro import MateConfig, MateDiscovery, build_index
 from repro.api import PlannerOptions
 from repro.api.request import RequestBudget
 from repro.core import joinability
-from repro.core.filters import should_prune_table
 from repro.datagen import build_workload
 from repro.datamodel import MISSING, QueryTable, Row, Table, TableCorpus
 from repro.datamodel import encoding
@@ -45,12 +44,11 @@ from repro.experiments.runner import ExperimentSettings
 from repro.hashing.base import key_width
 from repro.index import IndexMaintainer, InvertedIndex
 from repro.index import columnar
-from repro.index.batch import RequestArrays, SurvivingPairs, verify_tables
+from repro.index.batch import RequestArrays, verify_spans
 from repro.ingest import LiveIndex
 from repro.metrics import DiscoveryCounters
 from repro.plan import PlanContext, PlanReport, Planner
 from repro.plan.executor import Executor
-from repro.plan.stages import RowVerification
 from repro.sketch import SketchOptions
 from repro.storage import load_segment, write_segment
 
@@ -194,7 +192,8 @@ def request_cases(draw):
 
 def verify_case(key_tuples, tables):
     """Lay the tables' pairs end to end and verify the listed ones in one
-    pass; returns the verdicts and each listed table's first pair."""
+    pass; returns the charge prefix sums and, per listed table id, its first
+    pair and its ``(score, mapping)``."""
     pair_rows, pair_keys, listed, firsts = [], [], [], []
     for table, pairs, verified in tables:
         if verified:
@@ -204,8 +203,7 @@ def verify_case(key_tuples, tables):
         pair_keys += [key for _, key in pairs]
     firsts_array = np.array(firsts, dtype=np.int64)
     lengths = [len(pairs) for _, pairs, verified in tables if verified]
-    verdicts = verify_tables(
-        [table.table_id for table in listed],
+    prefix, best, scores, mappings = verify_spans(
         listed,
         firsts_array,
         firsts_array + np.array(lengths, dtype=np.int64),
@@ -213,92 +211,110 @@ def verify_case(key_tuples, tables):
         np.array(pair_keys, dtype=np.intp),
         EncodedKeys(key_tuples),
     )
-    return verdicts, dict(zip((table.table_id for table in listed), firsts))
+    answers = dict.fromkeys(range(len(listed)), (0, None))
+    answers.update(zip(best.tolist(), zip(scores.tolist(), mappings)))
+    return prefix, {
+        table.table_id: (first, answers[position])
+        for position, (table, first) in enumerate(zip(listed, firsts))
+    }
 
 
-def replay(verdicts, table, first, count):
-    """Replay ``count`` pairs of ``table`` from ``first``: the outcome and
-    the counters it charged."""
-    counters = DiscoveryCounters()
-    outcome = verdicts.replay(
-        table.table_id, SurvivingPairs(None, first, first + count), counters
-    )
-    return outcome, counters
+def charged(prefix, first, count):
+    """What verifying ``count`` pairs from pair ``first`` charges: value
+    comparisons, rows seen, verified pairs, rows that verify."""
+    return (prefix[first + count] - prefix[first]).tolist()
 
 
 class TestRequestKernelDifferential:
     @given(case=request_cases())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_per_pair_loop_at_every_cut(self, case):
-        """Every listed table, every prefix of its pairs: what the replay
-        returns and charges is what the loop returns and charges for that
-        prefix, except that a cut-short table scores 0 (rule 2's prefixes
-        score below ``j_k`` — ``TestRule2Replay``)."""
+        """Every listed table: its score and mapping are the loop's over all
+        of its pairs, and every prefix of its pairs is charged what the loop
+        charges for that prefix."""
         key_tuples, tables = case
-        verdicts, firsts = verify_case(key_tuples, tables)
-        assert verdicts.pairs == sum(
-            len(pairs) for _, pairs, verified in tables if verified
+        prefix, verdicts = verify_case(key_tuples, tables)
+        assert prefix[-1, 0] == sum(
+            len(table.columns) * len(key_tuples[0]) * len(pairs)
+            for table, pairs, verified in tables
+            if verified
         )
         for table, pairs, verified in tables:
             if not verified:
                 assert id(table) not in ENCODER._tables  # never encoded
                 continue
+            first, answer = verdicts[table.table_id]
+            assert answer == legacy_verify_table(
+                table.rows, [(row, key_tuples[key]) for row, key in pairs]
+            )[:2]
             for cut in range(len(pairs) + 1):
-                (score, mapping, checked), counters = replay(
-                    verdicts, table, firsts[table.table_id], cut
-                )
                 expected = legacy_verify_table(
                     table.rows, [(row, key_tuples[key]) for row, key in pairs[:cut]]
-                )
-                whole = cut == len(pairs)
-                assert (score, mapping) == (expected[:2] if whole else (0, None))
-                assert (
-                    checked,
-                    counters.true_positive_rows,
-                    counters.false_positive_rows,
-                    counters.value_comparisons,
-                ) == expected[2:]
-                assert counters.rows_passed_filter == expected[3] + expected[4]
+                )[2:]
+                comparisons, rows, checked, hit_rows = charged(prefix, first, cut)
+                assert (checked, hit_rows, rows - hit_rows, comparisons) == expected
 
     def one_table(self, table, key_tuples, pairs):
-        verdicts, _ = verify_case(key_tuples, [(table, pairs, True)])
-        return replay(verdicts, table, 0, len(pairs))
+        prefix, verdicts = verify_case(key_tuples, [(table, pairs, True)])
+        _, answer = verdicts[table.table_id]
+        return answer, charged(prefix, 0, len(pairs))
 
     def test_ties_go_to_the_largest_mapping(self):
         table = Table(0, "t", ["x", "y", "z"], rows=[["a", "a", "b"]])
-        outcome, _ = self.one_table(table, [("a", "b")], [(0, 0)])
-        assert outcome == (1, (1, 2), 1)
+        answer, (_, _, checked, _) = self.one_table(table, [("a", "b")], [(0, 0)])
+        assert (answer, checked) == ((1, (1, 2)), 1)
 
     def test_repeated_key_value_needs_two_columns(self):
         table = Table(0, "t", ["x", "y"], rows=[["a", "b"], ["a", "a"]])
-        outcome, counters = self.one_table(table, [("a", "a")], [(0, 0), (1, 0)])
-        assert outcome == (1, (1, 0), 1)
-        assert (counters.true_positive_rows, counters.false_positive_rows) == (1, 1)
+        answer, (_, rows, checked, hit_rows) = self.one_table(
+            table, [("a", "a")], [(0, 0), (1, 0)]
+        )
+        assert (answer, checked) == ((1, (1, 0)), 1)
+        assert (hit_rows, rows - hit_rows) == (1, 1)
 
-    def test_codes_that_could_overflow_fall_back_to_verify_table(self, monkeypatch):
-        """40 columns ** 12 key positions cannot be coded in ``int64``: the
-        request is verified table by table, with the loop's answer."""
+    def test_codes_that_could_overflow_are_renumbered(self, monkeypatch):
+        """40 columns ** 12 key positions do not fit ``int64`` as one
+        mixed-radix code: the code is renumbered densely on the way, and the
+        request is still verified in its one pass, with the loop's answer."""
         columns = [f"c{i}" for i in range(40)]
         values = [f"v{i}" for i in range(40)]
         table = Table(0, "t", columns, rows=[values])
-        assert verify_case([tuple(values[:12])], [(table, [(0, 0)], True)])[0] is None
+        _, verdicts = verify_case([tuple(values[:12])], [(table, [(0, 0)], True)])
+        assert verdicts[0] == (0, (1, tuple(range(12))))
+        # Reversed, the mapping's own mixed-radix code exceeds int64.
+        mirrored = Table(1, "m", columns, rows=[values[::-1]])
+        _, verdicts = verify_case([tuple(values[:12])], [(mirrored, [(0, 0)], True)])
+        assert verdicts[1] == (0, (1, tuple(range(39, 27, -1))))
         corpus = TableCorpus(name="wide")
         corpus.add_table(table)
         engine = MateDiscovery(
             corpus, build_index(corpus, config=CONFIG), config=CONFIG
         )
         query = QueryTable(Table(9, "q", columns[:12], [values[:12]]), columns[:12])
-        loop = joinability.verify_table
-        calls = []
         monkeypatch.setattr(
             joinability,
             "verify_table",
-            lambda *args: calls.append(args) or loop(*args),
+            lambda *args: pytest.fail("verified table by table"),
         )
         result = engine.discover(query)
-        assert result.plan.verified_pairs == 0 and len(calls) == 1
+        assert result.plan.verified_pairs == 1
         assert answer(result) == [(0, 1, tuple(range(12)))]
         assert_results_byte_identical(result, legacy_discover(engine, query))
+
+    @given(case=request_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_renumbered_codes_match_the_per_pair_loop(self, case):
+        """A code limit this low renumbers before every digit: the scores
+        and mappings are still the loop's (largest mapping on ties)."""
+        key_tuples, tables = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(joinability, "_CODE_LIMIT", 2)
+            _, verdicts = verify_case(key_tuples, tables)
+        for table, pairs, verified in tables:
+            if verified:
+                assert verdicts[table.table_id][1] == legacy_verify_table(
+                    table.rows, [(row, key_tuples[key]) for row, key in pairs]
+                )[:2]
 
 
 # ----------------------------------------------------------------------
@@ -313,70 +329,145 @@ def one_value_index(super_keys: list[int]) -> InvertedIndex:
     return cells.to_index()
 
 
+def candidate_spans(arrays: RequestArrays) -> list[tuple[int, range]]:
+    """``(table id, span)`` per candidate, in candidate order."""
+    return list(
+        zip(
+            arrays.candidate_ids.tolist(),
+            map(
+                range,
+                arrays.candidate_starts.tolist(),
+                arrays.candidate_stops.tolist(),
+            ),
+        )
+    )
+
+
+def scanned(arrays: RequestArrays, start: int, end: int) -> dict:
+    """What scanning positions ``[start, end)`` charges, keyed like
+    ``reference_prefilter``'s answer."""
+    _, checks, hits, first = arrays.prefix[start].tolist()
+    _, checks_end, hits_end, last = arrays.prefix[end].tolist()
+    return {
+        "surviving": list(
+            zip(
+                arrays.pair_rows[first:last].tolist(),
+                map(arrays.keys.tuples.__getitem__, arrays.pair_keys[first:last]),
+            )
+        ),
+        "rows_checked": end - start,
+        "superkey_checks": checks_end - checks,
+        "short_circuit_hits": hits_end - hits,
+    }
+
+
+def prefiltered_case(case, mode):
+    """The case's postings as request arrays, prefiltered, and a per-row
+    reference scan of any candidate at any floor."""
+    hash_size, postings, key_map, length_shift, _ = case
+    cells = CellIndex(hash_size=hash_size)
+    for value, table_id, row_index, key in postings:
+        cells.add_posting(value, table_id, 0, row_index)
+        cells.keys[(table_id, row_index)] = key
+    index = cells.to_index()
+    arrays = RequestArrays(index.fetch_batch(VALUES), key_map, length_shift, mode)
+    arrays.prefilter()
+    grouped = fetch_grouped_by_table(index, VALUES)
+    width = key_width(hash_size)
+
+    def reference(table_id, floor):
+        values, row_indexes, super_keys = zip(*grouped[table_id])
+        return reference_prefilter(
+            values=values,
+            row_indexes=row_indexes,
+            packed=b"".join(key.to_bytes(width, "big") for key in super_keys),
+            width=width,
+            key_map=key_map,
+            posting_count=len(values),
+            mode=mode,
+            length_shift=length_shift,
+            min_joinability=floor,
+        )
+
+    return arrays, grouped, reference
+
+
 class TestRequestArrays:
     @pytest.mark.parametrize("mode", ["superkey", "none"])
     @given(case=index_cases())
     @settings(max_examples=120, deadline=None)
     def test_cut_matches_the_per_row_reference(self, mode, case):
-        """Same postings: arrays vs the per-row scan of each table block."""
-        hash_size, postings, key_map, length_shift, bound = case
-        cells = CellIndex(hash_size=hash_size)
-        for value, table_id, row_index, key in postings:
-            cells.add_posting(value, table_id, 0, row_index)
-            cells.keys[(table_id, row_index)] = key
-        index = cells.to_index()
-        arrays = RequestArrays(index.fetch_batch(VALUES), key_map, length_shift, mode)
-        grouped = fetch_grouped_by_table(index, VALUES)
-        width = key_width(hash_size)
-        candidates = arrays.candidates(None)
+        """Same postings: the arrays, cut where the threshold says, vs the
+        per-row scan of each table block at the case's floor."""
+        arrays, grouped, reference = prefiltered_case(case, mode)
+        floor = case[4]
         assert [
-            (table_id, len(span)) for table_id, span in candidates
+            (table_id, len(span)) for table_id, span in candidate_spans(arrays)
         ] == sorted(
             ((table_id, len(block)) for table_id, block in grouped.items()),
             key=lambda entry: (-entry[1], entry[0]),
         )
-        for table_id, span in candidates:
-            values, row_indexes, super_keys = zip(*grouped[table_id])
-            expected = reference_prefilter(
-                values=values,
-                row_indexes=row_indexes,
-                packed=b"".join(key.to_bytes(width, "big") for key in super_keys),
-                width=width,
-                key_map=key_map,
-                posting_count=len(values),
-                mode=mode,
-                length_shift=length_shift,
-                min_joinability=bound,
-            )
-            rows_checked, checks, hits, abandoned, surviving = arrays.cut(
-                span, bound
-            )
+        for position, (table_id, span) in enumerate(candidate_spans(arrays)):
+            expected = reference(table_id, floor)
+            del expected["rows_matched"]
+            if floor is not None and len(span) <= floor:
+                # Rule 1's case: the executor never scans the table.
+                assert expected["rows_checked"] == 0
+                continue
+            abandoned = floor is not None and floor >= arrays.thresholds[position]
+            end = span.stop
+            if abandoned:
+                [end] = arrays.cut_ends(np.array([position]), np.array([floor]))
             assert {
-                "surviving": list(surviving),
-                "rows_checked": rows_checked,
-                "superkey_checks": checks,
-                "short_circuit_hits": hits,
+                **scanned(arrays, span.start, int(end)),
                 "abandoned": abandoned,
-            } == {key: expected[key] for key in expected if key != "rows_matched"}
+            } == expected
+
+    @pytest.mark.parametrize("mode", ["superkey", "none"])
+    @given(case=index_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_threshold_decides_rule_2_at_every_floor(self, mode, case):
+        """For every candidate and every ``j_k`` in ``[0, L)``: ``j_k >= T``
+        exactly when the per-row reference abandons, and the vector cut —
+        every abandon of the request in one call — ends where the
+        reference stops."""
+        arrays, _, reference = prefiltered_case(case, mode)
+        positions, floors, stops = [], [], []
+        for position, (table_id, span) in enumerate(candidate_spans(arrays)):
+            for floor in range(len(span)):
+                expected = reference(table_id, floor)
+                fires = floor >= arrays.thresholds[position]
+                assert fires == expected["abandoned"]
+                if fires:
+                    positions.append(position)
+                    floors.append(floor)
+                    stops.append(span.start + expected["rows_checked"])
+        ends = arrays.cut_ends(
+            np.array(positions, dtype=np.intp), np.array(floors, dtype=np.intp)
+        )
+        assert ends.tolist() == stops
 
     def test_cut_off_on_the_last_row_is_not_an_abandon(self):
         """Rule 2 is asked *before* each row, never after the last one."""
         # Key 1 is covered by super key 1, not by 0: rows match, miss, match,
-        # miss.  With j_k = 2 the second miss — the last row — exhausts the
-        # deficit, but no row is left to skip.
+        # miss.  L = 4 with one miss among the first three rows: T = 3.
         index = one_value_index([1, 0, 1, 0])
         arrays = RequestArrays(index.fetch_batch(["v"]), {"v": [(("k",), 1)]}, None)
-        [(table_id, span)] = arrays.candidates(None)
-        rows_checked, checks, _, abandoned, surviving = arrays.cut(span, 2)
-        assert (table_id, rows_checked, checks, abandoned) == (0, 4, 4, False)
-        assert list(surviving) == [(0, ("k",)), (2, ("k",))]
+        arrays.prefilter()
+        [(table_id, span)] = candidate_spans(arrays)
+        assert (table_id, span, arrays.thresholds.tolist()) == (0, range(4), [3])
+        # With j_k = 2 the second miss — the last row — exhausts the
+        # deficit, but no row is left to skip: the whole table is scanned.
+        assert scanned(arrays, 0, 4) == {
+            "surviving": [(0, ("k",)), (2, ("k",))],
+            "rows_checked": 4,
+            "superkey_checks": 4,
+            "short_circuit_hits": 0,
+        }
         # One more unit of j_k and the first miss already decides it: the
         # scan stops in front of row 2.
-        rows_checked, checks, _, abandoned, surviving = arrays.cut(span, 3)
-        assert (rows_checked, checks, abandoned) == (2, 2, True)
-        assert list(surviving) == [(0, ("k",))]
-        # Rule 2 not armed: the whole table.
-        assert arrays.cut(span, None)[:4] == (4, 4, 0, False)
+        assert arrays.cut_ends(np.array([0]), np.array([3])).tolist() == [2]
+        assert scanned(arrays, 0, 2)["surviving"] == [(0, ("k",))]
 
     def test_sort_is_stable_across_probe_values(self):
         """Table order is probe order, then posting order (the loop's)."""
@@ -390,16 +481,21 @@ class TestRequestArrays:
         arrays = RequestArrays(index.fetch_batch(["v", "w"]), {}, None)
         grouped = fetch_grouped_by_table(index, ["v", "w"])
         assert arrays.row_indexes.tolist() == [7, 2, 9, 3, 5]
-        for table_id, span in arrays.candidates(None):
+        for table_id, span in candidate_spans(arrays):
             assert arrays.row_indexes[span.start : span.stop].tolist() == [
                 row_index for _, row_index, _ in grouped[table_id]
             ]
-        assert [table_id for table_id, _ in arrays.candidates({0})] == [0]
+        allowed = RequestArrays(index.fetch_batch(["v", "w"]), {}, None, allowed={0})
+        assert allowed.candidate_ids.tolist() == [0]
 
     def test_no_postings_no_candidates(self):
         arrays = RequestArrays([], {}, None)
-        assert arrays.candidates(None) == []
-        assert arrays.cut(range(0), None)[:4] == (0, 0, 0, False)
+        assert candidate_spans(arrays) == []
+        arrays.prefilter()
+        arrays.verify()
+        counters = DiscoveryCounters()
+        assert arrays.charge(0, [], [], counters) == (0, 0, 0)
+        assert counters == DiscoveryCounters()
 
 
 def shared_seed_query(workload) -> QueryTable:
@@ -477,11 +573,10 @@ class TestDiscoverDifferential:
     def test_deadline_expired_by_the_fetch_skips_the_prefilter(
         self, engine, workload, monkeypatch
     ):
-        """The whole-request prefilter runs inside the first ``cut`` and the
-        whole-request verification inside the first ``RowVerification``,
-        both behind a deadline check that passed: a deadline overshoots by
-        one of each at most, and a request already late after its fetch
-        pays for neither — nor encodes a table."""
+        """The whole-request prefilter and verification run behind the
+        deadline check in front of the first candidate table: a request
+        already late after its fetch pays for neither — nor encodes a
+        table."""
         query = workload.queries[0]
 
         def make_kwargs():
@@ -495,7 +590,7 @@ class TestDiscoverDifferential:
 
         monkeypatch.setattr(
             RequestArrays,
-            "_prefilter",
+            "prefilter",
             lambda self: pytest.fail("prefiltered past the deadline"),
         )
         monkeypatch.setattr(
@@ -514,13 +609,62 @@ class TestDiscoverDifferential:
         assert result.counters.tables_evaluated == 0
         assert (result.plan.verified_pairs, result.plan.discarded_pairs) == (0, 0)
 
-    def test_streaming_snapshots(self, engine, workload):
+    def test_deadline_clock_reads_and_cut_match_the_loop(self, engine, workload):
+        """A scripted clock expires the deadline at its ``n``-th read (the
+        first is the ledger's start), for every ``n`` until a run completes:
+        the executor reads the clock as often as the verbatim loop and stops
+        at the same table, and when the read in front of the first
+        candidate expires, neither pass runs."""
         query = workload.queries[0]
-        seen: list[list] = []
-        oracle: list[list] = []
-        result = engine.discover(query, on_snapshot=seen.append)
-        legacy_discover(engine, query, on_snapshot=oracle.append)
-        assert seen == oracle and seen[-1] == result.result_tuples()
+
+        def scripted(expire_at):
+            reads = []
+
+            def clock():
+                reads.append(None)
+                return 2.0 if len(reads) >= expire_at else 0.0
+
+            return reads, RequestBudget(deadline_seconds=1.0, clock=clock)
+
+        cuts = []
+        for expire_at in range(2, 1000):
+            reads, budget = scripted(expire_at)
+            result = engine.discover(query, k=3, budget=budget)
+            oracle_reads, oracle_budget = scripted(expire_at)
+            oracle = legacy_discover(engine, query, 3, budget=oracle_budget)
+            assert_results_byte_identical(result, oracle)
+            assert len(reads) == len(oracle_reads)
+            if result.complete:
+                break
+            counters = result.counters
+            cuts.append((counters.candidate_tables > 0, counters.tables_evaluated))
+            if cuts[-1] == (True, 0):
+                assert "superkey_prefilter" not in counters.stages
+                assert "row_verification" not in counters.stages
+        else:
+            pytest.fail("the deadline never stopped expiring")
+        # Before the fetch, before the first table, after it, and later.
+        assert cuts[:3] == [(False, 0), (True, 0), (True, 1)]
+        assert len(cuts) > 3
+
+    @pytest.mark.parametrize("row_filter_mode", ["superkey", "none", "oracle"])
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_snapshot_sequence_matches_the_loop(self, workload, row_filter_mode, k):
+        """Every accepted heap update fires the streaming hook, in the loop's
+        order, under every row filter and ``k``."""
+        system = MateDiscovery(
+            workload.corpus,
+            build_index(workload.corpus, config=CONFIG),
+            config=CONFIG,
+            row_filter_mode=row_filter_mode,
+        )
+        for query in [*workload.queries, shared_seed_query(workload)]:
+            seen: list[list] = []
+            oracle: list[list] = []
+            result = system.discover(query, k=k, on_snapshot=seen.append)
+            legacy_discover(system, query, k, on_snapshot=oracle.append)
+            assert seen == oracle
+            assert seen[-1] == result.result_tuples()
 
     def test_adaptive_replanning_that_discards_a_seed(self):
         corpus, query = _build_drift_scenario(ExperimentSettings(corpus_scale=0.3))
@@ -614,37 +758,73 @@ class TestRule2Replay:
     def test_every_abandoned_prefix_scores_below_j_k(
         self, workload, row_filter_mode, monkeypatch
     ):
-        """The replay offers a table rule 2 cut short with joinability 0.
+        """The replay does not offer a table rule 2 cut short to the heap.
         That is exact because the prefix the loop would have verified scores
-        below ``j_k``, which the full heap rejects just like 0: checked here
-        for every abandon of MATE and SCR (whose every posting matches, so
-        rule 2 never fires for it) and of the ideal filter."""
+        below ``j_k``, which the full heap rejects: checked here for every
+        abandon of MATE and SCR (whose every posting matches, so rule 2
+        never fires for it) and of the ideal filter."""
         system = MateDiscovery(
             workload.corpus,
             build_index(workload.corpus, config=CONFIG),
             config=CONFIG,
             row_filter_mode=row_filter_mode,
         )
-        replayed = RowVerification._execute
+        charge = RequestArrays.charge
         abandons = []
 
-        def checked(stage, context):
-            topk = context.topk
-            if topk.is_full:
-                j_k = topk.min_joinability()
-                *_, abandoned, prefix = context.batch.cut(context.current_block, j_k)
-                if abandoned:
-                    rows = system.corpus.get_table(context.current_table_id).rows
-                    score = legacy_verify_table(rows, list(prefix))[0]
-                    assert score < j_k
-                    abandons.append(score)
-            return replayed(stage, context)
+        def checked(arrays, evaluated, cut, floors, counters):
+            ends = arrays.cut_ends(
+                np.array(cut, dtype=np.intp), np.array(floors, dtype=np.intp)
+            )
+            for position, j_k, end in zip(cut, floors, ends.tolist()):
+                start = int(arrays.candidate_starts[position])
+                table_id = int(arrays.candidate_ids[position])
+                prefix = scanned(arrays, start, end)["surviving"]
+                rows = system.corpus.get_table(table_id).rows
+                score = legacy_verify_table(rows, prefix)[0]
+                assert score < j_k
+                abandons.append(score)
+            return charge(arrays, evaluated, cut, floors, counters)
 
-        monkeypatch.setattr(RowVerification, "_execute", checked)
+        monkeypatch.setattr(RequestArrays, "charge", checked)
         for k in (1, 2, 3, 10):
             for query in [*workload.queries, shared_seed_query(workload)]:
                 system.discover(query, k=k)
         assert bool(abandons) == (row_filter_mode != "none")
+
+    def test_a_cut_table_is_not_offered_even_when_its_full_score_ties(self):
+        """k = 1, ideal filter.  Table 5 (5 postings, 3 matches) fills the
+        heap with j_k = 3.  Table 1 (4 postings) opens with a miss, so rule
+        2 cuts it in front of its second row — yet all of its rows would
+        score 3, a tie the smaller id wins on the heap.  The loop never
+        verified those rows; the replay must not offer them either."""
+        columns = ["name", "team"]
+        corpus = TableCorpus(name="tie")
+        corpus.add_table(
+            Table(5, "t5", columns, [["ada", "red"], ["alan", "red"],
+                                     ["grace", "red"], ["x1", "red"],
+                                     ["x2", "red"]])
+        )
+        corpus.add_table(
+            Table(1, "t1", columns, [["zed", "red"], ["ada", "red"],
+                                     ["alan", "red"], ["grace", "red"]])
+        )
+        query = QueryTable(
+            Table(99, "q", ["n", "t"],
+                  [["ada", "red"], ["alan", "red"], ["grace", "red"]]),
+            ["n", "t"],
+        )
+        engine = MateDiscovery(
+            corpus,
+            build_index(corpus, config=CONFIG),
+            config=CONFIG,
+            row_filter_mode="oracle",
+        )
+        result = assert_matches_legacy(engine, query, k=1)
+        assert result.plan.seed_column == "t"
+        assert result.result_tuples() == [(5, 3)]
+        assert result.counters.tables_pruned_by_rule2 == 1
+        assert engine.discover(query, k=2).result_tuples() == [(1, 3), (5, 3)]
 
     def test_pairs_discarded_by_rule_1_and_rule_2(self):
         """k = 1.  Table 0 (5 postings, 3 pairs) fills the heap with j_k = 3;
@@ -687,7 +867,7 @@ class TestRule2Replay:
         assert (result.plan.verified_pairs, result.plan.discarded_pairs) == (9, 6)
         document = result.plan.as_dict()
         assert (document["verified_pairs"], document["discarded_pairs"]) == (9, 6)
-        assert stage_volumes(result)["row_verification"] == (2, 3, 3)
+        assert stage_volumes(result)["row_verification"] == (1, 3, 3)
 
 
 @pytest.fixture(scope="module", params=["WT_100", "OD_100"])
@@ -800,7 +980,8 @@ class TestCoverageMemoBound:
         for key in range(4 * bound):
             entries = [((f"k{key}",), key % 8), ((f"l{key}",), (key + 3) % 8)]
             arrays = RequestArrays([block], {"v": entries}, 4)
-            survivors = list(arrays.cut(range(0, 40), None)[4])
+            arrays.prefilter()
+            survivors = scanned(arrays, 0, 40)["surviving"]
             assert len(block._cov_cache) <= bound
             assert survivors == [
                 (row, key_tuple)
@@ -1078,18 +1259,14 @@ class TestNoBufferPinned:
             options=executor.options,
             report=PlanReport(plan=plan, seed_column=plan.seed.column),
         )
-        executor.candidate_generation.run(context)
-        assert context.batch is not None
-        write()
-        for table_id, span in context.candidates:
-            if should_prune_table(len(span), context.topk):
-                break
-            context.set_current(table_id, span)
-            executor.superkey_prefilter.run(context)
+        for stage in (
+            executor.candidate_generation,
+            executor.superkey_prefilter,
+            executor.row_verification,
+            executor.topk_maintenance,
+        ):
+            stage.run(context)
             write()
-            executor.row_verification.run(context)
-            write()
-            executor.topk_maintenance.run(context)
         # The run answers from the postings it fetched, whatever came later.
         assert context.topk.result_tuples() == expected.result_tuples()
         assert index.posting_list_length(probe) == before + len(inserted)

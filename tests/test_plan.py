@@ -312,9 +312,14 @@ class TestStageAccounting:
         generation = result.counters.stages["candidate_generation"]
         assert generation.calls == 1
         assert generation.items_out == result.counters.pl_items_fetched
-        prefilter = result.counters.stages["superkey_prefilter"]
-        assert prefilter.calls == result.counters.tables_evaluated
-        assert prefilter.items_in <= result.counters.pl_items_fetched
+        # Every stage runs once per request.  The prefilter's volume is the
+        # postings of the tables the replay evaluated, some of which rule
+        # 2's cuts left unchecked.
+        counters = result.counters
+        prefilter = counters.stages["superkey_prefilter"]
+        assert prefilter.calls == 1
+        assert counters.tables_pruned_by_rule2 > 0
+        assert counters.rows_checked < prefilter.items_in <= counters.pl_items_fetched
         assert all(
             stats.seconds >= 0.0 for stats in result.counters.stages.values()
         )
