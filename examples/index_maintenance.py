@@ -3,8 +3,8 @@
 Section 5.4 of the paper describes how the extended inverted index reacts to
 inserts, updates, and deletes.  This example applies each edit type through
 :class:`repro.index.IndexMaintainer`, shows which parts of the index change,
-and verifies consistency after every step.  It also demonstrates persisting
-the corpus and index to SQLite and reloading them.
+and verifies consistency after every step.  It also writes the edited index
+to a ``.seg`` segment, the persisted index format, and maps it back.
 
 Run with::
 
@@ -20,7 +20,7 @@ from repro import MateConfig, MateDiscovery, build_index
 from repro.datamodel import QueryTable, Table, TableCorpus
 from repro.hashing import SuperKeyGenerator
 from repro.index import IndexMaintainer, storage_report
-from repro.storage import SQLiteBackend
+from repro.storage import load_segment, write_segment
 
 
 def report(label: str, maintainer: IndexMaintainer) -> None:
@@ -111,16 +111,16 @@ def main() -> None:
     print(f"  super keys per cell:  {storage.super_key_bytes_per_cell} B")
     print(f"  super keys per row:   {storage.super_key_bytes_per_row} B")
 
-    # Persist and reload through the SQLite backend.
+    # Persist as a segment file and map it back.
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "mate.db"
-        with SQLiteBackend(path) as backend:
-            backend.save_corpus(corpus)
-            backend.save_index("main", index)
-            reloaded = backend.load_index("main")
-        print(f"\npersisted to {path.name}: reloaded index has "
+        path = write_segment(index, Path(tmp) / "edited.seg")
+        reloaded = load_segment(path)
+        values = sorted(index.values())
+        same = reloaded.fetch(values) == index.fetch(values)
+        print(f"\npersisted to {path.name}: the mapped index has "
               f"{reloaded.num_posting_items()} postings "
-              f"({'identical' if reloaded.num_posting_items() == index.num_posting_items() else 'MISMATCH'})")
+              f"({'identical' if same else 'MISMATCH'})")
+        reloaded.close()
 
 
 if __name__ == "__main__":

@@ -243,10 +243,9 @@ def _build_live(session: "DiscoverySession", request: "DiscoveryRequest"):
 
 
 def _build_sql(session: "DiscoverySession", request: "DiscoveryRequest"):
-    # Algorithm 1 pushed down into the SQLite posting store.  When the
-    # session owns a storage backend the accelerator lives (and persists)
-    # there; otherwise the engine builds a private in-memory one from the
-    # session index at construction time.
+    # Algorithm 1 pushed down into SQLite: the engine builds a private
+    # in-memory accelerator from the uncached session index at construction
+    # time (sessions cache one engine per request signature).
     from ..engine_sql import SQLPushdownEngine
 
     return SQLPushdownEngine(
@@ -257,7 +256,6 @@ def _build_sql(session: "DiscoverySession", request: "DiscoveryRequest"):
         column_selector=request.column_selector,
         row_filter_mode=request.row_filter_mode,
         use_table_filters=request.use_table_filters,
-        backend=getattr(session, "storage", None),
     )
 
 
@@ -305,7 +303,7 @@ def _register_builtins(registry: EngineRegistry) -> None:
         "sql",
         _build_sql,
         description="SQL pushdown: candidate generation + the XASH reject "
-        "compiled into the SQLite posting store (byte-identical top-k)",
+        "compiled into an in-memory SQLite accelerator (byte-identical top-k)",
         supports_budget=True,
     )
     registry.register(

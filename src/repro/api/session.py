@@ -103,13 +103,6 @@ class DiscoverySession:
         metrics registry + slow-query log).  ``None`` builds a default with
         tracing *disabled* — metrics and the slow log stay live (they are
         nearly free), spans cost one global-int check per request.
-    storage:
-        An optional :class:`~repro.storage.sqlite.SQLiteBackend` the
-        session's storage-aware engines may use.  The ``"sql"`` pushdown
-        engine keeps (and persists) its accelerator schema there; without a
-        backend it builds a private in-memory accelerator instead.  The
-        backend's lifetime belongs to the caller — the session does not
-        close it.
     """
 
     def __init__(
@@ -122,7 +115,6 @@ class DiscoverySession:
         execution: str = "thread",
         serve_config=None,
         telemetry: Telemetry | None = None,
-        storage=None,
     ):
         if execution not in ("thread", "process"):
             raise ConfigurationError(
@@ -134,7 +126,6 @@ class DiscoverySession:
         self.registry = registry or DEFAULT_REGISTRY
         self.execution = execution
         self.serve_config = serve_config
-        self.storage = storage
         self._owns_telemetry = telemetry is None
         self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
         if index is None:

@@ -6,14 +6,19 @@ Four sub-commands cover the typical workflow:
     Generate a synthetic Table 1 workload and write the corpus (and query
     tables) to a JSON file.
 ``index``
-    Build the extended inverted index for a corpus JSON file and store it in a
-    SQLite database.
+    Build the extended inverted index for a corpus JSON file into a
+    live-index directory (``--live-dir``: manifest, ``.seg`` segments,
+    sketches, WAL, ``corpus.json``) — the one persisted index format.  It
+    runs what ``ingest --compact`` runs, sealing once at the end, into a
+    fresh or empty directory (a non-empty one is refused).
 ``discover``
     Run any registered discovery engine (``--engine``, see
     :mod:`repro.api.registry`) against an indexed corpus for a query table
     given as CSV plus a list of key columns; supports per-request limits
     (``--deadline-seconds`` / ``--max-pl-fetches``) and ``--json`` output in
-    the versioned response schema.
+    the versioned response schema.  ``--live-dir`` serves a read-only
+    snapshot of a directory ``index`` or ``ingest`` wrote (or is writing),
+    at its stored hash layout; without it the index is built in memory.
 ``experiment``
     Run one of the paper's experiments (table1, table2, table3, figure4,
     figure5, figure6, topk, init_column, index_generation) or one of the
@@ -36,9 +41,10 @@ Four sub-commands cover the typical workflow:
     pool (scatter/gather over mmap'd segments, optional ``--hedge-after``).
 ``serve-batch``
     Answer a batch of query tables through a
-    :class:`~repro.api.session.DiscoverySession`: one index, an LRU
-    posting-list cache, and a worker pool.  Prints the per-query top-k plus
-    batch throughput and cache statistics (or ``--json``).
+    :class:`~repro.api.session.DiscoverySession`: one index (built in memory,
+    or a snapshot of ``--live-dir``), an LRU posting-list cache, and a worker
+    pool.  Prints the per-query top-k plus batch throughput and cache
+    statistics (or ``--json``).
 ``ingest``
     Stream tables from a directory (CSV / JSON-lines, via the lake loaders)
     or a corpus JSON file into a *persisted live index* directory: every
@@ -71,13 +77,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
+import time
 from pathlib import Path
 
 from . import __version__
 from .api import DiscoveryRequest, DiscoverySession, available_engines
 from .config import MateConfig, ServiceConfig
+from .exceptions import StorageError
 from .plan import PLANNER_MODES, PlannerOptions
 from .datagen import TABLE1_SPECS, build_workload
 from .datamodel import QueryTable
@@ -106,16 +113,13 @@ from .experiments import (
     run_topk,
 )
 from .extensions import SimilarityJoinDiscovery, UnionSearch, discover_key_candidates
-from .exceptions import StorageError
+from .datamodel import TableCorpus
 from .index import build_index
+from .ingest import CompactionPolicy, Compactor, LiveIndex
+from .ingest.live import MANIFEST_FILE, LiveSnapshot, read_snapshot, sync_directory
 from .sketch import SketchOptions, build_sketch_index
 from .lake import DataLake, profile_corpus
-from .storage import (
-    SQLiteBackend,
-    load_corpus_json,
-    save_corpus_json,
-    table_from_csv,
-)
+from .storage import load_corpus_json, save_corpus_json, table_from_csv
 
 #: Experiment name -> runner, for the ``experiment`` sub-command.
 EXPERIMENT_RUNNERS = {
@@ -223,9 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--corpus-out", type=Path, required=True)
     generate.add_argument("--queries-out", type=Path, default=None)
 
-    index = subparsers.add_parser("index", help="build the extended inverted index")
+    index = subparsers.add_parser(
+        "index", help="build the extended inverted index into a live-index directory"
+    )
     index.add_argument("corpus", type=Path, help="corpus JSON file")
-    index.add_argument("--database", type=Path, required=True, help="SQLite output")
+    index.add_argument(
+        "--live-dir", type=Path, required=True,
+        help="live index directory to write (what ingest --compact writes)",
+    )
     index.add_argument("--hash-function", default="xash")
     index.add_argument("--hash-size", type=int, default=128)
 
@@ -233,8 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     discover.add_argument("corpus", type=Path, help="corpus JSON file")
     discover.add_argument("query", type=Path, help="query table CSV file")
     discover.add_argument("--key", nargs="+", required=True, help="composite key columns")
-    discover.add_argument("--database", type=Path, default=None,
-                          help="SQLite database with a prebuilt index")
+    discover.add_argument("--live-dir", type=Path, default=None,
+                          help="live index directory written by index or "
+                          "ingest (default: build the index in memory)")
     # No static choices= here: the registry is open (register_engine), so
     # the accepted set is resolved at dispatch time in _command_discover and
     # the help text simply reflects whatever is registered right now.
@@ -296,9 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--k", type=int, default=10)
     serve.add_argument("--hash-size", type=int, default=128)
     serve.add_argument(
-        "--database", type=Path, default=None,
-        help="SQLite database to load the index from (built and saved there "
-        "as 'main' on first use)",
+        "--live-dir", type=Path, default=None,
+        help="live index directory written by index or ingest (default: "
+        "build the index in memory)",
     )
     serve.add_argument("--json", action="store_true",
                        help="print the batch as the versioned JSON response "
@@ -443,8 +453,6 @@ def _command_generate(args: argparse.Namespace) -> int:
     save_corpus_json(workload.corpus, args.corpus_out)
     print(f"wrote corpus with {len(workload.corpus)} tables to {args.corpus_out}")
     if args.queries_out is not None:
-        from .datamodel import TableCorpus
-
         query_corpus = TableCorpus(name=f"{workload.name}_queries")
         for query in workload.queries:
             query_corpus.add_table(query.table)
@@ -454,17 +462,34 @@ def _command_generate(args: argparse.Namespace) -> int:
 
 
 def _command_index(args: argparse.Namespace) -> int:
-    corpus = load_corpus_json(args.corpus)
-    config = MateConfig(hash_size=args.hash_size)
-    index = build_index(corpus, config=config, hash_function_name=args.hash_function)
-    with SQLiteBackend(args.database) as backend:
-        backend.save_corpus(corpus)
-        backend.save_index("main", index)
-    print(
-        f"indexed {len(corpus)} tables ({index.num_posting_items()} postings, "
-        f"{args.hash_function}/{args.hash_size}) into {args.database}"
+    live_dir = Path(args.live_dir)
+    if live_dir.is_dir() and any(live_dir.iterdir()):
+        what = (
+            f"already holds a live index ({MANIFEST_FILE})"
+            if (live_dir / MANIFEST_FILE).exists()
+            else "is not empty"
+        )
+        raise StorageError(
+            f"{live_dir} {what}; repro index writes a new live index into a "
+            "fresh or empty directory (repro ingest adds tables to an "
+            "existing one)"
+        )
+    # A one-shot build has no reader to keep in serving shape, so the
+    # buffer is sealed once at the end (intermediate segments would only be
+    # merged again), and it is rerun from its corpus if it crashes, so the
+    # appends skip their per-record fsync: the finished directory is synced
+    # once instead.
+    status = _ingest_into_live_dir(
+        load_corpus_json(args.corpus),
+        live_dir,
+        hash_function_name=args.hash_function,
+        hash_size=args.hash_size,
+        policy=CompactionPolicy(max_buffer_rows=sys.maxsize),
+        fsync=False,
+        compact=True,
     )
-    return 0
+    sync_directory(live_dir)
+    return status
 
 
 def _print_plan_explain(result) -> None:
@@ -506,21 +531,34 @@ def _print_plan_explain(result) -> None:
               f"{stats.items_in} in / {stats.items_out} out")
 
 
-def _stored_layout_config(index, args: argparse.Namespace) -> MateConfig:
-    """The engine configuration for an index loaded from ``--database``.
+def _open_live_dir(args: argparse.Namespace) -> tuple[LiveSnapshot, MateConfig]:
+    """A read-only snapshot of ``--live-dir`` and the engine configuration
+    for it.
 
     The stored index is authoritative: the engine's hash size must match
     the persisted super keys, so a differing ``--hash-size`` is overridden
-    with a notice (on stderr under ``--json``, which keeps stdout JSON).
+    with a notice (on stderr under ``--json``, which keeps stdout JSON).  A
+    path holding no live index is refused before anything is created, and
+    the directory is only read, so a writer may be running on it.
     """
-    if index.hash_size != args.hash_size:
+    snapshot = read_snapshot(args.live_dir)
+    if snapshot.hash_size != args.hash_size:
         print(
-            f"using stored index layout from {args.database}: "
-            f"{index.hash_size}-bit {index.hash_function_name} "
+            f"using stored index layout from {args.live_dir}: "
+            f"{snapshot.hash_size}-bit {snapshot.hash_function_name} "
             "(ignoring --hash-size)",
             file=sys.stderr if args.json else sys.stdout,
         )
-    return MateConfig(hash_size=index.hash_size, k=args.k)
+    return snapshot, MateConfig(hash_size=snapshot.hash_size, k=args.k)
+
+
+def _index_for(args: argparse.Namespace, corpus: TableCorpus):
+    """The index ``discover`` / ``serve-batch`` serve, and its configuration:
+    a snapshot of ``--live-dir``, else a bulk build at ``--hash-size``."""
+    if args.live_dir is not None:
+        return _open_live_dir(args)
+    config = MateConfig(hash_size=args.hash_size, k=args.k)
+    return build_index(corpus, config=config), config
 
 
 def _command_discover(args: argparse.Namespace) -> int:
@@ -533,16 +571,7 @@ def _command_discover(args: argparse.Namespace) -> int:
         )
         return 2
     corpus = load_corpus_json(args.corpus)
-    config = MateConfig(hash_size=args.hash_size, k=args.k)
-    # The backend (when given) stays open for the whole run: storage-aware
-    # engines — the "sql" pushdown — keep their accelerator schema in it.
-    backend = None
-    if args.database is not None and Path(args.database).exists():
-        backend = SQLiteBackend(args.database)
-        index = backend.load_index("main")
-        config = _stored_layout_config(index, args)
-    else:
-        index = build_index(corpus, config=config)
+    index, config = _index_for(args, corpus)
 
     query_table = table_from_csv(10_000_000, args.query)
     query = QueryTable(table=query_table, key_columns=[c.lower() for c in args.key])
@@ -562,14 +591,10 @@ def _command_discover(args: argparse.Namespace) -> int:
         sketch=sketch,
     )
     telemetry = _telemetry_from_args(args)
-    try:
-        with DiscoverySession(
-            corpus, index, config=config, telemetry=telemetry, storage=backend
-        ) as session:
-            result = session.discover(request)
-    finally:
-        if backend is not None:
-            backend.close()
+    with DiscoverySession(
+        corpus, index, config=config, telemetry=telemetry
+    ) as session:
+        result = session.discover(request)
     if telemetry is not None:
         telemetry.close()
         if args.trace_out is not None:
@@ -613,24 +638,11 @@ def _command_experiment(args: argparse.Namespace) -> int:
 
 def _command_serve_batch(args: argparse.Namespace) -> int:
     corpus = load_corpus_json(args.corpus)
-    config = MateConfig(hash_size=args.hash_size, k=args.k)
+    index, config = _index_for(args, corpus)
     service_config = ServiceConfig(
         cache_capacity=args.cache_capacity,
         max_workers=args.workers,
     )
-
-    if args.database is not None:
-        with SQLiteBackend(args.database) as backend:
-            stored = backend.list_indexes()
-            if "main" in stored:
-                index = backend.load_index("main")
-                config = _stored_layout_config(index, args)
-            else:
-                _refuse_sharded_records(args.database, stored)
-                index = build_index(corpus, config=config)
-                backend.save_index("main", index)
-    else:
-        index = build_index(corpus, config=config)
 
     shared_key = [c.lower() for c in args.key] if args.key else None
     query_corpus = load_corpus_json(args.queries)
@@ -674,39 +686,49 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _refuse_sharded_records(database: Path, stored: list[str]) -> None:
-    """Refuse a database holding only the value-sharded ``main`` layout
-    (``main.shard{i}of{n}`` records) older releases saved: no index is built
-    beside the stale records."""
-    for name in stored:
-        if re.fullmatch(r"main\.shard\d+of\d+", name):
-            raise StorageError(
-                f"{database} holds the record {name!r} of a value-sharded "
-                "index, a layout this release no longer reads; rebuild: "
-                "delete the database and run serve-batch again"
-            )
-
-
 def _command_ingest(args: argparse.Namespace) -> int:
-    import time
-
-    from .datamodel import TableCorpus
-    from .ingest import CompactionPolicy, Compactor, LiveIndex
-
     source = Path(args.source)
     if source.is_dir():
         incoming = DataLake.from_directory(source).corpus
     else:
         incoming = load_corpus_json(source)
-
-    config = MateConfig(hash_size=args.hash_size)
-    live = LiveIndex.open(
+    return _ingest_into_live_dir(
+        incoming,
         args.live_dir,
-        config=config,
         hash_function_name=args.hash_function,
+        hash_size=args.hash_size,
+        policy=CompactionPolicy(
+            max_buffer_rows=args.buffer_rows, max_segments=args.max_segments
+        ),
         fsync=not args.no_fsync,
+        compact=args.compact,
     )
-    corpus_path = Path(args.live_dir) / "corpus.json"
+
+
+def _ingest_into_live_dir(
+    incoming: TableCorpus,
+    live_dir: Path,
+    *,
+    hash_function_name: str,
+    hash_size: int,
+    policy: CompactionPolicy = CompactionPolicy(),
+    fsync: bool = True,
+    compact: bool = False,
+) -> int:
+    """Stream ``incoming`` into the live-index directory ``live_dir``.
+
+    Resumes a directory that exists (crash recovery replays the WAL first;
+    already-live table ids are skipped), seals or fully compacts at the
+    end, and persists the merged corpus as ``corpus.json`` beside it.
+    """
+    config = MateConfig(hash_size=hash_size)
+    live = LiveIndex.open(
+        live_dir,
+        config=config,
+        hash_function_name=hash_function_name,
+        fsync=fsync,
+    )
+    corpus_path = Path(live_dir) / "corpus.json"
     corpus = (
         load_corpus_json(corpus_path)
         if corpus_path.exists()
@@ -718,12 +740,7 @@ def _command_ingest(args: argparse.Namespace) -> int:
         if table.table_id not in corpus:
             corpus.add_table(table)
 
-    compactor = Compactor(
-        live,
-        CompactionPolicy(
-            max_buffer_rows=args.buffer_rows, max_segments=args.max_segments
-        ),
-    )
+    compactor = Compactor(live, policy)
     ingested = rows = skipped = 0
     started = time.perf_counter()
     with DiscoverySession(corpus, live, config=config) as session:
@@ -739,7 +756,7 @@ def _command_ingest(args: argparse.Namespace) -> int:
             rows += session.ingest(table)
             ingested += 1
             compactor.run_once()
-        if args.compact:
+        if compact:
             live.compact()
         else:
             live.seal()
@@ -753,12 +770,13 @@ def _command_ingest(args: argparse.Namespace) -> int:
         f"in {elapsed:.3f}s ({rate:.0f} rows/s)"
     )
     print(
-        f"live index: {live.num_posting_items()} postings, "
+        f"live index ({hash_function_name}/{hash_size}): "
+        f"{live.num_posting_items()} postings, "
         f"{live.num_segments} segments (generation {live.generation}), "
         f"{live.buffer_rows} buffered rows, "
         f"{compactor.seals} seals / {compactor.merges} merges"
     )
-    print(f"state persisted under {args.live_dir}")
+    print(f"state persisted under {live_dir}")
     return 0
 
 

@@ -1,24 +1,22 @@
 """The pushdown accelerator schema: postings + super keys, SQL-queryable.
 
-The normal posting tables of :class:`~repro.storage.sqlite.SQLiteBackend`
-are byte stores — the columnar layout even packs whole posting lists into
-BLOBs — so SQL cannot filter *inside* them.  The accelerator denormalises an
-index into one row per posting-list item with the row's super key packed
-alongside it:
+An index's packed segment block is a byte store — each value's posting
+list is a slice of CSR arrays — so SQL cannot filter *inside* it.  The
+accelerator denormalises an index into one row per posting-list item with
+the row's super key packed alongside it:
 
-* ``pushdown_postings(index_name, value, pos, table_id, column_index,
-  row_index, super_key, super_key_int)`` — ``pos`` is the item's position
-  within the value's posting list (the fetch order the mate engine sees),
-  ``super_key`` is the row super key as a fixed-width big-endian BLOB, and
-  ``super_key_int`` carries the same value as a plain integer when the hash
-  fits a signed 64-bit word (enabling the pure-SQL bitwise reject);
-* ``pushdown_meta(index_name, hash_function, hash_size, key_width,
-  item_count, format_version)`` — the provenance a consumer validates
-  before trusting the accelerator.
+``pushdown_postings(index_name, value, pos, table_id, column_index,
+row_index, super_key, super_key_hi, super_key_lo)``
+    ``pos`` is the item's position within the value's posting list (the
+    fetch order the mate engine sees), ``super_key`` is the row super key
+    as a fixed-width big-endian BLOB, and ``super_key_hi`` /
+    ``super_key_lo`` carry the same value as two signed 64-bit limbs when
+    the hash fits 128 bits (enabling the pure-SQL bitwise reject).
 
-Everything here operates on a plain :class:`sqlite3.Connection` so the
-storage backend can delegate without importing the engine, and the engine
-can build a private in-memory accelerator when no backend is attached.
+Each :class:`~repro.engine_sql.engine.SQLPushdownEngine` builds its own
+accelerator in a private in-memory database from the index it serves
+(:func:`build_accelerator`); nothing is persisted or reopened, so the
+accelerator never needs validating against its index.
 """
 
 from __future__ import annotations
@@ -31,9 +29,8 @@ from ..exceptions import StorageError
 if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
     from ..index import InvertedIndex
 
-#: Bump on any change to the accelerator row format; a mismatch triggers a
-#: rebuild on the next engine construction.
-PUSHDOWN_FORMAT_VERSION = 1
+#: The ``index_name`` every accelerator row carries (one index per database).
+INDEX_NAME = "main"
 
 #: Hash sizes whose super keys fit two signed 64-bit SQLite integers (the
 #: ``super_key_hi`` / ``super_key_lo`` limb columns) — the reject can then
@@ -71,33 +68,12 @@ CREATE INDEX IF NOT EXISTS pushdown_by_value
     ON pushdown_postings (index_name, value, pos);
 CREATE INDEX IF NOT EXISTS pushdown_by_table
     ON pushdown_postings (index_name, table_id, value);
-CREATE TABLE IF NOT EXISTS pushdown_meta (
-    index_name TEXT PRIMARY KEY,
-    hash_function TEXT NOT NULL,
-    hash_size INTEGER NOT NULL,
-    key_width INTEGER NOT NULL,
-    item_count INTEGER NOT NULL,
-    format_version INTEGER NOT NULL
-);
 """
-
-_META_COLUMNS = (
-    "hash_function",
-    "hash_size",
-    "key_width",
-    "item_count",
-    "format_version",
-)
 
 
 def key_width(hash_size: int) -> int:
     """Bytes needed to hold a ``hash_size``-bit super key (at least one)."""
     return max(1, (hash_size + 7) // 8)
-
-
-def ensure_accelerator_schema(connection: sqlite3.Connection) -> None:
-    """Create the accelerator tables if missing (idempotent)."""
-    connection.executescript(_ACCELERATOR_SCHEMA)
 
 
 def register_covers_function(connection: sqlite3.Connection) -> None:
@@ -118,10 +94,9 @@ def register_covers_function(connection: sqlite3.Connection) -> None:
     connection.create_function("repro_covers", 2, covers, deterministic=True)
 
 
-def build_accelerator(
-    connection: sqlite3.Connection, name: str, index: "InvertedIndex"
-) -> int:
-    """(Re)build the accelerator for ``index`` under ``name``; returns items.
+def build_accelerator(connection: sqlite3.Connection, index: "InvertedIndex") -> int:
+    """Build the accelerator for ``index`` in a fresh ``connection``; returns
+    the number of posting rows written.
 
     ``pos`` enumerates each value's posting list in storage order, which is
     exactly the order :class:`repro.index.batch.RequestArrays` keeps a
@@ -134,7 +109,7 @@ def build_accelerator(
                 "cannot build a pushdown accelerator from "
                 f"{type(index).__name__}: it does not expose {attribute}()"
             )
-    ensure_accelerator_schema(connection)
+    connection.executescript(_ACCELERATOR_SCHEMA)
     width = key_width(index.hash_size)
     narrow = index.hash_size <= MAX_NARROW_HASH_SIZE
 
@@ -144,7 +119,7 @@ def build_accelerator(
                 super_key = index.super_key(item.table_id, item.row_index)
                 hi, lo = split_limbs(super_key) if narrow else (None, None)
                 yield (
-                    name,
+                    INDEX_NAME,
                     value,
                     pos,
                     item.table_id,
@@ -156,12 +131,6 @@ def build_accelerator(
                 )
 
     with connection:
-        connection.execute(
-            "DELETE FROM pushdown_postings WHERE index_name = ?", (name,)
-        )
-        connection.execute(
-            "DELETE FROM pushdown_meta WHERE index_name = ?", (name,)
-        )
         connection.executemany(
             "INSERT INTO pushdown_postings "
             "(index_name, value, pos, table_id, column_index, row_index, "
@@ -171,80 +140,6 @@ def build_accelerator(
         )
         (item_count,) = connection.execute(
             "SELECT COUNT(*) FROM pushdown_postings WHERE index_name = ?",
-            (name,),
+            (INDEX_NAME,),
         ).fetchone()
-        connection.execute(
-            "INSERT INTO pushdown_meta "
-            "(index_name, hash_function, hash_size, key_width, item_count, "
-            "format_version) VALUES (?, ?, ?, ?, ?, ?)",
-            (
-                name,
-                index.hash_function_name,
-                index.hash_size,
-                width,
-                item_count,
-                PUSHDOWN_FORMAT_VERSION,
-            ),
-        )
     return item_count
-
-
-def accelerator_meta(
-    connection: sqlite3.Connection, name: str
-) -> dict[str, object] | None:
-    """Return the accelerator's metadata row, or ``None`` when absent.
-
-    Absent covers a dropped/corrupted ``pushdown_meta`` table too — the
-    caller's answer to both is the same (rebuild), so they report the same.
-    """
-    try:
-        row = connection.execute(
-            "SELECT hash_function, hash_size, key_width, item_count, "
-            "format_version FROM pushdown_meta WHERE index_name = ?",
-            (name,),
-        ).fetchone()
-    except sqlite3.Error:
-        return None
-    if row is None:
-        return None
-    return dict(zip(_META_COLUMNS, row))
-
-
-def accelerator_matches(
-    connection: sqlite3.Connection, name: str, index: "InvertedIndex"
-) -> bool:
-    """Whether a valid, current accelerator for ``index`` exists.
-
-    Validates provenance (hash function, hash size, key width, format
-    version) and that the stored item count matches the actual row count —
-    a truncated or tampered accelerator fails this and gets rebuilt.
-    """
-    meta = accelerator_meta(connection, name)
-    if meta is None:
-        return False
-    if (
-        meta["hash_function"] != index.hash_function_name
-        or meta["hash_size"] != index.hash_size
-        or meta["key_width"] != key_width(index.hash_size)
-        or meta["format_version"] != PUSHDOWN_FORMAT_VERSION
-    ):
-        return False
-    try:
-        (count,) = connection.execute(
-            "SELECT COUNT(*) FROM pushdown_postings WHERE index_name = ?",
-            (name,),
-        ).fetchone()
-    except sqlite3.Error:
-        return False
-    return count == meta["item_count"]
-
-
-def ensure_accelerator(
-    connection: sqlite3.Connection, name: str, index: "InvertedIndex"
-) -> int:
-    """Build the accelerator unless a valid one is already present."""
-    if accelerator_matches(connection, name, index):
-        meta = accelerator_meta(connection, name)
-        assert meta is not None  # accelerator_matches just read it
-        return int(meta["item_count"])  # type: ignore[arg-type]
-    return build_accelerator(connection, name, index)

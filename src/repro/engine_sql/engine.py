@@ -64,8 +64,9 @@ from ..plan.planner import (
 )
 from ..telemetry import trace as _trace
 from .accelerator import (
+    INDEX_NAME,
     MAX_NARROW_HASH_SIZE,
-    ensure_accelerator,
+    build_accelerator,
     key_width,
     register_covers_function,
     split_limbs,
@@ -73,7 +74,6 @@ from .accelerator import (
 
 if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
     from ..api.request import RequestBudget
-    from ..storage.sqlite import SQLiteBackend
 
 #: Stage name of the pushed-down candidate generation + prefilter phase.
 STAGE_PUSHDOWN_SCAN = "pushdown_scan"
@@ -154,16 +154,12 @@ CREATE INDEX IF NOT EXISTS repro_keys_by_value
 
 
 class SQLPushdownEngine:
-    """Top-k joinable table discovery pushed down into the SQLite store.
+    """Top-k joinable table discovery pushed down into SQLite.
 
     Parameters mirror :class:`~repro.core.discovery.MateDiscovery` where
-    they mean the same thing.  ``backend`` attaches the engine to a
-    :class:`~repro.storage.sqlite.SQLiteBackend`: the accelerator is
-    ensured inside that database (built once, reused across engines and
-    process restarts) and queried over a WAL read connection.  Without a
-    backend the engine builds a private in-memory accelerator from
-    ``index`` at construction time — a one-time cost, so discovery runs
-    still perform zero Python-side posting fetches.
+    they mean the same thing.  The engine builds a private in-memory
+    accelerator from ``index`` at construction time — a one-time cost, so
+    discovery runs still perform zero Python-side posting fetches.
 
     ``row_filter_mode`` supports ``"superkey"`` (the real MATE reject) and
     ``"none"`` (the SCR-style pass-through).  ``"oracle"`` needs the corpus
@@ -190,9 +186,6 @@ class SQLPushdownEngine:
         column_selector: ColumnSelector | str = "cardinality",
         row_filter_mode: str = "superkey",
         use_table_filters: bool = True,
-        *,
-        backend: "SQLiteBackend | None" = None,
-        index_name: str = "main",
     ):
         self.corpus = corpus
         self.index = index
@@ -229,20 +222,9 @@ class SQLPushdownEngine:
         )
         self.row_filter_mode = row_filter_mode
         self.use_table_filters = use_table_filters
-        self._index_name = index_name
         self._lock = threading.Lock()
-        self._owned: list[sqlite3.Connection] = []
-        if backend is not None:
-            backend.ensure_pushdown(index_name, index)
-            connection = backend.read_connection()
-            if backend.path != ":memory:":
-                # A file-backed read connection is ours to close; the shared
-                # in-memory connection belongs to the backend.
-                self._owned.append(connection)
-        else:
-            connection = sqlite3.connect(":memory:", check_same_thread=False)
-            self._owned.append(connection)
-            ensure_accelerator(connection, index_name, index)
+        connection = sqlite3.connect(":memory:", check_same_thread=False)
+        build_accelerator(connection, index)
         register_covers_function(connection)
         connection.executescript(_TEMP_SCHEMA)
         self._connection = connection
@@ -264,10 +246,8 @@ class SQLPushdownEngine:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Close connections the engine owns (idempotent)."""
-        owned, self._owned = self._owned, []
-        for connection in owned:
-            connection.close()
+        """Close the accelerator's connection (idempotent)."""
+        self._connection.close()
 
     # ------------------------------------------------------------------
     # Public API
@@ -435,7 +415,7 @@ class SQLPushdownEngine:
                 key_rows,
             )
             counts = connection.execute(
-                _CANDIDATES_SQL, (self._index_name,)
+                _CANDIDATES_SQL, (INDEX_NAME,)
             ).fetchall()
             candidates = sorted(
                 ((table_id, count) for table_id, count in counts),
@@ -480,7 +460,7 @@ class SQLPushdownEngine:
         started = perf_counter()
         try:
             pairs = self._connection.execute(
-                self._scan_sql, (self._index_name, table_id)
+                self._scan_sql, (INDEX_NAME, table_id)
             ).fetchall()
             cutoff = posting_count
             abandoned = False

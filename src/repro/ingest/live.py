@@ -39,7 +39,7 @@ import os
 import threading
 from itertools import chain, compress
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,6 +59,83 @@ LIVE_FORMAT_VERSION: int = 1
 #: File names inside a live index directory.
 MANIFEST_FILE = "manifest.json"
 WAL_FILE = "wal.jsonl"
+
+#: The first 16 bytes of every SQLite database file: the index format of
+#: earlier releases, recognised only to refuse it by name.
+_SQLITE_HEADER = b"SQLite format 3\x00"
+
+
+def _refuse_file(path: Path) -> None:
+    """Refuse a path that exists but is not a directory, naming what it is.
+
+    A SQLite database is an index from an earlier release: the refusal
+    names the command that rebuilds it as a live-index directory.
+    """
+    if not path.exists() or path.is_dir():
+        return
+    try:
+        with path.open("rb") as handle:
+            header = handle.read(len(_SQLITE_HEADER))
+    except OSError:
+        header = b""
+    if header == _SQLITE_HEADER:
+        raise StorageError(
+            f"{path} is a SQLite index from an earlier release, a format "
+            "this release no longer reads; rebuild it as a live-index "
+            "directory from its corpus: repro index CORPUS --live-dir DIR"
+        )
+    raise StorageError(f"{path} is a file, not a live-index directory")
+
+
+class _Manifest(NamedTuple):
+    """The parsed ``manifest.json`` of a live-index directory."""
+
+    hash_function: str
+    hash_size: int
+    #: Highest sequence number the segments and tombstones cover.
+    seq: int
+    generation: int
+    tombstones: dict[int, int]
+    #: ``(file, generation, table_seqs)`` per segment, oldest first.
+    segments: list[tuple[str, int, dict[int, int]]]
+
+
+def _read_manifest(directory: Path) -> _Manifest | None:
+    """Parse ``directory``'s manifest (``None`` when it has none).
+
+    The one place that knows the manifest format: anything unreadable or
+    malformed raises :class:`~repro.exceptions.StorageError` naming the file.
+    """
+    path = directory / MANIFEST_FILE
+    if not path.exists():
+        return None
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        version = int(payload.get("format_version", 1))
+        if version != LIVE_FORMAT_VERSION:
+            raise StorageError(f"unsupported live-index manifest version {version}")
+        segments = [
+            (
+                str(entry["file"]),
+                int(entry["generation"]),
+                {int(tid): int(seq) for tid, seq in entry["table_seqs"].items()},
+            )
+            for entry in payload.get("segments", [])
+        ]
+        manifest = _Manifest(
+            hash_function=str(payload["hash_function"]),
+            hash_size=int(payload["hash_size"]),
+            seq=int(payload["seq"]),
+            generation=int(payload["generation"]),
+            tombstones={
+                int(tid): int(seq)
+                for tid, seq in payload.get("tombstones", {}).items()
+            },
+            segments=segments,
+        )
+    except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise StorageError(f"malformed live-index manifest {path}: {exc}") from exc
+    return manifest
 
 
 def _segment_stem(generation: int) -> str:
@@ -95,6 +172,19 @@ def _fsync_path(path: Path) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def sync_directory(directory: str | Path) -> None:
+    """fsync every file of ``directory``, then the directory itself.
+
+    What a writer that ran with ``fsync=False`` calls once it is done, so
+    the finished state is durable without a sync per record.
+    """
+    directory = Path(directory)
+    for path in sorted(directory.iterdir()):
+        if path.is_file():
+            _fsync_path(path)
+    _fsync_path(directory)
 
 
 def _visible(table_ids: Sequence[int], masked: frozenset[int]):
@@ -389,6 +479,7 @@ class LiveIndex:
         self._fsync = fsync
         self._wal: WriteAheadLog | None = None
         if self.directory is not None:
+            _refuse_file(self.directory)
             self.directory.mkdir(parents=True, exist_ok=True)
             self._recover()
             # A torn in-flight record was skipped by replay; cut it off
@@ -404,7 +495,9 @@ class LiveIndex:
         hash_function_name: str = "xash",
         fsync: bool = True,
     ) -> "LiveIndex":
-        """Open (creating if needed) a persisted live index directory."""
+        """Open (creating if needed) a persisted live index directory as
+        its one writer: recovery sweeps what a crash left and cuts a torn
+        WAL tail.  A process that only reads uses :func:`read_snapshot`."""
         return cls(
             config=config,
             hash_function_name=hash_function_name,
@@ -916,63 +1009,26 @@ class LiveIndex:
             ):
                 path.unlink(missing_ok=True)
 
-    def _recover(self) -> None:
-        assert self.directory is not None
-        manifest_path = self.directory / MANIFEST_FILE
-        named: set[str] = set()
-        if manifest_path.exists():
-            try:
-                payload = json.loads(manifest_path.read_text(encoding="utf-8"))
-                version = int(payload.get("format_version", 1))
-                if version != LIVE_FORMAT_VERSION:
-                    raise StorageError(
-                        f"unsupported live-index manifest version {version}"
-                    )
-                if (
-                    payload["hash_function"] != self.hash_function_name
-                    or int(payload["hash_size"]) != self.hash_size
-                ):
-                    raise StorageError(
-                        "live index was persisted with "
-                        f"{payload['hash_size']}-bit {payload['hash_function']} "
-                        f"but opened as {self.hash_size}-bit "
-                        f"{self.hash_function_name}"
-                    )
-                self._seq = int(payload["seq"])
-                self._checkpoint_seq = self._seq
-                self._generation = int(payload["generation"])
-                self._tombstones = {
-                    int(tid): int(seq)
-                    for tid, seq in payload.get("tombstones", {}).items()
-                }
-                segments = []
-                for entry in payload.get("segments", []):
-                    named.add(entry["file"])
-                    named.add(_segment_stem(int(entry["generation"])) + SKETCH_SUFFIX)
-                    index = _load_segment_index(self.directory / entry["file"])
-                    segments.append(
-                        Segment(
-                            index=index,
-                            table_seqs={
-                                int(tid): int(seq)
-                                for tid, seq in entry["table_seqs"].items()
-                            },
-                            generation=int(entry["generation"]),
-                        )
-                    )
-                self._segments = tuple(segments)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise StorageError(
-                    f"malformed live-index manifest {manifest_path}: {exc}"
-                ) from exc
-            self._load_sketches_locked()
-        # No manifest names nothing: whatever a crash before the first
-        # manifest write left is an orphan too.
-        self._remove_orphans(named)
-        # Replay the WAL over the manifest state: every record newer than
-        # the last checkpointed sequence is re-applied to a fresh buffer.
+    def _install_manifest_locked(self, directory: Path, manifest: _Manifest) -> None:
+        """Take the manifest's state: sequence, generation, tombstones and
+        the segment stack (each ``.seg`` mapped, not read)."""
+        self._seq = self._checkpoint_seq = manifest.seq
+        self._generation = manifest.generation
+        self._tombstones = dict(manifest.tombstones)
+        self._segments = tuple(
+            Segment(
+                index=_load_segment_index(directory / file),
+                table_seqs=table_seqs,
+                generation=generation,
+            )
+            for file, generation, table_seqs in manifest.segments
+        )
+
+    def _replay_locked(self, wal_path: Path) -> None:
+        """Re-apply every WAL record newer than the checkpointed sequence
+        to the buffer (reads the log, never writes it)."""
         checkpoint_seq = self._seq
-        for record in replay_wal(self.directory / WAL_FILE):
+        for record in replay_wal(wal_path):
             if record.seq <= checkpoint_seq:
                 continue
             if record.op == "add_table":
@@ -991,7 +1047,83 @@ class LiveIndex:
                     if table.table_id != record.table_id
                 ]
             self._seq = max(self._seq, record.seq)
-        if not manifest_path.exists():
+
+    def _recover(self) -> None:
+        assert self.directory is not None
+        manifest = _read_manifest(self.directory)
+        named: set[str] = set()
+        if manifest is not None:
+            if (
+                manifest.hash_function != self.hash_function_name
+                or manifest.hash_size != self.hash_size
+            ):
+                raise StorageError(
+                    "live index was persisted with "
+                    f"{manifest.hash_size}-bit {manifest.hash_function} "
+                    f"but opened as {self.hash_size}-bit "
+                    f"{self.hash_function_name}"
+                )
+            self._install_manifest_locked(self.directory, manifest)
+            for file, generation, _ in manifest.segments:
+                named.add(file)
+                named.add(_segment_stem(generation) + SKETCH_SUFFIX)
+            self._load_sketches_locked()
+        # No manifest names nothing: whatever a crash before the first
+        # manifest write left is an orphan too.
+        self._remove_orphans(named)
+        # Replay the WAL over the manifest state.
+        self._replay_locked(self.directory / WAL_FILE)
+        if manifest is None:
             # Pin the hash configuration of a brand-new directory eagerly so
             # a later reopen with a different config fails loudly.
             self._write_manifest_locked()
+
+
+#: How often :func:`read_snapshot` reads a directory whose manifest a
+#: concurrent seal or merge keeps replacing before it gives up.
+_READ_ATTEMPTS = 5
+
+
+def read_snapshot(directory: str | Path) -> LiveSnapshot:
+    """A snapshot of the live index persisted in ``directory``, read only.
+
+    The reader's counterpart of :meth:`LiveIndex.open`, safe beside the
+    directory's one writer (``repro ingest`` / ``repro index`` in another
+    process): it maps the segments the manifest names and replays the WAL
+    into a private buffer, and writes nothing — no orphan sweep, no torn-tail
+    repair, no log opened for append; those belong to the writer's recovery.
+    The hash function and width are the manifest's (the snapshot carries
+    them).  A manifest that changes while the directory is read — a seal
+    truncating the log, a merge deleting a segment — makes the read start
+    over, so the snapshot is always one consistent generation.
+
+    A path holding no live index — missing, a file, or a directory without
+    ``manifest.json`` — raises :class:`~repro.exceptions.StorageError`
+    naming the command that builds one; nothing is created on disk.
+    """
+    directory = Path(directory)
+    _refuse_file(directory)
+    for _ in range(_READ_ATTEMPTS):
+        manifest = _read_manifest(directory)
+        if manifest is None:
+            raise StorageError(
+                f"no live index at {directory} (no {MANIFEST_FILE}); build one "
+                f"from the corpus: repro index CORPUS --live-dir {directory}"
+            )
+        live = LiveIndex(
+            config=MateConfig(hash_size=manifest.hash_size),
+            hash_function_name=manifest.hash_function,
+        )
+        try:
+            live._install_manifest_locked(directory, manifest)
+            live._replay_locked(directory / WAL_FILE)
+        except (OSError, StorageError):
+            if _read_manifest(directory) == manifest:
+                raise
+            continue  # a merge deleted a segment, or a seal cut the log
+        if _read_manifest(directory) == manifest:
+            return live.snapshot()
+    raise StorageError(
+        f"the live index at {directory} changed during each of "
+        f"{_READ_ATTEMPTS} reads; retry once its writer is idle"
+    )

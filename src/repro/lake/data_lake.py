@@ -14,6 +14,8 @@ profiling to :mod:`repro.lake.profiling`, and discovery to
 :class:`repro.core.MateDiscovery`.  Its value is wiring those pieces together
 with sensible defaults (corpus-derived configuration, lazily built and cached
 index) and a small amount of bookkeeping (file-name to table-id mapping).
+The index lives in memory; ``repro ingest DIR --live-dir LIVE`` streams the
+same directory into a live-index directory, the one persisted format.
 """
 
 from __future__ import annotations

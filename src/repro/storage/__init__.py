@@ -1,7 +1,13 @@
-"""Persistence backends and plain-file (de)serialisation."""
+"""The persisted index format and plain-file (de)serialisation.
 
-from .backend import StorageBackend
-from .memory import InMemoryBackend
+An index persists one way: as binary ``.seg`` segments
+(:mod:`repro.storage.paged`, one CSR :class:`~repro.storage.segment_block.SegmentBlock`
+per file), which a live-index directory (:class:`repro.ingest.LiveIndex`:
+``manifest.json`` + ``.seg`` + ``.sk`` + WAL + ``corpus.json``) stacks and
+the process pool maps.  :mod:`repro.storage.serialization` moves corpora
+and single tables in and out of JSON and CSV files.
+"""
+
 from .paged import (
     SEGMENT_FORMAT_VERSION,
     SEGMENT_MAGIC,
@@ -14,44 +20,30 @@ from .paged import (
     write_segment,
 )
 from .serialization import (
-    INDEX_FORMAT_VERSION,
     corpus_from_json,
     corpus_to_json,
-    index_from_payload,
-    index_to_payload,
     load_corpus_from_csv_directory,
     load_corpus_json,
-    load_index_json,
     save_corpus_json,
-    save_index_json,
     table_from_csv,
     table_to_csv,
 )
-from .sqlite import SQLiteBackend
 
 __all__ = [
     "FetchAccounting",
     "FetchCostModel",
-    "INDEX_FORMAT_VERSION",
-    "InMemoryBackend",
     "PagedPostingStore",
     "SEGMENT_FORMAT_VERSION",
     "SEGMENT_MAGIC",
     "SEGMENT_SUFFIX",
-    "SQLiteBackend",
-    "StorageBackend",
     "load_segment",
     "reopen_segment",
     "write_segment",
     "corpus_from_json",
     "corpus_to_json",
-    "index_from_payload",
-    "index_to_payload",
     "load_corpus_from_csv_directory",
     "load_corpus_json",
-    "load_index_json",
     "save_corpus_json",
-    "save_index_json",
     "table_from_csv",
     "table_to_csv",
 ]

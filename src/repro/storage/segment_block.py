@@ -16,8 +16,9 @@ without a copy.
 Building, editing and writing an index are operations on these columns:
 
 * the bulk build and the ingest buffer lay tables out with
-  :func:`repro.index.bulk.layout_block`; the storage loaders, which read
-  per-value columns and per-row keys, use :meth:`SegmentBlock.from_postings`;
+  :func:`repro.index.bulk.layout_block`; a caller holding per-value columns
+  and per-row keys (the per-cell reference of the tests) uses
+  :meth:`SegmentBlock.from_postings`;
 * :func:`merge_blocks` collapses blocks into one, purging masked tables.  It
   reorders all columns by **one stable argsort** of the merged value ids:
   equal ids keep block order, then posting order — the concatenation order a

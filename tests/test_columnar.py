@@ -17,7 +17,6 @@ from repro import (
 )
 from repro.datagen import build_workload
 from repro.datamodel import MISSING
-from repro.exceptions import StorageError
 from repro.hashing import SuperKeyGenerator
 from repro.index import (
     ColumnarPostingList,
@@ -29,15 +28,7 @@ from repro.index import (
     PostingListItem,
 )
 from repro.index.cache import CachingIndex
-from repro.storage import (
-    InMemoryBackend,
-    PagedPostingStore,
-    SQLiteBackend,
-    index_from_payload,
-    index_to_payload,
-    load_index_json,
-    save_index_json,
-)
+from repro.storage import PagedPostingStore, load_segment, write_segment
 from tests.helpers import (
     BUILD_LANES,
     CellIndex,
@@ -269,222 +260,50 @@ class TestOneLayout:
 
 
 class TestPackedPersistence:
-    """The packed layout round-trips through every storage backend."""
+    """The packed layout round-trips through its one file format, ``.seg``."""
 
-    def test_payload_version_2_roundtrip(self, columnar_index):
-        payload = index_to_payload(columnar_index)
-        assert payload["format_version"] == 2
-        assert payload["layout"] == "columnar"
-        restored = index_from_payload(payload)
-        values = sorted(columnar_index.values())[:150]
-        assert restored.fetch(values) == columnar_index.fetch(values)
-        assert sorted(restored.iter_super_keys()) == sorted(
-            columnar_index.iter_super_keys()
-        )
+    def test_segment_roundtrip(self, columnar_index, tmp_path):
+        path = write_segment(columnar_index, tmp_path / "index.seg", fsync=False)
+        restored = load_segment(path)
+        try:
+            values = sorted(columnar_index.values())[:150]
+            assert restored.fetch(values) == columnar_index.fetch(values)
+            assert sorted(restored.iter_super_keys()) == sorted(
+                columnar_index.iter_super_keys()
+            )
+        finally:
+            restored.close()
 
-    def test_version_1_payload_is_refused_by_name(self):
-        # The per-item payload older builds wrote, with and without the
-        # version key (the oldest files have neither it nor a layout).
-        payload = {
-            "format_version": 1,
-            "layout": "legacy",
-            "hash_function": "xash",
-            "hash_size": 128,
-            "postings": {"ada": [[0, 0, 0]]},
-            "super_keys": [[0, 0, "ff"]],
-        }
-        with pytest.raises(StorageError, match="format version 1"):
-            index_from_payload(payload)
-        del payload["format_version"]
-        del payload["layout"]
-        with pytest.raises(StorageError, match="format version 1"):
-            index_from_payload(payload)
-
-    def test_unsupported_version_rejected(self, columnar_index):
-        payload = index_to_payload(columnar_index)
-        payload["format_version"] = 99
-        with pytest.raises(StorageError):
-            index_from_payload(payload)
-
-    def test_unknown_layout_rejected_as_storage_error(self, columnar_index):
-        payload = index_to_payload(columnar_index)
-        payload["layout"] = "fancy"
-        with pytest.raises(StorageError):
-            index_from_payload(payload)
-
-    def test_json_file_roundtrip(self, columnar_index, tmp_path):
-        path = save_index_json(columnar_index, tmp_path / "index.json")
-        restored = load_index_json(path)
-        values = sorted(columnar_index.values())[:100]
-        assert restored.fetch(values) == columnar_index.fetch(values)
-        with pytest.raises(StorageError):
-            load_index_json(tmp_path / "missing.json")
-
-    def test_memory_backend_roundtrip(self, workload, config):
-        index = build_index(workload.corpus, config=config)
-        with InMemoryBackend() as backend:
-            backend.save_index("main", index)
-            restored = backend.load_index("main")
-        values = sorted(index.values())[:100]
-        assert restored.fetch(values) == index.fetch(values)
-        assert sorted(restored.iter_super_keys()) == sorted(index.iter_super_keys())
-
-    def test_sqlite_backend_roundtrip(self, workload, config, tmp_path):
-        index = build_index(workload.corpus, config=config)
-        db = tmp_path / "columnar.db"
-        with SQLiteBackend(db) as backend:
-            backend.save_index("main", index)
-        with SQLiteBackend(db) as backend:
-            assert backend.list_indexes() == ["main"]
-            restored = backend.load_index("main")
-        values = sorted(index.values())[:150]
-        assert restored.fetch(values) == index.fetch(values)
-        assert sorted(restored.iter_super_keys()) == sorted(index.iter_super_keys())
-
-    def test_payload_refuses_an_oversize_key(self, columnar_index):
-        """A key wider than the packed width (an older build could store
-        one) is refused by name, not loaded."""
-        payload = index_to_payload(columnar_index)
-        table_id, row_index, _ = payload["super_keys"][0]
-        payload["super_keys"][0][2] = format(1 << 300, "x")
-        with pytest.raises(
-            StorageError, match=f"table {table_id} row {row_index} is 301 bits wide"
-        ):
-            index_from_payload(payload)
-
-    def test_sqlite_refuses_an_oversize_key(self, columnar_index, tmp_path):
-        db = tmp_path / "oversize.db"
-        with SQLiteBackend(db) as backend:
-            backend.save_index("main", columnar_index)
-            table_id, row_index, _ = next(columnar_index.iter_super_keys())
-            with backend._connection as connection:
-                connection.execute(
-                    "UPDATE super_keys SET super_key = ? WHERE index_name = 'main' "
-                    "AND table_id = ? AND row_index = ?",
-                    (format(1 << 300, "x"), table_id, row_index),
-                )
-            with pytest.raises(
-                StorageError,
-                match=f"table {table_id} row {row_index} is 301 bits wide",
-            ):
-                backend.load_index("main")
-
-    def test_saving_a_bulk_built_index_slices_no_views(
+    def test_writing_a_bulk_built_index_slices_no_views(
         self, workload, config, tmp_path
     ):
-        """Saving reads the block's offsets; nothing is memoised per value,
-        and what is written equals the save of the loop lane's index."""
-        import sqlite3
-        from contextlib import closing
-
-        def sliced_nothing(index) -> bool:
-            return not index._state.views
-
+        """Writing reads the block's offsets; nothing is memoised per value,
+        and what is written equals the write of the loop lane's index."""
         written = {}
         for lane in ("block", "loop"):
             index = build_in_lane(lane, workload.corpus, config=config)
-            payload_path = save_index_json(index, tmp_path / f"{lane}.json")
-            assert sliced_nothing(index)
-            db = tmp_path / f"{lane}.db"
-            with SQLiteBackend(db) as backend:
-                backend.save_index("main", index)
-            assert sliced_nothing(index)
-            with closing(sqlite3.connect(db)) as connection:
-                rows = [
-                    connection.execute(f"SELECT * FROM {table} ORDER BY rowid")
-                    .fetchall()
-                    for table in ("indexes", "posting_columns", "super_keys")
-                ]
-            written[lane] = (payload_path.read_bytes(), rows)
+            path = write_segment(index, tmp_path / f"{lane}.seg", fsync=False)
+            assert not index._state.views
+            written[lane] = path.read_bytes()
         assert written["block"] == written["loop"]
 
-    #: What older builds left in a SQLite file: a database from before the
-    #: layout / format_version columns, and a format version 1 index row.
-    OLD_DATABASES = {
-        "pre-columnar": """
-            CREATE TABLE indexes (
-                name TEXT PRIMARY KEY,
-                hash_function TEXT NOT NULL,
-                hash_size INTEGER NOT NULL
-            );
-            INSERT INTO indexes VALUES ('old', 'xash', 128);
-        """,
-        "legacy row": """
-            CREATE TABLE indexes (
-                name TEXT PRIMARY KEY,
-                hash_function TEXT NOT NULL,
-                hash_size INTEGER NOT NULL,
-                layout TEXT NOT NULL DEFAULT 'legacy',
-                format_version INTEGER NOT NULL DEFAULT 1
-            );
-            INSERT INTO indexes VALUES ('old', 'xash', 128, 'legacy', 1);
-        """,
-    }
-
-    @pytest.mark.parametrize("old", sorted(OLD_DATABASES))
-    def test_sqlite_refuses_format_version_1_by_name(self, tmp_path, old):
-        import sqlite3
-
-        db = tmp_path / "old.db"
-        connection = sqlite3.connect(db)
-        connection.executescript(
-            self.OLD_DATABASES[old]
-            + """
-            CREATE TABLE postings (
-                index_name TEXT NOT NULL, value TEXT NOT NULL,
-                table_id INTEGER NOT NULL, column_index INTEGER NOT NULL,
-                row_index INTEGER NOT NULL
-            );
-            CREATE TABLE super_keys (
-                index_name TEXT NOT NULL, table_id INTEGER NOT NULL,
-                row_index INTEGER NOT NULL, super_key TEXT NOT NULL,
-                PRIMARY KEY (index_name, table_id, row_index)
-            );
-            INSERT INTO postings VALUES ('old', 'ada', 0, 0, 0);
-            INSERT INTO super_keys VALUES ('old', 0, 0, 'ff');
-            """
-        )
-        connection.commit()
-        connection.close()
-        with SQLiteBackend(db) as backend:
-            with pytest.raises(
-                StorageError, match="format version 1, layout 'legacy'"
-            ):
-                backend.load_index("old")
-            # A new index saves and loads beside the refused one.
-            cells = CellIndex()
-            cells.add_posting("lovelace", 1, 0, 0)
-            cells.keys[(1, 0)] = 0xAB
-            fresh = cells.to_index()
-            backend.save_index("new", fresh)
-            reloaded = backend.load_index("new")
-            assert reloaded.fetch(["lovelace"]) == fresh.fetch(["lovelace"])
-
-    @pytest.mark.parametrize("backend_factory", [InMemoryBackend, SQLiteBackend])
-    def test_sharded_columnar_roundtrip(
-        self, workload, config, backend_factory, tmp_path
-    ):
-        """A table shard's index, whose table ids have gaps, saves and loads
-        whole on both backends."""
+    def test_sharded_columnar_roundtrip(self, workload, config, tmp_path):
+        """A table shard's index, whose table ids have gaps, writes and maps
+        whole."""
         sharded = ShardedMateDiscovery(workload.corpus, num_shards=3, config=config)
-        if backend_factory is SQLiteBackend:
-            backend = backend_factory(tmp_path / "sharded.db")
-        else:
-            backend = backend_factory()
-        with backend:
-            for position, index in enumerate(sharded.shard_indexes):
-                backend.save_index(f"shard{position}", index)
-            loaded = [
-                backend.load_index(f"shard{position}")
-                for position in range(sharded.num_shards)
-            ]
-        for index, restored in zip(sharded.shard_indexes, loaded):
-            values = sorted(index.values())[:150] + ["never indexed"]
-            assert restored.fetch(values) == index.fetch(values)
-            assert restored.indexed_tables() == index.indexed_tables()
-            assert sorted(restored.iter_super_keys()) == sorted(
-                index.iter_super_keys()
+        for position, index in enumerate(sharded.shard_indexes):
+            restored = load_segment(
+                write_segment(index, tmp_path / f"shard{position}.seg", fsync=False)
             )
+            try:
+                values = sorted(index.values())[:150] + ["never indexed"]
+                assert restored.fetch(values) == index.fetch(values)
+                assert restored.indexed_tables() == index.indexed_tables()
+                assert sorted(restored.iter_super_keys()) == sorted(
+                    index.iter_super_keys()
+                )
+            finally:
+                restored.close()
 
     def test_paged_store_fetch_batch_accounts_pages(self, columnar_index):
         store = PagedPostingStore(columnar_index, buffer_pool_pages=16)

@@ -4,7 +4,7 @@ The super-key test compares the query's aggregated keys with the stored
 row keys, so both must come out of the same hash at the same width: a
 128-bit engine over a 256-bit index (or the reverse) used to answer an
 empty top-k, marked complete.  ``MateDiscovery`` now refuses the pair in
-row-filter mode ``superkey``, and ``repro discover --database`` adopts the
+row-filter mode ``superkey``, and ``repro discover --live-dir`` adopts the
 stored index's hash size, as ``serve-batch`` does.
 """
 
@@ -23,18 +23,24 @@ from repro import (
 )
 from repro.cli import main
 from repro.exceptions import DiscoveryError
-from repro.storage import SQLiteBackend, save_corpus_json, table_to_csv
+from repro.ingest import LiveIndex
+from repro.storage import save_corpus_json, table_to_csv
 
 
 @pytest.fixture()
 def stored_256(tmp_path, running_example_corpus):
-    """The Figure 1 corpus with its 256-bit index, loaded back from SQLite."""
+    """The Figure 1 corpus with its 256-bit index, written by ``repro
+    index`` and served from a snapshot of the live directory."""
     query, corpus = running_example_corpus
-    database = tmp_path / "index.db"
-    with SQLiteBackend(database) as backend:
-        backend.save_index("main", build_index(corpus, config=MateConfig(hash_size=256)))
-        index = backend.load_index("main")
-    return query, corpus, index, database
+    corpus_path = save_corpus_json(corpus, tmp_path / "corpus.json")
+    live_dir = tmp_path / "lake"
+    assert main([
+        "index", str(corpus_path), "--live-dir", str(live_dir),
+        "--hash-size", "256",
+    ]) == 0
+    with LiveIndex.open(live_dir, config=MateConfig(hash_size=256)) as live:
+        index = live.snapshot()
+    return query, corpus, index, live_dir
 
 
 def answer(result):
@@ -76,21 +82,22 @@ class TestEngineRefusesAnotherWidth:
 
 
 class TestDiscoverAdoptsTheStoredWidth:
-    def test_discover_database_uses_the_stored_hash_size(
+    def test_discover_live_dir_uses_the_stored_hash_size(
         self, tmp_path, capsys, stored_256
     ):
-        query, corpus, _index, database = stored_256
+        query, corpus, _index, live_dir = stored_256
         corpus_path = save_corpus_json(corpus, tmp_path / "corpus.json")
         query_csv = table_to_csv(query.table, tmp_path / "query.csv")
         arguments = [
             "discover", str(corpus_path), str(query_csv),
             "--key", "f_name", "l_name", "country",
-            "--database", str(database), "--k", "2",
+            "--live-dir", str(live_dir), "--k", "2",
         ]
+        capsys.readouterr()
         assert main(arguments) == 0
         output = capsys.readouterr().out
         assert (
-            f"using stored index layout from {database}: 256-bit xash "
+            f"using stored index layout from {live_dir}: 256-bit xash "
             "(ignoring --hash-size)"
         ) in output
         assert "joinability=5" in output.replace(" ", "")

@@ -11,7 +11,12 @@ from repro import MateConfig, MateDiscovery, build_index
 from repro.baselines import McrDiscovery, McrJosieDiscovery, ScrDiscovery, ScrJosieDiscovery
 from repro.core import top_k_by_exact_joinability
 from repro.datagen import build_workload
-from repro.storage import SQLiteBackend
+from repro.storage import (
+    load_corpus_json,
+    load_segment,
+    save_corpus_json,
+    write_segment,
+)
 from tests.helpers import assert_topk_equivalent
 
 
@@ -102,19 +107,22 @@ class TestComparativeClaims:
 
 
 class TestPersistenceRoundTrip:
-    def test_discovery_identical_after_sqlite_round_trip(self, setup, tmp_path):
+    def test_discovery_identical_after_segment_round_trip(self, setup, tmp_path):
         config, workload, index = setup
         corpus = workload.corpus
         query = workload.queries[0]
         direct = MateDiscovery(corpus, index, config=config).discover(query, k=3)
 
-        with SQLiteBackend(tmp_path / "roundtrip.db") as backend:
-            backend.save_corpus(corpus)
-            backend.save_index("main", index)
-            restored_corpus = backend.load_corpus(corpus.name)
-            restored_index = backend.load_index("main")
-
-        restored = MateDiscovery(
-            restored_corpus, restored_index, config=config
-        ).discover(query, k=3)
+        restored_corpus = load_corpus_json(
+            save_corpus_json(corpus, tmp_path / "corpus.json")
+        )
+        restored_index = load_segment(
+            write_segment(index, tmp_path / "index.seg", fsync=False)
+        )
+        try:
+            restored = MateDiscovery(
+                restored_corpus, restored_index, config=config
+            ).discover(query, k=3)
+        finally:
+            restored_index.close()
         assert restored.result_tuples() == direct.result_tuples()

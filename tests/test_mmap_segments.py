@@ -54,7 +54,6 @@ from repro.storage import (
     load_segment,
     write_segment,
 )
-from repro.storage.serialization import save_index_json
 
 from tests.helpers import CellIndex, assert_blocks_equal, legacy_ingest_buffer
 
@@ -770,12 +769,11 @@ class TestLiveIndexSegments:
         live.close()
 
         # Rewrite the directory the way a pre-binary-format process left it:
-        # a JSON segment file, referenced by name from the manifest.
+        # a JSON segment file, referenced by name from the manifest (it is
+        # refused by its name, before anything reads it).
         (seg_path,) = tmp_path.glob(f"*{SEGMENT_SUFFIX}")
-        mapped = load_segment(seg_path)
         json_path = seg_path.with_suffix(".json")
-        save_index_json(mapped, json_path)
-        mapped.close()
+        json_path.write_text('{"format_version": 2}', encoding="utf-8")
         seg_path.unlink()
         manifest_path = tmp_path / "manifest.json"
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))

@@ -311,3 +311,74 @@ def test_the_table_path_members_are_gone(owner, name):
     assert name not in getattr(cls, "__slots__", ())
     assert not hasattr(cls, name)
     assert name not in getattr(cls, "__dataclass_fields__", {})
+
+
+#: The second, third and fourth ways to persist an index, gone with them:
+#: a live-index directory (``.seg`` segments + manifest) is the one format,
+#: and the ``"sql"`` engine always builds its accelerator in memory.
+REMOVED_STORAGE_NAMES = [
+    ("repro.storage", name)
+    for name in (
+        "INDEX_FORMAT_VERSION",
+        "InMemoryBackend",
+        "SQLiteBackend",
+        "StorageBackend",
+        "index_from_payload",
+        "index_to_payload",
+        "load_index_json",
+        "save_index_json",
+    )
+] + [
+    ("repro.storage.serialization", name)
+    for name in (
+        "INDEX_FORMAT_VERSION",
+        "index_from_payload",
+        "index_to_payload",
+        "load_index_json",
+        "save_index_json",
+    )
+] + [
+    (module_name, name)
+    for module_name in ("repro.engine_sql", "repro.engine_sql.accelerator")
+    for name in (
+        "PUSHDOWN_FORMAT_VERSION",
+        "accelerator_matches",
+        "accelerator_meta",
+        "ensure_accelerator",
+        "ensure_accelerator_schema",
+    )
+] + [
+    ("repro.cli", "_refuse_sharded_records"),
+    ("repro.cli", "_stored_layout_config"),
+]
+
+
+@pytest.mark.parametrize("module_name, name", REMOVED_STORAGE_NAMES)
+def test_the_other_index_formats_are_gone(module_name, name):
+    with pytest.raises(AttributeError):
+        getattr(importlib.import_module(module_name), name)
+
+
+@pytest.mark.parametrize(
+    "module_name",
+    ["repro.storage.backend", "repro.storage.memory", "repro.storage.sqlite"],
+)
+def test_the_storage_backend_modules_are_gone(module_name):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module_name)
+
+
+@pytest.mark.parametrize(
+    "keyword, value",
+    [("storage", None), ("backend", None), ("index_name", "main")],
+)
+def test_the_storage_keywords_are_gone(keyword, value):
+    from repro.engine_sql import SQLPushdownEngine
+
+    corpus = repro.TableCorpus(name="empty")
+    index = repro.build_index(corpus)
+    factory = (
+        repro.DiscoverySession if keyword == "storage" else SQLPushdownEngine
+    )
+    with pytest.raises(TypeError, match=keyword):
+        factory(corpus, index, **{keyword: value})

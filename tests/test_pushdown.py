@@ -7,8 +7,8 @@ zero Python-side posting-list fetches and zero Python-side super-key
 checks (those costs move into SQLite).  The property suites below pin that
 contract across both lanes of the index build, hash widths (single-limb,
 two-limb, and the BLOB-UDF fallback), row-filter modes, table filters, k
-values, fetch budgets, and deadline expiry; the accelerator suites cover persistence,
-reuse, corruption, and migration of the ``pushdown_*`` schema.
+values, fetch budgets, and deadline expiry; the accelerator suite covers the
+``pushdown_postings`` schema each engine builds in memory.
 """
 
 from __future__ import annotations
@@ -33,14 +33,10 @@ from repro.datamodel import QueryTable, Table, TableCorpus
 from repro.engine_sql import SQLPushdownEngine
 from repro.engine_sql.accelerator import (
     MAX_NARROW_HASH_SIZE,
-    accelerator_matches,
-    accelerator_meta,
     build_accelerator,
-    ensure_accelerator,
     split_limbs,
 )
 from repro.exceptions import DiscoveryError, StorageError
-from repro.storage import SQLiteBackend
 
 from tests.helpers import BUILD_LANES, build_in_lane
 from tests.test_plan_property import corpus_and_query
@@ -273,113 +269,8 @@ class TestDeadlinesAndErrors:
         sql.close()
 
 
-class TestBackendPersistence:
-    """The accelerator inside a file-backed :class:`SQLiteBackend`."""
-
-    def _setup(self, tmp_path):
-        corpus, query = small_fixture()
-        config = MateConfig(hash_size=128, k=3, expected_unique_values=1000)
-        index = build_index(corpus, config=config)
-        backend = SQLiteBackend(tmp_path / "store.db")
-        backend.save_index("main", index)
-        return corpus, query, config, index, backend
-
-    def test_accelerator_persists_and_is_reused(self, tmp_path):
-        corpus, query, config, index, backend = self._setup(tmp_path)
-        try:
-            engine = SQLPushdownEngine(
-                corpus, index, config=config, backend=backend
-            )
-            meta = backend.pushdown_meta("main")
-            assert meta is not None
-            assert meta["hash_function"] == "xash"
-            assert meta["hash_size"] == 128
-            assert meta["key_width"] == 16
-            assert meta["item_count"] > 0
-            # Rebuilds delete + reinsert, so a stable max rowid proves the
-            # second engine reused the stored accelerator as-is.
-            (marker,) = backend._connection.execute(
-                "SELECT MAX(rowid) FROM pushdown_postings"
-            ).fetchone()
-            second = SQLPushdownEngine(
-                corpus, index, config=config, backend=backend
-            )
-            (after,) = backend._connection.execute(
-                "SELECT MAX(rowid) FROM pushdown_postings"
-            ).fetchone()
-            assert after == marker
-            mate = MateDiscovery(corpus, index, config=config)
-            assert_pushdown_identical(
-                second.discover(query), mate.discover(query)
-            )
-            engine.close()
-            second.close()
-        finally:
-            backend.close()
-
-    def test_corrupted_accelerator_is_rebuilt(self, tmp_path):
-        corpus, query, config, index, backend = self._setup(tmp_path)
-        try:
-            engine = SQLPushdownEngine(
-                corpus, index, config=config, backend=backend
-            )
-            engine.close()
-            expected = backend.pushdown_meta("main")["item_count"]
-            with backend._connection:
-                backend._connection.execute(
-                    "DELETE FROM pushdown_postings WHERE rowid IN "
-                    "(SELECT rowid FROM pushdown_postings LIMIT 1)"
-                )
-            assert not accelerator_matches(
-                backend._connection, "main", index
-            )
-            repaired = SQLPushdownEngine(
-                corpus, index, config=config, backend=backend
-            )
-            assert backend.pushdown_meta("main")["item_count"] == expected
-            assert accelerator_matches(backend._connection, "main", index)
-            mate = MateDiscovery(corpus, index, config=config)
-            assert_pushdown_identical(
-                repaired.discover(query), mate.discover(query)
-            )
-            repaired.close()
-        finally:
-            backend.close()
-
-    def test_save_index_invalidates_accelerator(self, tmp_path):
-        corpus, _, config, index, backend = self._setup(tmp_path)
-        try:
-            SQLPushdownEngine(
-                corpus, index, config=config, backend=backend
-            ).close()
-            assert backend.pushdown_meta("main") is not None
-            backend.save_index("main", index)
-            assert backend.pushdown_meta("main") is None
-        finally:
-            backend.close()
-
-    def test_read_connections_are_wal_tuned_and_indexed(self, tmp_path):
-        _, _, _, _, backend = self._setup(tmp_path)
-        try:
-            connection = backend.read_connection()
-            (mode,) = connection.execute("PRAGMA journal_mode").fetchone()
-            assert mode == "wal"
-            (mmap,) = connection.execute("PRAGMA mmap_size").fetchone()
-            assert mmap > 0
-            names = {
-                name for (name,) in connection.execute(
-                    "SELECT name FROM sqlite_master WHERE type = 'index'"
-                )
-            }
-            assert "pushdown_by_value" in names
-            assert "pushdown_by_table" in names
-            connection.close()
-        finally:
-            backend.close()
-
-
-class TestAcceleratorMigration:
-    """Schema-level corruption / migration on a bare connection."""
+class TestAccelerator:
+    """The private in-memory accelerator every engine builds."""
 
     def _index(self, hash_size: int = 128):
         corpus, _ = small_fixture()
@@ -388,50 +279,43 @@ class TestAcceleratorMigration:
         )
         return build_index(corpus, config=config)
 
-    def test_ensure_builds_once_then_reuses(self):
+    def test_one_row_per_posting_under_both_indexes(self):
         index = self._index()
         connection = sqlite3.connect(":memory:")
-        first = ensure_accelerator(connection, "main", index)
-        (marker,) = connection.execute(
-            "SELECT MAX(rowid) FROM pushdown_postings"
-        ).fetchone()
-        second = ensure_accelerator(connection, "main", index)
-        (after,) = connection.execute(
-            "SELECT MAX(rowid) FROM pushdown_postings"
-        ).fetchone()
-        assert first == second and after == marker
-
-    def test_meta_mismatch_triggers_rebuild(self):
-        index = self._index()
-        connection = sqlite3.connect(":memory:")
-        build_accelerator(connection, "main", index)
-        with connection:
-            connection.execute(
-                "UPDATE pushdown_meta SET hash_size = 64 "
-                "WHERE index_name = 'main'"
+        assert build_accelerator(connection, index) == index.num_posting_items()
+        names = {
+            name for (name,) in connection.execute(
+                "SELECT name FROM sqlite_master"
             )
-        assert not accelerator_matches(connection, "main", index)
-        ensure_accelerator(connection, "main", index)
-        assert accelerator_matches(connection, "main", index)
-        assert accelerator_meta(connection, "main")["hash_size"] == 128
+        }
+        # Nothing is reopened from a file, so no provenance table exists.
+        assert names == {
+            "pushdown_postings", "pushdown_by_value", "pushdown_by_table"
+        }
+        rows = connection.execute(
+            "SELECT DISTINCT index_name FROM pushdown_postings"
+        ).fetchall()
+        assert rows == [("main",)]
+        connection.close()
 
-    def test_dropped_tables_report_absent_and_rebuild(self):
-        index = self._index()
-        connection = sqlite3.connect(":memory:")
-        build_accelerator(connection, "main", index)
-        connection.executescript(
-            "DROP TABLE pushdown_meta; DROP TABLE pushdown_postings;"
-        )
-        assert accelerator_meta(connection, "main") is None
-        assert not accelerator_matches(connection, "main", index)
-        items = ensure_accelerator(connection, "main", index)
-        assert items > 0
-        assert accelerator_matches(connection, "main", index)
+    def test_each_engine_owns_its_accelerator(self):
+        corpus, query = small_fixture()
+        config = MateConfig(hash_size=128, k=3, expected_unique_values=1000)
+        index = build_index(corpus, config=config)
+        first = SQLPushdownEngine(corpus, index, config=config)
+        second = SQLPushdownEngine(corpus, index, config=config)
+        try:
+            assert first._connection is not second._connection
+            mate = MateDiscovery(corpus, index, config=config)
+            first.close()
+            assert_pushdown_identical(second.discover(query), mate.discover(query))
+        finally:
+            second.close()
 
     def test_unsuitable_index_is_refused(self):
         connection = sqlite3.connect(":memory:")
         with pytest.raises(StorageError, match="does not expose"):
-            build_accelerator(connection, "main", object())
+            build_accelerator(connection, object())
 
 
 class TestSessionDispatch:

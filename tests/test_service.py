@@ -19,7 +19,6 @@ from repro import (
 from repro.index import FetchBlock
 from repro.index.cache import CachingIndex, PostingListCache
 from repro.metrics import CacheCounters
-from repro.storage import InMemoryBackend, SQLiteBackend
 from tests.helpers import CellIndex
 
 
@@ -324,11 +323,3 @@ class TestOneIndexPerSession:
         assert sum(index.num_rows() for index in sharded.shard_indexes) == (
             monolithic_index.num_rows()
         )
-
-    def test_list_indexes_on_both_backends(self, monolithic_index, tmp_path):
-        with InMemoryBackend() as backend:
-            backend.save_index("solo", monolithic_index)
-            assert backend.list_indexes() == ["solo"]
-        with SQLiteBackend(tmp_path / "list.db") as backend:
-            backend.save_index("solo", monolithic_index)
-            assert backend.list_indexes() == ["solo"]

@@ -1,13 +1,13 @@
-"""Tests for the storage backends and plain-file serialisation."""
+"""Tests for the persisted index format and plain-file serialisation."""
 
 import pytest
 
 from repro import build_index
 from repro.datamodel import Table, TableCorpus
 from repro.exceptions import StorageError
+from repro.ingest import LiveIndex
+from repro.ingest.live import read_snapshot
 from repro.storage import (
-    InMemoryBackend,
-    SQLiteBackend,
     corpus_from_json,
     corpus_to_json,
     load_corpus_from_csv_directory,
@@ -46,64 +46,227 @@ def assert_corpora_equal(left: TableCorpus, right: TableCorpus) -> None:
         assert original.name == restored.name
 
 
-@pytest.fixture(params=["memory", "sqlite_memory", "sqlite_file"])
-def backend(request, tmp_path):
-    if request.param == "memory":
-        backend = InMemoryBackend()
-    elif request.param == "sqlite_memory":
-        backend = SQLiteBackend()
-    else:
-        backend = SQLiteBackend(tmp_path / "mate.db")
-    yield backend
-    backend.close()
+class TestLiveDirectoryIsTheIndexFormat:
+    """A live-index directory is the one persisted index format."""
 
+    def test_index_roundtrip(self, corpus, config, tmp_path):
+        from repro.cli import main
 
-class TestBackends:
-    def test_corpus_roundtrip(self, backend, corpus):
-        backend.save_corpus(corpus)
-        restored = backend.load_corpus("persisted")
-        assert_corpora_equal(corpus, restored)
-        assert backend.list_corpora() == ["persisted"]
-
-    def test_missing_corpus_raises(self, backend):
-        with pytest.raises(StorageError):
-            backend.load_corpus("does-not-exist")
-
-    def test_index_roundtrip(self, backend, corpus, config):
+        corpus_path = save_corpus_json(corpus, tmp_path / "corpus.json")
+        live_dir = tmp_path / "lake"
+        assert main(["index", str(corpus_path), "--live-dir", str(live_dir)]) == 0
         index = build_index(corpus, config=config)
-        backend.save_index("main", index)
-        restored = backend.load_index("main")
-        assert restored.hash_function_name == index.hash_function_name
-        assert restored.hash_size == index.hash_size
+        restored = read_snapshot(live_dir)
+        assert restored.hash_function_name == "xash"
+        assert restored.hash_size == config.hash_size
         assert restored.num_posting_items() == index.num_posting_items()
         assert len(restored) == len(index)
+        values = sorted(index.values())
+        assert [list(block) for block in restored.fetch_batch(values)] == [
+            list(block) for block in index.fetch_batch(values)
+        ]
         for table_id, row_index, super_key in index.iter_super_keys():
             assert restored.super_key(table_id, row_index) == super_key
+        assert_corpora_equal(corpus, load_corpus_json(live_dir / "corpus.json"))
 
-    def test_missing_index_raises(self, backend):
-        with pytest.raises(StorageError):
-            backend.load_index("nope")
+    def test_a_path_without_a_live_index_is_refused(self, tmp_path):
+        for path in (tmp_path / "missing", tmp_path):
+            with pytest.raises(StorageError, match="no manifest.json"):
+                read_snapshot(path)
+        assert not (tmp_path / "missing").exists()
+        assert list(tmp_path.iterdir()) == []
 
-    def test_save_overwrites(self, backend, corpus):
-        backend.save_corpus(corpus)
-        smaller = TableCorpus(name="persisted")
-        smaller.create_table("only", ["a"], [["1"]])
-        backend.save_corpus(smaller)
-        assert len(backend.load_corpus("persisted")) == 1
+    def test_open_refuses_a_regular_file_by_name(self, tmp_path):
+        path = tmp_path / "notes.txt"
+        path.write_text("not an index")
+        for opener in (LiveIndex.open, read_snapshot):
+            with pytest.raises(StorageError, match="is a file, not a live-index"):
+                opener(path)
+        assert path.read_text() == "not an index"
 
-    def test_context_manager(self, corpus, tmp_path):
-        with SQLiteBackend(tmp_path / "ctx.db") as backend:
-            backend.save_corpus(corpus)
-            assert backend.list_corpora() == ["persisted"]
+    def test_open_refuses_a_sqlite_index_with_the_rebuild_command(self, tmp_path):
+        import sqlite3
+        from contextlib import closing
+
+        database = tmp_path / "lake.db"
+        with closing(sqlite3.connect(database)) as connection:
+            connection.execute("CREATE TABLE indexes (name TEXT)")
+            connection.commit()
+        before = database.read_bytes()
+        assert before.startswith(b"SQLite format 3\x00")
+        for opener in (LiveIndex.open, read_snapshot):
+            with pytest.raises(StorageError) as raised:
+                opener(database)
+            message = str(raised.value)
+            assert str(database) in message
+            assert "SQLite index from an earlier release" in message
+            assert "repro index CORPUS --live-dir DIR" in message
+        assert database.read_bytes() == before
 
 
-class TestMemoryBackendIsolation:
-    def test_mutations_do_not_leak(self, corpus):
-        backend = InMemoryBackend()
-        backend.save_corpus(corpus)
-        corpus.get_table(0).append_row(["grace", "hopper"])
-        restored = backend.load_corpus("persisted")
-        assert restored.get_table(0).num_rows == 2
+def _table(table_id: int) -> Table:
+    return Table(
+        table_id=table_id,
+        name=f"t{table_id}",
+        columns=["a", "b"],
+        rows=[[f"v{table_id}", "shared"], [f"w{table_id}", "shared"]],
+    )
+
+
+class TestReadSnapshot:
+    """``read_snapshot`` reads a directory its writer may be changing."""
+
+    @pytest.fixture()
+    def writer(self, config, tmp_path):
+        live = LiveIndex.open(tmp_path / "lake", config=config, fsync=False)
+        for table_id in range(3):
+            live.add_table(_table(table_id))
+        live.seal()
+        for table_id in range(3, 6):
+            live.add_table(_table(table_id))
+        live.seal()
+        for table_id in range(6, 8):
+            live.add_table(_table(table_id))  # logged, not sealed
+        yield live
+        live.close()
+
+    def test_the_log_is_replayed(self, writer):
+        snapshot = read_snapshot(writer.directory)
+        assert snapshot.indexed_tables() == set(range(8))
+        assert snapshot.num_posting_items() == writer.num_posting_items()
+
+    def test_a_seal_during_the_read_starts_it_over(self, writer, monkeypatch):
+        import repro.ingest.live as live_module
+
+        replay = live_module.replay_wal
+        reads = []
+
+        def seal_first(path):
+            # The first read has mapped the two-segment manifest; the
+            # writer now seals tables 6 and 7 and truncates the log.
+            if not reads:
+                writer.seal()
+            reads.append(path)
+            return replay(path)
+
+        monkeypatch.setattr(live_module, "replay_wal", seal_first)
+        snapshot = read_snapshot(writer.directory)
+        assert len(reads) == 2
+        assert snapshot.generation == writer.generation == 3
+        assert snapshot.indexed_tables() == set(range(8))
+
+    def test_a_merge_during_the_read_starts_it_over(self, writer, monkeypatch):
+        import repro.ingest.live as live_module
+
+        load = live_module._load_segment_index
+        loads = []
+
+        def merge_first(path):
+            # The writer merges after the manifest was read, deleting the
+            # segment files that manifest names.
+            if not loads:
+                writer.merge()
+            loads.append(path.name)
+            return load(path)
+
+        monkeypatch.setattr(live_module, "_load_segment_index", merge_first)
+        snapshot = read_snapshot(writer.directory)
+        assert loads == ["segment-000001.seg", "segment-000003.seg"]
+        assert snapshot.indexed_tables() == set(range(8))
+
+    def test_a_directory_that_keeps_changing_is_refused(
+        self, writer, monkeypatch
+    ):
+        import repro.ingest.live as live_module
+
+        replay = live_module.replay_wal
+        added = iter(range(100, 200))
+
+        def seal_every_time(path):
+            writer.add_table(_table(next(added)))
+            writer.seal()
+            return replay(path)
+
+        monkeypatch.setattr(live_module, "replay_wal", seal_every_time)
+        with pytest.raises(StorageError, match="changed during each of 5 reads"):
+            read_snapshot(writer.directory)
+
+    def test_snapshots_beside_a_running_writer_are_consistent(
+        self, config, tmp_path
+    ):
+        """A writer thread adds tables in id order, sealing and merging as
+        it goes; every snapshot read meanwhile holds exactly the first
+        ``m`` tables, four postings each."""
+        import sys
+        import threading
+        import time
+
+        live = LiveIndex.open(tmp_path / "lake", config=config, fsync=False)
+        stop = threading.Event()
+        failures = []
+
+        def write():
+            try:
+                for table_id in range(10_000):
+                    if stop.is_set():
+                        return
+                    live.add_table(_table(table_id))
+                    if table_id % 3 == 2:
+                        live.seal()
+                    if live.num_segments > 3:
+                        live.merge()
+            except BaseException as exc:  # reported by the main thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        writer = threading.Thread(target=write)
+        writer.start()
+        snapshots = 0
+        try:
+            deadline = time.monotonic() + 2.0
+            while time.monotonic() < deadline:
+                try:
+                    snapshot = read_snapshot(live.directory)
+                except StorageError as exc:
+                    assert "changed during each of" in str(exc)
+                    continue
+                tables = snapshot.indexed_tables()
+                assert tables == set(range(len(tables)))
+                assert snapshot.num_posting_items() == 4 * len(tables)
+                snapshots += 1
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            writer.join(timeout=10)
+            live.close()
+        assert not writer.is_alive()
+        assert not failures
+        assert snapshots > 0
+
+    def test_a_missing_segment_is_refused(self, writer):
+        (writer.directory / "segment-000001.seg").unlink()
+        with pytest.raises(StorageError, match="segment-000001.seg"):
+            read_snapshot(writer.directory)
+
+    def test_nothing_is_written(self, writer):
+        """The recovery a writer's open runs — orphan sweep, torn-tail
+        repair, log opened for append — is left to the writer."""
+        directory = writer.directory
+        (directory / "segment-000099.seg").write_bytes(b"orphan")
+        (directory / "manifest.json.tmp").write_text("{")
+        with (directory / "wal.jsonl").open("a", encoding="utf-8") as handle:
+            handle.write('{"op":"add_table","seq":99,"tab')
+        before = {
+            path.name: (path.read_bytes(), path.stat().st_mtime_ns)
+            for path in directory.iterdir()
+        }
+        snapshot = read_snapshot(directory)
+        assert snapshot.indexed_tables() == set(range(8))
+        assert {
+            path.name: (path.read_bytes(), path.stat().st_mtime_ns)
+            for path in directory.iterdir()
+        } == before
 
 
 class TestJsonSerialization:
@@ -122,6 +285,26 @@ class TestJsonSerialization:
     def test_missing_file(self, tmp_path):
         with pytest.raises(StorageError):
             load_corpus_json(tmp_path / "missing.json")
+
+    # What the decoder raised used to escape as a traceback of its own
+    # type; each is now a StorageError naming the file.
+    def test_non_json_file_is_refused_by_name(self, tmp_path):
+        path = tmp_path / "corpus.json"
+        path.write_text("id,name\n1,ada\n", encoding="utf-8")
+        with pytest.raises(StorageError, match=f"cannot read corpus file {path}"):
+            load_corpus_json(path)
+
+    def test_non_utf8_file_is_refused_by_name(self, tmp_path):
+        path = tmp_path / "corpus.json"
+        path.write_bytes(b'{"name": "caf\xe9"}')
+        with pytest.raises(StorageError, match=f"cannot read corpus file {path}"):
+            load_corpus_json(path)
+
+    def test_directory_is_refused_by_name(self, tmp_path):
+        with pytest.raises(
+            StorageError, match=f"cannot read corpus file {tmp_path}"
+        ):
+            load_corpus_json(tmp_path)
 
 
 class TestCsvSerialization:
@@ -148,3 +331,9 @@ class TestCsvSerialization:
             table_from_csv(0, empty)
         with pytest.raises(StorageError):
             load_corpus_from_csv_directory(tmp_path / "not-a-dir")
+
+    def test_non_utf8_csv_is_refused_by_name(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"city\nm\xfcnchen\n")
+        with pytest.raises(StorageError, match=f"cannot read CSV file {path}"):
+            table_from_csv(0, path)
