@@ -49,6 +49,8 @@ rule-2 suffix, or behind a deadline break are verified and never charged
 
 from __future__ import annotations
 
+import ctypes
+import sys
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
@@ -62,6 +64,39 @@ if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
     from ..metrics import DiscoveryCounters
 
 _INDEX = np.intp
+
+#: glibc ``mallopt`` parameters.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Pin glibc's malloc thresholds at the values its adaptive rule tops
+    out at: blocks from 32 MiB up are mapped, and the heap is trimmed once
+    64 MiB at its top are free.
+
+    A request builds its arrays afresh and frees them at its end — 9 MB at
+    the peak of the largest ``od_verify`` request.  Under the adaptive rule
+    the thresholds rise only when a large mapped block is freed, so whether
+    the next request finds those pages still mapped depends on what the
+    process happened to free before: a process that built one index trims
+    its heap after every large request and faults the pages back in on the
+    next (1,500–6,800 minor faults per ``od_verify`` pass, at either
+    segment format), one that once dropped a big enough index does not.
+    Pinned, every process behaves like the latter.  Nothing happens off
+    glibc (``mallopt`` is missing, or a no-op).
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_keep_freed_heap()
 
 
 class RequestArrays:

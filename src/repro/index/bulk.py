@@ -18,7 +18,9 @@ as routines the bulk build (:func:`build_block`) and the ingest buffer
 3. **Layout** (:func:`layout_block`) — the posting columns are **one stable
    argsort** of the non-missing cells by value id.  Cells are kept in table,
    row, column order, and a stable sort keeps equal ids in that order —
-   exactly the order a per-cell scan of the tables appends postings in.
+   exactly the order a per-cell scan of the tables appends postings in.  A
+   posting stores its row's ordinal in the sorted row table, where the
+   row's key is stored once.
 
 Every key fits ``key_width`` by construction: a hash wider than it cannot
 come out of the matrix.
@@ -123,34 +125,30 @@ def layout_block(
     keys: Any,
     hash_function_name: str,
     hash_size: int,
-    row_table: bool = True,
 ) -> "SegmentBlock":
     """Lay ``cells`` (see :meth:`EncodedTables.cells`; every value id must
     occur) out as the block of ``values``, over the rows the three row
-    columns describe.  ``row_table=False`` leaves the block's row table
-    empty: a block that only serves fetches never looks a row up."""
+    columns describe: the rows sorted into the row table, each posting the
+    ordinal of its row there and its column."""
     # Imported here: ``repro.storage`` itself imports ``repro.index``.
-    from ..storage.segment_block import SegmentBlock
+    from ..storage.segment_block import SegmentBlock, row_ordinals
 
     value_ids, cell_rows, cell_columns = cells
     # Posting order: by value id, ties in cell order.
     order = _np.argsort(value_ids, kind="stable")
     offsets = _np.zeros(len(values) + 1, dtype=_np.int64)
     _np.cumsum(_np.bincount(value_ids, minlength=len(values)), out=offsets[1:])
-    posting_rows = cell_rows[order]
     # Tables may arrive out of id order: the row table is sorted, rows of
     # one table already are.
-    by_row = _np.lexsort((row_rows, row_tables)) if row_table else slice(0)
+    by_row = _np.lexsort((row_rows, row_tables))
     return SegmentBlock(
         hash_function_name=hash_function_name,
         hash_size=hash_size,
         key_width=keys.shape[1],
         values=values,
         posting_offsets=offsets,
-        table_ids=row_tables[posting_rows],
-        row_indexes=row_rows[posting_rows],
+        row_ordinals=row_ordinals(by_row)[cell_rows[order]],
         column_indexes=cell_columns[order],
-        posting_keys=keys[posting_rows],
         row_table_ids=row_tables[by_row],
         row_row_indexes=row_rows[by_row],
         row_keys=keys[by_row],

@@ -8,11 +8,12 @@ columnar, array-packed layouts.  An
 views it serves that block through:
 
 * :class:`ColumnarPostingList` — the postings of one value as three parallel
-  integer views into the block (table ids, column indexes, row indexes) plus
-  the packed slice of its super keys, so repeated fetches do no per-item
-  work;
+  integer columns (table ids, column indexes, row indexes) plus the packed
+  buffer of its super keys: the row columns are gathered from the block's
+  row table through the value's row ordinals once, the column indexes are
+  a slice of the block, so repeated fetches do no per-item work;
 * :class:`FetchBlock` — the struct-of-arrays result of ``fetch_batch``: one
-  block per probed value, referencing the packed columns directly (zero-copy)
+  block per probed value, referencing a view's columns directly (zero-copy)
   with the packed super-key column attached.
 
 A request keeps its :class:`FetchBlock` s and :mod:`repro.index.batch` turns
@@ -28,6 +29,8 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from ..datamodel import MISSING
 from .posting import FetchedItem, PostingListItem
 
@@ -36,6 +39,21 @@ from .posting import FetchedItem, PostingListItem
 #: request, so without a bound each distinct key tuple ever probed against a
 #: hot value would stay behind; a dropped entry costs one vector pass.
 COVERAGE_MEMO_ENTRIES = 64
+
+
+def column_view(data, typecode: str) -> memoryview:
+    """``data``'s bytes as a flat view of ``typecode`` items.
+
+    Cast through bytes: a numpy ``int64`` array exports format ``'l'``,
+    not ``'q'``, on Linux, a packed key column ``V<width>``, and every
+    consumer compares typecodes.  A numpy array is flattened first —
+    :class:`memoryview` refuses to cast an ``(0, width)`` key matrix
+    ("zeros in shape"), which is what a block without rows holds.
+    Iterating the view yields Python integers.
+    """
+    if isinstance(data, np.ndarray):
+        data = data.reshape(-1).view(np.uint8)
+    return memoryview(data).cast("B").cast(typecode)
 
 
 def unpack_super_keys(packed, width_bytes: int) -> list[int]:
@@ -48,9 +66,8 @@ def unpack_super_keys(packed, width_bytes: int) -> list[int]:
 
 
 class ColumnarPostingList:
-    """The postings of one value: views of the three posting columns of its
-    block and the packed slice of the block's posting keys
-    (``super_key_bytes``)."""
+    """The postings of one value: its table ids, column indexes and row
+    indexes, and the packed super keys of its rows (``super_key_bytes``)."""
 
     __slots__ = ("table_ids", "column_indexes", "row_indexes", "super_key_bytes")
 
@@ -82,7 +99,7 @@ class ColumnarPostingList:
 class FetchBlock:
     """Struct-of-arrays fetch result of one probe value.
 
-    The posting columns reference the index's packed arrays directly (no
+    The posting columns reference the index's packed views directly (no
     copy), and so does the fixed-width super-key buffer (``super_key_bytes``
     / ``key_width``) that the vectorized prefilter kernels consume; the
     integer ``super_keys`` column behind :meth:`items` is unpacked lazily on

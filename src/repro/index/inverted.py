@@ -5,12 +5,14 @@ An :class:`InvertedIndex` serves one CSR block
 posting list index of Eq. 4 plus the per-row super key that turns it into
 MATE's extended index.  The block's columns live on the heap (a bulk build, a
 sealed or merged segment, a loaded index) or in a mapped ``.seg`` file
-(:func:`~repro.storage.paged.load_segment`); either way the read surface is
-served zero-copy: a value's :class:`~repro.index.columnar.ColumnarPostingList`
-view, packed super-key column included, is sliced out of the block at its
-first fetch and memoised, so a warm ``fetch_batch`` does no per-item work,
-and counts come from the offsets.  Its query surface is exactly what
-Algorithm 1 needs:
+(:func:`~repro.storage.paged.load_segment`).  The block stores one super
+key per row and each posting as a row ordinal; a value's
+:class:`~repro.index.columnar.ColumnarPostingList` view — table ids, row
+indexes and packed super keys gathered from the row table through its
+ordinals (the paper's join between super keys and PLs), column indexes
+sliced — is built at its first fetch and memoised, so a warm
+``fetch_batch`` does no per-item work, and counts come from the offsets.
+Its query surface is exactly what Algorithm 1 needs:
 
 * ``fetch`` / ``fetch_batch`` — retrieve all PL items (with super keys) for a
   set of probe values (line 4);
@@ -30,7 +32,9 @@ from __future__ import annotations
 import mmap
 from bisect import bisect_left, bisect_right
 from pathlib import Path
-from typing import TYPE_CHECKING, Collection, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Collection, Iterable, Iterator
+
+import numpy as np
 
 from ..exceptions import IndexClosedError, IndexError_, SegmentFormatError
 from .columnar import ColumnarPostingList, FetchBlock, FetchSurface
@@ -97,7 +101,7 @@ class RowKeys:
 class _State:
     """Everything one read of an :class:`InvertedIndex` needs."""
 
-    __slots__ = ("block", "value_ids", "rows", "views")
+    __slots__ = ("block", "value_ids", "rows", "views", "_arrays")
 
     def __init__(self, block: "SegmentBlock", name: str):
         self.block = block
@@ -107,31 +111,60 @@ class _State:
                 f"segment {name} lists a value twice in its vocabulary"
             )
         self.rows = RowKeys(block)
-        #: The views sliced so far, never the whole vocabulary: everything
+        self._arrays = block.arrays()
+        #: The views joined so far, never the whole vocabulary: everything
         #: that enumerates values reads the block.
         self.views: dict[str, ColumnarPostingList] = {}
 
     def view(self, value: str) -> ColumnarPostingList | None:
         """The (memoised) posting view of ``value``; ``None`` when the
-        value is not indexed.  Two threads may slice the same value at
-        once: they build equal views and the memo keeps either."""
+        value is not indexed."""
         view = self.views.get(value)
-        if view is not None:
-            return view
-        value_id = self.value_ids.get(value)
-        if value_id is None:
-            return None
-        block = self.block
-        start = block.posting_offsets[value_id]
-        end = block.posting_offsets[value_id + 1]
-        width = block.key_width
-        view = self.views[value] = ColumnarPostingList(
-            block.table_ids[start:end],
-            block.column_indexes[start:end],
-            block.row_indexes[start:end],
-            block.posting_keys[start * width : end * width],
-        )
+        if view is None and value in self.value_ids:
+            self.join([value])
+            view = self.views[value]
         return view
+
+    def join(self, values: list[str]) -> None:
+        """Build and memoise the views of ``values`` (indexed, distinct).
+
+        This is the fetch-time join of the per-row layout: the values' row
+        ordinals gather the table ids, row indexes and super keys of their
+        postings out of the row table — one gather per column for all of
+        ``values`` — and each view slices its run out of the gathered
+        columns; the column indexes are slices of the block.  Only fetched
+        values are joined.  Two threads may join the same value at once:
+        they build equal views and the memo keeps either."""
+        block, arrays = self.block, self._arrays
+        offsets = block.posting_offsets
+        starts = [offsets[self.value_ids[value]] for value in values]
+        ends = [offsets[self.value_ids[value] + 1] for value in values]
+        if len(values) == 1:
+            positions: Any = slice(starts[0], ends[0])
+        else:
+            # The concatenated ranges ``starts[i]:ends[i]``.
+            lengths = np.subtract(ends, starts)
+            shifts = np.subtract(starts, np.cumsum(lengths) - lengths)
+            positions = np.repeat(shifts, lengths) + np.arange(int(lengths.sum()))
+        # Index width once, not once per gather.
+        ordinals = arrays.ordinals[positions].astype(np.intp)
+        # Gathers of the block's typecodes export them as they are.
+        tables = memoryview(arrays.row_tables[ordinals])
+        rows = memoryview(arrays.row_rows[ordinals])
+        keys = memoryview(arrays.row_keys.take(ordinals, axis=0)).cast("B")
+        width = block.key_width
+        columns = block.column_indexes
+        views = self.views
+        at = 0
+        for value, start, end in zip(values, starts, ends):
+            stop = at + end - start
+            views[value] = ColumnarPostingList(
+                tables[at:stop],
+                columns[start:end],
+                rows[at:stop],
+                keys[at * width : stop * width],
+            )
+            at = stop
 
 
 class InvertedIndex(FetchSurface):
@@ -252,7 +285,7 @@ class InvertedIndex(FetchSurface):
 
     def num_posting_items(self) -> int:
         """Total number of PL items across all values."""
-        return len(self._state.block.table_ids)
+        return self._state.block.num_postings()
 
     def num_rows(self) -> int:
         """Number of rows that own a super key."""
@@ -315,17 +348,26 @@ class InvertedIndex(FetchSurface):
 
         One block per probed value with at least one PL item, in first-seen
         value order; duplicate and missing probe values are skipped.  The
-        blocks reference the block's columns directly and carry its packed
-        super-key slice, so a warm ``fetch_batch`` does no per-item work at
-        all.
+        blocks reference the memoised views' columns (the row join of a
+        value runs at its first fetch), so a warm ``fetch_batch`` does no
+        per-item work at all.
         """
         self._ensure_open("fetch_batch")
         state = self._state
         width = state.block.key_width
+        views = state.views
+        probed = dict.fromkeys(values)
+        unjoined = [
+            value
+            for value in probed
+            if value not in views and value in state.value_ids
+        ]
+        if unjoined:
+            state.join(unjoined)
         blocks: list[FetchBlock] = []
         append = blocks.append
-        for value in dict.fromkeys(values):
-            view = state.view(value)
+        for value in probed:
+            view = views.get(value)
             if view is None:
                 continue
             append(

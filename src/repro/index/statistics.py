@@ -10,6 +10,13 @@ two layouts:
   (``num_rows * hash_size`` bits), the space-efficient variant that needs an
   extra join between super keys and PLs at query time.
 
+The per-row layout is the one this reproduction stores: a ``.seg`` segment
+(:mod:`repro.storage.segment_block`) keeps each key once, in its row table,
+and a posting names its row by ordinal; the join is the gather
+:class:`~repro.index.inverted.InvertedIndex` runs at a value's first fetch
+(``row_keys[ordinals]``), memoised with the value's view.  The per-cell
+numbers below are what the reference layout would cost on the same index.
+
 It also compares against the extra storage a JOSIE-style set index needs.
 This module computes those numbers for any built index so the index-generation
 benchmark can print the same rows as the paper.

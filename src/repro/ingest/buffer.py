@@ -45,6 +45,7 @@ from ..index import (
     PostingListItem,
 )
 from ..index.bulk import encode_tables, layout_block, row_keys
+from ..index.columnar import column_view
 
 
 class IngestBuffer:
@@ -288,13 +289,12 @@ class BufferView:
 
     The view pins ``(columns, lengths)`` of the buffer; later appends
     and drops do not show through it.  A fetch maps the probed values to
-    ids, takes one pass over the cell-id column and lays out *the hit cells
-    only* — a tiny block served by
-    :class:`~repro.index.InvertedIndex`, so blocks, runs and
-    packed keys are the ones every sealed segment returns.  Nothing a fetch
-    does grows with the row count, and only a lookup table with the
-    vocabulary; counts come from the count column, row lookups from the
-    table map.  Only enumeration (:meth:`values`, :meth:`iter_super_keys`,
+    ids, takes one pass over the cell-id column and joins *the hit cells
+    only* with their rows — one stable sort by probe, one gather of the row
+    columns through the cells' row numbers — so its blocks are the ones a
+    sealed segment returns.  Nothing a fetch does grows with the row count,
+    and only a lookup table with the vocabulary; counts come from the count
+    column, row lookups from the table map.  Only enumeration (:meth:`values`, :meth:`iter_super_keys`,
     :meth:`posting_columns`) lays the whole view out, once
     (:meth:`laid_out`, which is also what a seal returns).
     """
@@ -310,25 +310,18 @@ class BufferView:
         self._tables = buffer._tables
         self._laid_out: InvertedIndex | None = None
 
-    def _block(
-        self, values: list[str], cells: tuple, row_table: bool
-    ) -> InvertedIndex:
-        return InvertedIndex(
-            layout_block(
-                values,
-                cells,
-                *self._rows,
-                self.hash_function_name,
-                self.hash_size,
-                row_table=row_table,
-            )
-        )
-
     def laid_out(self) -> InvertedIndex:
         """The whole view as one block (memoised)."""
         if self._laid_out is None:
-            values = list(self._ids)[1 : self._num_values + 1]
-            self._laid_out = self._block(values, tuple(self._cells), True)
+            self._laid_out = InvertedIndex(
+                layout_block(
+                    list(self._ids)[1 : self._num_values + 1],
+                    tuple(self._cells),
+                    *self._rows,
+                    self.hash_function_name,
+                    self.hash_size,
+                )
+            )
         return self._laid_out
 
     def _value_id(self, value: str) -> int:
@@ -360,8 +353,32 @@ class BufferView:
         value_ids, cell_rows, cell_columns = self._cells
         local_ids = local_of[value_ids]
         hits = _np.flatnonzero(local_ids >= 0)
-        cells = (local_ids[hits], cell_rows[hits], cell_columns[hits])
-        return self._block(list(probed), cells, False).fetch_batch(probed)
+        probes = local_ids[hits]
+        # Posting order: by probe, ties in cell order; each posting's row
+        # columns are gathered straight from the row numbers.
+        order = hits[_np.argsort(probes, kind="stable")]
+        bounds = _np.zeros(len(probed) + 1, dtype=_np.int64)
+        _np.cumsum(_np.bincount(probes, minlength=len(probed)), out=bounds[1:])
+        row_tables, row_rows, keys = self._rows
+        rows = cell_rows[order]
+        tables = column_view(row_tables[rows], "q")
+        columns = column_view(cell_columns[order], "i")
+        row_indexes = column_view(row_rows[rows], "q")
+        packed = column_view(keys[rows], "B")
+        width = keys.shape[1]
+        edges = bounds.tolist()
+        return [
+            FetchBlock(
+                value,
+                tables[start:end],
+                columns[start:end],
+                row_indexes[start:end],
+                packed[start * width : end * width],
+                width,
+            )
+            for value, start, end in zip(probed, edges, edges[1:])
+            if end > start
+        ]
 
     def posting_list_length(self, value: str) -> int:
         """Number of PL items of ``value`` (one read of the count column)."""

@@ -47,6 +47,7 @@ from ..config import MateConfig
 from ..datamodel import MISSING, Table
 from ..exceptions import IndexClosedError, IndexError_, StorageError
 from ..index import FetchBlock, FetchedItem, InvertedIndex
+from ..index.columnar import column_view
 from ..sketch import SKETCH_FILE_STEM, SKETCH_SUFFIX, SketchIndex
 from ..storage.paged import SEGMENT_SUFFIX, load_segment, write_segment
 from .buffer import BufferView, IngestBuffer
@@ -205,12 +206,13 @@ def _filter_block(block: FetchBlock, masked: frozenset[int]) -> FetchBlock | Non
     if not len(at):
         return None
     width = block.key_width
+    keys = np.frombuffer(block.super_key_bytes, f"V{width}")
     return FetchBlock(
         block.value,
-        np.take(block.table_ids, at).tolist(),
-        np.take(block.column_indexes, at).tolist(),
-        np.take(block.row_indexes, at).tolist(),
-        np.frombuffer(block.super_key_bytes, np.uint8).reshape(-1, width)[at].tobytes(),
+        column_view(np.take(block.table_ids, at), "q"),
+        column_view(np.take(block.column_indexes, at), "i"),
+        column_view(np.take(block.row_indexes, at), "q"),
+        column_view(keys[at], "B"),
         width,
     )
 
@@ -219,9 +221,9 @@ def _concat_blocks(value: str, blocks: Sequence[FetchBlock]) -> FetchBlock:
     """Concatenate the per-component blocks of one value (component order)."""
     return FetchBlock(
         value,
-        list(chain.from_iterable(block.table_ids for block in blocks)),
-        list(chain.from_iterable(block.column_indexes for block in blocks)),
-        list(chain.from_iterable(block.row_indexes for block in blocks)),
+        column_view(np.concatenate([block.table_ids for block in blocks]), "q"),
+        column_view(np.concatenate([block.column_indexes for block in blocks]), "i"),
+        column_view(np.concatenate([block.row_indexes for block in blocks]), "q"),
         b"".join(block.super_key_bytes for block in blocks),
         blocks[0].key_width,
     )

@@ -9,11 +9,16 @@ storage layers the reproduction uses in its place:
 * **Binary mmap segments** — :func:`write_segment` persists the CSR block
   (:class:`~repro.storage.segment_block.SegmentBlock`) of an
   :class:`~repro.index.InvertedIndex` into a single ``.seg`` file, laid out
-  as a fixed set of 8-byte-aligned regions, and :func:`load_segment` maps
-  that file back with :mod:`mmap` as an :class:`~repro.index.InvertedIndex`
-  over :class:`memoryview` s of the mapping, so opening a multi-GB index
-  costs the vocabulary and a constant-size directory (pages fault in on
-  demand and are shared between processes mapping the same file).
+  as a fixed set of 8-byte-aligned regions — format v3, the paper's per-row
+  layout: a posting is ``(row ordinal, column)``, 8 bytes, and each row's
+  super key is stored once, in the row table — and :func:`load_segment`
+  maps that file back with :mod:`mmap` as an
+  :class:`~repro.index.InvertedIndex` over :class:`memoryview` s of the
+  mapping, so opening a multi-GB index costs the vocabulary, a
+  constant-size directory and one range check of the ordinals (pages fault
+  in on demand and are shared between processes mapping the same file).
+  The join of postings and keys happens at fetch time, one gather per
+  fetched value.
 * **The simulated paged store** — :class:`PagedPostingStore` lays posting
   lists out on fixed-size pages served through an LRU buffer pool, and
   :class:`FetchCostModel` converts page misses into an estimated fetch
@@ -35,36 +40,37 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 from zlib import crc32
 
+import numpy as np
+
 from ..exceptions import SegmentFormatError, StorageError
+from ..hashing.base import key_width
 from ..index import FetchBlock, FetchedItem, InvertedIndex
-from .segment_block import SegmentBlock
+from .segment_block import MAX_ROWS, SegmentBlock
 
 #: File suffix of binary mmap segment files.
 SEGMENT_SUFFIX = ".seg"
 
 #: Leading magic of a segment file (8 bytes, also its alignment unit).
-SEGMENT_MAGIC = b"MATESEG2"
+SEGMENT_MAGIC = b"MATESEG3"
 
 #: Trailing magic inside the fixed-size footer; a torn write loses it.
-SEGMENT_FOOTER_MAGIC = b"MSG2"
+SEGMENT_FOOTER_MAGIC = b"MSG3"
 
 #: Version of the on-disk segment format this module reads and writes.
-SEGMENT_FORMAT_VERSION: int = 2
+SEGMENT_FORMAT_VERSION: int = 3
 
 #: Footer layout: directory offset, directory length, CRC32 of the
 #: directory bytes, trailing magic.  Fixed-size so the loader can find the
 #: directory from the end of the file without scanning the payload.
 _SEGMENT_FOOTER = struct.Struct("<QQI4s")
 
-#: Bytes a single PL item occupies on disk: table id, column id, row id as
-#: three 64-bit integers (matches repro.index.statistics.SCR_BYTES_PER_ENTRY).
+#: Bytes a single PL item occupies in the modelled layout: table id, column
+#: id, row id as three 64-bit integers (matches
+#: repro.index.statistics.SCR_BYTES_PER_ENTRY).
 BYTES_PER_POSTING: int = 24
-
-#: Bytes per stored super key at the default 128-bit hash size.
-BYTES_PER_SUPER_KEY: int = 16
 
 
 @dataclass(frozen=True)
@@ -132,11 +138,8 @@ class _PageTable:
     pages_of_value: dict[str, tuple[int, ...]] = field(default_factory=dict)
     num_pages: int = 0
 
-    def layout(self, index: InvertedIndex, include_super_keys: bool) -> None:
+    def layout(self, index: InvertedIndex, bytes_per_item: int) -> None:
         """Assign every value's posting list to one or more pages."""
-        bytes_per_item = BYTES_PER_POSTING + (
-            BYTES_PER_SUPER_KEY if include_super_keys else 0
-        )
         current_page = 0
         used_in_page = 0
         for value in sorted(index.values()):
@@ -170,9 +173,11 @@ class PagedPostingStore:
         Capacity of the LRU buffer pool, in pages.  ``0`` disables caching
         (every access is a cold read).
     include_super_keys:
-        Whether the on-disk layout stores a super key next to every PL item
-        (the paper's per-cell layout) — this makes posting lists wider and
-        increases the number of pages a fetch touches.
+        Whether the modelled layout stores a super key of the index's key
+        width next to every PL item (the paper's per-cell layout) — this
+        makes posting lists wider and increases the number of pages a fetch
+        touches.  ``False`` models the per-row layout the ``.seg`` files
+        store, where keys live in the row table and a fetch joins them in.
     cost_model:
         Latency model used for the accounting.
     """
@@ -198,8 +203,12 @@ class PagedPostingStore:
         self.cost_model = cost_model or FetchCostModel()
         self.accounting = FetchAccounting()
         self._buffer: OrderedDict[int, None] = OrderedDict()
+        #: Bytes per PL item in the modelled layout.
+        self.bytes_per_item = BYTES_PER_POSTING + (
+            key_width(index.hash_size) if include_super_keys else 0
+        )
         self._page_table = _PageTable(page_size_bytes=page_size_bytes)
-        self._page_table.layout(index, include_super_keys)
+        self._page_table.layout(index, self.bytes_per_item)
 
     # ------------------------------------------------------------------
     # Layout introspection
@@ -215,10 +224,7 @@ class PagedPostingStore:
 
     def storage_bytes(self) -> int:
         """Total bytes of the simulated layout (pages are not padded)."""
-        bytes_per_item = BYTES_PER_POSTING + (
-            BYTES_PER_SUPER_KEY if self.include_super_keys else 0
-        )
-        return self.index.num_posting_items() * bytes_per_item
+        return self.index.num_posting_items() * self.bytes_per_item
 
     # ------------------------------------------------------------------
     # Fetching
@@ -311,7 +317,9 @@ def _region_sizes(counts: dict, width: int) -> dict[str, int]:
     A file holds exactly these regions, each 8-byte-aligned: the vocabulary
     (``value_offsets`` are *character* positions into the decoded
     ``value_text``), then the columns of the
-    :class:`~repro.storage.segment_block.SegmentBlock` of the same names.
+    :class:`~repro.storage.segment_block.SegmentBlock` of the same names —
+    8 bytes a posting (row ordinal, column) and ``16 + width`` bytes a row
+    (table id, row index, super key).
     """
     values = int(counts["values"])
     postings = int(counts["postings"])
@@ -320,10 +328,8 @@ def _region_sizes(counts: dict, width: int) -> dict[str, int]:
         "value_offsets": 8 * (values + 1),
         "value_text": int(counts["value_bytes"]),
         "posting_offsets": 8 * (values + 1),
-        "table_ids": 8 * postings,
-        "row_indexes": 8 * postings,
+        "row_ordinals": 4 * postings,
         "column_indexes": 4 * postings,
-        "posting_keys": width * postings,
         "row_table_ids": 8 * rows,
         "row_row_indexes": 8 * rows,
         "row_keys": width * rows,
@@ -335,15 +341,15 @@ def write_segment(
 ) -> Path:
     """Persist the block of an index as one binary mmap-able ``.seg`` file.
 
-    Layout: leading :data:`SEGMENT_MAGIC`, then the fixed set of
+    Layout (format v3): leading :data:`SEGMENT_MAGIC`, then the fixed set of
     8-byte-aligned raw regions of :func:`_region_sizes` (native byte order;
     the packed super keys are big-endian, exactly the vectorized prefilter
-    kernels' input), then a JSON directory of constant size — counts, the
-    region table, the hash configuration, and the empty ``spill`` /
-    ``unpacked`` lists every MATESEG2 reader expects (the format's room for
-    keys too wide for their slots, which no block holds) — and the
-    CRC-protected fixed footer.  The block is written column by column as it
-    is.
+    kernels' input, and stored once per row), then a JSON directory of
+    constant size — counts, the region table and the hash configuration —
+    and the CRC-protected fixed footer.  The block is written column by
+    column as it is.  A block of more rows than an ``int32`` row ordinal can
+    name raises :class:`~repro.exceptions.SegmentFormatError` before
+    anything is written.
 
     The file is written to a temporary sibling and atomically renamed, so a
     crash mid-write never leaves a half-segment under the target name; a
@@ -357,10 +363,8 @@ def write_segment(
         ),
         "value_text": encoded,
         "posting_offsets": block.posting_offsets,
-        "table_ids": block.table_ids,
-        "row_indexes": block.row_indexes,
+        "row_ordinals": block.row_ordinals,
         "column_indexes": block.column_indexes,
-        "posting_keys": block.posting_keys,
         "row_table_ids": block.row_table_ids,
         "row_row_indexes": block.row_row_indexes,
         "row_keys": block.row_keys,
@@ -368,12 +372,18 @@ def write_segment(
     counts = {
         "values": len(block.values),
         "value_bytes": len(encoded),
-        "postings": len(block.table_ids),
+        "postings": block.num_postings(),
         "rows": len(block.row_table_ids),
     }
+    path = Path(path)
+    if counts["rows"] > MAX_ROWS:
+        raise SegmentFormatError(
+            f"segment {path}: {counts['rows']} rows do not fit the int32 row "
+            f"ordinals of segment format v{SEGMENT_FORMAT_VERSION} (at most "
+            f"{MAX_ROWS}); split the tables over more segments"
+        )
     sizes = _region_sizes(counts, block.key_width)
 
-    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -401,8 +411,6 @@ def write_segment(
                     "key_width": block.key_width,
                     "counts": counts,
                     "regions": table,
-                    "spill": [],
-                    "unpacked": [],
                 },
                 separators=(",", ":"),
             ).encode("utf-8")
@@ -435,16 +443,18 @@ def load_segment(path: str | Path) -> InvertedIndex:
     """Map a ``.seg`` file written by :func:`write_segment` (read-only).
 
     Startup cost is the directory parse, the vocabulary (one decode, one
-    ``value -> id`` dictionary) and the structural checks: the columns stay
-    in the mapping and a value's posting views are sliced out of them at its
-    first fetch, so a multi-GB segment opens quickly and its pages are
-    shared between processes mapping the same file.  Structural damage —
+    ``value -> id`` dictionary) and the structural checks (one min / max
+    over the row ordinals): the columns stay in the mapping and a value's
+    posting view is joined out of them at its first fetch, so a multi-GB
+    segment opens quickly and its pages are shared between processes
+    mapping the same file.  Structural damage —
     wrong magic, torn footer, checksum mismatch, a region outside the
     payload or of another length than the counts imply, offsets that do not
-    partition their column, text that is not UTF-8 — files of another
-    format version or byte order, and a file listing a key too wide for its
-    slot (a non-empty ``spill``), raise
-    :class:`~repro.exceptions.SegmentFormatError`.
+    partition their column, a row ordinal outside the row table, text that
+    is not UTF-8 — and files of another format version or byte order raise
+    :class:`~repro.exceptions.SegmentFormatError`.  The refusal of an older
+    format (a v2 file: one key copy per posting) names the file, its
+    directory and its version, and the command that rebuilds the index.
     """
     path = Path(path)
     if not path.exists():
@@ -462,11 +472,7 @@ def load_segment(path: str | Path) -> InvertedIndex:
         magic = mapping[: len(SEGMENT_MAGIC)]
         if magic != SEGMENT_MAGIC:
             if magic[:-1] == SEGMENT_MAGIC[:-1]:
-                raise SegmentFormatError(
-                    f"segment file {path} has the leading magic {magic!r} of "
-                    f"another format version (this build reads only "
-                    f"{SEGMENT_MAGIC!r}); rebuild the segment"
-                )
+                _refuse_version(path, magic[-1:].decode("latin-1"), magic)
             raise SegmentFormatError(
                 f"segment file {path} has a wrong leading magic "
                 f"(not a segment file?)"
@@ -517,6 +523,17 @@ def load_segment(path: str | Path) -> InvertedIndex:
         raise
 
 
+def _refuse_version(path: Path, version: str, magic: bytes) -> NoReturn:
+    """Refuse a segment file of another format version, by name."""
+    raise SegmentFormatError(
+        f"segment file {path.name} in {path.parent} is segment format "
+        f"v{version} (leading magic {magic!r}); this release reads only "
+        f"format v{SEGMENT_FORMAT_VERSION} ({SEGMENT_MAGIC!r}) and keeps no "
+        f"converter: rebuild the index from its corpus into a new "
+        f"directory: repro index CORPUS --live-dir NEW_DIR"
+    )
+
+
 def _is_partition(bounds: list[int], total: int) -> bool:
     """Whether ``bounds`` rises strictly from 0 to ``total``."""
     return (
@@ -532,10 +549,7 @@ def _mapped_block(
     """The block of a mapped file, every structural claim checked."""
     version = int(payload["format_version"])
     if version != SEGMENT_FORMAT_VERSION:
-        raise SegmentFormatError(
-            f"segment file {path} has unsupported format version "
-            f"{version} (supported: {SEGMENT_FORMAT_VERSION})"
-        )
+        _refuse_version(path, str(version), SEGMENT_MAGIC)
     byteorder = payload["byteorder"]
     if byteorder != sys.byteorder:
         raise SegmentFormatError(
@@ -584,18 +598,19 @@ def _mapped_block(
             f"segment file {path}: the value offsets do not partition the "
             f"{len(text)} characters of vocabulary text into non-empty values"
         )
-    if payload["spill"]:
-        table_id, row_index, _key = payload["spill"][0]
-        raise SegmentFormatError(
-            f"segment file {path} lists a super key too wide for its "
-            f"{width}-byte slot (table {table_id} row {row_index}); oversize "
-            f"keys are no longer read, rebuild the segment"
-        )
     postings = int(counts["postings"])
     if not _is_partition(regions["posting_offsets"].cast("q").tolist(), postings):
         raise SegmentFormatError(
             f"segment file {path}: the posting offsets do not partition the "
             f"{postings} postings into non-empty posting lists"
+        )
+    rows = int(counts["rows"])
+    ordinals = np.frombuffer(regions["row_ordinals"], np.int32)
+    if postings and not 0 <= int(ordinals.min()) <= int(ordinals.max()) < rows:
+        raise SegmentFormatError(
+            f"segment file {path}: a posting's row ordinal lies outside its "
+            f"{rows}-row row table (ordinals {int(ordinals.min())}.."
+            f"{int(ordinals.max())})"
         )
     return SegmentBlock(
         hash_function_name=payload["hash_function"],

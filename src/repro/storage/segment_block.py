@@ -1,17 +1,24 @@
 """The extended index as one CSR block — in memory and on disk.
 
 A :class:`SegmentBlock` is the one representation of an index (Sections 3
-and 5: postings per value plus one super key per row).  It holds every
-posting in whole columns: the vocabulary in first-seen order, one
-``posting_offsets`` array cutting the columns into per-value posting lists
-(value ``i`` owns positions ``offsets[i]:offsets[i + 1]``), the three posting
-columns, the packed super key of every posting (the vectorized kernels'
-input, sliced zero-copy), and the row table — ``(table_id, row_index)``
-sorted ascending with a parallel packed key buffer — for point lookups.  The
-columns are :class:`memoryview` s (formats ``'q'`` / ``'i'`` / ``'B'``)
-whatever backs them — a numpy array, an :class:`array.array`, or a file
-mapping — so readers iterate Python integers and the numpy kernels wrap them
-without a copy.
+and 5: postings per value plus one super key per row).  It stores the
+paper's *per-row* layout: a super key exists once per row, in the row table
+— ``(table_id, row_index)`` sorted ascending with a parallel packed key
+buffer — and a posting is ``(row ordinal, column)``, the row ordinal being
+the posting's row's position in that table.  The vocabulary is kept in
+first-seen order and one ``posting_offsets`` array cuts the two posting
+columns into per-value posting lists (value ``i`` owns positions
+``offsets[i]:offsets[i + 1]``).  The columns are :class:`memoryview` s
+(formats ``'q'`` / ``'i'`` / ``'B'``) whatever backs them — a numpy array,
+an :class:`array.array`, or a file mapping — so readers iterate Python
+integers and the numpy kernels wrap them without a copy.
+
+The paper's "extra join between super keys and PLs" is a gather at fetch
+time: :meth:`SegmentBlock.arrays` hands out the columns as numpy arrays and
+a posting's table id, row index and super key are ``row_*[ordinal]``
+(:class:`~repro.index.inverted.InvertedIndex` runs that gather once per
+``fetch_batch`` for the values it has not joined yet, and memoises each
+value's view).
 
 Building, editing and writing an index are operations on these columns:
 
@@ -20,11 +27,12 @@ Building, editing and writing an index are operations on these columns:
   and per-row keys (the per-cell reference of the tests) uses
   :meth:`SegmentBlock.from_postings`;
 * :func:`merge_blocks` collapses blocks into one, purging masked tables.  It
-  reorders all columns by **one stable argsort** of the merged value ids:
-  equal ids keep block order, then posting order — the concatenation order a
-  bulk rebuild over the surviving tables produces.  Compaction merges
-  segments with it, and Section 5.4's edits are "merge without the table,
-  plus the table rebuilt".
+  reorders the posting columns by **one stable argsort** of the merged value
+  ids: equal ids keep block order, then posting order — the concatenation
+  order a bulk rebuild over the surviving tables produces — and remaps every
+  ordinal through its block's old→new row map.  Compaction merges segments
+  with it, and Section 5.4's edits are "merge without the table, plus the
+  table rebuilt".
 
 The file format around a block is :mod:`repro.storage.paged`'s.
 """
@@ -32,26 +40,31 @@ The file format around a block is :mod:`repro.storage.paged`'s.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Collection, Iterable, Iterator, Sequence
+from typing import Any, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as _np
 
 from ..exceptions import IndexError_
 from ..hashing.base import key_width
+from ..index.columnar import column_view as _view
+
+#: Rows one block may hold: a posting names its row by an ``int32`` ordinal.
+MAX_ROWS = 2**31 - 1
 
 
-def _view(data: Any, typecode: str) -> memoryview:
-    """``data``'s bytes as a flat read-only-or-not view of ``typecode`` items.
+class BlockArrays(NamedTuple):
+    """The columns of a block as numpy arrays (zero-copy), of the block's
+    typecodes — so a gather out of them exports them too."""
 
-    Cast through ``'B'``: a numpy ``int64`` array exports format ``'l'``,
-    not ``'q'``, on Linux, and every consumer compares typecodes.  A numpy
-    array is flattened first — :class:`memoryview` refuses to cast an
-    ``(0, width)`` key matrix ("zeros in shape"), which is what a block
-    without postings or rows holds.
-    """
-    if isinstance(data, _np.ndarray):
-        data = data.reshape(-1)
-    return memoryview(data).cast("B").cast(typecode)
+    offsets: Any
+    #: Per posting: the row ordinal and the column (``'i'``).
+    ordinals: Any
+    columns: Any
+    #: Per row: table id, row index (``'q'``), and the packed key, one
+    #: ``(rows, key_width)`` byte matrix.
+    row_tables: Any
+    row_rows: Any
+    row_keys: Any
 
 
 class SegmentBlock:
@@ -63,10 +76,8 @@ class SegmentBlock:
         "key_width",
         "values",
         "posting_offsets",
-        "table_ids",
-        "row_indexes",
+        "row_ordinals",
         "column_indexes",
-        "posting_keys",
         "row_table_ids",
         "row_row_indexes",
         "row_keys",
@@ -80,10 +91,8 @@ class SegmentBlock:
         key_width: int,
         values: list[str],
         posting_offsets: Any,
-        table_ids: Any,
-        row_indexes: Any,
+        row_ordinals: Any,
         column_indexes: Any,
-        posting_keys: Any,
         row_table_ids: Any,
         row_row_indexes: Any,
         row_keys: Any,
@@ -97,13 +106,11 @@ class SegmentBlock:
         #: ``len(values) + 1`` posting positions, a strictly increasing
         #: partition of the posting columns (no value has an empty list).
         self.posting_offsets = _view(posting_offsets, "q")
-        self.table_ids = _view(table_ids, "q")
-        self.row_indexes = _view(row_indexes, "q")
+        #: Per posting: its row's position in the row table, and its column.
+        self.row_ordinals = _view(row_ordinals, "i")
         self.column_indexes = _view(column_indexes, "i")
-        #: Packed big-endian super key of every posting's row (zeros where
-        #: the row has none).
-        self.posting_keys = _view(posting_keys, "B")
-        #: The row table: ``(table_id, row_index)`` ascending, keys parallel.
+        #: The row table: ``(table_id, row_index)`` ascending, packed
+        #: big-endian keys parallel.
         self.row_table_ids = _view(row_table_ids, "q")
         self.row_row_indexes = _view(row_row_indexes, "q")
         self.row_keys = _view(row_keys, "B")
@@ -130,10 +137,8 @@ class SegmentBlock:
             key_width=key_width,
             values=[],
             posting_offsets=array("q", [0]),
-            table_ids=b"",
-            row_indexes=b"",
+            row_ordinals=b"",
             column_indexes=b"",
-            posting_keys=b"",
             row_table_ids=b"",
             row_row_indexes=b"",
             row_keys=b"",
@@ -153,9 +158,10 @@ class SegmentBlock:
         row_indexes)`` in vocabulary order (a value without postings, or the
         missing value, is skipped); ``rows`` yields ``(table_id, row_index,
         key)``, a later key of a row replacing an earlier one.  The row table
-        is sorted and every posting gets its row's packed key by one sorted
+        is sorted and every posting finds its row's ordinal by one sorted
         search.  Raises :class:`ValueError` when a value's three columns
-        differ in length, or when a key does not fit the packed width.
+        differ in length, when a key does not fit the packed width, or when
+        a posting's row is not among ``rows``.
         """
         width = key_width(hash_size)
         values: list[str] = []
@@ -189,37 +195,64 @@ class SegmentBlock:
         ).reshape(-1, width)
         order = _np.lexsort((pairs[:, 1], pairs[:, 0]))
         row_tables, row_rows = pairs[order, 0], pairs[order, 1]
-        row_keys = row_keys[order]
-        # Per-posting keys: one sorted search into the row table, one gather.
-        posting_keys = _np.zeros((len(table_ids), width), dtype=_np.uint8)
-        if len(row_tables) and len(table_ids):
-            at, found = _row_positions(row_tables, row_rows, table_ids, row_indexes)
-            posting_keys[found] = row_keys[at[found]]
+        ordinals = _np.zeros(len(table_ids), dtype=_np.int32)
+        if len(table_ids):
+            if len(row_tables):
+                at, found = _row_positions(
+                    row_tables, row_rows, table_ids, row_indexes
+                )
+            else:
+                at = found = _np.zeros(len(table_ids), dtype=bool)
+            if not found.all():
+                missing = int(_np.flatnonzero(~found)[0])
+                raise ValueError(
+                    f"a posting of table {int(table_ids[missing])} row "
+                    f"{int(row_indexes[missing])} has no row in the row table"
+                )
+            _fits(len(row_tables))
+            ordinals = at.astype(_np.int32)
         return cls(
             hash_function_name=hash_function_name,
             hash_size=hash_size,
             key_width=width,
             values=values,
             posting_offsets=offsets,
-            table_ids=table_ids,
-            row_indexes=row_indexes,
+            row_ordinals=ordinals,
             column_indexes=column_indexes,
-            posting_keys=posting_keys,
             row_table_ids=row_tables,
             row_row_indexes=row_rows,
-            row_keys=row_keys,
+            row_keys=row_keys[order],
         )
+
+    def arrays(self) -> BlockArrays:
+        """The columns as numpy arrays over the same buffers (no copy)."""
+        return BlockArrays(
+            _np.frombuffer(self.posting_offsets, "q"),
+            _np.frombuffer(self.row_ordinals, "i"),
+            _np.frombuffer(self.column_indexes, "i"),
+            _np.frombuffer(self.row_table_ids, "q"),
+            _np.frombuffer(self.row_row_indexes, "q"),
+            _np.frombuffer(self.row_keys, _np.uint8).reshape(-1, self.key_width),
+        )
+
+    def num_postings(self) -> int:
+        """Number of PL items."""
+        return len(self.column_indexes)
 
     def postings(self) -> Iterator[tuple[str, memoryview, memoryview, memoryview]]:
         """``(value, table_ids, column_indexes, row_indexes)`` of every value
-        in vocabulary order, the columns zero-copy slices of the block's."""
+        in vocabulary order: the row columns joined through the ordinals
+        once, then sliced per value."""
+        columns = self.arrays()
+        table_ids = _view(columns.row_tables[columns.ordinals], "q")
+        row_indexes = _view(columns.row_rows[columns.ordinals], "q")
         bounds = self.posting_offsets
         for value, start, end in zip(self.values, bounds, bounds[1:]):
             yield (
                 value,
-                self.table_ids[start:end],
+                table_ids[start:end],
                 self.column_indexes[start:end],
-                self.row_indexes[start:end],
+                row_indexes[start:end],
             )
 
 
@@ -240,6 +273,24 @@ def _joined(columns: Iterable[Any], typecode: str) -> Any:
         ),
         _np.int32 if typecode == "i" else _np.int64,
     )
+
+
+def _fits(rows: int) -> None:
+    """Refuse a row table too long for ``int32`` row ordinals."""
+    if rows > MAX_ROWS:
+        raise IndexError_(
+            f"a block holds at most {MAX_ROWS} rows (postings store int32 "
+            f"row ordinals), not {rows}"
+        )
+
+
+def row_ordinals(order: Any) -> Any:
+    """Where each row lands in the sorted row table: the inverse of the
+    permutation ``order`` that sorts the rows, as ``int32`` ordinals."""
+    _fits(len(order))
+    ordinals = _np.empty(len(order), dtype=_np.int32)
+    ordinals[order] = _np.arange(len(order), dtype=_np.int32)
+    return ordinals
 
 
 def _row_positions(row_tables, row_rows, table_ids, row_indexes):
@@ -278,17 +329,18 @@ def visible_counts(
     block: SegmentBlock, masked: Collection[int]
 ) -> tuple[list[int], int]:
     """``(postings per value id, rows)`` of ``block`` outside the ``masked``
-    tables, counted on the table-id columns and the offsets — what a live
-    index reports for a segment some of whose tables a tombstone hides,
+    tables, counted on the row table, the ordinals and the offsets — what a
+    live index reports for a segment some of whose tables a tombstone hides,
     without walking (or slicing) a single posting list."""
+    columns = block.arrays()
     dead = _np.fromiter(masked, _np.int64, len(masked))
-    alive = ~_np.isin(_np.frombuffer(block.table_ids, _np.int64), dead)
-    starts = _np.frombuffer(block.posting_offsets, _np.int64)[:-1]
+    alive_rows = ~_np.isin(columns.row_tables, dead)
+    alive = alive_rows[columns.ordinals]
+    starts = columns.offsets[:-1]
     lengths = (
         _np.add.reduceat(alive.astype(_np.int64), starts) if len(starts) else starts
     )
-    rows = _np.frombuffer(block.row_table_ids, _np.int64)
-    return lengths.tolist(), int(len(rows) - _np.isin(rows, dead).sum())
+    return lengths.tolist(), int(alive_rows.sum())
 
 
 # ----------------------------------------------------------------------
@@ -320,7 +372,7 @@ def merge_blocks(
                 f"{first.key_width}) and {block.hash_size}-bit "
                 f"{block.hash_function_name} (key width {block.key_width})"
             )
-    values, columns = _merge(blocks, masks, first.key_width)
+    values, columns = _merge(blocks, masks)
     return SegmentBlock(
         hash_function_name=first.hash_function_name,
         hash_size=first.hash_size,
@@ -330,53 +382,55 @@ def merge_blocks(
     )
 
 
-def _merge(blocks, masks, width: int) -> tuple[list[str], dict[str, Any]]:
+def _merge(blocks, masks) -> tuple[list[str], dict[str, Any]]:
     """``(the merged vocabulary, the merged columns by name)``, as
-    whole-column numpy operations."""
+    whole-column numpy operations.
+
+    Every block's surviving rows are numbered after those of the blocks
+    before it (masked rows get -1, and so do their postings, which then
+    drop out); one argsort of the concatenated row table then places each
+    row in the merged table, and the postings' ordinals follow through the
+    inverse of that sort."""
     merged_of: dict[str, int] = {}
     parts: list[tuple] = []
     row_parts: list[tuple] = []
+    rows_before = 0
     for block, masked in zip(blocks, masks):
-        offsets = _np.frombuffer(block.posting_offsets, _np.int64)
-        table_ids = _np.frombuffer(block.table_ids, _np.int64)
-        row_indexes = _np.frombuffer(block.row_indexes, _np.int64)
-        column_indexes = _np.frombuffer(block.column_indexes, _np.int32)
-        keys = _np.frombuffer(block.posting_keys, _np.uint8).reshape(-1, width)
-        row_tables = _np.frombuffer(block.row_table_ids, _np.int64)
-        row_rows = _np.frombuffer(block.row_row_indexes, _np.int64)
-        row_keys = _np.frombuffer(block.row_keys, _np.uint8).reshape(-1, width)
+        offsets, ordinals, columns, row_tables, row_rows, row_keys = block.arrays()
         count = len(block.values)
         local = _np.repeat(_np.arange(count), _np.diff(offsets))
         if masked:
             dead = _np.fromiter(masked, _np.int64, len(masked))
-            keep = ~_np.isin(table_ids, dead)
-            local = local[keep]
-            table_ids, row_indexes = table_ids[keep], row_indexes[keep]
-            column_indexes, keys = column_indexes[keep], keys[keep]
+            alive = ~_np.isin(row_tables, dead)
+            # This block's old -> new row map (-1: masked).
+            renumbered = _np.cumsum(alive) - 1 + rows_before
+            renumbered[~alive] = -1
+            ordinals = renumbered[ordinals]
+            keep = ordinals >= 0
+            local, ordinals, columns = local[keep], ordinals[keep], columns[keep]
             survives = (_np.bincount(local, minlength=count) > 0).tolist()
-            keep = ~_np.isin(row_tables, dead)
             row_tables, row_rows, row_keys = (
-                row_tables[keep],
-                row_rows[keep],
-                row_keys[keep],
+                row_tables[alive],
+                row_rows[alive],
+                row_keys[alive],
             )
         else:
+            ordinals = ordinals + _np.int64(rows_before)
             survives = [True] * count
         # Local -> merged value ids through the one union dict; a value
         # with no surviving posting here never enters the vocabulary.
         setdefault = merged_of.setdefault
         merged = _np.array(
             [
-                setdefault(value, len(merged_of)) if alive else -1
-                for value, alive in zip(block.values, survives)
+                setdefault(value, len(merged_of)) if alive_value else -1
+                for value, alive_value in zip(block.values, survives)
             ],
             dtype=_np.int64,
         )
-        parts.append((merged[local], table_ids, row_indexes, column_indexes, keys))
+        parts.append((merged[local], ordinals, columns))
         row_parts.append((row_tables, row_rows, row_keys))
-    merged_ids, table_ids, row_indexes, column_indexes, keys = map(
-        _np.concatenate, zip(*parts)
-    )
+        rows_before += len(row_tables)
+    merged_ids, ordinals, columns = map(_np.concatenate, zip(*parts))
     # Stable: equal ids keep block order, then posting order.
     order = _np.argsort(merged_ids, kind="stable")
     offsets = _np.zeros(len(merged_of) + 1, dtype=_np.int64)
@@ -385,10 +439,8 @@ def _merge(blocks, masks, width: int) -> tuple[list[str], dict[str, Any]]:
     row_order = _np.lexsort((row_rows, row_tables))
     return list(merged_of), {
         "posting_offsets": offsets,
-        "table_ids": table_ids[order],
-        "row_indexes": row_indexes[order],
-        "column_indexes": column_indexes[order],
-        "posting_keys": keys[order],
+        "row_ordinals": row_ordinals(row_order)[ordinals[order]],
+        "column_indexes": columns[order],
         "row_table_ids": row_tables[row_order],
         "row_row_indexes": row_rows[row_order],
         "row_keys": row_keys[row_order],

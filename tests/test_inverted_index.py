@@ -82,14 +82,22 @@ class TestInvertedIndex:
         assert fetched[0].super_key == 0b11
 
     def test_fetch_grouped_by_table(self):
-        index = hand_built([("x", 0, 0, 0), ("x", 1, 0, 0), ("y", 1, 1, 3)])
+        index = hand_built(
+            [("x", 0, 0, 0), ("x", 1, 0, 0), ("y", 1, 1, 3)],
+            [(0, 0, 0), (1, 0, 0), (1, 3, 0)],
+        )
         grouped = index.fetch_grouped_by_table(["x", "y"])
         assert set(grouped) == {0, 1}
         assert len(grouped[1]) == 2
 
     def test_posting_count_for_values_deduplicates(self):
-        index = hand_built([("x", 0, 0, 0), ("x", 0, 0, 1)])
+        index = hand_built([("x", 0, 0, 0), ("x", 0, 0, 1)], [(0, 0, 0), (0, 1, 0)])
         assert index.posting_count_for_values(["x", "x", "z"]) == 2
+
+    def test_posting_without_a_row_is_refused(self):
+        # A posting names its row by its ordinal in the row table.
+        with pytest.raises(ValueError, match="table 1 row 3 has no row"):
+            hand_built([("x", 0, 0, 0), ("y", 1, 1, 3)], [(0, 0, 0)])
 
     def test_iter_super_keys(self):
         index = hand_built(keys=[(2, 3, 9), (0, 0, 5), (1, 1, 1 << 100)])

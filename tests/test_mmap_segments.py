@@ -13,12 +13,12 @@ Covers the whole contract of the persisted columnar segment format:
   and the maintainer refuses it;
 * structural damage — truncation, wrong magic, torn footer, checksum
   mismatch, a region outside the payload or of the wrong length, offsets
-  that do not partition their column, text that is not UTF-8, a file of the
+  that do not partition their column, text that is not UTF-8, a file of a
   previous format version or of a foreign byte order — raises the typed
-  :class:`~repro.exceptions.SegmentFormatError`, never garbage output;
-* the directory's ``spill`` / ``unpacked`` lists are written empty, and a
-  file whose ``spill`` lists an oversize super key (older builds wrote
-  them) is refused by name;
+  :class:`~repro.exceptions.SegmentFormatError`, never garbage output (the
+  v3-specific refusals — row ordinals, v2 files, directories holding one —
+  are in ``tests/test_segment_format.py``);
+* the directory holds no ``spill`` / ``unpacked`` lists any more;
 * the live-index directory: seal persists ``.seg`` files, reopening
   recovers identical fetches, a manifest naming a JSON segment file (the
   format before ``.seg``) is refused by name, and what a crash leaves beside
@@ -314,24 +314,16 @@ class TestRoundTrip:
         assert completed.returncode == 0, completed.stderr
         assert json.loads(completed.stdout) == fetch_signature(index)
 
-    def test_oversize_spilled_key_is_refused(self, segment, tmp_path):
-        """Older builds moved a key wider than its slot into the directory's
-        ``spill`` list; such a file is refused, naming it and the row."""
+    def test_directory_holds_no_spill_lists(self, segment):
+        """Format v3's directory is counts, regions and the hash
+        configuration: the ``spill`` / ``unpacked`` lists of v2 (its room for
+        keys too wide for their slots, never filled) are gone."""
         _corpus, _index, path = segment
         data = Path(path).read_bytes()
         offset, length, _crc, _magic = FOOTER.unpack(data[-FOOTER.size :])
         directory = json.loads(data[offset : offset + length])
-        assert (directory["spill"], directory["unpacked"]) == ([], [])
-
-        def spill(directory):
-            directory["spill"] = [[0, 0, format(1 << 300, "x")]]
-            directory["unpacked"] = [0]
-
-        bad = rewrite(Path(path), tmp_path / f"wide{SEGMENT_SUFFIX}", directory=spill)
-        with pytest.raises(SegmentFormatError) as raised:
-            load_segment(bad)
-        assert str(bad) in str(raised.value)
-        assert "table 0 row 0" in str(raised.value)
+        assert "spill" not in directory and "unpacked" not in directory
+        assert directory["format_version"] == 3
 
     @pytest.mark.parametrize("rows", [False, True], ids=["empty", "rows-only"])
     def test_index_without_postings_round_trips(self, tmp_path, rows):
@@ -483,7 +475,7 @@ class TestStructuralDamage:
         _corpus, _index, path = segment
 
         def shorten(directory):
-            directory["regions"]["table_ids"][1] -= 8
+            directory["regions"]["row_ordinals"][1] -= 8
 
         bad = rewrite(Path(path), tmp_path / "short.seg", directory=shorten)
         with pytest.raises(SegmentFormatError, match="counts"):
@@ -560,10 +552,10 @@ class TestStructuralDamage:
         _corpus, _index, path = segment
 
         def bump(directory):
-            directory["format_version"] = 3
+            directory["format_version"] = 2
 
-        bad = rewrite(Path(path), tmp_path / "v3.seg", directory=bump)
-        with pytest.raises(SegmentFormatError, match="format version 3"):
+        bad = rewrite(Path(path), tmp_path / "v2.seg", directory=bump)
+        with pytest.raises(SegmentFormatError, match="format v2"):
             load_segment(bad)
 
     def test_foreign_byte_order_is_refused_by_name(self, segment, tmp_path):

@@ -46,6 +46,23 @@ class TestFetchCostModel:
 
 
 class TestPagedPostingStoreLayout:
+    @pytest.mark.parametrize("hash_size, key_bytes", [(128, 16), (512, 64)])
+    def test_per_cell_layout_is_modelled_at_the_index_key_width(
+        self, corpus_and_index, hash_size, key_bytes
+    ):
+        corpus, _ = corpus_and_index
+        index = build_index(
+            corpus, config=MateConfig(hash_size=hash_size, expected_unique_values=100_000)
+        )
+        postings = index.num_posting_items()
+        store = PagedPostingStore(index, page_size_bytes=4096)
+        assert store.storage_bytes() == postings * (24 + key_bytes)
+        per_row = PagedPostingStore(index, page_size_bytes=4096, include_super_keys=False)
+        assert per_row.storage_bytes() == postings * 24
+        # Wider keys, wider posting lists: more pages to read.
+        assert store.num_pages > per_row.num_pages
+        assert store.num_pages >= -(-postings * (24 + key_bytes) // 4096)
+
     def test_every_indexed_value_has_pages(self, corpus_and_index):
         _, index = corpus_and_index
         store = PagedPostingStore(index)

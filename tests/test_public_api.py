@@ -281,6 +281,8 @@ REMOVED_TABLE_PATH_NAMES = [
     ("repro.index.kernels", "_entry_scalar"),
     ("repro.storage.segment_block", "Spill"),
     ("repro.storage.segment_block", "_unpacked"),
+    # The paged-store model reads the index's key width.
+    ("repro.storage.paged", "BYTES_PER_SUPER_KEY"),
 ]
 
 
@@ -303,6 +305,10 @@ def test_the_table_at_a_time_path_is_gone(module_name, name):
         ("repro.storage.segment_block.SegmentBlock", "spill"),
         ("repro.storage.segment_block.SegmentBlock", "unpacked"),
         ("repro.index.inverted.RowKeys", "_spill"),
+        # Segment format v3: a posting is (row ordinal, column).
+        ("repro.storage.segment_block.SegmentBlock", "table_ids"),
+        ("repro.storage.segment_block.SegmentBlock", "row_indexes"),
+        ("repro.storage.segment_block.SegmentBlock", "posting_keys"),
     ],
 )
 def test_the_table_path_members_are_gone(owner, name):
