@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 from ..config import MateConfig
 from ..datamodel import TableCorpus
 from ..hashing import SuperKeyGenerator
-from .bulk import build_block
+from .bulk import encode_tables, encoded_block
 from .inverted import InvertedIndex
 
 if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
@@ -88,7 +88,9 @@ class IndexBuilder:
         per-column :class:`~repro.sketch.minhash.ColumnSketch` entries,
         so an offline build can persist the pair
         (:meth:`~repro.sketch.index.SketchIndex.save`) next to its
-        segments and serve sketch-mode requests without any rebuild.
+        segments and serve sketch-mode requests without any rebuild.  The
+        whole corpus is signed in one pass from the build's own dictionary
+        pass: no cell is interned twice.
         """
         from ..sketch import SketchIndex
 
@@ -102,12 +104,13 @@ class IndexBuilder:
     ) -> InvertedIndex:
         """One bulk build: the index serves one CSR block."""
         started = time.perf_counter()
+        tables = list(corpus)
+        encoded = encode_tables(tables)
         index = InvertedIndex(
-            build_block(corpus, self.super_key_generator, self.hash_function_name)
+            encoded_block(encoded, self.super_key_generator, self.hash_function_name)
         )
         if sketch_index is not None:
-            for table in corpus:
-                sketch_index.add_table(table)
+            sketch_index.add_tables(tables, encoded)
         self.last_report = IndexBuildReport(
             hash_function=self.hash_function_name,
             hash_size=self.config.hash_size,

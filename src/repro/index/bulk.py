@@ -159,7 +159,13 @@ def build_block(
     corpus: Iterable[Table], generator: SuperKeyGenerator, hash_function_name: str
 ) -> "SegmentBlock":
     """The CSR block of every table of ``corpus`` (see the module docstring)."""
-    encoded = encode_tables(list(corpus))
+    return encoded_block(encode_tables(list(corpus)), generator, hash_function_name)
+
+
+def encoded_block(
+    encoded: EncodedTables, generator: SuperKeyGenerator, hash_function_name: str
+) -> "SegmentBlock":
+    """The CSR block of the tables whose dictionary pass is ``encoded``."""
     keys = row_keys(generator.hash_matrix(encoded.values), encoded)
     return layout_block(
         encoded.values,

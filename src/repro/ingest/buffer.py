@@ -28,7 +28,7 @@ further mutation raises :class:`~repro.exceptions.IndexClosedError`.
 from __future__ import annotations
 
 from itertools import compress, count, repeat
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 import numpy as _np
 
@@ -44,8 +44,25 @@ from ..index import (
     InvertedIndex,
     PostingListItem,
 )
-from ..index.bulk import encode_tables, layout_block, row_keys
+from ..index.bulk import EncodedTables, encode_tables, layout_block, row_keys
 from ..index.columnar import column_view
+
+
+class StagedTable(NamedTuple):
+    """A table :meth:`IngestBuffer.stage` encoded for :meth:`IngestBuffer.install`."""
+
+    table: Table
+    #: The table's dictionary pass (what its sketches are signed from).
+    encoded: EncodedTables
+    #: Values new to the buffer, in the order they get the next ids.
+    fresh_values: list[str]
+    #: Buffer id of each value of :attr:`encoded`, and its posting count.
+    buffer_ids: Any
+    value_counts: Any
+    #: ``(buffer value id, row, column)`` per non-missing cell.
+    cells: tuple[Any, Any, Any]
+    #: ``(table id, row index, super key)`` per row.
+    rows: tuple[Any, Any, Any]
 
 
 class IngestBuffer:
@@ -146,7 +163,7 @@ class IngestBuffer:
                 "compacted into an immutable segment and accepts no writes"
             )
 
-    def stage(self, table: Table) -> tuple:
+    def stage(self, table: Table) -> StagedTable:
         """Encode ``table`` for :meth:`install` — interning and hashing, so
         whatever can raise does it here — leaving the buffer untouched.  A
         staged table must be installed (or dropped) before the next write."""
@@ -164,8 +181,9 @@ class IngestBuffer:
         fresh = buffer_ids < 0
         fresh_values = list(compress(values, fresh.tolist()))
         buffer_ids[fresh] = _np.arange(known, known + len(fresh_values))
-        return (
+        return StagedTable(
             table,
+            encoded,
             fresh_values,
             buffer_ids,
             _np.bincount(local_ids, minlength=len(values)),
@@ -173,10 +191,10 @@ class IngestBuffer:
             (encoded.row_tables, encoded.row_rows, keys),
         )
 
-    def install(self, staged: tuple, seq: int) -> int:
+    def install(self, staged: StagedTable, seq: int) -> int:
         """Make a staged table readable under sequence number ``seq``;
         returns the number of indexed rows."""
-        table, fresh_values, buffer_ids, value_counts, cells, rows = staged
+        table, _encoded, fresh_values, buffer_ids, value_counts, cells, rows = staged
         known = len(self._ids) - 1
         if self._view is not None:
             self._counts = self._counts.copy()

@@ -88,6 +88,23 @@ def _refuse_file(path: Path) -> None:
     raise StorageError(f"{path} is a file, not a live-index directory")
 
 
+def _refuse_sketch_pair(directory: Path) -> None:
+    """Refuse a directory an older build wrote, before touching a file.
+
+    Its whole-store ``sketches.json`` / ``sketches.bin`` pair came before
+    per-segment ``.sk`` files, and so did the segment format its ``.seg``
+    files are in: nothing in it is read any more.
+    """
+    for name in (f"{SKETCH_FILE_STEM}.json", f"{SKETCH_FILE_STEM}.bin"):
+        if (directory / name).exists():
+            raise StorageError(
+                f"{directory} holds {name}, the whole-store sketch file of an "
+                "earlier release whose live-index directories this release "
+                "no longer reads; rebuild the index from its corpus into a "
+                "new directory: repro index CORPUS --live-dir NEW_DIR"
+            )
+
+
 class _Manifest(NamedTuple):
     """The parsed ``manifest.json`` of a live-index directory."""
 
@@ -633,10 +650,10 @@ class LiveIndex:
         """Ingest one table; returns rows.
 
         The order is encode, sketch, log, install: the buffer stages the
-        table (interning, hashing) and the sketch store signs it before
-        the WAL append, and what follows the append cannot fail — a table
-        that cannot be indexed raises here and leaves no record that would
-        raise again at every replay.
+        table (interning, hashing) and the sketch store signs it from the
+        staged encoding before the WAL append, and what follows the append
+        cannot fail — a table that cannot be indexed raises here and leaves
+        no record that would raise again at every replay.
 
         Raises :class:`~repro.exceptions.IndexError_` when the table id is
         already visible — remove it first; re-adding after removal is fine.
@@ -649,7 +666,7 @@ class LiveIndex:
                     "before re-adding"
                 )
             staged = self._buffer.stage(table)
-            self._sketch.add_table(table)
+            self._sketch.add_table(table, staged.encoded)
             seq = self._seq + 1
             if self._wal is not None:
                 try:
@@ -958,26 +975,13 @@ class LiveIndex:
         the tables visible from its segment (the rule of postings: a
         tombstoned copy stays dead, a re-added id reads its newest copy).
 
-        A directory still holding the whole-store ``sketches.json`` /
-        ``sketches.bin`` pair of an older build is migrated first: the pair's
-        sketches are dealt to their segments' files by table id, and the
-        pair goes once those are durable.  A missing or corrupt file leaves
-        the store stale — flagged, never guessed, because column sketches
-        cannot be rebuilt from postings.
+        Only signatures are read: the store buckets them at its first
+        sketch-mode read.  A missing or corrupt file leaves the store stale
+        — flagged, never guessed, because column sketches cannot be rebuilt
+        from postings.
         """
         assert self.directory is not None
-        legacy = self.directory / f"{SKETCH_FILE_STEM}.json"
         try:
-            if legacy.exists():
-                whole = SketchIndex.load_legacy(self.directory)
-                for segment in self._segments:
-                    whole.save(
-                        self.directory,
-                        stem=_segment_stem(segment.generation),
-                        table_ids=self._visible_tables(segment),
-                        fsync=self._fsync,
-                    )
-                legacy.unlink()
             for segment in self._segments:
                 self._sketch.load_file(
                     self.directory / (_segment_stem(segment.generation) + SKETCH_SUFFIX),
@@ -993,21 +997,15 @@ class LiveIndex:
         A crash between a segment's rename and the manifest write leaves a
         full segment (with or without its sketch file) nothing references,
         one between the manifest write and a merge's unlinks leaves the
-        superseded files, one mid-write leaves ``*.tmp`` siblings, and one
-        at the end of a sketch migration leaves ``sketches.bin`` without
-        its manifest.  The directory has a single writer and the manifest
-        is the truth, so none of them can be live.
+        superseded files, and one mid-write leaves ``*.tmp`` siblings.  The
+        directory has a single writer and the manifest is the truth, so none
+        of them can be live.
         """
         assert self.directory is not None
-        stray = set()
-        if not (self.directory / f"{SKETCH_FILE_STEM}.json").exists():
-            stray.add(f"{SKETCH_FILE_STEM}.bin")
         for path in self.directory.iterdir():
             name = path.name
-            if (
-                name.endswith(".tmp")
-                or name in stray
-                or (name.startswith("segment-") and name not in named)
+            if name.endswith(".tmp") or (
+                name.startswith("segment-") and name not in named
             ):
                 path.unlink(missing_ok=True)
 
@@ -1037,8 +1035,9 @@ class LiveIndex:
                 assert record.table is not None
                 # Same gate as add_table(); replay is lenient, not raising.
                 if not self._visible_locked(record.table.table_id):
-                    self._buffer.add_table(record.table, record.seq)
-                    self._sketch.add_table(record.table)
+                    staged = self._buffer.stage(record.table)
+                    self._sketch.add_table(record.table, staged.encoded)
+                    self._buffer.install(staged, record.seq)
                     self._recovered.append(record.table)
             else:
                 assert record.table_id is not None
@@ -1052,6 +1051,7 @@ class LiveIndex:
 
     def _recover(self) -> None:
         assert self.directory is not None
+        _refuse_sketch_pair(self.directory)
         manifest = _read_manifest(self.directory)
         named: set[str] = set()
         if manifest is not None:

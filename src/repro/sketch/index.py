@@ -13,20 +13,30 @@ out before the exact pipeline ever fetches their postings.
 signature (``8 * rows`` bytes; ``bytes`` are not tracked by the garbage
 collector, a tuple of integers is) and holds a bare table id until a second
 table shares it, then a set — most buckets of a lake have one member, and
-the store holds ``bands`` of them per column.
+the store holds ``bands`` of them per column.  Buckets are derived state:
+writes and loads store signatures only, and the first
+:meth:`~SketchIndex.candidate_tables` / :meth:`~SketchIndex.query` after
+them buckets every table added or loaded since the last read, under the
+store lock.  Exact requests never read buckets, so acks, restarts and the
+builds that only persist a store never pay for them.
+
+**Signing.**  A batch of tables is signed from its dictionary pass
+(:func:`~repro.index.bulk.encode_tables`; a live index hands over the one
+its buffer staged): one sort of ``(column, value id)`` codes over the
+non-missing cells gives each column's distinct ids and cardinality, each
+vocabulary value is hashed once through the store's memo, and
+:func:`~repro.sketch.minhash.sign_columns` permutes them all.
 
 **Persistence.**  One self-describing file per store (``<stem>.sk``): a
 header with the shape and seed, the ``(table, column, cardinality)`` entries,
 the packed signatures, a CRC.  It is written to a temporary name, fsynced and
 atomically renamed into place, with the directory fsynced afterwards — the
 ``.seg`` discipline of :mod:`repro.ingest.live`, whose directories hold one
-such file per segment.  :meth:`SketchIndex.load_legacy` still reads the
-``<stem>.json`` + ``<stem>.bin`` pair older builds wrote.
+such file per segment.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import threading
@@ -36,16 +46,20 @@ from pathlib import Path
 from typing import Collection, Iterable, Iterator, Sequence
 from zlib import crc32
 
-from ..datamodel import MISSING, Table
+import numpy as _np
+
+from ..datamodel import Table
 from ..exceptions import ConfigurationError, StorageError
 from ..hashing.base import Memo
+from ..index.bulk import EncodedTables, encode_tables
 from .minhash import (
     ColumnSketch,
-    column_signatures,
+    containment_estimates,
     hash_value,
     minhash_signature,
     pack_signature,
     permutation_params,
+    sign_columns,
 )
 
 #: On-disk format version of a sketch file.
@@ -62,12 +76,6 @@ SKETCH_FILE_STEM = "sketches"
 #: foreign byte order fails the version check.
 _HEADER = struct.Struct("=4sIIIIQQ")
 _CHECKSUM = struct.Struct("=I")
-
-#: The pair format older builds wrote (read by :meth:`SketchIndex.load_legacy`).
-_LEGACY_FORMAT_VERSION = 1
-_LEGACY_MAGIC = b"MSKB"
-_LEGACY_HEADER = struct.Struct("<4sIIQ")
-_LEGACY_ENTRY = struct.Struct("<QIQ")
 
 
 @dataclass(frozen=True)
@@ -118,6 +126,8 @@ class SketchIndex:
         self._buckets: list[dict[bytes, int | set[int]]] = [
             {} for _ in range(self.config.bands)
         ]
+        #: Stored tables not in the buckets yet: the next read buckets them.
+        self._unbucketed: set[int] = set()
         #: ``value -> base hash``: a value recurring across the columns and
         #: tables this store sketches is hashed once.
         self._value_hashes: Memo[int] = Memo(hash_value)
@@ -141,44 +151,81 @@ class SketchIndex:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def add_table(self, table: Table) -> int:
+    def add_table(self, table: Table, encoded: EncodedTables | None = None) -> int:
         """Sketch every non-empty column of ``table``; returns columns added.
 
-        All columns are signed in one pass
-        (:func:`~repro.sketch.minhash.column_signatures`) before the first
-        is stored: a table that cannot be sketched leaves no trace.
+        ``encoded`` is the table's dictionary pass when the caller already
+        ran it (``encode_tables((table,))``: a live index's staged table).
         """
-        columns = []
-        for column_index, cells in enumerate(zip(*table.rows)):
-            values = set(cells)
-            values.discard(MISSING)
-            if values:
-                columns.append((column_index, values))
-        signatures = column_signatures(
-            [values for _column_index, values in columns],
-            *self._params,
-            hash_of=self._value_hashes,
-        )
-        with self._lock:
-            for (column_index, values), packed in zip(columns, signatures):
-                self.add_column_sketch(
-                    ColumnSketch(table.table_id, column_index, len(values), packed)
-                )
-        return len(columns)
+        return self.add_tables((table,), encoded)
 
-    def add_column_sketch(self, sketch: ColumnSketch) -> None:
-        """Insert one prebuilt column sketch (the load / builder path)."""
-        table_id = sketch.table_id
+    def add_tables(
+        self, tables: Sequence[Table], encoded: EncodedTables | None = None
+    ) -> int:
+        """Sketch every non-empty column of ``tables`` in one pass; returns
+        columns added.  ``encoded`` is their dictionary pass when the caller
+        already ran it.  All columns are signed before the first is stored:
+        a batch that cannot be sketched leaves no trace."""
+        if encoded is None:
+            encoded = encode_tables(tables)
+        sketches = self._sign(tables, encoded)
         with self._lock:
-            self._sketches.setdefault(table_id, {})[sketch.column_index] = sketch
-            for bucket, key in zip(self._buckets, self._band_keys(sketch.packed)):
-                members = bucket.get(key)
-                if members is None:
-                    bucket[key] = table_id
-                elif isinstance(members, set):
-                    members.add(table_id)
-                elif members != table_id:
-                    bucket[key] = {members, table_id}
+            for sketch in sketches:
+                self._store_locked(sketch)
+        return len(sketches)
+
+    def _sign(
+        self, tables: Sequence[Table], encoded: EncodedTables
+    ) -> list[ColumnSketch]:
+        """The sketch of every column of ``tables`` holding a value (see the
+        module docstring), in table, then column order."""
+        num_values = len(encoded.values)
+        if not num_values:
+            return []
+        value_ids, cell_rows, cell_columns = encoded.cells()
+        widths = _np.fromiter((t.num_columns for t in tables), _np.int64, len(tables))
+        rows = _np.fromiter((t.num_rows for t in tables), _np.int64, len(tables))
+        # Column ``c`` of the batch's table ``t`` is column
+        # ``first_columns[t] + c`` of the batch.
+        first_columns = _np.cumsum(widths) - widths
+        cell_slots = _np.repeat(first_columns, rows)[cell_rows] + cell_columns
+        codes = cell_slots * num_values + value_ids
+        codes.sort()
+        codes = codes[_np.concatenate(([True], codes[1:] != codes[:-1]))]
+        slots, ids = _np.divmod(codes, num_values)
+        starts = _np.flatnonzero(_np.concatenate(([True], slots[1:] != slots[:-1])))
+        hashes = _np.fromiter(
+            map(self._value_hashes.__getitem__, encoded.values),
+            _np.uint64,
+            num_values,
+        )
+        packed = sign_columns(hashes[ids], starts, *self._params).tobytes()
+        slots = slots[starts]
+        positions = _np.searchsorted(first_columns, slots, "right") - 1
+        width = 8 * self.config.num_perm
+        return [
+            ColumnSketch(
+                tables[position].table_id, column, cardinality, packed[at : at + width]
+            )
+            for position, column, cardinality, at in zip(
+                positions.tolist(),
+                (slots - first_columns[positions]).tolist(),
+                _np.diff(starts, append=len(codes)).tolist(),
+                range(0, len(packed), width),
+            )
+        ]
+
+    def _store_locked(self, sketch: ColumnSketch) -> None:
+        """Store ``sketch``; its table is bucketed (again) by the next read."""
+        table_id = sketch.table_id
+        columns = self._sketches.get(table_id)
+        if columns is None:
+            columns = self._sketches[table_id] = {}
+            self._unbucketed.add(table_id)
+        elif table_id not in self._unbucketed:
+            self._unbucket_locked(table_id, columns.values())
+            self._unbucketed.add(table_id)
+        columns[sketch.column_index] = sketch
 
     def remove_table(self, table_id: int) -> bool:
         """Drop every sketch of ``table_id``; returns whether any existed."""
@@ -186,18 +233,45 @@ class SketchIndex:
             columns = self._sketches.pop(table_id, None)
             if columns is None:
                 return False
-            for sketch in columns.values():
-                for bucket, key in zip(
-                    self._buckets, self._band_keys(sketch.packed)
-                ):
-                    members = bucket.get(key)
-                    if isinstance(members, set):
-                        members.discard(table_id)
-                        if len(members) == 1:
-                            (bucket[key],) = members
-                    elif members == table_id:
-                        del bucket[key]
+            if table_id in self._unbucketed:
+                self._unbucketed.discard(table_id)
+            else:
+                self._unbucket_locked(table_id, columns.values())
             return True
+
+    def fill_buckets(self) -> None:
+        """Bucket every table stored since the last read now, as the next
+        read would first (for a store built to be read at once)."""
+        with self._lock:
+            self._bucket_locked()
+
+    def _bucket_locked(self) -> None:
+        """Put every table stored since the last read into the buckets."""
+        for table_id in self._unbucketed:
+            for sketch in self._sketches[table_id].values():
+                for bucket, key in zip(self._buckets, self._band_keys(sketch.packed)):
+                    members = bucket.get(key)
+                    if members is None:
+                        bucket[key] = table_id
+                    elif isinstance(members, set):
+                        members.add(table_id)
+                    elif members != table_id:
+                        bucket[key] = {members, table_id}
+        self._unbucketed.clear()
+
+    def _unbucket_locked(
+        self, table_id: int, sketches: Iterable[ColumnSketch]
+    ) -> None:
+        """Take the ``sketches`` of a bucketed table out of the buckets."""
+        for sketch in sketches:
+            for bucket, key in zip(self._buckets, self._band_keys(sketch.packed)):
+                members = bucket.get(key)
+                if isinstance(members, set):
+                    members.discard(table_id)
+                    if len(members) == 1:
+                        (bucket[key],) = members
+                elif members == table_id:
+                    del bucket[key]
 
     # ------------------------------------------------------------------
     # Lookup
@@ -241,6 +315,7 @@ class SketchIndex:
         """Tables sharing at least one LSH bucket with ``signature``."""
         candidates: set[int] = set()
         with self._lock:
+            self._bucket_locked()
             for bucket, key in zip(
                 self._buckets, self._band_keys(pack_signature(signature))
             ):
@@ -261,23 +336,36 @@ class SketchIndex:
 
         Banded LSH proposes tables, the stored signatures refine each
         proposal to an estimated containment (query values in the table's
-        best-matching column), and tables below ``threshold`` drop out.
+        best-matching column; every column of every proposal is scored in
+        one comparison), and tables below ``threshold`` drop out.
         The result is ``(table_id, estimated_containment)`` pairs sorted by
         descending containment (ties by ascending id, so the order is
         deterministic); ``max_candidates`` keeps only the best ones.
         """
         distinct = set(values)
         signature = self.signature(distinct)
-        cardinality = len(distinct)
-        scored: list[tuple[int, float]] = []
         with self._lock:
-            for table_id in self.candidate_tables(signature):
-                best = max(
-                    sketch.containment_of(signature, cardinality)
-                    for sketch in self._sketches[table_id].values()
-                )
-                if best >= threshold:
-                    scored.append((table_id, best))
+            table_ids = sorted(self.candidate_tables(signature))
+            tables = [list(self._sketches[table_id].values()) for table_id in table_ids]
+        if not table_ids:
+            return []
+        sketches = [sketch for columns in tables for sketch in columns]
+        stored = _np.frombuffer(
+            b"".join(sketch.packed for sketch in sketches), dtype=_np.uint64
+        ).reshape(len(sketches), self.config.num_perm)
+        scores = containment_estimates(
+            stored,
+            signature,
+            len(distinct),
+            _np.fromiter((s.cardinality for s in sketches), _np.int64, len(sketches)),
+        )
+        counts = _np.fromiter(map(len, tables), _np.int64, len(tables))
+        best = _np.maximum.reduceat(scores, _np.cumsum(counts) - counts)
+        scored = [
+            (table_id, score)
+            for table_id, score in zip(table_ids, best.tolist())
+            if score >= threshold
+        ]
         scored.sort(key=lambda entry: (-entry[1], entry[0]))
         if max_candidates is not None:
             scored = scored[:max_candidates]
@@ -348,8 +436,9 @@ class SketchIndex:
         path = Path(directory) / f"{stem}{SKETCH_SUFFIX}"
         config, sketches = _read_sketch_file(path)
         index = cls(config)
-        for sketch in sketches:
-            index.add_column_sketch(sketch)
+        with index._lock:
+            for sketch in sketches:
+                index._store_locked(sketch)
         return index
 
     def load_file(
@@ -367,71 +456,7 @@ class SketchIndex:
         with self._lock:
             for sketch in sketches:
                 if table_ids is None or sketch.table_id in table_ids:
-                    self.add_column_sketch(sketch)
-
-    @classmethod
-    def load_legacy(
-        cls, directory: str | Path, stem: str = SKETCH_FILE_STEM
-    ) -> "SketchIndex":
-        """Load the ``<stem>.json`` + ``<stem>.bin`` pair of format 1."""
-        directory = Path(directory)
-        manifest_path = directory / f"{stem}.json"
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except FileNotFoundError as exc:
-            raise StorageError(f"no sketch manifest at {manifest_path}") from exc
-        except json.JSONDecodeError as exc:
-            raise StorageError(
-                f"corrupt sketch manifest at {manifest_path}: {exc}"
-            ) from exc
-        if manifest.get("format_version") != _LEGACY_FORMAT_VERSION:
-            raise StorageError(
-                f"sketch manifest {manifest_path} has format_version "
-                f"{manifest.get('format_version')}, expected "
-                f"{_LEGACY_FORMAT_VERSION}"
-            )
-        config = SketchIndexConfig(
-            num_perm=int(manifest["num_perm"]),
-            bands=int(manifest["bands"]),
-            rows=int(manifest["rows"]),
-            seed=int(manifest["seed"]),
-        )
-        data_path = directory / str(manifest["data_file"])
-        try:
-            payload = data_path.read_bytes()
-        except FileNotFoundError as exc:
-            raise StorageError(f"missing sketch file at {data_path}") from exc
-        if len(payload) != int(manifest["data_bytes"]):
-            raise StorageError(
-                f"sketch file {data_path} is {len(payload)} bytes, manifest "
-                f"says {manifest['data_bytes']}"
-            )
-        if len(payload) < _LEGACY_HEADER.size:
-            raise StorageError(f"sketch file {data_path} is truncated")
-        magic, version, num_perm, count = _LEGACY_HEADER.unpack_from(payload, 0)
-        if magic != _LEGACY_MAGIC or version != _LEGACY_FORMAT_VERSION:
-            raise StorageError(
-                f"sketch file {data_path} has bad magic/version "
-                f"({magic!r}/{version})"
-            )
-        if num_perm != config.num_perm or count != int(manifest["count"]):
-            raise StorageError(
-                f"sketch file {data_path} disagrees with its manifest"
-            )
-        index = cls(config)
-        offset = _LEGACY_HEADER.size
-        signature_bytes = 8 * num_perm
-        for _ in range(count):
-            table_id, column_index, cardinality = _LEGACY_ENTRY.unpack_from(
-                payload, offset
-            )
-            offset += _LEGACY_ENTRY.size
-            packed = payload[offset : offset + signature_bytes]
-            offset += signature_bytes
-            index.add_column_sketch(
-                ColumnSketch(table_id, column_index, cardinality, packed)
-            )
-        return index
+                    self._store_locked(sketch)
 
 
 def _read_sketch_file(path: Path) -> tuple[SketchIndexConfig, list[ColumnSketch]]:

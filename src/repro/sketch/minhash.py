@@ -15,6 +15,21 @@ broadcasted numpy ``uint64`` pass computes natively (overflow wraps), so a
 signature is one vectorised multiply-add-mod over every permutation ×
 value hash.  The wrap-around also supplies the high-order mixing that keeps
 the MinHash estimator unbiased with 32-bit value hashes.
+
+**The reduction mod p** needs no division: with ``x = hi * 2^61 + lo`` and
+``2^61 ≡ 1 (mod p)``, ``x ≡ hi + lo = (x >> 61) + (x & p)``, which is at
+most ``p + 7``, so one conditional subtract of ``p`` finishes it — bit for
+bit ``x % p`` for every ``uint64``.
+
+**Signing by id.**  Ingest and the bulk builds do not re-read cell strings:
+the dictionary pass they already run (:func:`repro.index.bulk.encode_tables`)
+gives every cell a vocabulary id, one sort of ``(column, value id)`` codes
+yields each column's distinct ids, every vocabulary value is hashed once,
+and :func:`sign_columns` permutes the hashes of all columns of a batch in
+slices of :data:`_BROADCAST_VALUES`, each reduced per column by one
+``minimum.reduceat``.  A query's value set is signed from its strings
+(:func:`minhash_signature`) and scored against stored signatures in one
+comparison (:func:`containment_estimates`).
 """
 
 from __future__ import annotations
@@ -22,7 +37,7 @@ from __future__ import annotations
 import hashlib
 from array import array
 from functools import lru_cache
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as _np
 
@@ -66,9 +81,17 @@ def _coefficient_columns(a: tuple[int, ...], b: tuple[int, ...]):
 def _permuted(hashes, a: Sequence[int], b: Sequence[int]):
     """Every permutation of every value hash: ``(num_perm, len(hashes))``."""
     a_column, b_column = _coefficient_columns(tuple(a), tuple(b))
+    prime = _np.uint64(MERSENNE_PRIME)
     # uint64 arithmetic wraps mod 2^64 by construction.
-    with _np.errstate(over="ignore"):
-        return (a_column * hashes[None, :] + b_column) % _np.uint64(MERSENNE_PRIME)
+    permuted = _np.multiply(a_column, hashes[None, :])
+    _np.add(permuted, b_column, out=permuted)
+    # ``% p`` without a division (see the module docstring).
+    low = _np.bitwise_and(permuted, prime)
+    _np.right_shift(permuted, _np.uint64(61), out=permuted)
+    _np.add(permuted, low, out=permuted)
+    # ``x - p`` wraps above ``x`` exactly when ``x < p``.
+    _np.subtract(permuted, prime, out=low)
+    return _np.minimum(permuted, low, out=permuted)
 
 
 def minhash_signature(
@@ -92,65 +115,35 @@ def pack_signature(signature: Sequence[int]) -> bytes:
     return array("Q", signature).tobytes()
 
 
-def unpack_signature(packed: bytes) -> tuple[int, ...]:
-    """The signature :func:`pack_signature` packed."""
-    signature = array("Q")
-    signature.frombytes(packed)
-    return tuple(signature)
+#: Value hashes one broadcast of :func:`sign_columns` permutes at most
+#: (``num_perm`` times eight bytes each: 1 MiB at 128 permutations, small
+#: enough to stay in cache).
+_BROADCAST_VALUES = 1 << 10
 
 
-#: Value hashes one broadcast of :func:`column_signatures` permutes at most
-#: (``num_perm`` times eight bytes each: 32 MiB at 128 permutations).
-_BROADCAST_VALUES = 1 << 15
+def sign_columns(hashes, starts, a: Sequence[int], b: Sequence[int]):
+    """The signatures of many columns at once, ``(len(starts), num_perm)``
+    ``uint64``: row ``i`` equals ``minhash_signature`` of column ``i``.
 
-
-def column_signatures(
-    columns: Sequence[Collection[str]],
-    a: Sequence[int],
-    b: Sequence[int],
-    hash_of: Mapping[str, int] | None = None,
-) -> list[bytes]:
-    """The packed signature of each of several value sets — the columns of
-    one table — equal to ``pack_signature(minhash_signature(...))`` column by
-    column (an empty set gets the all-:data:`EMPTY_SLOT` signature).
-
-    Every distinct value is hashed once — through ``hash_of``, a ``value ->
-    hash_value(value)`` memo the caller keeps across tables, when given —
-    the hash sets of all columns are permuted in one ``(num_perm, values)``
-    broadcast (in slices of :data:`_BROADCAST_VALUES`) and reduced per
-    column by ``minimum.reduceat``.
+    ``hashes`` holds the base hash of each distinct value of each column,
+    column after column, and ``starts`` where each column's run begins
+    (strictly ascending from 0; every column holds a value).  The hashes are
+    permuted in slices of :data:`_BROADCAST_VALUES` — a slice may cut a
+    column, whose minimum then folds over the slices holding it.
     """
-    if hash_of is None:
-        hash_of = {value: hash_value(value) for value in set().union(*columns)}
-    width = 8 * len(a)
-    empty = pack_signature([EMPTY_SLOT] * len(a))
-    signatures: list[bytes] = []
-    first = 0
-    while first < len(columns):
-        # Whole columns up to the bound; one oversize column goes alone.
-        last, total = first, 0
-        while last < len(columns) and (
-            last == first or total + len(columns[last]) <= _BROADCAST_VALUES
-        ):
-            total += len(columns[last])
-            last += 1
-        sizes = [len(values) for values in columns[first:last]]
-        # ``reduceat`` cannot express an empty segment: it runs over the
-        # non-empty columns, and an empty one is signed EMPTY_SLOT.
-        packed = b""
-        if total:
-            hashes = _np.fromiter(
-                (hash_of[value] for values in columns[first:last] for value in values),
-                _np.uint64,
-                total,
-            )
-            starts = (_np.cumsum(sizes) - sizes)[_np.flatnonzero(sizes)]
-            minimums = _np.minimum.reduceat(_permuted(hashes, a, b), starts, axis=1)
-            packed = _np.ascontiguousarray(minimums.T).tobytes()
-        signed = (packed[at : at + width] for at in range(0, len(packed), width))
-        signatures.extend(next(signed) if size else empty for size in sizes)
-        first = last
-    return signatures
+    signatures = _np.full((len(a), len(starts)), EMPTY_SLOT, dtype=_np.uint64)
+    for begin in range(0, len(hashes), _BROADCAST_VALUES):
+        end = min(begin + _BROADCAST_VALUES, len(hashes))
+        # The column holding ``begin`` and every column starting before ``end``.
+        first = int(_np.searchsorted(starts, begin, "right")) - 1
+        last = int(_np.searchsorted(starts, end, "left"))
+        local = starts[first:last] - begin
+        local[0] = 0
+        minimums = _np.minimum.reduceat(
+            _permuted(hashes[begin:end], a, b), local, axis=1
+        )
+        _np.minimum(signatures[:, first:last], minimums, out=signatures[:, first:last])
+    return _np.ascontiguousarray(signatures.T)
 
 
 def jaccard_estimate(first: Sequence[int], second: Sequence[int]) -> float:
@@ -186,15 +179,34 @@ def containment_estimate(
     return max(0.0, min(1.0, intersection / query_cardinality))
 
 
+def containment_estimates(
+    stored, signature: Sequence[int], query_cardinality: int, cardinalities
+):
+    """:func:`containment_estimate` of :func:`jaccard_estimate` for many
+    stored signatures (``(n, num_perm)`` ``uint64``, of columns with the
+    given ``cardinalities``) against one query signature, in one comparison.
+
+    The same IEEE operations in the same order as the scalar pair, so every
+    score equals it bit for bit.
+    """
+    if query_cardinality <= 0:
+        return _np.zeros(len(stored))
+    query = _np.asarray(signature, dtype=_np.uint64)
+    agreeing = _np.count_nonzero((stored == query) & (query != EMPTY_SLOT), axis=1)
+    jaccard = agreeing / len(query)
+    # A zero Jaccard estimate scores 0.0 here as well, with no special case.
+    intersection = jaccard / (1.0 + jaccard) * (query_cardinality + cardinalities)
+    return _np.maximum(0.0, _np.minimum(1.0, intersection / query_cardinality))
+
+
 class ColumnSketch:
     """The MinHash summary of one corpus column.
 
-    Held packed (:func:`pack_signature`): ingest, persistence and the LSH
-    buckets only ever move the bytes; :attr:`signature` unpacks them the
-    first time a query scores the column.
+    Held packed (:func:`pack_signature`): ingest, persistence, the LSH
+    buckets and the scoring of a query only ever move the bytes.
     """
 
-    __slots__ = ("table_id", "column_index", "cardinality", "packed", "_signature")
+    __slots__ = ("table_id", "column_index", "cardinality", "packed")
 
     def __init__(
         self,
@@ -212,26 +224,6 @@ class ColumnSketch:
         #: The packed MinHash signature.
         self.packed = (
             signature if isinstance(signature, bytes) else pack_signature(signature)
-        )
-        self._signature: tuple[int, ...] | None = None
-
-    @property
-    def signature(self) -> tuple[int, ...]:
-        """The MinHash signature (``num_perm`` permuted minimums)."""
-        if self._signature is None:
-            self._signature = unpack_signature(self.packed)
-        return self._signature
-
-    def jaccard(self, signature: Sequence[int]) -> float:
-        """Jaccard estimate against a query signature."""
-        return jaccard_estimate(self.signature, signature)
-
-    def containment_of(
-        self, signature: Sequence[int], query_cardinality: int
-    ) -> float:
-        """Estimated containment of the query values in this column."""
-        return containment_estimate(
-            self.jaccard(signature), query_cardinality, self.cardinality
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -253,9 +253,10 @@ def legacy_ingest_buffer(config=None, hash_function_name="xash") -> LegacyIngest
 class LegacySketchIndex:
     """``SketchIndex`` as it shipped before buckets were keyed by signature
     bytes: one ``minhash_signature`` call and one 128-integer tuple per
-    column, ``bands`` tuple keys per signature, every bucket a set.  The
-    oracle of the sketch differential — kept verbatim apart from the
-    dropped persistence."""
+    column, ``bands`` tuple keys per signature, every bucket a set, filled
+    by every add.  The oracle of the sketch differential — kept verbatim
+    apart from the dropped persistence and the signature, which is the
+    stdlib loop (:func:`legacy_minhash_signature`)."""
 
     def __init__(self, config=None):
         from repro.sketch import DEFAULT_SKETCH_CONFIG, permutation_params
@@ -266,9 +267,10 @@ class LegacySketchIndex:
         self._buckets: list[dict] = [{} for _ in range(self.config.bands)]
 
     def signature(self, values):
-        from repro.sketch import minhash_signature
+        from repro.sketch.minhash import hash_value
 
-        return minhash_signature(values, *self._params)
+        hashes = sorted({hash_value(value) for value in values})
+        return legacy_minhash_signature(hashes, *self._params)
 
     def _band_keys(self, signature):
         rows = self.config.rows
@@ -333,41 +335,6 @@ class LegacySketchIndex:
                 scored.append((table_id, best))
         scored.sort(key=lambda entry: (-entry[1], entry[0]))
         return scored if max_candidates is None else scored[:max_candidates]
-
-
-def write_legacy_sketch_pair(index, directory, stem="sketches") -> None:
-    """``SketchIndex.save`` as it shipped before the one-file format: the
-    ``<stem>.bin`` + ``<stem>.json`` pair a live directory of an older
-    build holds (what ``SketchIndex.load_legacy`` and the migration read)."""
-    import json
-    import struct
-    from pathlib import Path
-
-    sketches = index.column_sketches()
-    payload = bytearray(
-        struct.pack("<4sIIQ", b"MSKB", 1, index.config.num_perm, len(sketches))
-    )
-    for sketch in sketches:
-        payload += struct.pack(
-            "<QIQ", sketch.table_id, sketch.column_index, sketch.cardinality
-        )
-        payload += struct.pack(f"={len(sketch.signature)}Q", *sketch.signature)
-    directory = Path(directory)
-    (directory / f"{stem}.bin").write_bytes(bytes(payload))
-    manifest = {
-        "format_version": 1,
-        "kind": "sketch-index",
-        "num_perm": index.config.num_perm,
-        "bands": index.config.bands,
-        "rows": index.config.rows,
-        "seed": index.config.seed,
-        "count": len(sketches),
-        "data_file": f"{stem}.bin",
-        "data_bytes": len(payload),
-    }
-    (directory / f"{stem}.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
-    )
 
 
 def legacy_discover(

@@ -55,7 +55,7 @@ from repro.sketch import (
 )
 from repro.sketch.minhash import hash_value
 
-from tests.helpers import legacy_minhash_signature, write_legacy_sketch_pair
+from tests.helpers import legacy_minhash_signature
 
 CONFIG = MateConfig(hash_size=128, k=5, expected_unique_values=10_000)
 
@@ -179,7 +179,7 @@ class TestSketchIndex:
 
 
 class TestPersistence:
-    """The one-file ``.sk`` format, and the reader of the pair it replaced."""
+    """The one-file ``.sk`` format."""
 
     def test_save_load_round_trip(self, tmp_path):
         index = SketchIndex()
@@ -189,18 +189,17 @@ class TestPersistence:
         assert path == tmp_path / "sketches.sk" and path.exists()
         assert not list(tmp_path.glob("*.tmp"))
         probe = ["berlin", "paris", "ada"]
-        write_legacy_sketch_pair(index, tmp_path)
-        for loaded in (SketchIndex.load(tmp_path), SketchIndex.load_legacy(tmp_path)):
-            assert loaded.config == index.config
-            assert loaded.table_ids() == index.table_ids()
-            assert loaded.query(probe) == index.query(probe)
-            assert [
-                (sketch.table_id, sketch.column_index, sketch.cardinality, sketch.packed)
-                for sketch in loaded.column_sketches()
-            ] == [
-                (sketch.table_id, sketch.column_index, sketch.cardinality, sketch.packed)
-                for sketch in index.column_sketches()
-            ]
+        loaded = SketchIndex.load(tmp_path)
+        assert loaded.config == index.config
+        assert loaded.table_ids() == index.table_ids()
+        assert loaded.query(probe) == index.query(probe)
+        assert [
+            (sketch.table_id, sketch.column_index, sketch.cardinality, sketch.packed)
+            for sketch in loaded.column_sketches()
+        ] == [
+            (sketch.table_id, sketch.column_index, sketch.cardinality, sketch.packed)
+            for sketch in index.column_sketches()
+        ]
         # Saving is deterministic, whatever order the tables arrived in.
         again = SketchIndex()
         for table in reversed(list(make_corpus())):
@@ -228,16 +227,11 @@ class TestPersistence:
                 tmp_path / "part.sk"
             )
 
-    def test_missing_manifest_raises(self, tmp_path):
+    def test_a_missing_file_raises(self, tmp_path):
         with pytest.raises(StorageError, match="no sketch file"):
             SketchIndex.load(tmp_path)
-        with pytest.raises(StorageError, match="no sketch manifest"):
-            SketchIndex.load_legacy(tmp_path)
 
-    def test_corrupt_manifest_raises(self, tmp_path):
-        (tmp_path / "sketches.json").write_text("{not json", encoding="utf-8")
-        with pytest.raises(StorageError, match="corrupt sketch manifest"):
-            SketchIndex.load_legacy(tmp_path)
+    def test_a_flipped_bit_fails_the_checksum(self, tmp_path):
         index = SketchIndex()
         index.add_table(Table(1, "t", ["a"], [["x"]]))
         data = bytearray(index.save(tmp_path).read_bytes())
@@ -249,17 +243,7 @@ class TestPersistence:
     def test_version_drift_raises(self, tmp_path):
         index = SketchIndex()
         index.add_table(Table(1, "t", ["a"], [["x"]]))
-        write_legacy_sketch_pair(index, tmp_path)
-        manifest = json.loads(
-            (tmp_path / "sketches.json").read_text(encoding="utf-8")
-        )
-        manifest["format_version"] = 999
-        (tmp_path / "sketches.json").write_text(
-            json.dumps(manifest), encoding="utf-8"
-        )
-        with pytest.raises(StorageError, match="format_version"):
-            SketchIndex.load_legacy(tmp_path)
-        # The one-file format: another version under a valid checksum.
+        # Another version under a valid checksum.
         body = bytearray(index.save(tmp_path).read_bytes()[:-4])
         body[4:8] = struct.pack("=I", 999)
         (tmp_path / "sketches.sk").write_bytes(
@@ -268,14 +252,9 @@ class TestPersistence:
         with pytest.raises(StorageError, match="magic/version"):
             SketchIndex.load(tmp_path)
 
-    def test_truncated_data_file_raises(self, tmp_path):
+    def test_a_truncated_file_raises(self, tmp_path):
         index = SketchIndex()
         index.add_table(Table(1, "t", ["a"], [["x"]]))
-        write_legacy_sketch_pair(index, tmp_path)
-        data = (tmp_path / "sketches.bin").read_bytes()
-        (tmp_path / "sketches.bin").write_bytes(data[: len(data) // 2])
-        with pytest.raises(StorageError):
-            SketchIndex.load_legacy(tmp_path)
         data = index.save(tmp_path).read_bytes()
         for keep in (0, 10, len(data) // 2, len(data) - 1):
             (tmp_path / "sketches.sk").write_bytes(data[:keep])

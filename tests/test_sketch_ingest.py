@@ -1,41 +1,49 @@
-"""The sketch tier on the write path: one-pass signatures, byte-keyed
-buckets, one sketch file per segment.
+"""The sketch tier on the write path: id-based signing, buckets filled on
+the first read, one sketch file per segment.
 
-* ``SketchIndex.add_table`` signs all columns of a table in one pass; the
-  signatures must equal the per-column ``minhash_signature`` and the stdlib
-  loop (``tests/helpers.py::legacy_minhash_signature``) bit for bit, for
-  whatever a table can hold (columns without values, one value, duplicates,
-  one column, no rows).
-* Buckets are keyed by signature bytes and hold a bare table id until a
-  second table shares them; ``candidate_tables`` / ``query`` must answer
-  like the tuple-keyed set buckets they replaced
-  (``tests/helpers.py::LegacySketchIndex``) over add / remove / re-add
-  histories — a bucket going through 1, 2, 1 and 0 members.
+* A batch of tables is signed by vocabulary id in one pass
+  (``SketchIndex.add_tables``; ``add_table`` is a batch of one, fed the
+  staged encoding on a live index's ack).  Every signature must equal the
+  stdlib loop (``tests/helpers.py::legacy_minhash_signature``) bit for bit,
+  for whatever a batch can hold (missing cells, all-missing columns and
+  tables, tables without rows, duplicates) — with the broadcast cut into
+  slices small enough to split columns and tables.
+* The reduction mod ``2^61 - 1`` equals ``%`` at its edges and on random
+  ``uint64`` vectors.
+* Buckets are derived state: writes and loads store signatures only, the
+  next read buckets them.  ``candidate_tables`` / ``query`` / ``table_ids``
+  and the stored bytes must answer like the eager tuple-keyed set buckets
+  they replaced (``tests/helpers.py::LegacySketchIndex``) over histories of
+  adds, batch builds, removes (of bucketed tables and of tables no read
+  bucketed yet), re-adds and save / load round trips — also while writer
+  threads ingest into a live index and reader threads query its store.
 * A live directory holds one ``segment-NNNNNN.sk`` beside every ``.seg``:
   crashes between the files of a seal or a merge, tombstoned tables, re-added
-  ids, the migration of the whole-store pair older builds wrote, and the size
-  of it all against that pair.
+  ids, the refusal of the whole-store pair older builds wrote, and the size
+  of it all against one whole-store file.
 """
 
 from __future__ import annotations
 
 import random
+import tempfile
+import threading
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import MateConfig, SketchIndex, Table
+from repro.exceptions import StorageError
 from repro.index import IndexBuilder
+from repro.index.bulk import encode_tables
 from repro.ingest import CompactionPolicy, Compactor, LiveIndex
-from repro.sketch import minhash_signature, permutation_params
-from repro.sketch.minhash import column_signatures, hash_value, pack_signature
+from repro.sketch import permutation_params
+from repro.sketch.minhash import MERSENNE_PRIME, _permuted, hash_value, pack_signature
 
-from tests.helpers import (
-    LegacySketchIndex,
-    legacy_minhash_signature,
-    write_legacy_sketch_pair,
-)
+from tests.helpers import LegacySketchIndex, legacy_minhash_signature
 
 CONFIG = MateConfig(hash_size=128, k=5, expected_unique_values=10_000)
 VOCABULARY = ["", "", "ada", "alan", "grace", "İstanbul", "straße", "漢字", "42", "x y"]
@@ -56,101 +64,202 @@ def tables(draw, table_id: int = 1) -> Table:
     return Table(table_id, f"t{table_id}", columns, rows)
 
 
+@st.composite
+def batches(draw) -> list[Table]:
+    """Tables of distinct ids, in no particular id order."""
+    ids = draw(st.lists(st.integers(0, 30), min_size=1, max_size=5, unique=True))
+    return [draw(tables(table_id)) for table_id in ids]
+
+
 # ----------------------------------------------------------------------
-# One MinHash pass per table
+# Signing by id
 # ----------------------------------------------------------------------
 def stdlib_signature(values, a, b) -> tuple[int, ...]:
     return legacy_minhash_signature(sorted({hash_value(v) for v in values}), a, b)
 
 
-@given(table=tables())
-@settings(max_examples=80, deadline=None)
-def test_one_pass_signatures_equal_the_per_column_ones(table):
+def stdlib_sketches(batch: list[Table]) -> list[tuple]:
+    """``(table, column, cardinality, packed)`` of every column holding a
+    value, in batch order, signed by the stdlib loop."""
     a, b = permutation_params(128, 1_000_003)
+    return [
+        (table.table_id, column, len(values), pack_signature(stdlib_signature(values, a, b)))
+        for table in batch
+        for column in range(table.num_columns)
+        if (values := table.distinct_column_values(column))
+    ]
+
+
+def stored(store: SketchIndex) -> list[tuple]:
+    return [
+        (s.table_id, s.column_index, s.cardinality, s.packed)
+        for s in store.column_sketches()
+    ]
+
+
+@given(batch=batches(), bound=st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_the_batch_signer_equals_the_stdlib_loop(batch, bound):
+    """One pass over a batch, cut into slices of ``bound`` value hashes —
+    mid-column and mid-table — signs every column like the stdlib loop."""
+    expected = sorted(stdlib_sketches(batch))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.sketch.minhash._BROADCAST_VALUES", bound)
+        whole = SketchIndex()
+        assert whole.add_tables(batch) == len(expected)
+        assert stored(whole) == expected
+        one_by_one = SketchIndex()
+        for table in batch:
+            one_by_one.add_table(table, encode_tables((table,)))
+        assert stored(one_by_one) == expected
+
+
+def test_tables_without_rows_or_values_sign_nothing():
+    a, b = permutation_params(128, 1_000_003)
+    batch = [
+        Table(4, "no_rows", ["a", "b"], []),
+        Table(2, "all_missing", ["a", "b"], [["", ""], ["", ""]]),
+        Table(9, "blank_column", ["a", "b", "c"], [["x", "", "x"], ["y", "", "x"]]),
+    ]
     store = SketchIndex()
-    added = store.add_table(table)
-    expected = {}
-    for column_index in range(table.num_columns):
-        values = table.distinct_column_values(column_index)
-        if values:
-            signature = minhash_signature(values, a, b)
-            assert signature == stdlib_signature(values, a, b)
-            expected[column_index] = (len(values), signature)
-    assert added == len(expected) == len(store)
-    for column_index, (cardinality, signature) in expected.items():
-        sketch = store.column_sketch(table.table_id, column_index)
-        assert (sketch.cardinality, sketch.signature) == (cardinality, signature)
-        assert sketch.packed == pack_signature(signature)
+    assert store.add_tables(batch[:2]) == 0 and store.table_ids() == set()
+    assert store.add_tables(batch) == 2
+    assert stored(store) == [
+        (9, 0, 2, pack_signature(stdlib_signature({"x", "y"}, a, b))),
+        (9, 2, 1, pack_signature(stdlib_signature({"x"}, a, b))),
+    ]
+    assert store.add_tables([]) == 0
+
+
+MASK_64 = (1 << 64) - 1
+P = MERSENNE_PRIME
+EDGES = [0, 1, P - 1, P, P + 1, 1 << 61, 1 << 63, MASK_64, 2 * P - 1, 2 * P, 7 * P, 8 * P - 1]
+
+
+def test_the_mersenne_reduction_equals_mod_p_at_its_edges():
+    reduced = _permuted(np.array(EDGES, dtype=np.uint64), (1,), (0,))
+    assert reduced.tolist() == [[value % P for value in EDGES]]
 
 
 @given(
-    columns=st.lists(st.sets(st.sampled_from(VOCABULARY)), max_size=6),
-    bound=st.integers(1, 8),
+    hashes=st.lists(st.integers(0, MASK_64), min_size=1, max_size=40),
+    a=st.lists(st.integers(1, P - 1), min_size=1, max_size=4),
+    data=st.data(),
 )
-@settings(max_examples=80, deadline=None)
-def test_column_signatures_sign_empty_columns_empty(columns, bound):
-    """An empty column is the all-``EMPTY_SLOT`` signature wherever it sits,
-    a broadcast cut included — not its neighbour's, and no ``IndexError``."""
-    a, b = permutation_params(16, 7)
-    expected = [pack_signature(stdlib_signature(values, a, b)) for values in columns]
-    assert column_signatures(columns, a, b) == expected
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("repro.sketch.minhash._BROADCAST_VALUES", bound)
-        assert column_signatures(columns, a, b) == expected
-
-
-def test_a_broadcast_is_cut_at_whole_columns(monkeypatch):
-    a, b = permutation_params(128, 1_000_003)
-    columns = [{f"v{i}" for i in range(n)} for n in (5, 1, 9, 2, 2, 7)]
-    whole = column_signatures(columns, a, b)
-    monkeypatch.setattr("repro.sketch.minhash._BROADCAST_VALUES", 8)
-    assert column_signatures(columns, a, b) == whole
-    assert whole == [pack_signature(minhash_signature(c, a, b)) for c in columns]
-    assert column_signatures([], a, b) == []
+@settings(max_examples=100, deadline=None)
+def test_the_mersenne_reduction_equals_mod_p_on_random_vectors(hashes, a, data):
+    b = data.draw(st.lists(st.integers(0, P - 1), min_size=len(a), max_size=len(a)))
+    permuted = _permuted(np.array(hashes, dtype=np.uint64), tuple(a), tuple(b))
+    assert permuted.tolist() == [
+        [((a_i * value + b_i) & MASK_64) % P for value in hashes]
+        for a_i, b_i in zip(a, b)
+    ]
+    raw = _permuted(np.array(hashes, dtype=np.uint64), (1,), (0,))
+    assert raw.tolist() == [[value % P for value in hashes]]
 
 
 # ----------------------------------------------------------------------
-# Byte-keyed buckets against the tuple-keyed sets
+# Buckets filled on the first read, against the eager tuple-keyed sets
 # ----------------------------------------------------------------------
+PROBES = [["ada", "alan"], ["漢字"], ["42", "x y", "grace"], ["nobody"], []]
+
+
+def oracle_sketches(oracle: LegacySketchIndex) -> list[tuple]:
+    return [
+        (table_id, column, cardinality, pack_signature(signature))
+        for table_id in sorted(oracle._sketches)
+        for column, (cardinality, signature) in sorted(oracle._sketches[table_id].items())
+    ]
+
+
+def assert_answers_like(store: SketchIndex, oracle: LegacySketchIndex) -> None:
+    assert store.table_ids() == oracle.table_ids()
+    assert stored(store) == oracle_sketches(oracle)
+    for probe in PROBES:
+        signature = oracle.signature(probe)
+        assert store.signature(probe) == signature
+        assert store.candidate_tables(signature) == oracle.candidate_tables(signature)
+        assert store.query(probe) == oracle.query(probe)
+        assert store.query(probe, threshold=0.3, max_candidates=2) == oracle.query(
+            probe, threshold=0.3, max_candidates=2
+        )
+
+
 @st.composite
-def bucket_histories(draw):
-    """Adds, removes and re-adds over four ids whose tables overlap heavily
-    (shared buckets), each move followed by a probe."""
+def histories(draw):
+    """Adds, batch builds, removes, re-adds and save / load round trips over
+    five ids whose tables overlap heavily (shared buckets); after each move
+    a read or not, so some tables are removed before any read buckets them."""
     moves = []
     live: set[int] = set()
     for _ in range(draw(st.integers(1, 12))):
-        table_id = draw(st.integers(1, 4))
-        if table_id in live and draw(st.booleans()):
+        kind = draw(st.sampled_from(["add", "batch", "remove", "reload"]))
+        free = sorted(set(range(1, 6)) - live)
+        if kind == "remove" and live:
+            table_id = draw(st.sampled_from(sorted(live)))
             moves.append(("remove", table_id))
             live.discard(table_id)
-        elif table_id not in live:
+        elif kind == "batch" and free:
+            ids = draw(st.lists(st.sampled_from(free), min_size=1, max_size=3, unique=True))
+            moves.append(("batch", [draw(tables(table_id)) for table_id in ids]))
+            live.update(ids)
+        elif kind == "add" and free:
+            table_id = draw(st.sampled_from(free))
             moves.append(("add", draw(tables(table_id))))
             live.add(table_id)
+        elif kind == "reload":
+            moves.append(("reload", None))
+        else:
+            continue
+        if draw(st.booleans()):
+            moves.append(("read", None))
     return moves
 
 
-@given(history=bucket_histories())
+@given(history=histories())
 @settings(max_examples=80, deadline=None)
-def test_buckets_answer_like_the_tuple_keyed_sets(history):
+def test_lazy_buckets_answer_like_the_eager_tuple_keyed_sets(history):
     store, oracle = SketchIndex(), LegacySketchIndex()
-    probes = [["ada", "alan"], ["漢字"], ["42", "x y", "grace"], ["nobody"]]
-    for kind, payload in history:
-        if kind == "add":
-            assert store.add_table(payload) == oracle.add_table(payload)
-        else:
-            assert store.remove_table(payload) == oracle.remove_table(payload)
-        assert store.table_ids() == oracle.table_ids()
-        for probe in probes:
-            signature = store.signature(probe)
-            assert store.candidate_tables(signature) == oracle.candidate_tables(signature)
-            assert store.query(probe) == oracle.query(probe)
-            assert store.query(probe, threshold=0.3, max_candidates=2) == oracle.query(
-                probe, threshold=0.3, max_candidates=2
-            )
+    with tempfile.TemporaryDirectory() as directory:
+        for kind, payload in history:
+            if kind == "add":
+                assert store.add_table(payload) == oracle.add_table(payload)
+            elif kind == "batch":
+                assert store.add_tables(payload) == sum(map(oracle.add_table, payload))
+            elif kind == "remove":
+                assert store.remove_table(payload) == oracle.remove_table(payload)
+                assert not store.remove_table(payload)
+            elif kind == "reload":
+                store.save(directory, fsync=False)
+                store = SketchIndex.load(directory)
+            elif kind == "read":
+                assert_answers_like(store, oracle)
+        assert_answers_like(store, oracle)
     for table_id in list(store.table_ids()):
         store.remove_table(table_id)
     # Every bucket went back to nothing: no member, no empty set left behind.
     assert all(not bucket for bucket in store._buckets)
+
+
+def test_writes_and_loads_leave_the_buckets_to_the_first_read(tmp_path):
+    store = SketchIndex()
+    store.add_table(Table(1, "t", ["a"], [["ada"], ["alan"]]))
+    store.add_tables([Table(2, "t", ["a"], [["ada"], ["alan"]])])
+    assert all(not bucket for bucket in store._buckets)
+    # A table no read bucketed yet goes without touching a bucket.
+    assert store.remove_table(2)
+    signature = store.signature(["ada", "alan"])
+    assert store.candidate_tables(signature) == {1}
+    assert sum(map(len, store._buckets)) == store.config.bands
+    # Removed once bucketed, re-added, read again.
+    assert store.remove_table(1)
+    assert all(not bucket for bucket in store._buckets)
+    store.add_table(Table(1, "t", ["a"], [["ada"], ["alan"]]))
+    assert store.candidate_tables(signature) == {1}
+    store.save(tmp_path, fsync=False)
+    loaded = SketchIndex.load(tmp_path)
+    assert all(not bucket for bucket in loaded._buckets)
+    assert loaded.query(["ada", "alan"]) == store.query(["ada", "alan"])
 
 
 def test_a_bucket_goes_from_one_member_to_two_and_back():
@@ -168,6 +277,64 @@ def test_a_bucket_goes_from_one_member_to_two_and_back():
     assert store.remove_table(3) and store.remove_table(2)
     assert store.candidate_tables(signature) == set()
     assert not store.remove_table(2)
+
+
+def test_readers_query_while_writers_ingest(tmp_path):
+    """Writer threads ingest into (and remove from) a live index while
+    reader threads query its sketch store: no read fails or sees a table
+    that was never added, and the final store equals the oracle."""
+    rng = random.Random(11)
+    shared = [f"s{i}" for i in range(12)]
+    corpus = [
+        Table(
+            table_id,
+            f"t{table_id}",
+            ["a", "b"],
+            [[rng.choice(shared), f"u{table_id}_{row}"] for row in range(rng.randint(1, 6))],
+        )
+        for table_id in range(80)
+    ]
+    removed = {table_id for table_id in range(80) if table_id % 7 == 3}
+    live = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
+    store = live.sketch_index()
+    errors: list[BaseException] = []
+    done = threading.Event()
+
+    def write(part: list[Table]) -> None:
+        try:
+            for table in part:
+                live.add_table(table)
+                if table.table_id in removed:
+                    live.remove_table(table.table_id)
+        except BaseException as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    def read(probe: list[str]) -> None:
+        try:
+            while not done.is_set():
+                for table_id, score in store.query(probe):
+                    assert 0 <= table_id < 80 and 0.0 <= score <= 1.0
+        except BaseException as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    writers = [threading.Thread(target=write, args=(corpus[part::2],)) for part in (0, 1)]
+    readers = [threading.Thread(target=read, args=(probe,)) for probe in (shared[:4], shared)]
+    for thread in readers + writers:
+        thread.start()
+    for thread in writers:
+        thread.join()
+    done.set()
+    for thread in readers:
+        thread.join()
+    live.close()
+    assert not errors
+    oracle = LegacySketchIndex()
+    for table in corpus:
+        if table.table_id not in removed:
+            oracle.add_table(table)
+    assert_answers_like(store, oracle)
+    for probe in (shared[:4], shared, ["u5_0"]):
+        assert store.query(probe) == oracle.query(probe)
 
 
 # ----------------------------------------------------------------------
@@ -311,68 +478,47 @@ def test_a_tombstoned_table_is_not_resurrected_and_a_readded_id_reads_its_newest
         again.close()
 
 
-def test_the_whole_store_pair_of_an_older_build_migrates_once(tmp_path):
+def directory_state(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("name", ["sketches.json", "sketches.bin"])
+def test_a_directory_holding_the_whole_store_pair_is_refused_by_name(tmp_path, name):
+    """An older build's directory — the pair, or the ``.bin`` a crash in its
+    migration left alone — is refused before a file is touched: no sweep of
+    orphans or ``.tmp`` files, no torn-tail repair, no manifest write."""
     live = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
-    for table_id in (1, 2):
-        live.add_table(make_table(table_id))
+    live.add_table(make_table(1))
     live.seal()
-    live.add_table(make_table(3))
-    live.seal()
-    live.remove_table(2)  # behind the checkpoint: the WAL replays it
-    live.add_table(make_table(4))  # WAL only
+    live.add_table(make_table(2))  # WAL only
     live.close()
-    # What the older build left: the pair as of the last seal, no .sk file.
-    whole = SketchIndex()
-    for table_id in (1, 2, 3):
-        whole.add_table(make_table(table_id))
-    write_legacy_sketch_pair(whole, tmp_path)
-    for path in tmp_path.glob("*.sk"):
-        path.unlink()
-
-    survivors = [make_table(table_id) for table_id in (1, 3, 4)]
-    migrated = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
-    try:
-        assert files(tmp_path, ".sk") == ["segment-000001.sk", "segment-000002.sk"]
-        assert not (tmp_path / "sketches.json").exists()
-        assert not (tmp_path / "sketches.bin").exists()
-        # Dealt by table id: each file holds its segment's tables.
-        assert SketchIndex.load(tmp_path, "segment-000001").table_ids() == {1, 2}
-        assert SketchIndex.load(tmp_path, "segment-000002").table_ids() == {3}
-        assert_store_is(migrated, survivors)
-    finally:
-        migrated.close()
-    stamps = {path.name: path.stat().st_mtime_ns for path in tmp_path.glob("*.sk")}
-    again = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
-    try:
-        assert {p.name: p.stat().st_mtime_ns for p in tmp_path.glob("*.sk")} == stamps
-        assert_store_is(again, survivors)
-    finally:
-        again.close()
+    (tmp_path / name).write_bytes(b"what an older build wrote")
+    (tmp_path / "segment-000009.seg").write_bytes(b"an orphan")
+    (tmp_path / "manifest.json.tmp").write_bytes(b"a torn write")
+    with (tmp_path / "wal.jsonl").open("ab") as wal:
+        wal.write(b'{"torn')
+    before = directory_state(tmp_path)
+    with pytest.raises(StorageError, match=name.replace(".", r"\.")) as refused:
+        LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
+    assert "repro index CORPUS --live-dir NEW_DIR" in str(refused.value)
+    assert directory_state(tmp_path) == before
 
 
-def test_a_corrupt_pair_or_a_half_finished_migration(tmp_path):
+def test_a_missing_sketch_file_leaves_the_store_stale(tmp_path):
     live = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
     live.add_table(make_table(1))
     live.seal()
     live.close()
-    # A crash after the manifest of the pair went: the data file is swept.
-    (tmp_path / "sketches.bin").write_bytes(b"left behind")
-    reopened = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
-    assert not (tmp_path / "sketches.bin").exists()
-    assert_store_is(reopened, [make_table(1)])
-    reopened.close()
-    # A pair that cannot be read leaves the store stale, never guessed.
     (tmp_path / "segment-000001.sk").unlink()
-    (tmp_path / "sketches.json").write_text("{not json", encoding="utf-8")
     stale = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
     assert stale.sketch_index() is None
     stale.close()
 
 
-def test_sketch_files_cost_what_the_whole_store_pair_cost(tmp_path):
+def test_sketch_files_cost_what_one_whole_store_file_costs(tmp_path):
     """``index_bytes_per_cell`` of a 300-table directory: the per-segment
     files (which keep a tombstoned table's sketches until a merge) within
-    1 % of the pair the store of the visible tables would be."""
+    1 % of one file holding the store of the visible tables."""
     rng = random.Random(5)
     vocabulary = [f"w{i}" for i in range(600)]
     live = LiveIndex(config=CONFIG, directory=tmp_path / "live", fsync=False)
@@ -389,12 +535,9 @@ def test_sketch_files_cost_what_the_whole_store_pair_cost(tmp_path):
     directory = tmp_path / "live"
     sidecars = sum(path.stat().st_size for path in directory.glob("*.sk"))
     total = sum(path.stat().st_size for path in directory.iterdir())
-    pair = tmp_path / "pair"
-    pair.mkdir()
-    write_legacy_sketch_pair(store, pair)
-    whole = sum(path.stat().st_size for path in pair.iterdir())
+    whole = store.save(tmp_path / "whole", fsync=False).stat().st_size
     assert len(list(directory.glob("*.sk"))) == len(list(directory.glob("*.seg"))) > 1
-    assert abs((total - sidecars + whole) - total) / total < 0.01
+    assert abs(whole - sidecars) / total < 0.01
 
 
 def test_builder_and_live_store_hold_the_same_sketches(tmp_path):
