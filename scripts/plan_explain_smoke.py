@@ -28,7 +28,7 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.cli import main as cli_main  # noqa: E402
-from repro.experiments.planner import _build_skew_scenario  # noqa: E402
+from repro.experiments.scenarios import _build_skew_scenario  # noqa: E402
 from repro.experiments.runner import ExperimentSettings  # noqa: E402
 from repro.storage import save_corpus_json  # noqa: E402
 

@@ -1,8 +1,8 @@
 """The JSON response schema shared by every machine-readable output.
 
 One schema version covers everything this repository serialises for external
-consumers: the CLI's ``--json`` output, the bench-smoke artifacts written by
-``scripts/export_bench_json.py``, and
+consumers: the CLI's ``--json`` output, the HTTP server's ``/v1/discover``
+responses, and
 :meth:`SessionResult.to_dict <repro.api.results.SessionResult.to_dict>`.
 Each payload is wrapped in the same envelope::
 
@@ -24,7 +24,6 @@ SCHEMA_VERSION = 2
 #: Envelope kinds currently emitted.
 KIND_DISCOVERY_RESULT = "discovery_result"
 KIND_BATCH_RESULT = "batch_result"
-KIND_BENCHMARK = "benchmark"
 
 
 def json_envelope(kind: str, payload: dict) -> dict:

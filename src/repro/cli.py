@@ -90,26 +90,19 @@ from .datagen import TABLE1_SPECS, build_workload
 from .datamodel import QueryTable
 from .experiments import (
     ExperimentSettings,
-    run_fetch_cost,
     run_figure4,
     run_figure5,
     run_figure6,
     run_frequency_source,
     run_index_generation,
-    run_ingest,
     run_init_column,
-    run_planner,
-    run_pushdown,
     run_related_work,
     run_scaling,
-    run_serving,
     run_sharding,
     run_short_values,
-    run_sketch,
     run_table1,
     run_table2,
     run_table3,
-    run_telemetry,
     run_topk,
 )
 from .extensions import SimilarityJoinDiscovery, UnionSearch, discover_key_candidates
@@ -132,18 +125,11 @@ EXPERIMENT_RUNNERS = {
     "topk": run_topk,
     "init_column": run_init_column,
     "index_generation": run_index_generation,
-    "ingest": run_ingest,
-    "planner": run_planner,
-    "pushdown": run_pushdown,
     "scaling": run_scaling,
-    "fetch_cost": run_fetch_cost,
     "frequency_source": run_frequency_source,
-    "serving": run_serving,
     "sharding": run_sharding,
     "related_work": run_related_work,
     "short_values": run_short_values,
-    "sketch": run_sketch,
-    "telemetry": run_telemetry,
 }
 
 

@@ -37,7 +37,6 @@ from typing import Iterable, Sequence
 import numpy as _np
 
 from ..datamodel import MISSING, QueryTable, Table
-from ..datamodel.encoding import EncodedKeys
 from ..metrics import DiscoveryCounters
 
 #: :func:`verify_request`'s ``(table, mapping, key)`` codes must stay below.

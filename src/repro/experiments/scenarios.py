@@ -1,8 +1,7 @@
-"""Planner study (extension): fixed-seed vs cost-based vs adaptive plans.
+"""Deterministic skewed corpora the planner and sketch-tier tests run on.
 
-The query planner (:mod:`repro.plan`) picks the run's initiator column from
-index statistics instead of corpus-side heuristics.  This experiment builds
-two deterministic, deliberately skewed corpora where that choice matters:
+These are fixture corpora, not studies: each builder returns a
+``(corpus, query)`` pair whose shape makes one planning decision matter.
 
 * **skew** — the query's first (and lowest-cardinality) key column is *hot*
   in the corpus: its four distinct values fetch long posting lists, while
@@ -14,26 +13,19 @@ two deterministic, deliberately skewed corpora where that choice matters:
   other value is hot.  Pure cost-based planning commits to the trap column;
   the adaptive executor notices the blown estimate after the first fetch
   chunk and re-plans onto the honest alternative mid-run.
-
-Per scenario and per plan mode the experiment reports the executed seed
-column, the PL items fetched (including fetches discarded by re-plans),
-re-plan count, and whether the top-k matches the fixed-seed baseline —
-MATE's verification is exact, so every mode must agree on the scores.
+* **sketch** — a handful of match tables genuinely joinable with the query
+  key, and a large majority of noise tables sharing exactly one hot key
+  value, so the exact engine must fetch and reject their posting lists while
+  a containment-threshold LSH probe discards them up front.
 """
 
 from __future__ import annotations
 
-from ..api import DiscoveryRequest, DiscoverySession
-from ..config import ServiceConfig
 from ..datamodel import QueryTable, Table, TableCorpus
 from ..index import sample_positions
-from ..plan import PlannerOptions
-from .runner import ExperimentResult, ExperimentSettings
+from .runner import ExperimentSettings
 
-#: Plan modes under comparison ("fixed" = first-column seed, no planner).
-PLANNER_MODES_UNDER_TEST: tuple[str, ...] = ("fixed", "cost", "adaptive")
-
-#: Sampling/re-planning knobs shared by the cost and adaptive rows, chosen
+#: Sampling/re-planning knobs shared by the cost and adaptive plans, chosen
 #: so the drift scenario's trap column fits the sample budget's blind spots.
 PLANNER_SAMPLE_SIZE = 16
 PLANNER_CHECK_EVERY = 32
@@ -131,93 +123,37 @@ def _build_drift_scenario(
     return corpus, query
 
 
-def _request_for(mode: str, query: QueryTable, k: int) -> DiscoveryRequest:
-    if mode == "fixed":
-        return DiscoveryRequest(query=query, k=k, column_selector="column_order")
-    return DiscoveryRequest(
-        query=query,
-        k=k,
-        planner=PlannerOptions(
-            mode=mode,
-            sample_size=PLANNER_SAMPLE_SIZE,
-            replan_check_every=PLANNER_CHECK_EVERY,
-            replan_factor=PLANNER_REPLAN_FACTOR,
+def build_sketch_scenario(
+    settings: ExperimentSettings,
+) -> tuple[TableCorpus, QueryTable]:
+    """Skewed corpus where LSH pruning pays: few matches, many hot-value lurkers.
+
+    Every noise table repeats the query's hottest key value ``k00`` (long
+    posting lists the exact engine must fetch) next to 20 unique junk rows
+    (driving its column containment of the query towards zero); the four
+    match tables contain genuine key pairs at joinabilities 12/18/24/30.
+    """
+    num_pairs = 40
+    pairs = [(f"k{i:02d}", f"v{i:02d}") for i in range(num_pairs)]
+    num_noise = max(15, int(120 * settings.corpus_scale))
+
+    corpus = TableCorpus(name="sketch_skew")
+    for j in range(num_noise):
+        rows = [["k00", f"noise{j}_{r}"] for r in range(3)]
+        rows += [[f"x{j}_{r:03d}", f"y{j}_{r:03d}"] for r in range(20)]
+        corpus.add_table(Table(1000 + j, f"noise_{j}", ["n1", "n2"], rows))
+    for j in range(4):
+        matched = pairs[: 12 + 6 * j]
+        rows = [[key, value, f"pay{j}"] for key, value in matched]
+        corpus.add_table(Table(200 + j, f"match_{j}", ["k1", "k2", "pay"], rows))
+
+    query = QueryTable(
+        table=Table(
+            _QUERY_TABLE_ID,
+            "sketch_query",
+            ["a", "b", "payload"],
+            [[key, value, f"p{i}"] for i, (key, value) in enumerate(pairs)],
         ),
+        key_columns=["a", "b"],
     )
-
-
-def run_planner(settings: ExperimentSettings) -> ExperimentResult:
-    """Compare fixed-seed, cost-based, and adaptive plans on skewed corpora."""
-    scenarios = {
-        "skew": _build_skew_scenario(settings),
-        "drift": _build_drift_scenario(settings),
-    }
-    headers = [
-        "scenario",
-        "mode",
-        "seed",
-        "pl fetched",
-        "discarded",
-        "replans",
-        "tables",
-        "topk",
-        "prefilter s",
-        "runtime s",
-    ]
-    rows: list[list[object]] = []
-    notes: list[str] = []
-
-    for scenario, (corpus, query) in scenarios.items():
-        baseline_scores: list[int] | None = None
-        baseline_tuples: list[tuple[int, int]] | None = None
-        with DiscoverySession(
-            corpus,
-            config=settings.config(128),
-            service_config=ServiceConfig(cache_capacity=0),
-        ) as session:
-            for mode in PLANNER_MODES_UNDER_TEST:
-                result = session.discover(_request_for(mode, query, settings.k))
-                explanation = result.plan_explain()
-                scores = [j for _, j in result.result_tuples()]
-                if baseline_scores is None:
-                    baseline_scores = scores
-                    baseline_tuples = result.result_tuples()
-                    topk = "="
-                elif result.result_tuples() == baseline_tuples:
-                    topk = "="
-                elif scores == baseline_scores:
-                    topk = "scores"
-                else:
-                    topk = "DIFF"
-                prefilter = result.counters.stages.get("superkey_prefilter")
-                rows.append(
-                    [
-                        scenario,
-                        mode,
-                        explanation["executed_seed_column"],
-                        result.counters.pl_items_fetched,
-                        explanation["discarded_postings"],
-                        len(explanation["replans"]),
-                        result.counters.candidate_tables,
-                        topk,
-                        f"{prefilter.seconds if prefilter else 0.0:.4f}",
-                        f"{result.counters.runtime_seconds:.4f}",
-                    ]
-                )
-
-    notes.append(
-        "fixed = first-column seed (column_order selector); cost/adaptive = "
-        f"planner modes with sample_size={PLANNER_SAMPLE_SIZE}, "
-        f"check_every={PLANNER_CHECK_EVERY}, "
-        f"replan_factor={PLANNER_REPLAN_FACTOR}"
-    )
-    notes.append(
-        "pl fetched includes fetches discarded by re-plans; topk '=' matches "
-        "the fixed baseline exactly, 'scores' up to tie order"
-    )
-    return ExperimentResult(
-        name="Planner study: fixed vs cost-based vs adaptive seed selection",
-        headers=headers,
-        rows=rows,
-        notes=notes,
-    )
+    return corpus, query

@@ -71,6 +71,9 @@ from .protocol import (
     WorkerReady,
 )
 
+#: Seconds to wait for each worker's startup handshake.
+WORKER_START_TIMEOUT = 60.0
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -93,15 +96,12 @@ class ServeConfig:
         Directory the per-shard ``.seg`` files are written to.  ``None``
         uses a private temporary directory removed on :meth:`close`; a given
         directory is left in place (segments can be inspected or reused).
-    worker_start_timeout:
-        Seconds to wait for each worker's startup handshake.
     """
 
     num_shards: int = 4
     hedge_after_seconds: float | None = None
     mp_context: str | None = None
     segments_dir: str | Path | None = None
-    worker_start_timeout: float = 60.0
 
     def __post_init__(self) -> None:
         if self.num_shards <= 0:
@@ -534,11 +534,10 @@ class ProcessShardPool:
         return _Worker(shard_index, replica, process, parent_conn)
 
     def _await_ready(self, worker: _Worker) -> None:
-        timeout = self.serve_config.worker_start_timeout
-        if not worker.conn.poll(timeout):
+        if not worker.conn.poll(WORKER_START_TIMEOUT):
             raise DiscoveryError(
                 f"worker for {worker.label} did not report ready within "
-                f"{timeout}s"
+                f"{WORKER_START_TIMEOUT}s"
             )
         try:
             ready = worker.conn.recv()

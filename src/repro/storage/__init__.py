@@ -12,9 +12,6 @@ from .paged import (
     SEGMENT_FORMAT_VERSION,
     SEGMENT_MAGIC,
     SEGMENT_SUFFIX,
-    FetchAccounting,
-    FetchCostModel,
-    PagedPostingStore,
     load_segment,
     reopen_segment,
     write_segment,
@@ -30,9 +27,6 @@ from .serialization import (
 )
 
 __all__ = [
-    "FetchAccounting",
-    "FetchCostModel",
-    "PagedPostingStore",
     "SEGMENT_FORMAT_VERSION",
     "SEGMENT_MAGIC",
     "SEGMENT_SUFFIX",

@@ -1,30 +1,22 @@
-"""Paged posting-list storage: mmap-backed segments and the fetch-cost model.
+"""Paged posting-list storage: mmap-backed binary segments.
 
 The paper excludes index *fetch* time from the runtime comparison but notes
 that it "can vary between 1 and 40 seconds when the data and the index has to
 be retrieved from disk" (Section 7.2) — DWTC does not fit in memory.  The
-authors' deployment keeps the index in Vertica; this module provides the two
-storage layers the reproduction uses in its place:
-
-* **Binary mmap segments** — :func:`write_segment` persists the CSR block
-  (:class:`~repro.storage.segment_block.SegmentBlock`) of an
-  :class:`~repro.index.InvertedIndex` into a single ``.seg`` file, laid out
-  as a fixed set of 8-byte-aligned regions — format v3, the paper's per-row
-  layout: a posting is ``(row ordinal, column)``, 8 bytes, and each row's
-  super key is stored once, in the row table — and :func:`load_segment`
-  maps that file back with :mod:`mmap` as an
-  :class:`~repro.index.InvertedIndex` over :class:`memoryview` s of the
-  mapping, so opening a multi-GB index costs the vocabulary, a
-  constant-size directory and one range check of the ordinals (pages fault
-  in on demand and are shared between processes mapping the same file).
-  The join of postings and keys happens at fetch time, one gather per
-  fetched value.
-* **The simulated paged store** — :class:`PagedPostingStore` lays posting
-  lists out on fixed-size pages served through an LRU buffer pool, and
-  :class:`FetchCostModel` converts page misses into an estimated fetch
-  latency, so the fetch-cost experiment can report how the initial-column
-  choice drives the 1-40 s range the paper mentions.  (The store is a
-  *model*: it only accounts for what a disk-resident layout would read.)
+authors' deployment keeps the index in Vertica; in its place,
+:func:`write_segment` persists the CSR block
+(:class:`~repro.storage.segment_block.SegmentBlock`) of an
+:class:`~repro.index.InvertedIndex` into a single ``.seg`` file, laid out
+as a fixed set of 8-byte-aligned regions — format v3, the paper's per-row
+layout: a posting is ``(row ordinal, column)``, 8 bytes, and each row's
+super key is stored once, in the row table — and :func:`load_segment`
+maps that file back with :mod:`mmap` as an
+:class:`~repro.index.InvertedIndex` over :class:`memoryview` s of the
+mapping, so opening a multi-GB index costs the vocabulary, a
+constant-size directory and one range check of the ordinals (pages fault
+in on demand and are shared between processes mapping the same file).
+The join of postings and keys happens at fetch time, one gather per
+fetched value.
 """
 
 from __future__ import annotations
@@ -36,18 +28,15 @@ import os
 import struct
 import sys
 from array import array
-from collections import OrderedDict
-from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from pathlib import Path
-from typing import Iterable, NoReturn, Sequence
+from typing import NoReturn
 from zlib import crc32
 
 import numpy as np
 
 from ..exceptions import SegmentFormatError, StorageError
-from ..hashing.base import key_width
-from ..index import FetchBlock, FetchedItem, InvertedIndex
+from ..index import InvertedIndex
 from .segment_block import MAX_ROWS, SegmentBlock
 
 #: File suffix of binary mmap segment files.
@@ -66,247 +55,6 @@ SEGMENT_FORMAT_VERSION: int = 3
 #: directory bytes, trailing magic.  Fixed-size so the loader can find the
 #: directory from the end of the file without scanning the payload.
 _SEGMENT_FOOTER = struct.Struct("<QQI4s")
-
-#: Bytes a single PL item occupies in the modelled layout: table id, column
-#: id, row id as three 64-bit integers (matches
-#: repro.index.statistics.SCR_BYTES_PER_ENTRY).
-BYTES_PER_POSTING: int = 24
-
-
-@dataclass(frozen=True)
-class FetchCostModel:
-    """Latency model for reading posting-list pages from storage.
-
-    The defaults approximate a SATA SSD reading 8 KiB pages: a fixed per-read
-    seek/request overhead and a linear transfer term.  The absolute values do
-    not matter for the experiments (which compare configurations under the
-    same model); the *shape* — cost grows with the number of distinct pages
-    touched — is what the paper's 1-40 s observation reflects.
-    """
-
-    seek_seconds: float = 0.0001
-    transfer_seconds_per_page: float = 0.00002
-    #: Warm pages served from the buffer pool cost only this much.
-    cached_page_seconds: float = 0.000001
-
-    def cost(self, pages_read: int, pages_cached: int = 0) -> float:
-        """Estimated seconds to serve a fetch touching the given page counts."""
-        if pages_read < 0 or pages_cached < 0:
-            raise StorageError("page counts must be non-negative")
-        cold = pages_read * (self.seek_seconds + self.transfer_seconds_per_page)
-        warm = pages_cached * self.cached_page_seconds
-        return cold + warm
-
-
-@dataclass
-class FetchAccounting:
-    """Accumulated accounting of fetches served by a :class:`PagedPostingStore`."""
-
-    fetches: int = 0
-    values_probed: int = 0
-    items_returned: int = 0
-    pages_read: int = 0
-    pages_from_cache: int = 0
-    estimated_seconds: float = 0.0
-
-    @property
-    def cache_hit_ratio(self) -> float:
-        """Fraction of page accesses served by the buffer pool."""
-        total = self.pages_read + self.pages_from_cache
-        if total == 0:
-            return 0.0
-        return self.pages_from_cache / total
-
-    def as_dict(self) -> dict[str, float]:
-        """Return the accounting as a plain dictionary (for reporting)."""
-        return {
-            "fetches": self.fetches,
-            "values_probed": self.values_probed,
-            "items_returned": self.items_returned,
-            "pages_read": self.pages_read,
-            "pages_from_cache": self.pages_from_cache,
-            "cache_hit_ratio": round(self.cache_hit_ratio, 4),
-            "estimated_seconds": self.estimated_seconds,
-        }
-
-
-@dataclass
-class _PageTable:
-    """Mapping from values to the page ids their posting lists occupy."""
-
-    page_size_bytes: int
-    pages_of_value: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    num_pages: int = 0
-
-    def layout(self, index: InvertedIndex, bytes_per_item: int) -> None:
-        """Assign every value's posting list to one or more pages."""
-        current_page = 0
-        used_in_page = 0
-        for value in sorted(index.values()):
-            item_count = index.posting_list_length(value)
-            remaining = item_count * bytes_per_item
-            pages: list[int] = []
-            while remaining > 0:
-                if used_in_page >= self.page_size_bytes:
-                    current_page += 1
-                    used_in_page = 0
-                pages.append(current_page)
-                take = min(remaining, self.page_size_bytes - used_in_page)
-                used_in_page += take
-                remaining -= take
-            if not pages:
-                pages = [current_page]
-            self.pages_of_value[value] = tuple(dict.fromkeys(pages))
-        self.num_pages = current_page + 1
-
-
-class PagedPostingStore:
-    """An inverted index served through a simulated paged storage layer.
-
-    Parameters
-    ----------
-    index:
-        The in-memory extended inverted index to serve.
-    page_size_bytes:
-        Page granularity of the simulated on-disk layout (8 KiB by default).
-    buffer_pool_pages:
-        Capacity of the LRU buffer pool, in pages.  ``0`` disables caching
-        (every access is a cold read).
-    include_super_keys:
-        Whether the modelled layout stores a super key of the index's key
-        width next to every PL item (the paper's per-cell layout) — this
-        makes posting lists wider and increases the number of pages a fetch
-        touches.  ``False`` models the per-row layout the ``.seg`` files
-        store, where keys live in the row table and a fetch joins them in.
-    cost_model:
-        Latency model used for the accounting.
-    """
-
-    def __init__(
-        self,
-        index: InvertedIndex,
-        page_size_bytes: int = 8192,
-        buffer_pool_pages: int = 256,
-        include_super_keys: bool = True,
-        cost_model: FetchCostModel | None = None,
-    ):
-        if page_size_bytes <= 0:
-            raise StorageError(f"page_size_bytes must be positive, got {page_size_bytes}")
-        if buffer_pool_pages < 0:
-            raise StorageError(
-                f"buffer_pool_pages must be non-negative, got {buffer_pool_pages}"
-            )
-        self.index = index
-        self.page_size_bytes = page_size_bytes
-        self.buffer_pool_pages = buffer_pool_pages
-        self.include_super_keys = include_super_keys
-        self.cost_model = cost_model or FetchCostModel()
-        self.accounting = FetchAccounting()
-        self._buffer: OrderedDict[int, None] = OrderedDict()
-        #: Bytes per PL item in the modelled layout.
-        self.bytes_per_item = BYTES_PER_POSTING + (
-            key_width(index.hash_size) if include_super_keys else 0
-        )
-        self._page_table = _PageTable(page_size_bytes=page_size_bytes)
-        self._page_table.layout(index, self.bytes_per_item)
-
-    # ------------------------------------------------------------------
-    # Layout introspection
-    # ------------------------------------------------------------------
-    @property
-    def num_pages(self) -> int:
-        """Total number of pages in the simulated layout."""
-        return self._page_table.num_pages
-
-    def pages_for_value(self, value: str) -> tuple[int, ...]:
-        """Return the page ids holding the posting list of ``value``."""
-        return self._page_table.pages_of_value.get(value, ())
-
-    def storage_bytes(self) -> int:
-        """Total bytes of the simulated layout (pages are not padded)."""
-        return self.index.num_posting_items() * self.bytes_per_item
-
-    # ------------------------------------------------------------------
-    # Fetching
-    # ------------------------------------------------------------------
-    def _touch_page(self, page_id: int) -> bool:
-        """Access one page; returns ``True`` on a buffer-pool hit."""
-        if self.buffer_pool_pages == 0:
-            return False
-        if page_id in self._buffer:
-            self._buffer.move_to_end(page_id)
-            return True
-        self._buffer[page_id] = None
-        if len(self._buffer) > self.buffer_pool_pages:
-            self._buffer.popitem(last=False)
-        return False
-
-    def _account_pages(self, probe_values: Sequence[str]) -> None:
-        """Charge the buffer pool and cost model for one fetch of the values."""
-        pages_needed: list[int] = []
-        seen_pages: set[int] = set()
-        for value in probe_values:
-            for page_id in self.pages_for_value(value):
-                if page_id not in seen_pages:
-                    seen_pages.add(page_id)
-                    pages_needed.append(page_id)
-
-        cold = 0
-        warm = 0
-        for page_id in pages_needed:
-            if self._touch_page(page_id):
-                warm += 1
-            else:
-                cold += 1
-
-        self.accounting.fetches += 1
-        self.accounting.values_probed += len(probe_values)
-        self.accounting.pages_read += cold
-        self.accounting.pages_from_cache += warm
-        self.accounting.estimated_seconds += self.cost_model.cost(cold, warm)
-
-    def fetch(self, values: Iterable[str]) -> list[FetchedItem]:
-        """Fetch PL items for ``values``, accounting for the pages touched.
-
-        Returns exactly what :meth:`repro.index.InvertedIndex.fetch` returns;
-        the side effect is the updated :attr:`accounting`.
-        """
-        probe_values = [value for value in dict.fromkeys(values) if value != ""]
-        self._account_pages(probe_values)
-        items = self.index.fetch(probe_values)
-        self.accounting.items_returned += len(items)
-        return items
-
-    def fetch_batch(self, values: Iterable[str]) -> list[FetchBlock]:
-        """Fetch packed blocks for ``values``, accounting for the pages touched.
-
-        The struct-of-arrays sibling of :meth:`fetch`: identical accounting,
-        but the result is what :meth:`repro.index.InvertedIndex.fetch_batch`
-        returns (so the discovery engine's columnar hot path can run on top
-        of the simulated paged store).
-        """
-        probe_values = [value for value in dict.fromkeys(values) if value != ""]
-        self._account_pages(probe_values)
-        blocks = self.index.fetch_batch(probe_values)
-        self.accounting.items_returned += sum(len(block) for block in blocks)
-        return blocks
-
-    def estimated_fetch_seconds(self, values: Sequence[str]) -> float:
-        """Estimate the cold-cache cost of fetching ``values`` without fetching.
-
-        Used by the fetch-cost experiment to compare initial-column choices
-        without mutating the buffer pool.
-        """
-        pages: set[int] = set()
-        for value in dict.fromkeys(values):
-            pages.update(self.pages_for_value(value))
-        return self.cost_model.cost(len(pages), 0)
-
-    def reset_accounting(self) -> None:
-        """Clear the accumulated accounting and empty the buffer pool."""
-        self.accounting = FetchAccounting()
-        self._buffer.clear()
-
 
 # ----------------------------------------------------------------------
 # Binary mmap segments

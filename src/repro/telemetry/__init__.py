@@ -19,8 +19,9 @@ container a :class:`~repro.api.session.DiscoverySession` owns:
 
 Telemetry is off by default and engineered to stay out of the hot path
 when off: every instrumented branch gates on a module-level "any enabled
-tracer?" integer before touching contextvars or clocks (the CI bench guard
-holds idle overhead ≤ 2% on ``bench_planner``).
+tracer?" integer before touching contextvars or clocks (``bench_e2e``
+reports the session's own cost as ``api.session_self_ms`` and the cost of
+tracing as ``trace.overhead_ratio``).
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ from repro.datagen import build_workload
 from repro.datamodel import MISSING, QueryTable, Row, Table, TableCorpus
 from repro.datamodel import encoding
 from repro.datamodel.encoding import ENCODER, EncodedKeys, ValueEncoder
-from repro.experiments.planner import (
+from repro.experiments.scenarios import (
     _build_drift_scenario,
     PLANNER_CHECK_EVERY,
     PLANNER_REPLAN_FACTOR,

@@ -357,11 +357,24 @@ class TestExperimentCommand:
         assert "heuristic" in output
         assert "cardinality" in output
 
-    def test_extension_experiments_are_registered(self):
+    def test_the_experiment_names(self):
         from repro.cli import EXPERIMENT_RUNNERS
 
-        for name in ("scaling", "fetch_cost", "frequency_source", "sharding"):
-            assert name in EXPERIMENT_RUNNERS
+        assert sorted(EXPERIMENT_RUNNERS) == sorted([
+            "table1", "table2", "table3", "figure4", "figure5", "figure6",
+            "topk", "init_column", "index_generation", "scaling",
+            "frequency_source", "sharding", "related_work", "short_values",
+        ])
+
+    @pytest.mark.parametrize("name", [
+        "fetch_cost", "ingest", "planner", "pushdown", "serving", "sketch",
+        "telemetry", "columnar",
+    ])
+    def test_the_subsystem_smoke_studies_are_gone(self, name, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", name])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_runs_sharding_experiment(self, capsys):
         exit_code = main([

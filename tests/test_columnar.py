@@ -28,7 +28,7 @@ from repro.index import (
     PostingListItem,
 )
 from repro.index.cache import CachingIndex
-from repro.storage import PagedPostingStore, load_segment, write_segment
+from repro.storage import load_segment, write_segment
 from tests.helpers import (
     BUILD_LANES,
     CellIndex,
@@ -304,19 +304,6 @@ class TestPackedPersistence:
                 )
             finally:
                 restored.close()
-
-    def test_paged_store_fetch_batch_accounts_pages(self, columnar_index):
-        store = PagedPostingStore(columnar_index, buffer_pool_pages=16)
-        values = sorted(columnar_index.values())[:40]
-        blocks = store.fetch_batch(values)
-        assert [item for block in blocks for item in block] == (
-            columnar_index.fetch(values)
-        )
-        assert store.accounting.fetches == 1
-        assert store.accounting.items_returned == sum(
-            len(block) for block in blocks
-        )
-        assert store.accounting.pages_read > 0
 
 
 class TestCachingBlocks:

@@ -1,4 +1,4 @@
-"""Tests for the extension experiments (scaling, fetch cost, frequency source, sharding)."""
+"""Tests for the extension experiments (scaling, frequency source, sharding)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from repro.experiments import (
     DEFAULT_SHARD_COUNTS,
     ExperimentSettings,
     FREQUENCY_SOURCES,
-    run_fetch_cost,
     run_frequency_source,
     run_scaling,
     run_sharding,
@@ -42,27 +41,6 @@ class TestScalingExperiment:
         text = result.to_text()
         assert "Scaling study" in text
         assert "note:" in text
-
-
-class TestFetchCostExperiment:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return run_fetch_cost(SETTINGS, workload_names=("WT_100",))
-
-    def test_rows_cover_both_heuristics(self, result):
-        selectors = {row[1] for row in result.rows}
-        assert selectors == {"cardinality", "worst_case"}
-
-    def test_per_row_layout_is_never_more_expensive(self, result):
-        for row in result.row_dicts():
-            assert row["est. fetch s (per-row)"] <= row["est. fetch s (per-cell)"] + 1e-9
-
-    def test_cardinality_fetches_no_more_pl_items_than_worst(self, result):
-        rows = {row["initial column"]: row for row in result.row_dicts()}
-        assert (
-            rows["cardinality"]["avg PL items fetched"]
-            <= rows["worst_case"]["avg PL items fetched"] + 1e-9
-        )
 
 
 class TestFrequencySourceExperiment:

@@ -2,8 +2,8 @@
 
 These exercise realistic end-to-end paths that cross module boundaries:
 ingestion -> profiling -> key discovery -> discovery (plain, sharded, fuzzy),
-and the paged store as a drop-in fetch layer, so regressions in the glue —
-not just in the individual modules — are caught.
+so regressions in the glue — not just in the individual modules — are
+caught.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.extensions import (
 )
 from repro.index import build_index
 from repro.lake import profile_corpus, save_webtable_corpus
-from repro.storage import PagedPostingStore, table_to_csv
+from repro.storage import table_to_csv
 
 
 @pytest.fixture()
@@ -126,28 +126,6 @@ class TestLakeToDiscoveryPipeline:
         results = {r.table_id: r for r in fuzzy.discover(query, k=3)}
         shipments = next(t for t in mixed_lake.corpus if t.name == "shipments")
         assert results[shipments.table_id].similarity_joinability >= 3
-
-
-class TestPagedStoreAsFetchLayer:
-    def test_paged_fetch_agrees_with_discovery_probe(self, mixed_lake):
-        """The paged store returns exactly what Algorithm 1's fetch would."""
-        index = mixed_lake.index()
-        store = PagedPostingStore(index, page_size_bytes=256)
-        orders = mixed_lake.table_by_source("orders")
-        probe_values = sorted(orders.distinct_column_values("customer"))
-        assert store.fetch(probe_values) == index.fetch(probe_values)
-        assert store.accounting.pages_read > 0
-
-    def test_warm_cache_reduces_estimated_cost(self, mixed_lake):
-        index = mixed_lake.index()
-        store = PagedPostingStore(index, page_size_bytes=256, buffer_pool_pages=1024)
-        orders = mixed_lake.table_by_source("orders")
-        probe_values = sorted(orders.distinct_column_values("customer"))
-        store.fetch(probe_values)
-        cold_cost = store.accounting.estimated_seconds
-        store.fetch(probe_values)
-        warm_cost = store.accounting.estimated_seconds - cold_cost
-        assert warm_cost < cold_cost
 
 
 class TestUnicodeAndMessyInputs:

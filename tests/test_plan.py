@@ -21,7 +21,7 @@ from repro.core.parallel import merge_discovery_results
 from repro.datagen import build_workload
 from repro.datamodel import TableCorpus
 from repro.exceptions import ConfigurationError, DiscoveryError
-from repro.experiments.planner import (
+from repro.experiments.scenarios import (
     _build_drift_scenario,
     _build_skew_scenario,
     PLANNER_CHECK_EVERY,

@@ -388,3 +388,57 @@ def test_the_storage_keywords_are_gone(keyword, value):
     )
     with pytest.raises(TypeError, match=keyword):
         factory(corpus, index, **{keyword: value})
+
+
+#: The subsystem smoke studies and the simulated paged store they fed:
+#: ``bench_e2e`` measures every layer, and tier-1 tests hold the answers.
+REMOVED_SMOKE_LAYER_NAMES = [
+    ("repro.experiments", name)
+    for name in (
+        "build_sketch_scenario",
+        "run_columnar",
+        "run_fetch_cost",
+        "run_ingest",
+        "run_planner",
+        "run_pushdown",
+        "run_serving",
+        "run_sketch",
+        "run_telemetry",
+    )
+] + [
+    (module_name, name)
+    for module_name in ("repro.storage", "repro.storage.paged")
+    for name in ("FetchAccounting", "FetchCostModel", "PagedPostingStore")
+] + [
+    ("repro.storage.paged", "BYTES_PER_POSTING"),
+    ("repro.api.schema", "KIND_BENCHMARK"),
+]
+
+
+@pytest.mark.parametrize("module_name, name", REMOVED_SMOKE_LAYER_NAMES)
+def test_the_smoke_layer_names_are_gone(module_name, name):
+    with pytest.raises(AttributeError):
+        getattr(importlib.import_module(module_name), name)
+
+
+@pytest.mark.parametrize(
+    "module_name",
+    [
+        f"repro.experiments.{name}"
+        for name in (
+            "columnar", "fetch_cost", "ingest", "planner", "pushdown",
+            "serving", "sketch", "telemetry",
+        )
+    ],
+)
+def test_the_smoke_study_modules_are_gone(module_name):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module_name)
+
+
+def test_the_worker_start_timeout_is_a_constant():
+    from repro.serve.pool import WORKER_START_TIMEOUT
+
+    assert WORKER_START_TIMEOUT == 60.0
+    with pytest.raises(TypeError, match="worker_start_timeout"):
+        repro.ServeConfig(worker_start_timeout=5.0)

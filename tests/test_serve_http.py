@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro import DiscoveryRequest, DiscoverySession
+from repro import DiscoveryRequest, DiscoverySession, SlowQueryLog, Telemetry
+from repro.cli import main
 from repro.config import MateConfig
 from repro.exceptions import ConfigurationError
 from repro.datagen import build_workload
@@ -309,3 +311,55 @@ class TestBackpressureAndDrain:
             assert harness.server.admission.stats()["tenants"] == {}
         finally:
             harness.close()
+
+
+class TestSlowlogCommand:
+    """``repro slowlog URL`` prints a running server's ``GET /v1/slow``."""
+
+    @pytest.fixture(scope="class")
+    def slow_harness(self, workload):
+        telemetry = Telemetry(slow_log=SlowQueryLog(threshold_seconds=0))
+        with DiscoverySession(
+            workload.corpus, config=CONFIG, telemetry=telemetry
+        ) as session:
+            harness = ServerHarness(session)
+            try:
+                status, _, _ = harness.request(
+                    "POST", "/v1/discover", body=discover_body(workload)
+                )
+                assert status == 200
+                yield harness
+            finally:
+                harness.close()
+                telemetry.close()
+
+    def test_prints_the_entry_and_its_stages(
+        self, slow_harness, workload, capsys
+    ):
+        assert main(["slowlog", slow_harness.base_url]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (
+            "slow-query log: 1 recorded over 0s, 1/64 retained (newest first)"
+        )
+        label = DiscoveryRequest(query=workload.queries[0]).label
+        assert lines[1].startswith(f"  [-] {label!r} via mate: ")
+        stages = dict(line.strip().split(": ", 1) for line in lines[2:])
+        assert list(stages) == [
+            "candidate_generation", "superkey_prefilter", "row_verification",
+            "topk_maintenance",
+        ]
+        assert all(" calls, " in stats for stats in stages.values())
+
+    def test_json_prints_the_document(self, slow_harness, capsys):
+        assert main(["slowlog", slow_harness.base_url, "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["recorded_total"] == 1
+        [entry] = document["slow_queries"]
+        assert entry["engine"] == "mate"
+
+    def test_a_closed_port_exits_1(self, capsys):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        assert main(["slowlog", f"http://127.0.0.1:{port}"]) == 1
+        assert "cannot fetch" in capsys.readouterr().err

@@ -41,7 +41,8 @@ from repro import (
 )
 from repro.datamodel import QueryTable, Table, TableCorpus
 from repro.exceptions import ConfigurationError, DiscoveryError, StorageError
-from repro.experiments import ExperimentSettings, build_sketch_scenario
+from repro.experiments import ExperimentSettings
+from repro.experiments.scenarios import build_sketch_scenario
 from repro.extensions import SimilarityJoinDiscovery, UnionSearch
 from repro.index import IndexBuilder
 from repro.ingest import LiveIndex
@@ -294,12 +295,18 @@ class TestDiscoveryIntegration:
                 exact.response
             )
 
-    def test_threshold_prunes_with_full_recall(self):
-        with DiscoverySession(self.corpus, config=CONFIG) as session:
-            exact = session.discover(DiscoveryRequest(query=self.query, k=5))
+    @pytest.mark.parametrize(
+        "settings",
+        [ExperimentSettings(), ExperimentSettings(corpus_scale=0.15)],
+        ids=["64_tables", "22_tables"],
+    )
+    def test_threshold_prunes_with_full_recall(self, settings):
+        corpus, query = build_sketch_scenario(settings)
+        with DiscoverySession(corpus, config=CONFIG) as session:
+            exact = session.discover(DiscoveryRequest(query=query, k=5))
             pruned = session.discover(
                 DiscoveryRequest(
-                    query=self.query, k=5,
+                    query=query, k=5,
                     planner=PlannerOptions(mode="sketch"),
                     sketch=SketchOptions(threshold=0.2),
                 )
@@ -309,6 +316,15 @@ class TestDiscoveryIntegration:
             assert extra["sketch_candidates"] == 4.0
             assert 0.0 < extra["sketch_estimated_recall"] <= 1.0
             assert "sketch_candidates" not in exact.counters.extra
+            # The prune saves verification work, not fetches: every noise
+            # table still shares the hot key value, so both requests fetch
+            # the same posting lists, but the exact one verifies their rows.
+            assert exact.counters.candidate_tables == len(corpus)
+            assert (
+                exact.counters.candidate_tables
+                >= 5 * pruned.counters.candidate_tables
+            )
+            assert pruned.counters.rows_checked < exact.counters.rows_checked
 
     def test_max_candidates_caps_the_universe(self):
         with DiscoverySession(self.corpus, config=CONFIG) as session:
