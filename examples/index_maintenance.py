@@ -31,6 +31,15 @@ def report(label: str, maintainer: IndexMaintainer) -> None:
           f"values={len(index):>4} rows={index.num_rows():>4}  [{status}]")
 
 
+def fetched_columns(index, values: list[str]) -> list[tuple]:
+    """What ``fetch_batch`` returns, column by column, as plain values."""
+    return [
+        (block.value, list(block.table_ids), list(block.column_indexes),
+         list(block.row_indexes), bytes(block.super_key_bytes))
+        for block in index.fetch_batch(values)
+    ]
+
+
 def main() -> None:
     config = MateConfig(hash_size=128, k=2, expected_unique_values=700_000_000)
 
@@ -116,7 +125,7 @@ def main() -> None:
         path = write_segment(index, Path(tmp) / "edited.seg")
         reloaded = load_segment(path)
         values = sorted(index.values())
-        same = reloaded.fetch(values) == index.fetch(values)
+        same = fetched_columns(reloaded, values) == fetched_columns(index, values)
         print(f"\npersisted to {path.name}: the mapped index has "
               f"{reloaded.num_posting_items()} postings "
               f"({'identical' if same else 'MISMATCH'})")

@@ -37,6 +37,13 @@ report is written).  The paper-figure benches are the exception, because
 ``bench_scaling.py`` asserts a wall-clock ratio that does not hold at that
 scale.
 
+"Never run" means never run *at these scales*, so a function taken from
+that list for deletion also needs a grep for its call sites.  One known
+miss: at ``--smoke`` scale ``ingest_mixed`` streams 12 tables and removes
+every 25th, so it never removes one, and ``DiscoverySession.remove`` is
+listed as never run although ``bench_e2e/ingest_mixed.py`` calls it 12
+times at reference scale (300 tables).
+
 Usage (stdlib only; ~36 minutes on a 2-core machine, ~34 of them the
 paper-figure benches, whose pure-Python hashes dominate under tracing)::
 

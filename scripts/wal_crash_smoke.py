@@ -118,6 +118,15 @@ def seal_crash_round(tmp: str, tables: int) -> str | None:
     return None
 
 
+def fetched_columns(index, values: list[str]) -> list[tuple]:
+    """What ``fetch_batch`` returns, column by column, as plain values."""
+    return [
+        (block.value, list(block.table_ids), list(block.column_indexes),
+         list(block.row_indexes), bytes(block.super_key_bytes))
+        for block in index.fetch_batch(values)
+    ]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -180,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         bulk = build_index(corpus, config=MateConfig(hash_size=128))
         probes = [f"v{i}" for i in range(17)] + [f"w{i}" for i in range(17)]
-        if recovered.fetch(probes) != bulk.fetch(probes):
+        if fetched_columns(recovered, probes) != fetched_columns(bulk, probes):
             print("error: replayed fetch differs from bulk rebuild", file=sys.stderr)
             return 1
 

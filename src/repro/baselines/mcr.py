@@ -55,11 +55,13 @@ class McrDiscovery:
         for column in query.key_columns:
             values = sorted(query.table.distinct_column_values(column))
             hits: dict[tuple[int, int], set[str]] = defaultdict(set)
-            fetched = self.index.fetch(values)
-            counters.pl_items_fetched += len(fetched)
-            counters.extra[f"pl_items[{column}]"] = float(len(fetched))
-            for item in fetched:
-                hits[item.location()].add(item.value)
+            fetched = 0
+            for block in self.index.fetch_batch(values):
+                fetched += len(block)
+                for location in zip(block.table_ids, block.row_indexes):
+                    hits[location].add(block.value)
+            counters.pl_items_fetched += fetched
+            counters.extra[f"pl_items[{column}]"] = float(fetched)
             rows_by_column.append(dict(hits))
 
         # ---------------- Row-level intersection ----------------

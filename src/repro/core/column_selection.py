@@ -62,8 +62,8 @@ def select_by_longest_string(
 
 
 def _posting_count(query: QueryTable, column: str, index: InvertedIndex) -> int:
-    values = [v for v in query.table.distinct_column_values(column)]
-    return index.posting_count_for_values(values)
+    """PL items the column's distinct non-missing values fetch."""
+    return sum(index.posting_lengths(list(query.table.distinct_column_values(column))))
 
 
 def select_worst_case(query: QueryTable, index: InvertedIndex | None = None) -> str:

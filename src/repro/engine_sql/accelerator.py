@@ -98,34 +98,44 @@ def build_accelerator(connection: sqlite3.Connection, index: "InvertedIndex") ->
     """Build the accelerator for ``index`` in a fresh ``connection``; returns
     the number of posting rows written.
 
-    ``pos`` enumerates each value's posting list in storage order, which is
+    A full scan of the index's block in storage order: values in
+    vocabulary order, each value's postings in posting order.  ``pos``
+    enumerates each value's posting list in that order, which is
     exactly the order :class:`repro.index.batch.RequestArrays` keeps a
     table's postings in — the pushdown engine reconstructs the mate engine's
     scan order from ``(probe order, pos)``.
     """
-    for attribute in ("values", "posting_list", "super_key"):
-        if not hasattr(index, attribute):
-            raise StorageError(
-                "cannot build a pushdown accelerator from "
-                f"{type(index).__name__}: it does not expose {attribute}()"
-            )
+    if not hasattr(index, "block"):
+        raise StorageError(
+            "cannot build a pushdown accelerator from "
+            f"{type(index).__name__}: it does not expose a block"
+        )
     connection.executescript(_ACCELERATOR_SCHEMA)
-    width = key_width(index.hash_size)
+    block = index.block
     narrow = index.hash_size <= MAX_NARROW_HASH_SIZE
 
     def iter_rows():
-        for value in index.values():
-            for pos, item in enumerate(index.posting_list(value)):
-                super_key = index.super_key(item.table_id, item.row_index)
+        # One gather through the row ordinals joins every posting with its
+        # row (the block's row keys are already the fixed-width BLOBs).
+        arrays = block.arrays()
+        tables = arrays.row_tables[arrays.ordinals].tolist()
+        rows = arrays.row_rows[arrays.ordinals].tolist()
+        keys = arrays.row_keys[arrays.ordinals]
+        columns = block.column_indexes
+        offsets = block.posting_offsets
+        for value, start, end in zip(block.values, offsets, offsets[1:]):
+            for pos, at in enumerate(range(start, end)):
+                packed = keys[at].tobytes()
+                super_key = int.from_bytes(packed, "big")
                 hi, lo = split_limbs(super_key) if narrow else (None, None)
                 yield (
                     INDEX_NAME,
                     value,
                     pos,
-                    item.table_id,
-                    item.column_index,
-                    item.row_index,
-                    super_key.to_bytes(width, "big"),
+                    tables[at],
+                    columns[at],
+                    rows[at],
+                    packed,
                     hi,
                     lo,
                 )

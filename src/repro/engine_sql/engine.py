@@ -206,12 +206,11 @@ class SQLPushdownEngine:
                 "the discovery hash function must match the index "
                 f"({self.hash_function_name!r} != {index.hash_function_name!r})"
             )
-        for attribute in ("values", "posting_list", "super_key"):
-            if not hasattr(index, attribute):
-                raise DiscoveryError(
-                    f'engine "sql" requires a monolithic index exposing '
-                    f"{attribute}() (got {type(index).__name__})"
-                )
+        if not hasattr(index, "block"):
+            raise DiscoveryError(
+                'engine "sql" requires an index exposing its block (an '
+                f"InvertedIndex or a LiveSnapshot; got {type(index).__name__})"
+            )
         self.super_key_generator = SuperKeyGenerator.from_name(
             self.hash_function_name, self.config
         )

@@ -260,10 +260,10 @@ class SimilarityJoinDiscovery:
         rows: set[tuple[int, int]] = set()
         probe_values = {value for key_tuple in key_tuples for value in key_tuple}
         allowed = self._sketch_allowed_tables(key_tuples, counters)
-        for item in self.index.fetch(sorted(probe_values)):
-            if allowed is not None and item.table_id not in allowed:
-                continue
-            rows.add(item.location())
+        for block in self.index.fetch_batch(sorted(probe_values)):
+            for location in zip(block.table_ids, block.row_indexes):
+                if allowed is None or location[0] in allowed:
+                    rows.add(location)
         counters.pl_items_fetched += len(rows)
         return rows
 

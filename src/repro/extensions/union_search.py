@@ -92,15 +92,17 @@ class UnionSearch:
             values = table.distinct_column_values(column)
             column_cardinalities.append(max(len(values), 1))
             seen: set[tuple[int, int, str]] = set()
-            for value in sorted(values):
-                for item in self.index.posting_list(value):
-                    if allowed is not None and item.table_id not in allowed:
+            for block in self.index.fetch_batch(sorted(values)):
+                for table_id, column_index in zip(
+                    block.table_ids, block.column_indexes
+                ):
+                    if allowed is not None and table_id not in allowed:
                         continue
-                    key = (item.table_id, item.column_index, value)
+                    key = (table_id, column_index, block.value)
                     if key in seen:
                         continue
                     seen.add(key)
-                    overlap[(item.table_id, query_position, item.column_index)] += 1
+                    overlap[(table_id, query_position, column_index)] += 1
 
         per_table: dict[int, dict[tuple[int, int], int]] = defaultdict(dict)
         for (table_id, query_position, column_index), count in overlap.items():

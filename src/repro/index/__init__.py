@@ -3,15 +3,10 @@ one CSR block, served (optionally behind the LRU cache of
 :mod:`repro.index.cache`) and edited by rewrites."""
 
 from .builder import IndexBuildReport, IndexBuilder, build_index
-from .columnar import (
-    ColumnarPostingList,
-    FetchBlock,
-    unpack_super_keys,
-)
+from .columnar import ColumnarPostingList, FetchBlock
 from .inverted import InvertedIndex
 from .kernels import entry_coverage
 from .maintenance import IndexMaintainer
-from .posting import FetchedItem, PostingListItem
 from .statistics import (
     IndexStorageReport,
     JOSIE_BYTES_PER_ENTRY,
@@ -26,16 +21,13 @@ from .statistics import (
 __all__ = [
     "ColumnarPostingList",
     "FetchBlock",
-    "FetchedItem",
     "IndexBuildReport",
     "entry_coverage",
-    "unpack_super_keys",
     "IndexBuilder",
     "IndexMaintainer",
     "IndexStorageReport",
     "InvertedIndex",
     "JOSIE_BYTES_PER_ENTRY",
-    "PostingListItem",
     "PostingVolumeEstimate",
     "SCR_BYTES_PER_ENTRY",
     "bits_to_bytes",

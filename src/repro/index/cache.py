@@ -18,8 +18,7 @@ classes implement the hot path:
   ``ServiceConfig.cache_capacity`` is 0.
 
 Caching is transparent by construction: ``CachingIndex.fetch_batch`` returns
-exactly what the wrapped index would return (same blocks, same order) and
-``fetch`` flattens those blocks into the classic per-item records, so a
+exactly what the wrapped index would return (same blocks, same order), so a
 :class:`~repro.core.discovery.MateDiscovery` engine produces identical
 results with or without the cache.  The one mutation of an index,
 :meth:`~repro.index.inverted.InvertedIndex.replace_block`, clears the whole
@@ -35,7 +34,7 @@ from typing import Iterable
 from ..datamodel import MISSING
 from ..exceptions import ConfigurationError
 from ..metrics import CacheCounters
-from .columnar import FetchBlock, FetchSurface
+from .columnar import FetchBlock
 
 
 class PostingListCache:
@@ -100,14 +99,14 @@ class PostingListCache:
             self._entries.clear()
 
 
-class CachingIndex(FetchSurface):
+class CachingIndex:
     """Read-through posting-list cache in front of any index.
 
     Wraps an index (an :class:`~repro.index.inverted.InvertedIndex` or a
     :class:`~repro.ingest.live.LiveIndex`) and serves ``fetch_batch`` per
     value from the LRU cache, falling back to one batched fetch of all
-    missing values.  Everything else — posting-list accessors, super keys —
-    is delegated to the wrapped index.
+    missing values.  Everything else — ``posting_lengths``, super keys, the
+    statistics reads — is delegated to the wrapped index.
     """
 
     def __init__(
@@ -177,12 +176,6 @@ class CachingIndex(FetchSurface):
     # ------------------------------------------------------------------
     # Delegated query surface
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __contains__(self, value: str) -> bool:
-        return value in self._index
-
     def __getattr__(self, name: str):
-        """Delegate everything else (accessors, super keys) to the index."""
+        """Delegate everything else (counts, super keys) to the index."""
         return getattr(self._index, name)

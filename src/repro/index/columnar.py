@@ -18,21 +18,14 @@ views it serves that block through:
 
 A request keeps its :class:`FetchBlock` s and :mod:`repro.index.batch` turns
 their columns and memoised coverage bitmaps into request-level arrays.
-
-Every structure can still be read as per-item records
-(:meth:`FetchBlock.items`, :meth:`ColumnarPostingList.items`), which is what
-``InvertedIndex.fetch`` returns.
+Nothing here is ever read as per-item records: columns in, columns out.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from ..datamodel import MISSING
-from .posting import FetchedItem, PostingListItem
 
 #: Entries a fetch block's coverage memo holds before it starts over.  Every
 #: entry is two bitmaps of the block's length and cached blocks outlive the
@@ -56,15 +49,6 @@ def column_view(data, typecode: str) -> memoryview:
     return memoryview(data).cast("B").cast(typecode)
 
 
-def unpack_super_keys(packed, width_bytes: int) -> list[int]:
-    """Materialise a packed super-key buffer back into a list of integers."""
-    from_bytes = int.from_bytes
-    return [
-        from_bytes(packed[position : position + width_bytes], "big")
-        for position in range(0, len(packed), width_bytes)
-    ]
-
-
 class ColumnarPostingList:
     """The postings of one value: its table ids, column indexes and row
     indexes, and the packed super keys of its rows (``super_key_bytes``)."""
@@ -83,34 +67,20 @@ class ColumnarPostingList:
         self.row_indexes = row_indexes
         self.super_key_bytes = super_key_bytes
 
-    def __len__(self) -> int:
-        return len(self.table_ids)
-
-    def items(self) -> list[PostingListItem]:
-        """Materialise every posting as a classic per-item record."""
-        return [
-            PostingListItem(table_id, column_index, row_index)
-            for table_id, column_index, row_index in zip(
-                self.table_ids, self.column_indexes, self.row_indexes
-            )
-        ]
-
 
 class FetchBlock:
     """Struct-of-arrays fetch result of one probe value.
 
     The posting columns reference the index's packed views directly (no
     copy), and so does the fixed-width super-key buffer (``super_key_bytes``
-    / ``key_width``) that the vectorized prefilter kernels consume; the
-    integer ``super_keys`` column behind :meth:`items` is unpacked lazily on
-    first access, so the kernel hot path never converts a single key.
+    / ``key_width``) that the vectorized prefilter kernels consume as it is.
     Blocks are snapshots of the index block they were sliced from: a
     replaced block leaves them as they were (the posting-list cache drops
     them when the block is replaced).
     """
 
     __slots__ = ("value", "table_ids", "column_indexes", "row_indexes",
-                 "_super_keys", "super_key_bytes", "key_width", "_cov_cache")
+                 "super_key_bytes", "key_width", "_cov_cache")
 
     def __init__(
         self,
@@ -125,7 +95,6 @@ class FetchBlock:
         self.table_ids = table_ids
         self.column_indexes = column_indexes
         self.row_indexes = row_indexes
-        self._super_keys: list[int] | None = None
         self.super_key_bytes = super_key_bytes
         self.key_width = key_width
         self._cov_cache: dict | None = None
@@ -187,81 +156,11 @@ class FetchBlock:
         self._coverage_memo(1)[token] = (entries, per_level)
         return per_level
 
-    @property
-    def super_keys(self) -> Sequence[int]:
-        """The integer super-key column (unpacked on first access)."""
-        column = self._super_keys
-        if column is None:
-            column = self._super_keys = unpack_super_keys(
-                self.super_key_bytes, self.key_width
-            )
-        return column
-
     def __len__(self) -> int:
         return len(self.row_indexes)
-
-    def __iter__(self) -> Iterator[FetchedItem]:
-        value = self.value
-        for table_id, column_index, row_index, super_key in zip(
-            self.table_ids, self.column_indexes, self.row_indexes, self.super_keys
-        ):
-            yield FetchedItem(value, table_id, column_index, row_index, super_key)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FetchBlock):
-            return NotImplemented
-        return self.value == other.value and self.items() == other.items()
-
-    def __repr__(self) -> str:
-        return f"FetchBlock(value={self.value!r}, items={len(self)})"
-
-    def items(self) -> list[FetchedItem]:
-        """Materialise the block as classic per-item fetch records."""
-        return list(self)
 
     @classmethod
     def empty(cls, value: str) -> "FetchBlock":
         """An empty block (used to cache negative fetch results); without a
         key, any width will do."""
         return cls(value, (), (), (), b"", 1)
-
-
-class FetchSurface:
-    """The per-item fetch records Algorithm 1 is written in, for any index
-    with ``fetch_batch`` and ``posting_list_length``: the blocks, flattened."""
-
-    if TYPE_CHECKING:  # pragma: no cover - what a subclass provides
-
-        def fetch_batch(self, values: Iterable[str]) -> list[FetchBlock]:
-            raise NotImplementedError
-
-        def posting_list_length(self, value: str) -> int:
-            raise NotImplementedError
-
-    def fetch(self, values: Iterable[str]) -> list[FetchedItem]:
-        """Fetch the PL items (with super keys) for every value in ``values``.
-
-        This is ``fetch_PLs`` of Algorithm 1 (line 4): ``fetch_batch``,
-        flattened.  Duplicate probe values are fetched only once.
-        """
-        fetched: list[FetchedItem] = []
-        for block in self.fetch_batch(values):
-            fetched.extend(block)
-        return fetched
-
-    def fetch_grouped_by_table(
-        self, values: Iterable[str]
-    ) -> dict[int, list[FetchedItem]]:
-        """Fetch PL items and group them by table id (line 5 of Algorithm 1)."""
-        grouped: dict[int, list[FetchedItem]] = defaultdict(list)
-        for item in self.fetch(values):
-            grouped[item.table_id].append(item)
-        return dict(grouped)
-
-    def posting_count_for_values(self, values: Sequence[str]) -> int:
-        """Total number of PL items the given probe values would fetch."""
-        return sum(
-            self.posting_list_length(value)
-            for value in dict.fromkeys(values)
-            if value != MISSING
-        )

@@ -14,9 +14,14 @@ sliced — is built at its first fetch and memoised, so a warm
 ``fetch_batch`` does no per-item work, and counts come from the offsets.
 Its query surface is exactly what Algorithm 1 needs:
 
-* ``fetch`` / ``fetch_batch`` — retrieve all PL items (with super keys) for a
-  set of probe values (line 4);
-* ``posting_list`` / ``posting_columns`` / ``super_key`` accessors.
+* ``fetch_batch`` — the posting lists (with super keys) of a set of probe
+  values as one struct-of-arrays block per value (line 4);
+* ``posting_lengths`` — how long those lists are, for the planner;
+* the row and statistics reads (``super_key``, ``has_row``,
+  ``indexed_tables``, ``num_posting_items``, ``num_rows``, ``values``,
+  ``len``) that index maintenance and storage reports make.
+
+A closed index refuses every one of them.
 
 The index is immutable but replaceable: :meth:`InvertedIndex.replace_block`
 installs a rewritten block, and it is the one mutator — Section 5.4's edits
@@ -32,13 +37,12 @@ from __future__ import annotations
 import mmap
 from bisect import bisect_left, bisect_right
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Collection, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..exceptions import IndexClosedError, IndexError_, SegmentFormatError
-from .columnar import ColumnarPostingList, FetchBlock, FetchSurface
-from .posting import PostingListItem
+from .columnar import ColumnarPostingList, FetchBlock
 
 if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
     from ..storage.segment_block import SegmentBlock
@@ -83,16 +87,6 @@ class RowKeys:
         offset = slot * width
         return int.from_bytes(self._keys[offset : offset + width], "big")
 
-    def items(self) -> Iterator[tuple[tuple[int, int], int]]:
-        """Iterate over ``((table_id, row_index), super_key)`` pairs, the
-        row table in order."""
-        keys = self._keys
-        width = self.width_bytes
-        from_bytes = int.from_bytes
-        for slot, key in enumerate(zip(self._tables, self._rows)):
-            offset = slot * width
-            yield key, from_bytes(keys[offset : offset + width], "big")
-
     def table_ids_present(self) -> set[int]:
         """Distinct table ids owning at least one row."""
         return set(self._tables)
@@ -115,15 +109,6 @@ class _State:
         #: The views joined so far, never the whole vocabulary: everything
         #: that enumerates values reads the block.
         self.views: dict[str, ColumnarPostingList] = {}
-
-    def view(self, value: str) -> ColumnarPostingList | None:
-        """The (memoised) posting view of ``value``; ``None`` when the
-        value is not indexed."""
-        view = self.views.get(value)
-        if view is None and value in self.value_ids:
-            self.join([value])
-            view = self.views[value]
-        return view
 
     def join(self, values: list[str]) -> None:
         """Build and memoise the views of ``values`` (indexed, distinct).
@@ -167,13 +152,13 @@ class _State:
             at = stop
 
 
-class InvertedIndex(FetchSurface):
+class InvertedIndex:
     """Value -> posting-list mapping plus per-row super keys, served from
     one block (see the module docstring).
 
     ``path`` names the ``.seg`` file a mapped index serves (``mapping`` is
     its :mod:`mmap`), ``None`` for a heap block.  :meth:`close` drops the
-    block (unmapping the file), after which any fetch raises
+    block (unmapping the file), after which every read raises
     :class:`~repro.exceptions.IndexClosedError`.
     """
 
@@ -205,8 +190,7 @@ class InvertedIndex(FetchSurface):
     @property
     def block(self) -> "SegmentBlock":
         """The CSR block this index serves (what a segment file holds)."""
-        self._ensure_open("reading the block")
-        return self._state.block
+        return self._ensure_open("reading the block").block
 
     def replace_block(self, block: "SegmentBlock") -> None:
         """Serve ``block`` from now on — the one mutator of an index.
@@ -238,8 +222,9 @@ class InvertedIndex(FetchSurface):
     def close(self) -> None:
         """Drop the block and unmap a segment file (idempotent).
 
-        Any later ``fetch`` / ``fetch_batch`` raises the typed
-        :class:`~repro.exceptions.IndexClosedError`.  Fetch blocks handed
+        Every later read raises the typed
+        :class:`~repro.exceptions.IndexClosedError` — a closed index never
+        answers as if it were empty.  Fetch blocks handed
         out earlier keep their buffers alive: the OS unmaps the pages when
         the last exported view is released.
         """
@@ -262,38 +247,37 @@ class InvertedIndex(FetchSurface):
                 # mapping; it goes away with their last reference.
                 pass
 
-    def _ensure_open(self, operation: str) -> None:
+    def _ensure_open(self, operation: str) -> _State:
+        """The state ``operation`` reads; refused once the index is closed."""
         if self._closed:
             raise IndexClosedError(
                 f"{operation} on a closed index; the index was closed or "
                 "sealed and no longer serves requests"
             )
+        return self._state
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         """Number of distinct indexed values."""
-        return len(self._state.block.values)
-
-    def __contains__(self, value: str) -> bool:
-        return value in self._state.value_ids
+        return len(self._ensure_open("len").block.values)
 
     def values(self) -> Iterator[str]:
         """Iterate over the distinct indexed values (first-seen order)."""
-        return iter(self._state.block.values)
+        return iter(self._ensure_open("values").block.values)
 
     def num_posting_items(self) -> int:
         """Total number of PL items across all values."""
-        return self._state.block.num_postings()
+        return self._ensure_open("num_posting_items").block.num_postings()
 
     def num_rows(self) -> int:
         """Number of rows that own a super key."""
-        return len(self._state.rows)
+        return len(self._ensure_open("num_rows").rows)
 
     def indexed_tables(self) -> set[int]:
         """Return the ids of all tables with at least one indexed row."""
-        return self._state.rows.table_ids_present()
+        return self._ensure_open("indexed_tables").rows.table_ids_present()
 
     def visible_counts(self, masked: Collection[int]) -> tuple[list[int], int]:
         """``(PL items per value, in :meth:`values` order; rows)`` outside
@@ -302,29 +286,24 @@ class InvertedIndex(FetchSurface):
         sliced or memoised for a count."""
         from ..storage.segment_block import visible_counts
 
-        return visible_counts(self._state.block, masked)
+        return visible_counts(self._ensure_open("visible_counts").block, masked)
 
-    def posting_columns(self, value: str) -> ColumnarPostingList | None:
-        """Return the posting view of ``value`` (``None`` when not indexed)."""
-        return self._state.view(value)
-
-    def posting_list(self, value: str) -> list[PostingListItem]:
-        """Return the posting list of ``value`` (empty when not indexed)."""
-        view = self._state.view(value)
-        return [] if view is None else view.items()
-
-    def posting_list_length(self, value: str) -> int:
-        """Return the number of PL items for ``value`` without slicing."""
-        state = self._state
-        value_id = state.value_ids.get(value)
-        if value_id is None:
-            return 0
-        offsets = state.block.posting_offsets
-        return offsets[value_id + 1] - offsets[value_id]
+    def posting_lengths(self, values: Sequence[str]) -> list[int]:
+        """The number of PL items of each of ``values`` (0 when not indexed),
+        read off the offsets without slicing."""
+        state = self._ensure_open("posting_lengths")
+        value_ids, offsets = state.value_ids, state.block.posting_offsets
+        lengths = []
+        for value in values:
+            value_id = value_ids.get(value)
+            lengths.append(
+                0 if value_id is None else offsets[value_id + 1] - offsets[value_id]
+            )
+        return lengths
 
     def super_key(self, table_id: int, row_index: int) -> int:
         """Return the super key of a row."""
-        stored = self._state.rows.get((table_id, row_index))
+        stored = self._ensure_open("super_key").rows.get((table_id, row_index))
         if stored is None:
             raise IndexError_(
                 f"no super key stored for table {table_id} row {row_index}"
@@ -333,12 +312,7 @@ class InvertedIndex(FetchSurface):
 
     def has_row(self, table_id: int, row_index: int) -> bool:
         """Return whether a super key is stored for the row."""
-        return (table_id, row_index) in self._state.rows
-
-    def iter_super_keys(self) -> Iterator[tuple[int, int, int]]:
-        """Iterate over ``(table_id, row_index, super_key)`` triples."""
-        for (table_id, row_index), super_key in self._state.rows.items():
-            yield table_id, row_index, super_key
+        return (table_id, row_index) in self._ensure_open("has_row").rows
 
     # ------------------------------------------------------------------
     # Discovery-phase retrieval
@@ -352,8 +326,7 @@ class InvertedIndex(FetchSurface):
         value runs at its first fetch), so a warm ``fetch_batch`` does no
         per-item work at all.
         """
-        self._ensure_open("fetch_batch")
-        state = self._state
+        state = self._ensure_open("fetch_batch")
         width = state.block.key_width
         views = state.views
         probed = dict.fromkeys(values)

@@ -132,24 +132,6 @@ class PostingVolumeEstimate:
         return self.estimated_postings * min(values_done, self.values) / self.values
 
 
-def _sampled_lengths(index, sampled_values: list[str]) -> int:
-    """Total posting-list length of the sampled values on any index.
-
-    Prefers the batched ``posting_lengths`` surface (one pinned snapshot on
-    a :class:`~repro.ingest.live.LiveIndex`), then per-value
-    ``posting_list_length``, then the universal ``posting_count_for_values``.
-    """
-    batched = getattr(index, "posting_lengths", None)
-    if batched is not None:
-        return sum(batched(sampled_values))
-    length = getattr(index, "posting_list_length", None)
-    if length is not None:
-        return sum(length(value) for value in sampled_values)
-    return sum(
-        index.posting_count_for_values([value]) for value in sampled_values
-    )
-
-
 def estimate_posting_volume(
     index, values: Sequence[str], sample_size: int = 32
 ) -> PostingVolumeEstimate:
@@ -165,8 +147,8 @@ def estimate_posting_volume(
         return PostingVolumeEstimate(
             values=0, sampled=0, estimated_postings=0.0, exact=True
         )
-    sampled_total = _sampled_lengths(
-        index, [values[position] for position in positions]
+    sampled_total = sum(
+        index.posting_lengths([values[position] for position in positions])
     )
     exact = len(positions) == len(values)
     if exact:

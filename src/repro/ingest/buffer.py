@@ -28,7 +28,7 @@ further mutation raises :class:`~repro.exceptions.IndexClosedError`.
 from __future__ import annotations
 
 from itertools import compress, count, repeat
-from typing import Any, Iterable, Iterator, NamedTuple
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as _np
 
@@ -37,13 +37,7 @@ from ..datamodel import MISSING, Table
 from ..datamodel.encoding import MISSING_ID
 from ..exceptions import IndexClosedError, IndexError_
 from ..hashing.base import key_width
-from ..index import (
-    ColumnarPostingList,
-    FetchBlock,
-    IndexBuilder,
-    InvertedIndex,
-    PostingListItem,
-)
+from ..index import FetchBlock, IndexBuilder, InvertedIndex
 from ..index.bulk import EncodedTables, encode_tables, layout_block, row_keys
 from ..index.columnar import column_view
 
@@ -312,9 +306,8 @@ class BufferView:
     columns through the cells' row numbers — so its blocks are the ones a
     sealed segment returns.  Nothing a fetch does grows with the row count,
     and only a lookup table with the vocabulary; counts come from the count
-    column, row lookups from the table map.  Only enumeration (:meth:`values`, :meth:`iter_super_keys`,
-    :meth:`posting_columns`) lays the whole view out, once
-    (:meth:`laid_out`, which is also what a seal returns).
+    column, row lookups from the table map.  Nothing it serves lays the
+    whole view out: :meth:`laid_out` does that once, for a seal.
     """
 
     def __init__(self, buffer: IngestBuffer):
@@ -398,27 +391,22 @@ class BufferView:
             if end > start
         ]
 
-    def posting_list_length(self, value: str) -> int:
-        """Number of PL items of ``value`` (one read of the count column)."""
-        value_id = self._value_id(value)
-        return int(self._counts[value_id]) if value_id >= 0 else 0
-
-    def __contains__(self, value: str) -> bool:
-        return self._value_id(value) >= 0
-
-    def __len__(self) -> int:
-        return self._num_values
+    def posting_lengths(self, values: Sequence[str]) -> list[int]:
+        """Number of PL items of each of ``values`` (reads of the count
+        column)."""
+        counts = self._counts
+        return [
+            int(counts[value_id]) if (value_id := self._value_id(value)) >= 0 else 0
+            for value in values
+        ]
 
     def num_posting_items(self) -> int:
         return len(self._cells[0])
 
-    def num_rows(self) -> int:
-        return len(self._rows[0])
-
     def _row(self, table_id: int, row_index: int) -> int:
         """Row number of a buffered row, -1 when the view has none."""
         first_row, num_rows, _, _ = self._tables.get(table_id, (0, 0, 0, 0))
-        if 0 <= row_index < num_rows and first_row + row_index < self.num_rows():
+        if 0 <= row_index < num_rows and first_row + row_index < len(self._rows[0]):
             return first_row + row_index
         return -1
 
@@ -432,18 +420,3 @@ class BufferView:
                 f"no super key stored for table {table_id} row {row_index}"
             )
         return int.from_bytes(self._rows[2][row].tobytes(), "big")
-
-    # ------------------------------------------------------------------
-    # Enumeration: served from the full layout
-    # ------------------------------------------------------------------
-    def values(self) -> Iterator[str]:
-        return self.laid_out().values()
-
-    def iter_super_keys(self) -> Iterator[tuple[int, int, int]]:
-        return self.laid_out().iter_super_keys()
-
-    def posting_columns(self, value: str) -> ColumnarPostingList | None:
-        return self.laid_out().posting_columns(value)
-
-    def posting_list(self, value: str) -> list[PostingListItem]:
-        return self.laid_out().posting_list(value)

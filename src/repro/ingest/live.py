@@ -8,7 +8,7 @@ the mutable :class:`~repro.ingest.buffer.IngestBuffer`, and periodically *sealed
 immutable columnar :class:`~repro.ingest.segments.Segment` objects that the
 compactor merges in the background.  Reads see the union of the segment
 stack (oldest to newest) and the buffer, with tombstones masking removed
-tables — behind exactly the ``fetch`` / ``fetch_batch`` query surface of
+tables — behind the ``fetch_batch`` / ``posting_lengths`` read surface of
 :class:`~repro.index.inverted.InvertedIndex`, so the discovery engine, the
 posting-list cache, and the session facade all run unchanged on top.
 
@@ -37,19 +37,19 @@ from __future__ import annotations
 import json
 import os
 import threading
-from itertools import chain, compress
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from ..config import MateConfig
 from ..datamodel import MISSING, Table
 from ..exceptions import IndexClosedError, IndexError_, StorageError
-from ..index import FetchBlock, FetchedItem, InvertedIndex
+from ..index import FetchBlock, InvertedIndex
 from ..index.columnar import column_view
 from ..sketch import SKETCH_FILE_STEM, SKETCH_SUFFIX, SketchIndex
 from ..storage.paged import SEGMENT_SUFFIX, load_segment, write_segment
+from ..storage.segment_block import SegmentBlock, merge_blocks
 from .buffer import BufferView, IngestBuffer
 from .segments import Segment, merge_segments
 from .wal import WriteAheadLog, repair_torn_tail, replay_wal
@@ -316,55 +316,26 @@ class LiveSnapshot:
             )
         return merged
 
-    def fetch(self, values: Iterable[str]) -> list[FetchedItem]:
-        """Fetch classic per-item records (flattened :meth:`fetch_batch`)."""
-        fetched: list[FetchedItem] = []
-        for block in self.fetch_batch(values):
-            fetched.extend(block)
-        return fetched
-
-    def fetch_grouped_by_table(
-        self, values: Iterable[str]
-    ) -> dict[int, list[FetchedItem]]:
-        """Fetch PL items and group them by table id."""
-        grouped: dict[int, list[FetchedItem]] = {}
-        for item in self.fetch(values):
-            grouped.setdefault(item.table_id, []).append(item)
-        return grouped
-
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
-    def posting_list_length(self, value: str) -> int:
-        """Number of visible PL items for ``value`` across all components."""
-        total = 0
+    def posting_lengths(self, values: Sequence[str]) -> list[int]:
+        """Visible PL items of each of ``values``, summed over the
+        components; a component a tombstone masks counts the postings of its
+        filtered :meth:`fetch_batch` blocks."""
+        totals = [0] * len(values)
         for index, _table_seqs, masked in self._components:
-            if not masked:
-                total += index.posting_list_length(value)
-                continue
-            columns = index.posting_columns(value)
-            if columns is None:
-                continue
-            visible = _visible(columns.table_ids, masked)
-            total += len(columns) if visible is None else int(visible.sum())
-        return total
-
-    def posting_count_for_values(self, values: Sequence[str]) -> int:
-        """Total visible PL items the given probe values would fetch."""
-        return sum(
-            self.posting_list_length(value)
-            for value in dict.fromkeys(values)
-            if value != MISSING
-        )
-
-    def posting_list(self, value: str):
-        """Visible postings of ``value`` as classic per-item records."""
-        items = []
-        for index, _table_seqs, masked in self._components:
-            for item in index.posting_list(value):
-                if item.table_id not in masked:
-                    items.append(item)
-        return items
+            if masked:
+                visible: dict[str, int] = {}
+                for block in index.fetch_batch(values):
+                    block = _filter_block(block, masked)
+                    if block is not None:
+                        visible[block.value] = len(block)
+                lengths = [visible.get(value, 0) for value in values]
+            else:
+                lengths = index.posting_lengths(values)
+            totals = [total + length for total, length in zip(totals, lengths)]
+        return totals
 
     def super_key(self, table_id: int, row_index: int) -> int:
         """Super key of a visible row (newest visible copy wins)."""
@@ -392,30 +363,18 @@ class LiveSnapshot:
             visible.update(tid for tid in table_seqs if tid not in masked)
         return visible
 
-    def values(self) -> Iterator[str]:
-        """Iterate over the distinct visible values (component order)."""
-        vocabularies = []
-        visible: set[str] = set()
-        for index, _table_seqs, masked in self._components:
-            values = list(index.values())
-            vocabularies.append(values)
-            if masked:
-                # Hidden here, a value may still be visible elsewhere.
-                visible.update(compress(values, index.visible_counts(masked)[0]))
-            else:
-                visible.update(values)
-        return iter(
-            dict.fromkeys(
-                value for value in chain.from_iterable(vocabularies) if value in visible
-            )
+    @property
+    def block(self) -> SegmentBlock:
+        """Everything visible as one block — the components merged as a
+        compaction merges them, masked tables purged: what a full scan (the
+        SQL engine's accelerator) reads."""
+        return merge_blocks(
+            [
+                (index.laid_out() if isinstance(index, BufferView) else index).block
+                for index, _table_seqs, _masked in self._components
+            ],
+            [masked for _index, _table_seqs, masked in self._components],
         )
-
-    def __contains__(self, value: str) -> bool:
-        return self.posting_list_length(value) > 0
-
-    def __len__(self) -> int:
-        """Number of distinct visible values."""
-        return sum(1 for _ in self.values())
 
     def num_posting_items(self) -> int:
         """Total visible PL items."""
@@ -425,16 +384,6 @@ class LiveSnapshot:
                 total += index.num_posting_items()
             else:
                 total += sum(index.visible_counts(masked)[0])
-        return total
-
-    def num_rows(self) -> int:
-        """Total rows of visible tables (rows owning a super key)."""
-        total = 0
-        for index, _table_seqs, masked in self._components:
-            if not masked:
-                total += index.num_rows()
-            else:
-                total += index.visible_counts(masked)[1]
         return total
 
 
@@ -852,64 +801,24 @@ class LiveIndex:
         """Snapshot-consistent :meth:`LiveSnapshot.fetch_batch`."""
         return self.snapshot().fetch_batch(values)
 
-    def fetch(self, values: Iterable[str]) -> list[FetchedItem]:
-        """Snapshot-consistent :meth:`LiveSnapshot.fetch`."""
-        return self.snapshot().fetch(values)
-
-    def fetch_grouped_by_table(
-        self, values: Iterable[str]
-    ) -> dict[int, list[FetchedItem]]:
-        """Snapshot-consistent grouped fetch."""
-        return self.snapshot().fetch_grouped_by_table(values)
-
-    def posting_list_length(self, value: str) -> int:
-        """Visible PL items for ``value``."""
-        return self.snapshot().posting_list_length(value)
-
-    def posting_count_for_values(self, values: Sequence[str]) -> int:
-        """Visible PL items the given probe values would fetch."""
-        return self.snapshot().posting_count_for_values(values)
-
     def posting_lengths(self, values: Sequence[str]) -> list[int]:
         """Per-value visible PL-item counts, all read off *one* snapshot.
 
         The batched statistics read behind the query planner's cost model
-        (:func:`repro.index.statistics.estimate_posting_volume`): sampling
-        posting-list lengths value by value would pin one generation per
-        lookup and could straddle a concurrent compaction; this pins one.
+        (:func:`repro.index.statistics.estimate_posting_volume`) and the
+        worst/best-case column selectors: counting value by value would pin
+        one generation per lookup and could straddle a concurrent
+        compaction; this pins one.
         """
-        snapshot = self.snapshot()
-        return [snapshot.posting_list_length(value) for value in values]
-
-    def super_key(self, table_id: int, row_index: int) -> int:
-        """Super key of a visible row."""
-        return self.snapshot().super_key(table_id, row_index)
-
-    def has_row(self, table_id: int, row_index: int) -> bool:
-        """Whether a visible row owns a super key."""
-        return self.snapshot().has_row(table_id, row_index)
+        return self.snapshot().posting_lengths(values)
 
     def indexed_tables(self) -> set[int]:
         """Ids of every visible table."""
         return self.snapshot().indexed_tables()
 
-    def values(self) -> Iterator[str]:
-        """Distinct visible values."""
-        return self.snapshot().values()
-
     def num_posting_items(self) -> int:
         """Total visible PL items."""
         return self.snapshot().num_posting_items()
-
-    def num_rows(self) -> int:
-        """Total visible rows."""
-        return self.snapshot().num_rows()
-
-    def __contains__(self, value: str) -> bool:
-        return value in self.snapshot()
-
-    def __len__(self) -> int:
-        return len(self.snapshot())
 
     # ------------------------------------------------------------------
     # Persistence (manifest + recovery)

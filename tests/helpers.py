@@ -3,6 +3,44 @@
 from __future__ import annotations
 
 import time
+from typing import NamedTuple
+
+
+class FetchedItem(NamedTuple):
+    """One posting as line 4 of Algorithm 1 fetches it, with its row's key."""
+
+    value: str
+    table_id: int
+    column_index: int
+    row_index: int
+    super_key: int
+
+
+def _unpacked(packed, width: int) -> list[int]:
+    packed = bytes(packed)
+    return [
+        int.from_bytes(packed[at : at + width], "big")
+        for at in range(0, len(packed), width)
+    ]
+
+
+def block_items(block) -> list[FetchedItem]:
+    """A ``FetchBlock``'s columns as per-item records, posting order."""
+    columns = (block.table_ids, block.column_indexes, block.row_indexes)
+    keys = _unpacked(block.super_key_bytes, block.key_width)
+    return [FetchedItem(block.value, *item) for item in zip(*columns, keys)]
+
+
+def fetch_items(index, values) -> list[FetchedItem]:
+    """The per-item oracle of ``fetch_batch``: its blocks, flattened."""
+    return [item for block in index.fetch_batch(values) for item in block_items(block)]
+
+
+def row_keys(index) -> list[tuple[int, int, int]]:
+    """``(table_id, row_index, super_key)`` per row of an index's block."""
+    block = index.block
+    keys = _unpacked(block.row_keys, block.key_width)
+    return list(zip(block.row_table_ids, block.row_row_indexes, keys))
 
 
 class CellIndex:
@@ -43,9 +81,7 @@ class CellIndex:
         reference = cls(index.hash_size, index.hash_function_name)
         for value, *columns in index.block.postings():
             reference.postings[value] = tuple(column.tolist() for column in columns)
-        reference.keys = {
-            (table, row): key for table, row, key in index.iter_super_keys()
-        }
+        reference.keys = {(table, row): key for table, row, key in row_keys(index)}
         return reference
 
     def add_posting(self, value, table_id, column_index, row_index) -> None:
@@ -476,11 +512,10 @@ def fetch_grouped_by_table(index, values):
     -> [(value, row_index, super_key)]``, per table in probe order, then
     posting order."""
     grouped = {}
-    for block in index.fetch_batch(values):
-        for item in block:
-            grouped.setdefault(item.table_id, []).append(
-                (item.value, item.row_index, item.super_key)
-            )
+    for item in fetch_items(index, values):
+        grouped.setdefault(item.table_id, []).append(
+            (item.value, item.row_index, item.super_key)
+        )
     return grouped
 
 
@@ -691,8 +726,9 @@ def legacy_xash_hash(value, config):
 def assert_blocks_equal(mine, theirs) -> None:
     """Fetch blocks equal — postings, super keys and the packed key
     buffers."""
-    assert mine == theirs
-    assert [block.value for block in mine] == [block.value for block in theirs]
+    assert [block_items(block) for block in mine] == [
+        block_items(block) for block in theirs
+    ]
     for left, right in zip(mine, theirs):
         assert bytes(left.super_key_bytes) == bytes(right.super_key_bytes)
         assert left.key_width == right.key_width
@@ -728,7 +764,7 @@ def legacy_merge_segments(segments, tombstones, generation):
             for item in zip(*columns):
                 if item[0] not in masked:
                     merged.add_posting(value, *item)
-        for table_id, row_index, super_key in segment.index.iter_super_keys():
+        for table_id, row_index, super_key in row_keys(segment.index):
             if table_id not in masked:
                 merged.keys[(table_id, row_index)] = super_key
     return Segment(index=merged.to_index(), table_seqs=table_seqs, generation=generation)

@@ -56,6 +56,7 @@ from tests.helpers import (
     BUILD_LANES,
     CellIndex,
     assert_results_byte_identical,
+    block_items,
     build_in_lane,
     fetch_grouped_by_table,
     legacy_discover,
@@ -737,7 +738,7 @@ class TestDiscoverDifferential:
         values = engine.probe_values(query)
         components = live.snapshot()._components
         assert any(
-            sum(index.posting_list_length(value) > 0 for index, _, _ in components) > 1
+            sum(index.posting_lengths([value])[0] > 0 for index, _, _ in components) > 1
             for value in values
         ), "no probe value spans components: the merged-block case is not covered"
         result = assert_matches_legacy(engine, query)
@@ -1250,7 +1251,7 @@ class TestNoBufferPinned:
             maintainer.insert_table(Table(table_id, "late", ["a"], [[probe]]))
             inserted.append(table_id)
 
-        before = index.posting_list_length(probe)
+        (before,) = index.posting_lengths([probe])
         executor = Executor(engine)
         plan = Planner(engine).plan(query)
         context = PlanContext(
@@ -1271,7 +1272,7 @@ class TestNoBufferPinned:
             write()
         # The run answers from the postings it fetched, whatever came later.
         assert context.topk.result_tuples() == expected.result_tuples()
-        assert index.posting_list_length(probe) == before + len(inserted)
+        assert index.posting_lengths([probe]) == [before + len(inserted)]
 
     def test_a_fetch_racing_edits_sees_one_block(self):
         """One thread edits (drop table 1, add it back: three block states in
@@ -1301,7 +1302,7 @@ class TestNoBufferPinned:
         ]
         allowed = {
             value: [
-                [block.items() for block in state.fetch_batch([value])]
+                [block_items(block) for block in state.fetch_batch([value])]
                 for state in states
             ]
             for value in values
@@ -1313,7 +1314,7 @@ class TestNoBufferPinned:
             try:
                 while not stop.is_set():
                     for value in values:
-                        got = [block.items() for block in index.fetch_batch([value])]
+                        got = [block_items(block) for block in index.fetch_batch([value])]
                         assert got in allowed[value], (value, got)
             except BaseException as error:  # noqa: BLE001 - reported below
                 failures.append(error)
@@ -1333,6 +1334,6 @@ class TestNoBufferPinned:
             sys.setswitchinterval(interval)
         assert not thread.is_alive()
         assert not failures, failures[0]
-        assert [block.items() for block in index.fetch_batch(values)] == [
-            block.items() for block in states[2].fetch_batch(values)
+        assert [block_items(block) for block in index.fetch_batch(values)] == [
+            block_items(block) for block in states[2].fetch_batch(values)
         ]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import sqlite3
 
 import pytest
 
@@ -17,24 +18,28 @@ from repro import (
 )
 from repro.datagen import build_workload
 from repro.datamodel import MISSING
+from repro.engine_sql import build_accelerator, key_width
+from repro.engine_sql.accelerator import split_limbs
 from repro.hashing import SuperKeyGenerator
 from repro.index import (
-    ColumnarPostingList,
     FetchBlock,
-    FetchedItem,
     IndexBuilder,
     IndexMaintainer,
     InvertedIndex,
-    PostingListItem,
 )
 from repro.index.cache import CachingIndex
 from repro.storage import load_segment, write_segment
 from tests.helpers import (
     BUILD_LANES,
     CellIndex,
+    FetchedItem,
+    assert_blocks_equal,
     assert_results_byte_identical,
+    block_items,
     build_in_lane,
+    fetch_items,
     legacy_discover,
+    row_keys,
 )
 
 
@@ -92,26 +97,21 @@ def probe_values(scanned) -> list[str]:
 
 
 class TestColumnarPostingList:
-    def test_items(self):
-        columns = ColumnarPostingList(
-            [1, 1, 2, 2, 1], [0, 1, 0, 0, 0], [0, 0, 3, 4, 9], super_key_bytes=b""
-        )
-        assert len(columns) == 5
-        assert [item.table_id for item in columns.items()] == [1, 1, 2, 2, 1]
-        assert columns.items()[2] == PostingListItem(2, 0, 3)
-
     def test_views_carry_the_packed_slice(self, config):
         cells = CellIndex(hash_size=128)
         for row_index, key in enumerate([11, 22]):
             cells.add_posting("x", 0, 0, row_index)
             cells.keys[(0, row_index)] = key
         index = cells.to_index()
-        packed = index.posting_columns("x")
+        (packed,) = index.fetch_batch(["x"])
         assert bytes(packed.super_key_bytes) == (11).to_bytes(16, "big") + (
             22
         ).to_bytes(16, "big")
-        assert index.posting_columns("x") is packed  # memoised
-        assert index.posting_columns("absent") is None
+        # The value's view is memoised: a second fetch slices nothing.
+        (again,) = index.fetch_batch(["x"])
+        assert again.table_ids is packed.table_ids
+        assert again.super_key_bytes is packed.super_key_bytes
+        assert index.fetch_batch(["absent"]) == []
 
     def test_posting_columns_of_unequal_lengths_are_refused(self):
         from repro.storage.segment_block import SegmentBlock
@@ -126,20 +126,7 @@ class TestFetchAgainstACorpusScan:
     def test_fetch_matches_the_scan(self, columnar_index, scanned):
         values = probe_values(scanned)
         expected = [item for value in values for item in scanned.get(value, ())]
-        assert columnar_index.fetch(values) == expected
-        grouped: dict[int, list[FetchedItem]] = {}
-        for item in expected:
-            grouped.setdefault(item.table_id, []).append(item)
-        assert columnar_index.fetch_grouped_by_table(values) == grouped
-
-    def test_fetch_batch_flattens_to_fetch(self, columnar_index):
-        values = sorted(columnar_index.values())[:200]
-        flattened = [
-            item
-            for block in columnar_index.fetch_batch(values)
-            for item in block
-        ]
-        assert flattened == columnar_index.fetch(values)
+        assert fetch_items(columnar_index, values) == expected
 
     def test_fetch_batch_blocks_match_the_scan(self, columnar_index, scanned):
         values = probe_values(scanned)
@@ -148,7 +135,7 @@ class TestFetchAgainstACorpusScan:
             value for value in values if value in scanned
         ]
         for block in blocks:
-            assert block.items() == scanned[block.value]
+            assert block_items(block) == scanned[block.value]
 
     def test_posting_accessors_match_the_scan(
         self, workload, config, columnar_index, scanned
@@ -157,15 +144,13 @@ class TestFetchAgainstACorpusScan:
         assert columnar_index.num_posting_items() == sum(
             len(items) for items in scanned.values()
         )
-        assert sorted(columnar_index.iter_super_keys()) == scanned_super_keys(
+        assert sorted(row_keys(columnar_index)) == scanned_super_keys(
             workload.corpus, config
         )
-        for value in sorted(scanned)[:50]:
-            assert columnar_index.posting_list(value) == [
-                PostingListItem(item.table_id, item.column_index, item.row_index)
-                for item in scanned[value]
-            ]
-            assert columnar_index.posting_list_length(value) == len(scanned[value])
+        values = sorted(scanned)[:50]
+        assert columnar_index.posting_lengths(values) == [
+            len(scanned[value]) for value in values
+        ]
 
     def test_discovery_matches_the_verbatim_loop(
         self, workload, config, columnar_index
@@ -181,10 +166,10 @@ class TestFetchAgainstACorpusScan:
         tables, and the shards merge to the monolith's answers."""
         sharded = ShardedMateDiscovery(workload.corpus, num_shards=3, config=config)
         values = sorted(columnar_index.values())[:200]
-        whole = columnar_index.fetch(values)
+        whole = fetch_items(columnar_index, values)
         for shard, index in zip(sharded.shards, sharded.shard_indexes):
             tables = set(shard.table_ids())
-            assert index.fetch(values) == [
+            assert fetch_items(index, values) == [
                 item for item in whole if item.table_id in tables
             ]
         for query in workload.queries[:1]:
@@ -209,11 +194,11 @@ class TestFetchAgainstACorpusScan:
         def assert_scans(tables):
             scanned = scanned_cells(tables, config)
             values = probe_values(scanned)
-            assert index.fetch(values) == [
+            assert fetch_items(index, values) == [
                 item for value in values for item in scanned.get(value, ())
             ]
             assert sorted(index.values()) == sorted(scanned)
-            assert sorted(index.iter_super_keys()) == scanned_super_keys(
+            assert sorted(row_keys(index)) == scanned_super_keys(
                 tables, config
             )
 
@@ -229,16 +214,43 @@ class TestFetchAgainstACorpusScan:
             Table(table_id=0, name="t", columns=["a"], rows=[["x"], ["x"]])
         )
         index = build_index(corpus, config=config)
-        before = index.fetch(["x"])
-        view = index.posting_columns("x")
+        before = fetch_items(index, ["x"])
+        (view,) = index.fetch_batch(["x"])
         cells = CellIndex.of(index)
         cells.keys[(0, 1)] = 12345
         cells.add_posting("x", 0, 0, 1)
         index.replace_block(cells.to_block())
-        after = index.fetch(["x"])
-        assert index.posting_columns("x") is not view
+        after = fetch_items(index, ["x"])
+        assert index.fetch_batch(["x"])[0].table_ids is not view.table_ids
         assert after[1].super_key == 12345
         assert len(after) == len(before) + 1
+
+
+class TestAcceleratorScan:
+    """The SQL accelerator is a full scan of the block in storage order: the
+    rows a per-item loop over the fetched postings writes, in that order."""
+
+    @pytest.mark.parametrize("hash_size", [128, 256])
+    def test_rows_are_the_per_item_fetch(self, workload, hash_size):
+        index = build_index(workload.corpus, config=MateConfig(hash_size=hash_size))
+        width = key_width(hash_size)
+        expected = []
+        for value in index.values():
+            for pos, item in enumerate(fetch_items(index, [value])):
+                limbs = split_limbs(item.super_key) if hash_size <= 128 else (None,) * 2
+                expected.append(
+                    (value, pos, item.table_id, item.column_index, item.row_index,
+                     item.super_key.to_bytes(width, "big"), *limbs)
+                )
+        connection = sqlite3.connect(":memory:")
+        try:
+            assert build_accelerator(connection, index) == len(expected)
+            assert connection.execute(
+                "SELECT value, pos, table_id, column_index, row_index, super_key, "
+                "super_key_hi, super_key_lo FROM pushdown_postings ORDER BY rowid"
+            ).fetchall() == expected
+        finally:
+            connection.close()
 
 
 class TestOneLayout:
@@ -267,10 +279,8 @@ class TestPackedPersistence:
         restored = load_segment(path)
         try:
             values = sorted(columnar_index.values())[:150]
-            assert restored.fetch(values) == columnar_index.fetch(values)
-            assert sorted(restored.iter_super_keys()) == sorted(
-                columnar_index.iter_super_keys()
-            )
+            assert fetch_items(restored, values) == fetch_items(columnar_index, values)
+            assert row_keys(restored) == row_keys(columnar_index)
         finally:
             restored.close()
 
@@ -297,11 +307,9 @@ class TestPackedPersistence:
             )
             try:
                 values = sorted(index.values())[:150] + ["never indexed"]
-                assert restored.fetch(values) == index.fetch(values)
+                assert fetch_items(restored, values) == fetch_items(index, values)
                 assert restored.indexed_tables() == index.indexed_tables()
-                assert sorted(restored.iter_super_keys()) == sorted(
-                    index.iter_super_keys()
-                )
+                assert row_keys(restored) == row_keys(index)
             finally:
                 restored.close()
 
@@ -312,8 +320,8 @@ class TestCachingBlocks:
         values = sorted(columnar_index.values())[:30]
         cold = caching.fetch_batch(values)
         warm = caching.fetch_batch(values)
-        assert cold == columnar_index.fetch_batch(values)
-        assert warm == cold
+        assert_blocks_equal(cold, columnar_index.fetch_batch(values))
+        assert all(hot is block for hot, block in zip(warm, cold))
         assert all(isinstance(block, FetchBlock) for block in warm)
         assert caching.counters.misses == 30
         assert caching.counters.hits == 30

@@ -184,8 +184,10 @@ class TestPlanting:
         planted = plant_distractor_table(corpus, query, rng, matching_rows=30)
         index = build_index(corpus, config=config)
         initial_values = query.table.distinct_column_values(query.key_columns[0])
-        hits = index.fetch(sorted(initial_values))
-        assert any(item.table_id == planted.table_id for item in hits) or index.fetch(
+        hits = index.fetch_batch(sorted(initial_values))
+        assert any(
+            planted.table_id in block.table_ids for block in hits
+        ) or index.fetch_batch(
             sorted(query.table.distinct_column_values(query.key_columns[1]))
         )
 

@@ -14,7 +14,7 @@ from repro.hashing import SuperKeyGenerator
 from repro.index import IndexMaintainer
 from repro.index.cache import CachingIndex
 from repro.storage import load_segment, write_segment
-from tests.helpers import BUILD_LANES, build_in_lane
+from tests.helpers import BUILD_LANES, build_in_lane, fetch_items
 
 
 @pytest.fixture(params=BUILD_LANES)
@@ -41,7 +41,7 @@ class TestInserts:
             Table(table_id=5, name="new", columns=["city"], rows=[["berlin"]])
         )
         assert 5 in corpus
-        assert index.posting_list_length("berlin") == 1
+        assert index.posting_lengths(["berlin"]) == [1]
         assert index.super_key(5, 0) == generator.value_hash("berlin")
         assert maintainer.verify_consistency() == []
 
@@ -50,7 +50,7 @@ class TestInserts:
         row_index = maintainer.insert_row(0, ["grace", "hopper"])
         assert row_index == 2
         assert corpus.get_row(0, 2) == ("grace", "hopper")
-        assert index.posting_list_length("grace") == 1
+        assert index.posting_lengths(["grace"]) == [1]
         assert index.super_key(0, 2) == generator.row_super_key(("grace", "hopper"))
         assert maintainer.verify_consistency() == []
 
@@ -61,7 +61,7 @@ class TestInserts:
         after = index.super_key(0, 0)
         assert after == before | generator.value_hash("uk")
         assert corpus.get_table(0).columns == ["first", "last", "country"]
-        assert index.posting_list_length("uk") == 2
+        assert index.posting_lengths(["uk"]) == [2]
         assert maintainer.verify_consistency() == []
 
     def test_insert_column_validations(self, setup):
@@ -77,8 +77,8 @@ class TestUpdates:
         corpus, index, generator, maintainer = setup
         maintainer.update_cell(0, 0, 1, "byron")
         assert corpus.get_cell(0, 0, 1) == "byron"
-        assert index.posting_list_length("lovelace") == 0
-        assert index.posting_list_length("byron") == 1
+        assert index.posting_lengths(["lovelace"]) == [0]
+        assert index.posting_lengths(["byron"]) == [1]
         assert index.super_key(0, 0) == generator.row_super_key(("ada", "byron"))
         assert maintainer.verify_consistency() == []
 
@@ -104,7 +104,7 @@ class TestDeletes:
         table = corpus.get_table(0)
         assert table.num_rows == 1
         assert table.rows[0] == ("alan", "turing")
-        assert index.posting_list_length("ada") == 0
+        assert index.posting_lengths(["ada"]) == [0]
         assert index.super_key(0, 0) == generator.row_super_key(("alan", "turing"))
         assert maintainer.verify_consistency() == []
 
@@ -113,7 +113,7 @@ class TestDeletes:
         maintainer.delete_column(0, "last")
         table = corpus.get_table(0)
         assert table.columns == ["first"]
-        assert index.posting_list_length("lovelace") == 0
+        assert index.posting_lengths(["lovelace"]) == [0]
         assert index.super_key(0, 0) == generator.value_hash("ada")
         assert maintainer.verify_consistency() == []
 
@@ -170,7 +170,7 @@ class TestRefusals:
         corpus = self.corpus()
         generator = SuperKeyGenerator.from_name("xash", config)
         cached = CachingIndex(build_index(corpus, config=config))
-        assert [item.row_index for item in cached.fetch(["x"])] == [0]
+        assert [item.row_index for item in fetch_items(cached, ["x"])] == [0]
         IndexMaintainer(corpus, cached, generator).update_cell(0, 1, 0, "x")
         # The replaced block cleared the cache: the edit shows at once.
-        assert [item.row_index for item in cached.fetch(["x"])] == [0, 1]
+        assert [item.row_index for item in fetch_items(cached, ["x"])] == [0, 1]

@@ -31,11 +31,14 @@ from repro import (
     TableCorpus,
     build_index,
 )
+from repro.core import select_worst_case
 from repro.datamodel import QueryTable
 from repro.exceptions import DiscoveryError, IndexError_, StorageError
+from repro.index import estimate_posting_volume
+from repro.index.cache import CachingIndex
 from repro.ingest import IngestBuffer, WriteAheadLog, replay_wal
 
-from tests.helpers import assert_blocks_equal
+from tests.helpers import assert_blocks_equal, fetch_items, row_keys
 
 CONFIG = MateConfig(hash_size=128, k=5, expected_unique_values=100_000)
 
@@ -206,22 +209,20 @@ class TestLiveIndex:
     def test_fetch_equivalence_after_random_schedule(self, seed):
         live, tables = self.run_schedule(seed)
         _corpus, bulk = reference_index(live, tables)
-        assert live.fetch(ALL_PROBES) == bulk.fetch(ALL_PROBES)
-        assert live.fetch_batch(ALL_PROBES) == bulk.fetch_batch(ALL_PROBES)
+        assert fetch_items(live, ALL_PROBES) == fetch_items(bulk, ALL_PROBES)
+        assert_blocks_equal(live.fetch_batch(ALL_PROBES), bulk.fetch_batch(ALL_PROBES))
         assert live.num_posting_items() == bulk.num_posting_items()
-        assert live.num_rows() == bulk.num_rows()
+        assert row_keys(live.snapshot()) == row_keys(bulk)
         assert live.indexed_tables() == bulk.indexed_tables()
-        assert live.posting_count_for_values(ALL_PROBES) == (
-            bulk.posting_count_for_values(ALL_PROBES)
-        )
+        assert live.posting_lengths(ALL_PROBES) == bulk.posting_lengths(ALL_PROBES)
 
     @pytest.mark.parametrize("seed", [11, 47])
     def test_equivalence_survives_full_compaction(self, seed):
         live, tables = self.run_schedule(seed)
         _corpus, bulk = reference_index(live, tables)
-        before = live.fetch(ALL_PROBES)
+        before = fetch_items(live, ALL_PROBES)
         assert live.compact() <= 1
-        assert live.fetch(ALL_PROBES) == before == bulk.fetch(ALL_PROBES)
+        assert fetch_items(live, ALL_PROBES) == before == fetch_items(bulk, ALL_PROBES)
 
     def test_duplicate_add_is_refused(self):
         rng = random.Random(6)
@@ -239,13 +240,13 @@ class TestLiveIndex:
         assert live.remove_table(1) == 0  # masked, not physically dropped
         assert not live.has_table(1)
         assert live.indexed_tables() == set()
-        assert live.fetch(ALL_PROBES) == []
+        assert fetch_items(live, ALL_PROBES) == []
 
         replacement = make_table(1, rng)
         live.add_table(replacement)
         assert live.has_table(1)
         _corpus, bulk = reference_index(live, {1: replacement})
-        assert live.fetch(ALL_PROBES) == bulk.fetch(ALL_PROBES)
+        assert fetch_items(live, ALL_PROBES) == fetch_items(bulk, ALL_PROBES)
 
     def test_merge_purges_tombstones(self):
         rng = random.Random(8)
@@ -272,7 +273,7 @@ class TestLiveIndex:
                 live.seal()
         # The buffer is non-empty (table 5) when the snapshot pins it.
         snapshot = live.snapshot()
-        pinned = snapshot.fetch(ALL_PROBES)
+        pinned = fetch_items(snapshot, ALL_PROBES)
         pinned_generation = snapshot.generation
 
         # Compaction, removal, and new sealed data land after the pin...
@@ -283,7 +284,7 @@ class TestLiveIndex:
 
         # ...and the pinned snapshot still answers from its generation.
         assert snapshot.generation == pinned_generation
-        assert snapshot.fetch(ALL_PROBES) == pinned
+        assert fetch_items(snapshot, ALL_PROBES) == pinned
         assert snapshot.indexed_tables() == set(tables)
         # The live view has moved on.
         assert live.indexed_tables() == (set(tables) - {1}) | {50}
@@ -300,7 +301,7 @@ class TestLiveIndex:
         with pytest.raises(IndexClosedError):
             live.seal()
         assert live.has_table(1)
-        assert live.fetch(ALL_PROBES) != []
+        assert fetch_items(live, ALL_PROBES) != []
 
     def test_compactor_policy_bounds_buffer_and_stack(self):
         rng = random.Random(12)
@@ -318,7 +319,7 @@ class TestLiveIndex:
         assert live.num_segments <= 2
         assert compactor.seals > 0 and compactor.merges > 0
         _corpus, bulk = reference_index(live, tables)
-        assert live.fetch(ALL_PROBES) == bulk.fetch(ALL_PROBES)
+        assert fetch_items(live, ALL_PROBES) == fetch_items(bulk, ALL_PROBES)
 
     def test_background_compactor_thread(self):
         rng = random.Random(13)
@@ -333,7 +334,45 @@ class TestLiveIndex:
                 tables[table_id] = table
                 live.add_table(table)
         _corpus, bulk = reference_index(live, tables)
-        assert live.fetch(ALL_PROBES) == bulk.fetch(ALL_PROBES)
+        assert fetch_items(live, ALL_PROBES) == fetch_items(bulk, ALL_PROBES)
+
+
+class TestOneSnapshotPerCount:
+    """A count on a live index pins one generation: one ``snapshot`` per
+    ``posting_lengths`` call, however many values it counts, so an ingest
+    landing mid-count cannot mix generations."""
+
+    def test_selectors_and_estimates_count_off_one_snapshot(self, monkeypatch):
+        rng = random.Random(19)
+        tables = {table_id: make_table(table_id, rng) for table_id in range(8)}
+        live = LiveIndex(config=CONFIG)
+        for table_id, table in tables.items():
+            live.add_table(table)
+            if table_id == 3:
+                live.seal()
+        live.remove_table(1)  # a masked segment counts its filtered blocks
+        _corpus, bulk = reference_index(live, tables)
+        calls = {"snapshot": 0, "posting_lengths": 0}
+
+        def counted(name):
+            original = getattr(LiveIndex, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+
+            monkeypatch.setattr(LiveIndex, name, wrapper)
+
+        counted("snapshot")
+        counted("posting_lengths")
+        cached = CachingIndex(live)
+        query = make_query(rng)
+        assert select_worst_case(query, cached) == select_worst_case(query, bulk)
+        assert calls == {"snapshot": 2, "posting_lengths": 2}  # one per key column
+        values = sorted(query.table.distinct_column_values("name"))
+        estimate = estimate_posting_volume(cached, values)
+        assert estimate == estimate_posting_volume(bulk, values)
+        assert calls == {"snapshot": 3, "posting_lengths": 3}
 
 
 # ----------------------------------------------------------------------
@@ -353,11 +392,11 @@ class TestPersistence:
                 live.seal()
         live.remove_table(4)
         del tables[4]
-        fetched = live.fetch(ALL_PROBES)
+        fetched = fetch_items(live, ALL_PROBES)
         live.close()
 
         reopened = LiveIndex.open(directory, config=CONFIG)
-        assert reopened.fetch(ALL_PROBES) == fetched
+        assert fetch_items(reopened, ALL_PROBES) == fetched
         assert reopened.indexed_tables() == set(tables)
         assert reopened.sequence == live.sequence
         # Operations after the last seal were replayed from the WAL: tables
@@ -376,14 +415,14 @@ class TestPersistence:
         unsealed = make_table(1, rng)
         live.add_table(unsealed)
         live.remove_table(0)
-        pre_crash = live.fetch(ALL_PROBES)
+        pre_crash = fetch_items(live, ALL_PROBES)
         expected_tables = live.indexed_tables()
         # Simulated crash: no close(), no seal — and a torn in-flight record.
         with (directory / "wal.jsonl").open("a", encoding="utf-8") as handle:
             handle.write('{"op": "add_table", "seq": 99, "tab')
 
         recovered = LiveIndex.open(directory, config=CONFIG)
-        assert recovered.fetch(ALL_PROBES) == pre_crash
+        assert fetch_items(recovered, ALL_PROBES) == pre_crash
         assert recovered.indexed_tables() == expected_tables == {1}
         assert [t.table_id for t in recovered.recovered_tables()] == [1]
         # The recovered index keeps accepting (durable) writes.
@@ -590,7 +629,7 @@ class TestPropertyEquivalence:
                 live.compact()
 
         _corpus, bulk = reference_index(live, tables)
-        assert live.fetch(ALL_PROBES) == bulk.fetch(ALL_PROBES)
+        assert fetch_items(live, ALL_PROBES) == fetch_items(bulk, ALL_PROBES)
         assert live.indexed_tables() == bulk.indexed_tables()
         assert live.num_posting_items() == bulk.num_posting_items()
         # Block for block too: the stable merge order is the rebuild order,
@@ -601,8 +640,7 @@ class TestPropertyEquivalence:
         # Segment sizes are read off the offsets, not summed over values.
         for segment, size in zip(live._segments, live.segment_sizes()):
             assert size == sum(
-                len(segment.index.posting_list(value))
-                for value in segment.index.values()
+                map(len, segment.index.fetch_batch(list(segment.index.values())))
             )
 
     @settings(max_examples=10, deadline=None)

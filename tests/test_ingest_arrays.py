@@ -33,7 +33,14 @@ from repro.ingest.buffer import BufferView
 from repro.storage import write_segment
 from repro.storage.segment_block import SegmentBlock
 
-from tests.helpers import assert_blocks_equal, block_columns, legacy_ingest_buffer
+from tests.helpers import (
+    assert_blocks_equal,
+    block_columns,
+    block_items,
+    fetch_items,
+    legacy_ingest_buffer,
+    row_keys,
+)
 
 VOCABULARY = ["", "ada", "alan", "grace", "İstanbul", "straße", "漢字", "42", "x y", "q" * 40]
 PROBES = VOCABULARY + ["never indexed"]
@@ -91,16 +98,15 @@ def histories(draw) -> list[tuple]:
 def read_everything(index, table_seqs, probes=PROBES) -> dict:
     """What a snapshot reads off a buffer component, as plain objects."""
     return {
-        "lengths": [index.posting_list_length(value) for value in probes],
-        "contains": [value in index for value in probes],
-        "items": [block.items() for block in index.fetch_batch(probes)],
+        "lengths": index.posting_lengths(probes),
+        "items": [block_items(block) for block in index.fetch_batch(probes)],
         "keys": [
             (table_id, row_index, index.super_key(table_id, row_index))
             for table_id in table_seqs
             for row_index in range(6)
             if index.has_row(table_id, row_index)
         ],
-        "counts": (index.num_rows(), index.num_posting_items(), len(index)),
+        "postings": index.num_posting_items(),
     }
 
 
@@ -141,8 +147,9 @@ def test_buffer_equals_the_loop_buffer_and_seals_into_the_bulk_block(
         pinned.append((buffer.index, dict(buffer.table_seqs), mine))
     # Enumeration (the full layout) agrees as sets: the vocabulary order is
     # first-seen over the *surviving* tables, the loop buffer's is not.
-    assert sorted(buffer.index.values()) == sorted(oracle.index.values())
-    assert sorted(buffer.index.iter_super_keys()) == sorted(oracle.index.iter_super_keys())
+    laid_out = buffer.index.laid_out()
+    assert sorted(laid_out.values()) == sorted(oracle.index.values())
+    assert row_keys(laid_out) == row_keys(oracle.index)
 
     # A view pinned before later appends, drops and reallocations still
     # reads what it read then.
@@ -183,8 +190,8 @@ def test_the_buffer_reads_through_a_pinned_view():
     assert buffer.index is first
     buffer.add_table(Table(4, "u", ["a"], [["x"]]), seq=2)
     assert buffer.index is not first
-    assert first.posting_list_length("x") == 2
-    assert buffer.index.posting_list_length("x") == 3
+    assert first.posting_lengths(["x"]) == [2]
+    assert buffer.index.posting_lengths(["x"]) == [3]
     assert type(buffer.seal()) is InvertedIndex
 
 
@@ -199,12 +206,12 @@ def test_a_view_survives_column_reallocation_and_a_rebuilding_drop():
         )
     buffer.drop_table(1)
     assert read_everything(view, {1: 1}) == before
-    assert view.fetch_batch(["v7"]) == [] and "v7" not in view
+    assert view.fetch_batch(["v7"]) == [] and view.posting_lengths(["v7"]) == [0]
     assert not view.has_row(7, 0)
     with pytest.raises(IndexError_):
         view.super_key(7, 0)
     now = buffer.index
-    assert now.posting_list_length("x") == 3 * 198 and not now.has_row(1, 0)
+    assert now.posting_lengths(["x"]) == [3 * 198] and not now.has_row(1, 0)
 
 
 # ----------------------------------------------------------------------
@@ -302,26 +309,23 @@ def test_masked_statistics_are_counted_on_the_columns(tmp_path):
     surviving = [simple_table(table_id) for table_id in (1, 3, 4)]
     rebuilt = build_index(surviving, config=CONFIG)
     assert snapshot.num_posting_items() == rebuilt.num_posting_items() == 18
-    assert snapshot.num_rows() == rebuilt.num_rows() == 9
-    assert sorted(snapshot.values()) == sorted(rebuilt.values())
-    assert len(snapshot) == len(rebuilt)
     # Counted, not walked: no posting view was sliced for it.
     assert segment._state.views == {}
     # The walk's answer, spelled out.
-    walked = sum(
-        1
-        for value in segment.values()
-        for item in segment.posting_list(value)
-        if item.table_id != 2
-    )
+    values = list(segment.values())
     assert segment.visible_counts({2}) == (
         [
-            sum(item.table_id != 2 for item in segment.posting_list(value))
-            for value in segment.values()
+            sum(item.table_id != 2 for item in fetch_items(segment, [value]))
+            for value in values
         ],
         6,
     )
-    assert walked == 12
+    assert sum(segment.visible_counts({2})[0]) == 12
+    # The masked segment counts its filtered blocks.
+    probes = sorted(rebuilt.values()) + ["absent"]
+    assert snapshot.posting_lengths(probes) == rebuilt.posting_lengths(probes)
+    assert row_keys(snapshot) == row_keys(rebuilt)
+    assert sorted(snapshot.block.values) == sorted(rebuilt.values())
     live.close()
 
 

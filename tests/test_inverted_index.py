@@ -8,12 +8,19 @@ from repro.exceptions import IndexClosedError, IndexError_
 from repro.hashing import SuperKeyGenerator
 from repro.index import (
     IndexBuilder,
+    IndexMaintainer,
     InvertedIndex,
-    PostingListItem,
     storage_report,
 )
 
-from tests.helpers import BUILD_LANES, CellIndex, build_in_lane
+from tests.helpers import (
+    BUILD_LANES,
+    CellIndex,
+    build_in_lane,
+    fetch_grouped_by_table,
+    fetch_items,
+    row_keys,
+)
 
 
 def small_corpus() -> TableCorpus:
@@ -37,12 +44,6 @@ def small_corpus() -> TableCorpus:
     return corpus
 
 
-class TestPostingStructures:
-    def test_posting_list_item_location(self):
-        item = PostingListItem(table_id=3, column_index=1, row_index=7)
-        assert item.location() == (3, 7)
-
-
 def hand_built(postings=(), keys=()) -> InvertedIndex:
     """An index over the given ``(value, table, column, row)`` postings and
     ``(table, row, key)`` keys, through the per-cell reference."""
@@ -61,8 +62,8 @@ class TestInvertedIndex:
         )
         assert len(index) == 1
         assert index.num_posting_items() == 2
-        assert index.posting_list_length("ada") == 2
-        assert index.posting_list("missing") == []
+        assert index.posting_lengths(["ada", "missing"]) == [2, 0]
+        assert fetch_items(index, ["missing"]) == []
         assert index.super_key(0, 2) == 0b10
         assert index.has_row(0, 0)
         assert not index.has_row(0, 5)
@@ -77,7 +78,7 @@ class TestInvertedIndex:
 
     def test_fetch_returns_super_keys(self):
         index = hand_built([("ada", 0, 0, 0)], [(0, 0, 0b11)])
-        fetched = index.fetch(["ada", "ada", "missing", ""])
+        fetched = fetch_items(index, ["ada", "ada", "missing", ""])
         assert len(fetched) == 1
         assert fetched[0].super_key == 0b11
 
@@ -86,23 +87,23 @@ class TestInvertedIndex:
             [("x", 0, 0, 0), ("x", 1, 0, 0), ("y", 1, 1, 3)],
             [(0, 0, 0), (1, 0, 0), (1, 3, 0)],
         )
-        grouped = index.fetch_grouped_by_table(["x", "y"])
+        grouped = fetch_grouped_by_table(index, ["x", "y"])
         assert set(grouped) == {0, 1}
         assert len(grouped[1]) == 2
 
-    def test_posting_count_for_values_deduplicates(self):
+    def test_posting_lengths_count_every_probe(self):
         index = hand_built([("x", 0, 0, 0), ("x", 0, 0, 1)], [(0, 0, 0), (0, 1, 0)])
-        assert index.posting_count_for_values(["x", "x", "z"]) == 2
+        assert index.posting_lengths(["x", "x", "z", ""]) == [2, 2, 0, 0]
+        assert index.posting_lengths([]) == []
 
     def test_posting_without_a_row_is_refused(self):
         # A posting names its row by its ordinal in the row table.
         with pytest.raises(ValueError, match="table 1 row 3 has no row"):
             hand_built([("x", 0, 0, 0), ("y", 1, 1, 3)], [(0, 0, 0)])
 
-    def test_iter_super_keys(self):
+    def test_row_keys_in_row_table_order(self):
         index = hand_built(keys=[(2, 3, 9), (0, 0, 5), (1, 1, 1 << 100)])
-        # The row table in order.
-        assert list(index.iter_super_keys()) == [
+        assert row_keys(index) == [
             (0, 0, 5),
             (1, 1, 1 << 100),
             (2, 3, 9),
@@ -133,7 +134,7 @@ class TestIndexBuilder:
 
     def test_value_appearing_in_two_tables(self, config):
         index = build_index(small_corpus(), config=config)
-        postings = index.posting_list("turing")
+        postings = fetch_items(index, ["turing"])
         assert {item.table_id for item in postings} == {0, 1}
 
     def test_build_with_other_hash_function(self):
@@ -164,11 +165,41 @@ class TestIndexClose:
         index.close()  # idempotent
         assert index.closed
         with pytest.raises(IndexClosedError):
-            index.fetch(["ada"])
-        with pytest.raises(IndexClosedError):
             index.fetch_batch(["ada"])
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda index: index.posting_lengths(["ada"]),
+            lambda index: index.super_key(0, 0),
+            lambda index: index.has_row(0, 0),
+            lambda index: index.indexed_tables(),
+            lambda index: index.num_posting_items(),
+            lambda index: index.num_rows(),
+            lambda index: list(index.values()),
+            len,
+            lambda index: index.visible_counts({0}),
+            lambda index: IndexMaintainer(
+                small_corpus(),
+                index,
+                SuperKeyGenerator.from_name("xash", MateConfig(hash_size=128)),
+            ).verify_consistency(),
+        ],
+        ids=[
+            "posting_lengths", "super_key", "has_row", "indexed_tables",
+            "num_posting_items", "num_rows", "values", "len", "visible_counts",
+            "verify_consistency",
+        ],
+    )
+    def test_every_read_after_close_raises_typed_error(self, read):
+        """A closed index refuses every read: none answers as if the index
+        were empty (which made ``verify_consistency`` report every row as
+        missing its super key)."""
+        index = build_index(small_corpus(), config=MateConfig(hash_size=128))
+        read(index)
+        index.close()
         with pytest.raises(IndexClosedError):
-            index.fetch_grouped_by_table(["ada"])
+            read(index)
 
     @pytest.mark.parametrize("lane", BUILD_LANES)
     def test_mutation_after_close_raises_typed_error(self, config, lane):

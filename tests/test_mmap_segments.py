@@ -55,7 +55,13 @@ from repro.storage import (
     write_segment,
 )
 
-from tests.helpers import CellIndex, assert_blocks_equal, legacy_ingest_buffer
+from tests.helpers import (
+    CellIndex,
+    assert_blocks_equal,
+    fetch_items,
+    legacy_ingest_buffer,
+    row_keys,
+)
 
 CONFIG = MateConfig(hash_size=128, k=3, expected_unique_values=1000)
 
@@ -91,16 +97,7 @@ def make_query(seed: int = 3) -> QueryTable:
 
 def fetch_signature(index) -> list:
     """Order-preserving, JSON-able dump of everything a fetch can see."""
-    return [
-        [
-            item.value,
-            item.table_id,
-            item.column_index,
-            item.row_index,
-            item.super_key,
-        ]
-        for item in index.fetch(PROBES)
-    ]
+    return [list(item) for item in fetch_items(index, PROBES)]
 
 
 FOOTER = struct.Struct("<QQI4s")
@@ -144,9 +141,7 @@ class TestRoundTrip:
             assert mapped.hash_function_name == index.hash_function_name
             assert mapped.hash_size == index.hash_size
             assert fetch_signature(mapped) == fetch_signature(index)
-            assert sorted(mapped.iter_super_keys()) == sorted(
-                index.iter_super_keys()
-            )
+            assert row_keys(mapped) == row_keys(index)
             assert mapped.indexed_tables() == index.indexed_tables()
         finally:
             mapped.close()
@@ -179,11 +174,7 @@ class TestRoundTrip:
             )
             assert mapped.num_posting_items() == index.num_posting_items()
             assert len(mapped) == len(index)
-            for probe in PROBES:
-                assert mapped.posting_list_length(probe) == (
-                    index.posting_list_length(probe)
-                )
-                assert (probe in mapped) == (probe in index)
+            assert mapped.posting_lengths(PROBES) == index.posting_lengths(PROBES)
         finally:
             mapped.close()
 
@@ -257,7 +248,7 @@ class TestRoundTrip:
         mapped = load_segment(path)
         try:
             assert list(mapped.values()) == values
-            assert mapped.fetch(values) == index.fetch(values)
+            assert fetch_items(mapped, values) == fetch_items(index, values)
         finally:
             mapped.close()
 
@@ -296,12 +287,12 @@ class TestRoundTrip:
         src_dir = str(Path(repro.__file__).resolve().parents[1])
         script = (
             "import json, sys\n"
-            f"sys.path.insert(0, {src_dir!r})\n"
+            f"sys.path[:0] = [{src_dir!r}, {str(Path(src_dir).parent)!r}]\n"
             "from repro.storage import load_segment\n"
+            "from tests.helpers import fetch_items\n"
             f"index = load_segment({str(path)!r})\n"
             f"probes = {PROBES!r}\n"
-            "items = [[i.value, i.table_id, i.column_index, i.row_index,"
-            " i.super_key] for i in index.fetch(probes)]\n"
+            "items = [list(item) for item in fetch_items(index, probes)]\n"
             "print(json.dumps(items))\n"
             "index.close()\n"
         )
@@ -341,9 +332,7 @@ class TestRoundTrip:
             assert len(mapped) == 0 and mapped.num_posting_items() == 0
             assert list(mapped.values()) == []
             assert mapped.fetch_batch(PROBES) == []
-            assert sorted(mapped.iter_super_keys()) == sorted(
-                index.iter_super_keys()
-            )
+            assert row_keys(mapped) == row_keys(index)
             assert mapped.indexed_tables() == index.indexed_tables()
         finally:
             mapped.close()
@@ -355,8 +344,6 @@ class TestCloseSemantics:
         mapped = load_segment(path)
         block = mapped.block
         mapped.close()
-        with pytest.raises(IndexClosedError):
-            mapped.fetch(["n1"])
         with pytest.raises(IndexClosedError):
             mapped.fetch_batch(["n1"])
         with pytest.raises(IndexClosedError):
@@ -607,12 +594,12 @@ class TestLiveIndexSegments:
             live.add_table(self.make_table(table_id, table_id))
             if table_id != 3:
                 live.seal()
-        expected = [list(map(list, live.fetch([probe]))) for probe in PROBES]
+        expected = [fetch_items(live, [probe]) for probe in PROBES]
         live.close()
         reopened = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
         try:
             assert [
-                list(map(list, reopened.fetch([probe]))) for probe in PROBES
+                fetch_items(reopened, [probe]) for probe in PROBES
             ] == expected
         finally:
             reopened.close()
@@ -638,12 +625,12 @@ class TestLiveIndexSegments:
         live.remove_table(2)
         merged = live.merge(0, None)
         assert merged is not None and len(merged) == 0
-        assert live.fetch(PROBES) == [] and live.indexed_tables() == set()
+        assert fetch_items(live, PROBES) == [] and live.indexed_tables() == set()
         live.close()
         reopened = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
         try:
             self.directory_matches_manifest(tmp_path)
-            assert reopened.fetch(PROBES) == []
+            assert fetch_items(reopened, PROBES) == []
             reopened.add_table(self.make_table(1, 1))
             assert reopened.indexed_tables() == {1}
         finally:
@@ -665,7 +652,7 @@ class TestLiveIndexSegments:
             TableCorpus(name="rebuilt", tables=[tables[tid] for tid, _ in order]),
             config=CONFIG,
         )
-        return [list(map(list, bulk.fetch([probe]))) for probe in PROBES]
+        return [fetch_items(bulk, [probe]) for probe in PROBES]
 
     @pytest.mark.parametrize("crash_in", ["first seal", "seal", "merge"])
     def test_crash_in_the_manifest_write_leaves_nothing_behind(
@@ -703,7 +690,7 @@ class TestLiveIndexSegments:
             assert reopened.num_segments == sealed
             assert reopened.indexed_tables() == {1, 2, 3}
             assert [
-                list(map(list, reopened.fetch([probe]))) for probe in PROBES
+                fetch_items(reopened, [probe]) for probe in PROBES
             ] == self.rebuilt_fetches(reopened, tables)
         finally:
             reopened.close()
@@ -749,7 +736,7 @@ class TestLiveIndexSegments:
             self.directory_matches_manifest(tmp_path)
             assert reopened.num_segments == 1
             assert [
-                list(map(list, reopened.fetch([probe]))) for probe in PROBES
+                fetch_items(reopened, [probe]) for probe in PROBES
             ] == self.rebuilt_fetches(reopened, tables)
         finally:
             reopened.close()

@@ -11,7 +11,13 @@ from repro.hashing import SuperKeyGenerator
 from repro.index import IndexMaintainer, InvertedIndex
 from repro.index.bulk import build_block
 from repro.storage.segment_block import SegmentBlock
-from tests.helpers import BUILD_LANES, block_columns, build_in_lane
+from tests.helpers import (
+    BUILD_LANES,
+    block_columns,
+    build_in_lane,
+    fetch_items,
+    row_keys,
+)
 
 VOCABULARY = ["ada", "alan", "grace", "berlin", "paris", "rome", "42", "x y"]
 values = st.sampled_from(VOCABULARY)
@@ -58,9 +64,8 @@ class TestIndexInvariants:
     def test_every_posting_points_at_its_value(self, seed):
         corpus = build_random_corpus(random.Random(seed))
         index = build_index(corpus, config=CONFIG)
-        for value in index.values():
-            for item in index.posting_list(value):
-                assert corpus.get_cell(item.table_id, item.row_index, item.column_index) == value
+        for item in fetch_items(index, list(index.values())):
+            assert corpus.get_cell(item.table_id, item.row_index, item.column_index) == item.value
 
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=40, deadline=None)
@@ -68,11 +73,10 @@ class TestIndexInvariants:
         corpus = build_random_corpus(random.Random(seed))
         index = build_index(corpus, config=CONFIG)
         generator = SuperKeyGenerator.from_name("xash", CONFIG)
-        for value in index.values():
-            value_hash = generator.value_hash(value)
-            for item in index.posting_list(value):
-                super_key = index.super_key(item.table_id, item.row_index)
-                assert super_key | value_hash == super_key
+        for item in fetch_items(index, list(index.values())):
+            value_hash = generator.value_hash(item.value)
+            super_key = index.super_key(item.table_id, item.row_index)
+            assert super_key | value_hash == super_key
 
 
 def canonical(block) -> dict:
@@ -83,7 +87,7 @@ def canonical(block) -> dict:
             block.hash_function_name,
             block.hash_size,
             sorted(block.postings()),
-            InvertedIndex(block).iter_super_keys(),
+            row_keys(InvertedIndex(block)),
         )
     )
 

@@ -24,8 +24,10 @@ from repro.storage.segment_block import SegmentBlock, merge_blocks
 from tests.helpers import (
     assert_blocks_equal,
     block_columns,
+    fetch_items,
     legacy_ingest_buffer,
     legacy_merge_segments,
+    row_keys,
 )
 
 CONFIG = MateConfig(hash_size=128, k=5, expected_unique_values=10_000)
@@ -120,16 +122,12 @@ def assert_same_segment(merged: Segment, oracle: Segment) -> None:
     new, old = merged.index, oracle.index
     values = list(old.values())
     assert list(new.values()) == values
-    for value in values:
-        mine, theirs = new.posting_columns(value), old.posting_columns(value)
-        assert list(mine.table_ids) == list(theirs.table_ids)
-        assert list(mine.column_indexes) == list(theirs.column_indexes)
-        assert list(mine.row_indexes) == list(theirs.row_indexes)
-        assert new.posting_list_length(value) == len(theirs)
+    assert fetch_items(new, values) == fetch_items(old, values)
+    assert new.posting_lengths(values) == old.posting_lengths(values)
     assert new.num_posting_items() == old.num_posting_items()
     # The row table: sorted, one row per surviving super key.
-    rows = sorted(old.iter_super_keys())
-    assert sorted(new.iter_super_keys()) == rows
+    rows = sorted(row_keys(old))
+    assert row_keys(new) == rows
     block = new.block
     assert list(zip(block.row_table_ids, block.row_row_indexes)) == [
         (table_id, row_index) for table_id, row_index, _super_key in rows
@@ -172,7 +170,7 @@ def test_a_value_with_every_posting_tombstoned_vanishes():
     assert "only-0" in values  # … but the re-added copy brings it back,
     # after everything segment 1 and 2 contributed.
     assert values.index("only-0") > values.index("only-2")
-    assert merged.index.posting_list_length("only-0") == 1
+    assert merged.index.posting_lengths(["only-0"]) == [1]
     assert 0 in merged.table_seqs
 
 

@@ -45,7 +45,7 @@ from repro.storage import (
 )
 from repro.storage.segment_block import SegmentBlock, merge_blocks, row_ordinals
 
-from tests.helpers import CellIndex, block_columns
+from tests.helpers import CellIndex, block_columns, fetch_items, row_keys
 
 V2_SEGMENT = Path(__file__).parent / "data" / "segment_v2.seg"
 
@@ -110,18 +110,8 @@ class TestRoundTrip:
         ]
         mapped = load_segment(path)
         try:
-            fetched = [
-                (
-                    item.value,
-                    item.table_id,
-                    item.column_index,
-                    item.row_index,
-                    item.super_key,
-                )
-                for item in mapped.fetch(list(reference.postings))
-            ]
-            assert fetched == expected
-            assert sorted(mapped.iter_super_keys()) == sorted(
+            assert fetch_items(mapped, list(reference.postings)) == expected
+            assert row_keys(mapped) == sorted(
                 (table, row, key) for (table, row), key in reference.keys.items()
             )
             width = key_width(hash_size)

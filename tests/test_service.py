@@ -19,7 +19,7 @@ from repro import (
 from repro.index import FetchBlock
 from repro.index.cache import CachingIndex, PostingListCache
 from repro.metrics import CacheCounters
-from tests.helpers import CellIndex
+from tests.helpers import CellIndex, fetch_items, row_keys
 
 
 @pytest.fixture(scope="module")
@@ -76,23 +76,23 @@ class TestPostingListCache:
     def test_caching_index_is_transparent(self, monolithic_index):
         caching = CachingIndex(monolithic_index, capacity=64)
         values = sorted(monolithic_index.values())[:40]
-        cold = caching.fetch(values)
-        warm = caching.fetch(values)
-        assert cold == monolithic_index.fetch(values)
+        cold = fetch_items(caching, values)
+        warm = fetch_items(caching, values)
+        assert cold == fetch_items(monolithic_index, values)
         assert warm == cold
         assert caching.counters.misses == 40
         assert caching.counters.hits == 40
         # Delegated surface.
-        assert len(caching) == len(monolithic_index)
+        assert caching.num_posting_items() == monolithic_index.num_posting_items()
         assert caching.hash_function_name == monolithic_index.hash_function_name
-        assert caching.posting_list(values[0]) == (
-            monolithic_index.posting_list(values[0])
+        assert caching.posting_lengths(values) == (
+            monolithic_index.posting_lengths(values)
         )
 
     def test_negative_results_are_cached(self, monolithic_index):
         caching = CachingIndex(monolithic_index, capacity=8)
-        assert caching.fetch(["definitely-not-indexed"]) == []
-        assert caching.fetch(["definitely-not-indexed"]) == []
+        assert fetch_items(caching, ["definitely-not-indexed"]) == []
+        assert fetch_items(caching, ["definitely-not-indexed"]) == []
         assert caching.counters.hits == 1
 
     def test_mutation_invalidates(self, service_config):
@@ -103,17 +103,17 @@ class TestPostingListCache:
             Table(table_id=0, name="t", columns=["a"], rows=[["x"], ["y"]])
         )
         caching = CachingIndex(build_index(corpus, config=service_config))
-        before = caching.fetch(["x"])
+        before = fetch_items(caching, ["x"])
         cells = CellIndex.of(caching.wrapped)
         cells.add_posting("x", 0, 0, 1)
         cells.keys[(0, 0)] = 12345
         # Replacing the block clears the whole cache: a rewritten block can
         # change any value's postings and any row's key.
         caching.replace_block(cells.to_block())
-        after = caching.fetch(["x"])
+        after = fetch_items(caching, ["x"])
         assert len(after) == len(before) + 1
         assert after[0].super_key == 12345
-        assert caching.wrapped.fetch(["x"]) == after
+        assert fetch_items(caching.wrapped, ["x"]) == after
 
     def test_counter_snapshots_and_merge(self):
         counters = CacheCounters(hits=3, misses=1, evictions=2)
@@ -301,20 +301,18 @@ class TestOneIndexPerSession:
             workload.corpus, num_shards=num_shards, config=service_config
         )
         values = sorted(monolithic_index.values())[:200] + ["never indexed"]
-        whole = monolithic_index.fetch(values)
-        keys = list(monolithic_index.iter_super_keys())
+        whole = fetch_items(monolithic_index, values)
+        keys = row_keys(monolithic_index)
         vocabulary: set[str] = set()
         for shard, index in zip(sharded.shards, sharded.shard_indexes):
             tables = set(shard.table_ids())
             assert index.indexed_tables() == (
                 monolithic_index.indexed_tables() & tables
             )
-            assert index.fetch(values) == [
+            assert fetch_items(index, values) == [
                 item for item in whole if item.table_id in tables
             ]
-            assert sorted(index.iter_super_keys()) == sorted(
-                key for key in keys if key[0] in tables
-            )
+            assert row_keys(index) == [key for key in keys if key[0] in tables]
             vocabulary.update(index.values())
         assert vocabulary == set(monolithic_index.values())
         assert sum(

@@ -17,6 +17,8 @@ from repro.storage import (
     table_to_csv,
 )
 
+from tests.helpers import fetch_items, row_keys
+
 
 @pytest.fixture()
 def corpus() -> TableCorpus:
@@ -60,12 +62,10 @@ class TestLiveDirectoryIsTheIndexFormat:
         assert restored.hash_function_name == "xash"
         assert restored.hash_size == config.hash_size
         assert restored.num_posting_items() == index.num_posting_items()
-        assert len(restored) == len(index)
+        assert restored.block.values == list(index.values())
         values = sorted(index.values())
-        assert [list(block) for block in restored.fetch_batch(values)] == [
-            list(block) for block in index.fetch_batch(values)
-        ]
-        for table_id, row_index, super_key in index.iter_super_keys():
+        assert fetch_items(restored, values) == fetch_items(index, values)
+        for table_id, row_index, super_key in row_keys(index):
             assert restored.super_key(table_id, row_index) == super_key
         assert_corpora_equal(corpus, load_corpus_json(live_dir / "corpus.json"))
 
