@@ -1,4 +1,4 @@
-"""Process-parallel HTTP serving: worker pool, admission control, hedging.
+"""Process-parallel HTTP serving: worker pool, admission control, drain.
 
 The other examples call the library in process.  This one runs the full
 serving stack a deployment would: a :class:`repro.DiscoverySession` in

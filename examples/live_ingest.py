@@ -7,6 +7,8 @@ tables through ``session.ingest()`` while a background
 segments and merges them — and a concurrent reader thread keeps answering
 ``engine="live"`` discovery requests the whole time.  Snapshot isolation
 guarantees each query a consistent view no matter how compaction interleaves.
+Finally ``session.remove()`` takes the best table out again, and the next
+query no longer returns it.
 
 Run with::
 
@@ -100,6 +102,9 @@ def main() -> None:
         reader_thread.join()
 
         final = session.discover(request)
+        removed = final.tables[0].table_id
+        session.remove(removed)  # tombstoned: it may sit in a sealed segment
+        after = session.discover(request)
 
     print(
         f"ingested {NUM_TABLES} tables / {total_rows} rows in {elapsed:.3f}s "
@@ -128,6 +133,8 @@ def main() -> None:
             f"  table {entry.table_id} ({entry.table_name}): "
             f"joinability={entry.joinability}"
         )
+    left = removed not in [entry.table_id for entry in after.tables]
+    print(f"\nremoved table {removed}; it left the answers: {left}")
 
 
 if __name__ == "__main__":

@@ -38,11 +38,7 @@ report is written).  The paper-figure benches are the exception, because
 scale.
 
 "Never run" means never run *at these scales*, so a function taken from
-that list for deletion also needs a grep for its call sites.  One known
-miss: at ``--smoke`` scale ``ingest_mixed`` streams 12 tables and removes
-every 25th, so it never removes one, and ``DiscoverySession.remove`` is
-listed as never run although ``bench_e2e/ingest_mixed.py`` calls it 12
-times at reference scale (300 tables).
+that list for deletion also needs a grep for its call sites.
 
 Usage (stdlib only; ~36 minutes on a 2-core machine, ~34 of them the
 paper-figure benches, whose pure-Python hashes dominate under tracing)::
@@ -131,9 +127,19 @@ def _global(frame, event, arg):
 
 
 def _dump():
+    # Stop tracing this thread first: a weakref callback into src/repro that
+    # the dump's own allocations set off would add to _seen mid-copy.
+    sys.settrace(None)
+    threading.settrace(None)
+    while True:
+        try:
+            seen = [(code, tuple(lines)) for code, lines in list(_seen.items())]
+            break
+        except RuntimeError:  # a thread still running added a code or a line
+            continue
     hits = {
         (code.co_filename[len(_ROOT):], line)
-        for code, lines in list(_seen.items()) for line in list(lines)
+        for code, lines in seen for line in lines
     }
     if not hits:
         return

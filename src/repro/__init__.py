@@ -6,7 +6,7 @@ self-contained Python library:
 
 * :mod:`repro.api` — the unified public API: :class:`DiscoveryRequest` /
   :class:`DiscoverySession`, the engine registry, per-request budgets and
-  deadlines, streaming results, and the versioned JSON response schema;
+  deadlines, and the versioned JSON response schema;
 * :mod:`repro.hashing` — XASH and every baseline hash function, plus the
   super-key machinery;
 * :mod:`repro.index` — the extended single-attribute inverted index and the
@@ -23,12 +23,12 @@ self-contained Python library:
   signatures and a banded LSH index that prune the candidate universe ahead
   of exact MATE (planner mode ``"sketch"`` + ``DiscoveryRequest.sketch``);
 * :mod:`repro.serve` — process-parallel serving: one worker process per
-  shard over mmap'd segments (``DiscoverySession(execution="process")``),
-  hedged shard requests, and the HTTP front end with admission control and
-  per-tenant quotas (the ``serve`` CLI subcommand);
+  shard over mmap'd segments (``DiscoverySession(execution="process")``)
+  and the HTTP front end with admission control and per-tenant quotas
+  (the ``serve`` CLI subcommand);
 * :mod:`repro.baselines` — SCR, MCR, the JOSIE-based adaptations, and the
   prefix-tree related-work baseline;
-* :mod:`repro.lake` — data-lake ingestion (CSV / DWTC-style JSON), corpus
+* :mod:`repro.lake` — data-lake ingestion from CSV files, corpus
   profiling, and column type inference;
 * :mod:`repro.extensions` — similarity joins, duplicate detection, union
   search, and composite-key discovery;
@@ -54,9 +54,7 @@ Quickstart::
 Every registered engine (``mate``, ``sharded``, ``scr``, ``mcr``, ``josie``,
 ``prefix_tree``) is reachable through the same session via
 ``DiscoveryRequest(engine=...)``; per-request limits
-(``deadline_seconds`` / ``max_pl_fetches``), streaming
-(:meth:`DiscoverySession.discover_stream
-<repro.api.session.DiscoverySession.discover_stream>`), and async submission
+(``deadline_seconds`` / ``max_pl_fetches``) and async submission
 (:meth:`DiscoverySession.asubmit <repro.api.session.DiscoverySession.asubmit>`)
 ride on the request object, and :meth:`DiscoverySession.discover_batch
 <repro.api.session.DiscoverySession.discover_batch>` answers a batch with
@@ -75,7 +73,6 @@ from .api import (
     SessionBatch,
     SessionResult,
     available_engines,
-    register_engine,
 )
 from .config import (
     DEFAULT_CONFIG,
@@ -92,7 +89,7 @@ from .core import (
     exact_joinability_score,
     top_k_by_exact_joinability,
 )
-from .datamodel import QueryTable, Row, Table, TableCorpus, table_from_dicts
+from .datamodel import QueryTable, Row, Table, TableCorpus
 from .lake import DataLake
 from .exceptions import (
     ConfigurationError,
@@ -208,10 +205,8 @@ __all__ = [
     "exact_joinability",
     "exact_joinability_score",
     "read_trace_file",
-    "register_engine",
     "required_number_of_ones",
     "span_tree",
-    "table_from_dicts",
     "top_k_by_exact_joinability",
     "__version__",
 ]

@@ -8,10 +8,10 @@ ROADMAP's serving story builds on):
   ``deadline_seconds`` / ``max_pl_fetches`` limits);
 * :class:`~repro.api.session.DiscoverySession` — the facade owning corpus +
   index + cache lifecycle, with ``discover`` / ``discover_batch`` /
-  ``discover_stream`` / ``submit`` / ``asubmit`` entry points;
+  ``submit`` / ``asubmit`` entry points;
 * :mod:`~repro.api.registry` — the engine registry (``mate``, ``sharded``,
   ``scr``, ``mcr``, ``josie``, ``prefix_tree``, plus anything registered via
-  :func:`register_engine`);
+  :meth:`EngineRegistry.register <repro.api.registry.EngineRegistry.register>`);
 * :class:`~repro.api.results.SessionResult` / :class:`~repro.api.results.SessionBatch`
   (with its :class:`~repro.api.results.BatchStats`) — attributable,
   JSON-serialisable responses sharing the versioned envelope of
@@ -26,7 +26,6 @@ from .registry import (
     EngineRegistry,
     EngineSpec,
     available_engines,
-    register_engine,
 )
 from .request import DEFAULT_ENGINE, DiscoveryRequest, RequestBudget
 from ..plan import PlannerOptions
@@ -51,5 +50,4 @@ __all__ = [
     "SketchOptions",
     "available_engines",
     "json_envelope",
-    "register_engine",
 ]

@@ -11,16 +11,16 @@ layers) can enumerate what is available via :func:`available_engines`.
 
 Third-party engines plug in with::
 
-    from repro.api import register_engine
+    from repro.api import DEFAULT_REGISTRY
 
     def build_my_engine(session, request):
         return MyEngine(session.corpus, session.index, config=session.config)
 
-    register_engine("mine", build_my_engine, description="my engine")
+    DEFAULT_REGISTRY.register("mine", build_my_engine, description="my engine")
 
 A factory receives the owning session and the request and must return an
 object exposing ``discover(query, k) -> DiscoveryResult``.  Engines that
-additionally accept the ``budget=`` / ``on_snapshot=`` keywords of
+additionally accept the ``budget=`` keyword of
 :meth:`MateDiscovery.discover <repro.core.discovery.MateDiscovery.discover>`
 should be registered with ``supports_budget=True`` so the session lets
 per-request limits through (it refuses to silently drop a limit on an engine
@@ -49,7 +49,7 @@ class EngineSpec:
     name: str
     factory: EngineFactory
     description: str = ""
-    #: Whether the engine's ``discover`` accepts ``budget=``/``on_snapshot=``.
+    #: Whether the engine's ``discover`` accepts ``budget=``.
     supports_budget: bool = False
     #: Whether the engine exposes ``probe_values`` (cache warm-up eligible).
     supports_probe_values: bool = False
@@ -118,12 +118,6 @@ class EngineRegistry:
     def names(self) -> list[str]:
         """Sorted names of every registered engine."""
         return sorted(self._specs)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._specs
-
-    def __len__(self) -> int:
-        return len(self._specs)
 
 
 # ----------------------------------------------------------------------
@@ -321,30 +315,6 @@ def _register_builtins(registry: EngineRegistry) -> None:
 #: The process-wide default registry every session uses unless given its own.
 DEFAULT_REGISTRY = EngineRegistry()
 _register_builtins(DEFAULT_REGISTRY)
-
-
-def register_engine(
-    name: str,
-    factory: EngineFactory,
-    *,
-    description: str = "",
-    supports_budget: bool = False,
-    supports_probe_values: bool = False,
-    supports_planner: bool = False,
-    supports_sketch: bool = False,
-    replace: bool = False,
-) -> EngineSpec:
-    """Register an engine in the default registry (entry-point style)."""
-    return DEFAULT_REGISTRY.register(
-        name,
-        factory,
-        description=description,
-        supports_budget=supports_budget,
-        supports_probe_values=supports_probe_values,
-        supports_planner=supports_planner,
-        supports_sketch=supports_sketch,
-        replace=replace,
-    )
 
 
 def available_engines() -> list[str]:

@@ -23,7 +23,7 @@ created per run (requests themselves stay frozen and reusable).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from ..datamodel import QueryTable
@@ -188,10 +188,6 @@ class DiscoveryRequest:
             self.use_table_filters,
         )
 
-    def with_query(self, query: QueryTable) -> "DiscoveryRequest":
-        """Return a copy of this request for a different query table."""
-        return replace(self, query=query)
-
     def make_budget(
         self, clock: Callable[[], float] = time.monotonic
     ) -> "RequestBudget | None":
@@ -267,9 +263,9 @@ class RequestBudget:
     def cancel(self) -> None:
         """Expire the budget immediately (thread-safe, latched).
 
-        The engine observes this at its next deadline check and stops — the
-        mechanism behind abandoning a
-        :meth:`~repro.api.session.DiscoverySession.discover_stream` early.
+        The engine observes this at its next deadline check and stops (a
+        pool worker answers a probe whose deadline passed before it was
+        scattered this way).
         """
         self.expired = True
 

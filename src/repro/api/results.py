@@ -61,15 +61,11 @@ class SessionResult:
         """``(table_id, joinability)`` pairs, best first."""
         return self.response.result_tuples()
 
-    def table_ids(self) -> list[int]:
-        """The discovered table ids, best first."""
-        return self.response.table_ids()
-
     def plan_explain(self) -> dict | None:
         """The executed query plan (seed column, estimates, re-plans).
 
         ``None`` when the engine ran outside the planner/executor pipeline
-        (baselines) or for streaming snapshots.
+        (baselines).
         """
         return self.response.plan_explain()
 
@@ -182,18 +178,6 @@ class SessionBatch:
 
     def __iter__(self) -> Iterator["SessionResult | None"]:
         return iter(self.results)
-
-    def __getitem__(self, position: int) -> "SessionResult | None":
-        return self.results[position]
-
-    @property
-    def ok(self) -> bool:
-        """Whether every request of the batch succeeded."""
-        return not self.failures
-
-    def successful(self) -> list[SessionResult]:
-        """The successful results, in submission order."""
-        return [result for result in self.results if result is not None]
 
     def to_dict(self) -> dict:
         """Return the stable JSON-serialisable batch document."""

@@ -2,7 +2,7 @@
 
 A session owns the serving state — corpus, one index, LRU posting-list
 cache, engine instances, and a thread-pool scheduler — and
-answers :class:`~repro.api.request.DiscoveryRequest` objects through four
+answers :class:`~repro.api.request.DiscoveryRequest` objects through three
 entry points:
 
 * :meth:`DiscoverySession.discover` — one request, one
@@ -10,8 +10,6 @@ entry points:
 * :meth:`DiscoverySession.discover_batch` — a (possibly mixed-engine) batch
   with probe-value deduplication, cache warm-up, worker-pool scheduling, and
   attributable failures;
-* :meth:`DiscoverySession.discover_stream` — an iterator of incremental
-  top-k snapshots while the run progresses, ending with the final result;
 * :meth:`DiscoverySession.submit` / :meth:`DiscoverySession.asubmit` —
   future-based and ``async`` wrappers over the session's thread pool.
 
@@ -25,8 +23,6 @@ Usage::
 
     with DiscoverySession(corpus, index, config=config) as session:
         result = session.discover(DiscoveryRequest(query=query, k=10))
-        for snapshot in session.discover_stream(DiscoveryRequest(query=query)):
-            print(snapshot.result_tuples(), snapshot.complete)
 """
 
 from __future__ import annotations
@@ -34,22 +30,20 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import logging
-import queue
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ..config import MateConfig, ServiceConfig
-from ..core.results import DiscoveryResult, TableResult
 from ..datamodel import Table, TableCorpus
 from ..exceptions import ConfigurationError, DiscoveryError, MateError
 from ..index import build_index
 from ..index.cache import CachingIndex
-from ..metrics import CacheCounters, DiscoveryCounters
+from ..metrics import CacheCounters
 from ..telemetry import SlowQueryEntry, Telemetry
 from .registry import DEFAULT_REGISTRY, EngineRegistry, EngineSpec
-from .request import DiscoveryRequest, RequestBudget
+from .request import DiscoveryRequest
 from .results import BatchStats, SessionBatch, SessionResult
 
 #: Structured logger of the session layer (JSON-formatted when the caller
@@ -273,7 +267,7 @@ class DiscoverySession:
 
         Introspection for serving layers: a stats endpoint walks these for
         engines exposing ``statistics()`` (the process pool's scatter/gather
-        and hedge counters) without forcing any engine to be built.
+        and worker counters) without forcing any engine to be built.
         """
         with self._engines_lock:
             return [engine for _spec, engine in self._engines.values()]
@@ -677,123 +671,6 @@ class DiscoverySession:
         return len(merged), total - len(merged)
 
     # ------------------------------------------------------------------
-    # Streaming
-    # ------------------------------------------------------------------
-    def discover_stream(
-        self, request: DiscoveryRequest
-    ) -> Iterator[SessionResult]:
-        """Yield incremental top-k snapshots, ending with the final result.
-
-        Snapshots (``complete=False``, no column mappings or counters) are
-        emitted every time a candidate table enters or improves the top-k,
-        so consecutive snapshots are monotonically improving; the last
-        yielded element is the full final :class:`SessionResult`, equal to
-        what :meth:`discover` returns for the same request.  Engines without
-        streaming support yield the final result only.
-        """
-        try:
-            spec, engine = self._engine_for(request)
-        except MateError as error:
-            raise error.with_context(request=request)
-        k = self._resolve_k(request)
-        if not spec.supports_budget:
-            # Engines outside the MateDiscovery family expose neither the
-            # budget nor the snapshot hook; stream degenerates to one item.
-            # (Budget-capable instances — the process pool — still enforce
-            # limits inside discover(), they just cannot stream snapshots.)
-            if request.limited and not getattr(
-                engine, "supports_budget", False
-            ):
-                raise DiscoveryError(
-                    f"engine {spec.name!r} does not support per-request limits"
-                ).with_context(engine=spec.name, request=request)
-            yield self.discover(request)
-            return
-        try:
-            # Budget handled below (streams always run with one); this
-            # resolves — and gates — the planner kwargs only.
-            planner_kwargs = self._run_kwargs(spec, request, None)
-        except MateError as error:
-            raise error.with_context(engine=spec.name, request=request)
-
-        # Always run with a budget so an abandoned stream can cancel the
-        # worker: closing the generator expires the budget, and the engine
-        # stops at its next deadline check instead of finishing the run.
-        budget = request.make_budget() or RequestBudget()
-        snapshots: queue.Queue = queue.Queue()
-        done = object()
-        outcome: dict[str, object] = {}
-        system = getattr(engine, "system_name", spec.name)
-
-        def on_snapshot(ranked: list[tuple[int, int]]) -> None:
-            snapshots.put(self._snapshot_result(request, spec.name, system, k, ranked))
-
-        def run() -> None:
-            try:
-                outcome["result"] = engine.discover(
-                    request.query,
-                    k=k,
-                    budget=budget,
-                    on_snapshot=on_snapshot,
-                    **planner_kwargs,
-                )
-            except BaseException as error:  # noqa: BLE001 - relayed below
-                outcome["error"] = error
-            finally:
-                snapshots.put(done)
-
-        # Run under a copy of the caller's context so tracer spans opened
-        # around the stream parent the engine's spans in the worker thread.
-        stream_context = contextvars.copy_context()
-        worker = threading.Thread(
-            target=stream_context.run, args=(run,),
-            name="discovery-stream", daemon=True,
-        )
-        worker.start()
-        try:
-            while True:
-                item = snapshots.get()
-                if item is done:
-                    break
-                yield item
-        finally:
-            budget.cancel()
-        worker.join()
-        error = outcome.get("error")
-        if error is not None:
-            if isinstance(error, MateError):
-                raise error.with_context(engine=spec.name, request=request)
-            raise error  # pragma: no cover - non-library failure
-        yield SessionResult(
-            request=request, engine=spec.name, response=outcome["result"]
-        )
-
-    def _snapshot_result(
-        self,
-        request: DiscoveryRequest,
-        engine_name: str,
-        system: str,
-        k: int,
-        ranked: list[tuple[int, int]],
-    ) -> SessionResult:
-        tables = [
-            TableResult(
-                table_id=table_id,
-                joinability=joinability,
-                table_name=self.corpus.get_table(table_id).name,
-            )
-            for table_id, joinability in ranked
-        ]
-        response = DiscoveryResult(
-            system=system,
-            k=k,
-            tables=tables,
-            counters=DiscoveryCounters(),
-            complete=False,
-        )
-        return SessionResult(request=request, engine=engine_name, response=response)
-
-    # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
     def submit(self, request: DiscoveryRequest) -> "Future[SessionResult]":
@@ -809,13 +686,3 @@ class DiscoverySession:
     async def asubmit(self, request: DiscoveryRequest) -> SessionResult:
         """``await``-able :meth:`discover`, run on the session's thread pool."""
         return await asyncio.wrap_future(self.submit(request))
-
-    async def asubmit_batch(
-        self, requests: Iterable[DiscoveryRequest]
-    ) -> list[SessionResult]:
-        """``await``-able fan-out: every request through :meth:`asubmit`."""
-        return list(
-            await asyncio.gather(
-                *(self.asubmit(request) for request in requests)
-            )
-        )

@@ -9,7 +9,7 @@ two ways (SCR-Josie and MCR-Josie, Section 7.1.1).
 This module implements the core machinery those adaptations need:
 
 * :class:`JosieIndex` — value -> list of column ids (a column id is a
-  ``(table_id, column_index)`` pair), plus per-column set sizes.
+  ``(table_id, column_index)`` pair).
 * :class:`JosieSearch` — top-k overlap search with the standard optimisations
   of the exact top-k set-overlap family: candidates are accumulated from
   posting lists, and the scan terminates early once the remaining
@@ -47,10 +47,6 @@ class JosieMatch:
         """The table owning the matching column."""
         return self.column[0]
 
-    @property
-    def column_index(self) -> int:
-        """The index of the matching column inside its table."""
-        return self.column[1]
 
 
 class JosieIndex:
@@ -58,7 +54,6 @@ class JosieIndex:
 
     def __init__(self) -> None:
         self._postings: dict[str, list[ColumnId]] = defaultdict(list)
-        self._column_sizes: dict[ColumnId, int] = {}
         self.build_seconds: float = 0.0
 
     # ------------------------------------------------------------------
@@ -72,9 +67,7 @@ class JosieIndex:
         for table in corpus:
             for column_index in range(table.num_columns):
                 column_id: ColumnId = (table.table_id, column_index)
-                distinct = table.distinct_column_values(column_index)
-                index._column_sizes[column_id] = len(distinct)
-                for value in distinct:
+                for value in table.distinct_column_values(column_index):
                     index._postings[value].append(column_id)
         index.build_seconds = time.perf_counter() - started
         return index
@@ -88,10 +81,6 @@ class JosieIndex:
     def num_posting_items(self) -> int:
         """Total number of (value, column) entries."""
         return sum(len(columns) for columns in self._postings.values())
-
-    def column_size(self, column: ColumnId) -> int:
-        """Number of distinct values in a column set."""
-        return self._column_sizes.get(column, 0)
 
     def columns_containing(self, value: str) -> list[ColumnId]:
         """Return the columns whose set contains ``value``."""

@@ -55,7 +55,6 @@ class TablePrefixTree:
         self.num_columns = table.num_columns
         self.num_rows = table.num_rows
         self.root = _TrieNode()
-        self._node_count = 1
         for row in table.rows:
             self._insert(row)
 
@@ -66,13 +65,7 @@ class TablePrefixTree:
             if child is None:
                 child = _TrieNode()
                 node.children[value] = child
-                self._node_count += 1
             node = child
-
-    @property
-    def node_count(self) -> int:
-        """Number of trie nodes (a proxy for the index's memory footprint)."""
-        return self._node_count
 
     # ------------------------------------------------------------------
     # Probing
@@ -173,10 +166,6 @@ class PrefixTreeDiscovery:
         self.trees: dict[int, TablePrefixTree] = {
             table.table_id: TablePrefixTree(table) for table in corpus
         }
-
-    def total_nodes(self) -> int:
-        """Total trie nodes across the corpus (index footprint proxy)."""
-        return sum(tree.node_count for tree in self.trees.values())
 
     def discover(self, query: QueryTable, k: int | None = None) -> DiscoveryResult:
         """Return the top-k joinable tables (same result type as MATE)."""

@@ -38,7 +38,7 @@ Four sub-commands cover the typical workflow:
     (:class:`~repro.serve.http.DiscoveryHTTPServer`): bounded admission with
     429 + Retry-After backpressure, per-tenant quotas, graceful drain on
     SIGINT/SIGTERM, and ``--execution process`` for the process-per-shard
-    pool (scatter/gather over mmap'd segments, optional ``--hedge-after``).
+    pool (scatter/gather over mmap'd segments).
 ``serve-batch``
     Answer a batch of query tables through a
     :class:`~repro.api.session.DiscoverySession`: one index (built in memory,
@@ -46,16 +46,16 @@ Four sub-commands cover the typical workflow:
     pool.  Prints the per-query top-k plus batch throughput and cache
     statistics (or ``--json``).
 ``ingest``
-    Stream tables from a directory (CSV / JSON-lines, via the lake loaders)
-    or a corpus JSON file into a *persisted live index* directory: every
+    Stream tables from a directory of CSV files (via the lake loader) or a
+    corpus JSON file into a *persisted live index* directory: every
     table is WAL-logged, indexed online into the delta buffer, and sealed /
     merged into columnar segments by the compaction policy.  Re-running with
     the same ``--live-dir`` resumes (crash recovery replays the WAL first);
     already-live table ids are skipped.
 ``profile``
-    Profile a data lake (a directory of CSV / JSON-lines tables or a corpus
-    JSON file): table/row/value counts, column type mix, posting-list-length
-    skew, and the recommended MATE configuration.
+    Profile a data lake (a directory of CSV tables or a corpus JSON file):
+    table/row/value counts, column type mix, posting-list-length skew, and
+    the recommended MATE configuration.
 ``suggest-key``
     Discover composite-key candidates (unique column combinations) for a CSV
     table, the undocumented-key situation the paper's introduction describes.
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     discover.add_argument("--live-dir", type=Path, default=None,
                           help="live index directory written by index or "
                           "ingest (default: build the index in memory)")
-    # No static choices= here: the registry is open (register_engine), so
+    # No static choices= here: the registry is open (EngineRegistry.register), so
     # the accepted set is resolved at dispatch time in _command_discover and
     # the help text simply reflects whatever is registered right now.
     discover.add_argument("--engine", default="mate",
@@ -316,9 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_http.add_argument("--shards", type=int, default=4,
                             help="number of shards (and worker processes "
                             "with --execution process)")
-    serve_http.add_argument("--hedge-after", type=float, default=None,
-                            help="hedge a shard probe to a mirror worker "
-                            "after this many seconds (process execution)")
     serve_http.add_argument("--segments-dir", type=Path, default=None,
                             help="where the process pool writes its .seg "
                             "files (default: a private temp directory)")
@@ -360,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ingest.add_argument(
         "source", type=Path,
-        help="directory of CSV/JSON-lines tables, or a corpus JSON file",
+        help="directory of CSV tables, or a corpus JSON file",
     )
     ingest.add_argument(
         "--live-dir", type=Path, required=True,
@@ -388,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile = subparsers.add_parser("profile", help="profile a data lake")
     profile.add_argument(
         "source", type=Path,
-        help="directory of CSV/JSON-lines tables, or a corpus JSON file",
+        help="directory of CSV tables, or a corpus JSON file",
     )
 
     similarity = subparsers.add_parser(
@@ -782,7 +779,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     if args.execution == "process":
         serve_config = ServeConfig(
             num_shards=args.shards,
-            hedge_after_seconds=args.hedge_after,
             segments_dir=args.segments_dir,
         )
     telemetry = _telemetry_from_args(args)

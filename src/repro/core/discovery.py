@@ -42,11 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - the budget lives in the api layer
     from ..plan.options import PlannerOptions
     from ..sketch import SketchIndex, SketchOptions
 
-#: Streaming hook: receives the interim (table_id, joinability) ranking,
-#: best first, after every accepted top-k update.
-SnapshotCallback = Callable[[list[tuple[int, int]]], None]
-
-
 class MateDiscovery:
     """Top-k n-ary joinable table discovery (Algorithm 1)."""
 
@@ -120,7 +115,6 @@ class MateDiscovery:
         k: int | None = None,
         *,
         budget: "RequestBudget | None" = None,
-        on_snapshot: "SnapshotCallback | None" = None,
         planner: "PlannerOptions | None" = None,
         sketch: "SketchOptions | None" = None,
     ) -> DiscoveryResult:
@@ -141,11 +135,6 @@ class MateDiscovery:
         ``counters.budget_exhausted`` / ``counters.deadline_expired`` flags.
         Without a budget the behaviour is byte-identical to earlier
         releases.
-
-        ``on_snapshot`` is called with the interim ``(table_id, joinability)``
-        ranking (best first) every time a candidate table enters or improves
-        the top-k — the streaming hook behind
-        :meth:`repro.api.session.DiscoverySession.discover_stream`.
 
         ``planner`` (a :class:`~repro.plan.options.PlannerOptions`) selects
         the seed-column strategy: the default keeps the engine's classic
@@ -177,7 +166,6 @@ class MateDiscovery:
             query,
             k,
             budget=budget,
-            on_snapshot=on_snapshot,
             sketch=sketch,
             sketch_index=sketch_index,
         )

@@ -69,16 +69,6 @@ class ShardStatistics:
     rows_checked: int
     runtime_seconds: float
 
-    def as_dict(self) -> dict[str, float]:
-        """Return the statistics as a plain dictionary (for reporting)."""
-        return {
-            "shard": self.shard_index,
-            "tables": self.num_tables,
-            "pl_items_fetched": self.pl_items_fetched,
-            "rows_checked": self.rows_checked,
-            "runtime_seconds": self.runtime_seconds,
-        }
-
 
 def merge_discovery_results(
     results: list[DiscoveryResult], k: int, system: str = "mate-sharded"

@@ -66,10 +66,6 @@ class DiscoveryResult:
         """Row-filter precision of the run (Section 7.4)."""
         return self.counters.precision
 
-    def table_ids(self) -> list[int]:
-        """Return the discovered table ids, best first."""
-        return [t.table_id for t in self.tables]
-
     def result_tuples(self) -> list[tuple[int, int]]:
         """Return ``(table_id, joinability)`` pairs, best first."""
         return [(t.table_id, t.joinability) for t in self.tables]

@@ -7,7 +7,6 @@ from .table import (
     Row,
     Table,
     normalize_value,
-    table_from_dicts,
 )
 
 __all__ = [
@@ -18,5 +17,4 @@ __all__ = [
     "Table",
     "TableCorpus",
     "normalize_value",
-    "table_from_dicts",
 ]

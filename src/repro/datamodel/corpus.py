@@ -36,18 +36,6 @@ class CorpusStatistics:
     avg_columns_per_table: float
     avg_rows_per_table: float
 
-    def as_dict(self) -> dict[str, float]:
-        """Return the statistics as a plain dictionary (for reporting)."""
-        return {
-            "tables": self.num_tables,
-            "columns": self.num_columns,
-            "rows": self.num_rows,
-            "cells": self.num_cells,
-            "unique_values": self.num_unique_values,
-            "avg_columns_per_table": self.avg_columns_per_table,
-            "avg_rows_per_table": self.avg_rows_per_table,
-        }
-
 
 class TableCorpus:
     """An in-memory collection of :class:`~repro.datamodel.table.Table` objects."""
@@ -84,11 +72,6 @@ class TableCorpus:
                 f"corpus {self.name!r} already contains table id {table.table_id}"
             )
         self._tables[table.table_id] = table
-
-    def add_tables(self, tables: Iterable[Table]) -> None:
-        """Add several tables at once."""
-        for table in tables:
-            self.add_table(table)
 
     def remove_table(self, table_id: int) -> Table:
         """Remove and return a table.  Raises :class:`CorpusError` if absent."""
@@ -141,10 +124,6 @@ class TableCorpus:
                 f"({table.num_rows} rows)"
             )
         return table.rows[row_index]
-
-    def get_cell(self, table_id: int, row_index: int, column_index: int) -> str:
-        """Return a single cell of a table."""
-        return self.get_table(table_id).cell(row_index, column_index)
 
     # ------------------------------------------------------------------
     # Statistics

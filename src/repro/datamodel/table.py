@@ -53,10 +53,6 @@ class Row(tuple):
     def __new__(cls, values: Iterable[object]) -> "Row":
         return super().__new__(cls, (normalize_value(v) for v in values))
 
-    def cell(self, column_index: int) -> str:
-        """Return the value in ``column_index`` (0-based)."""
-        return self[column_index]
-
 
 @dataclass
 class Table:
@@ -151,16 +147,6 @@ class Table:
         """Return the number of distinct non-missing values in a column."""
         return len(self.distinct_column_values(column))
 
-    def cell(self, row_index: int, column: str | int) -> str:
-        """Return a single cell value."""
-        index = column if isinstance(column, int) else self.column_index(column)
-        try:
-            return self.rows[row_index][index]
-        except IndexError as exc:
-            raise DataModelError(
-                f"cell ({row_index}, {index}) out of range for table {self.name!r}"
-            ) from exc
-
     def append_row(self, values: Iterable[object]) -> Row:
         """Append a row to the table and return the normalised row."""
         row = Row(values)
@@ -187,10 +173,6 @@ class Table:
             if any(v != MISSING for v in values):
                 projected.add(values)
         return projected
-
-    def to_dicts(self) -> list[dict[str, str]]:
-        """Return the table content as a list of column-name keyed dicts."""
-        return [dict(zip(self.columns, row)) for row in self.rows]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
@@ -226,19 +208,9 @@ class QueryTable:
         """Number of columns in the composite key (``|Q|``)."""
         return len(self.key_columns)
 
-    @property
-    def key_indexes(self) -> list[int]:
-        """Column indexes of the key columns inside the query table."""
-        return [self.table.column_index(c) for c in self.key_columns]
-
     def key_tuples(self) -> set[tuple[str, ...]]:
         """Return the distinct composite-key value tuples (``pi_Q(d)``)."""
         return self.table.projection(self.key_columns)
-
-    def key_rows(self) -> list[tuple[str, ...]]:
-        """Return the key projection of every row, in row order (with repeats)."""
-        indexes = self.key_indexes
-        return [tuple(row[i] for i in indexes) for row in self.table.rows]
 
     def column_cardinalities(self) -> dict[str, int]:
         """Return the cardinality of each key column (used by the heuristics)."""
@@ -249,25 +221,3 @@ class QueryTable:
             f"QueryTable(table={self.table.name!r}, key={self.key_columns}, "
             f"rows={self.table.num_rows})"
         )
-
-
-def table_from_dicts(
-    table_id: int, name: str, records: Sequence[dict[str, object]]
-) -> Table:
-    """Build a :class:`Table` from a list of dictionaries.
-
-    The column order is taken from the first record; all records must share
-    the same keys.
-    """
-    if not records:
-        raise DataModelError("cannot build a table from an empty record list")
-    columns = list(records[0].keys())
-    rows: list[list[object]] = []
-    for position, record in enumerate(records):
-        if set(record.keys()) != set(columns):
-            raise DataModelError(
-                f"record {position} keys {sorted(record)} do not match "
-                f"columns {sorted(columns)}"
-            )
-        rows.append([record[c] for c in columns])
-    return Table(table_id=table_id, name=name, columns=columns, rows=[Row(r) for r in rows])

@@ -39,7 +39,7 @@ from __future__ import annotations
 import sqlite3
 import threading
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from ..config import MateConfig
 from ..core.column_selection import ColumnSelector, get_column_selector
@@ -257,14 +257,13 @@ class SQLPushdownEngine:
         k: int | None = None,
         *,
         budget: "RequestBudget | None" = None,
-        on_snapshot: "Callable[[list[tuple[int, int]]], None] | None" = None,
     ) -> DiscoveryResult:
         """Return the top-k joinable tables for ``query``.
 
         Semantics — including budget charging (one ``max_pl_fetches`` unit
         per probe value, pushdown or not, so a budgeted run truncates the
-        same probe list as the mate engine), deadline checks, streaming
-        snapshots, and the ``complete`` flag — match
+        same probe list as the mate engine), deadline checks and the
+        ``complete`` flag — match
         :meth:`MateDiscovery.discover
         <repro.core.discovery.MateDiscovery.discover>` exactly.
         """
@@ -317,8 +316,7 @@ class SQLPushdownEngine:
                 )
                 counters.tables_evaluated += 1
                 self._maintain_topk(
-                    topk, mappings, table_id, joinability, mapping,
-                    on_snapshot, counters,
+                    topk, mappings, table_id, joinability, mapping, counters
                 )
 
         complete = True
@@ -525,7 +523,6 @@ class SQLPushdownEngine:
         table_id: int,
         joinability: int,
         mapping: tuple[int, ...] | None,
-        on_snapshot: "Callable[[list[tuple[int, int]]], None] | None",
         counters: DiscoveryCounters,
     ) -> None:
         stats = counters.stage_stats(STAGE_TOPK_MAINTENANCE)
@@ -535,8 +532,6 @@ class SQLPushdownEngine:
             kept = topk.update(table_id, joinability)
             if kept:
                 mappings[table_id] = mapping
-                if on_snapshot is not None:
-                    on_snapshot(topk.result_tuples())
         finally:
             stats.seconds += perf_counter() - started
         stats.items_in += 1

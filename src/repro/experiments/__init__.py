@@ -34,7 +34,6 @@ from .index_stats import run_index_generation
 from .init_column import HEURISTIC_ORDER, run_init_column
 from .related_work import DEFAULT_RELATED_WORK_WORKLOADS, run_related_work
 from .reporting import (
-    format_ratio,
     format_table,
     result_to_csv,
     result_to_json,
@@ -85,7 +84,6 @@ __all__ = [
     "build_context",
     "build_keysize_scenario",
     "build_short_value_scenario",
-    "format_ratio",
     "format_table",
     "run_figure4",
     "run_figure5",

@@ -48,13 +48,6 @@ def _format_cell(cell: object) -> str:
     return str(cell)
 
 
-def format_ratio(numerator: float, denominator: float) -> str:
-    """Render a speed-up / ratio (e.g. ``"12.3x"``), guarding against zero."""
-    if denominator <= 0:
-        return "n/a"
-    return f"{numerator / denominator:.1f}x"
-
-
 def result_to_csv(result: "ExperimentResult") -> str:
     """Render an experiment result as CSV text (header row + data rows)."""
     buffer = io.StringIO()

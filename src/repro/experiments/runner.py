@@ -162,11 +162,6 @@ class AggregatedRun:
     counters: DiscoveryCounters
     results: list[DiscoveryResult] = field(default_factory=list)
 
-    @property
-    def false_positive_rows(self) -> int:
-        """Total number of false-positive rows across all queries."""
-        return self.counters.false_positive_rows
-
 
 def aggregate_results(
     system: str, workload: str, results: Sequence[DiscoveryResult]

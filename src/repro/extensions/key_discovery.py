@@ -21,8 +21,8 @@ an issue in practice:
   the achievable distinct count.
 
 Suggestions are ranked to prefer small keys built from join-friendly columns
-(text/code/date, not floating-point measures), mirroring
-:func:`repro.lake.type_inference.keyable_columns`.
+(text/code/date, not floating-point measures), typed by
+:func:`repro.lake.type_inference.infer_column_type`.
 """
 
 from __future__ import annotations
@@ -55,18 +55,6 @@ class KeyCandidate:
     def arity(self) -> int:
         """Number of columns in the candidate."""
         return len(self.columns)
-
-    def as_dict(self) -> dict[str, object]:
-        """Return the candidate as a plain dictionary (for reporting)."""
-        return {
-            "columns": list(self.columns),
-            "arity": self.arity,
-            "distinct_combinations": self.distinct_combinations,
-            "covered_rows": self.covered_rows,
-            "uniqueness": round(self.uniqueness, 4),
-            "is_unique": self.is_unique,
-            "is_minimal": self.is_minimal,
-        }
 
 
 def _combination_statistics(

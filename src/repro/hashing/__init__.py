@@ -18,14 +18,10 @@ from .base import (
 )
 from .bitvector import (
     fold,
-    from_bit_string,
     mask,
     popcount,
     rotate_left,
-    rotate_right,
     subsumes,
-    to_bit_string,
-    truncate,
 )
 from .bloom import (
     BloomFilterHashFunction,
@@ -42,7 +38,7 @@ from .standard import (
     SimHashFunction,
     city_hash_64,
 )
-from .superkey import SuperKeyGenerator, generate_row_super_keys
+from .superkey import SuperKeyGenerator
 from .xash import XashHashFunction, normalize_character
 
 __all__ = [
@@ -64,8 +60,6 @@ __all__ = [
     "create_hash_function",
     "false_positive_probability",
     "fold",
-    "from_bit_string",
-    "generate_row_super_keys",
     "mask",
     "murmur3_32",
     "murmur3_string",
@@ -75,8 +69,5 @@ __all__ = [
     "popcount",
     "register_hash_function",
     "rotate_left",
-    "rotate_right",
     "subsumes",
-    "to_bit_string",
-    "truncate",
 ]

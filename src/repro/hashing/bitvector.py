@@ -28,11 +28,6 @@ def mask(width: int) -> int:
     return (1 << width) - 1
 
 
-def truncate(value: int, width: int) -> int:
-    """Truncate ``value`` to its lowest ``width`` bits."""
-    return value & mask(width)
-
-
 def popcount(value: int) -> int:
     """Return the number of set bits in ``value``.
 
@@ -42,20 +37,6 @@ def popcount(value: int) -> int:
     if value < 0:
         raise HashingError("popcount is only defined for non-negative integers")
     return value.bit_count()
-
-
-def set_bit(value: int, index: int) -> int:
-    """Return ``value`` with bit ``index`` (0 = least significant) set."""
-    if index < 0:
-        raise HashingError(f"bit index must be non-negative, got {index}")
-    return value | (1 << index)
-
-
-def get_bit(value: int, index: int) -> int:
-    """Return bit ``index`` of ``value`` (0 or 1)."""
-    if index < 0:
-        raise HashingError(f"bit index must be non-negative, got {index}")
-    return (value >> index) & 1
 
 
 def rotate_left(value: int, shift: int, width: int) -> int:
@@ -83,14 +64,6 @@ def rotate_left(value: int, shift: int, width: int) -> int:
     return ((value << shift) | (value >> (width - shift))) & region
 
 
-def rotate_right(value: int, shift: int, width: int) -> int:
-    """Circularly rotate the lowest ``width`` bits of ``value`` right by ``shift``."""
-    if width <= 0:
-        raise HashingError(f"width must be positive, got {width}")
-    shift %= width
-    return rotate_left(value, width - shift, width) if shift else value
-
-
 def subsumes(superset: int, subset: int) -> bool:
     """Return ``True`` iff every set bit of ``subset`` is also set in ``superset``.
 
@@ -104,22 +77,6 @@ def subsumes(superset: int, subset: int) -> bool:
     False
     """
     return subset & ~superset == 0
-
-
-def to_bit_string(value: int, width: int) -> str:
-    """Render ``value`` as a ``width``-character binary string (MSB first)."""
-    if value >> width:
-        raise HashingError(f"value {value:#x} does not fit into {width} bits")
-    return format(value, f"0{width}b")
-
-
-def from_bit_string(bits: str) -> int:
-    """Parse a binary string (MSB first) into an integer."""
-    if bits == "":
-        return 0
-    if any(c not in "01" for c in bits):
-        raise HashingError(f"invalid bit string: {bits!r}")
-    return int(bits, 2)
 
 
 def fold(value: int, width: int) -> int:

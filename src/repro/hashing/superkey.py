@@ -152,10 +152,3 @@ class SuperKeyGenerator:
             if not subsumes(row_length_bits, key_length_bits):
                 return False, True
         return subsumes(row_super_key, key_super_key), False
-
-
-def generate_row_super_keys(
-    rows: Iterable[Iterable[str]], generator: SuperKeyGenerator
-) -> list[int]:
-    """Return the super key of every row in ``rows`` (helper for indexing)."""
-    return [generator.row_super_key(row) for row in rows]

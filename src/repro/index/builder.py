@@ -36,18 +36,6 @@ class IndexBuildReport:
     num_distinct_values: int
     build_seconds: float
 
-    def as_dict(self) -> dict[str, str | float]:
-        """Return the report as a plain dictionary (for reporting)."""
-        return {
-            "hash_function": self.hash_function,
-            "hash_size": self.hash_size,
-            "tables": self.num_tables,
-            "rows": self.num_rows,
-            "posting_items": self.num_posting_items,
-            "distinct_values": self.num_distinct_values,
-            "build_seconds": self.build_seconds,
-        }
-
 
 class IndexBuilder:
     """Builds the extended inverted index for a corpus."""

@@ -57,13 +57,6 @@ class PostingListCache:
         self._entries: OrderedDict[str, FetchBlock] = OrderedDict()
         self._lock = threading.Lock()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, value: str) -> bool:
-        """Membership check without touching recency or the counters."""
-        return value in self._entries
-
     def get(self, value: str) -> FetchBlock | None:
         """Return the cached block for ``value`` (``None`` on a miss).
 
@@ -87,11 +80,6 @@ class PostingListCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.counters.evictions += 1
-
-    def invalidate(self, value: str) -> None:
-        """Drop the cached entry of one value (no-op when absent)."""
-        with self._lock:
-            self._entries.pop(value, None)
 
     def clear(self) -> None:
         """Drop every cached entry (counters are preserved)."""

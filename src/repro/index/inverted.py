@@ -214,11 +214,6 @@ class InvertedIndex:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has been called on this index."""
-        return self._closed
-
     def close(self) -> None:
         """Drop the block and unmap a segment file (idempotent).
 
@@ -279,9 +274,8 @@ class InvertedIndex:
         """Return the ids of all tables with at least one indexed row."""
         return self._ensure_open("indexed_tables").rows.table_ids_present()
 
-    def visible_counts(self, masked: Collection[int]) -> tuple[list[int], int]:
-        """``(PL items per value, in :meth:`values` order; rows)`` outside
-        the ``masked`` tables — see
+    def visible_counts(self, masked: Collection[int]) -> int:
+        """PL items outside the ``masked`` tables — see
         :func:`~repro.storage.segment_block.visible_counts`; nothing is
         sliced or memoised for a count."""
         from ..storage.segment_block import visible_counts

@@ -63,31 +63,6 @@ class IndexStorageReport:
     super_key_bytes_per_row: int
     josie_extra_bytes: int
 
-    @property
-    def total_bytes_per_cell_layout(self) -> int:
-        """Total index size when super keys are stored per PL item."""
-        return self.posting_bytes + self.super_key_bytes_per_cell
-
-    @property
-    def total_bytes_per_row_layout(self) -> int:
-        """Total index size when super keys are stored once per row."""
-        return self.posting_bytes + self.super_key_bytes_per_row
-
-    def as_dict(self) -> dict[str, int]:
-        """Return the report as a plain dictionary (for reporting)."""
-        return {
-            "hash_size": self.hash_size,
-            "posting_items": self.num_posting_items,
-            "rows": self.num_rows,
-            "distinct_values": self.num_distinct_values,
-            "posting_bytes": self.posting_bytes,
-            "super_key_bytes_per_cell": self.super_key_bytes_per_cell,
-            "super_key_bytes_per_row": self.super_key_bytes_per_row,
-            "total_bytes_per_cell_layout": self.total_bytes_per_cell_layout,
-            "total_bytes_per_row_layout": self.total_bytes_per_row_layout,
-            "josie_extra_bytes": self.josie_extra_bytes,
-        }
-
 
 def sample_positions(count: int, sample_size: int) -> list[int]:
     """Evenly spaced positions for a deterministic sample of ``count`` items.

@@ -35,7 +35,7 @@ import numpy as _np
 from ..config import MateConfig
 from ..datamodel import MISSING, Table
 from ..datamodel.encoding import MISSING_ID
-from ..exceptions import IndexClosedError, IndexError_
+from ..exceptions import IndexClosedError
 from ..hashing.base import key_width
 from ..index import FetchBlock, IndexBuilder, InvertedIndex
 from ..index.bulk import EncodedTables, encode_tables, layout_block, row_keys
@@ -115,11 +115,6 @@ class IngestBuffer:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def sealed(self) -> bool:
-        """Whether :meth:`seal` froze this buffer."""
-        return self._sealed
-
-    @property
     def builder(self) -> IndexBuilder:
         """The (hash-memoising) builder; shared with successor buffers."""
         return self._builder
@@ -136,16 +131,9 @@ class IngestBuffer:
         """Number of tables currently buffered."""
         return len(self.table_seqs)
 
-    def __contains__(self, table_id: int) -> bool:
-        return table_id in self.table_seqs
-
     def num_rows(self) -> int:
         """Number of buffered rows (rows owning a super key)."""
         return self._row_count
-
-    def num_posting_items(self) -> int:
-        """Number of buffered PL items."""
-        return self._cell_count
 
     # ------------------------------------------------------------------
     # Mutation
@@ -216,15 +204,6 @@ class IngestBuffer:
         )
         self.table_seqs[table.table_id] = seq
         return table.num_rows
-
-    def add_table(self, table: Table, seq: int) -> int:
-        """Index ``table`` into the delta under sequence number ``seq``.
-
-        Returns the number of indexed rows.  Super keys come from the shared
-        :class:`~repro.index.builder.IndexBuilder`'s generator, the one code
-        path a bulk build hashes through.
-        """
-        return self.install(self.stage(table), seq)
 
     def drop_table(self, table_id: int) -> int:
         """Physically remove a buffered table; returns dropped PL items.
@@ -306,8 +285,8 @@ class BufferView:
     columns through the cells' row numbers — so its blocks are the ones a
     sealed segment returns.  Nothing a fetch does grows with the row count,
     and only a lookup table with the vocabulary; counts come from the count
-    column, row lookups from the table map.  Nothing it serves lays the
-    whole view out: :meth:`laid_out` does that once, for a seal.
+    column.  Nothing it serves lays the whole view out: :meth:`laid_out`
+    does that once, for a seal.
     """
 
     def __init__(self, buffer: IngestBuffer):
@@ -318,7 +297,6 @@ class BufferView:
         self._counts = buffer._counts
         self._cells = [column[: buffer._cell_count] for column in buffer._cells]
         self._rows = [column[: buffer._row_count] for column in buffer._rows]
-        self._tables = buffer._tables
         self._laid_out: InvertedIndex | None = None
 
     def laid_out(self) -> InvertedIndex:
@@ -402,21 +380,3 @@ class BufferView:
 
     def num_posting_items(self) -> int:
         return len(self._cells[0])
-
-    def _row(self, table_id: int, row_index: int) -> int:
-        """Row number of a buffered row, -1 when the view has none."""
-        first_row, num_rows, _, _ = self._tables.get(table_id, (0, 0, 0, 0))
-        if 0 <= row_index < num_rows and first_row + row_index < len(self._rows[0]):
-            return first_row + row_index
-        return -1
-
-    def has_row(self, table_id: int, row_index: int) -> bool:
-        return self._row(table_id, row_index) >= 0
-
-    def super_key(self, table_id: int, row_index: int) -> int:
-        row = self._row(table_id, row_index)
-        if row < 0:
-            raise IndexError_(
-                f"no super key stored for table {table_id} row {row_index}"
-            )
-        return int.from_bytes(self._rows[2][row].tobytes(), "big")

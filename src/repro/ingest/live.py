@@ -337,25 +337,6 @@ class LiveSnapshot:
             totals = [total + length for total, length in zip(totals, lengths)]
         return totals
 
-    def super_key(self, table_id: int, row_index: int) -> int:
-        """Super key of a visible row (newest visible copy wins)."""
-        for index, table_seqs, masked in reversed(self._components):
-            if table_id in table_seqs and table_id not in masked:
-                if index.has_row(table_id, row_index):
-                    return index.super_key(table_id, row_index)
-        raise IndexError_(
-            f"no live super key stored for table {table_id} row {row_index}"
-        )
-
-    def has_row(self, table_id: int, row_index: int) -> bool:
-        """Whether a visible component stores a super key for the row."""
-        return any(
-            table_id in table_seqs
-            and table_id not in masked
-            and index.has_row(table_id, row_index)
-            for index, table_seqs, masked in self._components
-        )
-
     def indexed_tables(self) -> set[int]:
         """Ids of every visible table."""
         visible: set[int] = set()
@@ -383,7 +364,7 @@ class LiveSnapshot:
             if not masked:
                 total += index.num_posting_items()
             else:
-                total += sum(index.visible_counts(masked)[0])
+                total += index.visible_counts(masked)
         return total
 
 
@@ -508,11 +489,6 @@ class LiveIndex:
         return self._generation
 
     @property
-    def sequence(self) -> int:
-        """Sequence number of the last accepted operation."""
-        return self._seq
-
-    @property
     def num_segments(self) -> int:
         """Number of immutable segments currently stacked."""
         return len(self._segments)
@@ -526,11 +502,6 @@ class LiveIndex:
     def buffer_rows(self) -> int:
         """Rows currently in the mutable delta buffer."""
         return self._buffer.num_rows()
-
-    @property
-    def buffer_tables(self) -> int:
-        """Tables currently in the mutable delta buffer."""
-        return len(self._buffer)
 
     @property
     def tombstones(self) -> dict[int, int]:

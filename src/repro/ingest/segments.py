@@ -59,10 +59,6 @@ class Segment:
     def __contains__(self, table_id: int) -> bool:
         return table_id in self.table_seqs
 
-    def num_tables(self) -> int:
-        """Number of table copies (visible or masked) in the segment."""
-        return len(self.table_seqs)
-
     def masked_tables(self, tombstones: Mapping[int, int]) -> set[int]:
         """Table ids of this segment hidden by the given tombstones."""
         return {

@@ -3,11 +3,8 @@
 This package is the bridge between a user's own files and the MATE machinery:
 
 * :mod:`repro.lake.data_lake` — the :class:`DataLake` facade (directory of
-  CSV / DWTC-style JSON files -> indexed, queryable corpus);
-* :mod:`repro.lake.webtable_json` — the Dresden-Web-Table-Corpus JSON-lines
-  format;
-* :mod:`repro.lake.type_inference` — syntactic column types and key-candidate
-  filtering;
+  CSV files -> indexed, queryable corpus);
+* :mod:`repro.lake.type_inference` — syntactic column types;
 * :mod:`repro.lake.profiling` — corpus statistics (unique values, character
   frequencies, posting-list length distribution) that feed Eq. 5, the rare
   character table, and the substitution argument of DESIGN.md.
@@ -20,7 +17,6 @@ from .profiling import (
     CorpusProfiler,
     ValueFrequencyProfile,
     character_frequencies_from_values,
-    config_with_corpus_frequencies,
     corpus_character_frequencies,
     profile_column,
     profile_corpus,
@@ -29,44 +25,23 @@ from .profiling import (
 )
 from .type_inference import (
     ColumnType,
-    ColumnTypeReport,
     classify_value,
     infer_column_type,
-    infer_table_types,
-    keyable_columns,
-)
-from .webtable_json import (
-    WebTableRecord,
-    load_webtable_corpus,
-    parse_webtable_record,
-    record_to_table,
-    save_webtable_corpus,
-    table_to_record,
 )
 
 __all__ = [
     "ColumnStatistics",
     "ColumnType",
-    "ColumnTypeReport",
     "CorpusProfile",
     "CorpusProfiler",
     "DataLake",
     "ValueFrequencyProfile",
-    "WebTableRecord",
     "character_frequencies_from_values",
     "classify_value",
-    "config_with_corpus_frequencies",
     "corpus_character_frequencies",
     "infer_column_type",
-    "infer_table_types",
-    "keyable_columns",
-    "load_webtable_corpus",
-    "parse_webtable_record",
     "profile_column",
     "profile_corpus",
     "profile_table",
-    "record_to_table",
-    "save_webtable_corpus",
-    "table_to_record",
     "value_frequency_profile",
 ]

@@ -2,18 +2,19 @@
 
 :class:`DataLake` is the highest-level entry point for users who want to run
 MATE on their own files instead of on the synthetic corpora: point it at a
-directory of CSV and/or DWTC-style JSON-lines files, and it gives back an
-indexed, queryable corpus:
+directory of CSV files, and it gives back an indexed, queryable corpus:
 
->>> lake = DataLake.from_directory("my_tables/")          # doctest: +SKIP
->>> result = lake.discover("orders.csv", key=["customer", "date"], k=5)  # doctest: +SKIP
+>>> lake = DataLake.from_directory("my_tables/")  # doctest: +SKIP
+>>> orders = lake.table_by_source("orders")  # doctest: +SKIP
+>>> query = QueryTable(orders, ["customer", "date"])  # doctest: +SKIP
+>>> result = lake.discover(query, k=5)  # doctest: +SKIP
 
 The facade deliberately stays thin: ingestion delegates to
-:mod:`repro.storage.serialization` and :mod:`repro.lake.webtable_json`,
-profiling to :mod:`repro.lake.profiling`, and discovery to
-:class:`repro.core.MateDiscovery`.  Its value is wiring those pieces together
-with sensible defaults (corpus-derived configuration, lazily built and cached
-index) and a small amount of bookkeeping (file-name to table-id mapping).
+:mod:`repro.storage.serialization`, profiling to :mod:`repro.lake.profiling`,
+and discovery to :class:`repro.core.MateDiscovery`.  Its value is wiring
+those pieces together with sensible defaults (corpus-derived configuration,
+lazily built and cached index) and a small amount of bookkeeping (file-name
+to table-id mapping).
 The index lives in memory; ``repro ingest DIR --live-dir LIVE`` streams the
 same directory into a live-index directory, the one persisted format.
 """
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
 
 from ..config import MateConfig
 from ..core import DiscoveryResult, MateDiscovery
@@ -31,13 +31,13 @@ from ..exceptions import CorpusError, StorageError
 from ..index import IndexBuilder, InvertedIndex
 from ..storage import table_from_csv
 from .profiling import CorpusProfile, CorpusProfiler
-from .type_inference import keyable_columns
-from .webtable_json import load_webtable_corpus
 
 
 #: File suffixes the directory scan recognises.
 CSV_SUFFIXES: tuple[str, ...] = (".csv",)
-JSON_SUFFIXES: tuple[str, ...] = (".json", ".jsonl", ".ndjson")
+#: Suffixes of the DWTC JSON-lines format, whose loader was removed: a
+#: directory holding one is refused rather than read with tables missing.
+REMOVED_JSON_SUFFIXES: tuple[str, ...] = (".json", ".jsonl", ".ndjson")
 
 
 @dataclass
@@ -65,12 +65,12 @@ class DataLake:
         config: MateConfig | None = None,
         hash_function_name: str = "xash",
     ) -> "DataLake":
-        """Build a data lake from every CSV / JSON-lines file in a directory.
+        """Build a data lake from every CSV file in a directory.
 
-        CSV files become one table each; JSON-lines files may contribute many
-        tables (one per line).  Files that cannot be parsed raise
+        Each CSV file becomes one table.  Files that cannot be parsed, and
+        files in the removed DWTC JSON-lines format, raise
         :class:`StorageError` — a data lake with silently missing tables is
-        worse than a loud failure.
+        worse than a loud failure.  Files with any other suffix are skipped.
         """
         directory = Path(directory)
         if not directory.is_dir():
@@ -87,40 +87,17 @@ class DataLake:
                 table = table_from_csv(corpus.next_table_id(), path)
                 corpus.add_table(table)
                 sources[path.stem] = table.table_id
-            elif suffix in JSON_SUFFIXES:
-                remaining = (
-                    None if max_tables is None else max_tables - len(corpus)
+            elif suffix in REMOVED_JSON_SUFFIXES:
+                raise StorageError(
+                    f"{path}: the DWTC JSON-lines table format is no longer "
+                    "supported; convert each table to a CSV file"
                 )
-                loaded = load_webtable_corpus(
-                    path, name=path.stem, max_tables=remaining
-                )
-                for table in loaded:
-                    renumbered = Table(
-                        table_id=corpus.next_table_id(),
-                        name=table.name,
-                        columns=list(table.columns),
-                        rows=list(table.rows),
-                    )
-                    corpus.add_table(renumbered)
-                    sources.setdefault(path.stem, renumbered.table_id)
         return cls(
             corpus=corpus,
             config=config,
             hash_function_name=hash_function_name,
             sources=sources,
         )
-
-    @classmethod
-    def from_tables(
-        cls,
-        tables: Iterable[Table],
-        name: str = "lake",
-        config: MateConfig | None = None,
-        hash_function_name: str = "xash",
-    ) -> "DataLake":
-        """Build a data lake from already constructed tables."""
-        corpus = TableCorpus(name=name, tables=tables)
-        return cls(corpus=corpus, config=config, hash_function_name=hash_function_name)
 
     # ------------------------------------------------------------------
     # Derived resources (profile, configuration, index)
@@ -165,47 +142,11 @@ class DataLake:
                 f"known sources: {sorted(self.sources)}"
             ) from exc
 
-    def add_table(self, table: Table, source: str | None = None) -> None:
-        """Add a table to the lake, invalidating the cached index and profile."""
-        self.corpus.add_table(table)
-        if source is not None:
-            self.sources[source] = table.table_id
-        self._index = None
-        self._profile = None
-
     # ------------------------------------------------------------------
-    # Query construction and discovery
+    # Discovery
     # ------------------------------------------------------------------
-    def query_from_csv(
-        self, path: str | Path, key: Sequence[str] | None = None
-    ) -> QueryTable:
-        """Load a query table from a CSV file and attach a composite key.
-
-        When ``key`` is omitted, the keyable columns of the table (text /
-        code / date columns with more than one distinct value) are used, which
-        matches how an exploratory user would start.
-        """
-        table = table_from_csv(10_000_000 + len(self.corpus), Path(path))
-        key_columns = (
-            [column.lower() for column in key]
-            if key is not None
-            else keyable_columns(table)
-        )
-        return QueryTable(table=table, key_columns=key_columns)
-
-    def discover(
-        self,
-        query: QueryTable | str | Path,
-        key: Sequence[str] | None = None,
-        k: int = 10,
-    ) -> DiscoveryResult:
-        """Find the top-k tables of the lake joinable with ``query``.
-
-        ``query`` may be an already constructed :class:`QueryTable` or a path
-        to a CSV file (in which case ``key`` selects the composite key).
-        """
-        if not isinstance(query, QueryTable):
-            query = self.query_from_csv(query, key=key)
+    def discover(self, query: QueryTable, k: int = 10) -> DiscoveryResult:
+        """Find the top-k tables of the lake joinable with ``query``."""
         config = self.effective_config().with_k(k)
         engine = MateDiscovery(
             self.corpus,

@@ -49,29 +49,6 @@ class ColumnStatistics:
     max_length: int
     mean_length: float
 
-    @property
-    def uniqueness(self) -> float:
-        """Fraction of non-missing values that are distinct (1.0 = unique column)."""
-        non_missing = self.num_values - self.num_missing
-        if non_missing == 0:
-            return 0.0
-        return self.cardinality / non_missing
-
-    def as_dict(self) -> dict[str, object]:
-        """Return the statistics as a plain dictionary (for reporting)."""
-        return {
-            "table_id": self.table_id,
-            "column": self.column,
-            "type": self.column_type.value,
-            "values": self.num_values,
-            "missing": self.num_missing,
-            "cardinality": self.cardinality,
-            "uniqueness": round(self.uniqueness, 3),
-            "min_length": self.min_length,
-            "max_length": self.max_length,
-            "mean_length": round(self.mean_length, 2),
-        }
-
 
 def profile_column(table: Table, column: str | int) -> ColumnStatistics:
     """Profile a single column of ``table``."""
@@ -151,24 +128,6 @@ def corpus_character_frequencies(
     return character_frequencies_from_values(iter_values(), alphabet=alphabet)
 
 
-def config_with_corpus_frequencies(
-    config: MateConfig, corpus: TableCorpus, sample_tables: int | None = None
-) -> MateConfig:
-    """Return a copy of ``config`` whose rare-character table is corpus-derived.
-
-    The paper uses a fixed English frequency table (citing Mayzner &
-    Tresselt); deriving the table from the indexed corpus itself is the
-    natural generalisation for non-English data lakes, and the
-    ``frequency_source`` experiment measures what it buys.
-    """
-    from dataclasses import replace
-
-    frequencies = corpus_character_frequencies(
-        corpus, alphabet=config.alphabet, sample_tables=sample_tables
-    )
-    return replace(config, character_frequencies=frequencies)
-
-
 # ----------------------------------------------------------------------
 # Posting-list length distribution (Section 7.5.4's power-law argument)
 # ----------------------------------------------------------------------
@@ -182,11 +141,6 @@ class ValueFrequencyProfile:
     """
 
     occurrences: tuple[int, ...]
-
-    @property
-    def num_distinct_values(self) -> int:
-        """Number of distinct values profiled."""
-        return len(self.occurrences)
 
     @property
     def total_occurrences(self) -> int:
@@ -204,18 +158,6 @@ class ValueFrequencyProfile:
     def max(self) -> int:
         """Occurrences of the most frequent value."""
         return self.occurrences[0] if self.occurrences else 0
-
-    def head_share(self, fraction: float = 0.01) -> float:
-        """Fraction of all occurrences owned by the top ``fraction`` of values.
-
-        A heavily skewed (power-law-like) distribution concentrates most
-        occurrences in a tiny head — the property Section 7.5.4 relies on for
-        the cardinality heuristic.
-        """
-        if not self.occurrences:
-            return 0.0
-        head = max(1, int(len(self.occurrences) * fraction))
-        return sum(self.occurrences[:head]) / self.total_occurrences
 
     def zipf_exponent(self) -> float:
         """Least-squares slope of log(rank) vs log(occurrences).

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from ..datamodel import MISSING, Table
+from ..datamodel import MISSING
 
 #: Minimum fraction of non-missing values that must match a type for the
 #: column to be assigned that type.
@@ -57,16 +56,6 @@ class ColumnType(str, Enum):
     CODE = "code"
     TEXT = "text"
     MIXED = "mixed"
-
-    @property
-    def is_numeric(self) -> bool:
-        """Whether the type represents numbers (integers or floats)."""
-        return self in (ColumnType.INTEGER, ColumnType.FLOAT)
-
-    @property
-    def is_temporal(self) -> bool:
-        """Whether the type represents dates or timestamps."""
-        return self in (ColumnType.DATE, ColumnType.TIMESTAMP)
 
 
 def classify_value(value: str) -> ColumnType:
@@ -136,81 +125,3 @@ def infer_column_type(
                    ColumnType.TEXT} and counts[ColumnType.TEXT] > 0:
         return ColumnType.TEXT
     return ColumnType.MIXED
-
-
-@dataclass(frozen=True)
-class ColumnTypeReport:
-    """Inferred type plus the supporting evidence for one column."""
-
-    column: str
-    column_type: ColumnType
-    non_missing_values: int
-    distinct_values: int
-    #: Fraction of non-missing values classified as the assigned type
-    #: (1.0 for widened / mixed columns means "by construction").
-    type_support: float
-
-    def as_dict(self) -> dict[str, object]:
-        """Return the report as a plain dictionary (for reporting)."""
-        return {
-            "column": self.column,
-            "type": self.column_type.value,
-            "non_missing_values": self.non_missing_values,
-            "distinct_values": self.distinct_values,
-            "type_support": round(self.type_support, 3),
-        }
-
-
-def infer_table_types(
-    table: Table, threshold: float = DEFAULT_TYPE_THRESHOLD
-) -> list[ColumnTypeReport]:
-    """Infer the type of every column of ``table``.
-
-    Returns one :class:`ColumnTypeReport` per column, in column order.
-    """
-    reports: list[ColumnTypeReport] = []
-    for column in table.columns:
-        values = table.column_values(column)
-        non_missing = [v for v in values if v != MISSING]
-        column_type = infer_column_type(non_missing, threshold=threshold)
-        if non_missing:
-            matching = sum(
-                1 for v in non_missing if classify_value(v) == column_type
-            )
-            support = matching / len(non_missing)
-        else:
-            support = 0.0
-        reports.append(
-            ColumnTypeReport(
-                column=column,
-                column_type=column_type,
-                non_missing_values=len(non_missing),
-                distinct_values=len(set(non_missing)),
-                type_support=support,
-            )
-        )
-    return reports
-
-
-def keyable_columns(
-    table: Table,
-    threshold: float = DEFAULT_TYPE_THRESHOLD,
-    exclude_types: Sequence[ColumnType] = (ColumnType.FLOAT, ColumnType.EMPTY),
-    min_cardinality: int = 2,
-) -> list[str]:
-    """Return the columns of ``table`` suitable as composite-key components.
-
-    Floating-point (measure-like) and empty columns are excluded by default,
-    as are constant columns; everything else — names, codes, dates,
-    integers — can participate in a composite key, exactly the situation the
-    paper's introduction describes for undocumented key candidates.
-    """
-    excluded = set(exclude_types)
-    keyable: list[str] = []
-    for report in infer_table_types(table, threshold=threshold):
-        if report.column_type in excluded:
-            continue
-        if report.distinct_values < min_cardinality:
-            continue
-        keyable.append(report.column)
-    return keyable

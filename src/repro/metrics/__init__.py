@@ -1,7 +1,7 @@
 """Instrumentation: counters, timing, precision, and serving aggregates."""
 
 from .counters import CacheCounters, DiscoveryCounters
-from .precision import PrecisionSummary, precision, summarize_precision
+from .precision import PrecisionSummary, summarize_precision
 from .serving import ServeMetrics
 from .timing import StageStats
 
@@ -11,6 +11,5 @@ __all__ = [
     "PrecisionSummary",
     "ServeMetrics",
     "StageStats",
-    "precision",
     "summarize_precision",
 ]

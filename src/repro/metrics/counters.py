@@ -47,12 +47,6 @@ class CacheCounters:
             return 0.0
         return self.hits / self.lookups
 
-    def merge(self, other: "CacheCounters") -> None:
-        """Accumulate another cache's counters into this one (in place)."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.evictions += other.evictions
-
     def snapshot(self) -> "CacheCounters":
         """Return an independent copy of the current counts."""
         return CacheCounters(
@@ -138,13 +132,6 @@ class DiscoveryCounters:
     def false_positive_rate(self) -> float:
         """Fraction of filtered rows that were false positives."""
         return 1.0 - self.precision
-
-    @property
-    def filter_selectivity(self) -> float:
-        """Fraction of checked rows that the filter let through."""
-        if self.rows_checked == 0:
-            return 0.0
-        return self.rows_passed_filter / self.rows_checked
 
     # ------------------------------------------------------------------
     # Combination helpers (used when aggregating over query sets)

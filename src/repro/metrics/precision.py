@@ -24,10 +24,6 @@ class PrecisionSummary:
     def __str__(self) -> str:
         return f"{self.mean:.2f}±{self.std:.2f}"
 
-    def as_dict(self) -> dict[str, float]:
-        """Return the summary as a plain dictionary."""
-        return {"mean": self.mean, "std": self.std, "count": self.count}
-
 
 def summarize_precision(values: Sequence[float] | Iterable[float]) -> PrecisionSummary:
     """Summarise per-query precision values into mean ± population std."""
@@ -37,11 +33,3 @@ def summarize_precision(values: Sequence[float] | Iterable[float]) -> PrecisionS
     mean = sum(collected) / len(collected)
     variance = sum((v - mean) ** 2 for v in collected) / len(collected)
     return PrecisionSummary(mean=mean, std=math.sqrt(variance), count=len(collected))
-
-
-def precision(true_positives: int, false_positives: int) -> float:
-    """Precision TP / (TP + FP); defined as 1.0 when nothing was retrieved."""
-    total = true_positives + false_positives
-    if total == 0:
-        return 1.0
-    return true_positives / total

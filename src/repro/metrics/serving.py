@@ -1,11 +1,10 @@
-"""Serving-side metrics: pool-lifetime scatter/gather and hedging counters.
+"""Serving-side metrics: pool-lifetime scatter/gather counters.
 
 The per-request numbers live in ``DiscoveryCounters.stages`` (the
 ``"scatter"`` / ``"gather"`` entries the process pool attaches to every
 merged result); :class:`ServeMetrics` is the *lifetime* aggregate a
 long-running pool keeps for its ``/v1/stats`` endpoint — total requests,
-cumulative stage stats, straggler accounting, and how often tail-latency
-hedging fired and won.
+cumulative stage stats and straggler accounting.
 """
 
 from __future__ import annotations
@@ -30,11 +29,7 @@ class ServeMetrics:
     #: Worker-side seconds of the slowest shard, per request, summed — the
     #: gap to ``shard_seconds / num_shards`` measures load imbalance.
     straggler_seconds: float = 0.0
-    #: Duplicate shard probes sent because the primary missed the hedge delay.
-    hedges_sent: int = 0
-    #: Hedged probes where the mirror's reply arrived first.
-    hedge_wins: int = 0
-    #: Late or duplicate replies dropped after a winner was accepted.
+    #: Late replies dropped because their request had already ended.
     replies_discarded: int = 0
 
     def record(
@@ -59,8 +54,6 @@ class ServeMetrics:
             "gather": self.gather.as_dict(),
             "shard_seconds": self.shard_seconds,
             "straggler_seconds": self.straggler_seconds,
-            "hedges_sent": self.hedges_sent,
-            "hedge_wins": self.hedge_wins,
             "replies_discarded": self.replies_discarded,
         }
 

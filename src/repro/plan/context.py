@@ -10,7 +10,7 @@ A :class:`PlanContext` is created per run by the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from ..core.topk import TopKHeap
 from ..metrics import DiscoveryCounters
@@ -51,7 +51,6 @@ class PlanContext:
     plan: "QueryPlan"
     options: "PlannerOptions"
     budget: "RequestBudget | None" = None
-    on_snapshot: Callable[[list[tuple[int, int]]], None] | None = None
     #: Per-request knobs of the approximate tier (``planner.mode="sketch"``).
     sketch: "SketchOptions | None" = None
     #: The engine's :class:`~repro.sketch.SketchIndex` (sketch mode only).

@@ -16,7 +16,7 @@ the seed column.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from ..core.results import DiscoveryResult
 from ..metrics import DiscoveryCounters
@@ -57,7 +57,6 @@ class Executor:
         k: int,
         *,
         budget: "RequestBudget | None" = None,
-        on_snapshot: Callable[[list[tuple[int, int]]], None] | None = None,
         sketch: "SketchOptions | None" = None,
         sketch_index: "SketchIndex | None" = None,
     ) -> DiscoveryResult:
@@ -72,7 +71,6 @@ class Executor:
             plan=plan,
             options=self.options,
             budget=budget,
-            on_snapshot=on_snapshot,
             sketch=sketch,
             sketch_index=sketch_index,
             counters=counters,

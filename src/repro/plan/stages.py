@@ -15,7 +15,7 @@ contract and accumulates its own wall-clock / volume accounting under
   surviving rows and its Eq. 2 best-mapping score;
 * :class:`TopKMaintenance` — the candidate-table loop of Algorithm 1 (lines
   7-22) as one replay in candidate order: the deadline check, rules 1 and 2
-  as compares against ``j_k``, the heap and the streaming snapshot hook;
+  as compares against ``j_k``, and the heap;
   then every counter, charged where the rules cut.
 
 Every request runs on request-level arrays
@@ -349,7 +349,6 @@ class TopKMaintenance(PlanStage):
     def _execute(self, context: PlanContext) -> StageResult:
         batch, topk, mappings = context.batch, context.topk, context.mappings
         budget, counters = context.budget, context.counters
-        on_snapshot = context.on_snapshot
         expired = budget.deadline_expired if budget is not None else None
         filters = context.engine.use_table_filters
         table_ids = batch.candidate_ids.tolist()
@@ -378,8 +377,6 @@ class TopKMaintenance(PlanStage):
                 mappings[table_id] = batch.mappings[table_id]
                 if filters and topk.is_full:
                     floor = topk.min_joinability()
-                if on_snapshot is not None:
-                    on_snapshot(topk.result_tuples())
         counters.tables_evaluated += evaluated
         counters.tables_pruned_by_rule2 += len(cut)
         postings, pairs, verified = batch.charge(evaluated, cut, floors, counters)

@@ -5,8 +5,8 @@ The serving subsystem turns the library into a deployable query service:
 * :mod:`repro.serve.pool` — :class:`ProcessShardPool`, the
   ``execution="process"`` engine behind ``engine="sharded"``: one worker
   process per corpus shard over mmap'd ``.seg`` segments, scatter/gather
-  top-k merge byte-identical to the in-process engines, per-request budget
-  split/reconcile, and optional hedged duplicate shard requests;
+  top-k merge byte-identical to the in-process engines, and per-request
+  budget split/reconcile;
 * :mod:`repro.serve.protocol` — the typed, versioned pipe messages between
   the pool parent and its workers;
 * :mod:`repro.serve.quotas` — :class:`AdmissionController`: bounded

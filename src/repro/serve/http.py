@@ -293,7 +293,7 @@ class DiscoveryHTTPServer:
             "metrics": self.telemetry.metrics.snapshot(),
         }
         # Surface pool statistics when a process pool is among the cached
-        # engines (scatter/gather stage totals, hedge counters, workers).
+        # engines (scatter/gather stage totals, workers).
         pools = [
             engine.statistics()
             for engine in self.session.cached_engines()

@@ -13,7 +13,7 @@ worker *process*:
   reopens its file via :func:`~repro.storage.paged.reopen_segment` as an
   :class:`~repro.index.InvertedIndex` over the mapping — the mmap'd pages are
   shared between processes, so per-worker opens cost only the directory
-  parse and hedge mirrors add no index memory;
+  parse;
 * scatter/gather runs over pipe connections with the typed messages of
   :mod:`repro.serve.protocol`; a per-worker receiver thread resolves replies
   into task slots, so concurrent ``discover`` calls (the serving front end
@@ -23,11 +23,8 @@ worker *process*:
   remainder to the lowest shard indexes — deterministic) and *reconciled* on
   gather: consumed fetches are charged back to the caller's ledger and the
   latched ``exhausted`` / ``expired`` flags are ORed across shards;
-* optional hedged requests: with ``hedge_after_seconds`` set, every shard
-  also gets a mirror worker mapping the same segment; a shard that has not
-  answered within the hedge delay is re-sent to its mirror and the first
-  reply wins (replicas are deterministic replays of the same work, so
-  hedging never changes the result, only the tail latency).
+* a worker that errors or dies fails its shard's probe, and the request
+  raises a :class:`~repro.exceptions.DiscoveryError` naming the shard.
 
 The pool exposes ``discover(query, k, budget=)`` — the engine surface the
 :class:`~repro.api.session.DiscoverySession` dispatches to — and is what
@@ -83,11 +80,6 @@ class ServeConfig:
     ----------
     num_shards:
         Worker processes (= corpus shards) the pool runs.
-    hedge_after_seconds:
-        Tail-latency hedging: a shard that has not answered within this many
-        seconds is re-sent to a mirror worker mapping the same segment, and
-        the first reply wins.  ``None`` disables hedging (no mirrors are
-        started).
     mp_context:
         :mod:`multiprocessing` start method (``"fork"`` / ``"spawn"`` /
         ``"forkserver"``); ``None`` uses the platform default.  The worker
@@ -99,7 +91,6 @@ class ServeConfig:
     """
 
     num_shards: int = 4
-    hedge_after_seconds: float | None = None
     mp_context: str | None = None
     segments_dir: str | Path | None = None
 
@@ -107,11 +98,6 @@ class ServeConfig:
         if self.num_shards <= 0:
             raise ConfigurationError(
                 f"num_shards must be positive, got {self.num_shards}"
-            )
-        if self.hedge_after_seconds is not None and self.hedge_after_seconds < 0:
-            raise ConfigurationError(
-                "hedge_after_seconds must be non-negative, got "
-                f"{self.hedge_after_seconds}"
             )
 
 
@@ -138,7 +124,6 @@ def split_budget(total: int | None, num_shards: int) -> list[int | None]:
 def _worker_main(
     conn,
     shard_index: int,
-    replica: int,
     segment_path: str,
     corpus: TableCorpus,
     config: MateConfig,
@@ -253,10 +238,7 @@ def _worker_main(
                     span_cm = worker_tracer.span(
                         "shard.discover",
                         parent=message.trace,
-                        attributes={
-                            "shard_index": shard_index,
-                            "replica": replica,
-                        },
+                        attributes={"shard_index": shard_index},
                     )
                 else:
                     span_cm = nullcontext()
@@ -287,7 +269,6 @@ def _worker_main(
                     task_id=message.task_id,
                     shard_index=shard_index,
                     result=result,
-                    replica=replica,
                     consumed_pl_fetches=consumed,
                     exhausted=exhausted,
                     expired=expired,
@@ -318,22 +299,16 @@ def _worker_main(
 
 
 class _Worker:
-    """Parent-side handle of one worker process (primary or mirror)."""
+    """Parent-side handle of one shard's worker process."""
 
-    def __init__(self, shard_index: int, replica: int, process, conn):
+    def __init__(self, shard_index: int, process, conn):
         self.shard_index = shard_index
-        self.replica = replica
         self.process = process
         self.conn = conn
         self.alive = True
         self.stats = ProtocolStats()
         self._send_lock = threading.Lock()
         self.ready: WorkerReady | None = None
-
-    @property
-    def label(self) -> str:
-        role = "mirror" if self.replica else "primary"
-        return f"shard {self.shard_index} ({role})"
 
     def send(self, message) -> bool:
         """Send one message; returns ``False`` when the worker is gone."""
@@ -349,19 +324,15 @@ class _Worker:
 
 
 class _TaskSlot:
-    """One scattered shard probe awaiting its first (winning) reply."""
+    """One scattered shard probe awaiting its reply."""
 
-    __slots__ = ("shard_index", "event", "reply", "errors", "outstanding",
-                 "hedged", "workers", "message")
+    __slots__ = ("shard_index", "event", "reply", "errors", "message")
 
     def __init__(self, shard_index: int):
         self.shard_index = shard_index
         self.event = threading.Event()
         self.reply: ShardResult | None = None
         self.errors: list[ShardError] = []
-        self.outstanding = 0
-        self.hedged = False
-        self.workers: list[_Worker] = []
         self.message: ShardQuery | None = None
 
 
@@ -428,21 +399,13 @@ class ProcessShardPool:
             self._context = multiprocessing.get_context(
                 self.serve_config.mp_context
             )
-            self._primaries = [
-                self._start_worker(shard_index, replica=0)
+            self._workers = [
+                self._start_worker(shard_index)
                 for shard_index in range(self.num_shards)
             ]
-            self._mirrors: list[_Worker | None]
-            if self.serve_config.hedge_after_seconds is not None:
-                self._mirrors = [
-                    self._start_worker(shard_index, replica=1)
-                    for shard_index in range(self.num_shards)
-                ]
-            else:
-                self._mirrors = [None] * self.num_shards
-            for worker in self._all_workers():
+            for worker in self._workers:
                 self._await_ready(worker)
-            for worker in self._all_workers():
+            for worker in self._workers:
                 self._start_receiver(worker)
         except BaseException:
             self.close()
@@ -460,13 +423,9 @@ class ProcessShardPool:
         for name, fn, help_text in (
             ("repro_pool_requests_total", lambda: metrics.requests,
              "Scatter/gather requests served by the process pool"),
-            ("repro_pool_hedges_sent_total", lambda: metrics.hedges_sent,
-             "Duplicate shard probes sent past the hedge delay"),
-            ("repro_pool_hedge_wins_total", lambda: metrics.hedge_wins,
-             "Hedged probes where the mirror answered first"),
             ("repro_pool_replies_discarded_total",
              lambda: metrics.replies_discarded,
-             "Late or duplicate shard replies dropped"),
+             "Late shard replies dropped after their request ended"),
             ("repro_pool_scatter_seconds_total", lambda: metrics.scatter.seconds,
              "Cumulative scatter-side seconds"),
             ("repro_pool_gather_seconds_total", lambda: metrics.gather.seconds,
@@ -489,7 +448,7 @@ class ProcessShardPool:
     # ------------------------------------------------------------------
     @property
     def num_shards(self) -> int:
-        """Number of corpus shards (= primary worker processes)."""
+        """Number of corpus shards (= worker processes)."""
         return len(self.shards)
 
     def _write_shard_segments(self) -> list[Path]:
@@ -510,14 +469,13 @@ class ProcessShardPool:
             paths.append(path)
         return paths
 
-    def _start_worker(self, shard_index: int, replica: int) -> _Worker:
+    def _start_worker(self, shard_index: int) -> _Worker:
         parent_conn, child_conn = self._context.Pipe()
         process = self._context.Process(
             target=_worker_main,
             args=(
                 child_conn,
                 shard_index,
-                replica,
                 str(self._segment_paths[shard_index]),
                 self.shards[shard_index],
                 self.config,
@@ -526,49 +484,42 @@ class ProcessShardPool:
                 self.row_filter_mode,
                 self.use_table_filters,
             ),
-            name=f"mate-shard-{shard_index}" + ("-mirror" if replica else ""),
+            name=f"mate-shard-{shard_index}",
             daemon=True,
         )
         process.start()
         child_conn.close()
-        return _Worker(shard_index, replica, process, parent_conn)
+        return _Worker(shard_index, process, parent_conn)
 
     def _await_ready(self, worker: _Worker) -> None:
         if not worker.conn.poll(WORKER_START_TIMEOUT):
             raise DiscoveryError(
-                f"worker for {worker.label} did not report ready within "
-                f"{WORKER_START_TIMEOUT}s"
+                f"worker for shard {worker.shard_index} did not report ready "
+                f"within {WORKER_START_TIMEOUT}s"
             )
         try:
             ready = worker.conn.recv()
         except (EOFError, OSError) as exc:
             raise DiscoveryError(
-                f"worker for {worker.label} died during startup"
+                f"worker for shard {worker.shard_index} died during startup"
             ) from exc
         if not isinstance(ready, WorkerReady):
             raise DiscoveryError(
-                f"worker for {worker.label} sent {type(ready).__name__} "
-                "instead of the ready handshake"
+                f"worker for shard {worker.shard_index} sent "
+                f"{type(ready).__name__} instead of the ready handshake"
             )
         if ready.protocol_version != PROTOCOL_VERSION:
             raise ConfigurationError(
-                f"worker for {worker.label} speaks protocol "
+                f"worker for shard {worker.shard_index} speaks protocol "
                 f"{ready.protocol_version}, parent speaks {PROTOCOL_VERSION}"
             )
         worker.ready = ready
-
-    def _all_workers(self):
-        for worker in self._primaries:
-            yield worker
-        for worker in self._mirrors:
-            if worker is not None:
-                yield worker
 
     def _start_receiver(self, worker: _Worker) -> None:
         thread = threading.Thread(
             target=self._receive_loop,
             args=(worker,),
-            name=f"mate-recv-{worker.shard_index}-{worker.replica}",
+            name=f"mate-recv-{worker.shard_index}",
             daemon=True,
         )
         thread.start()
@@ -594,19 +545,12 @@ class ProcessShardPool:
             if slot is None:
                 self.metrics.replies_discarded += 1
                 return
-            slot.outstanding -= 1
             if isinstance(message, ShardResult):
-                if slot.reply is None:
-                    slot.reply = message
-                    slot.event.set()
-                else:
-                    self.metrics.replies_discarded += 1
+                slot.reply = message
             else:
+                # Wake the waiter with the error (slot.reply stays None).
                 slot.errors.append(message)
-                if slot.reply is None and slot.outstanding <= 0:
-                    # No worker left to answer: wake the waiter with the
-                    # error (slot.reply stays None).
-                    slot.event.set()
+            slot.event.set()
 
     def _worker_died(self, worker: _Worker) -> None:
         worker.alive = False
@@ -615,7 +559,7 @@ class ProcessShardPool:
             pending = [
                 (task_id, slot)
                 for task_id, slot in self._tasks.items()
-                if worker in slot.workers and slot.reply is None
+                if slot.shard_index == worker.shard_index and slot.reply is None
             ]
         for task_id, slot in pending:
             self._deliver(
@@ -623,8 +567,8 @@ class ProcessShardPool:
                     task_id=task_id,
                     shard_index=slot.shard_index,
                     kind="WorkerCrash",
-                    message=f"worker process for {worker.label} exited "
-                    "before answering",
+                    message=f"worker process for shard {worker.shard_index} "
+                    "exited before answering",
                 )
             )
 
@@ -736,13 +680,6 @@ class ProcessShardPool:
         merged.counters.stages["scatter"] = scatter
         merged.counters.stages["gather"] = gather
         self.metrics.record(scatter, gather, [r.seconds for r in replies])
-        hedged = sum(1 for slot in slots if slot.hedged)
-        wins = sum(1 for reply in replies if reply.replica == 1)
-        self.metrics.hedges_sent += hedged
-        self.metrics.hedge_wins += wins
-        if self.serve_config.hedge_after_seconds is not None:
-            merged.counters.extra["hedged_requests"] = float(hedged)
-            merged.counters.extra["hedge_wins"] = float(wins)
         return merged
 
     def _scatter_one(
@@ -769,48 +706,15 @@ class ProcessShardPool:
         )
         slot = _TaskSlot(shard_index)
         slot.message = message
-        primary = self._primaries[shard_index]
-        mirror = self._mirrors[shard_index]
+        worker = self._workers[shard_index]
         with self._tasks_lock:
             self._tasks[task_id] = slot
-        target = primary
-        if not primary.alive and mirror is not None and mirror.alive:
-            # Fail over at scatter time: the mirror owns the same segment.
-            target, slot.hedged = mirror, True
-        with self._tasks_lock:
-            slot.outstanding += 1
-            slot.workers.append(target)
-        if not target.send(message):
-            self._worker_died(target)
+        if not worker.send(message):
+            self._worker_died(worker)
         return slot
 
-    def _hedge(self, slot: _TaskSlot) -> None:
-        mirror = self._mirrors[slot.shard_index]
-        if mirror is None or not mirror.alive:
-            return
-        with self._tasks_lock:
-            if slot.hedged or slot.reply is not None:
-                return
-            slot.hedged = True
-            slot.outstanding += 1
-            slot.workers.append(mirror)
-            slot.event.clear()
-        if not mirror.send(slot.message):
-            self._worker_died(mirror)
-
     def _gather_one(self, slot: _TaskSlot) -> ShardResult:
-        hedge_after = self.serve_config.hedge_after_seconds
-        if hedge_after is not None and not slot.hedged:
-            if not slot.event.wait(hedge_after):
-                self._hedge(slot)
         slot.event.wait()
-        if slot.reply is None and not slot.hedged:
-            # The primary failed (error or crash) before the hedge delay even
-            # applied; retry once on the mirror when one exists.
-            mirror = self._mirrors[slot.shard_index]
-            if mirror is not None and mirror.alive:
-                self._hedge(slot)
-                slot.event.wait()
         reply = slot.reply
         if reply is None:
             error = slot.errors[0] if slot.errors else None
@@ -866,23 +770,12 @@ class ProcessShardPool:
     # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------
-    def work_imbalance(self) -> float:
-        """Busiest-to-average shard ratio of the last run (see the thread engine)."""
-        if not self.last_shard_statistics:
-            return 0.0
-        rows = [s.rows_checked for s in self.last_shard_statistics]
-        average = sum(rows) / len(rows)
-        if average == 0:
-            return 1.0
-        return max(rows) / average
-
     def statistics(self) -> dict[str, object]:
         """Pool-lifetime serving statistics (the ``/v1/stats`` payload part)."""
         workers = []
-        for worker in self._all_workers():
+        for worker in self._workers:
             entry: dict[str, object] = {
                 "shard": worker.shard_index,
-                "replica": worker.replica,
                 "alive": worker.alive and worker.process.is_alive(),
             }
             entry.update(worker.stats.as_dict())
@@ -892,7 +785,6 @@ class ProcessShardPool:
             workers.append(entry)
         return {
             "num_shards": self.num_shards,
-            "hedging": self.serve_config.hedge_after_seconds is not None,
             "serve": self.metrics.as_dict(),
             "workers": workers,
         }
@@ -902,7 +794,7 @@ class ProcessShardPool:
         if self._closed:
             return
         self._closed = True
-        workers = list(self._all_workers()) if hasattr(self, "_primaries") else []
+        workers = list(getattr(self, "_workers", ()))
         for worker in workers:
             worker.send(Shutdown())
         for worker in workers:

@@ -8,7 +8,7 @@ stale spawn snapshot, a partially upgraded deployment).
 
 Wire flow::
 
-    parent                              worker (one per shard, + mirrors)
+    parent                              worker (one per shard)
       |  -- WorkerReady? ---------------  sends WorkerReady on startup
       |  -- ShardQuery(task_id, ...) -->  runs MateDiscovery on its shard
       |  <-- ShardResult(task_id, ...) -  (or ShardError on failure)
@@ -36,7 +36,8 @@ from ..telemetry.trace import TraceContext
 #: :class:`ShardQuery` and the finished worker ``spans`` shipped back on
 #: :class:`ShardResult`, so one exporter file reconstructs the full
 #: cross-process span tree.
-PROTOCOL_VERSION: int = 3
+#: v4 dropped ``ShardResult.replica`` with the hedge mirror workers.
+PROTOCOL_VERSION: int = 4
 
 
 @dataclass(frozen=True)
@@ -82,9 +83,6 @@ class ShardResult:
     task_id: int
     shard_index: int
     result: DiscoveryResult
-    #: Which replica answered: 0 is the shard's primary owner, 1 its hedge
-    #: mirror (both map the same segment file; first reply wins).
-    replica: int = 0
     #: Fetches actually consumed out of the granted share (0 when unlimited).
     consumed_pl_fetches: int = 0
     #: Whether the shard's local fetch share ran out mid-initialization.

@@ -291,11 +291,6 @@ class SketchIndex:
         with self._lock:
             return sum(len(columns) for columns in self._sketches.values())
 
-    def column_sketch(self, table_id: int, column_index: int) -> ColumnSketch | None:
-        """The stored sketch of one column (``None`` when absent)."""
-        with self._lock:
-            return self._sketches.get(table_id, {}).get(column_index)
-
     def column_sketches(
         self, table_ids: Collection[int] | None = None
     ) -> list[ColumnSketch]:

@@ -19,7 +19,6 @@ from .paged import (
 from .serialization import (
     corpus_from_json,
     corpus_to_json,
-    load_corpus_from_csv_directory,
     load_corpus_json,
     save_corpus_json,
     table_from_csv,
@@ -35,7 +34,6 @@ __all__ = [
     "write_segment",
     "corpus_from_json",
     "corpus_to_json",
-    "load_corpus_from_csv_directory",
     "load_corpus_json",
     "save_corpus_json",
     "table_from_csv",

@@ -40,7 +40,7 @@ The file format around a block is :mod:`repro.storage.paged`'s.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Collection, Iterable, NamedTuple, Sequence
 
 import numpy as _np
 
@@ -239,22 +239,6 @@ class SegmentBlock:
         """Number of PL items."""
         return len(self.column_indexes)
 
-    def postings(self) -> Iterator[tuple[str, memoryview, memoryview, memoryview]]:
-        """``(value, table_ids, column_indexes, row_indexes)`` of every value
-        in vocabulary order: the row columns joined through the ordinals
-        once, then sliced per value."""
-        columns = self.arrays()
-        table_ids = _view(columns.row_tables[columns.ordinals], "q")
-        row_indexes = _view(columns.row_rows[columns.ordinals], "q")
-        bounds = self.posting_offsets
-        for value, start, end in zip(self.values, bounds, bounds[1:]):
-            yield (
-                value,
-                table_ids[start:end],
-                self.column_indexes[start:end],
-                row_indexes[start:end],
-            )
-
 
 def _block_from_state(state: dict[str, Any]) -> SegmentBlock:
     return SegmentBlock(**state)
@@ -325,22 +309,15 @@ def _row_positions(row_tables, row_rows, table_ids, row_indexes):
     return at, (row_tables[at] == table_ids) & (row_rows[at] == row_indexes)
 
 
-def visible_counts(
-    block: SegmentBlock, masked: Collection[int]
-) -> tuple[list[int], int]:
-    """``(postings per value id, rows)`` of ``block`` outside the ``masked``
-    tables, counted on the row table, the ordinals and the offsets — what a
-    live index reports for a segment some of whose tables a tombstone hides,
-    without walking (or slicing) a single posting list."""
+def visible_counts(block: SegmentBlock, masked: Collection[int]) -> int:
+    """Postings of ``block`` outside the ``masked`` tables, counted on the
+    row table and the ordinals — what a live index reports for a segment
+    some of whose tables a tombstone hides, without walking (or slicing) a
+    single posting list."""
     columns = block.arrays()
     dead = _np.fromiter(masked, _np.int64, len(masked))
     alive_rows = ~_np.isin(columns.row_tables, dead)
-    alive = alive_rows[columns.ordinals]
-    starts = columns.offsets[:-1]
-    lengths = (
-        _np.add.reduceat(alive.astype(_np.int64), starts) if len(starts) else starts
-    )
-    return lengths.tolist(), int(alive_rows.sum())
+    return int(alive_rows[columns.ordinals].sum())
 
 
 # ----------------------------------------------------------------------

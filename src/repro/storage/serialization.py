@@ -104,14 +104,3 @@ def table_from_csv(table_id: int, path: str | Path, name: str | None = None) -> 
     return Table(
         table_id=table_id, name=name or path.stem, columns=columns, rows=data
     )
-
-
-def load_corpus_from_csv_directory(directory: str | Path, name: str = "csv-corpus") -> TableCorpus:
-    """Build a corpus from every ``*.csv`` file in a directory."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise StorageError(f"not a directory: {directory}")
-    corpus = TableCorpus(name=name)
-    for table_id, csv_path in enumerate(sorted(directory.glob("*.csv"))):
-        corpus.add_table(table_from_csv(table_id, csv_path))
-    return corpus

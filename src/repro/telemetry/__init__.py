@@ -6,7 +6,7 @@ container a :class:`~repro.api.session.DiscoverySession` owns:
 * :mod:`repro.telemetry.trace` — request tracing: spans with
   ``trace_id``/``span_id``/``parent_id``, contextvar propagation through
   session → executor → stages, cross-process propagation over the serve
-  pool's pipe protocol (v3), and pluggable exporters (JSONL for offline
+  pool's pipe protocol, and pluggable exporters (JSONL for offline
   tree reconstruction);
 * :mod:`repro.telemetry.metrics` — a thread-safe
   :class:`~repro.telemetry.metrics.MetricsRegistry` of counters, gauges,
@@ -32,7 +32,6 @@ from .logs import JsonLogFormatter, configure_json_logging
 from .metrics import (
     Counter,
     DEFAULT_LATENCY_BUCKETS,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -50,7 +49,6 @@ from .trace import (
     current_trace_id,
     read_trace_file,
     span_tree,
-    tracing_active,
 )
 
 
@@ -102,7 +100,6 @@ __all__ = [
     "CollectingExporter",
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
-    "Gauge",
     "Histogram",
     "InMemoryExporter",
     "JsonLinesExporter",
@@ -121,5 +118,4 @@ __all__ = [
     "current_trace_id",
     "read_trace_file",
     "span_tree",
-    "tracing_active",
 ]

@@ -1,9 +1,9 @@
 """A thread-safe metrics registry with Prometheus text exposition.
 
-Three instrument kinds — :class:`Counter` (monotonic), :class:`Gauge`
-(point-in-time), and :class:`Histogram` (fixed buckets, so p50/p99 come out
-of the bucket counts without storing samples) — plus *callback* instruments
-that pull a value from existing aggregates at scrape time.  The callbacks
+Two instrument kinds — :class:`Counter` (monotonic) and :class:`Histogram`
+(fixed buckets, so p50/p99 come out of the bucket counts without storing
+samples) — plus *callback* instruments that pull a value (a count or a
+point-in-time gauge) from existing aggregates at scrape time.  The callbacks
 are how the pre-existing silos (:class:`~repro.metrics.counters.CacheCounters`,
 :class:`~repro.metrics.serving.ServeMetrics`, the admission controller)
 flow into one registry without restructuring their owners: each subsystem
@@ -13,7 +13,7 @@ registers ``name -> lambda`` pairs once and the registry evaluates them on
 Metric naming convention (documented in ARCHITECTURE "## Telemetry"):
 ``repro_<subsystem>_<quantity>[_total|_seconds]`` — e.g.
 ``repro_session_requests_total``, ``repro_cache_hits_total``,
-``repro_pool_hedge_wins_total``, ``repro_request_latency_seconds``.
+``repro_pool_requests_total``, ``repro_request_latency_seconds``.
 """
 
 from __future__ import annotations
@@ -71,33 +71,6 @@ class Counter:
             raise ValueError(f"counter {self.name} cannot decrease by {amount}")
         with self._lock:
             self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-
-class Gauge:
-    """A value that can go up and down (thread-safe)."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help_text: str = ""):
-        self.name = name
-        self.help_text = help_text
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
 
     @property
     def value(self) -> float:
@@ -227,13 +200,6 @@ class MetricsRegistry:
             name, labels, lambda: Counter(name, help_text), "counter"
         )
 
-    def gauge(
-        self, name: str, help_text: str = "", labels: dict[str, str] | None = None
-    ) -> Gauge:
-        return self._get_or_create(
-            name, labels, lambda: Gauge(name, help_text), "gauge"
-        )
-
     def histogram(
         self,
         name: str,
@@ -334,7 +300,6 @@ class MetricsRegistry:
 __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
 ]

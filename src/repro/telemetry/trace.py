@@ -43,11 +43,6 @@ _CURRENT: ContextVar["tuple[Tracer, Span] | None"] = ContextVar(
 )
 
 
-def tracing_active() -> bool:
-    """Whether any enabled tracer exists in this process (the fast gate)."""
-    return _ACTIVE > 0
-
-
 def current_entry() -> "tuple[Tracer, Span] | None":
     """The current ``(tracer, span)`` pair, or ``None`` outside any span."""
     return _CURRENT.get()
@@ -355,5 +350,4 @@ __all__ = [
     "new_id",
     "read_trace_file",
     "span_tree",
-    "tracing_active",
 ]

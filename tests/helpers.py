@@ -43,6 +43,20 @@ def row_keys(index) -> list[tuple[int, int, int]]:
     return list(zip(block.row_table_ids, block.row_row_indexes, keys))
 
 
+def block_postings(block):
+    """``(value, table_ids, column_indexes, row_indexes)`` of every value of
+    a ``SegmentBlock``, vocabulary order: the row columns joined through the
+    ordinals once, then sliced per value."""
+    from repro.index.columnar import column_view
+
+    columns = block.arrays()
+    table_ids = column_view(columns.row_tables[columns.ordinals], "q")
+    row_indexes = column_view(columns.row_rows[columns.ordinals], "q")
+    bounds, column_indexes = block.posting_offsets, block.column_indexes
+    for value, at, end in zip(block.values, bounds, bounds[1:]):
+        yield value, table_ids[at:end], column_indexes[at:end], row_indexes[at:end]
+
+
 class CellIndex:
     """The per-cell reference index: ``value -> three lists`` and
     ``(table, row) -> int key``, filled one cell at a time.
@@ -79,7 +93,7 @@ class CellIndex:
     def of(cls, index):
         """What an ``InvertedIndex`` holds, cell by cell."""
         reference = cls(index.hash_size, index.hash_function_name)
-        for value, *columns in index.block.postings():
+        for value, *columns in block_postings(index.block):
             reference.postings[value] = tuple(column.tolist() for column in columns)
         reference.keys = {(table, row): key for table, row, key in row_keys(index)}
         return reference
@@ -379,7 +393,6 @@ def legacy_discover(
     k=None,
     *,
     budget=None,
-    on_snapshot=None,
     seed_column=None,
     allowed_tables=None,
 ):
@@ -483,8 +496,6 @@ def legacy_discover(
         counters.tables_evaluated += 1
         if topk.update(table_id, joinability):
             mappings[table_id] = mapping
-            if on_snapshot is not None:
-                on_snapshot(topk.result_tuples())
 
     complete = True
     if budget is not None:
@@ -760,7 +771,7 @@ def legacy_merge_segments(segments, tombstones, generation):
         for table_id, add_seq in segment.table_seqs.items():
             if table_id not in masked:
                 table_seqs[table_id] = add_seq
-        for value, *columns in segment.index.block.postings():
+        for value, *columns in block_postings(segment.index.block):
             for item in zip(*columns):
                 if item[0] not in masked:
                     merged.add_posting(value, *item)

@@ -1,13 +1,14 @@
 """Tests for the unified discovery API (:mod:`repro.api`).
 
 Covers the request contract, the per-request budget/deadline semantics, the
-engine registry, the session facade (single / batch / streaming / async),
+engine registry, the session facade (single / batch / async),
 and the JSON response schema.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 
 import pytest
@@ -23,7 +24,7 @@ from repro import (
     ShardedMateDiscovery,
     build_index,
 )
-from repro.api import EngineRegistry, available_engines, register_engine
+from repro.api import EngineRegistry, available_engines
 from repro.api.registry import DEFAULT_REGISTRY
 from repro.baselines import (
     McrDiscovery,
@@ -31,6 +32,7 @@ from repro.baselines import (
     ScrDiscovery,
     ScrJosieDiscovery,
 )
+from repro.core.topk import TopKHeap
 from repro.datagen import build_workload
 from repro.exceptions import DiscoveryError, EngineNotFoundError
 
@@ -94,16 +96,18 @@ class TestDiscoveryRequest:
         c = DiscoveryRequest(query=workload.queries[0], engine="scr")
         assert c.engine_signature() != a.engine_signature()
 
-    def test_with_query(self, workload):
-        request = DiscoveryRequest(query=workload.queries[0], k=4)
-        moved = request.with_query(workload.queries[1])
-        assert moved.query is workload.queries[1]
-        assert moved.k == 4
-
     def test_requests_are_frozen(self, workload):
         request = DiscoveryRequest(query=workload.queries[0])
         with pytest.raises(AttributeError):
             request.k = 3
+
+    def test_replace_swaps_the_query_and_revalidates(self, workload):
+        request = DiscoveryRequest(query=workload.queries[0], k=4)
+        moved = dataclasses.replace(request, query=workload.queries[1])
+        assert moved.query is workload.queries[1]
+        assert moved.k == 4
+        with pytest.raises(DiscoveryError):
+            dataclasses.replace(request, k=0)
 
 
 class TestRequestBudget:
@@ -124,6 +128,17 @@ class TestRequestBudget:
         now[0] = 5.0
         assert budget.deadline_expired()
         assert budget.expired and not budget.complete
+
+    def test_cancel_expires_and_latches(self):
+        now = [0.0]
+        budget = RequestBudget(deadline_seconds=5.0, clock=lambda: now[0])
+        budget.cancel()
+        assert budget.deadline_expired()
+        assert budget.expired and not budget.complete
+        # A cancel is not undone by a clock still inside the deadline, and
+        # the remaining allowance stays a plain read of that clock.
+        assert budget.deadline_expired()
+        assert budget.remaining_seconds() == 5.0
 
     def test_validation(self):
         with pytest.raises(DiscoveryError):
@@ -158,7 +173,7 @@ class TestEngineRegistry:
         with pytest.raises(ConfigurationError):
             registry.register("custom", lambda session, request: None)
         registry.register("custom", lambda session, request: None, replace=True)
-        assert "custom" in registry
+        assert registry.names() == ["custom"]
         with pytest.raises(ConfigurationError):
             registry.register("", lambda session, request: None)
 
@@ -180,9 +195,9 @@ class TestEngineRegistry:
         assert result.engine == "mine"
         assert result.tables
 
-    def test_register_engine_into_default_registry(self):
+    def test_register_into_default_registry(self):
         name = "test-only-engine"
-        register_engine(name, lambda session, request: None)
+        DEFAULT_REGISTRY.register(name, lambda session, request: None)
         try:
             assert name in available_engines()
         finally:
@@ -199,6 +214,31 @@ class TestSessionDiscover:
         result = session.discover(DiscoveryRequest(query=workload.queries[0], k=2))
         assert result.k == 2
         assert len(result.tables) <= 2
+
+    @pytest.mark.parametrize("engine", ["mate", "sql"])
+    def test_ranking_improves_monotonically_and_ends_at_final(
+        self, session, workload, engine, monkeypatch
+    ):
+        """Every accepted heap update keeps or raises each rank's
+        joinability, and the last one is the answer."""
+        rankings = []
+        update = TopKHeap.update
+
+        def update_and_record(heap, table_id, joinability):
+            kept = update(heap, table_id, joinability)
+            if kept:
+                rankings.append(heap.result_tuples())
+            return kept
+
+        monkeypatch.setattr(TopKHeap, "update", update_and_record)
+        request = DiscoveryRequest(query=workload.queries[0], engine=engine)
+        result = session.discover(request)
+        assert result.complete
+        assert rankings and rankings[-1] == result.result_tuples()
+        for earlier, later in zip(rankings, rankings[1:]):
+            assert len(later) >= len(earlier)
+            for position, (_, joinability) in enumerate(earlier):
+                assert later[position][1] >= joinability
 
     @pytest.mark.parametrize(
         "engine", ["mate", "sharded", "scr", "mcr", "josie", "prefix_tree"]
@@ -289,23 +329,67 @@ class TestBudgetSemantics:
         full = session.discover(DiscoveryRequest(query=workload.queries[0]))
         assert set(result.result_tuples()) <= set(full.result_tuples())
 
-    def test_deadline_mid_loop_keeps_partial_results(self, workload, index, api_config):
+    def test_deadline_mid_loop_keeps_partial_results(
+        self, workload, index, api_config, monkeypatch
+    ):
         """An expiry between candidate tables keeps what was already ranked."""
         engine = MateDiscovery(workload.corpus, index, config=api_config)
         now = [0.0]
         budget = RequestBudget(deadline_seconds=1.0, clock=lambda: now[0])
         seen = []
+        update = TopKHeap.update
 
-        def on_snapshot(ranked):
-            seen.append(list(ranked))
-            now[0] = 2.0  # expire after the first accepted table
+        def update_then_expire(heap, table_id, joinability):
+            kept = update(heap, table_id, joinability)
+            if kept:
+                seen.append(heap.result_tuples())
+                now[0] = 2.0  # expire after the first accepted table
+            return kept
 
-        result = engine.discover(
-            workload.queries[0], budget=budget, on_snapshot=on_snapshot
-        )
+        monkeypatch.setattr(TopKHeap, "update", update_then_expire)
+        result = engine.discover(workload.queries[0], budget=budget)
         assert not result.complete
         assert result.counters.deadline_expired
         assert result.result_tuples() == seen[-1]
+
+    @pytest.mark.parametrize("engine", ["mate", "sql"])
+    def test_cancel_mid_loop_keeps_partial_results(
+        self, session, workload, engine, monkeypatch
+    ):
+        """A budget cancelled between candidate tables (how the process pool
+        stops a late shard) keeps what was already ranked, and the session
+        serves the next request in full."""
+        budgets = []
+        make_budget = DiscoveryRequest.make_budget
+
+        def recorded(request, *args, **kwargs):
+            budgets.append(make_budget(request, *args, **kwargs))
+            return budgets[-1]
+
+        seen = []
+        update = TopKHeap.update
+
+        def update_then_cancel(heap, table_id, joinability):
+            kept = update(heap, table_id, joinability)
+            if kept:
+                seen.append(heap.result_tuples())
+                budgets[-1].cancel()  # after the first accepted table
+            return kept
+
+        monkeypatch.setattr(DiscoveryRequest, "make_budget", recorded)
+        monkeypatch.setattr(TopKHeap, "update", update_then_cancel)
+        request = DiscoveryRequest(
+            query=workload.queries[0], engine=engine, deadline_seconds=3600.0
+        )
+        result = session.discover(request)
+        assert len(budgets) == 1 and len(seen) == 1
+        assert not result.complete
+        assert result.counters.deadline_expired
+        assert result.result_tuples() == seen[0]
+        monkeypatch.undo()
+        follow_up = session.discover(request)
+        assert follow_up.complete and follow_up.tables
+        assert len(follow_up.tables) >= len(result.tables)
 
     def test_limited_request_on_unsupporting_engine_is_refused(
         self, session, workload
@@ -317,62 +401,24 @@ class TestBudgetSemantics:
             session.discover(request)
 
 
-class TestStreaming:
-    def test_snapshots_improve_monotonically_and_end_at_final(
-        self, session, workload
-    ):
-        request = DiscoveryRequest(query=workload.queries[0])
-        snapshots = list(session.discover_stream(request))
-        assert snapshots, "streaming must yield at least the final result"
-        final = snapshots[-1]
-        assert final.complete
-        reference = session.discover(request)
-        assert final.result_tuples() == reference.result_tuples()
-        assert final.response.tables == reference.response.tables
-        interim = snapshots[:-1]
-        assert all(not snapshot.complete for snapshot in interim)
-        rankings = [s.result_tuples() for s in snapshots]
-        for earlier, later in zip(rankings, rankings[1:]):
-            assert len(later) >= len(earlier)
-            for position, (_, joinability) in enumerate(earlier):
-                assert later[position][1] >= joinability
-
-    def test_stream_respects_budget(self, session, workload):
-        request = DiscoveryRequest(query=workload.queries[0], max_pl_fetches=0)
-        snapshots = list(session.discover_stream(request))
-        assert len(snapshots) == 1
-        assert snapshots[0].result_tuples() == []
-        assert not snapshots[0].complete
-
-    def test_abandoned_stream_cancels_the_run(self, session, workload):
-        stream = session.discover_stream(
-            DiscoveryRequest(query=workload.queries[0])
-        )
-        next(stream)  # at least one element is always produced
-        stream.close()  # GeneratorExit -> budget.cancel() stops the worker
-        # The session stays fully usable afterwards.
-        follow_up = session.discover(DiscoveryRequest(query=workload.queries[0]))
-        assert follow_up.complete and follow_up.tables
-
-    def test_non_streaming_engine_yields_single_final(self, session, workload):
-        request = DiscoveryRequest(query=workload.queries[0], engine="mcr")
-        snapshots = list(session.discover_stream(request))
-        assert len(snapshots) == 1
-        assert snapshots[0].complete
-        reference = session.discover(request)
-        assert snapshots[0].result_tuples() == reference.result_tuples()
-
-
 class TestAsyncSubmission:
     def test_asubmit_matches_sync(self, session, workload):
         request = DiscoveryRequest(query=workload.queries[0])
         result = asyncio.run(session.asubmit(request))
         assert result.result_tuples() == session.discover(request).result_tuples()
 
-    def test_asubmit_batch_preserves_order(self, session, workload):
+    def test_gathered_asubmits_preserve_order(self, session, workload):
         requests = [DiscoveryRequest(query=query) for query in workload.queries]
-        results = asyncio.run(session.asubmit_batch(requests))
+
+        async def gather():
+            return await asyncio.gather(*map(session.asubmit, requests))
+
+        results = asyncio.run(gather())
         assert [r.request for r in results] == requests
+        batch = session.discover_batch(requests)
+        assert [r.result_tuples() for r in results] == [
+            r.result_tuples() for r in batch.results
+        ]
 
     def test_submit_returns_future(self, session, workload):
         future = session.submit(DiscoveryRequest(query=workload.queries[0]))
@@ -389,7 +435,7 @@ class TestBatch:
     def test_batch_matches_sequential(self, session, workload):
         requests = [DiscoveryRequest(query=query) for query in workload.queries]
         batch = session.discover_batch(requests)
-        assert batch.ok
+        assert not batch.failures
         assert len(batch) == len(requests)
         for request, served in zip(requests, batch):
             assert served.result_tuples() == (
@@ -408,7 +454,7 @@ class TestBatch:
             ),
         ]
         batch = session.discover_batch(requests, on_error="collect")
-        assert not batch.ok
+        assert batch.failures
         assert batch.results[0] is not None and batch.results[1] is None
         assert batch.stats.failed_queries == 1
         assert len(batch.stats.failures) == 1

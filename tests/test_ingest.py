@@ -144,31 +144,29 @@ class TestIngestBuffer:
         rng = random.Random(3)
         buffer = IngestBuffer(config=CONFIG)
         table = make_table(1, rng, num_rows=4)
-        assert buffer.add_table(table, seq=1) == 4
-        assert 1 in buffer and len(buffer) == 1
+        assert buffer.install(buffer.stage(table), seq=1) == 4
+        assert 1 in buffer.table_seqs and len(buffer) == 1
         assert buffer.num_rows() == 4
         assert buffer.drop_table(1) > 0
         assert buffer.drop_table(1) == 0  # idempotent
-        assert len(buffer) == 0 and buffer.num_posting_items() == 0
+        assert len(buffer) == 0 and buffer.index.num_posting_items() == 0
 
     def test_super_keys_match_bulk_build(self):
         rng = random.Random(4)
         table = make_table(2, rng)
         buffer = IngestBuffer(config=CONFIG)
-        buffer.add_table(table, seq=1)
+        buffer.install(buffer.stage(table), seq=1)
         bulk = build_index(TableCorpus(tables=[table]), config=CONFIG)
-        for row_index in range(table.num_rows):
-            assert buffer.index.super_key(2, row_index) == bulk.super_key(2, row_index)
+        assert row_keys(buffer.index.laid_out()) == row_keys(bulk)
 
     def test_seal_freezes_the_buffer(self):
         rng = random.Random(5)
         buffer = IngestBuffer(config=CONFIG)
-        buffer.add_table(make_table(1, rng), seq=1)
+        buffer.install(buffer.stage(make_table(1, rng)), seq=1)
         sealed = buffer.seal()
-        assert buffer.sealed
         assert sealed.num_posting_items() > 0  # still readable
         with pytest.raises(IndexClosedError):
-            buffer.add_table(make_table(2, rng), seq=2)
+            buffer.stage(make_table(2, rng))
         with pytest.raises(IndexClosedError):
             buffer.drop_table(1)
 
@@ -255,7 +253,7 @@ class TestLiveIndex:
             live.add_table(make_table(table_id, rng))
             live.seal()
         live.remove_table(2)
-        assert live.tombstones == {2: live.sequence}
+        assert live.tombstones == {2: live._seq}
         live.compact()
         assert live.tombstones == {}
         assert live.num_segments == 1
@@ -398,7 +396,7 @@ class TestPersistence:
         reopened = LiveIndex.open(directory, config=CONFIG)
         assert fetch_items(reopened, ALL_PROBES) == fetched
         assert reopened.indexed_tables() == set(tables)
-        assert reopened.sequence == live.sequence
+        assert reopened._seq == live._seq
         # Operations after the last seal were replayed from the WAL: tables
         # 6 and 7 were never sealed into a segment.
         recovered = {table.table_id for table in reopened.recovered_tables()}

@@ -66,10 +66,10 @@ class TestSystemsAgree:
                 if not record.is_distractor
             }
             result = mate.discover(query, k=3)
-            assert set(result.table_ids()) <= planted_ids | {
+            assert {entry.table_id for entry in result.tables} <= planted_ids | {
                 table_id for table_id, _ in top_k_by_exact_joinability(query, corpus, k=10)
             }
-            assert planted_ids & set(result.table_ids())
+            assert planted_ids & {entry.table_id for entry in result.tables}
 
 
 class TestComparativeClaims:

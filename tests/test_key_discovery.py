@@ -63,11 +63,6 @@ class TestEvaluateCombination:
         with pytest.raises(DataModelError):
             evaluate_combination(people_table, ["first", "first"])
 
-    def test_as_dict(self, people_table):
-        payload = evaluate_combination(people_table, ["first", "last"]).as_dict()
-        assert payload["columns"] == ["first", "last"]
-        assert payload["is_unique"] is True
-
 
 class TestDiscoverKeyCandidates:
     def test_finds_minimal_composite_ucc(self, people_table):

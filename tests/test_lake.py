@@ -1,113 +1,14 @@
-"""Tests for data-lake ingestion (repro.lake.data_lake, repro.lake.webtable_json)."""
+"""Tests for data-lake ingestion (repro.lake.data_lake)."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.config import MateConfig
 from repro.datamodel import QueryTable, Table, TableCorpus
 from repro.exceptions import CorpusError, StorageError
-from repro.lake import (
-    DataLake,
-    load_webtable_corpus,
-    parse_webtable_record,
-    record_to_table,
-    save_webtable_corpus,
-    table_to_record,
-)
-from repro.storage import table_to_csv
-
-
-# ----------------------------------------------------------------------
-# DWTC-style JSON format
-# ----------------------------------------------------------------------
-class TestWebTableJson:
-    def make_payload(self):
-        return {
-            "relation": [
-                ["f. name", "muhammad", "ansel"],
-                ["l. name", "lee", "adams"],
-                ["country", "us", "uk"],
-            ],
-            "pageTitle": "People",
-            "hasHeader": True,
-        }
-
-    def test_parse_record_column_major_to_rows(self):
-        record = parse_webtable_record(self.make_payload())
-        assert record.columns == ["f. name", "l. name", "country"]
-        assert record.rows == [["muhammad", "lee", "us"], ["ansel", "adams", "uk"]]
-        assert record.page_title == "People"
-
-    def test_parse_record_without_header(self):
-        payload = {"relation": [["a", "b"], ["c", "d"]], "hasHeader": False}
-        record = parse_webtable_record(payload)
-        assert record.columns == ["col_0", "col_1"]
-        assert record.rows == [["a", "c"], ["b", "d"]]
-
-    def test_parse_record_rejects_missing_relation(self):
-        with pytest.raises(StorageError):
-            parse_webtable_record({"pageTitle": "x"})
-
-    def test_parse_record_rejects_ragged_columns(self):
-        with pytest.raises(StorageError):
-            parse_webtable_record({"relation": [["a", "b"], ["c"]]})
-
-    def test_record_to_table_disambiguates_duplicate_headers(self):
-        payload = {
-            "relation": [["name", "x"], ["name", "y"], ["", "z"]],
-            "hasHeader": True,
-        }
-        table = record_to_table(parse_webtable_record(payload), table_id=4)
-        assert len(set(table.columns)) == 3
-        assert table.columns[0] == "name"
-        assert table.columns[1] == "name_2"
-
-    def test_table_record_round_trip(self):
-        table = Table(
-            table_id=7,
-            name="people",
-            columns=["first", "last"],
-            rows=[["muhammad", "lee"], ["ansel", "adams"]],
-        )
-        record = parse_webtable_record(table_to_record(table))
-        rebuilt = record_to_table(record, table_id=7, name="people")
-        assert rebuilt.columns == table.columns
-        assert [list(r) for r in rebuilt.rows] == [list(r) for r in table.rows]
-
-    def test_load_and_save_corpus_round_trip(self, tmp_path):
-        corpus = TableCorpus(name="lake")
-        corpus.create_table(
-            name="t0", columns=["a", "b"], rows=[["1", "x"], ["2", "y"]]
-        )
-        corpus.create_table(name="t1", columns=["c"], rows=[["z"]])
-        path = save_webtable_corpus(corpus, tmp_path / "dump.jsonl")
-        loaded = load_webtable_corpus(path, name="reloaded")
-        assert len(loaded) == 2
-        assert loaded.get_table(0).columns == ["a", "b"]
-
-    def test_load_corpus_filters_and_caps(self, tmp_path):
-        path = tmp_path / "tables.jsonl"
-        lines = [
-            json.dumps({"relation": [["only header"]], "hasHeader": True}),
-            json.dumps({"relation": [["a", "1"], ["b", "2"]], "hasHeader": True}),
-            json.dumps({"relation": [["c", "3"], ["d", "4"]], "hasHeader": True}),
-        ]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        loaded = load_webtable_corpus(path, min_rows=1, max_tables=1)
-        assert len(loaded) == 1
-
-    def test_load_corpus_invalid_json_reports_line(self, tmp_path):
-        path = tmp_path / "broken.jsonl"
-        path.write_text('{"relation": [["a", "1"]]}\nnot json\n', encoding="utf-8")
-        with pytest.raises(StorageError, match="broken.jsonl:2"):
-            list(load_webtable_corpus(path))
-
-    def test_load_corpus_missing_file(self, tmp_path):
-        with pytest.raises(StorageError):
-            load_webtable_corpus(tmp_path / "absent.jsonl")
+from repro.lake import DataLake
+from repro.storage import table_from_csv, table_to_csv
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +16,7 @@ class TestWebTableJson:
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def lake_directory(tmp_path):
-    """A directory with two CSV tables and one JSON-lines file (two tables)."""
+    """A directory with four CSV tables."""
     people = Table(
         table_id=0,
         name="people",
@@ -139,23 +40,25 @@ def lake_directory(tmp_path):
     )
     table_to_csv(people, tmp_path / "people.csv")
     table_to_csv(salaries, tmp_path / "salaries.csv")
-    web_tables = TableCorpus(name="web")
-    web_tables.create_table(
+    airports = Table(
+        table_id=2,
         name="airports",
         columns=["airline", "country", "airport"],
         rows=[["luftair", "germany", "hannover"], ["skyjet", "us", "boston"]],
     )
-    web_tables.create_table(
+    events = Table(
+        table_id=3,
         name="events",
         columns=["city", "event"],
         rows=[["berlin", "marathon"], ["hannover", "festival"]],
     )
-    save_webtable_corpus(web_tables, tmp_path / "webtables.jsonl")
+    table_to_csv(airports, tmp_path / "airports.csv")
+    table_to_csv(events, tmp_path / "events.csv")
     return tmp_path
 
 
 class TestDataLake:
-    def test_from_directory_ingests_csv_and_json(self, lake_directory):
+    def test_from_directory_ingests_every_csv(self, lake_directory):
         lake = DataLake.from_directory(lake_directory)
         assert len(lake) == 4
         assert "people" in lake.sources
@@ -166,6 +69,27 @@ class TestDataLake:
     def test_from_directory_rejects_files(self, tmp_path):
         with pytest.raises(StorageError):
             DataLake.from_directory(tmp_path / "missing")
+
+    @pytest.mark.parametrize("suffix", [".json", ".jsonl", ".ndjson", ".JSONL"])
+    def test_a_dwtc_json_lines_file_is_refused_by_name(self, tmp_path, suffix):
+        """The removed JSON-lines format fails loudly instead of leaving its
+        tables out of the lake."""
+        table = Table(table_id=0, name="people", columns=["a"], rows=[["x"]])
+        table_to_csv(table, tmp_path / "people.csv")
+        (tmp_path / f"webtables{suffix}").write_text(
+            '{"relation": [["a", "y"]], "hasHeader": true}\n', encoding="utf-8"
+        )
+        refusal = f"webtables{suffix}: the DWTC"
+        with pytest.raises(StorageError, match=refusal) as raised:
+            DataLake.from_directory(tmp_path)
+        assert "CSV" in str(raised.value)
+
+    def test_corpus_name_defaults_to_the_directory_name(self, lake_directory):
+        assert DataLake.from_directory(lake_directory).corpus.name == (
+            lake_directory.name
+        )
+        named = DataLake.from_directory(lake_directory, name="crm")
+        assert named.corpus.name == "crm"
 
     def test_max_tables_cap(self, lake_directory):
         lake = DataLake.from_directory(lake_directory, max_tables=2)
@@ -193,16 +117,6 @@ class TestDataLake:
         assert lake.index() is first
         assert lake.index(rebuild=True) is not first
 
-    def test_add_table_invalidates_cache(self, lake_directory):
-        lake = DataLake.from_directory(lake_directory)
-        index = lake.index()
-        lake.add_table(
-            Table(table_id=999, name="extra", columns=["a"], rows=[["x"]]),
-            source="extra",
-        )
-        assert lake.table_by_source("extra").name == "extra"
-        assert lake.index() is not index
-
     def test_discover_from_query_table(self, lake_directory):
         lake = DataLake.from_directory(lake_directory)
         query = QueryTable(
@@ -213,33 +127,82 @@ class TestDataLake:
         salaries_id = lake.sources["salaries"]
         assert result.joinability_of(salaries_id) == 2
 
-    def test_discover_from_csv_path_with_explicit_key(self, lake_directory, tmp_path):
+    def test_discover_from_a_csv_query_file(self, lake_directory, tmp_path):
         lake = DataLake.from_directory(lake_directory)
-        query_csv = tmp_path / "query.csv"
+        query_csv = tmp_path / "queries" / "query.csv"
+        query_csv.parent.mkdir()
         query_csv.write_text(
             "first_name,last_name,country\nmuhammad,lee,us\nansel,adams,uk\n",
             encoding="utf-8",
         )
-        result = lake.discover(
-            query_csv, key=["first_name", "last_name", "country"], k=2
+        query = QueryTable(
+            table_from_csv(999, query_csv), ["first_name", "last_name", "country"]
         )
+        result = lake.discover(query, k=2)
         assert result.tables
         assert result.tables[0].joinability >= 1
+        assert result.joinability_of(lake.sources["salaries"]) == 2
 
-    def test_query_from_csv_defaults_to_keyable_columns(self, lake_directory, tmp_path):
-        lake = DataLake.from_directory(lake_directory)
-        query_csv = tmp_path / "query.csv"
-        query_csv.write_text(
-            "name,amount\nmuhammad,1.5\nansel,2.5\n", encoding="utf-8"
-        )
-        query = lake.query_from_csv(query_csv)
-        assert query.key_columns == ["name"]  # float column excluded
-
-    def test_from_tables_constructor(self):
+    def test_built_from_an_in_memory_corpus(self):
         tables = [
             Table(table_id=0, name="a", columns=["x"], rows=[["1"]]),
             Table(table_id=1, name="b", columns=["y"], rows=[["2"]]),
         ]
-        lake = DataLake.from_tables(tables, name="inline")
+        lake = DataLake(corpus=TableCorpus(name="inline", tables=tables))
         assert len(lake) == 2
         assert lake.corpus.name == "inline"
+        assert lake.index().num_posting_items() == 2
+
+    def test_a_table_added_to_the_corpus_is_indexed_on_rebuild(
+        self, lake_directory
+    ):
+        lake = DataLake.from_directory(lake_directory)
+        before = lake.index().num_posting_items()
+        extra = Table(
+            table_id=lake.corpus.next_table_id(),
+            name="extra",
+            columns=["a"],
+            rows=[["zebra"]],
+        )
+        lake.corpus.add_table(extra)
+        assert lake.index().num_posting_items() == before  # still cached
+        assert lake.index(rebuild=True).num_posting_items() == before + 1
+
+    def test_table_ids_follow_the_sorted_file_names(self, lake_directory):
+        lake = DataLake.from_directory(lake_directory)
+        assert lake.sources == {
+            "airports": 0, "events": 1, "people": 2, "salaries": 3,
+        }
+        assert [lake.corpus.get_table(i).name for i in range(4)] == [
+            "airports", "events", "people", "salaries",
+        ]
+
+    def test_files_with_other_suffixes_are_skipped(self, lake_directory):
+        (lake_directory / "README.txt").write_text("notes\n", encoding="utf-8")
+        (lake_directory / "data.parquet").write_bytes(b"PAR1")
+        lake = DataLake.from_directory(lake_directory)
+        assert sorted(lake.sources) == ["airports", "events", "people", "salaries"]
+
+    def test_recursive_scan_reaches_nested_csv_files(self, lake_directory):
+        nested = lake_directory / "archive" / "2021"
+        nested.mkdir(parents=True)
+        table = Table(table_id=0, name="cities", columns=["city"], rows=[["rome"]])
+        table_to_csv(table, nested / "cities.csv")
+        assert "cities" not in DataLake.from_directory(lake_directory).sources
+        lake = DataLake.from_directory(lake_directory, recursive=True)
+        assert len(lake) == 5
+        assert lake.table_by_source("cities").column_values("city") == ["rome"]
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"name\n\xe9t\xe9\n", b""],
+        ids=["not-utf8", "empty"],
+    )
+    def test_a_csv_that_cannot_be_read_is_refused_by_name(
+        self, lake_directory, content
+    ):
+        """One bad file fails the whole directory instead of leaving its
+        table out of the lake."""
+        (lake_directory / "broken.csv").write_bytes(content)
+        with pytest.raises(StorageError, match="broken.csv"):
+            DataLake.from_directory(lake_directory)

@@ -5,7 +5,6 @@ import pytest
 from repro.metrics import (
     DiscoveryCounters,
     PrecisionSummary,
-    precision,
     summarize_precision,
 )
 
@@ -18,11 +17,6 @@ class TestDiscoveryCounters:
         counters = DiscoveryCounters(true_positive_rows=3, false_positive_rows=1)
         assert counters.precision == pytest.approx(0.75)
         assert counters.false_positive_rate == pytest.approx(0.25)
-
-    def test_filter_selectivity(self):
-        counters = DiscoveryCounters(rows_checked=10, rows_passed_filter=4)
-        assert counters.filter_selectivity == pytest.approx(0.4)
-        assert DiscoveryCounters().filter_selectivity == 0.0
 
     def test_merge_accumulates_everything(self):
         a = DiscoveryCounters(
@@ -49,17 +43,12 @@ class TestDiscoveryCounters:
 
 
 class TestPrecisionHelpers:
-    def test_precision_function(self):
-        assert precision(0, 0) == 1.0
-        assert precision(3, 1) == pytest.approx(0.75)
-
     def test_summarize_precision(self):
         summary = summarize_precision([1.0, 0.5, 0.0])
         assert summary.mean == pytest.approx(0.5)
         assert summary.std == pytest.approx(0.408248, rel=1e-4)
         assert summary.count == 3
         assert str(summary) == "0.50±0.41"
-        assert summary.as_dict()["count"] == 3
 
     def test_summarize_precision_empty(self):
         assert summarize_precision([]) == PrecisionSummary(0.0, 0.0, 0)

@@ -182,7 +182,7 @@ class TestRoundTrip:
         buffer = IngestBuffer(config=CONFIG)
         loop = legacy_ingest_buffer(config=CONFIG)
         for seq, table in enumerate(make_corpus(seed=5), start=1):
-            buffer.add_table(table, seq)
+            buffer.install(buffer.stage(table), seq)
             loop.add_table(table, seq)
         before = buffer.index.fetch_batch(PROBES)
         assert_blocks_equal(before, loop.index.fetch_batch(PROBES))

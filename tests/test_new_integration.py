@@ -18,13 +18,13 @@ from repro.extensions import (
     suggest_query,
 )
 from repro.index import build_index
-from repro.lake import profile_corpus, save_webtable_corpus
+from repro.lake import profile_corpus
 from repro.storage import table_to_csv
 
 
 @pytest.fixture()
 def mixed_lake(tmp_path):
-    """A lake ingested from CSV and JSON-lines sources with a known join."""
+    """A lake ingested from CSV files with a known join."""
     orders = Table(
         table_id=0,
         name="orders",
@@ -61,11 +61,7 @@ def mixed_lake(tmp_path):
     )
     table_to_csv(orders, tmp_path / "orders.csv")
     table_to_csv(complaints, tmp_path / "complaints.csv")
-    from repro.datamodel import TableCorpus
-
-    web = TableCorpus(name="web")
-    web.add_table(shipments)
-    save_webtable_corpus(web, tmp_path / "webtables.jsonl")
+    table_to_csv(shipments, tmp_path / "shipments.csv")
     return DataLake.from_directory(tmp_path, name="orders-lake")
 
 
@@ -147,18 +143,6 @@ class TestUnicodeAndMessyInputs:
         )
         result = lake.discover(query, k=1)
         assert result.tables[0].joinability == 3
-
-    def test_duplicate_headers_and_blank_lines_in_json(self, tmp_path):
-        payload = (
-            '{"relation": [["a", "1"], ["a", "2"], ["", "3"]], "hasHeader": true}\n'
-            "\n"
-            '{"relation": [["x", "9"]], "hasHeader": true}\n'
-        )
-        (tmp_path / "messy.jsonl").write_text(payload, encoding="utf-8")
-        lake = DataLake.from_directory(tmp_path)
-        assert len(lake) == 2
-        first = lake.corpus.get_table(0)
-        assert len(set(first.columns)) == 3
 
     def test_configured_engine_rejects_query_with_unknown_key(self, mixed_lake):
         orders = mixed_lake.table_by_source("orders")

@@ -11,6 +11,8 @@ seed fetches.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import MateConfig, MateDiscovery, build_index
@@ -18,6 +20,7 @@ from repro.api import DiscoveryRequest, DiscoverySession, PlannerOptions
 from repro.api.request import RequestBudget
 from repro.config import ServiceConfig
 from repro.core.parallel import merge_discovery_results
+from repro.core.topk import TopKHeap
 from repro.datagen import build_workload
 from repro.datamodel import TableCorpus
 from repro.exceptions import ConfigurationError, DiscoveryError
@@ -165,14 +168,31 @@ class TestByteIdentityAllEngines:
                 ),
             )
 
-    def test_streaming_snapshots_match_legacy(self, workload, index, plan_config):
+    @pytest.mark.parametrize("mode", ["selector", "cost"])
+    def test_snapshot_sequence_matches_legacy(
+        self, workload, index, plan_config, mode, monkeypatch
+    ):
+        """The top-k after every accepted heap update follows the loop run
+        on the seed column the planner chose."""
         engine = MateDiscovery(workload.corpus, index, config=plan_config)
-        query = workload.queries[0]
-        mine: list[list[tuple[int, int]]] = []
-        theirs: list[list[tuple[int, int]]] = []
-        engine.discover(query, on_snapshot=mine.append)
-        legacy_discover(engine, query, on_snapshot=theirs.append)
-        assert mine == theirs
+        rankings: list[list[tuple[int, int]]] = []
+        update = TopKHeap.update
+
+        def update_and_record(heap, table_id, joinability):
+            kept = update(heap, table_id, joinability)
+            if kept:
+                rankings.append(heap.result_tuples())
+            return kept
+
+        monkeypatch.setattr(TopKHeap, "update", update_and_record)
+        for query in workload.queries:
+            rankings.clear()
+            result = engine.discover(query, planner=PlannerOptions(mode=mode))
+            mine = list(rankings)
+            rankings.clear()
+            legacy_discover(engine, query, seed_column=result.plan.seed_column)
+            assert mine == rankings
+            assert mine[-1] == result.result_tuples()
 
     def test_scr_matches_legacy(self, workload, index, plan_config):
         from repro.baselines import ScrDiscovery
@@ -269,6 +289,19 @@ class TestAdaptiveExecution:
         assert adaptive.result_tuples() == baseline.result_tuples()
         assert adaptive.counters.extra["replans"] == 1.0
         assert adaptive.plan.discarded_postings > 0
+
+    def test_replans_reach_the_json_document(self, plan_config):
+        corpus, query = _build_drift_scenario(ExperimentSettings(corpus_scale=0.3))
+        with DiscoverySession(corpus, config=plan_config) as session:
+            result = session.discover(
+                DiscoveryRequest(query=query, planner=adaptive_options())
+            )
+        document = json.loads(json.dumps(result.to_dict()))
+        (replan,) = document["plan"]["replans"]
+        assert replan["from_column"] == "trap"
+        assert replan["to_column"] == "alt"
+        assert replan["values_fetched"] > 0
+        assert replan["observed_postings"] > replan["estimated_postings"]
 
     def test_replanned_run_cannot_exceed_fetch_ledger(self, plan_config):
         """Regression: every stage's fetches count against ``max_pl_fetches``.
@@ -370,6 +403,18 @@ class TestSessionPlannerDispatch:
                 j for _, j in cost.result_tuples()
             ]
 
+    def test_submit_accepts_planner_options(self, workload, plan_config):
+        with DiscoverySession(workload.corpus, config=plan_config) as session:
+            request = DiscoveryRequest(
+                query=workload.queries[0], planner=PlannerOptions(mode="cost")
+            )
+            submitted = session.submit(request).result()
+            assert submitted.complete
+            assert submitted.plan_explain()["mode"] == "cost"
+            assert submitted.result_tuples() == (
+                session.discover(request).result_tuples()
+            )
+
     def test_non_planner_engine_refuses_options(self, workload, plan_config):
         with DiscoverySession(workload.corpus, config=plan_config) as session:
             request = DiscoveryRequest(
@@ -379,16 +424,6 @@ class TestSessionPlannerDispatch:
             )
             with pytest.raises(DiscoveryError, match="planner options"):
                 session.discover(request)
-
-    def test_streaming_accepts_planner_options(self, workload, plan_config):
-        with DiscoverySession(workload.corpus, config=plan_config) as session:
-            request = DiscoveryRequest(
-                query=workload.queries[0], planner=PlannerOptions(mode="cost")
-            )
-            outputs = list(session.discover_stream(request))
-            final = outputs[-1]
-            assert final.complete
-            assert final.plan_explain()["mode"] == "cost"
 
     def test_baseline_engines_still_serialise_without_plan(
         self, workload, plan_config

@@ -14,6 +14,7 @@ from repro.storage.segment_block import SegmentBlock
 from tests.helpers import (
     BUILD_LANES,
     block_columns,
+    block_postings,
     build_in_lane,
     fetch_items,
     row_keys,
@@ -65,7 +66,8 @@ class TestIndexInvariants:
         corpus = build_random_corpus(random.Random(seed))
         index = build_index(corpus, config=CONFIG)
         for item in fetch_items(index, list(index.values())):
-            assert corpus.get_cell(item.table_id, item.row_index, item.column_index) == item.value
+            row = corpus.get_row(item.table_id, item.row_index)
+            assert row[item.column_index] == item.value
 
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=40, deadline=None)
@@ -86,7 +88,7 @@ def canonical(block) -> dict:
         SegmentBlock.from_postings(
             block.hash_function_name,
             block.hash_size,
-            sorted(block.postings()),
+            sorted(block_postings(block)),
             row_keys(InvertedIndex(block)),
         )
     )

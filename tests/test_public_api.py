@@ -1,4 +1,5 @@
-"""API-surface snapshot: ``repro.__all__`` against a checked-in list.
+"""API-surface snapshot: ``repro.__all__`` and every ``repro.*``
+subpackage's ``__all__`` against checked-in lists.
 
 The unified discovery API makes ``repro``'s top-level namespace a contract:
 removing or renaming a name is a breaking change that must be made
@@ -10,6 +11,7 @@ same change, which is exactly the review point the contract needs.
 from __future__ import annotations
 
 import importlib
+import pkgutil
 
 import pytest
 
@@ -83,12 +85,142 @@ EXPECTED_EXPORTS = [
     "exact_joinability",
     "exact_joinability_score",
     "read_trace_file",
-    "register_engine",
     "required_number_of_ones",
     "span_tree",
-    "table_from_dicts",
     "top_k_by_exact_joinability",
 ]
+
+
+#: The ``__all__`` of every ``repro.*`` subpackage, pinned the same way:
+#: a name added, dropped or renamed in a subpackage is a reviewed change
+#: to this snapshot.
+EXPECTED_SUBPACKAGE_EXPORTS = {
+    "repro.api": [
+        "BatchStats", "DEFAULT_ENGINE", "DEFAULT_REGISTRY", "DiscoveryRequest",
+        "DiscoverySession", "EngineRegistry", "EngineSpec", "PlannerOptions",
+        "RequestBudget", "SCHEMA_VERSION", "SessionBatch", "SessionResult",
+        "SketchOptions", "available_engines", "json_envelope",
+    ],
+    "repro.baselines": [
+        "ColumnId", "JosieIndex", "JosieMatch", "JosieSearch", "McrDiscovery",
+        "McrJosieDiscovery", "PrefixTreeDiscovery", "ScrDiscovery", "ScrJosieDiscovery",
+        "TablePrefixTree",
+    ],
+    "repro.core": [
+        "COLUMN_SELECTORS", "DiscoveryResult", "MateDiscovery", "ROW_FILTER_MODES",
+        "RankedTable", "RowFilter", "ShardStatistics", "ShardedMateDiscovery",
+        "TableResult", "TopKHeap", "exact_joinability", "exact_joinability_score",
+        "fetched_pl_count", "get_column_selector", "joinability_from_matches",
+        "merge_discovery_results", "row_contains_key", "row_mappings",
+        "select_best_case", "select_by_cardinality", "select_by_column_order",
+        "select_by_longest_string", "select_worst_case", "shard_corpus",
+        "should_abandon_table", "should_prune_table", "top_k_by_exact_joinability",
+    ],
+    "repro.datagen": [
+        "COLUMN_FACTORIES", "CorpusProfile", "FIGURE4_WORKLOADS",
+        "KEYABLE_COLUMN_TYPES", "OPEN_DATA_PROFILE", "PROFILES", "PlantedTable",
+        "QueryWorkload", "SCHOOL_PROFILE", "SyntheticCorpusGenerator", "TABLE1_SPECS",
+        "TABLE2_WORKLOADS", "WEB_TABLE_PROFILE", "WorkloadSpec",
+        "build_all_table1_workloads", "build_workload", "generate_airline_query",
+        "generate_corpus", "generate_entity_query", "generate_movie_query",
+        "generate_school_query", "generate_sensor_query", "plant_distractor_table",
+        "plant_joinable_table",
+    ],
+    "repro.datamodel": [
+        "CorpusStatistics", "MISSING", "QueryTable", "Row", "Table", "TableCorpus",
+        "normalize_value",
+    ],
+    "repro.engine_sql": [
+        "MAX_NARROW_HASH_SIZE", "PUSHDOWN_STAGES", "SQLPushdownEngine",
+        "STAGE_PUSHDOWN_SCAN", "build_accelerator", "key_width",
+        "register_covers_function",
+    ],
+    "repro.experiments": [
+        "AggregatedRun", "DEFAULT_RELATED_WORK_WORKLOADS", "DEFAULT_SCALE_FACTORS",
+        "DEFAULT_SHARD_COUNTS", "DEFAULT_TABLE2_WORKLOADS", "DEFAULT_TABLE3_WORKLOADS",
+        "ExperimentResult", "ExperimentSettings", "FIGURE4_SYSTEMS", "FIGURE5_BARS",
+        "FIGURE6_SYSTEMS", "FREQUENCY_SOURCES", "HEURISTIC_ORDER", "SHORT_VALUE_HASHES",
+        "TABLE2_HASHES", "TABLE3_HASHES", "TOPK_HASHES", "WorkloadContext",
+        "aggregate_results", "build_context", "build_keysize_scenario",
+        "build_short_value_scenario", "format_table", "result_to_csv",
+        "result_to_json", "run_figure4", "run_figure5", "run_figure6",
+        "run_frequency_source", "run_index_generation", "run_init_column", "run_mate",
+        "run_related_work", "run_scaling", "run_sharding", "run_short_values",
+        "run_system", "run_table1", "run_table2", "run_table3", "run_topk",
+        "save_result",
+    ],
+    "repro.extensions": [
+        "DuplicateRowPair", "DuplicateTableResult", "KeyCandidate", "SimilarRowMatch",
+        "SimilarityJoinDiscovery", "SimilarityTableResult", "UnionCandidate",
+        "UnionSearch", "discover_key_candidates", "evaluate_combination",
+        "find_duplicate_rows", "find_duplicate_tables", "levenshtein_distance",
+        "rank_key_candidates", "suggest_query", "xash_similarity",
+    ],
+    "repro.hashing": [
+        "BloomFilterHashFunction", "CityHashFunction", "FIGURE5_VARIANTS",
+        "HashFunction", "HashTableHashFunction", "LessHashingBloomFilter",
+        "Md5HashFunction", "MurmurHashFunction", "ShortValueXashHashFunction",
+        "SimHashFunction", "SuperKeyGenerator", "XashHashFunction",
+        "available_hash_functions", "bigram_bucket", "city_hash_64",
+        "create_hash_function", "false_positive_probability", "fold", "mask",
+        "murmur3_32", "murmur3_string", "murmur3_x64_128", "normalize_character",
+        "optimal_number_of_hashes", "popcount", "register_hash_function", "rotate_left",
+        "subsumes",
+    ],
+    "repro.index": [
+        "ColumnarPostingList", "FetchBlock", "IndexBuildReport", "IndexBuilder",
+        "IndexMaintainer", "IndexStorageReport", "InvertedIndex",
+        "JOSIE_BYTES_PER_ENTRY", "PostingVolumeEstimate", "SCR_BYTES_PER_ENTRY",
+        "bits_to_bytes", "build_index", "entry_coverage", "estimate_posting_volume",
+        "sample_positions", "storage_report",
+    ],
+    "repro.ingest": [
+        "CompactionPolicy", "Compactor", "IngestBuffer", "LiveIndex", "LiveSnapshot",
+        "Segment", "WalRecord", "WriteAheadLog", "merge_segments", "replay_wal",
+    ],
+    "repro.lake": [
+        "ColumnStatistics", "ColumnType", "CorpusProfile", "CorpusProfiler", "DataLake",
+        "ValueFrequencyProfile", "character_frequencies_from_values", "classify_value",
+        "corpus_character_frequencies", "infer_column_type", "profile_column",
+        "profile_corpus", "profile_table", "value_frequency_profile",
+    ],
+    "repro.metrics": [
+        "CacheCounters", "DiscoveryCounters", "PrecisionSummary", "ServeMetrics",
+        "StageStats", "summarize_precision",
+    ],
+    "repro.plan": [
+        "CandidateGeneration", "DEFAULT_PLANNER_OPTIONS", "Executor", "PIPELINE_STAGES",
+        "PLANNER_MODES", "PlanContext", "PlanReport", "PlanStage", "Planner",
+        "PlannerOptions", "QueryPlan", "ReplanEvent", "RowVerification",
+        "SKETCH_PIPELINE_STAGES", "STAGE_SKETCH_PRUNE", "SeedCandidate", "SketchPrune",
+        "StageResult", "SuperKeyPrefilter", "TopKMaintenance",
+    ],
+    "repro.serve": [
+        "AdmissionController", "AdmissionDecision", "AdmissionTicket",
+        "DiscoveryHTTPServer", "PROTOCOL_VERSION", "ProcessShardPool", "ServeConfig",
+        "ShardError", "ShardQuery", "ShardResult", "Shutdown", "TenantQuota",
+        "WorkerReady", "run_server", "split_budget",
+    ],
+    "repro.sketch": [
+        "ColumnSketch", "DEFAULT_SKETCH_CONFIG", "DEFAULT_SKETCH_OPTIONS",
+        "SKETCH_FILE_STEM", "SKETCH_FORMAT_VERSION", "SKETCH_SUFFIX", "SketchIndex",
+        "SketchIndexConfig", "SketchOptions", "build_sketch_index",
+        "containment_estimate", "jaccard_estimate", "minhash_signature",
+        "permutation_params",
+    ],
+    "repro.storage": [
+        "SEGMENT_FORMAT_VERSION", "SEGMENT_MAGIC", "SEGMENT_SUFFIX", "corpus_from_json",
+        "corpus_to_json", "load_corpus_json", "load_segment", "reopen_segment",
+        "save_corpus_json", "table_from_csv", "table_to_csv", "write_segment",
+    ],
+    "repro.telemetry": [
+        "CollectingExporter", "Counter", "DEFAULT_LATENCY_BUCKETS", "Histogram",
+        "InMemoryExporter", "JsonLinesExporter", "JsonLogFormatter", "MetricsRegistry",
+        "NullExporter", "SlowQueryEntry", "SlowQueryLog", "Span", "SpanExporter",
+        "Telemetry", "TraceContext", "Tracer", "configure_json_logging", "current_span",
+        "current_trace_id", "read_trace_file", "span_tree",
+    ],
+}
 
 
 def test_public_surface_matches_snapshot():
@@ -96,6 +228,28 @@ def test_public_surface_matches_snapshot():
         "repro.__all__ drifted from the checked-in snapshot; if the change "
         "is intentional, update tests/test_public_api.py in the same commit"
     )
+    subpackages = sorted(
+        f"repro.{module.name}"
+        for module in pkgutil.iter_modules(repro.__path__)
+        if module.ispkg
+    )
+    assert subpackages == sorted(EXPECTED_SUBPACKAGE_EXPORTS), (
+        "a repro.* subpackage was added or removed; pin its __all__ in "
+        "EXPECTED_SUBPACKAGE_EXPORTS in the same commit"
+    )
+
+
+@pytest.mark.parametrize("module_name", sorted(EXPECTED_SUBPACKAGE_EXPORTS))
+def test_subpackage_surface_matches_snapshot(module_name):
+    module = importlib.import_module(module_name)
+    expected = EXPECTED_SUBPACKAGE_EXPORTS[module_name]
+    assert sorted(module.__all__) == expected, (
+        f"{module_name}.__all__ drifted from the checked-in snapshot; if the "
+        "change is intentional, update tests/test_public_api.py in the same "
+        "commit"
+    )
+    for name in expected:
+        assert hasattr(module, name), f"{module_name}.{name} is missing"
 
 
 def test_all_names_are_importable():

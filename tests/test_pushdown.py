@@ -29,6 +29,7 @@ from repro import (
 from repro.api import PlannerOptions
 from repro.api.registry import available_engines
 from repro.api.request import RequestBudget
+from repro.core.topk import TopKHeap
 from repro.datamodel import QueryTable, Table, TableCorpus
 from repro.engine_sql import SQLPushdownEngine
 from repro.engine_sql.accelerator import (
@@ -339,7 +340,7 @@ class TestSessionDispatch:
             )
             assert_pushdown_identical(via_sql.response, via_mate.response)
 
-    def test_budgeted_dispatch_and_streaming(self, corpus_query):
+    def test_budgeted_dispatch(self, corpus_query):
         corpus, query = corpus_query
         config = MateConfig(hash_size=128, k=3, expected_unique_values=1000)
         with DiscoverySession(corpus, config=config) as session:
@@ -348,14 +349,30 @@ class TestSessionDispatch:
             )
             assert not limited.complete
             assert limited.counters.budget_exhausted == 1
-            streamed = list(session.discover_stream(
-                DiscoveryRequest(query=query, engine="sql")
-            ))
-            final = streamed[-1]
-            reference = session.discover(
-                DiscoveryRequest(query=query, engine="mate")
-            )
-            assert_pushdown_identical(final.response, reference.response)
+
+    def test_topk_updates_follow_mate(self, corpus_query, monkeypatch):
+        """The pushdown engine ranks candidates in MATE's order: the top-k
+        after every accepted heap update is the same sequence."""
+        corpus, query = corpus_query
+        config = MateConfig(hash_size=128, k=3, expected_unique_values=1000)
+        rankings: list[list[tuple[int, int]]] = []
+        update = TopKHeap.update
+
+        def update_and_record(heap, table_id, joinability):
+            kept = update(heap, table_id, joinability)
+            if kept:
+                rankings.append(heap.result_tuples())
+            return kept
+
+        monkeypatch.setattr(TopKHeap, "update", update_and_record)
+        with DiscoverySession(corpus, config=config) as session:
+            sequences = []
+            for engine in ("sql", "mate"):
+                rankings.clear()
+                served = session.discover(DiscoveryRequest(query=query, engine=engine))
+                assert rankings[-1] == served.result_tuples()
+                sequences.append(list(rankings))
+        assert sequences[0] == sequences[1]
 
     def test_planner_options_are_refused(self, corpus_query):
         corpus, query = corpus_query

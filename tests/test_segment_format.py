@@ -45,7 +45,13 @@ from repro.storage import (
 )
 from repro.storage.segment_block import SegmentBlock, merge_blocks, row_ordinals
 
-from tests.helpers import CellIndex, block_columns, fetch_items, row_keys
+from tests.helpers import (
+    CellIndex,
+    block_columns,
+    block_postings,
+    fetch_items,
+    row_keys,
+)
 
 V2_SEGMENT = Path(__file__).parent / "data" / "segment_v2.seg"
 
@@ -210,7 +216,7 @@ class TestMerge:
         assert merged.values == ["x", "y"]
         assert merged.row_table_ids.tolist() == [3, 9, 9]
         assert merged.row_ordinals.tolist() == [1, 0, 2]
-        assert [list(map(list, columns)) for _, *columns in merged.postings()] == [
+        assert [list(map(list, columns)) for _, *columns in block_postings(merged)] == [
             [[9, 3], [0, 0], [0, 0]],
             [[9], [0], [1]],
         ]

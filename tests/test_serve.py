@@ -3,7 +3,7 @@
 The load-bearing contract here is byte-identity: the process pool must
 return exactly the top-k the in-process engines return — same tables, same
 joinability, same column mappings, same order — for any shard count, with
-or without a budget.  Everything else (hedging, crash recovery, lifecycle)
+or without a budget.  Everything else (crash handling, lifecycle)
 rides on top of that.
 
 Worker pools are expensive to start, so equivalence tests share
@@ -174,10 +174,6 @@ class TestServeConfigValidation:
         with pytest.raises(ConfigurationError):
             ServeConfig(num_shards=0)
 
-    def test_rejects_negative_hedge_delay(self):
-        with pytest.raises(ConfigurationError):
-            ServeConfig(hedge_after_seconds=-0.1)
-
 
 class TestPoolEquivalence:
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
@@ -210,7 +206,6 @@ class TestPoolEquivalence:
         assert stats["num_shards"] == 2
         assert len(stats["workers"]) == 2
         assert stats["serve"]["requests"] >= 1
-        assert pool.work_imbalance() >= 0.0
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -292,24 +287,6 @@ class TestSessionProcessExecution:
         with DiscoverySession(workload.corpus, config=CONFIG) as threads:
             with pytest.raises(DiscoveryError):
                 threads.discover(limited)
-
-
-class TestHedging:
-    def test_hedged_pool_is_still_identical(self, workload, reference):
-        pool = ProcessShardPool(
-            workload.corpus,
-            config=CONFIG,
-            hash_function_name="xash",
-            serve_config=ServeConfig(num_shards=2, hedge_after_seconds=0.0),
-        )
-        try:
-            for query_index, query in enumerate(workload.queries):
-                result = pool.discover(query, k=CONFIG.k)
-                assert topk_tuples(result) == reference[query_index]
-                assert "hedged_requests" in result.counters.extra
-            assert pool.metrics.hedges_sent >= 1
-        finally:
-            pool.close()
 
 
 class TestShardSegments:
@@ -407,7 +384,7 @@ class TestLifecycle:
         query, corpus = tiny_query_corpus
         pool = self.make_pool(corpus)
         try:
-            worker = pool._primaries[0]
+            worker = pool._workers[0]
             worker.process.kill()
             worker.process.join(timeout=5)
             with pytest.raises(DiscoveryError):

@@ -7,10 +7,10 @@ from repro.datamodel import Table, TableCorpus
 from repro.exceptions import StorageError
 from repro.ingest import LiveIndex
 from repro.ingest.live import read_snapshot
+from repro.lake import DataLake
 from repro.storage import (
     corpus_from_json,
     corpus_to_json,
-    load_corpus_from_csv_directory,
     load_corpus_json,
     save_corpus_json,
     table_from_csv,
@@ -65,8 +65,7 @@ class TestLiveDirectoryIsTheIndexFormat:
         assert restored.block.values == list(index.values())
         values = sorted(index.values())
         assert fetch_items(restored, values) == fetch_items(index, values)
-        for table_id, row_index, super_key in row_keys(index):
-            assert restored.super_key(table_id, row_index) == super_key
+        assert row_keys(restored) == row_keys(index)
         assert_corpora_equal(corpus, load_corpus_json(live_dir / "corpus.json"))
 
     def test_a_path_without_a_live_index_is_refused(self, tmp_path):
@@ -319,8 +318,26 @@ class TestCsvSerialization:
     def test_load_directory(self, corpus, tmp_path):
         for table in corpus:
             table_to_csv(table, tmp_path / f"{table.name}.csv")
-        loaded = load_corpus_from_csv_directory(tmp_path, name="csvs")
+        loaded = DataLake.from_directory(tmp_path, name="csvs").corpus
         assert len(loaded) == len(corpus)
+
+    def test_quoted_values_survive_the_directory_round_trip(self, tmp_path):
+        """Separators, quotes, line breaks, non-ASCII text and missing
+        cells come back from a directory of CSV files unchanged."""
+        table = Table(
+            table_id=0,
+            name="messy",
+            columns=["name", "note", "city"],
+            rows=[
+                ["smith, john", 'the "big" apple', "münchen"],
+                ["o'neil", "line one\nline two", ""],
+                ["", ",", "são paulo"],
+            ],
+        )
+        table_to_csv(table, tmp_path / "messy.csv")
+        restored = DataLake.from_directory(tmp_path).table_by_source("messy")
+        assert restored.columns == table.columns
+        assert restored.rows == table.rows
 
     def test_errors(self, tmp_path):
         with pytest.raises(StorageError):
@@ -330,7 +347,7 @@ class TestCsvSerialization:
         with pytest.raises(StorageError):
             table_from_csv(0, empty)
         with pytest.raises(StorageError):
-            load_corpus_from_csv_directory(tmp_path / "not-a-dir")
+            DataLake.from_directory(tmp_path / "not-a-dir")
 
     def test_non_utf8_csv_is_refused_by_name(self, tmp_path):
         path = tmp_path / "latin1.csv"

@@ -9,7 +9,7 @@ Four layers, tested bottom-up:
   callbacks, and the Prometheus text rendering;
 * trace-correlated JSON logs and the slow-query ring buffer;
 * the integrated story — session metrics, the batch-failure log
-  regression, pool hedge counters flowing into the registry, and the
+  regression, pool counters flowing into the registry, and the
   acceptance test: a process-execution discovery whose JSONL trace forms
   a single tree reconstructed across process boundaries.
 """
@@ -39,10 +39,11 @@ from repro.telemetry import (
     TraceContext,
     Tracer,
     current_span,
+    current_trace_id,
     read_trace_file,
     span_tree,
-    tracing_active,
 )
+from repro.telemetry import trace as trace_module
 from repro.telemetry.trace import NOOP_SPAN
 
 CONFIG = MateConfig(expected_unique_values=100_000, k=5)
@@ -57,11 +58,23 @@ def workload():
 # Tracing primitives
 # ----------------------------------------------------------------------
 class TestTracer:
+    def test_current_trace_id_follows_the_innermost_span(self):
+        tracer = Tracer(InMemoryExporter())
+        try:
+            assert current_trace_id() is None
+            with tracer.span("outer") as outer:
+                assert current_trace_id() == outer.trace_id
+                with tracer.span("inner"):
+                    assert current_trace_id() == outer.trace_id
+            assert current_trace_id() is None
+        finally:
+            tracer.close()
+
     def test_nested_spans_parent_through_the_contextvar(self):
         exporter = InMemoryExporter()
         tracer = Tracer(exporter)
         try:
-            assert tracing_active()
+            assert trace_module._ACTIVE > 0
             with tracer.span("outer") as outer:
                 assert current_span() is outer
                 with tracer.span("inner") as inner:
@@ -135,18 +148,28 @@ class TestTracer:
         assert [span["name"] for span in tree[root_id]] == ["child"]
 
     def test_close_retires_the_active_count(self):
-        before = tracing_active()
+        before = trace_module._ACTIVE
         tracer = Tracer(InMemoryExporter())
-        assert tracing_active()
+        assert trace_module._ACTIVE == before + 1
         tracer.close()
         tracer.close()  # idempotent
-        assert tracing_active() == before
+        assert trace_module._ACTIVE == before
 
 
 # ----------------------------------------------------------------------
 # Metrics registry
 # ----------------------------------------------------------------------
 class TestMetricsRegistry:
+    def test_a_gauge_callback_is_read_at_every_scrape(self):
+        registry = MetricsRegistry()
+        inflight = [4]
+        registry.gauge_callback("repro_test_inflight", lambda: inflight[0])
+        assert "repro_test_inflight 4" in registry.render_prometheus()
+        inflight[0] -= 1
+        assert "repro_test_inflight 3" in registry.render_prometheus()
+        inflight[0] += 2
+        assert "repro_test_inflight 5" in registry.render_prometheus()
+
     def test_counter_is_monotonic(self):
         registry = MetricsRegistry()
         counter = registry.counter("repro_test_total", "help")
@@ -161,14 +184,7 @@ class TestMetricsRegistry:
         first = registry.counter("repro_test_total")
         assert registry.counter("repro_test_total") is first
         with pytest.raises(ValueError):
-            registry.gauge("repro_test_total")
-
-    def test_gauge_moves_both_ways(self):
-        gauge = MetricsRegistry().gauge("repro_test_inflight")
-        gauge.set(4)
-        gauge.dec()
-        gauge.inc(2)
-        assert gauge.value == 5.0
+            registry.histogram("repro_test_total")
 
     def test_histogram_buckets_and_percentiles(self):
         registry = MetricsRegistry()
@@ -195,7 +211,7 @@ class TestMetricsRegistry:
     def test_render_prometheus_is_parseable(self):
         registry = MetricsRegistry()
         registry.counter("repro_test_total", "a counter").inc(2)
-        registry.gauge("repro_test_inflight", "a gauge").set(1)
+        registry.gauge_callback("repro_test_inflight", lambda: 1, "a gauge")
         registry.histogram(
             "repro_test_seconds", "a histogram", buckets=(0.5,)
         ).observe(0.2)
@@ -414,22 +430,21 @@ class TestSessionTelemetry:
 
 
 # ----------------------------------------------------------------------
-# Pool integration: hedge counters flow into the registry
+# Pool integration: pool counters flow into the registry
 # ----------------------------------------------------------------------
-class TestPoolMetricsUnderHedging:
-    def test_hedge_counters_reach_the_prometheus_text(self, workload):
+class TestPoolMetrics:
+    def test_pool_counters_reach_the_prometheus_text(self, workload):
         telemetry = Telemetry.disabled()
         pool = ProcessShardPool(
             workload.corpus,
             config=CONFIG,
             hash_function_name="xash",
-            serve_config=ServeConfig(num_shards=2, hedge_after_seconds=0.0),
+            serve_config=ServeConfig(num_shards=2),
             telemetry=telemetry,
         )
         try:
             for query in workload.queries:
                 pool.discover(query, k=CONFIG.k)
-            assert pool.metrics.hedges_sent >= 1
             samples = {}
             for line in telemetry.metrics.render_prometheus().splitlines():
                 if line.startswith("#"):
@@ -439,11 +454,9 @@ class TestPoolMetricsUnderHedging:
         finally:
             pool.close()
         assert samples["repro_pool_requests_total"] == 2.0
-        assert samples["repro_pool_hedges_sent_total"] >= 1.0
         assert samples["repro_pool_num_shards"] == 2.0
         assert samples["repro_pool_scatter_seconds_total"] >= 0.0
         assert samples["repro_pool_gather_seconds_total"] >= 0.0
-        assert samples["repro_pool_hedge_wins_total"] >= 0.0
         assert samples["repro_pool_replies_discarded_total"] >= 0.0
 
 

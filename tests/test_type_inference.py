@@ -2,18 +2,11 @@
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.datamodel import Table
-from repro.lake import (
-    ColumnType,
-    classify_value,
-    infer_column_type,
-    infer_table_types,
-    keyable_columns,
-)
+from repro.lake import ColumnType, classify_value, infer_column_type
 
 
 class TestClassifyValue:
@@ -96,44 +89,28 @@ class TestInferColumnType:
         assert infer_column_type(values) is ColumnType.INTEGER
 
 
-class TestTableLevelInference:
-    @pytest.fixture()
-    def table(self):
-        return Table(
+class TestTableColumns:
+    def test_every_column_of_a_normalised_table(self):
+        """Each column of a table (its values lower-cased and stripped on
+        construction) gets its type from its values."""
+        table = Table(
             table_id=1,
             name="people",
-            columns=["name", "age", "salary", "joined", "active", "constant"],
+            columns=["name", "age", "salary", "joined", "active"],
             rows=[
-                ["Muhammad", "34", "60000.5", "2020-01-02", "true", "x"],
-                ["Ansel", "41", "50000.0", "2019-06-30", "false", "x"],
-                ["Helmut", "58", "300000.25", "2018-11-11", "true", "x"],
+                ["Muhammad", "34", "60000.5", "2020-01-02", "TRUE"],
+                ["Ansel", " 41", "50000.0", "2019-06-30", "false"],
+                ["Helmut", "58", "300000.25", "2018-11-11", "true "],
             ],
         )
-
-    def test_infer_table_types(self, table):
-        reports = {r.column: r for r in infer_table_types(table)}
-        assert reports["name"].column_type is ColumnType.TEXT
-        assert reports["age"].column_type is ColumnType.INTEGER
-        assert reports["salary"].column_type is ColumnType.FLOAT
-        assert reports["joined"].column_type is ColumnType.DATE
-        assert reports["active"].column_type is ColumnType.BOOLEAN
-        assert reports["name"].distinct_values == 3
-        assert 0.0 <= reports["name"].type_support <= 1.0
-
-    def test_report_as_dict_round_trip(self, table):
-        report = infer_table_types(table)[0]
-        payload = report.as_dict()
-        assert payload["column"] == "name"
-        assert payload["type"] == "text"
-
-    def test_keyable_columns_exclude_floats_and_constants(self, table):
-        keyable = keyable_columns(table)
-        assert "salary" not in keyable          # float measure column
-        assert "constant" not in keyable        # single distinct value
-        assert "name" in keyable
-        assert "joined" in keyable
-
-    def test_keyable_columns_custom_exclusions(self, table):
-        keyable = keyable_columns(table, exclude_types=(ColumnType.TEXT,))
-        assert "name" not in keyable
-        assert "salary" in keyable
+        types = {
+            column: infer_column_type(table.column_values(column))
+            for column in table.columns
+        }
+        assert types == {
+            "name": ColumnType.TEXT,
+            "age": ColumnType.INTEGER,
+            "salary": ColumnType.FLOAT,
+            "joined": ColumnType.DATE,
+            "active": ColumnType.BOOLEAN,
+        }
