@@ -1,12 +1,12 @@
-"""Batch discovery serving: one index, posting-list cache, query batches.
+"""Batch discovery serving: one index, query batches.
 
 The other examples run one query at a time against a cold index.  This one
 shows the serving facade (a :class:`repro.DiscoverySession`) that the
 production-scale deployment would expose: the session serves one extended
-inverted index, an LRU cache (``repro.index.cache``) keeps hot posting lists
-in memory, and a whole *batch* of :class:`repro.DiscoveryRequest` objects is
-answered in one call — with probe values shared between the queries fetched
-only once.
+inverted index, which memoises the fetch block of every value it has served
+(so a probe value shared between queries is joined only once), and a whole
+*batch* of :class:`repro.DiscoveryRequest` objects is answered in one
+call.
 
 Run with::
 
@@ -120,7 +120,7 @@ def main() -> None:
         corpus,
         index,
         config=config,
-        service_config=ServiceConfig(cache_capacity=256, max_workers=2),
+        service_config=ServiceConfig(max_workers=2),
     )
     requests = [DiscoveryRequest(query=query) for query in queries]
     batch = session.discover_batch(requests)
@@ -133,16 +133,14 @@ def main() -> None:
         )
         print(f"  {query.table.name}: {ranked}")
 
-    stats = batch.stats
-    print(
-        f"\nprobe values: {stats.distinct_probe_values} distinct, "
-        f"{stats.duplicate_probe_values} deduplicated across the batch"
-    )
-    print(f"cold cache hit rate: {stats.cache.hit_rate:.2f}")
-
-    # The cache stays warm across batches: the same batch again is all hits.
+    # The index's fetch blocks stay memoised across batches: the same batch
+    # again joins no posting list and answers the same.
     warm = session.discover_batch(requests)
-    print(f"warm cache hit rate: {warm.stats.cache.hit_rate:.2f}")
+    repeated = all(
+        first.result_tuples() == again.result_tuples()
+        for first, again in zip(batch, warm)
+    )
+    print(f"\nwarm batch identical to the first: {repeated}")
 
     # Serving is exact: the batch reproduces cold sequential engine runs.
     reference = build_index(corpus, config=config)

@@ -9,8 +9,8 @@ self-contained Python library:
   deadlines, and the versioned JSON response schema;
 * :mod:`repro.hashing` — XASH and every baseline hash function, plus the
   super-key machinery;
-* :mod:`repro.index` — the extended single-attribute inverted index and the
-  LRU posting-list cache a session serves it through;
+* :mod:`repro.index` — the extended single-attribute inverted index, which
+  memoises the fetch block of every value it has served;
 * :mod:`repro.ingest` — online ingestion: a WAL-durable delta buffer sealed
   and compacted into immutable columnar segments behind a
   :class:`LiveIndex` (``session.ingest()`` / ``engine="live"``);

@@ -51,8 +51,6 @@ class EngineSpec:
     description: str = ""
     #: Whether the engine's ``discover`` accepts ``budget=``.
     supports_budget: bool = False
-    #: Whether the engine exposes ``probe_values`` (cache warm-up eligible).
-    supports_probe_values: bool = False
     #: Whether the engine's ``discover`` accepts ``planner=`` (the
     #: planner/executor pipeline of :mod:`repro.plan`).
     supports_planner: bool = False
@@ -74,7 +72,6 @@ class EngineRegistry:
         *,
         description: str = "",
         supports_budget: bool = False,
-        supports_probe_values: bool = False,
         supports_planner: bool = False,
         supports_sketch: bool = False,
         replace: bool = False,
@@ -98,7 +95,6 @@ class EngineRegistry:
             factory=factory,
             description=description,
             supports_budget=supports_budget,
-            supports_probe_values=supports_probe_values,
             supports_planner=supports_planner,
             supports_sketch=supports_sketch,
         )
@@ -211,18 +207,17 @@ def _build_live(session: "DiscoverySession", request: "DiscoveryRequest"):
     # Algorithm 1 over the session's online-mutable LiveIndex: identical
     # dispatch to "mate", but the factory insists on a live index so a
     # request that expects online data can never silently run against a
-    # static one.  Reads go through the session's cache wrapper; the
-    # LiveIndex underneath pins a snapshot per fetch, so results are
+    # static one.  The LiveIndex pins a snapshot per fetch, so results are
     # consistent mid-compaction.
     from ..core.discovery import MateDiscovery
     from ..exceptions import DiscoveryError
     from ..ingest import LiveIndex
 
-    if not isinstance(session.base_index, LiveIndex):
+    if not isinstance(session.index, LiveIndex):
         raise DiscoveryError(
             'engine "live" requires the session to own a '
             "repro.ingest.LiveIndex (got "
-            f"{type(session.base_index).__name__})"
+            f"{type(session.index).__name__})"
         )
     return MateDiscovery(
         session.corpus,
@@ -238,13 +233,13 @@ def _build_live(session: "DiscoverySession", request: "DiscoveryRequest"):
 
 def _build_sql(session: "DiscoverySession", request: "DiscoveryRequest"):
     # Algorithm 1 pushed down into SQLite: the engine builds a private
-    # in-memory accelerator from the uncached session index at construction
-    # time (sessions cache one engine per request signature).
+    # in-memory accelerator from the session index at construction time
+    # (sessions cache one engine per request signature).
     from ..engine_sql import SQLPushdownEngine
 
     return SQLPushdownEngine(
         session.corpus,
-        session.base_index,
+        session.index,
         config=session.config,
         hash_function_name=request.hash_function,
         column_selector=request.column_selector,
@@ -259,7 +254,6 @@ def _register_builtins(registry: EngineRegistry) -> None:
         _build_mate,
         description="Algorithm 1 over the session index (the paper's system)",
         supports_budget=True,
-        supports_probe_values=True,
         supports_planner=True,
         supports_sketch=True,
     )
@@ -274,7 +268,6 @@ def _register_builtins(registry: EngineRegistry) -> None:
         _build_scr,
         description="single-column retrieval baseline (no super key)",
         supports_budget=True,
-        supports_probe_values=True,
         supports_planner=True,
         supports_sketch=True,
     )
@@ -306,7 +299,6 @@ def _register_builtins(registry: EngineRegistry) -> None:
         description="Algorithm 1 over the session's online-mutable "
         "LiveIndex (WAL + delta buffer + columnar segments)",
         supports_budget=True,
-        supports_probe_values=True,
         supports_planner=True,
         supports_sketch=True,
     )

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 from ..core.results import DiscoveryResult
-from ..metrics import CacheCounters
 from .schema import KIND_BATCH_RESULT, KIND_DISCOVERY_RESULT, json_envelope
 
 if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
@@ -125,12 +124,6 @@ class BatchStats:
     k: int = 0
     #: Wall-clock duration of the whole batch in seconds.
     batch_seconds: float = 0.0
-    #: Distinct probe values across the batch (what the index actually saw).
-    distinct_probe_values: int = 0
-    #: Probe values shared between queries and therefore fetched only once.
-    duplicate_probe_values: int = 0
-    #: Cache activity attributable to this batch (delta over the batch).
-    cache: CacheCounters = field(default_factory=CacheCounters)
     #: Requests that raised instead of producing a result.
     failed_queries: int = 0
     #: One attribution line per failure (engine name + request label + error).
@@ -145,17 +138,13 @@ class BatchStats:
 
     def as_dict(self) -> dict[str, float]:
         """Return the statistics (plus derived metrics) as a dictionary."""
-        result = {
+        return {
             "num_queries": self.num_queries,
             "k": self.k,
             "batch_seconds": self.batch_seconds,
             "queries_per_second": self.queries_per_second,
-            "distinct_probe_values": self.distinct_probe_values,
-            "duplicate_probe_values": self.duplicate_probe_values,
             "failed_queries": self.failed_queries,
         }
-        result.update(self.cache.as_dict())
-        return result
 
 
 @dataclass

@@ -1,15 +1,14 @@
 """The :class:`DiscoverySession` facade: one front door for Algorithm 1.
 
-A session owns the serving state — corpus, one index, LRU posting-list
-cache, engine instances, and a thread-pool scheduler — and
+A session owns the serving state — corpus, one index, engine instances,
+and a thread-pool scheduler — and
 answers :class:`~repro.api.request.DiscoveryRequest` objects through three
 entry points:
 
 * :meth:`DiscoverySession.discover` — one request, one
   :class:`~repro.api.results.SessionResult`;
 * :meth:`DiscoverySession.discover_batch` — a (possibly mixed-engine) batch
-  with probe-value deduplication, cache warm-up, worker-pool scheduling, and
-  attributable failures;
+  with worker-pool scheduling and attributable failures;
 * :meth:`DiscoverySession.submit` / :meth:`DiscoverySession.asubmit` —
   future-based and ``async`` wrappers over the session's thread pool.
 
@@ -39,7 +38,6 @@ from ..config import MateConfig, ServiceConfig
 from ..datamodel import Table, TableCorpus
 from ..exceptions import ConfigurationError, DiscoveryError, MateError
 from ..index import build_index
-from ..index.cache import CachingIndex
 from ..metrics import CacheCounters
 from ..telemetry import SlowQueryEntry, Telemetry
 from .registry import DEFAULT_REGISTRY, EngineRegistry, EngineSpec
@@ -60,7 +58,7 @@ def _attach_trace(error: MateError, span) -> MateError:
 
 
 class DiscoverySession:
-    """Owns corpus + index + cache lifecycle and serves discovery requests.
+    """Owns corpus + index lifecycle and serves discovery requests.
 
     Parameters
     ----------
@@ -70,13 +68,13 @@ class DiscoverySession:
         The index the session serves: an
         :class:`~repro.index.inverted.InvertedIndex` or a
         :class:`~repro.ingest.live.LiveIndex`.  ``None`` builds a fresh index
-        from ``corpus`` (the zero-setup path of the examples).  Unless
-        caching is disabled it is wrapped in a
-        :class:`~repro.index.cache.CachingIndex`.
+        from ``corpus`` (the zero-setup path of the examples).  The index
+        memoises each fetched value's block itself, so it is served as it
+        is.
     config:
         The :class:`~repro.config.MateConfig` shared by index and engines.
     service_config:
-        The serving knobs (cache capacity, batch workers, and the
+        The serving knobs (batch workers and the
         ``"sharded"`` engine's shard count); see
         :class:`~repro.config.ServiceConfig`.
     registry:
@@ -124,21 +122,8 @@ class DiscoverySession:
         self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
         if index is None:
             index = build_index(corpus, config=self.config)
-        if isinstance(index, CachingIndex):
-            # An already-cached index (e.g. handed over from another session)
-            # is used as-is: stacking a second LRU on top would double the
-            # memory and hide the inner counters.
-            self.base_index = index.wrapped
-            self.index = index
-        else:
-            #: The index before cache wrapping (what persistence layers see).
-            self.base_index = index
-            if self.service_config.cache_capacity > 0:
-                self.index = CachingIndex(
-                    index, capacity=self.service_config.cache_capacity
-                )
-            else:
-                self.index = index
+        #: The index every engine of the session reads.
+        self.index = index
         # Engines are cached per request configuration signature so repeated
         # requests share one instance (and its memoised value hashes); the
         # per-run state of every engine is local to each discover() call.
@@ -158,7 +143,7 @@ class DiscoverySession:
 
         This is where the formerly siloed aggregates join one scrapeable
         surface: request counts and latency live in real instruments, the
-        LRU cache and the per-run discovery counters flow in through
+        per-run discovery counters and the slow-query log flow in through
         scrape-time callbacks (their owners keep their own types).
         """
         metrics = self.telemetry.metrics
@@ -184,25 +169,6 @@ class DiscoverySession:
             "repro_sketch_candidates_total",
             "Candidate tables admitted by the sketch tier across all requests",
         )
-        counters = self.cache_counters if isinstance(
-            self.index, CachingIndex
-        ) else None
-        if counters is not None:
-            metrics.counter_callback(
-                "repro_cache_hits_total",
-                lambda: counters.hits,
-                "Posting-list cache hits",
-            )
-            metrics.counter_callback(
-                "repro_cache_misses_total",
-                lambda: counters.misses,
-                "Posting-list cache misses",
-            )
-            metrics.counter_callback(
-                "repro_cache_evictions_total",
-                lambda: counters.evictions,
-                "Posting-list cache evictions",
-            )
         metrics.counter_callback(
             "repro_slowlog_recorded_total",
             lambda: self.telemetry.slow_log.recorded_total,
@@ -252,10 +218,23 @@ class DiscoverySession:
     # Introspection
     # ------------------------------------------------------------------
     @property
+    def base_index(self):
+        """Read-only alias of :attr:`index`.
+
+        Kept only because ``bench_e2e/discover.py`` still reads it; its
+        removal waits for the next change to the benchmark (ROADMAP item 1).
+        """
+        return self.index
+
+    @property
     def cache_counters(self) -> CacheCounters:
-        """Lifetime cache counters (zeros when caching is disabled)."""
-        if isinstance(self.index, CachingIndex):
-            return self.index.counters
+        """Always-zero :class:`~repro.metrics.CacheCounters`.
+
+        There is no posting-list cache: the index memoises its fetch blocks
+        itself.  Kept only because ``bench_e2e/discover.py`` still reads it;
+        its removal waits for the next change to the benchmark (ROADMAP
+        item 1).
+        """
         return CacheCounters()
 
     def engines(self) -> list[str]:
@@ -284,7 +263,7 @@ class DiscoverySession:
         """
         with self._sketch_lock:
             if self._sketch_index is None:
-                provider = getattr(self.base_index, "sketch_index", None)
+                provider = getattr(self.index, "sketch_index", None)
                 store = provider() if callable(provider) else None
                 if store is None:
                     # No index-owned store (static index, or a recovered
@@ -299,10 +278,6 @@ class DiscoverySession:
     # ------------------------------------------------------------------
     # Online ingestion (engine="live" sessions)
     # ------------------------------------------------------------------
-    def _invalidate_cache(self) -> None:
-        if isinstance(self.index, CachingIndex):
-            self.index.cache.clear()
-
     def _invalidate_sketch_cache(self) -> None:
         """Drop a corpus-built sketch store after a write (rebuilt lazily).
 
@@ -310,7 +285,7 @@ class DiscoverySession:
         store *is* the index's own nothing needs to happen; only the
         corpus-built fallback goes stale and is discarded.
         """
-        provider = getattr(self.base_index, "sketch_index", None)
+        provider = getattr(self.index, "sketch_index", None)
         live_store = provider() if callable(provider) else None
         with self._sketch_lock:
             if (
@@ -325,13 +300,13 @@ class DiscoverySession:
         Requires the session to own an online-mutable index (a
         :class:`~repro.ingest.live.LiveIndex`): the write is made durable
         through its WAL, lands in the delta buffer, and is immediately
-        discoverable by every subsequent request.  The posting-list cache is
-        invalidated so cached blocks never serve stale postings.
+        discoverable by every subsequent request: every fetch pins a fresh
+        snapshot of the index, so no earlier block can serve stale postings.
 
         Re-ingesting an id that was :meth:`remove`-d replaces the corpus
         entry; re-ingesting a *live* id raises (remove it first).
         """
-        add_table = getattr(self.base_index, "add_table", None)
+        add_table = getattr(self.index, "add_table", None)
         if add_table is None:
             raise DiscoveryError(
                 "this session's index does not accept online ingestion; "
@@ -354,7 +329,6 @@ class DiscoverySession:
             if stale is not None:
                 self.corpus.add_table(stale)
             raise
-        self._invalidate_cache()
         self._invalidate_sketch_cache()
         return rows
 
@@ -369,13 +343,12 @@ class DiscoverySession:
         """
         # Gate on the same ingestion capability as ingest(): only an
         # online-mutable index (a LiveIndex) has add_table / remove_table.
-        if not hasattr(self.base_index, "add_table"):
+        if not hasattr(self.index, "add_table"):
             raise DiscoveryError(
                 "this session's index does not support online removal; "
                 "construct the session with a repro.ingest.LiveIndex"
             )
-        removed = self.base_index.remove_table(table_id)
-        self._invalidate_cache()
+        removed = self.index.remove_table(table_id)
         self._invalidate_sketch_cache()
         return removed
 
@@ -552,11 +525,8 @@ class DiscoverySession:
         """Answer every request and return results plus aggregate statistics.
 
         Results come back in submission order and are identical to what
-        sequential :meth:`discover` calls would produce.  The session warms
-        its posting-list cache with one deduplicated bulk fetch of the
-        batch's probe values first (for cache-eligible, unlimited requests),
-        then schedules the queries over ``service_config.max_workers``
-        threads.
+        sequential :meth:`discover` calls would produce.  The session
+        schedules the queries over ``service_config.max_workers`` threads.
 
         ``on_error`` controls failure handling: ``"raise"`` (default)
         propagates the first attributable error, ``"collect"`` keeps going —
@@ -573,10 +543,7 @@ class DiscoverySession:
                 f'on_error must be "raise" or "collect", got {on_error!r}'
             )
         request_list = list(requests)
-        before = self.cache_counters.snapshot()
         started = time.perf_counter()
-
-        distinct, duplicates = self._warm_cache(request_list)
 
         def run_one(request: DiscoveryRequest):
             try:
@@ -628,47 +595,10 @@ class DiscoverySession:
             num_queries=len(request_list),
             k=resolved_ks.pop() if len(resolved_ks) == 1 else 0,
             batch_seconds=time.perf_counter() - started,
-            distinct_probe_values=distinct,
-            duplicate_probe_values=duplicates,
-            cache=self.cache_counters.delta_since(before),
             failed_queries=len(failures),
             failures=[str(error) for error in failures],
         )
         return SessionBatch(results=results, stats=stats, failures=failures)
-
-    def _warm_cache(self, requests: list[DiscoveryRequest]) -> tuple[int, int]:
-        """Bulk-fetch the batch's deduplicated probe values into the cache.
-
-        Returns ``(distinct, duplicates)``.  Only cache-eligible requests
-        participate: the engine must expose ``probe_values`` and the request
-        must be unlimited (warming past a fetch budget would charge the cache
-        for work the run will never do) with default planner options (the
-        cost model may seed from a different column than the selector-based
-        ``probe_values``, making the warmed values dead weight).  Errors
-        during warm-up are deferred to the actual run, where they are
-        attributed properly.
-        """
-        if not isinstance(self.index, CachingIndex):
-            return 0, 0
-        total = 0
-        merged: dict[str, None] = {}
-        for request in requests:
-            if request.limited or request.planner_requested:
-                continue
-            try:
-                # Spec lookup first: no engine is built just to learn that
-                # it cannot participate in warm-up.
-                if not self.registry.get(request.engine).supports_probe_values:
-                    continue
-                _, engine = self._engine_for(request)
-                values = engine.probe_values(request.query)
-            except MateError:
-                continue
-            total += len(values)
-            merged.update(dict.fromkeys(values))
-        if merged:
-            self.index.fetch_batch(merged)
-        return len(merged), total - len(merged)
 
     # ------------------------------------------------------------------
     # Scheduling

@@ -42,9 +42,8 @@ Four sub-commands cover the typical workflow:
 ``serve-batch``
     Answer a batch of query tables through a
     :class:`~repro.api.session.DiscoverySession`: one index (built in memory,
-    or a snapshot of ``--live-dir``), an LRU posting-list cache, and a worker
-    pool.  Prints the per-query top-k plus batch throughput and cache
-    statistics (or ``--json``).
+    or a snapshot of ``--live-dir``) and a worker pool.  Prints the
+    per-query top-k plus batch throughput (or ``--json``).
 ``ingest``
     Stream tables from a directory of CSV files (via the lake loader) or a
     corpus JSON file into a *persisted live index* directory: every
@@ -285,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--key-size", type=int, default=2,
                        help="key arity when --key is omitted (generated query "
                        "tables store their key columns first)")
-    serve.add_argument("--cache-capacity", type=int, default=4096,
-                       help="LRU posting-list cache capacity (0 disables)")
     serve.add_argument("--workers", type=int, default=1,
                        help="batch scheduling worker threads")
     serve.add_argument("--k", type=int, default=10)
@@ -319,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_http.add_argument("--segments-dir", type=Path, default=None,
                             help="where the process pool writes its .seg "
                             "files (default: a private temp directory)")
-    serve_http.add_argument("--cache-capacity", type=int, default=4096,
-                            help="LRU posting-list cache capacity (0 disables)")
     serve_http.add_argument("--workers", type=int, default=4,
                             help="session worker threads answering requests")
     serve_http.add_argument("--max-pending", type=int, default=32,
@@ -622,10 +617,7 @@ def _command_experiment(args: argparse.Namespace) -> int:
 def _command_serve_batch(args: argparse.Namespace) -> int:
     corpus = load_corpus_json(args.corpus)
     index, config = _index_for(args, corpus)
-    service_config = ServiceConfig(
-        cache_capacity=args.cache_capacity,
-        max_workers=args.workers,
-    )
+    service_config = ServiceConfig(max_workers=args.workers)
 
     shared_key = [c.lower() for c in args.key] if args.key else None
     query_corpus = load_corpus_json(args.queries)
@@ -658,13 +650,7 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
     stats = batch.stats
     print(
         f"batch: {stats.batch_seconds:.3f}s, "
-        f"{stats.queries_per_second:.1f} queries/s, "
-        f"{stats.distinct_probe_values} distinct probe values "
-        f"({stats.duplicate_probe_values} deduplicated)"
-    )
-    print(
-        f"cache: {stats.cache.hits} hits / {stats.cache.misses} misses "
-        f"(hit rate {stats.cache.hit_rate:.2f})"
+        f"{stats.queries_per_second:.1f} queries/s"
     )
     return 0
 
@@ -772,7 +758,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     config = MateConfig(hash_size=args.hash_size)
     service_config = ServiceConfig(
         num_shards=args.shards,
-        cache_capacity=args.cache_capacity,
         max_workers=args.workers,
     )
     serve_config = None

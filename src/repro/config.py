@@ -207,8 +207,7 @@ class ServiceConfig:
     """Serving knobs of a :class:`~repro.api.session.DiscoverySession`.
 
     These knobs do not exist in the paper — they parameterise the serving
-    architecture this reproduction adds on top of Algorithm 1: how large the
-    posting-list cache in front of the session's one index is, how much
+    architecture this reproduction adds on top of Algorithm 1: how much
     concurrency the batch scheduler uses, and how many table shards the
     ``"sharded"`` engine splits the corpus into.
 
@@ -219,27 +218,18 @@ class ServiceConfig:
         (:func:`~repro.core.parallel.shard_corpus`; one worker process each
         with ``execution="process"``).  The session's own index is never
         partitioned.
-    cache_capacity:
-        Maximum number of distinct probe values whose posting lists the LRU
-        :class:`~repro.index.cache.PostingListCache` retains.  ``0``
-        disables caching entirely (every fetch goes to the index).
     max_workers:
         Worker threads the session schedules batched and submitted queries
         on.  ``1`` runs a batch serially.
     """
 
     num_shards: int = 1
-    cache_capacity: int = 4096
     max_workers: int = 1
 
     def __post_init__(self) -> None:
         if self.num_shards <= 0:
             raise ConfigurationError(
                 f"num_shards must be positive, got {self.num_shards}"
-            )
-        if self.cache_capacity < 0:
-            raise ConfigurationError(
-                f"cache_capacity must be non-negative, got {self.cache_capacity}"
             )
         if self.max_workers <= 0:
             raise ConfigurationError(

@@ -177,35 +177,16 @@ class MateDiscovery:
     def _complete_key_tuples(query: QueryTable) -> list[tuple[str, ...]]:
         """The query's distinct composite-key tuples without missing values.
 
-        This is the canonical filtering of the initialization step; the batch
-        service reuses it (via :meth:`probe_values`) so that cache warm-up
-        and the engine can never disagree on what gets probed.
+        This is the canonical filtering of the initialization step; the
+        planner's estimates (:meth:`~repro.plan.planner.Planner.probe_values_for`)
+        reuse it, so they and the engine can never disagree on what gets
+        probed.
         """
         return [
             key_tuple
             for key_tuple in sorted(query.key_tuples())
             if not any(value == MISSING for value in key_tuple)
         ]
-
-    def probe_values(self, query: QueryTable) -> list[str]:
-        """The probe values the initialization step will fetch for ``query``.
-
-        Runs the engine's column selector and returns the deduplicated
-        initial-column values of every complete key tuple — exactly the keys
-        of the ``superkey_map_Q`` dictionary ``discover`` builds.
-        """
-        initial_column = self.column_selector(query, self.index)
-        if initial_column not in query.key_columns:
-            raise DiscoveryError(
-                f"initial column {initial_column!r} is not a key column of the query"
-            )
-        initial_position = query.key_columns.index(initial_column)
-        return list(
-            dict.fromkeys(
-                key_tuple[initial_position]
-                for key_tuple in self._complete_key_tuples(query)
-            )
-        )
 
     def _build_key_super_key_map(
         self, query: QueryTable, initial_column: str

@@ -175,7 +175,6 @@ class SQLPushdownEngine:
     # the two can never disagree on what gets probed.
     _complete_key_tuples = staticmethod(MateDiscovery._complete_key_tuples)
     _build_key_super_key_map = MateDiscovery._build_key_super_key_map
-    probe_values = MateDiscovery.probe_values
 
     def __init__(
         self,

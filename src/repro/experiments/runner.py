@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from ..api import DiscoveryRequest, DiscoverySession
 from ..baselines import JosieIndex
-from ..config import MateConfig, ServiceConfig
+from ..config import MateConfig
 from ..core import DiscoveryResult
 from ..datagen import QueryWorkload, build_workload
 from ..datamodel import QueryTable
@@ -119,14 +119,14 @@ class WorkloadContext:
         A new session (and therefore a cold engine with empty memoised hash
         caches) is built per call, so repeated runs stay comparable cold
         measurements — exactly like constructing a fresh engine by hand.
-        Only the index is reused (cached per hash layout); the posting-list
-        cache is disabled for the same reason.
+        Only the index's block is reused (cached per hash layout): a fresh
+        :class:`InvertedIndex` serves it, so the memoised fetch blocks and
+        their coverage memos start cold too.
         """
         return DiscoverySession(
             self.workload.corpus,
-            self.index(hash_function, hash_size),
+            InvertedIndex(self.index(hash_function, hash_size).block),
             config=self.config(hash_size),
-            service_config=ServiceConfig(cache_capacity=0),
         )
 
     def josie_index(self) -> JosieIndex:

@@ -1,9 +1,9 @@
 """The extended single-attribute inverted index with per-row super keys:
-one CSR block, served (optionally behind the LRU cache of
-:mod:`repro.index.cache`) and edited by rewrites."""
+one CSR block, served through memoised per-value fetch blocks and edited by
+rewrites."""
 
 from .builder import IndexBuildReport, IndexBuilder, build_index
-from .columnar import ColumnarPostingList, FetchBlock
+from .columnar import FetchBlock
 from .inverted import InvertedIndex
 from .kernels import entry_coverage
 from .maintenance import IndexMaintainer
@@ -19,7 +19,6 @@ from .statistics import (
 )
 
 __all__ = [
-    "ColumnarPostingList",
     "FetchBlock",
     "IndexBuildReport",
     "entry_coverage",

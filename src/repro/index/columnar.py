@@ -4,17 +4,14 @@ One Python record per PL item, materialised again on every fetch, is the
 per-row object overhead that in-memory analytics engines eliminate with
 columnar, array-packed layouts.  An
 :class:`~repro.index.inverted.InvertedIndex` is one CSR block
-(:class:`~repro.storage.segment_block.SegmentBlock`); this module holds the
-views it serves that block through:
-
-* :class:`ColumnarPostingList` — the postings of one value as three parallel
-  integer columns (table ids, column indexes, row indexes) plus the packed
-  buffer of its super keys: the row columns are gathered from the block's
-  row table through the value's row ordinals once, the column indexes are
-  a slice of the block, so repeated fetches do no per-item work;
-* :class:`FetchBlock` — the struct-of-arrays result of ``fetch_batch``: one
-  block per probed value, referencing a view's columns directly (zero-copy)
-  with the packed super-key column attached.
+(:class:`~repro.storage.segment_block.SegmentBlock`); it serves that block
+through :class:`FetchBlock` s, the struct-of-arrays result of
+``fetch_batch``: the postings of one value as three parallel integer columns
+(table ids, column indexes, row indexes) plus the packed buffer of its super
+keys.  The row columns are gathered from the block's row table through the
+value's row ordinals at its first fetch, the column indexes are a slice of
+the block, and the index memoises the block, so repeated fetches do no
+per-item work and find the block's coverage memo warm.
 
 A request keeps its :class:`FetchBlock` s and :mod:`repro.index.batch` turns
 their columns and memoised coverage bitmaps into request-level arrays.
@@ -28,9 +25,10 @@ from typing import Sequence
 import numpy as np
 
 #: Entries a fetch block's coverage memo holds before it starts over.  Every
-#: entry is two bitmaps of the block's length and cached blocks outlive the
-#: request, so without a bound each distinct key tuple ever probed against a
-#: hot value would stay behind; a dropped entry costs one vector pass.
+#: entry is two bitmaps of the block's length and an index's memoised blocks
+#: outlive the request, so without a bound each distinct key tuple ever
+#: probed against a hot value would stay behind; a dropped entry costs one
+#: vector pass.
 COVERAGE_MEMO_ENTRIES = 64
 
 
@@ -49,34 +47,16 @@ def column_view(data, typecode: str) -> memoryview:
     return memoryview(data).cast("B").cast(typecode)
 
 
-class ColumnarPostingList:
-    """The postings of one value: its table ids, column indexes and row
-    indexes, and the packed super keys of its rows (``super_key_bytes``)."""
-
-    __slots__ = ("table_ids", "column_indexes", "row_indexes", "super_key_bytes")
-
-    def __init__(
-        self,
-        table_ids: Sequence[int],
-        column_indexes: Sequence[int],
-        row_indexes: Sequence[int],
-        super_key_bytes,
-    ):
-        self.table_ids = table_ids
-        self.column_indexes = column_indexes
-        self.row_indexes = row_indexes
-        self.super_key_bytes = super_key_bytes
-
-
 class FetchBlock:
     """Struct-of-arrays fetch result of one probe value.
 
-    The posting columns reference the index's packed views directly (no
-    copy), and so does the fixed-width super-key buffer (``super_key_bytes``
-    / ``key_width``) that the vectorized prefilter kernels consume as it is.
-    Blocks are snapshots of the index block they were sliced from: a
-    replaced block leaves them as they were (the posting-list cache drops
-    them when the block is replaced).
+    The posting columns are views of the columns gathered at the value's
+    first fetch (no copy per fetch), and so is the fixed-width super-key
+    buffer (``super_key_bytes`` / ``key_width``) that the vectorized
+    prefilter kernels consume as it is.  Blocks are snapshots of the index
+    block they were sliced from: a replaced block leaves them as they were,
+    and the index's memo of them goes with the old block.  Blocks compare
+    by identity.
     """
 
     __slots__ = ("value", "table_ids", "column_indexes", "row_indexes",
@@ -158,9 +138,3 @@ class FetchBlock:
 
     def __len__(self) -> int:
         return len(self.row_indexes)
-
-    @classmethod
-    def empty(cls, value: str) -> "FetchBlock":
-        """An empty block (used to cache negative fetch results); without a
-        key, any width will do."""
-        return cls(value, (), (), (), b"", 1)

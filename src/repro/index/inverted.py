@@ -7,11 +7,12 @@ MATE's extended index.  The block's columns live on the heap (a bulk build, a
 sealed or merged segment, a loaded index) or in a mapped ``.seg`` file
 (:func:`~repro.storage.paged.load_segment`).  The block stores one super
 key per row and each posting as a row ordinal; a value's
-:class:`~repro.index.columnar.ColumnarPostingList` view — table ids, row
-indexes and packed super keys gathered from the row table through its
-ordinals (the paper's join between super keys and PLs), column indexes
-sliced — is built at its first fetch and memoised, so a warm
-``fetch_batch`` does no per-item work, and counts come from the offsets.
+:class:`~repro.index.columnar.FetchBlock` — table ids, row indexes and
+packed super keys gathered from the row table through its ordinals (the
+paper's join between super keys and PLs), column indexes sliced — is built
+at its first fetch and memoised with its coverage memo, so a warm
+``fetch_batch`` hands out the same block and does no per-item work, and
+counts come from the offsets.
 Its query surface is exactly what Algorithm 1 needs:
 
 * ``fetch_batch`` — the posting lists (with super keys) of a set of probe
@@ -27,9 +28,11 @@ The index is immutable but replaceable: :meth:`InvertedIndex.replace_block`
 installs a rewritten block, and it is the one mutator — Section 5.4's edits
 (:class:`~repro.index.maintenance.IndexMaintainer`) run through it.  What a
 read needs — the block, its value-id map, its row-key reader and the
-per-value view memo — is one :class:`_State`, published by one attribute
+per-value block memo — is one :class:`_State`, published by one attribute
 store, and every read takes it once: a reader racing a replacement answers
-wholly from the old block or wholly from the new one.
+wholly from the old block or wholly from the new one.  A replacement starts
+an empty memo, so no fetch block (nor its coverage memo) outlives the block
+it was sliced from in the index.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from typing import TYPE_CHECKING, Any, Collection, Iterable, Iterator, Sequence
 import numpy as np
 
 from ..exceptions import IndexClosedError, IndexError_, SegmentFormatError
-from .columnar import ColumnarPostingList, FetchBlock
+from .columnar import FetchBlock
 
 if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
     from ..storage.segment_block import SegmentBlock
@@ -95,7 +98,7 @@ class RowKeys:
 class _State:
     """Everything one read of an :class:`InvertedIndex` needs."""
 
-    __slots__ = ("block", "value_ids", "rows", "views", "_arrays")
+    __slots__ = ("block", "value_ids", "rows", "fetched", "_arrays")
 
     def __init__(self, block: "SegmentBlock", name: str):
         self.block = block
@@ -106,20 +109,21 @@ class _State:
             )
         self.rows = RowKeys(block)
         self._arrays = block.arrays()
-        #: The views joined so far, never the whole vocabulary: everything
-        #: that enumerates values reads the block.
-        self.views: dict[str, ColumnarPostingList] = {}
+        #: The fetch blocks joined so far, never the whole vocabulary:
+        #: everything that enumerates values reads the block.
+        self.fetched: dict[str, FetchBlock] = {}
 
     def join(self, values: list[str]) -> None:
-        """Build and memoise the views of ``values`` (indexed, distinct).
+        """Build and memoise the fetch blocks of ``values`` (indexed,
+        distinct).
 
         This is the fetch-time join of the per-row layout: the values' row
         ordinals gather the table ids, row indexes and super keys of their
         postings out of the row table — one gather per column for all of
-        ``values`` — and each view slices its run out of the gathered
+        ``values`` — and each block slices its run out of the gathered
         columns; the column indexes are slices of the block.  Only fetched
         values are joined.  Two threads may join the same value at once:
-        they build equal views and the memo keeps either."""
+        they build equal blocks and the memo keeps either."""
         block, arrays = self.block, self._arrays
         offsets = block.posting_offsets
         starts = [offsets[self.value_ids[value]] for value in values]
@@ -139,15 +143,17 @@ class _State:
         keys = memoryview(arrays.row_keys.take(ordinals, axis=0)).cast("B")
         width = block.key_width
         columns = block.column_indexes
-        views = self.views
+        fetched = self.fetched
         at = 0
         for value, start, end in zip(values, starts, ends):
             stop = at + end - start
-            views[value] = ColumnarPostingList(
+            fetched[value] = FetchBlock(
+                value,
                 tables[at:stop],
                 columns[start:end],
                 rows[at:stop],
                 keys[at * width : stop * width],
+                width,
             )
             at = stop
 
@@ -316,35 +322,19 @@ class InvertedIndex:
 
         One block per probed value with at least one PL item, in first-seen
         value order; duplicate and missing probe values are skipped.  The
-        blocks reference the memoised views' columns (the row join of a
-        value runs at its first fetch), so a warm ``fetch_batch`` does no
+        row join of a value runs at its first fetch; every later fetch of it
+        returns the same memoised block (coverage memo included) until the
+        index's block is replaced, so a warm ``fetch_batch`` does no
         per-item work at all.
         """
         state = self._ensure_open("fetch_batch")
-        width = state.block.key_width
-        views = state.views
+        fetched = state.fetched
         probed = dict.fromkeys(values)
         unjoined = [
             value
             for value in probed
-            if value not in views and value in state.value_ids
+            if value not in fetched and value in state.value_ids
         ]
         if unjoined:
             state.join(unjoined)
-        blocks: list[FetchBlock] = []
-        append = blocks.append
-        for value in probed:
-            view = views.get(value)
-            if view is None:
-                continue
-            append(
-                FetchBlock(
-                    value,
-                    view.table_ids,
-                    view.column_indexes,
-                    view.row_indexes,
-                    view.super_key_bytes,
-                    width,
-                )
-            )
-        return blocks
+        return [fetched[value] for value in probed if value in fetched]

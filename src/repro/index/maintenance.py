@@ -40,17 +40,16 @@ from .inverted import InvertedIndex
 
 def _refusal(index) -> str | None:
     """Why ``index`` cannot be maintained by block rewrites (``None`` when
-    it can); a caching wrapper is judged by the index it wraps."""
+    it can)."""
     from ..ingest.live import LiveIndex
 
-    target = getattr(index, "wrapped", index)
-    if isinstance(target, LiveIndex):
+    if isinstance(index, LiveIndex):
         return "a LiveIndex is edited through its add_table / remove_table"
-    if not isinstance(target, InvertedIndex):
-        return f"{type(target).__name__} is not an InvertedIndex"
-    if target.path is not None:
+    if not isinstance(index, InvertedIndex):
+        return f"{type(index).__name__} is not an InvertedIndex"
+    if index.path is not None:
         return (
-            f"the index maps the read-only segment file {target.path}; "
+            f"the index maps the read-only segment file {index.path}; "
             "rebuild and rewrite it to change it"
         )
     return None

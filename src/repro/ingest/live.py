@@ -9,8 +9,10 @@ immutable columnar :class:`~repro.ingest.segments.Segment` objects that the
 compactor merges in the background.  Reads see the union of the segment
 stack (oldest to newest) and the buffer, with tombstones masking removed
 tables — behind the ``fetch_batch`` / ``posting_lengths`` read surface of
-:class:`~repro.index.inverted.InvertedIndex`, so the discovery engine, the
-posting-list cache, and the session facade all run unchanged on top.
+:class:`~repro.index.inverted.InvertedIndex`, so the discovery engine and
+the session facade run unchanged on top.  A value living unmasked in one
+component is served as that component's memoised block; a value spread over
+components, or filtered by a tombstone, gets a block built for the read.
 
 **Snapshot isolation.**  :meth:`LiveIndex.snapshot` returns a
 :class:`LiveSnapshot` pinning one *generation*: the segment stack, the

@@ -18,14 +18,13 @@ from .timing import StageStats
 
 @dataclass
 class CacheCounters:
-    """Hit/miss accounting for a session's posting-list cache.
+    """Hit/miss accounting of a posting-list cache, which no index has
+    any more: an index memoises its fetch blocks itself, so
+    :attr:`DiscoverySession.cache_counters
+    <repro.api.session.DiscoverySession.cache_counters>` is always zero.
 
-    A :class:`~repro.api.session.DiscoverySession` puts an LRU cache
-    (:mod:`repro.index.cache`) in front of its index; its effectiveness is an
-    accuracy-free, pure-runtime
-    metric, so it gets its own counter object rather than extending
-    :class:`DiscoveryCounters` (cache behaviour is a property of the serving
-    deployment, not of one discovery run).
+    Kept only because ``bench_e2e/discover.py`` still reads those counters;
+    it goes with them at the next change to the benchmark (ROADMAP item 1).
     """
 
     #: Probe values answered from the cache.
@@ -60,15 +59,6 @@ class CacheCounters:
             misses=self.misses - earlier.misses,
             evictions=self.evictions - earlier.evictions,
         )
-
-    def as_dict(self) -> dict[str, float]:
-        """Return the counters (plus derived metrics) as a dictionary."""
-        return {
-            "cache_hits": self.hits,
-            "cache_misses": self.misses,
-            "cache_evictions": self.evictions,
-            "cache_hit_rate": self.hit_rate,
-        }
 
 
 @dataclass

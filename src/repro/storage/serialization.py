@@ -88,19 +88,36 @@ def table_to_csv(table: Table, path: str | Path) -> Path:
 
 
 def table_from_csv(table_id: int, path: str | Path, name: str | None = None) -> Table:
-    """Load a single table from a CSV file (first row = column names)."""
+    """Load a single table from a CSV file (first row = column names).
+
+    Blank lines hold no cells and are skipped.  A repeated column name or a
+    row whose cell count differs from the header's is refused with a
+    :class:`StorageError` naming the file and the line.
+    """
     path = Path(path)
     if not path.exists():
         raise StorageError(f"CSV file does not exist: {path}")
     try:
         with path.open("r", encoding="utf-8", newline="") as handle:
-            rows = list(csv.reader(handle))
+            reader = csv.reader(handle)
+            rows = [(reader.line_num, row) for row in reader if row]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise StorageError(f"cannot read CSV file {path}: {exc}") from exc
     if not rows:
         raise StorageError(f"CSV file {path} is empty")
-    columns = rows[0]
-    data = [Row(row) for row in rows[1:]]
+    columns = rows[0][1]
+    repeated = sorted({column for column in columns if columns.count(column) > 1})
+    if repeated:
+        raise StorageError(
+            f"CSV file {path}: the header repeats column name(s) {repeated}"
+        )
+    for line, row in rows[1:]:
+        if len(row) != len(columns):
+            raise StorageError(
+                f"CSV file {path}: line {line} has {len(row)} cells, the "
+                f"header has {len(columns)}"
+            )
+    data = [Row(row) for _line, row in rows[1:]]
     return Table(
         table_id=table_id, name=name or path.stem, columns=columns, rows=data
     )

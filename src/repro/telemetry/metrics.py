@@ -4,15 +4,15 @@ Two instrument kinds — :class:`Counter` (monotonic) and :class:`Histogram`
 (fixed buckets, so p50/p99 come out of the bucket counts without storing
 samples) — plus *callback* instruments that pull a value (a count or a
 point-in-time gauge) from existing aggregates at scrape time.  The callbacks
-are how the pre-existing silos (:class:`~repro.metrics.counters.CacheCounters`,
-:class:`~repro.metrics.serving.ServeMetrics`, the admission controller)
+are how the pre-existing silos (:class:`~repro.metrics.serving.ServeMetrics`,
+the slow-query log, the admission controller)
 flow into one registry without restructuring their owners: each subsystem
 registers ``name -> lambda`` pairs once and the registry evaluates them on
 :meth:`MetricsRegistry.render_prometheus` / :meth:`MetricsRegistry.snapshot`.
 
 Metric naming convention (documented in ARCHITECTURE "## Telemetry"):
 ``repro_<subsystem>_<quantity>[_total|_seconds]`` — e.g.
-``repro_session_requests_total``, ``repro_cache_hits_total``,
+``repro_session_requests_total``, ``repro_slowlog_recorded_total``,
 ``repro_pool_requests_total``, ``repro_request_latency_seconds``.
 """
 

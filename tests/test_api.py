@@ -58,7 +58,7 @@ def session(workload, index, api_config):
         workload.corpus,
         index,
         config=api_config,
-        service_config=ServiceConfig(num_shards=1, cache_capacity=512),
+        service_config=ServiceConfig(num_shards=1),
     ) as active:
         yield active
 

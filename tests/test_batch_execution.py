@@ -753,7 +753,9 @@ class TestDiscoverDifferential:
         # Tombstone a sealed table that was in the answer.
         victim = before.tables[0].table_id
         live.remove_table(victim)
-        values = engine.probe_values(query)
+        values = Planner(engine).probe_values_for(
+            query, engine.column_selector(query, live)
+        )
         components = live.snapshot()._components
         assert any(
             sum(index.posting_lengths([value])[0] > 0 for index, _, _ in components) > 1
@@ -1259,7 +1261,9 @@ class TestNoBufferPinned:
         maintainer = IndexMaintainer(corpus, index, engine.super_key_generator)
         query = workload.queries[0]
         expected = engine.discover(query)
-        probe = engine.probe_values(query)[0]
+        probe = Planner(engine).probe_values_for(
+            query, engine.column_selector(query, index)
+        )[0]
         inserted: list[int] = []
 
         def write():

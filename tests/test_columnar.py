@@ -21,19 +21,12 @@ from repro.datamodel import MISSING
 from repro.engine_sql import build_accelerator, key_width
 from repro.engine_sql.accelerator import split_limbs
 from repro.hashing import SuperKeyGenerator
-from repro.index import (
-    FetchBlock,
-    IndexBuilder,
-    IndexMaintainer,
-    InvertedIndex,
-)
-from repro.index.cache import CachingIndex
+from repro.index import IndexBuilder, IndexMaintainer, InvertedIndex
 from repro.storage import load_segment, write_segment
 from tests.helpers import (
     BUILD_LANES,
     CellIndex,
     FetchedItem,
-    assert_blocks_equal,
     assert_results_byte_identical,
     block_items,
     build_in_lane,
@@ -96,8 +89,8 @@ def probe_values(scanned) -> list[str]:
     return sorted(scanned)[:300] + ["missing", ""]
 
 
-class TestColumnarPostingList:
-    def test_views_carry_the_packed_slice(self, config):
+class TestFetchBlocks:
+    def test_blocks_carry_the_packed_slice(self, config):
         cells = CellIndex(hash_size=128)
         for row_index, key in enumerate([11, 22]):
             cells.add_posting("x", 0, 0, row_index)
@@ -107,10 +100,9 @@ class TestColumnarPostingList:
         assert bytes(packed.super_key_bytes) == (11).to_bytes(16, "big") + (
             22
         ).to_bytes(16, "big")
-        # The value's view is memoised: a second fetch slices nothing.
+        # The value's block is memoised: a second fetch returns it again.
         (again,) = index.fetch_batch(["x"])
-        assert again.table_ids is packed.table_ids
-        assert again.super_key_bytes is packed.super_key_bytes
+        assert again is packed
         assert index.fetch_batch(["absent"]) == []
 
     def test_posting_columns_of_unequal_lengths_are_refused(self):
@@ -293,7 +285,7 @@ class TestPackedPersistence:
         for lane in ("block", "loop"):
             index = build_in_lane(lane, workload.corpus, config=config)
             path = write_segment(index, tmp_path / f"{lane}.seg", fsync=False)
-            assert not index._state.views
+            assert not index._state.fetched
             written[lane] = path.read_bytes()
         assert written["block"] == written["loop"]
 
@@ -314,35 +306,17 @@ class TestPackedPersistence:
                 restored.close()
 
 
-class TestCachingBlocks:
-    def test_caching_index_serves_blocks(self, columnar_index):
-        caching = CachingIndex(columnar_index, capacity=128)
-        values = sorted(columnar_index.values())[:30]
-        cold = caching.fetch_batch(values)
-        warm = caching.fetch_batch(values)
-        assert_blocks_equal(cold, columnar_index.fetch_batch(values))
-        assert all(hot is block for hot, block in zip(warm, cold))
-        assert all(isinstance(block, FetchBlock) for block in warm)
-        assert caching.counters.misses == 30
-        assert caching.counters.hits == 30
-
-    def test_negative_blocks_cached(self, columnar_index):
-        caching = CachingIndex(columnar_index, capacity=8)
-        assert caching.fetch_batch(["not-in-the-index"]) == []
-        assert caching.fetch_batch(["not-in-the-index"]) == []
-        assert caching.counters.hits == 1
-
+class TestSessionOnBlocks:
     def test_service_on_columnar_sharded_index(
         self, workload, config, columnar_index
     ):
-        # A cached session's "sharded" batch answers what a cold engine does.
+        # A session's "sharded" batch answers what a cold engine does.
         with DiscoverySession(
             workload.corpus,
             columnar_index,
             config=config,
-            service_config=ServiceConfig(num_shards=2, cache_capacity=256),
+            service_config=ServiceConfig(num_shards=2),
         ) as session:
-            assert isinstance(session.index, CachingIndex)
             batch = session.discover_batch(
                 [
                     DiscoveryRequest(query=query, engine="sharded")

@@ -95,10 +95,9 @@ def test_similarity_join_finds_typo_table():
     assert "exact: 0" in output
 
 
-def test_batch_discovery_service_dedupes_and_matches_sequential():
+def test_batch_discovery_service_matches_sequential():
     output = run_example("batch_discovery_service.py")
-    assert "2 deduplicated across the batch" in output
-    assert "warm cache hit rate: 1.00" in output
+    assert "warm batch identical to the first: True" in output
     assert "identical to sequential discovery: True" in output
 
 

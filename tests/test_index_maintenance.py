@@ -12,7 +12,6 @@ from repro.datamodel import Row, Table, TableCorpus
 from repro.exceptions import DataModelError, IndexError_
 from repro.hashing import SuperKeyGenerator
 from repro.index import IndexMaintainer
-from repro.index.cache import CachingIndex
 from repro.storage import load_segment, write_segment
 from tests.helpers import BUILD_LANES, build_in_lane, fetch_items
 
@@ -166,11 +165,13 @@ class TestRefusals:
             with pytest.raises(IndexError_, match="LiveIndex.*add_table"):
                 IndexMaintainer(corpus, live, generator)
 
-    def test_a_caching_wrapper_is_edited_through(self, config):
+    def test_an_edit_replaces_the_memoised_blocks(self, config):
         corpus = self.corpus()
         generator = SuperKeyGenerator.from_name("xash", config)
-        cached = CachingIndex(build_index(corpus, config=config))
-        assert [item.row_index for item in fetch_items(cached, ["x"])] == [0]
-        IndexMaintainer(corpus, cached, generator).update_cell(0, 1, 0, "x")
-        # The replaced block cleared the cache: the edit shows at once.
-        assert [item.row_index for item in fetch_items(cached, ["x"])] == [0, 1]
+        index = build_index(corpus, config=config)
+        assert [item.row_index for item in fetch_items(index, ["x"])] == [0]
+        memoised = index.fetch_batch(["x"])[0]
+        IndexMaintainer(corpus, index, generator).update_cell(0, 1, 0, "x")
+        # The rewritten block starts a new memo: the edit shows at once.
+        assert index.fetch_batch(["x"])[0] is not memoised
+        assert [item.row_index for item in fetch_items(index, ["x"])] == [0, 1]

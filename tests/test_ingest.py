@@ -26,7 +26,6 @@ from repro import (
     IndexClosedError,
     LiveIndex,
     MateConfig,
-    ServiceConfig,
     Table,
     TableCorpus,
     build_index,
@@ -35,7 +34,6 @@ from repro.core import select_worst_case
 from repro.datamodel import QueryTable
 from repro.exceptions import DiscoveryError, IndexError_, StorageError
 from repro.index import estimate_posting_volume
-from repro.index.cache import CachingIndex
 from repro.ingest import IngestBuffer, WriteAheadLog, replay_wal
 
 from tests.helpers import assert_blocks_equal, fetch_items, row_keys
@@ -363,12 +361,11 @@ class TestOneSnapshotPerCount:
 
         counted("snapshot")
         counted("posting_lengths")
-        cached = CachingIndex(live)
         query = make_query(rng)
-        assert select_worst_case(query, cached) == select_worst_case(query, bulk)
+        assert select_worst_case(query, live) == select_worst_case(query, bulk)
         assert calls == {"snapshot": 2, "posting_lengths": 2}  # one per key column
         values = sorted(query.table.distinct_column_values("name"))
-        estimate = estimate_posting_volume(cached, values)
+        estimate = estimate_posting_volume(live, values)
         assert estimate == estimate_posting_volume(bulk, values)
         assert calls == {"snapshot": 3, "posting_lengths": 3}
 
@@ -536,29 +533,71 @@ class TestSessionIngestion:
             session.remove(0)
             assert session.discover(request).result_tuples() == []
 
-    def test_cache_is_invalidated_on_ingest(self):
+    def test_live_reads_stay_fresh_without_invalidation(self):
+        """Segments memoise their fetch blocks and nothing clears them: a
+        tombstone masks a memoised block per read, a new table lands in the
+        buffer or a new segment, and a seal or merge makes new segments."""
         rng = random.Random(18)
-        live = LiveIndex(config=CONFIG)
-        session = DiscoverySession(
-            TableCorpus(name="cached"),
-            live,
-            config=CONFIG,
-            service_config=ServiceConfig(cache_capacity=64),
-        )
+        session, live = self.build_live_session()
+        tables = {}
+
+        def assert_matches_bulk(query):
+            reference_corpus, bulk = reference_index(live, tables)
+            assert fetch_items(live, ALL_PROBES) == fetch_items(bulk, ALL_PROBES)
+            with DiscoverySession(
+                reference_corpus, bulk, config=CONFIG
+            ) as bulk_session:
+                expected = bulk_session.discover(DiscoveryRequest(query=query))
+            live_result = session.discover(
+                DiscoveryRequest(query=query, engine="live")
+            )
+            assert live_result.result_tuples() == expected.result_tuples()
+
         with session:
             query = make_query(rng)
             request = DiscoveryRequest(query=query, engine="live")
-            session.discover(request)  # warms the cache with empty blocks
             joinable = Table(
                 table_id=0,
-                name="late-arrival",
+                name="joinable",
                 columns=["name", "city"],
                 rows=[[row[0], row[1]] for row in query.table.rows],
             )
             session.ingest(joinable)
-            assert session.discover(request).result_tuples() == [
-                (0, len(query.key_tuples()))
-            ]
+            tables[0] = joinable
+            for table_id in range(1, 7):
+                tables[table_id] = make_table(table_id, rng, num_rows=4)
+                session.ingest(tables[table_id])
+            live.seal()
+            full = (0, len(query.key_tuples()))
+            # Warm the segment's memoised blocks, then mask a table of it.
+            assert full in session.discover(request).result_tuples()
+            session.remove(0)
+            del tables[0]
+            assert 0 not in {
+                table_id for table_id, _ in session.discover(request).result_tuples()
+            }
+            assert_matches_bulk(query)
+            # A new table is found at once, from the buffer and after a seal.
+            late = Table(
+                table_id=7,
+                name="late-arrival",
+                columns=["name", "city"],
+                rows=[[row[0], row[1]] for row in query.table.rows],
+            )
+            session.ingest(late)
+            tables[7] = late
+            assert (7, full[1]) in session.discover(request).result_tuples()
+            assert_matches_bulk(query)
+            live.seal()
+            assert_matches_bulk(query)
+            for table_id in range(8, 11):
+                tables[table_id] = make_table(table_id, rng, num_rows=4)
+                session.ingest(tables[table_id])
+            live.seal()
+            assert live.num_segments >= 3
+            live.merge()
+            assert live.num_segments == 1
+            assert_matches_bulk(query)
 
     def test_re_ingesting_a_removed_id_replaces_the_corpus_entry(self):
         rng = random.Random(19)
@@ -582,7 +621,7 @@ class TestSessionIngestion:
             # (maintenance-layer, destructive) remove_table.
             with pytest.raises(DiscoveryError):
                 session.remove(0)
-            assert session.base_index.indexed_tables() == {0}
+            assert session.index.indexed_tables() == {0}
             with pytest.raises(DiscoveryError):
                 session.discover(
                     DiscoveryRequest(query=make_query(rng), engine="live")

@@ -27,7 +27,7 @@ from repro.datamodel import Row
 from repro.exceptions import HashingError
 from repro.hashing import SuperKeyGenerator
 from repro.index import InvertedIndex, build_index
-from repro.index.columnar import ColumnarPostingList
+from repro.index.columnar import FetchBlock
 from repro.ingest import IngestBuffer, LiveIndex
 from repro.ingest.buffer import BufferView
 from repro.storage import write_segment
@@ -314,7 +314,7 @@ def test_masked_statistics_are_counted_on_the_columns(tmp_path):
     rebuilt = build_index(surviving, config=CONFIG)
     assert snapshot.num_posting_items() == rebuilt.num_posting_items() == 18
     # Counted, not walked: no posting view was sliced for it.
-    assert segment._state.views == {}
+    assert segment._state.fetched == {}
     # The walk's answer, spelled out.
     values = list(segment.values())
     assert segment.visible_counts({2}) == 12 == sum(
@@ -333,7 +333,7 @@ def test_no_per_cell_call_is_reachable_from_the_array_ack_path(tmp_path, monkeyp
         raise AssertionError("a per-cell routine ran on the array ack path")
 
     monkeypatch.setattr(SegmentBlock, "from_postings", forbidden)
-    monkeypatch.setattr(ColumnarPostingList, "__init__", forbidden)
+    monkeypatch.setattr(FetchBlock, "__init__", forbidden)
     live = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
     for table_id in (1, 2, 3):
         live.add_table(simple_table(table_id))

@@ -206,3 +206,44 @@ class TestDataLake:
         (lake_directory / "broken.csv").write_bytes(content)
         with pytest.raises(StorageError, match="broken.csv"):
             DataLake.from_directory(lake_directory)
+
+    def test_blank_lines_are_skipped(self, lake_directory):
+        """``csv.reader`` yields no cells for a blank line: it is no row."""
+        (lake_directory / "gappy.csv").write_text(
+            "city,event\n\nberlin,marathon\n\nhannover,festival\n\n",
+            encoding="utf-8",
+        )
+        gappy = DataLake.from_directory(lake_directory).table_by_source("gappy")
+        assert gappy.columns == ["city", "event"]
+        assert [list(row) for row in gappy.rows] == [
+            ["berlin", "marathon"],
+            ["hannover", "festival"],
+        ]
+
+    def test_a_ragged_row_is_refused_by_name(self, lake_directory):
+        (lake_directory / "ragged.csv").write_text(
+            "city,event\nberlin,marathon\nhannover,festival,extra\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(StorageError, match=r"ragged\.csv: line 3 has 3 cells"):
+            DataLake.from_directory(lake_directory)
+
+    def test_a_repeated_header_is_refused_by_name(self, lake_directory):
+        (lake_directory / "twice.csv").write_text(
+            "city,city,event\nberlin,berlin,marathon\n", encoding="utf-8"
+        )
+        with pytest.raises(StorageError, match=r"twice\.csv: .*\['city'\]"):
+            DataLake.from_directory(lake_directory)
+
+    def test_ingest_of_a_malformed_lake_writes_no_live_directory(
+        self, lake_directory, tmp_path
+    ):
+        from repro.cli import main
+
+        (lake_directory / "ragged.csv").write_text(
+            "city,event\nberlin\n", encoding="utf-8"
+        )
+        live_dir = tmp_path / "live"
+        with pytest.raises(StorageError, match=r"ragged\.csv"):
+            main(["ingest", str(lake_directory), "--live-dir", str(live_dir)])
+        assert not live_dir.exists()

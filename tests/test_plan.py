@@ -251,7 +251,7 @@ class TestByteIdentityAllEngines:
         with DiscoverySession(
             workload.corpus,
             config=plan_config,
-            service_config=ServiceConfig(cache_capacity=0, num_shards=2),
+            service_config=ServiceConfig(num_shards=2),
         ) as session:
             for name in ("mate", "scr"):
                 engine = session._engine_for(

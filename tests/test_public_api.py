@@ -168,7 +168,7 @@ EXPECTED_SUBPACKAGE_EXPORTS = {
         "subsumes",
     ],
     "repro.index": [
-        "ColumnarPostingList", "FetchBlock", "IndexBuildReport", "IndexBuilder",
+        "FetchBlock", "IndexBuildReport", "IndexBuilder",
         "IndexMaintainer", "IndexStorageReport", "InvertedIndex",
         "JOSIE_BYTES_PER_ENTRY", "PostingVolumeEstimate", "SCR_BYTES_PER_ENTRY",
         "bits_to_bytes", "build_index", "entry_coverage", "estimate_posting_volume",
@@ -400,14 +400,60 @@ def test_the_service_layer_modules_are_gone(module_name):
         importlib.import_module(module_name)
 
 
-def test_the_cache_and_batch_stats_moved():
+def test_batch_stats_moved():
     from repro.api.results import BatchStats
-    from repro.index.cache import CachingIndex, PostingListCache
 
     assert repro.BatchStats is BatchStats
-    assert CachingIndex.__module__ == PostingListCache.__module__ == (
-        "repro.index.cache"
-    )
+
+
+#: The LRU posting-list cache and everything that fed, sized or warmed it:
+#: the index memoises one fetch block per value itself.
+REMOVED_CACHE_NAMES = [
+    ("repro.index", "ColumnarPostingList"),
+    ("repro.index.columnar", "ColumnarPostingList"),
+]
+
+REMOVED_CACHE_MEMBERS = [
+    ("repro.index.columnar.FetchBlock", "empty"),
+    ("repro.config.ServiceConfig", "cache_capacity"),
+    ("repro.api.results.BatchStats", "distinct_probe_values"),
+    ("repro.api.results.BatchStats", "duplicate_probe_values"),
+    ("repro.api.results.BatchStats", "cache"),
+    ("repro.api.registry.EngineSpec", "supports_probe_values"),
+    ("repro.api.session.DiscoverySession", "_warm_cache"),
+    ("repro.api.session.DiscoverySession", "_invalidate_cache"),
+    ("repro.core.discovery.MateDiscovery", "probe_values"),
+    ("repro.engine_sql.engine.SQLPushdownEngine", "probe_values"),
+    ("repro.metrics.counters.CacheCounters", "as_dict"),
+]
+
+
+def test_the_posting_list_cache_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.index.cache")
+
+
+@pytest.mark.parametrize("module_name, name", REMOVED_CACHE_NAMES)
+def test_the_posting_list_cache_names_are_gone(module_name, name):
+    with pytest.raises(AttributeError):
+        getattr(importlib.import_module(module_name), name)
+
+
+@pytest.mark.parametrize("owner, name", REMOVED_CACHE_MEMBERS)
+def test_the_posting_list_cache_members_are_gone(owner, name):
+    module_name, class_name = owner.rsplit(".", 1)
+    cls = getattr(importlib.import_module(module_name), class_name)
+    assert not hasattr(cls, name)
+    assert name not in getattr(cls, "__dataclass_fields__", {})
+
+
+def test_register_takes_no_probe_values_capability():
+    from repro.api.registry import EngineRegistry
+
+    with pytest.raises(TypeError, match="supports_probe_values"):
+        EngineRegistry().register(
+            "probe", lambda session, request: None, supports_probe_values=True
+        )
 
 
 #: The table-at-a-time execution path and everything only it kept alive:
@@ -454,8 +500,6 @@ def test_the_table_at_a_time_path_is_gone(module_name, name):
         ("repro.plan.planner.PlanReport", "execution_path"),
         ("repro.plan.planner.PlanReport", "table_path_reason"),
         ("repro.index.columnar.FetchBlock", "runs"),
-        ("repro.index.columnar.ColumnarPostingList", "runs"),
-        ("repro.index.columnar.ColumnarPostingList", "super_keys"),
         ("repro.storage.segment_block.SegmentBlock", "spill"),
         ("repro.storage.segment_block.SegmentBlock", "unpacked"),
         ("repro.index.inverted.RowKeys", "_spill"),

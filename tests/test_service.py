@@ -1,4 +1,5 @@
-"""Tests for serving one index: the posting-list cache and session batches."""
+"""Tests for serving one index: its memoised fetch blocks and session
+batches."""
 
 from __future__ import annotations
 
@@ -16,10 +17,12 @@ from repro import (
     ShardedMateDiscovery,
     build_index,
 )
-from repro.index import FetchBlock
-from repro.index.cache import CachingIndex, PostingListCache
+from repro.datamodel import Table, TableCorpus
+from repro.index import InvertedIndex, kernels
 from repro.metrics import CacheCounters
-from tests.helpers import CellIndex, fetch_items, row_keys
+from repro.plan.planner import Planner
+from repro.storage import reopen_segment, write_segment
+from tests.helpers import fetch_items, row_keys
 
 
 @pytest.fixture(scope="module")
@@ -53,81 +56,150 @@ def counts(result) -> dict[str, int]:
     }
 
 
-class TestPostingListCache:
-    def test_hit_miss_and_eviction_accounting(self, monolithic_index):
-        cache = PostingListCache(capacity=2)
-        values = sorted(monolithic_index.values())[:3]
-        assert cache.get(values[0]) is None  # miss
-        cache.put(values[0], monolithic_index.fetch_batch([values[0]])[0])
-        assert cache.get(values[0]) is not None  # hit
-        cache.put(values[1], FetchBlock.empty(values[1]))
-        cache.put(values[2], FetchBlock.empty(values[2]))  # evicts values[0]
-        counters = cache.counters
-        assert counters.hits == 1
-        assert counters.misses == 1
-        assert counters.evictions == 1
-        assert counters.hit_rate == 0.5
-        assert cache.get(values[0]) is None  # evicted
+@pytest.fixture(params=["heap", "mapped"])
+def served_index(request, workload, service_config, tmp_path):
+    """A bulk-built heap index, or the same block written to a ``.seg`` file
+    and reopened the way a process-pool worker serves its shard."""
+    index = build_index(workload.corpus, config=service_config)
+    if request.param == "heap":
+        yield index
+        return
+    path = write_segment(index, tmp_path / "shard_00.seg", fsync=False)
+    mapped = reopen_segment(
+        path,
+        hash_function_name=index.hash_function_name,
+        hash_size=index.hash_size,
+    )
+    yield mapped
+    mapped.close()
 
-    def test_rejects_non_positive_capacity(self):
-        with pytest.raises(ConfigurationError):
-            PostingListCache(capacity=0)
 
-    def test_caching_index_is_transparent(self, monolithic_index):
-        caching = CachingIndex(monolithic_index, capacity=64)
-        values = sorted(monolithic_index.values())[:40]
-        cold = fetch_items(caching, values)
-        warm = fetch_items(caching, values)
-        assert cold == fetch_items(monolithic_index, values)
-        assert warm == cold
-        assert caching.counters.misses == 40
-        assert caching.counters.hits == 40
-        # Delegated surface.
-        assert caching.num_posting_items() == monolithic_index.num_posting_items()
-        assert caching.hash_function_name == monolithic_index.hash_function_name
-        assert caching.posting_lengths(values) == (
-            monolithic_index.posting_lengths(values)
+def count_coverage_passes(monkeypatch) -> list[int]:
+    """Count every :func:`repro.index.kernels.entry_coverage` vector pass
+    (fetch blocks import it at call time, so the patch reaches them)."""
+    calls = [0]
+    original = kernels.entry_coverage
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "entry_coverage", counted)
+    return calls
+
+
+def without_table(corpus, table_id: int) -> TableCorpus:
+    """A new corpus holding every table of ``corpus`` but ``table_id``."""
+    return TableCorpus(
+        name="edited",
+        tables=[table for table in corpus if table.table_id != table_id],
+    )
+
+
+class TestMemoisedFetchBlocks:
+    """The index memoises one fetch block per value: every fetch hands out
+    the same object, coverage memo included, until the block is replaced."""
+
+    def test_fetch_returns_the_same_block(self, served_index):
+        values = sorted(served_index.values())[:40]
+        probed = values + ["definitely-not-indexed"]
+        first = served_index.fetch_batch(probed)
+        second = served_index.fetch_batch(list(reversed(probed)))
+        assert [block.value for block in first] == values
+        by_value = {block.value: block for block in second}
+        assert all(by_value[block.value] is block for block in first)
+        fresh = InvertedIndex(served_index.block)
+        assert fetch_items(served_index, values) == fetch_items(fresh, values)
+        assert served_index.posting_lengths(probed) == [
+            len(block) for block in first
+        ] + [0]
+
+    def test_repeated_request_computes_no_coverage(
+        self, workload, service_config, served_index, monkeypatch
+    ):
+        """An engine straight over the index, as a pool worker runs it:
+        the second pass finds every coverage bitmap memoised."""
+        calls = count_coverage_passes(monkeypatch)
+        engine = MateDiscovery(workload.corpus, served_index, config=service_config)
+        first = [engine.discover(query) for query in workload.queries]
+        cold = calls[0]
+        again = [engine.discover(query) for query in workload.queries]
+        assert cold > 0
+        assert calls[0] == cold
+        for one, other in zip(first, again):
+            assert one.result_tuples() == other.result_tuples()
+            assert counts(one) == counts(other)
+
+    def test_replace_block_hands_out_new_blocks(
+        self, workload, service_config, served_index
+    ):
+        corpus = workload.corpus
+        dropped = corpus.table_ids()[0]
+        values = list(served_index.values())
+        before = {block.value: block for block in served_index.fetch_batch(values)}
+        edited = without_table(corpus, dropped)
+        rebuilt = build_index(edited, config=service_config)
+        served_index.replace_block(rebuilt.block)
+        after = served_index.fetch_batch(values)
+        assert all(block is not before.get(block.value) for block in after)
+        assert fetch_items(served_index, values) == fetch_items(rebuilt, values)
+        assert dropped not in {item.table_id for item in fetch_items(
+            served_index, values
+        )}
+        for query in workload.queries:
+            served = MateDiscovery(
+                edited, served_index, config=service_config
+            ).discover(query)
+            fresh = MateDiscovery(
+                edited, rebuilt, config=service_config
+            ).discover(query)
+            assert served.result_tuples() == fresh.result_tuples()
+            assert counts(served) == counts(fresh)
+
+    def test_maintainer_edit_hands_out_new_blocks(self, workload, service_config):
+        from repro.hashing import SuperKeyGenerator
+        from repro.index import IndexMaintainer
+
+        corpus = TableCorpus(name="maintained", tables=list(workload.corpus))
+        index = build_index(corpus, config=service_config)
+        values = list(index.values())[:200]
+        before = {block.value: block for block in index.fetch_batch(values)}
+        table = Table(
+            table_id=corpus.next_table_id(),
+            name="inserted",
+            columns=["a", "b"],
+            rows=[[value, value] for value in values[:20]],
         )
-
-    def test_negative_results_are_cached(self, monolithic_index):
-        caching = CachingIndex(monolithic_index, capacity=8)
-        assert fetch_items(caching, ["definitely-not-indexed"]) == []
-        assert fetch_items(caching, ["definitely-not-indexed"]) == []
-        assert caching.counters.hits == 1
-
-    def test_mutation_invalidates(self, service_config):
-        from repro.datamodel import Table, TableCorpus
-
-        corpus = TableCorpus(name="tiny")
-        corpus.add_table(
-            Table(table_id=0, name="t", columns=["a"], rows=[["x"], ["y"]])
+        generator = SuperKeyGenerator.from_name("xash", service_config)
+        IndexMaintainer(corpus, index, generator).insert_table(table)
+        after = index.fetch_batch(values)
+        assert all(block is not before[block.value] for block in after)
+        fresh = build_index(corpus, config=service_config)
+        assert sorted(fetch_items(index, values)) == sorted(
+            fetch_items(fresh, values)
         )
-        caching = CachingIndex(build_index(corpus, config=service_config))
-        before = fetch_items(caching, ["x"])
-        cells = CellIndex.of(caching.wrapped)
-        cells.add_posting("x", 0, 0, 1)
-        cells.keys[(0, 0)] = 12345
-        # Replacing the block clears the whole cache: a rewritten block can
-        # change any value's postings and any row's key.
-        caching.replace_block(cells.to_block())
-        after = fetch_items(caching, ["x"])
-        assert len(after) == len(before) + 1
-        assert after[0].super_key == 12345
-        assert fetch_items(caching.wrapped, ["x"]) == after
+        for query in workload.queries:
+            served = MateDiscovery(corpus, index, config=service_config).discover(
+                query
+            )
+            rebuilt = MateDiscovery(
+                corpus, fresh, config=service_config
+            ).discover(query)
+            assert served.result_tuples() == rebuilt.result_tuples()
 
-    def test_counter_snapshots(self):
-        counters = CacheCounters(hits=3, misses=1, evictions=2)
-        snap = counters.snapshot()
-        counters.hits += 2
-        delta = counters.delta_since(snap)
-        assert (delta.hits, delta.misses, delta.evictions) == (2, 0, 0)
-        assert counters.as_dict()["cache_hits"] == 5
-        assert counters.lookups == 6
+
+def test_counter_snapshots():
+    counters = CacheCounters(hits=3, misses=1, evictions=2)
+    snap = counters.snapshot()
+    counters.hits += 2
+    delta = counters.delta_since(snap)
+    assert (delta.hits, delta.misses, delta.evictions) == (2, 0, 0)
+    assert counters.lookups == 6
+    assert CacheCounters().hit_rate == 0.0
 
 
 class TestSessionBatch:
-    """``discover_batch`` answers exactly what sequential runs do, with the
-    batch's probe values fetched once through the session's cache."""
+    """``discover_batch`` answers exactly what sequential runs do."""
 
     @pytest.mark.parametrize("max_workers", [1, 3])
     def test_batch_matches_sequential_discovery(
@@ -143,23 +215,16 @@ class TestSessionBatch:
             workload.corpus,
             monolithic_index,
             config=service_config,
-            service_config=ServiceConfig(
-                cache_capacity=512, max_workers=max_workers
-            ),
+            service_config=ServiceConfig(max_workers=max_workers),
         ) as session:
             batch = session.discover_batch(requests_for(workload))
         assert len(batch) == len(workload.queries)
         for cold, served in zip(sequential, batch):
             assert served.result_tuples() == cold.result_tuples()
 
-    def test_batch_stats_and_cache_accounting(
-        self, workload, service_config, monolithic_index
-    ):
+    def test_batch_stats(self, workload, service_config, monolithic_index):
         session = DiscoverySession(
-            workload.corpus,
-            monolithic_index,
-            config=service_config,
-            service_config=ServiceConfig(cache_capacity=512),
+            workload.corpus, monolithic_index, config=service_config
         )
         requests = requests_for(workload)
         first = session.discover_batch(requests)
@@ -167,33 +232,15 @@ class TestSessionBatch:
         assert stats.num_queries == len(requests)
         assert stats.batch_seconds > 0
         assert stats.queries_per_second > 0
-        assert stats.distinct_probe_values > 0
-        # Warm-up fetches each distinct value once (all misses); the engine
-        # run then hits the cache for every one of them.
-        assert stats.cache.misses == stats.distinct_probe_values
-        assert stats.cache.hits >= stats.distinct_probe_values
-        # A second identical batch is served entirely from the cache.
+        assert set(stats.as_dict()) == {
+            "num_queries", "k", "batch_seconds", "queries_per_second",
+            "failed_queries",
+        }
         second = session.discover_batch(requests)
-        assert second.stats.cache.misses == 0
-        assert second.stats.cache.hit_rate == 1.0
         for a, b in zip(first, second):
             assert a.result_tuples() == b.result_tuples()
+        assert session.discover_batch([]).stats.num_queries == 0
         session.close()
-
-    def test_cache_disabled(self, workload, service_config, monolithic_index):
-        with DiscoverySession(
-            workload.corpus,
-            monolithic_index,
-            config=service_config,
-            service_config=ServiceConfig(cache_capacity=0),
-        ) as session:
-            assert session.index is monolithic_index
-            batch = session.discover_batch(requests_for(workload))
-        assert batch.stats.cache.lookups == 0
-        cold = MateDiscovery(
-            workload.corpus, monolithic_index, config=service_config
-        ).discover(workload.queries[0])
-        assert batch.results[0].result_tuples() == cold.result_tuples()
 
     def test_probe_values_match_engine_initialization(
         self, workload, service_config, monolithic_index
@@ -201,29 +248,24 @@ class TestSessionBatch:
         engine = MateDiscovery(
             workload.corpus, monolithic_index, config=service_config
         )
+        planner = Planner(engine)
         for query in workload.queries:
-            values = engine.probe_values(query)
-            assert values  # every generated query has complete key tuples
             initial = engine.column_selector(query, monolithic_index)
+            values = planner.probe_values_for(query, initial)
+            assert values  # every generated query has complete key tuples
             key_map = engine._build_key_super_key_map(query, initial)
-            assert set(values) == set(key_map)
+            assert values == list(key_map)
 
-    def test_precached_index_is_not_double_wrapped(
+    def test_session_serves_its_index_as_is(
         self, workload, service_config, monolithic_index
     ):
-        cached = CachingIndex(monolithic_index, capacity=128)
-        session = DiscoverySession(
-            workload.corpus,
-            cached,
-            config=service_config,
-            service_config=ServiceConfig(cache_capacity=4096),
-        )
-        # The session adopts the existing cache instead of stacking another.
-        assert session.index is cached
-        assert session.base_index is monolithic_index
-        result = session.discover_batch([])  # touches the cache plumbing
-        assert result.stats.num_queries == 0
-        session.close()
+        with DiscoverySession(
+            workload.corpus, monolithic_index, config=service_config
+        ) as session:
+            session.discover_batch(requests_for(workload))
+            assert session.index is monolithic_index
+            assert session.base_index is monolithic_index
+            assert session.cache_counters.lookups == 0
 
 
 class TestOneIndexPerSession:
@@ -243,8 +285,7 @@ class TestOneIndexPerSession:
             service_config=ServiceConfig(num_shards=2),
         )
         with plain, sharded:
-            assert sharded.base_index is monolithic_index
-            assert sharded.index.wrapped is monolithic_index
+            assert sharded.index is monolithic_index
             mate = sharded.discover_batch(requests_for(workload)).results
             unsharded = plain.discover_batch(requests_for(workload)).results
             over_shards = sharded.discover_batch(
@@ -259,12 +300,13 @@ class TestOneIndexPerSession:
         with pytest.raises(ConfigurationError):
             ServiceConfig(num_shards=0)
         with pytest.raises(ConfigurationError):
-            ServiceConfig(cache_capacity=-1)
-        with pytest.raises(ConfigurationError):
             ServiceConfig(max_workers=0)
-        # The value-sharded index's fetch fan-out went with it.
+        # The value-sharded index's fetch fan-out went with it, and the
+        # posting-list cache's capacity with the cache.
         with pytest.raises(TypeError, match="fetch_workers"):
             ServiceConfig(fetch_workers=2)
+        with pytest.raises(TypeError, match="cache_capacity"):
+            ServiceConfig(cache_capacity=0)
 
     @pytest.mark.parametrize("num_shards", [1, 2, 4, 7])
     def test_sharded_engine_answers_equal_mate(
