@@ -15,10 +15,10 @@ A torn in-flight record (the table being logged when the kill landed) is
 allowed to be absent; anything acknowledged is not.
 
 A second child dies *inside a seal*, after the segment's ``.seg`` reached its
-final name and before its sketch file (``.sk``) was written: the manifest
-never named the segment and the WAL was not truncated, so the reopen must
-sweep the orphan, replay every table — postings and sketches — and seal
-again under the same name.
+final name and before the manifest naming it was written: the WAL was not
+truncated, so the reopen must sweep the orphan, replay every table, serve
+the first sketch-mode read over all of them, and seal again under the same
+name.  No step writes a sketch file.
 
 Usage::
 
@@ -63,35 +63,56 @@ while True:
 """
 
 
+def seal_crash_table(table_id: int):
+    """Table ``table_id`` of the sealing child's stream."""
+    from repro.datamodel import Table
+
+    return Table(table_id, f"t{table_id}", ["a", "b"],
+                 [[f"v{table_id % 17}", f"w{table_id}"]] * 2)
+
+
 #: The sealing child: acknowledges ``tables`` tables, then kills itself where
-#: ``seal`` would write the sketch file — the ``.seg`` is already in place.
+#: ``seal`` would write the manifest — the ``.seg`` is already in place.
 SEAL_CHILD_SCRIPT = """
 import os, signal, sys
 sys.path.insert(0, {src!r})
+sys.path.insert(0, {scripts!r})
 from repro import LiveIndex, MateConfig
-from repro.datamodel import Table
-from repro.sketch import SketchIndex
+from wal_crash_smoke import seal_crash_table
 
 live = LiveIndex.open({directory!r}, config=MateConfig(hash_size=128))
 for table_id in range({tables}):
-    live.add_table(Table(table_id, f"t{{table_id}}", ["a", "b"],
-                         [[f"v{{table_id % 17}}", f"w{{table_id}}"]] * 2))
+    live.add_table(seal_crash_table(table_id))
     if table_id == {tables} // 2:
-        live.seal()  # one segment that did get its sketch file
-SketchIndex.save = lambda *args, **kwargs: os.kill(os.getpid(), signal.SIGKILL)
+        live.seal()  # one segment the manifest does name
+LiveIndex._write_manifest_locked = (
+    lambda *args, **kwargs: os.kill(os.getpid(), signal.SIGKILL)
+)
 live.seal()
 """
 
 
 def seal_crash_round(tmp: str, tables: int) -> str | None:
-    """Kill a child between a seal's ``.seg`` and ``.sk``; returns what is
-    wrong with the reopened directory (``None``: nothing)."""
-    from repro import LiveIndex, MateConfig
+    """Kill a child between a seal's ``.seg`` rename and its manifest
+    write; returns what is wrong with the reopened directory (``None``:
+    nothing)."""
+    from repro import (
+        DiscoveryRequest,
+        DiscoverySession,
+        LiveIndex,
+        MateConfig,
+        QueryTable,
+        SketchOptions,
+        TableCorpus,
+    )
+    from repro.datamodel import Table
+    from repro.plan import PlannerOptions
 
     directory = Path(tmp) / "sealing"
     child = subprocess.run(
         [sys.executable, "-c", SEAL_CHILD_SCRIPT.format(
-            src=str(_SRC), directory=str(directory), tables=tables)],
+            src=str(_SRC), scripts=str(Path(__file__).resolve().parent),
+            directory=str(directory), tables=tables)],
     )
     if child.returncode != -signal.SIGKILL:
         return f"the sealing child exited with {child.returncode}, not by SIGKILL"
@@ -103,16 +124,34 @@ def seal_crash_round(tmp: str, tables: int) -> str | None:
             path.name for path in directory.iterdir()
             if path.name.startswith("segment-") or path.name.endswith(".tmp")
         )
-        if left != ["segment-000001.seg", "segment-000001.sk"]:
+        if left != ["segment-000001.seg"]:
             return f"the reopen left {left} beside the manifest"
         if recovered.indexed_tables() != set(range(tables)):
             return "tables are missing after the replay"
-        store = recovered.sketch_index()
-        if store is None or store.table_ids() != set(range(tables)):
-            return "the sketch store is stale or incomplete after the replay"
+        corpus = TableCorpus(
+            name="sealing", tables=[seal_crash_table(t) for t in range(tables)]
+        )
+        with DiscoverySession(
+            corpus, recovered, config=MateConfig(hash_size=128)
+        ) as session:
+            if session.sketch_index().table_ids() != set(range(tables)):
+                return "the first sketch read did not sign every replayed table"
+            query = QueryTable(
+                table=Table(10**6, "q", ["a", "b"], [["v1", "w1"], ["v2", "w2"]]),
+                key_columns=["a", "b"],
+            )
+            found = session.discover(DiscoveryRequest(
+                query=query, k=2, engine="live",
+                planner=PlannerOptions(mode="sketch"),
+                sketch=SketchOptions(threshold=0.3),
+            ))
+            if {t for t, _ in found.result_tuples()} != {1, 2}:
+                return "a sketch-mode read missed a replayed table"
         recovered.seal()
-        if not (directory / "segment-000002.sk").exists():
-            return "the repeated seal wrote no sketch file"
+        if not (directory / "segment-000002.seg").exists():
+            return "the repeated seal wrote no segment file"
+        if list(directory.glob("*.sk")):
+            return "a sketch file was written"
     finally:
         recovered.close()
     return None
@@ -203,15 +242,16 @@ def main(argv: list[str] | None = None) -> int:
 
         wrong = seal_crash_round(tmp, min(args.tables, 40))
         if wrong is not None:
-            print(f"error: kill between .seg and .sk: {wrong}", file=sys.stderr)
+            print(f"error: kill between .seg and manifest: {wrong}", file=sys.stderr)
             return 1
 
         print(
             f"wal crash smoke OK: killed child (pid {child.pid}) after "
             f"{len(acknowledged)} acked tables; {len(visible)} replayed "
             f"({len(extra)} in-flight), fetch identical to bulk rebuild, "
-            "post-crash ingest accepted; a seal killed between .seg and .sk "
-            "was swept, replayed and repeated"
+            "post-crash ingest accepted; a seal killed between .seg and "
+            "manifest was swept, replayed, signed at the first sketch read "
+            "and repeated"
         )
     return 0
 

@@ -39,6 +39,7 @@ from ..datamodel import Table, TableCorpus
 from ..exceptions import ConfigurationError, DiscoveryError, MateError
 from ..index import build_index
 from ..metrics import CacheCounters
+from ..sketch import SketchIndex
 from ..telemetry import SlowQueryEntry, Telemetry
 from .registry import DEFAULT_REGISTRY, EngineRegistry, EngineSpec
 from .request import DiscoveryRequest
@@ -130,10 +131,13 @@ class DiscoverySession:
         self._engines: dict[tuple, tuple[EngineSpec, object]] = {}
         self._engines_lock = threading.Lock()
         # One MinHash-LSH sketch store shared by every cached engine: built
-        # lazily on the first sketch-mode request (or adopted from a live
-        # index, which keeps its own store incrementally fresh).
-        self._sketch_index = None
+        # on the first sketch-mode request; writes only mark their table id
+        # dirty (``_sketch_lock`` guards the set), and the next sketch read
+        # re-signs them (``_sketch_refresh`` serialises builds and refreshes).
+        self._sketch_index: SketchIndex | None = None
+        self._sketch_dirty: set[int] = set()
         self._sketch_lock = threading.Lock()
+        self._sketch_refresh = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
         self._closed = False
         self._register_metrics()
@@ -251,48 +255,65 @@ class DiscoverySession:
         with self._engines_lock:
             return [engine for _spec, engine in self._engines.values()]
 
-    def sketch_index(self):
-        """The session's shared MinHash-LSH sketch store (lazy, cached).
+    def sketch_index(self) -> SketchIndex:
+        """The session's shared MinHash-LSH sketch store.
 
-        Built on the first sketch-mode request and reused by every cached
-        engine afterwards, so one bulk pass over the corpus serves all
-        thresholds (the threshold travels per run, not per store).  A
-        session owning a :class:`~repro.ingest.live.LiveIndex` adopts the
-        index's own store instead — that one stays incrementally fresh
-        across :meth:`ingest` / :meth:`remove` and segment compaction.
+        The first call signs every table the index serves, in one
+        :meth:`~repro.sketch.SketchIndex.add_tables` batch; every cached
+        engine reads the same store afterwards, so one pass serves all
+        thresholds (the threshold travels per run, not per store).  Tables
+        :meth:`ingest` and :meth:`remove` touched since the last call are
+        dropped from the store, and those still visible are signed again in
+        one batch (a re-ingested id gets its new columns).  The index's
+        visible ids decide what is signed, not the corpus, which keeps the
+        tables :meth:`remove` took out of the index.
+
+        Raises :class:`~repro.exceptions.DiscoveryError` naming a visible
+        table the corpus does not hold: its rows could not be verified
+        either.
         """
-        with self._sketch_lock:
-            if self._sketch_index is None:
-                provider = getattr(self.index, "sketch_index", None)
-                store = provider() if callable(provider) else None
-                if store is None:
-                    # No index-owned store (static index, or a recovered
-                    # live directory predating sketch persistence): bulk
-                    # build from the corpus.
-                    from ..sketch import build_sketch_index
-
-                    store = build_sketch_index(self.corpus)
+        with self._sketch_refresh:
+            with self._sketch_lock:
+                dirty, self._sketch_dirty = self._sketch_dirty, set()
+            store = self._sketch_index
+            if store is None:
+                store = SketchIndex()
+                store.add_tables(self._tables(sorted(self.index.indexed_tables())))
                 self._sketch_index = store
-            return self._sketch_index
+            elif dirty:
+                try:
+                    tables = self._tables(
+                        sorted(dirty & self.index.indexed_tables())
+                    )
+                except DiscoveryError:
+                    with self._sketch_lock:  # left for the next read
+                        self._sketch_dirty |= dirty
+                    raise
+                for table_id in dirty:
+                    store.remove_table(table_id)
+                store.add_tables(tables)
+            return store
+
+    def _tables(self, table_ids: list[int]) -> list[Table]:
+        """The corpus tables of ``table_ids``; a missing one is named."""
+        tables = []
+        for table_id in table_ids:
+            if table_id not in self.corpus:
+                raise DiscoveryError(
+                    f"table {table_id} is visible in the index but missing "
+                    f"from corpus {self.corpus.name!r}; the sketch tier "
+                    "cannot sign it"
+                )
+            tables.append(self.corpus.get_table(table_id))
+        return tables
 
     # ------------------------------------------------------------------
     # Online ingestion (engine="live" sessions)
     # ------------------------------------------------------------------
-    def _invalidate_sketch_cache(self) -> None:
-        """Drop a corpus-built sketch store after a write (rebuilt lazily).
-
-        A live index keeps its own store fresh inline, so when the cached
-        store *is* the index's own nothing needs to happen; only the
-        corpus-built fallback goes stale and is discarded.
-        """
-        provider = getattr(self.index, "sketch_index", None)
-        live_store = provider() if callable(provider) else None
+    def _mark_sketch_dirty(self, table_id: int) -> None:
+        """Leave ``table_id`` for the next :meth:`sketch_index` to re-sign."""
         with self._sketch_lock:
-            if (
-                self._sketch_index is not None
-                and self._sketch_index is not live_store
-            ):
-                self._sketch_index = None
+            self._sketch_dirty.add(table_id)
 
     def ingest(self, table: Table) -> int:
         """Add ``table`` to the session's corpus and live index; returns rows.
@@ -329,7 +350,7 @@ class DiscoverySession:
             if stale is not None:
                 self.corpus.add_table(stale)
             raise
-        self._invalidate_sketch_cache()
+        self._mark_sketch_dirty(table.table_id)
         return rows
 
     def remove(self, table_id: int) -> int:
@@ -349,7 +370,7 @@ class DiscoverySession:
                 "construct the session with a repro.ingest.LiveIndex"
             )
         removed = self.index.remove_table(table_id)
-        self._invalidate_sketch_cache()
+        self._mark_sketch_dirty(table_id)
         return removed
 
     # ------------------------------------------------------------------

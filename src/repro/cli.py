@@ -8,7 +8,7 @@ Four sub-commands cover the typical workflow:
 ``index``
     Build the extended inverted index for a corpus JSON file into a
     live-index directory (``--live-dir``: manifest, ``.seg`` segments,
-    sketches, WAL, ``corpus.json``) — the one persisted index format.  It
+    WAL, ``corpus.json``) — the one persisted index format.  It
     runs what ``ingest --compact`` runs, sealing once at the end, into a
     fresh or empty directory (a non-empty one is refused).
 ``discover``

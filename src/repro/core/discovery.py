@@ -90,20 +90,19 @@ class MateDiscovery:
         self._sketch_index: "SketchIndex | None" = None
 
     def sketch_index(self) -> "SketchIndex":
-        """The engine's MinHash-LSH sketch store (built lazily, cached).
+        """The engine's MinHash-LSH sketch store.
 
-        Comes from the injected provider when one was given (the session
-        shares one store across engines; the live engine serves its
-        incrementally-fresh store), otherwise a one-off bulk build over the
-        engine's corpus.  Only sketch-mode requests ever pay this cost.
+        An injected provider is asked on every call (the session shares one
+        store across engines and re-signs the tables written since its last
+        read); without one, a bulk build over the engine's corpus is made on
+        the first call and cached.  Only sketch-mode requests ever call it.
         """
+        if self._sketch_provider is not None:
+            return self._sketch_provider()
         if self._sketch_index is None:
-            if self._sketch_provider is not None:
-                self._sketch_index = self._sketch_provider()
-            else:
-                from ..sketch import build_sketch_index
+            from ..sketch import build_sketch_index
 
-                self._sketch_index = build_sketch_index(self.corpus)
+            self._sketch_index = build_sketch_index(self.corpus)
         return self._sketch_index
 
     # ------------------------------------------------------------------

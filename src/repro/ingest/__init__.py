@@ -12,8 +12,8 @@ packed columnar layout of :mod:`repro.index.columnar`:
   (and encode-before-append: nothing is logged that cannot be indexed);
   a crashed process replays the log to recover its exact buffer state;
 * :class:`~repro.ingest.segments.Segment` / :func:`~repro.ingest.segments.merge_segments`
-  — immutable sealed segments with tombstone-masked removals, each with the
-  sketch file of its tables beside it;
+  — immutable sealed segments with tombstone-masked removals (no sketch
+  file: the session signs sketches at its first sketch-mode read);
 * :class:`~repro.ingest.compactor.Compactor` — seals oversized buffers and
   merges small segments, inline or on a background thread;
 * :class:`~repro.ingest.live.LiveIndex` — the façade stacking buffer +

@@ -38,7 +38,7 @@ from ..datamodel.encoding import MISSING_ID
 from ..exceptions import IndexClosedError
 from ..hashing.base import key_width
 from ..index import FetchBlock, IndexBuilder, InvertedIndex
-from ..index.bulk import EncodedTables, encode_tables, layout_block, row_keys
+from ..index.bulk import encode_tables, layout_block, row_keys
 from ..index.columnar import column_view
 
 
@@ -46,11 +46,10 @@ class StagedTable(NamedTuple):
     """A table :meth:`IngestBuffer.stage` encoded for :meth:`IngestBuffer.install`."""
 
     table: Table
-    #: The table's dictionary pass (what its sketches are signed from).
-    encoded: EncodedTables
     #: Values new to the buffer, in the order they get the next ids.
     fresh_values: list[str]
-    #: Buffer id of each value of :attr:`encoded`, and its posting count.
+    #: Buffer id of each value of the table's dictionary pass, and its
+    #: posting count.
     buffer_ids: Any
     value_counts: Any
     #: ``(buffer value id, row, column)`` per non-missing cell.
@@ -165,7 +164,6 @@ class IngestBuffer:
         buffer_ids[fresh] = _np.arange(known, known + len(fresh_values))
         return StagedTable(
             table,
-            encoded,
             fresh_values,
             buffer_ids,
             _np.bincount(local_ids, minlength=len(values)),
@@ -176,7 +174,7 @@ class IngestBuffer:
     def install(self, staged: StagedTable, seq: int) -> int:
         """Make a staged table readable under sequence number ``seq``;
         returns the number of indexed rows."""
-        table, _encoded, fresh_values, buffer_ids, value_counts, cells, rows = staged
+        table, fresh_values, buffer_ids, value_counts, cells, rows = staged
         known = len(self._ids) - 1
         if self._view is not None:
             self._counts = self._counts.copy()

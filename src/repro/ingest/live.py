@@ -2,7 +2,7 @@
 
 :class:`LiveIndex` is the log-structured front of the ingestion subsystem.
 Writes (``add_table`` / ``remove_table``) are encoded first (whatever can
-raise — interning, hashing, sketching — does it before anything is durable),
+raise — interning, hashing — does it before anything is durable),
 then logged to the :class:`~repro.ingest.wal.WriteAheadLog`, then installed in
 the mutable :class:`~repro.ingest.buffer.IngestBuffer`, and periodically *sealed* into
 immutable columnar :class:`~repro.ingest.segments.Segment` objects that the
@@ -49,7 +49,7 @@ from ..datamodel import MISSING, Table
 from ..exceptions import IndexClosedError, IndexError_, StorageError
 from ..index import FetchBlock, InvertedIndex
 from ..index.columnar import column_view
-from ..sketch import SKETCH_FILE_STEM, SKETCH_SUFFIX, SketchIndex
+from ..sketch import SKETCH_FILE_STEM
 from ..storage.paged import SEGMENT_SUFFIX, load_segment, write_segment
 from ..storage.segment_block import SegmentBlock, merge_blocks
 from .buffer import BufferView, IngestBuffer
@@ -158,15 +158,9 @@ def _read_manifest(directory: Path) -> _Manifest | None:
     return manifest
 
 
-def _segment_stem(generation: int) -> str:
-    """What the files of one segment are called, up to the suffix: the
-    postings are ``<stem>.seg``, the sketches of its tables ``<stem>.sk``."""
-    return f"segment-{generation:06d}"
-
-
 def _segment_file(generation: int) -> str:
     """File name of a newly persisted segment (binary mmap format)."""
-    return _segment_stem(generation) + SEGMENT_SUFFIX
+    return f"segment-{generation:06d}{SEGMENT_SUFFIX}"
 
 
 def _load_segment_index(path: Path) -> InvertedIndex:
@@ -418,14 +412,6 @@ class LiveIndex:
         self._lock = threading.RLock()
         self._closed = False
         self._recovered: list[Table] = []
-        # The MinHash-LSH sketch store of the approximate candidate tier,
-        # kept incrementally fresh by every add/remove (and persisted at
-        # each seal in directory mode).  ``_sketch_stale`` marks a
-        # recovered directory whose sealed tables predate sketch
-        # persistence: their column sketches cannot be rebuilt from
-        # postings alone, so consumers must fall back to a corpus build.
-        self._sketch = SketchIndex()
-        self._sketch_stale = False
         self.directory = Path(directory) if directory is not None else None
         self._fsync = fsync
         self._wal: WriteAheadLog | None = None
@@ -511,21 +497,6 @@ class LiveIndex:
         with self._lock:
             return dict(self._tombstones)
 
-    def sketch_index(self) -> SketchIndex | None:
-        """The live MinHash-LSH sketch store, or ``None`` when unusable.
-
-        The store mirrors the visible table set exactly: writes update it
-        inline, WAL replay re-applies later adds and removes, and every
-        seal and merge persists the sketches of the segment's tables next
-        to its ``.seg`` (``segment-NNNNNN.sk``).  ``None`` means a segment's
-        sketch file is missing or corrupt (a directory predating sketch
-        persistence), so sealed tables are missing from the store — callers
-        must build from the corpus instead of silently losing recall.
-        """
-        if self._sketch_stale:
-            return None
-        return self._sketch
-
     def recovered_tables(self) -> list[Table]:
         """Tables replayed from the WAL when the directory was opened.
 
@@ -571,11 +542,13 @@ class LiveIndex:
     def add_table(self, table: Table) -> int:
         """Ingest one table; returns rows.
 
-        The order is encode, sketch, log, install: the buffer stages the
-        table (interning, hashing) and the sketch store signs it from the
-        staged encoding before the WAL append, and what follows the append
-        cannot fail — a table that cannot be indexed raises here and leaves
-        no record that would raise again at every replay.
+        The order is encode, log, install: the buffer stages the table
+        (interning, hashing) before the WAL append, and what follows the
+        append cannot fail — a table that cannot be indexed raises here and
+        leaves no record that would raise again at every replay.  Nothing
+        is signed here: the sketch tier signs the tables written since its
+        last read at its next one
+        (:meth:`~repro.api.session.DiscoverySession.sketch_index`).
 
         Raises :class:`~repro.exceptions.IndexError_` when the table id is
         already visible — remove it first; re-adding after removal is fine.
@@ -588,14 +561,9 @@ class LiveIndex:
                     "before re-adding"
                 )
             staged = self._buffer.stage(table)
-            self._sketch.add_table(table, staged.encoded)
             seq = self._seq + 1
             if self._wal is not None:
-                try:
-                    self._wal.append_add_table(seq, table)
-                except BaseException:
-                    self._sketch.remove_table(table.table_id)
-                    raise
+                self._wal.append_add_table(seq, table)
             self._seq = seq
             return self._buffer.install(staged, seq)
 
@@ -626,7 +594,6 @@ class LiveIndex:
             for segment in self._segments
         ):
             self._tombstones[table_id] = seq
-        self._sketch.remove_table(table_id)
         return removed
 
     # ------------------------------------------------------------------
@@ -636,7 +603,10 @@ class LiveIndex:
         """Freeze the buffer into a new immutable segment (``None`` if empty).
 
         In directory mode the segment is persisted, the manifest rewritten,
-        and the WAL truncated — sealed data no longer needs the log.
+        and the WAL truncated — sealed data no longer needs the log.  The
+        segment file is written before anything is published: a write that
+        raises (a full disk) leaves memory and disk at the previous
+        generation, the buffer still taking writes and the WAL whole.
         """
         with self._lock:
             self._ensure_open("seal")
@@ -644,13 +614,17 @@ class LiveIndex:
                 return None
             old = self._buffer
             # Laid out once: the block is what reads are served from and
-            # what write_segment copies out column by column.
-            index = old.seal()
-            self._generation += 1
+            # what write_segment copies out column by column (the view
+            # memoises it, so old.seal() below returns this same block).
+            index = old.index.laid_out()
+            generation = self._generation + 1
+            if self.directory is not None:
+                path = self.directory / _segment_file(generation)
+                write_segment(index, path, fsync=self._fsync)
+            old.seal()
+            self._generation = generation
             segment = Segment(
-                index=index,
-                table_seqs=old.table_seqs,
-                generation=self._generation,
+                index=index, table_seqs=old.table_seqs, generation=generation
             )
             self._segments = self._segments + (segment,)
             self._buffer = IngestBuffer(
@@ -663,14 +637,9 @@ class LiveIndex:
             # checkpoint advances and the WAL can be truncated.
             self._checkpoint_seq = self._seq
             if self.directory is not None:
-                # Durability order matters: segment, then sketches, then
+                # Durability order matters: segment (written above), then
                 # manifest, then WAL truncation — the log may only shrink
-                # once its records (including their sketches, which replay
-                # would otherwise rebuild from the log) are fully
-                # represented on disk elsewhere.
-                path = self.directory / _segment_file(segment.generation)
-                write_segment(segment.index, path, fsync=self._fsync)
-                self._persist_sketches_locked(segment)
+                # once its records are fully represented on disk elsewhere.
                 self._write_manifest_locked()
                 assert self._wal is not None
                 self._wal.truncate()
@@ -698,8 +667,13 @@ class LiveIndex:
             current = self._segments[start : start + len(slice_)]
             if tuple(current) != tuple(slice_):
                 return None  # stack changed underneath; caller retries
-            self._generation += 1
-            merged.generation = self._generation
+            # Persist, then publish (as in seal): a failed write leaves the
+            # stack, the generation and the directory as they were.
+            merged.generation = self._generation + 1
+            if self.directory is not None:
+                path = self.directory / _segment_file(merged.generation)
+                write_segment(merged.index, path, fsync=self._fsync)
+            self._generation = merged.generation
             self._segments = (
                 self._segments[:start]
                 + (merged,)
@@ -707,23 +681,16 @@ class LiveIndex:
             )
             self._purge_tombstones_locked()
             if self.directory is not None:
-                # Merged segment and its sketch file durable first, then
-                # the manifest that references them; only then may the
-                # superseded files go.  The merged sketch file holds the
-                # stored (packed) sketches of the surviving tables — a
-                # copy, nothing is sketched again.
-                path = self.directory / _segment_file(merged.generation)
-                write_segment(merged.index, path, fsync=self._fsync)
-                self._persist_sketches_locked(merged)
+                # Merged segment durable first (written above), then the
+                # manifest that references it; only then may the
+                # superseded files go.
                 self._write_manifest_locked()
                 for segment in slice_:
                     # Unlinking a still-mapped .seg is safe (POSIX keeps the
                     # pages alive for snapshots that pin the segment).
-                    base = _segment_stem(segment.generation)
-                    for suffix in (SEGMENT_SUFFIX, SKETCH_SUFFIX):
-                        (self.directory / f"{base}{suffix}").unlink(
-                            missing_ok=True
-                        )
+                    (self.directory / _segment_file(segment.generation)).unlink(
+                        missing_ok=True
+                    )
             return merged
 
     def compact(self) -> int:
@@ -829,59 +796,17 @@ class LiveIndex:
         if self._fsync:
             _fsync_path(self.directory)
 
-    def _visible_tables(self, segment: Segment) -> set[int]:
-        """Ids of the tables of ``segment`` no tombstone masks."""
-        return set(segment.table_seqs) - segment.masked_tables(self._tombstones)
-
-    def _persist_sketches_locked(self, segment: Segment) -> None:
-        """Write the sketches of ``segment``'s tables as its ``.sk`` file
-        (skipped if stale).
-
-        A stale store (sealed tables missing after recovering a pre-sketch
-        directory) must never be written out: a later reopen would load it
-        as complete and silently lose recall.  Only the tables visible
-        *from this segment* are written — a masked copy has no sketches in
-        the store, and a reopen skips masked tables anyway.
-        """
-        assert self.directory is not None
-        if not self._sketch_stale:
-            self._sketch.save(
-                self.directory,
-                stem=_segment_stem(segment.generation),
-                table_ids=self._visible_tables(segment),
-                fsync=self._fsync,
-            )
-
-    def _load_sketches_locked(self) -> None:
-        """Fill the store from the segments' sketch files, each read for
-        the tables visible from its segment (the rule of postings: a
-        tombstoned copy stays dead, a re-added id reads its newest copy).
-
-        Only signatures are read: the store buckets them at its first
-        sketch-mode read.  A missing or corrupt file leaves the store stale
-        — flagged, never guessed, because column sketches cannot be rebuilt
-        from postings.
-        """
-        assert self.directory is not None
-        try:
-            for segment in self._segments:
-                self._sketch.load_file(
-                    self.directory / (_segment_stem(segment.generation) + SKETCH_SUFFIX),
-                    self._visible_tables(segment),
-                )
-        except StorageError:
-            self._sketch = SketchIndex()
-            self._sketch_stale = True
-
     def _remove_orphans(self, named: set[str]) -> None:
         """Delete what a crash left beside the files the manifest names.
 
-        A crash between a segment's rename and the manifest write leaves a
-        full segment (with or without its sketch file) nothing references,
-        one between the manifest write and a merge's unlinks leaves the
+        A crash (or a failed manifest write) between a segment's rename and
+        the manifest write leaves a full segment nothing references, one
+        between the manifest write and a merge's unlinks leaves the
         superseded files, and one mid-write leaves ``*.tmp`` siblings.  The
-        directory has a single writer and the manifest is the truth, so none
-        of them can be live.
+        per-segment ``segment-*.sk`` sketch files of directories written
+        before sketches were signed at read time are named by no manifest
+        either.  The directory has a single writer and the manifest is the
+        truth, so none of them can be live.
         """
         assert self.directory is not None
         for path in self.directory.iterdir():
@@ -918,7 +843,6 @@ class LiveIndex:
                 # Same gate as add_table(); replay is lenient, not raising.
                 if not self._visible_locked(record.table.table_id):
                     staged = self._buffer.stage(record.table)
-                    self._sketch.add_table(record.table, staged.encoded)
                     self._buffer.install(staged, record.seq)
                     self._recovered.append(record.table)
             else:
@@ -948,10 +872,7 @@ class LiveIndex:
                     f"{self.hash_function_name}"
                 )
             self._install_manifest_locked(self.directory, manifest)
-            for file, generation, _ in manifest.segments:
-                named.add(file)
-                named.add(_segment_stem(generation) + SKETCH_SUFFIX)
-            self._load_sketches_locked()
+            named.update(file for file, _generation, _ in manifest.segments)
         # No manifest names nothing: whatever a crash before the first
         # manifest write left is an orphan too.
         self._remove_orphans(named)

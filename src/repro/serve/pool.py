@@ -146,7 +146,6 @@ def _worker_main(
     from ..api.request import RequestBudget
     from ..core.discovery import MateDiscovery
     from ..exceptions import MateError
-    from ..sketch import SketchIndex
     from ..storage.paged import reopen_segment
     from ..telemetry.trace import CollectingExporter, Tracer
 
@@ -172,10 +171,8 @@ def _worker_main(
         hash_function_name=hash_function_name,
         hash_size=config.hash_size,
     )
-    # The parent persisted this shard's sketch store next to its segment
-    # (same stem, ``.sk``); loading is deferred until the first
-    # sketch-mode query so exact-only workloads never pay for it.
-    segment = Path(segment_path)
+    # No sketch store is shipped: the engine signs its shard corpus on the
+    # first sketch-mode query, so exact-only workloads never pay for it.
     engine = MateDiscovery(
         corpus,
         index,
@@ -184,7 +181,6 @@ def _worker_main(
         column_selector=column_selector,
         row_filter_mode=row_filter_mode,
         use_table_filters=use_table_filters,
-        sketch_provider=lambda: SketchIndex.load(segment.parent, segment.stem),
     )
     conn.send(
         WorkerReady(
@@ -351,8 +347,8 @@ class ProcessShardPool:
     #: Instance-level capability flags (see DiscoverySession._run_kwargs):
     #: budgets are split across shards and reconciled on gather; planner and
     #: sketch options travel verbatim inside each ShardQuery and run inside
-    #: every shard worker (each pruning against its own persisted sketch
-    #: store, so ``SketchOptions.max_candidates`` caps per shard).
+    #: every shard worker (each pruning against the sketch store it signs
+    #: from its shard, so ``SketchOptions.max_candidates`` caps per shard).
     supports_budget = True
     supports_planner = True
     supports_sketch = True
@@ -461,11 +457,7 @@ class ProcessShardPool:
         paths = []
         for shard_index, shard in enumerate(self.shards):
             path = self._segments_dir / f"shard_{shard_index:02d}.seg"
-            index, sketch_index = builder.build_with_sketches(shard)
-            write_segment(index, path, fsync=False)
-            # The shard's sketch store lands next to its segment under the
-            # same stem; workers lazily load it for sketch-mode requests.
-            sketch_index.save(self._segments_dir, stem=path.stem)
+            write_segment(builder.build(shard), path, fsync=False)
             paths.append(path)
         return paths
 
@@ -593,9 +585,9 @@ class ProcessShardPool:
         share deterministically across shards and reconciling the ledger on
         gather.  ``planner`` / ``sketch`` options are forwarded verbatim to
         every shard worker: each runs the full planner pipeline on its own
-        shard, with sketch-mode pruning against the shard's persisted
-        sketch store (a ``max_candidates`` cap therefore applies per
-        shard).
+        shard, with sketch-mode pruning against a sketch store the worker
+        signs from its shard at its first sketch-mode query (a
+        ``max_candidates`` cap therefore applies per shard).
         """
         if self._closed:
             raise DiscoveryError("the process pool is closed")

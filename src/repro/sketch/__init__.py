@@ -2,8 +2,9 @@
 
 The exact pipeline (:mod:`repro.plan`) pays for every candidate posting
 list it fetches, prefilters and verifies; this package precomputes
-per-column :class:`ColumnSketch` MinHash signatures at index/ingest time
-and serves them from a banded-LSH :class:`SketchIndex`, so the planner's
+per-column :class:`ColumnSketch` MinHash signatures at the first
+sketch-mode read and serves them from a banded-LSH :class:`SketchIndex`,
+so the planner's
 ``SketchPrune`` stage (``planner.mode="sketch"`` +
 :class:`SketchOptions` on the request) can shrink the fetch universe to
 the tables whose estimated containment clears a threshold — *before* the
@@ -12,9 +13,12 @@ result is byte-identical to the exact engine; the same sketch store backs
 the similarity-join and union-search extensions.
 
 Signatures are deterministic (seeded permutations over a
-process-independent base hash), computed as numpy array passes, and
-persisted next to the index segments as one self-describing ``.sk`` file
-per store (a live index: per segment) with atomic tmp-rename semantics.
+process-independent base hash) and computed as numpy array passes.  Nothing
+on the write path signs or writes them: a session signs the tables its
+index serves at its first sketch-mode read and re-signs only what was
+written since.  A store can be persisted explicitly as one self-describing
+``.sk`` file (:meth:`SketchIndex.save` / :meth:`SketchIndex.load`, atomic
+tmp-rename semantics); no index directory holds one.
 """
 
 from .build import build_sketch_index

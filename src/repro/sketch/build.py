@@ -12,13 +12,12 @@ def build_sketch_index(
     """Sketch every column of every corpus table into a fresh index, the
     whole corpus signed in one pass (:meth:`SketchIndex.add_tables`).
 
-    The store a sketch-mode request or the CLI's ``similarity`` / ``union``
-    commands build from a corpus whose index owns none, to read it at once:
-    it is returned bucketed, so the first read does not pay for that.  An
-    offline build that also wants the postings uses
-    :meth:`~repro.index.builder.IndexBuilder.build_with_sketches`, which
-    signs from the dictionary pass of its own build and leaves the buckets
-    to the first read.
+    The store an engine without a session (a process-pool worker over its
+    shard) and the CLI's ``similarity`` / ``union`` commands build from a
+    corpus, to read it at once: it is returned bucketed, so the first read
+    does not pay for that.  A session builds its own store from the tables
+    its index serves
+    (:meth:`~repro.api.session.DiscoverySession.sketch_index`).
     """
     index = SketchIndex(config)
     index.add_tables(list(corpus))

@@ -17,22 +17,27 @@ the store holds ``bands`` of them per column.  Buckets are derived state:
 writes and loads store signatures only, and the first
 :meth:`~SketchIndex.candidate_tables` / :meth:`~SketchIndex.query` after
 them buckets every table added or loaded since the last read, under the
-store lock.  Exact requests never read buckets, so acks, restarts and the
-builds that only persist a store never pay for them.
+store lock.  Exact requests never read buckets, so neither they nor a
+store that is only saved pay for them.
 
-**Signing.**  A batch of tables is signed from its dictionary pass
-(:func:`~repro.index.bulk.encode_tables`; a live index hands over the one
-its buffer staged): one sort of ``(column, value id)`` codes over the
-non-missing cells gives each column's distinct ids and cardinality, each
-vocabulary value is hashed once through the store's memo, and
-:func:`~repro.sketch.minhash.sign_columns` permutes them all.
+**Signing.**  Nothing on the write path signs: a session signs the tables
+its index serves at its first sketch-mode read, and afterwards only the
+tables written since the last one
+(:meth:`~repro.api.session.DiscoverySession.sketch_index`).  A batch of
+tables is signed from its dictionary pass
+(:func:`~repro.index.bulk.encode_tables`): one sort of
+``(column, value id)`` codes over the non-missing cells gives each column's
+distinct ids and cardinality, each vocabulary value is hashed once through
+the store's memo, and :func:`~repro.sketch.minhash.sign_columns` permutes
+them all.
 
-**Persistence.**  One self-describing file per store (``<stem>.sk``): a
-header with the shape and seed, the ``(table, column, cardinality)`` entries,
-the packed signatures, a CRC.  It is written to a temporary name, fsynced and
-atomically renamed into place, with the directory fsynced afterwards — the
-``.seg`` discipline of :mod:`repro.ingest.live`, whose directories hold one
-such file per segment.
+**Persistence.**  An explicit API (:meth:`SketchIndex.save` /
+:meth:`SketchIndex.load`); no index directory holds a sketch file.  One
+self-describing file per store (``<stem>.sk``): a header with the shape and
+seed, the ``(table, column, cardinality)`` entries, the packed signatures, a
+CRC.  It is written to a temporary name, fsynced and atomically renamed into
+place, with the directory fsynced afterwards — the ``.seg`` discipline of
+:mod:`repro.ingest.live`.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import threading
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 from zlib import crc32
 
 import numpy as _np
@@ -151,24 +156,15 @@ class SketchIndex:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def add_table(self, table: Table, encoded: EncodedTables | None = None) -> int:
-        """Sketch every non-empty column of ``table``; returns columns added.
+    def add_table(self, table: Table) -> int:
+        """Sketch every non-empty column of ``table``; returns columns added."""
+        return self.add_tables((table,))
 
-        ``encoded`` is the table's dictionary pass when the caller already
-        ran it (``encode_tables((table,))``: a live index's staged table).
-        """
-        return self.add_tables((table,), encoded)
-
-    def add_tables(
-        self, tables: Sequence[Table], encoded: EncodedTables | None = None
-    ) -> int:
+    def add_tables(self, tables: Sequence[Table]) -> int:
         """Sketch every non-empty column of ``tables`` in one pass; returns
-        columns added.  ``encoded`` is their dictionary pass when the caller
-        already ran it.  All columns are signed before the first is stored:
+        columns added.  All columns are signed before the first is stored:
         a batch that cannot be sketched leaves no trace."""
-        if encoded is None:
-            encoded = encode_tables(tables)
-        sketches = self._sign(tables, encoded)
+        sketches = self._sign(tables, encode_tables(tables))
         with self._lock:
             for sketch in sketches:
                 self._store_locked(sketch)
@@ -291,18 +287,13 @@ class SketchIndex:
         with self._lock:
             return sum(len(columns) for columns in self._sketches.values())
 
-    def column_sketches(
-        self, table_ids: Collection[int] | None = None
-    ) -> list[ColumnSketch]:
-        """Every stored sketch — of ``table_ids`` when given — ordered by
-        table id, then column (the order :meth:`save` writes)."""
+    def column_sketches(self) -> list[ColumnSketch]:
+        """Every stored sketch, ordered by table id, then column (the order
+        :meth:`save` writes)."""
         with self._lock:
-            wanted = set(self._sketches)
-            if table_ids is not None:
-                wanted.intersection_update(table_ids)
             return [
                 self._sketches[table_id][column_index]
-                for table_id in sorted(wanted)
+                for table_id in sorted(self._sketches)
                 for column_index in sorted(self._sketches[table_id])
             ]
 
@@ -377,19 +368,15 @@ class SketchIndex:
         self,
         directory: str | Path,
         stem: str = SKETCH_FILE_STEM,
-        table_ids: Collection[int] | None = None,
         fsync: bool = True,
     ) -> Path:
         """Persist the sketches into ``directory / <stem>.sk`` atomically
-        (tmp-write + fsync + rename); returns the path.
-
-        ``table_ids`` restricts the file to those tables — a live index
-        keeps one file per segment, holding the segment's tables.  Entries
-        are ordered by table id, then column.
+        (tmp-write + fsync + rename); returns the path.  Entries are
+        ordered by table id, then column.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        sketches = self.column_sketches(table_ids)
+        sketches = self.column_sketches()
         config = self.config
         parts = [
             _HEADER.pack(
@@ -435,23 +422,6 @@ class SketchIndex:
             for sketch in sketches:
                 index._store_locked(sketch)
         return index
-
-    def load_file(
-        self, path: str | Path, table_ids: Collection[int] | None = None
-    ) -> None:
-        """Add the sketches of one more file written by :meth:`save` —
-        those of ``table_ids`` when given.  The file must have been written
-        with this index's shape and seed."""
-        config, sketches = _read_sketch_file(Path(path))
-        if config != self.config:
-            raise StorageError(
-                f"sketch file {path} was written as {config}, this store is "
-                f"{self.config}"
-            )
-        with self._lock:
-            for sketch in sketches:
-                if table_ids is None or sketch.table_id in table_ids:
-                    self._store_locked(sketch)
 
 
 def _read_sketch_file(path: Path) -> tuple[SketchIndexConfig, list[ColumnSketch]]:

@@ -49,8 +49,15 @@ EMPTY_SLOT = MERSENNE_PRIME
 
 
 def hash_value(value: str) -> int:
-    """Stable 32-bit base hash of one cell value (process independent)."""
-    digest = hashlib.blake2b(value.encode("utf-8"), digest_size=4).digest()
+    """Stable 32-bit base hash of one cell value (process independent).
+
+    Total over ``str``: a lone surrogate (which XASH, the WAL and ``.seg``
+    files accept) is encoded as its three surrogate bytes; every string
+    with a UTF-8 form hashes its UTF-8 bytes.
+    """
+    digest = hashlib.blake2b(
+        value.encode("utf-8", "surrogatepass"), digest_size=4
+    ).digest()
     return int.from_bytes(digest, "little")
 
 

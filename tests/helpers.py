@@ -300,6 +300,16 @@ def legacy_ingest_buffer(config=None, hash_function_name="xash") -> LegacyIngest
     return LegacyIngestBuffer(config, hash_function_name)
 
 
+def sketch_rows(store) -> list[tuple]:
+    """``(table, column, cardinality, packed)`` of every sketch of a
+    ``SketchIndex``, in its ``column_sketches`` order (table, then
+    column)."""
+    return [
+        (s.table_id, s.column_index, s.cardinality, s.packed)
+        for s in store.column_sketches()
+    ]
+
+
 class LegacySketchIndex:
     """``SketchIndex`` as it shipped before buckets were keyed by signature
     bytes: one ``minhash_signature`` call and one 128-integer tuple per

@@ -98,9 +98,10 @@ class TestGenerateAndIndex:
         output = capsys.readouterr().out
         assert "live index (xash/128)" in output and "1 segments" in output
         assert {path.name for path in live_dir.iterdir()} >= {
-            "manifest.json", "segment-000001.seg", "segment-000001.sk",
-            "corpus.json",
+            "manifest.json", "segment-000001.seg", "corpus.json",
         }
+        # Sketches are signed by the first sketch-mode read, never written.
+        assert not list(live_dir.glob("*.sk"))
 
     def test_index_is_ingest_compact(self, tmp_path, capsys):
         """``index`` runs what ``ingest --compact`` runs, with the buffer
@@ -128,11 +129,10 @@ class TestGenerateAndIndex:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes(), name
-        for suffix in (".seg", ".sk"):
-            (built,) = (tmp_path / "a").glob("*" + suffix)
-            (streamed,) = (tmp_path / "c").glob("*" + suffix)
-            assert built.name != streamed.name
-            assert built.read_bytes() == streamed.read_bytes(), suffix
+        (built,) = (tmp_path / "a").glob("*.seg")
+        (streamed,) = (tmp_path / "c").glob("*.seg")
+        assert built.name != streamed.name
+        assert built.read_bytes() == streamed.read_bytes()
 
     def test_index_refuses_a_directory_that_is_not_empty(self, tmp_path, capsys):
         """Rerunning ``index`` over an edited corpus must not leave the old

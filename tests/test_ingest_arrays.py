@@ -234,8 +234,8 @@ def simple_table(table_id: int) -> Table:
 @pytest.mark.parametrize("error", [HashingError("oversize"), RuntimeError("boom")])
 def test_a_table_that_cannot_be_hashed_leaves_no_trace(tmp_path, monkeypatch, error):
     """Nothing is logged that cannot be indexed: the poisoned table raises,
-    and neither the WAL, the sequence, the buffer, the sketch store nor the
-    session's corpus moved — the directory reopens."""
+    and neither the WAL, the sequence, the buffer, the session's sketch
+    store nor its corpus moved — the directory reopens."""
     directory = tmp_path / "live"
     live = LiveIndex.open(directory, config=CONFIG, fsync=False)
     corpus = TableCorpus(name="live")
@@ -245,7 +245,7 @@ def test_a_table_that_cannot_be_hashed_leaves_no_trace(tmp_path, monkeypatch, er
         state = (
             live._seq, live.buffer_rows, len(live._buffer), live.num_posting_items()
         )
-        sketched = live.sketch_index().table_ids()
+        sketched = session.sketch_index().table_ids()
 
         def poisoned(self, values):
             raise error
@@ -260,7 +260,7 @@ def test_a_table_that_cannot_be_hashed_leaves_no_trace(tmp_path, monkeypatch, er
         assert state == (
             live._seq, live.buffer_rows, len(live._buffer), live.num_posting_items()
         )
-        assert live.sketch_index().table_ids() == sketched == {1}
+        assert session.sketch_index().table_ids() == sketched == {1}
         assert [table.table_id for table in corpus] == [1]
         assert not live.has_table(2)
         # The next write is accepted, under the next sequence number.
@@ -270,21 +270,17 @@ def test_a_table_that_cannot_be_hashed_leaves_no_trace(tmp_path, monkeypatch, er
     reopened = LiveIndex.open(directory, config=CONFIG, fsync=False)
     try:
         assert reopened.indexed_tables() == {1, 2}
-        assert reopened.sketch_index().table_ids() == {1, 2}
+        with DiscoverySession(corpus, reopened, config=CONFIG) as session:
+            assert session.sketch_index().table_ids() == {1, 2}
     finally:
         reopened.close()
 
 
-def test_a_table_that_cannot_be_sketched_or_logged_leaves_no_trace(tmp_path, monkeypatch):
+def test_a_table_that_cannot_be_logged_leaves_no_trace(tmp_path, monkeypatch):
     directory = tmp_path / "live"
     live = LiveIndex.open(directory, config=CONFIG, fsync=False)
     live.add_table(simple_table(1))
     wal = (directory / "wal.jsonl").read_bytes()
-    # A lone surrogate hashes (XASH reads characters) but has no UTF-8 form,
-    # which the sketch's base hash needs.
-    unsketchable = Table(2, "t", ["a"], [["ok"], ["\ud800"]])
-    with pytest.raises(UnicodeEncodeError):
-        live.add_table(unsketchable)
 
     def full_disk(self, seq, table):
         raise OSError("no space left on device")
@@ -295,9 +291,8 @@ def test_a_table_that_cannot_be_sketched_or_logged_leaves_no_trace(tmp_path, mon
             live.add_table(simple_table(3))
     assert (directory / "wal.jsonl").read_bytes() == wal
     assert live._seq == 1 and live.indexed_tables() == {1}
-    assert live.sketch_index().table_ids() == {1}
     live.add_table(simple_table(3))
-    assert live._seq == 2 and live.sketch_index().table_ids() == {1, 3}
+    assert live._seq == 2 and live.indexed_tables() == {1, 3}
     live.close()
 
 

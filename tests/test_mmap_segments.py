@@ -639,8 +639,7 @@ class TestLiveIndexSegments:
     def directory_matches_manifest(self, directory: Path) -> None:
         manifest = json.loads((directory / "manifest.json").read_text("utf-8"))
         named = {entry["file"] for entry in manifest["segments"]}
-        # Every segment has its sketch file beside it, and nothing else does.
-        named |= {name.replace(SEGMENT_SUFFIX, ".sk") for name in named}
+        # The segments the manifest names and nothing else: no sketch file.
         assert {
             path.name for path in directory.iterdir()
             if path.name.startswith("segment-") or path.name.endswith(".tmp")
@@ -735,6 +734,82 @@ class TestLiveIndexSegments:
         try:
             self.directory_matches_manifest(tmp_path)
             assert reopened.num_segments == 1
+            assert [
+                fetch_items(reopened, [probe]) for probe in PROBES
+            ] == self.rebuilt_fetches(reopened, tables)
+        finally:
+            reopened.close()
+
+    @staticmethod
+    def fail_once(monkeypatch) -> list[int]:
+        """Make the next ``write_segment`` of the live index raise ENOSPC;
+        returns the list its failed call is recorded in."""
+        from repro.ingest import live as live_module
+
+        real = live_module.write_segment
+        failed: list[int] = []
+
+        def write_segment(*args, **kwargs):
+            if not failed:
+                failed.append(1)
+                raise OSError(28, "No space left on device")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(live_module, "write_segment", write_segment)
+        return failed
+
+    def test_a_failed_seal_write_leaves_the_previous_generation(
+        self, tmp_path, monkeypatch
+    ):
+        """A seal whose segment write fails publishes nothing: the next seal
+        writes a manifest naming only files that exist, the WAL keeps every
+        table until then, and the directory reopens whole."""
+        tables = {
+            table_id: self.make_table(table_id, table_id) for table_id in (1, 2, 3)
+        }
+        live = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
+        live.add_table(tables[1])
+        live.seal()
+        live.add_table(tables[2])
+        failed = self.fail_once(monkeypatch)
+        with pytest.raises(OSError, match="No space"):
+            live.seal()
+        assert failed
+        live.add_table(tables[3])  # the buffer still takes writes
+        assert live.seal() is not None
+        live.close()
+        reopened = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
+        try:
+            self.directory_matches_manifest(tmp_path)
+            assert reopened.indexed_tables() == {1, 2, 3}
+            assert [
+                fetch_items(reopened, [probe]) for probe in PROBES
+            ] == self.rebuilt_fetches(reopened, tables)
+        finally:
+            reopened.close()
+
+    def test_a_failed_merge_write_leaves_the_previous_generation(
+        self, tmp_path, monkeypatch
+    ):
+        tables = {
+            table_id: self.make_table(table_id, table_id) for table_id in (1, 2, 3)
+        }
+        live = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
+        for table_id in (1, 2):
+            live.add_table(tables[table_id])
+            live.seal()
+        failed = self.fail_once(monkeypatch)
+        with pytest.raises(OSError, match="No space"):
+            live.merge(0, None)
+        assert failed
+        live.add_table(tables[3])
+        assert live.seal() is not None
+        live.close()
+        reopened = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
+        try:
+            self.directory_matches_manifest(tmp_path)
+            assert reopened.indexed_tables() == {1, 2, 3}
+            assert reopened.merge(0, None) is not None
             assert [
                 fetch_items(reopened, [probe]) for probe in PROBES
             ] == self.rebuilt_fetches(reopened, tables)

@@ -640,3 +640,27 @@ def test_the_worker_start_timeout_is_a_constant():
     assert WORKER_START_TIMEOUT == 60.0
     with pytest.raises(TypeError, match="worker_start_timeout"):
         repro.ServeConfig(worker_start_timeout=5.0)
+
+
+#: Sketch signing left the write path: the session signs at its first
+#: sketch-mode read, and no index or builder owns, signs or loads a store.
+REMOVED_WRITE_PATH_SKETCH_MEMBERS = [
+    ("repro.ingest.live.LiveIndex", "sketch_index"),
+    ("repro.index.builder.IndexBuilder", "build_with_sketches"),
+    ("repro.sketch.index.SketchIndex", "load_file"),
+]
+
+
+@pytest.mark.parametrize("owner, name", REMOVED_WRITE_PATH_SKETCH_MEMBERS)
+def test_the_write_path_sketch_members_are_gone(owner, name):
+    module_name, class_name = owner.rsplit(".", 1)
+    cls = getattr(importlib.import_module(module_name), class_name)
+    assert not hasattr(cls, name)
+
+
+def test_an_index_builder_takes_no_sketch_config():
+    from repro.index import IndexBuilder
+
+    with pytest.raises(TypeError, match="sketch_config"):
+        IndexBuilder(sketch_config=None)
+    assert not hasattr(IndexBuilder(), "last_sketch_index")

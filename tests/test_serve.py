@@ -35,7 +35,9 @@ from repro.serve.protocol import (
     Shutdown,
     WorkerReady,
 )
-from repro.sketch.index import SKETCH_SUFFIX, SketchIndex
+from repro.core.parallel import merge_discovery_results
+from repro.plan import PlannerOptions
+from repro.sketch import SketchOptions
 from repro.storage import load_segment, write_segment
 from tests.helpers import assert_blocks_equal
 
@@ -290,7 +292,7 @@ class TestSessionProcessExecution:
 
 
 class TestShardSegments:
-    """The pool persists one ``.seg`` and one ``.sk`` per table shard; a
+    """The pool persists one ``.seg`` per table shard and no sketch file; a
     given ``segments_dir`` keeps them, and each maps back as the index the
     in-process engine builds for that shard."""
 
@@ -307,11 +309,9 @@ class TestShardSegments:
         ) as pool:
             result = pool.discover(workload.queries[0], k=CONFIG.k)
             assert topk_tuples(result) == reference[0]
-        assert sorted(path.name for path in segments.iterdir()) == sorted(
-            f"shard_{position:02d}{suffix}"
-            for position in range(num_shards)
-            for suffix in (".seg", SKETCH_SUFFIX)
-        )
+        assert sorted(path.name for path in segments.iterdir()) == [
+            f"shard_{position:02d}.seg" for position in range(num_shards)
+        ]
         in_process = ShardedMateDiscovery(
             workload.corpus, num_shards=num_shards, config=CONFIG
         )
@@ -329,9 +329,35 @@ class TestShardSegments:
                 assert mapped.indexed_tables() == index.indexed_tables()
             finally:
                 mapped.close()
-            sketches = SketchIndex.load(segments, stem=path.stem)
-            assert sketches.table_ids() == set(
-                in_process.shards[position].table_ids()
+
+    def test_a_worker_signs_its_shard_at_its_first_sketch_query(
+        self, workload, pools
+    ):
+        """Each worker signs its own shard corpus on the first sketch-mode
+        query: the pool answers like per-shard engines over the in-process
+        shards, merged, down to the sketch tier's candidate count."""
+        pool = pools(2)
+        in_process = ShardedMateDiscovery(workload.corpus, num_shards=2, config=CONFIG)
+        options = {
+            "planner": PlannerOptions(mode="sketch"),
+            "sketch": SketchOptions(threshold=0.2),
+        }
+        for query in workload.queries:
+            answer = pool.discover(query, k=CONFIG.k, **options)
+            expected = merge_discovery_results(
+                [
+                    MateDiscovery(shard, index, config=CONFIG).discover(
+                        query, k=CONFIG.k, **options
+                    )
+                    for shard, index in zip(
+                        in_process.shards, in_process.shard_indexes
+                    )
+                ],
+                CONFIG.k,
+            )
+            assert topk_tuples(answer) == topk_tuples(expected)
+            assert answer.counters.extra["sketch_candidates"] == (
+                expected.counters.extra["sketch_candidates"]
             )
 
     def test_a_private_segments_dir_is_removed_on_close(

@@ -14,9 +14,9 @@ Covers the :mod:`repro.sketch` subsystem end to end:
 * session plumbing: one cached engine serves every sketch threshold (the
   knobs stay out of the engine cache key), capability gating rejects
   engines without sketch support;
-* live-index freshness: sketches survive seal + reopen and WAL crash
-  recovery; pre-sketch directories degrade to a stale store that is never
-  served or persisted;
+* live-index freshness: the session signs the tables its live index
+  serves at its first sketch read — after a seal and reopen, a WAL crash
+  recovery or a merge — and re-signs only what was written since;
 * the similarity-join and union-search extensions behind the same store,
   and their CLI sub-commands.
 """
@@ -44,7 +44,6 @@ from repro.exceptions import ConfigurationError, DiscoveryError, StorageError
 from repro.experiments import ExperimentSettings
 from repro.experiments.scenarios import build_sketch_scenario
 from repro.extensions import SimilarityJoinDiscovery, UnionSearch
-from repro.index import IndexBuilder
 from repro.ingest import LiveIndex
 from repro.plan import PlannerOptions
 from repro.sketch import (
@@ -56,7 +55,7 @@ from repro.sketch import (
 )
 from repro.sketch.minhash import hash_value
 
-from tests.helpers import legacy_minhash_signature
+from tests.helpers import legacy_minhash_signature, sketch_rows
 
 CONFIG = MateConfig(hash_size=128, k=5, expected_unique_values=10_000)
 
@@ -169,14 +168,16 @@ class TestSketchIndex:
         assert SketchOptions(threshold=0.1).enabled
         assert SketchOptions(max_candidates=3).enabled
 
-    def test_build_sketch_index_and_builder_agree(self):
+    def test_build_sketch_index_and_the_session_store_agree(self):
         corpus = make_corpus()
         built = build_sketch_index(corpus)
-        builder = IndexBuilder(config=CONFIG)
-        _inverted, from_builder = builder.build_with_sketches(corpus)
-        assert built.table_ids() == from_builder.table_ids()
+        with DiscoverySession(corpus, config=CONFIG) as session:
+            from_session = session.sketch_index()
+            assert session.sketch_index() is from_session
+        assert built.table_ids() == from_session.table_ids()
+        assert sketch_rows(built) == sketch_rows(from_session)
         probe = ["berlin", "paris", "rome"]
-        assert built.query(probe) == from_builder.query(probe)
+        assert built.query(probe) == from_session.query(probe)
 
 
 class TestPersistence:
@@ -206,27 +207,6 @@ class TestPersistence:
         for table in reversed(list(make_corpus())):
             again.add_table(table)
         assert again.save(tmp_path, stem="again").read_bytes() == path.read_bytes()
-
-    def test_a_subset_of_the_tables_is_saved_and_loaded(self, tmp_path):
-        index = SketchIndex()
-        tables = list(make_corpus())
-        for table in tables:
-            index.add_table(table)
-        ids = [table.table_id for table in tables]
-        index.save(tmp_path, stem="part", table_ids=ids[:2], fsync=False)
-        assert SketchIndex.load(tmp_path, "part").table_ids() == set(ids[:2])
-        # Files add up: each is read for the tables asked of it.
-        index.save(tmp_path, stem="rest", table_ids=ids[1:], fsync=False)
-        store = SketchIndex()
-        store.load_file(tmp_path / "part.sk", {ids[0]})
-        store.load_file(tmp_path / "rest.sk")
-        assert store.table_ids() == set(ids)
-        probe = ["berlin", "paris", "ada"]
-        assert store.query(probe) == index.query(probe)
-        with pytest.raises(StorageError, match="was written as"):
-            SketchIndex(SketchIndexConfig(num_perm=64, bands=32, rows=2)).load_file(
-                tmp_path / "part.sk"
-            )
 
     def test_a_missing_file_raises(self, tmp_path):
         with pytest.raises(StorageError, match="no sketch file"):
@@ -399,24 +379,34 @@ class TestLiveIndexFreshness:
             [[f"k{table_id}_{i}", f"v{table_id}_{i}"] for i in range(4)],
         )
 
-    def test_sketches_survive_seal_and_reopen(self, tmp_path):
+    def _corpus(self, table_ids) -> TableCorpus:
+        return TableCorpus(
+            name="live_corpus", tables=[self._table(t) for t in table_ids]
+        )
+
+    def test_a_reopened_directory_is_signed_at_the_first_sketch_read(
+        self, tmp_path
+    ):
         directory = tmp_path / "live"
         live = LiveIndex.open(directory, config=CONFIG)
         for table_id in range(4):
             live.add_table(self._table(table_id))
         live.seal()
         live.close()
-        # One sketch file per segment, beside its postings.
-        assert sketch_files(directory) == ["segment-000001.sk"]
+        # The seal wrote postings and the manifest; no sketch file.
+        assert sketch_files(directory) == []
         assert (directory / "segment-000001.seg").exists()
 
         reopened = LiveIndex.open(directory, config=CONFIG)
-        store = reopened.sketch_index()
-        assert store is not None
-        assert store.table_ids() == {0, 1, 2, 3}
+        corpus = self._corpus(range(4))
+        with DiscoverySession(corpus, reopened, config=CONFIG) as session:
+            store = session.sketch_index()
+            assert store.table_ids() == {0, 1, 2, 3}
+            assert sketch_rows(store) == sketch_rows(build_sketch_index(corpus))
         reopened.close()
+        assert sketch_files(directory) == []
 
-    def test_sketches_stay_fresh_after_wal_crash_recovery(self, tmp_path):
+    def test_wal_replayed_tables_are_signed_too(self, tmp_path):
         directory = tmp_path / "live"
         live = LiveIndex.open(directory, config=CONFIG)
         live.add_table(self._table(0))
@@ -427,17 +417,18 @@ class TestLiveIndexFreshness:
             handle.write('{"op": "add_table", "seq": 99, "tab')
 
         recovered = LiveIndex.open(directory, config=CONFIG)
-        store = recovered.sketch_index()
-        assert store is not None
-        # Table 1 was replayed from the WAL into the sketch store.
-        assert store.table_ids() == {0, 1}
+        with DiscoverySession(
+            self._corpus((0, 1)), recovered, config=CONFIG
+        ) as session:
+            # Table 1 was replayed from the WAL into the buffer.
+            assert session.sketch_index().table_ids() == {0, 1}
         recovered.close()
 
     def test_crash_after_a_merge_that_purged_a_tombstone(self, tmp_path):
-        # A merge copies the surviving tables' sketches into the merged
-        # segment's file and drops the inputs' with their postings; the
-        # purged table is in neither.  The remove also sits in the WAL
-        # behind the checkpoint, so replay applies it again (a no-op).
+        # The merge drops the purged table's postings; the remove also sits
+        # in the WAL behind the checkpoint, so replay applies it again (a
+        # no-op).  The corpus still holds the removed table: the session
+        # signs what the index serves, not what the corpus holds.
         directory = tmp_path / "live"
         live = LiveIndex.open(directory, config=CONFIG)
         tables = {table_id: self._table(table_id) for table_id in range(5)}
@@ -447,13 +438,11 @@ class TestLiveIndexFreshness:
         for table_id in (2, 3):
             live.add_table(tables[table_id])
         live.seal()
-        assert sketch_files(directory) == ["segment-000001.sk", "segment-000002.sk"]
         live.remove_table(1)
         assert live.tombstones
         assert live.merge(0, None) is not None
         assert live.tombstones == {}  # purged with the table's postings
-        assert sketch_files(directory) == ["segment-000003.sk"]
-        assert SketchIndex.load(directory, "segment-000003").table_ids() == {0, 2, 3}
+        assert sketch_files(directory) == []
         live.add_table(tables[4])  # WAL only
         # Crash: the process state is abandoned — no seal, no close().
 
@@ -461,10 +450,8 @@ class TestLiveIndexFreshness:
         corpus = TableCorpus(
             name="survivors", tables=[tables[i] for i in (0, 2, 3, 4)]
         )
-        index, fresh = IndexBuilder(config=CONFIG).build_with_sketches(corpus)
-        store = recovered.sketch_index()
-        assert store is not None
-        assert store.table_ids() == fresh.table_ids() == {0, 2, 3, 4}
+        index = build_index(corpus, config=CONFIG)
+        fresh = build_sketch_index(corpus)
         query = QueryTable(
             table=Table(
                 99, "q", ["a", "b"],
@@ -479,7 +466,10 @@ class TestLiveIndexFreshness:
                 "sketch": SketchOptions(threshold=0.1),
             },
         ]
-        with DiscoverySession(corpus, recovered, config=CONFIG) as restarted:
+        everything = TableCorpus(name="all", tables=list(tables.values()))
+        with DiscoverySession(everything, recovered, config=CONFIG) as restarted:
+            store = restarted.sketch_index()
+            assert store.table_ids() == fresh.table_ids() == {0, 2, 3, 4}
             with DiscoverySession(corpus, index, config=CONFIG) as rebuilt:
                 for mode in modes:
                     mine = restarted.discover(
@@ -495,46 +485,28 @@ class TestLiveIndexFreshness:
                     )
         recovered.close()
 
-    def test_pre_sketch_directory_degrades_to_stale(self, tmp_path):
-        directory = tmp_path / "live"
-        live = LiveIndex.open(directory, config=CONFIG)
-        live.add_table(self._table(0))
-        live.seal()
+    def test_a_visible_table_missing_from_the_corpus_is_named(self, tmp_path):
+        live = LiveIndex.open(tmp_path / "live", config=CONFIG)
+        for table_id in (0, 1):
+            live.add_table(self._table(table_id))
+        with DiscoverySession(self._corpus([0]), live, config=CONFIG) as session:
+            with pytest.raises(DiscoveryError, match="table 1 is visible"):
+                session.sketch_index()
         live.close()
-        (directory / "segment-000001.sk").unlink()
 
-        reopened = LiveIndex.open(directory, config=CONFIG)
-        # Sealed postings cannot be re-sketched: the store is stale and
-        # never served (the session falls back to a corpus-built store).
-        assert reopened.sketch_index() is None
-        reopened.add_table(self._table(1))
-        assert reopened.seal() is not None
-        assert reopened.merge(0, None) is not None
-        # ... nor written: a later reopen would take it for complete.
-        assert sketch_files(directory) == []
-        reopened.close()
-        again = LiveIndex.open(directory, config=CONFIG)
-        assert again.sketch_index() is None
-        again.close()
-
-    def test_session_falls_back_when_live_store_is_stale(self, tmp_path):
-        directory = tmp_path / "live"
-        live = LiveIndex.open(directory, config=CONFIG)
+    def test_a_failed_refresh_keeps_its_tables_for_the_next_read(self, tmp_path):
+        live = LiveIndex.open(tmp_path / "live", config=CONFIG)
         corpus = TableCorpus(name="live_corpus")
-        for table_id in range(3):
-            table = self._table(table_id)
+        with DiscoverySession(corpus, live, config=CONFIG) as session:
+            session.ingest(self._table(0))
+            assert session.sketch_index().table_ids() == {0}
+            session.ingest(self._table(1))
+            table = corpus.remove_table(1)
+            with pytest.raises(DiscoveryError, match="table 1 is visible"):
+                session.sketch_index()
             corpus.add_table(table)
-            live.add_table(table)
-        live.seal()
+            assert session.sketch_index().table_ids() == {0, 1}
         live.close()
-        (directory / "segment-000001.sk").unlink()
-
-        reopened = LiveIndex.open(directory, config=CONFIG)
-        with DiscoverySession(corpus, reopened, config=CONFIG) as session:
-            store = session.sketch_index()
-            assert store is not None
-            assert store.table_ids() == {0, 1, 2}
-        reopened.close()
 
     def test_session_ingest_keeps_the_shared_store_fresh(self, tmp_path):
         directory = tmp_path / "live"

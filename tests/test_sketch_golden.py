@@ -1,8 +1,8 @@
 """MinHash never changes a bit: golden signatures of a small fixed corpus.
 
-Persisted ``.sk`` files are compared against freshly signed query values, so
-a drifted bit in a column signature silently costs recall on every existing
-live directory and shard store.  ``tests/data/minhash_golden.json`` holds the
+A persisted ``.sk`` file (``SketchIndex.save``) is compared against freshly
+signed query values, so a drifted bit in a column signature silently costs
+recall on every store saved before it.  ``tests/data/minhash_golden.json`` holds the
 sha256 of every packed column signature of :func:`golden_corpus`, of a few
 query-side signatures, and of the ``.sk`` file the store saves; it was
 generated by the implementation those files were written with.  Never
@@ -11,8 +11,9 @@ regenerate it to make a test pass.
 The corpus covers unicode, a value repeated across the columns of one table
 and across tables, an all-missing column, a one-row table and a 40-column
 table.  Every entry point that signs columns is held to the same vectors:
-``SketchIndex.add_table``, ``build_sketch_index``,
-``IndexBuilder.build_with_sketches`` and a live index's ack path.
+``SketchIndex.add_table``, ``build_sketch_index``, and the store a session
+signs at its first sketch read — over a bulk-built index, a live index and
+a reopened live directory.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from pathlib import Path
 
 import pytest
 
-from repro import MateConfig, SketchIndex, build_sketch_index
+from repro import DiscoverySession, MateConfig, SketchIndex, build_sketch_index
 from repro.datamodel import MISSING, Table, TableCorpus
-from repro.index import IndexBuilder
 from repro.ingest import LiveIndex
 
 GOLDEN = json.loads(
@@ -142,19 +142,21 @@ def stores(tmp_path: Path):
         by_table.add_table(table)
     yield "add_table", by_table
     yield "build_sketch_index", build_sketch_index(corpus)
-    _index, built = IndexBuilder(config=MateConfig()).build_with_sketches(corpus)
-    yield "build_with_sketches", built
+    with DiscoverySession(corpus, config=MateConfig()) as session:
+        yield "session", session.sketch_index()
     live = LiveIndex(config=MateConfig(), directory=tmp_path / "live", fsync=False)
     try:
-        for table in corpus:
-            live.add_table(table)
-        live.seal()
-        yield "live", live.sketch_index()
+        with DiscoverySession(TableCorpus(name="live"), live) as session:
+            for table in corpus:
+                session.ingest(table)
+            live.seal()
+            yield "live", session.sketch_index()
     finally:
         live.close()
     reopened = LiveIndex(config=MateConfig(), directory=tmp_path / "live", fsync=False)
     try:
-        yield "reopened", reopened.sketch_index()
+        with DiscoverySession(corpus, reopened) as session:
+            yield "reopened", session.sketch_index()
     finally:
         reopened.close()
 

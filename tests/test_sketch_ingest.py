@@ -1,9 +1,9 @@
-"""The sketch tier on the write path: id-based signing, buckets filled on
-the first read, one sketch file per segment.
+"""The sketch tier beside the write path: id-based signing, buckets filled
+on the first read, sketches signed by the first sketch read after a write.
 
 * A batch of tables is signed by vocabulary id in one pass
-  (``SketchIndex.add_tables``; ``add_table`` is a batch of one, fed the
-  staged encoding on a live index's ack).  Every signature must equal the
+  (``SketchIndex.add_tables``; ``add_table`` is a batch of one).  Every
+  signature must equal the
   stdlib loop (``tests/helpers.py::legacy_minhash_signature``) bit for bit,
   for whatever a batch can hold (missing cells, all-missing columns and
   tables, tables without rows, duplicates) — with the broadcast cut into
@@ -16,16 +16,20 @@ the first read, one sketch file per segment.
   they replaced (``tests/helpers.py::LegacySketchIndex``) over histories of
   adds, batch builds, removes (of bucketed tables and of tables no read
   bucketed yet), re-adds and save / load round trips — also while writer
-  threads ingest into a live index and reader threads query its store.
-* A live directory holds one ``segment-NNNNNN.sk`` beside every ``.seg``:
-  crashes between the files of a seal or a merge, tombstoned tables, re-added
-  ids, the refusal of the whole-store pair older builds wrote, and the size
-  of it all against one whole-store file.
+  threads ingest into a live session and reader threads query its store.
+* Nothing on the write path signs or writes a sketch: ingest, remove, seal,
+  merge and reopen run with signing broken, a live directory holds no
+  ``.sk`` file (the per-segment files earlier releases wrote are swept at
+  the next writer open), and the session's store — signed at its first
+  sketch read, re-signed for the tables written since — answers like a
+  bulk build of the visible tables, across crashes between the files of a
+  seal or a merge, tombstones, re-added ids and lone surrogates.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -35,15 +39,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import MateConfig, SketchIndex, Table
+from repro import (
+    DiscoveryRequest,
+    DiscoverySession,
+    MateConfig,
+    SketchIndex,
+    SketchOptions,
+    Table,
+    build_index,
+    build_sketch_index,
+)
+from repro.datamodel import QueryTable, TableCorpus
 from repro.exceptions import StorageError
-from repro.index import IndexBuilder
-from repro.index.bulk import encode_tables
 from repro.ingest import CompactionPolicy, Compactor, LiveIndex
+from repro.ingest.live import read_snapshot
+from repro.plan import PlannerOptions
 from repro.sketch import permutation_params
 from repro.sketch.minhash import MERSENNE_PRIME, _permuted, hash_value, pack_signature
 
-from tests.helpers import LegacySketchIndex, legacy_minhash_signature
+from tests.helpers import LegacySketchIndex, legacy_minhash_signature, sketch_rows
 
 CONFIG = MateConfig(hash_size=128, k=5, expected_unique_values=10_000)
 VOCABULARY = ["", "", "ada", "alan", "grace", "İstanbul", "straße", "漢字", "42", "x y"]
@@ -90,13 +104,6 @@ def stdlib_sketches(batch: list[Table]) -> list[tuple]:
     ]
 
 
-def stored(store: SketchIndex) -> list[tuple]:
-    return [
-        (s.table_id, s.column_index, s.cardinality, s.packed)
-        for s in store.column_sketches()
-    ]
-
-
 @given(batch=batches(), bound=st.integers(1, 8))
 @settings(max_examples=60, deadline=None)
 def test_the_batch_signer_equals_the_stdlib_loop(batch, bound):
@@ -107,11 +114,11 @@ def test_the_batch_signer_equals_the_stdlib_loop(batch, bound):
         patch.setattr("repro.sketch.minhash._BROADCAST_VALUES", bound)
         whole = SketchIndex()
         assert whole.add_tables(batch) == len(expected)
-        assert stored(whole) == expected
+        assert sketch_rows(whole) == expected
         one_by_one = SketchIndex()
         for table in batch:
-            one_by_one.add_table(table, encode_tables((table,)))
-        assert stored(one_by_one) == expected
+            one_by_one.add_table(table)
+        assert sketch_rows(one_by_one) == expected
 
 
 def test_tables_without_rows_or_values_sign_nothing():
@@ -124,7 +131,7 @@ def test_tables_without_rows_or_values_sign_nothing():
     store = SketchIndex()
     assert store.add_tables(batch[:2]) == 0 and store.table_ids() == set()
     assert store.add_tables(batch) == 2
-    assert stored(store) == [
+    assert sketch_rows(store) == [
         (9, 0, 2, pack_signature(stdlib_signature({"x", "y"}, a, b))),
         (9, 2, 1, pack_signature(stdlib_signature({"x"}, a, b))),
     ]
@@ -174,7 +181,7 @@ def oracle_sketches(oracle: LegacySketchIndex) -> list[tuple]:
 
 def assert_answers_like(store: SketchIndex, oracle: LegacySketchIndex) -> None:
     assert store.table_ids() == oracle.table_ids()
-    assert stored(store) == oracle_sketches(oracle)
+    assert sketch_rows(store) == oracle_sketches(oracle)
     for probe in PROBES:
         signature = oracle.signature(probe)
         assert store.signature(probe) == signature
@@ -280,9 +287,10 @@ def test_a_bucket_goes_from_one_member_to_two_and_back():
 
 
 def test_readers_query_while_writers_ingest(tmp_path):
-    """Writer threads ingest into (and remove from) a live index while
-    reader threads query its sketch store: no read fails or sees a table
-    that was never added, and the final store equals the oracle."""
+    """Writer threads ingest into (and remove from) a live session while
+    reader threads ask the session for its store and query it: no read
+    fails or sees a table that was never added, and the final store equals
+    the oracle."""
     rng = random.Random(11)
     shared = [f"s{i}" for i in range(12)]
     corpus = [
@@ -296,49 +304,57 @@ def test_readers_query_while_writers_ingest(tmp_path):
     ]
     removed = {table_id for table_id in range(80) if table_id % 7 == 3}
     live = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
-    store = live.sketch_index()
+    session = DiscoverySession(TableCorpus(name="live"), live, config=CONFIG)
     errors: list[BaseException] = []
     done = threading.Event()
 
     def write(part: list[Table]) -> None:
         try:
             for table in part:
-                live.add_table(table)
+                session.ingest(table)
                 if table.table_id in removed:
-                    live.remove_table(table.table_id)
+                    session.remove(table.table_id)
         except BaseException as exc:  # pragma: no cover - reported below
             errors.append(exc)
 
     def read(probe: list[str]) -> None:
         try:
             while not done.is_set():
-                for table_id, score in store.query(probe):
+                for table_id, score in session.sketch_index().query(probe):
                     assert 0 <= table_id < 80 and 0.0 <= score <= 1.0
         except BaseException as exc:  # pragma: no cover - reported below
             errors.append(exc)
 
-    writers = [threading.Thread(target=write, args=(corpus[part::2],)) for part in (0, 1)]
+    writers = [threading.Thread(target=write, args=(corpus[part::4],)) for part in range(4)]
     readers = [threading.Thread(target=read, args=(probe,)) for probe in (shared[:4], shared)]
-    for thread in readers + writers:
-        thread.start()
-    for thread in writers:
-        thread.join()
-    done.set()
-    for thread in readers:
-        thread.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the dirty set and the refresh
+    try:
+        for thread in readers + writers:
+            thread.start()
+        for thread in writers:
+            thread.join(timeout=60)
+        done.set()
+        for thread in readers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in readers + writers)
     live.close()
     assert not errors
     oracle = LegacySketchIndex()
     for table in corpus:
         if table.table_id not in removed:
             oracle.add_table(table)
+    store = session.sketch_index()
+    session.close()
     assert_answers_like(store, oracle)
     for probe in (shared[:4], shared, ["u5_0"]):
         assert store.query(probe) == oracle.query(probe)
 
 
 # ----------------------------------------------------------------------
-# One sketch file per segment
+# Signed at the first sketch read, never on the write path
 # ----------------------------------------------------------------------
 def make_table(table_id: int, version: int = 0) -> Table:
     return Table(
@@ -354,20 +370,13 @@ def files(directory, suffix: str) -> list[str]:
 
 
 def assert_store_is(live: LiveIndex, tables: list[Table]) -> None:
-    """The live store answers like one built from ``tables``."""
-    store = live.sketch_index()
-    assert store is not None
-    fresh = SketchIndex()
-    for table in tables:
-        fresh.add_table(table)
+    """A session over ``live`` signs the store of ``tables``."""
+    corpus = TableCorpus(name="visible", tables=tables)
+    with DiscoverySession(corpus, live, config=CONFIG) as session:
+        store = session.sketch_index()
+    fresh = build_sketch_index(corpus)
     assert store.table_ids() == fresh.table_ids()
-    assert [
-        (s.table_id, s.column_index, s.cardinality, s.packed)
-        for s in store.column_sketches()
-    ] == [
-        (s.table_id, s.column_index, s.cardinality, s.packed)
-        for s in fresh.column_sketches()
-    ]
+    assert sketch_rows(store) == sketch_rows(fresh)
     for table in tables:
         probe = [row[0] for row in table.rows]
         assert store.query(probe) == fresh.query(probe)
@@ -381,13 +390,10 @@ def crash(*args, **kwargs):
     raise Crash("power cut")
 
 
-@pytest.mark.parametrize(
-    "target", ["repro.sketch.SketchIndex.save", "repro.ingest.LiveIndex._write_manifest_locked"]
-)
+@pytest.mark.parametrize("target", ["repro.ingest.LiveIndex._write_manifest_locked"])
 def test_a_crash_between_the_files_of_a_seal_loses_nothing(tmp_path, monkeypatch, target):
-    """Between ``.seg`` and ``.sk``, and between ``.sk`` and the manifest:
-    the WAL was not truncated, so a reopen sweeps what the seal left and
-    replays the tables — postings and sketches."""
+    """Between the ``.seg`` and the manifest: the WAL was not truncated, so
+    a reopen sweeps what the seal left and replays the tables."""
     live = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
     live.add_table(make_table(1))
     live.seal()
@@ -400,23 +406,19 @@ def test_a_crash_between_the_files_of_a_seal_loses_nothing(tmp_path, monkeypatch
     reopened = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
     try:
         assert files(tmp_path, ".seg") == ["segment-000001.seg"]
-        assert files(tmp_path, ".sk") == ["segment-000001.sk"]
         assert reopened.indexed_tables() == {1, 2}
         assert_store_is(reopened, [make_table(1), make_table(2)])
         # ... and the replayed table seals under the swept name.
         reopened.seal()
-        assert files(tmp_path, ".sk") == ["segment-000001.sk", "segment-000002.sk"]
+        assert files(tmp_path, ".seg") == ["segment-000001.seg", "segment-000002.seg"]
+        assert files(tmp_path, ".sk") == []
     finally:
         reopened.close()
 
 
 @pytest.mark.parametrize(
     "target",
-    [
-        "repro.sketch.SketchIndex.save",
-        "repro.ingest.LiveIndex._write_manifest_locked",
-        "pathlib.Path.unlink",
-    ],
+    ["repro.ingest.LiveIndex._write_manifest_locked", "pathlib.Path.unlink"],
 )
 def test_a_crash_in_the_middle_of_a_merge_loses_nothing(tmp_path, monkeypatch, target):
     live = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
@@ -431,13 +433,12 @@ def test_a_crash_in_the_middle_of_a_merge_loses_nothing(tmp_path, monkeypatch, t
     reopened = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
     try:
         # Either side of the manifest write: the inputs or the merged
-        # segment, each with its sketch file, and nothing else.
-        segments = files(tmp_path, ".seg")
-        assert segments in (
+        # segment, and nothing else.
+        assert files(tmp_path, ".seg") in (
             ["segment-000001.seg", "segment-000002.seg", "segment-000003.seg"],
             ["segment-000004.seg"],
         )
-        assert files(tmp_path, ".sk") == [name.replace(".seg", ".sk") for name in segments]
+        assert files(tmp_path, ".sk") == []
         assert reopened.indexed_tables() == {1, 3}
         assert_store_is(reopened, [make_table(1), make_table(3)])
     finally:
@@ -449,13 +450,11 @@ def test_a_tombstoned_table_is_not_resurrected_and_a_readded_id_reads_its_newest
     live.add_table(make_table(1))
     live.add_table(make_table(2))
     live.seal()
-    live.remove_table(1)  # tombstoned; its sketches stay in segment 1's file
+    live.remove_table(1)  # tombstoned; its postings stay in segment 1
     live.remove_table(2)
     live.add_table(make_table(2, version=1))  # the id comes back, other cells
     live.add_table(make_table(3))
     live.seal()  # the manifest now carries both tombstones
-    old = SketchIndex.load(tmp_path, "segment-000001")
-    assert old.table_ids() == {1, 2}
     live.close()
 
     survivors = [make_table(2, version=1), make_table(3)]
@@ -463,11 +462,7 @@ def test_a_tombstoned_table_is_not_resurrected_and_a_readded_id_reads_its_newest
     try:
         assert reopened.tombstones  # no merge purged anything yet
         assert_store_is(reopened, survivors)
-        # The merge purges the masked copies from postings and sketch file.
         assert reopened.merge(0, None) is not None
-        assert files(tmp_path, ".sk") == ["segment-000003.sk"]
-        merged = SketchIndex.load(tmp_path, "segment-000003")
-        assert merged.table_ids() == {2, 3}
         assert_store_is(reopened, survivors)
     finally:
         reopened.close()
@@ -476,6 +471,7 @@ def test_a_tombstoned_table_is_not_resurrected_and_a_readded_id_reads_its_newest
         assert_store_is(again, survivors)
     finally:
         again.close()
+    assert files(tmp_path, ".sk") == []
 
 
 def directory_state(directory: Path) -> dict[str, bytes]:
@@ -504,49 +500,203 @@ def test_a_directory_holding_the_whole_store_pair_is_refused_by_name(tmp_path, n
     assert directory_state(tmp_path) == before
 
 
-def test_a_missing_sketch_file_leaves_the_store_stale(tmp_path):
+def test_the_write_path_signs_nothing(tmp_path, monkeypatch):
+    """Ingest, remove, seal, merge and reopen never sign: they all run with
+    signing broken, and the directory holds no sketch file."""
+
+    def broken(self, tables):
+        raise AssertionError("the write path signed a sketch")
+
+    monkeypatch.setattr(SketchIndex, "add_tables", broken)
     live = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
-    live.add_table(make_table(1))
-    live.seal()
-    live.close()
-    (tmp_path / "segment-000001.sk").unlink()
-    stale = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
-    assert stale.sketch_index() is None
-    stale.close()
-
-
-def test_sketch_files_cost_what_one_whole_store_file_costs(tmp_path):
-    """``index_bytes_per_cell`` of a 300-table directory: the per-segment
-    files (which keep a tombstoned table's sketches until a merge) within
-    1 % of one file holding the store of the visible tables."""
-    rng = random.Random(5)
-    vocabulary = [f"w{i}" for i in range(600)]
-    live = LiveIndex(config=CONFIG, directory=tmp_path / "live", fsync=False)
-    compactor = Compactor(live, CompactionPolicy(max_buffer_rows=120, max_segments=4))
-    for table_id in range(300):
-        rows = [[rng.choice(vocabulary) for _ in range(4)] for _ in range(rng.randint(3, 9))]
-        live.add_table(Table(table_id, f"t{table_id}", ["a", "b", "c", "d"], rows))
+    session = DiscoverySession(TableCorpus(name="live"), live, config=CONFIG)
+    compactor = Compactor(live, CompactionPolicy(max_buffer_rows=8, max_segments=2))
+    for table_id in range(12):
+        session.ingest(make_table(table_id))
         compactor.run_once()
-        if table_id % 25 == 24:
-            live.remove_table(table_id - 20)
-    live.seal()
-    store = live.sketch_index()
+        if table_id % 4 == 3:
+            session.remove(table_id - 2)
+    session.remove(0)
+    session.ingest(make_table(0, version=1))
+    live.compact()
+    session.close()
     live.close()
-    directory = tmp_path / "live"
-    sidecars = sum(path.stat().st_size for path in directory.glob("*.sk"))
-    total = sum(path.stat().st_size for path in directory.iterdir())
-    whole = store.save(tmp_path / "whole", fsync=False).stat().st_size
-    assert len(list(directory.glob("*.sk"))) == len(list(directory.glob("*.seg"))) > 1
-    assert abs(whole - sidecars) / total < 0.01
+    reopened = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
+    try:
+        reopened.add_table(make_table(20))
+        reopened.seal()
+        assert reopened.indexed_tables() == {0, 2, 3, 4, 6, 7, 8, 10, 11, 20}
+    finally:
+        reopened.close()
+    assert files(tmp_path, ".sk") == []
 
 
-def test_builder_and_live_store_hold_the_same_sketches(tmp_path):
-    tables = [make_table(table_id) for table_id in range(6)]
-    _index, built = IndexBuilder(config=CONFIG).build_with_sketches(tables)
-    live = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
-    for table in tables:
-        live.add_table(table)
-    assert [s.packed for s in live.sketch_index().column_sketches()] == [
-        s.packed for s in built.column_sketches()
+SKETCH_MODE = {
+    "planner": PlannerOptions(mode="sketch"),
+    "sketch": SketchOptions(threshold=0.5),
+}
+
+
+def sketch_answers(session: DiscoverySession, queries, engine: str) -> list:
+    answers = []
+    for query in queries:
+        result = session.discover(
+            DiscoveryRequest(query=query, k=5, engine=engine, **SKETCH_MODE)
+        )
+        extra = result.counters.extra
+        answers.append(
+            (
+                result.result_tuples(),
+                extra.get("sketch_candidates"),
+                extra.get("sketch_estimated_recall"),
+            )
+        )
+    return answers
+
+
+def history_table(rng: random.Random, table_id: int, version: int) -> Table:
+    rows = [
+        [f"w{rng.randrange(12)}", f"v{rng.randrange(4)}", f"u{table_id}_{version}_{row}"]
+        for row in range(rng.randint(2, 8))
     ]
+    return Table(table_id, f"t{table_id}", ["a", "b", "c"], rows)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sketch_reads_after_a_history_equal_a_bulk_build(tmp_path, seed):
+    """Ingests, removes, re-ingests of removed ids with new rows, seals,
+    merges and a reopen, with sketch reads in between (so later reads only
+    re-sign what was written since): sketch-mode answers and the estimated
+    recall equal those of a session over a bulk build of the visible
+    tables, and the store holds that build's sketches."""
+    rng = random.Random(seed)
+    directory = tmp_path / "live"
+    corpus = TableCorpus(name="stream")
+    live = LiveIndex(config=CONFIG, directory=directory, fsync=False)
+    session = DiscoverySession(corpus, live, config=CONFIG)
+    compactor = Compactor(live, CompactionPolicy(max_buffer_rows=20, max_segments=3))
+    queries = [
+        QueryTable(
+            table=Table(
+                900 + n, "q", ["a", "b"], [[f"w{n + i}", f"v{i % 4}"] for i in range(6)]
+            ),
+            key_columns=["a", "b"],
+        )
+        for n in range(3)
+    ]
+    versions: dict[int, int] = {}
+    for step in range(60):
+        visible = sorted(live.indexed_tables())
+        if visible and rng.random() < 0.25:
+            session.remove(rng.choice(visible))
+        else:
+            table_id = rng.randrange(30)
+            if live.has_table(table_id):
+                session.remove(table_id)
+            versions[table_id] = versions.get(table_id, -1) + 1
+            session.ingest(history_table(rng, table_id, versions[table_id]))
+        compactor.run_once()
+        if step % 9 == 0:
+            sketch_answers(session, queries, "live")
+        if step == 30:
+            session.close()
+            live.close()
+            live = LiveIndex(config=CONFIG, directory=directory, fsync=False)
+            session = DiscoverySession(corpus, live, config=CONFIG)
+            compactor = Compactor(
+                live, CompactionPolicy(max_buffer_rows=20, max_segments=3)
+            )
+    order = sorted(live.table_sequences().items(), key=lambda item: item[1])
+    visible_tables = TableCorpus(
+        name="visible", tables=[corpus.get_table(table_id) for table_id, _ in order]
+    )
+    with DiscoverySession(
+        visible_tables, build_index(visible_tables, config=CONFIG), config=CONFIG
+    ) as bulk:
+        assert sketch_answers(session, queries, "live") == sketch_answers(
+            bulk, queries, "mate"
+        )
+    assert sketch_rows(session.sketch_index()) == sketch_rows(build_sketch_index(visible_tables))
+    session.close()
     live.close()
+    assert files(directory, ".sk") == []
+
+
+def test_a_directory_written_with_sketch_files_loses_them_to_the_sweep(tmp_path):
+    """Earlier releases wrote one ``segment-NNNNNN.sk`` beside every
+    ``.seg`` (the sketches of the segment's visible tables, through
+    ``SketchIndex.save``).  Such a directory opens, the writer's sweep
+    deletes those files — a read-only snapshot never does — and it answers
+    as before, exact and sketch mode alike."""
+    directory = tmp_path / "live"
+    tables = [make_table(table_id) for table_id in range(6)]
+    corpus = TableCorpus(name="all", tables=tables)
+    live = LiveIndex(config=CONFIG, directory=directory, fsync=False)
+    for table in tables[:3]:
+        live.add_table(table)
+    live.seal()
+    for table in tables[3:5]:
+        live.add_table(table)
+    live.seal()
+    live.remove_table(1)
+    live.add_table(tables[5])  # WAL only
+    live.close()
+    queries = [
+        QueryTable(
+            table=Table(99, "q", ["a", "b"], [[f"k{t}_0_{i}", f"shared_{i % 3}"] for t in (0, 1, 4, 5) for i in range(2)]),
+            key_columns=["a", "b"],
+        )
+    ]
+
+    def answers() -> list:
+        reopened = LiveIndex(config=CONFIG, directory=directory, fsync=False)
+        try:
+            with DiscoverySession(corpus, reopened, config=CONFIG) as session:
+                exact = [
+                    session.discover(
+                        DiscoveryRequest(query=query, k=5, engine="live")
+                    ).result_tuples()
+                    for query in queries
+                ]
+                return exact + sketch_answers(session, queries, "live")
+        finally:
+            reopened.close()
+
+    expected = answers()
+    for generation, visible in ((1, [0, 2]), (2, [3, 4])):
+        old = SketchIndex()
+        for table_id in visible:
+            old.add_table(tables[table_id])
+        old.save(directory, stem=f"segment-{generation:06d}", fsync=False)
+    assert files(directory, ".sk") == ["segment-000001.sk", "segment-000002.sk"]
+    assert read_snapshot(directory).indexed_tables() == {0, 2, 3, 4, 5}
+    assert files(directory, ".sk") == ["segment-000001.sk", "segment-000002.sk"]
+    assert answers() == expected
+    assert files(directory, ".sk") == []
+    assert files(directory, ".seg") == ["segment-000001.seg", "segment-000002.seg"]
+
+
+def test_a_lone_surrogate_is_indexed_and_sketched(tmp_path):
+    """XASH, the WAL and ``.seg`` accept a lone surrogate, and so does the
+    sketch's base hash: the table is acknowledged, survives a reopen and a
+    seal, and sketch-mode reads find it."""
+    odd = Table(2, "t", ["a"], [["ok"], ["\ud800"]])
+    corpus = TableCorpus(name="live")
+    query = QueryTable(table=Table(99, "q", ["a"], [["ok"], ["\ud800"]]), key_columns=["a"])
+    request = DiscoveryRequest(query=query, k=5, engine="live", **SKETCH_MODE)
+    live = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
+    with DiscoverySession(corpus, live, config=CONFIG) as session:
+        session.ingest(make_table(1))
+        session.ingest(odd)
+        assert session.sketch_index().table_ids() == {1, 2}
+        assert [t for t, _ in session.discover(request).result_tuples()] == [2]
+    live.close()
+    reopened = LiveIndex(config=CONFIG, directory=tmp_path, fsync=False)
+    try:
+        reopened.seal()
+        with DiscoverySession(corpus, reopened, config=CONFIG) as session:
+            result = session.discover(request)
+            assert [t for t, _ in result.result_tuples()] == [2]
+            assert result.counters.extra["sketch_candidates"] == 1.0
+    finally:
+        reopened.close()
