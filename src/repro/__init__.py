@@ -110,7 +110,6 @@ from .hashing import (
 )
 from .index import (
     IndexBuilder,
-    IndexMaintainer,
     InvertedIndex,
     build_index,
 )
@@ -163,7 +162,6 @@ __all__ = [
     "HashingError",
     "IndexBuilder",
     "IndexClosedError",
-    "IndexMaintainer",
     "IngestBuffer",
     "InvertedIndex",
     "LiveIndex",

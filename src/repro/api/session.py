@@ -325,7 +325,11 @@ class DiscoverySession:
         snapshot of the index, so no earlier block can serve stale postings.
 
         Re-ingesting an id that was :meth:`remove`-d replaces the corpus
-        entry; re-ingesting a *live* id raises (remove it first).
+        entry; re-ingesting a *live* id raises (remove it first).  That pair
+        is how a table is edited (Section 5.4, any granularity): ``remove``
+        it, then ``ingest`` its edited copy — tables never change in place.
+        The pair is not atomic: a request between the two calls does not
+        see the table.
         """
         add_table = getattr(self.index, "add_table", None)
         if add_table is None:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from ..exceptions import CorpusError, DataModelError
-from .encoding import ENCODER
 from .table import MISSING, Table
 
 
@@ -76,14 +75,11 @@ class TableCorpus:
     def remove_table(self, table_id: int) -> Table:
         """Remove and return a table.  Raises :class:`CorpusError` if absent."""
         try:
-            table = self._tables.pop(table_id)
+            return self._tables.pop(table_id)
         except KeyError as exc:
             raise CorpusError(
                 f"corpus {self.name!r} has no table with id {table_id}"
             ) from exc
-        # The caller owns the table now and may edit it before adding it back.
-        ENCODER.forget(table)
-        return table
 
     def create_table(self, name: str, columns: list[str], rows: list) -> Table:
         """Create a table with the next free id, add it, and return it."""

@@ -26,10 +26,10 @@ because the tables it encodes are shared too (shard engines hold the same
   own tables.  Matrices and key matrices carry the generation they were
   encoded in, so a request still holding ids of the old generation
   re-encodes its keys instead of comparing ids of two dictionaries;
-* **invalidation** — whatever changes a table's rows in place calls
-  :meth:`ValueEncoder.forget` (``Table.append_row``,
-  ``TableCorpus.remove_table``, the row mutations of
-  :class:`repro.index.maintenance.IndexMaintainer`);
+* **invalidation** — none: a table's rows never change after construction
+  (an edit is a new :class:`~repro.datamodel.table.Table` that
+  ``DiscoverySession.ingest`` puts in the old one's place), so the
+  weak-reference expiry covers every entry;
 * **threads** — ids are assigned under one lock (``len(ids)`` followed by an
   insert is a race otherwise); the kernel reads finished, immutable
   matrices without it.
@@ -128,11 +128,6 @@ class ValueEncoder:
                 keys.ids = self._encode_keys(keys.tuples)
                 keys.generation = generation
             return matrices
-
-    def forget(self, table: "Table") -> None:
-        """Drop ``table``'s matrix: its rows are about to change."""
-        with self._lock:
-            self._tables.pop(id(table), None)
 
     def _drop(self) -> None:
         """Start over: dictionary, matrices, generation (lock held)."""

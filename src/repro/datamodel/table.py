@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from ..exceptions import DataModelError
-from .encoding import ENCODER
 
 #: Placeholder used internally for missing cells.
 MISSING: str = ""
@@ -68,7 +67,9 @@ class Table:
         Column names, one per column.
     rows:
         Row values; each row must have exactly ``len(columns)`` cells.  Rows
-        are normalised on construction.
+        are normalised on construction and never change afterwards: an edit
+        builds a new table (the value encoder keeps each table's matrix for
+        the table's lifetime).
     """
 
     table_id: int
@@ -146,17 +147,6 @@ class Table:
     def cardinality(self, column: str | int) -> int:
         """Return the number of distinct non-missing values in a column."""
         return len(self.distinct_column_values(column))
-
-    def append_row(self, values: Iterable[object]) -> Row:
-        """Append a row to the table and return the normalised row."""
-        row = Row(values)
-        if len(row) != self.num_columns:
-            raise DataModelError(
-                f"row has {len(row)} cells, expected {self.num_columns}"
-            )
-        self.rows.append(row)
-        ENCODER.forget(self)
-        return row
 
     def projection(self, columns: Sequence[str | int]) -> set[tuple[str, ...]]:
         """Return the distinct projection of the table onto ``columns``.

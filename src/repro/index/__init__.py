@@ -1,12 +1,11 @@
 """The extended single-attribute inverted index with per-row super keys:
-one CSR block, served through memoised per-value fetch blocks and edited by
-rewrites."""
+one immutable CSR block, served through memoised per-value fetch blocks
+(corpus edits go through a :class:`repro.ingest.LiveIndex`)."""
 
 from .builder import IndexBuildReport, IndexBuilder, build_index
 from .columnar import FetchBlock
 from .inverted import InvertedIndex
 from .kernels import entry_coverage
-from .maintenance import IndexMaintainer
 from .statistics import (
     IndexStorageReport,
     JOSIE_BYTES_PER_ENTRY,
@@ -23,7 +22,6 @@ __all__ = [
     "IndexBuildReport",
     "entry_coverage",
     "IndexBuilder",
-    "IndexMaintainer",
     "IndexStorageReport",
     "InvertedIndex",
     "JOSIE_BYTES_PER_ENTRY",

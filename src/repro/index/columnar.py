@@ -53,10 +53,8 @@ class FetchBlock:
     The posting columns are views of the columns gathered at the value's
     first fetch (no copy per fetch), and so is the fixed-width super-key
     buffer (``super_key_bytes`` / ``key_width``) that the vectorized
-    prefilter kernels consume as it is.  Blocks are snapshots of the index
-    block they were sliced from: a replaced block leaves them as they were,
-    and the index's memo of them goes with the old block.  Blocks compare
-    by identity.
+    prefilter kernels consume as it is.  Blocks are snapshots of the
+    immutable index block they were sliced from; they compare by identity.
     """
 
     __slots__ = ("value", "table_ids", "column_indexes", "row_indexes",

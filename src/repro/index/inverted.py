@@ -18,21 +18,19 @@ Its query surface is exactly what Algorithm 1 needs:
 * ``fetch_batch`` — the posting lists (with super keys) of a set of probe
   values as one struct-of-arrays block per value (line 4);
 * ``posting_lengths`` — how long those lists are, for the planner;
-* the row and statistics reads (``super_key``, ``has_row``,
-  ``indexed_tables``, ``num_posting_items``, ``num_rows``, ``values``,
-  ``len``) that index maintenance and storage reports make.
+* the row and statistics reads (``super_key``, ``indexed_tables``,
+  ``num_posting_items``, ``num_rows``, ``values``, ``len``) that storage
+  reports make.
 
 A closed index refuses every one of them.
 
-The index is immutable but replaceable: :meth:`InvertedIndex.replace_block`
-installs a rewritten block, and it is the one mutator — Section 5.4's edits
-(:class:`~repro.index.maintenance.IndexMaintainer`) run through it.  What a
-read needs — the block, its value-id map, its row-key reader and the
-per-value block memo — is one :class:`_State`, published by one attribute
-store, and every read takes it once: a reader racing a replacement answers
-wholly from the old block or wholly from the new one.  A replacement starts
-an empty memo, so no fetch block (nor its coverage memo) outlives the block
-it was sliced from in the index.
+The index is immutable: it has no mutator.  Section 5.4's corpus edits go
+through a :class:`~repro.ingest.live.LiveIndex` (``DiscoverySession.remove``
+then ``ingest`` of the edited table), which stacks immutable blocks like
+this one.  What a read needs — the block, its value-id map, its row-key
+reader and the per-value block memo — is one :class:`_State`, published by
+one attribute store, and every read takes it once: a reader racing
+:meth:`InvertedIndex.close` answers wholly from the block or is refused.
 """
 
 from __future__ import annotations
@@ -77,9 +75,6 @@ class RowKeys:
         if slot < high and self._rows[slot] == row_index:
             return slot
         return -1
-
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        return self._slot(*key) >= 0
 
     def get(self, key: tuple[int, int]) -> int | None:
         """Return the super key stored under ``key`` (``None`` when none is)."""
@@ -198,25 +193,6 @@ class InvertedIndex:
         """The CSR block this index serves (what a segment file holds)."""
         return self._ensure_open("reading the block").block
 
-    def replace_block(self, block: "SegmentBlock") -> None:
-        """Serve ``block`` from now on — the one mutator of an index.
-
-        Reads already under way finish on the old block, and fetch blocks
-        handed out earlier keep its buffers alive.  ``block`` must be hashed
-        like the one it replaces.
-        """
-        self._ensure_open("replace_block")
-        if (block.hash_function_name, block.hash_size) != (
-            self.hash_function_name,
-            self.hash_size,
-        ):
-            raise IndexError_(
-                f"cannot replace a {self.hash_size}-bit "
-                f"{self.hash_function_name} block with a {block.hash_size}-bit "
-                f"{block.hash_function_name} one"
-            )
-        self._state = _State(block, self._name())
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -310,10 +286,6 @@ class InvertedIndex:
             )
         return stored
 
-    def has_row(self, table_id: int, row_index: int) -> bool:
-        """Return whether a super key is stored for the row."""
-        return (table_id, row_index) in self._ensure_open("has_row").rows
-
     # ------------------------------------------------------------------
     # Discovery-phase retrieval
     # ------------------------------------------------------------------
@@ -323,9 +295,8 @@ class InvertedIndex:
         One block per probed value with at least one PL item, in first-seen
         value order; duplicate and missing probe values are skipped.  The
         row join of a value runs at its first fetch; every later fetch of it
-        returns the same memoised block (coverage memo included) until the
-        index's block is replaced, so a warm ``fetch_batch`` does no
-        per-item work at all.
+        returns the same memoised block (coverage memo included), so a warm
+        ``fetch_batch`` does no per-item work at all.
         """
         state = self._ensure_open("fetch_batch")
         fetched = state.fetched

@@ -789,3 +789,102 @@ def legacy_merge_segments(segments, tombstones, generation):
             if table_id not in masked:
                 merged.keys[(table_id, row_index)] = super_key
     return Segment(index=merged.to_index(), table_seqs=table_seqs, generation=generation)
+
+
+# ----------------------------------------------------------------------
+# Section 5.4 edits through the one write path
+# ----------------------------------------------------------------------
+# A table never changes after construction: an edit builds a new table (same
+# id and name) and the session puts it in the old one's place.
+def edited(table, columns=None, rows=None):
+    """A copy of ``table`` with ``columns`` and / or ``rows`` replaced."""
+    from repro.datamodel import Table
+
+    return Table(
+        table.table_id,
+        table.name,
+        list(table.columns if columns is None else columns),
+        [list(row) for row in (table.rows if rows is None else rows)],
+    )
+
+
+def with_row(table, values):
+    """Insert row: ``values`` appended."""
+    return edited(table, rows=[*table.rows, values])
+
+
+def without_row(table, row_index: int):
+    """Delete row: the rows after it shift up."""
+    return edited(table, rows=table.rows[:row_index] + table.rows[row_index + 1 :])
+
+
+def with_column(table, name: str, values):
+    """Insert column: ``values`` (one per row) appended as column ``name``."""
+    return edited(
+        table,
+        columns=[*table.columns, name],
+        rows=[[*row, value] for row, value in zip(table.rows, values, strict=True)],
+    )
+
+
+def without_column(table, name: str):
+    """Delete column ``name``."""
+    at = table.column_index(name)
+    return edited(
+        table,
+        columns=table.columns[:at] + table.columns[at + 1 :],
+        rows=[row[:at] + row[at + 1 :] for row in table.rows],
+    )
+
+
+def with_cell(table, row_index: int, column_index: int, value):
+    """Update cell: one value replaced."""
+    rows = [list(row) for row in table.rows]
+    rows[row_index][column_index] = value
+    return edited(table, rows=rows)
+
+
+def replace_table(session, table) -> None:
+    """Put ``table`` in the place of the session's table of its id: remove,
+    then ingest.  Not atomic: a request in between does not see the table."""
+    session.remove(table.table_id)
+    session.ingest(table)
+
+
+def visible_corpus(live, corpus):
+    """The ``corpus`` tables ``live`` serves, in its ingest order: the corpus
+    whose bulk build fetches exactly what ``live`` fetches."""
+    from repro.datamodel import TableCorpus
+
+    sequences = live.table_sequences()
+    return TableCorpus(
+        name="visible",
+        tables=[corpus.get_table(tid) for tid in sorted(sequences, key=sequences.get)],
+    )
+
+
+def stage_volumes(result) -> dict[str, tuple[int, int, int]]:
+    """``(calls, items_in, items_out)`` per planner stage of a run."""
+    return {
+        name: (stats.calls, stats.items_in, stats.items_out)
+        for name, stats in result.counters.stages.items()
+    }
+
+
+def assert_live_matches_bulk(session, live, queries, values) -> None:
+    """``live``, edited through ``session``, against a bulk build of the
+    tables it serves: fetches of ``values``, and for every query the answers,
+    mappings, names and every ``DiscoveryCounters`` field.  Two differ by
+    design, both wall-clock: ``runtime_seconds`` and each stage's
+    ``seconds`` (its calls and item volumes are compared)."""
+    from repro import DiscoveryRequest, DiscoverySession, build_index
+
+    tables = visible_corpus(live, session.corpus)
+    bulk = build_index(tables, config=live.config)
+    assert fetch_items(live, values) == fetch_items(bulk, values)
+    with DiscoverySession(tables, bulk, config=live.config) as reference:
+        for query in queries:
+            got = session.discover(DiscoveryRequest(query=query, engine="live"))
+            want = reference.discover(DiscoveryRequest(query=query))
+            assert_results_byte_identical(got.response, want.response)
+            assert stage_volumes(got) == stage_volumes(want)

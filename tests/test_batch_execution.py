@@ -32,7 +32,7 @@ from repro.api.request import RequestBudget
 from repro.core import joinability
 from repro.core.topk import TopKHeap
 from repro.datagen import build_workload
-from repro.datamodel import MISSING, QueryTable, Row, Table, TableCorpus
+from repro.datamodel import MISSING, QueryTable, Table, TableCorpus
 from repro.datamodel import encoding
 from repro.datamodel.encoding import ENCODER, EncodedKeys, ValueEncoder
 from repro.experiments.scenarios import (
@@ -43,7 +43,7 @@ from repro.experiments.scenarios import (
 )
 from repro.experiments.runner import ExperimentSettings
 from repro.hashing.base import key_width
-from repro.index import IndexMaintainer, InvertedIndex
+from repro.index import InvertedIndex
 from repro.index import columnar
 from repro.index.batch import RequestArrays, verify_spans
 from repro.ingest import LiveIndex
@@ -62,6 +62,14 @@ from tests.helpers import (
     fetch_grouped_by_table,
     legacy_discover,
     legacy_verify_table,
+    replace_table,
+    stage_volumes,
+    visible_corpus,
+    with_cell,
+    with_column,
+    with_row,
+    without_column,
+    without_row,
 )
 from tests.test_kernels import VALUES, index_cases, reference_prefilter
 
@@ -78,13 +86,6 @@ def engine(workload):
     return MateDiscovery(
         workload.corpus, build_index(workload.corpus, config=CONFIG), config=CONFIG
     )
-
-
-def stage_volumes(result) -> dict[str, tuple[int, int, int]]:
-    return {
-        name: (stats.calls, stats.items_in, stats.items_out)
-        for name, stats in result.counters.stages.items()
-    }
 
 
 #: Counters only the planner's stages write: the verbatim loop has no
@@ -1093,75 +1094,93 @@ def answer(result):
 
 
 class TestEncodedTableInvalidation:
-    @pytest.fixture(params=BUILD_LANES)
+    """A table never changes in place: an edit is a new table the session
+    ingests in the old one's place (remove, then ingest), so no encoded
+    matrix is ever stale — the old table's entry goes with the table."""
+
+    @pytest.fixture(params=["buffer", "sealed"])
     def edited(self, request):
-        """An engine over an index from either lane of the bulk build,
-        edited by the maintainer's block rewrites."""
-        corpus = small_corpus()
-        index = build_in_lane(request.param, corpus, config=CONFIG)
-        engine = MateDiscovery(corpus, index, config=CONFIG)
-        maintainer = IndexMaintainer(corpus, index, engine.super_key_generator)
+        """A session over a live index holding the small corpus, in its
+        buffer or sealed (an edit then masks the segment copy)."""
+        live = LiveIndex(config=CONFIG)
+        session = repro.DiscoverySession(TableCorpus(name="edit"), live, config=CONFIG)
+        for table in small_corpus():
+            session.ingest(table)
+        if request.param == "sealed":
+            live.seal()
         query = small_query()
         # Encode every table before the edit, so a stale matrix would show.
-        assert answer(engine.discover(query)) == [(0, 3, (0, 1)), (1, 1, (0, 1))]
-        return corpus, engine, maintainer, query
+        assert answer(self.discover(session, query)) == [
+            (0, 3, (0, 1)),
+            (1, 1, (0, 1)),
+        ]
+        yield session, query
+        session.close()
 
-    def check(self, corpus, engine, query, expected_top):
-        result = engine.discover(query)
-        assert answer(result) == answer(fresh_answer(corpus, query))
+    @staticmethod
+    def discover(session, query):
+        return session.discover(repro.DiscoveryRequest(query=query, engine="live"))
+
+    def check(self, session, query, expected_top):
+        result = self.discover(session, query)
+        visible = visible_corpus(session.index, session.corpus)
+        assert answer(result) == answer(fresh_answer(visible, query))
         assert answer(result)[0] == expected_top
 
     def test_update_cell(self, edited):
-        corpus, engine, maintainer, query = edited
-        maintainer.update_cell(0, 0, 1, "berlin")
-        self.check(corpus, engine, query, (0, 4, (0, 1)))
+        session, query = edited
+        replace_table(session, with_cell(session.corpus.get_table(0), 0, 1, "berlin"))
+        self.check(session, query, (0, 4, (0, 1)))
 
     def test_insert_row(self, edited):
-        corpus, engine, maintainer, query = edited
-        maintainer.insert_row(0, ["linus", "helsinki", "red"])
-        self.check(corpus, engine, query, (0, 4, (0, 1)))
+        session, query = edited
+        table = session.corpus.get_table(0)
+        replace_table(session, with_row(table, ["linus", "helsinki", "red"]))
+        self.check(session, query, (0, 4, (0, 1)))
 
-    def test_append_row(self, edited):
-        table = edited[0].get_table(0)
+    def test_an_edited_copy_is_encoded_afresh(self, edited):
+        session, _query = edited
+        table = session.corpus.get_table(0)
         assert ENCODER.matrices([table], EncodedKeys([("ada",)]))[0].shape == (4, 3)
-        table.append_row(["linus", "helsinki", "red"])
+        edited_copy = with_row(table, ["linus", "helsinki", "red"])
+        replace_table(session, edited_copy)
         keys = EncodedKeys([("linus",)])
-        [matrix] = ENCODER.matrices([table], keys)
-        assert matrix.shape == (5, 3) and matrix[4, 0] == keys.ids[0, 0]
+        old, new = ENCODER.matrices([table, edited_copy], keys)
+        assert old.shape == (4, 3)
+        assert new.shape == (5, 3) and new[4, 0] == keys.ids[0, 0]
 
     def test_delete_row(self, edited):
-        corpus, engine, maintainer, query = edited
-        maintainer.delete_row(0, 0)
-        self.check(corpus, engine, query, (0, 3, (0, 1)))
+        session, query = edited
+        replace_table(session, without_row(session.corpus.get_table(0), 0))
+        self.check(session, query, (0, 3, (0, 1)))
 
     def test_insert_column(self, edited):
-        corpus, engine, maintainer, query = edited
-        maintainer.insert_column(0, "town", ["berlin", "x", "y", "z"])
-        self.check(corpus, engine, query, (0, 3, (0, 1)))
-        assert engine.discover(query).tables[0].joinability == 3
-        maintainer.update_cell(0, 1, 1, "nowhere")
-        maintainer.update_cell(0, 1, 3, "paris")
-        self.check(corpus, engine, query, (0, 2, (0, 3)))
+        session, query = edited
+        table = session.corpus.get_table(0)
+        replace_table(session, with_column(table, "town", ["berlin", "x", "y", "z"]))
+        self.check(session, query, (0, 3, (0, 1)))
+        assert self.discover(session, query).tables[0].joinability == 3
+        replace_table(session, with_cell(session.corpus.get_table(0), 1, 1, "nowhere"))
+        replace_table(session, with_cell(session.corpus.get_table(0), 1, 3, "paris"))
+        self.check(session, query, (0, 2, (0, 3)))
 
     def test_delete_column(self, edited):
-        corpus, engine, maintainer, query = edited
-        maintainer.delete_column(0, "name")
-        maintainer.insert_column(0, "who", ["ada", "alan", "grace", "edsger"])
-        self.check(corpus, engine, query, (0, 3, (2, 0)))
+        session, query = edited
+        replace_table(session, without_column(session.corpus.get_table(0), "name"))
+        table = session.corpus.get_table(0)
+        replace_table(session, with_column(table, "who", ["ada", "alan", "grace", "edsger"]))
+        self.check(session, query, (0, 3, (2, 0)))
 
     def test_remove_and_re_add_a_table_id(self, edited):
-        corpus, engine, maintainer, query = edited
-        table = corpus.get_table(0)
-        maintainer.delete_table(0)
-        # The caller owns the removed table and edits it in place.
-        table.rows[0] = Row(["ada", "berlin", "red"])
-        maintainer.insert_table(table)
-        self.check(corpus, engine, query, (0, 4, (0, 1)))
-        maintainer.delete_table(0)
-        maintainer.insert_table(
-            Table(0, "other", list(COLUMNS), rows=[["alan", "paris", "red"]])
-        )
-        self.check(corpus, engine, query, (0, 1, (0, 1)))
+        session, query = edited
+        table = session.corpus.get_table(0)
+        session.remove(0)
+        # The removed table stays in the corpus; its edit is a new table.
+        session.ingest(with_cell(table, 0, 1, "berlin"))
+        self.check(session, query, (0, 4, (0, 1)))
+        session.remove(0)
+        session.ingest(Table(0, "other", list(COLUMNS), rows=[["alan", "paris", "red"]]))
+        self.check(session, query, (0, 1, (0, 1)))
 
     def test_collected_tables_leave_the_cache(self):
         table = Table(7, "t", ["x"], rows=[["a"]])
@@ -1248,17 +1267,19 @@ class TestValueDictionaryBound:
 
 
 # ----------------------------------------------------------------------
-# (d) Edits replace the block under readers; readers keep what they took
+# (d) Writes land under readers; readers keep what they took
 # ----------------------------------------------------------------------
 class TestNoBufferPinned:
     def test_edits_between_stages(self, workload):
-        """A request under way answers from the block it fetched: maintainer
-        edits landing between its stages — each one a block replacement —
-        change nothing it reads, and the pre-edit answer comes back."""
-        corpus = copy.deepcopy(workload.corpus)
-        index = build_index(corpus, config=CONFIG)
+        """A request under way answers from the blocks it fetched: tables
+        ingested into the live index between its stages change nothing it
+        reads, and the pre-write answer comes back."""
+        index = LiveIndex(config=CONFIG)
+        session = repro.DiscoverySession(TableCorpus(name="w"), index, config=CONFIG)
+        for table in workload.corpus:
+            session.ingest(table)
+        corpus = session.corpus
         engine = MateDiscovery(corpus, index, config=CONFIG)
-        maintainer = IndexMaintainer(corpus, index, engine.super_key_generator)
         query = workload.queries[0]
         expected = engine.discover(query)
         probe = Planner(engine).probe_values_for(
@@ -1268,9 +1289,9 @@ class TestNoBufferPinned:
 
         def write():
             # A new table holding the probe value: no candidate of the
-            # request changes, the block it was fetched from is replaced.
+            # request changes, the value's postings do.
             table_id = max(corpus.table_ids()) + 1
-            maintainer.insert_table(Table(table_id, "late", ["a"], [[probe]]))
+            session.ingest(Table(table_id, "late", ["a"], [[probe]]))
             inserted.append(table_id)
 
         (before,) = index.posting_lengths([probe])
@@ -1295,12 +1316,14 @@ class TestNoBufferPinned:
         # The run answers from the postings it fetched, whatever came later.
         assert context.topk.result_tuples() == expected.result_tuples()
         assert index.posting_lengths([probe]) == [before + len(inserted)]
+        session.close()
 
-    def test_a_fetch_racing_edits_sees_one_block(self):
-        """One thread edits (drop table 1, add it back: three block states in
-        turn) while another fetches in a loop.  Every fetched block is that
-        value's block in one of the states, never a value id of one block
-        read against the offsets of another."""
+    @pytest.mark.parametrize("sealed", [False, True], ids=["buffer", "sealed"])
+    def test_a_fetch_racing_edits_sees_one_block(self, sealed):
+        """One thread edits through the session (remove table 1, ingest it
+        again: three states in turn) while another fetches in a loop.  Every
+        fetched block is that value's block in one of the states, never a
+        value id of one block read against the offsets of another."""
         tables = [
             Table(
                 table_id,
@@ -1310,12 +1333,14 @@ class TestNoBufferPinned:
             )
             for table_id in range(4)
         ]
-        corpus = TableCorpus(name="race", tables=copy.deepcopy(tables))
-        index = build_index(corpus, config=CONFIG)
-        generator = MateDiscovery(corpus, index, config=CONFIG).super_key_generator
-        maintainer = IndexMaintainer(corpus, index, generator)
+        index = LiveIndex(config=CONFIG)
+        session = repro.DiscoverySession(TableCorpus(name="race"), index, config=CONFIG)
+        for table in tables:
+            session.ingest(table)
+        if sealed:
+            index.seal()  # the removes mask a segment copy
         values = [f"v{i}" for i in range(5)] + [f"w{i}" for i in range(4)]
-        # Built, table 1 dropped, table 1 appended again.
+        # Ingested, table 1 removed, table 1 ingested again.
         rest = tables[:1] + tables[2:]
         states = [
             build_index(order, config=CONFIG)
@@ -1346,9 +1371,8 @@ class TestNoBufferPinned:
         thread.start()
         try:
             for _ in range(60):
-                table = corpus.get_table(1)
-                maintainer.delete_table(1)
-                maintainer.insert_table(table)
+                session.remove(1)
+                session.ingest(tables[1])
         finally:
             stop.set()
             thread.join(timeout=60)
@@ -1358,3 +1382,4 @@ class TestNoBufferPinned:
         assert [block_items(block) for block in index.fetch_batch(values)] == [
             block_items(block) for block in states[2].fetch_batch(values)
         ]
+        session.close()

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro import MateConfig, Table
 from repro.datamodel import Row
-from repro.exceptions import IndexError_
 from repro.hashing import SuperKeyGenerator
 from repro.index import IndexBuilder, InvertedIndex, build_index
 from repro.storage import write_segment
@@ -30,7 +29,6 @@ from tests.helpers import (
     CellIndex,
     assert_blocks_equal,
     block_columns,
-    block_items,
     build_in_lane,
     row_keys,
 )
@@ -137,37 +135,6 @@ def test_a_plain_object_with_hash_value_is_a_hash_function():
     generator = SuperKeyGenerator(Plain())
     built = IndexBuilder(super_key_generator=generator).build([table])
     assert row_keys(built) == [(0, 0, 0b110), (0, 1, 0b1000)]
-
-
-class TestReplaceBlock:
-    """An index is immutable but replaceable: ``replace_block`` is its one
-    mutator, and what was fetched before keeps what it held."""
-
-    TABLES = [
-        Table(table_id=0, name="t", columns=["a", "b"], rows=[["x", "y"], ["x", ""]]),
-        Table(table_id=1, name="u", columns=["a"], rows=[["y"]]),
-    ]
-
-    def test_a_replaced_block_is_served(self):
-        built = build_index(self.TABLES)
-        before = built.fetch_batch(["x", "y", "nothing"])
-        items = [block_items(block) for block in before]
-        other = build_index(self.TABLES[1:])
-        built.replace_block(other.block)
-        assert built.block is other.block
-        assert_blocks_equal(
-            built.fetch_batch(["x", "y", "nothing"]),
-            other.fetch_batch(["x", "y", "nothing"]),
-        )
-        assert (len(built), built.num_rows(), built.indexed_tables()) == (1, 1, {1})
-        # Blocks fetched before the replacement keep what they held.
-        assert [block_items(block) for block in before] == items
-
-    def test_a_differently_hashed_block_is_refused(self):
-        built = build_index(self.TABLES)
-        wide = build_index(self.TABLES, config=MateConfig(hash_size=256))
-        with pytest.raises(IndexError_, match="256-bit"):
-            built.replace_block(wide.block)
 
 
 def test_hash_batch_of_an_oversize_hash_is_refused():

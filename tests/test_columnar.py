@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import sqlite3
 
 import pytest
@@ -17,14 +16,14 @@ from repro import (
     build_index,
 )
 from repro.datagen import build_workload
-from repro.datamodel import MISSING
+from repro.datamodel import MISSING, TableCorpus
 from repro.engine_sql import build_accelerator, key_width
 from repro.engine_sql.accelerator import split_limbs
 from repro.hashing import SuperKeyGenerator
-from repro.index import IndexBuilder, IndexMaintainer, InvertedIndex
+from repro.ingest import LiveIndex
+from repro.index import IndexBuilder, InvertedIndex
 from repro.storage import load_segment, write_segment
 from tests.helpers import (
-    BUILD_LANES,
     CellIndex,
     FetchedItem,
     assert_results_byte_identical,
@@ -32,7 +31,10 @@ from tests.helpers import (
     build_in_lane,
     fetch_items,
     legacy_discover,
+    replace_table,
     row_keys,
+    without_column,
+    without_row,
 )
 
 
@@ -171,51 +173,37 @@ class TestFetchAgainstACorpusScan:
             over_shards = sharded.discover(query)
             assert over_shards.result_tuples() == monolithic.result_tuples()
 
-    @pytest.mark.parametrize("lane", BUILD_LANES)
-    def test_maintenance_edits_match_the_scan(self, workload, config, lane):
-        """An edited table moves to the end of every posting list: the index
-        answers what a scan of the corpus in last-touched order does."""
-        corpus = copy.deepcopy(workload.corpus)
-        index = build_in_lane(lane, corpus, config=config)
-        generator = SuperKeyGenerator.from_name("xash", config)
-        maintainer = IndexMaintainer(corpus, index, generator)
-        table, *rest = list(corpus)
-        maintainer.delete_column(table.table_id, table.columns[0])
-        maintainer.delete_row(table.table_id, 0)
+    @pytest.mark.parametrize("sealed", [False, True], ids=["buffer", "sealed"])
+    def test_live_edits_match_the_scan(self, workload, config, sealed):
+        """An edited table, removed and ingested again through the session,
+        moves to the end of every posting list: the live index answers what
+        a scan of the corpus in last-touched order does."""
+        live = LiveIndex(config=config)
+        session = DiscoverySession(TableCorpus(name="edited"), live, config=config)
+        for table in workload.corpus:
+            session.ingest(table)
+        if sealed:
+            live.seal()
+        table, *rest = list(workload.corpus)
+        replace_table(session, without_column(table, table.columns[0]))
+        replace_table(session, without_row(session.corpus.get_table(table.table_id), 0))
 
         def assert_scans(tables):
             scanned = scanned_cells(tables, config)
             values = probe_values(scanned)
-            assert fetch_items(index, values) == [
+            assert fetch_items(live, values) == [
                 item for value in values for item in scanned.get(value, ())
             ]
-            assert sorted(index.values()) == sorted(scanned)
-            assert sorted(row_keys(index)) == scanned_super_keys(
+            snapshot = live.snapshot()
+            assert sorted(snapshot.block.values) == sorted(scanned)
+            assert sorted(row_keys(snapshot)) == scanned_super_keys(
                 tables, config
             )
 
-        assert_scans(rest + [table])
-        maintainer.delete_table(table.table_id)
+        assert_scans(rest + [session.corpus.get_table(table.table_id)])
+        session.remove(table.table_id)
         assert_scans(rest)
-
-    def test_a_replaced_block_drops_the_memoised_views(self, config):
-        from repro.datamodel import Table, TableCorpus
-
-        corpus = TableCorpus(name="tiny")
-        corpus.add_table(
-            Table(table_id=0, name="t", columns=["a"], rows=[["x"], ["x"]])
-        )
-        index = build_index(corpus, config=config)
-        before = fetch_items(index, ["x"])
-        (view,) = index.fetch_batch(["x"])
-        cells = CellIndex.of(index)
-        cells.keys[(0, 1)] = 12345
-        cells.add_posting("x", 0, 0, 1)
-        index.replace_block(cells.to_block())
-        after = fetch_items(index, ["x"])
-        assert index.fetch_batch(["x"])[0].table_ids is not view.table_ids
-        assert after[1].super_key == 12345
-        assert len(after) == len(before) + 1
+        session.close()
 
 
 class TestAcceleratorScan:

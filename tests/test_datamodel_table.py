@@ -71,13 +71,6 @@ class TestTable:
         with pytest.raises(DataModelError):
             self.make().column_values(9)
 
-    def test_append_row(self):
-        table = self.make()
-        table.append_row(["Grace", "Hopper", "US"])
-        assert table.num_rows == 3
-        with pytest.raises(DataModelError):
-            table.append_row(["too", "short"])
-
     def test_projection_is_distinct_and_skips_all_missing(self):
         table = Table(
             table_id=0,

@@ -72,8 +72,15 @@ def test_movie_feature_enrichment():
 
 
 def test_index_maintenance():
+    """Every Section 5.4 edit, made through the session on a live index in
+    a directory, leaves what a bulk build of the edited corpus serves, and
+    the reopened directory fetches the same."""
     output = run_example("index_maintenance.py")
-    assert output.strip()
+    steps = [line for line in output.splitlines() if line.startswith("  after ")]
+    assert len(steps) == 8
+    assert all(line.endswith("[matches a bulk build]") for line in steps)
+    assert "projects     joinability=2" in output
+    assert "reopened the directory (1 segment): 14 postings (identical)" in output
 
 
 def test_beyond_joins():

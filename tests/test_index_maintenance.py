@@ -1,177 +1,251 @@
-"""Tests for repro.index.maintenance: Section 5.4 edit operations.
+"""Section 5.4 edit operations through the one write path: the session over
+a :class:`~repro.ingest.LiveIndex`.
 
-Every test runs on an index from each lane of the bulk build: the per-cell
-reference's and the array passes' (``tests/helpers.py::BUILD_LANES``).  An
-edit rewrites the block: the edited table is dropped and appended again.
+Inserting or deleting a table is one ``DiscoverySession.ingest`` /
+``remove``; every finer edit (insert / delete row, insert / delete column,
+update cell) is ``remove`` of the table followed by ``ingest`` of its edited
+copy (``tests/helpers.py::replace_table``), so the rebuilt rows get fresh
+super keys — the paper's rehash.  Every test runs on an in-memory
+``LiveIndex(config)`` and on a directory whose tables were sealed before the
+edit (the edit masks their segment copies with a tombstone) and which is
+then sealed, merged, closed and reopened.  Each time, fetches, answers,
+mappings and every ``DiscoveryCounters`` field equal a bulk build of the
+edited corpus (``tests/helpers.py::assert_live_matches_bulk``).
 """
 
 import pytest
 
-from repro import LiveIndex, MateConfig, build_index
-from repro.datamodel import Row, Table, TableCorpus
-from repro.exceptions import DataModelError, IndexError_
+from repro import DiscoveryRequest, DiscoverySession, LiveIndex
+from repro.datamodel import QueryTable, Table, TableCorpus
 from repro.hashing import SuperKeyGenerator
-from repro.index import IndexMaintainer
-from repro.storage import load_segment, write_segment
-from tests.helpers import BUILD_LANES, build_in_lane, fetch_items
+from repro.plan import PlannerOptions
+from repro.sketch import SketchOptions
+from tests.helpers import (
+    assert_live_matches_bulk,
+    fetch_items,
+    replace_table,
+    with_cell,
+    with_column,
+    with_row,
+    without_column,
+    without_row,
+)
+
+VALUES = [
+    "ada", "lovelace", "alan", "turing", "grace", "hopper", "london",
+    "cambridge", "arlington", "byron", "berlin", "uk", "x", "absent",
+]
+
+QUERIES = [
+    QueryTable(
+        table=Table(
+            99,
+            "q",
+            ["first", "last"],
+            [["ada", "lovelace"], ["alan", "turing"], ["grace", "hopper"]],
+        ),
+        key_columns=["first", "last"],
+    ),
+    QueryTable(
+        table=Table(98, "q", ["last", "city"], [["lovelace", "london"], ["hopper", "uk"]]),
+        key_columns=["last", "city"],
+    ),
+]
 
 
-@pytest.fixture(params=BUILD_LANES)
-def setup(request, config):
-    corpus = TableCorpus(name="maintenance")
-    corpus.add_table(
-        Table(
-            table_id=0,
-            name="people",
-            columns=["first", "last"],
-            rows=[["ada", "lovelace"], ["alan", "turing"]],
+class Lake:
+    """A session over a live index holding two tables, in memory or in a
+    directory."""
+
+    def __init__(self, config, directory=None):
+        self.config = config
+        self.directory = directory
+        self.generator = SuperKeyGenerator.from_name("xash", config)
+        self.corpus = TableCorpus(name="maintenance")
+        self.open()
+        self.session.ingest(
+            Table(0, "people", ["first", "last"], [["ada", "lovelace"], ["alan", "turing"]])
         )
-    )
-    index = build_in_lane(request.param, corpus, config=config)
-    generator = SuperKeyGenerator.from_name("xash", config)
-    maintainer = IndexMaintainer(corpus, index, generator)
-    return corpus, index, generator, maintainer
+        self.session.ingest(
+            Table(
+                1,
+                "places",
+                ["first", "last", "city"],
+                [["ada", "lovelace", "london"], ["grace", "hopper", "arlington"]],
+            )
+        )
+        if directory is not None:
+            self.live.seal()
+
+    def open(self) -> None:
+        if self.directory is None:
+            self.live = LiveIndex(config=self.config)
+        else:
+            self.live = LiveIndex.open(self.directory, config=self.config, fsync=False)
+        self.session = DiscoverySession(self.corpus, self.live, config=self.config)
+
+    def close(self) -> None:
+        self.session.close()
+        self.live.close()
+
+    def table(self, table_id: int) -> Table:
+        return self.corpus.get_table(table_id)
+
+    def items(self, value: str, table_id: int) -> list:
+        return [item for item in fetch_items(self.live, [value]) if item.table_id == table_id]
+
+    def key(self, table_id: int, row_index: int) -> int:
+        (key,) = {
+            item.super_key
+            for item in fetch_items(self.live, VALUES)
+            if (item.table_id, item.row_index) == (table_id, row_index)
+        }
+        return key
+
+    def check(self) -> None:
+        """Against a bulk build; a directory also after seal, merge and a
+        reopen."""
+        assert_live_matches_bulk(self.session, self.live, QUERIES, VALUES)
+        if self.directory is None:
+            return
+        self.live.seal()
+        self.live.merge()
+        assert self.live.num_segments == 1
+        self.close()
+        self.open()
+        assert_live_matches_bulk(self.session, self.live, QUERIES, VALUES)
+
+
+@pytest.fixture(params=["memory", "directory"])
+def lake(request, config, tmp_path):
+    lake = Lake(config, tmp_path / "live" if request.param == "directory" else None)
+    yield lake
+    lake.close()
 
 
 class TestInserts:
-    def test_insert_table(self, setup):
-        corpus, index, generator, maintainer = setup
-        maintainer.insert_table(
-            Table(table_id=5, name="new", columns=["city"], rows=[["berlin"]])
-        )
-        assert 5 in corpus
-        assert index.posting_lengths(["berlin"]) == [1]
-        assert index.super_key(5, 0) == generator.value_hash("berlin")
-        assert maintainer.verify_consistency() == []
+    def test_insert_table(self, lake):
+        lake.session.ingest(Table(5, "new", ["city"], [["berlin"]]))
+        assert 5 in lake.corpus
+        assert lake.live.posting_lengths(["berlin"]) == [1]
+        assert lake.key(5, 0) == lake.generator.value_hash("berlin")
+        lake.check()
 
-    def test_insert_row(self, setup):
-        corpus, index, generator, maintainer = setup
-        row_index = maintainer.insert_row(0, ["grace", "hopper"])
-        assert row_index == 2
-        assert corpus.get_row(0, 2) == ("grace", "hopper")
-        assert index.posting_lengths(["grace"]) == [1]
-        assert index.super_key(0, 2) == generator.row_super_key(("grace", "hopper"))
-        assert maintainer.verify_consistency() == []
+    def test_insert_row(self, lake):
+        replace_table(lake.session, with_row(lake.table(0), ["grace", "hopper"]))
+        assert lake.corpus.get_row(0, 2) == ("grace", "hopper")
+        assert [item.row_index for item in lake.items("grace", 0)] == [2]
+        assert lake.key(0, 2) == lake.generator.row_super_key(("grace", "hopper"))
+        lake.check()
 
-    def test_insert_column_ors_into_super_keys(self, setup):
-        corpus, index, generator, maintainer = setup
-        before = index.super_key(0, 0)
-        maintainer.insert_column(0, "country", ["uk", "uk"])
-        after = index.super_key(0, 0)
-        assert after == before | generator.value_hash("uk")
-        assert corpus.get_table(0).columns == ["first", "last", "country"]
-        assert index.posting_lengths(["uk"]) == [2]
-        assert maintainer.verify_consistency() == []
-
-    def test_insert_column_validations(self, setup):
-        _, _, _, maintainer = setup
-        with pytest.raises(DataModelError):
-            maintainer.insert_column(0, "first", ["x", "y"])
-        with pytest.raises(DataModelError):
-            maintainer.insert_column(0, "extra", ["only-one"])
+    def test_insert_column_ors_into_super_keys(self, lake):
+        before = lake.key(0, 0)
+        replace_table(lake.session, with_column(lake.table(0), "country", ["uk", "uk"]))
+        assert lake.key(0, 0) == before | lake.generator.value_hash("uk")
+        assert lake.table(0).columns == ["first", "last", "country"]
+        assert lake.live.posting_lengths(["uk"]) == [2]
+        lake.check()
 
 
 class TestUpdates:
-    def test_update_cell_rehashes_row(self, setup):
-        corpus, index, generator, maintainer = setup
-        maintainer.update_cell(0, 0, 1, "byron")
-        assert corpus.get_row(0, 0)[1] == "byron"
-        assert index.posting_lengths(["lovelace"]) == [0]
-        assert index.posting_lengths(["byron"]) == [1]
-        assert index.super_key(0, 0) == generator.row_super_key(("ada", "byron"))
-        assert maintainer.verify_consistency() == []
+    def test_update_cell_rehashes_row(self, lake):
+        replace_table(lake.session, with_cell(lake.table(0), 0, 1, "byron"))
+        assert lake.corpus.get_row(0, 0)[1] == "byron"
+        assert lake.items("lovelace", 0) == []
+        assert lake.live.posting_lengths(["byron"]) == [1]
+        assert lake.key(0, 0) == lake.generator.row_super_key(("ada", "byron"))
+        lake.check()
 
-    def test_update_cell_validations(self, setup):
-        _, _, _, maintainer = setup
-        with pytest.raises(DataModelError):
-            maintainer.update_cell(0, 9, 0, "x")
-        with pytest.raises(DataModelError):
-            maintainer.update_cell(0, 0, 9, "x")
+    def test_update_a_key_cell_changes_the_answer(self, lake):
+        replace_table(lake.session, with_cell(lake.table(1), 1, 2, "uk"))
+        result = lake.session.discover(DiscoveryRequest(query=QUERIES[1], engine="live"))
+        assert (1, 2) in result.result_tuples()
+        lake.check()
 
 
 class TestDeletes:
-    def test_delete_table(self, setup):
-        corpus, index, _, maintainer = setup
-        maintainer.delete_table(0)
-        assert 0 not in corpus
-        assert index.num_posting_items() == 0
-        assert maintainer.verify_consistency() == []
+    def test_delete_table(self, lake):
+        lake.session.remove(0)
+        assert lake.live.indexed_tables() == {1}
+        assert all(item.table_id == 1 for item in fetch_items(lake.live, VALUES))
+        lake.check()
 
-    def test_delete_row_shifts_following_rows(self, setup):
-        corpus, index, generator, maintainer = setup
-        maintainer.delete_row(0, 0)
-        table = corpus.get_table(0)
-        assert table.num_rows == 1
-        assert table.rows[0] == ("alan", "turing")
-        assert index.posting_lengths(["ada"]) == [0]
-        assert index.super_key(0, 0) == generator.row_super_key(("alan", "turing"))
-        assert maintainer.verify_consistency() == []
+    def test_delete_row_shifts_following_rows(self, lake):
+        replace_table(lake.session, without_row(lake.table(0), 0))
+        assert lake.table(0).rows == [("alan", "turing")]
+        assert lake.items("ada", 0) == []
+        assert lake.key(0, 0) == lake.generator.row_super_key(("alan", "turing"))
+        lake.check()
 
-    def test_delete_column_triggers_rehash(self, setup):
-        corpus, index, generator, maintainer = setup
-        maintainer.delete_column(0, "last")
-        table = corpus.get_table(0)
-        assert table.columns == ["first"]
-        assert index.posting_lengths(["lovelace"]) == [0]
-        assert index.super_key(0, 0) == generator.value_hash("ada")
-        assert maintainer.verify_consistency() == []
-
-    def test_delete_row_validation(self, setup):
-        _, _, _, maintainer = setup
-        with pytest.raises(DataModelError):
-            maintainer.delete_row(0, 10)
+    def test_delete_column_triggers_rehash(self, lake):
+        replace_table(lake.session, without_column(lake.table(0), "last"))
+        assert lake.table(0).columns == ["first"]
+        assert lake.items("lovelace", 0) == []
+        assert lake.key(0, 0) == lake.generator.value_hash("ada")
+        lake.check()
 
 
-class TestConsistencyChecker:
-    def test_detects_stale_super_key(self, setup):
-        corpus, _, _, maintainer = setup
-        # Edit a row behind the maintainer's back: its key is now stale.
-        corpus.get_table(0).rows[0] = Row(["grace", "hopper"])
-        issues = maintainer.verify_consistency()
-        assert issues == ["stale super key for table 0 row 0"]
+class TestEditSemantics:
+    def test_edits_in_sequence(self, lake):
+        """Every edit kind in turn, the same table touched again and again:
+        the edited tables end the ingest order in last-touched order."""
+        session = lake.session
+        replace_table(session, with_row(lake.table(1), ["alan", "turing", "cambridge"]))
+        session.ingest(Table(2, "late", ["a", "b"], [["grace", "hopper"]]))
+        replace_table(session, with_column(lake.table(0), "city", ["london", "x"]))
+        replace_table(session, with_cell(lake.table(1), 0, 2, "berlin"))
+        replace_table(session, without_row(lake.table(0), 1))
+        replace_table(session, without_column(lake.table(1), "first"))
+        session.remove(2)
+        sequences = lake.live.table_sequences()
+        assert sorted(sequences, key=sequences.get) == [0, 1]
+        lake.check()
 
-    def test_detects_orphan_table(self, setup):
-        corpus, index, _, maintainer = setup
-        corpus.remove_table(0)  # bypass the maintainer on purpose
-        issues = maintainer.verify_consistency()
-        assert any("missing table" in issue for issue in issues)
+    def test_an_edit_shows_at_once_past_memoised_blocks(self, lake):
+        lake.live.seal()
+        assert [item.row_index for item in lake.items("alan", 0)] == [1]
+        lake.live.fetch_batch(["alan"])  # memoised in the segment
+        replace_table(lake.session, with_cell(lake.table(0), 0, 0, "alan"))
+        assert [item.row_index for item in lake.items("alan", 0)] == [0, 1]
+        lake.check()
+
+    def test_a_request_between_remove_and_ingest_misses_the_table(self, lake):
+        """The edit is two writes, not one: a request between them answers
+        as if the table were deleted."""
+        request = DiscoveryRequest(query=QUERIES[0], engine="live")
+        assert 0 in dict(lake.session.discover(request).result_tuples())
+        edited = with_row(lake.table(0), ["grace", "hopper"])
+        lake.session.remove(0)
+        assert 0 not in dict(lake.session.discover(request).result_tuples())
+        lake.session.ingest(edited)
+        assert (0, 3) in lake.session.discover(request).result_tuples()
 
 
-class TestRefusals:
-    """The maintainer rewrites one in-memory block; it refuses, by name, the
-    indexes it cannot rewrite — read from the object itself."""
+def test_sketch_mode_sees_ingests_and_edits(config):
+    """The sketch tier follows every write of the session: a table ingested
+    after the first sketch-mode request, and a row edit made by remove +
+    ingest, are both signed before the next one prunes."""
+    keys = [[f"k{i}", f"v{i}"] for i in range(5)]
+    query = QueryTable(table=Table(99, "q", ["a", "b"], keys), key_columns=["a", "b"])
+    sketch = {
+        "planner": PlannerOptions(mode="sketch"),
+        "sketch": SketchOptions(threshold=0.5),
+    }
+    live = LiveIndex(config=config)
+    with DiscoverySession(TableCorpus(name="sketched"), live, config=config) as session:
+        session.ingest(Table(1, "partial", ["a", "b"], keys[:2] + [["n0", "m0"]]))
 
-    @staticmethod
-    def corpus() -> TableCorpus:
-        corpus = TableCorpus(name="refused")
-        corpus.add_table(Table(0, "t", ["a"], [["x"], ["y"]]))
-        return corpus
+        def answers(**options):
+            request = DiscoveryRequest(query=query, engine="live", **options)
+            return session.discover(request).result_tuples()
 
-    def test_a_mapped_segment(self, config, tmp_path):
-        corpus = self.corpus()
-        generator = SuperKeyGenerator.from_name("xash", config)
-        path = write_segment(build_index(corpus, config=config), tmp_path / "t.seg")
-        mapped = load_segment(path)
-        try:
-            with pytest.raises(IndexError_, match="read-only segment file"):
-                IndexMaintainer(corpus, mapped, generator)
-        finally:
-            mapped.close()
-
-    def test_a_live_index(self, config):
-        corpus = self.corpus()
-        generator = SuperKeyGenerator.from_name("xash", config)
-        with LiveIndex(config=MateConfig()) as live:
-            with pytest.raises(IndexError_, match="LiveIndex.*add_table"):
-                IndexMaintainer(corpus, live, generator)
-
-    def test_an_edit_replaces_the_memoised_blocks(self, config):
-        corpus = self.corpus()
-        generator = SuperKeyGenerator.from_name("xash", config)
-        index = build_index(corpus, config=config)
-        assert [item.row_index for item in fetch_items(index, ["x"])] == [0]
-        memoised = index.fetch_batch(["x"])[0]
-        IndexMaintainer(corpus, index, generator).update_cell(0, 1, 0, "x")
-        # The rewritten block starts a new memo: the edit shows at once.
-        assert index.fetch_batch(["x"])[0] is not memoised
-        assert [item.row_index for item in fetch_items(index, ["x"])] == [0, 1]
+        assert answers() == [(1, 2)]
+        assert answers(**sketch) == []
+        session.ingest(Table(2, "full", ["a", "b"], keys))
+        assert answers() == [(2, 5), (1, 2)]
+        assert answers(**sketch) == [(2, 5)]
+        assert session.sketch_index().table_ids() == live.indexed_tables() == {1, 2}
+        partial = session.corpus.get_table(1)
+        replace_table(session, with_row(with_row(with_row(partial, keys[2]), keys[3]), keys[4]))
+        assert answers(**sketch) == answers() == [(1, 5), (2, 5)]
+        assert session.sketch_index().table_ids() == live.indexed_tables() == {1, 2}

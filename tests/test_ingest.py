@@ -617,8 +617,7 @@ class TestSessionIngestion:
         with DiscoverySession(corpus, config=CONFIG) as session:
             with pytest.raises(DiscoveryError):
                 session.ingest(make_table(1, rng))
-            # remove() must not fall through to the static index's
-            # (maintenance-layer, destructive) remove_table.
+            # remove() refuses a static index: it is immutable.
             with pytest.raises(DiscoveryError):
                 session.remove(0)
             assert session.index.indexed_tables() == {0}

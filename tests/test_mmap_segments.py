@@ -9,8 +9,7 @@ Covers the whole contract of the persisted columnar segment format:
   shared-page claim, proven with a real subprocess);
 * explicit close semantics — reads after :meth:`close` raise
   :class:`~repro.exceptions.IndexClosedError`, close is idempotent;
-* read-only semantics — a mapped index has no mutator but ``replace_block``,
-  and the maintainer refuses it;
+* read-only semantics — a mapped index has no mutator;
 * structural damage — truncation, wrong magic, torn footer, checksum
   mismatch, a region outside the payload or of the wrong length, offsets
   that do not partition their column, text that is not UTF-8, a file of a
@@ -39,12 +38,10 @@ import pytest
 import repro
 from repro import LiveIndex, MateConfig, MateDiscovery, Table, TableCorpus, build_index
 from repro.datamodel import QueryTable
-from repro.hashing import SuperKeyGenerator
-from repro.index import IndexMaintainer, InvertedIndex
+from repro.index import InvertedIndex
 from repro.ingest import IngestBuffer
 from repro.exceptions import (
     IndexClosedError,
-    IndexError_,
     SegmentFormatError,
     StorageError,
 )
@@ -342,12 +339,11 @@ class TestCloseSemantics:
     def test_reads_after_close_raise_typed_error(self, segment):
         _corpus, _index, path = segment
         mapped = load_segment(path)
-        block = mapped.block
         mapped.close()
         with pytest.raises(IndexClosedError):
             mapped.fetch_batch(["n1"])
         with pytest.raises(IndexClosedError):
-            mapped.replace_block(block)
+            mapped.block
 
     def test_close_is_idempotent(self, segment):
         _corpus, _index, path = segment
@@ -378,14 +374,12 @@ class TestCloseSemantics:
 
 
 class TestReadOnly:
-    def test_the_maintainer_refuses_a_mapped_segment(self, segment):
-        corpus, _index, path = segment
+    def test_a_mapped_segment_has_no_mutator(self, segment):
+        _corpus, _index, path = segment
         mapped = load_segment(path)
-        generator = SuperKeyGenerator.from_name("xash", CONFIG)
         try:
-            with pytest.raises(IndexError_, match="read-only segment file"):
-                IndexMaintainer(corpus, mapped, generator)
             assert not hasattr(mapped, "add_posting")
+            assert not hasattr(mapped, "replace_block")
         finally:
             mapped.close()
 

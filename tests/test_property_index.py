@@ -1,23 +1,25 @@
-"""Property-based tests for index construction and maintenance."""
+"""Property-based tests for index construction and for Section 5.4 edits
+through the session over a live index."""
 
-import copy
 import random
+import tempfile
 
 from hypothesis import given, settings, strategies as st
 
-from repro import MateConfig, build_index
-from repro.datamodel import Table, TableCorpus
+from repro import DiscoverySession, LiveIndex, MateConfig, build_index
+from repro.datamodel import QueryTable, Table, TableCorpus
 from repro.hashing import SuperKeyGenerator
-from repro.index import IndexMaintainer, InvertedIndex
-from repro.index.bulk import build_block
-from repro.storage.segment_block import SegmentBlock
 from tests.helpers import (
-    BUILD_LANES,
-    block_columns,
-    block_postings,
-    build_in_lane,
+    assert_live_matches_bulk,
     fetch_items,
+    replace_table,
     row_keys,
+    visible_corpus,
+    with_cell,
+    with_column,
+    with_row,
+    without_column,
+    without_row,
 )
 
 VOCABULARY = ["ada", "alan", "grace", "berlin", "paris", "rome", "42", "x y"]
@@ -81,126 +83,128 @@ class TestIndexInvariants:
             assert super_key | value_hash == super_key
 
 
-def canonical(block) -> dict:
-    """Every column of ``block`` with its vocabulary sorted: each posting
-    list, posting key and row, whatever order the values came in."""
-    return block_columns(
-        SegmentBlock.from_postings(
-            block.hash_function_name,
-            block.hash_size,
-            sorted(block_postings(block)),
-            row_keys(InvertedIndex(block)),
-        )
+QUERIES = [
+    QueryTable(
+        table=Table(
+            99,
+            "q",
+            ["a", "b"],
+            [[left, right] for left in VOCABULARY[:4] for right in VOCABULARY[3:]],
+        ),
+        key_columns=["a", "b"],
     )
+]
 
 
-class TestMaintenanceRoundTrips:
-    """On an index from each lane of the bulk build: every edit rewrites the
-    block, so after any edit sequence the block is the bulk build of the
-    corpus with the edited tables moved to the end, in last-touched order —
-    column for column, up to the vocabulary order (``merge_blocks`` keeps a
-    value where it first survives; a bulk build lists it where it is first
-    seen)."""
-
-    @staticmethod
-    def random_edits(
-        maintainer: IndexMaintainer, corpus: TableCorpus, seed: int
-    ) -> list[int]:
-        """Apply random edits; returns the table ids in block order (the
-        untouched ones first, then the edited ones as last touched)."""
-        rng = random.Random(seed)
-        order = corpus.table_ids()
-
-        def touched(table_id: int) -> None:
-            order.remove(table_id)
-            order.append(table_id)
-
-        for step in range(8):
-            operation = rng.choice(
-                [
-                    "insert_row",
-                    "update_cell",
-                    "delete_row",
-                    "insert_table",
-                    "insert_column",
-                    "delete_column",
-                    "delete_table",
-                ]
+def random_edits(session: DiscoverySession, seed: int) -> None:
+    """Apply random edits of every Section 5.4 kind through ``session``."""
+    rng = random.Random(seed)
+    corpus, live = session.corpus, session.index
+    for step in range(8):
+        operation = rng.choice(
+            [
+                "insert_row",
+                "update_cell",
+                "delete_row",
+                "insert_table",
+                "insert_column",
+                "delete_column",
+                "delete_table",
+            ]
+        )
+        visible = sorted(live.indexed_tables())
+        if operation == "insert_table":
+            session.ingest(
+                Table(
+                    table_id=corpus.next_table_id(),
+                    name="new",
+                    columns=["a", "b"],
+                    rows=[[rng.choice(VOCABULARY), rng.choice(VOCABULARY)]],
+                )
             )
-            table_ids = corpus.table_ids()
-            if operation == "insert_table":
-                table_id = corpus.next_table_id()
-                maintainer.insert_table(
-                    Table(
-                        table_id=table_id,
-                        name="new",
-                        columns=["a", "b"],
-                        rows=[[rng.choice(VOCABULARY), rng.choice(VOCABULARY)]],
-                    )
-                )
-                order.append(table_id)
-                continue
-            if not table_ids:
-                continue
-            table_id = rng.choice(table_ids)
-            table = corpus.get_table(table_id)
-            if operation == "delete_table":
-                maintainer.delete_table(table_id)
-                order.remove(table_id)
-                continue
-            if operation == "insert_row":
-                maintainer.insert_row(
-                    table_id, [rng.choice(VOCABULARY)] * table.num_columns
-                )
-            elif operation == "insert_column":
-                maintainer.insert_column(
-                    table_id,
-                    f"added{step}",
-                    [rng.choice(VOCABULARY) for _ in range(table.num_rows)],
-                )
-            elif operation == "delete_column" and table.num_columns > 1:
-                maintainer.delete_column(table_id, rng.choice(table.columns))
-            elif operation == "update_cell" and table.num_rows:
-                maintainer.update_cell(
-                    table_id,
+            continue
+        if not visible:
+            continue
+        table = corpus.get_table(rng.choice(visible))
+        if operation == "delete_table":
+            session.remove(table.table_id)
+        elif operation == "insert_row":
+            replace_table(
+                session, with_row(table, [rng.choice(VOCABULARY)] * table.num_columns)
+            )
+        elif operation == "insert_column":
+            values = [rng.choice(VOCABULARY) for _ in range(table.num_rows)]
+            replace_table(session, with_column(table, f"added{step}", values))
+        elif operation == "delete_column" and table.num_columns > 1:
+            replace_table(session, without_column(table, rng.choice(table.columns)))
+        elif operation == "update_cell" and table.num_rows:
+            replace_table(
+                session,
+                with_cell(
+                    table,
                     rng.randrange(table.num_rows),
                     rng.randrange(table.num_columns),
                     rng.choice(VOCABULARY),
-                )
-            elif operation == "delete_row" and table.num_rows:
-                maintainer.delete_row(table_id, rng.randrange(table.num_rows))
-            else:
-                continue
-            touched(table_id)
-        return order
+                ),
+            )
+        elif operation == "delete_row" and table.num_rows:
+            replace_table(session, without_row(table, rng.randrange(table.num_rows)))
+
+
+class TestEditRoundTrips:
+    """Random edit sequences through the session, on a live index in memory
+    and on a directory (the original tables sealed before the edits; sealed,
+    merged and reopened after them): the live index fetches, answers and
+    counts exactly like a bulk build of the tables it serves, in its ingest
+    order (the untouched ones first, then the edited ones as last
+    touched)."""
+
+    @staticmethod
+    def check(session, live) -> None:
+        assert_live_matches_bulk(session, live, QUERIES, VOCABULARY + ["absent"])
+        bulk = build_index(visible_corpus(live, session.corpus), config=CONFIG)
+        assert row_keys(live.snapshot()) == row_keys(bulk)
 
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=30, deadline=None)
-    def test_random_edit_sequence_keeps_index_consistent(self, seed):
-        original = build_random_corpus(random.Random(seed))
-        generator = SuperKeyGenerator.from_name("xash", CONFIG)
-        for lane in BUILD_LANES:
-            corpus = copy.deepcopy(original)
-            index = build_in_lane(lane, corpus, config=CONFIG)
-            maintainer = IndexMaintainer(corpus, index, generator)
-            order = self.random_edits(maintainer, corpus, seed)
-            assert maintainer.verify_consistency() == []
-            expected = build_block(
-                [corpus.get_table(table_id) for table_id in order], generator, "xash"
-            )
-            assert canonical(index.block) == canonical(expected)
+    def test_random_edit_sequence_in_memory(self, seed):
+        live = LiveIndex(config=CONFIG)
+        with DiscoverySession(TableCorpus(name="prop"), live, config=CONFIG) as session:
+            for table in build_random_corpus(random.Random(seed)):
+                session.ingest(table)
+            random_edits(session, seed)
+            self.check(session, live)
+
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=15, deadline=None)
+    def test_random_edit_sequence_on_a_reopened_directory(self, seed):
+        corpus = TableCorpus(name="prop")
+        with tempfile.TemporaryDirectory() as directory:
+            live = LiveIndex.open(directory, config=CONFIG, fsync=False)
+            with DiscoverySession(corpus, live, config=CONFIG) as session:
+                for table in build_random_corpus(random.Random(seed)):
+                    session.ingest(table)
+                live.seal()
+                random_edits(session, seed)
+                self.check(session, live)
+                live.seal()
+                live.merge()
+            live.close()
+            with LiveIndex.open(directory, config=CONFIG, fsync=False) as reopened:
+                with DiscoverySession(corpus, reopened, config=CONFIG) as session:
+                    self.check(session, reopened)
 
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=20, deadline=None)
-    def test_delete_table_then_rebuild_matches_fresh_build(self, seed):
+    def test_delete_table_matches_fresh_build(self, seed):
         rng = random.Random(seed)
-        original = build_random_corpus(rng, num_tables=4)
-        generator = SuperKeyGenerator.from_name("xash", CONFIG)
-        victim = rng.choice(original.table_ids())
-        for lane in BUILD_LANES:
-            corpus = copy.deepcopy(original)
-            index = build_in_lane(lane, corpus, config=CONFIG)
-            IndexMaintainer(corpus, index, generator).delete_table(victim)
-
-            fresh = build_index(corpus, config=CONFIG)
-            assert canonical(index.block) == canonical(fresh.block)
+        live = LiveIndex(config=CONFIG)
+        with DiscoverySession(TableCorpus(name="prop"), live, config=CONFIG) as session:
+            for table in build_random_corpus(rng, num_tables=4):
+                session.ingest(table)
+            victim = rng.choice(sorted(live.indexed_tables()))
+            session.remove(victim)
+            remaining = visible_corpus(live, session.corpus)
+            assert victim not in remaining
+            assert len(remaining) == 3
+            self.check(session, live)

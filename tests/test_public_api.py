@@ -42,7 +42,6 @@ EXPECTED_EXPORTS = [
     "HashingError",
     "IndexBuilder",
     "IndexClosedError",
-    "IndexMaintainer",
     "IngestBuffer",
     "InvertedIndex",
     "LiveIndex",
@@ -169,7 +168,7 @@ EXPECTED_SUBPACKAGE_EXPORTS = {
     ],
     "repro.index": [
         "FetchBlock", "IndexBuildReport", "IndexBuilder",
-        "IndexMaintainer", "IndexStorageReport", "InvertedIndex",
+        "IndexStorageReport", "InvertedIndex",
         "JOSIE_BYTES_PER_ENTRY", "PostingVolumeEstimate", "SCR_BYTES_PER_ENTRY",
         "bits_to_bytes", "build_index", "entry_coverage", "estimate_posting_volume",
         "sample_positions", "storage_report",
@@ -310,8 +309,8 @@ def test_the_lane_switches_are_gone(module_name, name):
 
 
 #: The mutable per-value store and everything that served or fed it, gone
-#: with it: an index is one CSR block (``InvertedIndex``), replaced whole by
-#: ``replace_block``; a sharded index is a partition of one.
+#: with it: an index is one immutable CSR block (``InvertedIndex``); a
+#: sharded index is a partition of one.
 REMOVED_INDEX_NAMES = [
     ("repro.index", "PackedSuperKeys"),
     ("repro.index", "MappedShardedIndex"),
@@ -329,22 +328,12 @@ def test_the_second_index_representation_is_gone(module_name, name):
         getattr(importlib.import_module(module_name), name)
 
 
-@pytest.mark.parametrize(
-    "owner, name",
-    [("InvertedIndex", mutator) for mutator in (
-        "add_posting",
-        "set_posting_columns",
-        "set_super_key",
-        "or_into_super_key",
-        "remove_row",
-        "remove_column",
-        "remove_table",
-    )]
-    + [("IndexBuilder", "add_table")],
-)
-def test_replace_block_is_the_only_mutator(owner, name):
-    assert not hasattr(getattr(repro, owner), name)
-    assert hasattr(repro.InvertedIndex, "replace_block")
+def test_an_index_and_a_table_have_no_mutator():
+    """A static index and a table are immutable: every corpus edit goes
+    through the session over a ``LiveIndex`` (``remove``, then ``ingest``
+    of the edited copy)."""
+    assert not hasattr(repro.InvertedIndex, "replace_block")
+    assert not hasattr(repro.Table, "append_row")
 
 
 #: The old service layer, gone with the value-hash index partition it

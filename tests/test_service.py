@@ -12,6 +12,7 @@ from repro import (
     DiscoveryRequest,
     DiscoverySession,
     MateConfig,
+    LiveIndex,
     MateDiscovery,
     ServiceConfig,
     ShardedMateDiscovery,
@@ -22,7 +23,7 @@ from repro.index import InvertedIndex, kernels
 from repro.metrics import CacheCounters
 from repro.plan.planner import Planner
 from repro.storage import reopen_segment, write_segment
-from tests.helpers import fetch_items, row_keys
+from tests.helpers import assert_live_matches_bulk, fetch_items, row_keys
 
 
 @pytest.fixture(scope="module")
@@ -88,17 +89,10 @@ def count_coverage_passes(monkeypatch) -> list[int]:
     return calls
 
 
-def without_table(corpus, table_id: int) -> TableCorpus:
-    """A new corpus holding every table of ``corpus`` but ``table_id``."""
-    return TableCorpus(
-        name="edited",
-        tables=[table for table in corpus if table.table_id != table_id],
-    )
-
-
 class TestMemoisedFetchBlocks:
     """The index memoises one fetch block per value: every fetch hands out
-    the same object, coverage memo included, until the block is replaced."""
+    the same object, coverage memo included; a live index hands out a new
+    one only for the values an edit touched."""
 
     def test_fetch_returns_the_same_block(self, served_index):
         values = sorted(served_index.values())[:40]
@@ -130,62 +124,46 @@ class TestMemoisedFetchBlocks:
             assert one.result_tuples() == other.result_tuples()
             assert counts(one) == counts(other)
 
-    def test_replace_block_hands_out_new_blocks(
-        self, workload, service_config, served_index
+    @pytest.mark.parametrize("reopened", [False, True], ids=["memory", "directory"])
+    def test_a_live_edit_hands_out_new_blocks(
+        self, workload, service_config, tmp_path, reopened
     ):
-        corpus = workload.corpus
-        dropped = corpus.table_ids()[0]
-        values = list(served_index.values())
-        before = {block.value: block for block in served_index.fetch_batch(values)}
-        edited = without_table(corpus, dropped)
-        rebuilt = build_index(edited, config=service_config)
-        served_index.replace_block(rebuilt.block)
-        after = served_index.fetch_batch(values)
-        assert all(block is not before.get(block.value) for block in after)
-        assert fetch_items(served_index, values) == fetch_items(rebuilt, values)
-        assert dropped not in {item.table_id for item in fetch_items(
-            served_index, values
-        )}
-        for query in workload.queries:
-            served = MateDiscovery(
-                edited, served_index, config=service_config
-            ).discover(query)
-            fresh = MateDiscovery(
-                edited, rebuilt, config=service_config
-            ).discover(query)
-            assert served.result_tuples() == fresh.result_tuples()
-            assert counts(served) == counts(fresh)
-
-    def test_maintainer_edit_hands_out_new_blocks(self, workload, service_config):
-        from repro.hashing import SuperKeyGenerator
-        from repro.index import IndexMaintainer
-
-        corpus = TableCorpus(name="maintained", tables=list(workload.corpus))
-        index = build_index(corpus, config=service_config)
-        values = list(index.values())[:200]
-        before = {block.value: block for block in index.fetch_batch(values)}
-        table = Table(
-            table_id=corpus.next_table_id(),
-            name="inserted",
-            columns=["a", "b"],
-            rows=[[value, value] for value in values[:20]],
-        )
-        generator = SuperKeyGenerator.from_name("xash", service_config)
-        IndexMaintainer(corpus, index, generator).insert_table(table)
-        after = index.fetch_batch(values)
-        assert all(block is not before[block.value] for block in after)
-        fresh = build_index(corpus, config=service_config)
-        assert sorted(fetch_items(index, values)) == sorted(
-            fetch_items(fresh, values)
-        )
-        for query in workload.queries:
-            served = MateDiscovery(corpus, index, config=service_config).discover(
-                query
+        """An edit through the session — remove a table, ingest a new one —
+        on a live index whose tables sit in one segment (in memory, or
+        mapped from a reopened directory): the values it touched come back
+        as new blocks, every other value as its memoised block, and
+        fetches, answers and counts equal a bulk build of the edited
+        corpus."""
+        directory = tmp_path / "live" if reopened else None
+        live = LiveIndex(config=service_config, directory=directory, fsync=False)
+        session = DiscoverySession(TableCorpus(name="edited"), live, config=service_config)
+        for table in workload.corpus:
+            session.ingest(table)
+        live.seal()
+        if reopened:
+            session.close()
+            live.close()
+            live = LiveIndex.open(directory, config=service_config, fsync=False)
+            session = DiscoverySession(session.corpus, live, config=service_config)
+        values = sorted(build_index(workload.corpus, config=service_config).values())
+        before = {block.value: block for block in live.fetch_batch(values)}
+        dropped = workload.corpus.get_table(workload.corpus.table_ids()[0])
+        session.remove(dropped.table_id)
+        session.ingest(
+            Table(
+                table_id=workload.corpus.next_table_id(),
+                name="inserted",
+                columns=["a", "b"],
+                rows=[[value, value] for value in values[:20]],
             )
-            rebuilt = MateDiscovery(
-                corpus, fresh, config=service_config
-            ).discover(query)
-            assert served.result_tuples() == rebuilt.result_tuples()
+        )
+        touched = set(values[:20]).union(*dropped.rows)
+        after = live.fetch_batch(values)
+        renewed = {block.value for block in after if block is not before.get(block.value)}
+        assert renewed == touched & {block.value for block in after}
+        assert_live_matches_bulk(session, live, workload.queries, values)
+        session.close()
+        live.close()
 
 
 def test_counter_snapshots():
