@@ -17,11 +17,13 @@ import pytest
 
 from repro import DiscoveryRequest, DiscoverySession, LiveIndex
 from repro.datamodel import QueryTable, Table, TableCorpus
+from repro.exceptions import DataModelError, IndexError_
 from repro.hashing import SuperKeyGenerator
 from repro.plan import PlannerOptions
 from repro.sketch import SketchOptions
 from tests.helpers import (
     assert_live_matches_bulk,
+    edited,
     fetch_items,
     replace_table,
     with_cell,
@@ -219,6 +221,43 @@ class TestEditSemantics:
         assert 0 not in dict(lake.session.discover(request).result_tuples())
         lake.session.ingest(edited)
         assert (0, 3) in lake.session.discover(request).result_tuples()
+
+
+class TestRefusals:
+    """An edit the write path cannot make fails before it writes anything:
+    the lake still matches a bulk build of its unedited tables."""
+
+    def test_an_invalid_copy_is_refused_before_the_remove(self, lake):
+        table = lake.table(0)
+        with pytest.raises(DataModelError, match="duplicate column"):
+            with_column(table, "first", ["x", "x"])
+        with pytest.raises(DataModelError, match="row 2 has 1 cells"):
+            edited(table, rows=[*table.rows, ["x"]])
+        with pytest.raises(DataModelError, match="at least one column"):
+            without_column(without_column(table, "last"), "first")
+        assert lake.table(0) is table
+        assert lake.live.indexed_tables() == {0, 1}
+        lake.check()
+
+    def test_an_ingest_over_a_live_table_is_refused(self, lake):
+        """Without the ``remove`` first, the edited copy is refused and the
+        corpus keeps the table the index serves."""
+        table = lake.table(0)
+        with pytest.raises(IndexError_, match="table 0 is already live"):
+            lake.session.ingest(with_row(table, ["grace", "hopper"]))
+        assert lake.table(0) is table
+        assert [item.row_index for item in lake.items("grace", 0)] == []
+        lake.check()
+
+    def test_removing_a_table_that_is_not_live_changes_nothing(self, lake):
+        lake.session.remove(0)
+        sequences = lake.live.table_sequences()
+        tombstones = dict(lake.live.tombstones)
+        assert lake.session.remove(0) == 0
+        assert lake.session.remove(7) == 0
+        assert lake.live.table_sequences() == sequences
+        assert lake.live.tombstones == tombstones
+        lake.check()
 
 
 def test_sketch_mode_sees_ingests_and_edits(config):

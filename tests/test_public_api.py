@@ -328,12 +328,46 @@ def test_the_second_index_representation_is_gone(module_name, name):
         getattr(importlib.import_module(module_name), name)
 
 
-def test_an_index_and_a_table_have_no_mutator():
-    """A static index and a table are immutable: every corpus edit goes
-    through the session over a ``LiveIndex`` (``remove``, then ``ingest``
-    of the edited copy)."""
-    assert not hasattr(repro.InvertedIndex, "replace_block")
-    assert not hasattr(repro.Table, "append_row")
+#: The in-place edit surface: a static index, its row keys, its builder, a
+#: table and the value encoder are immutable, so none has a mutator.
+REMOVED_MUTATORS = [
+    ("repro.index", "InvertedIndex", mutator)
+    for mutator in (
+        "add_posting",
+        "set_posting_columns",
+        "set_super_key",
+        "or_into_super_key",
+        "remove_row",
+        "remove_column",
+        "remove_table",
+        "replace_block",
+        "has_row",
+    )
+] + [
+    ("repro.index", "IndexBuilder", "add_table"),
+    ("repro.index.inverted", "RowKeys", "__contains__"),
+    ("repro.datamodel", "Table", "append_row"),
+    ("repro.datamodel.encoding", "ValueEncoder", "forget"),
+]
+
+
+@pytest.mark.parametrize(
+    "module_name, owner, name",
+    REMOVED_MUTATORS,
+    ids=[f"{owner}-{name}" for _module, owner, name in REMOVED_MUTATORS],
+)
+def test_an_index_and_a_table_have_no_mutator(module_name, owner, name):
+    """Every corpus edit goes through the session over a ``LiveIndex``
+    (``remove``, then ``ingest`` of the edited copy)."""
+    assert not hasattr(getattr(importlib.import_module(module_name), owner), name)
+
+
+@pytest.mark.parametrize("module_name", ["repro", "repro.index"])
+def test_the_index_maintainer_is_gone(module_name):
+    with pytest.raises(AttributeError):
+        getattr(importlib.import_module(module_name), "IndexMaintainer")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.index.maintenance")
 
 
 #: The old service layer, gone with the value-hash index partition it
