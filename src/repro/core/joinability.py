@@ -19,20 +19,36 @@ Two implementations are provided:
   :func:`row_mappings`, :func:`row_contains_key` and
   :func:`joinability_from_matches` expose its steps for single rows.
 * :func:`verify_request` — the same step as one numpy pass over the
-  surviving pairs of *every* candidate table of a request, on their
-  dictionary-encoded rows (:mod:`repro.datamodel.encoding`).  It returns
+  surviving pairs of *every* candidate table of a request.  It reads no
+  row: the index already says which ``(row, column)`` holds each value
+  (the posting lists of Eq. 4), so a pair's row contains its key tuple
+  exactly when every key value has a posting in that row, at distinct
+  columns.  Its matching half, :func:`key_matches`, looks the pairs' rows
+  up in the postings of the request's key values (:class:`KeyPostings`),
+  and is also row filter ``oracle``'s containment test.  It returns
   per-pair charges (so any prefix of a table's pairs is charged by sums)
   and the Eq. 2 answer of every whole table;
   ``tests/helpers.legacy_verify_table`` is the oracle of both verifiers.
-  Its comparison half, :func:`key_matches`, is also row filter
-  ``oracle``'s containment test.
+
+The read costs what the key values' posting lists weigh, not what the
+pairs' rows hold: a request whose key values are rare reads far fewer
+postings than its pairs' rows have cells.  The regime where it costs more
+is a key value whose posting list far outweighs the cells of the pairs'
+rows (a value in most rows of a large index, probed with few pairs): the
+whole list is read to keep the few postings on the pairs' rows.  The
+matching itself stays linear in the postings read plus the pairs' key
+lookups whatever the query's size: its dense arrays are bounded by those
+(:data:`_DENSE_PER_ITEM` entries per item), and past that bound — a query
+of many rows and key values, or an index of many more rows than the
+request reads postings — it sorts and searches instead, a logarithmic
+factor slower.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from itertools import permutations, product
-from typing import Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as _np
 
@@ -192,40 +208,148 @@ def _ordered_codes(digits, radices):
     return code, decode
 
 
-def key_matches(cells, pair_columns, pair_keys, keys):
-    """Every injective column mapping of every pair's key tuple into its row.
+class KeyPostings(NamedTuple):
+    """The postings of a request's distinct key values, as an index's
+    ``row_postings`` read hands them out (:func:`repro.index.batch.read_key_postings`).
 
-    Pair ``i`` names its key tuple, row ``pair_keys[i]`` of ``keys.ids``,
-    and its row: ``pair_columns[i]`` cells of ``cells`` (``int32`` ids over
-    the dictionary of ``keys.ids``, the pairs' rows laid end to end).  One
-    comparison per key position finds every cell holding that position's
-    key value; a pair's mappings are the (ragged) product of its
-    per-position hit columns, the non-injective ones dropped.  Returns
-    ``(owner, chosen)``: one entry per mapping, in pair order — the pair it
-    maps and, per key position, its column.  A pair owns a mapping exactly
-    when its row contains its key tuple (:func:`row_contains_key`).
+    Posting ``i`` holds key value ``values[i]`` (an id of the request's key
+    value list) at column ``columns[i]`` of row ``rows[i]``, an ordinal
+    below ``num_rows`` in the numbering of the index the request fetched
+    from.  A value's postings in one row are adjacent.
+    """
+
+    values: Any
+    rows: Any
+    columns: Any
+    num_rows: int
+
+
+#: The dense arrays of :func:`key_matches` (a mark per row ordinal, a count
+#: and a first hit per ``(row, value)``) may hold this many entries per
+#: posting read and per key lookup; past that it sorts and searches.
+_DENSE_PER_ITEM = 16
+
+
+def _row_slots(pair_rows, posting_rows, num_rows: int, budget: int):
+    """Number the pairs' distinct rows densely, in row order (a row *slot*).
+
+    Returns the number of slots, each pair's slot, which postings land on a
+    pair's row (``kept``) and their slots.  A dense mark over the row
+    ordinals when there are at most ``budget`` of them, else a sort of the
+    pairs' rows and binary searches into it.  ``pair_rows`` is not empty.
     """
     np = _np
-    key_ids = keys.ids
-    width = key_ids.shape[1]
-    pairs = len(pair_columns)
-    cell_starts = np.cumsum(pair_columns) - pair_columns
-    # Beside ``cells``, the cell-length arrays are this map from a cell to
-    # its pair and, per key position, the repeated key ids: all ``int32``;
-    # and the comparison: ``bool``.
-    cell_pairs = np.repeat(np.arange(pairs, dtype=np.int32), pair_columns)
-    counts, columns = [], []
-    for position in range(width):
-        hit_cells = np.flatnonzero(
-            cells == np.repeat(key_ids[:, position].take(pair_keys), pair_columns)
+    if num_rows <= budget:
+        marked = np.zeros(num_rows, dtype=bool)
+        marked[pair_rows] = True
+        rows = np.flatnonzero(marked)
+        slot_of = np.empty(num_rows, dtype=np.intp)
+        slot_of[rows] = np.arange(len(rows))
+        kept = np.flatnonzero(marked[posting_rows])
+        return (
+            len(rows),
+            slot_of.take(pair_rows),
+            kept,
+            slot_of.take(posting_rows[kept]),
         )
-        hit_pairs = cell_pairs.take(hit_cells)
-        columns.append(hit_cells - cell_starts.take(hit_pairs))
-        counts.append(np.bincount(hit_pairs, minlength=pairs))
-    # Column choices per pair: 0 unless every key value is in the row.
+    rows = np.sort(pair_rows)
+    rows = rows[_run_starts(rows)]
+    at = np.searchsorted(rows, posting_rows)
+    np.minimum(at, len(rows) - 1, out=at)
+    kept = np.flatnonzero(rows.take(at) == posting_rows)
+    return len(rows), np.searchsorted(rows, pair_rows), kept, at[kept]
+
+
+def _code_runs(codes, columns, size: int, budget: int):
+    """``(columns, find)``: the hits of ``codes`` (below ``size``, each
+    code's entries adjacent and in column order), and ``find(code)`` —
+    the ``(count, first)`` of the entries holding each of the codes
+    ``code``, ``first`` a position in the returned ``columns``.
+
+    When ``size`` is within ``budget``, one ``bincount`` and one scatter of
+    the runs' starts fill a dense table read by ``take``; else a stable
+    sort lines the runs up and a binary search finds them.
+    """
+    np = _np
+    if size <= budget:
+        count = np.bincount(codes, minlength=size)
+        first = np.empty(size, dtype=np.intp)  # read where count > 0 only
+        starts = np.flatnonzero(_run_starts(codes))
+        first[codes.take(starts)] = starts
+        return columns, lambda code: (count.take(code), first.take(code))
+    order = np.argsort(codes, kind="stable")
+    codes = codes.take(order)
+    bounds = np.append(np.flatnonzero(_run_starts(codes)), len(codes))
+    # ``size`` ends the distinct codes: above every code looked up, it
+    # holds no entry, and every search lands inside the array.
+    distinct = np.append(codes.take(bounds[:-1]), size)
+    run_count = np.append(np.diff(bounds), 0)
+
+    def find(code):
+        at = np.searchsorted(distinct, code)
+        return (
+            np.where(distinct.take(at) == code, run_count.take(at), 0),
+            bounds.take(at),
+        )
+
+    return columns.take(order), find
+
+
+def key_matches(pair_rows, pair_keys, key_ids, postings: KeyPostings):
+    """Every injective column mapping of every pair's key tuple into its row.
+
+    Pair ``i`` (of at least one) names its row, the ordinal
+    ``pair_rows[i]``, and its key tuple, row ``pair_keys[i]`` of
+    ``key_ids`` (``(keys, width)`` ids of the key values; a missing value's
+    id is held by no posting).  The pairs' rows are matched against
+    ``postings``, in four array passes:
+
+    1. the pairs' distinct rows are numbered densely (a row *slot*);
+    2. the key-value postings on a pair's row are kept;
+    3. a ``(row, value)``'s kept postings are adjacent, so one ``bincount``
+       of ``slot * stride + value`` codes counts them, and one scatter of
+       the code runs' starts records where the first one is — a
+       ``(row slot, value)`` table, read once per pair and key position;
+    4. a pair's mappings are the (ragged) product of its per-position
+       columns, the non-injective ones dropped.
+
+    Memory and time are linear in the postings read plus the pairs' key
+    lookups: steps 1 and 3 use dense arrays (over the row ordinals, and
+    over the ``(row slot, value)`` table) only while those hold at most
+    ``_DENSE_PER_ITEM`` entries per posting and lookup, and sort and
+    search otherwise (a query of many rows and key values over a large
+    lake) — the same answer, a logarithmic factor slower.
+
+    Returns ``(owner, chosen)``: one entry per mapping, in pair order — the
+    pair it maps and, per key position, its column.  A pair owns a mapping
+    exactly when its row contains its key tuple (:func:`row_contains_key`).
+    """
+    np = _np
+    pairs = len(pair_rows)
+    width = key_ids.shape[1]
+    budget = _DENSE_PER_ITEM * (len(postings.rows) + pairs * width)
+    # 1-2. Slot the pairs' rows; keep the postings on one of them.
+    slots, pair_slots, kept, kept_slots = _row_slots(
+        pair_rows, postings.rows, postings.num_rows, budget
+    )
+    stride = int(key_ids.max()) + 1
+    # 3. Count and first hit of every (row, value).
+    columns, find = _code_runs(
+        kept_slots * stride + postings.values[kept],
+        postings.columns[kept],
+        slots * stride,
+        budget,
+    )
+    pair_codes = pair_slots * stride
+    counts, firsts = [], []
+    for position in range(width):
+        count, first = find(pair_codes + key_ids[:, position].take(pair_keys))
+        counts.append(count)
+        firsts.append(first)
+    # 4. Column choices per pair: 0 unless every key value is in the row.
     fan_out = counts[0]
-    for count in counts[1:]:
-        fan_out = fan_out * count
+    for hits in counts[1:]:
+        fan_out = fan_out * hits
 
     # One entry per (pair, choice): ``rank`` numbers a pair's choices and is
     # decomposed, last position first, into one hit per key position.
@@ -233,74 +357,77 @@ def key_matches(cells, pair_columns, pair_keys, keys):
     rank = np.arange(len(owner)) - np.repeat(np.cumsum(fan_out) - fan_out, fan_out)
     chosen = [None] * width
     for position in range(width - 1, -1, -1):
-        count = counts[position]
-        first = np.cumsum(count) - count
-        rank, nth = np.divmod(rank, count.take(owner))
-        chosen[position] = columns[position].take(first.take(owner) + nth)
-    if keys.repeated:
+        rank, nth = np.divmod(rank, counts[position].take(owner))
+        chosen[position] = columns.take(firsts[position].take(owner) + nth)
+    repeated = [
+        (position, earlier)
+        for position in range(1, width)
+        for earlier in range(position)
+        if (key_ids[:, position] == key_ids[:, earlier]).any()
+    ]
+    if repeated:
         # Two key positions only land in one column when they hold the same
         # value: drop the choices that are not injective.
         injective = np.ones(len(owner), dtype=bool)
-        for position in range(1, width):
-            for earlier in range(position):
-                injective &= chosen[position] != chosen[earlier]
+        for position, earlier in repeated:
+            injective &= chosen[position] != chosen[earlier]
         owner = owner[injective]
         chosen = [column[injective] for column in chosen]
     return owner, chosen
 
 
-def verify_request(cells, table_columns, pair_tables, pair_rows, pair_keys, keys):
+def verify_request(table_columns, pair_tables, pair_rows, pair_keys, key_ids, postings):
     """:func:`verify_table` for many tables' surviving pairs, in one pass.
 
     Pair ``i`` (of at least one) names its table — ``pair_tables[i]``, an
-    index into ``table_columns`` — its row in that table and its key tuple,
-    row ``pair_keys[i]`` of ``keys.ids``; ``cells`` holds the pairs' rows as
-    ``int32`` ids over the dictionary of ``keys.ids``, laid end to end in
-    pair order (ragged: a row is as long as its table is wide).
+    index into ``table_columns``, the tables' widths — its row, the ordinal
+    ``pair_rows[i]``, and its key tuple, row ``pair_keys[i]`` of
+    ``key_ids``; the rows are read off ``postings`` (:func:`key_matches`).
 
-    The pairs' mappings are :func:`key_matches`'; Eq. 2 is one sort of
-    ``(table, mapping, key)`` codes for all tables at once.  Returns
-    ``(charges, tables, scores, mappings)``:
+    Eq. 2 is one sort of ``(table, mapping, key)`` codes for all tables at
+    once.  Returns ``(charges, tables, scores, mappings)``:
 
     * ``charges`` — ``(pairs, 4)`` ``int64``: per pair, its value
-      comparisons, whether it is the first pair of its ``(table, row)``,
-      whether it verifies, and whether it is the first pair of its
-      ``(table, row)`` that verifies.  Summed over a prefix of one table's
-      pairs these are the ``value_comparisons``, ``rows_passed_filter``,
-      verified pairs and ``true_positive_rows`` :func:`verify_table`
-      returns and charges for that prefix;
+      comparisons, whether it is the first pair of its row, whether it
+      verifies, and whether it is the first pair of its row that verifies.
+      Summed over a prefix of one table's pairs these are the
+      ``value_comparisons``, ``rows_passed_filter``, verified pairs and
+      ``true_positive_rows`` :func:`verify_table` returns and charges for
+      that prefix.  ``value_comparisons`` is the paper's cost model, a
+      pair's table width times the key width (what comparing the row cell
+      by cell costs); it does not count the work done here;
     * ``tables`` / ``scores`` / ``mappings`` — every table (index) with a
       verified pair, and its joinability and column mapping over *all* of
       its pairs.
     """
     np = _np
-    num_keys, width = keys.ids.shape
+    num_keys, width = key_ids.shape
     pairs = len(pair_tables)
-    pair_columns = table_columns.take(pair_tables)
-    owner, chosen = key_matches(cells, pair_columns, pair_keys, keys)
+    owner, chosen = key_matches(pair_rows, pair_keys, key_ids, postings)
 
     verified = np.zeros(pairs, dtype=bool)
     verified[owner] = True
     charges = np.zeros((pairs, 4), dtype=np.int64)
-    charges[:, 0] = pair_columns * width
+    charges[:, 0] = table_columns.take(pair_tables) * width
     charges[:, 2] = verified
-    # A stable sort by (table, row) lines up every row's pairs in pair
+    # A stable sort by row ordinal lines up every row's pairs in pair
     # order: the first of a run is the row's first pair, and the first
     # verified one its first hit.
-    row_codes = pair_tables * (int(pair_rows.max()) + 1) + pair_rows
-    by_row = np.argsort(row_codes, kind="stable")
-    charges[by_row[_run_starts(row_codes.take(by_row))], 1] = 1
+    by_row = np.argsort(pair_rows, kind="stable")
+    charges[by_row[_run_starts(pair_rows.take(by_row))], 1] = 1
     by_row = by_row[verified.take(by_row)]
-    charges[by_row[_run_starts(row_codes.take(by_row))], 3] = 1
+    charges[by_row[_run_starts(pair_rows.take(by_row))], 3] = 1
     if not len(owner):
         return charges, np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), []
 
     # Eq. 2: per table, the mapping most distinct key tuples agree on,
     # largest on ties.  One code per (table, mapping, key) orders like those
-    # tuples, so one sort lines up every table's mappings.
+    # tuples, so one sort lines up every table's mappings.  The columns'
+    # radix is read off the columns chosen, not the widths charged.
+    radix = max(int(column.max()) for column in chosen) + 1
     supported, decode = _ordered_codes(
         [pair_tables.take(owner), *chosen, pair_keys.take(owner)],
-        [len(table_columns), *[int(table_columns.max())] * width, num_keys],
+        [len(table_columns), *[radix] * width, num_keys],
     )
     supported.sort()
     # One entry per distinct (table, mapping, key), sorted by mapping ...

@@ -16,7 +16,7 @@ table's postings in (line 5).
 survive the row filter: in mode ``superkey`` the ones its super key covers
 (the memoised bitmaps of :meth:`FetchBlock.query_coverage`), in mode
 ``none`` (the SCR baseline) all of them, unchecked, and in mode ``oracle``
-(the ideal filter of Figure 5) the ones its row contains — the comparison
+(the ideal filter of Figure 5) the ones its row contains — the matching
 half of the verification pass (:func:`~repro.core.joinability.key_matches`)
 over every candidate table's postings, once per request.
 
@@ -36,10 +36,15 @@ index lookup into the sorted positions of all unmatched rows
 **Verification, then one replay.**  The only thing a table's verification
 needs from the tables before it is ``j_k``, and ``j_k`` only decides where
 rule 2 cuts.  So the surviving pairs of *every* candidate table are verified
-in one array pass (:meth:`RequestArrays.verify`: one gather of the tables'
-encoded rows, one :func:`~repro.core.joinability.verify_request` call),
-which keeps, per pair, what verifying it charges and, per table, its Eq. 2
-answer over all of its pairs.  The planner's top-k stage then replays the
+in one array pass (:meth:`RequestArrays.verify`: one
+:func:`~repro.core.joinability.verify_request` call), which keeps, per
+pair, what verifying it charges and, per table, its Eq. 2 answer over all
+of its pairs.  No row is read: a pair names its row by the ordinal its
+fetched posting carries, and the pass matches the pairs' rows against the
+``(row ordinal, column)`` postings of the request's distinct key values,
+read once per request off the index the request fetched from
+(:func:`read_key_postings`, the index's ``row_postings``; a live index's
+pinned snapshot).  The planner's top-k stage then replays the
 candidates in candidate order on ``L``, ``T`` and that score alone, and
 :meth:`RequestArrays.charge` charges every counter at once, as prefix-sum
 differences at the cut ends.  The pairs of a table rule 1 prunes, of a
@@ -55,11 +60,12 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..datamodel.encoding import ENCODER, EncodedKeys
+from ..datamodel import MISSING
 from .columnar import FetchBlock
 from .kernels import KeyEntry
 
 if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
+    from ..core.joinability import KeyPostings
     from ..datamodel.table import Table
     from ..metrics import DiscoveryCounters
 
@@ -108,22 +114,25 @@ class RequestArrays:
         key_map: Mapping[str, Sequence[KeyEntry]],
         length_shift: int | None,
         mode: str = "superkey",
+        reader=None,
         get_table: "Callable[[int], Table] | None" = None,
         allowed: set[int] | None = None,
     ):
         """``blocks`` in probe order; ``key_map``, ``length_shift`` (the
         XASH length-segment bit position, ``None`` without one) and ``mode``
-        (the row filter) are what :meth:`prefilter` runs with.
-        ``get_table`` maps a table id to the
-        :class:`~repro.datamodel.table.Table` the postings point into (row
-        filter ``oracle`` and :meth:`verify` read the tables' rows);
+        (the row filter) are what :meth:`prefilter` runs with.  ``reader``
+        is the index the blocks were fetched from (a live index's pinned
+        snapshot), whose ``row_postings`` row filter ``oracle`` and
+        :meth:`verify` read; ``get_table`` maps a table id to the
+        :class:`~repro.datamodel.table.Table` whose width :meth:`verify`
+        charges, read here (``None``: the arrays are never verified);
         ``allowed`` is the sketch tier's verdict on the candidates
         (``None``: every fetched table)."""
         self.blocks = blocks
         self.key_map = key_map
         self.length_shift = length_shift
         self.mode = mode
-        self.get_table = get_table
+        self.reader = reader
         #: Postings per block: as many as its packed key buffer holds.
         self.lengths = lengths = [
             len(block.super_key_bytes) // block.key_width for block in blocks
@@ -134,15 +143,15 @@ class RequestArrays:
             table_ids = np.concatenate(
                 [block.table_ids[:count] for block, count in zip(blocks, lengths)]
             )
-            row_indexes = np.concatenate(
-                [block.row_indexes[:count] for block, count in zip(blocks, lengths)]
+            ordinals = np.concatenate(
+                [block.row_ordinals[:count] for block, count in zip(blocks, lengths)]
             )
         else:
-            table_ids = row_indexes = np.empty(0, dtype=np.int64)
+            table_ids = ordinals = np.empty(0, dtype=np.int64)
         #: Fetch position of each table-order position.
         self.order = order = np.argsort(table_ids, kind="stable")
-        #: Row index of each posting, table order.
-        self.row_indexes = row_indexes[order]
+        #: Row ordinal of each posting, table order.
+        self.ordinals = ordinals[order]
         sorted_ids = table_ids[order]
         edges = np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1
         bounds = np.concatenate(
@@ -155,6 +164,16 @@ class RequestArrays:
         #: Table ids, span starts and span stops of the candidates, in table
         #: order (ascending id, so ascending spans).
         self._table_order = (table_ids, starts, stops)
+        #: Column count of each candidate, table order: what verifying its
+        #: pairs charges.  Read with the fetch, so an edit landing between
+        #: two stages does not change what the request charges either.
+        self.widths = None
+        if get_table is not None:
+            self.widths = np.fromiter(
+                (get_table(table_id).num_columns for table_id in table_ids.tolist()),
+                np.int64,
+                len(table_ids),
+            )
         #: Table-order index of each candidate, in candidate order:
         #: decreasing posting count, then table id — line 5 of Algorithm 1
         #: as ``sorted(key=(-len, id))`` computes it.
@@ -165,8 +184,12 @@ class RequestArrays:
         self.candidate_starts = starts[ranked]
         self.candidate_stops = stops[ranked]
         #: The request's key tuples (a pair names its key tuple by position
-        #: here); ``None`` until the prefilter has run.
-        self.keys: EncodedKeys | None = None
+        #: here), their distinct values and the tuples as ids of those
+        #: (:func:`request_keys`); set by the prefilter.
+        self.key_tuples: list[tuple[str, ...]] = []
+        self.key_values: list[str] = []
+        self.key_ids = np.empty((0, 0), dtype=_INDEX)
+        self._key_postings: "KeyPostings | None" = None
 
     # ------------------------------------------------------------------
     # Prefilter
@@ -234,12 +257,13 @@ class RequestArrays:
             # of one posting in that order.
             ranked = np.argsort(pair_at, kind="stable")
             pair_at, pair_keys = pair_at[ranked], pair_keys[ranked]
-        keys = EncodedKeys(tuples)
+        self.key_tuples = tuples
+        self.key_values, self.key_ids = request_keys(tuples)
         if self.mode == "oracle":
-            contained = self._contained(pair_at, pair_keys, keys)
+            contained = self._contained(pair_at, pair_keys)
             pair_at, pair_keys = pair_at[contained], pair_keys[contained]
-        #: Row index and key id of every surviving pair, scan order.
-        self.pair_rows = self.row_indexes[pair_at]
+        #: Row ordinal and key id of every surviving pair, scan order.
+        self.pair_rows = self.ordinals[pair_at]
         self.pair_keys = pair_keys
 
         pairs_per_posting = np.bincount(pair_at, minlength=total)
@@ -254,37 +278,39 @@ class RequestArrays:
             np.cumsum(np.repeat(entry_counts, lengths)[order], out=prefix[1:, 1])
         np.cumsum(hits[order], out=prefix[1:, 2])
         np.cumsum(pairs_per_posting, out=prefix[1:, 3])
-        self.keys = keys
         starts, stops = self.candidate_starts, self.candidate_stops
         #: Per candidate, candidate order: ``T``, the least ``j_k`` at which
         #: rule 2 cuts the table (see the module docstring).
         self.thresholds = stops - starts - (prefix[stops - 1, 0] - prefix[starts, 0])
 
-    def _contained(self, pair_at, pair_keys, keys: EncodedKeys):
+    def _contained(self, pair_at, pair_keys):
         """Which of the pairs ``(pair_at, pair_keys)`` (every key entry of
         every posting, scan order) the posting's row contains: row filter
         ``oracle``, on the candidate tables' pairs (the others stay out)."""
         from ..core.joinability import key_matches
 
         contained = np.zeros(len(pair_at), dtype=bool)
-        table_ids, starts, stops = self._table_order
+        _, starts, stops = self._table_order
         firsts = np.searchsorted(pair_at, starts)
         lasts = np.searchsorted(pair_at, stops)
         kept = lasts > firsts
         if kept.any():
-            firsts, lasts = firsts[kept], lasts[kept]
-            tables = list(map(self.get_table, table_ids[kept].tolist()))
-            select, _, cells = _gather(
-                tables, firsts, lasts, self.row_indexes[pair_at], keys
-            )
-            columns = np.fromiter(
-                (table.num_columns for table in tables), np.int64, len(tables)
-            )
+            select = _spans(firsts[kept], lasts[kept], len(pair_at))
             owner, _ = key_matches(
-                cells, np.repeat(columns, lasts - firsts), pair_keys[select], keys
+                self.ordinals[pair_at[select]],
+                pair_keys[select],
+                self.key_ids,
+                self._postings(),
             )
             contained[np.arange(len(pair_at))[select][owner]] = True
         return contained
+
+    def _postings(self) -> "KeyPostings":
+        """The postings of the request's key values off :attr:`reader`,
+        read at the first call (:func:`read_key_postings`)."""
+        if self._key_postings is None:
+            self._key_postings = read_key_postings(self.reader, self.key_values)
+        return self._key_postings
 
     def cut_ends(self, positions, floors):
         """Where rule 2 cuts the candidates at ``positions`` (candidate
@@ -312,12 +338,13 @@ class RequestArrays:
         kept = np.flatnonzero(lasts > firsts)
         ids = table_ids[kept]
         self.verdicts, best, scores, mappings = verify_spans(
-            list(map(self.get_table, ids.tolist())),
+            self.widths[kept] if len(kept) else np.empty(0, dtype=np.int64),
             firsts[kept],
             lasts[kept],
             self.pair_rows,
             self.pair_keys,
-            self.keys,
+            self.key_ids,
+            self._postings() if len(kept) else None,
         )
         by_table = np.zeros(len(table_ids), dtype=np.int64)
         by_table[kept[best]] = scores
@@ -359,26 +386,55 @@ class RequestArrays:
         return int(stops.sum() - starts.sum()), pairs, verified
 
 
+def request_keys(tuples: Sequence[tuple[str, ...]]):
+    """``(values, key_ids)``: the distinct non-missing values of the key
+    tuples, first-seen order, and the tuples as a ``(keys, width)`` matrix
+    of their positions there.  A missing key value's id is ``len(values)``,
+    which no posting holds, so it matches nothing."""
+    values = list(
+        dict.fromkeys(
+            value for key_tuple in tuples for value in key_tuple if value != MISSING
+        )
+    )
+    ids = dict(zip(values, range(len(values))))
+    missing = len(values)
+    flat = [ids.get(value, missing) for key_tuple in tuples for value in key_tuple]
+    return values, np.array(flat, dtype=_INDEX).reshape(
+        len(tuples), len(tuples[0]) if tuples else 0
+    )
+
+
+def read_key_postings(reader, values: Sequence[str]) -> "KeyPostings":
+    """The ``(row ordinal, column)`` postings of ``values`` (distinct) off
+    ``reader``'s ``row_postings``, each tagged with its value's position in
+    ``values``; the ordinals number ``reader.num_rows()`` rows."""
+    from ..core.joinability import KeyPostings
+
+    return KeyPostings(*reader.row_postings(values), reader.num_rows())
+
+
 def verify_spans(
-    tables: Sequence["Table"],
+    widths,
     firsts,
     lasts,
     pair_rows,
     pair_keys,
-    keys: EncodedKeys,
+    key_ids,
+    postings: "KeyPostings | None",
 ):
     """Verify the pairs ``[firsts[t], lasts[t])`` of every table ``t``.
 
-    ``pair_rows`` / ``pair_keys`` are a request's pair arrays (row index,
-    row of ``keys.ids``); the ranges are non-empty, ascending and disjoint,
-    and may leave pairs out (the tables the sketch tier pruned), which are
-    then never encoded, compared or charged.  The tables' encoded rows are
-    gathered into one ragged cell array, in one dictionary generation, for
-    one :func:`~repro.core.joinability.verify_request` call.  Returns
-    ``(prefix, tables, scores, mappings)``: row ``p`` of ``prefix`` holds
-    the value comparisons, ``(table, row)`` s seen, verified pairs and
-    ``(table, row)`` s verified among the pairs before ``p``, each table's
-    pairs counted from the table's first pair; the rest is
+    ``widths`` are the tables' column counts; ``pair_rows`` /
+    ``pair_keys`` are a request's pair arrays (row ordinal, row of
+    ``key_ids``); the ranges are non-empty, ascending and disjoint, and may
+    leave pairs out (the tables the sketch tier pruned), which are then
+    never matched or charged.  The pairs in the ranges are verified against
+    ``postings`` (the request's key values' postings, which may be ``None``
+    without a range) in one :func:`~repro.core.joinability.verify_request`
+    call.  Returns ``(prefix, tables, scores, mappings)``: row ``p`` of
+    ``prefix`` holds the value comparisons, rows seen, verified pairs and
+    rows verified among the pairs before ``p``, each table's pairs counted
+    from the table's first pair; the rest is
     :func:`~repro.core.joinability.verify_request`'s answer per table.
     """
     # Imported here: repro.core imports the planner, which imports this.
@@ -386,22 +442,19 @@ def verify_spans(
 
     total = len(pair_rows)
     prefix = np.zeros((total + 1, 4), dtype=np.int64)
-    if not len(tables):
+    if not len(widths):
         return prefix, np.empty(0, dtype=_INDEX), np.empty(0, dtype=np.int64), []
     counts = lasts - firsts
-    columns = np.fromiter(
-        (table.num_columns for table in tables), np.int64, len(tables)
-    )
-    select, rows, cells = _gather(tables, firsts, lasts, pair_rows, keys)
+    select = _spans(firsts, lasts, total)
     charges, best, scores, mappings = verify_request(
-        cells,
-        columns,
-        np.repeat(np.arange(len(tables)), counts),
-        rows,
+        widths,
+        np.repeat(np.arange(len(widths)), counts),
+        pair_rows[select],
         pair_keys[select],
-        keys,
+        key_ids,
+        postings,
     )
-    if len(rows) < total:
+    if int(counts.sum()) < total:
         spread = np.zeros((total, 4), dtype=np.int64)
         spread[select] = charges
         charges = spread
@@ -409,30 +462,15 @@ def verify_spans(
     return prefix, best, scores, mappings
 
 
-def _gather(tables, firsts, lasts, pair_rows, keys: EncodedKeys):
-    """The pairs ``[firsts[t], lasts[t])`` of every table ``t`` (non-empty,
-    ascending, disjoint ranges into ``pair_rows``): ``(select, rows,
-    cells)`` — which pairs (a slice when it is all of them), their row
-    indexes, and their rows' cells end to end, encoded with ``keys`` in one
-    dictionary generation."""
+def _spans(firsts, lasts, total: int):
+    """The positions of the ranges ``[firsts[t], lasts[t])`` (non-empty,
+    ascending, disjoint) among ``total``: a slice when they cover all."""
     counts = lasts - firsts
     pairs = int(counts.sum())
+    if pairs == total:
+        return slice(None)
     offsets = np.cumsum(counts) - counts
-    select = (
-        slice(None)
-        if pairs == len(pair_rows)
-        else np.arange(pairs) + np.repeat(firsts - offsets, counts)
-    )
-    rows = pair_rows[select]
-    cells = np.concatenate(
-        [
-            matrix.take(rows[offset : offset + count], axis=0).ravel()
-            for matrix, offset, count in zip(
-                ENCODER.matrices(tables, keys), offsets.tolist(), counts.tolist()
-            )
-        ]
-    )
-    return select, rows, cells
+    return np.arange(pairs) + np.repeat(firsts - offsets, counts)
 
 
 def _bits(bitmap: bytes):

@@ -6,12 +6,13 @@ columnar, array-packed layouts.  An
 :class:`~repro.index.inverted.InvertedIndex` is one CSR block
 (:class:`~repro.storage.segment_block.SegmentBlock`); it serves that block
 through :class:`FetchBlock` s, the struct-of-arrays result of
-``fetch_batch``: the postings of one value as three parallel integer columns
-(table ids, column indexes, row indexes) plus the packed buffer of its super
-keys.  The row columns are gathered from the block's row table through the
-value's row ordinals at its first fetch, the column indexes are a slice of
-the block, and the index memoises the block, so repeated fetches do no
-per-item work and find the block's coverage memo warm.
+``fetch_batch``: the postings of one value as four parallel integer columns
+(table ids, column indexes, row indexes, row ordinals) plus the packed
+buffer of its super keys.  The row columns are gathered from the block's row
+table through the value's row ordinals at its first fetch, the column
+indexes and row ordinals are slices of the block, and the index memoises
+the block, so repeated fetches do no per-item work and find the block's
+coverage memo warm.
 
 A request keeps its :class:`FetchBlock` s and :mod:`repro.index.batch` turns
 their columns and memoised coverage bitmaps into request-level arrays.
@@ -53,12 +54,16 @@ class FetchBlock:
     The posting columns are views of the columns gathered at the value's
     first fetch (no copy per fetch), and so is the fixed-width super-key
     buffer (``super_key_bytes`` / ``key_width``) that the vectorized
-    prefilter kernels consume as it is.  Blocks are snapshots of the
+    prefilter kernels consume as it is.  ``row_ordinals`` numbers each
+    posting's row the way the index that served the block numbers its rows
+    (the numbering of its ``row_postings`` read, which row verification
+    matches against); only :mod:`repro.index.batch` reads it, through
+    numpy, whatever its integer width.  Blocks are snapshots of the
     immutable index block they were sliced from; they compare by identity.
     """
 
     __slots__ = ("value", "table_ids", "column_indexes", "row_indexes",
-                 "super_key_bytes", "key_width", "_cov_cache")
+                 "row_ordinals", "super_key_bytes", "key_width", "_cov_cache")
 
     def __init__(
         self,
@@ -66,6 +71,7 @@ class FetchBlock:
         table_ids: Sequence[int],
         column_indexes: Sequence[int],
         row_indexes: Sequence[int],
+        row_ordinals: Sequence[int],
         super_key_bytes,
         key_width: int,
     ):
@@ -73,6 +79,7 @@ class FetchBlock:
         self.table_ids = table_ids
         self.column_indexes = column_indexes
         self.row_indexes = row_indexes
+        self.row_ordinals = row_ordinals
         self.super_key_bytes = super_key_bytes
         self.key_width = key_width
         self._cov_cache: dict | None = None

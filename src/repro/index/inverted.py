@@ -17,6 +17,10 @@ Its query surface is exactly what Algorithm 1 needs:
 
 * ``fetch_batch`` — the posting lists (with super keys) of a set of probe
   values as one struct-of-arrays block per value (line 4);
+* ``row_postings`` — the ``(row ordinal, column)`` postings of the key
+  values, gathered from the block's posting columns: what row verification
+  (line 21) matches a surviving pair's row against, kept apart from
+  ``fetch_batch`` (nothing is joined or memoised for it);
 * ``posting_lengths`` — how long those lists are, for the planner;
 * the row and statistics reads (``super_key``, ``indexed_tables``,
   ``num_posting_items``, ``num_rows``, ``values``, ``len``) that storage
@@ -93,7 +97,7 @@ class RowKeys:
 class _State:
     """Everything one read of an :class:`InvertedIndex` needs."""
 
-    __slots__ = ("block", "value_ids", "rows", "fetched", "_arrays")
+    __slots__ = ("block", "value_ids", "rows", "arrays", "memo")
 
     def __init__(self, block: "SegmentBlock", name: str):
         self.block = block
@@ -103,14 +107,26 @@ class _State:
                 f"segment {name} lists a value twice in its vocabulary"
             )
         self.rows = RowKeys(block)
-        self._arrays = block.arrays()
-        #: The fetch blocks joined so far, never the whole vocabulary:
+        self.arrays = block.arrays()
+        #: ``(row base, the fetch blocks joined so far)``, one attribute so
+        #: a reader takes both at once; never the whole vocabulary:
         #: everything that enumerates values reads the block.
-        self.fetched: dict[str, FetchBlock] = {}
+        self.memo: tuple[int, dict[str, FetchBlock]] = (0, {})
 
-    def join(self, values: list[str]) -> None:
-        """Build and memoise the fetch blocks of ``values`` (indexed,
-        distinct).
+    def memo_of(self, row_base: int) -> dict[str, FetchBlock]:
+        """The fetch blocks of row base ``row_base``: the memo, started over
+        when it holds another base.  A live snapshot numbers a segment's
+        rows after those of the segments before it, which move only when a
+        merge below purges rows, so the memo rarely starts over."""
+        base, fetched = self.memo
+        if base != row_base:
+            fetched = {}
+            self.memo = (row_base, fetched)
+        return fetched
+
+    def join(self, values: list[str], fetched: dict, row_base: int) -> None:
+        """Build the fetch blocks of ``values`` (indexed, distinct) into the
+        memo ``fetched``, row ordinals offset by ``row_base``.
 
         This is the fetch-time join of the per-row layout: the values' row
         ordinals gather the table ids, row indexes and super keys of their
@@ -119,7 +135,7 @@ class _State:
         columns; the column indexes are slices of the block.  Only fetched
         values are joined.  Two threads may join the same value at once:
         they build equal blocks and the memo keeps either."""
-        block, arrays = self.block, self._arrays
+        block, arrays = self.block, self.arrays
         offsets = block.posting_offsets
         starts = [offsets[self.value_ids[value]] for value in values]
         ends = [offsets[self.value_ids[value] + 1] for value in values]
@@ -138,7 +154,8 @@ class _State:
         keys = memoryview(arrays.row_keys.take(ordinals, axis=0)).cast("B")
         width = block.key_width
         columns = block.column_indexes
-        fetched = self.fetched
+        # Row ordinals: the block's own, or the gathered ones past row_base.
+        based = memoryview(ordinals + row_base) if row_base else None
         at = 0
         for value, start, end in zip(values, starts, ends):
             stop = at + end - start
@@ -147,6 +164,7 @@ class _State:
                 tables[at:stop],
                 columns[start:end],
                 rows[at:stop],
+                block.row_ordinals[start:end] if based is None else based[at:stop],
                 keys[at * width : stop * width],
                 width,
             )
@@ -277,6 +295,34 @@ class InvertedIndex:
             )
         return lengths
 
+    def row_postings(self, values: Sequence[str]) -> tuple[Any, Any, Any]:
+        """The postings of ``values`` (distinct) as three parallel arrays:
+        per posting, the position in ``values`` of its value, its row's
+        ordinal in the row table (:meth:`num_rows` of them) and its
+        column — the values' runs of the block's two posting columns, end
+        to end, in one gather each.  A value's postings in one row are
+        adjacent, in column order."""
+        state = self._ensure_open("row_postings")
+        get = state.value_ids.get
+        found = [
+            (position, value_id)
+            for position, value in enumerate(values)
+            if (value_id := get(value)) is not None
+        ]
+        arrays = state.arrays
+        positions, value_ids = np.array(found, dtype=np.intp).reshape(-1, 2).T
+        starts = arrays.offsets[value_ids]
+        lengths = arrays.offsets[value_ids + 1] - starts
+        # The concatenated runs ``starts[i]:starts[i] + lengths[i]``.
+        at = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(
+            int(lengths.sum())
+        )
+        return (
+            np.repeat(positions, lengths),
+            arrays.ordinals[at],
+            arrays.columns[at],
+        )
+
     def super_key(self, table_id: int, row_index: int) -> int:
         """Return the super key of a row."""
         stored = self._ensure_open("super_key").rows.get((table_id, row_index))
@@ -289,17 +335,21 @@ class InvertedIndex:
     # ------------------------------------------------------------------
     # Discovery-phase retrieval
     # ------------------------------------------------------------------
-    def fetch_batch(self, values: Iterable[str]) -> list[FetchBlock]:
+    def fetch_batch(
+        self, values: Iterable[str], row_base: int = 0
+    ) -> list[FetchBlock]:
         """Fetch the postings of ``values`` as struct-of-arrays blocks.
 
         One block per probed value with at least one PL item, in first-seen
         value order; duplicate and missing probe values are skipped.  The
         row join of a value runs at its first fetch; every later fetch of it
         returns the same memoised block (coverage memo included), so a warm
-        ``fetch_batch`` does no per-item work at all.
+        ``fetch_batch`` does no per-item work at all.  The blocks' row
+        ordinals are the row table's plus ``row_base`` (what a live
+        snapshot stacking this index above others asks for).
         """
         state = self._ensure_open("fetch_batch")
-        fetched = state.fetched
+        fetched = state.memo_of(row_base)
         probed = dict.fromkeys(values)
         unjoined = [
             value
@@ -307,5 +357,5 @@ class InvertedIndex:
             if value not in fetched and value in state.value_ids
         ]
         if unjoined:
-            state.join(unjoined)
+            state.join(unjoined, fetched, row_base)
         return [fetched[value] for value in probed if value in fetched]

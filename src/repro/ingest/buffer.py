@@ -321,51 +321,86 @@ class BufferView:
     # ------------------------------------------------------------------
     # The per-request surface: no layout of the whole view
     # ------------------------------------------------------------------
-    def fetch_batch(self, values: Iterable[str]) -> list[FetchBlock]:
-        """Fetch struct-of-arrays blocks (the contract of
-        :meth:`InvertedIndex.fetch_batch
-        <repro.index.inverted.InvertedIndex.fetch_batch>`)."""
+    def _hits(self, values: Iterable[str]) -> tuple[dict[str, int], Any, list[int]]:
+        """The one pass over the cell-id column behind both reads:
+        ``(probed, order, edges)`` — the held values of ``values`` (value ->
+        id, first-seen order), the positions of their cells (by probe, ties
+        in cell order) and where each probe's run of ``order`` starts and
+        ends."""
         probed = {
             value: value_id
             for value in dict.fromkeys(values)
             if (value_id := self._value_id(value)) >= 0
         }
         if not probed:
-            return []
+            return probed, _np.empty(0, dtype=_np.intp), [0]
         # Vocabulary-sized, but one calloc and a handful of stores.
         local_of = _np.full(self._num_values, -1, dtype=_np.int64)
         local_of[_np.fromiter(probed.values(), _np.int64, len(probed))] = _np.arange(
             len(probed)
         )
-        value_ids, cell_rows, cell_columns = self._cells
-        local_ids = local_of[value_ids]
+        local_ids = local_of[self._cells[0]]
         hits = _np.flatnonzero(local_ids >= 0)
         probes = local_ids[hits]
-        # Posting order: by probe, ties in cell order; each posting's row
-        # columns are gathered straight from the row numbers.
         order = hits[_np.argsort(probes, kind="stable")]
         bounds = _np.zeros(len(probed) + 1, dtype=_np.int64)
         _np.cumsum(_np.bincount(probes, minlength=len(probed)), out=bounds[1:])
+        return probed, order, bounds.tolist()
+
+    def fetch_batch(
+        self, values: Iterable[str], row_base: int = 0
+    ) -> list[FetchBlock]:
+        """Fetch struct-of-arrays blocks (the contract of
+        :meth:`InvertedIndex.fetch_batch
+        <repro.index.inverted.InvertedIndex.fetch_batch>`)."""
+        probed, order, edges = self._hits(values)
+        if not probed:
+            return []
+        # Each posting's row columns are gathered straight from the row
+        # numbers, which are also its row ordinals (past ``row_base``).
+        _, cell_rows, cell_columns = self._cells
         row_tables, row_rows, keys = self._rows
         rows = cell_rows[order]
+        ordinals = column_view(rows + row_base if row_base else rows, "q")
         tables = column_view(row_tables[rows], "q")
         columns = column_view(cell_columns[order], "i")
         row_indexes = column_view(row_rows[rows], "q")
         packed = column_view(keys[rows], "B")
         width = keys.shape[1]
-        edges = bounds.tolist()
         return [
             FetchBlock(
                 value,
                 tables[start:end],
                 columns[start:end],
                 row_indexes[start:end],
+                ordinals[start:end],
                 packed[start * width : end * width],
                 width,
             )
             for value, start, end in zip(probed, edges, edges[1:])
             if end > start
         ]
+
+    def row_postings(self, values: Sequence[str]) -> tuple[Any, Any, Any]:
+        """The postings of ``values`` (the contract of
+        :meth:`InvertedIndex.row_postings
+        <repro.index.inverted.InvertedIndex.row_postings>`); a row's ordinal
+        is its buffer row number, one of :meth:`num_rows`."""
+        probed, order, edges = self._hits(values)
+        positions = {value: at for at, value in enumerate(values)}
+        _, cell_rows, cell_columns = self._cells
+        return (
+            _np.repeat(
+                _np.fromiter(map(positions.__getitem__, probed), _np.intp, len(probed)),
+                _np.diff(edges),
+            ),
+            cell_rows[order],
+            cell_columns[order],
+        )
+
+    def num_rows(self) -> int:
+        """Rows the view holds: what its row ordinals number."""
+        return len(self._rows[0])
 
     def posting_lengths(self, values: Sequence[str]) -> list[int]:
         """Number of PL items of each of ``values`` (reads of the count

@@ -39,8 +39,9 @@ from __future__ import annotations
 import json
 import os
 import threading
+from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -225,6 +226,7 @@ def _filter_block(block: FetchBlock, masked: frozenset[int]) -> FetchBlock | Non
         column_view(np.take(block.table_ids, at), "q"),
         column_view(np.take(block.column_indexes, at), "i"),
         column_view(np.take(block.row_indexes, at), "q"),
+        np.take(block.row_ordinals, at),
         column_view(keys[at], "B"),
         width,
     )
@@ -237,6 +239,7 @@ def _concat_blocks(value: str, blocks: Sequence[FetchBlock]) -> FetchBlock:
         column_view(np.concatenate([block.table_ids for block in blocks]), "q"),
         column_view(np.concatenate([block.column_indexes for block in blocks]), "i"),
         column_view(np.concatenate([block.row_indexes for block in blocks]), "q"),
+        np.concatenate([block.row_ordinals for block in blocks]),
         b"".join(block.super_key_bytes for block in blocks),
         blocks[0].key_width,
     )
@@ -254,9 +257,21 @@ class LiveSnapshot:
     pinned, drops build new columns — so writes landing after the snapshot
     do *not* show through it: the contract covers concurrent appends, not
     only compaction.
+
+    The snapshot numbers its rows component after component: a
+    component's rows follow those of every component before it (masked
+    rows included), so a row ordinal of a fetched block and of
+    :meth:`row_postings` is the component's own plus the component's
+    *row base*.
     """
 
-    __slots__ = ("generation", "hash_function_name", "hash_size", "_components")
+    __slots__ = (
+        "generation",
+        "hash_function_name",
+        "hash_size",
+        "_components",
+        "_bases",
+    )
 
     def __init__(
         self,
@@ -278,6 +293,13 @@ class LiveSnapshot:
         self.hash_size = hash_size
         # (index, table_seqs, masked) per component, oldest first.
         self._components = components
+        #: Per component, the rows of the components before it; then all.
+        self._bases = list(
+            accumulate(
+                (index.num_rows() for index, _seqs, _masked in components),
+                initial=0,
+            )
+        )
 
     # ------------------------------------------------------------------
     # Fetching (the Algorithm 1 surface)
@@ -295,8 +317,8 @@ class LiveSnapshot:
         if not ordered:
             return []
         per_value: dict[str, list[FetchBlock]] = {v: [] for v in ordered}
-        for index, _table_seqs, masked in self._components:
-            for block in index.fetch_batch(ordered):
+        for (index, _table_seqs, masked), base in zip(self._components, self._bases):
+            for block in index.fetch_batch(ordered, row_base=base):
                 if masked:
                     block = _filter_block(block, masked)
                     if block is None:
@@ -312,18 +334,40 @@ class LiveSnapshot:
             )
         return merged
 
+    def row_postings(self, values: Sequence[str]) -> tuple[Any, Any, Any]:
+        """Every component's :meth:`InvertedIndex.row_postings
+        <repro.index.inverted.InvertedIndex.row_postings>`, oldest first,
+        end to end, ordinals rebased onto the snapshot's numbering.  Masked
+        tables are not filtered out: their rows are no fetched posting's
+        rows, so row verification never matches against them."""
+        positions, ordinals, columns = zip(
+            *(index.row_postings(values) for index, _seqs, _masked in self._components)
+        )
+        bases = np.repeat(self._bases[:-1], [len(rows) for rows in ordinals])
+        return (
+            np.concatenate(positions),
+            np.concatenate(ordinals, dtype=np.int64) + bases,
+            np.concatenate(columns),
+        )
+
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
+    def num_rows(self) -> int:
+        """Rows of every component, masked ones included: what the
+        snapshot's row ordinals number."""
+        return self._bases[-1]
+
     def posting_lengths(self, values: Sequence[str]) -> list[int]:
         """Visible PL items of each of ``values``, summed over the
         components; a component a tombstone masks counts the postings of its
         filtered :meth:`fetch_batch` blocks."""
         totals = [0] * len(values)
-        for index, _table_seqs, masked in self._components:
+        for (index, _table_seqs, masked), base in zip(self._components, self._bases):
             if masked:
                 visible: dict[str, int] = {}
-                for block in index.fetch_batch(values):
+                # In the snapshot's numbering, as its fetches memoise them.
+                for block in index.fetch_batch(values, row_base=base):
                     block = _filter_block(block, masked)
                     if block is not None:
                         visible[block.value] = len(block)
@@ -649,15 +693,19 @@ class LiveIndex:
         """Merge the contiguous segment slice ``[start:end]`` into one.
 
         Tombstoned tables are physically purged; tombstones masking nothing
-        afterwards are dropped.  Returns the merged segment, or ``None``
-        when the slice holds fewer than two segments or the stack changed
-        under a concurrent merge (the caller simply retries).
+        afterwards are dropped.  A slice of one segment is rewritten only
+        when a tombstone masks one of its tables (that purge is all there is
+        to do).  Returns the merged segment, or ``None`` when there is
+        nothing to merge or the stack changed under a concurrent merge (the
+        caller simply retries).
         """
         with self._lock:
             self._ensure_open("merge")
             slice_ = self._segments[start:end]
             tombstones = dict(self._tombstones)
-        if len(slice_) < 2:
+        if len(slice_) < 2 and not (
+            slice_ and slice_[0].masked_tables(tombstones)
+        ):
             return None
         # Build outside the lock: merging is the expensive part and sealed
         # segments are immutable, so concurrent reads and writes proceed.
@@ -694,14 +742,14 @@ class LiveIndex:
             return merged
 
     def compact(self) -> int:
-        """Seal the buffer and merge the whole stack into one segment.
+        """Seal the buffer and merge the whole stack into one segment,
+        tombstoned tables purged.
 
         Returns the resulting segment count (0 for an empty index).
         """
         self.seal()
-        while self.num_segments > 1:
-            if self.merge(0, None) is None:
-                break
+        while self.merge(0, None) is not None and self.num_segments > 1:
+            pass
         return self.num_segments
 
     def _purge_tombstones_locked(self) -> None:
@@ -737,9 +785,20 @@ class LiveIndex:
                 hash_size=self.hash_size,
             )
 
-    def fetch_batch(self, values: Iterable[str]) -> list[FetchBlock]:
-        """Snapshot-consistent :meth:`LiveSnapshot.fetch_batch`."""
-        return self.snapshot().fetch_batch(values)
+    def fetch_batch(
+        self, values: Iterable[str], snapshot: LiveSnapshot | None = None
+    ) -> list[FetchBlock]:
+        """Snapshot-consistent :meth:`LiveSnapshot.fetch_batch`, of
+        ``snapshot`` (one :meth:`snapshot` pinned) or of a fresh snapshot.
+        A request pins one for its fetches and its row verification, which
+        reads the rows the fetched blocks' ordinals number.  It fetches
+        through this method rather than the snapshot's so that every fetch
+        stays a call of the engine's index, which is what a tracer wrapping
+        ``index.fetch_batch`` (the benchmark's ``index.fetch_calls``)
+        counts."""
+        if snapshot is None:
+            snapshot = self.snapshot()
+        return snapshot.fetch_batch(values)
 
     def posting_lengths(self, values: Sequence[str]) -> list[int]:
         """Per-value visible PL-item counts, all read off *one* snapshot.

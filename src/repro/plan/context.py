@@ -65,6 +65,10 @@ class PlanContext:
     key_map: dict[str, list[tuple[tuple[str, ...], int]]] = field(
         default_factory=dict
     )
+    #: The index the request reads, pinned by candidate generation: a live
+    #: index's snapshot, else the engine's index itself.  Row verification
+    #: reads the rows the fetched blocks' ordinals number off it.
+    reader: object | None = None
     #: The request-level arrays, candidate tables included (``None`` until
     #: candidate generation).
     batch: "RequestArrays | None" = None

@@ -23,8 +23,16 @@ Every request runs on request-level arrays
 fetched blocks become arrays once, a candidate is a span of them, the
 prefilter and the verification are one array pass each
 (:func:`repro.core.joinability.verify_request` verifies the surviving pairs
-of every candidate table over dictionary-encoded rows), and the only state
-one table hands the next — ``j_k`` — is carried by the replay alone.  The
+of every candidate table against the postings of the request's key values,
+read off the index; no table row is read), and the only state one table
+hands the next — ``j_k`` — is carried by the replay alone.  Candidate
+generation pins the index the request reads (a live index's snapshot): the
+fetched blocks number their postings' rows, and row verification reads the
+same numbering.  It also reads the candidate tables' widths, which the
+verification charges, right after the fetch, so a write landing after
+candidate generation changes nothing the request reads or charges (the
+corpus is not snapshotted: an edit landing *during* the fetch may be
+charged at the edited copy's width, never answered from it).  The
 volumes of the prefilter and the verification depend on where rules 1 and 2
 cut, so the replay charges them to those stages' statistics.
 
@@ -130,6 +138,12 @@ class CandidateGeneration(PlanStage):
     name = STAGE_CANDIDATE_GENERATION
 
     def _execute(self, context: PlanContext) -> StageResult:
+        index = context.engine.index
+        # A live index answers every read from a fresh snapshot: the
+        # request pins one, so its row verification reads the rows its
+        # fetches numbered, whatever is written in between.
+        snapshot = getattr(index, "snapshot", None)
+        context.reader = index if snapshot is None else snapshot()
         if context.options.adaptive and context.plan.alternatives:
             values_charged, seed_values, detail = self._generate_adaptive(context)
         else:
@@ -171,7 +185,7 @@ class CandidateGeneration(PlanStage):
                 probe_values = probe_values[:granted]
 
         blocks: list[FetchBlock] = []
-        fetched = self._fetch_into(engine.index, probe_values, blocks)
+        fetched = self._fetch_into(context, probe_values, blocks)
         context.counters.pl_items_fetched = fetched
         context.report.seed_column = column
         context.report.observed_postings += fetched
@@ -214,7 +228,7 @@ class CandidateGeneration(PlanStage):
                     if granted < len(chunk):
                         curtailed = True
                     chunk = chunk[:granted]
-                observed += self._fetch_into(engine.index, chunk, blocks)
+                observed += self._fetch_into(context, chunk, blocks)
                 values_fetched += len(chunk)
                 total_charged += len(chunk)
                 if curtailed:
@@ -264,8 +278,11 @@ class CandidateGeneration(PlanStage):
             )
 
     @staticmethod
-    def _fetch_into(index, values: list[str], blocks: list[FetchBlock]) -> int:
-        """Fetch one chunk; returns the number of PL items fetched.
+    def _fetch_into(
+        context: PlanContext, values: list[str], blocks: list[FetchBlock]
+    ) -> int:
+        """Fetch one chunk off the engine's index, from the pinned reader;
+        returns the number of PL items fetched.
 
         The per-value blocks are kept as they are (``blocks``) until the
         fetch is over.  Chunks arrive in probe order, so the accumulated
@@ -273,7 +290,13 @@ class CandidateGeneration(PlanStage):
         """
         if not values:
             return 0
-        fetched = index.fetch_batch(values)
+        index, reader = context.engine.index, context.reader
+        # Through the engine's index, never the reader alone: a fetch stays
+        # one call of ``index.fetch_batch``, whatever wraps it.
+        if reader is index:
+            fetched = index.fetch_batch(values)
+        else:
+            fetched = index.fetch_batch(values, snapshot=reader)
         blocks.extend(fetched)
         return sum(len(block) for block in fetched)
 
@@ -292,8 +315,9 @@ class CandidateGeneration(PlanStage):
             context.key_map,
             row_filter.super_key_generator.length_segment_shift,
             row_filter.mode,
-            engine.corpus.get_table,
-            context.allowed_tables,
+            reader=context.reader,
+            get_table=engine.corpus.get_table,
+            allowed=context.allowed_tables,
         )
 
 
@@ -316,9 +340,10 @@ class SuperKeyPrefilter(PlanStage):
 class RowVerification(PlanStage):
     """Exact verification of surviving rows and Eq. 2 scoring (line 21).
 
-    One pass verifies every candidate table's surviving pairs; the plan
-    report keeps its size.  Like the prefilter's, this stage's volumes are
-    charged by :class:`TopKMaintenance`.
+    One pass verifies every candidate table's surviving pairs against the
+    key values' postings of the pinned index; the plan report keeps its
+    size.  Like the prefilter's, this stage's volumes are charged by
+    :class:`TopKMaintenance`.
     """
 
     name = STAGE_ROW_VERIFICATION

@@ -564,6 +564,48 @@ def assert_results_byte_identical(result, oracle) -> None:
     assert mine == theirs
 
 
+#: Counters only the planner's stages write: the verbatim loop has no
+#: sketch tier and never re-plans.
+PLANNER_EXTRAS = (
+    "replans",
+    "discarded_pl_items",
+    "sketch_candidates",
+    "sketch_estimated_recall",
+)
+
+
+def assert_matches_legacy(
+    engine, query, *, make_kwargs=dict, allowed_tables=None, **kwargs
+):
+    """The executor against the verbatim loop: answers, mappings, names,
+    completeness and every counter.
+
+    ``make_kwargs`` builds the per-run keyword arguments that cannot be
+    shared between two runs (a budget is a ledger).  The loop replays the
+    planner's decisions: the seed column the run ended on, and
+    ``allowed_tables``, the candidates the sketch tier kept.  Fetches a
+    re-plan discarded are the only postings the loop does not fetch.
+    Returns the executor's run.
+    """
+    result = engine.discover(query, **kwargs, **make_kwargs())
+    legacy = legacy_discover(
+        engine,
+        query,
+        kwargs.get("k"),
+        seed_column=result.plan.seed_column,
+        allowed_tables=allowed_tables,
+        **make_kwargs(),
+    )
+    import copy
+
+    mine = copy.deepcopy(result)
+    for name in PLANNER_EXTRAS:
+        mine.counters.extra.pop(name, None)
+    mine.counters.pl_items_fetched -= result.plan.discarded_postings
+    assert_results_byte_identical(mine, legacy)
+    return result
+
+
 def assert_topk_equivalent(result, truth) -> None:
     """Result must match the brute-force top-k up to ties at the cut-off score.
 

@@ -3,7 +3,7 @@
 A request is served from :mod:`repro.index.batch` (one array pass groups and
 prefilters every candidate table; one more verifies the surviving pairs of
 every candidate table with :func:`repro.core.joinability.verify_request`
-over dictionary-encoded rows; the top-k stage replays the candidates on
+against the postings of the request's key values; the top-k stage replays the candidates on
 their rule-2 thresholds and scores, and the counters are charged where the
 rules cut).  Everything here is differential: against
 ``tests.helpers.legacy_verify_table`` / ``legacy_discover`` (the verbatim
@@ -20,6 +20,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,8 +34,6 @@ from repro.core import joinability
 from repro.core.topk import TopKHeap
 from repro.datagen import build_workload
 from repro.datamodel import MISSING, QueryTable, Table, TableCorpus
-from repro.datamodel import encoding
-from repro.datamodel.encoding import ENCODER, EncodedKeys, ValueEncoder
 from repro.experiments.scenarios import (
     _build_drift_scenario,
     PLANNER_CHECK_EVERY,
@@ -45,7 +44,13 @@ from repro.experiments.runner import ExperimentSettings
 from repro.hashing.base import key_width
 from repro.index import InvertedIndex
 from repro.index import columnar
-from repro.index.batch import RequestArrays, verify_spans
+from repro.index import batch
+from repro.index.batch import (
+    RequestArrays,
+    read_key_postings,
+    request_keys,
+    verify_spans,
+)
 from repro.ingest import LiveIndex
 from repro.metrics import DiscoveryCounters
 from repro.plan import PlanContext, PlanReport, Planner
@@ -56,6 +61,7 @@ from repro.storage import load_segment, write_segment
 from tests.helpers import (
     BUILD_LANES,
     CellIndex,
+    assert_matches_legacy,
     assert_results_byte_identical,
     block_items,
     build_in_lane,
@@ -86,46 +92,6 @@ def engine(workload):
     return MateDiscovery(
         workload.corpus, build_index(workload.corpus, config=CONFIG), config=CONFIG
     )
-
-
-#: Counters only the planner's stages write: the verbatim loop has no
-#: sketch tier and never re-plans.
-PLANNER_EXTRAS = (
-    "replans",
-    "discarded_pl_items",
-    "sketch_candidates",
-    "sketch_estimated_recall",
-)
-
-
-def assert_matches_legacy(
-    engine, query, *, make_kwargs=dict, allowed_tables=None, **kwargs
-):
-    """The executor against the verbatim loop: answers, mappings, names,
-    completeness and every counter.
-
-    ``make_kwargs`` builds the per-run keyword arguments that cannot be
-    shared between two runs (a budget is a ledger).  The loop replays the
-    planner's decisions: the seed column the run ended on, and
-    ``allowed_tables``, the candidates the sketch tier kept.  Fetches a
-    re-plan discarded are the only postings the loop does not fetch.
-    Returns the executor's run.
-    """
-    result = engine.discover(query, **kwargs, **make_kwargs())
-    legacy = legacy_discover(
-        engine,
-        query,
-        kwargs.get("k"),
-        seed_column=result.plan.seed_column,
-        allowed_tables=allowed_tables,
-        **make_kwargs(),
-    )
-    mine = copy.deepcopy(result)
-    for name in PLANNER_EXTRAS:
-        mine.counters.extra.pop(name, None)
-    mine.counters.pl_items_fetched -= result.plan.discarded_postings
-    assert_results_byte_identical(mine, legacy)
-    return result
 
 
 def test_a_freshly_built_index_takes_the_batch_path(workload):
@@ -195,31 +161,48 @@ def request_cases(draw):
 
 def verify_case(key_tuples, tables):
     """Lay the tables' pairs end to end and verify the listed ones in one
-    pass; returns the charge prefix sums and, per listed table id, its first
-    pair and its ``(score, mapping)``."""
-    pair_rows, pair_keys, listed, firsts = [], [], [], []
+    pass, against an index over all of the tables; returns the charge prefix
+    sums and, per table id, its first pair and (listed tables only) its
+    ``(score, mapping)``."""
+    corpus = TableCorpus(name="case")
+    for table, _pairs, _listed in tables:
+        corpus.add_table(table)
+    index = build_index(corpus, config=CONFIG)
+    block = index.block
+    ordinal_of = {
+        row: ordinal
+        for ordinal, row in enumerate(
+            zip(block.row_table_ids.tolist(), block.row_row_indexes.tolist())
+        )
+    }
+    pair_rows, pair_keys, listed, firsts, starts = [], [], [], [], {}
     for table, pairs, verified in tables:
+        starts[table.table_id] = len(pair_rows)
         if verified:
             listed.append(table)
             firsts.append(len(pair_rows))
-        pair_rows += [row for row, _ in pairs]
+        pair_rows += [ordinal_of[table.table_id, row] for row, _ in pairs]
         pair_keys += [key for _, key in pairs]
     firsts_array = np.array(firsts, dtype=np.int64)
     lengths = [len(pairs) for _, pairs, verified in tables if verified]
+    values, key_ids = request_keys(key_tuples)
     prefix, best, scores, mappings = verify_spans(
-        listed,
+        np.array([table.num_columns for table in listed], dtype=np.int64),
         firsts_array,
         firsts_array + np.array(lengths, dtype=np.int64),
         np.array(pair_rows, dtype=np.int64),
         np.array(pair_keys, dtype=np.intp),
-        EncodedKeys(key_tuples),
+        key_ids,
+        read_key_postings(index, values),
     )
     answers = dict.fromkeys(range(len(listed)), (0, None))
     answers.update(zip(best.tolist(), zip(scores.tolist(), mappings)))
-    return prefix, {
-        table.table_id: (first, answers[position])
+    verdicts = {table_id: (first, None) for table_id, first in starts.items()}
+    verdicts.update(
+        (table.table_id, (first, answers[position]))
         for position, (table, first) in enumerate(zip(listed, firsts))
-    }
+    )
+    return prefix, verdicts
 
 
 def charged(prefix, first, count):
@@ -243,10 +226,10 @@ class TestRequestKernelDifferential:
             if verified
         )
         for table, pairs, verified in tables:
-            if not verified:
-                assert id(table) not in ENCODER._tables  # never encoded
-                continue
             first, answer = verdicts[table.table_id]
+            if not verified:  # never matched, never charged
+                assert charged(prefix, first, len(pairs)) == [0, 0, 0, 0]
+                continue
             assert answer == legacy_verify_table(
                 table.rows, [(row, key_tuples[key]) for row, key in pairs]
             )[:2]
@@ -351,11 +334,12 @@ def scanned(arrays: RequestArrays, start: int, end: int) -> dict:
     ``reference_prefilter``'s answer."""
     _, checks, hits, first = arrays.prefix[start].tolist()
     _, checks_end, hits_end, last = arrays.prefix[end].tolist()
+    row_indexes = np.asarray(arrays.reader.block.row_row_indexes)
     return {
         "surviving": list(
             zip(
-                arrays.pair_rows[first:last].tolist(),
-                map(arrays.keys.tuples.__getitem__, arrays.pair_keys[first:last]),
+                row_indexes[arrays.pair_rows[first:last]].tolist(),
+                map(arrays.key_tuples.__getitem__, arrays.pair_keys[first:last]),
             )
         ),
         "rows_checked": end - start,
@@ -373,7 +357,9 @@ def prefiltered_case(case, mode):
         cells.add_posting(value, table_id, 0, row_index)
         cells.keys[(table_id, row_index)] = key
     index = cells.to_index()
-    arrays = RequestArrays(index.fetch_batch(VALUES), key_map, length_shift, mode)
+    arrays = RequestArrays(
+        index.fetch_batch(VALUES), key_map, length_shift, mode, reader=index
+    )
     arrays.prefilter()
     grouped = fetch_grouped_by_table(index, VALUES)
     width = key_width(hash_size)
@@ -455,7 +441,9 @@ class TestRequestArrays:
         # Key 1 is covered by super key 1, not by 0: rows match, miss, match,
         # miss.  L = 4 with one miss among the first three rows: T = 3.
         index = one_value_index([1, 0, 1, 0])
-        arrays = RequestArrays(index.fetch_batch(["v"]), {"v": [(("k",), 1)]}, None)
+        arrays = RequestArrays(
+            index.fetch_batch(["v"]), {"v": [(("k",), 1)]}, None, reader=index
+        )
         arrays.prefilter()
         [(table_id, span)] = candidate_spans(arrays)
         assert (table_id, span, arrays.thresholds.tolist()) == (0, range(4), [3])
@@ -483,9 +471,10 @@ class TestRequestArrays:
         index = cells.to_index()
         arrays = RequestArrays(index.fetch_batch(["v", "w"]), {}, None)
         grouped = fetch_grouped_by_table(index, ["v", "w"])
-        assert arrays.row_indexes.tolist() == [7, 2, 9, 3, 5]
+        row_indexes = np.asarray(index.block.row_row_indexes)[arrays.ordinals]
+        assert row_indexes.tolist() == [7, 2, 9, 3, 5]
         for table_id, span in candidate_spans(arrays):
-            assert arrays.row_indexes[span.start : span.stop].tolist() == [
+            assert row_indexes[span.start : span.stop].tolist() == [
                 row_index for _, row_index, _ in grouped[table_id]
             ]
         allowed = RequestArrays(index.fetch_batch(["v", "w"]), {}, None, allowed={0})
@@ -582,8 +571,8 @@ class TestDiscoverDifferential:
     ):
         """The whole-request prefilter and verification run behind the
         deadline check in front of the first candidate table: a request
-        already late after its fetch pays for neither — nor encodes a
-        table."""
+        already late after its fetch pays for neither — nor reads a key
+        value's postings."""
         query = workload.queries[0]
 
         def make_kwargs():
@@ -606,9 +595,9 @@ class TestDiscoverDifferential:
             lambda self: pytest.fail("verified past the deadline"),
         )
         monkeypatch.setattr(
-            ValueEncoder,
-            "matrices",
-            lambda self, tables, keys: pytest.fail("encoded past the deadline"),
+            InvertedIndex,
+            "row_postings",
+            lambda self, values: pytest.fail("read postings past the deadline"),
         )
         result = assert_matches_legacy(engine, query, make_kwargs=make_kwargs)
         assert result.counters.deadline_expired
@@ -702,17 +691,17 @@ class TestDiscoverDifferential:
         assert result.result_tuples() == engine.discover(query).result_tuples()
 
     def test_sketch_tier_restricts_the_candidates(self, engine, workload, monkeypatch):
-        """A table the sketch tier pruned is never encoded nor verified."""
+        """A table the sketch tier pruned is never matched nor verified."""
         query = workload.queries[0]
         exhaustive = engine.discover(query)
-        gathered: list[list[int]] = []
-        gather = ValueEncoder.matrices
+        gathered: list[int] = []
+        verify = batch.verify_spans
 
-        def recorded(self, tables, keys):
-            gathered.append([table.table_id for table in tables])
-            return gather(self, tables, keys)
+        def recorded(widths, *args):
+            gathered.append(len(widths))
+            return verify(widths, *args)
 
-        monkeypatch.setattr(ValueEncoder, "matrices", recorded)
+        monkeypatch.setattr(batch, "verify_spans", recorded)
         result = engine.discover(
             query,
             planner=PlannerOptions(mode="sketch"),
@@ -735,8 +724,8 @@ class TestDiscoverDifferential:
         )
         assert result.counters.candidate_tables <= 2
         assert result.counters.candidate_tables < exhaustive.counters.candidate_tables
-        [tables] = gathered  # the batch run's one gather
-        assert 0 < len(tables) <= result.counters.candidate_tables
+        [tables] = gathered  # the batch run's one pass, over this many tables
+        assert 0 < tables <= result.counters.candidate_tables
         assert 0 < result.plan.verified_pairs < exhaustive.plan.verified_pairs
 
     def test_live_index_with_tombstones_and_merged_blocks(self, workload):
@@ -1003,7 +992,7 @@ class TestCoverageMemoBound:
         bound = columnar.COVERAGE_MEMO_ENTRIES
         for key in range(4 * bound):
             entries = [((f"k{key}",), key % 8), ((f"l{key}",), (key + 3) % 8)]
-            arrays = RequestArrays([block], {"v": entries}, 4)
+            arrays = RequestArrays([block], {"v": entries}, 4, reader=index)
             arrays.prefilter()
             survivors = scanned(arrays, 0, 40)["surviving"]
             assert len(block._cov_cache) <= bound
@@ -1093,10 +1082,11 @@ def answer(result):
     ]
 
 
-class TestEncodedTableInvalidation:
+class TestEditedTables:
     """A table never changes in place: an edit is a new table the session
-    ingests in the old one's place (remove, then ingest), so no encoded
-    matrix is ever stale — the old table's entry goes with the table."""
+    ingests in the old one's place (remove, then ingest), and a request
+    verifies rows against the postings of the snapshot it fetched from, so
+    nothing it reads is ever stale."""
 
     @pytest.fixture(params=["buffer", "sealed"])
     def edited(self, request):
@@ -1109,7 +1099,7 @@ class TestEncodedTableInvalidation:
         if request.param == "sealed":
             live.seal()
         query = small_query()
-        # Encode every table before the edit, so a stale matrix would show.
+        # Verify every table before the edit, so stale state would show.
         assert answer(self.discover(session, query)) == [
             (0, 3, (0, 1)),
             (1, 1, (0, 1)),
@@ -1138,16 +1128,20 @@ class TestEncodedTableInvalidation:
         replace_table(session, with_row(table, ["linus", "helsinki", "red"]))
         self.check(session, query, (0, 4, (0, 1)))
 
-    def test_an_edited_copy_is_encoded_afresh(self, edited):
+    def test_an_edited_copy_is_read_from_its_own_postings(self, edited):
+        """A snapshot pinned before the edit keeps the old copy's rows; a
+        fresh one reads the edited copy's, added row included."""
         session, _query = edited
+        live = session.index
+        pinned = live.snapshot()
         table = session.corpus.get_table(0)
-        assert ENCODER.matrices([table], EncodedKeys([("ada",)]))[0].shape == (4, 3)
-        edited_copy = with_row(table, ["linus", "helsinki", "red"])
-        replace_table(session, edited_copy)
-        keys = EncodedKeys([("linus",)])
-        old, new = ENCODER.matrices([table, edited_copy], keys)
-        assert old.shape == (4, 3)
-        assert new.shape == (5, 3) and new[4, 0] == keys.ids[0, 0]
+        replace_table(session, with_row(table, ["linus", "helsinki", "red"]))
+        old = read_key_postings(pinned, ["linus", "ada"])
+        new = read_key_postings(live.snapshot(), ["linus", "ada"])
+        assert 0 not in old.values  # no "linus" before the edit
+        # The edited copy's last row, the snapshot's last: "linus".
+        assert new.rows[new.values == 0].tolist() == [new.num_rows - 1]
+        assert new.num_rows > old.num_rows
 
     def test_delete_row(self, edited):
         session, query = edited
@@ -1182,63 +1176,71 @@ class TestEncodedTableInvalidation:
         session.ingest(Table(0, "other", list(COLUMNS), rows=[["alan", "paris", "red"]]))
         self.check(session, query, (0, 1, (0, 1)))
 
-    def test_collected_tables_leave_the_cache(self):
-        table = Table(7, "t", ["x"], rows=[["a"]])
-        ENCODER.matrices([table], EncodedKeys([("a",)]))
-        key = id(table)
-        assert key in ENCODER._tables
-        del table
-        assert key not in ENCODER._tables
+    def test_verification_reads_no_row(self, edited, monkeypatch):
+        """Verification charges a table's width and reads no row of it:
+        tables without rows answer the same (the answer names them)."""
+        session, query = edited
+        expected = answer(self.discover(session, query))
+        corpus = session.corpus
+        widths = {
+            table.table_id: SimpleNamespace(
+                num_columns=table.num_columns, name=table.name
+            )
+            for table in map(corpus.get_table, corpus.table_ids())
+        }
+        monkeypatch.setattr(corpus, "get_table", widths.__getitem__)
+        assert answer(self.discover(session, query)) == expected
 
 
-class TestValueDictionaryBound:
-    def test_eviction_between_two_requests(self, engine, workload, monkeypatch):
+class TestNoProcessWideState:
+    """Verification reads the index the request fetched from, once per
+    request: nothing outlives the request, nothing is shared between
+    requests but the index."""
+
+    def test_verification_is_no_fetch(self, workload, monkeypatch):
+        """The key values' postings are read besides ``fetch_batch``: the
+        index's fetch memo and fetch calls are what the probes alone
+        make."""
+        index = build_index(workload.corpus, config=CONFIG)
+        engine = MateDiscovery(workload.corpus, index, config=CONFIG)
         query = workload.queries[0]
+        fetches: list[list[str]] = []
+        fetch_batch = index.fetch_batch
+
+        def recorded(values):
+            values = list(values)
+            fetches.append(values)
+            return fetch_batch(values)
+
+        monkeypatch.setattr(index, "fetch_batch", recorded)
         first = engine.discover(query)
-        assert ENCODER._tables
-        generation = ENCODER._generation
-        # The next request finds the dictionary full the first time it
-        # encodes, and starts over.
-        monkeypatch.setattr(encoding, "MAX_VALUE_IDS", len(ENCODER))
+        [probed] = fetches
+        assert set(index._state.memo[1]) == set(probed)
+        assert first.plan.verified_pairs > 0
         assert_results_byte_identical(engine.discover(query), first)
-        assert ENCODER._generation > generation
+        assert len(fetches) == 2 and set(index._state.memo[1]) == set(probed)
 
-    def test_eviction_inside_a_request(self, engine, workload, monkeypatch):
-        """A bound this small finds the dictionary full at every request's
-        gather: the request drops it once — the bound is checked once per
-        gather, not once per table — and encodes its keys and every
-        candidate table against the fresh dictionary."""
-        expected = [engine.discover(query) for query in workload.queries]
-        monkeypatch.setattr(encoding, "MAX_VALUE_IDS", 1)
-        engine.discover(workload.queries[0])  # the dictionary holds a value
-        for query, reference in zip(workload.queries, expected):
-            generation = ENCODER._generation
-            assert_results_byte_identical(engine.discover(query), reference)
-            assert ENCODER._generation == generation + 1
+    def test_absent_and_missing_key_values_match_nothing(self):
+        """A key value the index does not hold has no postings, and a
+        missing one the id no posting holds: neither verifies a row."""
+        corpus = TableCorpus(name="one")
+        corpus.add_table(Table(3, "t", ["x", "y"], rows=[["a", "b"]]))
+        index = build_index(corpus, config=CONFIG)
+        values, key_ids = request_keys(
+            [("b", "never seen"), (MISSING, "a"), ("b", "a")]
+        )
+        assert values == ["b", "never seen", "a"]
+        assert key_ids.tolist() == [[0, 1], [3, 2], [0, 2]]
+        postings = read_key_postings(index, values)
+        assert postings.values.tolist() == [0, 2]
+        owner, chosen = joinability.key_matches(
+            np.zeros(3, dtype=np.intp), np.arange(3), key_ids, postings
+        )
+        assert owner.tolist() == [2]
+        assert [column.tolist() for column in chosen] == [[1], [0]]
 
-    def test_keys_follow_the_generation(self, monkeypatch):
-        table = Table(3, "t", ["x", "y"], rows=[["a", "b"]])
-        keys = EncodedKeys([("b", "never seen"), (MISSING, "a")])
-        [matrix] = ENCODER.matrices([table], keys)
-        assert matrix[0, 1] == keys.ids[0, 0]
-        assert keys.ids[0, 1] not in matrix and keys.ids[0, 1] >= 0
-        assert keys.ids[1, 0] == encoding.NO_MATCH_ID
-        # Another table meets a full dictionary: everything is dropped.
-        monkeypatch.setattr(encoding, "MAX_VALUE_IDS", 1)
-        other = Table(4, "u", ["x"], rows=[["c"]])
-        ENCODER.matrices([other], EncodedKeys([("c",)]))
-        assert id(table) not in ENCODER._tables
-        assert keys.generation != ENCODER._generation
-        stale = keys.ids.copy()
-        [matrix] = ENCODER.matrices([table], keys)
-        assert keys.generation == ENCODER._generation
-        assert matrix[0, 1] == keys.ids[0, 0]
-        assert stale.shape == keys.ids.shape
-
-    def test_two_threads_on_one_engine(self, engine, workload, monkeypatch):
-        """Concurrent requests share the dictionary; a small bound makes them
-        evict under each other's feet.  Answers must not change."""
-        monkeypatch.setattr(encoding, "MAX_VALUE_IDS", 200)
+    def test_two_threads_on_one_engine(self, engine, workload):
+        """Concurrent requests on one engine: answers must not change."""
         expected = [engine.discover(query) for query in workload.queries]
         failures: list[BaseException] = []
 
@@ -1316,6 +1318,71 @@ class TestNoBufferPinned:
         # The run answers from the postings it fetched, whatever came later.
         assert context.topk.result_tuples() == expected.result_tuples()
         assert index.posting_lengths([probe]) == [before + len(inserted)]
+        session.close()
+
+    @pytest.mark.parametrize("sealed", [False, True], ids=["buffer", "sealed"])
+    @pytest.mark.parametrize(
+        "edit",
+        ["fewer_rows", "changed_cells", "removed", "column_added", "column_dropped"],
+    )
+    def test_an_edit_between_fetch_and_verification(self, sealed, edit):
+        """A request fetches table 0's postings, then table 0 is edited
+        (``remove`` + ``ingest`` of a copy with fewer rows, other cells, one
+        more column or one fewer) or only removed, before row verification:
+        the request answers from the snapshot it pinned, and charges the
+        widths read with its fetch — the pre-edit answer, mappings and
+        counters — and the next request sees the edit."""
+        live = LiveIndex(config=CONFIG)
+        session = repro.DiscoverySession(TableCorpus(name="e"), live, config=CONFIG)
+        for table in small_corpus():
+            session.ingest(table)
+        if sealed:
+            live.seal()
+        engine = MateDiscovery(session.corpus, live, config=CONFIG)
+        query = small_query()
+        expected = engine.discover(query)
+        assert answer(expected)[0] == (0, 3, (0, 1))
+        table = session.corpus.get_table(0)
+        copy_of = {
+            "fewer_rows": lambda: without_row(without_row(table, 3), 2),
+            "changed_cells": lambda: with_cell(
+                with_cell(table, 1, 1, "lyon"), 3, 1, "berlin"
+            ),
+            "removed": lambda: None,
+            "column_added": lambda: with_column(table, "age", ["1", "2", "3", "4"]),
+            "column_dropped": lambda: without_column(table, "team"),
+        }[edit]
+        executor = Executor(engine)
+        plan = Planner(engine).plan(query)
+        context = PlanContext(
+            engine=engine,
+            query=query,
+            k=CONFIG.k,
+            plan=plan,
+            options=executor.options,
+            report=PlanReport(plan=plan, seed_column=plan.seed.column),
+        )
+        executor.candidate_generation.run(context)
+        executor.superkey_prefilter.run(context)
+        copy = copy_of()
+        if copy is None:
+            session.remove(0)
+        else:
+            replace_table(session, copy)
+        executor.row_verification.run(context)
+        executor.topk_maintenance.run(context)
+        assert context.topk.result_tuples() == expected.result_tuples()
+        assert {
+            table_id: context.mappings[table_id] for table_id in context.mappings
+        } == {entry.table_id: entry.column_mapping for entry in expected.tables}
+        for name in ("rows_passed_filter", "true_positive_rows", "value_comparisons"):
+            assert getattr(context.counters, name) == getattr(expected.counters, name)
+        after = engine.discover(query)
+        assert answer(after) == answer(fresh_answer(visible_corpus(live, session.corpus), query))
+        assert (answer(after), after.counters.value_comparisons) != (
+            answer(expected),
+            expected.counters.value_comparisons,
+        )
         session.close()
 
     @pytest.mark.parametrize("sealed", [False, True], ids=["buffer", "sealed"])

@@ -273,7 +273,7 @@ class TestPackedPersistence:
         for lane in ("block", "loop"):
             index = build_in_lane(lane, workload.corpus, config=config)
             path = write_segment(index, tmp_path / f"{lane}.seg", fsync=False)
-            assert not index._state.fetched
+            assert not index._state.memo[1]
             written[lane] = path.read_bytes()
         assert written["block"] == written["loop"]
 

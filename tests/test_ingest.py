@@ -257,6 +257,36 @@ class TestLiveIndex:
         assert live.num_segments == 1
         assert live.indexed_tables() == {0, 1, 3}
 
+    def test_merge_rewrites_one_tombstoned_segment(self, tmp_path):
+        """One segment holding tables 0 and 1: ``remove(0)``, ``seal()``
+        (an empty buffer: nothing) and ``merge()`` leave no tombstone and no
+        posting of table 0, in memory and in the directory; a segment no
+        tombstone masks is left as it is."""
+        rng = random.Random(10)
+        live = LiveIndex.open(tmp_path / "live", config=CONFIG)
+        tables = {table_id: make_table(table_id, rng) for table_id in (0, 1)}
+        for table in tables.values():
+            live.add_table(table)
+        live.seal()
+        assert live.merge() is None  # nothing masked: nothing to rewrite
+        live.remove_table(0)
+        assert live.seal() is None
+        merged = live.merge()
+        assert merged is not None and live.num_segments == 1
+        assert live.tombstones == {}
+        assert merged.table_seqs.keys() == {1}
+        assert set(row_keys(merged.index)) == set(row_keys(live.snapshot()))
+        assert {table for table, _row, _key in row_keys(merged.index)} == {1}
+        _corpus, bulk = reference_index(live, {1: tables[1]})
+        assert fetch_items(live, ALL_PROBES) == fetch_items(bulk, ALL_PROBES)
+        assert live.merge() is None
+        live.close()
+        reopened = LiveIndex.open(tmp_path / "live", config=CONFIG)
+        assert reopened.tombstones == {}
+        assert reopened.indexed_tables() == {1}
+        assert fetch_items(reopened, ALL_PROBES) == fetch_items(bulk, ALL_PROBES)
+        reopened.close()
+
     def test_snapshot_isolation_across_compaction(self):
         rng = random.Random(9)
         live = LiveIndex(config=CONFIG)

@@ -309,7 +309,7 @@ def test_masked_statistics_are_counted_on_the_columns(tmp_path):
     rebuilt = build_index(surviving, config=CONFIG)
     assert snapshot.num_posting_items() == rebuilt.num_posting_items() == 18
     # Counted, not walked: no posting view was sliced for it.
-    assert segment._state.fetched == {}
+    assert segment._state.memo[1] == {}
     # The walk's answer, spelled out.
     values = list(segment.values())
     assert segment.visible_counts({2}) == 12 == sum(

@@ -328,8 +328,8 @@ def test_the_second_index_representation_is_gone(module_name, name):
         getattr(importlib.import_module(module_name), name)
 
 
-#: The in-place edit surface: a static index, its row keys, its builder, a
-#: table and the value encoder are immutable, so none has a mutator.
+#: The in-place edit surface: a static index, its row keys, its builder and
+#: a table are immutable, so none has a mutator.
 REMOVED_MUTATORS = [
     ("repro.index", "InvertedIndex", mutator)
     for mutator in (
@@ -347,7 +347,6 @@ REMOVED_MUTATORS = [
     ("repro.index", "IndexBuilder", "add_table"),
     ("repro.index.inverted", "RowKeys", "__contains__"),
     ("repro.datamodel", "Table", "append_row"),
-    ("repro.datamodel.encoding", "ValueEncoder", "forget"),
 ]
 
 
@@ -360,6 +359,13 @@ def test_an_index_and_a_table_have_no_mutator(module_name, owner, name):
     """Every corpus edit goes through the session over a ``LiveIndex``
     (``remove``, then ``ingest`` of the edited copy)."""
     assert not hasattr(getattr(importlib.import_module(module_name), owner), name)
+
+
+@pytest.mark.parametrize("name", ["ValueEncoder", "EncodedKeys", "ENCODER"])
+def test_the_process_wide_value_dictionary_is_gone(name):
+    """Row verification reads the index's postings: no encoder, encoded key
+    matrix or process-wide dictionary is left to keep."""
+    assert not hasattr(importlib.import_module("repro.datamodel.encoding"), name)
 
 
 @pytest.mark.parametrize("module_name", ["repro", "repro.index"])
