@@ -2,10 +2,11 @@
 """CLI ``--explain`` smoke test (run by the plan-equivalence CI job).
 
 Generates a tiny corpus plus a query CSV, runs ``mate-repro discover`` with
-``--explain`` for every planner mode, and asserts the plan output shows up
-with the expected shape (seed column, per-column estimates, the
-verification pass's pairs, the table filters' counts, stage timings) while
-the top-k stays identical across modes.
+``--explain`` in planner modes ``selector`` and ``cost``, and asserts the
+plan output shows up with the expected shape (seed column, each key
+column's probe values and exact postings, the verification pass's pairs,
+the table filters' counts, stage timings) while the top-k stays identical
+across modes.  The removed mode ``adaptive`` must be refused.
 
 Usage::
 
@@ -54,7 +55,7 @@ def main() -> int:
             writer.writerows(list(row) for row in query.table.rows)
 
         rankings: dict[str, list[str]] = {}
-        for mode in ("selector", "cost", "adaptive"):
+        for mode in ("selector", "cost"):
             output = run_cli(
                 [
                     "discover",
@@ -99,16 +100,44 @@ def main() -> int:
             rankings[mode] = re.findall(r"joinability=\s*(\d+)", output)
             seed = re.search(r"seed column '(\w+)'", output)
             assert seed is not None, output
-            if mode != "selector":
-                # The skew corpus makes the cost model flip off the hot column.
+            columns = dict(
+                re.findall(r"column '(\w+)': (\d+ probe values, \d+ postings)", output)
+            )
+            if mode == "cost":
+                # The skew corpus makes the exact counts flip off the hot
+                # column; every key column's counts are printed.
                 assert seed.group(1) == "cold", output
+                assert columns == {
+                    "cold": "48 probe values, 108 postings",
+                    "hot": "4 probe values, 228 postings",
+                }, output
+                assert "fetched 108 PL items" in output, output
+            else:
+                assert columns == {}, output
+                assert "not counted" in output, output
 
-        assert rankings["selector"] == rankings["cost"] == rankings["adaptive"], (
+        assert rankings["selector"] == rankings["cost"], (
             f"plan modes disagreed on the top-k: {rankings}"
         )
 
-    print("plan --explain smoke OK (selector/cost/adaptive agree, stages, "
-          "estimates, verified pairs and table filters printed)")
+        # The removed mode is refused by the argument parser.
+        refusal = io.StringIO()
+        with contextlib.redirect_stderr(refusal):
+            try:
+                run_cli(
+                    [
+                        "discover", str(corpus_path), str(query_path),
+                        "--key", "hot", "cold", "--planner-mode", "adaptive",
+                    ]
+                )
+            except SystemExit as exc:
+                assert exc.code == 2, exc.code
+            else:
+                raise AssertionError("--planner-mode adaptive was accepted")
+        assert "invalid choice: 'adaptive'" in refusal.getvalue(), refusal.getvalue()
+
+    print("plan --explain smoke OK (selector/cost agree, adaptive refused, "
+          "stages, exact counts, verified pairs and table filters printed)")
     return 0
 
 

@@ -17,8 +17,9 @@ self-contained Python library:
 * :mod:`repro.core` — Algorithm 1: initialization, table/row filtering,
   joinability calculation, and sharded scale-out discovery;
 * :mod:`repro.plan` — query planning: the explicit stage pipeline, the
-  cost-based seed-column :class:`Planner`, and the :class:`Executor` with
-  budget enforcement and adaptive re-planning (``DiscoveryRequest.planner``);
+  seed-column :class:`Planner` (the column selector's choice, or exact
+  posting counts off the index), and the :class:`Executor` with budget
+  enforcement (``DiscoveryRequest.planner``);
 * :mod:`repro.sketch` — the approximate candidate tier: per-column MinHash
   signatures and a banded LSH index that prune the candidate universe ahead
   of exact MATE (planner mode ``"sketch"`` + ``DiscoveryRequest.sketch``);

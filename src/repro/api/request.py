@@ -61,10 +61,10 @@ class DiscoveryRequest:
     planner:
         The :class:`~repro.plan.options.PlannerOptions` controlling seed
         selection: the default keeps the classic column selector
-        (byte-identical output), ``mode="cost"`` picks the cheapest
-        initiator column from index statistics, ``mode="adaptive"`` adds
-        mid-run re-planning.  Non-default options are refused on engines
-        that do not run the planner pipeline.
+        (byte-identical output), ``mode="cost"`` seeds from the key column
+        whose probe values hold the fewest postings, counted exactly off
+        the index.  Non-default options are refused on engines that do not
+        run the planner pipeline.
     sketch:
         The :class:`~repro.sketch.SketchOptions` of the approximate
         candidate tier (planner mode ``"sketch"``): the containment

@@ -61,7 +61,7 @@ class SessionResult:
         return self.response.result_tuples()
 
     def plan_explain(self) -> dict | None:
-        """The executed query plan (seed column, estimates, re-plans).
+        """The executed query plan (seed column, per-column counts).
 
         ``None`` when the engine ran outside the planner/executor pipeline
         (baselines).

@@ -6,7 +6,7 @@ responses, and
 :meth:`SessionResult.to_dict <repro.api.results.SessionResult.to_dict>`.
 Each payload is wrapped in the same envelope::
 
-    {"schema_version": 2, "kind": "<payload kind>", ...payload fields...}
+    {"schema_version": 3, "kind": "<payload kind>", ...payload fields...}
 
 Field names are part of the contract: renaming or removing one requires a
 ``SCHEMA_VERSION`` bump (adding fields does not).
@@ -19,7 +19,15 @@ from __future__ import annotations
 #: v2 (planner pipeline): ``discovery_result`` payloads gained the
 #: ``stages`` per-stage breakdown, the ``plan`` execution trace, and
 #: ``request.planner_mode``.  Every v1 field is unchanged.
-SCHEMA_VERSION = 2
+#:
+#: v3 (exact seed counts): the ``plan`` document lost
+#: ``executed_seed_column`` (always ``seed_column``), ``discarded_postings``
+#: and the list of re-plan events; each ``seed`` / ``alternatives`` entry lost
+#: ``estimated_postings``, ``sampled_values``, ``estimate_exact`` and
+#: ``cost``, and gained ``postings`` (the exact count; ``null``, like
+#: ``probe_count``, when the mode counts nothing).  Planner mode
+#: ``adaptive`` is gone.  Every other v2 field is unchanged.
+SCHEMA_VERSION = 3
 
 #: Envelope kinds currently emitted.
 KIND_DISCOVERY_RESULT = "discovery_result"

@@ -250,14 +250,16 @@ def build_parser() -> argparse.ArgumentParser:
     discover.add_argument("--planner-mode", choices=PLANNER_MODES,
                           default="selector",
                           help="seed-column strategy: the classic column "
-                          "selector (default), the cost model, cost with "
-                          "adaptive mid-run re-planning, or the sketch "
-                          "candidate tier (implied by --sketch-threshold)")
+                          "selector (default), the key column whose probe "
+                          "values hold the fewest postings (cost), or the "
+                          "sketch candidate tier (implied by "
+                          "--sketch-threshold)")
     _add_sketch_arguments(discover)
     _add_telemetry_arguments(discover)
     discover.add_argument("--explain", action="store_true",
-                          help="print the executed query plan (seed-column "
-                          "estimates, per-stage timings, re-plans)")
+                          help="print the executed query plan (each key "
+                          "column's probe values and postings, per-stage "
+                          "timings)")
 
     experiment = subparsers.add_parser("experiment", help="run a paper experiment")
     experiment.add_argument("name", choices=sorted(EXPERIMENT_RUNNERS))
@@ -477,21 +479,16 @@ def _print_plan_explain(result) -> None:
         print("plan: (engine ran outside the planner pipeline)")
         return
     print(f"plan: mode={explanation['mode']}, "
-          f"seed column {explanation['executed_seed_column']!r} "
-          f"(planned {explanation['seed_column']!r})")
+          f"seed column {explanation['seed_column']!r}")
     for candidate in [explanation["seed"], *explanation["alternatives"]]:
-        marker = "*" if candidate["column"] == explanation["executed_seed_column"] else " "
-        print(f"  {marker} column {candidate['column']!r}: "
-              f"{candidate['probe_count']} probe values, "
-              f"~{candidate['estimated_postings']:.0f} postings "
-              f"(cost {candidate['cost']:.1f}, "
-              f"sampled {candidate['sampled_values']})")
-    for event in explanation["replans"]:
-        print(f"  replanned {event['from_column']!r} -> {event['to_column']!r} "
-              f"after {event['observed_postings']} postings "
-              f"(estimated {event['estimated_postings']:.0f})")
-    print(f"  fetched {explanation['observed_postings']} PL items "
-          f"({explanation['discarded_postings']} discarded by re-plans)")
+        marker = "*" if candidate["column"] == explanation["seed_column"] else " "
+        if candidate["postings"] is None:
+            counted = "not counted (the column selector's choice)"
+        else:
+            counted = (f"{candidate['probe_count']} probe values, "
+                       f"{candidate['postings']} postings")
+        print(f"  {marker} column {candidate['column']!r}: {counted}")
+    print(f"  fetched {explanation['observed_postings']} PL items")
     print(f"  verified {explanation['verified_pairs']} pairs in one pass "
           f"({explanation['discarded_pairs']} discarded by table filters "
           f"or the deadline)")
@@ -557,7 +554,7 @@ def _command_discover(args: argparse.Namespace) -> int:
     planner_mode = args.planner_mode
     if sketch.enabled and planner_mode == "selector":
         # Non-default sketch knobs imply the sketch pipeline; an explicit
-        # cost/adaptive mode conflicts and is rejected by request validation.
+        # cost mode conflicts and is rejected by request validation.
         planner_mode = "sketch"
     request = DiscoveryRequest(
         query=query,

@@ -13,6 +13,10 @@ four alternatives, all implemented here:
   (upper bound; needs the index),
 * ``best_case``     — the column whose values fetch the *fewest* PL items
   (ground-truth lower bound; needs the index).
+
+The two index-backed selectors count exactly what a run seeded from a column
+fetches: the postings of that column's values in the complete key tuples
+(:func:`probed_postings`), which the planner's ``cost`` mode ranks by too.
 """
 
 from __future__ import annotations
@@ -61,29 +65,50 @@ def select_by_longest_string(
     return max(query.key_columns, key=lambda column: (longest_value(column), column))
 
 
-def _posting_count(query: QueryTable, column: str, index: InvertedIndex) -> int:
-    """PL items the column's distinct non-missing values fetch."""
-    return sum(index.posting_lengths(list(query.table.distinct_column_values(column))))
+def complete_key_tuples(query: QueryTable) -> list[tuple[str, ...]]:
+    """The query's distinct composite-key tuples without missing values,
+    sorted: the tuples the initialization step probes (Algorithm 1, lines
+    3-6).  Every count below reads them, so a count and the run it
+    predicts never disagree on what is probed."""
+    return [
+        key_tuple
+        for key_tuple in sorted(query.key_tuples())
+        if MISSING not in key_tuple
+    ]
+
+
+def probe_values(key_tuples: list[tuple[str, ...]], position: int) -> list[str]:
+    """The distinct values at ``position`` of ``key_tuples``, first seen
+    first: what seeding the run from that key column fetches, in order."""
+    return list(dict.fromkeys(key_tuple[position] for key_tuple in key_tuples))
+
+
+def probed_postings(query: QueryTable, index: InvertedIndex) -> dict[str, tuple[int, int]]:
+    """Per key column, the number of values seeding the run from it probes
+    and the PL items they fetch, counted exactly off the index: one batched
+    ``posting_lengths`` per column, no posting read."""
+    key_tuples = complete_key_tuples(query)
+    counts = {}
+    for position, column in enumerate(query.key_columns):
+        values = probe_values(key_tuples, position)
+        counts[column] = (len(values), sum(index.posting_lengths(values)))
+    return counts
 
 
 def select_worst_case(query: QueryTable, index: InvertedIndex | None = None) -> str:
     """Pick the column fetching the most PL items (hypothetical worst case)."""
     if index is None:
         raise DiscoveryError("the worst-case selector requires the inverted index")
-    return max(
-        query.key_columns,
-        key=lambda column: (_posting_count(query, column, index), column),
-    )
+    counts = probed_postings(query, index)
+    return max(query.key_columns, key=lambda column: (counts[column][1], column))
 
 
 def select_best_case(query: QueryTable, index: InvertedIndex | None = None) -> str:
     """Pick the column fetching the fewest PL items (ground-truth best)."""
     if index is None:
         raise DiscoveryError("the best-case selector requires the inverted index")
-    return min(
-        query.key_columns,
-        key=lambda column: (_posting_count(query, column, index), column),
-    )
+    counts = probed_postings(query, index)
+    return min(query.key_columns, key=lambda column: (counts[column][1], column))
 
 
 #: Registry of the selection strategies compared in Section 7.5.4.
@@ -112,11 +137,12 @@ def fetched_pl_count(
     """Number of PL items the given selector's choice would fetch.
 
     This is the measurement reported in the initial-column experiment
-    (Section 7.5.4).
+    (Section 7.5.4): the postings of the values the run seeded from that
+    column probes, which is what it fetches.
     """
     chosen = (
         get_column_selector(selector)(query, index)
         if isinstance(selector, str)
         else selector(query, index)
     )
-    return _posting_count(query, chosen, index)
+    return probed_postings(query, index)[chosen][1]

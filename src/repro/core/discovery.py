@@ -4,7 +4,7 @@
 each an explicit operator of the :mod:`repro.plan` pipeline:
 
 1. **Initialization** (Section 6.1): the planner picks the initiator column
-   (classic selector heuristics, or the cost model over index statistics);
+   (classic selector heuristics, or exact posting counts off the index);
    the candidate-generation stage fetches its PL items (with super keys),
    groups and sorts the candidate tables, and builds the dictionary mapping
    initial-column values to the aggregated super keys of the query's
@@ -19,8 +19,9 @@ The engine is deliberately configurable along exactly the axes the paper's
 experiments vary: the hash function (Tables 2/3, Figure 5), the row-filter
 mode (SCR baseline, ideal oracle), the initial-column selector
 (Section 7.5.4), ``k`` (Section 7.5.1), and the hash size.  Per-request
-planner behaviour (cost-based seeding, adaptive re-planning) arrives through
-the ``planner`` keyword of :meth:`MateDiscovery.discover`.
+planner behaviour (seeding from the column with the fewest exactly counted
+probed postings, or the sketch tier) arrives through the ``planner`` keyword
+of :meth:`MateDiscovery.discover`.
 """
 
 from __future__ import annotations
@@ -29,11 +30,15 @@ from collections import defaultdict
 from typing import TYPE_CHECKING, Callable
 
 from ..config import MateConfig
-from ..datamodel import MISSING, QueryTable, TableCorpus
+from ..datamodel import QueryTable, TableCorpus
 from ..exceptions import DiscoveryError
 from ..hashing import SuperKeyGenerator
 from ..index import InvertedIndex
-from .column_selection import ColumnSelector, get_column_selector
+from .column_selection import (
+    ColumnSelector,
+    complete_key_tuples,
+    get_column_selector,
+)
 from .filters import RowFilter
 from .results import DiscoveryResult
 
@@ -126,9 +131,8 @@ class MateDiscovery:
 
         ``budget`` (a :class:`~repro.api.request.RequestBudget`) bounds the
         run: its posting-list fetch budget caps how many probe values the
-        initialization step fetches — across *every* seed attempt, so an
-        adaptive re-plan can never exceed the ledger — and its deadline is
-        checked before each fetch chunk and at every candidate table.  A
+        initialization step fetches, and its deadline is checked before the
+        fetch and at every candidate table.  A
         curtailed run returns the (well-formed, possibly empty) partial
         top-k with ``complete=False`` and the matching
         ``counters.budget_exhausted`` / ``counters.deadline_expired`` flags.
@@ -137,11 +141,9 @@ class MateDiscovery:
 
         ``planner`` (a :class:`~repro.plan.options.PlannerOptions`) selects
         the seed-column strategy: the default keeps the engine's classic
-        column selector (byte-identical output to earlier releases), mode
-        ``"cost"`` lets the cost model pick the cheapest initiator column,
-        and ``"adaptive"`` additionally re-plans mid-run when the observed
-        fetch cost blows past the estimate — without losing any results
-        verified so far.
+        column selector (byte-identical output to earlier releases), and mode
+        ``"cost"`` seeds from the key column whose probe values hold the
+        fewest postings, counted exactly off the index.
 
         ``sketch`` (a :class:`~repro.sketch.SketchOptions`) configures the
         approximate candidate tier of planner mode ``"sketch"``: the
@@ -160,7 +162,7 @@ class MateDiscovery:
 
         plan = Planner(self, planner).plan(query)
         sketch_index = self.sketch_index() if plan.mode == "sketch" else None
-        return Executor(self, planner).execute(
+        return Executor(self).execute(
             plan,
             query,
             k,
@@ -172,21 +174,6 @@ class MateDiscovery:
     # ------------------------------------------------------------------
     # Initialization helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _complete_key_tuples(query: QueryTable) -> list[tuple[str, ...]]:
-        """The query's distinct composite-key tuples without missing values.
-
-        This is the canonical filtering of the initialization step; the
-        planner's estimates (:meth:`~repro.plan.planner.Planner.probe_values_for`)
-        reuse it, so they and the engine can never disagree on what gets
-        probed.
-        """
-        return [
-            key_tuple
-            for key_tuple in sorted(query.key_tuples())
-            if not any(value == MISSING for value in key_tuple)
-        ]
-
     def _build_key_super_key_map(
         self, query: QueryTable, initial_column: str
     ) -> dict[str, list[tuple[tuple[str, ...], int]]]:
@@ -198,7 +185,7 @@ class MateDiscovery:
         """
         initial_position = query.key_columns.index(initial_column)
         key_map: dict[str, list[tuple[tuple[str, ...], int]]] = defaultdict(list)
-        for key_tuple in self._complete_key_tuples(query):
+        for key_tuple in complete_key_tuples(query):
             probe_value = key_tuple[initial_position]
             key_super_key = self.super_key_generator.key_super_key(key_tuple)
             key_map[probe_value].append((key_tuple, key_super_key))

@@ -47,7 +47,8 @@ class DiscoveryResult:
     #: rules of Algorithm 1 never clear this flag.
     complete: bool = True
     #: Execution trace of the planner/executor pipeline (seed column,
-    #: estimates, re-plans); ``None`` for engines outside that pipeline.
+    #: per-column counts, fetched volume); ``None`` for engines outside
+    #: that pipeline.
     plan: "PlanReport | None" = None
 
     def plan_explain(self) -> dict[str, object] | None:

@@ -52,7 +52,6 @@ from ..datamodel import QueryTable, TableCorpus
 from ..exceptions import DiscoveryError
 from ..hashing import SuperKeyGenerator
 from ..index import InvertedIndex
-from ..index.statistics import PostingVolumeEstimate
 from ..metrics import DiscoveryCounters
 from ..plan.executor import emit_plan_spans
 from ..plan.planner import (
@@ -173,7 +172,6 @@ class SQLPushdownEngine:
 
     # Probe/key-map semantics are inherited verbatim from the mate engine so
     # the two can never disagree on what gets probed.
-    _complete_key_tuples = staticmethod(MateDiscovery._complete_key_tuples)
     _build_key_super_key_map = MateDiscovery._build_key_super_key_map
 
     def __init__(
@@ -278,18 +276,9 @@ class SQLPushdownEngine:
                 f"initial column {chosen!r} is not a key column of the query"
             )
         plan = QueryPlan(
-            mode="pushdown",
-            seed=SeedCandidate(
-                column=chosen,
-                probe_count=0,
-                estimate=PostingVolumeEstimate(
-                    values=0, sampled=0, estimated_postings=0.0, exact=False
-                ),
-                cost=0.0,
-            ),
-            stages=PUSHDOWN_STAGES,
+            mode="pushdown", seed=SeedCandidate(chosen), stages=PUSHDOWN_STAGES
         )
-        report = PlanReport(plan=plan, seed_column=chosen)
+        report = PlanReport(plan=plan)
         topk = TopKHeap(k)
         mappings: dict[int, tuple[int, ...] | None] = {}
 

@@ -7,12 +7,12 @@ These are fixture corpora, not studies: each builder returns a
   in the corpus: its four distinct values fetch long posting lists, while
   the second key column's values are rare.  The fixed first-column seed (and
   the classic cardinality heuristic) both walk into the hot column; the
-  cost model sees the posting volumes and seeds from the cold column.
-* **drift** — the cheap-looking column lies to the sampled estimate: the
-  probe values at the sampled positions have tiny posting lists while every
-  other value is hot.  Pure cost-based planning commits to the trap column;
-  the adaptive executor notices the blown estimate after the first fetch
-  chunk and re-plans onto the honest alternative mid-run.
+  ``cost`` mode counts the posting volumes and seeds from the cold column.
+* **drift** — a trap column that looks cheap to any evenly spaced sample:
+  its probe values at every 12th position have tiny posting lists while
+  every other value is hot.  A sample of 16 lengths would seed from it;
+  ``cost`` mode counts every probed posting and seeds from the honest
+  alternative.
 * **sketch** — a handful of match tables genuinely joinable with the query
   key, and a large majority of noise tables sharing exactly one hot key
   value, so the exact engine must fetch and reject their posting lists while
@@ -22,14 +22,7 @@ These are fixture corpora, not studies: each builder returns a
 from __future__ import annotations
 
 from ..datamodel import QueryTable, Table, TableCorpus
-from ..index import sample_positions
 from .runner import ExperimentSettings
-
-#: Sampling/re-planning knobs shared by the cost and adaptive plans, chosen
-#: so the drift scenario's trap column fits the sample budget's blind spots.
-PLANNER_SAMPLE_SIZE = 16
-PLANNER_CHECK_EVERY = 32
-PLANNER_REPLAN_FACTOR = 2.0
 
 #: Query-table id (outside every corpus id range, mirroring the CLI).
 _QUERY_TABLE_ID = 10_000_000
@@ -80,15 +73,15 @@ def _build_skew_scenario(
 def _build_drift_scenario(
     settings: ExperimentSettings,
 ) -> tuple[TableCorpus, QueryTable]:
-    """A trap column whose sampled probe values hide the hot majority."""
+    """A trap column whose evenly spaced probe values hide the hot majority."""
     hot_length = _hot_run_length(settings) // 2
     num_pairs = 192
     pairs = [(f"t{i:03d}", f"a{i:03d}") for i in range(num_pairs)]
     # The probe order of the trap column is its first-seen order over the
     # sorted key tuples — with unique zero-padded values that is simply the
-    # index order, so the planner's deterministic sample lands exactly on
-    # these positions.  Those values stay cold; every other one gets hot.
-    sampled = set(sample_positions(num_pairs, PLANNER_SAMPLE_SIZE))
+    # index order.  The values at every 12th position (where 16 evenly
+    # spaced samples land) stay cold; every other one gets hot.
+    sampled = set(range(0, num_pairs, 12))
 
     corpus = TableCorpus(name="planner_drift")
     for j in range(4):
@@ -99,13 +92,12 @@ def _build_drift_scenario(
             for r in range(hot_length // 4 + 1)
         ]
         corpus.add_table(Table(100 + j, f"noise_{j}", ["n1", "n2"], rows))
-    # The honest alternative: every alt value appears uniformly often, so
-    # its sampled estimate is accurate (and *higher* than the trap's lie).
+    # The honest alternative: every alt value appears uniformly often (more
+    # often than the trap's cold values, far less than its hot ones).
     for j in range(2):
         rows = [[f"alt{j}_{i}", alt] for i, (_trap, alt) in enumerate(pairs)]
         corpus.add_table(Table(150 + j, f"alt_noise_{j}", ["m1", "m2"], rows))
-    # Match rows are spread evenly over the pair range so no fetch chunk is
-    # front-loaded relative to the prorated estimate.
+    # Match rows are spread evenly over the pair range.
     for j in range(6):
         matched = pairs[j::6][: 12 + 6 * j]
         rows = [[trap, alt, f"pay{j}"] for trap, alt in matched]

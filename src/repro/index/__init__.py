@@ -9,11 +9,8 @@ from .kernels import entry_coverage
 from .statistics import (
     IndexStorageReport,
     JOSIE_BYTES_PER_ENTRY,
-    PostingVolumeEstimate,
     SCR_BYTES_PER_ENTRY,
     bits_to_bytes,
-    estimate_posting_volume,
-    sample_positions,
     storage_report,
 )
 
@@ -25,11 +22,8 @@ __all__ = [
     "IndexStorageReport",
     "InvertedIndex",
     "JOSIE_BYTES_PER_ENTRY",
-    "PostingVolumeEstimate",
     "SCR_BYTES_PER_ENTRY",
     "bits_to_bytes",
     "build_index",
-    "estimate_posting_volume",
-    "sample_positions",
     "storage_report",
 ]

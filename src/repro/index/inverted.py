@@ -21,7 +21,10 @@ Its query surface is exactly what Algorithm 1 needs:
   values, gathered from the block's posting columns: what row verification
   (line 21) matches a surviving pair's row against, kept apart from
   ``fetch_batch`` (nothing is joined or memoised for it);
-* ``posting_lengths`` — how long those lists are, for the planner;
+* ``posting_lengths`` — how long those lists are, for the planner's
+  ``cost`` mode and the index-backed column selectors, and
+  ``visible_lengths`` — the same outside a set of masked tables (what a
+  live snapshot counts on a segment a tombstone masks);
 * the row and statistics reads (``super_key``, ``indexed_tables``,
   ``num_posting_items``, ``num_rows``, ``values``, ``len``) that storage
   reports make.
@@ -171,6 +174,27 @@ class _State:
             at = stop
 
 
+def _runs(state: _State, values: Sequence[str]) -> tuple[Any, Any]:
+    """Per posting of the indexed ``values``, the position in ``values`` of
+    its value, and its position in the block's posting columns: the
+    values' runs, end to end."""
+    get = state.value_ids.get
+    found = [
+        (position, value_id)
+        for position, value in enumerate(values)
+        if (value_id := get(value)) is not None
+    ]
+    offsets = state.arrays.offsets
+    positions, value_ids = np.array(found, dtype=np.intp).reshape(-1, 2).T
+    starts = offsets[value_ids]
+    lengths = offsets[value_ids + 1] - starts
+    # The concatenated runs ``starts[i]:starts[i] + lengths[i]``.
+    at = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(
+        int(lengths.sum())
+    )
+    return np.repeat(positions, lengths), at
+
+
 class InvertedIndex:
     """Value -> posting-list mapping plus per-row super keys, served from
     one block (see the module docstring).
@@ -303,25 +327,22 @@ class InvertedIndex:
         to end, in one gather each.  A value's postings in one row are
         adjacent, in column order."""
         state = self._ensure_open("row_postings")
-        get = state.value_ids.get
-        found = [
-            (position, value_id)
-            for position, value in enumerate(values)
-            if (value_id := get(value)) is not None
-        ]
+        positions, at = _runs(state, values)
         arrays = state.arrays
-        positions, value_ids = np.array(found, dtype=np.intp).reshape(-1, 2).T
-        starts = arrays.offsets[value_ids]
-        lengths = arrays.offsets[value_ids + 1] - starts
-        # The concatenated runs ``starts[i]:starts[i] + lengths[i]``.
-        at = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(
-            int(lengths.sum())
-        )
-        return (
-            np.repeat(positions, lengths),
-            arrays.ordinals[at],
-            arrays.columns[at],
-        )
+        return positions, arrays.ordinals[at], arrays.columns[at]
+
+    def visible_lengths(
+        self, values: Sequence[str], masked: Collection[int]
+    ) -> list[int]:
+        """:meth:`posting_lengths` without the postings of the ``masked``
+        tables, counted on the values' row ordinals and the row table's ids:
+        nothing is joined or memoised for a count."""
+        state = self._ensure_open("visible_lengths")
+        positions, at = _runs(state, values)
+        arrays = state.arrays
+        dead = np.fromiter(masked, np.int64, len(masked))
+        alive = ~np.isin(arrays.row_tables[arrays.ordinals[at]], dead)
+        return np.bincount(positions[alive], minlength=len(values)).tolist()
 
     def super_key(self, table_id: int, row_index: int) -> int:
         """Return the super key of a row."""

@@ -360,20 +360,17 @@ class LiveSnapshot:
 
     def posting_lengths(self, values: Sequence[str]) -> list[int]:
         """Visible PL items of each of ``values``, summed over the
-        components; a component a tombstone masks counts the postings of its
-        filtered :meth:`fetch_batch` blocks."""
+        components; a component a tombstone masks counts its postings
+        outside the masked tables (:meth:`InvertedIndex.visible_lengths
+        <repro.index.inverted.InvertedIndex.visible_lengths>`), building no
+        fetch block."""
         totals = [0] * len(values)
-        for (index, _table_seqs, masked), base in zip(self._components, self._bases):
-            if masked:
-                visible: dict[str, int] = {}
-                # In the snapshot's numbering, as its fetches memoise them.
-                for block in index.fetch_batch(values, row_base=base):
-                    block = _filter_block(block, masked)
-                    if block is not None:
-                        visible[block.value] = len(block)
-                lengths = [visible.get(value, 0) for value in values]
-            else:
-                lengths = index.posting_lengths(values)
+        for index, _table_seqs, masked in self._components:
+            lengths = (
+                index.visible_lengths(values, masked)
+                if masked
+                else index.posting_lengths(values)
+            )
             totals = [total + length for total, length in zip(totals, lengths)]
         return totals
 
@@ -803,11 +800,11 @@ class LiveIndex:
     def posting_lengths(self, values: Sequence[str]) -> list[int]:
         """Per-value visible PL-item counts, all read off *one* snapshot.
 
-        The batched statistics read behind the query planner's cost model
-        (:func:`repro.index.statistics.estimate_posting_volume`) and the
-        worst/best-case column selectors: counting value by value would pin
-        one generation per lookup and could straddle a concurrent
-        compaction; this pins one.
+        The batched count behind the planner's ``cost`` mode and the
+        worst/best-case column selectors
+        (:func:`repro.core.column_selection.probed_postings`): counting value
+        by value would pin one generation per lookup and could straddle a
+        concurrent compaction; this pins one.
         """
         return self.snapshot().posting_lengths(values)
 

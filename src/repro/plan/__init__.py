@@ -1,11 +1,11 @@
-"""Query planning: explicit pipeline stages, cost-based seed selection.
+"""Query planning: explicit pipeline stages and seed selection.
 
 The :mod:`repro.plan` package decomposes Algorithm 1 into four composable
 operators with a uniform ``run(PlanContext) -> StageResult`` contract
-(:mod:`~repro.plan.stages`), a :class:`Planner` that picks the cheapest
-initiator column from index statistics, and an :class:`Executor` that runs
-the plan under budget/deadline enforcement with optional adaptive
-re-planning.  :class:`~repro.core.discovery.MateDiscovery` (and through it
+(:mod:`~repro.plan.stages`), a :class:`Planner` that picks the initiator
+column (the column selector's choice, or the column whose probe values hold
+the fewest postings, counted exactly off the index), and an
+:class:`Executor` that runs the plan under budget/deadline enforcement.  :class:`~repro.core.discovery.MateDiscovery` (and through it
 the sharded, SCR, and live engines) is a thin shell over this pipeline.
 """
 
@@ -19,7 +19,6 @@ from .planner import (
     PlanReport,
     Planner,
     QueryPlan,
-    ReplanEvent,
     SeedCandidate,
 )
 from .stages import (
@@ -43,7 +42,6 @@ __all__ = [
     "Planner",
     "PlannerOptions",
     "QueryPlan",
-    "ReplanEvent",
     "RowVerification",
     "SKETCH_PIPELINE_STAGES",
     "STAGE_SKETCH_PRUNE",

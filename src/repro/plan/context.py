@@ -20,7 +20,6 @@ if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
     from ..datamodel import QueryTable
     from ..index.batch import RequestArrays
     from ..sketch import SketchOptions
-    from .options import PlannerOptions
     from .planner import PlanReport, QueryPlan
 
 
@@ -33,10 +32,10 @@ class StageResult:
     items_in: int = 0
     #: Work items the invocation let through.
     items_out: int = 0
-    #: Free-form annotation (e.g. ``"replanned"`` after an adaptive seed
-    #: switch).  Not consumed by the built-in executor — it exists for the
-    #: operator contract: external stage implementations and debugging hooks
-    #: report through it.
+    #: Free-form annotation (e.g. the sketch prune's threshold).  Not
+    #: consumed by the built-in executor — it exists for the operator
+    #: contract: external stage implementations and debugging hooks report
+    #: through it.
     detail: str = ""
 
 
@@ -49,7 +48,6 @@ class PlanContext:
     query: "QueryTable"
     k: int
     plan: "QueryPlan"
-    options: "PlannerOptions"
     budget: "RequestBudget | None" = None
     #: Per-request knobs of the approximate tier (``planner.mode="sketch"``).
     sketch: "SketchOptions | None" = None

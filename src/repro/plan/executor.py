@@ -6,9 +6,9 @@ deadline has already passed, the check Algorithm 1 makes in front of its
 first candidate table — the prefilter, the verification and the top-k
 replay, which walks the candidate tables (lines 7-22) on the arrays the
 first two left.  It then sets the completeness flags and assembles the
-result.  Running the pipeline with re-planning disabled is byte-identical
-to the pre-refactor monolithic ``MateDiscovery.discover`` loop; enabling
-adaptive re-planning only changes *which* posting lists get fetched — the
+result.  Running the pipeline is byte-identical to the pre-refactor
+monolithic ``MateDiscovery.discover`` loop run on the plan's seed column;
+the planner's mode only changes *which* posting lists get fetched — the
 exact verification stages keep every reported score correct regardless of
 the seed column.
 """
@@ -22,7 +22,6 @@ from ..core.results import DiscoveryResult
 from ..metrics import DiscoveryCounters
 from ..telemetry import trace as _trace
 from .context import PlanContext
-from .options import PlannerOptions
 from .planner import PlanReport, QueryPlan, STAGE_SKETCH_PRUNE
 from .stages import (
     CandidateGeneration,
@@ -41,9 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
 class Executor:
     """Runs a :class:`~repro.plan.planner.QueryPlan` to a result."""
 
-    def __init__(self, engine, options: PlannerOptions | None = None):
+    def __init__(self, engine):
         self.engine = engine
-        self.options = options or PlannerOptions()
         self.sketch_prune = SketchPrune()
         self.candidate_generation = CandidateGeneration()
         self.superkey_prefilter = SuperKeyPrefilter()
@@ -69,12 +67,11 @@ class Executor:
             query=query,
             k=k,
             plan=plan,
-            options=self.options,
             budget=budget,
             sketch=sketch,
             sketch_index=sketch_index,
             counters=counters,
-            report=PlanReport(plan=plan, seed_column=plan.seed.column),
+            report=PlanReport(plan=plan),
         )
 
         # ---------------- Approximate tier (sketch mode only) ----------------

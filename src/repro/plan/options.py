@@ -4,8 +4,8 @@
 immutable :class:`~repro.api.request.DiscoveryRequest`, is excluded from the
 engine-cache signature (planning is a per-run decision, not engine
 configuration), and defaults to the legacy behaviour — seed the run with the
-request's column selector, no re-planning — so an unconfigured request is
-byte-identical to the pre-planner engine.
+request's column selector — so an unconfigured request is byte-identical to
+the pre-planner engine.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ from ..exceptions import ConfigurationError
 #:
 #: * ``selector`` — the request's classic column selector picks the seed
 #:   (byte-identical to the pre-planner engine; the default);
-#: * ``cost``     — the planner's cost model picks the cheapest seed column;
-#: * ``adaptive`` — ``cost`` plus chunked fetching with mid-run re-planning
-#:   when the observed fetch cost blows past the estimate;
+#: * ``cost``     — the key column whose probe values hold the fewest
+#:   postings, counted exactly off the index
+#:   (:func:`repro.core.column_selection.probed_postings`), seeds the run;
 #: * ``sketch``   — ``selector`` seeding plus the approximate candidate
 #:   tier: the MinHash-LSH ``SketchPrune`` stage (:mod:`repro.sketch`)
 #:   shrinks the fetch universe ahead of candidate generation, governed by
 #:   the request's :class:`~repro.sketch.SketchOptions`.
-PLANNER_MODES: tuple[str, ...] = ("selector", "cost", "adaptive", "sketch")
+PLANNER_MODES: tuple[str, ...] = ("selector", "cost", "sketch")
 
 
 @dataclass(frozen=True)
@@ -36,65 +36,22 @@ class PlannerOptions:
     ----------
     mode:
         One of :data:`PLANNER_MODES`.
-    replan_factor:
-        Adaptive mode only: re-plan once the observed PL items of the seed
-        column exceed ``replan_factor`` times the (prorated) estimate.
-    replan_check_every:
-        Adaptive mode only: number of probe values fetched per chunk; the
-        cost check runs between chunks.
-    sample_size:
-        Posting-list lengths measured per candidate seed column when
-        estimating its fetch volume (see
-        :func:`repro.index.statistics.estimate_posting_volume`).
-    verification_weight:
-        Cost units charged per predicted fetched PL item (each fetched item
-        is a candidate row the filter/verification stages must look at).
-    fetch_weight:
-        Cost units charged per probe value (one posting-list fetch each).
     """
 
     mode: str = "selector"
-    replan_factor: float = 4.0
-    replan_check_every: int = 64
-    sample_size: int = 32
-    verification_weight: float = 1.0
-    fetch_weight: float = 1.0
 
     def __post_init__(self) -> None:
+        if self.mode == "adaptive":
+            raise ConfigurationError(
+                "planner mode 'adaptive' was removed: mode 'cost' counts every "
+                "key column's probed postings exactly, so there is no "
+                "estimate to re-plan from; use mode='cost'"
+            )
         if self.mode not in PLANNER_MODES:
             raise ConfigurationError(
                 f"unknown planner mode {self.mode!r}; "
                 f"expected one of {PLANNER_MODES}"
             )
-        if self.replan_factor < 1.0:
-            raise ConfigurationError(
-                f"replan_factor must be >= 1, got {self.replan_factor}"
-            )
-        if self.replan_check_every <= 0:
-            raise ConfigurationError(
-                "replan_check_every must be positive, "
-                f"got {self.replan_check_every}"
-            )
-        if self.sample_size <= 0:
-            raise ConfigurationError(
-                f"sample_size must be positive, got {self.sample_size}"
-            )
-        if self.verification_weight < 0 or self.fetch_weight < 0:
-            raise ConfigurationError(
-                "cost weights must be non-negative, got "
-                f"verification_weight={self.verification_weight}, "
-                f"fetch_weight={self.fetch_weight}"
-            )
-
-    @property
-    def cost_based(self) -> bool:
-        """Whether seed selection runs through the cost model."""
-        return self.mode in ("cost", "adaptive")
-
-    @property
-    def adaptive(self) -> bool:
-        """Whether mid-run re-planning is enabled."""
-        return self.mode == "adaptive"
 
 
 #: The default options every request starts with (legacy behaviour).

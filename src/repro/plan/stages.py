@@ -6,8 +6,8 @@ contract and accumulates its own wall-clock / volume accounting under
 
 * :class:`CandidateGeneration` — seed-column posting fetch (Section 6.1):
   builds ``superkey_map_Q``, charges the request budget, fetches the seed
-  column's posting lists (in one shot, or chunked with adaptive re-planning),
-  and groups + sorts the candidate tables;
+  column's posting lists in one call, and groups + sorts the candidate
+  tables;
 * :class:`SuperKeyPrefilter` — the row filter (Section 6.3: the XASH reject,
   or a baseline's) over every candidate table's postings, and each table's
   rule-2 threshold;
@@ -38,7 +38,7 @@ cut, so the replay charges them to those stages' statistics.
 
 The composition under the :class:`~repro.plan.executor.Executor` is
 equivalent to the pre-refactor monolithic loop
-(``tests/helpers.legacy_discover``) when re-planning is disabled — the
+(``tests/helpers.legacy_discover``) run on the plan's seed column — the
 equivalence the plan-equivalence and batch-execution test suites pin down
 byte-for-byte, counters included.
 """
@@ -47,11 +47,11 @@ from __future__ import annotations
 
 from time import perf_counter
 
+from ..core.column_selection import complete_key_tuples
 from ..index.batch import RequestArrays
 from ..index.columnar import FetchBlock
 from .context import PlanContext, StageResult
 from .planner import (
-    ReplanEvent,
     STAGE_CANDIDATE_GENERATION,
     STAGE_ROW_VERIFICATION,
     STAGE_SKETCH_PRUNE,
@@ -109,10 +109,7 @@ class SketchPrune(PlanStage):
         query = context.query
         column = context.plan.seed.column
         position = query.key_columns.index(column)
-        values = {
-            key_tuple[position]
-            for key_tuple in context.engine._complete_key_tuples(query)
-        }
+        values = {key_tuple[position] for key_tuple in complete_key_tuples(query)}
         scored = sketch_index.query(
             values,
             threshold=options.threshold,
@@ -138,42 +135,17 @@ class CandidateGeneration(PlanStage):
     name = STAGE_CANDIDATE_GENERATION
 
     def _execute(self, context: PlanContext) -> StageResult:
-        index = context.engine.index
+        engine, budget = context.engine, context.budget
+        index = engine.index
         # A live index answers every read from a fresh snapshot: the
         # request pins one, so its row verification reads the rows its
         # fetches numbered, whatever is written in between.
         snapshot = getattr(index, "snapshot", None)
-        context.reader = index if snapshot is None else snapshot()
-        if context.options.adaptive and context.plan.alternatives:
-            values_charged, seed_values, detail = self._generate_adaptive(context)
-        else:
-            values_charged = seed_values = self._generate(
-                context, context.plan.seed.column
-            )
-            detail = ""
-        batch = context.batch
-        counters = context.counters
-        counters.candidate_tables = len(batch.candidate_ids)
-        # Legacy semantics: the (truncated) probe-list cardinality of the
-        # *executed* seed column.  The stage's items_in additionally covers
-        # the probe values charged for abandoned seed attempts.
-        counters.extra["initial_column_cardinality"] = float(seed_values)
-        return StageResult(
-            self.name,
-            items_in=values_charged,
-            items_out=int(batch.candidate_stops.sum() - batch.candidate_starts.sum()),
-            detail=detail,
+        reader = context.reader = index if snapshot is None else snapshot()
+        context.key_map = engine._build_key_super_key_map(
+            context.query, context.plan.seed.column
         )
-
-    # ------------------------------------------------------------------
-    # One-shot path (modes "selector" and "cost"): the legacy fetch.
-    # ------------------------------------------------------------------
-    def _generate(self, context: PlanContext, column: str) -> int:
-        engine = context.engine
-        budget = context.budget
-        context.key_map = engine._build_key_super_key_map(context.query, column)
         probe_values = list(context.key_map)
-
         if budget is not None:
             # Each probe value costs one posting-list fetch; a short budget
             # truncates the (deterministically ordered) probe list.  A
@@ -183,122 +155,28 @@ class CandidateGeneration(PlanStage):
             else:
                 granted = budget.take_pl_fetches(len(probe_values))
                 probe_values = probe_values[:granted]
-
         blocks: list[FetchBlock] = []
-        fetched = self._fetch_into(context, probe_values, blocks)
-        context.counters.pl_items_fetched = fetched
-        context.report.seed_column = column
-        context.report.observed_postings += fetched
+        if probe_values:
+            # Through the engine's index, never the reader alone: a fetch
+            # stays one call of ``index.fetch_batch``, whatever wraps it.
+            if reader is index:
+                blocks = index.fetch_batch(probe_values)
+            else:
+                blocks = index.fetch_batch(probe_values, snapshot=reader)
+        fetched = sum(len(block) for block in blocks)
+        counters = context.counters
+        counters.pl_items_fetched = fetched
+        context.report.observed_postings = fetched
         self._set_candidates(context, blocks)
-        return len(probe_values)
-
-    # ------------------------------------------------------------------
-    # Adaptive path: chunked fetch with mid-run seed switching.
-    # ------------------------------------------------------------------
-    def _generate_adaptive(self, context: PlanContext) -> tuple[int, int, str]:
-        engine = context.engine
-        budget = context.budget
-        options = context.options
-        report = context.report
-        attempts = [context.plan.seed, *context.plan.alternatives]
-        attempt_index = 0
-        total_observed = 0
-        total_charged = 0
-
-        while True:
-            candidate = attempts[attempt_index]
-            column = candidate.column
-            context.key_map = engine._build_key_super_key_map(
-                context.query, column
-            )
-            probe_values = list(context.key_map)
-            blocks: list[FetchBlock] = []
-            observed = 0
-            values_fetched = 0
-            replanned = False
-            curtailed = False
-
-            for start in range(0, len(probe_values), options.replan_check_every):
-                chunk = probe_values[start : start + options.replan_check_every]
-                if budget is not None:
-                    if budget.deadline_expired():
-                        curtailed = True
-                        break
-                    granted = budget.take_pl_fetches(len(chunk))
-                    if granted < len(chunk):
-                        curtailed = True
-                    chunk = chunk[:granted]
-                observed += self._fetch_into(context, chunk, blocks)
-                values_fetched += len(chunk)
-                total_charged += len(chunk)
-                if curtailed:
-                    # The ledger is spent: answer from what this column
-                    # fetched — a re-plan could not pay for fresh fetches.
-                    break
-                remaining = attempts[attempt_index + 1 :]
-                if start + options.replan_check_every < len(probe_values) and remaining:
-                    # The noise floor of one posting per probe value keeps a
-                    # near-zero estimate from triggering pointless switches.
-                    prorated = candidate.estimate.scaled(values_fetched)
-                    threshold = (
-                        max(prorated, float(values_fetched)) * options.replan_factor
-                    )
-                    if observed > threshold:
-                        report.replans.append(
-                            ReplanEvent(
-                                from_column=column,
-                                to_column=remaining[0].column,
-                                observed_postings=observed,
-                                estimated_postings=prorated,
-                                values_fetched=values_fetched,
-                            )
-                        )
-                        report.discarded_postings += observed
-                        total_observed += observed
-                        attempt_index += 1
-                        replanned = True
-                        break
-            if replanned:
-                continue
-
-            total_observed += observed
-            context.counters.pl_items_fetched = total_observed
-            report.seed_column = column
-            report.observed_postings = total_observed
-            if report.replans:
-                context.counters.extra["replans"] = float(len(report.replans))
-                context.counters.extra["discarded_pl_items"] = float(
-                    report.discarded_postings
-                )
-            self._set_candidates(context, blocks)
-            return (
-                total_charged,
-                values_fetched,
-                "replanned" if report.replans else "",
-            )
-
-    @staticmethod
-    def _fetch_into(
-        context: PlanContext, values: list[str], blocks: list[FetchBlock]
-    ) -> int:
-        """Fetch one chunk off the engine's index, from the pinned reader;
-        returns the number of PL items fetched.
-
-        The per-value blocks are kept as they are (``blocks``) until the
-        fetch is over.  Chunks arrive in probe order, so the accumulated
-        blocks equal a single-shot fetch of the same final value list.
-        """
-        if not values:
-            return 0
-        index, reader = context.engine.index, context.reader
-        # Through the engine's index, never the reader alone: a fetch stays
-        # one call of ``index.fetch_batch``, whatever wraps it.
-        if reader is index:
-            fetched = index.fetch_batch(values)
-        else:
-            fetched = index.fetch_batch(values, snapshot=reader)
-        blocks.extend(fetched)
-        return sum(len(block) for block in fetched)
+        batch = context.batch
+        counters.candidate_tables = len(batch.candidate_ids)
+        # The (truncated) probe-list cardinality of the seed column.
+        counters.extra["initial_column_cardinality"] = float(len(probe_values))
+        return StageResult(
+            self.name,
+            items_in=len(probe_values),
+            items_out=int(batch.candidate_stops.sum() - batch.candidate_starts.sum()),
+        )
 
     def _set_candidates(self, context: PlanContext, blocks: list[FetchBlock]) -> None:
         """Turn the fetched blocks into request-level arrays, candidates

@@ -411,13 +411,13 @@ def legacy_discover(
     This is the byte-identity oracle of the plan-equivalence suite: the
     monolithic Algorithm 1 loop exactly as it shipped before the
     planner/executor refactor, driven through the *current* engine's
-    components (corpus, index, selector, row filter).  The executor with
-    re-planning disabled must reproduce its output byte for byte.
+    components (corpus, index, selector, row filter).  The executor must
+    reproduce its output byte for byte.
 
     ``seed_column`` (instead of the engine's selector) and
     ``allowed_tables`` (the candidates kept, ``None``: all) are what a
-    planner run decided — a re-plan's final seed, the sketch tier's verdict
-    — so such a run can be replayed by the loop too.
+    planner run decided — the ``cost`` mode's seed, the sketch tier's
+    verdict — so such a run can be replayed by the loop too.
     """
     from repro.core.filters import should_abandon_table, should_prune_table
     from repro.core.results import DiscoveryResult
@@ -565,10 +565,8 @@ def assert_results_byte_identical(result, oracle) -> None:
 
 
 #: Counters only the planner's stages write: the verbatim loop has no
-#: sketch tier and never re-plans.
+#: sketch tier.
 PLANNER_EXTRAS = (
-    "replans",
-    "discarded_pl_items",
     "sketch_candidates",
     "sketch_estimated_recall",
 )
@@ -582,17 +580,15 @@ def assert_matches_legacy(
 
     ``make_kwargs`` builds the per-run keyword arguments that cannot be
     shared between two runs (a budget is a ledger).  The loop replays the
-    planner's decisions: the seed column the run ended on, and
-    ``allowed_tables``, the candidates the sketch tier kept.  Fetches a
-    re-plan discarded are the only postings the loop does not fetch.
-    Returns the executor's run.
+    planner's decisions: the plan's seed column, and ``allowed_tables``,
+    the candidates the sketch tier kept.  Returns the executor's run.
     """
     result = engine.discover(query, **kwargs, **make_kwargs())
     legacy = legacy_discover(
         engine,
         query,
         kwargs.get("k"),
-        seed_column=result.plan.seed_column,
+        seed_column=result.plan.plan.seed.column,
         allowed_tables=allowed_tables,
         **make_kwargs(),
     )
@@ -601,7 +597,6 @@ def assert_matches_legacy(
     mine = copy.deepcopy(result)
     for name in PLANNER_EXTRAS:
         mine.counters.extra.pop(name, None)
-    mine.counters.pl_items_fetched -= result.plan.discarded_postings
     assert_results_byte_identical(mine, legacy)
     return result
 

@@ -31,16 +31,10 @@ from repro import MateConfig, MateDiscovery, build_index
 from repro.api import PlannerOptions
 from repro.api.request import RequestBudget
 from repro.core import joinability
+from repro.core.column_selection import complete_key_tuples, probe_values
 from repro.core.topk import TopKHeap
 from repro.datagen import build_workload
 from repro.datamodel import MISSING, QueryTable, Table, TableCorpus
-from repro.experiments.scenarios import (
-    _build_drift_scenario,
-    PLANNER_CHECK_EVERY,
-    PLANNER_REPLAN_FACTOR,
-    PLANNER_SAMPLE_SIZE,
-)
-from repro.experiments.runner import ExperimentSettings
 from repro.hashing.base import key_width
 from repro.index import InvertedIndex
 from repro.index import columnar
@@ -531,7 +525,7 @@ class TestDiscoverDifferential:
     def test_values_mapping_to_several_key_entries(self, engine, workload):
         query = shared_seed_query(workload)
         result = assert_matches_legacy(engine, query)
-        key_map = engine._build_key_super_key_map(query, result.plan.seed_column)
+        key_map = engine._build_key_super_key_map(query, result.plan.plan.seed.column)
         assert max(len(entries) for entries in key_map.values()) > 1
 
     @pytest.mark.parametrize("limit", [0, 1, 3])
@@ -675,21 +669,6 @@ class TestDiscoverDifferential:
             assert seen == snapshots
             assert seen[-1] == result.result_tuples()
 
-    def test_adaptive_replanning_that_discards_a_seed(self):
-        corpus, query = _build_drift_scenario(ExperimentSettings(corpus_scale=0.3))
-        index = build_index(corpus, config=CONFIG)
-        engine = MateDiscovery(corpus, index, config=CONFIG)
-        options = PlannerOptions(
-            mode="adaptive",
-            sample_size=PLANNER_SAMPLE_SIZE,
-            replan_check_every=PLANNER_CHECK_EVERY,
-            replan_factor=PLANNER_REPLAN_FACTOR,
-        )
-        result = assert_matches_legacy(engine, query, planner=options)
-        assert len(result.plan.replans) == 1
-        assert result.plan.discarded_postings > 0
-        assert result.result_tuples() == engine.discover(query).result_tuples()
-
     def test_sketch_tier_restricts_the_candidates(self, engine, workload, monkeypatch):
         """A table the sketch tier pruned is never matched nor verified."""
         query = workload.queries[0]
@@ -709,8 +688,8 @@ class TestDiscoverDifferential:
         )
         monkeypatch.undo()
         # The sketch tier's verdict, as its stage asks for it.
-        position = query.key_columns.index(result.plan.seed_column)
-        values = {key[position] for key in engine._complete_key_tuples(query)}
+        position = query.key_columns.index(result.plan.plan.seed.column)
+        values = set(probe_values(complete_key_tuples(query), position))
         allowed = {
             table_id
             for table_id, _ in engine.sketch_index().query(values, max_candidates=2)
@@ -743,8 +722,8 @@ class TestDiscoverDifferential:
         # Tombstone a sealed table that was in the answer.
         victim = before.tables[0].table_id
         live.remove_table(victim)
-        values = Planner(engine).probe_values_for(
-            query, engine.column_selector(query, live)
+        values = list(
+            engine._build_key_super_key_map(query, engine.column_selector(query, live))
         )
         components = live.snapshot()._components
         assert any(
@@ -834,7 +813,7 @@ class TestRule2Replay:
             row_filter_mode="oracle",
         )
         result = assert_matches_legacy(engine, query, k=1)
-        assert result.plan.seed_column == "t"
+        assert result.plan.plan.seed.column == "t"
         assert result.result_tuples() == [(5, 3)]
         assert result.counters.tables_pruned_by_rule2 == 1
         assert engine.discover(query, k=2).result_tuples() == [(1, 3), (5, 3)]
@@ -870,7 +849,7 @@ class TestRule2Replay:
             corpus, build_index(corpus, config=CONFIG), config=CONFIG
         )
         result = assert_matches_legacy(engine, query, k=1)
-        assert result.plan.seed_column == "t"
+        assert result.plan.plan.seed.column == "t"
         assert result.result_tuples() == [(0, 3)]
         counters = result.counters
         assert (counters.tables_pruned_by_rule1, counters.tables_pruned_by_rule2) == (
@@ -1284,9 +1263,13 @@ class TestNoBufferPinned:
         engine = MateDiscovery(corpus, index, config=CONFIG)
         query = workload.queries[0]
         expected = engine.discover(query)
-        probe = Planner(engine).probe_values_for(
-            query, engine.column_selector(query, index)
-        )[0]
+        probe = next(
+            iter(
+                engine._build_key_super_key_map(
+                    query, engine.column_selector(query, index)
+                )
+            )
+        )
         inserted: list[int] = []
 
         def write():
@@ -1304,8 +1287,7 @@ class TestNoBufferPinned:
             query=query,
             k=CONFIG.k,
             plan=plan,
-            options=executor.options,
-            report=PlanReport(plan=plan, seed_column=plan.seed.column),
+            report=PlanReport(plan=plan),
         )
         for stage in (
             executor.candidate_generation,
@@ -1359,8 +1341,7 @@ class TestNoBufferPinned:
             query=query,
             k=CONFIG.k,
             plan=plan,
-            options=executor.options,
-            report=PlanReport(plan=plan, seed_column=plan.seed.column),
+            report=PlanReport(plan=plan),
         )
         executor.candidate_generation.run(context)
         executor.superkey_prefilter.run(context)

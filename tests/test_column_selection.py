@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import build_index
+from repro import MateDiscovery, build_index
 from repro.core import (
     COLUMN_SELECTORS,
     fetched_pl_count,
@@ -13,7 +13,7 @@ from repro.core import (
     select_by_longest_string,
     select_worst_case,
 )
-from repro.datamodel import QueryTable, Table, TableCorpus
+from repro.datamodel import MISSING, QueryTable, Table, TableCorpus
 from repro.exceptions import DiscoveryError
 
 
@@ -88,6 +88,31 @@ class TestHeuristics:
         code_count = fetched_pl_count(query, index, select_by_cardinality)
         assert city_count == 11
         assert code_count == 1
+
+    def test_counts_are_what_the_run_fetches(self, config):
+        """A value in a row with a missing key value is never probed: the
+        index-backed selectors count only the complete key tuples' values,
+        so every selector's count is what its run fetches."""
+        corpus = TableCorpus(name="probed")
+        corpus.add_table(
+            Table(0, "match", ["a", "b"], [["x", "p"], ["y", "q"], ["z", "r"]])
+        )
+        corpus.add_table(Table(1, "bs", ["b"], [["p"], ["q"], ["r"], ["p"]]))
+        corpus.add_table(Table(2, "hot", ["a"], [["hot"]] * 50))
+        index = build_index(corpus, config=config)
+        query = QueryTable(
+            table=Table(
+                9, "q", ["a", "b"],
+                [["x", "p"], ["y", "q"], ["z", "r"], ["hot", MISSING]],
+            ),
+            key_columns=["a", "b"],
+        )
+        assert select_best_case(query, index) == "a"  # 3 postings, b's 7
+        assert fetched_pl_count(query, index, "worst_case") == 7
+        for name in COLUMN_SELECTORS:
+            engine = MateDiscovery(corpus, index, config=config, column_selector=name)
+            fetched = engine.discover(query).counters.pl_items_fetched
+            assert fetched_pl_count(query, index, name) == fetched, name
 
     def test_registry(self):
         assert set(COLUMN_SELECTORS) == {

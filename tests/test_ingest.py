@@ -33,7 +33,6 @@ from repro import (
 from repro.core import select_worst_case
 from repro.datamodel import QueryTable
 from repro.exceptions import DiscoveryError, IndexError_, StorageError
-from repro.index import estimate_posting_volume
 from repro.ingest import IngestBuffer, WriteAheadLog, replay_wal
 
 from tests.helpers import assert_blocks_equal, fetch_items, row_keys
@@ -368,7 +367,7 @@ class TestOneSnapshotPerCount:
     ``posting_lengths`` call, however many values it counts, so an ingest
     landing mid-count cannot mix generations."""
 
-    def test_selectors_and_estimates_count_off_one_snapshot(self, monkeypatch):
+    def test_selectors_and_exact_counts_read_one_snapshot(self, monkeypatch):
         rng = random.Random(19)
         tables = {table_id: make_table(table_id, rng) for table_id in range(8)}
         live = LiveIndex(config=CONFIG)
@@ -376,7 +375,7 @@ class TestOneSnapshotPerCount:
             live.add_table(table)
             if table_id == 3:
                 live.seal()
-        live.remove_table(1)  # a masked segment counts its filtered blocks
+        live.remove_table(1)  # a masked segment counts its visible postings
         _corpus, bulk = reference_index(live, tables)
         calls = {"snapshot": 0, "posting_lengths": 0}
 
@@ -394,10 +393,34 @@ class TestOneSnapshotPerCount:
         query = make_query(rng)
         assert select_worst_case(query, live) == select_worst_case(query, bulk)
         assert calls == {"snapshot": 2, "posting_lengths": 2}  # one per key column
-        values = sorted(query.table.distinct_column_values("name"))
-        estimate = estimate_posting_volume(live, values)
-        assert estimate == estimate_posting_volume(bulk, values)
+        assert live.posting_lengths(ALL_PROBES) == bulk.posting_lengths(ALL_PROBES)
         assert calls == {"snapshot": 3, "posting_lengths": 3}
+
+    def test_a_masked_segment_counts_without_building_blocks(self):
+        """A tombstone-masked segment counts its visible postings off the
+        values' row ordinals and the row table's ids: its fetch memo stays
+        empty, and the counts are the filtered fetch's lengths."""
+        rng = random.Random(29)
+        tables = {table_id: make_table(table_id, rng) for table_id in range(8)}
+        live = LiveIndex(config=CONFIG)
+        for table_id, table in tables.items():
+            live.add_table(table)
+            if table_id == 3:
+                live.seal()
+        live.remove_table(1)
+        snapshot = live.snapshot()
+        segment, _seqs, masked = snapshot._components[0]
+        assert masked == {1}
+        probes = [*ALL_PROBES, "n1", "absent-value"]  # repeats count twice
+        lengths = snapshot.posting_lengths(probes)
+        assert segment._state.memo[1] == {}
+        fetched = {block.value: len(block) for block in snapshot.fetch_batch(probes)}
+        assert lengths == [fetched.get(value, 0) for value in probes]
+        assert lengths != [
+            sum(counts) for counts in zip(
+                *(index.posting_lengths(probes) for index, _, _ in snapshot._components)
+            )
+        ], "table 1 holds no probed value: the mask is not exercised"
 
 
 # ----------------------------------------------------------------------

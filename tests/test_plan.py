@@ -1,12 +1,12 @@
 """The planner/executor pipeline: options, planning, byte-identity, budgets.
 
-The load-bearing guarantee of the refactor is pinned here: with re-planning
-disabled, the executor's output is *byte-identical* to the pre-refactor
-monolithic loop (kept verbatim as :func:`tests.helpers.legacy_discover`)
-across every registered engine and the live index; planner knobs only ever
-change which posting lists get fetched, never the reported scores; and the
-request budget ledger covers fetches from every stage, including re-planned
-seed fetches.
+The load-bearing guarantee of the refactor is pinned here: the executor's
+output is *byte-identical* to the pre-refactor monolithic loop (kept
+verbatim as :func:`tests.helpers.legacy_discover`) run on the plan's seed
+column, across every registered engine and the live index; the planner mode
+only ever changes which posting lists get fetched, never the reported
+scores; and the request budget ledger covers every fetch, while ``cost``
+mode's exact counts fetch nothing.
 """
 
 from __future__ import annotations
@@ -22,15 +22,10 @@ from repro.config import ServiceConfig
 from repro.core.parallel import merge_discovery_results
 from repro.core.topk import TopKHeap
 from repro.datagen import build_workload
-from repro.datamodel import TableCorpus
+from repro.datamodel import Table, TableCorpus
 from repro.exceptions import ConfigurationError, DiscoveryError
-from repro.experiments.scenarios import (
-    _build_drift_scenario,
-    _build_skew_scenario,
-    PLANNER_CHECK_EVERY,
-    PLANNER_REPLAN_FACTOR,
-    PLANNER_SAMPLE_SIZE,
-)
+from repro.core.column_selection import probed_postings
+from repro.experiments.scenarios import _build_drift_scenario, _build_skew_scenario
 from repro.experiments.runner import ExperimentSettings
 from repro.ingest import LiveIndex
 from repro.plan import (
@@ -59,15 +54,6 @@ def index(workload, plan_config):
     return build_index(workload.corpus, config=plan_config)
 
 
-def adaptive_options() -> PlannerOptions:
-    return PlannerOptions(
-        mode="adaptive",
-        sample_size=PLANNER_SAMPLE_SIZE,
-        replan_check_every=PLANNER_CHECK_EVERY,
-        replan_factor=PLANNER_REPLAN_FACTOR,
-    )
-
-
 class CountingIndex:
     """Index wrapper counting every probe value handed to ``fetch_batch``."""
 
@@ -88,20 +74,14 @@ class TestPlannerOptions:
     def test_defaults_are_legacy(self):
         options = PlannerOptions()
         assert options.mode == "selector"
-        assert not options.cost_based
-        assert not options.adaptive
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             PlannerOptions(mode="psychic")
-        with pytest.raises(ConfigurationError):
-            PlannerOptions(replan_factor=0.5)
-        with pytest.raises(ConfigurationError):
-            PlannerOptions(replan_check_every=0)
-        with pytest.raises(ConfigurationError):
-            PlannerOptions(sample_size=0)
-        with pytest.raises(ConfigurationError):
-            PlannerOptions(fetch_weight=-1.0)
+
+    def test_adaptive_mode_is_refused_naming_cost(self):
+        with pytest.raises(ConfigurationError, match="mode='cost'"):
+            PlannerOptions(mode="adaptive")
 
     def test_request_carries_and_gates_options(self, workload):
         query = workload.queries[0]
@@ -132,10 +112,18 @@ class TestPlanner:
         engine = MateDiscovery(workload.corpus, index, config=plan_config)
         query = workload.queries[0]
         plan = Planner(engine, PlannerOptions(mode="cost")).plan(query)
-        columns = [plan.seed.column, *(c.column for c in plan.alternatives)]
-        assert sorted(columns) == sorted(query.key_columns)
-        costs = [plan.seed.cost, *(c.cost for c in plan.alternatives)]
-        assert costs == sorted(costs)
+        ranked = [plan.seed, *plan.alternatives]
+        assert sorted(c.column for c in ranked) == sorted(query.key_columns)
+        postings = [candidate.postings for candidate in ranked]
+        assert postings == sorted(postings)
+        # Exact counts: what seeding from each column fetches.
+        counts = probed_postings(query, index)
+        for candidate in ranked:
+            assert (candidate.probe_count, candidate.postings) == counts[
+                candidate.column
+            ]
+        result = engine.discover(query, planner=PlannerOptions(mode="cost"))
+        assert result.counters.pl_items_fetched == plan.seed.postings
 
     def test_cost_mode_picks_the_cold_column_on_skew(self, plan_config):
         corpus, query = _build_skew_scenario(ExperimentSettings(corpus_scale=0.3))
@@ -148,7 +136,7 @@ class TestPlanner:
 
 
 class TestByteIdentityAllEngines:
-    """With re-planning disabled, output == the pre-refactor loop, everywhere."""
+    """Output == the pre-refactor loop on the plan's seed, everywhere."""
 
     def test_mate_matches_legacy(self, workload, index, plan_config):
         engine = MateDiscovery(workload.corpus, index, config=plan_config)
@@ -190,7 +178,7 @@ class TestByteIdentityAllEngines:
             result = engine.discover(query, planner=PlannerOptions(mode=mode))
             mine = list(rankings)
             rankings.clear()
-            legacy_discover(engine, query, seed_column=result.plan.seed_column)
+            legacy_discover(engine, query, seed_column=result.plan.plan.seed.column)
             assert mine == rankings
             assert mine[-1] == result.result_tuples()
 
@@ -273,68 +261,84 @@ class TestByteIdentityAllEngines:
                 )
 
 
-class TestAdaptiveExecution:
-    def test_adaptive_replans_and_keeps_exact_topk(self, plan_config):
+class TestCostMode:
+    def test_cost_seeds_the_honest_column_on_drift(self, plan_config):
+        """The trap column looks cheap to any evenly spaced sample; the
+        exact counts see its hot majority."""
         corpus, query = _build_drift_scenario(ExperimentSettings(corpus_scale=0.3))
-        index = build_index(corpus, config=plan_config)
-        engine = MateDiscovery(corpus, index, config=plan_config)
-        baseline = engine.discover(query, k=plan_config.k)
-        adaptive = engine.discover(
-            query, k=plan_config.k, planner=adaptive_options()
+        engine = MateDiscovery(
+            corpus, build_index(corpus, config=plan_config), config=plan_config
         )
-        assert adaptive.plan is not None
-        assert len(adaptive.plan.replans) == 1
-        assert adaptive.plan.seed_column == "alt"
-        assert adaptive.plan.replans[0].from_column == "trap"
-        assert adaptive.result_tuples() == baseline.result_tuples()
-        assert adaptive.counters.extra["replans"] == 1.0
-        assert adaptive.plan.discarded_postings > 0
-
-    def test_replans_reach_the_json_document(self, plan_config):
-        corpus, query = _build_drift_scenario(ExperimentSettings(corpus_scale=0.3))
-        with DiscoverySession(corpus, config=plan_config) as session:
-            result = session.discover(
-                DiscoveryRequest(query=query, planner=adaptive_options())
-            )
-        document = json.loads(json.dumps(result.to_dict()))
-        (replan,) = document["plan"]["replans"]
-        assert replan["from_column"] == "trap"
-        assert replan["to_column"] == "alt"
-        assert replan["values_fetched"] > 0
-        assert replan["observed_postings"] > replan["estimated_postings"]
-
-    def test_replanned_run_cannot_exceed_fetch_ledger(self, plan_config):
-        """Regression: every stage's fetches count against ``max_pl_fetches``.
-
-        The budget covers the first (abandoned) seed column *and* the
-        re-planned one; the index wrapper independently counts what actually
-        reached the index.
-        """
-        corpus, query = _build_drift_scenario(ExperimentSettings(corpus_scale=0.3))
-        config = plan_config
-        counting = CountingIndex(build_index(corpus, config=config))
-        engine = MateDiscovery(corpus, counting, config=config)
-        limit = PLANNER_CHECK_EVERY + 8  # replan happens, then the ledger dries up
-        budget = RequestBudget(max_pl_fetches=limit)
         result = engine.discover(
-            query, k=config.k, budget=budget, planner=adaptive_options()
+            query, k=plan_config.k, planner=PlannerOptions(mode="cost")
         )
-        assert result.plan is not None and len(result.plan.replans) == 1
-        assert counting.fetched_values <= limit
-        assert budget.remaining_pl_fetches == 0
-        assert budget.exhausted
-        assert result.counters.budget_exhausted == 1
-        assert not result.complete
+        seed, (trap,) = result.plan.plan.seed, result.plan.plan.alternatives
+        assert (seed.column, seed.probe_count, seed.postings) == ("alt", 192, 532)
+        assert (trap.column, trap.postings) == ("trap", 2964)
+        assert result.counters.pl_items_fetched == 532
+        assert result.plan.observed_postings == 532
+        assert result.result_tuples() == engine.discover(query).result_tuples()
 
-    def test_adaptive_with_ample_budget_charges_all_attempts(self, plan_config):
+    def test_counting_fetches_nothing_and_the_ledger_holds(self, plan_config):
+        """The counts are no fetches: the budget and the index see only the
+        seed column's probe values."""
         corpus, query = _build_drift_scenario(ExperimentSettings(corpus_scale=0.3))
         counting = CountingIndex(build_index(corpus, config=plan_config))
         engine = MateDiscovery(corpus, counting, config=plan_config)
-        budget = RequestBudget(max_pl_fetches=10_000)
-        engine.discover(
-            query, k=plan_config.k, budget=budget, planner=adaptive_options()
-        )
-        assert 10_000 - budget.remaining_pl_fetches == counting.fetched_values
+        for limit in (40, 10_000):
+            counting.fetched_values = 0
+            budget = RequestBudget(max_pl_fetches=limit)
+            result = engine.discover(
+                query, k=plan_config.k, budget=budget,
+                planner=PlannerOptions(mode="cost"),
+            )
+            assert counting.fetched_values == min(limit, 192)
+            assert limit - budget.remaining_pl_fetches == counting.fetched_values
+            assert result.complete == (limit >= 192)
+
+    @pytest.mark.parametrize("engine", ["mate", "scr", "live"])
+    @pytest.mark.parametrize("build", [_build_skew_scenario, _build_drift_scenario])
+    def test_cost_answers_what_selector_answers(self, plan_config, engine, build):
+        """On every in-process engine that runs the planner; the live index
+        holds a sealed segment a tombstone masks, which counts its visible
+        postings only."""
+        corpus, query = build(ExperimentSettings(corpus_scale=0.3))
+        index = None
+        if engine == "live":
+            index = LiveIndex(config=plan_config)
+            # Table 99 holds probe values of the seed column.
+            gone = Table(99, "gone", ["a"], [["a000"], ["c000"]])
+            for table in [*corpus, gone]:
+                index.add_table(table)
+            index.seal()
+            index.remove_table(99)
+        with DiscoverySession(corpus, index, config=plan_config) as session:
+            answers = [
+                session.discover(
+                    DiscoveryRequest(query=query, engine=engine, planner=options)
+                )
+                for options in (PlannerOptions(), PlannerOptions(mode="cost"))
+            ]
+        selector, cost = answers
+        assert cost.plan_explain()["seed_column"] in {"cold", "alt"}
+        assert cost.result_tuples() == selector.result_tuples()
+        assert [table.column_mapping for table in cost.response.tables] == [
+            table.column_mapping for table in selector.response.tables
+        ]
+
+    def test_plan_document_carries_the_exact_counts(self, plan_config):
+        corpus, query = _build_skew_scenario(ExperimentSettings(corpus_scale=0.3))
+        with DiscoverySession(corpus, config=plan_config) as session:
+            result = session.discover(
+                DiscoveryRequest(query=query, planner=PlannerOptions(mode="cost"))
+            )
+        plan = json.loads(json.dumps(result.to_dict()))["plan"]
+        assert plan["seed_column"] == "cold"
+        assert plan["seed"] == {"column": "cold", "probe_count": 48, "postings": 108}
+        assert [entry["column"] for entry in plan["alternatives"]] == ["hot"]
+        assert plan["observed_postings"] == 108
+        for removed in ("executed_seed_column", "discarded_postings", "replans"):
+            assert removed not in plan
 
 
 class TestStageAccounting:
@@ -378,11 +382,11 @@ class TestStageAccounting:
                 )
             )
         document = result.to_dict()
-        assert document["schema_version"] == 2
+        assert document["schema_version"] == 3
         assert document["request"]["planner_mode"] == "cost"
         assert set(document["stages"]) == set(PIPELINE_STAGES)
         assert document["plan"]["mode"] == "cost"
-        assert document["plan"]["executed_seed_column"]
+        assert document["plan"]["seed_column"]
         # v1 fields must survive the bump.
         for key in ("engine", "system", "k", "complete", "tables", "counters"):
             assert key in document

@@ -2,14 +2,15 @@
 
 Two properties over arbitrary corpora, queries, and budgets:
 
-* with re-planning disabled, the executor's top-k is *byte-identical* to
-  the verbatim pre-refactor loop (:func:`tests.helpers.legacy_discover`) —
-  tables, mappings, names, completeness, and every counter — for MATE and
-  for the SCR baseline (row filter ``none``) alike;
-* with re-planning enabled (deliberately trigger-happy knobs), the result
-  is still a valid top-k: the same scores as the brute-force oracle, with
-  tie order free — MATE's exact verification makes the reported scores
-  independent of the seed column.
+* the executor's top-k is *byte-identical* to the verbatim pre-refactor
+  loop (:func:`tests.helpers.legacy_discover`) — tables, mappings, names,
+  completeness, and every counter — for MATE and for the SCR baseline
+  (row filter ``none``) alike;
+* ``cost`` mode seeds from the key column whose probe values hold the
+  fewest postings, counted exactly, fetches exactly that many, and answers
+  what selector mode answers, with tie order free at the cut-off — MATE's
+  exact verification makes the reported scores independent of the seed
+  column.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro import MateConfig, MateDiscovery, build_index
 from repro.api import PlannerOptions
 from repro.api.request import RequestBudget
 from repro.core import top_k_by_exact_joinability
+from repro.core.column_selection import probed_postings
 from repro.baselines import ScrDiscovery
 from repro.datamodel import QueryTable, Table, TableCorpus
 
@@ -33,13 +35,6 @@ from tests.helpers import (
 VOCABULARY = ["ada", "alan", "grace", "berlin", "paris", "rome", "us", "uk", "de"]
 
 values = st.sampled_from(VOCABULARY)
-
-#: Trigger-happy adaptive knobs: chunk size 1 and the minimum re-plan factor
-#: make re-planning fire on tiny random corpora whenever estimates wobble.
-AGGRESSIVE_ADAPTIVE = PlannerOptions(
-    mode="adaptive", replan_factor=1.0, replan_check_every=1, sample_size=1
-)
-
 
 def corpus_and_query(draw) -> tuple[TableCorpus, QueryTable]:
     corpus = TableCorpus(name="prop")
@@ -103,20 +98,16 @@ class TestPlanEquivalenceProperties:
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_adaptive_replanning_yields_a_valid_topk(self, data):
+    def test_cost_mode_seeds_the_fewest_probed_postings(self, data):
         corpus, query = corpus_and_query(data.draw)
         engine = build_engine(corpus)
-        result = engine.discover(query, planner=AGGRESSIVE_ADAPTIVE)
-        truth = top_k_by_exact_joinability(query, corpus, k=engine.config.k)
-        assert_topk_equivalent(result.result_tuples(), truth)
-
-    @given(data=st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_cost_mode_yields_a_valid_topk(self, data):
-        corpus, query = corpus_and_query(data.draw)
-        engine = build_engine(corpus)
-        result = engine.discover(
-            query, planner=PlannerOptions(mode="cost", sample_size=2)
-        )
+        result = engine.discover(query, planner=PlannerOptions(mode="cost"))
+        counts = probed_postings(query, engine.index)
+        seed = result.plan.plan.seed
+        assert (seed.probe_count, seed.postings) == counts[seed.column]
+        assert seed.postings == min(postings for _, postings in counts.values())
+        assert result.counters.pl_items_fetched == seed.postings
+        selector = engine.discover(query)
+        assert_topk_equivalent(result.result_tuples(), selector.result_tuples())
         truth = top_k_by_exact_joinability(query, corpus, k=engine.config.k)
         assert_topk_equivalent(result.result_tuples(), truth)

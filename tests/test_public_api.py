@@ -169,9 +169,8 @@ EXPECTED_SUBPACKAGE_EXPORTS = {
     "repro.index": [
         "FetchBlock", "IndexBuildReport", "IndexBuilder",
         "IndexStorageReport", "InvertedIndex",
-        "JOSIE_BYTES_PER_ENTRY", "PostingVolumeEstimate", "SCR_BYTES_PER_ENTRY",
-        "bits_to_bytes", "build_index", "entry_coverage", "estimate_posting_volume",
-        "sample_positions", "storage_report",
+        "JOSIE_BYTES_PER_ENTRY", "SCR_BYTES_PER_ENTRY",
+        "bits_to_bytes", "build_index", "entry_coverage", "storage_report",
     ],
     "repro.ingest": [
         "CompactionPolicy", "Compactor", "IngestBuffer", "LiveIndex", "LiveSnapshot",
@@ -190,7 +189,7 @@ EXPECTED_SUBPACKAGE_EXPORTS = {
     "repro.plan": [
         "CandidateGeneration", "DEFAULT_PLANNER_OPTIONS", "Executor", "PIPELINE_STAGES",
         "PLANNER_MODES", "PlanContext", "PlanReport", "PlanStage", "Planner",
-        "PlannerOptions", "QueryPlan", "ReplanEvent", "RowVerification",
+        "PlannerOptions", "QueryPlan", "RowVerification",
         "SKETCH_PIPELINE_STAGES", "STAGE_SKETCH_PRUNE", "SeedCandidate", "SketchPrune",
         "StageResult", "SuperKeyPrefilter", "TopKMaintenance",
     ],

@@ -209,6 +209,17 @@ class TestPoolEquivalence:
         assert len(stats["workers"]) == 2
         assert stats["serve"]["requests"] >= 1
 
+    def test_cost_mode_answers_what_selector_mode_answers(self, workload, pools):
+        """Each worker seeds its shard from its own exact counts; the
+        merged answer is the selector mode's."""
+        pool = pools(2)
+        for query in workload.queries:
+            cost = pool.discover(
+                query, k=CONFIG.k, planner=PlannerOptions(mode="cost")
+            )
+            assert cost.complete
+            assert topk_tuples(cost) == topk_tuples(pool.discover(query, k=CONFIG.k))
+
     @settings(max_examples=10, deadline=None)
     @given(
         num_shards=st.sampled_from(SHARD_COUNTS),

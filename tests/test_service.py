@@ -21,7 +21,7 @@ from repro import (
 from repro.datamodel import Table, TableCorpus
 from repro.index import InvertedIndex, kernels
 from repro.metrics import CacheCounters
-from repro.plan.planner import Planner
+from repro.core.column_selection import complete_key_tuples, probe_values
 from repro.storage import reopen_segment, write_segment
 from tests.helpers import assert_live_matches_bulk, fetch_items, row_keys
 
@@ -226,10 +226,11 @@ class TestSessionBatch:
         engine = MateDiscovery(
             workload.corpus, monolithic_index, config=service_config
         )
-        planner = Planner(engine)
         for query in workload.queries:
             initial = engine.column_selector(query, monolithic_index)
-            values = planner.probe_values_for(query, initial)
+            values = probe_values(
+                complete_key_tuples(query), query.key_columns.index(initial)
+            )
             assert values  # every generated query has complete key tuples
             key_map = engine._build_key_super_key_map(query, initial)
             assert values == list(key_map)
